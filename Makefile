@@ -10,12 +10,12 @@ FUZZ_TARGETS = \
 	internal/health:FuzzHealthProbe internal/flow:FuzzFlowCredit \
 	internal/agg:FuzzAggFrame
 
-.PHONY: check build vet test race bench cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate soak
+.PHONY: check build vet test race allocs bench bench-quick cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate soak
 
 # check includes the facade API-surface golden test (api_test.go vs
 # api.txt) via the race lane; regen the listing after an intentional API
 # change with: MADGO_REGEN_API=1 $(GO) test -run TestAPISurfaceGolden .
-check: build vet race cover
+check: build vet race allocs cover
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,22 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs the allocation-regression wall of the simulation kernel
+# (DESIGN.md §16): events, sleeps, channel hand-offs and fluid transfers are
+# pinned at 0 allocations in steady state, a direct-link mad message and a
+# 1 MiB message of the Fig. 6 stream at small per-message budgets.
+allocs:
+	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg -run 'AllocsNothing' -v
+	$(GO) test ./internal/mad . -run 'AllocBudget' -v
+
+# bench-quick is the two-clock ledger's smoke run (benchmark/README.md):
+# every workload at 1/20 load with all its self-checks — byte-exact delivery,
+# reproducible virtual time, balanced credit ledger — then the benchmark's
+# own tests. About 15 s; the full run is `bash benchmark/run.sh`.
+bench-quick:
+	bash benchmark/run.sh -quick
+	cd benchmark && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench . -benchmem

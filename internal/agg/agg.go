@@ -49,6 +49,9 @@ const (
 
 	// MaxSubs caps the sub-messages per frame (the count field is 16-bit).
 	MaxSubs = 1<<16 - 1
+
+	// rearmMin is the smallest buffer Detach re-arms a builder with.
+	rearmMin = 512
 )
 
 // Block is one packed block of a sub-message: its payload and the send and
@@ -166,13 +169,19 @@ func (b *Builder) Finish() []byte {
 
 // Detach hands the caller ownership of the sealed buffer — the reserved
 // prefix followed by the frame Finish produced — and re-arms the builder
-// with a fresh empty buffer of the same capacity. Use it when the frame's
-// lifetime outlives the flush (a wire layer that references payloads instead
-// of copying them): the detached buffer is never touched by the builder
-// again, so no defensive copy is needed.
+// with a fresh empty buffer. Use it when the frame's lifetime outlives the
+// flush (a wire layer that references payloads instead of copying them): the
+// detached buffer is never touched by the builder again, so no defensive
+// copy is needed — and, for the same reason, it can never be reused.
+//
+// The fresh buffer is sized by the frame just sealed, twice its length
+// within [rearmMin, the old capacity], and grows by append if the next
+// frame is larger: a stream of full frames keeps its full-size buffer, while
+// a coalescer that idle-flushes one small message at a time no longer pays
+// for a whole MTU per flush.
 func (b *Builder) Detach() []byte {
 	out := b.buf
-	b.buf = make([]byte, b.prefix+HeaderLen, cap(out))
+	b.buf = make([]byte, b.prefix+HeaderLen, min(cap(out), max(rearmMin, 2*len(out))))
 	b.count = 0
 	return out
 }

@@ -120,6 +120,47 @@ func TestBuilderPrefixDetach(t *testing.T) {
 	}
 }
 
+// TestDetachRearmsToTheFrameJustSealed pins the size of the buffer Detach
+// leaves behind: an idle flush of one small message must not cost a whole
+// MTU-sized buffer, a full frame keeps its full-size buffer (no regrowth on
+// a stream of full frames), the detached buffer is never the builder's
+// again, and a frame larger than the re-armed buffer still builds.
+func TestDetachRearmsToTheFrameJustSealed(t *testing.T) {
+	const prefix, mtu = 20, 32 << 10
+	b := NewBuilderPrefix(prefix, prefix+mtu)
+	small := []Block{{Data: make([]byte, 64), S: 1, R: 1}}
+
+	b.Add(1, small)
+	b.Finish()
+	wire := b.Detach()
+	if got := cap(b.buf); got != rearmMin {
+		t.Errorf("after a %d-byte frame the builder holds a %d-byte buffer, want %d", len(wire), got, rearmMin)
+	}
+	if &wire[0] == &b.buf[0] {
+		t.Fatal("Detach re-armed the builder with the buffer it handed out")
+	}
+
+	// A full frame: the buffer grows by append, then stays.
+	for id := uint64(0); b.Len()+SubSize(small) <= mtu; id++ {
+		b.Add(id, small)
+	}
+	b.Finish()
+	full := b.Detach()
+	if _, ok := NewReader(full[prefix:]); !ok {
+		t.Fatal("full frame built in a grown buffer does not validate")
+	}
+	if cap(b.buf) < len(full) {
+		t.Errorf("after a full %d-byte frame the builder holds only %d bytes", len(full), cap(b.buf))
+	}
+	before := cap(b.buf)
+	for id := uint64(0); b.Len()+SubSize(small) <= mtu; id++ {
+		b.Add(id, small)
+	}
+	if cap(b.buf) != before {
+		t.Errorf("a second full frame regrew the buffer from %d to %d bytes", before, cap(b.buf))
+	}
+}
+
 // TestBuilderHotPathAllocsNothing pins the aggregator hot path at zero
 // allocations per coalesced message once the builder's buffer is warm: an
 // incast of mice must not churn the garbage collector.

@@ -17,7 +17,6 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"madgo/internal/obs"
 	"madgo/internal/vtime"
@@ -82,6 +81,13 @@ type Resource struct {
 
 	flows  []Presence // active flows through this resource
 	served float64    // total bytes moved through this resource (diagnostics)
+
+	// Water-filling scratch of computeRates: the capacity not yet frozen
+	// and the flows still sharing it, valid while epoch is the engine's
+	// current allocation round. A resource belongs to one engine.
+	capLeft float64
+	count   int
+	epoch   uint64
 }
 
 // Name returns the resource name.
@@ -105,13 +111,15 @@ type Flow struct {
 	name      string
 	class     Class   // class of the first hop, for diagnostics
 	demand    float64 // nominal engine rate, bytes/s
+	effective float64 // demand times the arbitration multipliers, this allocation round
 	remaining float64 // bytes left
 	total     float64
 	route     []Hop
 	rate      float64 // current allocated rate
 	updated   vtime.Time
 	started   vtime.Time
-	waker     *vtime.Waker
+	waker     vtime.Waker // the process blocked in TransferOK parks here
+	blocking  bool        // waker is armed and not yet woken
 	onDone    func()
 	canceled  bool
 }
@@ -136,8 +144,19 @@ func (f *Flow) Canceled() bool { return f.canceled }
 type Engine struct {
 	sim      *vtime.Sim
 	nextID   uint64
-	flows    []*Flow
+	flows    []*Flow // live flows, in creation (id) order
 	timerGen uint64
+	onTimer  func(gen uint64) // timerFired, bound once
+
+	// Scratch reused by every allocation round, so that in steady state a
+	// transfer allocates nothing: retired flows awaiting their wake-up, the
+	// water-filling work lists, the round counter stamping Resource
+	// scratch, and the Flow records of finished blocking transfers.
+	done     []*Flow
+	unfrozen []*Flow
+	limits   []float64
+	epoch    uint64
+	free     []*Flow
 
 	// Metrics, when non-nil, receives flow lifecycle counters and the
 	// active-flow gauge (a nil registry records nothing).
@@ -146,7 +165,9 @@ type Engine struct {
 
 // NewEngine creates a fluid engine bound to the simulation clock.
 func NewEngine(sim *vtime.Sim) *Engine {
-	return &Engine{sim: sim}
+	e := &Engine{sim: sim}
+	e.onTimer = e.timerFired
+	return e
 }
 
 // NewResource registers a resource with the given capacity in bytes/s.
@@ -195,9 +216,15 @@ func (e *Engine) TransferOK(p *vtime.Proc, spec Spec) (vtime.Duration, bool) {
 		return 0, true
 	}
 	f := e.start(spec)
-	f.waker = p.Blocker("flow " + spec.Name)
+	f.blocking = true
+	p.InitBlocker(&f.waker, "flow", spec.Name)
 	f.waker.Wait()
-	return vtime.Since(e.sim.Now(), f.started), !f.canceled
+	d, ok := vtime.Since(e.sim.Now(), f.started), !f.canceled
+	// The flow left the engine's lists before its waiter was woken and
+	// nobody else ever saw it: its record serves a later transfer. Flows
+	// handed out by Start stay with their caller and never come back here.
+	e.free = append(e.free, f)
+	return d, ok
 }
 
 // Start begins a transfer without blocking; onDone (may be nil) runs in
@@ -227,7 +254,13 @@ func (e *Engine) start(spec Spec) *Flow {
 		panic("fluid: transfer with empty route: " + spec.Name)
 	}
 	e.nextID++
-	f := &Flow{
+	var f *Flow
+	if n := len(e.free); n > 0 {
+		f, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{
 		id:        e.nextID,
 		name:      spec.Name,
 		class:     spec.Class,
@@ -243,7 +276,9 @@ func (e *Engine) start(spec Spec) *Flow {
 	for _, h := range f.route {
 		h.R.flows = append(h.R.flows, Presence{Flow: f, Class: h.Class})
 	}
-	e.Metrics.Add("madgo_flows_started_total", obs.Labels{"class": spec.Class.String()}, 1)
+	if m := e.Metrics; m != nil {
+		m.Add("madgo_flows_started_total", obs.Labels{"class": spec.Class.String()}, 1)
+	}
 	e.reallocate()
 	return f
 }
@@ -275,8 +310,11 @@ const completionEps = 1e-3
 // reallocate recomputes all rates and schedules the next completion. It must
 // run after integrate whenever the flow set changes.
 func (e *Engine) reallocate() {
-	// Retire completed flows first.
-	var done []*Flow
+	// Retire completed flows first. The done list is taken off the engine
+	// while it is in use: a completion callback may start a flow, which
+	// re-enters here.
+	done := e.done[:0]
+	e.done = nil
 	live := e.flows[:0]
 	for _, f := range e.flows {
 		if f.remaining <= completionEps {
@@ -294,25 +332,36 @@ func (e *Engine) reallocate() {
 
 	e.computeRates()
 	e.scheduleNextCompletion()
-	e.Metrics.Set("madgo_active_flows", nil, float64(len(e.flows)))
+	m := e.Metrics
+	m.Set("madgo_active_flows", nil, float64(len(e.flows)))
 
 	// Wake finishers after the new schedule is in place.
 	for _, f := range done {
 		f.remaining = 0
 		f.rate = 0
-		e.Metrics.Add("madgo_flows_completed_total", obs.Labels{"class": f.class.String()}, 1)
-		e.Metrics.Add("madgo_flow_bytes_total", obs.Labels{"class": f.class.String()}, f.total)
-		e.Metrics.ObserveDuration("madgo_flow_seconds", obs.Labels{"class": f.class.String()},
-			vtime.Since(e.sim.Now(), f.started))
-		if f.waker != nil {
-			f.waker.Wake()
-			f.waker = nil
+		if m != nil {
+			labels := obs.Labels{"class": f.class.String()}
+			m.Add("madgo_flows_completed_total", labels, 1)
+			m.Add("madgo_flow_bytes_total", labels, f.total)
+			m.ObserveDuration("madgo_flow_seconds", labels, vtime.Since(e.sim.Now(), f.started))
 		}
-		if f.onDone != nil {
-			fn := f.onDone
-			f.onDone = nil
-			fn()
-		}
+		e.finish(f)
+	}
+	clear(done)
+	e.done = done[:0]
+}
+
+// finish releases whoever waits for f: the process blocked in TransferOK or
+// the completion callback given to Start.
+func (e *Engine) finish(f *Flow) {
+	if f.blocking {
+		f.blocking = false
+		f.waker.Wake()
+	}
+	if f.onDone != nil {
+		fn := f.onDone
+		f.onDone = nil
+		fn()
 	}
 }
 
@@ -326,18 +375,20 @@ func removeFlow(flows []Presence, f *Flow) []Presence {
 }
 
 // computeRates runs priority-adjusted max-min (water-filling) over the live
-// flows. Deterministic: flows are processed in creation order.
+// flows. Deterministic: flows are processed in creation order, which is the
+// order of e.flows (flows are appended as they start, and retiring or
+// cancelling filters the list stably). The per-resource and per-flow work
+// values live in scratch fields stamped with the round's epoch instead of
+// maps built per call; every sum, product and comparison runs in the order
+// it always did, so rates are bit-identical.
 func (e *Engine) computeRates() {
 	if len(e.flows) == 0 {
 		return
 	}
-	flows := make([]*Flow, len(e.flows))
-	copy(flows, e.flows)
-	sort.Slice(flows, func(i, j int) bool { return flows[i].id < flows[j].id })
+	flows := e.flows
 
 	// Effective demand: nominal demand times the product of arbitration
 	// multipliers along the route.
-	demand := make(map[*Flow]float64, len(flows))
 	for _, f := range flows {
 		d := f.demand
 		for _, h := range f.route {
@@ -349,52 +400,54 @@ func (e *Engine) computeRates() {
 				d *= m
 			}
 		}
-		demand[f] = d
+		f.effective = d
 	}
 
-	capLeft := make(map[*Resource]float64)
-	count := make(map[*Resource]int)
+	e.epoch++
 	for _, f := range flows {
 		for _, h := range f.route {
-			if _, seen := capLeft[h.R]; !seen {
-				capLeft[h.R] = h.R.capacity
-				count[h.R] = 0
+			if h.R.epoch != e.epoch {
+				h.R.epoch = e.epoch
+				h.R.capLeft = h.R.capacity
+				h.R.count = 0
 			}
-			count[h.R]++
+			h.R.count++
 		}
 	}
 
-	unfrozen := flows
+	work := append(e.unfrozen[:0], flows...)
+	unfrozen, limits := work, e.limits
 	for len(unfrozen) > 0 {
 		// Per-flow limit against the current snapshot: demand or the
 		// tightest fair share on the flow's route.
-		limits := make([]float64, len(unfrozen))
+		limits = limits[:0]
 		lmin := math.Inf(1)
-		for i, f := range unfrozen {
-			l := demand[f]
+		for _, f := range unfrozen {
+			l := f.effective
 			for _, h := range f.route {
-				share := capLeft[h.R] / float64(count[h.R])
+				share := h.R.capLeft / float64(h.R.count)
 				if share < l {
 					l = share
 				}
 			}
-			limits[i] = l
+			limits = append(limits, l)
 			if l < lmin {
 				lmin = l
 			}
 		}
 		// Freeze every flow bottlenecked at the minimum; apply capacity
-		// updates only after the freeze set is fixed.
-		var rest []*Flow
+		// updates only after the freeze set is fixed. The survivors are
+		// compacted in place, behind the read position.
+		rest := unfrozen[:0]
 		for i, f := range unfrozen {
 			if limits[i] <= lmin*(1+1e-12) {
 				f.rate = lmin
 				for _, h := range f.route {
-					capLeft[h.R] -= lmin
-					if capLeft[h.R] < 0 {
-						capLeft[h.R] = 0
+					h.R.capLeft -= lmin
+					if h.R.capLeft < 0 {
+						h.R.capLeft = 0
 					}
-					count[h.R]--
+					h.R.count--
 				}
 			} else {
 				rest = append(rest, f)
@@ -405,6 +458,8 @@ func (e *Engine) computeRates() {
 		}
 		unfrozen = rest
 	}
+	clear(work) // scratch must not pin flows that have left the engine
+	e.unfrozen, e.limits = work[:0], limits[:0]
 }
 
 // scheduleNextCompletion arms a single timer at the earliest flow
@@ -429,14 +484,18 @@ func (e *Engine) scheduleNextCompletion() {
 	if eta == vtime.Time(math.MaxInt64) {
 		panic("fluid: all flows starved — resource capacities misconfigured")
 	}
-	gen := e.timerGen
-	e.sim.At(eta, func() {
-		if gen != e.timerGen {
-			return
-		}
-		e.integrate()
-		e.reallocate()
-	})
+	e.sim.AtArg(eta, e.onTimer, e.timerGen)
+}
+
+// timerFired is the completion timer's callback; gen is the timerGen it was
+// armed under, and a timer overtaken by a later change of the flow set does
+// nothing.
+func (e *Engine) timerFired(gen uint64) {
+	if gen != e.timerGen {
+		return
+	}
+	e.integrate()
+	e.reallocate()
 }
 
 // ActiveFlows returns the number of in-progress flows (diagnostics).
@@ -462,13 +521,12 @@ func (e *Engine) CancelOn(r *Resource) int {
 		return 0
 	}
 	e.integrate()
-	dead := make(map[*Flow]bool, len(doomed))
 	for _, f := range doomed {
-		dead[f] = true
+		f.canceled = true
 	}
 	live := e.flows[:0]
 	for _, f := range e.flows {
-		if !dead[f] {
+		if !f.canceled {
 			live = append(live, f)
 		}
 	}
@@ -477,7 +535,6 @@ func (e *Engine) CancelOn(r *Resource) int {
 		for _, h := range f.route {
 			h.R.flows = removeFlow(h.R.flows, f)
 		}
-		f.canceled = true
 		f.rate = 0
 	}
 	e.computeRates()
@@ -485,15 +542,7 @@ func (e *Engine) CancelOn(r *Resource) int {
 	e.Metrics.Set("madgo_active_flows", nil, float64(len(e.flows)))
 	e.Metrics.Add("madgo_flows_canceled_total", nil, float64(len(doomed)))
 	for _, f := range doomed {
-		if f.waker != nil {
-			f.waker.Wake()
-			f.waker = nil
-		}
-		if f.onDone != nil {
-			fn := f.onDone
-			f.onDone = nil
-			fn()
-		}
+		e.finish(f)
 	}
 	return len(doomed)
 }

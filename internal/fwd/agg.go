@@ -261,8 +261,10 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	case "ordering":
 		st.stats.OrderingFlushes++
 	}
-	m.RecordHop(frameID, now, c.node.Name, "agg",
-		fmt.Sprintf("flush(%s) -> %s: %d msgs, %d bytes", reason, c.dst, count, flen), flen)
+	if m != nil {
+		m.RecordHop(frameID, now, c.node.Name, "agg",
+			fmt.Sprintf("flush(%s) -> %s: %d msgs, %d bytes", reason, c.dst, count, flen), flen)
+	}
 
 	// Detach the sealed buffer — [reserved GTM header | frame] — and hand
 	// ownership to whichever transport carries it. The wire layer references
@@ -315,8 +317,10 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 				{Size: flen, S: mad.SendCheaper, R: mad.ReceiveCheaper}},
 		}, wire)
 		link.Release(p)
-		m.RecordHop(frameID, p.Now(), c.node.Name, "hop",
-			fmt.Sprintf("%s -> %s via %s (aggregate)", c.node.Name, link.Dst.Name, hop.Network), flen)
+		if m != nil {
+			m.RecordHop(frameID, p.Now(), c.node.Name, "hop",
+				fmt.Sprintf("%s -> %s via %s (aggregate)", c.node.Name, link.Dst.Name, hop.Network), flen)
+		}
 	}
 	c.enq = c.enq[:0]
 	c.ids = c.ids[:0]
@@ -434,8 +438,10 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 		panic("fwd: route crosses network without a special channel: " + hop.Network)
 	}
 	link := spc.Link(ax.node.Rank, vc.NodeRank(hop.To))
-	vc.metrics().RecordHop(ax.id, p.Now(), ax.node.Name, "pack",
-		fmt.Sprintf("agg spill -> %s via %s (outgrew frame budget)", ax.dst, hop.Network), ax.total)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(ax.id, p.Now(), ax.node.Name, "pack",
+			fmt.Sprintf("agg spill -> %s via %s (outgrew frame budget)", ax.dst, hop.Network), ax.total)
+	}
 	blocks := ax.blocks
 	ax.blocks = nil
 	if vc.cfg.Eager {
@@ -588,6 +594,8 @@ func (u *aggUnpacking) end(p *vtime.Proc) {
 	if u.next != u.sub.NumBlocks() {
 		panic("fwd: aggregated message ended with unconsumed blocks")
 	}
-	u.vc.metrics().RecordHop(u.id, p.Now(), u.node.Name, "deliver",
-		"decoalesced at "+u.node.Name, u.off)
+	if m := u.vc.metrics(); m != nil {
+		m.RecordHop(u.id, p.Now(), u.node.Name, "deliver",
+			"decoalesced at "+u.node.Name, u.off)
+	}
 }

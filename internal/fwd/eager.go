@@ -105,8 +105,10 @@ func (g *eagerPacking) flushStaged(p *vtime.Proc, last bool) {
 				Kind:   mad.KindEager,
 				Blocks: []mad.BlockDesc{gtmHeaderDesc[0], g.sdesc},
 			}, encodeGTMCompact(g.node.Rank, g.finalDst, g.mtu, g.id, g.sdata))
-			g.vc.metrics().RecordHop(g.id, p.Now(), g.node.Name, "hop",
-				fmt.Sprintf("%s -> %s via %s (compact)", g.node.Name, g.link.Dst.Name, net), len(g.sdata))
+			if m := g.vc.metrics(); m != nil {
+				m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
+					fmt.Sprintf("%s -> %s via %s (compact)", g.node.Name, g.link.Dst.Name, net), len(g.sdata))
+			}
 			g.sdata = nil
 			return
 		}
@@ -122,8 +124,10 @@ func (g *eagerPacking) flushStaged(p *vtime.Proc, last bool) {
 		Kind:   mad.KindEager,
 		Blocks: []mad.BlockDesc{g.sdesc},
 	}, g.sdata)
-	g.vc.metrics().RecordHop(g.id, p.Now(), g.node.Name, "hop",
-		fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), len(g.sdata))
+	if m := g.vc.metrics(); m != nil {
+		m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
+			fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), len(g.sdata))
+	}
 	g.sdata = nil
 }
 
@@ -233,6 +237,8 @@ func (g *eagerUnpacking) end(p *vtime.Proc) {
 		panic("fwd: protocol error: compact message ended before its terminator")
 	}
 	g.link.ReleaseRecv(p)
-	g.vc.metrics().RecordHop(g.id, p.Now(), g.node.Name, "deliver",
-		"reassembled at "+g.node.Name, g.got)
+	if m := g.vc.metrics(); m != nil {
+		m.RecordHop(g.id, p.Now(), g.node.Name, "deliver",
+			"reassembled at "+g.node.Name, g.got)
+	}
 }

@@ -62,6 +62,18 @@ type relayRing struct {
 	static map[string]*bufPool // per-egress-network driver static buffers
 
 	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one relay at a time
+
+	// Names the pipeline would otherwise format for every relayed message:
+	// the receive thread's trace actor, and per egress network the send
+	// thread's.
+	recvActor string
+	senders   map[string]relaySender
+}
+
+// relaySender names the send thread a ring spawns toward one egress network.
+type relaySender struct {
+	actor string // trace actor, "<gateway>:send:<net>"
+	proc  string // process name, "gwsend:<gateway>:<net>"
 }
 
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
@@ -149,7 +161,8 @@ func (g *Gateway) fenceEgress(p *vtime.Proc, out *mad.Link) {
 		return
 	}
 	for e.inflight > 0 {
-		w := p.Blocker("gw egress fence " + g.name)
+		w := new(vtime.Waker)
+		p.InitBlocker(w, "gw egress fence", g.name)
 		e.idle = append(e.idle, w)
 		w.Wait()
 	}
@@ -182,9 +195,26 @@ func (g *Gateway) ring(inNet string) *relayRing {
 		pool:   newBufPool(nil),
 		stage:  newBufPool(nil),
 		static: make(map[string]*bufPool),
+
+		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
+		senders:   make(map[string]relaySender),
 	}
 	g.rings[inNet] = r
 	return r
+}
+
+// sender returns the ring's names for the send thread toward one egress
+// network, formatting them on first use.
+func (r *relayRing) sender(gw, outNet string) relaySender {
+	s, ok := r.senders[outNet]
+	if !ok {
+		s = relaySender{
+			actor: fmt.Sprintf("%s:send:%s", gw, outNet),
+			proc:  fmt.Sprintf("gwsend:%s:%s", gw, outNet),
+		}
+		r.senders[outNet] = s
+	}
+	return s
 }
 
 // staticPool returns the ring's free list of egress-driver static buffers
@@ -447,8 +477,10 @@ func (g *Gateway) forward(p *vtime.Proc, a *mad.Arrival) int64 {
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	vc.metrics().RecordHop(msgID, p.Now(), g.name, "relay",
-		fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	}
 	var outCh *mad.Channel
 	nextGW := ""
 	if hop.To == dstName {
@@ -512,8 +544,10 @@ func (g *Gateway) forwardEager(p *vtime.Proc, a *mad.Arrival) int64 {
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	vc.metrics().RecordHop(msgID, p.Now(), g.name, "relay",
-		fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	}
 	var outCh *mad.Channel
 	nextGW := ""
 	if hop.To == dstName {
@@ -601,8 +635,9 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu i
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
 	outNet := out.Channel.Network().Name
-	recvActor := fmt.Sprintf("%s:recv:%s", g.name, inNet)
-	sendActor := fmt.Sprintf("%s:send:%s", g.name, outNet)
+	recvActor := r.recvActor
+	names := r.sender(g.name, outNet)
+	sendActor := names.actor
 
 	ingressStatic := in.NIC().StaticBuffers
 	egressStatic := out.NIC().StaticBuffers
@@ -624,7 +659,9 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu i
 		}
 	}
 
-	sender := vc.sess.Platform.Sim.Spawn(fmt.Sprintf("gwsend:%s:%s", g.name, outNet), func(sp *vtime.Proc) {
+	// A process per message, not a daemon: a parked daemon would be woken
+	// by an event of its own and reorder the instant the relay starts in.
+	sender := vc.sess.Platform.Sim.Spawn(names.proc, func(sp *vtime.Proc) {
 		for {
 			pkt, _ := r.full.Recv(sp)
 			if pkt.eom && pkt.data == nil {

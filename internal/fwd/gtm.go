@@ -150,14 +150,22 @@ func (g *gtmPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Recv
 		g.vc.flightRing(g.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), g.id, len(data), "")
 	}
 	net := g.link.Channel.Network().Name
+	// One descriptor array per block, not per fragment: every full-MTU
+	// fragment shares descs[0] and the tail has descs[1]. Nothing writes to
+	// them afterwards, so each gateway on the path may re-send the slice it
+	// received for as long as its relay runs.
+	descs := []mad.BlockDesc{{Size: g.mtu, S: s, R: r}, {Size: len(data) % g.mtu, S: s, R: r}}
 	mad.ForEachFragment(len(data), g.mtu, func(off, n int) {
+		desc := descs[0:1:1]
+		if n != g.mtu {
+			desc = descs[1:]
+		}
 		g.vc.flowSpend(p, g.link.Dst.Name, g.node.Name, g.id)
-		g.link.Send(p, mad.TxMeta{
-			Kind:   mad.KindGTM,
-			Blocks: []mad.BlockDesc{{Size: n, S: s, R: r}},
-		}, data[off:off+n])
-		g.vc.metrics().RecordHop(g.id, p.Now(), g.node.Name, "hop",
-			fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), n)
+		g.link.Send(p, mad.TxMeta{Kind: mad.KindGTM, Blocks: desc}, data[off:off+n])
+		if m := g.vc.metrics(); m != nil {
+			m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
+				fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), n)
+		}
 	})
 }
 
@@ -223,6 +231,8 @@ func (g *gtmUnpacking) end(p *vtime.Proc) {
 		panic("fwd: protocol error: expected GTM message terminator")
 	}
 	g.link.ReleaseRecv(p)
-	g.vc.metrics().RecordHop(g.id, p.Now(), g.node.Name, "deliver",
-		"reassembled at "+g.node.Name, g.got)
+	if m := g.vc.metrics(); m != nil {
+		m.RecordHop(g.id, p.Now(), g.node.Name, "deliver",
+			"reassembled at "+g.node.Name, g.got)
+	}
 }

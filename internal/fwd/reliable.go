@@ -734,7 +734,9 @@ func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBloc
 			e.msgResends++
 			e.trace("resend", 0, p.Now())
 			e.count("madgo_message_resends_total")
-			e.hop(id, p.Now(), "resend", fmt.Sprintf("attempt %d -> %s", attempt+1, dst), 0)
+			if e.metrics() != nil {
+				e.hop(id, p.Now(), "resend", fmt.Sprintf("attempt %d -> %s", attempt+1, dst), 0)
+			}
 		}
 		aw := &relAwait{}
 		e.e2e[mkey] = aw
@@ -881,8 +883,10 @@ func (e *relEngine) forwardBatchExcluding(p *vtime.Proc, finalDst, exclude strin
 		}
 		ds = failed
 		e.markDead(hop, p.Now())
-		e.hop(ds[0].id, p.Now(), "failover",
-			fmt.Sprintf("link to %s via %s presumed dead", hop.To, hop.Network), 0)
+		if e.metrics() != nil {
+			e.hop(ds[0].id, p.Now(), "failover",
+				fmt.Sprintf("link to %s via %s presumed dead", hop.To, hop.Network), 0)
+		}
 	}
 	return false
 }
@@ -911,7 +915,9 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 		e.acks[ds[i].key()] = aws[i]
 		sentAt[i] = p.Now()
 		e.sendData(p, link, ds[i], i == len(ds)-1)
-		e.hop(ds[i].id, p.Now(), "hop", e.hopDetail(ds[i], hop), len(ds[i].payload))
+		if e.metrics() != nil {
+			e.hop(ds[i].id, p.Now(), "hop", e.hopDetail(ds[i], hop), len(ds[i].payload))
+		}
 	}
 	hopDead := false
 	for i := range ds {
@@ -944,7 +950,9 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 				e.retransmits++
 				e.trace("rexmit", len(ds[i].payload), p.Now())
 				e.count("madgo_retransmits_total")
-				e.hop(ds[i].id, p.Now(), "rexmit", e.hopDetail(ds[i], hop), len(ds[i].payload))
+				if e.metrics() != nil {
+					e.hop(ds[i].id, p.Now(), "rexmit", e.hopDetail(ds[i], hop), len(ds[i].payload))
+				}
 				aw = &relAwait{}
 				e.acks[key] = aw
 				sentAt[i] = p.Now()
@@ -1246,8 +1254,10 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		if _, ok := e.nextHop(finalName, ingress, p.Now()); !ok {
 			e.relayDrops++
 			e.count("madgo_relay_drops_total")
-			e.hop(d.id, p.Now(), "refuse",
-				fmt.Sprintf("no route to %s except back via %s", finalName, ingress), 0)
+			if e.metrics() != nil {
+				e.hop(d.id, p.Now(), "refuse",
+					fmt.Sprintf("no route to %s except back via %s", finalName, ingress), 0)
+			}
 			return
 		}
 		if !e.enqueueRelay(relayItem{d: d, from: ingress, enq: p.Now()}) {
@@ -1279,7 +1289,9 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
 		e.dups++
 		e.trace("dup", len(d.payload), p.Now())
 		e.count("madgo_duplicates_total")
-		e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d after completion, re-acked", d.frag), len(d.payload))
+		if e.metrics() != nil {
+			e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d after completion, re-acked", d.frag), len(d.payload))
+		}
 		e.sendE2E(d.origin, d.id)
 		return
 	}
@@ -1296,7 +1308,9 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
 		e.dups++
 		e.trace("dup", len(d.payload), p.Now())
 		e.count("madgo_duplicates_total")
-		e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d suppressed", d.frag), len(d.payload))
+		if e.metrics() != nil {
+			e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d suppressed", d.frag), len(d.payload))
+		}
 		return
 	}
 	m.frags[d.frag] = d.payload
@@ -1315,8 +1329,10 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
 				payload += len(b)
 			}
 		}
-		e.hop(d.id, p.Now(), "deliver",
-			fmt.Sprintf("reassembled at %s (%d fragments)", e.node.Name, m.total), payload)
+		if e.metrics() != nil {
+			e.hop(d.id, p.Now(), "deliver",
+				fmt.Sprintf("reassembled at %s (%d fragments)", e.node.Name, m.total), payload)
+		}
 		e.sendE2E(d.origin, d.id)
 	}
 }
@@ -1350,8 +1366,10 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 	delete(e.rx, victim)
 	e.rxEvictions++
 	e.count("madgo_rel_rx_evictions_total")
-	e.hop(victim.id, p.Now(), "evict",
-		fmt.Sprintf("partial reassembly evicted at cap %d", relRxCap), 0)
+	if e.metrics() != nil {
+		e.hop(victim.id, p.Now(), "evict",
+			fmt.Sprintf("partial reassembly evicted at cap %d", relRxCap), 0)
+	}
 }
 
 // hopAck records the hop acknowledgement of one packet against its reverse

@@ -489,8 +489,10 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 			nrails++
 		}
 	}
-	vc.metrics().RecordHop(sx.id, p.Now(), src, "stripe",
-		fmt.Sprintf("split -> %s over %d rails %v", sx.dst, nrails, spans), int(sx.total))
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(sx.id, p.Now(), src, "stripe",
+			fmt.Sprintf("split -> %s over %d rails %v", sx.dst, nrails, spans), int(sx.total))
+	}
 
 	// One process per active rail; the app process drives the first rail
 	// itself and joins the rest, so EndPacking returns when every rail
@@ -612,8 +614,10 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 				Kind:   mad.KindStripe,
 				Blocks: []mad.BlockDesc{{Size: int(n), S: b.s, R: b.r}},
 			}, b.data[off-bStart:off-bStart+n])
-			vc.metrics().RecordHop(sx.id, p.Now(), sx.node.Name, "hop",
-				fmt.Sprintf("rail %d: %s -> %s via %s", rail, sx.node.Name, link.Dst.Name, net), int(n))
+			if m := vc.metrics(); m != nil {
+				m.RecordHop(sx.id, p.Now(), sx.node.Name, "hop",
+					fmt.Sprintf("rail %d: %s -> %s via %s", rail, sx.node.Name, link.Dst.Name, net), int(n))
+			}
 			off += n
 		}
 	}
@@ -639,8 +643,10 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 	hop := r[0]
 	if r.Direct() {
 		ep := vc.regular[hop.Network].At(sx.node)
-		vc.metrics().RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
-			fmt.Sprintf("direct -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
+		if m := vc.metrics(); m != nil {
+			m.RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
+				fmt.Sprintf("direct -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
+		}
 		px := ep.BeginPacking(p, vc.NodeRank(sx.dst))
 		for _, b := range sx.blocks {
 			px.Pack(p, b.data, b.s, b.r)
@@ -653,8 +659,10 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 		panic("fwd: route crosses network without a special channel: " + hop.Network)
 	}
 	link := spc.Link(sx.node.Rank, vc.NodeRank(hop.To))
-	vc.metrics().RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
-		fmt.Sprintf("gtm -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
+			fmt.Sprintf("gtm -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
+	}
 	g := newGTMPacking(p, vc, sx.node, link, vc.NodeRank(sx.dst), sx.id)
 	for _, b := range sx.blocks {
 		g.pack(p, b.data, b.s, b.r)
@@ -697,8 +705,10 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		total += byteSpans[i]
 	}
 	vc.noteStripePlan(src, dst, byteSpans, total)
-	e.hop(ds[0].id, p.Now(), "stripe",
-		fmt.Sprintf("split -> %s over %d rails %v", dst, len(rails), byteSpans), int(total))
+	if e.metrics() != nil {
+		e.hop(ds[0].id, p.Now(), "stripe",
+			fmt.Sprintf("split -> %s over %d rails %v", dst, len(rails), byteSpans), int(total))
+	}
 
 	var residual []relData
 	failed := make([]bool, len(rails))
@@ -732,8 +742,10 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 				vc.stripe.railFailovers++
 				vc.metrics().Add("madgo_stripe_rail_failovers_total",
 					obs.Labels{"channel": vc.Name}, 1)
-				e.hop(ds[0].id, rp.Now(), "rail-failover",
-					fmt.Sprintf("rail %d via %s dead, %d packets re-striped", ri, hop.Network, len(residual)), 0)
+				if e.metrics() != nil {
+					e.hop(ds[0].id, rp.Now(), "rail-failover",
+						fmt.Sprintf("rail %d via %s dead, %d packets re-striped", ri, hop.Network, len(residual)), 0)
+				}
 				return
 			}
 			for _, d := range chunk {
@@ -786,9 +798,11 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 			vc.stripe.railFailovers++
 			vc.metrics().Add("madgo_stripe_rail_failovers_total",
 				obs.Labels{"channel": vc.Name}, 1)
-			e.hop(ds[0].id, p.Now(), "rail-failover",
-				fmt.Sprintf("rail %d via %s dead draining leftovers, %d packets re-striped",
-					ri, rails[ri][0].Network, len(bad)), 0)
+			if e.metrics() != nil {
+				e.hop(ds[0].id, p.Now(), "rail-failover",
+					fmt.Sprintf("rail %d via %s dead draining leftovers, %d packets re-striped",
+						ri, rails[ri][0].Network, len(bad)), 0)
+			}
 			residual = append(bad, residual...)
 		}
 	}
@@ -978,6 +992,8 @@ func (su *stripeUnpacking) end(p *vtime.Proc) {
 				rl.hdr.rail, rl.consumed, rl.hdr.spanLen))
 		}
 	}
-	su.vc.metrics().RecordHop(su.g.key.id, p.Now(), su.node.Name, "deliver",
-		fmt.Sprintf("reassembled at %s from %d rails", su.node.Name, len(su.g.rails)), int(su.got))
+	if m := su.vc.metrics(); m != nil {
+		m.RecordHop(su.g.key.id, p.Now(), su.node.Name, "deliver",
+			fmt.Sprintf("reassembled at %s from %d rails", su.node.Name, len(su.g.rails)), int(su.got))
+	}
 }

@@ -83,8 +83,8 @@ type transmission struct {
 	dataReady  bool
 	credited   bool         // eager flow-control credit already returned
 	announced  bool         // SOM arrival already notified (post-gated path)
-	senderW    *vtime.Waker // rendezvous: sender waits for the grant
-	recvW      *vtime.Waker // rendezvous: receiver waits for completion
+	senderW    vtime.Waker  // sender waits here: for the rendezvous grant, or at the post gate
+	recvW      *vtime.Waker // rendezvous: receiver waits for completion (its posted receive's waker)
 	granted    *postedRecv
 
 	// Fault verdicts, decided at send time so the injected randomness is
@@ -96,11 +96,50 @@ type transmission struct {
 
 // postedRecv is an outstanding posted receive on a link. dst == nil means
 // the receiver wants a driver-slot handoff instead of in-place delivery.
+// A link has at most one (its receiving side serves one process at a time),
+// so the record is part of the Link and re-armed by every receive that has
+// to wait.
 type postedRecv struct {
 	dst    []byte
-	w      *vtime.Waker
+	w      vtime.Waker // the receiving process parks here
 	tx     *transmission
 	placed bool // payload went straight into dst with no CPU copy
+	armed  bool // a receive is waiting on this record
+}
+
+// wireEvent is one thing due at the receiver a wire latency after it was
+// queued: a transmission (or rendezvous request) to deliver, or the
+// completion of a granted rendezvous to signal.
+type wireEvent struct {
+	tx       *transmission
+	complete bool
+}
+
+// wireQueue is the FIFO of a link's pending wire events, a ring that grows
+// to the link's high-water mark and then allocates no more.
+type wireQueue struct {
+	buf     []wireEvent // len is zero or a power of two
+	head, n int
+}
+
+func (q *wireQueue) push(ev wireEvent) {
+	if q.n == len(q.buf) {
+		grown := make([]wireEvent, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
+	q.n++
+}
+
+func (q *wireQueue) pop() wireEvent {
+	ev := q.buf[q.head]
+	q.buf[q.head] = wireEvent{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return ev
 }
 
 // Link is one unidirectional point-to-point connection of a channel. The
@@ -122,17 +161,35 @@ type Link struct {
 	nic     hw.NICParams
 	wire    *fluid.Resource
 	mailbox *vsync.Chan[*transmission]
-	posted  *postedRecv
+	posted  *postedRecv    // &recv while a receive is posted and unmatched, else nil
+	recv    postedRecv     // the link's one posted-receive record
 	gated   []*vtime.Waker // senders waiting for a posted receive
 	credits *vsync.Sem     // eager flow-control window (nil = unlimited)
 	msgMu   vsync.Mutex    // serializes whole messages on the sending side
 	recvMu  vsync.Mutex    // serializes whole messages on the receiving side
 	seq     uint64
 	flRing  *flight.Ring // cached flight ring; nil until a recorder is armed
+
+	// Constants of the link, built once: what every Send would otherwise
+	// format and allocate anew.
+	flowName   string       // fluid.Spec name of the link's transfers
+	route      [3]fluid.Hop // sender bus → wire → receiver bus
+	sendLabels obs.Labels   // labels of the madgo_link_send_* series
+
+	// Wire events leave in the order they were queued — the wire latency
+	// is one constant per link — so one callback, bound once, serves them
+	// all from a FIFO instead of a closure per transmission.
+	inflight wireQueue
+	onWire   func()
+
+	// Transmissions the receiver has taken the payload out of, for the
+	// next Send. Grows on demand.
+	txFree []*transmission
 }
 
 func newLink(ch *Channel, src, dst *Node) *Link {
 	nic := ch.drv.NIC()
+	name := fmt.Sprintf("%s:%s->%s", ch.Name, src.Name, dst.Name)
 	l := &Link{
 		Channel: ch,
 		Src:     src,
@@ -140,8 +197,17 @@ func newLink(ch *Channel, src, dst *Node) *Link {
 		drv:     ch.drv,
 		nic:     nic,
 		wire:    ch.net.Wire(src.Name, dst.Name),
-		mailbox: vsync.NewChan[*transmission](fmt.Sprintf("mbox:%s:%s->%s", ch.Name, src.Name, dst.Name), 4096),
+		mailbox: vsync.NewChan[*transmission]("mbox:"+name, 4096),
+
+		flowName:   name,
+		sendLabels: obs.Labels{"net": ch.net.Name, "node": src.Name},
 	}
+	l.route = [3]fluid.Hop{
+		{R: src.Host.Bus, Class: nic.SendBusClass},
+		{R: l.wire, Class: fluid.ClassWire},
+		{R: dst.Host.Bus, Class: nic.RecvBusClass},
+	}
+	l.onWire = l.wireArrival
 	if nic.EagerCredits > 0 {
 		l.credits = vsync.NewSem(nic.EagerCredits)
 	}
@@ -193,17 +259,52 @@ func (l *Link) flow(p *vtime.Proc, wireBytes, payloadLen int) bool {
 		demand = l.nic.RecvEngineRate
 	}
 	_, ok := l.engine().TransferOK(p, fluid.Spec{
-		Name:   fmt.Sprintf("%s:%s->%s", l.Channel.Name, l.Src.Name, l.Dst.Name),
+		Name:   l.flowName,
 		Class:  l.nic.SendBusClass,
 		Demand: demand,
 		Bytes:  int64(wireBytes),
-		Route: []fluid.Hop{
-			{R: l.Src.Host.Bus, Class: l.nic.SendBusClass},
-			{R: l.wire, Class: fluid.ClassWire},
-			{R: l.Dst.Host.Bus, Class: l.nic.RecvBusClass},
-		},
+		Route:  l.route[:],
 	})
 	return ok
+}
+
+// onTheWire queues ev for the receiver one wire latency from now.
+func (l *Link) onTheWire(ev wireEvent) {
+	l.inflight.push(ev)
+	l.sim().After(l.nic.WireLatency, l.onWire)
+}
+
+// wireArrival runs in scheduler context when the oldest wire event is due.
+func (l *Link) wireArrival() {
+	ev := l.inflight.pop()
+	if ev.complete {
+		ev.tx.recvW.Wake()
+		return
+	}
+	l.deliver(ev.tx)
+}
+
+// newTx takes a transmission record off the free list, or allocates one.
+func (l *Link) newTx(meta TxMeta, data []byte) *transmission {
+	var tx *transmission
+	if n := len(l.txFree); n > 0 {
+		tx, l.txFree = l.txFree[n-1], l.txFree[:n-1]
+	} else {
+		tx = new(transmission)
+	}
+	*tx = transmission{meta: meta, payload: data, corruptAt: -1}
+	return tx
+}
+
+// recycle returns a transmission nobody refers to any more: the sender let
+// go of it when it queued the last wire event, and the receiver has copied
+// the metadata and the payload reference out (Recv, RecvInto) — or the
+// packet was lost before it reached the wire. The metadata's block
+// descriptors and the payload belong to the caller of Send, not to the
+// record, so what Recv returned stays valid.
+func (l *Link) recycle(tx *transmission) {
+	*tx = transmission{}
+	l.txFree = append(l.txFree, tx)
 }
 
 // Send transmits data as one transmission. It blocks until the sending NIC
@@ -212,7 +313,7 @@ func (l *Link) flow(p *vtime.Proc, wireBytes, payloadLen int) bool {
 // already made any copies its policy requires.
 func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) {
 	m := l.metrics()
-	labels := obs.Labels{"net": l.Channel.net.Name, "node": l.Src.Name}
+	labels := l.sendLabels
 	m.Add("madgo_link_sends_total", labels, 1)
 	m.Add("madgo_link_send_bytes_total", labels, float64(len(data)))
 	t0 := p.Now()
@@ -228,7 +329,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 	}
 	l.seq++
 	meta.Seq = l.seq
-	tx := &transmission{meta: meta, payload: data, corruptAt: -1}
+	tx := l.newTx(meta, data)
 
 	if meta.Reliable {
 		if inj := l.faults(); inj != nil {
@@ -256,12 +357,12 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 			tx.announced = true
 		}
 		if l.posted == nil {
-			w := p.Blocker("posted gate " + l.Channel.Name)
-			l.gated = append(l.gated, w)
-			w.Wait()
+			p.InitBlocker(&tx.senderW, "posted gate", l.Channel.Name)
+			l.gated = append(l.gated, &tx.senderW)
+			tx.senderW.Wait()
 		}
 		l.flow(p, tx.meta.wireBytes(), len(data))
-		l.sim().After(l.nic.WireLatency, func() { l.deliver(tx) })
+		l.onTheWire(wireEvent{tx: tx})
 		return
 	}
 	// Ring eager path: take a flow-control credit (a free ring slot on
@@ -277,9 +378,10 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 		// returned (the slot was never consumed on the far side) and
 		// the sender's retry machinery takes over.
 		l.releaseCredit(tx)
+		l.recycle(tx)
 		return
 	}
-	l.sim().After(l.nic.WireLatency, func() { l.deliver(tx) })
+	l.onTheWire(wireEvent{tx: tx})
 }
 
 // judge draws the fault verdicts for a reliable transmission at send time,
@@ -313,8 +415,8 @@ func applyCorruption(buf []byte, tx *transmission) {
 
 func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
 	tx.rendezvous = true
-	tx.senderW = p.Blocker("rendezvous grant")
-	l.sim().After(l.nic.WireLatency, func() { l.deliver(tx) })
+	p.InitBlocker(&tx.senderW, "rendezvous grant", "")
+	l.onTheWire(wireEvent{tx: tx})
 	tx.senderW.Wait()
 	p.Sleep(l.nic.RendezvousCost)
 	l.flow(p, tx.meta.wireBytes(), len(tx.payload))
@@ -326,8 +428,7 @@ func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
 		tx.slot = snapshot(tx.payload)
 	}
 	tx.dataReady = true
-	w := tx.recvW
-	l.sim().After(l.nic.WireLatency, func() { w.Wake() })
+	l.onTheWire(wireEvent{tx: tx, complete: true})
 }
 
 // place puts payload into a posted destination without a CPU copy (the NIC
@@ -357,7 +458,7 @@ func (l *Link) deliver(tx *transmission) {
 			// Grant: the receiver keeps waiting on its own waker,
 			// which the sender fires after streaming.
 			tx.granted = g
-			tx.recvW = g.w
+			tx.recvW = &g.w
 			tx.senderW.Wake()
 		} else {
 			if g.dst != nil && !l.nic.StaticBuffers {
@@ -405,7 +506,9 @@ func (l *Link) Recv(p *vtime.Proc) (TxMeta, []byte) {
 	tx := l.receive(p, nil)
 	l.drv.OnRecv(p, l.Dst.Host, len(tx.slot))
 	l.releaseCredit(tx)
-	return tx.meta, tx.slot
+	meta, slot := tx.meta, tx.slot
+	l.recycle(tx)
+	return meta, slot
 }
 
 // RecvInto delivers the next transmission's payload into dst. If the
@@ -429,7 +532,9 @@ func (l *Link) RecvInto(p *vtime.Proc, dst []byte) (TxMeta, int) {
 	}
 	l.drv.OnRecv(p, l.Dst.Host, n)
 	l.releaseCredit(tx)
-	return tx.meta, n
+	meta := tx.meta
+	l.recycle(tx)
+	return meta, n
 }
 
 // releaseCredit returns the eager flow-control credit once a transmission
@@ -450,19 +555,19 @@ func (l *Link) receive(p *vtime.Proc, dst []byte) *transmission {
 	if tx, ok := l.mailbox.TryRecv(); ok {
 		if tx.rendezvous && !tx.dataReady {
 			// Grant a queued rendezvous request.
-			g := &postedRecv{dst: dst}
+			g := l.arm(p, dst, "rendezvous data", "")
 			tx.granted = g
-			w := p.Blocker("rendezvous data")
-			tx.recvW = w
+			tx.recvW = &g.w
 			tx.senderW.Wake()
-			w.Wait()
+			g.w.Wait()
+			g.armed = false
 			if dst != nil && !g.placed {
 				panic("mad: rendezvous completion did not place payload")
 			}
 		}
 		return tx
 	}
-	g := &postedRecv{dst: dst, w: p.Blocker("link recv " + l.Channel.Name)}
+	g := l.arm(p, dst, "link recv", l.Channel.Name)
 	l.posted = g
 	if len(l.gated) > 0 {
 		w := l.gated[0]
@@ -470,7 +575,22 @@ func (l *Link) receive(p *vtime.Proc, dst []byte) *transmission {
 		w.Wake()
 	}
 	g.w.Wait()
+	g.armed = false
 	return g.tx
+}
+
+// arm readies the link's posted-receive record for a receive by p that has
+// to wait. Two processes receiving on one link at once would share it:
+// callers serialize with AcquireRecv, and a second arm panics rather than
+// clobber the first receiver's record.
+func (l *Link) arm(p *vtime.Proc, dst []byte, reason, subject string) *postedRecv {
+	g := &l.recv
+	if g.armed {
+		panic("mad: concurrent receives on link " + l.flowName + " (bracket them with AcquireRecv)")
+	}
+	*g = postedRecv{dst: dst, armed: true}
+	p.InitBlocker(&g.w, reason, subject)
+	return g
 }
 
 // TryRecvReady reports whether a transmission is already waiting (used by

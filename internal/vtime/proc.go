@@ -21,6 +21,7 @@ type proc struct {
 	state   procState
 	gen     uint64 // bumped on every park; stale wake events are ignored
 	waiting string // human-readable blocking reason, for deadlock reports
+	subject string // what waiting refers to ("recv" + a channel's name), kept apart so blocking never concatenates
 	daemon  bool   // daemons may remain blocked when the simulation ends
 	joiners []*proc
 }
@@ -62,7 +63,7 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		}()
 		s.handoff <- yield{p: p, done: true, panicked: panicked}
 	}()
-	s.schedule(s.now, p, p.gen, nil)
+	s.schedule(event{at: s.now, p: p, gen: p.gen})
 	return handle
 }
 
@@ -96,15 +97,23 @@ func (pr *Proc) checkCurrent(op string) {
 
 // park gives up control without a scheduled wake; some other process or
 // callback must call unpark. The reason appears in deadlock reports.
-func (pr *Proc) park(reason string) {
+func (pr *Proc) park(reason, subject string) {
 	pr.checkCurrent("park")
 	p := pr.p
 	p.state = stateParked
 	p.gen++
-	p.waiting = reason
+	p.waiting, p.subject = reason, subject
 	p.sim.handoff <- yield{p: p}
 	<-p.resume
-	p.waiting = ""
+	p.waiting, p.subject = "", ""
+}
+
+// blockedOn formats the blocking reason for a deadlock report.
+func (p *proc) blockedOn() string {
+	if p.subject == "" {
+		return p.waiting
+	}
+	return p.waiting + " " + p.subject
 }
 
 // unpark schedules a parked process to resume at the current time. It is
@@ -130,8 +139,8 @@ func (pr *Proc) Sleep(d Duration) {
 	p := pr.p
 	p.state = stateParked
 	p.gen++
-	p.waiting = "sleep"
-	p.sim.schedule(p.sim.now.Add(d), p, p.gen, nil)
+	p.waiting, p.subject = "sleep", ""
+	p.sim.schedule(event{at: p.sim.now.Add(d), p: p, gen: p.gen})
 	p.state = stateScheduled
 	p.sim.handoff <- yield{p: p}
 	<-p.resume
@@ -142,27 +151,47 @@ func (pr *Proc) Sleep(d Duration) {
 // this one continues.
 func (pr *Proc) Yield() { pr.Sleep(0) }
 
-// Block parks the process until another process or callback wakes it through
-// the returned Waker. The reason string shows up in deadlock reports.
+// Blocker returns a fresh Waker on which the process can park until another
+// process or callback wakes it. The reason string shows up in deadlock
+// reports.
 //
 // Typical use:
 //
 //	w := p.Blocker("await reply")
 //	registerWaiter(w)
 //	w.Wait()
+//
+// Blocker allocates the Waker; paths that block once per transfer embed the
+// Waker in the object being waited on and arm it with InitBlocker instead.
 func (pr *Proc) Blocker(reason string) *Waker {
+	w := new(Waker)
+	pr.InitBlocker(w, reason, "")
+	return w
+}
+
+// InitBlocker arms w, storage owned by the caller, as a one-shot Waker of
+// this process: the object waited on (a fluid flow, a posted receive, a
+// queue record) embeds its Waker and re-arms it for every wait, so blocking
+// allocates nothing. reason and subject ("recv", the channel's name) are
+// joined only if a deadlock report needs them. Re-arming a Waker whose
+// process is still parked on it panics: the storage was recycled too early.
+func (pr *Proc) InitBlocker(w *Waker, reason, subject string) {
 	pr.checkCurrent("Blocker")
-	return &Waker{pr: pr, reason: reason}
+	if w.parked {
+		panic("vtime: Waker re-armed while a process is parked on it")
+	}
+	*w = Waker{pr: pr, reason: reason, subject: subject}
 }
 
 // Waker is a one-shot rendezvous between a process about to block and the
 // party that will wake it. Wake may be called before or after Wait; the
-// pairing is race-free because the simulation is single-threaded.
+// pairing is race-free because the simulation is single-threaded. The zero
+// value is unarmed; see Blocker and InitBlocker.
 type Waker struct {
-	pr     *Proc
-	reason string
-	woken  bool
-	parked bool
+	pr              *Proc
+	reason, subject string
+	woken           bool
+	parked          bool
 }
 
 // Wait parks the owning process until Wake has been called. If Wake already
@@ -172,7 +201,7 @@ func (w *Waker) Wait() {
 		return
 	}
 	w.parked = true
-	w.pr.park(w.reason)
+	w.pr.park(w.reason, w.subject)
 	w.parked = false
 }
 
@@ -199,5 +228,5 @@ func (pr *Proc) Join(other *Proc) {
 		return
 	}
 	other.p.joiners = append(other.p.joiners, pr.p)
-	pr.park("join " + other.p.name)
+	pr.park("join", other.p.name)
 }

@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,30 +10,73 @@ import (
 // running a lightweight callback in scheduler context.
 type event struct {
 	at  Time
-	seq uint64 // FIFO tiebreaker for simultaneous events
-	p   *proc  // process to resume, nil for callbacks
-	gen uint64 // park generation guard: stale wakes are dropped
-	fn  func() // callback, nil for process resumes
+	seq uint64       // FIFO tiebreaker for simultaneous events
+	p   *proc        // process to resume, nil for callbacks
+	gen uint64       // park generation guard for p (stale wakes are dropped); the argument of fnArg
+	fn  func()       // plain callback (At, After)
+	arg func(uint64) // callback taking gen as its argument (AtArg)
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: time first, then scheduling order. seq is
+// unique, so the order is total and any correct priority queue pops the
+// same sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events held by value: scheduling an
+// event allocates nothing once the backing array has grown to the run's
+// high-water mark.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	*h = q
+	// Sift the hole up, then drop e into it.
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the references the vacated slot held
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	// Sift the hole at the root down, then drop last into it.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // yield is the message a process goroutine sends back to the scheduler when
@@ -73,22 +115,29 @@ func New() *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// schedule enqueues an event at time at (>= now).
-func (s *Sim) schedule(at Time, p *proc, gen uint64, fn func()) *event {
-	if at < s.now {
-		panic(fmt.Sprintf("vtime: scheduling into the past (%v < %v)", at, s.now))
+// schedule enqueues e at its time (>= now), stamping its sequence number.
+func (s *Sim) schedule(e event) {
+	if e.at < s.now {
+		panic(fmt.Sprintf("vtime: scheduling into the past (%v < %v)", e.at, s.now))
 	}
 	s.seq++
-	e := &event{at: at, seq: s.seq, p: p, gen: gen, fn: fn}
-	heap.Push(&s.events, e)
-	return e
+	e.seq = s.seq
+	s.events.push(e)
 }
 
 // At schedules fn to run in scheduler context at absolute time at. The
 // callback must not block; it is intended for bookkeeping such as fluid-flow
 // completions. Callbacks may schedule further events and wake processes.
 func (s *Sim) At(at Time, fn func()) {
-	s.schedule(at, nil, 0, fn)
+	s.schedule(event{at: at, fn: fn})
+}
+
+// AtArg is At for a callback bound once and told apart by an argument: a
+// caller that re-arms one timer many times (the fluid engine's completion
+// timer and its generation) passes the same fn every time instead of
+// allocating a closure per arming.
+func (s *Sim) AtArg(at Time, fn func(arg uint64), arg uint64) {
+	s.schedule(event{at: at, gen: arg, arg: fn})
 }
 
 // After schedules fn to run d from now. See At.
@@ -146,14 +195,18 @@ func (s *Sim) run(deadline Time) error {
 	s.running = true
 	defer func() { s.running = false }()
 
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		if deadline >= 0 && s.events[0].at > deadline {
 			return nil
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		s.now = e.at
 		if e.fn != nil {
 			e.fn()
+			continue
+		}
+		if e.arg != nil {
+			e.arg(e.gen)
 			continue
 		}
 		p := e.p
@@ -167,7 +220,7 @@ func (s *Sim) run(deadline Time) error {
 	var stuck []string
 	for _, p := range s.live {
 		if !p.daemon {
-			stuck = append(stuck, fmt.Sprintf("%s (%s)", p.name, p.waiting))
+			stuck = append(stuck, fmt.Sprintf("%s (%s)", p.name, p.blockedOn()))
 		}
 	}
 	if len(stuck) > 0 {
@@ -214,7 +267,7 @@ func (s *Sim) ready(p *proc) {
 		panic(fmt.Sprintf("vtime: waking process %q which is not parked", p.name))
 	}
 	p.state = stateScheduled
-	s.schedule(s.now, p, p.gen, nil)
+	s.schedule(event{at: s.now, p: p, gen: p.gen})
 }
 
 // Processes returns the number of live (not yet finished) processes.

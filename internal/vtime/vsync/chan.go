@@ -12,20 +12,15 @@ type Chan[T any] struct {
 	name    string
 	cap     int
 	buf     []T
-	senders []chanSender[T]
-	recvers []chanRecver[T]
+	senders waitList[T]           // blocked senders and the values they carry
+	recvers waitList[recvSlot[T]] // blocked receivers and where their values land
 	closed  bool
 }
 
-type chanSender[T any] struct {
-	w *vtime.Waker
-	v T
-}
-
-type chanRecver[T any] struct {
-	w  *vtime.Waker
-	v  *T
-	ok *bool
+// recvSlot is where a sender (or Close) leaves a blocked receiver's result.
+type recvSlot[T any] struct {
+	v  T
+	ok bool
 }
 
 // NewChan creates a channel with the given buffer capacity. The name is used
@@ -44,11 +39,8 @@ func (c *Chan[T]) Send(p *vtime.Proc, v T) {
 		panic("vsync: send on closed channel " + c.name)
 	}
 	// Direct handoff to a waiting receiver.
-	if len(c.recvers) > 0 {
-		r := c.recvers[0]
-		c.recvers = c.recvers[:copy(c.recvers, c.recvers[1:])]
-		*r.v = v
-		*r.ok = true
+	if r := c.recvers.dequeue(); r != nil {
+		r.v = recvSlot[T]{v: v, ok: true}
 		r.w.Wake()
 		return
 	}
@@ -56,9 +48,9 @@ func (c *Chan[T]) Send(p *vtime.Proc, v T) {
 		c.buf = append(c.buf, v)
 		return
 	}
-	w := p.Blocker("send " + c.name)
-	c.senders = append(c.senders, chanSender[T]{w: w, v: v})
-	w.Wait()
+	s := c.senders.enqueue(p, "send", c.name, v)
+	s.w.Wait()
+	c.senders.release(s)
 	if c.closed {
 		panic("vsync: channel " + c.name + " closed while sending")
 	}
@@ -69,11 +61,8 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("vsync: send on closed channel " + c.name)
 	}
-	if len(c.recvers) > 0 {
-		r := c.recvers[0]
-		c.recvers = c.recvers[:copy(c.recvers, c.recvers[1:])]
-		*r.v = v
-		*r.ok = true
+	if r := c.recvers.dequeue(); r != nil {
+		r.v = recvSlot[T]{v: v, ok: true}
 		r.w.Wake()
 		return true
 	}
@@ -96,21 +85,18 @@ func (c *Chan[T]) Recv(p *vtime.Proc) (T, bool) {
 	}
 	// Rendezvous with a blocked sender (capacity 0, or cap>0 with all
 	// senders queued behind a full buffer that was just drained).
-	if len(c.senders) > 0 {
-		s := c.senders[0]
-		c.senders = c.senders[:copy(c.senders, c.senders[1:])]
+	if s := c.senders.dequeue(); s != nil {
 		s.w.Wake()
 		return s.v, true
 	}
 	if c.closed {
 		return zero, false
 	}
-	var v T
-	var ok bool
-	w := p.Blocker("recv " + c.name)
-	c.recvers = append(c.recvers, chanRecver[T]{w: w, v: &v, ok: &ok})
-	w.Wait()
-	return v, ok
+	r := c.recvers.enqueue(p, "recv", c.name, recvSlot[T]{})
+	r.w.Wait()
+	got := r.v
+	c.recvers.release(r)
+	return got.v, got.ok
 }
 
 // TryRecv dequeues without blocking; ok is false when nothing was available
@@ -123,9 +109,7 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 		c.admitSender()
 		return v, true
 	}
-	if len(c.senders) > 0 {
-		s := c.senders[0]
-		c.senders = c.senders[:copy(c.senders, c.senders[1:])]
+	if s := c.senders.dequeue(); s != nil {
 		s.w.Wake()
 		return s.v, true
 	}
@@ -135,9 +119,8 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 // admitSender moves the longest-blocked sender's value into freed buffer
 // space.
 func (c *Chan[T]) admitSender() {
-	if len(c.senders) > 0 && len(c.buf) < c.cap {
-		s := c.senders[0]
-		c.senders = c.senders[:copy(c.senders, c.senders[1:])]
+	if c.senders.len() > 0 && len(c.buf) < c.cap {
+		s := c.senders.dequeue()
 		c.buf = append(c.buf, s.v)
 		s.w.Wake()
 	}
@@ -151,15 +134,10 @@ func (c *Chan[T]) Close() {
 		panic("vsync: double close of channel " + c.name)
 	}
 	c.closed = true
-	rs := c.recvers
-	c.recvers = nil
-	for _, r := range rs {
-		*r.ok = false
-		r.w.Wake()
+	for r := c.recvers.dequeue(); r != nil; r = c.recvers.dequeue() {
+		r.w.Wake() // its slot still says ok=false
 	}
-	ss := c.senders
-	c.senders = nil
-	for _, s := range ss {
+	for s := c.senders.dequeue(); s != nil; s = c.senders.dequeue() {
 		s.w.Wake() // sender panics on resume
 	}
 }

@@ -11,11 +11,67 @@ import (
 	"madgo/internal/vtime"
 )
 
+// waitRec is one parked process in a primitive's queue, with whatever the
+// primitive keeps per waiter (a semaphore's permit count, a channel's value
+// in transit). It embeds the Waker the process parks on, so a record must
+// keep its address while queued: queues hold pointers.
+type waitRec[T any] struct {
+	w vtime.Waker
+	v T
+}
+
+// waitList is the FIFO of parked processes behind every primitive in this
+// package. Records are recycled: the waiter puts its record back once it has
+// resumed and read what the waker left in it, so in steady state blocking
+// allocates nothing.
+type waitList[T any] struct {
+	q    []*waitRec[T]
+	free []*waitRec[T]
+}
+
+// enqueue arms a record for p and appends it; the caller then parks on
+// rec.w and, once resumed, hands the record back with release.
+func (l *waitList[T]) enqueue(p *vtime.Proc, reason, subject string, v T) *waitRec[T] {
+	var r *waitRec[T]
+	if n := len(l.free); n > 0 {
+		r, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		r = new(waitRec[T])
+	}
+	p.InitBlocker(&r.w, reason, subject)
+	r.v = v
+	l.q = append(l.q, r)
+	return r
+}
+
+// dequeue removes and returns the longest-waiting record, or nil. The
+// waker's side never releases it: the record belongs to its waiter until
+// that process has resumed.
+func (l *waitList[T]) dequeue() *waitRec[T] {
+	if len(l.q) == 0 {
+		return nil
+	}
+	r := l.q[0]
+	n := copy(l.q, l.q[1:])
+	l.q[n] = nil
+	l.q = l.q[:n]
+	return r
+}
+
+// release recycles a record whose waiter has resumed.
+func (l *waitList[T]) release(r *waitRec[T]) {
+	var zero T
+	r.v = zero
+	l.free = append(l.free, r)
+}
+
+func (l *waitList[T]) len() int { return len(l.q) }
+
 // Mutex is a FIFO mutual-exclusion lock for simulation processes. The zero
 // value is an unlocked mutex.
 type Mutex struct {
 	owner   *vtime.Proc
-	waiters []*vtime.Waker
+	waiters waitList[struct{}]
 }
 
 // Lock acquires the mutex, blocking p until it is available. The lock is not
@@ -29,9 +85,9 @@ func (m *Mutex) Lock(p *vtime.Proc) {
 		m.owner = p
 		return
 	}
-	w := p.Blocker("mutex")
-	m.waiters = append(m.waiters, w)
-	w.Wait()
+	r := m.waiters.enqueue(p, "mutex", "", struct{}{})
+	r.w.Wait()
+	m.waiters.release(r)
 	if m.owner != p {
 		panic("vsync: mutex handoff corrupted")
 	}
@@ -52,14 +108,13 @@ func (m *Mutex) Unlock(p *vtime.Proc) {
 	if m.owner != p {
 		panic("vsync: Unlock by non-owner")
 	}
-	if len(m.waiters) == 0 {
+	r := m.waiters.dequeue()
+	if r == nil {
 		m.owner = nil
 		return
 	}
-	w := m.waiters[0]
-	m.waiters = m.waiters[:copy(m.waiters, m.waiters[1:])]
-	m.owner = w.Proc()
-	w.Wake()
+	m.owner = r.w.Proc()
+	r.w.Wake()
 }
 
 // Locked reports whether the mutex is currently held.
@@ -71,7 +126,7 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 // signalled process reacquires the lock after other processes may have run.
 type Cond struct {
 	L       *Mutex
-	waiters []*vtime.Waker
+	waiters waitList[struct{}]
 }
 
 // NewCond returns a condition variable using l.
@@ -80,41 +135,31 @@ func NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 // Wait atomically unlocks the mutex, parks p until Signal or Broadcast, and
 // relocks before returning.
 func (c *Cond) Wait(p *vtime.Proc) {
-	w := p.Blocker("cond wait")
-	c.waiters = append(c.waiters, w)
+	r := c.waiters.enqueue(p, "cond wait", "", struct{}{})
 	c.L.Unlock(p)
-	w.Wait()
+	r.w.Wait()
+	c.waiters.release(r)
 	c.L.Lock(p)
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if r := c.waiters.dequeue(); r != nil {
+		r.w.Wake()
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[:copy(c.waiters, c.waiters[1:])]
-	w.Wake()
 }
 
 // Broadcast wakes every waiting process in FIFO order.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		w.Wake()
+	for r := c.waiters.dequeue(); r != nil; r = c.waiters.dequeue() {
+		r.w.Wake()
 	}
 }
 
 // Sem is a counting semaphore. The zero value has zero permits.
 type Sem struct {
 	permits int
-	waiters []semWaiter
-}
-
-type semWaiter struct {
-	w *vtime.Waker
-	n int
+	waiters waitList[int] // each waiter's permit count
 }
 
 // NewSem returns a semaphore holding n permits.
@@ -126,18 +171,18 @@ func (s *Sem) Acquire(p *vtime.Proc, n int) {
 	if n < 0 {
 		panic("vsync: Acquire with negative count")
 	}
-	if len(s.waiters) == 0 && s.permits >= n {
+	if s.waiters.len() == 0 && s.permits >= n {
 		s.permits -= n
 		return
 	}
-	w := p.Blocker("semaphore")
-	s.waiters = append(s.waiters, semWaiter{w: w, n: n})
-	w.Wait()
+	r := s.waiters.enqueue(p, "semaphore", "", n)
+	r.w.Wait()
+	s.waiters.release(r)
 }
 
 // TryAcquire takes n permits without blocking and reports success.
 func (s *Sem) TryAcquire(n int) bool {
-	if len(s.waiters) == 0 && s.permits >= n {
+	if s.waiters.len() == 0 && s.permits >= n {
 		s.permits -= n
 		return true
 	}
@@ -150,11 +195,10 @@ func (s *Sem) Release(n int) {
 		panic("vsync: Release with negative count")
 	}
 	s.permits += n
-	for len(s.waiters) > 0 && s.permits >= s.waiters[0].n {
-		sw := s.waiters[0]
-		s.waiters = s.waiters[:copy(s.waiters, s.waiters[1:])]
-		s.permits -= sw.n
-		sw.w.Wake()
+	for s.waiters.len() > 0 && s.permits >= s.waiters.q[0].v {
+		r := s.waiters.dequeue()
+		s.permits -= r.v
+		r.w.Wake()
 	}
 }
 
@@ -165,7 +209,7 @@ func (s *Sem) Available() int { return s.permits }
 // sync.WaitGroup.
 type WaitGroup struct {
 	count   int
-	waiters []*vtime.Waker
+	waiters waitList[struct{}]
 }
 
 // Add adds delta to the counter. A negative total panics.
@@ -175,10 +219,8 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("vsync: negative WaitGroup counter")
 	}
 	if wg.count == 0 {
-		ws := wg.waiters
-		wg.waiters = nil
-		for _, w := range ws {
-			w.Wake()
+		for r := wg.waiters.dequeue(); r != nil; r = wg.waiters.dequeue() {
+			r.w.Wake()
 		}
 	}
 }
@@ -191,7 +233,7 @@ func (wg *WaitGroup) Wait(p *vtime.Proc) {
 	if wg.count == 0 {
 		return
 	}
-	w := p.Blocker("waitgroup")
-	wg.waiters = append(wg.waiters, w)
-	w.Wait()
+	r := wg.waiters.enqueue(p, "waitgroup", "", struct{}{})
+	r.w.Wait()
+	wg.waiters.release(r)
 }
