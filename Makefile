@@ -10,7 +10,7 @@ FUZZ_TARGETS = \
 	internal/health:FuzzHealthProbe internal/flow:FuzzFlowCredit \
 	internal/agg:FuzzAggFrame
 
-.PHONY: check build vet test race allocs bench bench-quick cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate soak
+.PHONY: check build vet test race allocs bench bench-quick bench-pair cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate soak
 
 # check includes the facade API-surface golden test (api_test.go vs
 # api.txt) via the race lane; regen the listing after an intentional API
@@ -29,13 +29,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# allocs runs the allocation-regression wall of the simulation kernel
+# allocs runs the allocation-regression walls. The simulation kernel
 # (DESIGN.md §16): events, sleeps, channel hand-offs and fluid transfers are
 # pinned at 0 allocations in steady state, a direct-link mad message and a
-# 1 MiB message of the Fig. 6 stream at small per-message budgets.
+# 1 MiB message of the Fig. 6 stream at small per-message budgets. The
+# reliable dataplane (DESIGN.md §17): warm route-row reads, the split-horizon
+# next hop and a disarmed health report at 0, one reliable 32 KiB message
+# over two hops and one message of the prod_lossy_mix shape at budgets.
 allocs:
-	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg -run 'AllocsNothing' -v
-	$(GO) test ./internal/mad . -run 'AllocBudget' -v
+	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/fwd -run 'AllocsNothing' -v
+	$(GO) test ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
 
 # bench-quick is the two-clock ledger's smoke run (benchmark/README.md):
 # every workload at 1/20 load with all its self-checks — byte-exact delivery,
@@ -44,6 +47,22 @@ allocs:
 bench-quick:
 	bash benchmark/run.sh -quick
 	cd benchmark && $(GO) test -short ./...
+
+# bench-pair produces the parent-vs-change row of a perf PR: it checks BASE
+# out into a temporary git worktree, runs one workload of the ledger there
+# and here at the same seed, and holds the two results to the
+# exact-virtual-time rule (benchmark/README.md).
+#   make bench-pair BASE=HEAD~1 WL=prod_lossy_mix [SEED=2]
+SEED ?= 1
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(WL)" || { echo "usage: make bench-pair BASE=<ref> WL=<workload> [SEED=n]"; exit 2; }
+	@set -e; base=$$(mktemp -d); trap 'git worktree remove --force "$$base" >/dev/null 2>&1 || true; rm -rf "$$base"' EXIT; \
+		git worktree add --detach "$$base" "$(BASE)" >/dev/null; \
+		echo "== $(BASE) ($$(git -C "$$base" rev-parse --short HEAD)): $(WL), seed $(SEED)"; \
+		(cd "$$base" && bash benchmark/run.sh --workload $(WL) --seed $(SEED) >/dev/null); \
+		echo "== working tree: $(WL), seed $(SEED)"; \
+		bash benchmark/run.sh --workload $(WL) --seed $(SEED) >/dev/null; \
+		bash benchmark/run.sh -compare "$$base/benchmark/out/results.json" benchmark/out/results.json
 
 bench:
 	$(GO) test -bench . -benchmem
@@ -116,11 +135,13 @@ b1-gate:
 
 # soak runs the chaos property tests — random link flaps under load with
 # byte-identical payload, epoch-convergence and rail-readmission
-# assertions — and the many-senders contention wall (2..64 senders x
-# topology x mode x flow on/off, byte-identical delivery without deadlock),
-# all with the race detector on.
+# assertions — the packet-buffer ledger under loss, corruption and a rail
+# death (every returned buffer poisoned, taken == returned at quiescence),
+# and the many-senders contention wall (2..64 senders x topology x mode x
+# flow on/off, byte-identical delivery without deadlock), all with the race
+# detector on.
 soak:
-	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth' -v
+	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
 	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$' -v
 	$(GO) test -race ./internal/health
 

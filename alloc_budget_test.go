@@ -1,7 +1,11 @@
 package madeleine_test
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	madeleine "madgo"
@@ -73,5 +77,98 @@ node b myri0
 	t.Logf("bulk stream: %.1f allocations per 1 MiB message (budget %d)", perMsg, bulkStreamAllocBudget)
 	if perMsg > bulkStreamAllocBudget {
 		t.Errorf("bulk stream allocates %.1f objects per message, budget %d", perMsg, bulkStreamAllocBudget)
+	}
+}
+
+// prodLossyAllocBudget is the most heap allocations one message of the
+// benchmark's prod_lossy_mix shape may cost across System.Run:
+// WithProduction (reliable ARQ, aggregation, credits, two rails, health
+// probes), sixteen flows of mixed sizes across two gateways, 1 % loss. It
+// read 517 when every packet was encoded into fresh memory twice per hop,
+// every relayed packet could rebuild an all-pairs route table and every
+// await allocated its slot, waker and timeout closure (DESIGN.md §17).
+const prodLossyAllocBudget = 155
+
+// TestProdLossyAllocBudget drives the facade the way the benchmark's
+// prod_lossy_mix workload does and fails when a message costs more
+// allocations than the budget (make allocs).
+func TestProdLossyAllocBudget(t *testing.T) {
+	const (
+		flows   = 16
+		perFlow = 60
+	)
+	var topo strings.Builder
+	topo.WriteString("network sci0 sci\nnetwork myri0 myrinet\n")
+	for i := 0; i < flows; i++ {
+		fmt.Fprintf(&topo, "node a%02d sci0\n", i)
+	}
+	for i := 0; i < flows; i++ {
+		fmt.Fprintf(&topo, "node b%02d myri0\n", i)
+	}
+	topo.WriteString("node gw1 sci0 myri0\nnode gw2 sci0 myri0\nfault seed 7\nfault drop * 0.01\n")
+	sys, err := madeleine.NewSystem(topo.String(), madeleine.WithProduction())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 50 % 64-1023 B, 30 % 4-16 KiB, 20 % 128-256 KiB, like mixedSizes.
+	rng := rand.New(rand.NewSource(1))
+	sizeOf := func() int {
+		switch c := rng.Intn(10); {
+		case c < 5:
+			return 64 + rng.Intn(960)
+		case c < 8:
+			return 4<<10 + rng.Intn(12<<10)
+		default:
+			return 128<<10 + rng.Intn(128<<10)
+		}
+	}
+	pat := make([]byte, 256<<10+perFlow)
+	rng.Read(pat)
+	delivered := 0
+	for f := 0; f < flows; f++ {
+		src, dst := fmt.Sprintf("a%02d", f), fmt.Sprintf("b%02d", f)
+		sizes := make([]int, perFlow)
+		for i := range sizes {
+			sizes[i] = sizeOf()
+		}
+		sys.Spawn("send:"+src, func(p *madeleine.Proc) {
+			ep := sys.At(src)
+			for i, n := range sizes {
+				px := ep.BeginPacking(p, dst)
+				px.Pack(p, pat[i:i+n], madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				px.EndPacking(p)
+			}
+		})
+		rx := make([]byte, 256<<10)
+		sys.Spawn("recv:"+dst, func(p *madeleine.Proc) {
+			ep := sys.At(dst)
+			for i, n := range sizes {
+				u := ep.BeginUnpacking(p)
+				u.Unpack(p, rx[:n], madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if bytes.Equal(rx[:n], pat[i:i+n]) {
+					delivered++
+				}
+			}
+		})
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	const msgs = flows * perFlow
+	if delivered != msgs {
+		t.Fatalf("delivered %d of %d messages byte-exact and in order", delivered, msgs)
+	}
+	perMsg := float64(m1.Mallocs-m0.Mallocs) / msgs
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / msgs / 1024
+	t.Logf("prod lossy mix: %.1f allocations, %.1f KiB per message (budget %d)", perMsg, kib, prodLossyAllocBudget)
+	if perMsg > prodLossyAllocBudget {
+		t.Errorf("prod lossy mix allocates %.1f objects per message, budget %d", perMsg, prodLossyAllocBudget)
 	}
 }

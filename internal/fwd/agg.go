@@ -535,7 +535,7 @@ func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *str
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled
 // reliable message (relFlagAgg) and queues its sub-messages.
 func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *relMsg) {
-	mtu, desc, ok := decodeRelDesc(m.frags[0])
+	mtu, desc, ok := decodeRelDesc(m.frags[0].payload)
 	if !ok || len(desc) != 1 {
 		panic("fwd: reliable aggregate frame with a malformed descriptor on " + node.Name)
 	}
@@ -543,7 +543,7 @@ func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *re
 	node.Host.Memcpy(p, len(frame))
 	off := 0
 	mad.ForEachFragment(len(frame), mtu, func(_, n int) {
-		frag := m.frags[uint32(1+off/mtu)]
+		frag := m.frags[1+off/mtu].payload
 		if len(frag) != n {
 			panic("fwd: reliable aggregate fragment size mismatch")
 		}
@@ -553,7 +553,9 @@ func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *re
 	if off != len(frame) {
 		panic("fwd: reliable aggregate frame not fully reassembled")
 	}
-	vc.aggEnqueueFrame(node.Rank, m.origin, frame)
+	origin := m.origin
+	vc.rel[node.Name].freeMsg(m) // the frame is a copy; the fragments' datagrams go back
+	vc.aggEnqueueFrame(node.Rank, origin, frame)
 }
 
 // aggUnpacking delivers one coalesced sub-message: its block structure and

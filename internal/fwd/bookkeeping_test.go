@@ -106,7 +106,7 @@ func TestEvictOldestRxPicksStalest(t *testing.T) {
 	for _, k := range []relMsgKey{
 		{origin: 3, id: 40}, {origin: 1, id: 12}, {origin: 2, id: 12}, {origin: 0, id: 99},
 	} {
-		e.rx[k] = &relMsg{origin: k.origin, id: k.id, frags: make(map[uint32][]byte)}
+		e.rx[k] = &relMsg{origin: k.origin, id: k.id, total: 2, frags: make([]relFrag, 2)}
 	}
 	sim.Spawn("evict", func(p *vtime.Proc) {
 		// Smallest id wins, origin breaks the tie — the stalest partial

@@ -154,7 +154,7 @@ func FuzzRelData(f *testing.F) {
 		if !ok {
 			return
 		}
-		re := encodeRelData(d.origin, d.final, d.id, d.frag, d.total, d.flags, d.payload, d.acks)
+		re := encodeRelData(d.origin, d.final, d.id, d.frag, d.total, d.flags, d.payload, ackKeys(d.acks))
 		if !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
 		}
@@ -178,10 +178,11 @@ func FuzzRelAck(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		keys, ok := decodeRelAcks(data)
+		raw, ok := decodeRelAcks(data)
 		if !ok {
 			return
 		}
+		keys := ackKeys(raw)
 		if len(keys) == 0 || len(keys) > relAckBatchMax {
 			t.Fatalf("accepted ack batch of illegal size %d", len(keys))
 		}

@@ -23,6 +23,28 @@ type world struct {
 	sim  *vtime.Sim
 	sess *mad.Session
 	vc   *fwd.VirtualChannel
+	// aborts is set by a test whose run is meant to end in a DeliveryError:
+	// packets are then still in flight and the buffer ledger cannot balance.
+	aborts bool
+}
+
+// auditRelBufs puts a world's reliable packet buffers under test discipline:
+// every buffer returned to the free list is poisoned, so reading a payload
+// through an alias its owner should have dropped fails the test's own
+// byte-exactness checks (or a CRC), and when the test ends the ledger must
+// balance — every buffer taken was returned, exactly once.
+func auditRelBufs(t *testing.T, w *world) *world {
+	fwd.PoisonRelBufs(w.vc)
+	t.Cleanup(func() {
+		if t.Failed() || w.aborts {
+			return
+		}
+		if bk := w.vc.RelBookkeeping(); bk.BufsTaken != bk.BufsReturned {
+			t.Errorf("reliable buffer ledger: %d taken, %d returned (%d free)",
+				bk.BufsTaken, bk.BufsReturned, bk.BufsFree)
+		}
+	})
+	return w
 }
 
 type netDriver interface {
@@ -56,7 +78,7 @@ func build(t *testing.T, tp *topo.Topology, cfg fwd.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{sim: sim, sess: sess, vc: vc}
+	return auditRelBufs(t, &world{sim: sim, sess: sess, vc: vc})
 }
 
 // paperHS is the paper's testbed restricted to the two high-speed networks.

@@ -75,10 +75,9 @@ func (vc *VirtualChannel) buildHealth() {
 				if !ok {
 					return
 				}
-				pkt := health.EncodeProbe(it.probe)
-				it.link.Acquire(p)
-				it.link.Send(p, relMeta(mad.KindHealth, len(pkt)), pkt)
-				it.link.Release(p)
+				pkt := vc.relBufs.get(health.ProbeSize)
+				health.PutProbe(pkt, it.probe)
+				e.sendControl(p, it.link, mad.KindHealth, pkt)
 			}
 		})
 	}
@@ -105,15 +104,14 @@ func (hp *healthProber) probe(p *vtime.Proc, edge route.Edge) {
 	link := nw.Link(e.node.Rank, e.vc.NodeRank(edge.To))
 	hp.seq++
 	seq := hp.seq
-	aw := &relAwait{}
+	aw := e.newAwait()
 	hp.await[seq] = aw
 	t0 := p.Now()
-	pkt := health.EncodeProbe(health.Probe{Kind: health.ProbeReq, Seq: seq, T0: t0})
-	link.Acquire(p)
-	link.Send(p, relMeta(mad.KindHealth, len(pkt)), pkt)
-	link.Release(p)
-	ok := e.await(p, aw, mon.ProbeTimeout(), "health probe "+edge.To)
-	delete(hp.await, seq)
+	pkt := e.vc.relBufs.get(health.ProbeSize)
+	health.PutProbe(pkt, health.Probe{Kind: health.ProbeReq, Seq: seq, T0: t0})
+	e.sendControl(p, link, mad.KindHealth, pkt)
+	ok := e.await(p, aw, mon.ProbeTimeout(), "health probe", edge.To)
+	dropAwait(e, hp.await, seq, aw)
 	mon.ProbeResult(edge, ok, p.Now().Sub(t0), p.Now())
 	bytes := 0
 	if ok {

@@ -109,6 +109,7 @@ func TestHealthNoRouteTyped(t *testing.T) {
 		px.Pack(p, pattern(10_000, 1), mad.SendCheaper, mad.ReceiveCheaper)
 		px.EndPacking(p)
 	})
+	w.aborts = true
 	err := w.sim.Run()
 	var de *fwd.DeliveryError
 	if !errors.As(err, &de) {

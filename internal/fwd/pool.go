@@ -79,3 +79,92 @@ func (s *PoolStats) observe(bp *bufPool) {
 	s.Puts += bp.puts
 	s.Misses += bp.misses
 }
+
+// Packet-buffer pooling for the reliable dataplane.
+//
+// A reliable datagram lives in one buffer per hop: the sender takes it here
+// and encodes into it, the link hands that same memory to the receiver
+// (mad.TxMeta.Reliable), and whoever holds it last returns it — the hand-over
+// table is in DESIGN.md §17. Unlike the gateway rings above, the sizes are
+// mixed (a 37-byte ack batch, a 24-byte probe, an MTU-sized fragment) and
+// the taker and the returner are different nodes, so the free list belongs
+// to the virtual channel, is split by size class, and keeps a ledger: at
+// quiescence every buffer taken has been returned.
+
+const (
+	relBufMinShift = 6  // smallest class: 64 bytes
+	relBufPageBits = 12 // classes are powers of two up to a 4 KiB page, whole pages above
+	relBufPage     = 1 << relBufPageBits
+)
+
+// relBufClass returns the free list a buffer of n bytes belongs to and the
+// capacity of that list's buffers. A capacity maps to its own class.
+func relBufClass(n int) (class, size int) {
+	if n <= relBufPage {
+		shift := relBufMinShift
+		for 1<<shift < n {
+			shift++
+		}
+		return shift - relBufMinShift, 1 << shift
+	}
+	pages := (n + relBufPage - 1) >> relBufPageBits
+	return relBufPageBits - relBufMinShift + pages - 1, pages << relBufPageBits
+}
+
+// relBufPool is the size-classed free list; the zero value is ready to use.
+// Unsynchronized like bufPool: one simulation, one thread.
+type relBufPool struct {
+	free     [][][]byte // by class, LIFO
+	taken    int64
+	returned int64
+	// onPut, when set, sees every returned buffer at full capacity before
+	// it is pooled. Only tests set it, to poison the memory so that a read
+	// through a stale alias fails loudly.
+	onPut func(buf []byte)
+}
+
+// get returns a buffer of length n whose content is unspecified.
+func (bp *relBufPool) get(n int) []byte {
+	bp.taken++
+	class, size := relBufClass(n)
+	if class < len(bp.free) {
+		if l := bp.free[class]; len(l) > 0 {
+			b := l[len(l)-1]
+			l[len(l)-1] = nil
+			bp.free[class] = l[:len(l)-1]
+			return b[:n]
+		}
+	}
+	return make([]byte, n, size)
+}
+
+// put returns a buffer taken with get; the caller keeps no alias into it.
+// Nil is ignored, so a packet that never had a buffer (one this node
+// originated) is released like any other.
+func (bp *relBufPool) put(b []byte) {
+	if b == nil {
+		return
+	}
+	class, size := relBufClass(cap(b))
+	if size != cap(b) {
+		panic("fwd: buffer returned to the reliable pool was not taken from it")
+	}
+	bp.returned++
+	b = b[:size]
+	if bp.onPut != nil {
+		bp.onPut(b)
+	}
+	for class >= len(bp.free) {
+		bp.free = append(bp.free, nil)
+	}
+	bp.free[class] = append(bp.free[class], b)
+}
+
+// pooled counts the buffers on the free lists.
+func (bp *relBufPool) pooled() int {
+	n := 0
+	for _, l := range bp.free {
+		n += len(l)
+	}
+	return n
+}

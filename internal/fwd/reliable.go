@@ -233,8 +233,8 @@ func checkCRC(pkt []byte) bool {
 	return binary.LittleEndian.Uint32(pkt[n:]) == crc32.ChecksumIEEE(pkt[:n])
 }
 
-// relData is a decoded data packet. acks carries the piggybacked hop
-// acknowledgements that rode along in the packet's trailer.
+// relData is a decoded data packet. payload aliases the datagram it was
+// decoded from — or, at the message's origin, the application's memory.
 type relData struct {
 	origin  mad.Rank
 	final   mad.Rank
@@ -243,11 +243,18 @@ type relData struct {
 	total   uint32
 	flags   uint8
 	payload []byte
-	acks    []relAckKey
+	// acks is the raw trailer of piggybacked hop acknowledgements, whole
+	// relAckEntry-byte entries read with getAckEntry.
+	acks []byte
+	// buf is the received datagram payload and acks alias: a pooled buffer
+	// this node owns from the link's hand-over until it returns it to the
+	// virtual channel's free list (see relBufPool). Nil for a packet this
+	// node originated.
+	buf []byte
 }
 
 // key is the packet's hop-acknowledgement identity.
-func (d relData) key() relAckKey {
+func (d *relData) key() relAckKey {
 	return relAckKey{origin: d.origin, id: d.id, frag: d.frag}
 }
 
@@ -265,26 +272,36 @@ func getAckEntry(b []byte) relAckKey {
 	}
 }
 
-func encodeRelData(origin, final mad.Rank, id uint64, frag, total uint32, flags uint8, payload []byte, acks []relAckKey) []byte {
+// relDataLen is the datagram size of a data packet.
+func relDataLen(payload, nacks int) int {
+	return relDataHdrLen + payload + relAckEntry*nacks + relTrailerLen
+}
+
+// putRelData encodes one data packet into pkt, whose length is relDataLen of
+// the payload and the piggybacked acks. Every byte of pkt is written: the
+// buffer comes from a free list and holds whatever its last packet left.
+func putRelData(pkt []byte, d *relData, flags uint8, acks []relAckKey) {
 	if len(acks) > relAckBatchMax {
 		panic("fwd: too many piggybacked acks")
 	}
-	pkt := make([]byte, relDataHdrLen+len(payload)+relAckEntry*len(acks)+relTrailerLen)
-	binary.LittleEndian.PutUint32(pkt[0:], uint32(origin))
-	binary.LittleEndian.PutUint32(pkt[4:], uint32(final))
-	binary.LittleEndian.PutUint64(pkt[8:], id)
-	binary.LittleEndian.PutUint32(pkt[16:], frag)
-	binary.LittleEndian.PutUint32(pkt[20:], total)
+	if len(pkt) != relDataLen(len(d.payload), len(acks)) {
+		panic("fwd: reliable packet buffer of the wrong size")
+	}
+	binary.LittleEndian.PutUint32(pkt[0:], uint32(d.origin))
+	binary.LittleEndian.PutUint32(pkt[4:], uint32(d.final))
+	binary.LittleEndian.PutUint64(pkt[8:], d.id)
+	binary.LittleEndian.PutUint32(pkt[16:], d.frag)
+	binary.LittleEndian.PutUint32(pkt[20:], d.total)
 	pkt[24] = flags
 	pkt[25] = byte(len(acks))
-	copy(pkt[relDataHdrLen:], payload)
-	off := relDataHdrLen + len(payload)
+	pkt[26], pkt[27] = 0, 0
+	copy(pkt[relDataHdrLen:], d.payload)
+	off := relDataHdrLen + len(d.payload)
 	for _, k := range acks {
 		putAckEntry(pkt[off:], k)
 		off += relAckEntry
 	}
 	sealCRC(pkt)
-	return pkt
 }
 
 func decodeRelData(pkt []byte) (relData, bool) {
@@ -301,7 +318,7 @@ func decodeRelData(pkt []byte) (relData, bool) {
 	if end < relDataHdrLen {
 		return relData{}, false
 	}
-	d := relData{
+	return relData{
 		origin:  mad.Rank(binary.LittleEndian.Uint32(pkt[0:])),
 		final:   mad.Rank(binary.LittleEndian.Uint32(pkt[4:])),
 		id:      binary.LittleEndian.Uint64(pkt[8:]),
@@ -309,39 +326,40 @@ func decodeRelData(pkt []byte) (relData, bool) {
 		total:   binary.LittleEndian.Uint32(pkt[20:]),
 		flags:   pkt[24],
 		payload: pkt[relDataHdrLen:end],
-	}
-	for off := end; off < len(pkt)-relTrailerLen; off += relAckEntry {
-		d.acks = append(d.acks, getAckEntry(pkt[off:]))
-	}
-	return d, true
+		acks:    pkt[end : len(pkt)-relTrailerLen],
+	}, true
 }
 
-func encodeRelAcks(keys []relAckKey) []byte {
+// relAcksLen is the datagram size of a batch of n acknowledgements.
+func relAcksLen(n int) int { return 1 + relAckEntry*n + relTrailerLen }
+
+// putRelAcks encodes one acknowledgement batch into pkt, whose length is
+// relAcksLen(len(keys)).
+func putRelAcks(pkt []byte, keys []relAckKey) {
 	if len(keys) == 0 || len(keys) > relAckBatchMax {
 		panic("fwd: ack batch size out of range")
 	}
-	pkt := make([]byte, 1+relAckEntry*len(keys)+relTrailerLen)
+	if len(pkt) != relAcksLen(len(keys)) {
+		panic("fwd: ack batch buffer of the wrong size")
+	}
 	pkt[0] = byte(len(keys))
 	for i, k := range keys {
 		putAckEntry(pkt[1+relAckEntry*i:], k)
 	}
 	sealCRC(pkt)
-	return pkt
 }
 
-func decodeRelAcks(pkt []byte) ([]relAckKey, bool) {
-	if len(pkt) < 1+relAckEntry+relTrailerLen || !checkCRC(pkt) {
+// decodeRelAcks checks one acknowledgement batch and returns its entries,
+// still encoded: whole relAckEntry-byte entries read with getAckEntry.
+func decodeRelAcks(pkt []byte) ([]byte, bool) {
+	if len(pkt) < relAcksLen(1) || !checkCRC(pkt) {
 		return nil, false
 	}
 	n := int(pkt[0])
-	if n == 0 || n > relAckBatchMax || len(pkt) != 1+relAckEntry*n+relTrailerLen {
+	if n == 0 || n > relAckBatchMax || len(pkt) != relAcksLen(n) {
 		return nil, false
 	}
-	keys := make([]relAckKey, n)
-	for i := range keys {
-		keys[i] = getAckEntry(pkt[1+relAckEntry*i:])
-	}
-	return keys, true
+	return pkt[1 : 1+relAckEntry*n], true
 }
 
 // The fragment-0 descriptor payload mirrors what the GTM transmits
@@ -349,8 +367,11 @@ func decodeRelAcks(pkt []byte) ([]relAckKey, bool) {
 // constraints the receiver's unpack calls must match.
 //
 //	mtu u32 | nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
-func encodeRelDesc(mtu int, blocks []relBlock) []byte {
-	b := make([]byte, 8+6*len(blocks))
+func relDescLen(nblocks int) int { return 8 + 6*nblocks }
+
+// putRelDesc encodes the descriptor into b, whose length is
+// relDescLen(len(blocks)).
+func putRelDesc(b []byte, mtu int, blocks []relBlock) {
 	binary.LittleEndian.PutUint32(b[0:], uint32(mtu))
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(blocks)))
 	off := 8
@@ -360,7 +381,6 @@ func encodeRelDesc(mtu int, blocks []relBlock) []byte {
 		b[off+5] = byte(bl.r)
 		off += 6
 	}
-	return b
 }
 
 func decodeRelDesc(b []byte) (mtu int, desc []mad.BlockDesc, ok bool) {
@@ -393,14 +413,10 @@ func decodeRelDesc(b []byte) (mtu int, desc []mad.BlockDesc, ok bool) {
 
 // relMeta is the link-layer metadata of one reliable packet: a single-block,
 // single-transmission message flagged Reliable so it takes the plain eager
-// path and is subject to fault injection.
-func relMeta(kind mad.Kind, n int) mad.TxMeta {
-	return mad.TxMeta{
-		SOM:      true,
-		Reliable: true,
-		Kind:     kind,
-		Blocks:   []mad.BlockDesc{{Size: n, S: mad.SendCheaper, R: mad.ReceiveCheaper}},
-	}
+// path, is subject to fault injection and has its buffer handed to the
+// receiver. The link describes the one block itself.
+func relMeta(kind mad.Kind) mad.TxMeta {
+	return mad.TxMeta{SOM: true, Reliable: true, Kind: kind}
 }
 
 // relAckKey identifies one packet for hop acknowledgement: who originated
@@ -419,21 +435,54 @@ type relMsgKey struct {
 
 // relAwait is a one-shot completion slot shared between a waiting sender and
 // the acknowledgement handler (or the timeout callback, whichever fires
-// first).
+// first). Slots are recycled through their engine's free list: the waker is
+// embedded, and the timeout is one callback bound when the slot was made,
+// told apart from the timeouts of earlier uses by the generation it was
+// scheduled under.
 type relAwait struct {
-	w    *vtime.Waker
-	done bool
-	ok   bool
+	w      vtime.Waker
+	parked bool // a process is inside await on this slot
+	done   bool
+	ok     bool
+	gen    uint64       // bumped whenever the slot is re-armed or released
+	expire func(uint64) // timeout, bound once
+	sentAt vtime.Time   // deliverBurst: when the packet last went out
+}
+
+// timeout fires in scheduler context when a wait armed under gen runs out.
+func (aw *relAwait) timeout(gen uint64) {
+	if gen != aw.gen || aw.done {
+		return
+	}
+	aw.done = true
+	aw.ok = false
+	aw.w.Wake()
+}
+
+// rearm readies a completed slot for another wait, orphaning the timeout of
+// the previous one.
+func (aw *relAwait) rearm() {
+	aw.gen++
+	aw.done, aw.ok = false, false
+}
+
+// relFrag is one fragment of a message under reassembly: the payload and the
+// pooled datagram it aliases. buf is nil until the fragment has arrived.
+type relFrag struct {
+	payload []byte
+	buf     []byte
 }
 
 // relMsg is a message being reassembled at its final destination. It is
 // handed to the unpacking side through the node's merged arrival queue once
-// every fragment arrived.
+// every fragment arrived; the unpacking side returns the fragments' buffers
+// when it has copied them out.
 type relMsg struct {
 	origin mad.Rank
 	id     uint64
 	total  uint32
-	frags  map[uint32][]byte
+	frags  []relFrag // by fragment index, len == total
+	got    uint32    // fragments present
 	// agg marks a message whose payload is an aggregate frame (relFlagAgg):
 	// the unpacking side decodes the frame into its coalesced sub-messages
 	// instead of handing the message to the application directly.
@@ -442,7 +491,9 @@ type relMsg struct {
 
 // relayItem is one packet queued for forwarding by a node's relay daemon.
 // The packet is re-encoded at the next hop (piggybacking fresh acks), so
-// only the decoded form travels through the queue. from names the ingress
+// only the decoded form travels through the queue — with the datagram it
+// aliases, which the relay daemon returns to the pool once the packet's
+// burst is acknowledged or given up on. from names the ingress
 // neighbour ("" for locally-originated packets): split horizon never
 // forwards a packet back out the way it came, which breaks the routing
 // loops two nodes with inconsistent liveness views would otherwise bounce
@@ -468,6 +519,9 @@ const (
 	// end-to-end timeout resends the whole message — lossy for progress,
 	// never for correctness).
 	relRxCap = 128
+	// relMaxFrags bounds the fragment count a receiver sizes a reassembly
+	// for: a packet announcing more is malformed, whatever its checksum says.
+	relMaxFrags = 1 << 20
 )
 
 // relDoneWindow is the bounded per-origin duplicate-suppression record: the
@@ -530,9 +584,9 @@ type relEngine struct {
 	pol  RetryPolicy
 	rng  relRand // decorrelated-jitter state, seeded from the node name
 
-	dead    map[route.Edge]vtime.Time // presumed-dead directed link -> reprobe time
-	suspect map[string]vtime.Time     // neighbours not to relay through -> reprobe time
-	tables  map[string]*route.Table   // cached per (topology, dead-set) tables
+	dead    map[route.Edge]vtime.Time    // presumed-dead directed link -> reprobe time
+	suspect map[string]vtime.Time        // neighbours not to relay through -> reprobe time
+	tables  map[relTableKey]*route.Table // cached constrained tables
 	// tablesEpoch is the health monitor's route epoch the cache was built
 	// under; a publish invalidates every cached constrained table at once.
 	tablesEpoch uint64
@@ -578,12 +632,32 @@ type relEngine struct {
 	acksCoalesced    int64 // ack entries that avoided their own datagram
 
 	fr *flight.Ring // cached flight ring; nil until a recorder is armed
+
+	// Recycled bookkeeping (DESIGN.md §17). Several processes run bursts on
+	// one engine at once — the application, its stripe rails, the relay
+	// daemon — so these are free lists, not single scratch slots.
+	awFree    []*relAwait   // completion slots
+	burstFree [][]*relAwait // per-burst slot lists, capacity Window
+	msgFree   []*relMsg     // reassembly records, fragment tables attached
+	labels    obs.Labels    // {"node": name}, built once
+}
+
+// relTableKey identifies one cached constrained table of an engine: which
+// topology (0 primary, 1 fallback), the canonical tag of the engine's own
+// dead set ("" when the health monitor owns liveness) and the ingress
+// neighbour barred by split horizon ("" for none).
+type relTableKey struct {
+	topo    int
+	dead    string
+	exclude string
 }
 
 func (e *relEngine) sim() *vtime.Sim { return e.vc.sess.Platform.Sim }
 
 func (e *relEngine) trace(op string, bytes int, at vtime.Time) {
-	e.vc.cfg.Tracer.Record("rel:"+e.node.Name, op, bytes, at, at)
+	if tr := e.vc.cfg.Tracer; tr != nil {
+		tr.Record("rel:"+e.node.Name, op, bytes, at, at)
+	}
 }
 
 func (e *relEngine) metrics() *obs.Registry { return e.vc.sess.Platform.Metrics }
@@ -605,7 +679,7 @@ func (e *relEngine) hop(id uint64, at vtime.Time, op, detail string, bytes int) 
 // count bumps a per-node reliability counter (pre-registered at zero by
 // buildReliable so the series appear in snapshots even on clean runs).
 func (e *relEngine) count(name string) {
-	e.metrics().Add(name, obs.Labels{"node": e.node.Name}, 1)
+	e.metrics().Add(name, e.labels, 1)
 }
 
 // relCounterNames are the per-node reliability counters, pre-registered so a
@@ -639,7 +713,8 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			rng:     seedRelRand(n.Name),
 			dead:    make(map[route.Edge]vtime.Time),
 			suspect: make(map[string]vtime.Time),
-			tables:  make(map[string]*route.Table),
+			tables:  make(map[relTableKey]*route.Table),
+			labels:  obs.Labels{"node": n.Name},
 			acks:    make(map[relAckKey]*relAwait),
 			e2e:     make(map[relMsgKey]*relAwait),
 			rx:      make(map[relMsgKey]*relMsg),
@@ -662,8 +737,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			ep := vc.regular[nwName].At(node)
 			sim.SpawnDaemon(fmt.Sprintf("relpoll:%s:%s", n.Name, nwName), func(p *vtime.Proc) {
 				for {
-					a := ep.WaitArrival(p)
-					e.handle(p, a)
+					e.handle(p, ep.NextArrival(p).Link)
 				}
 			})
 		}
@@ -711,19 +785,32 @@ func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBloc
 		}
 	}
 
-	payloads := [][]byte{encodeRelDesc(mtu, blocks)}
+	// Fragment 0 carries the descriptor, in a pooled buffer this call holds
+	// until it returns; the rest are windows of the application's memory.
+	nfrags := 1
+	for _, b := range blocks {
+		nfrags += max(1, (len(b.data)+mtu-1)/mtu) // an empty block still travels, as an empty fragment
+	}
+	total := uint32(nfrags)
+	if nfrags > relMaxFrags {
+		panic(fmt.Sprintf("fwd: message of %d fragments exceeds the reliable protocol's %d", total, relMaxFrags))
+	}
+	desc := e.vc.relBufs.get(relDescLen(len(blocks)))
+	defer e.vc.relBufs.put(desc)
+	putRelDesc(desc, mtu, blocks)
+	final := e.vc.NodeRank(dst)
+	ds := make([]relData, 0, total)
+	add := func(pl []byte) {
+		ds = append(ds, relData{origin: e.node.Rank, final: final, id: id,
+			frag: uint32(len(ds)), total: total, flags: msgFlags, payload: pl})
+	}
+	add(desc)
 	for _, b := range blocks {
 		data := b.data
-		mad.ForEachFragment(len(data), mtu, func(off, n int) {
-			payloads = append(payloads, data[off:off+n])
-		})
+		mad.ForEachFragment(len(data), mtu, func(off, n int) { add(data[off : off+n]) })
 	}
-	total := uint32(len(payloads))
-	final := e.vc.NodeRank(dst)
-	ds := make([]relData, total)
-	for i, pl := range payloads {
-		ds[i] = relData{origin: e.node.Rank, final: final, id: id,
-			frag: uint32(i), total: total, flags: msgFlags, payload: pl}
+	if len(ds) != nfrags {
+		panic("fwd: reliable fragment count out of step with ForEachFragment")
 	}
 
 	mkey := relMsgKey{origin: e.node.Rank, id: id}
@@ -738,7 +825,7 @@ func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBloc
 				e.hop(id, p.Now(), "resend", fmt.Sprintf("attempt %d -> %s", attempt+1, dst), 0)
 			}
 		}
-		aw := &relAwait{}
+		aw := e.newAwait()
 		e.e2e[mkey] = aw
 		var routed bool
 		if striped {
@@ -747,9 +834,7 @@ func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBloc
 			routed = e.sendBatched(p, dst, ds, aw)
 		}
 		if !routed {
-			if e.e2e[mkey] == aw {
-				delete(e.e2e, mkey)
-			}
+			dropAwait(e, e.e2e, mkey, aw)
 			reason = "unreachable"
 			if attempt < pol.MessageRetries {
 				bo = e.nextTimeout(bo)
@@ -760,10 +845,8 @@ func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBloc
 		}
 		to := pol.E2EBase + vtime.Duration(total)*pol.E2EPerFrag
 		t0 := p.Now()
-		ok := e.await(p, aw, to, "rel e2e "+dst)
-		if e.e2e[mkey] == aw {
-			delete(e.e2e, mkey)
-		}
+		ok := e.await(p, aw, to, "rel e2e", dst)
+		dropAwait(e, e.e2e, mkey, aw)
 		if ok {
 			e.flight().Record(flight.KindAckWait, p.Now(), vtime.Since(p.Now(), t0), id, 0, "")
 			return
@@ -908,15 +991,15 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 		mon.Heartbeats(e.node.Name, p.Now())
 	}
 	link := e.vc.regular[hop.Network].Link(e.node.Rank, e.vc.NodeRank(hop.To))
-	aws := make([]*relAwait, len(ds))
-	sentAt := make([]vtime.Time, len(ds))
+	aws := e.newBurst(len(ds))
 	for i := range ds {
-		aws[i] = &relAwait{}
-		e.acks[ds[i].key()] = aws[i]
-		sentAt[i] = p.Now()
-		e.sendData(p, link, ds[i], i == len(ds)-1)
+		aw := e.newAwait()
+		aws[i] = aw
+		e.acks[ds[i].key()] = aw
+		aw.sentAt = p.Now()
+		e.sendData(p, link, &ds[i], i == len(ds)-1)
 		if e.metrics() != nil {
-			e.hop(ds[i].id, p.Now(), "hop", e.hopDetail(ds[i], hop), len(ds[i].payload))
+			e.hop(ds[i].id, p.Now(), "hop", e.hopDetail(&ds[i], hop), len(ds[i].payload))
 		}
 	}
 	hopDead := false
@@ -931,7 +1014,7 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 			ok = aw.done && aw.ok
 		} else {
 			to := e.pol.AckTimeout
-			ok = e.await(p, aw, to, "rel ack "+hop.To)
+			ok = e.await(p, aw, to, "rel ack", hop.To)
 			if !ok {
 				e.flight().Record(flight.KindRexmit, p.Now(), to, ds[i].id, len(ds[i].payload), hop.Network)
 			}
@@ -951,14 +1034,18 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 				e.trace("rexmit", len(ds[i].payload), p.Now())
 				e.count("madgo_retransmits_total")
 				if e.metrics() != nil {
-					e.hop(ds[i].id, p.Now(), "rexmit", e.hopDetail(ds[i], hop), len(ds[i].payload))
+					e.hop(ds[i].id, p.Now(), "rexmit", e.hopDetail(&ds[i], hop), len(ds[i].payload))
 				}
-				aw = &relAwait{}
+				// The timed-out slot starts over (a late ack of the first
+				// transmission settles the retransmission just as well) and
+				// goes back under the key, which another sender of the same
+				// packet may have taken over meanwhile.
+				aw.rearm()
 				e.acks[key] = aw
-				sentAt[i] = p.Now()
-				e.sendData(p, link, ds[i], true)
+				aw.sentAt = p.Now()
+				e.sendData(p, link, &ds[i], true)
 				to = e.nextTimeout(to)
-				ok = e.await(p, aw, to, "rel ack "+hop.To)
+				ok = e.await(p, aw, to, "rel ack", hop.To)
 				if !ok {
 					e.flight().Record(flight.KindRexmit, p.Now(), to, ds[i].id, len(ds[i].payload), hop.Network)
 				}
@@ -967,12 +1054,11 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 				hopDead = true
 			}
 		}
-		if e.acks[key] == aw {
-			delete(e.acks, key)
-		}
+		sentAt := aw.sentAt
+		dropAwait(e, e.acks, key, aw)
 		if mon != nil {
 			if ok {
-				mon.ReportSuccess(edge, p.Now().Sub(sentAt[i]), p.Now())
+				mon.ReportSuccess(edge, p.Now().Sub(sentAt), p.Now())
 			} else {
 				mon.ReportFailure(edge, p.Now())
 			}
@@ -981,10 +1067,11 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 			failed = append(failed, ds[i])
 		}
 	}
+	e.burstFree = append(e.burstFree, aws)
 	return failed
 }
 
-func (e *relEngine) hopDetail(d relData, hop route.Hop) string {
+func (e *relEngine) hopDetail(d *relData, hop route.Hop) string {
 	if d.frag == e2eFrag {
 		return fmt.Sprintf("e2e-ack -> %s via %s", hop.To, hop.Network)
 	}
@@ -994,8 +1081,10 @@ func (e *relEngine) hopDetail(d relData, hop route.Hop) string {
 // sendData encodes and transmits one packet over one link, piggybacking
 // whatever hop acknowledgements are pending for that link. Encoding happens
 // here, at transmission time, so retransmissions carry fresh piggybacked
-// acks too.
-func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d relData, flush bool) {
+// acks too — into a buffer from the virtual channel's free list, which the
+// link hands to the receiver; it comes back here only when the packet never
+// left (a drop verdict or a cancelled flow).
+func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bool) {
 	kind := mad.KindRel
 	if d.frag == e2eFrag {
 		kind = mad.KindRelE2E
@@ -1009,46 +1098,91 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d relData, flush boo
 		flags |= relFlagFlush
 	}
 	acks := e.takePiggyback(link)
-	pkt := encodeRelData(d.origin, d.final, d.id, d.frag, d.total, flags, d.payload, acks)
+	pkt := e.vc.relBufs.get(relDataLen(len(d.payload), len(acks)))
+	putRelData(pkt, d, flags, acks)
+	e.settlePending(link, len(acks))
 	link.Acquire(p)
 	t0 := p.Now()
-	link.Send(p, relMeta(kind, len(pkt)), pkt)
+	if !link.Send(p, relMeta(kind), pkt) {
+		e.vc.relBufs.put(pkt)
+	}
 	e.flight().Record(flight.KindSend, p.Now(), vtime.Since(p.Now(), t0), d.id, len(d.payload), link.Channel.Network().Name)
 	link.Release(p)
 }
 
-// takePiggyback drains (up to the batch cap) the pending hop acks headed
+// takePiggyback claims (up to the batch cap) the pending hop acks headed
 // where a data packet is about to go; each one saves a standalone control
-// datagram.
+// datagram. The entries stay in the pending list until the caller has
+// encoded them and calls settlePending — with nothing that parks in between.
 func (e *relEngine) takePiggyback(link *mad.Link) []relAckKey {
 	pend := e.pend[link]
 	if len(pend) == 0 {
 		return nil
 	}
 	n := min(len(pend), relAckBatchMax)
-	acks := append([]relAckKey(nil), pend[:n]...)
-	e.pend[link] = pend[n:]
 	e.acksCoalesced += int64(n)
-	e.metrics().Add("madgo_rel_acks_coalesced_total", obs.Labels{"node": e.node.Name}, float64(n))
-	return acks
+	e.metrics().Add("madgo_rel_acks_coalesced_total", e.labels, float64(n))
+	return pend[:n]
+}
+
+// settlePending removes the first n pending hop acks of a link, now encoded
+// into a datagram. The remainder moves to the front so the list keeps its
+// backing array instead of creeping through memory one batch at a time.
+func (e *relEngine) settlePending(link *mad.Link, n int) {
+	if n == 0 {
+		return
+	}
+	pend := e.pend[link]
+	e.pend[link] = pend[:copy(pend, pend[n:])]
+}
+
+// newAwait takes a completion slot off the free list, or makes one.
+func (e *relEngine) newAwait() *relAwait {
+	if n := len(e.awFree); n > 0 {
+		aw := e.awFree[n-1]
+		e.awFree = e.awFree[:n-1]
+		return aw
+	}
+	aw := new(relAwait)
+	aw.expire = aw.timeout
+	return aw
+}
+
+// dropAwait takes a slot nobody waits on any more out of the map it was
+// registered in — unless another sender's slot has replaced it under the
+// same key — and recycles it. A timeout still scheduled for it finds the
+// generation moved on.
+func dropAwait[K comparable](e *relEngine, m map[K]*relAwait, key K, aw *relAwait) {
+	if m[key] == aw {
+		delete(m, key)
+	}
+	aw.rearm()
+	e.awFree = append(e.awFree, aw)
+}
+
+// newBurst returns a slot list of length n for one deliverBurst.
+func (e *relEngine) newBurst(n int) []*relAwait {
+	if k := len(e.burstFree); k > 0 {
+		aws := e.burstFree[k-1]
+		if cap(aws) >= n {
+			e.burstFree = e.burstFree[:k-1]
+			return aws[:n]
+		}
+	}
+	return make([]*relAwait, n, max(n, e.pol.Window))
 }
 
 // await blocks until the slot completes or the timeout fires, whichever
 // comes first, and reports success. The slot may already be complete (an
 // acknowledgement that raced the sender), in which case it returns without
-// parking.
-func (e *relEngine) await(p *vtime.Proc, aw *relAwait, to vtime.Duration, what string) bool {
+// parking. what and whom only show in a deadlock report.
+func (e *relEngine) await(p *vtime.Proc, aw *relAwait, to vtime.Duration, what, whom string) bool {
 	if !aw.done {
-		aw.w = p.Blocker(what)
-		e.sim().After(to, func() {
-			if aw.done {
-				return
-			}
-			aw.done = true
-			aw.ok = false
-			aw.w.Wake()
-		})
+		p.InitBlocker(&aw.w, what, whom)
+		aw.parked = true
+		e.sim().AtArg(p.Now().Add(to), aw.expire, aw.gen)
 		aw.w.Wait()
+		aw.parked = false
 	}
 	return aw.ok
 }
@@ -1058,7 +1192,7 @@ func complete(aw *relAwait) {
 	if aw != nil && !aw.done {
 		aw.done = true
 		aw.ok = true
-		if aw.w != nil {
+		if aw.parked {
 			aw.w.Wake()
 		}
 	}
@@ -1072,17 +1206,13 @@ func complete(aw *relAwait) {
 // packet) is barred as an intermediate hop; tables are cached per
 // (topology, constraint-set) pair.
 func (e *relEngine) nextHop(dst, exclude string, now vtime.Time) (route.Hop, bool) {
+	if exclude == dst {
+		exclude = ""
+	}
 	if e.vc.mon != nil {
 		return e.nextHopHealth(dst, exclude)
 	}
 	c, tag := e.currentDead(now)
-	if exclude != "" && exclude != dst {
-		if c.Relays == nil {
-			c.Relays = make(map[string]bool, 1)
-		}
-		c.Relays[exclude] = true
-		tag += "|x:" + exclude
-	}
 	me := e.node.Name
 	for i, t := range [...]*topo.Topology{e.vc.tp, e.vc.cfg.FallbackTopo} {
 		if t == nil {
@@ -1094,17 +1224,32 @@ func (e *relEngine) nextHop(dst, exclude string, now vtime.Time) (route.Hop, boo
 		if _, ok := t.Node(dst); !ok {
 			continue
 		}
-		key := fmt.Sprintf("%d|%s", i, tag)
+		key := relTableKey{topo: i, dead: tag, exclude: exclude}
 		tbl := e.tables[key]
 		if tbl == nil {
-			tbl = route.ComputeConstrained(t, c)
+			tbl = route.ComputeConstrained(t, barRelay(c, exclude))
 			e.tables[key] = tbl
 		}
-		if r, ok := tbl.Lookup(me, dst); ok && len(r) > 0 {
-			return r[0], true
+		if hop, ok := tbl.NextHop(me, dst); ok {
+			return hop, true
 		}
 	}
 	return route.Hop{}, false
+}
+
+// barRelay returns c with exclude (when not empty) added to the relays no
+// route may pass through, on a copy: c's maps may be shared.
+func barRelay(c route.Constraints, exclude string) route.Constraints {
+	if exclude == "" {
+		return c
+	}
+	relays := make(map[string]bool, len(c.Relays)+1)
+	for k, v := range c.Relays {
+		relays[k] = v
+	}
+	relays[exclude] = true
+	c.Relays = relays
+	return c
 }
 
 // nextHopHealth is nextHop when the link-health monitor owns liveness: the
@@ -1113,40 +1258,36 @@ func (e *relEngine) nextHop(dst, exclude string, now vtime.Time) (route.Hop, boo
 // epoch. Only split-horizon exclusions need per-engine tables — the epoch
 // constraints merged with the barred ingress neighbour — and those are
 // cached per (topology, exclude) and invalidated wholesale on epoch change.
+// A table costs its constraint copy when it is made and one search when this
+// node's row is first read (route tables are row-lazy), so the steady state
+// of a relayed packet is two map lookups and a walk up the search tree.
 func (e *relEngine) nextHopHealth(dst, exclude string) (route.Hop, bool) {
 	mon := e.vc.mon
 	me := e.node.Name
 	if ep := mon.Epoch(); ep != e.tablesEpoch {
-		e.tables = make(map[string]*route.Table)
+		clear(e.tables)
 		e.tablesEpoch = ep
 	}
-	if exclude == "" || exclude == dst {
+	if exclude == "" {
 		for _, tbl := range mon.Tables() {
-			if r, ok := tbl.Lookup(me, dst); ok && len(r) > 0 {
-				return r[0], true
+			if hop, ok := tbl.NextHop(me, dst); ok {
+				return hop, true
 			}
 		}
 		return route.Hop{}, false
 	}
-	base := mon.Constraints()
-	c := route.Constraints{Nodes: base.Nodes, Edges: base.Edges}
-	c.Relays = make(map[string]bool, len(base.Relays)+1)
-	for k, v := range base.Relays {
-		c.Relays[k] = v
-	}
-	c.Relays[exclude] = true
 	for i, t := range [...]*topo.Topology{e.vc.tp, e.vc.cfg.FallbackTopo} {
 		if t == nil {
 			continue
 		}
-		key := fmt.Sprintf("h%d|x:%s", i, exclude)
+		key := relTableKey{topo: i, exclude: exclude}
 		tbl := e.tables[key]
 		if tbl == nil {
-			tbl = route.ComputeConstrained(t, c)
+			tbl = route.ComputeConstrained(t, barRelay(mon.Constraints(), exclude))
 			e.tables[key] = tbl
 		}
-		if r, ok := tbl.Lookup(me, dst); ok && len(r) > 0 {
-			return r[0], true
+		if hop, ok := tbl.NextHop(me, dst); ok {
+			return hop, true
 		}
 	}
 	return route.Hop{}, false
@@ -1213,16 +1354,21 @@ func (e *relEngine) markDead(hop route.Hop, now vtime.Time) {
 
 // handle dispatches one arrival in the polling daemon. The Recv comes
 // first, unconditionally: it frees the link's flow-control credit before
-// any further work, which is what keeps the ack/credit graph acyclic.
-func (e *relEngine) handle(p *vtime.Proc, a *mad.Arrival) {
-	meta, slot := a.Link.Recv(p)
+// any further work, which is what keeps the ack/credit graph acyclic. The
+// datagram it returns is the buffer the sender encoded into, handed over by
+// the link: this node owns it now and every path below ends in exactly one
+// return to the pool (DESIGN.md §17 has the table).
+func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
+	meta, pkt := in.Recv(p)
 	switch meta.Kind {
 	case mad.KindRel, mad.KindRelE2E:
-		e.handleData(p, a.Link, slot)
+		e.handleData(p, in, pkt)
 	case mad.KindRelAck:
-		e.handleAck(slot)
+		e.handleAck(pkt)
+		e.vc.relBufs.put(pkt)
 	case mad.KindHealth:
-		e.handleHealth(p, a.Link, slot)
+		e.handleHealth(p, in, pkt)
+		e.vc.relBufs.put(pkt)
 	default:
 		panic("fwd: unexpected " + meta.Kind.String() + " message in reliable mode on " + e.node.Name)
 	}
@@ -1230,19 +1376,23 @@ func (e *relEngine) handle(p *vtime.Proc, a *mad.Arrival) {
 
 // handleData verifies, acknowledges and routes one data or end-to-end-ack
 // packet. It never parks: relays and acknowledgements are enqueued to the
-// node's daemons with non-blocking sends.
+// node's daemons with non-blocking sends. The packet's buffer goes back to
+// the pool here unless the packet is kept: queued for relay, or stored as a
+// fragment of a message under reassembly.
 func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	d, ok := decodeRelData(pkt)
 	if !ok {
 		e.checksumDrops++
 		e.trace("corrupt-drop", len(pkt), p.Now())
 		e.count("madgo_checksum_drops_total")
+		e.vc.relBufs.put(pkt)
 		return // no ack: the sender retransmits
 	}
+	d.buf = pkt
 	// Piggybacked hop acks ride in the data trailer; settle them first so
 	// a blocked sender wakes even if this packet is otherwise a duplicate.
-	for _, k := range d.acks {
-		complete(e.acks[k])
+	for off := 0; off < len(d.acks); off += relAckEntry {
+		complete(e.acks[getAckEntry(d.acks[off:])])
 	}
 	if d.final != e.node.Rank {
 		ingress := e.vc.sess.Node(in.Src.Rank).Name
@@ -1258,29 +1408,35 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 				e.hop(d.id, p.Now(), "refuse",
 					fmt.Sprintf("no route to %s except back via %s", finalName, ingress), 0)
 			}
+			e.vc.relBufs.put(pkt)
 			return
 		}
 		if !e.enqueueRelay(relayItem{d: d, from: ingress, enq: p.Now()}) {
+			e.vc.relBufs.put(pkt)
 			return // backpressure: no ack until the queue drains
 		}
-		e.hopAck(in, d)
+		e.hopAck(in, &d)
 		return
 	}
 	if d.frag == e2eFrag {
-		e.hopAck(in, d)
+		e.hopAck(in, &d)
 		if aw := e.e2e[relMsgKey{origin: d.origin, id: d.id}]; aw != nil {
 			e.trace("e2e", 0, p.Now())
 			e.hop(d.id, p.Now(), "e2e", "end-to-end ack received", 0)
 			complete(aw)
 		}
+		e.vc.relBufs.put(pkt)
 		return
 	}
-	e.acceptLocal(p, in, d)
+	if !e.acceptLocal(p, in, &d) {
+		e.vc.relBufs.put(pkt)
+	}
 }
 
 // acceptLocal stores one fragment at its final destination, suppressing
-// duplicates, and completes the message when the last fragment lands.
-func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
+// duplicates, and completes the message when the last fragment lands. It
+// reports whether the fragment — and with it the packet's buffer — was kept.
+func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	e.hopAck(in, d)
 	mkey := relMsgKey{origin: d.origin, id: d.id}
 	if e.done[d.origin].has(d.id) {
@@ -1293,28 +1449,38 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
 			e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d after completion, re-acked", d.frag), len(d.payload))
 		}
 		e.sendE2E(d.origin, d.id)
-		return
+		return false
 	}
 	m := e.rx[mkey]
 	if m == nil {
+		if d.total == 0 || d.total > relMaxFrags {
+			e.checksumDrops++
+			e.count("madgo_checksum_drops_total")
+			return false
+		}
 		if len(e.rx) >= relRxCap {
 			e.evictOldestRx(p)
 		}
-		m = &relMsg{origin: d.origin, id: d.id, total: d.total, frags: make(map[uint32][]byte),
-			agg: d.flags&relFlagAgg != 0}
+		m = e.newMsg(d)
 		e.rx[mkey] = m
 	}
-	if _, have := m.frags[d.frag]; have {
+	if d.frag >= m.total {
+		e.checksumDrops++
+		e.count("madgo_checksum_drops_total")
+		return false
+	}
+	if m.frags[d.frag].buf != nil {
 		e.dups++
 		e.trace("dup", len(d.payload), p.Now())
 		e.count("madgo_duplicates_total")
 		if e.metrics() != nil {
 			e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d suppressed", d.frag), len(d.payload))
 		}
-		return
+		return false
 	}
-	m.frags[d.frag] = d.payload
-	if uint32(len(m.frags)) == m.total {
+	m.frags[d.frag] = relFrag{payload: d.payload, buf: d.buf}
+	m.got++
+	if m.got == m.total {
 		e.markDone(d.origin, d.id)
 		// The reassembled message now travels by reference through the
 		// merged queue; dropping the rx entry is what keeps a long-lived
@@ -1323,18 +1489,46 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
 		if !e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) {
 			panic("fwd: merged arrival queue overflow on " + e.node.Name)
 		}
-		payload := 0
-		for f, b := range m.frags {
-			if f != 0 {
-				payload += len(b)
-			}
-		}
 		if e.metrics() != nil {
+			payload := 0
+			for _, f := range m.frags[1:] {
+				payload += len(f.payload)
+			}
 			e.hop(d.id, p.Now(), "deliver",
 				fmt.Sprintf("reassembled at %s (%d fragments)", e.node.Name, m.total), payload)
 		}
 		e.sendE2E(d.origin, d.id)
 	}
+	return true
+}
+
+// newMsg starts the reassembly of the message d belongs to, on a recycled
+// record when one is free.
+func (e *relEngine) newMsg(d *relData) *relMsg {
+	var m *relMsg
+	if n := len(e.msgFree); n > 0 {
+		m = e.msgFree[n-1]
+		e.msgFree = e.msgFree[:n-1]
+	} else {
+		m = new(relMsg)
+	}
+	frags := m.frags[:0]
+	if cap(frags) < int(d.total) {
+		frags = make([]relFrag, d.total)
+	}
+	*m = relMsg{origin: d.origin, id: d.id, total: d.total, frags: frags[:d.total],
+		agg: d.flags&relFlagAgg != 0}
+	return m
+}
+
+// freeMsg returns the buffers of a message nobody reads any more to the pool
+// and recycles its record, fragment table cleared.
+func (e *relEngine) freeMsg(m *relMsg) {
+	for i := range m.frags {
+		e.vc.relBufs.put(m.frags[i].buf)
+		m.frags[i] = relFrag{}
+	}
+	e.msgFree = append(e.msgFree, m)
 }
 
 // markDone records a completed message in the origin's bounded
@@ -1363,6 +1557,7 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 	if !found {
 		return
 	}
+	e.freeMsg(e.rx[victim])
 	delete(e.rx, victim)
 	e.rxEvictions++
 	e.count("madgo_rel_rx_evictions_total")
@@ -1378,7 +1573,7 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 // control-daemon drain; a data packet headed the same way may piggyback it
 // first. A full control queue silently drops the flush — the sender's
 // retransmission (always flush-flagged) absorbs it.
-func (e *relEngine) hopAck(in *mad.Link, d relData) {
+func (e *relEngine) hopAck(in *mad.Link, d *relData) {
 	back := in.Channel.Link(e.node.Rank, in.Src.Rank)
 	e.pend[back] = append(e.pend[back], d.key())
 	if d.flags&relFlagFlush == 0 && len(e.pend[back]) < relAckBatchMax {
@@ -1438,13 +1633,13 @@ func (e *relEngine) relayRounds() int64 {
 
 // handleAck completes the awaited slots of one batched acknowledgement.
 func (e *relEngine) handleAck(pkt []byte) {
-	keys, ok := decodeRelAcks(pkt)
+	entries, ok := decodeRelAcks(pkt)
 	if !ok {
 		e.checksumDrops++
 		return
 	}
-	for _, key := range keys {
-		complete(e.acks[key])
+	for off := 0; off < len(entries); off += relAckEntry {
+		complete(e.acks[getAckEntry(entries[off:])])
 	}
 }
 
@@ -1459,53 +1654,70 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 		e.relayLoopFair(p)
 		return
 	}
+	var batch []relData // the daemon's own, reused burst after burst
+	var requeue []relayItem
 	for {
 		it, ok := e.relayQ.Recv(p)
 		if !ok {
 			return
 		}
-		qwait := func(item relayItem) {
-			if item.enq > 0 {
-				e.flight().Record(flight.KindQueueWait, p.Now(), p.Now().Sub(item.enq),
-					item.d.id, len(item.d.payload), "")
-			}
-		}
-		qwait(it)
-		batch := []relData{it.d}
-		var requeue []relayItem
+		e.queueWait(p, &it)
+		batch = append(batch[:0], it.d)
+		requeue = requeue[:0]
 		for len(batch) < e.pol.Window {
 			more, ok := e.relayQ.TryRecv()
 			if !ok {
 				break
 			}
 			if more.d.final == it.d.final && more.from == it.from {
-				qwait(more)
+				e.queueWait(p, &more)
 				batch = append(batch, more.d)
 			} else {
 				requeue = append(requeue, more)
 			}
 		}
-		for _, r := range requeue {
-			if !e.relayQ.TrySend(r) {
+		for i := range requeue {
+			if !e.relayQ.TrySend(requeue[i]) {
 				e.relayDrops++
 				e.count("madgo_relay_drops_total")
+				e.vc.relBufs.put(requeue[i].d.buf)
 			}
 		}
-		finalName := e.vc.sess.Node(it.d.final).Name
-		if e.forwardBatchExcluding(p, finalName, it.from, batch) {
-			for _, d := range batch {
-				if d.frag != e2eFrag {
-					e.relayedPkts++
-					e.relayedBytes += int64(len(d.payload))
-					if d.frag == 0 {
-						e.relayedMsgs++
-					}
+		e.relayBatch(p, it.from, batch)
+	}
+}
+
+// queueWait attributes the time a packet sat in the relay queue.
+func (e *relEngine) queueWait(p *vtime.Proc, it *relayItem) {
+	if it.enq > 0 {
+		e.flight().Record(flight.KindQueueWait, p.Now(), p.Now().Sub(it.enq),
+			it.d.id, len(it.d.payload), "")
+	}
+}
+
+// relayBatch forwards one burst of packets that entered through from and
+// share a final destination, counts the outcome, and — acknowledged or given
+// up on, the packets are done here either way — returns the datagrams they
+// arrived in to the pool.
+func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
+	finalName := e.vc.sess.Node(batch[0].final).Name
+	if e.forwardBatchExcluding(p, finalName, from, batch) {
+		for i := range batch {
+			if d := &batch[i]; d.frag != e2eFrag {
+				e.relayedPkts++
+				e.relayedBytes += int64(len(d.payload))
+				if d.frag == 0 {
+					e.relayedMsgs++
 				}
 			}
-		} else {
-			e.relayDrops++
-			e.count("madgo_relay_drops_total")
 		}
+	} else {
+		e.relayDrops++
+		e.count("madgo_relay_drops_total")
+	}
+	for i := range batch {
+		e.vc.relBufs.put(batch[i].buf)
+		batch[i] = relData{}
 	}
 }
 
@@ -1517,48 +1729,32 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 // neighbours. Same-flow packets to the same final destination still move
 // as one windowed burst, preserving ack coalescing.
 func (e *relEngine) relayLoopFair(p *vtime.Proc) {
-	qwait := func(item relayItem) {
-		if item.enq > 0 {
-			e.flight().Record(flight.KindQueueWait, p.Now(), p.Now().Sub(item.enq),
-				item.d.id, len(item.d.payload), "")
-		}
-	}
+	var batch []relData // the daemon's own, reused burst after burst
+	var final mad.Rank
+	sameFinal := func(m relayItem) bool { return m.d.final == final }
 	for {
 		e.relaySem.Acquire(p, 1)
 		key, it, ok := e.relayDRR.Pop()
 		if !ok {
 			panic("fwd: relay scheduler woken with empty queues on " + e.node.Name)
 		}
-		qwait(it)
-		batch := []relData{it.d}
+		e.queueWait(p, &it)
+		batch = append(batch[:0], it.d)
 		cost := int64(len(it.d.payload))
+		final = it.d.final
 		for len(batch) < e.pol.Window {
-			more, ok := e.relayDRR.PopFrom(key, func(m relayItem) bool { return m.d.final == it.d.final })
+			more, ok := e.relayDRR.PopFrom(key, sameFinal)
 			if !ok {
 				break
 			}
 			if !e.relaySem.TryAcquire(1) {
 				panic("fwd: relay scheduler permit ledger out of balance on " + e.node.Name)
 			}
-			qwait(more)
+			e.queueWait(p, &more)
 			batch = append(batch, more.d)
 			cost += int64(len(more.d.payload))
 		}
-		finalName := e.vc.sess.Node(it.d.final).Name
-		if e.forwardBatchExcluding(p, finalName, key, batch) {
-			for _, d := range batch {
-				if d.frag != e2eFrag {
-					e.relayedPkts++
-					e.relayedBytes += int64(len(d.payload))
-					if d.frag == 0 {
-						e.relayedMsgs++
-					}
-				}
-			}
-		} else {
-			e.relayDrops++
-			e.count("madgo_relay_drops_total")
-		}
+		e.relayBatch(p, key, batch)
 		e.relayDRR.Charge(key, cost)
 	}
 }
@@ -1581,20 +1777,29 @@ func (e *relEngine) ctlLoop(p *vtime.Proc) {
 		for len(e.pend[link]) > 0 {
 			pend := e.pend[link]
 			n := min(len(pend), relAckBatchMax)
-			pkt := encodeRelAcks(pend[:n])
-			e.pend[link] = pend[n:]
+			pkt := e.vc.relBufs.get(relAcksLen(n))
+			putRelAcks(pkt, pend[:n])
+			e.settlePending(link, n)
 			e.ackPackets++
 			e.count("madgo_rel_ack_packets_total")
 			if n > 1 {
 				e.acksCoalesced += int64(n - 1)
-				e.metrics().Add("madgo_rel_acks_coalesced_total",
-					obs.Labels{"node": e.node.Name}, float64(n-1))
+				e.metrics().Add("madgo_rel_acks_coalesced_total", e.labels, float64(n-1))
 			}
-			link.Acquire(p)
-			link.Send(p, relMeta(mad.KindRelAck, len(pkt)), pkt)
-			link.Release(p)
+			e.sendControl(p, link, mad.KindRelAck, pkt)
 		}
 	}
+}
+
+// sendControl transmits one control datagram (an ack batch, a health probe)
+// in a pooled buffer; like sendData it gets the buffer back only when the
+// packet never left.
+func (e *relEngine) sendControl(p *vtime.Proc, link *mad.Link, kind mad.Kind, pkt []byte) {
+	link.Acquire(p)
+	if !link.Send(p, relMeta(kind), pkt) {
+		e.vc.relBufs.put(pkt)
+	}
+	link.Release(p)
 }
 
 // RelBookkeeping is the size of the reliable mode's per-message bookkeeping,
@@ -1609,6 +1814,13 @@ type RelBookkeeping struct {
 	RxPartials int
 	// RxEvictions is how many partial reassemblies were evicted at the cap.
 	RxEvictions int64
+	// BufsTaken and BufsReturned are the packet-buffer ledger: how many
+	// datagram buffers were taken from the virtual channel's free list and
+	// how many came back. Equal on a quiesced run — a difference is a leaked
+	// (or twice-returned) buffer. BufsFree is how many sit on the free list.
+	BufsTaken    int64
+	BufsReturned int64
+	BufsFree     int
 }
 
 // RelBookkeeping sums the reliable mode's bookkeeping sizes over every node.
@@ -1623,6 +1835,7 @@ func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 		s.RxPartials += len(e.rx)
 		s.RxEvictions += e.rxEvictions
 	}
+	s.BufsTaken, s.BufsReturned, s.BufsFree = vc.relBufs.taken, vc.relBufs.returned, vc.relBufs.pooled()
 	return s
 }
 
@@ -1717,7 +1930,7 @@ type relUnpacking struct {
 }
 
 func newRelUnpacking(eng *relEngine, m *relMsg) *relUnpacking {
-	mtu, desc, ok := decodeRelDesc(m.frags[0])
+	mtu, desc, ok := decodeRelDesc(m.frags[0].payload)
 	if !ok {
 		panic("fwd: reliable message with malformed descriptor on " + eng.node.Name)
 	}
@@ -1736,11 +1949,11 @@ func (ru *relUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.
 	host := ru.eng.node.Host
 	p.Sleep(host.CPU.PackCost)
 	mad.ForEachFragment(len(dst), ru.mtu, func(off, n int) {
-		frag, ok := ru.m.frags[ru.nextFrag]
-		ru.nextFrag++
-		if !ok || len(frag) != n {
+		if ru.nextFrag >= ru.m.total || len(ru.m.frags[ru.nextFrag].payload) != n {
 			panic("fwd: reliable message fragment size mismatch")
 		}
+		frag := ru.m.frags[ru.nextFrag].payload
+		ru.nextFrag++
 		if n > 0 {
 			host.Memcpy(p, n)
 			copy(dst[off:off+n], frag)
@@ -1753,5 +1966,8 @@ func (ru *relUnpacking) end(p *vtime.Proc) {
 		panic(fmt.Sprintf("fwd: reliable message not fully unpacked (%d/%d blocks, %d/%d fragments)",
 			ru.nextBlk, len(ru.desc), ru.nextFrag, ru.m.total))
 	}
-	delete(ru.eng.rx, relMsgKey{origin: ru.m.origin, id: ru.m.id})
+	// Every fragment has been copied out: the datagrams they arrived in go
+	// back to the pool and the record to the engine.
+	ru.eng.freeMsg(ru.m)
+	ru.m = nil
 }

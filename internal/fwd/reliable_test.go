@@ -56,7 +56,7 @@ func buildFaulty(t *testing.T, tp, fallback *topo.Topology, plan *fault.Plan, cf
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{sim: sim, sess: sess, vc: vc}
+	return auditRelBufs(t, &world{sim: sim, sess: sess, vc: vc})
 }
 
 func TestReliableFaultFree(t *testing.T) {
@@ -205,6 +205,7 @@ func TestReliableUnreachableAbortsTyped(t *testing.T) {
 		px.Pack(p, pattern(10_000, 1), mad.SendCheaper, mad.ReceiveCheaper)
 		px.EndPacking(p)
 	})
+	w.aborts = true
 	err := w.sim.Run()
 	var de *fwd.DeliveryError
 	if !errors.As(err, &de) {

@@ -187,10 +187,12 @@ type railKey struct {
 // stripeState is the virtual channel's striping bookkeeping, allocated only
 // when Config.StripeK > 1.
 type stripeState struct {
-	// kroutes caches route.ComputeK per ordered pair. Routes are static
-	// unless a health monitor is armed, in which case the cache is tagged
-	// with the routing epoch it was computed under and invalidated
-	// wholesale on epoch change (see stripeRoutes).
+	// kroutes caches route.ComputeK per ordered pair: every pair from Build
+	// on in streaming mode (whose rails decide where special channels and
+	// gateway engines exist), a pair's on its first send in reliable mode.
+	// Routes are static unless a health monitor is armed, in which case the
+	// cache is tagged with the routing epoch it was computed under and
+	// invalidated wholesale on epoch change (see stripeRoutes).
 	kroutes map[[2]string][]route.Route
 	// epoch is the health monitor's routing epoch kroutes was built under
 	// (0 = static, no monitor).
@@ -250,11 +252,12 @@ var stripeCounterNames = []string{
 	"madgo_stripe_rail_failovers_total",
 }
 
-// initStriping computes the static rail state at Build time: the per-pair
-// K-route cache (whose mid-route networks and intermediate nodes the
-// caller adds to the special-channel and gateway sets) and the static
+// initStriping computes the static rail state at Build time: the static
 // network rates the scheduler falls back to before any goodput has been
-// measured.
+// measured and — in streaming mode, where the caller adds the rails'
+// mid-route networks and intermediate nodes to the special-channel and
+// gateway sets — the K-routes of every ordered pair. Reliable mode needs no
+// channel per rail, so there a pair's rails are found when it first sends.
 func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 	st := &stripeState{
 		kroutes:   make(map[[2]string][]route.Route),
@@ -275,55 +278,58 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 		}
 		st.netRate[nw.Name] = r
 	}
-	rate := func(nw string) float64 { return st.netRate[nw] }
-	names := vc.tp.NodeNames()
-	for _, src := range names {
-		for _, dst := range names {
-			if src == dst {
-				continue
+	vc.stripe = st
+	if !vc.cfg.Reliable {
+		names := vc.tp.NodeNames()
+		for _, src := range names {
+			for _, dst := range names {
+				if src != dst {
+					vc.stripeRoutes(src, dst)
+				}
 			}
-			st.kroutes[[2]string{src, dst}] = route.ComputeK(vc.tp, src, dst, vc.cfg.StripeK, rate)
 		}
 	}
-	vc.stripe = st
 	for _, name := range stripeCounterNames {
 		vc.metrics().Add(name, obs.Labels{"channel": vc.Name}, 0)
 	}
 }
 
-// stripeRoutes returns the cached rail set of one pair (nil when striping
-// is off or the pair is outside the primary topology). With a health
-// monitor armed the cache is epoch-aware: a death or re-admission publishes
-// a new epoch, the stale rail sets are dropped, and each pair's rails are
-// recomputed on demand with the dead edges carved out of the graph — a
-// killed rail shrinks the set (subsequent messages fall back to fewer
+// stripeRoutes returns the rail set of one pair (nil when striping is off or
+// the pair is outside the primary topology), computing it on first use. With
+// a health monitor armed the cache is epoch-aware: a death or re-admission
+// publishes a new epoch, the stale rail sets are dropped, and each pair's
+// rails are recomputed on demand with the dead edges carved out of the graph
+// — a killed rail shrinks the set (subsequent messages fall back to fewer
 // rails, or the single-route path), and a re-admitted link restores it.
 func (vc *VirtualChannel) stripeRoutes(src, dst string) []route.Route {
 	st := vc.stripe
 	if st == nil {
 		return nil
 	}
-	mon := vc.mon
-	if mon == nil {
-		return st.kroutes[[2]string{src, dst}]
-	}
-	if ep := mon.Epoch(); ep != st.epoch {
-		st.kroutes = make(map[[2]string][]route.Route)
-		st.epoch = ep
+	var dead map[route.Edge]bool
+	if mon := vc.mon; mon != nil {
+		if ep := mon.Epoch(); ep != st.epoch {
+			clear(st.kroutes)
+			st.epoch = ep
+		}
+		dead = mon.DeadEdges()
 	}
 	key := [2]string{src, dst}
 	rs, ok := st.kroutes[key]
 	if !ok {
-		if _, in := vc.tp.Node(src); in {
+		if _, in := vc.tp.Node(src); in && src != dst {
 			if _, in := vc.tp.Node(dst); in {
-				rate := func(nw string) float64 { return st.netRate[nw] }
-				rs = route.ComputeKAvoiding(vc.tp, src, dst, vc.cfg.StripeK, rate, mon.DeadEdges())
+				rs = route.ComputeKAvoiding(vc.tp, src, dst, vc.cfg.StripeK, st.rate, dead)
 			}
 		}
 		st.kroutes[key] = rs
 	}
 	return rs
 }
+
+// rate is a network's static bottleneck bandwidth, the width the K-route
+// search ranks rails by.
+func (st *stripeState) rate(nw string) float64 { return st.netRate[nw] }
 
 // routeRate is a route's static bottleneck bandwidth.
 func (vc *VirtualChannel) routeRate(r route.Route) float64 {

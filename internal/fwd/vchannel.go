@@ -198,6 +198,10 @@ type VirtualChannel struct {
 	// Reliable-mode state: one engine per node, in declaration order.
 	rel      map[string]*relEngine
 	relOrder []string
+	// relBufs is the free list every reliable datagram's buffer is taken
+	// from and returned to (pool.go); shared because the node that takes a
+	// buffer hands it over the link to the node that returns it.
+	relBufs relBufPool
 
 	// mon is the link-health monitor; nil unless Config.Health is set.
 	mon *health.Monitor

@@ -160,6 +160,7 @@ type LinkHealth struct {
 
 // link is the per-edge detector record.
 type link struct {
+	labels       obs.Labels // {"link": edge}, built once: the gauges of this edge
 	state        State
 	score        float64
 	rtt          vtime.Duration // EWMA, 0 until first measurement
@@ -228,7 +229,7 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 					if _, ok := m.links[e]; ok {
 						continue
 					}
-					m.links[e] = &link{state: Up, score: 1}
+					m.links[e] = &link{state: Up, score: 1, labels: obs.Labels{"link": e.String()}}
 					m.order = append(m.order, e)
 					m.byFrom[from] = append(m.byFrom[from], e)
 				}
@@ -416,7 +417,7 @@ func (m *Monitor) Heartbeats(from string, now vtime.Time) {
 func (m *Monitor) observe(e route.Edge, l *link, outcome float64, now vtime.Time) {
 	l.score = (1-m.cfg.Alpha)*l.score + m.cfg.Alpha*outcome
 	l.lastEvidence = now
-	m.met.Set("madgo_health_link_score", obs.Labels{"link": e.String()}, l.score)
+	m.met.Set("madgo_health_link_score", l.labels, l.score)
 	switch l.state {
 	case Up:
 		if l.score < m.cfg.SuspectBelow {
@@ -450,7 +451,7 @@ func (m *Monitor) die(e route.Edge, l *link, now vtime.Time) {
 	l.deaths++
 	l.score = 0
 	l.okProbes = 0
-	m.met.Set("madgo_health_link_score", obs.Labels{"link": e.String()}, 0)
+	m.met.Set("madgo_health_link_score", l.labels, 0)
 	m.transition(e, l, Dead, now)
 	m.publish(now)
 	m.fireProbe(e, l, m.probeDelay(l))
@@ -558,7 +559,7 @@ func (m *Monitor) transition(e route.Edge, l *link, to State, now vtime.Time) {
 	m.log = append(m.log, Transition{At: now, Link: e, From: from, To: to, Epoch: m.mgr.Epoch()})
 	m.met.Add("madgo_health_transitions_total", nil, 1)
 	m.met.Add("madgo_health_transitions_total", obs.Labels{"to": to.String()}, 1)
-	m.met.Set("madgo_health_link_state", obs.Labels{"link": e.String()}, float64(to))
+	m.met.Set("madgo_health_link_state", l.labels, float64(to))
 }
 
 // publish recomputes the routing exclusions from the link states and pushes

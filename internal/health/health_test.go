@@ -1,6 +1,7 @@
 package health
 
 import (
+	"strings"
 	"testing"
 
 	"madgo/internal/obs"
@@ -324,5 +325,47 @@ func TestTransitionLogAndSnapshot(t *testing.T) {
 	}
 	if m.LastTransition() != r.now {
 		t.Fatalf("LastTransition = %v", m.LastTransition())
+	}
+}
+
+// ReportSuccess runs once per acknowledged packet; with no registry armed it
+// must not build the per-edge label (make allocs).
+func TestReportSuccessDisarmedAllocsNothing(t *testing.T) {
+	tp, err := topo.NewBuilder().Network("sci0", "sci").Node("a0", "sci0").Node("gw", "sci0").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now vtime.Time
+	mon := NewMonitor(Config{}, tp, nil, nil, func(vtime.Duration, func()) {}, func() vtime.Time { return now })
+	n := testing.AllocsPerRun(500, func() {
+		now = now.Add(vtime.Microsecond)
+		mon.ReportSuccess(edgeAB, 40*vtime.Microsecond, now)
+	})
+	if n != 0 {
+		t.Errorf("ReportSuccess with metrics off allocates %.1f times, want 0", n)
+	}
+}
+
+// The label cached on the edge record is the one the armed registry always
+// saw: the gauges stay addressable by the edge's string form.
+func TestHealthGaugesKeepTheirLabels(t *testing.T) {
+	reg := obs.New()
+	r := newRig(t, Config{})
+	r.mon.met = reg
+	r.mon.ReportFailure(edgeAB, r.now)
+	r.mon.ReportDead(edgeAB, r.now)
+	l := obs.Labels{"link": "a0>gw@sci0"}
+	if got := reg.Gauge("madgo_health_link_state", l); got != float64(Dead) {
+		t.Errorf("madgo_health_link_state%v = %v, want %v", l, got, float64(Dead))
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	for _, want := range []string{
+		`madgo_health_link_score{link="a0>gw@sci0"} 0`,
+		`madgo_health_link_state{link="a0>gw@sci0"} 2`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("Prometheus output lacks %q", want)
+		}
 	}
 }

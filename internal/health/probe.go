@@ -49,13 +49,20 @@ type Probe struct {
 // EncodeProbe renders p into its canonical 24-byte wire form.
 func EncodeProbe(p Probe) []byte {
 	b := make([]byte, ProbeSize)
+	PutProbe(b, p)
+	return b
+}
+
+// PutProbe renders p into the first ProbeSize bytes of b, for a sender that
+// brings its own packet buffer.
+func PutProbe(b []byte, p Probe) {
+	b = b[:ProbeSize]
 	binary.LittleEndian.PutUint16(b[0:], probeMagic)
 	b[2] = probeVersion
 	b[3] = byte(p.Kind)
 	binary.LittleEndian.PutUint64(b[4:], p.Seq)
 	binary.LittleEndian.PutUint64(b[12:], uint64(p.T0))
 	binary.LittleEndian.PutUint32(b[20:], crc32.ChecksumIEEE(b[:20]))
-	return b
 }
 
 // DecodeProbe parses a probe packet. ok=false covers every malformation:

@@ -20,7 +20,7 @@ type Channel struct {
 	members map[Rank]*Node
 	order   []Rank
 	links   map[[2]Rank]*Link
-	arrival map[Rank]*vsync.Chan[*Arrival]
+	arrival map[Rank]*vsync.Chan[Arrival]
 }
 
 // NewChannel creates a channel over the given network and driver connecting
@@ -36,7 +36,7 @@ func (s *Session) NewChannel(name string, net *hw.Network, drv Driver, members .
 		drv:     drv,
 		members: make(map[Rank]*Node, len(members)),
 		links:   make(map[[2]Rank]*Link),
-		arrival: make(map[Rank]*vsync.Chan[*Arrival], len(members)),
+		arrival: make(map[Rank]*vsync.Chan[Arrival], len(members)),
 	}
 	for _, n := range members {
 		if n.Session != s {
@@ -47,7 +47,7 @@ func (s *Session) NewChannel(name string, net *hw.Network, drv Driver, members .
 		}
 		ch.members[n.Rank] = n
 		ch.order = append(ch.order, n.Rank)
-		ch.arrival[n.Rank] = vsync.NewChan[*Arrival](fmt.Sprintf("arrivals:%s:%s", name, n.Name), 4096)
+		ch.arrival[n.Rank] = vsync.NewChan[Arrival](fmt.Sprintf("arrivals:%s:%s", name, n.Name), 4096)
 	}
 	s.channels = append(s.channels, ch)
 	return ch
@@ -90,7 +90,9 @@ func (ch *Channel) Link(src, dst Rank) *Link {
 
 // Arrival announces a message whose first transmission reached a node. The
 // metadata is available before the body is unpacked — this carries the
-// regular/forwarded note of §2.2.2.
+// regular/forwarded note of §2.2.2. Notes queue by value; a consumer that
+// keeps one (WaitArrival) gets its own copy, one that only dispatches on it
+// (NextArrival) allocates nothing.
 type Arrival struct {
 	Link *Link
 	Meta TxMeta
@@ -107,7 +109,7 @@ func (ch *Channel) notifyArrival(l *Link, meta TxMeta) {
 	if !ok {
 		panic("mad: arrival for non-member " + l.Dst.Name)
 	}
-	if !q.TrySend(&Arrival{Link: l, Meta: meta}) {
+	if !q.TrySend(Arrival{Link: l, Meta: meta}) {
 		panic("mad: arrival queue overflow on " + ch.Name)
 	}
 }
@@ -140,6 +142,13 @@ func (e *Endpoint) Node() *Node { return e.node }
 // channel and returns it. One poll cost is charged per wakeup, as in the
 // paper's polling threads.
 func (e *Endpoint) WaitArrival(p *vtime.Proc) *Arrival {
+	a := e.NextArrival(p)
+	return &a
+}
+
+// NextArrival is WaitArrival for a poller that dispatches on the note and
+// lets go of it: the note is returned by value.
+func (e *Endpoint) NextArrival(p *vtime.Proc) Arrival {
 	p.Sleep(e.node.Host.CPU.PollCost)
 	a, ok := e.ch.arrival[e.node.Rank].Recv(p)
 	if !ok {
@@ -150,5 +159,9 @@ func (e *Endpoint) WaitArrival(p *vtime.Proc) *Arrival {
 
 // TryArrival returns a pending announcement without blocking.
 func (e *Endpoint) TryArrival() (*Arrival, bool) {
-	return e.ch.arrival[e.node.Rank].TryRecv()
+	a, ok := e.ch.arrival[e.node.Rank].TryRecv()
+	if !ok {
+		return nil, false
+	}
+	return &a, true
 }

@@ -57,6 +57,14 @@ type TxMeta struct {
 	// which would wedge a sender when the counterpart is lost) and it is
 	// the only traffic the fault injector may drop, corrupt or stall —
 	// unprotected traffic keeps the seed's exact behaviour.
+	//
+	// A Reliable transmission is a datagram in a private buffer its sender
+	// never reads again (a retransmission is encoded afresh), so the link
+	// hands the buffer itself to the receiver instead of copying it into
+	// driver memory; Send reports whether that happened. Blocks may be left
+	// nil: the link then describes the payload as one SendCheaper /
+	// ReceiveCheaper block in the transmission record, and Recv returns the
+	// metadata without it.
 	Reliable bool
 }
 
@@ -92,6 +100,10 @@ type transmission struct {
 	// corruption.
 	dropped   bool
 	corruptAt int
+
+	// selfDesc is the block descriptor of a Reliable datagram sent without
+	// one; meta.Blocks then points here until the record is recycled.
+	selfDesc [1]BlockDesc
 }
 
 // postedRecv is an outstanding posted receive on a link. dst == nil means
@@ -300,8 +312,10 @@ func (l *Link) newTx(meta TxMeta, data []byte) *transmission {
 // go of it when it queued the last wire event, and the receiver has copied
 // the metadata and the payload reference out (Recv, RecvInto) — or the
 // packet was lost before it reached the wire. The metadata's block
-// descriptors and the payload belong to the caller of Send, not to the
-// record, so what Recv returned stays valid.
+// descriptors and the payload belong to the caller of Send (or, for a
+// handed-over datagram, now to the receiver), not to the record, so what
+// Recv returned stays valid; handOver strips the one descriptor that is the
+// record's own.
 func (l *Link) recycle(tx *transmission) {
 	*tx = transmission{}
 	l.txFree = append(l.txFree, tx)
@@ -311,25 +325,33 @@ func (l *Link) recycle(tx *transmission) {
 // has pushed the last byte (and, on the rendezvous path, until the receiver
 // had posted). The data slice is referenced, not copied; the BMM layer has
 // already made any copies its policy requires.
-func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) {
+//
+// It reports whether the transmission is on its way to the receiver. False
+// only for a Reliable transmission the fault injector dropped or cancelled:
+// the buffer was not handed over and is still the caller's.
+func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 	m := l.metrics()
 	labels := l.sendLabels
 	m.Add("madgo_link_sends_total", labels, 1)
 	m.Add("madgo_link_send_bytes_total", labels, float64(len(data)))
 	t0 := p.Now()
-	l.send(p, meta, data)
+	sent := l.send(p, meta, data)
 	m.ObserveDuration("madgo_link_send_seconds", labels, vtime.Since(p.Now(), t0))
 	l.flight().Record(flight.KindWire, p.Now(), vtime.Since(p.Now(), t0), 0, len(data), l.Channel.net.Name)
+	return sent
 }
 
 // send is the uninstrumented transmission path behind Send.
-func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
-	if got := meta.payloadBytes(); got != len(data) {
-		panic(fmt.Sprintf("mad: block descriptors say %d bytes, payload has %d", got, len(data)))
-	}
+func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 	l.seq++
 	meta.Seq = l.seq
 	tx := l.newTx(meta, data)
+	if meta.Reliable && meta.Blocks == nil {
+		tx.selfDesc[0] = BlockDesc{Size: len(data), S: SendCheaper, R: ReceiveCheaper}
+		tx.meta.Blocks = tx.selfDesc[:]
+	} else if got := meta.payloadBytes(); got != len(data) {
+		panic(fmt.Sprintf("mad: block descriptors say %d bytes, payload has %d", got, len(data)))
+	}
 
 	if meta.Reliable {
 		if inj := l.faults(); inj != nil {
@@ -344,7 +366,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 
 	if !meta.Reliable && l.nic.RendezvousThreshold > 0 && len(data) > l.nic.RendezvousThreshold {
 		l.sendRendezvous(p, tx)
-		return
+		return true
 	}
 	if !meta.Reliable && l.nic.PostGateThreshold > 0 && len(data) > l.nic.PostGateThreshold {
 		// Post-gated eager path: large payloads stream straight into a
@@ -363,7 +385,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 		}
 		l.flow(p, tx.meta.wireBytes(), len(data))
 		l.onTheWire(wireEvent{tx: tx})
-		return
+		return true
 	}
 	// Ring eager path: take a flow-control credit (a free ring slot on
 	// the receiving side), stream, deliver after the wire latency. The
@@ -379,9 +401,10 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 		// the sender's retry machinery takes over.
 		l.releaseCredit(tx)
 		l.recycle(tx)
-		return
+		return false
 	}
 	l.onTheWire(wireEvent{tx: tx})
+	return true
 }
 
 // judge draws the fault verdicts for a reliable transmission at send time,
@@ -404,9 +427,11 @@ func (l *Link) judge(p *vtime.Proc, tx *transmission) {
 	}
 }
 
-// applyCorruption flips one byte of the receiver-side copy when the send-time
-// verdict said so. Only the receiver's copy is damaged — the sender's buffer
-// is the retransmit source and stays intact, like a wire-level bit error.
+// applyCorruption flips one byte of the receiver-side memory when the
+// send-time verdict said so. Only what the receiver sees is damaged — a
+// handed-over datagram is no longer the sender's, and its retransmission is
+// encoded afresh from a source the link never touches — like a wire-level
+// bit error.
 func applyCorruption(buf []byte, tx *transmission) {
 	if tx.meta.Reliable && tx.corruptAt >= 0 && len(buf) > 0 {
 		buf[tx.corruptAt%len(buf)] ^= 0xA5
@@ -448,6 +473,18 @@ func snapshot(payload []byte) []byte {
 	return append([]byte(nil), payload...)
 }
 
+// landed is the receiver-side memory of an eager transmission that found no
+// posted destination to be placed in. A streaming transmission sends memory
+// its sender goes on using (the application's, a gateway's staging slot), so
+// it is copied into driver memory. A Reliable datagram's buffer is handed
+// over as it is: same bytes, no copy, and from here on the receiver's.
+func landed(tx *transmission) []byte {
+	if tx.meta.Reliable {
+		return tx.payload
+	}
+	return snapshot(tx.payload)
+}
+
 // deliver runs in scheduler context when a transmission (or rendezvous
 // request) becomes visible at the receiver.
 func (l *Link) deliver(tx *transmission) {
@@ -469,7 +506,7 @@ func (l *Link) deliver(tx *transmission) {
 				// own slots; the posted receiver pays the copy
 				// out — the unavoidable copy of §2.3 when both
 				// gateway sides are static.
-				tx.slot = snapshot(tx.payload)
+				tx.slot = landed(tx)
 				applyCorruption(tx.slot, tx)
 			}
 			l.releaseCredit(tx)
@@ -480,7 +517,7 @@ func (l *Link) deliver(tx *transmission) {
 		return
 	}
 	if !tx.rendezvous {
-		tx.slot = snapshot(tx.payload)
+		tx.slot = landed(tx)
 		applyCorruption(tx.slot, tx)
 		tx.dataReady = true
 	}
@@ -493,7 +530,7 @@ func (l *Link) deliver(tx *transmission) {
 
 func (l *Link) notifyArrival(tx *transmission) {
 	if tx.meta.SOM && !tx.announced {
-		l.Channel.notifyArrival(l, tx.meta)
+		l.Channel.notifyArrival(l, tx.handOver())
 	}
 }
 
@@ -506,9 +543,19 @@ func (l *Link) Recv(p *vtime.Proc) (TxMeta, []byte) {
 	tx := l.receive(p, nil)
 	l.drv.OnRecv(p, l.Dst.Host, len(tx.slot))
 	l.releaseCredit(tx)
-	meta, slot := tx.meta, tx.slot
+	meta, slot := tx.handOver(), tx.slot
 	l.recycle(tx)
 	return meta, slot
+}
+
+// handOver is the metadata a receive returns once the record is recycled:
+// the caller's block descriptors stay valid, the record's own do not.
+func (tx *transmission) handOver() TxMeta {
+	meta := tx.meta
+	if len(meta.Blocks) == 1 && &meta.Blocks[0] == &tx.selfDesc[0] {
+		meta.Blocks = nil
+	}
+	return meta
 }
 
 // RecvInto delivers the next transmission's payload into dst. If the
@@ -532,7 +579,7 @@ func (l *Link) RecvInto(p *vtime.Proc, dst []byte) (TxMeta, int) {
 	}
 	l.drv.OnRecv(p, l.Dst.Host, n)
 	l.releaseCredit(tx)
-	meta := tx.meta
+	meta := tx.handOver()
 	l.recycle(tx)
 	return meta, n
 }

@@ -6,6 +6,7 @@ import (
 
 	"madgo/internal/drivers/loopback"
 	"madgo/internal/drivers/sisci"
+	"madgo/internal/fault"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/vtime"
@@ -256,5 +257,60 @@ func TestLinkAccessors(t *testing.T) {
 	}
 	if ab.Channel.Name != "raw" {
 		t.Error("channel backlink wrong")
+	}
+}
+
+// A Reliable transmission is a datagram in a buffer its sender gives away:
+// the receiver gets that very memory, described by the link itself, and a
+// corruption verdict damages it in place. Streaming transmissions keep being
+// copied — their sender goes on using its memory.
+func TestLinkReliableHandsBufferOver(t *testing.T) {
+	sim, ab, _, sess := rawPair(loopback.New())
+	sess.Platform.ArmFaults(fault.NewInjector(fault.NewPlan(1).Corrupt("*", 1), nil))
+	datagram := []byte("a datagram its sender never reads again")
+	clean := append([]byte(nil), datagram...)
+	streamed := []byte("memory the sender goes on using")
+	sim.Spawn("send", func(p *vtime.Proc) {
+		if !ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Kind: mad.KindRel}, datagram) {
+			t.Error("an undropped datagram was reported as not sent")
+		}
+		ab.Send(p, mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: len(streamed)}}}, streamed)
+	})
+	sim.Spawn("recv", func(p *vtime.Proc) {
+		meta, slot := ab.Recv(p)
+		if &slot[0] != &datagram[0] {
+			t.Error("the reliable datagram was copied instead of handed over")
+		}
+		if meta.Blocks != nil || !meta.Reliable || meta.Kind != mad.KindRel {
+			t.Errorf("handed-over metadata = %+v, want the link's own descriptor stripped", meta)
+		}
+		if bytes.Equal(slot, clean) {
+			t.Error("the corruption verdict did not reach the handed-over buffer")
+		}
+		_, slot = ab.Recv(p)
+		if &slot[0] == &streamed[0] || !bytes.Equal(slot, streamed) {
+			t.Error("a streaming transmission must land in driver memory, intact")
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A dropped Reliable transmission never leaves: Send says so, and nothing
+// arrives — the buffer is still the sender's to reuse.
+func TestLinkReliableDropKeepsBuffer(t *testing.T) {
+	sim, ab, _, sess := rawPair(loopback.New())
+	sess.Platform.ArmFaults(fault.NewInjector(fault.NewPlan(1).Drop("*", 1), nil))
+	sim.Spawn("send", func(p *vtime.Proc) {
+		if ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Kind: mad.KindRel}, []byte("lost")) {
+			t.Error("a dropped datagram was reported as sent")
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ab.TryRecvReady() {
+		t.Fatal("a dropped datagram arrived")
 	}
 }

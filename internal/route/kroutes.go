@@ -1,10 +1,6 @@
 package route
 
-import (
-	"sort"
-
-	"madgo/internal/topo"
-)
+import "madgo/internal/topo"
 
 // ComputeK finds up to k link-disjoint routes from src to dst, for the
 // striping layer that transmits one message over several rails in parallel.
@@ -48,10 +44,7 @@ func ComputeKAvoiding(t *topo.Topology, src, dst string, k int, rate func(networ
 	if rate == nil {
 		rate = func(string) float64 { return 1 }
 	}
-	netIdx := make(map[string]int)
-	for i, n := range t.Networks() {
-		netIdx[n.Name] = i
-	}
+	names := t.NodeNames()
 	usedLink := make(map[linkKey]bool)
 	for e := range avoid {
 		usedLink[linkKey{net: e.Network, from: e.From, to: e.To}] = true
@@ -59,10 +52,10 @@ func ComputeKAvoiding(t *topo.Topology, src, dst string, k int, rate func(networ
 	usedGate := make(map[string]bool)
 	var routes []Route
 	for len(routes) < k {
-		r := widestRoute(t, src, dst, rate, netIdx, usedLink, usedGate)
+		r := widestRoute(t, names, src, dst, rate, usedLink, usedGate)
 		if r == nil {
 			// No gateway-disjoint route left; settle for link-disjoint.
-			r = widestRoute(t, src, dst, rate, netIdx, usedLink, nil)
+			r = widestRoute(t, names, src, dst, rate, usedLink, nil)
 		}
 		if r == nil {
 			break
@@ -87,10 +80,10 @@ type linkKey struct {
 
 // widestRoute runs one widest-shortest-path search from src to dst, skipping
 // the given directed links and (when avoidGate is non-nil) the given
-// intermediate nodes. It returns nil when dst is unreachable under those
-// constraints.
-func widestRoute(t *topo.Topology, src, dst string, rate func(string) float64,
-	netIdx map[string]int, skipLink map[linkKey]bool, avoidGate map[string]bool) Route {
+// intermediate nodes. names is the topology's node list in declaration
+// order. It returns nil when dst is unreachable under those constraints.
+func widestRoute(t *topo.Topology, names []string, src, dst string, rate func(string) float64,
+	skipLink map[linkKey]bool, avoidGate map[string]bool) Route {
 
 	type label struct {
 		width float64
@@ -116,7 +109,7 @@ func widestRoute(t *topo.Topology, src, dst string, rate func(string) float64,
 		// search deterministic.
 		var cur string
 		var cl *label
-		for _, name := range t.NodeNames() {
+		for _, name := range names {
 			l := lab[name]
 			if l == nil || l.done || !l.seen {
 				continue
@@ -135,40 +128,24 @@ func widestRoute(t *topo.Topology, src, dst string, rate func(string) float64,
 		if avoidGate != nil && cur != src && avoidGate[cur] {
 			continue
 		}
-		node, _ := t.Node(cur)
 		// Stable relaxation order: declared-earlier networks first, then
 		// peer name, so equal-width ties resolve the same way Compute's
-		// BFS does.
-		var hops []neighbor
-		for _, nw := range node.Networks {
-			net, _ := t.Network(nw)
-			for _, peer := range net.Members {
-				if peer != cur {
-					hops = append(hops, neighbor{network: nw, node: peer})
-				}
-			}
-		}
-		sort.Slice(hops, func(i, j int) bool {
-			if a, b := netIdx[hops[i].network], netIdx[hops[j].network]; a != b {
-				return a < b
-			}
-			return hops[i].node < hops[j].node
-		})
-		for _, h := range hops {
-			if skipLink[linkKey{net: h.network, from: cur, to: h.node}] {
+		// search does.
+		for _, h := range t.Neighbors(cur) {
+			if skipLink[linkKey{net: h.Network, from: cur, to: h.Node}] {
 				continue
 			}
-			if avoidGate != nil && h.node != dst && avoidGate[h.node] {
+			if avoidGate != nil && h.Node != dst && avoidGate[h.Node] {
 				continue
 			}
-			w := rate(h.network)
+			w := rate(h.Network)
 			if cl.width < w {
 				w = cl.width
 			}
-			nl := lab[h.node]
+			nl := lab[h.Node]
 			if nl == nil {
 				nl = &label{}
-				lab[h.node] = nl
+				lab[h.Node] = nl
 			}
 			if nl.done {
 				continue
@@ -178,7 +155,7 @@ func widestRoute(t *topo.Topology, src, dst string, rate func(string) float64,
 				nl.width = w
 				nl.hops = cl.hops + 1
 				nl.prev = cur
-				nl.via = h.network
+				nl.via = h.Network
 			}
 		}
 	}

@@ -82,8 +82,7 @@ func (e Edge) String() string { return e.From + ">" + e.To + "@" + e.Network }
 // Table holds the routes of every ordered node pair of a topology.
 type Table struct {
 	topo   *topo.Topology
-	netIdx map[string]int
-	routes map[[2]string]Route
+	rows   map[string]*row // by source; absent until first asked for
 	avoid  map[string]bool
 	avoidR map[string]bool
 	avoidE map[Edge]bool
@@ -131,93 +130,99 @@ type Constraints struct {
 }
 
 // ComputeConstrained builds a routing table honouring the given constraints.
+// The table is row-lazy: this records the constraints (the maps are shared —
+// callers must not mutate them afterwards) and the breadth-first search from
+// a source runs when a route from it is first asked for, so a caller that
+// reads one row of a 34-node table pays for one search, not 34. A table is
+// for one goroutine at a time, like everything under one simulation.
 func ComputeConstrained(t *topo.Topology, c Constraints) *Table {
-	tb := &Table{topo: t, netIdx: make(map[string]int), routes: make(map[[2]string]Route),
+	return &Table{topo: t, rows: make(map[string]*row),
 		avoid: c.Nodes, avoidR: c.Relays, avoidE: c.Edges}
-	for i, n := range t.Networks() {
-		tb.netIdx[n.Name] = i
-	}
-	names := t.NodeNames()
-	for _, src := range names {
-		if tb.avoid[src] {
-			continue
-		}
-		tb.computeFrom(src)
-	}
-	return tb
 }
 
-// neighbor is a candidate next leg during the BFS.
-type neighbor struct {
-	network string
-	node    string
+// step is how the search from a row's source first reached a node: from
+// prev across via, hops legs from the source.
+type step struct {
+	prev string
+	via  string
+	hops int
 }
 
-func (tb *Table) computeFrom(src string) {
+// row is the search tree of one source: every reachable node's step, and the
+// routes already read out of it.
+type row struct {
+	steps  map[string]step
+	routes map[string]Route
+}
+
+// rowOf returns the search tree rooted at src, running the search on first
+// use. src is a node of the topology.
+func (tb *Table) rowOf(src string) *row {
+	if r, ok := tb.rows[src]; ok {
+		return r
+	}
+	r := &row{}
+	if !tb.avoid[src] {
+		r.steps = tb.searchFrom(src)
+	}
+	tb.rows[src] = r
+	return r
+}
+
+// searchFrom runs the breadth-first search from src. Exploration order is
+// the topology's neighbour order — preferred (earlier declared) networks
+// first, then peer name — so the first discovery of a node fixes its route
+// and the result does not depend on which rows were computed before.
+func (tb *Table) searchFrom(src string) map[string]step {
 	t := tb.topo
-	type state struct {
-		prev string // previous node on the path
-		via  string // network used to reach this node
-	}
-	visited := map[string]state{src: {}}
+	steps := map[string]step{src: {}}
 	frontier := []string{src}
-	for len(frontier) > 0 {
-		var next []string
+	var next []string
+	for hops := 1; len(frontier) > 0; hops++ {
+		next = next[:0]
 		for _, cur := range frontier {
-			node, _ := t.Node(cur)
-			var hops []neighbor
-			for _, nw := range node.Networks {
-				net, _ := t.Network(nw)
-				for _, peer := range net.Members {
-					if peer == cur || tb.avoid[peer] {
-						continue
-					}
-					if tb.avoidE[Edge{From: cur, To: peer, Network: nw}] {
-						continue
-					}
-					hops = append(hops, neighbor{network: nw, node: peer})
-				}
-			}
-			// Deterministic exploration order: preferred (earlier
-			// declared) networks first.
-			sort.Slice(hops, func(i, j int) bool {
-				if a, b := tb.netIdx[hops[i].network], tb.netIdx[hops[j].network]; a != b {
-					return a < b
-				}
-				return hops[i].node < hops[j].node
-			})
-			for _, h := range hops {
-				if _, seen := visited[h.node]; seen {
+			for _, h := range t.Neighbors(cur) {
+				if tb.avoid[h.Node] || tb.avoidE[Edge{From: cur, To: h.Node, Network: h.Network}] {
 					continue
 				}
-				visited[h.node] = state{prev: cur, via: h.network}
-				// Suspect relays are reachable as destinations but
-				// never expanded through.
-				if !tb.avoidR[h.node] {
-					next = append(next, h.node)
+				if _, seen := steps[h.Node]; seen {
+					continue
+				}
+				steps[h.Node] = step{prev: cur, via: h.Network, hops: hops}
+				// Suspect relays are reachable as destinations but never
+				// expanded through.
+				if !tb.avoidR[h.Node] {
+					next = append(next, h.Node)
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	for dst, st := range visited {
-		if dst == src {
-			continue
-		}
-		var rev Route
-		for cur := dst; cur != src; {
-			s := visited[cur]
-			rev = append(rev, Hop{Network: s.via, To: cur})
-			cur = s.prev
-		}
-		// Reverse into src→dst order.
-		r := make(Route, len(rev))
-		for i := range rev {
-			r[i] = rev[len(rev)-1-i]
-		}
-		tb.routes[[2]string{src, dst}] = r
-		_ = st
+	delete(steps, src)
+	return steps
+}
+
+// route reads the src→dst route out of the row, once; later calls return the
+// same slice.
+func (r *row) route(src, dst string) (Route, bool) {
+	if rt, ok := r.routes[dst]; ok {
+		return rt, true
 	}
+	st, ok := r.steps[dst]
+	if !ok {
+		return nil, false
+	}
+	rt := make(Route, st.hops)
+	for cur := dst; cur != src; {
+		s := r.steps[cur]
+		rt[s.hops-1] = Hop{Network: s.via, To: cur}
+		cur = s.prev
+	}
+	if r.routes == nil {
+		r.routes = make(map[string]Route)
+	}
+	r.routes[dst] = rt
+	return rt, true
 }
 
 // Find returns the route from src to dst, or a *NoRouteError (matching
@@ -233,7 +238,7 @@ func (tb *Table) Find(src, dst string) (Route, error) {
 	if _, ok := tb.topo.Node(dst); !ok {
 		return nil, &NoRouteError{Src: src, Dst: dst, Why: "unknown destination"}
 	}
-	r, ok := tb.routes[[2]string{src, dst}]
+	r, ok := tb.rowOf(src).route(src, dst)
 	if !ok {
 		return nil, &NoRouteError{Src: src, Dst: dst, Why: "no path under current constraints"}
 	}
@@ -250,31 +255,49 @@ func (tb *Table) Lookup(src, dst string) (Route, bool) {
 	return r, err == nil
 }
 
-// NextHop returns the first leg from src toward dst.
+// NextHop returns the first leg from src toward dst: Lookup's r[0], read off
+// the search tree without building the route.
 func (tb *Table) NextHop(src, dst string) (Hop, bool) {
-	r, ok := tb.Lookup(src, dst)
-	if !ok || len(r) == 0 {
+	if src == dst {
 		return Hop{}, false
 	}
-	return r[0], true
+	if _, ok := tb.topo.Node(src); !ok {
+		return Hop{}, false
+	}
+	steps := tb.rowOf(src).steps
+	st, ok := steps[dst]
+	if !ok {
+		return Hop{}, false
+	}
+	cur := dst
+	for st.prev != src {
+		cur = st.prev
+		st = steps[cur]
+	}
+	return Hop{Network: st.via, To: cur}, true
 }
 
-// MaxHops returns the longest route length in the table (diagnostics).
+// MaxHops returns the longest route length in the table (diagnostics). It
+// computes every row.
 func (tb *Table) MaxHops() int {
 	max := 0
-	for _, r := range tb.routes {
-		if len(r) > max {
-			max = len(r)
+	for _, src := range tb.topo.NodeNames() {
+		for _, st := range tb.rowOf(src).steps {
+			if st.hops > max {
+				max = st.hops
+			}
 		}
 	}
 	return max
 }
 
-// String renders every route, sorted, one per line.
+// String renders every route, sorted, one per line. It computes every row.
 func (tb *Table) String() string {
-	keys := make([][2]string, 0, len(tb.routes))
-	for k := range tb.routes {
-		keys = append(keys, k)
+	var keys [][2]string
+	for _, src := range tb.topo.NodeNames() {
+		for dst := range tb.rowOf(src).steps {
+			keys = append(keys, [2]string{src, dst})
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i][0] != keys[j][0] {
@@ -284,7 +307,8 @@ func (tb *Table) String() string {
 	})
 	var sb strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s %s\n", k[0], tb.routes[k])
+		r, _ := tb.rows[k[0]].route(k[0], k[1])
+		fmt.Fprintf(&sb, "%s %s\n", k[0], r)
 	}
 	return sb.String()
 }

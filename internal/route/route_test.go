@@ -262,3 +262,26 @@ func TestComputeAvoidingNil(t *testing.T) {
 		t.Error("ComputeAvoiding(nil) differs from Compute")
 	}
 }
+
+// Once a source's row exists, reading a first leg off it — what the reliable
+// dataplane does per relayed packet — allocates nothing, and neither does
+// re-reading a route already read (make allocs).
+func TestWarmRowReadsAllocsNothing(t *testing.T) {
+	tb := paperTable(t)
+	names := tb.topo.NodeNames()
+	src, dst := names[0], names[len(names)-1]
+	if _, ok := tb.Lookup(src, dst); !ok {
+		t.Fatalf("no route %s -> %s", src, dst)
+	}
+	n := testing.AllocsPerRun(200, func() {
+		if _, ok := tb.NextHop(src, dst); !ok {
+			t.Fatal("NextHop lost the route")
+		}
+		if _, ok := tb.Lookup(src, dst); !ok {
+			t.Fatal("Lookup lost the route")
+		}
+	})
+	if n != 0 {
+		t.Errorf("NextHop+Lookup on a warm row allocate %.1f times, want 0", n)
+	}
+}

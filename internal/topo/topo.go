@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"madgo/internal/fault"
@@ -38,6 +39,11 @@ type Topology struct {
 	nodes    map[string]*Node
 	netOrder []string
 	nodeOrd  []string
+
+	// adj is every node's presorted neighbour list, built on the first
+	// Neighbors call (a validated topology never changes).
+	adjOnce sync.Once
+	adj     map[string][]Neighbor
 
 	// Faults is the fault schedule declared alongside the configuration
 	// (the `fault ...` DSL directives), nil when none was given. It rides
@@ -174,6 +180,46 @@ func (t *Topology) Nodes() []*Node {
 
 // NodeNames returns the node names in declaration order.
 func (t *Topology) NodeNames() []string { return append([]string(nil), t.nodeOrd...) }
+
+// Neighbor is one way out of a node: cross Network to reach Node.
+type Neighbor struct {
+	Network string
+	Node    string
+}
+
+// Neighbors returns every leg leaving the named node, ordered by network
+// declaration (declare fast networks before slow control networks, as the
+// paper's static configuration does) and then by peer name — the order
+// every route search explores in, which does not depend on where the search
+// started. The lists are sorted once per topology, on first use, and shared:
+// callers must not modify them. An unknown node has no neighbours.
+func (t *Topology) Neighbors(name string) []Neighbor {
+	t.adjOnce.Do(func() {
+		t.adj = make(map[string][]Neighbor, len(t.nodeOrd))
+		netIdx := make(map[string]int, len(t.netOrder))
+		for i, nw := range t.netOrder {
+			netIdx[nw] = i
+		}
+		for _, cur := range t.nodeOrd {
+			var legs []Neighbor
+			for _, nw := range t.nodes[cur].Networks {
+				for _, peer := range t.networks[nw].Members {
+					if peer != cur {
+						legs = append(legs, Neighbor{Network: nw, Node: peer})
+					}
+				}
+			}
+			sort.Slice(legs, func(i, j int) bool {
+				if a, b := netIdx[legs[i].Network], netIdx[legs[j].Network]; a != b {
+					return a < b
+				}
+				return legs[i].Node < legs[j].Node
+			})
+			t.adj[cur] = legs
+		}
+	})
+	return t.adj[name]
+}
 
 // Network looks up a network by name.
 func (t *Topology) Network(name string) (*Network, bool) {
