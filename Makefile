@@ -10,12 +10,50 @@ FUZZ_TARGETS = \
 	internal/health:FuzzHealthProbe internal/flow:FuzzFlowCredit \
 	internal/agg:FuzzAggFrame
 
-.PHONY: check build vet test race allocs bench bench-quick bench-pair cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate soak
+# The eight archived experiments (BENCH_<id>.json), virtual-time results of
+# the deterministic simulation.
+BENCHES = o1 p1 s1 r2 o2 c1 m1 b1
+
+# The perf gates, one row per gated experiment: bench:gate-test[:extra], where
+# extra is a package=pattern test run that rides along. `make <bench>-gate`
+# re-archives the experiment and runs its gate test in internal/bench, which
+# reruns the exact streams the archive came from and holds the thresholds:
+#   s1  K=2 striping on the dual-rail topology >= 1.5x the K=1 goodput at
+#       64-128 KB (also `make stripe-gate`);
+#   r2  the rail a fault plan flaps dead is re-admitted after probation and
+#       goodput re-converges to >= 90% of the pre-fault dual-rail level;
+#   o2  goodput with the flight recorder armed within 5% of disarmed (it is
+#       identical: recording costs no virtual time, and zero allocations —
+#       the extra run), depth 1 called swap-overhead-bound (§3.4.1), depth 8
+#       cleared;
+#   c1  64-sender incast: FIFO measurably unfair (Jain <= 0.80), credits +
+#       DRR fair (Jain >= 0.90) within 5% of the serialized ceiling;
+#   m1  eager+aggregation >= 3x the seed framing up to 1 KB, 64/128 KB parity
+#       within 2%, the coalescer hot path at zero allocations (the extra run);
+#   b1  multicast >= 2x the unicast fan-out at 8+ receivers on the 2-gateway
+#       chain, byte-identical payloads, gateway ingress independent of the
+#       receiver count.
+GATES = \
+	s1:TestS1StripeSpeedupGate \
+	r2:TestR2SelfHealingGate \
+	o2:TestO2FlightGate:internal/flight=ZeroAllocs \
+	c1:TestC1FlowGate \
+	m1:TestM1EagerGate:internal/agg=AllocsNothing \
+	b1:TestB1McastGate
+
+# The coverage gates, packages:minimum: the metrics registry and the tracer
+# are the measurement substrate every perf claim rests on; FWD_COVER_MIN
+# covers the gateway relay, the GTM and the reliable codecs.
+COVER_GATES = \
+	obs,trace:$(COVER_MIN) fwd:$(FWD_COVER_MIN) flight:$(COVER_MIN) \
+	flow:$(COVER_MIN) agg:$(COVER_MIN) coll:$(COVER_MIN)
+
+.PHONY: check build vet test race allocs bench bench-verify bench-quick bench-pair cover fuzz stripe-gate soak
 
 # check includes the facade API-surface golden test (api_test.go vs
 # api.txt) via the race lane; regen the listing after an intentional API
 # change with: MADGO_REGEN_API=1 $(GO) test -run TestAPISurfaceGolden .
-check: build vet race allocs cover
+check: build vet race allocs cover bench-verify
 
 build:
 	$(GO) build ./...
@@ -35,7 +73,9 @@ race:
 # 1 MiB message of the Fig. 6 stream at small per-message budgets. The
 # reliable dataplane (DESIGN.md §17): warm route-row reads, the split-horizon
 # next hop and a disarmed health report at 0, one reliable 32 KiB message
-# over two hops and one message of the prod_lossy_mix shape at budgets.
+# over two hops and one message of the prod_lossy_mix shape at budgets. The
+# unified relay (DESIGN.md §18): one 64 KiB fan-out-8 broadcast of the
+# bcast_fanout8 shape at a budget with nothing per fragment.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/fwd -run 'AllocsNothing' -v
 	$(GO) test ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
@@ -66,72 +106,34 @@ bench-pair:
 
 bench:
 	$(GO) test -bench . -benchmem
-	$(GO) run ./cmd/madbench -json o1 > BENCH_o1.json
-	$(GO) run ./cmd/madbench -json p1 > BENCH_p1.json
-	$(GO) run ./cmd/madbench -json s1 > BENCH_s1.json
-	$(GO) run ./cmd/madbench -json r2 > BENCH_r2.json
-	$(GO) run ./cmd/madbench -json o2 > BENCH_o2.json
-	$(GO) run ./cmd/madbench -json c1 > BENCH_c1.json
-	$(GO) run ./cmd/madbench -json m1 > BENCH_m1.json
-	$(GO) run ./cmd/madbench -json b1 > BENCH_b1.json
+	@set -e; for b in $(BENCHES); do \
+		echo "madbench -json $$b > BENCH_$$b.json"; \
+		$(GO) run ./cmd/madbench -json $$b > BENCH_$$b.json; \
+	done
 
-# stripe-gate archives the striping sweep and fails unless K=2 goodput on
-# the dual-rail topology is >= 1.5x the K=1 baseline at 64-128 KB. The
-# simulation is deterministic, so the gate test reruns the exact sweep the
-# JSON archive came from.
-stripe-gate:
-	$(GO) run ./cmd/madbench -json s1 > BENCH_s1.json
-	$(GO) test ./internal/bench -run '^TestS1StripeSpeedupGate$$' -v
+# bench-verify is the refactoring oracle as a command: it regenerates every
+# archive into a temporary directory and fails unless each is byte-identical
+# to the committed file — the simulation is deterministic, so any difference
+# is a behaviour change. A few seconds.
+bench-verify:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+		$(GO) build -o "$$tmp/madbench" ./cmd/madbench; \
+		for b in $(BENCHES); do \
+			"$$tmp/madbench" -json $$b > "$$tmp/BENCH_$$b.json"; \
+			cmp "$$tmp/BENCH_$$b.json" BENCH_$$b.json; \
+		done; \
+		echo "bench-verify: $(words $(BENCHES)) archives regenerate byte-identical"
 
-# r2-gate archives the self-healing recovery run and fails unless the rail
-# the fault plan flaps dead is re-admitted after probation and goodput
-# re-converges to >= 90% of the pre-fault dual-rail level. Deterministic,
-# so the gate test reruns the exact stream the JSON archive came from.
-r2-gate:
-	$(GO) run ./cmd/madbench -json r2 > BENCH_r2.json
-	$(GO) test ./internal/bench -run '^TestR2SelfHealingGate$$' -v
+%-gate:
+	@row='$(filter $*:%,$(GATES))'; \
+		test -n "$$row" || { echo "no gate for bench '$*' (rows: $(GATES))"; exit 2; }; \
+		set -e; IFS=:; set -- $$row; unset IFS; \
+		echo "$*-gate: archive BENCH_$$1.json, run $$2 $$3"; \
+		$(GO) run ./cmd/madbench -json $$1 > BENCH_$$1.json; \
+		$(GO) test ./internal/bench -run "^$$2\$$" -v; \
+		if [ -n "$$3" ]; then $(GO) test ./$${3%%=*} -run "$${3#*=}" -v; fi
 
-# o2-gate archives the flight-recorder overhead run and fails unless (a)
-# goodput with the recorder armed stays within 5% of the disarmed run (it
-# is identical: recording costs no virtual time and zero allocations — the
-# alloc-regression test pins the latter), and (b) the critical-path
-# analyzer calls the depth-1 stream swap-overhead-bound (§3.4.1) and clears
-# the verdict at depth 8. Deterministic, so the gate test reruns the exact
-# streams the JSON archive came from.
-o2-gate:
-	$(GO) run ./cmd/madbench -json o2 > BENCH_o2.json
-	$(GO) test ./internal/bench -run '^TestO2FlightGate$$' -v
-	$(GO) test ./internal/flight -run 'ZeroAllocs' -v
-
-# c1-gate archives the 64-sender incast fairness run and fails unless the
-# FIFO baseline is measurably unfair (Jain <= 0.80), the credit + DRR
-# scheduler equalizes per-sender goodput (Jain >= 0.90), and aggregate
-# goodput stays within 5% of the serialized single-sender ceiling.
-# Deterministic, so the gate test reruns the exact incast the JSON archive
-# came from.
-c1-gate:
-	$(GO) run ./cmd/madbench -json c1 > BENCH_c1.json
-	$(GO) test ./internal/bench -run '^TestC1FlowGate$$' -v
-
-# m1-gate archives the eager small-message sweep and fails unless the
-# eager+aggregation configuration delivers >= 3x the seed framing's goodput
-# for every mice size up to 1 KB while the 64/128 KB parity points, which
-# bypass the coalescer, stay within 2% of the seed. Deterministic, so the
-# gate test reruns the exact sweep the JSON archive came from.
-m1-gate:
-	$(GO) run ./cmd/madbench -json m1 > BENCH_m1.json
-	$(GO) test ./internal/bench -run '^TestM1EagerGate$$' -v
-	$(GO) test ./internal/agg -run 'AllocsNothing' -v
-
-# b1-gate archives the broadcast fan-out comparison and fails unless
-# gateway-native multicast delivers >= 2x the unicast fan-out's aggregate
-# goodput at 8+ receivers on the 2-gateway chain, every receiver's payload
-# is byte-identical, and the first gateway's ingress byte count is
-# independent of the receiver count. Deterministic, so the gate test reruns
-# the exact streams the JSON archive came from.
-b1-gate:
-	$(GO) run ./cmd/madbench -json b1 > BENCH_b1.json
-	$(GO) test ./internal/bench -run '^TestB1McastGate$$' -v
+stripe-gate: s1-gate
 
 # soak runs the chaos property tests — random link flaps under load with
 # byte-identical payload, epoch-convergence and rail-readmission
@@ -155,38 +157,15 @@ fuzz:
 		$(GO) test ./$$pkg -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); \
 	done
 
-# cover gates the observability packages — the metrics registry and the
-# tracer are the measurement substrate every perf claim rests on — and the
-# forwarding engine itself, whose gate FWD_COVER_MIN covers the gateway
-# pipeline, the GTM and the reliable codecs.
+# cover runs each COVER_GATES row's packages with a coverage profile
+# (cover_<first package>.out) and fails when the total is under the row's
+# minimum.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/obs ./internal/trace
-	@$(GO) tool cover -func=cover.out | awk -v min=$(COVER_MIN) \
-		'/^total:/ { cov = $$3; sub(/%/, "", cov); \
-		   printf "obs+trace coverage: %s%% (gate: %s%%)\n", cov, min; \
-		   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'
-	$(GO) test -coverprofile=cover_fwd.out ./internal/fwd
-	@$(GO) tool cover -func=cover_fwd.out | awk -v min=$(FWD_COVER_MIN) \
-		'/^total:/ { cov = $$3; sub(/%/, "", cov); \
-		   printf "fwd coverage: %s%% (gate: %s%%)\n", cov, min; \
-		   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'
-	$(GO) test -coverprofile=cover_flight.out ./internal/flight
-	@$(GO) tool cover -func=cover_flight.out | awk -v min=$(COVER_MIN) \
-		'/^total:/ { cov = $$3; sub(/%/, "", cov); \
-		   printf "flight coverage: %s%% (gate: %s%%)\n", cov, min; \
-		   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'
-	$(GO) test -coverprofile=cover_flow.out ./internal/flow
-	@$(GO) tool cover -func=cover_flow.out | awk -v min=$(COVER_MIN) \
-		'/^total:/ { cov = $$3; sub(/%/, "", cov); \
-		   printf "flow coverage: %s%% (gate: %s%%)\n", cov, min; \
-		   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'
-	$(GO) test -coverprofile=cover_agg.out ./internal/agg
-	@$(GO) tool cover -func=cover_agg.out | awk -v min=$(COVER_MIN) \
-		'/^total:/ { cov = $$3; sub(/%/, "", cov); \
-		   printf "agg coverage: %s%% (gate: %s%%)\n", cov, min; \
-		   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'
-	$(GO) test -coverprofile=cover_coll.out ./internal/coll
-	@$(GO) tool cover -func=cover_coll.out | awk -v min=$(COVER_MIN) \
-		'/^total:/ { cov = $$3; sub(/%/, "", cov); \
-		   printf "coll coverage: %s%% (gate: %s%%)\n", cov, min; \
-		   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'
+	@set -e; for row in $(COVER_GATES); do \
+		pkgs=$${row%%:*}; min=$${row##*:}; \
+		$(GO) test -coverprofile=cover_$${pkgs%%,*}.out $$(echo ./internal/$$pkgs | sed 's|,| ./internal/|g'); \
+		$(GO) tool cover -func=cover_$${pkgs%%,*}.out | awk -v pkgs=$$pkgs -v min=$$min \
+			'/^total:/ { cov = $$3; sub(/%/, "", cov); \
+			   printf "%s coverage: %s%% (gate: %s%%)\n", pkgs, cov, min; \
+			   if (cov + 0 < min) { print "coverage below gate"; exit 1 } }'; \
+	done

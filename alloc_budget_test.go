@@ -80,6 +80,89 @@ node b myri0
 	}
 }
 
+// bcastAllocBudget is the most heap allocations one 64 KiB fan-out-8
+// message of the benchmark's bcast_fanout8 shape may cost across System.Run:
+// root –up– gw1 –core– {c1..c4, gw2} –leaf– {l1..l4}, WithPaperFidelity, so
+// gw1 replicates onto five branches and gw2 onto four, 18 fragment sends in
+// all. It read 343 when every relay formatted its branch names and queues
+// and allocated a packet record per fragment; 191 are left (193 under the
+// race detector): per receiver the Unpacking pair, the decoded destination
+// set and the Arrival note, per branch the rewritten header, its
+// descriptor and the send process with its closure, per relay the
+// destination-set partition. The budget leaves room for a handful more per
+// message: neither one more per branch (9) nor one per fragment send (18)
+// fits.
+const bcastAllocBudget = 200
+
+// TestBcastAllocBudget drives the facade the way the benchmark's
+// bcast_fanout8 workload does and fails when a message costs more
+// allocations than the budget (make allocs).
+func TestBcastAllocBudget(t *testing.T) {
+	const (
+		msgs = 40
+		size = 64 << 10
+	)
+	var topo strings.Builder
+	topo.WriteString("network up sci\nnetwork core myrinet\nnetwork leaf sci\nnode root up\nnode gw1 up core\n")
+	var dsts []string
+	for i := 1; i <= 4; i++ {
+		fmt.Fprintf(&topo, "node c%d core\n", i)
+		dsts = append(dsts, fmt.Sprintf("c%d", i))
+	}
+	topo.WriteString("node gw2 core leaf\n")
+	for i := 1; i <= 4; i++ {
+		fmt.Fprintf(&topo, "node l%d leaf\n", i)
+		dsts = append(dsts, fmt.Sprintf("l%d", i))
+	}
+	sys, err := madeleine.NewSystem(topo.String(), madeleine.WithPaperFidelity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := make([]byte, size)
+	for i := range tx {
+		tx[i] = byte(i * 7)
+	}
+	sys.Spawn("send:root", func(p *madeleine.Proc) {
+		ep := sys.At("root")
+		for i := 0; i < msgs; i++ {
+			px := ep.BeginMulticast(p, dsts...)
+			px.Pack(p, tx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	delivered := 0
+	for _, dst := range dsts {
+		rx := make([]byte, size)
+		sys.Spawn("recv:"+dst, func(p *madeleine.Proc) {
+			ep := sys.At(dst)
+			for i := 0; i < msgs; i++ {
+				u := ep.BeginUnpacking(p)
+				u.Unpack(p, rx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if bytes.Equal(rx, tx) {
+					delivered++
+				}
+			}
+		})
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if delivered != msgs*len(dsts) {
+		t.Fatalf("delivered %d of %d copies byte-exact", delivered, msgs*len(dsts))
+	}
+	perMsg := float64(m1.Mallocs-m0.Mallocs) / msgs
+	t.Logf("broadcast: %.1f allocations per 64 KiB fan-out-8 message (budget %d)", perMsg, bcastAllocBudget)
+	if perMsg > bcastAllocBudget {
+		t.Errorf("broadcast allocates %.1f objects per message, budget %d", perMsg, bcastAllocBudget)
+	}
+}
+
 // prodLossyAllocBudget is the most heap allocations one message of the
 // benchmark's prod_lossy_mix shape may cost across System.Run:
 // WithProduction (reliable ARQ, aggregation, credits, two rails, health

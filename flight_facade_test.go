@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	madeleine "madgo"
+	"madgo/internal/flight"
 )
 
 // streamThrough runs count back-to-back messages of n bytes from src to dst
@@ -121,6 +122,60 @@ func TestFlightBudgets(t *testing.T) {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("budget report missing %q:\n%s", want, report.String())
 		}
+	}
+}
+
+// TestFlightBudgetBroadcast checks that a relayed broadcast's budget sees the
+// gateways: a 64 KiB multicast replicated by two gateways must charge the
+// buffer swaps of every staged fragment and the egress transmissions of every
+// branch, not only the ingress receives.
+func TestFlightBudgetBroadcast(t *testing.T) {
+	sys, err := madeleine.NewSystem(`network up sci
+network core myrinet
+network leaf sci
+node root up
+node gw1 up core
+node c1 core
+node c2 core
+node gw2 core leaf
+node l1 leaf
+node l2 leaf
+`, madeleine.WithMetrics(madeleine.NewMetrics()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := []string{"c1", "c2", "l1", "l2"}
+	payload := make([]byte, 64*1024)
+	sys.Spawn("root", func(p *madeleine.Proc) {
+		px := sys.At("root").BeginMulticast(p, dsts...)
+		px.Pack(p, payload, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+		px.EndPacking(p)
+	})
+	for _, dst := range dsts {
+		sys.Spawn("recv:"+dst, func(p *madeleine.Proc) {
+			u := sys.At(dst).BeginUnpacking(p)
+			u.Unpack(p, make([]byte, len(payload)), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			u.EndUnpacking(p)
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bs := sys.Budgets()
+	if len(bs) != 1 {
+		t.Fatalf("Budgets() returned %d budgets, want 1", len(bs))
+	}
+	var ingress madeleine.Duration
+	for _, e := range sys.Flight().Events() {
+		if e.Kind == flight.KindRecv {
+			ingress += e.Dur
+		}
+	}
+	if swap := bs[0].Stages[madeleine.StageSwap]; swap <= 0 {
+		t.Errorf("no buffer-swap time attributed to a broadcast relayed by two gateways")
+	}
+	if wire := bs[0].Stages[madeleine.StageWire]; wire <= ingress {
+		t.Errorf("wire stage %v holds only the %v of gateway ingress; egress replication is missing", wire, ingress)
 	}
 }
 

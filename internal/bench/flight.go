@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"madgo/internal/flight"
 	"madgo/internal/fwd"
@@ -27,12 +26,13 @@ func init() {
 	})
 }
 
-// flightRun is one instrumented stream: virtual goodput, the wall-clock
-// cost of simulating it, and (when the recorder was armed) the
-// critical-path diagnosis derived from its events.
+// flightRun is one instrumented stream: virtual goodput and (when the
+// recorder was armed) the critical-path diagnosis derived from its events.
+// What simulating it costs on the host clock is the two-clock ledger's to
+// report (benchmark/): the archive holds virtual-time results only, so that
+// it regenerates byte-identical (make bench-verify).
 type flightRun struct {
 	MBps   float64
-	Wall   time.Duration
 	Events int
 	Diag   flight.Diagnosis
 }
@@ -81,11 +81,10 @@ func runFlightStream(depth, pkt, n int, record bool) flightRun {
 		u.EndUnpacking(p)
 		done = p.Now()
 	})
-	wall0 := time.Now()
 	if err := sim.Run(); err != nil {
 		panic(err)
 	}
-	out := flightRun{MBps: mbps(n, vtime.Duration(done)), Wall: time.Since(wall0)}
+	out := flightRun{MBps: mbps(n, vtime.Duration(done))}
 	if record {
 		events := rec.Events()
 		out.Events = len(events)
@@ -130,11 +129,6 @@ func runO2(o Options) *Result {
 		if ratio < 0.95 {
 			r.Notes = append(r.Notes, fmt.Sprintf(
 				"WARNING: depth %d goodput with the recorder on is %.3fx the disarmed run; the budget is 0.95", depth, ratio))
-		}
-		if wallRatio := on.Wall.Seconds() / off.Wall.Seconds(); wallRatio > 0 {
-			r.Notes = append(r.Notes, fmt.Sprintf(
-				"depth %d wall-clock: %.2fms disarmed, %.2fms armed (%d events recorded)",
-				depth, off.Wall.Seconds()*1e3, on.Wall.Seconds()*1e3, on.Events))
 		}
 	}
 	r.Notes = append(r.Notes,

@@ -57,7 +57,7 @@ func stageOf(k Kind) (Stage, bool) {
 		return StagePack, true
 	case KindQueueWait:
 		return StageQueueWait, true
-	case KindSend, KindRecv:
+	case KindSend, KindRecv, KindReplicate:
 		return StageWire, true
 	case KindSwap:
 		return StageSwap, true

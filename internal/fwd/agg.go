@@ -14,7 +14,7 @@ package fwd
 //
 //   - streaming, single rail: the frame travels as one compact KindAgg
 //     transfer ([GTM header | frame] with two block descriptors), relayed
-//     obliviously by gateways (gateway.go, forwardEager);
+//     obliviously by gateways (gateway.go, classify);
 //   - streaming, ≥2 rails and a frame past the stripe threshold: the frame
 //     is striped like any large message, with stripeFlagAgg telling the
 //     receiver to decode the reassembled bytes as a frame;
@@ -301,11 +301,7 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 			panic(fmt.Sprintf("fwd: no route %s -> %s", c.node.Name, c.dst))
 		}
 		hop := r[0]
-		spc, ok := vc.special[hop.Network]
-		if !ok {
-			panic("fwd: route crosses network without a special channel: " + hop.Network)
-		}
-		link := spc.Link(c.node.Rank, vc.NodeRank(hop.To))
+		link, _ := vc.hopLink(c.node, hop, true)
 		putGTMHeader(wire, c.node.Rank, vc.NodeRank(c.dst), c.mtu, frameID)
 		link.Acquire(p)
 		vc.flowSpend(p, hop.To, c.node.Name, frameID)
@@ -348,11 +344,7 @@ func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []relBlock) {
 		panic(fmt.Sprintf("fwd: no route %s -> %s", c.node.Name, c.dst))
 	}
 	hop := r[0]
-	spc, ok := vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(c.node.Rank, vc.NodeRank(hop.To))
+	link, _ := vc.hopLink(c.node, hop, true)
 	if vc.cfg.Eager {
 		g := newEagerPacking(p, vc, c.node, link, vc.NodeRank(c.dst), id)
 		for _, b := range blocks {
@@ -433,11 +425,7 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 		panic(fmt.Sprintf("fwd: no route %s -> %s", ax.node.Name, ax.dst))
 	}
 	hop := r[0]
-	spc, ok := vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(ax.node.Rank, vc.NodeRank(hop.To))
+	link, _ := vc.hopLink(ax.node, hop, true)
 	if m := vc.metrics(); m != nil {
 		m.RecordHop(ax.id, p.Now(), ax.node.Name, "pack",
 			fmt.Sprintf("agg spill -> %s via %s (outgrew frame budget)", ax.dst, hop.Network), ax.total)

@@ -3,7 +3,6 @@ package fwd
 import (
 	"fmt"
 
-	"madgo/internal/flight"
 	"madgo/internal/mad"
 	"madgo/internal/vtime"
 )
@@ -25,7 +24,7 @@ import (
 // instead of three, and an F-fragment message costs F (or F+1 when the
 // first fragment is too large to share a transfer with the header)
 // instead of F+2. Gateways relay the compact frames obliviously
-// (gateway.go, forwardEager), and flow control charges the true transfer
+// (gateway.go, classify), and flow control charges the true transfer
 // count because every Send below is preceded by exactly one flowSpend.
 
 // eagerInlineMax bounds the fragment size that may share a wire transfer
@@ -65,14 +64,9 @@ func newEagerPacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, link *ma
 
 func (g *eagerPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	if s == mad.SendSafer {
-		// Same contract as the GTM: honouring SendSafer needs an immediate
-		// snapshot, charged to the pack stage. All other modes are held by
-		// reference until the fragment flushes (at the next Pack or at
-		// EndPacking), which SendCheaper/SendLater permit.
-		t0 := p.Now()
-		g.node.Host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-		g.vc.flightRing(g.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), g.id, len(data), "")
+		// The other modes are held by reference until the fragment flushes
+		// (at the next Pack or at EndPacking), which they permit.
+		data = g.vc.snapshotSafer(p, g.node, g.id, data)
 	}
 	mad.ForEachFragment(len(data), g.mtu, func(off, n int) {
 		g.flushStaged(p, false)
@@ -146,74 +140,101 @@ func (g *eagerPacking) end(p *vtime.Proc) {
 	g.link.Release(p)
 }
 
-// eagerUnpacking is the receiver side of the compact framing, used when
-// the arrival note says KindEager. The first transfer is self-describing
-// by shape: two blocks mean the first fragment rode along with the header
-// and is parked until the application asks for it; one block means a bare
-// header (large first fragment, or an empty message when EOM is set).
-type eagerUnpacking struct {
+// compactUnpacking is the receiver side of the compact framings — eager
+// (KindEager) and multicast (KindMcast) — and of a multicast message a
+// relaying gateway captured for its own node. All three are one walk over
+// fragments that are already in memory (the payload that shared the first
+// transfer with the header, or the gateway's capture) followed by fragments
+// received in place off the link until the one flagged EOM; only the header
+// decode differs per kind.
+type compactUnpacking struct {
 	vc   *VirtualChannel
 	node *mad.Node
-	link *mad.Link
+	link *mad.Link // nil for a gateway-local capture
 	mtu  int
 	from mad.Rank
 	id   uint64
 	got  int
 
-	pending    []byte // piggybacked first fragment, not yet unpacked
-	pdesc      mad.BlockDesc
-	hasPending bool
-	eomSeen    bool
+	frags   [][]byte // fragments already in memory, consumed before the link is read
+	descs   []mad.BlockDesc
+	next    int
+	eomSeen bool
+	// elideEmpty is the multicast framing's rule that a zero-size block
+	// never reaches the wire (its sender drops the descriptor); the eager
+	// framing sends it as an empty fragment.
+	elideEmpty bool
+	one        [1][]byte // backs frags for the eager framing's single piggybacked fragment
 }
 
-func newEagerUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a *mad.Arrival) *eagerUnpacking {
+// newCompactUnpacking opens a compact message off its first transfer. The
+// transfer is self-describing by shape: its first block is the header, any
+// further blocks describe payload that rode along and is parked until the
+// application asks for it.
+func newCompactUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a *mad.Arrival) *compactUnpacking {
 	link := a.Link
 	link.AcquireRecv(p)
 	meta, slot := link.Recv(p)
-	if !meta.SOM || meta.Kind != mad.KindEager {
-		panic("fwd: eager unpacking of a message without a compact header")
+	kind := a.Kind()
+	if !meta.SOM || meta.Kind != kind || len(meta.Blocks) < 1 || meta.Blocks[0].Size > len(slot) {
+		panic(fmt.Sprintf("fwd: %v unpacking of a message without a compact header", kind))
 	}
-	if len(meta.Blocks) < 1 || len(meta.Blocks) > 2 || meta.Blocks[0].Size != gtmHeaderLen {
-		panic("fwd: protocol error: malformed compact first transfer at " + node.Name)
-	}
-	src, dst, mtu, id, frag, ok := decodeGTMCompact(slot)
-	if !ok {
-		panic("fwd: malformed compact header delivered to " + node.Name)
-	}
-	if dst != node.Rank {
-		panic(fmt.Sprintf("fwd: misrouted message: %s received a compact message for rank %d", node.Name, dst))
-	}
-	g := &eagerUnpacking{vc: vc, node: node, link: link, mtu: mtu, from: src, id: id, eomSeen: meta.EOM}
-	if len(meta.Blocks) == 2 {
-		if meta.Blocks[1].Size != len(frag) {
-			panic("fwd: protocol error: compact fragment length disagrees with its descriptor")
+	g := &compactUnpacking{vc: vc, node: node, link: link, eomSeen: meta.EOM, descs: meta.Blocks[1:]}
+	hdr, payload := slot[:meta.Blocks[0].Size], slot[meta.Blocks[0].Size:]
+	ok := false
+	switch kind {
+	case mad.KindEager:
+		var dst mad.Rank
+		g.from, dst, g.mtu, g.id, ok = decodeGTMHeader(hdr)
+		if ok && dst != node.Rank {
+			panic(fmt.Sprintf("fwd: misrouted message: %s received a compact message for rank %d", node.Name, dst))
 		}
-		g.pending = frag
-		g.pdesc = meta.Blocks[1]
-		g.hasPending = true
-	} else if len(frag) != 0 {
-		panic("fwd: protocol error: header-only compact transfer with trailing bytes")
+		// At most the first fragment shares the header's transfer.
+		ok = ok && len(g.descs) <= 1
+	case mad.KindMcast:
+		var dests []mad.Rank
+		g.from, g.mtu, g.id, dests, ok = decodeMcastHeader(hdr)
+		if ok && !rankInSet(node.Rank, dests) {
+			panic(fmt.Sprintf("fwd: misrouted multicast: %s is not in the destination set", node.Name))
+		}
+		// Payload shares the header's transfer only when all of it does.
+		ok = ok && (len(g.descs) == 0 || meta.EOM)
+		g.elideEmpty = true
 	}
+	if !ok {
+		panic(fmt.Sprintf("fwd: malformed %v header delivered to %s", kind, node.Name))
+	}
+	g.frags = splitByDescs(g.one[:0], payload, g.descs)
 	return g
 }
 
-func (g *eagerUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+// newCapturedUnpacking opens a multicast message the local gateway captured
+// whole while replicating it downstream.
+func newCapturedUnpacking(vc *VirtualChannel, node *mad.Node, ml *mcastLocal) *compactUnpacking {
+	return &compactUnpacking{vc: vc, node: node, mtu: ml.mtu, from: ml.from, id: ml.id,
+		frags: ml.frags, descs: ml.descs, eomSeen: true, elideEmpty: true}
+}
+
+func (g *compactUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
 	mad.ForEachFragment(len(dst), g.mtu, func(off, n int) {
-		if g.hasPending {
-			d := g.pdesc
+		if n == 0 && g.elideEmpty {
+			return
+		}
+		if g.next < len(g.frags) {
+			d := g.descs[g.next]
 			if d.S != s || d.R != r || d.Size != n {
 				panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))
 			}
-			// The piggybacked fragment landed glued to the header, so
-			// handing it to the application is one real copy.
+			// The fragment landed glued to the header (or was captured into
+			// gateway memory), so handing it to the application is one real
+			// copy.
 			g.node.Host.Memcpy(p, n)
-			copy(dst[off:off+n], g.pending)
-			g.pending = nil
-			g.hasPending = false
+			copy(dst[off:off+n], g.frags[g.next])
+			g.next++
 			g.got += n
 			return
 		}
-		if g.eomSeen {
+		if g.link == nil || g.eomSeen {
 			panic("fwd: protocol error: blocks expected after the compact terminator")
 		}
 		meta, got := g.link.RecvInto(p, dst[off:off+n])
@@ -229,14 +250,16 @@ func (g *eagerUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad
 	})
 }
 
-func (g *eagerUnpacking) end(p *vtime.Proc) {
-	if g.hasPending {
-		panic("fwd: protocol error: compact message ended with an unconsumed fragment")
+func (g *compactUnpacking) end(p *vtime.Proc) {
+	if g.next != len(g.frags) {
+		panic("fwd: protocol error: compact message ended with unconsumed fragments")
 	}
 	if !g.eomSeen {
 		panic("fwd: protocol error: compact message ended before its terminator")
 	}
-	g.link.ReleaseRecv(p)
+	if g.link != nil {
+		g.link.ReleaseRecv(p)
+	}
 	if m := g.vc.metrics(); m != nil {
 		m.RecordHop(g.id, p.Now(), g.node.Name, "deliver",
 			"reassembled at "+g.node.Name, g.got)

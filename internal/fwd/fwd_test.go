@@ -302,18 +302,27 @@ func sbpTopo(t *testing.T, pIn, pOut string) *topo.Topology {
 	return tp
 }
 
-// gatewayCopies runs a 128 KB single-block forwarded message and returns
-// the bytes CPU-copied on the gateway host.
-func gatewayCopies(t *testing.T, pIn, pOut string, cfg fwd.Config) int64 {
+// gatewayCopies runs a 128 KB single-block forwarded message — unicast, or
+// a multicast to the same single destination, which the gateway replicates
+// on one branch — and returns the bytes CPU-copied on the gateway host.
+func gatewayCopies(t *testing.T, pIn, pOut string, cfg fwd.Config, mcast bool) int64 {
 	t.Helper()
 	w := build(t, sbpTopo(t, pIn, pOut), cfg)
 	blocks := []block{{pattern(128*1024, 9), mad.SendCheaper, mad.ReceiveCheaper}}
-	got, _, _ := sendRecv(t, w, "a", "b", blocks)
+	var got [][]byte
+	if mcast {
+		got = mcastSendRecv(t, w, "a", []string{"b"}, blocks)["b"]
+	} else {
+		got, _, _ = sendRecv(t, w, "a", "b", blocks)
+	}
 	if !bytes.Equal(got[0], blocks[0].data) {
 		t.Fatalf("%s->%s payload corrupted", pIn, pOut)
 	}
 	return w.sess.NodeByName("g").Host.BytesCopied()
 }
+
+// castNames labels the unicast and multicast rows of the relay tests.
+var castNames = map[bool]string{false: "unicast", true: "multicast"}
 
 func TestZeroCopyElection(t *testing.T) {
 	// The §2.3 case analysis. "≈0" allows the 12-byte header copy.
@@ -329,24 +338,46 @@ func TestZeroCopyElection(t *testing.T) {
 		{"sbp", "sbp", true},      // static -> static: the unavoidable copy
 	}
 	for _, c := range cases {
-		t.Run(c.in+"->"+c.out, func(t *testing.T) {
-			copied := gatewayCopies(t, c.in, c.out, fwd.DefaultConfig())
-			if c.wantCopy && copied < payload {
-				t.Errorf("gateway copied %d bytes, expected ≥ payload %d", copied, payload)
-			}
-			if !c.wantCopy && copied > small {
-				t.Errorf("gateway copied %d bytes on a zero-copy path", copied)
-			}
-		})
+		for _, mcast := range []bool{false, true} {
+			t.Run(c.in+"->"+c.out+"/"+castNames[mcast], func(t *testing.T) {
+				copied := gatewayCopies(t, c.in, c.out, fwd.DefaultConfig(), mcast)
+				if c.wantCopy && copied < payload {
+					t.Errorf("gateway copied %d bytes, expected ≥ payload %d", copied, payload)
+				}
+				if !c.wantCopy && copied > small {
+					t.Errorf("gateway copied %d bytes on a zero-copy path", copied)
+				}
+			})
+		}
+	}
+}
+
+// TestSlotModeRelaysEmptyLastFragment: in slot mode (static ingress, dynamic
+// egress) a data packet rides the ingress slot, and a zero-size block is an
+// empty one. The compact framing flags it EOM when it ends the message; the
+// gateway must relay it with its descriptor, not as a bare terminator.
+func TestSlotModeRelaysEmptyLastFragment(t *testing.T) {
+	cfg := fwd.DefaultConfig()
+	cfg.Eager = true
+	w := build(t, sbpTopo(t, "sbp", "myrinet"), cfg)
+	blocks := []block{
+		{pattern(100_000, 3), mad.SendCheaper, mad.ReceiveCheaper},
+		{nil, mad.SendCheaper, mad.ReceiveCheaper},
+	}
+	got, _, _ := sendRecv(t, w, "a", "b", blocks)
+	if !bytes.Equal(got[0], blocks[0].data) {
+		t.Fatal("payload corrupted")
 	}
 }
 
 func TestCopyAlwaysAblationPaysPayload(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.ZeroCopy = false
-	copied := gatewayCopies(t, "sci", "myrinet", cfg)
-	if copied < 128*1024 {
-		t.Errorf("copy-always gateway copied %d bytes, want ≥ payload", copied)
+	for _, mcast := range []bool{false, true} {
+		copied := gatewayCopies(t, "sci", "myrinet", cfg, mcast)
+		if copied < 128*1024 {
+			t.Errorf("%s: copy-always gateway copied %d bytes, want ≥ payload", castNames[mcast], copied)
+		}
 	}
 }
 
@@ -427,30 +458,40 @@ func TestPipelineOverlapInTrace(t *testing.T) {
 }
 
 func TestInflowRegulationThrottlesIngress(t *testing.T) {
-	tr := trace.New()
-	cfg := fwd.DefaultConfig()
-	cfg.Tracer = tr
-	cfg.InflowLimit = 10 * 1e6 // 10 MB/s
-	w := build(t, paperHS(t), cfg)
-	data := pattern(512*1024, 4)
-	var done vtime.Time
-	w.sim.Spawn("s", func(p *vtime.Proc) {
-		px := w.vc.At("a0").BeginPacking(p, "b0")
-		px.Pack(p, data, mad.SendCheaper, mad.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	w.sim.Spawn("r", func(p *vtime.Proc) {
-		u := w.vc.At("b0").BeginUnpacking(p)
-		u.Unpack(p, make([]byte, len(data)), mad.SendCheaper, mad.ReceiveCheaper)
-		u.EndUnpacking(p)
-		done = p.Now()
-	})
-	if err := w.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	mbps := float64(len(data)) / vtime.Duration(done).Seconds() / 1e6
-	if mbps > 11 {
-		t.Errorf("throttled forwarding ran at %.1f MB/s, want ≤ 10 + ε", mbps)
+	for _, dests := range [][]string{{"b0"}, {"b0", "b1"}} {
+		mcast := len(dests) > 1
+		t.Run(castNames[mcast], func(t *testing.T) {
+			cfg := fwd.DefaultConfig()
+			cfg.InflowLimit = 10 * 1e6 // 10 MB/s
+			w := build(t, paperHS(t), cfg)
+			data := pattern(512*1024, 4)
+			var done vtime.Time
+			w.sim.Spawn("s", func(p *vtime.Proc) {
+				var px *fwd.Packing
+				if mcast {
+					px = w.vc.At("a0").BeginMulticast(p, dests...)
+				} else {
+					px = w.vc.At("a0").BeginPacking(p, dests[0])
+				}
+				px.Pack(p, data, mad.SendCheaper, mad.ReceiveCheaper)
+				px.EndPacking(p)
+			})
+			for _, d := range dests {
+				w.sim.Spawn("r:"+d, func(p *vtime.Proc) {
+					u := w.vc.At(d).BeginUnpacking(p)
+					u.Unpack(p, make([]byte, len(data)), mad.SendCheaper, mad.ReceiveCheaper)
+					u.EndUnpacking(p)
+					done = p.Now()
+				})
+			}
+			if err := w.sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			mbps := float64(len(data)) / vtime.Duration(done).Seconds() / 1e6
+			if mbps > 11 {
+				t.Errorf("throttled forwarding ran at %.1f MB/s, want ≤ 10 + ε", mbps)
+			}
+		})
 	}
 }
 

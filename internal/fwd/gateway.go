@@ -8,6 +8,7 @@ import (
 	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/obs"
+	"madgo/internal/route"
 	"madgo/internal/vtime"
 	"madgo/internal/vtime/vsync"
 )
@@ -24,7 +25,7 @@ type Gateway struct {
 	// rings holds the persistent pipeline state, one per ingress network.
 	// Each ingress network has exactly one relaying daemon (the polling
 	// daemon itself, or the fair-scheduling daemon in flow-control mode)
-	// and forward() relays messages to completion before returning to it,
+	// and relay() forwards messages to completion before returning to it,
 	// so a ring is only ever used by one message at a time.
 	rings map[string]*relayRing
 
@@ -32,11 +33,15 @@ type Gateway struct {
 	// network; empty unless Config.FlowControl is set.
 	scheds map[string]*gwSched
 
-	// txq holds the per-egress-link asynchronous senders for fully
-	// received single-transfer frames (compact eager and aggregate), so
-	// the polling thread can go back to posting ingress receives while a
-	// frame is still streaming out.
+	// txq holds the per-egress-link asynchronous senders for whole frames
+	// (a message that arrived in one transfer: compact eager, aggregate or
+	// compact multicast), so the polling thread can go back to posting
+	// ingress receives while a frame is still streaming out.
 	txq map[*mad.Link]*gwEgress
+
+	// Label sets of this gateway's metric series, built once.
+	gwLabels   obs.Labels // {"gateway": name}
+	nodeLabels obs.Labels // {"node": name}
 
 	// Relay statistics (diagnostics and tests).
 	messages int64
@@ -50,18 +55,23 @@ type Gateway struct {
 }
 
 // relayRing is the reusable pipeline state of one ingress network: the
-// free/full buffer channels the two threads rotate, the staging-buffer free
-// lists the ring is stocked from, and a scratch header. Keeping it across
-// messages makes steady-state relays allocation-free.
+// packet slots the receive thread and the branch senders rotate, the
+// staging-buffer free lists the slots are stocked from, the branch records
+// with their queues, and a scratch header. Keeping it across messages makes
+// steady-state relays allocation-free.
 type relayRing struct {
-	free *vsync.Chan[[]byte]
-	full *vsync.Chan[relayPacket]
+	free  *vsync.Chan[*relaySlot]
+	slots []relaySlot // PipelineDepth of them, each either in free or in flight
 
 	pool   *bufPool            // dynamic staging buffers
 	stage  *bufPool            // copy-always ablation staging buffers
 	static map[string]*bufPool // per-egress-network driver static buffers
 
 	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one relay at a time
+
+	// branches are the egress branch records, reused from message to
+	// message; the list grows to the widest fan-out the ring has served.
+	branches []*relayBranch
 
 	// Names the pipeline would otherwise format for every relayed message:
 	// the receive thread's trace actor, and per egress network the send
@@ -76,14 +86,58 @@ type relaySender struct {
 	proc  string // process name, "gwsend:<gateway>:<net>"
 }
 
+// relaySlot is one staged ingress fragment, the unit handed from the receive
+// thread to the branch senders. The ring owns PipelineDepth of them.
+//
+// Ownership: the receive thread takes a slot off the ring's free list, fills
+// it, sets refs to the branch count and queues it on every branch. Each
+// branch sender decrements refs after its send and swap; the one that
+// reaches zero recycles the slot — releases aux, puts the slot back on the
+// free list — and returns the ingress transfer's flow credit upstream, so a
+// slot is recycled and its credit granted exactly once however many
+// branches it fed.
+type relaySlot struct {
+	buf  []byte // staging buffer backing the slot (nil when data rides the ingress slot)
+	data []byte
+	desc []mad.BlockDesc
+	aux  []byte // pooled copy-always staging buffer, released with the slot
+	eom  bool
+	refs int // branch sends still owing
+}
+
+// relayBranch is one egress decision the relay made for the message in
+// hand: the link, the downstream gateway credits are spent toward, and the
+// queue its sender drains. Unicast is the one-branch case.
+type relayBranch struct {
+	out    *mad.Link
+	nextGW string // non-empty when the next hop relays further and takes flow credits
+	// hdr is the rewritten destination-set header of a replicated
+	// (multicast) branch; nil on the unicast branch, whose header the relay
+	// thread re-emits unchanged (see replicated).
+	hdr []byte
+
+	names relaySender
+	q     *vsync.Chan[*relaySlot] // staged fragments awaiting this branch; nil is the bare terminator
+	proc  *vtime.Proc
+}
+
+// replicated reports whether the branch belongs to a multicast fan-out. A
+// replicated branch's sender takes the egress link and emits the branch's
+// own header, so slow branches do not hold up the header of fast ones, and
+// its sends are counted and recorded as replication; the unicast branch's
+// link is taken and its header re-emitted by the relay thread before the
+// first ingress receive (§2.2.2).
+func (b *relayBranch) replicated() bool { return b.hdr != nil }
+
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
 	return &Gateway{vc: vc, node: node, name: node.Name,
 		rings: make(map[string]*relayRing), scheds: make(map[string]*gwSched),
-		txq: make(map[*mad.Link]*gwEgress)}
+		txq:      make(map[*mad.Link]*gwEgress),
+		gwLabels: obs.Labels{"gateway": node.Name}, nodeLabels: obs.Labels{"node": node.Name}}
 }
 
-// gwEgressTx is one fully received single-transfer frame queued for
-// asynchronous retransmission on an egress link.
+// gwEgressTx is one whole frame queued for asynchronous retransmission on an
+// egress link.
 type gwEgressTx struct {
 	meta   mad.TxMeta
 	data   []byte
@@ -151,10 +205,9 @@ func (g *Gateway) sendEgress(p *vtime.Proc, out *mad.Link, tx gwEgressTx) {
 }
 
 // fenceEgress blocks until every asynchronously queued frame on the link
-// has been fully sent. Inline relays (multi-transfer messages re-emitting a
-// header and pipelining packets) call it before acquiring the link, so a
-// queued frame can never be overtaken by a message the gateway received
-// after it.
+// has been fully sent. Streaming relays (a header and pipelined packets)
+// call it before acquiring the link, so a queued frame can never be
+// overtaken by a message the gateway received after it.
 func (g *Gateway) fenceEgress(p *vtime.Proc, out *mad.Link) {
 	e, ok := g.txq[out]
 	if !ok {
@@ -181,17 +234,17 @@ type gwSched struct {
 }
 
 // ring returns (creating on first use) the pipeline ring of one ingress
-// network. The channel capacity is PipelineDepth: the ring can hold at most
+// network. It holds PipelineDepth packet slots: the ring can hold at most
 // one full rotation, so the receive thread can run at most depth packets
-// ahead of the send thread.
+// ahead of the slowest branch sender.
 func (g *Gateway) ring(inNet string) *relayRing {
 	if r, ok := g.rings[inNet]; ok {
 		return r
 	}
 	depth := g.vc.cfg.PipelineDepth
 	r := &relayRing{
-		free:   vsync.NewChan[[]byte](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
-		full:   vsync.NewChan[relayPacket](fmt.Sprintf("gwfull:%s:%s", g.name, inNet), depth),
+		free:   vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
+		slots:  make([]relaySlot, depth),
 		pool:   newBufPool(nil),
 		stage:  newBufPool(nil),
 		static: make(map[string]*bufPool),
@@ -203,18 +256,27 @@ func (g *Gateway) ring(inNet string) *relayRing {
 	return r
 }
 
-// sender returns the ring's names for the send thread toward one egress
-// network, formatting them on first use.
-func (r *relayRing) sender(gw, outNet string) relaySender {
-	s, ok := r.senders[outNet]
-	if !ok {
-		s = relaySender{
-			actor: fmt.Sprintf("%s:send:%s", gw, outNet),
-			proc:  fmt.Sprintf("gwsend:%s:%s", gw, outNet),
-		}
-		r.senders[outNet] = s
+// branch returns the ring's i-th branch record reset for a new message
+// toward out, creating the record and its queue the first time a message
+// fans out that wide. A queue is as deep as the ring, so queueing a slot
+// never blocks on a branch that keeps up.
+func (g *Gateway) branch(r *relayRing, i int, out *mad.Link, nextGW string, hdr []byte) {
+	if i == len(r.branches) {
+		r.branches = append(r.branches, &relayBranch{
+			q: vsync.NewChan[*relaySlot](fmt.Sprintf("gwq:%s:%d", r.recvActor, i), g.vc.cfg.PipelineDepth)})
 	}
-	return s
+	b := r.branches[i]
+	b.out, b.nextGW, b.hdr = out, nextGW, hdr
+	outNet := out.Channel.Network().Name
+	names, ok := r.senders[outNet]
+	if !ok {
+		names = relaySender{
+			actor: fmt.Sprintf("%s:send:%s", g.name, outNet),
+			proc:  fmt.Sprintf("gwsend:%s:%s", g.name, outNet),
+		}
+		r.senders[outNet] = names
+	}
+	b.names = names
 }
 
 // staticPool returns the ring's free list of egress-driver static buffers
@@ -233,31 +295,37 @@ func (r *relayRing) staticPool(out *mad.Link, host *hw.Host) *bufPool {
 
 // start spawns the polling threads: one per special channel the gateway is
 // attached to. Each thread waits for message announcements and relays the
-// messages one after the other.
+// messages one after the other — or, with flow control armed, files them
+// with the fair scheduler of startFair.
 func (g *Gateway) start() {
-	sim := g.vc.sess.Platform.Sim
 	tn, _ := g.vc.tp.Node(g.name)
 	for _, nwName := range tn.Networks {
 		spc, ok := g.vc.special[nwName]
 		if !ok {
 			continue
 		}
-		ep := spc.At(g.node)
-		nwName := nwName
 		if g.vc.flowc != nil {
-			g.startFair(ep, spc, nwName)
+			g.startFair(spc, nwName)
 			continue
 		}
-		sim.SpawnDaemon(fmt.Sprintf("gwpoll:%s:%s", g.name, nwName), func(p *vtime.Proc) {
-			for {
-				a := ep.WaitArrival(p)
-				if !relayableKind(a.Kind()) {
-					panic("fwd: non-GTM message on special channel " + spc.Name)
-				}
-				g.forward(p, a)
-			}
-		})
+		g.poll(spc, nwName, func(p *vtime.Proc, a *mad.Arrival) { g.relay(p, a) })
 	}
+}
+
+// poll spawns the gwpoll daemon of one ingress network: it waits for
+// message announcements on the special channel and hands each arrival note
+// to note.
+func (g *Gateway) poll(spc *mad.Channel, nwName string, note func(*vtime.Proc, *mad.Arrival)) {
+	ep := spc.At(g.node)
+	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwpoll:%s:%s", g.name, nwName), func(p *vtime.Proc) {
+		for {
+			a := ep.WaitArrival(p)
+			if !relayableKind(a.Kind()) {
+				panic("fwd: non-GTM message on special channel " + spc.Name)
+			}
+			note(p, a)
+		}
+	})
 }
 
 // relayableKind reports whether a message kind is a self-described stream a
@@ -289,33 +357,25 @@ func burstableKind(k mad.Kind) bool {
 // (announcements are cheap — the data transfer happens lazily when the
 // relay receives), and gwfair serves them one message to completion in DRR
 // order, charging each flow the bytes it actually relayed.
-func (g *Gateway) startFair(ep *mad.Endpoint, spc *mad.Channel, nwName string) {
-	sim := g.vc.sess.Platform.Sim
+func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 	sc := &gwSched{
 		drr:     flow.NewDRR[*mad.Arrival](int64(g.vc.cfg.MTU)),
 		pending: vsync.NewSem(0),
 	}
 	g.scheds[nwName] = sc
 	m := g.vc.metrics()
-	gwLabels := obs.Labels{"gateway": g.name}
-	sim.SpawnDaemon(fmt.Sprintf("gwpoll:%s:%s", g.name, nwName), func(p *vtime.Proc) {
-		for {
-			a := ep.WaitArrival(p)
-			if !relayableKind(a.Kind()) {
-				panic("fwd: non-GTM message on special channel " + spc.Name)
-			}
-			sc.drr.Push(a.Link.Src.Name, a)
-			sc.pending.Release(1)
-		}
+	g.poll(spc, nwName, func(_ *vtime.Proc, a *mad.Arrival) {
+		sc.drr.Push(a.Link.Src.Name, a)
+		sc.pending.Release(1)
 	})
-	sim.SpawnDaemon(fmt.Sprintf("gwfair:%s:%s", g.name, nwName), func(p *vtime.Proc) {
+	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwfair:%s:%s", g.name, nwName), func(p *vtime.Proc) {
 		for {
 			sc.pending.Acquire(p, 1)
 			key, a, ok := sc.drr.Pop()
 			if !ok {
 				panic("fwd: gateway scheduler woken with empty queues on " + g.name)
 			}
-			sc.drr.Charge(key, g.forward(p, a))
+			sc.drr.Charge(key, g.relay(p, a))
 			// Classic DRR serves a flow until its deficit runs out, not
 			// one item per visit: a flow whose messages are smaller than
 			// the quantum could otherwise never use its full byte share
@@ -341,11 +401,11 @@ func (g *Gateway) startFair(ep *mad.Endpoint, spc *mad.Channel, nwName string) {
 						sc.pending.Release(1)
 						break
 					}
-					sc.drr.Charge(key, g.forward(p, a))
+					sc.drr.Charge(key, g.relay(p, a))
 				}
 			}
 			if r := sc.drr.Rounds(); r > sc.lastRounds {
-				m.Add("madgo_flow_sched_rounds_total", gwLabels, float64(r-sc.lastRounds))
+				m.Add("madgo_flow_sched_rounds_total", g.gwLabels, float64(r-sc.lastRounds))
 				sc.lastRounds = r
 			}
 		}
@@ -431,180 +491,219 @@ func (vc *VirtualChannel) GatewayOK(name string) (*Gateway, bool) {
 	return gw, ok
 }
 
-// forward relays one self-described message: read its header, choose the
-// egress channel from the routing table (special channel toward another
-// gateway, regular channel toward the final destination — §2.2.2's "right
-// solution"), re-emit the header, then pipeline the packets. It returns the
-// payload bytes relayed, which the flow-control scheduler charges against
-// the ingress sender's deficit.
-func (g *Gateway) forward(p *vtime.Proc, a *mad.Arrival) int64 {
-	if k := a.Kind(); k == mad.KindEager || k == mad.KindAgg {
-		return g.forwardEager(p, a)
-	}
-	if a.Kind() == mad.KindMcast {
-		return g.forwardMcast(p, a)
-	}
-	vc := g.vc
-	in := a.Link
-	in.AcquireRecv(p)
-	defer in.ReleaseRecv(p)
-	bytesBefore := g.bytes
-
-	r := g.ring(in.Channel.Network().Name)
-	// A striped rail carries a longer header, but its leading fields are
-	// byte-compatible with the GTM header — the gateway reads the routing
-	// fields and relays the rest of the stream unchanged, oblivious to
-	// the striping schedule.
-	hdrLen := gtmHeaderLen
-	if a.Kind() == mad.KindStripe {
-		hdrLen = stripeHeaderLen
-	}
-	hdr := r.hdr[:hdrLen]
-	meta, _ := in.RecvInto(p, hdr)
-	if !meta.SOM || meta.Kind != a.Kind() || len(meta.Blocks) != 1 {
-		panic("fwd: malformed GTM header at gateway " + g.name)
-	}
-	_, dstRank, mtu, msgID, ok := decodeGTMHeader(hdr[:gtmHeaderLen])
-	if !ok {
-		panic("fwd: malformed GTM header at gateway " + g.name)
-	}
-	// The header transfer consumed one of the upstream sender's credits;
-	// it has been read out of the ingress slot, so return the credit.
-	up := in.Src.Name
-	vc.flowGrant(g.name, up, 1)
-	dstName := vc.sess.Node(dstRank).Name
-	hop, ok := vc.tbl.NextHop(g.name, dstName)
-	if !ok {
-		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
-	}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(msgID, p.Now(), g.name, "relay",
-			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
-	}
-	var outCh *mad.Channel
-	nextGW := ""
-	if hop.To == dstName {
-		outCh = vc.regular[hop.Network]
-	} else {
-		outCh = vc.special[hop.Network]
-		if outCh == nil {
+// hopLink returns the link a node sends on toward one next hop of a route
+// or distribution tree — "the right solution" of §2.2.2: the regular
+// channel when the hop ends at the message's final destination, the
+// network's special channel when the next node relays further. In the
+// second case it also names that next gateway, toward which every transfer
+// first spends a flow credit: relaying makes a node a sender in its own
+// right, which is how backpressure propagates sender-ward along a gateway
+// chain (a plain receiver grants no credits back, so none are spent toward
+// it).
+func (vc *VirtualChannel) hopLink(from *mad.Node, hop route.Hop, relays bool) (link *mad.Link, nextGW string) {
+	ch := vc.regular[hop.Network]
+	if relays {
+		ch = vc.special[hop.Network]
+		if ch == nil {
 			panic("fwd: next-gateway hop without special channel on " + hop.Network)
 		}
-		// Relaying toward another gateway makes this gateway a sender in
-		// its own right: it spends credits toward the next hop, which is
-		// how backpressure propagates sender-ward across a gateway chain.
 		nextGW = hop.To
 	}
-	out := outCh.Link(g.node.Rank, vc.NodeRank(hop.To))
-	g.fenceEgress(p, out)
-	out.Acquire(p)
-	defer out.Release(p)
-	if nextGW != "" {
-		vc.flowSpend(p, nextGW, g.name, msgID)
-	}
-	out.Send(p, mad.TxMeta{SOM: true, Kind: meta.Kind,
-		Blocks: []mad.BlockDesc{{Size: hdrLen, S: mad.SendCheaper, R: mad.ReceiveExpress}}}, hdr)
-
-	g.pipeline(p, r, in, out, mtu, msgID, meta.Kind, up, nextGW)
-	g.messages++
-	return g.bytes - bytesBefore
+	return ch.Link(from.Rank, vc.NodeRank(hop.To)), nextGW
 }
 
-// forwardEager relays a compact (eager or aggregate) message. The first
-// transfer is the self-description header glued to the first data fragment,
-// so it is variable-length: the gateway takes it as a driver-slot handoff,
-// reads the routing fields off the front, and re-emits the whole frame
-// unchanged — oblivious to whether the payload is one small message or an
-// aggregate of many. A single-transfer message (EOM on the first frame) is
-// fully relayed here; a longer one hands its remaining fragments to the
-// ordinary pipeline, whose terminator now rides on the last data transfer
-// instead of a trailing empty one.
-func (g *Gateway) forwardEager(p *vtime.Proc, a *mad.Arrival) int64 {
-	vc := g.vc
-	in := a.Link
-	in.AcquireRecv(p)
-	defer in.ReleaseRecv(p)
-	bytesBefore := g.bytes
+// relayFrame is what the relay learned from the first transfer of the
+// message in hand: the per-frame context classify builds and route and emit
+// read.
+type relayFrame struct {
+	kind  mad.Kind
+	meta  mad.TxMeta // metadata of the first transfer
+	head  []byte     // the first transfer: the header, then any payload that rode along
+	hsize int        // header bytes at the front of head
 
-	meta, slot := in.Recv(p)
-	if !meta.SOM || meta.Kind != a.Kind() || len(meta.Blocks) < 1 || len(meta.Blocks) > 2 ||
-		meta.Blocks[0].Size != gtmHeaderLen {
-		panic("fwd: malformed compact header at gateway " + g.name)
+	src   mad.Rank   // origin (multicast only: the header is rewritten per branch)
+	dst   mad.Rank   // final destination (unicast kinds)
+	dests []mad.Rank // destination set (multicast)
+	mtu   int
+	msgID uint64
+	up    string // the ingress sender, whose flow credits the relay returns
+}
+
+// bareTerminator reports whether the frame's kind closes a message with an
+// empty transfer — the seed framing (§2.3: "the sender sends the description
+// of an empty message"), kept as the WithPaperFidelity reference. The
+// compact framings fold the terminator into their last data transfer.
+func (f *relayFrame) bareTerminator() bool {
+	return f.kind == mad.KindGTM || f.kind == mad.KindStripe
+}
+
+// classify receives the first transfer of an announced message and decodes
+// its self-description, the one per-kind step of a relay:
+//
+//   - GTM, stripe: a fixed-length header in a transfer of its own, received
+//     into the ring's scratch. A striped rail carries a longer header, but
+//     its leading fields are byte-compatible with the GTM header — the
+//     gateway reads the routing fields and relays the rest of the stream
+//     unchanged, oblivious to the striping schedule.
+//   - eager, aggregate: the compact frame, the same header glued to the
+//     first data fragment, so the transfer is variable-length and taken as
+//     a driver-slot handoff. The gateway reads the routing fields off the
+//     front and re-emits the frame unchanged, oblivious to whether the
+//     payload is one small message or an aggregate of many.
+//   - multicast: a destination-set header, alone or glued to the whole
+//     payload.
+func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a *mad.Arrival) relayFrame {
+	in := a.Link
+	f := relayFrame{kind: a.Kind(), up: in.Src.Name}
+	ok := false
+	switch f.kind {
+	case mad.KindGTM, mad.KindStripe:
+		f.hsize = gtmHeaderLen
+		if f.kind == mad.KindStripe {
+			f.hsize = stripeHeaderLen
+		}
+		f.head = r.hdr[:f.hsize]
+		f.meta, _ = in.RecvInto(p, f.head)
+		if len(f.meta.Blocks) == 1 {
+			_, f.dst, f.mtu, f.msgID, ok = decodeGTMHeader(f.head[:gtmHeaderLen])
+		}
+	case mad.KindEager, mad.KindAgg:
+		f.hsize = gtmHeaderLen
+		f.meta, f.head = in.Recv(p)
+		if n := len(f.meta.Blocks); n >= 1 && n <= 2 && f.meta.Blocks[0].Size == gtmHeaderLen {
+			_, f.dst, f.mtu, f.msgID, _, ok = decodeGTMCompact(f.head)
+		}
+	case mad.KindMcast:
+		f.meta, f.head = in.Recv(p)
+		// Payload shares the header's transfer only when all of it does.
+		if n := len(f.meta.Blocks); n >= 1 && (n == 1 || f.meta.EOM) && f.meta.Blocks[0].Size <= len(f.head) {
+			f.hsize = f.meta.Blocks[0].Size
+			f.src, f.mtu, f.msgID, f.dests, ok = decodeMcastHeader(f.head[:f.hsize])
+		}
 	}
-	_, dstRank, mtu, msgID, frag, ok := decodeGTMCompact(slot)
-	if !ok {
-		panic("fwd: malformed compact header at gateway " + g.name)
+	if !ok || !f.meta.SOM || f.meta.Kind != f.kind {
+		panic(fmt.Sprintf("fwd: malformed %v header at gateway %s", f.kind, g.name))
 	}
-	// The compact first transfer consumed one upstream credit; its slot is
-	// consumed here, so the credit goes straight back.
-	up := in.Src.Name
-	vc.flowGrant(g.name, up, 1)
-	dstName := vc.sess.Node(dstRank).Name
+	return f
+}
+
+// route turns the frame's destination into the ring's egress branches —
+// one, from the routing table's next hop, for the unicast kinds; the
+// destination set re-partitioned by next hop (mcastSplit) for multicast —
+// and reports whether this node is itself a destination.
+func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string) (branches []*relayBranch, local bool) {
+	vc := g.vc
+	if f.kind == mad.KindMcast {
+		branches, local = g.mcastSplit(r, f)
+		m := vc.metrics()
+		vc.mcastst.relays++
+		m.Add("madgo_mcast_relays_total", g.gwLabels, 1)
+		vc.mcastst.branches += int64(len(branches))
+		m.Add("madgo_mcast_branches_total", g.nodeLabels, float64(len(branches)))
+		if m != nil {
+			m.RecordHop(f.msgID, p.Now(), g.name, "relay",
+				fmt.Sprintf("mcast %s -> %d branches (%d dests)", inNet, len(branches), len(f.dests)), 0)
+		}
+		return branches, local
+	}
+	dstName := vc.sess.Node(f.dst).Name
 	hop, ok := vc.tbl.NextHop(g.name, dstName)
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
 	if m := vc.metrics(); m != nil {
-		m.RecordHop(msgID, p.Now(), g.name, "relay",
-			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+		m.RecordHop(f.msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("%s -> %s via %s", inNet, hop.To, hop.Network), 0)
 	}
-	var outCh *mad.Channel
-	nextGW := ""
-	if hop.To == dstName {
-		outCh = vc.regular[hop.Network]
-	} else {
-		outCh = vc.special[hop.Network]
-		if outCh == nil {
-			panic("fwd: next-gateway hop without special channel on " + hop.Network)
-		}
-		nextGW = hop.To
-	}
-	out := outCh.Link(g.node.Rank, vc.NodeRank(hop.To))
-	if n := len(frag); n > 0 {
+	out, nextGW := vc.hopLink(g.node, hop, hop.To != dstName)
+	g.branch(r, 0, out, nextGW, nil)
+	return r.branches[:1], false
+}
+
+// relay forwards one announced message, the gateway's one loop whatever the
+// frame kind and however many ways the message fans out:
+//
+//	classify  read the self-description off the first transfer
+//	route     egress branches from the routing table, plus local delivery
+//	emit      a whole frame goes to the per-link egress daemons, one copy
+//	          per branch; anything longer runs the pipeline
+//
+// It returns the ingress payload bytes relayed — independent of the branch
+// count — which the flow-control scheduler charges against the ingress
+// sender's deficit.
+func (g *Gateway) relay(p *vtime.Proc, a *mad.Arrival) int64 {
+	vc := g.vc
+	in := a.Link
+	in.AcquireRecv(p)
+	defer in.ReleaseRecv(p)
+	bytesBefore := g.bytes
+	inNet := in.Channel.Network().Name
+	r := g.ring(inNet)
+
+	f := g.classify(p, r, a)
+	// The first transfer consumed one of the upstream sender's credits; it
+	// has been read out of the ingress slot, so return the credit.
+	vc.flowGrant(g.name, f.up, 1)
+	branches, local := g.route(p, r, &f, inNet)
+	g.messages++
+	// Payload that rode along with the header is relayed ingress payload
+	// like any pipelined packet.
+	payload := f.head[f.hsize:]
+	if n := len(payload); n > 0 {
 		g.packets++
 		g.bytes += int64(n)
 		m := vc.metrics()
-		gwLabels := obs.Labels{"gateway": g.name}
-		m.Add("madgo_gateway_relayed_packets_total", gwLabels, 1)
-		m.Add("madgo_gateway_relayed_bytes_total", gwLabels, float64(n))
+		m.Add("madgo_gateway_relayed_packets_total", g.gwLabels, 1)
+		m.Add("madgo_gateway_relayed_bytes_total", g.gwLabels, float64(n))
 	}
-	g.messages++
-	txMeta := mad.TxMeta{SOM: true, EOM: meta.EOM, Kind: meta.Kind, Blocks: meta.Blocks}
-	if meta.EOM {
-		// The whole message is in gateway memory (its driver slot), so the
-		// retransmission needs nothing more from this thread: queue it on
-		// the egress daemon and go receive the next frame.
-		g.sendEgress(p, out, gwEgressTx{meta: txMeta, data: slot, msgID: msgID, nextGW: nextGW})
+
+	if f.meta.EOM {
+		// The first transfer carried the terminator: the whole message is
+		// in gateway memory (its driver slot), so the retransmission needs
+		// nothing more from this thread. Queue it on each branch's egress
+		// daemon and go receive the next frame.
+		for _, b := range branches {
+			meta := mad.TxMeta{SOM: true, EOM: true, Kind: f.kind, Blocks: f.meta.Blocks}
+			frame := f.head
+			if b.replicated() {
+				meta.Blocks, frame = g.replicateFrame(p, &f, b, payload)
+			}
+			g.sendEgress(p, b.out, gwEgressTx{meta: meta, data: frame, msgID: f.msgID, nextGW: b.nextGW})
+		}
+		if local {
+			pdescs := f.meta.Blocks[1:]
+			g.mcastDeliverLocal(p, &mcastLocal{from: f.src, id: f.msgID, mtu: f.mtu,
+				frags: splitByDescs(make([][]byte, 0, len(pdescs)), payload, pdescs), descs: pdescs})
+		}
 		return g.bytes - bytesBefore
 	}
-	g.fenceEgress(p, out)
-	out.Acquire(p)
-	defer out.Release(p)
-	if nextGW != "" {
-		vc.flowSpend(p, nextGW, g.name, msgID)
+
+	if len(branches) == 1 && !branches[0].replicated() {
+		// Unicast: this thread holds the egress link for the whole message
+		// and re-emits the first transfer unchanged before it receives
+		// anything more.
+		b := branches[0]
+		g.fenceEgress(p, b.out)
+		b.out.Acquire(p)
+		defer b.out.Release(p)
+		if b.nextGW != "" {
+			vc.flowSpend(p, b.nextGW, g.name, f.msgID)
+		}
+		b.out.Send(p, mad.TxMeta{SOM: true, Kind: f.kind, Blocks: f.meta.Blocks}, f.head)
 	}
-	out.Send(p, txMeta, slot)
-	r := g.ring(in.Channel.Network().Name)
-	g.pipeline(p, r, in, out, mtu, msgID, meta.Kind, up, nextGW)
+	g.pipeline(p, r, in, &f, branches, local)
 	return g.bytes - bytesBefore
 }
 
-// relayPacket is the unit handed from the receive thread to the send
-// thread.
-type relayPacket struct {
-	data []byte
-	desc []mad.BlockDesc
-	buf  []byte // ring buffer to recycle (nil in slot mode)
-	aux  []byte // pooled copy-always staging buffer, released after send
-	eom  bool
-}
-
 // pipeline implements the paper's packet-forwarding pipeline (Figure 5):
-// the polling thread becomes the receive thread, a spawned thread
-// retransmits, and PipelineDepth buffers rotate between them. Each buffer
-// switch costs the host's software overhead (§3.3.1 measures ≈40 µs).
+// the polling thread becomes the receive thread, one spawned thread per
+// egress branch retransmits, and PipelineDepth packet slots rotate between
+// them. Each buffer switch costs the host's software overhead (§3.3.1
+// measures ≈40 µs). A fragment is received once whatever the branch count;
+// the slot's reference count (relaySlot) bounds how far ingress runs ahead
+// of the slowest branch.
 //
-// Buffer election (§2.3):
+// Buffer election (§2.3), for a message leaving this gateway on one branch:
 //   - egress static (and zero-copy on): buffers come from the egress
 //     driver, packets land in them directly, and are sent in place;
 //   - ingress static, egress dynamic: packets are taken as driver-slot
@@ -613,109 +712,87 @@ type relayPacket struct {
 //     ingress slot — the unavoidable one;
 //   - both dynamic: packets land in plain pipeline buffers with no copy.
 //
-// Buffers come from the ring's free lists, not the allocator: the ring is
+// A message fanning out on several branches uses plain pipeline buffers
+// whatever the drivers: its fragments leave on several links at once, so no
+// single egress driver's static buffers (nor the one ingress slot) can back
+// them.
+//
+// Buffers come from the ring's free lists, not the allocator: the slots are
 // stocked from the pools at message start and drained back at message end,
 // so after the first message a relay allocates nothing. When the receive
-// thread has to wait for a free buffer — the send side is the bottleneck
-// and every buffer is in flight — the wait is recorded as a "stall" span,
-// which obs.AnalyzeLanes accounts to the lane's stall fraction; the deeper
-// the ring, the fewer such bubbles.
+// thread has to wait for a free slot — the send side is the bottleneck and
+// every buffer is in flight — the wait is recorded as a "stall" span, which
+// obs.AnalyzeLanes accounts to the lane's stall fraction; the deeper the
+// ring, the fewer such bubbles.
 // With flow control armed, the pipeline is also where credits move: every
-// buffer returned to the free list means one ingress transfer fully drained
-// through egress, so one credit goes back to the upstream sender (up), and
-// every egress transfer toward a downstream gateway (nextGW non-empty)
-// spends one of this gateway's own credits first.
-func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu int, msgID uint64, kind mad.Kind, up, nextGW string) {
+// slot returned to the free list means one ingress transfer fully drained
+// through every egress branch, so one credit goes back to the upstream
+// sender, and every egress transfer toward a downstream gateway (nextGW
+// non-empty) spends one of this gateway's own credits first.
+func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []*relayBranch, local bool) {
 	vc := g.vc
 	cfg := vc.cfg
 	tr := cfg.Tracer
 	m := vc.metrics()
 	fr := vc.flightRing(g.name)
-	gwLabels := obs.Labels{"gateway": g.name}
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
-	outNet := out.Channel.Network().Name
 	recvActor := r.recvActor
-	names := r.sender(g.name, outNet)
-	sendActor := names.actor
-
-	ingressStatic := in.NIC().StaticBuffers
-	egressStatic := out.NIC().StaticBuffers
-	slotMode := ingressStatic && !egressStatic && cfg.ZeroCopy
 
 	// Stock the ring for this message's buffer-election mode.
+	slotMode := false
 	var statics *bufPool
-	if egressStatic && cfg.ZeroCopy && !slotMode {
-		statics = r.staticPool(out, host)
+	if len(branches) == 1 && cfg.ZeroCopy {
+		if out := branches[0].out; out.NIC().StaticBuffers {
+			statics = r.staticPool(out, host)
+		} else {
+			slotMode = in.NIC().StaticBuffers
+		}
 	}
-	for i := 0; i < cfg.PipelineDepth; i++ {
+	for i := range r.slots {
+		s := &r.slots[i]
 		switch {
 		case slotMode:
-			r.free.TrySend(nil) // tokens only; data rides ingress slots
+			s.buf = nil // the slot is a token only; data rides ingress slots
 		case statics != nil:
-			r.free.TrySend(statics.get(mtu))
+			s.buf = statics.get(f.mtu)
 		default:
-			r.free.TrySend(r.pool.get(mtu))
+			s.buf = r.pool.get(f.mtu)
 		}
+		r.free.TrySend(s)
 	}
 
-	// A process per message, not a daemon: a parked daemon would be woken
-	// by an event of its own and reorder the instant the relay starts in.
-	sender := vc.sess.Platform.Sim.Spawn(names.proc, func(sp *vtime.Proc) {
-		for {
-			pkt, _ := r.full.Recv(sp)
-			if pkt.eom && pkt.data == nil {
-				// Bare terminator of the seed framing. The compact framings
-				// never produce one: their terminator rides on the last data
-				// packet (pkt.eom with data below).
-				if nextGW != "" {
-					vc.flowSpend(sp, nextGW, g.name, msgID)
-				}
-				out.Send(sp, mad.TxMeta{Kind: kind, EOM: true}, nil)
-				return
-			}
-			if nextGW != "" {
-				vc.flowSpend(sp, nextGW, g.name, msgID)
-			}
-			t0 := sp.Now()
-			out.Send(sp, mad.TxMeta{Kind: kind, EOM: pkt.eom, Blocks: pkt.desc}, pkt.data)
-			tr.Record(sendActor, "send", len(pkt.data), t0, sp.Now())
-			fr.Record(flight.KindSend, sp.Now(), vtime.Since(sp.Now(), t0), msgID, len(pkt.data), outNet)
-			if pkt.aux != nil {
-				r.stage.put(pkt.aux)
-			}
-			t0 = sp.Now()
-			sp.Sleep(host.CPU.SwapOverhead)
-			tr.Record(sendActor, "swap", 0, t0, sp.Now())
-			m.ObserveDuration("madgo_gateway_swap_seconds", gwLabels, vtime.Since(sp.Now(), t0))
-			fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), msgID, 0, outNet)
-			r.free.Send(sp, pkt.buf)
-			// The ingress transfer behind this buffer has fully drained
-			// through egress — its credit goes back to the sender.
-			vc.flowGrant(g.name, up, 1)
-			if pkt.eom {
-				return
-			}
-		}
-	})
+	// A process per message and branch, not a daemon: a parked daemon would
+	// be woken by an event of its own and reorder the instant the relay
+	// starts in.
+	kind, msgID, up := f.kind, f.msgID, f.up
+	for _, b := range branches {
+		b.proc = vc.sess.Platform.Sim.Spawn(b.names.proc, func(sp *vtime.Proc) {
+			g.branchSend(sp, r, b, kind, msgID, up)
+		})
+	}
+	var capture *mcastLocal
+	if local {
+		capture = &mcastLocal{from: f.src, id: msgID, mtu: f.mtu}
+	}
 
 	var lastRecvStart vtime.Time
 	first := true
 	for {
 		t0 := p.Now()
-		buf, _ := r.free.Recv(p)
+		s, _ := r.free.Recv(p)
 		if wait := vtime.Since(p.Now(), t0); wait > 0 {
 			// Pipeline bubble: every staging buffer was in flight on the
 			// egress side and the receive thread had to wait.
 			g.stalls++
 			tr.Record(recvActor, "stall", 0, t0, p.Now())
-			m.ObserveDuration("madgo_gateway_stall_seconds", gwLabels, wait)
+			m.ObserveDuration("madgo_gateway_stall_seconds", g.gwLabels, wait)
 			fr.Record(flight.KindStall, p.Now(), wait, msgID, 0, inNet)
 		}
 		// Incoming-flow regulation (the paper's proposed future work):
 		// space receive starts to at most InflowLimit bytes/s.
 		if cfg.InflowLimit > 0 && !first {
-			minPeriod := vtime.DurationOfBytes(int64(mtu), cfg.InflowLimit)
+			minPeriod := vtime.DurationOfBytes(int64(f.mtu), cfg.InflowLimit)
 			if elapsed := p.Now().Sub(lastRecvStart); elapsed < minPeriod {
 				p.Sleep(minPeriod - elapsed)
 			}
@@ -723,80 +800,165 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu i
 		lastRecvStart = p.Now()
 		first = false
 
-		var pkt relayPacket
 		t0 = p.Now()
+		var meta mad.TxMeta
 		if slotMode {
-			meta, slot := in.Recv(p)
-			if len(meta.Blocks) == 0 {
-				pkt = relayPacket{eom: true}
-			} else {
-				pkt = relayPacket{data: slot, desc: meta.Blocks, eom: meta.EOM}
-			}
+			meta, s.data = in.Recv(p)
 		} else {
-			meta, n := in.RecvInto(p, buf)
-			if len(meta.Blocks) == 0 {
-				pkt = relayPacket{eom: true}
-			} else {
-				pkt.eom = meta.EOM
-				data := buf[:n]
-				if !cfg.ZeroCopy {
-					// Copy-always ablation: stage through an
-					// extra buffer like a forwarding layer
-					// naively placed above Madeleine would.
-					stage := r.stage.get(n)
-					host.Memcpy(p, n)
-					copy(stage, data)
-					pkt.aux = stage
-					data = stage
-				}
-				pkt.data = data
-				pkt.desc = meta.Blocks
-				pkt.buf = buf
-			}
+			var n int
+			meta, n = in.RecvInto(p, s.buf)
+			s.data = s.buf[:n]
 		}
-		if pkt.data != nil {
-			tr.Record(recvActor, "recv", len(pkt.data), t0, p.Now())
-			fr.Record(flight.KindRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, len(pkt.data), inNet)
-			g.packets++
-			g.bytes += int64(len(pkt.data))
-			m.Add("madgo_gateway_relayed_packets_total", gwLabels, 1)
-			m.Add("madgo_gateway_relayed_bytes_total", gwLabels, float64(len(pkt.data)))
-			t0 = p.Now()
-			p.Sleep(host.CPU.SwapOverhead)
-			tr.Record(recvActor, "swap", 0, t0, p.Now())
-			m.ObserveDuration("madgo_gateway_swap_seconds", gwLabels, vtime.Since(p.Now(), t0))
-			fr.Record(flight.KindSwap, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
-		}
-		r.full.Send(p, pkt)
-		if pkt.eom {
-			if pkt.data == nil {
-				// The buffer taken for the bare terminator was never handed
-				// to the sender; recycle it directly so the drain below sees
-				// the whole ring. (A data-carrying terminator travels with
-				// its buffer and is recycled by the send thread as usual.)
-				r.free.TrySend(buf)
-				// The terminator transfer also consumed a sender credit.
-				vc.flowGrant(g.name, up, 1)
+		if len(meta.Blocks) == 0 {
+			if !f.bareTerminator() {
+				panic(fmt.Sprintf("fwd: protocol error: bare terminator on a %v stream at %s", f.kind, g.name))
 			}
+			for _, b := range branches {
+				b.q.Send(p, nil)
+			}
+			// The slot taken for the terminator was never handed to the
+			// senders; recycle it directly so the drain below sees the
+			// whole ring. The terminator transfer also consumed a sender
+			// credit.
+			r.free.TrySend(s)
+			vc.flowGrant(g.name, up, 1)
+			break
+		}
+		s.desc, s.eom, s.aux = meta.Blocks, meta.EOM, nil
+		if !cfg.ZeroCopy {
+			// Copy-always ablation: stage through an extra buffer like a
+			// forwarding layer naively placed above Madeleine would.
+			s.aux = r.stage.get(len(s.data))
+			host.Memcpy(p, len(s.data))
+			copy(s.aux, s.data)
+			s.data = s.aux
+		}
+		n := len(s.data)
+		tr.Record(recvActor, "recv", n, t0, p.Now())
+		fr.Record(flight.KindRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, n, inNet)
+		g.packets++
+		g.bytes += int64(n)
+		m.Add("madgo_gateway_relayed_packets_total", g.gwLabels, 1)
+		m.Add("madgo_gateway_relayed_bytes_total", g.gwLabels, float64(n))
+		t0 = p.Now()
+		p.Sleep(host.CPU.SwapOverhead)
+		tr.Record(recvActor, "swap", 0, t0, p.Now())
+		m.ObserveDuration("madgo_gateway_swap_seconds", g.gwLabels, vtime.Since(p.Now(), t0))
+		fr.Record(flight.KindSwap, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
+		if local {
+			// The slot is recycled by the branch senders; the local copy
+			// is the gateway-member's delivery cost.
+			host.Memcpy(p, n)
+			capture.frags = append(capture.frags, append([]byte(nil), s.data...))
+			capture.descs = append(capture.descs, meta.Blocks[0])
+		}
+		s.refs = len(branches)
+		for _, b := range branches {
+			b.q.Send(p, s)
+		}
+		if len(branches) == 0 {
+			// A frame whose every remaining destination is this node. The
+			// planner never emits one (a lone local destination travels the
+			// regular channel), but a recycled slot and a returned credit
+			// keep even that shape live.
+			g.recycle(p, r, s, up)
+		}
+		if meta.EOM {
 			break
 		}
 	}
-	p.Join(sender)
+	for _, b := range branches {
+		p.Join(b.proc)
+	}
 
 	// Drain the ring back into this mode's free list so the next message —
 	// possibly with a different MTU or egress — restocks cleanly.
 	for {
-		b, ok := r.free.TryRecv()
+		s, ok := r.free.TryRecv()
 		if !ok {
 			break
 		}
 		switch {
 		case slotMode:
-			// nil tokens, nothing to recycle
+			// tokens, nothing to recycle
 		case statics != nil:
-			statics.put(b)
+			statics.put(s.buf)
 		default:
-			r.pool.put(b)
+			r.pool.put(s.buf)
+		}
+	}
+	if local {
+		g.mcastDeliverLocal(p, capture)
+	}
+}
+
+// recycle returns a slot nobody refers to any more to the ring's free list:
+// the ingress transfer behind it has fully drained through egress, so its
+// credit goes back to the upstream sender.
+func (g *Gateway) recycle(p *vtime.Proc, r *relayRing, s *relaySlot, up string) {
+	if s.aux != nil {
+		r.stage.put(s.aux)
+	}
+	r.free.Send(p, s)
+	g.vc.flowGrant(g.name, up, 1)
+}
+
+// branchSend is the send thread of one egress branch: it drains the
+// branch's queue onto the egress link until the message's terminator, a
+// buffer swap after every send.
+func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch, kind mad.Kind, msgID uint64, up string) {
+	vc := g.vc
+	tr := vc.cfg.Tracer
+	m := vc.metrics()
+	fr := vc.flightRing(g.name)
+	st := vc.mcastst
+	outNet := b.out.Channel.Network().Name
+	sendKind := flight.KindSend
+	if b.replicated() {
+		sendKind = flight.KindReplicate
+		g.fenceEgress(sp, b.out)
+		b.out.Acquire(sp)
+		defer b.out.Release(sp)
+		if b.nextGW != "" {
+			vc.flowSpend(sp, b.nextGW, g.name, msgID)
+		}
+		b.out.Send(sp, mad.TxMeta{SOM: true, Kind: kind,
+			Blocks: []mad.BlockDesc{mcastHdrDesc(len(b.hdr))}}, b.hdr)
+	}
+	for {
+		s, _ := b.q.Recv(sp)
+		if b.nextGW != "" {
+			vc.flowSpend(sp, b.nextGW, g.name, msgID)
+		}
+		if s == nil {
+			// Bare terminator of the seed framing. The compact framings
+			// never produce one: their terminator rides on the last data
+			// packet (s.eom below).
+			b.out.Send(sp, mad.TxMeta{Kind: kind, EOM: true}, nil)
+			return
+		}
+		t0 := sp.Now()
+		b.out.Send(sp, mad.TxMeta{Kind: kind, EOM: s.eom, Blocks: s.desc}, s.data)
+		tr.Record(b.names.actor, "send", len(s.data), t0, sp.Now())
+		fr.Record(sendKind, sp.Now(), vtime.Since(sp.Now(), t0), msgID, len(s.data), outNet)
+		if b.replicated() {
+			st.replicatedPkts++
+			st.replicatedBytes += int64(len(s.data))
+			m.Add("madgo_mcast_replicated_packets_total", g.gwLabels, 1)
+			m.Add("madgo_mcast_replicated_bytes_total", g.gwLabels, float64(len(s.data)))
+		}
+		t0 = sp.Now()
+		sp.Sleep(g.node.Host.CPU.SwapOverhead)
+		tr.Record(b.names.actor, "swap", 0, t0, sp.Now())
+		m.ObserveDuration("madgo_gateway_swap_seconds", g.gwLabels, vtime.Since(sp.Now(), t0))
+		fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), msgID, 0, outNet)
+		eom := s.eom
+		s.refs--
+		if s.refs == 0 {
+			g.recycle(sp, r, s, up)
+		}
+		if eom {
+			return
 		}
 	}
 }

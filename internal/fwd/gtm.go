@@ -138,16 +138,21 @@ func newGTMPacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, link *mad.
 	return g
 }
 
+// snapshotSafer honours SendSafer for the framings that send by reference
+// (GTM, eager, multicast): the block is copied at Pack time. That copy is
+// the only pack-stage cost of the streaming path (reference sends are
+// free), so it alone is charged to the flight recorder's pack stage.
+func (vc *VirtualChannel) snapshotSafer(p *vtime.Proc, node *mad.Node, id uint64, data []byte) []byte {
+	t0 := p.Now()
+	node.Host.Memcpy(p, len(data))
+	data = append([]byte(nil), data...)
+	vc.flightRing(node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), id, len(data), "")
+	return data
+}
+
 func (g *gtmPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	if s == mad.SendSafer {
-		// The GTM always sends by reference; honouring SendSafer needs
-		// a snapshot. That copy is the only pack-stage cost of the
-		// streaming path (reference sends are free), so it alone is
-		// charged to the flight recorder's pack stage.
-		t0 := p.Now()
-		g.node.Host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-		g.vc.flightRing(g.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), g.id, len(data), "")
+		data = g.vc.snapshotSafer(p, g.node, g.id, data)
 	}
 	net := g.link.Channel.Network().Name
 	// One descriptor array per block, not per fragment: every full-MTU

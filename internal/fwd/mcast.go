@@ -3,7 +3,6 @@ package fwd
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strings"
 
@@ -12,7 +11,6 @@ import (
 	"madgo/internal/obs"
 	"madgo/internal/route"
 	"madgo/internal/vtime"
-	"madgo/internal/vtime/vsync"
 )
 
 // Gateway-native multicast. A KindMcast message is a self-described GTM
@@ -70,8 +68,7 @@ func encodeMcastHeader(src mad.Rank, mtu int, id uint64, dests []mad.Rank) []byt
 	for i, d := range sorted {
 		binary.LittleEndian.PutUint32(b[mcastHeaderFixed+4*i:], uint32(d))
 	}
-	crc := crc32.ChecksumIEEE(b[:len(b)-4])
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
+	sealCRC(b)
 	return b
 }
 
@@ -88,7 +85,7 @@ func decodeMcastHeader(b []byte) (src mad.Rank, mtu int, id uint64, dests []mad.
 	if count < 1 || count > mcastMaxDests || len(b) != mcastHeaderLen(count) {
 		return 0, 0, 0, nil, false
 	}
-	if crc32.ChecksumIEEE(b[:len(b)-4]) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+	if !checkCRC(b) {
 		return 0, 0, 0, nil, false
 	}
 	mtu = int(binary.LittleEndian.Uint32(b[4:]))
@@ -211,13 +208,6 @@ func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
 	return pl
 }
 
-// mcastBlock is one application block buffered by a multicast packing.
-type mcastBlock struct {
-	data []byte
-	s    mad.SendMode
-	r    mad.RecvMode
-}
-
 // mcastPacking is the sender side: blocks are buffered (multicast framing
 // needs the total size to pick compact vs streaming, and every branch
 // re-reads the same blocks), then EndPacking emits one stream per root
@@ -228,7 +218,7 @@ type mcastPacking struct {
 	dests []string // sorted, deduplicated, root excluded
 	id    uint64
 	total int
-	blks  []mcastBlock
+	blks  []relBlock
 }
 
 // BeginMulticast starts a message to every named destination at once; the
@@ -263,19 +253,14 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 		m.RecordHop(x.id, p.Now(), e.node.Name, "pack",
 			fmt.Sprintf("mcast -> {%s}", strings.Join(ds, ",")), 0)
 	}
-	return &Packing{mcast: x, id: x.id}
+	return &Packing{x: x, id: x.id}
 }
 
 func (x *mcastPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	if s == mad.SendSafer {
-		// Same contract as the GTM: SendSafer needs an immediate snapshot;
-		// all other modes hold the block by reference until EndPacking.
-		t0 := p.Now()
-		x.node.Host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-		x.vc.flightRing(x.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), x.id, len(data), "")
+		data = x.vc.snapshotSafer(p, x.node, x.id, data)
 	}
-	x.blks = append(x.blks, mcastBlock{data: data, s: s, r: r})
+	x.blks = append(x.blks, relBlock{data: data, s: s, r: r})
 	x.total += len(data)
 }
 
@@ -309,24 +294,11 @@ func (x *mcastPacking) blockDescs() []mad.BlockDesc {
 
 // sendBranch emits the message once toward one root branch: compact when the
 // whole payload shares a transfer with the header, streaming otherwise. A
-// relaying branch travels on the network's special channel toward the next
-// gateway and spends one flow credit per transfer; a leaf branch goes
-// straight to its sole destination on the regular channel (a plain receiver
-// grants no credits back, so none are spent toward it).
+// relaying branch spends one flow credit per transfer toward its next
+// gateway; a leaf branch goes straight to its sole destination (hopLink).
 func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 	vc := x.vc
-	var ch *mad.Channel
-	spendTo := ""
-	if b.Relays() {
-		ch = vc.special[b.Hop.Network]
-		if ch == nil {
-			panic("fwd: multicast relay branch without special channel on " + b.Hop.Network)
-		}
-		spendTo = b.Hop.To
-	} else {
-		ch = vc.regular[b.Hop.Network]
-	}
-	link := ch.Link(x.node.Rank, vc.NodeRank(b.Hop.To))
+	link, spendTo := vc.hopLink(x.node, b.Hop, b.Relays())
 	ranks := make([]mad.Rank, len(b.Dests))
 	for i, d := range b.Dests {
 		ranks[i] = vc.NodeRank(d)
@@ -407,157 +379,18 @@ type mcastLocal struct {
 	descs []mad.BlockDesc
 }
 
-// mcastUnpacking is the receiver side, serving three arrival shapes through
-// one walk: a compact wire frame (payload parked from the first transfer), a
-// streaming wire message (fragments received in place), and a gateway-local
-// capture (fragments pre-copied, no link at all).
-type mcastUnpacking struct {
-	vc   *VirtualChannel
-	node *mad.Node
-	link *mad.Link // nil for a gateway-local capture
-	mtu  int
-	from mad.Rank
-	id   uint64
-	got  int
-
-	frags   [][]byte // pre-received fragments (compact payload or local capture)
-	descs   []mad.BlockDesc
-	next    int
-	eomSeen bool
-}
-
 // rankInSet reports membership of r in a sorted rank set.
 func rankInSet(r mad.Rank, set []mad.Rank) bool {
 	i := sort.Search(len(set), func(i int) bool { return set[i] >= r })
 	return i < len(set) && set[i] == r
 }
 
-func newMcastUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a *mad.Arrival) *mcastUnpacking {
-	link := a.Link
-	link.AcquireRecv(p)
-	meta, slot := link.Recv(p)
-	if !meta.SOM || meta.Kind != mad.KindMcast || len(meta.Blocks) < 1 ||
-		meta.Blocks[0].Size > len(slot) {
-		panic("fwd: mcast unpacking of a message without a multicast header")
-	}
-	hsize := meta.Blocks[0].Size
-	src, mtu, id, dests, ok := decodeMcastHeader(slot[:hsize])
-	if !ok {
-		panic("fwd: malformed multicast header delivered to " + node.Name)
-	}
-	if !rankInSet(node.Rank, dests) {
-		panic(fmt.Sprintf("fwd: misrouted multicast: %s is not in the destination set", node.Name))
-	}
-	g := &mcastUnpacking{vc: vc, node: node, link: link, mtu: mtu, from: src, id: id, eomSeen: meta.EOM}
-	payload := slot[hsize:]
-	if len(meta.Blocks) > 1 {
-		// Compact frame: the remaining descriptors slice the payload.
-		if !meta.EOM {
-			panic("fwd: protocol error: compact multicast frame without its terminator")
-		}
-		off := 0
-		for _, d := range meta.Blocks[1:] {
-			if off+d.Size > len(payload) {
-				panic("fwd: protocol error: multicast fragment descriptors overrun the frame")
-			}
-			g.frags = append(g.frags, payload[off:off+d.Size])
-			g.descs = append(g.descs, d)
-			off += d.Size
-		}
-		if off != len(payload) {
-			panic("fwd: protocol error: multicast frame with trailing bytes")
-		}
-	} else if len(payload) != 0 {
-		panic("fwd: protocol error: header-only multicast transfer with trailing bytes")
-	}
-	return g
-}
-
-func newMcastLocalUnpacking(vc *VirtualChannel, node *mad.Node, ml *mcastLocal) *mcastUnpacking {
-	return &mcastUnpacking{vc: vc, node: node, mtu: ml.mtu, from: ml.from, id: ml.id,
-		frags: ml.frags, descs: ml.descs, eomSeen: true}
-}
-
-func (g *mcastUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
-	mad.ForEachFragment(len(dst), g.mtu, func(off, n int) {
-		if n == 0 {
-			// Zero-size blocks never reach the wire (the sender elides
-			// their descriptors), so there is nothing to consume.
-			return
-		}
-		if g.next < len(g.frags) {
-			d := g.descs[g.next]
-			if d.S != s || d.R != r || d.Size != n {
-				panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))
-			}
-			// The fragment landed glued to the header (or was captured into
-			// gateway memory); handing it over is one real copy.
-			g.node.Host.Memcpy(p, n)
-			copy(dst[off:off+n], g.frags[g.next])
-			g.next++
-			g.got += n
-			return
-		}
-		if g.link == nil || g.eomSeen {
-			panic("fwd: protocol error: blocks expected after the multicast terminator")
-		}
-		meta, got := g.link.RecvInto(p, dst[off:off+n])
-		if len(meta.Blocks) != 1 {
-			panic("fwd: protocol error: multicast packet without exactly one block")
-		}
-		d := meta.Blocks[0]
-		if d.S != s || d.R != r || d.Size != n || got != n {
-			panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))
-		}
-		g.eomSeen = meta.EOM
-		g.got += got
-	})
-}
-
-func (g *mcastUnpacking) end(p *vtime.Proc) {
-	if g.next != len(g.frags) {
-		panic("fwd: protocol error: multicast message ended with unconsumed fragments")
-	}
-	if !g.eomSeen {
-		panic("fwd: protocol error: multicast message ended before its terminator")
-	}
-	if g.link != nil {
-		g.link.ReleaseRecv(p)
-	}
-	if m := g.vc.metrics(); m != nil {
-		m.RecordHop(g.id, p.Now(), g.node.Name, "deliver",
-			"reassembled at "+g.node.Name, g.got)
-	}
-}
-
-// mcastEgressBranch is one egress decision a relaying gateway made for the
-// current message: the rewritten header, the link, and whether the next hop
-// relays further (and therefore takes flow credits).
-type mcastEgressBranch struct {
-	hop    route.Hop
-	out    *mad.Link
-	hdr    []byte
-	nextGW string // non-empty when the branch relays beyond its next hop
-	q      *vsync.Chan[*mcastPkt]
-	proc   *vtime.Proc
-}
-
-// mcastPkt is one staged fragment shared by every branch sender of a
-// streaming multicast relay; refs counts the branch sends still owing, and
-// the last one recycles the ring buffer (and returns the ingress credit).
-type mcastPkt struct {
-	data []byte
-	desc []mad.BlockDesc
-	buf  []byte
-	eom  bool
-	refs int
-}
-
-// mcastSplit partitions a destination set at this gateway: the local flag if
-// the gateway itself is a destination, plus one egress branch per distinct
-// next hop, sorted by (network, next hop) like the planner's — by
-// construction the two agree, since both follow the same unicast table.
-func (g *Gateway) mcastSplit(src mad.Rank, mtu int, msgID uint64, dests []mad.Rank) (branches []*mcastEgressBranch, local bool) {
+// mcastSplit partitions a multicast frame's destination set at this
+// gateway: the local flag if the gateway itself is a destination, plus one
+// replicated egress branch — with its rewritten header — per distinct next
+// hop, sorted by (network, next hop) like the planner's; by construction
+// the two agree, since both follow the same unicast table.
+func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (branches []*relayBranch, local bool) {
 	vc := g.vc
 	type grp struct {
 		hop   route.Hop
@@ -566,7 +399,7 @@ func (g *Gateway) mcastSplit(src mad.Rank, mtu int, msgID uint64, dests []mad.Ra
 	}
 	var groups []*grp
 	byHop := make(map[route.Hop]*grp)
-	for _, d := range dests {
+	for _, d := range f.dests {
 		name := vc.sess.Node(d).Name
 		if name == g.name {
 			local = true
@@ -593,134 +426,46 @@ func (g *Gateway) mcastSplit(src mad.Rank, mtu int, msgID uint64, dests []mad.Ra
 		}
 		return groups[i].hop.To < groups[j].hop.To
 	})
-	for _, gr := range groups {
-		relays := gr.past || len(gr.ranks) > 1
-		var ch *mad.Channel
-		nextGW := ""
-		if relays {
-			ch = vc.special[gr.hop.Network]
-			if ch == nil {
-				panic("fwd: multicast relay branch without special channel on " + gr.hop.Network)
-			}
-			nextGW = gr.hop.To
-		} else {
-			ch = vc.regular[gr.hop.Network]
-		}
-		branches = append(branches, &mcastEgressBranch{
-			hop:    gr.hop,
-			out:    ch.Link(g.node.Rank, vc.NodeRank(gr.hop.To)),
-			hdr:    encodeMcastHeader(src, mtu, msgID, gr.ranks),
-			nextGW: nextGW,
-		})
+	for i, gr := range groups {
+		out, nextGW := vc.hopLink(g.node, gr.hop, gr.past || len(gr.ranks) > 1)
+		g.branch(r, i, out, nextGW, encodeMcastHeader(f.src, f.mtu, f.msgID, gr.ranks))
 	}
-	return branches, local
+	return r.branches[:len(groups)], local
 }
 
-// forwardMcast relays one multicast message: read the destination-set header
-// off the ingress slot, re-partition the set by this gateway's next hops,
-// and replicate — one ingress receive, N egress sends. A compact frame is
-// rebuilt per branch ([branch header|payload]) and handed to the per-egress
-// async sender daemons like any compact relay; a streaming message runs the
-// staged pipeline with refcounted ring buffers, each fragment received once
-// and sent by one spawned sender per branch. Returns the ingress payload
-// bytes relayed (the DRR charge), which is independent of the branch count.
-func (g *Gateway) forwardMcast(p *vtime.Proc, a *mad.Arrival) int64 {
-	vc := g.vc
-	in := a.Link
-	in.AcquireRecv(p)
-	defer in.ReleaseRecv(p)
-	bytesBefore := g.bytes
-
-	meta, slot := in.Recv(p)
-	if !meta.SOM || meta.Kind != mad.KindMcast || len(meta.Blocks) < 1 ||
-		meta.Blocks[0].Size > len(slot) {
-		panic("fwd: malformed multicast header at gateway " + g.name)
+// replicateFrame rebuilds a whole multicast frame for one branch — the
+// branch's rewritten header glued to the shared payload — and returns it
+// with its block descriptors. The contiguous copy is the price of one
+// transfer per branch, as at the root.
+func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, payload []byte) ([]mad.BlockDesc, []byte) {
+	frame := make([]byte, len(b.hdr)+len(payload))
+	copy(frame[copy(frame, b.hdr):], payload)
+	if len(payload) > 0 {
+		g.node.Host.Memcpy(p, len(payload))
 	}
-	hsize := meta.Blocks[0].Size
-	src, mtu, msgID, dests, ok := decodeMcastHeader(slot[:hsize])
-	if !ok {
-		panic("fwd: malformed multicast header at gateway " + g.name)
-	}
-	// The header transfer consumed one upstream credit; it is out of the
-	// ingress slot now, so the credit goes straight back.
-	up := in.Src.Name
-	vc.flowGrant(g.name, up, 1)
-
-	st := vc.mcastst
-	m := vc.metrics()
-	fr := vc.flightRing(g.name)
-	gwLabels := obs.Labels{"gateway": g.name}
-	nodeLabels := obs.Labels{"node": g.name}
-	inNet := in.Channel.Network().Name
-	branches, local := g.mcastSplit(src, mtu, msgID, dests)
-	st.relays++
-	m.Add("madgo_mcast_relays_total", gwLabels, 1)
-	st.branches += int64(len(branches))
-	m.Add("madgo_mcast_branches_total", nodeLabels, float64(len(branches)))
-	if m != nil {
-		m.RecordHop(msgID, p.Now(), g.name, "relay",
-			fmt.Sprintf("mcast %s -> %d branches (%d dests)", inNet, len(branches), len(dests)), 0)
-	}
-	g.messages++
-
-	if meta.EOM {
-		// Compact frame: fully in gateway memory. Rebuild [header|payload]
-		// per branch and queue each on its egress daemon; the polling
-		// thread is free as soon as the copies are staged.
-		payload := slot[hsize:]
-		pdescs := meta.Blocks[1:]
-		if n := len(payload); n > 0 {
-			g.packets++
-			g.bytes += int64(n)
-			m.Add("madgo_gateway_relayed_packets_total", gwLabels, 1)
-			m.Add("madgo_gateway_relayed_bytes_total", gwLabels, float64(n))
-		}
-		for _, b := range branches {
-			frame := make([]byte, len(b.hdr)+len(payload))
-			off := copy(frame, b.hdr)
-			copy(frame[off:], payload)
-			if len(payload) > 0 {
-				g.node.Host.Memcpy(p, len(payload))
-			}
-			st.replicatedPkts++
-			st.replicatedBytes += int64(len(payload))
-			m.Add("madgo_mcast_replicated_packets_total", gwLabels, 1)
-			m.Add("madgo_mcast_replicated_bytes_total", gwLabels, float64(len(payload)))
-			fr.Record(flight.KindReplicate, p.Now(), 0, msgID, len(payload), b.hop.Network)
-			g.sendEgress(p, b.out, gwEgressTx{
-				meta: mad.TxMeta{SOM: true, EOM: true, Kind: mad.KindMcast,
-					Blocks: append([]mad.BlockDesc{mcastHdrDesc(len(b.hdr))}, pdescs...)},
-				data: frame, msgID: msgID, nextGW: b.nextGW,
-			})
-		}
-		if local {
-			g.mcastDeliverLocal(p, &mcastLocal{from: src, id: msgID, mtu: mtu,
-				frags: splitByDescs(payload, pdescs), descs: pdescs})
-		}
-		return g.bytes - bytesBefore
-	}
-
-	// Streaming message: staged pipeline with refcounted replication. One
-	// sender per branch streams the shared fragments; the last branch to
-	// send a fragment recycles its buffer and returns the ingress credit.
-	g.mcastPipeline(p, in, branches, local, src, mtu, msgID, up)
-	return g.bytes - bytesBefore
+	st := g.vc.mcastst
+	st.replicatedPkts++
+	st.replicatedBytes += int64(len(payload))
+	m := g.vc.metrics()
+	m.Add("madgo_mcast_replicated_packets_total", g.gwLabels, 1)
+	m.Add("madgo_mcast_replicated_bytes_total", g.gwLabels, float64(len(payload)))
+	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.msgID, len(payload), b.out.Channel.Network().Name)
+	return append([]mad.BlockDesc{mcastHdrDesc(len(b.hdr))}, f.meta.Blocks[1:]...), frame
 }
 
-// splitByDescs slices a contiguous compact payload back into per-block
-// fragments.
-func splitByDescs(payload []byte, descs []mad.BlockDesc) [][]byte {
-	frags := make([][]byte, 0, len(descs))
+// splitByDescs slices the payload that shared a transfer with its header
+// back into per-block fragments, appending them to frags.
+func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byte {
 	off := 0
 	for _, d := range descs {
 		if off+d.Size > len(payload) {
-			panic("fwd: protocol error: multicast fragment descriptors overrun the frame")
+			panic("fwd: protocol error: fragment descriptors overrun the compact frame")
 		}
 		frags = append(frags, payload[off:off+d.Size])
 		off += d.Size
 	}
 	if off != len(payload) {
-		panic("fwd: protocol error: multicast frame with trailing bytes")
+		panic("fwd: protocol error: compact frame with trailing bytes")
 	}
 	return frags
 }
@@ -729,150 +474,7 @@ func splitByDescs(payload []byte, descs []mad.BlockDesc) [][]byte {
 // node through its merged arrival queue (so a BeginUnpacking blocked there
 // wakes up like for any other arrival).
 func (g *Gateway) mcastDeliverLocal(p *vtime.Proc, ml *mcastLocal) {
-	st := g.vc.mcastst
-	st.localDeliveries++
-	g.vc.metrics().Add("madgo_mcast_local_deliveries_total", obs.Labels{"node": g.name}, 1)
+	g.vc.mcastst.localDeliveries++
+	g.vc.metrics().Add("madgo_mcast_local_deliveries_total", g.nodeLabels, 1)
 	g.vc.merged[g.node.Rank].Send(p, incoming{mcast: ml})
-}
-
-// mcastPipeline is the streaming replication loop: the relay thread receives
-// each fragment once into a ring buffer and every branch sender retransmits
-// it, with the ring's free list bounding how far ingress runs ahead of the
-// slowest branch. Buffers are plain pool buffers in every election mode — a
-// replicated fragment leaves on several egress networks at once, so no
-// single egress driver's static buffers (nor the one ingress slot) can back
-// it.
-func (g *Gateway) mcastPipeline(p *vtime.Proc, in *mad.Link, branches []*mcastEgressBranch, local bool, src mad.Rank, mtu int, msgID uint64, up string) {
-	vc := g.vc
-	cfg := vc.cfg
-	tr := cfg.Tracer
-	m := vc.metrics()
-	fr := vc.flightRing(g.name)
-	st := vc.mcastst
-	gwLabels := obs.Labels{"gateway": g.name}
-	host := g.node.Host
-	inNet := in.Channel.Network().Name
-	recvActor := fmt.Sprintf("%s:recv:%s", g.name, inNet)
-	r := g.ring(inNet)
-	for i := 0; i < cfg.PipelineDepth; i++ {
-		r.free.TrySend(r.pool.get(mtu))
-	}
-	sim := vc.sess.Platform.Sim
-
-	capture := &mcastLocal{from: src, id: msgID, mtu: mtu}
-	recycle := func(sp *vtime.Proc, pkt *mcastPkt) {
-		pkt.refs--
-		if pkt.refs > 0 {
-			return
-		}
-		r.free.Send(sp, pkt.buf)
-		// The ingress transfer behind this buffer has drained through
-		// every branch — its credit goes back to the sender.
-		vc.flowGrant(g.name, up, 1)
-	}
-
-	for _, b := range branches {
-		b := b
-		outNet := b.hop.Network
-		b.q = vsync.NewChan[*mcastPkt](fmt.Sprintf("gwmq:%s>%s", g.name, b.hop.To), cfg.PipelineDepth)
-		sendActor := fmt.Sprintf("%s:send:%s", g.name, outNet)
-		b.proc = sim.Spawn(fmt.Sprintf("gwmsend:%s>%s", g.name, b.hop.To), func(sp *vtime.Proc) {
-			g.fenceEgress(sp, b.out)
-			b.out.Acquire(sp)
-			defer b.out.Release(sp)
-			if b.nextGW != "" {
-				vc.flowSpend(sp, b.nextGW, g.name, msgID)
-			}
-			b.out.Send(sp, mad.TxMeta{SOM: true, Kind: mad.KindMcast,
-				Blocks: []mad.BlockDesc{mcastHdrDesc(len(b.hdr))}}, b.hdr)
-			for {
-				pkt, _ := b.q.Recv(sp)
-				if b.nextGW != "" {
-					vc.flowSpend(sp, b.nextGW, g.name, msgID)
-				}
-				t0 := sp.Now()
-				b.out.Send(sp, mad.TxMeta{Kind: mad.KindMcast, EOM: pkt.eom, Blocks: pkt.desc}, pkt.data)
-				tr.Record(sendActor, "send", len(pkt.data), t0, sp.Now())
-				fr.Record(flight.KindReplicate, sp.Now(), vtime.Since(sp.Now(), t0), msgID, len(pkt.data), outNet)
-				st.replicatedPkts++
-				st.replicatedBytes += int64(len(pkt.data))
-				m.Add("madgo_mcast_replicated_packets_total", gwLabels, 1)
-				m.Add("madgo_mcast_replicated_bytes_total", gwLabels, float64(len(pkt.data)))
-				t0 = sp.Now()
-				sp.Sleep(host.CPU.SwapOverhead)
-				tr.Record(sendActor, "swap", 0, t0, sp.Now())
-				m.ObserveDuration("madgo_gateway_swap_seconds", gwLabels, vtime.Since(sp.Now(), t0))
-				eom := pkt.eom
-				recycle(sp, pkt)
-				if eom {
-					return
-				}
-			}
-		})
-	}
-
-	for {
-		t0 := p.Now()
-		buf, _ := r.free.Recv(p)
-		if wait := vtime.Since(p.Now(), t0); wait > 0 {
-			g.stalls++
-			tr.Record(recvActor, "stall", 0, t0, p.Now())
-			m.ObserveDuration("madgo_gateway_stall_seconds", gwLabels, wait)
-			fr.Record(flight.KindStall, p.Now(), wait, msgID, 0, inNet)
-		}
-		t0 = p.Now()
-		meta, n := in.RecvInto(p, buf)
-		if len(meta.Blocks) == 0 {
-			panic("fwd: protocol error: bare terminator on a multicast stream at " + g.name)
-		}
-		data := buf[:n]
-		tr.Record(recvActor, "recv", n, t0, p.Now())
-		fr.Record(flight.KindRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, n, inNet)
-		g.packets++
-		g.bytes += int64(n)
-		m.Add("madgo_gateway_relayed_packets_total", gwLabels, 1)
-		m.Add("madgo_gateway_relayed_bytes_total", gwLabels, float64(n))
-		t0 = p.Now()
-		p.Sleep(host.CPU.SwapOverhead)
-		tr.Record(recvActor, "swap", 0, t0, p.Now())
-		m.ObserveDuration("madgo_gateway_swap_seconds", gwLabels, vtime.Since(p.Now(), t0))
-		if local {
-			// The ring buffer is recycled by the branch senders; the local
-			// copy is the gateway-member's delivery cost.
-			host.Memcpy(p, n)
-			capture.frags = append(capture.frags, append([]byte(nil), data...))
-			capture.descs = append(capture.descs, meta.Blocks[0])
-		}
-		pkt := &mcastPkt{data: data, desc: meta.Blocks, buf: buf, eom: meta.EOM, refs: len(branches)}
-		if len(branches) == 0 {
-			// Defensive: a frame whose every remaining destination is this
-			// node. The planner never emits one (a lone local destination
-			// travels the regular channel), but a recycled buffer and a
-			// returned credit keep even that shape live.
-			pkt.refs = 1
-			recycle(p, pkt)
-		} else {
-			for _, b := range branches {
-				b.q.Send(p, pkt)
-			}
-		}
-		if meta.EOM {
-			break
-		}
-	}
-	for _, b := range branches {
-		p.Join(b.proc)
-	}
-	// Drain the ring back into the pool so the next message restocks
-	// cleanly whatever its mode.
-	for {
-		b, ok := r.free.TryRecv()
-		if !ok {
-			break
-		}
-		r.pool.put(b)
-	}
-	if local {
-		g.mcastDeliverLocal(p, capture)
-	}
 }

@@ -559,16 +559,10 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 	vc := sx.vc
 	hop := r[0]
 	dstRank := vc.NodeRank(sx.dst)
-	var link *mad.Link
-	if r.Direct() {
-		link = vc.regular[hop.Network].Link(sx.node.Rank, dstRank)
-	} else {
-		spc, ok := vc.special[hop.Network]
-		if !ok {
-			panic("fwd: stripe rail crosses network without a special channel: " + hop.Network)
-		}
-		link = spc.Link(sx.node.Rank, vc.NodeRank(hop.To))
-	}
+	// Rails that relay through a gateway spend credits like any other
+	// sender; direct rails answer to nobody (gw stays empty, and flowSpend
+	// is a no-op with flow control off).
+	link, gw := vc.hopLink(sx.node, hop, !r.Direct())
 	mtu := vc.railMTU(r)
 	var flags uint16
 	if !r.Direct() {
@@ -576,13 +570,6 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 	}
 	if sx.aggFlag {
 		flags |= stripeFlagAgg
-	}
-	// Rails that relay through a gateway spend credits like any other
-	// sender; direct rails answer to nobody (no-op with flow control off
-	// and on direct rails, where gw stays empty).
-	gw := ""
-	if !r.Direct() {
-		gw = hop.To
 	}
 	tr := vc.cfg.Tracer
 	t0 := p.Now()
@@ -660,11 +647,7 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 		px.EndPacking(p)
 		return
 	}
-	spc, ok := vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(sx.node.Rank, vc.NodeRank(hop.To))
+	link, _ := vc.hopLink(sx.node, hop, true)
 	if m := vc.metrics(); m != nil {
 		m.RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
 			fmt.Sprintf("gtm -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)

@@ -2,6 +2,7 @@ package fwd
 
 import (
 	"fmt"
+	"sort"
 
 	"madgo/internal/flight"
 	"madgo/internal/fluid"
@@ -523,16 +524,8 @@ func (vc *VirtualChannel) Gateways() []string {
 	for name := range vc.gates {
 		out = append(out, name)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // NodeRank returns the session rank of a topology node.
@@ -562,20 +555,47 @@ func (vc *VirtualChannel) At(name string) *Endpoint {
 // Node returns the endpoint's session node.
 func (e *Endpoint) Node() *mad.Node { return e.node }
 
+// packer is the sender side of one framing: the plain Madeleine message of
+// a direct route, the GTM stream, the compact, aggregated, striped and
+// multicast forms, or the reliable protocol. BeginPacking picks one; Pack
+// and EndPacking only forward.
+type packer interface {
+	pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode)
+	end(p *vtime.Proc)
+}
+
+// unpacker is the receiver side of one framing, picked by BeginUnpacking
+// from the arrival note.
+type unpacker interface {
+	unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode)
+	end(p *vtime.Proc)
+}
+
+// plainPacking and plainUnpacking give a direct route's Madeleine message
+// the framing interface; they are conversions, not wrappers, so opening one
+// allocates nothing beyond the mad object itself.
+type plainPacking mad.Packing
+
+func (x *plainPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	(*mad.Packing)(x).Pack(p, data, s, r)
+}
+func (x *plainPacking) end(p *vtime.Proc) { (*mad.Packing)(x).EndPacking(p) }
+
+type plainUnpacking mad.Unpacking
+
+func (x *plainUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	(*mad.Unpacking)(x).Unpack(p, dst, s, r)
+}
+func (x *plainUnpacking) end(p *vtime.Proc) { (*mad.Unpacking)(x).EndUnpacking(p) }
+
 // Packing is an outgoing message on a virtual channel. Depending on the
 // route it is either a plain Madeleine message on the regular channel or a
 // self-described GTM message on the special channel toward the first
 // gateway; the application cannot tell the difference.
 type Packing struct {
-	plain  *mad.Packing
-	gtm    *gtmPacking
-	eager  *eagerPacking
-	agg    *aggPacking
-	rel    *relPacking
-	stripe *stripePacking
-	mcast  *mcastPacking
-	id     uint64
-	ended  bool
+	x     packer
+	id    uint64
+	ended bool
 }
 
 // MsgID returns the message's channel-global ID, assigned at BeginPacking.
@@ -599,7 +619,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 			if m := e.vc.metrics(); m != nil {
 				m.RecordHop(ax.id, p.Now(), e.node.Name, "pack", "agg -> "+dst, 0)
 			}
-			return &Packing{agg: ax, id: ax.id}
+			return &Packing{x: ax, id: ax.id}
 		}
 	}
 	if e.vc.cfg.Reliable {
@@ -613,7 +633,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		if m := e.vc.metrics(); m != nil {
 			m.RecordHop(rp.id, p.Now(), e.node.Name, "pack", "reliable -> "+dst, 0)
 		}
-		return &Packing{rel: rp, id: rp.id}
+		return &Packing{x: rp, id: rp.id}
 	}
 	// Striping: when the pair has at least two disjoint rails, buffer the
 	// message and let EndPacking split it (or fall back to the single-rail
@@ -624,7 +644,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 			m.RecordHop(sx.id, p.Now(), e.node.Name, "pack",
 				fmt.Sprintf("stripe -> %s (%d rails)", dst, len(e.vc.stripeRoutes(e.node.Name, dst))), 0)
 		}
-		return &Packing{stripe: sx, id: sx.id}
+		return &Packing{x: sx, id: sx.id}
 	}
 	r, ok := e.vc.tbl.Lookup(e.node.Name, dst)
 	if !ok {
@@ -638,27 +658,23 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 			m.RecordHop(id, p.Now(), e.node.Name, "pack",
 				fmt.Sprintf("direct -> %s via %s", dst, hop.Network), 0)
 		}
-		return &Packing{plain: ep.BeginPacking(p, e.vc.NodeRank(dst)), id: id}
+		return &Packing{x: (*plainPacking)(ep.BeginPacking(p, e.vc.NodeRank(dst))), id: id}
 	}
-	spc, ok := e.vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(e.node.Rank, e.vc.NodeRank(hop.To))
+	link, _ := e.vc.hopLink(e.node, hop, true)
 	if e.vc.cfg.Eager {
 		g := newEagerPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
 		if m := e.vc.metrics(); m != nil {
 			m.RecordHop(g.id, p.Now(), e.node.Name, "pack",
 				fmt.Sprintf("eager -> %s via %s", dst, hop.Network), 0)
 		}
-		return &Packing{eager: g, id: g.id}
+		return &Packing{x: g, id: g.id}
 	}
 	g := newGTMPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
 	if m := e.vc.metrics(); m != nil {
 		m.RecordHop(g.id, p.Now(), e.node.Name, "pack",
 			fmt.Sprintf("gtm -> %s via %s", dst, hop.Network), 0)
 	}
-	return &Packing{gtm: g, id: g.id}
+	return &Packing{x: g, id: g.id}
 }
 
 // Pack appends one block, as in the mad layer.
@@ -666,31 +682,7 @@ func (px *Packing) Pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMo
 	if px.ended {
 		panic("fwd: Pack after EndPacking")
 	}
-	if px.plain != nil {
-		px.plain.Pack(p, data, s, r)
-		return
-	}
-	if px.agg != nil {
-		px.agg.pack(p, data, s, r)
-		return
-	}
-	if px.rel != nil {
-		px.rel.pack(p, data, s, r)
-		return
-	}
-	if px.stripe != nil {
-		px.stripe.pack(p, data, s, r)
-		return
-	}
-	if px.mcast != nil {
-		px.mcast.pack(p, data, s, r)
-		return
-	}
-	if px.eager != nil {
-		px.eager.pack(p, data, s, r)
-		return
-	}
-	px.gtm.pack(p, data, s, r)
+	px.x.pack(p, data, s, r)
 }
 
 // EndPacking completes the message.
@@ -699,45 +691,15 @@ func (px *Packing) EndPacking(p *vtime.Proc) {
 		panic("fwd: double EndPacking")
 	}
 	px.ended = true
-	if px.plain != nil {
-		px.plain.EndPacking(p)
-		return
-	}
-	if px.agg != nil {
-		px.agg.end(p)
-		return
-	}
-	if px.rel != nil {
-		px.rel.end(p)
-		return
-	}
-	if px.stripe != nil {
-		px.stripe.end(p)
-		return
-	}
-	if px.mcast != nil {
-		px.mcast.end(p)
-		return
-	}
-	if px.eager != nil {
-		px.eager.end(p)
-		return
-	}
-	px.gtm.end(p)
+	px.x.end(p)
 }
 
 // Unpacking is an incoming message on a virtual channel.
 type Unpacking struct {
-	plain  *mad.Unpacking
-	gtm    *gtmUnpacking
-	eager  *eagerUnpacking
-	agg    *aggUnpacking
-	rel    *relUnpacking
-	stripe *stripeUnpacking
-	mcast  *mcastUnpacking
-	from   mad.Rank
-	fwd    bool
-	ended  bool
+	x     unpacker
+	from  mad.Rank
+	fwd   bool
+	ended bool
 }
 
 // BeginUnpacking blocks until a message arrives on any of the node's
@@ -751,7 +713,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 		// Sub-messages decoded from an earlier aggregate frame are
 		// delivered FIFO before anything newer.
 		if as, ok := e.vc.aggPop(e.node.Rank); ok {
-			return &Unpacking{agg: newAggUnpacking(e.vc, e.node, as), from: as.from, fwd: true}
+			return &Unpacking{x: newAggUnpacking(e.vc, e.node, as), from: as.from, fwd: true}
 		}
 		// A striped message completed by an earlier arrival round is
 		// delivered before pulling new announcements.
@@ -763,7 +725,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 				continue
 			}
 			su := newStripeUnpacking(e.vc, e.node, g)
-			return &Unpacking{stripe: su, from: su.from(), fwd: su.forwarded()}
+			return &Unpacking{x: su, from: su.from(), fwd: su.forwarded()}
 		}
 		in, ok := e.vc.merged[e.node.Rank].Recv(p)
 		if !ok {
@@ -772,8 +734,8 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 		if in.mcast != nil {
 			// A multicast message the local gateway captured while
 			// replicating it downstream.
-			g := newMcastLocalUnpacking(e.vc, e.node, in.mcast)
-			return &Unpacking{mcast: g, from: g.from, fwd: true}
+			g := newCapturedUnpacking(e.vc, e.node, in.mcast)
+			return &Unpacking{x: g, from: g.from, fwd: true}
 		}
 		if in.rel != nil {
 			if in.rel.agg {
@@ -783,7 +745,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			ru := newRelUnpacking(e.vc.rel[e.node.Name], in.rel)
 			srcName := e.vc.sess.Node(in.rel.origin).Name
 			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
-			return &Unpacking{rel: ru, from: in.rel.origin, fwd: fwd}
+			return &Unpacking{x: ru, from: in.rel.origin, fwd: fwd}
 		}
 		if in.a.Kind() == mad.KindStripe {
 			// One rail of a striped message: file it and keep pulling
@@ -794,7 +756,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 					continue
 				}
 				su := newStripeUnpacking(e.vc, e.node, g)
-				return &Unpacking{stripe: su, from: su.from(), fwd: su.forwarded()}
+				return &Unpacking{x: su, from: su.from(), fwd: su.forwarded()}
 			}
 			continue
 		}
@@ -804,20 +766,16 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			e.vc.openAggFrame(p, e.node, in.a)
 			continue
 		}
-		if in.a.Kind() == mad.KindEager {
-			g := newEagerUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{eager: g, from: g.from, fwd: true}
-		}
-		if in.a.Kind() == mad.KindMcast {
-			g := newMcastUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{mcast: g, from: g.from, fwd: true}
+		if k := in.a.Kind(); k == mad.KindEager || k == mad.KindMcast {
+			g := newCompactUnpacking(p, e.vc, e.node, in.a)
+			return &Unpacking{x: g, from: g.from, fwd: true}
 		}
 		if in.a.Kind() == mad.KindGTM {
 			g := newGTMUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{gtm: g, from: g.from, fwd: true}
+			return &Unpacking{x: g, from: g.from, fwd: true}
 		}
 		u := in.ep.Open(p, in.a)
-		return &Unpacking{plain: u, from: u.From()}
+		return &Unpacking{x: (*plainUnpacking)(u), from: u.From()}
 	}
 }
 
@@ -842,31 +800,7 @@ func (u *Unpacking) Unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Recv
 	if u.ended {
 		panic("fwd: Unpack after EndUnpacking")
 	}
-	if u.plain != nil {
-		u.plain.Unpack(p, dst, s, r)
-		return
-	}
-	if u.agg != nil {
-		u.agg.unpack(p, dst, s, r)
-		return
-	}
-	if u.rel != nil {
-		u.rel.unpack(p, dst, s, r)
-		return
-	}
-	if u.stripe != nil {
-		u.stripe.unpack(p, dst, s, r)
-		return
-	}
-	if u.mcast != nil {
-		u.mcast.unpack(p, dst, s, r)
-		return
-	}
-	if u.eager != nil {
-		u.eager.unpack(p, dst, s, r)
-		return
-	}
-	u.gtm.unpack(p, dst, s, r)
+	u.x.unpack(p, dst, s, r)
 }
 
 // EndUnpacking completes the message.
@@ -875,29 +809,5 @@ func (u *Unpacking) EndUnpacking(p *vtime.Proc) {
 		panic("fwd: double EndUnpacking")
 	}
 	u.ended = true
-	if u.plain != nil {
-		u.plain.EndUnpacking(p)
-		return
-	}
-	if u.agg != nil {
-		u.agg.end(p)
-		return
-	}
-	if u.rel != nil {
-		u.rel.end(p)
-		return
-	}
-	if u.stripe != nil {
-		u.stripe.end(p)
-		return
-	}
-	if u.mcast != nil {
-		u.mcast.end(p)
-		return
-	}
-	if u.eager != nil {
-		u.eager.end(p)
-		return
-	}
-	u.gtm.end(p)
+	u.x.end(p)
 }
