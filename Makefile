@@ -75,9 +75,13 @@ race:
 # next hop and a disarmed health report at 0, one reliable 32 KiB message
 # over two hops and one message of the prod_lossy_mix shape at budgets. The
 # unified relay (DESIGN.md §18): one 64 KiB fan-out-8 broadcast of the
-# bcast_fanout8 shape at a budget with nothing per fragment.
+# bcast_fanout8 shape at a budget with nothing per fragment. Armed telemetry
+# (DESIGN.md §19): a write through a bound counter, gauge or histogram handle
+# and a hop record at 0, a relayed fragment at 0 with a registry and a tracer
+# armed, and a 64 B message of the mice_stream_observed shape at no more than
+# two over what it costs disarmed.
 allocs:
-	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/fwd -run 'AllocsNothing' -v
+	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd -run 'AllocsNothing' -v
 	$(GO) test ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
 
 # bench-quick is the two-clock ledger's smoke run (benchmark/README.md):

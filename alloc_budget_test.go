@@ -255,3 +255,75 @@ func TestProdLossyAllocBudget(t *testing.T) {
 		t.Errorf("prod lossy mix allocates %.1f objects per message, budget %d", perMsg, prodLossyAllocBudget)
 	}
 }
+
+// TestMiceObservedAllocBudget drives the facade the way the benchmark's
+// mice_stream and mice_stream_observed workloads do — 64 B messages back to
+// back over a –sci– gw –myrinet– b with eager framing, aggregation and
+// credits — once disarmed and once with WithMetrics and WithTracer, and fails
+// when arming costs a message more than two allocations (make allocs). It read
+// 40 more when every counted event rebuilt its series key and every hop record
+// formatted its sentence (DESIGN.md §19); what is left is amortised: hop
+// chunks, the span slice, and the series bound by the first write.
+func TestMiceObservedAllocBudget(t *testing.T) {
+	const (
+		msgs  = 20000
+		size  = 64
+		extra = 2
+	)
+	run := func(opts ...madeleine.Option) float64 {
+		opts = append(opts, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl())
+		sys, err := madeleine.NewSystem(`network sci0 sci
+network myri0 myrinet
+node a sci0
+node gw sci0 myri0
+node b myri0
+`, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, rx := make([]byte, size), make([]byte, size)
+		for i := range tx {
+			tx[i] = byte(i * 7)
+		}
+		sys.Spawn("send:a", func(p *madeleine.Proc) {
+			ep := sys.At("a")
+			for i := 0; i < msgs; i++ {
+				px := ep.BeginPacking(p, "b")
+				px.Pack(p, tx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				px.EndPacking(p)
+			}
+		})
+		delivered := 0
+		sys.Spawn("recv:b", func(p *madeleine.Proc) {
+			ep := sys.At("b")
+			for i := 0; i < msgs; i++ {
+				u := ep.BeginUnpacking(p)
+				u.Unpack(p, rx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if bytes.Equal(rx, tx) {
+					delivered++
+				}
+			}
+		})
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if delivered != msgs {
+			t.Fatalf("delivered %d of %d messages byte-exact", delivered, msgs)
+		}
+		if m := sys.Metrics(); m != nil && len(m.Hops()) < 2*msgs {
+			t.Fatalf("the armed run recorded %d hops for %d messages; the budget would be vacuous", len(m.Hops()), msgs)
+		}
+		return float64(m1.Mallocs-m0.Mallocs) / msgs
+	}
+	disarmed := run()
+	armed := run(madeleine.WithMetrics(madeleine.NewMetrics()), madeleine.WithTracer(madeleine.NewTracer()))
+	t.Logf("mice stream: %.2f allocations per message disarmed, %.2f observed (budget: disarmed + %d)", disarmed, armed, extra)
+	if armed > disarmed+extra {
+		t.Errorf("observing a mice stream costs %.2f allocations per message over the disarmed %.2f, budget %d", armed-disarmed, disarmed, extra)
+	}
+}

@@ -328,6 +328,7 @@ func (ld load) run(sys *madeleine.System) *report {
 	}
 	for _, sink := range sortedKeys(ld.sinks) {
 		sink, msgs := sink, ld.sinks[sink]
+		latency := sys.Metrics().BindHistogram("madgo_message_latency_seconds", madeleine.MetricLabels{"node": sink})
 		sys.Spawn("drain:"+sink, func(p *madeleine.Proc) {
 			for i := 0; i < msgs; i++ {
 				u := sys.At(sink).BeginUnpacking(p)
@@ -346,8 +347,7 @@ func (ld load) run(sys *madeleine.System) *report {
 				k := lane{from, sink}
 				t0 := sentAt[k][0]
 				sentAt[k] = sentAt[k][1:]
-				sys.Metrics().ObserveDuration("madgo_message_latency_seconds",
-					madeleine.MetricLabels{"node": sink}, p.Now().Sub(t0))
+				latency.ObserveDuration(p.Now().Sub(t0))
 				t := tallies[from]
 				t.bytes += int64(size)
 				t.msgs++

@@ -206,9 +206,18 @@ type Injector struct {
 	rng     prng
 	tr      *trace.Tracer
 	metrics *obs.Registry
+	series  map[[2]string]*faultSeries // by {kind, net}
 
 	dropped   int64
 	corrupted int64
+}
+
+// faultSeries is what recording one kind of fault on one network needs,
+// built at its first: the tracer lane "fault:<net>" and the
+// madgo_faults_total{kind,net} handle.
+type faultSeries struct {
+	actor string
+	count *obs.Counter
 }
 
 // NewInjector arms a plan. The tracer may be nil; when present the injector
@@ -221,9 +230,25 @@ func NewInjector(p *Plan, tr *trace.Tracer) *Injector {
 // Tracer returns the tracer the injector records to (may be nil).
 func (in *Injector) Tracer() *trace.Tracer { return in.tr }
 
-// SetMetrics arms a metrics registry: every injected fault increments a
+// BindMetrics arms a metrics registry: every injected fault increments a
 // madgo_faults_total{kind,net} counter. A nil registry records nothing.
-func (in *Injector) SetMetrics(m *obs.Registry) { in.metrics = m }
+func (in *Injector) BindMetrics(m *obs.Registry) { in.metrics, in.series = m, nil }
+
+// record notes one injected fault: a zero-width span on the network's lane
+// and the {kind, net} counter, bound in the registry armed at that moment.
+func (in *Injector) record(kind, op, net string, size int, now vtime.Time) {
+	key := [2]string{kind, net}
+	s := in.series[key]
+	if s == nil {
+		s = &faultSeries{"fault:" + net, in.metrics.BindCounter("madgo_faults_total", obs.Labels{"kind": kind, "net": net})}
+		if in.series == nil {
+			in.series = make(map[[2]string]*faultSeries)
+		}
+		in.series[key] = s
+	}
+	in.tr.Record(s.actor, op, size, now, now)
+	s.count.Add(1)
+}
 
 // Dropped returns how many packets the injector lost (including blackholed
 // ones during crash and flap windows).
@@ -273,20 +298,17 @@ func (in *Injector) StallDelay(node string, now vtime.Time) vtime.Duration {
 func (in *Injector) Packet(net, from, to string, now vtime.Time, size int) (Verdict, int) {
 	if in.NodeDead(from, now) || in.NodeDead(to, now) || in.LinkDown(net, now) {
 		in.dropped++
-		in.tr.Record("fault:"+net, "drop", size, now, now)
-		in.metrics.Add("madgo_faults_total", obs.Labels{"kind": "blackhole", "net": net}, 1)
+		in.record("blackhole", "drop", net, size, now)
 		return DropPacket, 0
 	}
 	if p := in.prob(Drop, net); p > 0 && in.rng.float() < p {
 		in.dropped++
-		in.tr.Record("fault:"+net, "drop", size, now, now)
-		in.metrics.Add("madgo_faults_total", obs.Labels{"kind": "drop", "net": net}, 1)
+		in.record("drop", "drop", net, size, now)
 		return DropPacket, 0
 	}
 	if p := in.prob(Corrupt, net); p > 0 && in.rng.float() < p {
 		in.corrupted++
-		in.tr.Record("fault:"+net, "corrupt", size, now, now)
-		in.metrics.Add("madgo_faults_total", obs.Labels{"kind": "corrupt", "net": net}, 1)
+		in.record("corrupt", "corrupt", net, size, now)
 		return CorruptPacket, in.rng.intn(size)
 	}
 	return Deliver, 0

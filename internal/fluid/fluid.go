@@ -158,9 +158,27 @@ type Engine struct {
 	epoch    uint64
 	free     []*Flow
 
-	// Metrics, when non-nil, receives flow lifecycle counters and the
-	// active-flow gauge (a nil registry records nothing).
-	Metrics *obs.Registry
+	// The flow lifecycle series (all nil, recording nothing, until
+	// BindMetrics), the per-flow ones by the class of the flow's first hop.
+	active   *obs.Gauge
+	canceled *obs.Counter
+	class    [ClassCPU + 1]struct {
+		started, completed, bytes *obs.Counter
+		seconds                   *obs.Histogram
+	}
+}
+
+// BindMetrics binds the engine's series handles in m.
+func (e *Engine) BindMetrics(m *obs.Registry) {
+	e.active = m.BindGauge("madgo_active_flows", nil)
+	e.canceled = m.BindCounter("madgo_flows_canceled_total", nil)
+	for c := range e.class {
+		labels, cm := obs.Labels{"class": Class(c).String()}, &e.class[c]
+		cm.started = m.BindCounter("madgo_flows_started_total", labels)
+		cm.completed = m.BindCounter("madgo_flows_completed_total", labels)
+		cm.bytes = m.BindCounter("madgo_flow_bytes_total", labels)
+		cm.seconds = m.BindHistogram("madgo_flow_seconds", labels)
+	}
 }
 
 // NewEngine creates a fluid engine bound to the simulation clock.
@@ -276,9 +294,7 @@ func (e *Engine) start(spec Spec) *Flow {
 	for _, h := range f.route {
 		h.R.flows = append(h.R.flows, Presence{Flow: f, Class: h.Class})
 	}
-	if m := e.Metrics; m != nil {
-		m.Add("madgo_flows_started_total", obs.Labels{"class": spec.Class.String()}, 1)
-	}
+	e.class[spec.Class].started.Add(1)
 	e.reallocate()
 	return f
 }
@@ -332,19 +348,16 @@ func (e *Engine) reallocate() {
 
 	e.computeRates()
 	e.scheduleNextCompletion()
-	m := e.Metrics
-	m.Set("madgo_active_flows", nil, float64(len(e.flows)))
+	e.active.Set(float64(len(e.flows)))
 
 	// Wake finishers after the new schedule is in place.
 	for _, f := range done {
 		f.remaining = 0
 		f.rate = 0
-		if m != nil {
-			labels := obs.Labels{"class": f.class.String()}
-			m.Add("madgo_flows_completed_total", labels, 1)
-			m.Add("madgo_flow_bytes_total", labels, f.total)
-			m.ObserveDuration("madgo_flow_seconds", labels, vtime.Since(e.sim.Now(), f.started))
-		}
+		cm := &e.class[f.class]
+		cm.completed.Add(1)
+		cm.bytes.Add(f.total)
+		cm.seconds.ObserveDuration(vtime.Since(e.sim.Now(), f.started))
 		e.finish(f)
 	}
 	clear(done)
@@ -539,8 +552,8 @@ func (e *Engine) CancelOn(r *Resource) int {
 	}
 	e.computeRates()
 	e.scheduleNextCompletion()
-	e.Metrics.Set("madgo_active_flows", nil, float64(len(e.flows)))
-	e.Metrics.Add("madgo_flows_canceled_total", nil, float64(len(doomed)))
+	e.active.Set(float64(len(e.flows)))
+	e.canceled.Add(float64(len(doomed)))
 	for _, f := range doomed {
 		e.finish(f)
 	}

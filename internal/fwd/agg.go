@@ -130,8 +130,25 @@ type aggCoalescer struct {
 	lastAppend vtime.Time
 	scratch    []agg.Block
 
-	nodeLabels obs.Labels
-	fr         *flight.Ring
+	// Series handles (BindMetrics), labelled {node}; the three frame
+	// counters also by flush reason.
+	bypass, subs, frameBytes               *obs.Counter
+	sizeFrames, idleFrames, orderingFrames *obs.Counter
+	wait                                   *obs.Histogram
+	fr                                     *flight.Ring
+}
+
+// BindMetrics binds the coalescer's series handles in m.
+func (c *aggCoalescer) BindMetrics(m *obs.Registry) {
+	node := obs.Labels{"node": c.node.Name}
+	c.bypass = m.BindCounter("madgo_agg_bypass_total", node)
+	c.subs = m.BindCounter("madgo_agg_submessages_total", node)
+	c.frameBytes = m.BindCounter("madgo_agg_frame_bytes_total", node)
+	c.wait = m.BindHistogram("madgo_agg_queue_wait_seconds", node)
+	frames := func(reason string) *obs.Counter {
+		return m.BindCounter("madgo_agg_frames_total", obs.Labels{"node": c.node.Name, "reason": reason})
+	}
+	c.sizeFrames, c.idleFrames, c.orderingFrames = frames("size"), frames("idle"), frames("ordering")
 }
 
 // aggCoalescer returns (creating, with its idle-flush daemon) the coalescer
@@ -153,12 +170,12 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		kick: vsync.NewSem(0),
 		// The builder reserves the GTM header bytes in front of the frame,
 		// so a flush detaches a ready-made wire payload with no extra copy.
-		b:          agg.NewBuilderPrefix(gtmHeaderLen, mtu),
-		nodeLabels: obs.Labels{"node": node.Name},
-		fr:         vc.flightRing(node.Name),
+		b:  agg.NewBuilderPrefix(gtmHeaderLen, mtu),
+		fr: vc.flightRing(node.Name),
 	}
 	st.co[key] = c
 	st.order = append(st.order, key)
+	vc.sess.Platform.Instrument(c)
 	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("agg-flush:%s>%s", node.Name, dst),
 		c.run)
 	return c
@@ -204,7 +221,7 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 		// flushing what is queued, then send it the ordinary way.
 		c.flush(p, "ordering")
 		st.stats.BypassMessages++
-		vc.metrics().Add("madgo_agg_bypass_total", c.nodeLabels, 1)
+		c.bypass.Add(1)
 		c.sendBypass(p, id, blocks)
 		return
 	}
@@ -222,7 +239,7 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 	c.ids = append(c.ids, id)
 	c.lastAppend = p.Now()
 	st.stats.SubMessages++
-	vc.metrics().Add("madgo_agg_submessages_total", c.nodeLabels, 1)
+	c.subs.Add(1)
 	if c.b.Count() == 1 {
 		c.kick.Release(1)
 	}
@@ -237,7 +254,6 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	}
 	vc := c.vc
 	st := vc.aggst
-	m := vc.metrics()
 	frameID := vc.nextMsgID()
 	frame := c.b.Finish()
 	flen := len(frame)
@@ -246,25 +262,25 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	for i, t := range c.enq {
 		wait := vtime.Since(now, t)
 		c.fr.Record(flight.KindAggWait, now, wait, c.ids[i], 0, "")
-		m.ObserveDuration("madgo_agg_queue_wait_seconds", c.nodeLabels, wait)
+		c.wait.ObserveDuration(wait)
 	}
 	c.fr.Record(flight.KindAggFlush, now, 0, frameID, flen, reason)
-	m.Add("madgo_agg_frames_total", obs.Labels{"node": c.node.Name, "reason": reason}, 1)
-	m.Add("madgo_agg_frame_bytes_total", c.nodeLabels, float64(flen))
+	c.frameBytes.Add(float64(flen))
 	st.stats.Frames++
 	st.stats.FrameBytes += int64(flen)
 	switch reason {
 	case "size":
 		st.stats.SizeFlushes++
+		c.sizeFrames.Add(1)
 	case "idle":
 		st.stats.IdleFlushes++
+		c.idleFrames.Add(1)
 	case "ordering":
 		st.stats.OrderingFlushes++
+		c.orderingFrames.Add(1)
 	}
-	if m != nil {
-		m.RecordHop(frameID, now, c.node.Name, "agg",
-			fmt.Sprintf("flush(%s) -> %s: %d msgs, %d bytes", reason, c.dst, count, flen), flen)
-	}
+	vc.hop(p, frameID, c.node.Name, "agg",
+		obs.Detail{Form: "flush(${note}) -> ${peer}: ${a} msgs, ${bytes} bytes", Note: reason, Peer: c.dst, A: count}, flen)
 
 	// Detach the sealed buffer — [reserved GTM header | frame] — and hand
 	// ownership to whichever transport carries it. The wire layer references
@@ -313,10 +329,8 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 				{Size: flen, S: mad.SendCheaper, R: mad.ReceiveCheaper}},
 		}, wire)
 		link.Release(p)
-		if m != nil {
-			m.RecordHop(frameID, p.Now(), c.node.Name, "hop",
-				fmt.Sprintf("%s -> %s via %s (aggregate)", c.node.Name, link.Dst.Name, hop.Network), flen)
-		}
+		vc.hop(p, frameID, c.node.Name, "hop",
+			obs.Detail{Form: hopVia + " (aggregate)", Peer: link.Dst.Name, Net: hop.Network}, flen)
 	}
 	c.enq = c.enq[:0]
 	c.ids = c.ids[:0]
@@ -418,7 +432,7 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 	c.mu.Lock(p)
 	c.flush(p, "ordering")
 	vc.aggst.stats.BypassMessages++
-	vc.metrics().Add("madgo_agg_bypass_total", c.nodeLabels, 1)
+	c.bypass.Add(1)
 	c.mu.Unlock(p)
 	r, ok := vc.tbl.Lookup(ax.node.Name, ax.dst)
 	if !ok {
@@ -426,10 +440,8 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 	}
 	hop := r[0]
 	link, _ := vc.hopLink(ax.node, hop, true)
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(ax.id, p.Now(), ax.node.Name, "pack",
-			fmt.Sprintf("agg spill -> %s via %s (outgrew frame budget)", ax.dst, hop.Network), ax.total)
-	}
+	vc.hop(p, ax.id, ax.node.Name, "pack",
+		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: ax.dst, Net: hop.Network}, ax.total)
 	blocks := ax.blocks
 	ax.blocks = nil
 	if vc.cfg.Eager {
@@ -584,8 +596,5 @@ func (u *aggUnpacking) end(p *vtime.Proc) {
 	if u.next != u.sub.NumBlocks() {
 		panic("fwd: aggregated message ended with unconsumed blocks")
 	}
-	if m := u.vc.metrics(); m != nil {
-		m.RecordHop(u.id, p.Now(), u.node.Name, "deliver",
-			"decoalesced at "+u.node.Name, u.off)
-	}
+	u.vc.hop(p, u.id, u.node.Name, "deliver", obs.Detail{Form: "decoalesced at ${node}"}, u.off)
 }

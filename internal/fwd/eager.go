@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
@@ -99,10 +100,8 @@ func (g *eagerPacking) flushStaged(p *vtime.Proc, last bool) {
 				Kind:   mad.KindEager,
 				Blocks: []mad.BlockDesc{gtmHeaderDesc[0], g.sdesc},
 			}, encodeGTMCompact(g.node.Rank, g.finalDst, g.mtu, g.id, g.sdata))
-			if m := g.vc.metrics(); m != nil {
-				m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
-					fmt.Sprintf("%s -> %s via %s (compact)", g.node.Name, g.link.Dst.Name, net), len(g.sdata))
-			}
+			g.vc.hop(p, g.id, g.node.Name, "hop",
+				obs.Detail{Form: hopVia + " (compact)", Peer: g.link.Dst.Name, Net: net}, len(g.sdata))
 			g.sdata = nil
 			return
 		}
@@ -118,10 +117,7 @@ func (g *eagerPacking) flushStaged(p *vtime.Proc, last bool) {
 		Kind:   mad.KindEager,
 		Blocks: []mad.BlockDesc{g.sdesc},
 	}, g.sdata)
-	if m := g.vc.metrics(); m != nil {
-		m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
-			fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), len(g.sdata))
-	}
+	g.vc.hop(p, g.id, g.node.Name, "hop", obs.Detail{Form: hopVia, Peer: g.link.Dst.Name, Net: net}, len(g.sdata))
 	g.sdata = nil
 }
 
@@ -260,8 +256,5 @@ func (g *compactUnpacking) end(p *vtime.Proc) {
 	if g.link != nil {
 		g.link.ReleaseRecv(p)
 	}
-	if m := g.vc.metrics(); m != nil {
-		m.RecordHop(g.id, p.Now(), g.node.Name, "deliver",
-			"reassembled at "+g.node.Name, g.got)
-	}
+	g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
 }

@@ -44,10 +44,19 @@ type flowAccount struct {
 	seq     uint32
 	scratch []byte // grant wire-codec scratch, reused per grant
 
-	spendLabels obs.Labels
-	grantLabels obs.Labels
-	stallLabels obs.Labels
-	fr          *flight.Ring // sender-side flight ring, cached when armed
+	// Series handles (BindMetrics): spends labelled {node, gateway}, grants
+	// {gateway}, stalls {node}.
+	spends, grants, stalled *obs.Counter
+	stallSeconds            *obs.Histogram
+	fr                      *flight.Ring // sender-side flight ring, cached when armed
+}
+
+// BindMetrics binds the account's series handles in m.
+func (a *flowAccount) BindMetrics(m *obs.Registry) {
+	a.spends = m.BindCounter("madgo_flow_credits_spent_total", obs.Labels{"node": a.key.up, "gateway": a.key.gw})
+	a.grants = m.BindCounter("madgo_flow_credits_granted_total", obs.Labels{"gateway": a.key.gw})
+	a.stalled = m.BindCounter("madgo_flow_credit_stalls_total", obs.Labels{"node": a.key.up})
+	a.stallSeconds = m.BindHistogram("madgo_flow_credit_stall_seconds", obs.Labels{"node": a.key.up})
 }
 
 // flowCtl is a virtual channel's credit-based flow controller: the table of
@@ -73,15 +82,13 @@ func (fc *flowCtl) account(gw, up string) *flowAccount {
 		return a
 	}
 	a := &flowAccount{
-		key:         key,
-		sem:         vsync.NewSem(fc.window),
-		scratch:     make([]byte, 0, flow.GrantLen),
-		spendLabels: obs.Labels{"node": up, "gateway": gw},
-		grantLabels: obs.Labels{"gateway": gw},
-		stallLabels: obs.Labels{"node": up},
+		key:     key,
+		sem:     vsync.NewSem(fc.window),
+		scratch: make([]byte, 0, flow.GrantLen),
 	}
 	fc.acct[key] = a
 	fc.order = append(fc.order, key)
+	fc.vc.sess.Platform.Instrument(a)
 	return a
 }
 
@@ -93,16 +100,15 @@ func (fc *flowCtl) account(gw, up string) *flowAccount {
 // stalls instead of mailbox overflows or drops.
 func (fc *flowCtl) spend(p *vtime.Proc, gw, up string, msgID uint64) {
 	a := fc.account(gw, up)
-	m := fc.vc.metrics()
 	t0 := p.Now()
 	a.sem.Acquire(p, 1)
 	a.spent++
-	m.Add("madgo_flow_credits_spent_total", a.spendLabels, 1)
+	a.spends.Add(1)
 	if wait := vtime.Since(p.Now(), t0); wait > 0 {
 		a.stalls++
 		a.stallTime += wait
-		m.Add("madgo_flow_credit_stalls_total", a.stallLabels, 1)
-		m.ObserveDuration("madgo_flow_credit_stall_seconds", a.stallLabels, wait)
+		a.stalled.Add(1)
+		a.stallSeconds.ObserveDuration(wait)
 		if a.fr == nil {
 			a.fr = fc.vc.flightRing(up)
 		}
@@ -130,7 +136,7 @@ func (fc *flowCtl) grant(gw, up string, n int) {
 	}
 	a.sem.Release(int(g.Credits))
 	a.granted += int64(g.Credits)
-	fc.vc.metrics().Add("madgo_flow_credits_granted_total", a.grantLabels, float64(g.Credits))
+	a.grants.Add(float64(g.Credits))
 }
 
 // flowSpend spends one credit toward gw when flow control is armed; a no-op
@@ -207,7 +213,7 @@ func (vc *VirtualChannel) FlowStats() FlowStats {
 	for _, name := range vc.relOrder {
 		if e := vc.rel[name]; e != nil {
 			s.SchedRounds += e.relayRounds()
-			s.Backpressure += e.flowBackpressure
+			s.Backpressure += e.tally[relBackpressure]
 		}
 	}
 	return s

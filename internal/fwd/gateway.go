@@ -39,9 +39,7 @@ type Gateway struct {
 	// ingress receives while a frame is still streaming out.
 	txq map[*mad.Link]*gwEgress
 
-	// Label sets of this gateway's metric series, built once.
-	gwLabels   obs.Labels // {"gateway": name}
-	nodeLabels obs.Labels // {"node": name}
+	met gwMetrics
 
 	// Relay statistics (diagnostics and tests).
 	messages int64
@@ -130,10 +128,37 @@ type relayBranch struct {
 func (b *relayBranch) replicated() bool { return b.hdr != nil }
 
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
-	return &Gateway{vc: vc, node: node, name: node.Name,
+	g := &Gateway{vc: vc, node: node, name: node.Name,
 		rings: make(map[string]*relayRing), scheds: make(map[string]*gwSched),
-		txq:      make(map[*mad.Link]*gwEgress),
-		gwLabels: obs.Labels{"gateway": node.Name}, nodeLabels: obs.Labels{"node": node.Name}}
+		txq: make(map[*mad.Link]*gwEgress)}
+	vc.sess.Platform.Instrument(g)
+	return g
+}
+
+// gwMetrics are one gateway's series handles: branches and local labelled
+// {node}, the rest {gateway}.
+type gwMetrics struct {
+	packets, bytes, rounds          *obs.Counter // relayed ingress transfers, DRR rounds
+	swap, stall                     *obs.Histogram
+	mcastRelays, branches, local    *obs.Counter
+	replicatedPkts, replicatedBytes *obs.Counter
+}
+
+// BindMetrics binds the gateway's series handles in m.
+func (g *Gateway) BindMetrics(m *obs.Registry) {
+	gw, node := obs.Labels{"gateway": g.name}, obs.Labels{"node": g.name}
+	g.met = gwMetrics{
+		packets:         m.BindCounter("madgo_gateway_relayed_packets_total", gw),
+		bytes:           m.BindCounter("madgo_gateway_relayed_bytes_total", gw),
+		rounds:          m.BindCounter("madgo_flow_sched_rounds_total", gw),
+		swap:            m.BindHistogram("madgo_gateway_swap_seconds", gw),
+		stall:           m.BindHistogram("madgo_gateway_stall_seconds", gw),
+		mcastRelays:     m.BindCounter("madgo_mcast_relays_total", gw),
+		branches:        m.BindCounter("madgo_mcast_branches_total", node),
+		local:           m.BindCounter("madgo_mcast_local_deliveries_total", node),
+		replicatedPkts:  m.BindCounter("madgo_mcast_replicated_packets_total", gw),
+		replicatedBytes: m.BindCounter("madgo_mcast_replicated_bytes_total", gw),
+	}
 }
 
 // gwEgressTx is one whole frame queued for asynchronous retransmission on an
@@ -363,7 +388,6 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 		pending: vsync.NewSem(0),
 	}
 	g.scheds[nwName] = sc
-	m := g.vc.metrics()
 	g.poll(spc, nwName, func(_ *vtime.Proc, a *mad.Arrival) {
 		sc.drr.Push(a.Link.Src.Name, a)
 		sc.pending.Release(1)
@@ -405,7 +429,7 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 				}
 			}
 			if r := sc.drr.Rounds(); r > sc.lastRounds {
-				m.Add("madgo_flow_sched_rounds_total", g.gwLabels, float64(r-sc.lastRounds))
+				g.met.rounds.Add(float64(r - sc.lastRounds))
 				sc.lastRounds = r
 			}
 		}
@@ -460,7 +484,7 @@ func (g *Gateway) PoolStats() PoolStats {
 // reliable runs.
 func (g *Gateway) Retransmits() int64 {
 	if g.eng != nil {
-		return g.eng.retransmits
+		return g.eng.tally[relRetransmits]
 	}
 	return 0
 }
@@ -470,7 +494,7 @@ func (g *Gateway) Retransmits() int64 {
 // fault-free reliable runs.
 func (g *Gateway) Failovers() int64 {
 	if g.eng != nil {
-		return g.eng.failovers
+		return g.eng.tally[relFailovers]
 	}
 	return 0
 }
@@ -595,15 +619,12 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 	vc := g.vc
 	if f.kind == mad.KindMcast {
 		branches, local = g.mcastSplit(r, f)
-		m := vc.metrics()
 		vc.mcastst.relays++
-		m.Add("madgo_mcast_relays_total", g.gwLabels, 1)
+		g.met.mcastRelays.Add(1)
 		vc.mcastst.branches += int64(len(branches))
-		m.Add("madgo_mcast_branches_total", g.nodeLabels, float64(len(branches)))
-		if m != nil {
-			m.RecordHop(f.msgID, p.Now(), g.name, "relay",
-				fmt.Sprintf("mcast %s -> %d branches (%d dests)", inNet, len(branches), len(f.dests)), 0)
-		}
+		g.met.branches.Add(float64(len(branches)))
+		vc.hop(p, f.msgID, g.name, "relay",
+			obs.Detail{Form: "mcast ${net} -> ${a} branches (${b} dests)", Net: inNet, A: len(branches), B: len(f.dests)}, 0)
 		return branches, local
 	}
 	dstName := vc.sess.Node(f.dst).Name
@@ -611,10 +632,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(f.msgID, p.Now(), g.name, "relay",
-			fmt.Sprintf("%s -> %s via %s", inNet, hop.To, hop.Network), 0)
-	}
+	vc.hop(p, f.msgID, g.name, "relay", obs.Detail{Form: "${note} -> ${peer} via ${net}", Note: inNet, Peer: hop.To, Net: hop.Network}, 0)
 	out, nextGW := vc.hopLink(g.node, hop, hop.To != dstName)
 	g.branch(r, 0, out, nextGW, nil)
 	return r.branches[:1], false
@@ -652,9 +670,8 @@ func (g *Gateway) relay(p *vtime.Proc, a *mad.Arrival) int64 {
 	if n := len(payload); n > 0 {
 		g.packets++
 		g.bytes += int64(n)
-		m := vc.metrics()
-		m.Add("madgo_gateway_relayed_packets_total", g.gwLabels, 1)
-		m.Add("madgo_gateway_relayed_bytes_total", g.gwLabels, float64(n))
+		g.met.packets.Add(1)
+		g.met.bytes.Add(float64(n))
 	}
 
 	if f.meta.EOM {
@@ -733,7 +750,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	vc := g.vc
 	cfg := vc.cfg
 	tr := cfg.Tracer
-	m := vc.metrics()
+	m := &g.met
 	fr := vc.flightRing(g.name)
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
@@ -786,7 +803,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			// egress side and the receive thread had to wait.
 			g.stalls++
 			tr.Record(recvActor, "stall", 0, t0, p.Now())
-			m.ObserveDuration("madgo_gateway_stall_seconds", g.gwLabels, wait)
+			m.stall.ObserveDuration(wait)
 			fr.Record(flight.KindStall, p.Now(), wait, msgID, 0, inNet)
 		}
 		// Incoming-flow regulation (the paper's proposed future work):
@@ -838,12 +855,12 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		fr.Record(flight.KindRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, n, inNet)
 		g.packets++
 		g.bytes += int64(n)
-		m.Add("madgo_gateway_relayed_packets_total", g.gwLabels, 1)
-		m.Add("madgo_gateway_relayed_bytes_total", g.gwLabels, float64(n))
+		m.packets.Add(1)
+		m.bytes.Add(float64(n))
 		t0 = p.Now()
 		p.Sleep(host.CPU.SwapOverhead)
 		tr.Record(recvActor, "swap", 0, t0, p.Now())
-		m.ObserveDuration("madgo_gateway_swap_seconds", g.gwLabels, vtime.Since(p.Now(), t0))
+		m.swap.ObserveDuration(vtime.Since(p.Now(), t0))
 		fr.Record(flight.KindSwap, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
 		if local {
 			// The slot is recycled by the branch senders; the local copy
@@ -909,7 +926,7 @@ func (g *Gateway) recycle(p *vtime.Proc, r *relayRing, s *relaySlot, up string) 
 func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch, kind mad.Kind, msgID uint64, up string) {
 	vc := g.vc
 	tr := vc.cfg.Tracer
-	m := vc.metrics()
+	m := &g.met
 	fr := vc.flightRing(g.name)
 	st := vc.mcastst
 	outNet := b.out.Channel.Network().Name
@@ -944,13 +961,13 @@ func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch, kind 
 		if b.replicated() {
 			st.replicatedPkts++
 			st.replicatedBytes += int64(len(s.data))
-			m.Add("madgo_mcast_replicated_packets_total", g.gwLabels, 1)
-			m.Add("madgo_mcast_replicated_bytes_total", g.gwLabels, float64(len(s.data)))
+			m.replicatedPkts.Add(1)
+			m.replicatedBytes.Add(float64(len(s.data)))
 		}
 		t0 = sp.Now()
 		sp.Sleep(g.node.Host.CPU.SwapOverhead)
 		tr.Record(b.names.actor, "swap", 0, t0, sp.Now())
-		m.ObserveDuration("madgo_gateway_swap_seconds", g.gwLabels, vtime.Since(sp.Now(), t0))
+		m.swap.ObserveDuration(vtime.Since(sp.Now(), t0))
 		fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), msgID, 0, outNet)
 		eom := s.eom
 		s.refs--

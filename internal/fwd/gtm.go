@@ -26,6 +26,7 @@ import (
 
 	"madgo/internal/flight"
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
@@ -167,10 +168,7 @@ func (g *gtmPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Recv
 		}
 		g.vc.flowSpend(p, g.link.Dst.Name, g.node.Name, g.id)
 		g.link.Send(p, mad.TxMeta{Kind: mad.KindGTM, Blocks: desc}, data[off:off+n])
-		if m := g.vc.metrics(); m != nil {
-			m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
-				fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), n)
-		}
+		g.vc.hop(p, g.id, g.node.Name, "hop", obs.Detail{Form: hopVia, Peer: g.link.Dst.Name, Net: net}, n)
 	})
 }
 
@@ -236,8 +234,5 @@ func (g *gtmUnpacking) end(p *vtime.Proc) {
 		panic("fwd: protocol error: expected GTM message terminator")
 	}
 	g.link.ReleaseRecv(p)
-	if m := g.vc.metrics(); m != nil {
-		m.RecordHop(g.id, p.Now(), g.node.Name, "deliver",
-			"reassembled at "+g.node.Name, g.got)
-	}
+	g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
 }

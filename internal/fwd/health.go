@@ -126,9 +126,8 @@ func (hp *healthProber) probe(p *vtime.Proc, edge route.Edge) {
 func (e *relEngine) handleHealth(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	pr, ok := health.DecodeProbe(pkt)
 	if !ok {
-		e.checksumDrops++
 		e.trace("corrupt-drop", len(pkt), p.Now())
-		e.count("madgo_checksum_drops_total")
+		e.count(relChecksumDrops, 1)
 		return // the prober's timeout absorbs the loss
 	}
 	if pr.Kind == health.ProbeReq {
@@ -139,8 +138,7 @@ func (e *relEngine) handleHealth(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		if !e.hp.echoQ.TrySend(healthEcho{link: back, probe: pr.Response()}) {
 			// Backpressure: drop the reply; the prober times out and the
 			// monitor retries on its own schedule.
-			e.relayDrops++
-			e.count("madgo_relay_drops_total")
+			e.count(relRelayDrops, 1)
 		}
 		return
 	}

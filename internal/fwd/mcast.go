@@ -118,6 +118,25 @@ func mcastHdrDesc(n int) mad.BlockDesc {
 type mcastPlan struct {
 	tree *route.McastTree
 	mtu  int
+
+	messages, branches *obs.Counter // the root's series, labelled {node}
+}
+
+// BindMetrics binds the plan's series handles in m.
+func (pl *mcastPlan) BindMetrics(m *obs.Registry) {
+	node := obs.Labels{"node": pl.tree.Root}
+	pl.messages = m.BindCounter("madgo_mcast_messages_total", node)
+	pl.branches = m.BindCounter("madgo_mcast_branches_total", node)
+}
+
+// destsText is the destination list of a multicast pack record. A list is
+// the one thing a hop's fixed fields cannot hold, so it is joined at write
+// time — for an armed registry only.
+func destsText(m *obs.Registry, ds []string) string {
+	if m == nil {
+		return ""
+	}
+	return "{" + strings.Join(ds, ",") + "}"
 }
 
 // mcastState is the channel-wide multicast state: the plan cache and the
@@ -205,6 +224,7 @@ func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
 	pl := &mcastPlan{tree: tree, mtu: mtu}
 	st.plans[key] = pl
 	st.recomputes++
+	vc.sess.Platform.Instrument(pl)
 	return pl
 }
 
@@ -249,10 +269,7 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	}
 	sort.Strings(ds)
 	x := &mcastPacking{vc: vc, node: e.node, dests: ds, id: vc.nextMsgID()}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(x.id, p.Now(), e.node.Name, "pack",
-			fmt.Sprintf("mcast -> {%s}", strings.Join(ds, ",")), 0)
-	}
+	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: destsText(vc.metrics(), ds)}, 0)
 	return &Packing{x: x, id: x.id}
 }
 
@@ -269,13 +286,11 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 	st := vc.mcastst
 	pl := vc.mcastPlanFor(x.node.Name, x.dests)
 	st.messages++
-	m := vc.metrics()
-	nodeLabels := obs.Labels{"node": x.node.Name}
-	m.Add("madgo_mcast_messages_total", nodeLabels, 1)
+	pl.messages.Add(1)
 	for _, b := range pl.tree.Branches[x.node.Name] {
 		x.sendBranch(p, b, pl.mtu)
 		st.branches++
-		m.Add("madgo_mcast_branches_total", nodeLabels, 1)
+		pl.branches.Add(1)
 	}
 }
 
@@ -326,10 +341,8 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 		}
 		link.Send(p, mad.TxMeta{SOM: true, EOM: true, Kind: mad.KindMcast,
 			Blocks: append([]mad.BlockDesc{mcastHdrDesc(len(hdr))}, x.blockDescs()...)}, frame)
-		if m := vc.metrics(); m != nil {
-			m.RecordHop(x.id, p.Now(), x.node.Name, "hop",
-				fmt.Sprintf("%s -> %s via %s (mcast compact, %d dests)", x.node.Name, b.Hop.To, net, len(b.Dests)), x.total)
-		}
+		vc.hop(p, x.id, x.node.Name, "hop",
+			obs.Detail{Form: hopVia + " (mcast compact, ${a} dests)", Peer: b.Hop.To, Net: net, A: len(b.Dests)}, x.total)
 		return
 	}
 	// Streaming: header first, then MTU-sized fragments; the terminator
@@ -361,10 +374,8 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 				Blocks: []mad.BlockDesc{{Size: n, S: blk.s, R: blk.r}}}, blk.data[off:off+n])
 		})
 	}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(x.id, p.Now(), x.node.Name, "hop",
-			fmt.Sprintf("%s -> %s via %s (mcast, %d dests)", x.node.Name, b.Hop.To, net, len(b.Dests)), x.total)
-	}
+	vc.hop(p, x.id, x.node.Name, "hop",
+		obs.Detail{Form: hopVia + " (mcast, ${a} dests)", Peer: b.Hop.To, Net: net, A: len(b.Dests)}, x.total)
 }
 
 // mcastLocal is a fully captured multicast message a relaying gateway
@@ -446,9 +457,8 @@ func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, p
 	st := g.vc.mcastst
 	st.replicatedPkts++
 	st.replicatedBytes += int64(len(payload))
-	m := g.vc.metrics()
-	m.Add("madgo_mcast_replicated_packets_total", g.gwLabels, 1)
-	m.Add("madgo_mcast_replicated_bytes_total", g.gwLabels, float64(len(payload)))
+	g.met.replicatedPkts.Add(1)
+	g.met.replicatedBytes.Add(float64(len(payload)))
 	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.msgID, len(payload), b.out.Channel.Network().Name)
 	return append([]mad.BlockDesc{mcastHdrDesc(len(b.hdr))}, f.meta.Blocks[1:]...), frame
 }
@@ -475,6 +485,6 @@ func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byt
 // wakes up like for any other arrival).
 func (g *Gateway) mcastDeliverLocal(p *vtime.Proc, ml *mcastLocal) {
 	g.vc.mcastst.localDeliveries++
-	g.vc.metrics().Add("madgo_mcast_local_deliveries_total", g.nodeLabels, 1)
+	g.met.local.Add(1)
 	g.vc.merged[g.node.Rank].Send(p, incoming{mcast: ml})
 }

@@ -1,11 +1,14 @@
 package fwd_test
 
 import (
+	"runtime"
 	"testing"
 
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/topo"
+	"madgo/internal/trace"
 )
 
 // Steady-state relays must not touch the allocator: after the first message
@@ -73,5 +76,47 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 					after.Gets, after.Puts)
 			}
 		})
+	}
+}
+
+// The armed twin of the wall above: with a metrics registry and a tracer
+// recording, a relayed fragment still costs no allocation — the gateway's
+// series are handles bound once, hop records are fixed fields copied into a
+// chunk, spans go into the tracer's slice (DESIGN.md §19). Doubling a
+// message's fragment count must therefore add next to nothing: what remains
+// is amortised growth, one hop chunk per 256 records and the span slice's
+// doublings. The registry is armed after Build, the way internal/bench arms
+// it, so this is also the late-binding path.
+func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
+	cfg := fwd.DefaultConfig()
+	cfg.MTU = 8 << 10
+	cfg.PipelineDepth = 4
+	cfg.Tracer = trace.New()
+	w := build(t, paperHS(t), cfg)
+	reg := obs.New()
+	w.sess.Platform.SetMetrics(reg)
+
+	relay := func(size int) uint64 {
+		blocks := []block{{pattern(size, 7), mad.SendCheaper, mad.ReceiveCheaper}}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sendRecv(t, w, "a1", "b1", blocks)
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	const frags = 256
+	relay(2 * frags * cfg.MTU) // warm-up: rings, pools, handles, the first chunks
+	short, long := relay(frags*cfg.MTU), relay(2*frags*cfg.MTU)
+	perFrag := (float64(long) - float64(short)) / frags
+	t.Logf("armed relay: %d allocations for %d fragments, %d for %d: %.3f per extra fragment", short, frags, long, 2*frags, perFrag)
+	if perFrag > 0.1 {
+		t.Errorf("an armed relayed fragment costs %.2f allocations, want 0 (amortised)", perFrag)
+	}
+	gw := obs.Labels{"gateway": "gw"}
+	if got := reg.Counter("madgo_gateway_relayed_packets_total", gw); got != 5*frags {
+		t.Errorf("madgo_gateway_relayed_packets_total = %v, want %d: the late-armed registry missed writes", got, 5*frags)
+	}
+	if reg.HistogramCount("madgo_gateway_swap_seconds", gw) == 0 || len(cfg.Tracer.Spans()) == 0 || len(reg.Hops()) == 0 {
+		t.Error("the armed run recorded no swap observations, spans or hops; the wall would be vacuous")
 	}
 }

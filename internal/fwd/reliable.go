@@ -483,6 +483,9 @@ type relMsg struct {
 	total  uint32
 	frags  []relFrag // by fragment index, len == total
 	got    uint32    // fragments present
+	// payload is the bytes of the fragments present past fragment 0, the
+	// block descriptors: what the delivery hop record reports.
+	payload int
 	// agg marks a message whose payload is an aggregate frame (relFlagAgg):
 	// the unpacking side decodes the frame into its coalesced sub-messages
 	// instead of handing the message to the application directly.
@@ -615,21 +618,9 @@ type relEngine struct {
 	relayDRR *flow.DRR[relayItem]
 	relaySem *vsync.Sem
 
-	retransmits   int64
-	failovers     int64
-	msgResends    int64
-	relayedMsgs   int64
-	relayedPkts   int64
-	relayedBytes  int64
-	dups          int64
-	checksumDrops int64
-	relayDrops    int64
-	rxEvictions   int64 // partial reassemblies evicted at the relRxCap bound
-	// flowBackpressure counts flow-mode relay admissions refused at
-	// relRelayCap — lossless backpressure, the upstream ARQ retransmits.
-	flowBackpressure int64
-	ackPackets       int64 // standalone ack datagrams emitted
-	acksCoalesced    int64 // ack entries that avoided their own datagram
+	relayedMsgs  int64
+	relayedPkts  int64
+	relayedBytes int64
 
 	fr *flight.Ring // cached flight ring; nil until a recorder is armed
 
@@ -639,7 +630,12 @@ type relEngine struct {
 	awFree    []*relAwait   // completion slots
 	burstFree [][]*relAwait // per-burst slot lists, capacity Window
 	msgFree   []*relMsg     // reassembly records, fragment tables attached
-	labels    obs.Labels    // {"node": name}, built once
+
+	actor string // tracer lane "rel:<node>"
+	// The node's event counts, by the rel* indexes below: the tally the
+	// stats accessors read and its {node} series (BindMetrics).
+	tally    [len(relCounterNames)]int64
+	counters [len(relCounterNames)]*obs.Counter
 }
 
 // relTableKey identifies one cached constrained table of an engine: which
@@ -655,12 +651,8 @@ type relTableKey struct {
 func (e *relEngine) sim() *vtime.Sim { return e.vc.sess.Platform.Sim }
 
 func (e *relEngine) trace(op string, bytes int, at vtime.Time) {
-	if tr := e.vc.cfg.Tracer; tr != nil {
-		tr.Record("rel:"+e.node.Name, op, bytes, at, at)
-	}
+	e.vc.cfg.Tracer.Record(e.actor, op, bytes, at, at)
 }
-
-func (e *relEngine) metrics() *obs.Registry { return e.vc.sess.Platform.Metrics }
 
 // flight returns this node's flight-recorder ring, resolved lazily so a
 // recorder armed after Build is still picked up, then cached.
@@ -672,28 +664,53 @@ func (e *relEngine) flight() *flight.Ring {
 }
 
 // hop appends one provenance event for message id at this node.
-func (e *relEngine) hop(id uint64, at vtime.Time, op, detail string, bytes int) {
-	e.metrics().RecordHop(id, at, e.node.Name, op, detail, bytes)
+func (e *relEngine) hop(p *vtime.Proc, id uint64, op string, d obs.Detail, bytes int) {
+	e.vc.hop(p, id, e.node.Name, op, d, bytes)
 }
 
-// count bumps a per-node reliability counter (pre-registered at zero by
-// buildReliable so the series appear in snapshots even on clean runs).
-func (e *relEngine) count(name string) {
-	e.metrics().Add(name, e.labels, 1)
+// The per-node reliability counters, by index into relCounterNames.
+const (
+	relRetransmits = iota
+	relFailovers
+	relMsgResends
+	relDuplicates
+	relChecksumDrops
+	relRelayDrops
+	relRxEvictions   // partial reassemblies evicted at the relRxCap bound
+	relAckPackets    // standalone ack datagrams emitted
+	relAcksCoalesced // ack entries that avoided their own datagram
+	// relBackpressure counts flow-mode relay admissions refused at
+	// relRelayCap — lossless backpressure, the upstream ARQ retransmits.
+	relBackpressure
+)
+
+// relCounterNames are the per-node reliability counters, pre-registered at
+// zero by buildReliable so a snapshot of a clean run still shows the series.
+var relCounterNames = [...]string{
+	relRetransmits:   "madgo_retransmits_total",
+	relFailovers:     "madgo_failovers_total",
+	relMsgResends:    "madgo_message_resends_total",
+	relDuplicates:    "madgo_duplicates_total",
+	relChecksumDrops: "madgo_checksum_drops_total",
+	relRelayDrops:    "madgo_relay_drops_total",
+	relRxEvictions:   "madgo_rel_rx_evictions_total",
+	relAckPackets:    "madgo_rel_ack_packets_total",
+	relAcksCoalesced: "madgo_rel_acks_coalesced_total",
+	relBackpressure:  "madgo_flow_backpressure_total",
 }
 
-// relCounterNames are the per-node reliability counters, pre-registered so a
-// snapshot of a clean run still shows the series at zero.
-var relCounterNames = []string{
-	"madgo_retransmits_total",
-	"madgo_failovers_total",
-	"madgo_message_resends_total",
-	"madgo_duplicates_total",
-	"madgo_checksum_drops_total",
-	"madgo_relay_drops_total",
-	"madgo_rel_rx_evictions_total",
-	"madgo_rel_ack_packets_total",
-	"madgo_rel_acks_coalesced_total",
+// BindMetrics binds the node's counter series in m.
+func (e *relEngine) BindMetrics(m *obs.Registry) {
+	node := obs.Labels{"node": e.node.Name}
+	for i, name := range relCounterNames {
+		e.counters[i] = m.BindCounter(name, node)
+	}
+}
+
+// count adds n events to one of the node's counters.
+func (e *relEngine) count(i int, n int64) {
+	e.tally[i] += n
+	e.counters[i].Add(float64(n))
 }
 
 // buildReliable wires the reliable delivery machinery: one engine per node,
@@ -714,7 +731,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			dead:    make(map[route.Edge]vtime.Time),
 			suspect: make(map[string]vtime.Time),
 			tables:  make(map[relTableKey]*route.Table),
-			labels:  obs.Labels{"node": n.Name},
+			actor:   "rel:" + n.Name,
 			acks:    make(map[relAckKey]*relAwait),
 			e2e:     make(map[relMsgKey]*relAwait),
 			rx:      make(map[relMsgKey]*relMsg),
@@ -727,11 +744,13 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 		if vc.flowc != nil {
 			e.relayDRR = flow.NewDRR[relayItem](int64(vc.cfg.MTU))
 			e.relaySem = vsync.NewSem(0)
-			vc.metrics().Add("madgo_flow_backpressure_total", obs.Labels{"node": n.Name}, 0)
 		}
 		vc.rel[n.Name] = e
-		for _, name := range relCounterNames {
-			vc.metrics().Add(name, obs.Labels{"node": n.Name}, 0)
+		vc.sess.Platform.Instrument(e)
+		for i := range relCounterNames {
+			if i != relBackpressure || vc.flowc != nil {
+				e.count(i, 0)
+			}
 		}
 		for _, nwName := range n.Networks {
 			ep := vc.regular[nwName].At(node)
@@ -818,12 +837,9 @@ func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBloc
 	bo := pol.AckTimeout
 	for attempt := 0; attempt <= pol.MessageRetries; attempt++ {
 		if attempt > 0 {
-			e.msgResends++
 			e.trace("resend", 0, p.Now())
-			e.count("madgo_message_resends_total")
-			if e.metrics() != nil {
-				e.hop(id, p.Now(), "resend", fmt.Sprintf("attempt %d -> %s", attempt+1, dst), 0)
-			}
+			e.count(relMsgResends, 1)
+			e.hop(p, id, "resend", obs.Detail{Form: "attempt ${a} -> ${peer}", A: attempt + 1, Peer: dst}, 0)
 		}
 		aw := e.newAwait()
 		e.e2e[mkey] = aw
@@ -966,10 +982,7 @@ func (e *relEngine) forwardBatchExcluding(p *vtime.Proc, finalDst, exclude strin
 		}
 		ds = failed
 		e.markDead(hop, p.Now())
-		if e.metrics() != nil {
-			e.hop(ds[0].id, p.Now(), "failover",
-				fmt.Sprintf("link to %s via %s presumed dead", hop.To, hop.Network), 0)
-		}
+		e.hop(p, ds[0].id, "failover", obs.Detail{Form: "link to ${peer} via ${net} presumed dead", Peer: hop.To, Net: hop.Network}, 0)
 	}
 	return false
 }
@@ -998,9 +1011,7 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 		e.acks[ds[i].key()] = aw
 		aw.sentAt = p.Now()
 		e.sendData(p, link, &ds[i], i == len(ds)-1)
-		if e.metrics() != nil {
-			e.hop(ds[i].id, p.Now(), "hop", e.hopDetail(&ds[i], hop), len(ds[i].payload))
-		}
+		e.hop(p, ds[i].id, "hop", hopDetail(&ds[i], hop), len(ds[i].payload))
 	}
 	hopDead := false
 	for i := range ds {
@@ -1030,12 +1041,9 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 						break
 					}
 				}
-				e.retransmits++
 				e.trace("rexmit", len(ds[i].payload), p.Now())
-				e.count("madgo_retransmits_total")
-				if e.metrics() != nil {
-					e.hop(ds[i].id, p.Now(), "rexmit", e.hopDetail(&ds[i], hop), len(ds[i].payload))
-				}
+				e.count(relRetransmits, 1)
+				e.hop(p, ds[i].id, "rexmit", hopDetail(&ds[i], hop), len(ds[i].payload))
 				// The timed-out slot starts over (a late ack of the first
 				// transmission settles the retransmission just as well) and
 				// goes back under the key, which another sender of the same
@@ -1071,11 +1079,11 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 	return failed
 }
 
-func (e *relEngine) hopDetail(d *relData, hop route.Hop) string {
+func hopDetail(d *relData, hop route.Hop) obs.Detail {
 	if d.frag == e2eFrag {
-		return fmt.Sprintf("e2e-ack -> %s via %s", hop.To, hop.Network)
+		return obs.Detail{Form: "e2e-ack -> ${peer} via ${net}", Peer: hop.To, Net: hop.Network}
 	}
-	return fmt.Sprintf("frag %d -> %s via %s", d.frag, hop.To, hop.Network)
+	return obs.Detail{Form: "frag ${a} -> ${peer} via ${net}", A: int(d.frag), Peer: hop.To, Net: hop.Network}
 }
 
 // sendData encodes and transmits one packet over one link, piggybacking
@@ -1120,8 +1128,7 @@ func (e *relEngine) takePiggyback(link *mad.Link) []relAckKey {
 		return nil
 	}
 	n := min(len(pend), relAckBatchMax)
-	e.acksCoalesced += int64(n)
-	e.metrics().Add("madgo_rel_acks_coalesced_total", e.labels, float64(n))
+	e.count(relAcksCoalesced, int64(n))
 	return pend[:n]
 }
 
@@ -1334,9 +1341,8 @@ func (e *relEngine) currentDead(now vtime.Time) (route.Constraints, string) {
 // stays a legal destination over its other links. Both expire after
 // ReprobeAfter.
 func (e *relEngine) markDead(hop route.Hop, now vtime.Time) {
-	e.failovers++
 	e.trace("failover", 0, now)
-	e.count("madgo_failovers_total")
+	e.count(relFailovers, 1)
 	if mon := e.vc.mon; mon != nil {
 		// Exhausted retry budget is hard evidence: the monitor owns the
 		// state machine, the epoch bump, and the probation schedule that
@@ -1382,9 +1388,8 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	d, ok := decodeRelData(pkt)
 	if !ok {
-		e.checksumDrops++
 		e.trace("corrupt-drop", len(pkt), p.Now())
-		e.count("madgo_checksum_drops_total")
+		e.count(relChecksumDrops, 1)
 		e.vc.relBufs.put(pkt)
 		return // no ack: the sender retransmits
 	}
@@ -1402,12 +1407,8 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		// Without the ack the upstream retransmits, buries this link and
 		// reroutes — local knowledge propagates exactly as far as needed.
 		if _, ok := e.nextHop(finalName, ingress, p.Now()); !ok {
-			e.relayDrops++
-			e.count("madgo_relay_drops_total")
-			if e.metrics() != nil {
-				e.hop(d.id, p.Now(), "refuse",
-					fmt.Sprintf("no route to %s except back via %s", finalName, ingress), 0)
-			}
+			e.count(relRelayDrops, 1)
+			e.hop(p, d.id, "refuse", obs.Detail{Form: "no route to ${peer} except back via ${net}", Peer: finalName, Net: ingress}, 0)
 			e.vc.relBufs.put(pkt)
 			return
 		}
@@ -1422,7 +1423,7 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		e.hopAck(in, &d)
 		if aw := e.e2e[relMsgKey{origin: d.origin, id: d.id}]; aw != nil {
 			e.trace("e2e", 0, p.Now())
-			e.hop(d.id, p.Now(), "e2e", "end-to-end ack received", 0)
+			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
 			complete(aw)
 		}
 		e.vc.relBufs.put(pkt)
@@ -1442,20 +1443,16 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	if e.done[d.origin].has(d.id) {
 		// The whole message already arrived; the origin is resending
 		// because our end-to-end ack got lost. Re-ack.
-		e.dups++
 		e.trace("dup", len(d.payload), p.Now())
-		e.count("madgo_duplicates_total")
-		if e.metrics() != nil {
-			e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d after completion, re-acked", d.frag), len(d.payload))
-		}
+		e.count(relDuplicates, 1)
+		e.hop(p, d.id, "dup", obs.Detail{Form: "frag ${a} after completion, re-acked", A: int(d.frag)}, len(d.payload))
 		e.sendE2E(d.origin, d.id)
 		return false
 	}
 	m := e.rx[mkey]
 	if m == nil {
 		if d.total == 0 || d.total > relMaxFrags {
-			e.checksumDrops++
-			e.count("madgo_checksum_drops_total")
+			e.count(relChecksumDrops, 1)
 			return false
 		}
 		if len(e.rx) >= relRxCap {
@@ -1465,21 +1462,20 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		e.rx[mkey] = m
 	}
 	if d.frag >= m.total {
-		e.checksumDrops++
-		e.count("madgo_checksum_drops_total")
+		e.count(relChecksumDrops, 1)
 		return false
 	}
 	if m.frags[d.frag].buf != nil {
-		e.dups++
 		e.trace("dup", len(d.payload), p.Now())
-		e.count("madgo_duplicates_total")
-		if e.metrics() != nil {
-			e.hop(d.id, p.Now(), "dup", fmt.Sprintf("frag %d suppressed", d.frag), len(d.payload))
-		}
+		e.count(relDuplicates, 1)
+		e.hop(p, d.id, "dup", obs.Detail{Form: "frag ${a} suppressed", A: int(d.frag)}, len(d.payload))
 		return false
 	}
 	m.frags[d.frag] = relFrag{payload: d.payload, buf: d.buf}
 	m.got++
+	if d.frag > 0 {
+		m.payload += len(d.payload)
+	}
 	if m.got == m.total {
 		e.markDone(d.origin, d.id)
 		// The reassembled message now travels by reference through the
@@ -1489,14 +1485,7 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		if !e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) {
 			panic("fwd: merged arrival queue overflow on " + e.node.Name)
 		}
-		if e.metrics() != nil {
-			payload := 0
-			for _, f := range m.frags[1:] {
-				payload += len(f.payload)
-			}
-			e.hop(d.id, p.Now(), "deliver",
-				fmt.Sprintf("reassembled at %s (%d fragments)", e.node.Name, m.total), payload)
-		}
+		e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: int(m.total)}, m.payload)
 		e.sendE2E(d.origin, d.id)
 	}
 	return true
@@ -1559,12 +1548,8 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 	}
 	e.freeMsg(e.rx[victim])
 	delete(e.rx, victim)
-	e.rxEvictions++
-	e.count("madgo_rel_rx_evictions_total")
-	if e.metrics() != nil {
-		e.hop(victim.id, p.Now(), "evict",
-			fmt.Sprintf("partial reassembly evicted at cap %d", relRxCap), 0)
-	}
+	e.count(relRxEvictions, 1)
+	e.hop(p, victim.id, "evict", obs.Detail{Form: "partial reassembly evicted at cap ${a}", A: relRxCap}, 0)
 }
 
 // hopAck records the hop acknowledgement of one packet against its reverse
@@ -1606,15 +1591,13 @@ func (e *relEngine) sendE2E(origin mad.Rank, id uint64) {
 func (e *relEngine) enqueueRelay(it relayItem) bool {
 	if e.relayDRR == nil {
 		if !e.relayQ.TrySend(it) {
-			e.relayDrops++
-			e.count("madgo_relay_drops_total")
+			e.count(relRelayDrops, 1)
 			return false
 		}
 		return true
 	}
 	if e.relayDRR.Len() >= relRelayCap {
-		e.flowBackpressure++
-		e.metrics().Add("madgo_flow_backpressure_total", obs.Labels{"node": e.node.Name}, 1)
+		e.count(relBackpressure, 1)
 		return false
 	}
 	e.relayDRR.Push(it.from, it)
@@ -1635,7 +1618,9 @@ func (e *relEngine) relayRounds() int64 {
 func (e *relEngine) handleAck(pkt []byte) {
 	entries, ok := decodeRelAcks(pkt)
 	if !ok {
-		e.checksumDrops++
+		// Counted for DeliveryStats only: the series has never included
+		// corrupt acks, and the telemetry oracle pins it.
+		e.tally[relChecksumDrops]++
 		return
 	}
 	for off := 0; off < len(entries); off += relAckEntry {
@@ -1678,8 +1663,7 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 		}
 		for i := range requeue {
 			if !e.relayQ.TrySend(requeue[i]) {
-				e.relayDrops++
-				e.count("madgo_relay_drops_total")
+				e.count(relRelayDrops, 1)
 				e.vc.relBufs.put(requeue[i].d.buf)
 			}
 		}
@@ -1712,8 +1696,7 @@ func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
 			}
 		}
 	} else {
-		e.relayDrops++
-		e.count("madgo_relay_drops_total")
+		e.count(relRelayDrops, 1)
 	}
 	for i := range batch {
 		e.vc.relBufs.put(batch[i].buf)
@@ -1780,11 +1763,9 @@ func (e *relEngine) ctlLoop(p *vtime.Proc) {
 			pkt := e.vc.relBufs.get(relAcksLen(n))
 			putRelAcks(pkt, pend[:n])
 			e.settlePending(link, n)
-			e.ackPackets++
-			e.count("madgo_rel_ack_packets_total")
+			e.count(relAckPackets, 1)
 			if n > 1 {
-				e.acksCoalesced += int64(n - 1)
-				e.metrics().Add("madgo_rel_acks_coalesced_total", e.labels, float64(n-1))
+				e.count(relAcksCoalesced, int64(n-1))
 			}
 			e.sendControl(p, link, mad.KindRelAck, pkt)
 		}
@@ -1833,7 +1814,7 @@ func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 			s.DoneIDs += w.size()
 		}
 		s.RxPartials += len(e.rx)
-		s.RxEvictions += e.rxEvictions
+		s.RxEvictions += e.tally[relRxEvictions]
 	}
 	s.BufsTaken, s.BufsReturned, s.BufsFree = vc.relBufs.taken, vc.relBufs.returned, vc.relBufs.pooled()
 	return s
@@ -1857,8 +1838,8 @@ func (vc *VirtualChannel) AckStats() AckStats {
 	var s AckStats
 	for _, name := range vc.relOrder {
 		e := vc.rel[name]
-		s.Packets += e.ackPackets
-		s.Coalesced += e.acksCoalesced
+		s.Packets += e.tally[relAckPackets]
+		s.Coalesced += e.tally[relAcksCoalesced]
 	}
 	return s
 }
@@ -1869,12 +1850,12 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 	var s DeliveryStats
 	for _, name := range vc.relOrder {
 		e := vc.rel[name]
-		s.Retransmits += e.retransmits
-		s.Failovers += e.failovers
-		s.MessageResends += e.msgResends
-		s.Duplicates += e.dups
-		s.ChecksumDrops += e.checksumDrops
-		s.RelayDrops += e.relayDrops
+		s.Retransmits += e.tally[relRetransmits]
+		s.Failovers += e.tally[relFailovers]
+		s.MessageResends += e.tally[relMsgResends]
+		s.Duplicates += e.tally[relDuplicates]
+		s.ChecksumDrops += e.tally[relChecksumDrops]
+		s.RelayDrops += e.tally[relRelayDrops]
 	}
 	return s
 }

@@ -133,6 +133,19 @@ func TestReliableUnderCorruption(t *testing.T) {
 	if ds.ChecksumDrops == 0 {
 		t.Error("5% corruption run saw zero checksum drops")
 	}
+	// ChecksumDrops counts corrupt data packets, nonsense headers and
+	// corrupt ack datagrams alike. The counts are those of PR 15, when each
+	// was its own struct counter; at 20% a share of them are acks.
+	for _, c := range []struct {
+		seed int64
+		want int64
+	}{{7, 11}, {8, 16}, {9, 41}} {
+		w := buildFaulty(t, paperHS(t), nil, fault.NewPlan(c.seed).Corrupt("*", 0.2), fwd.DefaultConfig())
+		sendRecv(t, w, "a0", "b1", blocks)
+		if got := w.vc.DeliveryStats().ChecksumDrops; got != c.want {
+			t.Errorf("seed %d at 20%% corruption: %d checksum drops, want %d", c.seed, got, c.want)
+		}
+	}
 }
 
 // twoGateways is a topology with redundant gateways between the clusters.

@@ -37,6 +37,7 @@ package fwd
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"madgo/internal/flight"
 	"madgo/internal/mad"
@@ -200,8 +201,8 @@ type stripeState struct {
 	// netRate is the static bottleneck bandwidth of each network
 	// (bytes/s), from the bound NIC models.
 	netRate map[string]float64
-	// railRate is the measured per-rail goodput EWMA (bytes/s).
-	railRate map[railKey]float64
+	// rails is the per-(pair, rail) state, created by the rail's first use.
+	rails map[railKey]*railState
 	// lastFrac remembers the previous quota fractions per pair so a
 	// changed split can be counted as a rebalance.
 	lastFrac map[[2]string][]float64
@@ -213,6 +214,59 @@ type stripeState struct {
 	rebalances    int64
 	railFailovers int64
 	railBytes     map[int]int64
+
+	// The channel-wide counters' series handles, labelled {channel}.
+	channel                            string
+	messagesC, rebalancesC, failoversC *obs.Counter
+}
+
+// BindMetrics binds the channel-wide striping series in m.
+func (st *stripeState) BindMetrics(m *obs.Registry) {
+	channel := obs.Labels{"channel": st.channel}
+	st.messagesC = m.BindCounter("madgo_stripe_messages_total", channel)
+	st.rebalancesC = m.BindCounter("madgo_stripe_rebalance_total", channel)
+	st.failoversC = m.BindCounter("madgo_stripe_rail_failovers_total", channel)
+}
+
+// railState is one rail of one ordered pair: the measured goodput the
+// scheduler weighs it by, and what recording a send on it needs — names and
+// series handles built once instead of formatted per message.
+type railState struct {
+	key       railKey
+	rate      float64 // goodput EWMA in bytes/s, 0 until first measured
+	actor, op string  // tracer lane "stripe:<src>><dst>" and span name "rail<N>"
+
+	rateG  *obs.Gauge   // madgo_stripe_rail_rate_bytes_per_second{src,dst,rail}
+	bytesC *obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail}
+}
+
+// BindMetrics binds the rail's series handles in m.
+func (r *railState) BindMetrics(m *obs.Registry) {
+	n := strconv.Itoa(r.key.rail)
+	r.rateG = m.BindGauge("madgo_stripe_rail_rate_bytes_per_second", obs.Labels{"src": r.key.src, "dst": r.key.dst, "rail": n})
+	r.bytesC = m.BindCounter("madgo_stripe_rail_bytes_total", obs.Labels{"node": r.key.src, "rail": n})
+}
+
+// rail returns the record of one pair's rail, created by its first use.
+func (vc *VirtualChannel) rail(src, dst string, rail int) *railState {
+	key := railKey{src, dst, rail}
+	r := vc.stripe.rails[key]
+	if r == nil {
+		r = &railState{key: key, actor: "stripe:" + src + ">" + dst, op: "rail" + strconv.Itoa(rail)}
+		vc.stripe.rails[key] = r
+		vc.sess.Platform.Instrument(r)
+	}
+	return r
+}
+
+// spansText is the per-rail split of a stripe record. A list is the one thing
+// a hop's fixed fields cannot hold, so it is rendered at write time — for an
+// armed registry only.
+func spansText(m *obs.Registry, spans []int64) string {
+	if m == nil {
+		return ""
+	}
+	return fmt.Sprint(spans)
 }
 
 // stripeRx collects the rail sub-messages arriving at one node until a
@@ -244,13 +298,9 @@ type stripeRail struct {
 // stripeEWMAAlpha weights the newest goodput measurement of a rail.
 const stripeEWMAAlpha = 0.5
 
-// stripeCounterNames are the striping counters pre-registered at zero when
-// striping is armed, so snapshots show the series on unstriped runs too.
-var stripeCounterNames = []string{
-	"madgo_stripe_messages_total",
-	"madgo_stripe_rebalance_total",
-	"madgo_stripe_rail_failovers_total",
-}
+// stripeSplit is the sentence of a scheduling decision's hop record; ${note}
+// holds the per-rail byte spans (spansText).
+const stripeSplit = "split -> ${peer} over ${a} rails ${note}"
 
 // initStriping computes the static rail state at Build time: the static
 // network rates the scheduler falls back to before any goodput has been
@@ -260,9 +310,10 @@ var stripeCounterNames = []string{
 // channel per rail, so there a pair's rails are found when it first sends.
 func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 	st := &stripeState{
+		channel:   vc.Name,
 		kroutes:   make(map[[2]string][]route.Route),
 		netRate:   make(map[string]float64),
-		railRate:  make(map[railKey]float64),
+		rails:     make(map[railKey]*railState),
 		lastFrac:  make(map[[2]string][]float64),
 		rx:        make(map[mad.Rank]*stripeRx),
 		railBytes: make(map[int]int64),
@@ -289,9 +340,11 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 			}
 		}
 	}
-	for _, name := range stripeCounterNames {
-		vc.metrics().Add(name, obs.Labels{"channel": vc.Name}, 0)
-	}
+	// Registered at zero, so snapshots show the series on unstriped runs too.
+	vc.sess.Platform.Instrument(st)
+	st.messagesC.Add(0)
+	st.rebalancesC.Add(0)
+	st.failoversC.Add(0)
 }
 
 // stripeRoutes returns the rail set of one pair (nil when striping is off or
@@ -345,8 +398,8 @@ func (vc *VirtualChannel) routeRate(r route.Route) float64 {
 // railRateFor is a rail's scheduling rate: the measured goodput EWMA when
 // one exists, else the static bottleneck bandwidth.
 func (vc *VirtualChannel) railRateFor(src, dst string, rail int, r route.Route) float64 {
-	if w, ok := vc.stripe.railRate[railKey{src, dst, rail}]; ok {
-		return w
+	if sr := vc.stripe.rails[railKey{src, dst, rail}]; sr != nil && sr.rate > 0 {
+		return sr.rate
 	}
 	return vc.routeRate(r)
 }
@@ -357,14 +410,12 @@ func (vc *VirtualChannel) noteRailGoodput(src, dst string, rail int, bytes int64
 		return
 	}
 	measured := float64(bytes) / d.Seconds()
-	key := railKey{src, dst, rail}
-	if old, ok := vc.stripe.railRate[key]; ok {
-		measured = stripeEWMAAlpha*measured + (1-stripeEWMAAlpha)*old
+	sr := vc.rail(src, dst, rail)
+	if sr.rate > 0 {
+		measured = stripeEWMAAlpha*measured + (1-stripeEWMAAlpha)*sr.rate
 	}
-	vc.stripe.railRate[key] = measured
-	vc.metrics().Set("madgo_stripe_rail_rate_bytes_per_second", obs.Labels{
-		"src": src, "dst": dst, "rail": fmt.Sprintf("%d", rail),
-	}, vc.stripe.railRate[key])
+	sr.rate = measured
+	sr.rateG.Set(measured)
 }
 
 // noteStripePlan records one scheduling decision: it counts the striped
@@ -373,7 +424,7 @@ func (vc *VirtualChannel) noteRailGoodput(src, dst string, rail int, bytes int64
 func (vc *VirtualChannel) noteStripePlan(src, dst string, spans []int64, total int64) {
 	st := vc.stripe
 	st.messages++
-	vc.metrics().Add("madgo_stripe_messages_total", obs.Labels{"channel": vc.Name}, 1)
+	st.messagesC.Add(1)
 	frac := make([]float64, len(spans))
 	for i, s := range spans {
 		frac[i] = float64(s) / float64(total)
@@ -384,7 +435,7 @@ func (vc *VirtualChannel) noteStripePlan(src, dst string, spans []int64, total i
 			d := frac[i] - prev[i]
 			if d > 0.01 || d < -0.01 {
 				st.rebalances++
-				vc.metrics().Add("madgo_stripe_rebalance_total", obs.Labels{"channel": vc.Name}, 1)
+				st.rebalancesC.Add(1)
 				break
 			}
 		}
@@ -495,10 +546,8 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 			nrails++
 		}
 	}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(sx.id, p.Now(), src, "stripe",
-			fmt.Sprintf("split -> %s over %d rails %v", sx.dst, nrails, spans), int(sx.total))
-	}
+	vc.hop(p, sx.id, src, "stripe",
+		obs.Detail{Form: stripeSplit, Peer: sx.dst, A: nrails, Note: spansText(vc.metrics(), spans)}, int(sx.total))
 
 	// One process per active rail; the app process drives the first rail
 	// itself and joins the rest, so EndPacking returns when every rail
@@ -536,8 +585,7 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 	for _, rr := range runs {
 		vc.noteRailGoodput(src, sx.dst, rr.idx, rr.ln, rr.done.Sub(t0))
 		vc.stripe.railBytes[rr.idx] += rr.ln
-		vc.metrics().Add("madgo_stripe_rail_bytes_total",
-			obs.Labels{"node": src, "rail": fmt.Sprintf("%d", rr.idx)}, float64(rr.ln))
+		vc.rail(src, sx.dst, rr.idx).bytesC.Add(float64(rr.ln))
 	}
 }
 
@@ -607,10 +655,8 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 				Kind:   mad.KindStripe,
 				Blocks: []mad.BlockDesc{{Size: int(n), S: b.s, R: b.r}},
 			}, b.data[off-bStart:off-bStart+n])
-			if m := vc.metrics(); m != nil {
-				m.RecordHop(sx.id, p.Now(), sx.node.Name, "hop",
-					fmt.Sprintf("rail %d: %s -> %s via %s", rail, sx.node.Name, link.Dst.Name, net), int(n))
-			}
+			vc.hop(p, sx.id, sx.node.Name, "hop",
+				obs.Detail{Form: "rail ${a}: " + hopVia, A: rail, Peer: link.Dst.Name, Net: net}, int(n))
 			off += n
 		}
 	}
@@ -619,8 +665,8 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 	}
 	link.Send(p, mad.TxMeta{Kind: mad.KindStripe, EOM: true}, nil)
 	link.Release(p)
-	tr.Record(fmt.Sprintf("stripe:%s>%s", sx.node.Name, sx.dst), fmt.Sprintf("rail%d", rail),
-		int(spanLen), t0, p.Now())
+	sr := vc.rail(sx.node.Name, sx.dst, rail)
+	tr.Record(sr.actor, sr.op, int(spanLen), t0, p.Now())
 }
 
 // fallback replays the buffered blocks through the ordinary single-rail
@@ -636,10 +682,8 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 	hop := r[0]
 	if r.Direct() {
 		ep := vc.regular[hop.Network].At(sx.node)
-		if m := vc.metrics(); m != nil {
-			m.RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
-				fmt.Sprintf("direct -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
-		}
+		vc.hop(p, sx.id, sx.node.Name, "pack",
+			obs.Detail{Form: "direct -> ${peer} via ${net} (below stripe threshold)", Peer: sx.dst, Net: hop.Network}, 0)
 		px := ep.BeginPacking(p, vc.NodeRank(sx.dst))
 		for _, b := range sx.blocks {
 			px.Pack(p, b.data, b.s, b.r)
@@ -648,10 +692,8 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 		return
 	}
 	link, _ := vc.hopLink(sx.node, hop, true)
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
-			fmt.Sprintf("gtm -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
-	}
+	vc.hop(p, sx.id, sx.node.Name, "pack",
+		obs.Detail{Form: "gtm -> ${peer} via ${net} (below stripe threshold)", Peer: sx.dst, Net: hop.Network}, 0)
 	g := newGTMPacking(p, vc, sx.node, link, vc.NodeRank(sx.dst), sx.id)
 	for _, b := range sx.blocks {
 		g.pack(p, b.data, b.s, b.r)
@@ -694,10 +736,8 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		total += byteSpans[i]
 	}
 	vc.noteStripePlan(src, dst, byteSpans, total)
-	if e.metrics() != nil {
-		e.hop(ds[0].id, p.Now(), "stripe",
-			fmt.Sprintf("split -> %s over %d rails %v", dst, len(rails), byteSpans), int(total))
-	}
+	vc.hop(p, ds[0].id, src, "stripe",
+		obs.Detail{Form: stripeSplit, Peer: dst, A: len(rails), Note: spansText(vc.metrics(), byteSpans)}, int(total))
 
 	var residual []relData
 	failed := make([]bool, len(rails))
@@ -729,12 +769,9 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 				queues[ri] = nil
 				failed[ri] = true
 				vc.stripe.railFailovers++
-				vc.metrics().Add("madgo_stripe_rail_failovers_total",
-					obs.Labels{"channel": vc.Name}, 1)
-				if e.metrics() != nil {
-					e.hop(ds[0].id, rp.Now(), "rail-failover",
-						fmt.Sprintf("rail %d via %s dead, %d packets re-striped", ri, hop.Network, len(residual)), 0)
-				}
+				vc.stripe.failoversC.Add(1)
+				vc.hop(rp, ds[0].id, src, "rail-failover",
+					obs.Detail{Form: "rail ${a} via ${net} dead, ${b} packets re-striped", A: ri, Net: hop.Network, B: len(residual)}, 0)
 				return
 			}
 			for _, d := range chunk {
@@ -744,8 +781,7 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		if sent > 0 {
 			vc.noteRailGoodput(src, dst, ri, sent, rp.Now().Sub(t0))
 			vc.stripe.railBytes[ri] += sent
-			vc.metrics().Add("madgo_stripe_rail_bytes_total",
-				obs.Labels{"node": src, "rail": fmt.Sprintf("%d", ri)}, float64(sent))
+			vc.rail(src, dst, ri).bytesC.Add(float64(sent))
 		}
 	}
 	sim := vc.sess.Platform.Sim
@@ -785,13 +821,9 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		if bad := e.deliverBurst(p, rails[ri][0], chunk); len(bad) > 0 {
 			failed[ri] = true
 			vc.stripe.railFailovers++
-			vc.metrics().Add("madgo_stripe_rail_failovers_total",
-				obs.Labels{"channel": vc.Name}, 1)
-			if e.metrics() != nil {
-				e.hop(ds[0].id, p.Now(), "rail-failover",
-					fmt.Sprintf("rail %d via %s dead draining leftovers, %d packets re-striped",
-						ri, rails[ri][0].Network, len(bad)), 0)
-			}
+			vc.stripe.failoversC.Add(1)
+			vc.hop(p, ds[0].id, src, "rail-failover", obs.Detail{A: ri, Net: rails[ri][0].Network, B: len(bad),
+				Form: "rail ${a} via ${net} dead draining leftovers, ${b} packets re-striped"}, 0)
 			residual = append(bad, residual...)
 		}
 	}
@@ -981,8 +1013,6 @@ func (su *stripeUnpacking) end(p *vtime.Proc) {
 				rl.hdr.rail, rl.consumed, rl.hdr.spanLen))
 		}
 	}
-	if m := su.vc.metrics(); m != nil {
-		m.RecordHop(su.g.key.id, p.Now(), su.node.Name, "deliver",
-			fmt.Sprintf("reassembled at %s from %d rails", su.node.Name, len(su.g.rails)), int(su.got))
-	}
+	su.vc.hop(p, su.g.key.id, su.node.Name, "deliver",
+		obs.Detail{Form: hopReassembled + " from ${a} rails", A: len(su.g.rails)}, int(su.got))
 }

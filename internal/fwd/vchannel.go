@@ -284,6 +284,18 @@ func (vc *VirtualChannel) nextMsgID() uint64 {
 // metrics returns the platform's registry (nil records nothing).
 func (vc *VirtualChannel) metrics() *obs.Registry { return vc.sess.Platform.Metrics }
 
+// hop appends one event to message id's provenance log: the fixed fields
+// only, the sentence is put together by whoever reads the log (DESIGN.md §19).
+func (vc *VirtualChannel) hop(p *vtime.Proc, id uint64, node, op string, d obs.Detail, bytes int) {
+	vc.metrics().RecordHopDetail(id, p.Now(), node, op, d, bytes)
+}
+
+// Sentences several hop records share (obs.Detail.Form).
+const (
+	hopVia         = "${node} -> ${peer} via ${net}"
+	hopReassembled = "reassembled at ${node}"
+)
+
 // flight returns the platform's flight recorder (nil records nothing).
 func (vc *VirtualChannel) flight() *flight.Recorder { return vc.sess.Platform.Flight }
 
@@ -616,9 +628,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	if e.vc.cfg.Aggregation {
 		if r, ok := e.vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
 			ax := newAggPacking(e.vc, e.node, dst)
-			if m := e.vc.metrics(); m != nil {
-				m.RecordHop(ax.id, p.Now(), e.node.Name, "pack", "agg -> "+dst, 0)
-			}
+			e.vc.hop(p, ax.id, e.node.Name, "pack", obs.Detail{Form: "agg -> ${peer}", Peer: dst}, 0)
 			return &Packing{x: ax, id: ax.id}
 		}
 	}
@@ -630,20 +640,15 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 			panic("fwd: unknown destination " + dst)
 		}
 		rp := newRelPacking(e.vc.rel[e.node.Name], dst)
-		if m := e.vc.metrics(); m != nil {
-			m.RecordHop(rp.id, p.Now(), e.node.Name, "pack", "reliable -> "+dst, 0)
-		}
+		e.vc.hop(p, rp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
 		return &Packing{x: rp, id: rp.id}
 	}
 	// Striping: when the pair has at least two disjoint rails, buffer the
 	// message and let EndPacking split it (or fall back to the single-rail
 	// path below the size threshold).
-	if len(e.vc.stripeRoutes(e.node.Name, dst)) >= 2 {
+	if rails := len(e.vc.stripeRoutes(e.node.Name, dst)); rails >= 2 {
 		sx := newStripePacking(e.vc, e.node, dst)
-		if m := e.vc.metrics(); m != nil {
-			m.RecordHop(sx.id, p.Now(), e.node.Name, "pack",
-				fmt.Sprintf("stripe -> %s (%d rails)", dst, len(e.vc.stripeRoutes(e.node.Name, dst))), 0)
-		}
+		e.vc.hop(p, sx.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
 		return &Packing{x: sx, id: sx.id}
 	}
 	r, ok := e.vc.tbl.Lookup(e.node.Name, dst)
@@ -654,26 +659,17 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	if r.Direct() {
 		ep := e.vc.regular[hop.Network].At(e.node)
 		id := e.vc.nextMsgID()
-		if m := e.vc.metrics(); m != nil {
-			m.RecordHop(id, p.Now(), e.node.Name, "pack",
-				fmt.Sprintf("direct -> %s via %s", dst, hop.Network), 0)
-		}
+		e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "direct -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
 		return &Packing{x: (*plainPacking)(ep.BeginPacking(p, e.vc.NodeRank(dst))), id: id}
 	}
 	link, _ := e.vc.hopLink(e.node, hop, true)
 	if e.vc.cfg.Eager {
 		g := newEagerPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-		if m := e.vc.metrics(); m != nil {
-			m.RecordHop(g.id, p.Now(), e.node.Name, "pack",
-				fmt.Sprintf("eager -> %s via %s", dst, hop.Network), 0)
-		}
+		e.vc.hop(p, g.id, e.node.Name, "pack", obs.Detail{Form: "eager -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
 		return &Packing{x: g, id: g.id}
 	}
 	g := newGTMPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-	if m := e.vc.metrics(); m != nil {
-		m.RecordHop(g.id, p.Now(), e.node.Name, "pack",
-			fmt.Sprintf("gtm -> %s via %s", dst, hop.Network), 0)
-	}
+	e.vc.hop(p, g.id, e.node.Name, "pack", obs.Detail{Form: "gtm -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
 	return &Packing{x: g, id: g.id}
 }
 

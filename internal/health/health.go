@@ -160,17 +160,17 @@ type LinkHealth struct {
 
 // link is the per-edge detector record.
 type link struct {
-	labels       obs.Labels // {"link": edge}, built once: the gauges of this edge
-	state        State
-	score        float64
-	rtt          vtime.Duration // EWMA, 0 until first measurement
-	since        vtime.Time
-	lastEvidence vtime.Time
-	probePending bool // a probe is scheduled or in flight
-	probeFails   int  // consecutive probe failures
-	okProbes     int  // consecutive probation successes
-	deaths       int  // lifetime death count, for probe-delay damping
-	gaveUp       bool // probing abandoned after ProbeGiveUp failures
+	scoreG, stateG *obs.Gauge // this edge's gauges, bound with the record; nil without a registry
+	state          State
+	score          float64
+	rtt            vtime.Duration // EWMA, 0 until first measurement
+	since          vtime.Time
+	lastEvidence   vtime.Time
+	probePending   bool // a probe is scheduled or in flight
+	probeFails     int  // consecutive probe failures
+	okProbes       int  // consecutive probation successes
+	deaths         int  // lifetime death count, for probe-delay damping
+	gaveUp         bool // probing abandoned after ProbeGiveUp failures
 }
 
 // Monitor is the failure detector plus its routing side: it owns the
@@ -180,7 +180,6 @@ type link struct {
 type Monitor struct {
 	cfg      Config
 	mgr      *route.Manager
-	met      *obs.Registry
 	schedule func(vtime.Duration, func()) // vtime.Sim.After
 	sink     func(route.Edge)             // forwarding layer's probe queue
 	now      func() vtime.Time
@@ -196,6 +195,12 @@ type Monitor struct {
 	probes       int64
 	probeFails   int64
 	readmissions int64
+
+	// Series handles, bound once by NewMonitor (all nil, recording nothing,
+	// without a registry).
+	probesC, probeFailsC, readmissionsC, transitionsC *obs.Counter
+	transitionsTo                                     [Probation + 1]*obs.Counter
+	epochG, deadLinksG                                *obs.Gauge
 }
 
 // NewMonitor builds a monitor over every directed edge of the primary (and
@@ -208,7 +213,6 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 	m := &Monitor{
 		cfg:      cfg.withDefaults(),
 		mgr:      route.NewManager(primary, fallback),
-		met:      met,
 		schedule: schedule,
 		now:      now,
 		links:    make(map[route.Edge]*link),
@@ -229,7 +233,13 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 					if _, ok := m.links[e]; ok {
 						continue
 					}
-					m.links[e] = &link{state: Up, score: 1, labels: obs.Labels{"link": e.String()}}
+					l := &link{state: Up, score: 1}
+					if met != nil {
+						labels := obs.Labels{"link": e.String()}
+						l.scoreG = met.BindGauge("madgo_health_link_score", labels)
+						l.stateG = met.BindGauge("madgo_health_link_state", labels)
+					}
+					m.links[e] = l
 					m.order = append(m.order, e)
 					m.byFrom[from] = append(m.byFrom[from], e)
 				}
@@ -241,11 +251,20 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 		es := edges
 		sort.Slice(es, func(i, j int) bool { return es[i].String() < es[j].String() })
 	}
-	m.met.Add("madgo_health_probes_total", nil, 0)
-	m.met.Add("madgo_health_probe_failures_total", nil, 0)
-	m.met.Add("madgo_health_readmissions_total", nil, 0)
-	m.met.Add("madgo_health_transitions_total", nil, 0)
-	m.met.Set("madgo_route_epoch", nil, float64(m.mgr.Epoch()))
+	m.probesC = met.BindCounter("madgo_health_probes_total", nil)
+	m.probeFailsC = met.BindCounter("madgo_health_probe_failures_total", nil)
+	m.readmissionsC = met.BindCounter("madgo_health_readmissions_total", nil)
+	m.transitionsC = met.BindCounter("madgo_health_transitions_total", nil)
+	for to := range m.transitionsTo {
+		m.transitionsTo[to] = met.BindCounter("madgo_health_transitions_total", obs.Labels{"to": State(to).String()})
+	}
+	m.epochG = met.BindGauge("madgo_route_epoch", nil)
+	m.deadLinksG = met.BindGauge("madgo_health_dead_links", nil)
+	// Registered at zero so a clean run's snapshot still shows them.
+	for _, c := range [...]*obs.Counter{m.probesC, m.probeFailsC, m.readmissionsC, m.transitionsC} {
+		c.Add(0)
+	}
+	m.epochG.Set(float64(m.mgr.Epoch()))
 	return m
 }
 
@@ -373,7 +392,7 @@ func (m *Monitor) ProbeResult(e route.Edge, ok bool, rtt vtime.Duration, now vti
 	}
 	l.probePending = false
 	m.probes++
-	m.met.Add("madgo_health_probes_total", nil, 1)
+	m.probesC.Add(1)
 	if ok {
 		if rtt > 0 {
 			if l.rtt == 0 {
@@ -386,7 +405,7 @@ func (m *Monitor) ProbeResult(e route.Edge, ok bool, rtt vtime.Duration, now vti
 		return
 	}
 	m.probeFails++
-	m.met.Add("madgo_health_probe_failures_total", nil, 1)
+	m.probeFailsC.Add(1)
 	m.probeFail(e, l, now)
 }
 
@@ -417,7 +436,7 @@ func (m *Monitor) Heartbeats(from string, now vtime.Time) {
 func (m *Monitor) observe(e route.Edge, l *link, outcome float64, now vtime.Time) {
 	l.score = (1-m.cfg.Alpha)*l.score + m.cfg.Alpha*outcome
 	l.lastEvidence = now
-	m.met.Set("madgo_health_link_score", l.labels, l.score)
+	l.scoreG.Set(l.score)
 	switch l.state {
 	case Up:
 		if l.score < m.cfg.SuspectBelow {
@@ -451,7 +470,7 @@ func (m *Monitor) die(e route.Edge, l *link, now vtime.Time) {
 	l.deaths++
 	l.score = 0
 	l.okProbes = 0
-	m.met.Set("madgo_health_link_score", l.labels, 0)
+	l.scoreG.Set(0)
 	m.transition(e, l, Dead, now)
 	m.publish(now)
 	m.fireProbe(e, l, m.probeDelay(l))
@@ -488,7 +507,7 @@ func (m *Monitor) probeOK(e route.Edge, l *link, rtt vtime.Duration, now vtime.T
 			l.score = 1
 			l.okProbes = 0
 			m.readmissions++
-			m.met.Add("madgo_health_readmissions_total", nil, 1)
+			m.readmissionsC.Add(1)
 			m.transition(e, l, Up, now)
 			m.publish(now)
 		} else {
@@ -557,9 +576,9 @@ func (m *Monitor) transition(e route.Edge, l *link, to State, now vtime.Time) {
 	l.state = to
 	l.since = now
 	m.log = append(m.log, Transition{At: now, Link: e, From: from, To: to, Epoch: m.mgr.Epoch()})
-	m.met.Add("madgo_health_transitions_total", nil, 1)
-	m.met.Add("madgo_health_transitions_total", obs.Labels{"to": to.String()}, 1)
-	m.met.Set("madgo_health_link_state", l.labels, float64(to))
+	m.transitionsC.Add(1)
+	m.transitionsTo[to].Add(1)
+	l.stateG.Set(float64(to))
 }
 
 // publish recomputes the routing exclusions from the link states and pushes
@@ -583,8 +602,8 @@ func (m *Monitor) publish(now vtime.Time) {
 	if len(m.log) > 0 && m.log[len(m.log)-1].At == now {
 		m.log[len(m.log)-1].Epoch = ep
 	}
-	m.met.Set("madgo_route_epoch", nil, float64(ep))
-	m.met.Set("madgo_health_dead_links", nil, float64(len(dead)))
+	m.epochG.Set(float64(ep))
+	m.deadLinksG.Set(float64(len(dead)))
 	if m.onEpoch != nil {
 		m.onEpoch(ep, now)
 	}

@@ -14,6 +14,7 @@ import (
 // the test fires explicitly, so every timing decision is observable.
 type testRig struct {
 	mon   *Monitor
+	reg   *obs.Registry
 	now   vtime.Time
 	timer []struct {
 		at vtime.Time
@@ -34,8 +35,8 @@ func newRig(t *testing.T, cfg Config) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &testRig{}
-	r.mon = NewMonitor(cfg, tp, nil, obs.New(),
+	r := &testRig{reg: obs.New()}
+	r.mon = NewMonitor(cfg, tp, nil, r.reg,
 		func(d vtime.Duration, fn func()) {
 			r.timer = append(r.timer, struct {
 				at vtime.Time
@@ -346,12 +347,11 @@ func TestReportSuccessDisarmedAllocsNothing(t *testing.T) {
 	}
 }
 
-// The label cached on the edge record is the one the armed registry always
-// saw: the gauges stay addressable by the edge's string form.
+// The handles bound with the edge record are the series the armed registry
+// always saw: the gauges stay addressable by the edge's string form.
 func TestHealthGaugesKeepTheirLabels(t *testing.T) {
-	reg := obs.New()
 	r := newRig(t, Config{})
-	r.mon.met = reg
+	reg := r.reg
 	r.mon.ReportFailure(edgeAB, r.now)
 	r.mon.ReportDead(edgeAB, r.now)
 	l := obs.Labels{"link": "a0>gw@sci0"}

@@ -104,22 +104,39 @@ type Platform struct {
 	Flight   *flight.Recorder
 	hosts    map[string]*Host
 	networks []*Network
+	bound    []Instrumented // everything holding series handles, in Instrument order
 }
+
+// Instrumented is an object that writes metrics through series handles it
+// keeps; BindMetrics binds them in m (a nil m binds nil handles).
+type Instrumented interface{ BindMetrics(m *obs.Registry) }
 
 // NewPlatform creates a platform on the given simulation.
 func NewPlatform(sim *vtime.Sim) *Platform {
-	return &Platform{Sim: sim, Engine: fluid.NewEngine(sim), hosts: make(map[string]*Host)}
+	pl := &Platform{Sim: sim, Engine: fluid.NewEngine(sim), hosts: make(map[string]*Host)}
+	pl.Instrument(pl.Engine)
+	return pl
 }
 
-// SetMetrics arms a metrics registry on the platform and everything hanging
-// off it: the fluid engine's flow accounting, the fault injector's verdict
-// counters (when one is armed), and the registry's clock.
+// Instrument binds x's series handles in the platform's registry, now if one
+// is armed and again whenever SetMetrics arms another. It is the one place
+// that knows a registry may arrive after the objects that write to it: they
+// call Instrument when they are built and then just write (DESIGN.md §19).
+func (pl *Platform) Instrument(x Instrumented) {
+	pl.bound = append(pl.bound, x)
+	if pl.Metrics != nil {
+		x.BindMetrics(pl.Metrics)
+	}
+}
+
+// SetMetrics arms a metrics registry on the platform: it gets the simulation
+// clock, and everything instrumented so far (the fluid engine, hosts, links,
+// an armed fault injector, the forwarding layer) rebinds its handles in it.
 func (pl *Platform) SetMetrics(m *obs.Registry) {
 	pl.Metrics = m
-	pl.Engine.Metrics = m
 	m.SetClock(pl.Sim.Now)
-	if pl.Faults != nil {
-		pl.Faults.SetMetrics(m)
+	for _, x := range pl.bound {
+		x.BindMetrics(m)
 	}
 }
 
@@ -149,9 +166,7 @@ func (pl *Platform) ArmFaults(inj *fault.Injector) {
 		panic("hw: ArmFaults called twice")
 	}
 	pl.Faults = inj
-	if pl.Metrics != nil {
-		inj.SetMetrics(pl.Metrics)
-	}
+	pl.Instrument(inj)
 	tr := inj.Tracer()
 	for _, w := range inj.Windows() {
 		w := w
@@ -187,9 +202,10 @@ type Host struct {
 	Bus  *fluid.Resource
 	CPU  CPUParams
 
-	platform *Platform
-	copies   int64
-	copied   int64 // bytes
+	copies int64
+	copied int64 // bytes
+
+	memcpys, memcpyBytes *obs.Counter // the copy accounting's series (BindMetrics)
 }
 
 // NewHost registers a machine. Host names must be unique.
@@ -198,13 +214,20 @@ func (pl *Platform) NewHost(name string, cpu CPUParams, pci PCIParams) *Host {
 		panic("hw: duplicate host " + name)
 	}
 	h := &Host{
-		Name:     name,
-		Bus:      pl.Engine.NewResource("pci:"+name, pci.AggregateCapacity, pci.Policy()),
-		CPU:      cpu,
-		platform: pl,
+		Name: name,
+		Bus:  pl.Engine.NewResource("pci:"+name, pci.AggregateCapacity, pci.Policy()),
+		CPU:  cpu,
 	}
 	pl.hosts[name] = h
+	pl.Instrument(h)
 	return h
+}
+
+// BindMetrics binds the host's copy accounting series in m.
+func (h *Host) BindMetrics(m *obs.Registry) {
+	labels := obs.Labels{"node": h.Name}
+	h.memcpys = m.BindCounter("madgo_memcpy_total", labels)
+	h.memcpyBytes = m.BindCounter("madgo_memcpy_bytes_total", labels)
 }
 
 // Host looks up a registered machine.
@@ -226,8 +249,8 @@ func (h *Host) Memcpy(p *vtime.Proc, n int) {
 	}
 	h.copies++
 	h.copied += int64(n)
-	h.platform.Metrics.Add("madgo_memcpy_total", obs.Labels{"node": h.Name}, 1)
-	h.platform.Metrics.Add("madgo_memcpy_bytes_total", obs.Labels{"node": h.Name}, float64(n))
+	h.memcpys.Add(1)
+	h.memcpyBytes.Add(float64(n))
 	if n > 0 {
 		p.Sleep(vtime.DurationOfBytes(int64(n), h.CPU.MemcpyRate))
 	}

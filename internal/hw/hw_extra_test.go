@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"madgo/internal/fluid"
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
@@ -94,5 +95,42 @@ func TestWriteCombiningBoundary(t *testing.T) {
 	}
 	if sci.EffectiveSendRate(sci.WCChunk) != sci.SendEngineRate {
 		t.Error("chunk-sized writes must combine")
+	}
+}
+
+// TestSetMetricsRebindsWhatWasInstrumented: a registry may be armed before
+// or after the objects that write to it, and re-armed; whichever is armed at
+// the time of a write gets it, and only SetMetrics knows (DESIGN.md §19).
+func TestSetMetricsRebindsWhatWasInstrumented(t *testing.T) {
+	pl := NewPlatform(vtime.New())
+	early := pl.NewHost("early", DefaultCPU(), DefaultPCI())
+	first, second := obs.New(), obs.New()
+	copyOn := func(hosts ...*Host) {
+		pl.Sim.Spawn("copy", func(p *vtime.Proc) {
+			for _, h := range hosts {
+				h.Memcpy(p, 8)
+			}
+		})
+		if err := pl.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyOn(early) // disarmed: counted on the host only
+	pl.SetMetrics(first)
+	late := pl.NewHost("late", DefaultCPU(), DefaultPCI())
+	copyOn(early, late)
+	pl.SetMetrics(second)
+	copyOn(late)
+	for _, c := range []struct {
+		reg  *obs.Registry
+		node string
+		want float64
+	}{{first, "early", 1}, {first, "late", 1}, {second, "early", 0}, {second, "late", 1}} {
+		if got := c.reg.Counter("madgo_memcpy_total", obs.Labels{"node": c.node}); got != c.want {
+			t.Errorf("madgo_memcpy_total{node=%q} = %v, want %v", c.node, got, c.want)
+		}
+	}
+	if early.Copies() != 2 || late.Copies() != 2 {
+		t.Errorf("host counters = %d, %d, want 2, 2", early.Copies(), late.Copies())
 	}
 }

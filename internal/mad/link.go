@@ -184,9 +184,12 @@ type Link struct {
 
 	// Constants of the link, built once: what every Send would otherwise
 	// format and allocate anew.
-	flowName   string       // fluid.Spec name of the link's transfers
-	route      [3]fluid.Hop // sender bus → wire → receiver bus
-	sendLabels obs.Labels   // labels of the madgo_link_send_* series
+	flowName string       // fluid.Spec name of the link's transfers
+	route    [3]fluid.Hop // sender bus → wire → receiver bus
+
+	// Handles of the madgo_link_send_* series (BindMetrics).
+	sends, sendBytes *obs.Counter
+	sendSeconds      *obs.Histogram
 
 	// Wire events leave in the order they were queued — the wire latency
 	// is one constant per link — so one callback, bound once, serves them
@@ -211,8 +214,7 @@ func newLink(ch *Channel, src, dst *Node) *Link {
 		wire:    ch.net.Wire(src.Name, dst.Name),
 		mailbox: vsync.NewChan[*transmission]("mbox:"+name, 4096),
 
-		flowName:   name,
-		sendLabels: obs.Labels{"net": ch.net.Name, "node": src.Name},
+		flowName: name,
 	}
 	l.route = [3]fluid.Hop{
 		{R: src.Host.Bus, Class: nic.SendBusClass},
@@ -223,6 +225,7 @@ func newLink(ch *Channel, src, dst *Node) *Link {
 	if nic.EagerCredits > 0 {
 		l.credits = vsync.NewSem(nic.EagerCredits)
 	}
+	src.Session.Platform.Instrument(l)
 	return l
 }
 
@@ -250,8 +253,13 @@ func (l *Link) ReleaseRecv(p *vtime.Proc) { l.recvMu.Unlock(p) }
 // injection is off).
 func (l *Link) faults() *fault.Injector { return l.Src.Session.Platform.Faults }
 
-// metrics returns the platform's metrics registry (nil records nothing).
-func (l *Link) metrics() *obs.Registry { return l.Src.Session.Platform.Metrics }
+// BindMetrics binds the link's series handles in m.
+func (l *Link) BindMetrics(m *obs.Registry) {
+	labels := obs.Labels{"net": l.Channel.net.Name, "node": l.Src.Name}
+	l.sends = m.BindCounter("madgo_link_sends_total", labels)
+	l.sendBytes = m.BindCounter("madgo_link_send_bytes_total", labels)
+	l.sendSeconds = m.BindHistogram("madgo_link_send_seconds", labels)
+}
 
 // flight returns the source node's flight-recorder ring, looked up lazily
 // so a recorder armed after the link was built is still picked up; once
@@ -330,13 +338,11 @@ func (l *Link) recycle(tx *transmission) {
 // only for a Reliable transmission the fault injector dropped or cancelled:
 // the buffer was not handed over and is still the caller's.
 func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) bool {
-	m := l.metrics()
-	labels := l.sendLabels
-	m.Add("madgo_link_sends_total", labels, 1)
-	m.Add("madgo_link_send_bytes_total", labels, float64(len(data)))
+	l.sends.Add(1)
+	l.sendBytes.Add(float64(len(data)))
 	t0 := p.Now()
 	sent := l.send(p, meta, data)
-	m.ObserveDuration("madgo_link_send_seconds", labels, vtime.Since(p.Now(), t0))
+	l.sendSeconds.ObserveDuration(vtime.Since(p.Now(), t0))
 	l.flight().Record(flight.KindWire, p.Now(), vtime.Since(p.Now(), t0), 0, len(data), l.Channel.net.Name)
 	return sent
 }

@@ -1,16 +1,20 @@
 package obs
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
-// Histogram is a log-bucketed histogram: bucket boundaries grow by a factor
-// of 2^(1/histSub) from histBase, so the quantile estimator's relative error
-// is bounded by one sub-octave (≈9%) and the estimator is exact for
-// constant-valued series (it clamps to the observed min/max). Values are
-// arbitrary nonnegative floats; durations are observed in seconds.
-type Histogram struct {
-	name    string
-	labels  Labels
-	buckets map[int]int64 // index i covers (upper(i-1), upper(i)]
+// histogram is the state of a log-bucketed histogram series: bucket
+// boundaries grow by a factor of 2^(1/histSub) from histBase, so the quantile
+// estimator's relative error is bounded by one sub-octave (≈9%) and the
+// estimator is exact for constant-valued series (it clamps to the observed
+// min/max). Values are arbitrary nonnegative floats; durations are observed
+// in seconds. The buckets are a fixed array behind the histogram's own lock,
+// so an observation neither allocates nor touches the registry.
+type histogram struct {
+	mu      sync.Mutex
+	buckets [histBuckets]int64 // index i covers (upper(i-1), upper(i)]
 	count   int64
 	sum     float64
 	min     float64
@@ -23,18 +27,19 @@ const (
 	histBase = 1e-9
 	// histSub is the number of buckets per octave (factor-of-two span).
 	histSub = 8
+	// histOverflow is the index of the bucket past the 44 octaves from 1 ns
+	// to 2^44 ns (4.9 hours of virtual time): larger and infinite values are
+	// counted there, and only the +Inf line of a snapshot includes them.
+	histOverflow = 44*histSub + 1
+	histBuckets  = histOverflow + 1
 )
 
-func newHistogram(name string, labels Labels) *Histogram {
-	return &Histogram{name: name, labels: labels, buckets: make(map[int]int64)}
-}
-
-// bucketIndex returns the index of the bucket containing v.
+// bucketIndex returns the index of the bucket containing v (NaN counts as 0).
 func bucketIndex(v float64) int {
-	if v <= histBase {
+	if !(v > histBase) {
 		return 0
 	}
-	return int(math.Ceil(math.Log2(v/histBase) * histSub))
+	return int(math.Min(math.Ceil(math.Log2(v/histBase)*histSub), histOverflow))
 }
 
 // bucketUpper returns the inclusive upper bound of bucket i.
@@ -42,10 +47,8 @@ func bucketUpper(i int) float64 {
 	return histBase * math.Pow(2, float64(i)/histSub)
 }
 
-func (h *Histogram) observe(v float64) {
-	if v < 0 {
-		panic("obs: negative histogram observation on " + h.name)
-	}
+func (h *histogram) observe(v float64) {
+	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -55,78 +58,41 @@ func (h *Histogram) observe(v float64) {
 	h.count++
 	h.sum += v
 	h.buckets[bucketIndex(v)]++
+	h.mu.Unlock()
+}
+
+// count returns a histogram series' number of observations; 0 for a nil one.
+func (s *series) count() int64 {
+	if s == nil {
+		return 0
+	}
+	s.hist.mu.Lock()
+	defer s.hist.mu.Unlock()
+	return s.hist.count
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Min and Max return the observed extremes (0 when empty).
-func (h *Histogram) Min() float64 { return h.min }
-func (h *Histogram) Max() float64 { return h.max }
-
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// sortedIndexes returns the populated bucket indexes, ascending.
-func (h *Histogram) sortedIndexes() []int {
-	idx := make([]int, 0, len(h.buckets))
-	for i := range h.buckets {
-		idx = append(idx, i)
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
+func (h *Histogram) Count() int64 { return (*handle)(h).resolve(false).count() }
 
 // quantile estimates the q-quantile (q in [0,1]) by linear interpolation
 // inside the containing bucket, clamped to the observed min/max so
-// degenerate distributions report exactly.
-func (h *Histogram) quantile(q float64) float64 {
+// degenerate distributions report exactly. The caller holds mu.
+func (h *histogram) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
+	rank := min(max(q, 0), 1) * float64(h.count)
 	var cum int64
-	for _, i := range h.sortedIndexes() {
-		n := h.buckets[i]
-		if float64(cum+n) >= rank {
+	for i, n := range h.buckets {
+		if n > 0 && float64(cum+n) >= rank {
 			lo := 0.0
 			if i > 0 {
 				lo = bucketUpper(i - 1)
 			}
-			hi := bucketUpper(i)
 			frac := (rank - float64(cum)) / float64(n)
-			v := lo + (hi-lo)*frac
-			return clamp(v, h.min, h.max)
+			return min(max(lo+(bucketUpper(i)-lo)*frac, h.min), h.max)
 		}
 		cum += n
 	}
 	return h.max
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"madgo/internal/trace"
@@ -32,6 +34,26 @@ func TestCountersGaugesAndKeys(t *testing.T) {
 	r.WritePrometheus(&sb)
 	if !strings.Contains(sb.String(), `rexmits{node="gw"} 0`) {
 		t.Fatalf("zero-registered counter missing from snapshot:\n%s", sb.String())
+	}
+}
+
+// A handle is a name until its first write: binding leaves no series behind,
+// two handles of one identity write one series, and reading through a handle
+// creates nothing.
+func TestHandleFindsItsSeriesOnFirstWrite(t *testing.T) {
+	r, labels := New(), Labels{"node": "a"}
+	c1, c2 := r.BindCounter("c_total", labels), r.BindCounter("c_total", labels)
+	g, h := r.BindGauge("g", nil), r.BindHistogram("h_seconds", nil)
+	if c1.Value() != 0 || g.Value() != 0 || h.Count() != 0 || len(r.Samples()) != 0 {
+		t.Fatalf("bound and read but never written, yet the registry holds %v", r.Samples())
+	}
+	c1.Add(2)
+	c2.Add(3)
+	if c1.Value() != 5 || c2.Value() != 5 || r.Counter("c_total", labels) != 5 {
+		t.Errorf("one series through two handles reads %v, %v and %v, want 5", c1.Value(), c2.Value(), r.Counter("c_total", labels))
+	}
+	if got := len(r.Samples()); got != 1 {
+		t.Errorf("%d series after writing one, want 1", got)
 	}
 }
 
@@ -88,10 +110,11 @@ func TestHistogramQuantileConstantSeriesIsExact(t *testing.T) {
 }
 
 func TestHistogramQuantileOrdering(t *testing.T) {
-	h := newHistogram("lat", nil)
+	lat := New().BindHistogram("lat", nil)
 	for i := 1; i <= 1000; i++ {
-		h.observe(float64(i) * 1e-6) // 1µs .. 1ms uniform
+		lat.Observe(float64(i) * 1e-6) // 1µs .. 1ms uniform
 	}
+	h := (*handle)(lat).resolve(false).hist
 	p50, p99 := h.quantile(0.5), h.quantile(0.99)
 	if !(p50 < p99) {
 		t.Fatalf("p50=%v >= p99=%v", p50, p99)
@@ -103,13 +126,13 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	if math.Abs(p99-990e-6)/990e-6 > 0.1 {
 		t.Fatalf("p99 = %v, want ~990µs within 10%%", p99)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if lat.Count() != 1000 {
+		t.Fatalf("count = %d", lat.Count())
 	}
-	if h.Min() != 1e-6 || h.Max() != 1e-3 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.min != 1e-6 || h.max != 1e-3 {
+		t.Fatalf("min/max = %v/%v", h.min, h.max)
 	}
-	if mean := h.Mean(); math.Abs(mean-500.5e-6) > 1e-9 {
+	if mean := h.sum / float64(h.count); math.Abs(mean-500.5e-6) > 1e-9 {
 		t.Fatalf("mean = %v", mean)
 	}
 }
@@ -132,6 +155,35 @@ func TestBucketBoundsContainValues(t *testing.T) {
 		if i > 0 && bucketUpper(i-1) >= v*(1+1e-12) {
 			t.Fatalf("v=%v at or below bucket %d lower %v", v, i, bucketUpper(i-1))
 		}
+	}
+}
+
+// TestHistogramOverflowBucket: what the fixed bucket array cannot place — a
+// value past its last bound, +Inf, NaN — is counted without a panic, and a
+// snapshot shows it under le="+Inf" only, never under a finite bound it
+// exceeds.
+func TestHistogramOverflowBucket(t *testing.T) {
+	r := New()
+	last := bucketUpper(histOverflow - 1)
+	for _, v := range []float64{1, last, last * 2, 1e30, math.Inf(1), math.NaN()} {
+		r.Observe("lat", nil, v)
+	}
+	if got := r.HistogramCount("lat", nil); got != 6 {
+		t.Fatalf("count = %d, want 6", got)
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	out := buf.String()
+	for _, want := range []string{
+		`lat_bucket{le="` + formatVal(last) + `"} 3` + "\n", // NaN (bucket 0), 1 and last
+		`lat_bucket{le="+Inf"} 6` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("snapshot lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "lat_bucket{"); n != 4 {
+		t.Errorf("%d bucket lines, want 4 (NaN's, 1's, the last finite bound's and +Inf)", n)
 	}
 }
 
@@ -314,5 +366,49 @@ func TestAnalyzeLanes(t *testing.T) {
 	WriteLaneReport(&sb, nil)
 	if !strings.Contains(sb.String(), "no lanes") {
 		t.Fatalf("empty report: %q", sb.String())
+	}
+}
+
+// Handles are shared: several goroutines may write one series — and read,
+// bind and snapshot — at once. Run under -race; the totals also pin that the
+// counter's compare-and-swap loses no increment.
+func TestHandlesAreSafeForConcurrentUse(t *testing.T) {
+	const writers, writes = 8, 2000
+	r := New()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			labels := Labels{"node": "a"}
+			c, g, h := r.BindCounter("c_total", labels), r.BindGauge("g", labels), r.BindHistogram("h_seconds", labels)
+			for i := 0; i < writes; i++ {
+				c.Add(1)
+				g.Set(float64(i))
+				h.Observe(float64(i+1) * 1e-6)
+				r.RecordHopDetail(uint64(w), vtime.Time(i), "a", "hop", Detail{Form: "${node} -> ${peer}", Peer: "b"}, i)
+				if i%500 == 0 {
+					r.Samples()
+					r.WritePrometheus(io.Discard)
+					r.MessageTrace(uint64(w))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	labels := Labels{"node": "a"}
+	if got := r.Counter("c_total", labels); got != writers*writes {
+		t.Errorf("counter = %v, want %d", got, writers*writes)
+	}
+	if got := r.HistogramCount("h_seconds", labels); got != writers*writes {
+		t.Errorf("histogram count = %d, want %d", got, writers*writes)
+	}
+	if got := len(r.Hops()); got != writers*writes {
+		t.Errorf("%d hops, want %d", got, writers*writes)
+	}
+	for w := 0; w < writers; w++ {
+		if got := len(r.MessageTrace(uint64(w))); got != writes {
+			t.Errorf("message %d has %d hops, want %d", w, got, writes)
+		}
 	}
 }

@@ -4,39 +4,36 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // WritePrometheus renders the registry as a Prometheus-style text snapshot:
 // counters and gauges as plain series, histograms as cumulative `_bucket`
 // series plus `_sum`/`_count` and precomputed quantile series (p50/p90/p99),
 // everything sorted so snapshots diff cleanly. The header comment carries
-// the virtual timestamp of the snapshot.
+// the virtual timestamp of the snapshot. Every line starts from the canonical
+// key its series was given at bind time; the text goes out in one Write.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		fmt.Fprintln(w, "# no metrics registry armed")
 		return
 	}
-	fmt.Fprintf(w, "# madgo metrics snapshot at virtual time %v\n", r.Now())
+	out := fmt.Appendf(nil, "# madgo metrics snapshot at virtual time %v\n", r.Now())
 
 	r.mu.Lock()
-	defer r.mu.Unlock()
-
 	families := make(map[string][]string) // family name -> rendered lines
 	types := make(map[string]string)
-
-	for k, s := range r.counters {
-		families[s.name] = append(families[s.name], fmt.Sprintf("%s %s", k, formatVal(s.val)))
-		types[s.name] = "counter"
+	for kind, m := range r.series {
+		for _, s := range m {
+			if kind == kindHistogram {
+				families[s.name] = appendHistogram(families[s.name], s)
+			} else {
+				families[s.name] = append(families[s.name], s.key+" "+formatVal(s.value()))
+			}
+			types[s.name] = kindNames[kind]
+		}
 	}
-	for k, s := range r.gauges {
-		families[s.name] = append(families[s.name], fmt.Sprintf("%s %s", k, formatVal(s.val)))
-		types[s.name] = "gauge"
-	}
-	for _, h := range r.hists {
-		families[h.name] = append(families[h.name], renderHistogram(h)...)
-		types[h.name] = "histogram"
-	}
+	r.mu.Unlock()
 
 	names := make([]string, 0, len(families))
 	for n := range families {
@@ -44,45 +41,58 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(w, "# TYPE %s %s\n", n, types[n])
+		out = fmt.Appendf(out, "# TYPE %s %s\n", n, types[n])
 		lines := families[n]
 		sort.Strings(lines)
 		for _, l := range lines {
-			fmt.Fprintln(w, l)
+			out = append(append(out, l...), '\n')
 		}
 	}
+	w.Write(out) // best effort, like every snapshot writer here
 }
 
-// renderHistogram emits the cumulative bucket, sum, count and quantile lines
+// appendHistogram emits the cumulative bucket, sum, count and quantile lines
 // of one histogram series.
-func renderHistogram(h *Histogram) []string {
-	var out []string
+func appendHistogram(out []string, s *series) []string {
+	h := s.hist
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	count := " " + strconv.FormatInt(h.count, 10)
+	head, tail := labelFrame(s.name+"_bucket", s.labels, "le")
 	var cum int64
-	for _, i := range h.sortedIndexes() {
-		cum += h.buckets[i]
-		out = append(out, fmt.Sprintf("%s %d",
-			key(h.name+"_bucket", withLabel(h.labels, "le", formatVal(bucketUpper(i)))), cum))
+	for i, n := range h.buckets[:histOverflow] {
+		if n > 0 {
+			cum += n
+			out = append(out, head+formatVal(bucketUpper(i))+tail+" "+strconv.FormatInt(cum, 10))
+		}
 	}
-	out = append(out, fmt.Sprintf("%s %d",
-		key(h.name+"_bucket", withLabel(h.labels, "le", "+Inf")), h.count))
-	out = append(out, fmt.Sprintf("%s %s", key(h.name+"_sum", h.labels), formatVal(h.sum)))
-	out = append(out, fmt.Sprintf("%s %d", key(h.name+"_count", h.labels), h.count))
+	out = append(out, head+"+Inf"+tail+count)
+	labels := s.key[len(s.name):]
+	out = append(out, s.name+"_sum"+labels+" "+formatVal(h.sum), s.name+"_count"+labels+count)
+	head, tail = labelFrame(s.name, s.labels, "quantile")
 	for _, q := range [...]float64{0.5, 0.9, 0.99} {
-		out = append(out, fmt.Sprintf("%s %s",
-			key(h.name, withLabel(h.labels, "quantile", fmt.Sprintf("%g", q))), formatVal(h.quantile(q))))
+		out = append(out, head+strconv.FormatFloat(q, 'g', -1, 64)+tail+" "+formatVal(h.quantile(q)))
 	}
 	return out
 }
 
-// withLabel returns labels plus one extra pair (the original is not
-// mutated).
-func withLabel(l Labels, k, v string) Labels {
-	out := make(Labels, len(l)+1)
-	for kk, vv := range l {
-		out[kk] = vv
+// labelFrame returns what stands before and after the value of one extra
+// label in the canonical key of name{labels, extra="..."}: the sorted keys are
+// worked out once per series, not once per line.
+func labelFrame(name string, labels Labels, extra string) (head, tail string) {
+	var ks [8]string
+	keys := labelKeys(ks[:0], labels)
+	i := sort.SearchStrings(keys, extra)
+	b := appendPairs(append([]byte(name), '{'), keys[:i], labels)
+	if i > 0 {
+		b = append(b, ',')
 	}
-	out[k] = v
-	return out
+	head = string(append(append(b, extra...), '=', '"'))
+	b = append(b[:0], '"')
+	if i < len(keys) {
+		b = appendPairs(append(b, ','), keys[i:], labels)
+	}
+	return head, string(append(b, '}'))
 }
 
 // formatVal renders a sample value the way Prometheus text format expects:
@@ -90,8 +100,7 @@ func withLabel(l Labels, k, v string) Labels {
 // form.
 func formatVal(v float64) string {
 	if v == float64(int64(v)) && v < 1e15 && v > -1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	}
-	s := fmt.Sprintf("%g", v)
-	return strings.TrimSpace(s)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

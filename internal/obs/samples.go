@@ -27,26 +27,25 @@ func (r *Registry) Samples() []Sample {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	kindRank := map[string]int{"counter": 0, "gauge": 1, "histogram": 2}
-	for _, s := range r.counters {
-		out = append(out, Sample{Name: s.name, Kind: "counter", Labels: copyLabels(s.labels), Value: s.val})
-	}
-	for _, s := range r.gauges {
-		out = append(out, Sample{Name: s.name, Kind: "gauge", Labels: copyLabels(s.labels), Value: s.val})
-	}
-	for _, h := range r.hists {
-		sm := Sample{Name: h.name, Kind: "histogram", Labels: copyLabels(h.labels), Value: h.sum, Count: h.count}
-		if h.count > 0 {
-			sm.P50, sm.P90, sm.P99 = h.quantile(0.5), h.quantile(0.9), h.quantile(0.99)
+	out := []Sample{}
+	for kind, m := range r.series {
+		group := make([]*series, 0, len(m))
+		for _, s := range m {
+			group = append(group, s)
 		}
-		out = append(out, sm)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return kindRank[out[i].Kind] < kindRank[out[j].Kind]
+		sort.Slice(group, func(i, j int) bool { return group[i].key < group[j].key })
+		for _, s := range group {
+			sm := Sample{Name: s.name, Kind: kindNames[kind], Labels: copyLabels(s.labels), Value: s.value()}
+			if h := s.hist; h != nil {
+				h.mu.Lock()
+				sm.Value, sm.Count = h.sum, h.count
+				if h.count > 0 {
+					sm.P50, sm.P90, sm.P99 = h.quantile(0.5), h.quantile(0.9), h.quantile(0.99)
+				}
+				h.mu.Unlock()
+			}
+			out = append(out, sm)
 		}
-		return key(out[i].Name, out[i].Labels) < key(out[j].Name, out[j].Labels)
-	})
+	}
 	return out
 }
