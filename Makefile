@@ -79,10 +79,12 @@ race:
 # (DESIGN.md §19): a write through a bound counter, gauge or histogram handle
 # and a hop record at 0, a relayed fragment at 0 with a registry and a tracer
 # armed, and a 64 B message of the mice_stream_observed shape at no more than
-# two over what it costs disarmed.
+# two over what it costs disarmed. The kernel's hand-off (DESIGN.md §20): a
+# steady-state Spawn + Join at no more than two, the process record and the
+# caller's closure; the three root budgets are their readings plus 15 %.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd -run 'AllocsNothing' -v
-	$(GO) test ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
+	$(GO) test ./internal/vtime ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
 
 # bench-quick is the two-clock ledger's smoke run (benchmark/README.md):
 # every workload at 1/20 load with all its self-checks — byte-exact delivery,
@@ -92,21 +94,36 @@ bench-quick:
 	bash benchmark/run.sh -quick
 	cd benchmark && $(GO) test -short ./...
 
-# bench-pair produces the parent-vs-change row of a perf PR: it checks BASE
-# out into a temporary git worktree, runs one workload of the ledger there
-# and here at the same seed, and holds the two results to the
-# exact-virtual-time rule (benchmark/README.md).
-#   make bench-pair BASE=HEAD~1 WL=prod_lossy_mix [SEED=2]
+# bench-pair produces the parent-vs-change rows of a perf PR: it unpacks
+# BASE (A) into a temporary directory, runs one workload of the ledger there
+# and in the working tree (B) at the same seed, and holds the two results to
+# the exact-virtual-time rule (benchmark/README.md). PAIRS=n repeats that n
+# times, alternating which side runs first, prints every pair's host-time
+# rows and in how many pairs B was ahead — the ten alternating pairs a
+# host-time claim needs are one command — and ends on the last pair's full
+# comparison.
+#   make bench-pair BASE=HEAD~1 WL=prod_lossy_mix [SEED=2] [PAIRS=10]
 SEED ?= 1
+PAIRS ?= 1
 bench-pair:
-	@test -n "$(BASE)" -a -n "$(WL)" || { echo "usage: make bench-pair BASE=<ref> WL=<workload> [SEED=n]"; exit 2; }
-	@set -e; base=$$(mktemp -d); trap 'git worktree remove --force "$$base" >/dev/null 2>&1 || true; rm -rf "$$base"' EXIT; \
-		git worktree add --detach "$$base" "$(BASE)" >/dev/null; \
-		echo "== $(BASE) ($$(git -C "$$base" rev-parse --short HEAD)): $(WL), seed $(SEED)"; \
-		(cd "$$base" && bash benchmark/run.sh --workload $(WL) --seed $(SEED) >/dev/null); \
-		echo "== working tree: $(WL), seed $(SEED)"; \
-		bash benchmark/run.sh --workload $(WL) --seed $(SEED) >/dev/null; \
-		bash benchmark/run.sh -compare "$$base/benchmark/out/results.json" benchmark/out/results.json
+	@test -n "$(BASE)" -a -n "$(WL)" || { echo "usage: make bench-pair BASE=<ref> WL=<workload> [SEED=n] [PAIRS=n]"; exit 2; }
+	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
+		git archive "$(BASE)" | tar -x -C "$$base"; \
+		echo "== A: $(BASE) ($$(git rev-parse --short "$(BASE)")), B: working tree; $(WL), seed $(SEED), $(PAIRS) pair(s)"; \
+		run_a() { (cd "$$base" && bash benchmark/run.sh --workload $(WL) --seed $(SEED) >/dev/null); }; \
+		run_b() { bash benchmark/run.sh --workload $(WL) --seed $(SEED) >/dev/null; }; \
+		compare() { bash benchmark/run.sh -compare "$$base/benchmark/out/results.json" benchmark/out/results.json; }; \
+		wins=0; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			if [ $$((i % 2)) = 1 ]; then run_a; run_b; else run_b; run_a; fi; \
+			verdict=0; compare > "$$base/pair.txt" || verdict=$$?; \
+			awk -v i=$$i '$$2 ~ /^host_(msgs_per_s|cpu_us_per_msg)$$/ { printf "pair %2d  %-20s  A %10s  B %10s\n", i, $$2, $$3, $$4 }' "$$base/pair.txt"; \
+			if awk '$$2 == "host_msgs_per_s" && $$4 > $$3 { won = 1 } END { exit !won }' "$$base/pair.txt"; then \
+				wins=$$((wins + 1)); \
+			fi; \
+		done; \
+		echo "host_msgs_per_s: B ahead in $$wins of $(PAIRS) pairs"; \
+		cat "$$base/pair.txt"; exit $$verdict
 
 bench:
 	$(GO) test -bench . -benchmem

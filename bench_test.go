@@ -24,7 +24,10 @@ var printOnce sync.Map
 
 // runExperiment executes the experiment b.N times (results are
 // deterministic, so iterations measure harness cost only), prints its table
-// once, and reports its headline metric.
+// once, and reports its headline metric. What the simulation kernel itself
+// costs the host — a process wake, a spawn, a callback event, a channel
+// hand-off — is measured by the benchmarks of internal/vtime and
+// internal/vtime/vsync.
 func runExperiment(b *testing.B, id string, metric func(*bench.Result) (float64, string)) {
 	b.Helper()
 	e, ok := bench.Lookup(id)

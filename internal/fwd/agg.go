@@ -498,7 +498,7 @@ func (vc *VirtualChannel) aggPop(rank mad.Rank) (aggSub, bool) {
 
 // openAggFrame receives one announced compact aggregate transfer (KindAgg,
 // single-rail streaming flush) and queues its sub-messages.
-func (vc *VirtualChannel) openAggFrame(p *vtime.Proc, node *mad.Node, a *mad.Arrival) {
+func (vc *VirtualChannel) openAggFrame(p *vtime.Proc, node *mad.Node, a mad.Arrival) {
 	link := a.Link
 	link.AcquireRecv(p)
 	meta, slot := link.Recv(p)

@@ -167,7 +167,7 @@ type compactUnpacking struct {
 // transfer is self-describing by shape: its first block is the header, any
 // further blocks describe payload that rode along and is parked until the
 // application asks for it.
-func newCompactUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a *mad.Arrival) *compactUnpacking {
+func newCompactUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a mad.Arrival) *compactUnpacking {
 	link := a.Link
 	link.AcquireRecv(p)
 	meta, slot := link.Recv(p)

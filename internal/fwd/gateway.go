@@ -114,8 +114,15 @@ type relayBranch struct {
 	// thread re-emits unchanged (see replicated).
 	hdr []byte
 
+	// What the send thread needs of the message in hand; the pipeline sets
+	// them before it spawns the thread.
+	kind  mad.Kind
+	msgID uint64
+	up    string // the ingress sender, whose flow credits a recycled slot returns
+
 	names relaySender
 	q     *vsync.Chan[*relaySlot] // staged fragments awaiting this branch; nil is the bare terminator
+	send  func(*vtime.Proc)       // branchSend on this record, bound once: spawning the send thread allocates no closure
 	proc  *vtime.Proc
 }
 
@@ -253,7 +260,7 @@ func (g *Gateway) fenceEgress(p *vtime.Proc, out *mad.Link) {
 // next" token grab, under which a backlogged elephant sender captures a
 // byte share proportional to its message size.
 type gwSched struct {
-	drr        *flow.DRR[*mad.Arrival]
+	drr        *flow.DRR[mad.Arrival]
 	pending    *vsync.Sem // counts queued announcements; wakes the fair daemon
 	lastRounds int64
 }
@@ -287,8 +294,10 @@ func (g *Gateway) ring(inNet string) *relayRing {
 // never blocks on a branch that keeps up.
 func (g *Gateway) branch(r *relayRing, i int, out *mad.Link, nextGW string, hdr []byte) {
 	if i == len(r.branches) {
-		r.branches = append(r.branches, &relayBranch{
-			q: vsync.NewChan[*relaySlot](fmt.Sprintf("gwq:%s:%d", r.recvActor, i), g.vc.cfg.PipelineDepth)})
+		b := &relayBranch{
+			q: vsync.NewChan[*relaySlot](fmt.Sprintf("gwq:%s:%d", r.recvActor, i), g.vc.cfg.PipelineDepth)}
+		b.send = func(sp *vtime.Proc) { g.branchSend(sp, r, b) }
+		r.branches = append(r.branches, b)
 	}
 	b := r.branches[i]
 	b.out, b.nextGW, b.hdr = out, nextGW, hdr
@@ -333,18 +342,18 @@ func (g *Gateway) start() {
 			g.startFair(spc, nwName)
 			continue
 		}
-		g.poll(spc, nwName, func(p *vtime.Proc, a *mad.Arrival) { g.relay(p, a) })
+		g.poll(spc, nwName, func(p *vtime.Proc, a mad.Arrival) { g.relay(p, a) })
 	}
 }
 
 // poll spawns the gwpoll daemon of one ingress network: it waits for
 // message announcements on the special channel and hands each arrival note
 // to note.
-func (g *Gateway) poll(spc *mad.Channel, nwName string, note func(*vtime.Proc, *mad.Arrival)) {
+func (g *Gateway) poll(spc *mad.Channel, nwName string, note func(*vtime.Proc, mad.Arrival)) {
 	ep := spc.At(g.node)
 	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwpoll:%s:%s", g.name, nwName), func(p *vtime.Proc) {
 		for {
-			a := ep.WaitArrival(p)
+			a := ep.NextArrival(p)
 			if !relayableKind(a.Kind()) {
 				panic("fwd: non-GTM message on special channel " + spc.Name)
 			}
@@ -384,11 +393,11 @@ func burstableKind(k mad.Kind) bool {
 // order, charging each flow the bytes it actually relayed.
 func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 	sc := &gwSched{
-		drr:     flow.NewDRR[*mad.Arrival](int64(g.vc.cfg.MTU)),
+		drr:     flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
 		pending: vsync.NewSem(0),
 	}
 	g.scheds[nwName] = sc
-	g.poll(spc, nwName, func(_ *vtime.Proc, a *mad.Arrival) {
+	g.poll(spc, nwName, func(_ *vtime.Proc, a mad.Arrival) {
 		sc.drr.Push(a.Link.Src.Name, a)
 		sc.pending.Release(1)
 	})
@@ -418,7 +427,7 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 					if !sc.pending.TryAcquire(1) {
 						break
 					}
-					a, ok := sc.drr.PopFrom(key, func(n *mad.Arrival) bool {
+					a, ok := sc.drr.PopFrom(key, func(n mad.Arrival) bool {
 						return burstableKind(n.Kind())
 					})
 					if !ok {
@@ -576,7 +585,7 @@ func (f *relayFrame) bareTerminator() bool {
 //     payload is one small message or an aggregate of many.
 //   - multicast: a destination-set header, alone or glued to the whole
 //     payload.
-func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a *mad.Arrival) relayFrame {
+func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFrame {
 	in := a.Link
 	f := relayFrame{kind: a.Kind(), up: in.Src.Name}
 	ok := false
@@ -649,7 +658,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 // It returns the ingress payload bytes relayed — independent of the branch
 // count — which the flow-control scheduler charges against the ingress
 // sender's deficit.
-func (g *Gateway) relay(p *vtime.Proc, a *mad.Arrival) int64 {
+func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 	vc := g.vc
 	in := a.Link
 	in.AcquireRecv(p)
@@ -781,12 +790,13 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 
 	// A process per message and branch, not a daemon: a parked daemon would
 	// be woken by an event of its own and reorder the instant the relay
-	// starts in.
-	kind, msgID, up := f.kind, f.msgID, f.up
+	// starts in. Ordering is the whole reason: the spawn runs on a finished
+	// send thread's goroutine and allocates one process record, no more than
+	// waking a daemon would cost (DESIGN.md §20).
+	msgID, up := f.msgID, f.up
 	for _, b := range branches {
-		b.proc = vc.sess.Platform.Sim.Spawn(b.names.proc, func(sp *vtime.Proc) {
-			g.branchSend(sp, r, b, kind, msgID, up)
-		})
+		b.kind, b.msgID, b.up = f.kind, msgID, up
+		b.proc = vc.sess.Platform.Sim.Spawn(b.names.proc, b.send)
 	}
 	var capture *mcastLocal
 	if local {
@@ -923,7 +933,8 @@ func (g *Gateway) recycle(p *vtime.Proc, r *relayRing, s *relaySlot, up string) 
 // branchSend is the send thread of one egress branch: it drains the
 // branch's queue onto the egress link until the message's terminator, a
 // buffer swap after every send.
-func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch, kind mad.Kind, msgID uint64, up string) {
+func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch) {
+	kind, msgID, up := b.kind, b.msgID, b.up
 	vc := g.vc
 	tr := vc.cfg.Tracer
 	m := &g.met

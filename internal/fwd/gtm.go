@@ -193,7 +193,7 @@ type gtmUnpacking struct {
 	got  int
 }
 
-func newGTMUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a *mad.Arrival) *gtmUnpacking {
+func newGTMUnpacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a mad.Arrival) *gtmUnpacking {
 	link := a.Link
 	link.AcquireRecv(p)
 	hdr := make([]byte, gtmHeaderLen)

@@ -843,7 +843,7 @@ func (vc *VirtualChannel) stripeRxAt(rank mad.Rank) *stripeRx {
 // openStripeRail opens one announced rail sub-message: it acquires the
 // link, reads the rail header, and files the rail under its (origin, id)
 // group. It returns the group when this rail completed it, nil otherwise.
-func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a *mad.Arrival) *stripeGroup {
+func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Arrival) *stripeGroup {
 	link := a.Link
 	link.AcquireRecv(p)
 	buf := make([]byte, stripeHeaderLen)

@@ -172,7 +172,7 @@ type Binding struct {
 // reliable mode it is instead a fully-reassembled reliable message.
 type incoming struct {
 	ep  *mad.Endpoint
-	a   *mad.Arrival
+	a   mad.Arrival
 	rel *relMsg
 	// mcast is a multicast message a relaying gateway on this node captured
 	// for local delivery while replicating it (see mcast.go).
@@ -499,8 +499,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 			ep := vc.regular[nwName].At(node)
 			sim.SpawnDaemon(fmt.Sprintf("poll:%s:%s", n.Name, nwName), func(p *vtime.Proc) {
 				for {
-					a := ep.WaitArrival(p)
-					q.Send(p, incoming{ep: ep, a: a})
+					q.Send(p, incoming{ep: ep, a: ep.NextArrival(p)})
 				}
 			})
 		}
@@ -770,7 +769,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			g := newGTMUnpacking(p, e.vc, e.node, in.a)
 			return &Unpacking{x: g, from: g.from, fwd: true}
 		}
-		u := in.ep.Open(p, in.a)
+		u := in.ep.Open(p, &in.a)
 		return &Unpacking{x: (*plainUnpacking)(u), from: u.From()}
 	}
 }

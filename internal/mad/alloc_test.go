@@ -15,10 +15,11 @@ import (
 // to EndUnpacking on a direct link — may allocate once the link is warm.
 // The link itself contributes nothing any more: its transmissions, wakers,
 // wire events, flow spec and route are per-link state. What is left is the
-// message's own bookkeeping (Packing, Unpacking, their BMM halves, the
-// Arrival note, block descriptors, and the driver-slot snapshot of an eager
-// delivery that found no receive posted): 7 and 9 allocations where the
-// same messages cost 45 and 41 when every send built those afresh.
+// message's own bookkeeping (Packing, Unpacking, their BMM halves, block
+// descriptors, and the driver-slot snapshot of an eager delivery that found
+// no receive posted; the Arrival note travels by value): 6 and 8
+// allocations where the same messages cost 45 and 41 when every send built
+// those afresh.
 func TestDirectMessageAllocBudget(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -26,8 +27,8 @@ func TestDirectMessageAllocBudget(t *testing.T) {
 		size   int
 		budget float64
 	}{
-		{"myrinet 32 KiB", bip.New(), 32 << 10, 7},
-		{"sci 64 B", sisci.New(), 64, 9},
+		{"myrinet 32 KiB", bip.New(), 32 << 10, 6},
+		{"sci 64 B", sisci.New(), 64, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -298,7 +298,7 @@ func ForEachFragment(n, mtu int, fn func(off, size int)) {
 type Unpacking struct {
 	e        *Endpoint
 	link     *Link
-	arrival  *Arrival
+	arrival  Arrival // a copy: the caller's note need not outlive Open
 	ended    bool
 	unpacker unpacker
 	pulled   bool
@@ -312,7 +312,8 @@ type unpacker interface {
 // BeginUnpacking blocks until any message arrives on this endpoint's
 // channel and opens it. It mirrors mad_begin_unpacking.
 func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
-	return e.Open(p, e.WaitArrival(p))
+	a := e.NextArrival(p)
+	return e.Open(p, &a)
 }
 
 // Open starts unpacking a specific announced message. The forwarding layer
@@ -320,7 +321,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 // message kind first.
 func (e *Endpoint) Open(p *vtime.Proc, a *Arrival) *Unpacking {
 	a.Link.AcquireRecv(p)
-	u := &Unpacking{e: e, link: a.Link, arrival: a}
+	u := &Unpacking{e: e, link: a.Link, arrival: *a}
 	if a.Meta.Announce {
 		// Consume the header-only announce so the next receive posts
 		// for the payload itself.

@@ -12,18 +12,23 @@ const (
 	stateDone
 )
 
-// proc is the internal process record. The public handle is Proc.
+// proc is the internal process record. The public handle is Proc, embedded
+// so that a Spawn allocates one object; records are never reused, so a
+// handle kept after its process finished stays safe to ask Done or Join.
 type proc struct {
 	sim     *Sim
 	id      int
 	name    string
-	resume  chan struct{}
+	fn      func(*Proc)
+	w       *worker // the goroutine running fn
 	state   procState
 	gen     uint64 // bumped on every park; stale wake events are ignored
 	waiting string // human-readable blocking reason, for deadlock reports
 	subject string // what waiting refers to ("recv" + a channel's name), kept apart so blocking never concatenates
 	daemon  bool   // daemons may remain blocked when the simulation ends
 	joiners []*proc
+	joiner1 [1]*proc // backs joiners for the common single joiner
+	handle  Proc
 }
 
 // Proc is the handle a simulated process uses to interact with virtual
@@ -36,35 +41,74 @@ type Proc struct {
 	p *proc
 }
 
+// worker is a goroutine that runs process functions, one process after the
+// other, and the channel it blocks on whenever it does not hold control.
+// Spawn takes one off Sim.free or starts one; a process that finishes puts
+// its worker back, so a simulation that spawns a process per message keeps
+// reusing a handful of goroutines.
+type worker struct {
+	resume chan struct{}
+	p      *proc // the process being run; nil on the free list
+}
+
+// loop is the worker's goroutine: run the process, retire it, hand over,
+// and come back holding the next process — or none, when Run has released
+// the idle workers.
+func (w *worker) loop(s *Sim) {
+	<-w.resume // the start event of the process the worker was started for
+	for w.p != nil {
+		p := w.p
+		if !p.call() {
+			// Run reports the failure recorded by call; this worker ends with
+			// its process.
+			s.current = nil
+			s.home.resume <- struct{}{}
+			return
+		}
+		p.state = stateDone
+		delete(s.live, p.id)
+		for _, j := range p.joiners {
+			s.ready(j)
+		}
+		p.joiners, p.fn = nil, nil
+		w.p = nil
+		s.free = append(s.free, w)
+		s.handOver(w)
+	}
+}
+
+// call runs the process function and reports whether it returned; a panic
+// becomes the run's failure instead.
+func (p *proc) call() (returned bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.sim.failure = failure{p: p, value: r}
+		}
+	}()
+	p.fn(&p.handle)
+	return true
+}
+
 // Spawn creates a process executing fn and schedules it to start at the
 // current time. It may be called before Run or from inside a running
 // process.
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 	s.nextID++
-	p := &proc{
-		sim:    s,
-		id:     s.nextID,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateScheduled,
-	}
+	p := &proc{sim: s, id: s.nextID, name: name, fn: fn, state: stateScheduled}
+	p.handle.p = p
+	p.joiners = p.joiner1[:0]
 	s.live[p.id] = p
-	handle := &Proc{p: p}
-	go func() {
-		<-p.resume
-		var panicked interface{}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					panicked = r
-				}
-			}()
-			fn(handle)
-		}()
-		s.handoff <- yield{p: p, done: true, panicked: panicked}
-	}()
+	if n := len(s.free); n > 0 {
+		p.w, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+	} else {
+		p.w = &worker{resume: make(chan struct{})}
+		s.workers++
+		go p.w.loop(s)
+	}
+	p.w.p = p
 	s.schedule(event{at: s.now, p: p, gen: p.gen})
-	return handle
+	return &p.handle
 }
 
 // SpawnDaemon creates a process like Spawn, but marks it as a daemon:
@@ -103,8 +147,7 @@ func (pr *Proc) park(reason, subject string) {
 	p.state = stateParked
 	p.gen++
 	p.waiting, p.subject = reason, subject
-	p.sim.handoff <- yield{p: p}
-	<-p.resume
+	p.sim.handOver(p.w)
 	p.waiting, p.subject = "", ""
 }
 
@@ -142,8 +185,7 @@ func (pr *Proc) Sleep(d Duration) {
 	p.waiting, p.subject = "sleep", ""
 	p.sim.schedule(event{at: p.sim.now.Add(d), p: p, gen: p.gen})
 	p.state = stateScheduled
-	p.sim.handoff <- yield{p: p}
-	<-p.resume
+	p.sim.handOver(p.w)
 	p.waiting = ""
 }
 

@@ -79,36 +79,43 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// yield is the message a process goroutine sends back to the scheduler when
-// it gives up control.
-type yield struct {
-	p        *proc
-	done     bool
-	panicked interface{}
-}
-
 // Sim is a discrete-event simulation. The zero value is not usable; create
 // simulations with New.
 //
-// All processes of a Sim run under a single scheduler, one at a time, so no
+// All processes of a Sim run one at a time — exactly one goroutine holds
+// control at any moment, and it passes control on itself (handOver) — so no
 // locking is needed anywhere in simulation code.
 type Sim struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	handoff chan yield
 	live    map[int]*proc
 	nextID  int
 	running bool
 	current *proc
 	idle    []func() // hooks run when the event queue drains (diagnostics)
+
+	// The hand-off (DESIGN.md §20).
+	home     worker    // the goroutine inside Run: it runs no process, it only has a channel to wait on
+	deadline Time      // of the run in progress; negative for none
+	failure  failure   // why a process goroutine sent control home, if not for the deadline or an empty queue
+	free     []*worker // workers whose process finished, awaiting the next Spawn; the last freed is reused first
+	workers  int       // workers started so far (tests)
+}
+
+// failure is a panic on its way to Run, which alone reports panics: out of a
+// process function (p set), or out of a callback that a process goroutine
+// was running because the event loop was its to run (p nil).
+type failure struct {
+	p     *proc
+	value interface{}
 }
 
 // New creates an empty simulation with the clock at zero.
 func New() *Sim {
 	return &Sim{
-		handoff: make(chan yield),
-		live:    make(map[int]*proc),
+		live: make(map[int]*proc),
+		home: worker{resume: make(chan struct{})},
 	}
 }
 
@@ -193,29 +200,31 @@ func (s *Sim) run(deadline Time) error {
 		panic("vtime: Run called reentrantly")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	s.deadline = deadline
+	defer func() {
+		s.running = false
+		if len(s.events) == 0 {
+			s.releaseIdle()
+		}
+	}()
 
-	for len(s.events) > 0 {
-		if deadline >= 0 && s.events[0].at > deadline {
-			return nil
+	// Control comes back here at the deadline, on an empty queue, or with a
+	// failure to report.
+	s.handOver(&s.home)
+	if f := s.failure; f.value != nil {
+		s.failure = failure{}
+		if f.p == nil {
+			panic(f.value)
 		}
-		e := s.events.pop()
-		s.now = e.at
-		if e.fn != nil {
-			e.fn()
-			continue
+		if ab, ok := f.value.(Abort); ok {
+			f.p.state = stateDone
+			delete(s.live, f.p.id)
+			return ab.Err
 		}
-		if e.arg != nil {
-			e.arg(e.gen)
-			continue
-		}
-		p := e.p
-		if p.state == stateDone || p.gen != e.gen {
-			continue // stale wake
-		}
-		if err := s.resume(p); err != nil {
-			return err
-		}
+		panic(fmt.Sprintf("vtime: process %q panicked: %v", f.p.name, f.value))
+	}
+	if len(s.events) > 0 {
+		return nil // the deadline
 	}
 	var stuck []string
 	for _, p := range s.live {
@@ -233,31 +242,78 @@ func (s *Sim) run(deadline Time) error {
 	return nil
 }
 
-// resume transfers control to p and waits for it to park or finish. A
-// non-nil error is an Abort raised by the process; it stops the run.
-func (s *Sim) resume(p *proc) error {
-	p.state = stateRunning
-	s.current = p
-	p.resume <- struct{}{}
-	y := <-s.handoff
-	s.current = nil
-	if y.panicked != nil {
-		if ab, ok := y.panicked.(Abort); ok {
-			y.p.state = stateDone
-			delete(s.live, y.p.id)
-			return ab.Err
-		}
-		panic(fmt.Sprintf("vtime: process %q panicked: %v", y.p.name, y.panicked))
+// handOver is the kernel's one context switch. The caller is the goroutine
+// of worker w and has just given up control: its process parked, went to
+// sleep or finished, or it is the goroutine inside Run. It runs the event
+// loop itself, up to the first event that resumes a process. If that is the
+// process w runs — a sleeper whose own wake is the next event, or a process
+// Spawn has put on this worker since the last one finished — handOver just
+// returns: no goroutine switch. Otherwise it wakes the worker whose turn it
+// is and blocks until control comes back to w: one switch.
+//
+// The goroutine woken runs concurrently with this one until this one blocks,
+// so nothing here may touch simulation state after the send; in particular
+// "do I wait at all?" is decided before it.
+func (s *Sim) handOver(w *worker) {
+	s.current = nil // callbacks run as nobody: a blocking call from one panics in checkCurrent
+	next := s.advance(w)
+	if next == w {
+		return
 	}
-	if y.done {
-		y.p.state = stateDone
-		delete(s.live, y.p.id)
-		for _, j := range y.p.joiners {
-			s.ready(j)
-		}
-		y.p.joiners = nil
+	next.resume <- struct{}{}
+	<-w.resume
+}
+
+// advance pops events — callbacks run inline, stale wakes are dropped — up
+// to the first one that resumes a process, marks that process running and
+// returns its worker. When the run must stop instead (the deadline, an empty
+// queue) it returns the home worker.
+//
+// A callback that panics under the goroutine inside Run unwinds out of Run,
+// stack and all. Under a process goroutine (w is not home) it must not
+// unwind into the process function that happens to be parked further up
+// that stack: the panic stops here, and travels home as the run's failure.
+func (s *Sim) advance(w *worker) (next *worker) {
+	if w != &s.home {
+		defer func() {
+			if r := recover(); r != nil {
+				s.failure = failure{value: r}
+				next = &s.home
+			}
+		}()
 	}
-	return nil
+	for len(s.events) > 0 {
+		if s.deadline >= 0 && s.events[0].at > s.deadline {
+			break
+		}
+		e := s.events.pop()
+		s.now = e.at
+		if e.fn != nil {
+			e.fn()
+			continue
+		}
+		if e.arg != nil {
+			e.arg(e.gen)
+			continue
+		}
+		p := e.p
+		if p.state == stateDone || p.gen != e.gen {
+			continue // stale wake
+		}
+		p.state = stateRunning
+		s.current = p
+		return p.w
+	}
+	return &s.home
+}
+
+// releaseIdle ends the goroutines of the idle workers: a run that drained
+// its queue leaves behind only the goroutines of processes still parked.
+func (s *Sim) releaseIdle() {
+	for _, w := range s.free {
+		w.resume <- struct{}{} // w.p is nil, which ends worker.loop
+	}
+	s.free = nil
 }
 
 // ready wakes a parked process at the current time (FIFO among same-time

@@ -1,11 +1,14 @@
 // Package vtime implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated threads ("processes") are ordinary goroutines, but the scheduler
-// runs exactly one of them at a time and hands control back and forth
-// explicitly, so a simulation is deterministic and free of data races by
+// Simulated threads ("processes") run on ordinary goroutines, but exactly one
+// goroutine holds control at a time and passes it on explicitly: whoever
+// blocks or finishes runs the event loop itself, up to the next process that
+// is due, and wakes that process's goroutine — or simply carries on when the
+// process is its own. There is no scheduler goroutine in between. A
+// simulation is therefore deterministic and free of data races by
 // construction. Time is virtual: it advances only when every runnable
-// process has blocked and the scheduler pops the next event.
+// process has blocked and the next event is popped.
 //
 // The kernel is the substrate for the Madeleine reproduction: communication
 // library threads (polling loops, gateway forwarding pipelines, application
