@@ -48,7 +48,7 @@ COVER_GATES = \
 	obs,trace:$(COVER_MIN) fwd:$(FWD_COVER_MIN) flight:$(COVER_MIN) \
 	flow:$(COVER_MIN) agg:$(COVER_MIN) coll:$(COVER_MIN)
 
-.PHONY: check build vet test race allocs bench bench-verify bench-quick bench-pair cover fuzz stripe-gate soak
+.PHONY: check build vet test race allocs bench bench-verify bench-quick bench-pair cover fuzz stripe-gate soak loc
 
 # check includes the facade API-surface golden test (api_test.go vs
 # api.txt) via the race lane; regen the listing after an intentional API
@@ -58,8 +58,12 @@ check: build vet race allocs cover bench-verify
 build:
 	$(GO) build ./...
 
+# vet also covers the ledger: benchmark/ is a module of its own that
+# `go build ./...` never reaches and that compiles against fifteen internal
+# packages, so a refactor learns here, not from the pipeline, that it broke it.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -76,8 +80,8 @@ race:
 # over two hops and one message of the prod_lossy_mix shape at budgets. The
 # unified relay (DESIGN.md §18): one 64 KiB fan-out-8 broadcast of the
 # bcast_fanout8 shape at a budget with nothing per fragment. Armed telemetry
-# (DESIGN.md §19): a write through a bound counter, gauge or histogram handle
-# and a hop record at 0, a relayed fragment at 0 with a registry and a tracer
+# (DESIGN.md §19, §21): a write to a counter, free-standing or bound, through a
+# gauge or histogram handle and a hop record at 0, a relayed fragment at 0 with a registry and a tracer
 # armed, and a 64 B message of the mice_stream_observed shape at no more than
 # two over what it costs disarmed. The kernel's hand-off (DESIGN.md §20): a
 # steady-state Spawn + Join at no more than two, the process record and the
@@ -177,6 +181,13 @@ fuzz:
 		echo "fuzz ./$$pkg $$t ($(FUZZTIME))"; \
 		$(GO) test ./$$pkg -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); \
 	done
+
+# loc prints the non-test Go lines (plain `wc -l`) per package directory and in
+# total, benchmark/ excluded: the figure the ROADMAP's size gates quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # cover runs each COVER_GATES row's packages with a coverage profile
 # (cover_<first package>.out) and fails when the total is under the row's

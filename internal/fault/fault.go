@@ -213,11 +213,11 @@ type Injector struct {
 }
 
 // faultSeries is what recording one kind of fault on one network needs,
-// built at its first: the tracer lane "fault:<net>" and the
-// madgo_faults_total{kind,net} handle.
+// built at its first: the tracer lane "fault:<net>" and the count behind
+// madgo_faults_total{kind,net}.
 type faultSeries struct {
 	actor string
-	count *obs.Counter
+	count obs.Counter
 }
 
 // NewInjector arms a plan. The tracer may be nil; when present the injector
@@ -230,17 +230,27 @@ func NewInjector(p *Plan, tr *trace.Tracer) *Injector {
 // Tracer returns the tracer the injector records to (may be nil).
 func (in *Injector) Tracer() *trace.Tracer { return in.tr }
 
-// BindMetrics arms a metrics registry: every injected fault increments a
-// madgo_faults_total{kind,net} counter. A nil registry records nothing.
-func (in *Injector) BindMetrics(m *obs.Registry) { in.metrics, in.series = m, nil }
+// BindMetrics arms a metrics registry: every injected fault, those counted
+// already included, shows under madgo_faults_total{kind,net}.
+func (in *Injector) BindMetrics(m *obs.Registry) {
+	in.metrics = m
+	for key, s := range in.series {
+		s.bind(m, key)
+	}
+}
+
+func (s *faultSeries) bind(m *obs.Registry, key [2]string) {
+	m.BindCounter(&s.count, "madgo_faults_total", obs.Labels{"kind": key[0], "net": key[1]})
+}
 
 // record notes one injected fault: a zero-width span on the network's lane
-// and the {kind, net} counter, bound in the registry armed at that moment.
+// and the {kind, net} counter.
 func (in *Injector) record(kind, op, net string, size int, now vtime.Time) {
 	key := [2]string{kind, net}
 	s := in.series[key]
 	if s == nil {
-		s = &faultSeries{"fault:" + net, in.metrics.BindCounter("madgo_faults_total", obs.Labels{"kind": kind, "net": net})}
+		s = &faultSeries{actor: "fault:" + net}
+		s.bind(in.metrics, key)
 		if in.series == nil {
 			in.series = make(map[[2]string]*faultSeries)
 		}

@@ -158,25 +158,26 @@ type Engine struct {
 	epoch    uint64
 	free     []*Flow
 
-	// The flow lifecycle series (all nil, recording nothing, until
-	// BindMetrics), the per-flow ones by the class of the flow's first hop.
+	// The flow lifecycle metrics, the per-flow ones by the class of the
+	// flow's first hop. The gauge and the histograms are nil, recording
+	// nothing, until BindMetrics.
 	active   *obs.Gauge
-	canceled *obs.Counter
+	canceled obs.Counter
 	class    [ClassCPU + 1]struct {
-		started, completed, bytes *obs.Counter
+		started, completed, bytes obs.Counter
 		seconds                   *obs.Histogram
 	}
 }
 
-// BindMetrics binds the engine's series handles in m.
+// BindMetrics binds the engine's metrics in m.
 func (e *Engine) BindMetrics(m *obs.Registry) {
 	e.active = m.BindGauge("madgo_active_flows", nil)
-	e.canceled = m.BindCounter("madgo_flows_canceled_total", nil)
+	m.BindCounter(&e.canceled, "madgo_flows_canceled_total", nil)
 	for c := range e.class {
 		labels, cm := obs.Labels{"class": Class(c).String()}, &e.class[c]
-		cm.started = m.BindCounter("madgo_flows_started_total", labels)
-		cm.completed = m.BindCounter("madgo_flows_completed_total", labels)
-		cm.bytes = m.BindCounter("madgo_flow_bytes_total", labels)
+		m.BindCounter(&cm.started, "madgo_flows_started_total", labels)
+		m.BindCounter(&cm.completed, "madgo_flows_completed_total", labels)
+		m.BindCounter(&cm.bytes, "madgo_flow_bytes_total", labels)
 		cm.seconds = m.BindHistogram("madgo_flow_seconds", labels)
 	}
 }
@@ -356,7 +357,7 @@ func (e *Engine) reallocate() {
 		f.rate = 0
 		cm := &e.class[f.class]
 		cm.completed.Add(1)
-		cm.bytes.Add(f.total)
+		cm.bytes.Add(int64(f.total))
 		cm.seconds.ObserveDuration(vtime.Since(e.sim.Now(), f.started))
 		e.finish(f)
 	}
@@ -553,7 +554,7 @@ func (e *Engine) CancelOn(r *Resource) int {
 	e.computeRates()
 	e.scheduleNextCompletion()
 	e.active.Set(float64(len(e.flows)))
-	e.canceled.Add(float64(len(doomed)))
+	e.canceled.Add(int64(len(doomed)))
 	for _, f := range doomed {
 		e.finish(f)
 	}

@@ -82,12 +82,11 @@ type AggStats struct {
 }
 
 // aggState is the virtual channel's aggregation bookkeeping: the lazily
-// created coalescers and the per-sink delivery queues.
+// created coalescers, whose counts AggStats sums, and the per-sink delivery
+// queues.
 type aggState struct {
-	co    map[aggKey]*aggCoalescer
-	order []aggKey
-	rx    map[mad.Rank][]aggSub
-	stats AggStats
+	co map[aggKey]*aggCoalescer
+	rx map[mad.Rank][]aggSub
 }
 
 func newAggState() *aggState {
@@ -100,10 +99,20 @@ func newAggState() *aggState {
 // AggStats returns the aggregation counters (zero-valued when aggregation
 // is off).
 func (vc *VirtualChannel) AggStats() AggStats {
+	var s AggStats
 	if vc.aggst == nil {
-		return AggStats{}
+		return s
 	}
-	return vc.aggst.stats
+	for _, c := range vc.aggst.co {
+		s.SubMessages += c.subs.Count()
+		s.FrameBytes += c.frameBytes.Count()
+		s.SizeFlushes += c.sizeFrames.Count()
+		s.IdleFlushes += c.idleFrames.Count()
+		s.OrderingFlushes += c.orderingFrames.Count()
+		s.BypassMessages += c.bypass.Count()
+	}
+	s.Frames = s.SizeFlushes + s.IdleFlushes + s.OrderingFlushes
+	return s
 }
 
 // aggCoalescer batches one (node, destination) pair's small messages. All
@@ -130,25 +139,24 @@ type aggCoalescer struct {
 	lastAppend vtime.Time
 	scratch    []agg.Block
 
-	// Series handles (BindMetrics), labelled {node}; the three frame
-	// counters also by flush reason.
-	bypass, subs, frameBytes               *obs.Counter
-	sizeFrames, idleFrames, orderingFrames *obs.Counter
+	// The coalescer's counts and wait histogram handle, labelled {node} — a
+	// series sums the node's coalescers — the frame counts also by reason.
+	bypass, subs, frameBytes               obs.Counter
+	sizeFrames, idleFrames, orderingFrames obs.Counter
 	wait                                   *obs.Histogram
 	fr                                     *flight.Ring
 }
 
-// BindMetrics binds the coalescer's series handles in m.
+// BindMetrics binds the coalescer's metrics in m.
 func (c *aggCoalescer) BindMetrics(m *obs.Registry) {
 	node := obs.Labels{"node": c.node.Name}
-	c.bypass = m.BindCounter("madgo_agg_bypass_total", node)
-	c.subs = m.BindCounter("madgo_agg_submessages_total", node)
-	c.frameBytes = m.BindCounter("madgo_agg_frame_bytes_total", node)
+	m.BindCounter(&c.bypass, "madgo_agg_bypass_total", node)
+	m.BindCounter(&c.subs, "madgo_agg_submessages_total", node)
+	m.BindCounter(&c.frameBytes, "madgo_agg_frame_bytes_total", node)
 	c.wait = m.BindHistogram("madgo_agg_queue_wait_seconds", node)
-	frames := func(reason string) *obs.Counter {
-		return m.BindCounter("madgo_agg_frames_total", obs.Labels{"node": c.node.Name, "reason": reason})
+	for reason, frames := range map[string]*obs.Counter{"size": &c.sizeFrames, "idle": &c.idleFrames, "ordering": &c.orderingFrames} {
+		m.BindCounter(frames, "madgo_agg_frames_total", obs.Labels{"node": c.node.Name, "reason": reason})
 	}
-	c.sizeFrames, c.idleFrames, c.orderingFrames = frames("size"), frames("idle"), frames("ordering")
 }
 
 // aggCoalescer returns (creating, with its idle-flush daemon) the coalescer
@@ -174,7 +182,6 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		fr: vc.flightRing(node.Name),
 	}
 	st.co[key] = c
-	st.order = append(st.order, key)
 	vc.sess.Platform.Instrument(c)
 	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("agg-flush:%s>%s", node.Name, dst),
 		c.run)
@@ -211,8 +218,6 @@ func (c *aggCoalescer) run(p *vtime.Proc) {
 // frame, drains the queue and bypasses). Called from aggPacking.end on the
 // application's process.
 func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
-	vc := c.vc
-	st := vc.aggst
 	c.mu.Lock(p)
 	defer c.mu.Unlock(p)
 	need := agg.SubSizeParts(len(blocks), total)
@@ -220,9 +225,8 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 		// Larger than any frame this path can carry: preserve order by
 		// flushing what is queued, then send it the ordinary way.
 		c.flush(p, "ordering")
-		st.stats.BypassMessages++
 		c.bypass.Add(1)
-		c.sendBypass(p, id, blocks)
+		c.sendBypass(p, id, blocks, total)
 		return
 	}
 	if c.b.Len()+need > c.limit {
@@ -238,7 +242,6 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 	c.enq = append(c.enq, p.Now())
 	c.ids = append(c.ids, id)
 	c.lastAppend = p.Now()
-	st.stats.SubMessages++
 	c.subs.Add(1)
 	if c.b.Count() == 1 {
 		c.kick.Release(1)
@@ -253,7 +256,6 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		return
 	}
 	vc := c.vc
-	st := vc.aggst
 	frameID := vc.nextMsgID()
 	frame := c.b.Finish()
 	flen := len(frame)
@@ -265,18 +267,13 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		c.wait.ObserveDuration(wait)
 	}
 	c.fr.Record(flight.KindAggFlush, now, 0, frameID, flen, reason)
-	c.frameBytes.Add(float64(flen))
-	st.stats.Frames++
-	st.stats.FrameBytes += int64(flen)
+	c.frameBytes.Add(int64(flen))
 	switch reason {
 	case "size":
-		st.stats.SizeFlushes++
 		c.sizeFrames.Add(1)
 	case "idle":
-		st.stats.IdleFlushes++
 		c.idleFrames.Add(1)
 	case "ordering":
-		st.stats.OrderingFlushes++
 		c.orderingFrames.Add(1)
 	}
 	vc.hop(p, frameID, c.node.Name, "agg",
@@ -312,12 +309,7 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		// Single compact transfer toward the first gateway: one credit,
 		// one per-transfer overhead, however many messages inside. The
 		// routing header is written into the reserved prefix in place.
-		r, ok := vc.tbl.Lookup(c.node.Name, c.dst)
-		if !ok {
-			panic(fmt.Sprintf("fwd: no route %s -> %s", c.node.Name, c.dst))
-		}
-		hop := r[0]
-		link, _ := vc.hopLink(c.node, hop, true)
+		hop, link := vc.firstHop(c.node, c.dst)
 		putGTMHeader(wire, c.node.Rank, vc.NodeRank(c.dst), c.mtu, frameID)
 		link.Acquire(p)
 		vc.flowSpend(p, hop.To, c.node.Name, frameID)
@@ -339,39 +331,21 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 // sendBypass replays one too-large message through the ordinary non-agg
 // path with its original pack modes (the receiver mirrors them against the
 // wire descriptors). Called with mu held, right after the ordering flush.
-func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []relBlock) {
+func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
 	vc := c.vc
 	if vc.cfg.Reliable {
 		vc.rel[c.node.Name].sendMessage(p, c.dst, blocks, id)
 		return
 	}
 	if len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 {
-		sx := &stripePacking{vc: vc, node: c.node, dst: c.dst, id: id, blocks: blocks}
-		for _, b := range blocks {
-			sx.total += int64(len(b.data))
-		}
+		sx := &stripePacking{vc: vc, node: c.node, dst: c.dst, id: id, blocks: blocks, total: int64(total)}
 		sx.end(p) // stripes, or falls back below the threshold
 		return
 	}
-	r, ok := vc.tbl.Lookup(c.node.Name, c.dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", c.node.Name, c.dst))
-	}
-	hop := r[0]
-	link, _ := vc.hopLink(c.node, hop, true)
-	if vc.cfg.Eager {
-		g := newEagerPacking(p, vc, c.node, link, vc.NodeRank(c.dst), id)
-		for _, b := range blocks {
-			g.pack(p, b.data, b.s, b.r)
-		}
-		g.end(p)
-		return
-	}
-	g := newGTMPacking(p, vc, c.node, link, vc.NodeRank(c.dst), id)
-	for _, b := range blocks {
-		g.pack(p, b.data, b.s, b.r)
-	}
-	g.end(p)
+	hop, link := vc.firstHop(c.node, c.dst)
+	x := vc.openSingleRail(p, c.node, c.dst, hop, link, vc.cfg.Eager, id)
+	replay(p, x, blocks)
+	x.end(p)
 }
 
 // aggPacking is the sender side of an aggregated message: blocks are
@@ -388,9 +362,7 @@ type aggPacking struct {
 	blocks []relBlock
 	total  int
 
-	// spilled streaming path (exactly one is non-nil after a spill)
-	eager *eagerPacking
-	gtm   *gtmPacking
+	spilled packer // the streaming path's framing, after a spill
 }
 
 func newAggPacking(vc *VirtualChannel, node *mad.Node, dst string) *aggPacking {
@@ -398,12 +370,8 @@ func newAggPacking(vc *VirtualChannel, node *mad.Node, dst string) *aggPacking {
 }
 
 func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	if ax.eager != nil {
-		ax.eager.pack(p, data, s, r)
-		return
-	}
-	if ax.gtm != nil {
-		ax.gtm.pack(p, data, s, r)
+	if ax.spilled != nil {
+		ax.spilled.pack(p, data, s, r)
 		return
 	}
 	host := ax.node.Host
@@ -431,39 +399,20 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 	c := vc.aggCoalescer(ax.node, ax.dst)
 	c.mu.Lock(p)
 	c.flush(p, "ordering")
-	vc.aggst.stats.BypassMessages++
 	c.bypass.Add(1)
 	c.mu.Unlock(p)
-	r, ok := vc.tbl.Lookup(ax.node.Name, ax.dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", ax.node.Name, ax.dst))
-	}
-	hop := r[0]
-	link, _ := vc.hopLink(ax.node, hop, true)
+	hop, link := vc.firstHop(ax.node, ax.dst)
 	vc.hop(p, ax.id, ax.node.Name, "pack",
 		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: ax.dst, Net: hop.Network}, ax.total)
 	blocks := ax.blocks
 	ax.blocks = nil
-	if vc.cfg.Eager {
-		ax.eager = newEagerPacking(p, vc, ax.node, link, vc.NodeRank(ax.dst), ax.id)
-		for _, b := range blocks {
-			ax.eager.pack(p, b.data, b.s, b.r)
-		}
-		return
-	}
-	ax.gtm = newGTMPacking(p, vc, ax.node, link, vc.NodeRank(ax.dst), ax.id)
-	for _, b := range blocks {
-		ax.gtm.pack(p, b.data, b.s, b.r)
-	}
+	ax.spilled = vc.openSingleRail(p, ax.node, ax.dst, hop, link, vc.cfg.Eager, ax.id)
+	replay(p, ax.spilled, blocks)
 }
 
 func (ax *aggPacking) end(p *vtime.Proc) {
-	if ax.eager != nil {
-		ax.eager.end(p)
-		return
-	}
-	if ax.gtm != nil {
-		ax.gtm.end(p)
+	if ax.spilled != nil {
+		ax.spilled.end(p)
 		return
 	}
 	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blocks, ax.total)

@@ -116,8 +116,8 @@ func TestEvictOldestRxPicksStalest(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.rx) != 3 || e.tally[relRxEvictions] != 1 {
-		t.Fatalf("rx size %d evictions %d, want 3 and 1", len(e.rx), e.tally[relRxEvictions])
+	if len(e.rx) != 3 || e.counters[relRxEvictions].Count() != 1 {
+		t.Fatalf("rx size %d evictions %d, want 3 and 1", len(e.rx), e.counters[relRxEvictions].Count())
 	}
 	if _, gone := e.rx[relMsgKey{origin: 1, id: 12}]; gone {
 		t.Fatal("victim should be origin 1 id 12, still present")

@@ -36,26 +36,23 @@ type flowAccount struct {
 	key flowKey
 	sem *vsync.Sem
 
-	granted   int64
-	spent     int64
-	stalls    int64
-	stallTime vtime.Duration
+	// The account's own counts: spends are a series, {node, gateway}; grants
+	// sum under {gateway} over its senders, stalls under {node} over its
+	// gateways. stallTime is exact, the {node} histogram float seconds.
+	granted, spent, stalls obs.Counter
+	stallTime              vtime.Duration
+	stallSeconds           *obs.Histogram
 
 	seq     uint32
-	scratch []byte // grant wire-codec scratch, reused per grant
-
-	// Series handles (BindMetrics): spends labelled {node, gateway}, grants
-	// {gateway}, stalls {node}.
-	spends, grants, stalled *obs.Counter
-	stallSeconds            *obs.Histogram
-	fr                      *flight.Ring // sender-side flight ring, cached when armed
+	scratch []byte       // grant wire-codec scratch, reused per grant
+	fr      *flight.Ring // sender-side flight ring, cached when armed
 }
 
-// BindMetrics binds the account's series handles in m.
+// BindMetrics binds the account's metrics in m.
 func (a *flowAccount) BindMetrics(m *obs.Registry) {
-	a.spends = m.BindCounter("madgo_flow_credits_spent_total", obs.Labels{"node": a.key.up, "gateway": a.key.gw})
-	a.grants = m.BindCounter("madgo_flow_credits_granted_total", obs.Labels{"gateway": a.key.gw})
-	a.stalled = m.BindCounter("madgo_flow_credit_stalls_total", obs.Labels{"node": a.key.up})
+	m.BindCounter(&a.spent, "madgo_flow_credits_spent_total", obs.Labels{"node": a.key.up, "gateway": a.key.gw})
+	m.BindCounter(&a.granted, "madgo_flow_credits_granted_total", obs.Labels{"gateway": a.key.gw})
+	m.BindCounter(&a.stalls, "madgo_flow_credit_stalls_total", obs.Labels{"node": a.key.up})
 	a.stallSeconds = m.BindHistogram("madgo_flow_credit_stall_seconds", obs.Labels{"node": a.key.up})
 }
 
@@ -66,7 +63,7 @@ type flowCtl struct {
 	vc     *VirtualChannel
 	window int
 	acct   map[flowKey]*flowAccount
-	order  []flowKey
+	order  []*flowAccount // in creation order
 }
 
 func newFlowCtl(vc *VirtualChannel, window int) *flowCtl {
@@ -87,7 +84,7 @@ func (fc *flowCtl) account(gw, up string) *flowAccount {
 		scratch: make([]byte, 0, flow.GrantLen),
 	}
 	fc.acct[key] = a
-	fc.order = append(fc.order, key)
+	fc.order = append(fc.order, a)
 	fc.vc.sess.Platform.Instrument(a)
 	return a
 }
@@ -102,12 +99,10 @@ func (fc *flowCtl) spend(p *vtime.Proc, gw, up string, msgID uint64) {
 	a := fc.account(gw, up)
 	t0 := p.Now()
 	a.sem.Acquire(p, 1)
-	a.spent++
-	a.spends.Add(1)
+	a.spent.Add(1)
 	if wait := vtime.Since(p.Now(), t0); wait > 0 {
-		a.stalls++
+		a.stalls.Add(1)
 		a.stallTime += wait
-		a.stalled.Add(1)
 		a.stallSeconds.ObserveDuration(wait)
 		if a.fr == nil {
 			a.fr = fc.vc.flightRing(up)
@@ -135,8 +130,7 @@ func (fc *flowCtl) grant(gw, up string, n int) {
 		panic("fwd: flow-control grant failed its own codec round trip")
 	}
 	a.sem.Release(int(g.Credits))
-	a.granted += int64(g.Credits)
-	a.grants.Add(float64(g.Credits))
+	a.granted.Add(int64(g.Credits))
 }
 
 // flowSpend spends one credit toward gw when flow control is armed; a no-op
@@ -198,11 +192,10 @@ func (vc *VirtualChannel) FlowStats() FlowStats {
 		return s
 	}
 	s.Accounts = len(vc.flowc.order)
-	for _, key := range vc.flowc.order {
-		a := vc.flowc.acct[key]
-		s.CreditsGranted += a.granted
-		s.CreditsSpent += a.spent
-		s.Stalls += a.stalls
+	for _, a := range vc.flowc.order {
+		s.CreditsGranted += a.granted.Count()
+		s.CreditsSpent += a.spent.Count()
+		s.Stalls += a.stalls.Count()
 		s.StallTime += a.stallTime
 	}
 	for _, g := range vc.gates {
@@ -210,12 +203,10 @@ func (vc *VirtualChannel) FlowStats() FlowStats {
 			s.SchedRounds += sc.drr.Rounds()
 		}
 	}
-	for _, name := range vc.relOrder {
-		if e := vc.rel[name]; e != nil {
-			s.SchedRounds += e.relayRounds()
-			s.Backpressure += e.tally[relBackpressure]
-		}
+	for _, e := range vc.rel {
+		s.SchedRounds += e.relayDRR.Rounds() // the fair relay daemon's: flow control is on
 	}
+	s.Backpressure = vc.relCount(relBackpressure)
 	return s
 }
 
@@ -226,12 +217,11 @@ func (vc *VirtualChannel) FlowAccounts() []FlowAccountStats {
 		return nil
 	}
 	out := make([]FlowAccountStats, 0, len(vc.flowc.order))
-	for _, key := range vc.flowc.order {
-		a := vc.flowc.acct[key]
+	for _, a := range vc.flowc.order {
 		out = append(out, FlowAccountStats{
-			Gateway: key.gw, Sender: key.up,
-			Granted: a.granted, Spent: a.spent,
-			Stalls: a.stalls, StallTime: a.stallTime,
+			Gateway: a.key.gw, Sender: a.key.up,
+			Granted: a.granted.Count(), Spent: a.spent.Count(),
+			Stalls: a.stalls.Count(), StallTime: a.stallTime,
 		})
 	}
 	return out

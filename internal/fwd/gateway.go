@@ -41,10 +41,9 @@ type Gateway struct {
 
 	met gwMetrics
 
-	// Relay statistics (diagnostics and tests).
+	// Relay statistics with no counter series: messages, and the stalls the
+	// {gateway} stall histogram times when a registry is armed.
 	messages int64
-	packets  int64
-	bytes    int64
 	stalls   int64
 
 	// eng is the node's reliability engine in reliable mode; the stat
@@ -142,30 +141,28 @@ func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
 	return g
 }
 
-// gwMetrics are one gateway's series handles: branches and local labelled
-// {node}, the rest {gateway}.
+// gwMetrics are one gateway's counts and histogram handles: branches and local
+// labelled {node}, the rest {gateway}.
 type gwMetrics struct {
-	packets, bytes, rounds          *obs.Counter // relayed ingress transfers, DRR rounds
+	packets, bytes, rounds          obs.Counter // relayed ingress transfers, DRR rounds
 	swap, stall                     *obs.Histogram
-	mcastRelays, branches, local    *obs.Counter
-	replicatedPkts, replicatedBytes *obs.Counter
+	mcastRelays, branches, local    obs.Counter
+	replicatedPkts, replicatedBytes obs.Counter
 }
 
-// BindMetrics binds the gateway's series handles in m.
+// BindMetrics binds the gateway's metrics in m.
 func (g *Gateway) BindMetrics(m *obs.Registry) {
-	gw, node := obs.Labels{"gateway": g.name}, obs.Labels{"node": g.name}
-	g.met = gwMetrics{
-		packets:         m.BindCounter("madgo_gateway_relayed_packets_total", gw),
-		bytes:           m.BindCounter("madgo_gateway_relayed_bytes_total", gw),
-		rounds:          m.BindCounter("madgo_flow_sched_rounds_total", gw),
-		swap:            m.BindHistogram("madgo_gateway_swap_seconds", gw),
-		stall:           m.BindHistogram("madgo_gateway_stall_seconds", gw),
-		mcastRelays:     m.BindCounter("madgo_mcast_relays_total", gw),
-		branches:        m.BindCounter("madgo_mcast_branches_total", node),
-		local:           m.BindCounter("madgo_mcast_local_deliveries_total", node),
-		replicatedPkts:  m.BindCounter("madgo_mcast_replicated_packets_total", gw),
-		replicatedBytes: m.BindCounter("madgo_mcast_replicated_bytes_total", gw),
-	}
+	gw, node, c := obs.Labels{"gateway": g.name}, obs.Labels{"node": g.name}, &g.met
+	m.BindCounter(&c.packets, "madgo_gateway_relayed_packets_total", gw)
+	m.BindCounter(&c.bytes, "madgo_gateway_relayed_bytes_total", gw)
+	m.BindCounter(&c.rounds, "madgo_flow_sched_rounds_total", gw)
+	c.swap = m.BindHistogram("madgo_gateway_swap_seconds", gw)
+	c.stall = m.BindHistogram("madgo_gateway_stall_seconds", gw)
+	m.BindCounter(&c.mcastRelays, "madgo_mcast_relays_total", gw)
+	m.BindCounter(&c.branches, "madgo_mcast_branches_total", node)
+	m.BindCounter(&c.local, "madgo_mcast_local_deliveries_total", node)
+	m.BindCounter(&c.replicatedPkts, "madgo_mcast_replicated_packets_total", gw)
+	m.BindCounter(&c.replicatedBytes, "madgo_mcast_replicated_bytes_total", gw)
 }
 
 // gwEgressTx is one whole frame queued for asynchronous retransmission on an
@@ -438,7 +435,7 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 				}
 			}
 			if r := sc.drr.Rounds(); r > sc.lastRounds {
-				g.met.rounds.Add(float64(r - sc.lastRounds))
+				g.met.rounds.Add(r - sc.lastRounds)
 				sc.lastRounds = r
 			}
 		}
@@ -458,7 +455,7 @@ func (g *Gateway) Packets() int64 {
 	if g.eng != nil {
 		return g.eng.relayedPkts
 	}
-	return g.packets
+	return g.met.packets.Count()
 }
 
 // Bytes returns the payload bytes this gateway relayed.
@@ -466,7 +463,7 @@ func (g *Gateway) Bytes() int64 {
 	if g.eng != nil {
 		return g.eng.relayedBytes
 	}
-	return g.bytes
+	return g.met.bytes.Count()
 }
 
 // Stalls returns how many times a receive thread of this gateway had to
@@ -489,23 +486,20 @@ func (g *Gateway) PoolStats() PoolStats {
 }
 
 // Retransmits returns the number of per-hop packet retransmissions this
-// gateway's node performed. Always zero in streaming mode and on fault-free
-// reliable runs.
-func (g *Gateway) Retransmits() int64 {
-	if g.eng != nil {
-		return g.eng.tally[relRetransmits]
-	}
-	return 0
-}
+// gateway's node performed.
+func (g *Gateway) Retransmits() int64 { return g.relCount(relRetransmits) }
 
 // Failovers returns how many times this gateway's node presumed a neighbour
-// dead and rerouted around it. Always zero in streaming mode and on
-// fault-free reliable runs.
-func (g *Gateway) Failovers() int64 {
-	if g.eng != nil {
-		return g.eng.tally[relFailovers]
+// dead and rerouted around it.
+func (g *Gateway) Failovers() int64 { return g.relCount(relFailovers) }
+
+// relCount reads one of the node's reliability counters: always zero in
+// streaming mode, which has no engine, and on fault-free reliable runs.
+func (g *Gateway) relCount(i int) int64 {
+	if g.eng == nil {
+		return 0
 	}
-	return 0
+	return g.eng.counters[i].Count()
 }
 
 // Gateway returns the engine running on the named node (tests and tools).
@@ -628,10 +622,8 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 	vc := g.vc
 	if f.kind == mad.KindMcast {
 		branches, local = g.mcastSplit(r, f)
-		vc.mcastst.relays++
 		g.met.mcastRelays.Add(1)
-		vc.mcastst.branches += int64(len(branches))
-		g.met.branches.Add(float64(len(branches)))
+		g.met.branches.Add(int64(len(branches)))
 		vc.hop(p, f.msgID, g.name, "relay",
 			obs.Detail{Form: "mcast ${net} -> ${a} branches (${b} dests)", Net: inNet, A: len(branches), B: len(f.dests)}, 0)
 		return branches, local
@@ -663,7 +655,7 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 	in := a.Link
 	in.AcquireRecv(p)
 	defer in.ReleaseRecv(p)
-	bytesBefore := g.bytes
+	bytesBefore := g.met.bytes.Count()
 	inNet := in.Channel.Network().Name
 	r := g.ring(inNet)
 
@@ -677,10 +669,8 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 	// like any pipelined packet.
 	payload := f.head[f.hsize:]
 	if n := len(payload); n > 0 {
-		g.packets++
-		g.bytes += int64(n)
 		g.met.packets.Add(1)
-		g.met.bytes.Add(float64(n))
+		g.met.bytes.Add(int64(n))
 	}
 
 	if f.meta.EOM {
@@ -701,7 +691,7 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 			g.mcastDeliverLocal(p, &mcastLocal{from: f.src, id: f.msgID, mtu: f.mtu,
 				frags: splitByDescs(make([][]byte, 0, len(pdescs)), payload, pdescs), descs: pdescs})
 		}
-		return g.bytes - bytesBefore
+		return g.met.bytes.Count() - bytesBefore
 	}
 
 	if len(branches) == 1 && !branches[0].replicated() {
@@ -718,7 +708,7 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 		b.out.Send(p, mad.TxMeta{SOM: true, Kind: f.kind, Blocks: f.meta.Blocks}, f.head)
 	}
 	g.pipeline(p, r, in, &f, branches, local)
-	return g.bytes - bytesBefore
+	return g.met.bytes.Count() - bytesBefore
 }
 
 // pipeline implements the paper's packet-forwarding pipeline (Figure 5):
@@ -863,10 +853,8 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		n := len(s.data)
 		tr.Record(recvActor, "recv", n, t0, p.Now())
 		fr.Record(flight.KindRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, n, inNet)
-		g.packets++
-		g.bytes += int64(n)
 		m.packets.Add(1)
-		m.bytes.Add(float64(n))
+		m.bytes.Add(int64(n))
 		t0 = p.Now()
 		p.Sleep(host.CPU.SwapOverhead)
 		tr.Record(recvActor, "swap", 0, t0, p.Now())
@@ -939,7 +927,6 @@ func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch) {
 	tr := vc.cfg.Tracer
 	m := &g.met
 	fr := vc.flightRing(g.name)
-	st := vc.mcastst
 	outNet := b.out.Channel.Network().Name
 	sendKind := flight.KindSend
 	if b.replicated() {
@@ -970,10 +957,8 @@ func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch) {
 		tr.Record(b.names.actor, "send", len(s.data), t0, sp.Now())
 		fr.Record(sendKind, sp.Now(), vtime.Since(sp.Now(), t0), msgID, len(s.data), outNet)
 		if b.replicated() {
-			st.replicatedPkts++
-			st.replicatedBytes += int64(len(s.data))
 			m.replicatedPkts.Add(1)
-			m.replicatedBytes.Add(float64(len(s.data)))
+			m.replicatedBytes.Add(int64(len(s.data)))
 		}
 		t0 = sp.Now()
 		sp.Sleep(g.node.Host.CPU.SwapOverhead)

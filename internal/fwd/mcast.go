@@ -118,15 +118,21 @@ func mcastHdrDesc(n int) mad.BlockDesc {
 type mcastPlan struct {
 	tree *route.McastTree
 	mtu  int
-
-	messages, branches *obs.Counter // the root's series, labelled {node}
 }
 
-// BindMetrics binds the plan's series handles in m.
-func (pl *mcastPlan) BindMetrics(m *obs.Registry) {
-	node := obs.Labels{"node": pl.tree.Root}
-	pl.messages = m.BindCounter("madgo_mcast_messages_total", node)
-	pl.branches = m.BindCounter("madgo_mcast_branches_total", node)
+// mcastRoot is what one node has counted as the root of multicast messages,
+// labelled {node}. It is kept per node, not per plan: a plan is replaced on
+// every routing epoch, and the counts are the channel's history.
+type mcastRoot struct {
+	node               string
+	messages, branches obs.Counter
+}
+
+// BindMetrics attaches the root's counts to their series in m.
+func (r *mcastRoot) BindMetrics(m *obs.Registry) {
+	node := obs.Labels{"node": r.node}
+	m.BindCounter(&r.messages, "madgo_mcast_messages_total", node)
+	m.BindCounter(&r.branches, "madgo_mcast_branches_total", node)
 }
 
 // destsText is the destination list of a multicast pack record. A list is
@@ -139,20 +145,15 @@ func destsText(m *obs.Registry, ds []string) string {
 	return "{" + strings.Join(ds, ",") + "}"
 }
 
-// mcastState is the channel-wide multicast state: the plan cache and the
-// counters behind McastStats. Always allocated; streaming-only paths guard
-// on CanMulticast.
+// mcastState is the channel-wide multicast state: the plan cache with its two
+// counts and the roots' records, which McastStats sums with the gateways'.
+// Always allocated; streaming-only paths guard on CanMulticast.
 type mcastState struct {
 	plans map[string]*mcastPlan
+	roots map[string]*mcastRoot // by node, created by its first multicast
 
-	messages        int64
-	relays          int64
-	branches        int64
-	replicatedPkts  int64
-	replicatedBytes int64
-	localDeliveries int64
-	cacheHits       int64
-	recomputes      int64
+	cacheHits  int64
+	recomputes int64
 }
 
 // McastStats are the multicast counters of one virtual channel. All zero
@@ -182,18 +183,21 @@ type McastStats struct {
 	TreeRecomputes int64 `json:"tree_recomputes"`
 }
 
-// McastStats returns the channel's multicast counters.
+// McastStats sums the multicast counters over the channel's roots and gateways.
 func (vc *VirtualChannel) McastStats() McastStats {
-	st := vc.mcastst
-	if st == nil {
-		return McastStats{}
+	s := McastStats{TreeCacheHits: vc.mcastst.cacheHits, TreeRecomputes: vc.mcastst.recomputes}
+	for _, r := range vc.mcastst.roots {
+		s.Messages += r.messages.Count()
+		s.Branches += r.branches.Count()
 	}
-	return McastStats{
-		Messages: st.messages, Relays: st.relays, Branches: st.branches,
-		ReplicatedPackets: st.replicatedPkts, ReplicatedBytes: st.replicatedBytes,
-		LocalDeliveries: st.localDeliveries,
-		TreeCacheHits:   st.cacheHits, TreeRecomputes: st.recomputes,
+	for _, g := range vc.gates {
+		s.Relays += g.met.mcastRelays.Count()
+		s.Branches += g.met.branches.Count()
+		s.ReplicatedPackets += g.met.replicatedPkts.Count()
+		s.ReplicatedBytes += g.met.replicatedBytes.Count()
+		s.LocalDeliveries += g.met.local.Count()
 	}
+	return s
 }
 
 // CanMulticast reports whether BeginMulticast is available: the streaming
@@ -224,8 +228,18 @@ func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
 	pl := &mcastPlan{tree: tree, mtu: mtu}
 	st.plans[key] = pl
 	st.recomputes++
-	vc.sess.Platform.Instrument(pl)
 	return pl
+}
+
+// mcastRoot returns (creating) the record of one node's multicast sends.
+func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
+	r := vc.mcastst.roots[node]
+	if r == nil {
+		r = &mcastRoot{node: node}
+		vc.mcastst.roots[node] = r
+		vc.sess.Platform.Instrument(r)
+	}
+	return r
 }
 
 // mcastPacking is the sender side: blocks are buffered (multicast framing
@@ -282,15 +296,12 @@ func (x *mcastPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Re
 }
 
 func (x *mcastPacking) end(p *vtime.Proc) {
-	vc := x.vc
-	st := vc.mcastst
-	pl := vc.mcastPlanFor(x.node.Name, x.dests)
-	st.messages++
-	pl.messages.Add(1)
+	pl := x.vc.mcastPlanFor(x.node.Name, x.dests)
+	root := x.vc.mcastRoot(x.node.Name)
+	root.messages.Add(1)
 	for _, b := range pl.tree.Branches[x.node.Name] {
 		x.sendBranch(p, b, pl.mtu)
-		st.branches++
-		pl.branches.Add(1)
+		root.branches.Add(1)
 	}
 }
 
@@ -454,11 +465,8 @@ func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, p
 	if len(payload) > 0 {
 		g.node.Host.Memcpy(p, len(payload))
 	}
-	st := g.vc.mcastst
-	st.replicatedPkts++
-	st.replicatedBytes += int64(len(payload))
 	g.met.replicatedPkts.Add(1)
-	g.met.replicatedBytes.Add(float64(len(payload)))
+	g.met.replicatedBytes.Add(int64(len(payload)))
 	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.msgID, len(payload), b.out.Channel.Network().Name)
 	return append([]mad.BlockDesc{mcastHdrDesc(len(b.hdr))}, f.meta.Blocks[1:]...), frame
 }
@@ -484,7 +492,6 @@ func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byt
 // node through its merged arrival queue (so a BeginUnpacking blocked there
 // wakes up like for any other arrival).
 func (g *Gateway) mcastDeliverLocal(p *vtime.Proc, ml *mcastLocal) {
-	g.vc.mcastst.localDeliveries++
 	g.met.local.Add(1)
 	g.vc.merged[g.node.Rank].Send(p, incoming{mcast: ml})
 }

@@ -363,7 +363,7 @@ func decodeRelAcks(pkt []byte) ([]byte, bool) {
 }
 
 // The fragment-0 descriptor payload mirrors what the GTM transmits
-// incrementally: the connection MTU and the per-block sizes and flag
+// piece by piece: the connection MTU and the per-block sizes and flag
 // constraints the receiver's unpack calls must match.
 //
 //	mtu u32 | nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
@@ -632,10 +632,9 @@ type relEngine struct {
 	msgFree   []*relMsg     // reassembly records, fragment tables attached
 
 	actor string // tracer lane "rel:<node>"
-	// The node's event counts, by the rel* indexes below: the tally the
-	// stats accessors read and its {node} series (BindMetrics).
-	tally    [len(relCounterNames)]int64
-	counters [len(relCounterNames)]*obs.Counter
+	// The node's event counts, by the rel* indexes below: what the stats
+	// accessors sum, and the node's {node} series once bound.
+	counters [len(relCounterNames)]obs.Counter
 }
 
 // relTableKey identifies one cached constrained table of an engine: which
@@ -699,19 +698,16 @@ var relCounterNames = [...]string{
 	relBackpressure:  "madgo_flow_backpressure_total",
 }
 
-// BindMetrics binds the node's counter series in m.
+// BindMetrics attaches the node's counts to their series in m.
 func (e *relEngine) BindMetrics(m *obs.Registry) {
 	node := obs.Labels{"node": e.node.Name}
 	for i, name := range relCounterNames {
-		e.counters[i] = m.BindCounter(name, node)
+		m.BindCounter(&e.counters[i], name, node)
 	}
 }
 
 // count adds n events to one of the node's counters.
-func (e *relEngine) count(i int, n int64) {
-	e.tally[i] += n
-	e.counters[i].Add(float64(n))
-}
+func (e *relEngine) count(i int, n int64) { e.counters[i].Add(n) }
 
 // buildReliable wires the reliable delivery machinery: one engine per node,
 // one polling daemon per (node, network), and per-node relay and control
@@ -1605,22 +1601,11 @@ func (e *relEngine) enqueueRelay(it relayItem) bool {
 	return true
 }
 
-// relayRounds returns how many full DRR passes the fair relay daemon
-// completed (0 in FIFO mode).
-func (e *relEngine) relayRounds() int64 {
-	if e.relayDRR == nil {
-		return 0
-	}
-	return e.relayDRR.Rounds()
-}
-
 // handleAck completes the awaited slots of one batched acknowledgement.
 func (e *relEngine) handleAck(pkt []byte) {
 	entries, ok := decodeRelAcks(pkt)
 	if !ok {
-		// Counted for DeliveryStats only: the series has never included
-		// corrupt acks, and the telemetry oracle pins it.
-		e.tally[relChecksumDrops]++
+		e.count(relChecksumDrops, 1)
 		return
 	}
 	for off := 0; off < len(entries); off += relAckEntry {
@@ -1808,14 +1793,13 @@ type RelBookkeeping struct {
 // Zero-valued in streaming mode.
 func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 	var s RelBookkeeping
-	for _, name := range vc.relOrder {
-		e := vc.rel[name]
+	for _, e := range vc.rel {
 		for _, w := range e.done {
 			s.DoneIDs += w.size()
 		}
 		s.RxPartials += len(e.rx)
-		s.RxEvictions += e.tally[relRxEvictions]
 	}
+	s.RxEvictions = vc.relCount(relRxEvictions)
 	s.BufsTaken, s.BufsReturned, s.BufsFree = vc.relBufs.taken, vc.relBufs.returned, vc.relBufs.pooled()
 	return s
 }
@@ -1832,32 +1816,31 @@ type AckStats struct {
 	Coalesced int64
 }
 
+// relCount sums one of the rel* counters over every node's engine.
+func (vc *VirtualChannel) relCount(i int) (n int64) {
+	for _, e := range vc.rel {
+		n += e.counters[i].Count()
+	}
+	return n
+}
+
 // AckStats sums the acknowledgement-traffic counters over every node.
 // Zero-valued in streaming (non-reliable) mode.
 func (vc *VirtualChannel) AckStats() AckStats {
-	var s AckStats
-	for _, name := range vc.relOrder {
-		e := vc.rel[name]
-		s.Packets += e.tally[relAckPackets]
-		s.Coalesced += e.tally[relAcksCoalesced]
-	}
-	return s
+	return AckStats{Packets: vc.relCount(relAckPackets), Coalesced: vc.relCount(relAcksCoalesced)}
 }
 
-// DeliveryStats sums the reliability counters over every node, in node
-// declaration order. Zero-valued in streaming (non-reliable) mode.
+// DeliveryStats sums the reliability counters over every node. Zero-valued in
+// streaming (non-reliable) mode.
 func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
-	var s DeliveryStats
-	for _, name := range vc.relOrder {
-		e := vc.rel[name]
-		s.Retransmits += e.tally[relRetransmits]
-		s.Failovers += e.tally[relFailovers]
-		s.MessageResends += e.tally[relMsgResends]
-		s.Duplicates += e.tally[relDuplicates]
-		s.ChecksumDrops += e.tally[relChecksumDrops]
-		s.RelayDrops += e.tally[relRelayDrops]
+	return DeliveryStats{
+		Retransmits:    vc.relCount(relRetransmits),
+		Failovers:      vc.relCount(relFailovers),
+		MessageResends: vc.relCount(relMsgResends),
+		Duplicates:     vc.relCount(relDuplicates),
+		ChecksumDrops:  vc.relCount(relChecksumDrops),
+		RelayDrops:     vc.relCount(relRelayDrops),
 	}
-	return s
 }
 
 // relBlock is one packed block buffered until EndPacking.

@@ -209,42 +209,36 @@ type stripeState struct {
 	// rx is the per-receiver rail collection state.
 	rx map[mad.Rank]*stripeRx
 
-	// Counters (also exported through the obs registry).
-	messages      int64
-	rebalances    int64
-	railFailovers int64
-	railBytes     map[int]int64
-
-	// The channel-wide counters' series handles, labelled {channel}.
-	channel                            string
-	messagesC, rebalancesC, failoversC *obs.Counter
+	// The channel-wide counts, labelled {channel}; bytes are per rail.
+	channel                         string
+	messages, rebalances, failovers obs.Counter
 }
 
-// BindMetrics binds the channel-wide striping series in m.
+// BindMetrics attaches the channel-wide striping counts to their series in m.
 func (st *stripeState) BindMetrics(m *obs.Registry) {
 	channel := obs.Labels{"channel": st.channel}
-	st.messagesC = m.BindCounter("madgo_stripe_messages_total", channel)
-	st.rebalancesC = m.BindCounter("madgo_stripe_rebalance_total", channel)
-	st.failoversC = m.BindCounter("madgo_stripe_rail_failovers_total", channel)
+	m.BindCounter(&st.messages, "madgo_stripe_messages_total", channel)
+	m.BindCounter(&st.rebalances, "madgo_stripe_rebalance_total", channel)
+	m.BindCounter(&st.failovers, "madgo_stripe_rail_failovers_total", channel)
 }
 
 // railState is one rail of one ordered pair: the measured goodput the
-// scheduler weighs it by, and what recording a send on it needs — names and
-// series handles built once instead of formatted per message.
+// scheduler weighs it by, the bytes scheduled onto it, and what recording a
+// send on it needs — names and a gauge handle built once, not per message.
 type railState struct {
 	key       railKey
 	rate      float64 // goodput EWMA in bytes/s, 0 until first measured
 	actor, op string  // tracer lane "stripe:<src>><dst>" and span name "rail<N>"
 
-	rateG  *obs.Gauge   // madgo_stripe_rail_rate_bytes_per_second{src,dst,rail}
-	bytesC *obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail}
+	rateG *obs.Gauge  // madgo_stripe_rail_rate_bytes_per_second{src,dst,rail}
+	bytes obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail} sums the source's pairs
 }
 
-// BindMetrics binds the rail's series handles in m.
+// BindMetrics binds the rail's metrics in m.
 func (r *railState) BindMetrics(m *obs.Registry) {
 	n := strconv.Itoa(r.key.rail)
 	r.rateG = m.BindGauge("madgo_stripe_rail_rate_bytes_per_second", obs.Labels{"src": r.key.src, "dst": r.key.dst, "rail": n})
-	r.bytesC = m.BindCounter("madgo_stripe_rail_bytes_total", obs.Labels{"node": r.key.src, "rail": n})
+	m.BindCounter(&r.bytes, "madgo_stripe_rail_bytes_total", obs.Labels{"node": r.key.src, "rail": n})
 }
 
 // rail returns the record of one pair's rail, created by its first use.
@@ -310,13 +304,12 @@ const stripeSplit = "split -> ${peer} over ${a} rails ${note}"
 // channel per rail, so there a pair's rails are found when it first sends.
 func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 	st := &stripeState{
-		channel:   vc.Name,
-		kroutes:   make(map[[2]string][]route.Route),
-		netRate:   make(map[string]float64),
-		rails:     make(map[railKey]*railState),
-		lastFrac:  make(map[[2]string][]float64),
-		rx:        make(map[mad.Rank]*stripeRx),
-		railBytes: make(map[int]int64),
+		channel:  vc.Name,
+		kroutes:  make(map[[2]string][]route.Route),
+		netRate:  make(map[string]float64),
+		rails:    make(map[railKey]*railState),
+		lastFrac: make(map[[2]string][]float64),
+		rx:       make(map[mad.Rank]*stripeRx),
 	}
 	for _, nw := range vc.tp.Networks() {
 		nic := bindings[nw.Name].Drv.NIC()
@@ -342,9 +335,9 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 	}
 	// Registered at zero, so snapshots show the series on unstriped runs too.
 	vc.sess.Platform.Instrument(st)
-	st.messagesC.Add(0)
-	st.rebalancesC.Add(0)
-	st.failoversC.Add(0)
+	st.messages.Add(0)
+	st.rebalances.Add(0)
+	st.failovers.Add(0)
 }
 
 // stripeRoutes returns the rail set of one pair (nil when striping is off or
@@ -423,8 +416,7 @@ func (vc *VirtualChannel) noteRailGoodput(src, dst string, rail int, bytes int64
 // pair's previous plan — a rebalance.
 func (vc *VirtualChannel) noteStripePlan(src, dst string, spans []int64, total int64) {
 	st := vc.stripe
-	st.messages++
-	st.messagesC.Add(1)
+	st.messages.Add(1)
 	frac := make([]float64, len(spans))
 	for i, s := range spans {
 		frac[i] = float64(s) / float64(total)
@@ -434,8 +426,7 @@ func (vc *VirtualChannel) noteStripePlan(src, dst string, spans []int64, total i
 		for i := range frac {
 			d := frac[i] - prev[i]
 			if d > 0.01 || d < -0.01 {
-				st.rebalances++
-				st.rebalancesC.Add(1)
+				st.rebalances.Add(1)
 				break
 			}
 		}
@@ -469,14 +460,14 @@ func (vc *VirtualChannel) StripeStats() StripeStats {
 	if vc.stripe == nil {
 		return s
 	}
-	s.Messages = vc.stripe.messages
-	s.Rebalances = vc.stripe.rebalances
-	s.RailFailovers = vc.stripe.railFailovers
+	s.Messages = vc.stripe.messages.Count()
+	s.Rebalances = vc.stripe.rebalances.Count()
+	s.RailFailovers = vc.stripe.failovers.Count()
 	if vc.mon != nil {
 		s.RailReadmissions = vc.mon.Readmissions()
 	}
-	for k, v := range vc.stripe.railBytes {
-		s.RailBytes[k] = v
+	for key, r := range vc.stripe.rails {
+		s.RailBytes[key.rail] += r.bytes.Count()
 	}
 	return s
 }
@@ -584,8 +575,7 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 	}
 	for _, rr := range runs {
 		vc.noteRailGoodput(src, sx.dst, rr.idx, rr.ln, rr.done.Sub(t0))
-		vc.stripe.railBytes[rr.idx] += rr.ln
-		vc.rail(src, sx.dst, rr.idx).bytesC.Add(float64(rr.ln))
+		vc.rail(src, sx.dst, rr.idx).bytes.Add(rr.ln)
 	}
 }
 
@@ -675,30 +665,16 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 // pass; messages this small are latency-bound anyway.
 func (sx *stripePacking) fallback(p *vtime.Proc) {
 	vc := sx.vc
-	r, ok := vc.tbl.Lookup(sx.node.Name, sx.dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", sx.node.Name, sx.dst))
+	hop, link := vc.firstHop(sx.node, sx.dst)
+	form := "gtm -> ${peer} via ${net} (below stripe threshold)"
+	if link == nil {
+		form = "direct -> ${peer} via ${net} (below stripe threshold)"
 	}
-	hop := r[0]
-	if r.Direct() {
-		ep := vc.regular[hop.Network].At(sx.node)
-		vc.hop(p, sx.id, sx.node.Name, "pack",
-			obs.Detail{Form: "direct -> ${peer} via ${net} (below stripe threshold)", Peer: sx.dst, Net: hop.Network}, 0)
-		px := ep.BeginPacking(p, vc.NodeRank(sx.dst))
-		for _, b := range sx.blocks {
-			px.Pack(p, b.data, b.s, b.r)
-		}
-		px.EndPacking(p)
-		return
-	}
-	link, _ := vc.hopLink(sx.node, hop, true)
-	vc.hop(p, sx.id, sx.node.Name, "pack",
-		obs.Detail{Form: "gtm -> ${peer} via ${net} (below stripe threshold)", Peer: sx.dst, Net: hop.Network}, 0)
-	g := newGTMPacking(p, vc, sx.node, link, vc.NodeRank(sx.dst), sx.id)
-	for _, b := range sx.blocks {
-		g.pack(p, b.data, b.s, b.r)
-	}
-	g.end(p)
+	vc.hop(p, sx.id, sx.node.Name, "pack", obs.Detail{Form: form, Peer: sx.dst, Net: hop.Network}, 0)
+	// Always the seed framing, Config.Eager or not (ROADMAP item 3(c)).
+	x := vc.openSingleRail(p, sx.node, sx.dst, hop, link, false, sx.id)
+	replay(p, x, sx.blocks)
+	x.end(p)
 }
 
 // sendStriped pushes one full copy of a reliable message toward dst across
@@ -768,8 +744,7 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 				residual = append(residual, queues[ri]...)
 				queues[ri] = nil
 				failed[ri] = true
-				vc.stripe.railFailovers++
-				vc.stripe.failoversC.Add(1)
+				vc.stripe.failovers.Add(1)
 				vc.hop(rp, ds[0].id, src, "rail-failover",
 					obs.Detail{Form: "rail ${a} via ${net} dead, ${b} packets re-striped", A: ri, Net: hop.Network, B: len(residual)}, 0)
 				return
@@ -780,8 +755,7 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		}
 		if sent > 0 {
 			vc.noteRailGoodput(src, dst, ri, sent, rp.Now().Sub(t0))
-			vc.stripe.railBytes[ri] += sent
-			vc.rail(src, dst, ri).bytesC.Add(float64(sent))
+			vc.rail(src, dst, ri).bytes.Add(sent)
 		}
 	}
 	sim := vc.sess.Platform.Sim
@@ -820,8 +794,7 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		}
 		if bad := e.deliverBurst(p, rails[ri][0], chunk); len(bad) > 0 {
 			failed[ri] = true
-			vc.stripe.railFailovers++
-			vc.stripe.failoversC.Add(1)
+			vc.stripe.failovers.Add(1)
 			vc.hop(p, ds[0].id, src, "rail-failover", obs.Detail{A: ri, Net: rails[ri][0].Network, B: len(bad),
 				Form: "rail ${a} via ${net} dead draining leftovers, ${b} packets re-striped"}, 0)
 			residual = append(bad, residual...)

@@ -232,7 +232,7 @@ type VirtualChannel struct {
 	aggst *aggState
 
 	// mcastst is the multicast state (see mcast.go): the per-(root,
-	// member-set) distribution-plan cache and the McastStats counters.
+	// member-set) distribution-plan cache and the per-root counts.
 	mcastst *mcastState
 }
 
@@ -379,7 +379,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 
 		pathMTUs: make(map[[2]string]int),
 		nics:     make(map[string]hw.NICParams),
-		mcastst:  &mcastState{plans: make(map[string]*mcastPlan)},
+		mcastst:  &mcastState{plans: make(map[string]*mcastPlan), roots: make(map[string]*mcastRoot)},
 	}
 	for name, b := range bindings {
 		vc.nics[name] = b.Drv.NIC()
@@ -650,26 +650,59 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		e.vc.hop(p, sx.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
 		return &Packing{x: sx, id: sx.id}
 	}
-	r, ok := e.vc.tbl.Lookup(e.node.Name, dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", e.node.Name, dst))
-	}
-	hop := r[0]
-	if r.Direct() {
-		ep := e.vc.regular[hop.Network].At(e.node)
-		id := e.vc.nextMsgID()
+	hop, link := e.vc.firstHop(e.node, dst)
+	id := e.vc.nextMsgID()
+	if link == nil {
 		e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "direct -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
-		return &Packing{x: (*plainPacking)(ep.BeginPacking(p, e.vc.NodeRank(dst))), id: id}
+		return &Packing{x: e.vc.openSingleRail(p, e.node, dst, hop, link, false, id), id: id}
 	}
-	link, _ := e.vc.hopLink(e.node, hop, true)
+	// A stream is recorded once it is open: taking the link, and the seed
+	// framing's header transfer, may take time.
+	x := e.vc.openSingleRail(p, e.node, dst, hop, link, e.vc.cfg.Eager, id)
+	form := "gtm -> ${peer} via ${net}"
 	if e.vc.cfg.Eager {
-		g := newEagerPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-		e.vc.hop(p, g.id, e.node.Name, "pack", obs.Detail{Form: "eager -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
-		return &Packing{x: g, id: g.id}
+		form = "eager -> ${peer} via ${net}"
 	}
-	g := newGTMPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-	e.vc.hop(p, g.id, e.node.Name, "pack", obs.Detail{Form: "gtm -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
-	return &Packing{x: g, id: g.id}
+	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
+	return &Packing{x: x, id: id}
+}
+
+// firstHop returns where a single-rail message from a node toward dst leaves:
+// the first hop of the table route and, unless that hop ends at dst, the link
+// it takes toward the first gateway (nil for a direct route, which needs none).
+func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.Link) {
+	r, ok := vc.tbl.Lookup(from.Name, dst)
+	if !ok {
+		panic(fmt.Sprintf("fwd: no route %s -> %s", from.Name, dst))
+	}
+	if r.Direct() {
+		return r[0], nil
+	}
+	link, _ := vc.hopLink(from, r[0], true)
+	return r[0], link
+}
+
+// openSingleRail opens message id on the path firstHop found, the framing every
+// sender-side module ends in unless it stripes or runs the reliable protocol: a
+// plain Madeleine message on the regular channel when the route is direct, else
+// a stream toward the first gateway, compact when eager is set, seed GTM if not.
+func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, eager bool, id uint64) packer {
+	switch rank := vc.NodeRank(dst); {
+	case link == nil:
+		return (*plainPacking)(vc.regular[hop.Network].At(from).BeginPacking(p, rank))
+	case eager:
+		return newEagerPacking(p, vc, from, link, rank, id)
+	default:
+		return newGTMPacking(p, vc, from, link, rank, id)
+	}
+}
+
+// replay packs buffered blocks into x with the modes they were packed with
+// (the receiver mirrors them against the wire descriptors).
+func replay(p *vtime.Proc, x packer, blocks []relBlock) {
+	for _, b := range blocks {
+		x.pack(p, b.data, b.s, b.r)
+	}
 }
 
 // Pack appends one block, as in the mad layer.

@@ -191,16 +191,13 @@ type Monitor struct {
 
 	dead map[route.Edge]bool // edges excluded from routing (Dead+Probation)
 
-	log          []Transition
-	probes       int64
-	probeFails   int64
-	readmissions int64
+	log []Transition
 
-	// Series handles, bound once by NewMonitor (all nil, recording nothing,
-	// without a registry).
-	probesC, probeFailsC, readmissionsC, transitionsC *obs.Counter
-	transitionsTo                                     [Probation + 1]*obs.Counter
-	epochG, deadLinksG                                *obs.Gauge
+	// The monitor's counts, attached to their series by NewMonitor, and its
+	// gauge handles (nil, recording nothing, without a registry).
+	probes, probeFails, readmissions, transitions obs.Counter
+	transitionsTo                                 [Probation + 1]obs.Counter
+	epochG, deadLinksG                            *obs.Gauge
 }
 
 // NewMonitor builds a monitor over every directed edge of the primary (and
@@ -251,17 +248,17 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 		es := edges
 		sort.Slice(es, func(i, j int) bool { return es[i].String() < es[j].String() })
 	}
-	m.probesC = met.BindCounter("madgo_health_probes_total", nil)
-	m.probeFailsC = met.BindCounter("madgo_health_probe_failures_total", nil)
-	m.readmissionsC = met.BindCounter("madgo_health_readmissions_total", nil)
-	m.transitionsC = met.BindCounter("madgo_health_transitions_total", nil)
+	met.BindCounter(&m.probes, "madgo_health_probes_total", nil)
+	met.BindCounter(&m.probeFails, "madgo_health_probe_failures_total", nil)
+	met.BindCounter(&m.readmissions, "madgo_health_readmissions_total", nil)
+	met.BindCounter(&m.transitions, "madgo_health_transitions_total", nil)
 	for to := range m.transitionsTo {
-		m.transitionsTo[to] = met.BindCounter("madgo_health_transitions_total", obs.Labels{"to": State(to).String()})
+		met.BindCounter(&m.transitionsTo[to], "madgo_health_transitions_total", obs.Labels{"to": State(to).String()})
 	}
 	m.epochG = met.BindGauge("madgo_route_epoch", nil)
 	m.deadLinksG = met.BindGauge("madgo_health_dead_links", nil)
 	// Registered at zero so a clean run's snapshot still shows them.
-	for _, c := range [...]*obs.Counter{m.probesC, m.probeFailsC, m.readmissionsC, m.transitionsC} {
+	for _, c := range [...]*obs.Counter{&m.probes, &m.probeFails, &m.readmissions, &m.transitions} {
 		c.Add(0)
 	}
 	m.epochG.Set(float64(m.mgr.Epoch()))
@@ -302,10 +299,10 @@ func (m *Monitor) Excluded(e route.Edge) bool { return m.dead[e] }
 func (m *Monitor) ProbeTimeout() vtime.Duration { return m.cfg.ProbeTimeout }
 
 // Readmissions counts Probation→Up re-admissions since start.
-func (m *Monitor) Readmissions() int64 { return m.readmissions }
+func (m *Monitor) Readmissions() int64 { return m.readmissions.Count() }
 
 // Probes counts probe results received (successes and failures).
-func (m *Monitor) Probes() int64 { return m.probes }
+func (m *Monitor) Probes() int64 { return m.probes.Count() }
 
 // Transitions returns a copy of the transition log.
 func (m *Monitor) Transitions() []Transition {
@@ -391,8 +388,7 @@ func (m *Monitor) ProbeResult(e route.Edge, ok bool, rtt vtime.Duration, now vti
 		return
 	}
 	l.probePending = false
-	m.probes++
-	m.probesC.Add(1)
+	m.probes.Add(1)
 	if ok {
 		if rtt > 0 {
 			if l.rtt == 0 {
@@ -404,8 +400,7 @@ func (m *Monitor) ProbeResult(e route.Edge, ok bool, rtt vtime.Duration, now vti
 		m.probeOK(e, l, rtt, now)
 		return
 	}
-	m.probeFails++
-	m.probeFailsC.Add(1)
+	m.probeFails.Add(1)
 	m.probeFail(e, l, now)
 }
 
@@ -506,8 +501,7 @@ func (m *Monitor) probeOK(e route.Edge, l *link, rtt vtime.Duration, now vtime.T
 			// returns to the routable graph under a fresh epoch.
 			l.score = 1
 			l.okProbes = 0
-			m.readmissions++
-			m.readmissionsC.Add(1)
+			m.readmissions.Add(1)
 			m.transition(e, l, Up, now)
 			m.publish(now)
 		} else {
@@ -576,7 +570,7 @@ func (m *Monitor) transition(e route.Edge, l *link, to State, now vtime.Time) {
 	l.state = to
 	l.since = now
 	m.log = append(m.log, Transition{At: now, Link: e, From: from, To: to, Epoch: m.mgr.Epoch()})
-	m.transitionsC.Add(1)
+	m.transitions.Add(1)
 	m.transitionsTo[to].Add(1)
 	l.stateG.Set(float64(to))
 }

@@ -61,7 +61,7 @@ func (p PCIParams) Policy() fluid.AdjustFunc {
 // CPUParams holds the host software costs.
 type CPUParams struct {
 	// MemcpyRate is the sustained memory-copy bandwidth. A 450 MHz
-	// Pentium II copies at roughly 160 MB/s, which is why the paper
+	// Pentium II moves roughly 160 MB/s, which is why the paper
 	// insists a copy "can take as much time as the reception of a
 	// message".
 	MemcpyRate float64
@@ -104,11 +104,14 @@ type Platform struct {
 	Flight   *flight.Recorder
 	hosts    map[string]*Host
 	networks []*Network
-	bound    []Instrumented // everything holding series handles, in Instrument order
+	bound    []Instrumented // in Instrument order
 }
 
-// Instrumented is an object that writes metrics through series handles it
-// keeps; BindMetrics binds them in m (a nil m binds nil handles).
+// Instrumented is an object with metrics of its own: obs.Counter fields, which
+// count with or without a registry, and gauge and histogram handles.
+// BindMetrics attaches the counters to their series in m — in addition to any
+// registry they are attached to, so nothing counted is lost — and binds the
+// handles in m (nil handles for a nil m).
 type Instrumented interface{ BindMetrics(m *obs.Registry) }
 
 // NewPlatform creates a platform on the given simulation.
@@ -118,10 +121,11 @@ func NewPlatform(sim *vtime.Sim) *Platform {
 	return pl
 }
 
-// Instrument binds x's series handles in the platform's registry, now if one
-// is armed and again whenever SetMetrics arms another. It is the one place
-// that knows a registry may arrive after the objects that write to it: they
-// call Instrument when they are built and then just write (DESIGN.md §19).
+// Instrument binds x's metrics in the platform's registry, now if one is armed
+// and again whenever SetMetrics arms another. It is the one place that knows a
+// registry may arrive after the objects that write to it: they call Instrument
+// when they are built and then just write (DESIGN.md §19); with none armed
+// that costs nothing, x's counters being its own fields (DESIGN.md §21).
 func (pl *Platform) Instrument(x Instrumented) {
 	pl.bound = append(pl.bound, x)
 	if pl.Metrics != nil {
@@ -131,7 +135,9 @@ func (pl *Platform) Instrument(x Instrumented) {
 
 // SetMetrics arms a metrics registry on the platform: it gets the simulation
 // clock, and everything instrumented so far (the fluid engine, hosts, links,
-// an armed fault injector, the forwarding layer) rebinds its handles in it.
+// an armed fault injector, the forwarding layer) binds its metrics in it. One
+// armed after traffic shows every counter at what it has counted so far;
+// gauges and histograms, which live in the registry, start empty.
 func (pl *Platform) SetMetrics(m *obs.Registry) {
 	pl.Metrics = m
 	m.SetClock(pl.Sim.Now)
@@ -202,10 +208,7 @@ type Host struct {
 	Bus  *fluid.Resource
 	CPU  CPUParams
 
-	copies int64
-	copied int64 // bytes
-
-	memcpys, memcpyBytes *obs.Counter // the copy accounting's series (BindMetrics)
+	memcpys, memcpyBytes obs.Counter // the copy accounting: calls and bytes
 }
 
 // NewHost registers a machine. Host names must be unique.
@@ -223,11 +226,11 @@ func (pl *Platform) NewHost(name string, cpu CPUParams, pci PCIParams) *Host {
 	return h
 }
 
-// BindMetrics binds the host's copy accounting series in m.
+// BindMetrics attaches the host's copy accounting to its series in m.
 func (h *Host) BindMetrics(m *obs.Registry) {
 	labels := obs.Labels{"node": h.Name}
-	h.memcpys = m.BindCounter("madgo_memcpy_total", labels)
-	h.memcpyBytes = m.BindCounter("madgo_memcpy_bytes_total", labels)
+	m.BindCounter(&h.memcpys, "madgo_memcpy_total", labels)
+	m.BindCounter(&h.memcpyBytes, "madgo_memcpy_bytes_total", labels)
 }
 
 // Host looks up a registered machine.
@@ -247,23 +250,18 @@ func (h *Host) Memcpy(p *vtime.Proc, n int) {
 	if n < 0 {
 		panic("hw: negative memcpy")
 	}
-	h.copies++
-	h.copied += int64(n)
 	h.memcpys.Add(1)
-	h.memcpyBytes.Add(float64(n))
+	h.memcpyBytes.Add(int64(n))
 	if n > 0 {
 		p.Sleep(vtime.DurationOfBytes(int64(n), h.CPU.MemcpyRate))
 	}
 }
 
-// Copies returns the number of CPU copies performed on this host.
-func (h *Host) Copies() int64 { return h.copies }
+// Copies returns how many times this host's CPU was made to copy payload.
+func (h *Host) Copies() int64 { return h.memcpys.Count() }
 
-// BytesCopied returns the total bytes CPU-copied on this host.
-func (h *Host) BytesCopied() int64 { return h.copied }
-
-// ResetCopyStats zeroes the copy counters (used between benchmark phases).
-func (h *Host) ResetCopyStats() { h.copies, h.copied = 0, 0 }
+// BytesCopied returns the total bytes this host's CPU was made to copy.
+func (h *Host) BytesCopied() int64 { return h.memcpyBytes.Count() }
 
 // NICParams models one interconnect technology as seen through its
 // low-level API (BIP, SISCI, kernel sockets, SBP).

@@ -98,10 +98,12 @@ func TestWriteCombiningBoundary(t *testing.T) {
 	}
 }
 
-// TestSetMetricsRebindsWhatWasInstrumented: a registry may be armed before
-// or after the objects that write to it, and re-armed; whichever is armed at
-// the time of a write gets it, and only SetMetrics knows (DESIGN.md §19).
-func TestSetMetricsRebindsWhatWasInstrumented(t *testing.T) {
+// TestSetMetricsAttachesWhatWasInstrumented: a registry may be armed before or
+// after the objects that count, and another armed later; each is attached to
+// the counters that exist — never a replacement for them — so it shows
+// everything they have counted, the host's own accounting loses nothing, and
+// only SetMetrics knows (DESIGN.md §19, §21).
+func TestSetMetricsAttachesWhatWasInstrumented(t *testing.T) {
 	pl := NewPlatform(vtime.New())
 	early := pl.NewHost("early", DefaultCPU(), DefaultPCI())
 	first, second := obs.New(), obs.New()
@@ -115,19 +117,24 @@ func TestSetMetricsRebindsWhatWasInstrumented(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	copyOn(early) // disarmed: counted on the host only
+	copyOn(early) // disarmed: the host counts all the same
 	pl.SetMetrics(first)
+	if got := first.Counter("madgo_memcpy_total", obs.Labels{"node": "early"}); got != 1 || early.Copies() != 1 {
+		t.Errorf("a registry armed after one copy shows %v, the host %d, want 1 and 1", got, early.Copies())
+	}
 	late := pl.NewHost("late", DefaultCPU(), DefaultPCI())
 	copyOn(early, late)
 	pl.SetMetrics(second)
+	pl.SetMetrics(second) // arming twice attaches once
 	copyOn(late)
-	for _, c := range []struct {
-		reg  *obs.Registry
-		node string
-		want float64
-	}{{first, "early", 1}, {first, "late", 1}, {second, "early", 0}, {second, "late", 1}} {
-		if got := c.reg.Counter("madgo_memcpy_total", obs.Labels{"node": c.node}); got != c.want {
-			t.Errorf("madgo_memcpy_total{node=%q} = %v, want %v", c.node, got, c.want)
+	for _, reg := range []*obs.Registry{first, second} {
+		for node, want := range map[string]float64{"early": 2, "late": 2} {
+			if got := reg.Counter("madgo_memcpy_total", obs.Labels{"node": node}); got != want {
+				t.Errorf("madgo_memcpy_total{node=%q} = %v, want %v", node, got, want)
+			}
+		}
+		if got := reg.Counter("madgo_memcpy_bytes_total", obs.Labels{"node": "late"}); got != 16 {
+			t.Errorf("madgo_memcpy_bytes_total{node=\"late\"} = %v, want 16", got)
 		}
 	}
 	if early.Copies() != 2 || late.Copies() != 2 {

@@ -187,8 +187,9 @@ type Link struct {
 	flowName string       // fluid.Spec name of the link's transfers
 	route    [3]fluid.Hop // sender bus → wire → receiver bus
 
-	// Handles of the madgo_link_send_* series (BindMetrics).
-	sends, sendBytes *obs.Counter
+	// The link's send accounting and the handle of its {net, node} latency
+	// series (BindMetrics); the counters' series sum every link of the node.
+	sends, sendBytes obs.Counter
 	sendSeconds      *obs.Histogram
 
 	// Wire events leave in the order they were queued — the wire latency
@@ -253,11 +254,11 @@ func (l *Link) ReleaseRecv(p *vtime.Proc) { l.recvMu.Unlock(p) }
 // injection is off).
 func (l *Link) faults() *fault.Injector { return l.Src.Session.Platform.Faults }
 
-// BindMetrics binds the link's series handles in m.
+// BindMetrics binds the link's metrics in m.
 func (l *Link) BindMetrics(m *obs.Registry) {
 	labels := obs.Labels{"net": l.Channel.net.Name, "node": l.Src.Name}
-	l.sends = m.BindCounter("madgo_link_sends_total", labels)
-	l.sendBytes = m.BindCounter("madgo_link_send_bytes_total", labels)
+	m.BindCounter(&l.sends, "madgo_link_sends_total", labels)
+	m.BindCounter(&l.sendBytes, "madgo_link_send_bytes_total", labels)
 	l.sendSeconds = m.BindHistogram("madgo_link_send_seconds", labels)
 }
 
@@ -339,7 +340,7 @@ func (l *Link) recycle(tx *transmission) {
 // the buffer was not handed over and is still the caller's.
 func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 	l.sends.Add(1)
-	l.sendBytes.Add(float64(len(data)))
+	l.sendBytes.Add(int64(len(data)))
 	t0 := p.Now()
 	sent := l.send(p, meta, data)
 	l.sendSeconds.ObserveDuration(vtime.Since(p.Now(), t0))

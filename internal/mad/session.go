@@ -88,13 +88,6 @@ func (s *Session) Copies() (count, bytes int64) {
 	return count, bytes
 }
 
-// ResetCopyStats clears copy accounting on every node.
-func (s *Session) ResetCopyStats() {
-	for _, n := range s.nodes {
-		n.Host.ResetCopyStats()
-	}
-}
-
 func (n *Node) String() string {
 	return fmt.Sprintf("%s(rank %d)", n.Name, n.Rank)
 }

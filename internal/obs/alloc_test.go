@@ -6,17 +6,20 @@ import (
 	"madgo/internal/vtime"
 )
 
-// The armed write path is a pointer bump (DESIGN.md §19): after its first
-// write (AllocsPerRun's warm-up call here) a handle has its series and changes
-// it in place, without a lookup.
+// The write path is a pointer bump (DESIGN.md §19, §21): a counter changes its
+// own number in place, attached or not, and a gauge or histogram handle points
+// into its series; nothing is looked up.
 
 func TestCounterAddAllocsNothing(t *testing.T) {
-	c := New().BindCounter("madgo_link_sends_total", Labels{"net": "sci0", "node": "a"})
-	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
-		t.Errorf("Counter.Add allocates %.1f times, want 0", n)
-	}
-	if c.Value() != 1001 {
-		t.Errorf("counter = %v after 1001 increments", c.Value())
+	var free, bound Counter
+	New().BindCounter(&bound, "madgo_link_sends_total", Labels{"net": "sci0", "node": "a"})
+	for _, c := range []*Counter{&free, &bound} {
+		if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
+			t.Errorf("Counter.Add allocates %.1f times, want 0", n)
+		}
+		if c.Count() != 1001 {
+			t.Errorf("counter = %d after 1001 increments", c.Count())
+		}
 	}
 }
 

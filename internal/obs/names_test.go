@@ -36,11 +36,13 @@ func TestCanonicalNameConventions(t *testing.T) {
 // metricLiteral matches a quoted madgo_* metric name in Go source.
 var metricLiteral = regexp.MustCompile(`"(madgo_[a-z0-9_]+)"`)
 
-// TestCanonicalNamesMatchSources is the drift audit: every madgo_* literal
-// in the repository's non-test sources must be in CanonicalMetricNames, and
-// every canonical name must still be mentioned somewhere — so both adding
-// an undocumented metric and renaming one without updating the inventory
-// fail here.
+// TestCanonicalNamesMatchSources is the drift audit between the sources and
+// the inventory: every madgo_* literal in the repository's non-test sources
+// must be in CanonicalMetricNames, and every canonical name must still be
+// mentioned somewhere — so both adding an undocumented metric and renaming one
+// without updating the inventory fail here. (The audit between Stats fields
+// and counter series, both ways, is the root package's
+// TestStatsFieldsAndSeriesAudit, which can see madeleine.Stats.)
 func TestCanonicalNamesMatchSources(t *testing.T) {
 	root := "../.." // the obs package sits at <module>/internal/obs
 	canonical := make(map[string]bool, len(CanonicalMetricNames))

@@ -14,22 +14,24 @@
 // (WritePrometheus) and a Chrome trace_event JSON loadable in Perfetto
 // (WriteChromeTrace).
 //
-// There is one write path and it allocates nothing (DESIGN.md §19):
-// instrumented code binds a series handle once (BindCounter, BindGauge,
-// BindHistogram), keeps it on the object that owns the labels, and writes
-// through it. The handle's first write builds the canonical key and finds or
-// creates the series; every later one is an atomic update or an update under
-// the histogram's own lock. The string-keyed Add/Set/Observe are the same
-// writes with the lookup in front of each, for drivers and tests. A series
-// exists from its first write, so a handle bound and never used changes no
-// output. Hop events are stored as fixed fields in fixed-size chunks; the
-// readers render Detail and build the per-message index.
+// There is one write path and it allocates nothing (DESIGN.md §19, §21). A
+// Counter is a field of the object that counts: it holds its own number, with
+// or without a registry, and is what the owner's statistics read; BindCounter
+// binds it under name{labels}, and a series reads as the sum of the counters
+// bound under its key. Gauges and histograms live in the registry: BindGauge
+// and BindHistogram find or create the series once and return a pointer into
+// it. A write is an atomic update or an update under the histogram's own lock;
+// the string-keyed Add/Set/Observe are the same writes with the lookup in
+// front of each, for drivers and tests. A series shows in snapshots from its
+// first write (a zero Add counts), so binding alone changes no output. Hop
+// events are stored as fixed fields in fixed-size chunks; the readers render
+// Detail and build the per-message index.
 //
-// A nil *Registry is valid, binds nil handles and records nothing, and a nil
-// handle is a no-op, so instrumented code needs no conditionals — the same
-// convention as trace.Tracer. All methods are safe for concurrent use; the
-// simulation itself is single-threaded, but tests and tools may read while
-// goroutines record.
+// A nil *Registry is valid: it attaches nothing, binds nil gauge and histogram
+// handles, which ignore writes, and records no hops, so instrumented code needs
+// no conditionals — the same convention as trace.Tracer. All methods are safe
+// for concurrent use; the simulation itself is single-threaded, but tests and
+// tools may read while goroutines record.
 package obs
 
 import (
@@ -127,12 +129,14 @@ const (
 
 var kindNames = [numKinds]string{"counter", "gauge", "histogram"}
 
-// Registry collects labeled counters, gauges and histograms plus the
-// per-message hop log. The zero value is not usable; call New.
+// Registry indexes labeled counters, gauges and histograms under their
+// canonical keys and holds the per-message hop log. The zero value is not
+// usable; call New.
 type Registry struct {
-	mu     sync.Mutex // clock and the series maps: binding and reading, never a handle's write
+	mu     sync.Mutex // clock, bound, the series maps and lists: binding and reading, never a write
 	clock  func() vtime.Time
 	series [numKinds]map[string]*series
+	bound  []binding // counters bound and not written yet, as far as the last reader saw
 
 	hopMu   sync.Mutex
 	chunks  [][]hopRec // the nhops records of the log; all chunks full but the last
@@ -141,109 +145,96 @@ type Registry struct {
 	indexed int
 }
 
-// series is one labeled counter, gauge or histogram, created by its first write.
+// Counter is one owner's count of one kind of event, a field of the object
+// that counts: the zero value is ready and needs no registry (DESIGN.md §21).
+// It counts whole numbers — events, bytes, credits — so an increment is one
+// atomic add, and a series, the sum of its counters, is exact in any order.
+type Counter struct {
+	n atomic.Int64
+	// written is set by any Add, a zero one included, which is how a series
+	// is registered ahead of its first event.
+	written atomic.Bool
+}
+
+// Add increments the counter by delta; a delta of zero only marks it written.
+func (c *Counter) Add(delta int64) {
+	if delta < 0 {
+		panic("obs: counter decremented")
+	}
+	if !c.written.Load() { // loading first, only the first write stores
+		c.written.Store(true)
+	}
+	c.n.Add(delta)
+}
+
+// Count returns the counter's own count, whatever else its series sums.
+func (c *Counter) Count() int64 { return c.n.Load() }
+
+// Gauge is a float64 written atomically that remembers whether it ever was. A
+// series holds one — a gauge's value, and of a counter what was added by name —
+// and a pointer to it is the gauge's handle. A nil handle (what a nil registry
+// binds) ignores writes and reads as zero.
+type Gauge struct {
+	bits    atomic.Uint64 // math.Float64bits of the value
+	written atomic.Bool
+}
+
+// Set sets the gauge to v.
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+		if !g.written.Load() {
+			g.written.Store(true)
+		}
+	}
+}
+
+// Value returns the gauge's current value.
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
+
+// series is one labeled counter, gauge or histogram. It exists once bound or
+// written by name, and shows in snapshots once written.
 type series struct {
 	name   string
 	labels Labels
-	key    string        // canonical identity: name{k1="v1",k2="v2"}, keys sorted
-	bits   atomic.Uint64 // a counter's or gauge's value, as math.Float64bits
-	hist   *histogram    // nil unless a histogram
+	key    string // canonical identity: name{k1="v1",k2="v2"}, keys sorted
+	// A gauge's value is own. A counter reads as the sum of own, what was
+	// added by name, and of the attached counters, each its owner's count.
+	own      Gauge
+	attached []*Counter
+	hist     *Histogram // nil unless a histogram
 }
 
-// value reads a counter or gauge; a nil series (absent, never written) is zero.
-func (s *series) value() float64 {
-	if s == nil {
-		return 0
+// read returns a counter's or gauge's value and whether anything ever wrote
+// the series (an attached counter was written); the registry's mu must be held.
+func (s *series) read() (v float64, written bool) {
+	v = s.own.Value()
+	for _, c := range s.attached {
+		v += float64(c.Count())
 	}
-	return math.Float64frombits(s.bits.Load())
+	return v, s.own.written.Load() || len(s.attached) > 0 || s.hist.Count() > 0
 }
 
-// handle names one series of one registry and remembers it once found. The
-// lookup is left to the first write, so binding is one small allocation
-// whenever it happens, and a handle never written leaves nothing in snapshots.
-type handle struct {
-	reg    *Registry
-	kind   int
-	name   string
-	labels Labels
-	s      atomic.Pointer[series]
-}
-
-// resolve returns the handle's series, looking it up (creating it, when create
-// is set) unless an earlier call already has; nil for a nil handle.
-func (h *handle) resolve(create bool) *series {
-	if h == nil {
+// gauge and histogram are the handles into a series; nil for a nil series
+// (nil registry, or a lookup that found nothing).
+func (s *series) gauge() *Gauge {
+	if s == nil {
 		return nil
 	}
-	s := h.s.Load()
+	return &s.own
+}
+
+func (s *series) histogram() *Histogram {
 	if s == nil {
-		if s = h.reg.find(h.kind, h.name, h.labels, create); s != nil {
-			h.s.Store(s)
-		}
+		return nil
 	}
-	return s
+	return s.hist
 }
-
-// Counter, Gauge and Histogram are the handles of one series each. A nil
-// handle (what a nil registry binds) ignores writes and reads as zero.
-type (
-	Counter   handle
-	Gauge     handle
-	Histogram handle
-)
-
-// add, set and observe are the writes, behind both doors: a handle's series
-// is remembered, the string-keyed methods find theirs every time. A nil series
-// (nil registry, nil handle) ignores them.
-func (s *series) add(delta float64) {
-	if s == nil {
-		return
-	}
-	if delta < 0 {
-		panic("obs: counter " + s.name + " decremented")
-	}
-	for {
-		old := s.bits.Load()
-		if s.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-func (s *series) set(v float64) {
-	if s != nil {
-		s.bits.Store(math.Float64bits(v))
-	}
-}
-
-func (s *series) observe(v float64) {
-	if s == nil {
-		return
-	}
-	if v < 0 {
-		panic("obs: negative histogram observation on " + s.name)
-	}
-	s.hist.observe(v)
-}
-
-// Add increments the counter by delta. A delta of zero registers the series so
-// it appears in snapshots before the first event.
-func (c *Counter) Add(delta float64) { (*handle)(c).resolve(true).add(delta) }
-
-// Value returns the counter's current value.
-func (c *Counter) Value() float64 { return (*handle)(c).resolve(false).value() }
-
-// Set sets the gauge to v.
-func (g *Gauge) Set(v float64) { (*handle)(g).resolve(true).set(v) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return (*handle)(g).resolve(false).value() }
-
-// Observe records v into the histogram.
-func (h *Histogram) Observe(v float64) { (*handle)(h).resolve(true).observe(v) }
-
-// ObserveDuration records a virtual duration, in seconds.
-func (h *Histogram) ObserveDuration(d vtime.Duration) { h.Observe(d.Seconds()) }
 
 // New returns an empty registry.
 func New() *Registry {
@@ -325,99 +316,143 @@ func copyLabels(l Labels) Labels {
 	return out
 }
 
-// find looks a series up, creating it when create is set. The key is built in
-// a stack buffer, so a hit allocates nothing.
-func (r *Registry) find(kind int, name string, labels Labels, create bool) *series {
-	if r == nil {
-		return nil
-	}
+// lookup returns the series of a key, creating it — unwritten, so in no
+// snapshot yet — when create is set. The key is built in a stack buffer, so a
+// hit allocates nothing. mu must be held.
+func (r *Registry) lookup(kind int, name string, labels Labels, create bool) *series {
 	var buf [128]byte
 	k := appendKey(buf[:0], name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.series[kind][string(k)]
 	if s == nil && create {
 		s = &series{name: name, labels: copyLabels(labels), key: string(k)}
 		if kind == kindHistogram {
-			s.hist = new(histogram)
+			s.hist = new(Histogram)
 		}
 		r.series[kind][s.key] = s
 	}
 	return s
 }
 
-// bind returns a handle of the named series; nil from a nil registry.
-func (r *Registry) bind(kind int, name string, labels Labels) *handle {
+// find is lookup under the lock; nil from a nil registry.
+func (r *Registry) find(kind int, name string, labels Labels, create bool) *series {
 	if r == nil {
 		return nil
 	}
-	return &handle{reg: r, kind: kind, name: name, labels: labels}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookup(kind, name, labels, create)
 }
 
-// BindCounter returns a handle of the named counter series. Bind once and keep
-// the handle: its first write is the slow step, every later one a pointer
-// bump. The handle keeps labels until then, so they must not change.
-func (r *Registry) BindCounter(name string, labels Labels) *Counter {
-	return (*Counter)(r.bind(kindCounter, name, labels))
+// binding is a counter bound under a series it is not attached to yet.
+type binding struct {
+	c      *Counter
+	name   string
+	labels Labels
 }
 
-// BindGauge returns a handle of the named gauge series.
+// BindCounter binds c, a counter its owner holds and goes on writing, under
+// the named series: once c has been written, the series includes whatever it
+// has counted and will count. Binding is a note, so that the many counters
+// that never count cost no series; the readers attach the written ones.
+// Binding c under the same key again changes nothing, a nil registry notes
+// nothing — c counts all the same — and labels must not change afterwards.
+func (r *Registry) BindCounter(c *Counter, name string, labels Labels) {
+	if r != nil {
+		r.mu.Lock()
+		r.bound = append(r.bound, binding{c, name, labels})
+		r.mu.Unlock()
+	}
+}
+
+// attach moves every bound counter written since the last reader asked under
+// its series; mu must be held.
+func (r *Registry) attach() {
+	waiting := r.bound[:0]
+	for _, b := range r.bound {
+		if !b.c.written.Load() {
+			waiting = append(waiting, b)
+		} else if s := r.lookup(kindCounter, b.name, b.labels, true); !slices.Contains(s.attached, b.c) {
+			s.attached = append(s.attached, b.c)
+		}
+	}
+	clear(r.bound[len(waiting):])
+	r.bound = waiting
+}
+
+// BindGauge returns the handle of the named gauge series; nil from a nil
+// registry. Bind once and keep the handle: a write through it is one atomic
+// store, where Set by name builds the key and looks the series up every time.
 func (r *Registry) BindGauge(name string, labels Labels) *Gauge {
-	return (*Gauge)(r.bind(kindGauge, name, labels))
+	return r.find(kindGauge, name, labels, true).gauge()
 }
 
-// BindHistogram returns a handle of the named histogram series.
+// BindHistogram returns the handle of the named histogram series; nil from a
+// nil registry.
 func (r *Registry) BindHistogram(name string, labels Labels) *Histogram {
-	return (*Histogram)(r.bind(kindHistogram, name, labels))
+	return r.find(kindHistogram, name, labels, true).histogram()
 }
 
-// Add increments the named counter series by delta: what a handle does, with
-// the lookup on every call.
+// Add increments the named counter series by delta: a count the series keeps
+// itself, beside whatever counters are attached to it, and adds to under the
+// registry's lock.
 func (r *Registry) Add(name string, labels Labels, delta float64) {
-	r.find(kindCounter, name, labels, true).add(delta)
+	if r == nil {
+		return
+	}
+	if delta < 0 {
+		panic("obs: counter " + name + " decremented")
+	}
+	r.mu.Lock()
+	s := r.lookup(kindCounter, name, labels, true)
+	s.own.Set(s.own.Value() + delta)
+	r.mu.Unlock()
 }
 
 // Set sets the named gauge series to v.
 func (r *Registry) Set(name string, labels Labels, v float64) {
-	r.find(kindGauge, name, labels, true).set(v)
+	r.find(kindGauge, name, labels, true).gauge().Set(v)
 }
 
 // Observe records v into the named histogram series.
 func (r *Registry) Observe(name string, labels Labels, v float64) {
-	r.find(kindHistogram, name, labels, true).observe(v)
-}
-
-// ObserveDuration records a virtual duration, in seconds, into the named
-// histogram series.
-func (r *Registry) ObserveDuration(name string, labels Labels, d vtime.Duration) {
-	r.Observe(name, labels, d.Seconds())
+	r.find(kindHistogram, name, labels, true).histogram().Observe(v)
 }
 
 // Counter returns the current value of a counter series (0 when absent).
 func (r *Registry) Counter(name string, labels Labels) float64 {
-	return r.find(kindCounter, name, labels, false).value()
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.attach()
+	if s := r.lookup(kindCounter, name, labels, false); s != nil {
+		v, _ := s.read()
+		return v
+	}
+	return 0
 }
 
 // Gauge returns the current value of a gauge series (0 when absent).
 func (r *Registry) Gauge(name string, labels Labels) float64 {
-	return r.find(kindGauge, name, labels, false).value()
+	return r.find(kindGauge, name, labels, false).gauge().Value()
 }
 
 // Quantile returns the q-quantile estimate of a histogram series, with
 // ok=false when the series is absent or empty.
 func (r *Registry) Quantile(name string, labels Labels, q float64) (float64, bool) {
-	s := r.find(kindHistogram, name, labels, false)
-	if s == nil {
+	h := r.find(kindHistogram, name, labels, false).histogram()
+	if h == nil {
 		return 0, false
 	}
-	s.hist.mu.Lock()
-	defer s.hist.mu.Unlock()
-	return s.hist.quantile(q), s.hist.count > 0
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantile(q), h.count > 0
 }
 
 // HistogramCount returns the observation count of a histogram series.
 func (r *Registry) HistogramCount(name string, labels Labels) int64 {
-	return r.find(kindHistogram, name, labels, false).count()
+	return r.find(kindHistogram, name, labels, false).histogram().Count()
 }
 
 // RecordHop appends one event with ready-made detail text to a message's

@@ -37,23 +37,51 @@ func TestCountersGaugesAndKeys(t *testing.T) {
 	}
 }
 
-// A handle is a name until its first write: binding leaves no series behind,
-// two handles of one identity write one series, and reading through a handle
-// creates nothing.
-func TestHandleFindsItsSeriesOnFirstWrite(t *testing.T) {
+// A counter series is the sum of its handles (DESIGN.md §21): each handle
+// keeps its owner's count, two attached under one key read as one series with
+// the string-keyed door's own count on top, and attaching twice counts once.
+// Binding alone surfaces nothing.
+func TestSeriesIsTheSumOfItsHandles(t *testing.T) {
 	r, labels := New(), Labels{"node": "a"}
-	c1, c2 := r.BindCounter("c_total", labels), r.BindCounter("c_total", labels)
+	var c1, c2 Counter
+	r.BindCounter(&c1, "c_total", labels)
+	r.BindCounter(&c2, "c_total", labels)
 	g, h := r.BindGauge("g", nil), r.BindHistogram("h_seconds", nil)
-	if c1.Value() != 0 || g.Value() != 0 || h.Count() != 0 || len(r.Samples()) != 0 {
+	if c1.Count() != 0 || g.Value() != 0 || h.Count() != 0 || len(r.Samples()) != 0 {
 		t.Fatalf("bound and read but never written, yet the registry holds %v", r.Samples())
 	}
 	c1.Add(2)
 	c2.Add(3)
-	if c1.Value() != 5 || c2.Value() != 5 || r.Counter("c_total", labels) != 5 {
-		t.Errorf("one series through two handles reads %v, %v and %v, want 5", c1.Value(), c2.Value(), r.Counter("c_total", labels))
+	r.Add("c_total", labels, 4)
+	r.BindCounter(&c1, "c_total", Labels{"node": "a"}) // again: no second share
+	if c1.Count() != 2 || c2.Count() != 3 || r.Counter("c_total", labels) != 9 {
+		t.Errorf("handles read %d and %d, their series %v, want 2, 3 and 9", c1.Count(), c2.Count(), r.Counter("c_total", labels))
 	}
-	if got := len(r.Samples()); got != 1 {
-		t.Errorf("%d series after writing one, want 1", got)
+	if got := r.Samples(); len(got) != 1 || got[0].Value != 9 {
+		t.Errorf("samples after writing one series: %v", got)
+	}
+}
+
+// A counter needs no registry to count, and one attached late brings what it
+// has counted along; a nil registry attaches nothing and breaks nothing.
+func TestFreeStandingCounterBringsItsCountAlong(t *testing.T) {
+	var c, never Counter
+	c.Add(5)
+	(*Registry)(nil).BindCounter(&c, "c_total", nil)
+	c.Add(1)
+	r := New()
+	r.BindCounter(&c, "c_total", nil)
+	r.BindCounter(&never, "never_total", nil)
+	c.Add(1)
+	if got := r.Counter("c_total", nil); got != 7 || c.Count() != 7 {
+		t.Errorf("series = %v, handle = %d, want 7 and 7", got, c.Count())
+	}
+	if got := r.Samples(); len(got) != 1 || got[0].Name != "c_total" {
+		t.Errorf("an attached counter nobody wrote surfaced: %v", got)
+	}
+	never.Add(0) // a zero write registers
+	if got := r.Samples(); len(got) != 2 || got[1].Value != 0 {
+		t.Errorf("Add(0) did not register the series: %v", got)
 	}
 }
 
@@ -71,7 +99,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Add("x", nil, 1)
 	r.Set("x", nil, 1)
 	r.Observe("x", nil, 1)
-	r.ObserveDuration("x", nil, vtime.Millisecond)
 	r.SetClock(nil)
 	r.RecordHop(1, 0, "a", "pack", "", 0)
 	if r.Counter("x", nil) != 0 || r.Gauge("x", nil) != 0 || r.HistogramCount("x", nil) != 0 {
@@ -99,7 +126,7 @@ func TestHistogramQuantileConstantSeriesIsExact(t *testing.T) {
 	// containing bucket's bound.
 	r := New()
 	for i := 0; i < 100; i++ {
-		r.ObserveDuration("swap", nil, 40*vtime.Microsecond)
+		r.Observe("swap", nil, (40 * vtime.Microsecond).Seconds())
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		got, ok := r.Quantile("swap", nil, q)
@@ -110,11 +137,10 @@ func TestHistogramQuantileConstantSeriesIsExact(t *testing.T) {
 }
 
 func TestHistogramQuantileOrdering(t *testing.T) {
-	lat := New().BindHistogram("lat", nil)
+	h := New().BindHistogram("lat", nil)
 	for i := 1; i <= 1000; i++ {
-		lat.Observe(float64(i) * 1e-6) // 1µs .. 1ms uniform
+		h.Observe(float64(i) * 1e-6) // 1µs .. 1ms uniform
 	}
-	h := (*handle)(lat).resolve(false).hist
 	p50, p99 := h.quantile(0.5), h.quantile(0.99)
 	if !(p50 < p99) {
 		t.Fatalf("p50=%v >= p99=%v", p50, p99)
@@ -126,8 +152,8 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	if math.Abs(p99-990e-6)/990e-6 > 0.1 {
 		t.Fatalf("p99 = %v, want ~990µs within 10%%", p99)
 	}
-	if lat.Count() != 1000 {
-		t.Fatalf("count = %d", lat.Count())
+	if h.Count() != 1000 {
+		t.Fatalf("count = %d", h.Count())
 	}
 	if h.min != 1e-6 || h.max != 1e-3 {
 		t.Fatalf("min/max = %v/%v", h.min, h.max)
@@ -220,8 +246,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.SetClock(func() vtime.Time { return vtime.Time(5 * vtime.Millisecond) })
 	r.Add("madgo_retransmits_total", Labels{"node": "a1"}, 3)
 	r.Set("madgo_active_flows", Labels{"net": "sci0"}, 2)
-	r.ObserveDuration("madgo_send_seconds", Labels{"net": "sci0"}, 40*vtime.Microsecond)
-	r.ObserveDuration("madgo_send_seconds", Labels{"net": "sci0"}, 80*vtime.Microsecond)
+	r.Observe("madgo_send_seconds", Labels{"net": "sci0"}, 40e-6)
+	r.Observe("madgo_send_seconds", Labels{"net": "sci0"}, 80e-6)
 
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
@@ -381,7 +407,8 @@ func TestHandlesAreSafeForConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			labels := Labels{"node": "a"}
-			c, g, h := r.BindCounter("c_total", labels), r.BindGauge("g", labels), r.BindHistogram("h_seconds", labels)
+			c, g, h := new(Counter), r.BindGauge("g", labels), r.BindHistogram("h_seconds", labels)
+			r.BindCounter(c, "c_total", labels)
 			for i := 0; i < writes; i++ {
 				c.Add(1)
 				g.Set(float64(i))

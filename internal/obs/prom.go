@@ -21,14 +21,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	out := fmt.Appendf(nil, "# madgo metrics snapshot at virtual time %v\n", r.Now())
 
 	r.mu.Lock()
+	r.attach()
 	families := make(map[string][]string) // family name -> rendered lines
 	types := make(map[string]string)
 	for kind, m := range r.series {
 		for _, s := range m {
+			v, written := s.read()
+			if !written {
+				continue
+			}
 			if kind == kindHistogram {
 				families[s.name] = appendHistogram(families[s.name], s)
 			} else {
-				families[s.name] = append(families[s.name], s.key+" "+formatVal(s.value()))
+				families[s.name] = append(families[s.name], s.key+" "+formatVal(v))
 			}
 			types[s.name] = kindNames[kind]
 		}

@@ -833,12 +833,13 @@ type NamedGatewayStats struct {
 	GatewayStats
 }
 
-// Stats is the one-call snapshot of every subsystem's counters. Subsystems
-// that were never armed report zero values: Delivery, Ack, the recovery
-// fields of each gateway (reliable mode), Stripe (WithStriping), Flow
-// (WithFlowControl), Agg (WithAggregation), Mcast (multicast fan-out on a
-// streaming channel). Gateways is sorted by node name. The per-subsystem
-// getters (DeliveryStats, FlowStats, ...) are views over this snapshot.
+// Stats is the one-call snapshot of every subsystem's counters, read from the
+// objects that count: the same with and without WithMetrics, whose registry
+// reports the same numbers. Subsystems that were never armed report zero
+// values: Delivery, Ack, the recovery fields of each gateway (reliable mode),
+// Stripe (WithStriping), Flow (WithFlowControl), Agg (WithAggregation), Mcast
+// (multicast fan-out on a streaming channel). Gateways is sorted by node name.
+// The per-subsystem getters (DeliveryStats, FlowStats, ...) are views over it.
 type Stats struct {
 	Delivery DeliveryStats       `json:"delivery"`
 	Stripe   StripeStats         `json:"stripe"`

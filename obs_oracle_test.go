@@ -32,7 +32,7 @@ func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
 		name string
-		run  func(t *testing.T, m *madeleine.Metrics)
+		run  func(t *testing.T, m *madeleine.Metrics) *madeleine.System
 	}{{"streaming", oracleStreamingLeg}, {"striped", oracleStripedLeg}, {"reliable", oracleReliableLeg}} {
 		m := madeleine.NewMetrics()
 		leg.run(t, m)
@@ -82,6 +82,8 @@ func TestObsSnapshotOracle(t *testing.T) {
 	}
 }
 
+// The legs run with any registry, nil included, and return the finished system.
+
 // oracleSend spawns one sender of the given message sizes and its receiver.
 func oracleSend(sys *madeleine.System, src, dst string, sizes []int) {
 	sys.Spawn("send:"+src+">"+dst, func(p *madeleine.Proc) {
@@ -104,7 +106,7 @@ func oracleSend(sys *madeleine.System, src, dst string, sizes []int) {
 	})
 }
 
-func oracleStreamingLeg(t *testing.T, m *madeleine.Metrics) {
+func oracleStreamingLeg(t *testing.T, m *madeleine.Metrics) *madeleine.System {
 	sys, err := madeleine.NewSystem(`network up sci
 network core myrinet
 network leaf sci
@@ -149,9 +151,10 @@ node l2 leaf
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return sys
 }
 
-func oracleStripedLeg(t *testing.T, m *madeleine.Metrics) {
+func oracleStripedLeg(t *testing.T, m *madeleine.Metrics) *madeleine.System {
 	sys, err := madeleine.NewSystem(`network sci0 sci
 network myri0 myrinet
 node a0 sci0
@@ -169,9 +172,10 @@ node gw2 sci0 myri0
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return sys
 }
 
-func oracleReliableLeg(t *testing.T, m *madeleine.Metrics) {
+func oracleReliableLeg(t *testing.T, m *madeleine.Metrics) *madeleine.System {
 	sys, err := madeleine.NewSystem(`network sci0 sci
 network myri0 myrinet
 node a0 sci0
@@ -193,4 +197,5 @@ fault crash gw1 3ms 40ms
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return sys
 }
