@@ -123,6 +123,29 @@ func TestFlightBudgets(t *testing.T) {
 			t.Errorf("budget report missing %q:\n%s", want, report.String())
 		}
 	}
+
+	// A send that buffers its blocks pays the host's pack cost per block, and
+	// the budget shows it as pack time whichever layer does the buffering:
+	// the coalescer and the rail scheduler as well as the reliable protocol.
+	for _, c := range []struct {
+		name, config, src, dst string
+		size                   int
+		opts                   []madeleine.Option
+	}{
+		{"aggregated 64 B", demoConfig, "a0", "b0", 64,
+			[]madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithAggregation()}},
+		{"striped 256 KiB", "network myri0 myrinet\nnetwork sci0 sci\nnode a myri0 sci0\nnode b myri0 sci0\n", "a", "b", 256 * 1024,
+			[]madeleine.Option{madeleine.WithStriping(2)}},
+	} {
+		sys, err := madeleine.NewSystem(c.config, append(c.opts, madeleine.WithMetrics(madeleine.NewMetrics()))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamThrough(t, sys, c.src, c.dst, 1, c.size)
+		if bs := sys.Budgets(); len(bs) == 0 || bs[0].Stages[madeleine.StagePack] <= 0 {
+			t.Errorf("%s message: no pack time in its budget: %+v", c.name, bs)
+		}
+	}
 }
 
 // TestFlightBudgetBroadcast checks that a relayed broadcast's budget sees the

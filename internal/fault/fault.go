@@ -207,9 +207,6 @@ type Injector struct {
 	tr      *trace.Tracer
 	metrics *obs.Registry
 	series  map[[2]string]*faultSeries // by {kind, net}
-
-	dropped   int64
-	corrupted int64
 }
 
 // faultSeries is what recording one kind of fault on one network needs,
@@ -260,12 +257,22 @@ func (in *Injector) record(kind, op, net string, size int, now vtime.Time) {
 	s.count.Add(1)
 }
 
+// count sums the faults of one kind over every network.
+func (in *Injector) count(kind string) (n int64) {
+	for key, s := range in.series {
+		if key[0] == kind {
+			n += s.count.Count()
+		}
+	}
+	return n
+}
+
 // Dropped returns how many packets the injector lost (including blackholed
 // ones during crash and flap windows).
-func (in *Injector) Dropped() int64 { return in.dropped }
+func (in *Injector) Dropped() int64 { return in.count("blackhole") + in.count("drop") }
 
 // Corrupted returns how many packets the injector corrupted.
-func (in *Injector) Corrupted() int64 { return in.corrupted }
+func (in *Injector) Corrupted() int64 { return in.count("corrupt") }
 
 // NodeDead reports whether node is inside a crash window at time now.
 func (in *Injector) NodeDead(node string, now vtime.Time) bool {
@@ -307,17 +314,14 @@ func (in *Injector) StallDelay(node string, now vtime.Time) vtime.Duration {
 // CorruptPacket verdicts.
 func (in *Injector) Packet(net, from, to string, now vtime.Time, size int) (Verdict, int) {
 	if in.NodeDead(from, now) || in.NodeDead(to, now) || in.LinkDown(net, now) {
-		in.dropped++
 		in.record("blackhole", "drop", net, size, now)
 		return DropPacket, 0
 	}
 	if p := in.prob(Drop, net); p > 0 && in.rng.float() < p {
-		in.dropped++
 		in.record("drop", "drop", net, size, now)
 		return DropPacket, 0
 	}
 	if p := in.prob(Corrupt, net); p > 0 && in.rng.float() < p {
-		in.corrupted++
 		in.record("corrupt", "corrupt", net, size, now)
 		return CorruptPacket, in.rng.intn(size)
 	}

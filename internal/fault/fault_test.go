@@ -3,15 +3,24 @@ package fault
 import (
 	"testing"
 
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
-// Two injectors armed from the same plan must agree on every verdict.
+// Two injectors armed from the same plan must agree on every verdict, with or
+// without a registry listening, and Dropped and Corrupted read the counters
+// behind madgo_faults_total: their sum is the sum of the series' samples,
+// whenever the registry was armed.
 func TestDeterministicReplay(t *testing.T) {
-	plan := NewPlan(42).Drop("*", 0.1).Corrupt("myri0", 0.05)
+	ms := vtime.Millisecond
+	plan := NewPlan(42).Drop("*", 0.1).Corrupt("myri0", 0.05).Flap("myri0", vtime.Time(2*ms), ms)
 	a := NewInjector(plan, nil)
 	b := NewInjector(plan, nil)
+	m := obs.New()
 	for i := 0; i < 10000; i++ {
+		if i == 1000 {
+			a.BindMetrics(m)
+		}
 		now := vtime.Time(i) * vtime.Time(vtime.Microsecond)
 		va, pa := a.Packet("myri0", "x", "y", now, 4096)
 		vb, pb := b.Packet("myri0", "x", "y", now, 4096)
@@ -25,6 +34,17 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if a.Dropped() != b.Dropped() || a.Corrupted() != b.Corrupted() {
 		t.Fatalf("counter mismatch between replays")
+	}
+	var total float64
+	kinds := make(map[string]bool)
+	for _, s := range m.Samples() {
+		if s.Name == "madgo_faults_total" {
+			total += s.Value
+			kinds[s.Labels["kind"]] = true
+		}
+	}
+	if got := a.Dropped() + a.Corrupted(); float64(got) != total || len(kinds) != 3 {
+		t.Errorf("Dropped() + Corrupted() = %d, the madgo_faults_total samples of %v sum to %v", got, kinds, total)
 	}
 }
 

@@ -1,7 +1,7 @@
 package fwd
 
 // Cross-message aggregation: the second half of the eager small-message
-// path. The compact framing (eager.go) cuts a small forwarded message from
+// path. The compact framing (stream.go) cuts a small forwarded message from
 // three wire transfers to one, but a stream of tiny messages still pays the
 // fixed ~40 µs per-transfer software overhead of §3.4.1 once per message.
 // The coalescer below amortises it: consecutive sub-MTU messages from one
@@ -138,6 +138,13 @@ type aggCoalescer struct {
 	ids        []uint64
 	lastAppend vtime.Time
 	scratch    []agg.Block
+	// body is the sealed frame as the one block its transport sends, tx the
+	// writer of the compact flush, here so that a flush allocates neither.
+	// Every transport is done with body when flush returns, and of an
+	// aggregate stream nothing a gateway still reads lives in tx: the header
+	// travels in the frame's buffer, the descriptors in an array of their own.
+	body [1]relBlock
+	tx   streamTx
 
 	// The coalescer's counts and wait histogram handle, labelled {node} — a
 	// series sums the node's coalescers — the frame counts also by reason.
@@ -226,7 +233,7 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 		// flushing what is queued, then send it the ordinary way.
 		c.flush(p, "ordering")
 		c.bypass.Add(1)
-		c.sendBypass(p, id, blocks, total)
+		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, false)
 		return
 	}
 	if c.b.Len()+need > c.limit {
@@ -287,65 +294,50 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	// copy-free: the add()-time pack into the frame remains the coalesced
 	// path's only copy.
 	wire := c.b.Detach()
-	switch {
-	case vc.cfg.Reliable:
-		// One ARQ sequence covers the whole frame. The send blocks this
-		// process (and, via mu, later adders) until the end-to-end ack —
-		// the same contract a reliable EndPacking has.
-		vc.rel[c.node.Name].sendMessageFlags(p, c.dst,
-			[]relBlock{{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}},
-			frameID, relFlagAgg)
-	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold():
-		// A frame past the stripe threshold rides the rails. Both end()
-		// fallback conditions are excluded here, so the agg flag cannot
-		// be lost to a plain replay.
-		sx := &stripePacking{
-			vc: vc, node: c.node, dst: c.dst, id: frameID, aggFlag: true,
-			blocks: []relBlock{{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}},
-			total:  int64(flen),
-		}
-		sx.end(p)
-	default:
+	c.body[0] = relBlock{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
+	if vc.cfg.Reliable || len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold() {
+		// One ARQ sequence covers the whole frame — the send blocks this
+		// process (and, via mu, later adders) until the end-to-end ack, the
+		// same contract a reliable EndPacking has — or, past the stripe
+		// threshold, the frame rides the rails: below it stripePacking.end
+		// would fall back to a plain replay and lose the aggregate flag.
+		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
+	} else {
 		// Single compact transfer toward the first gateway: one credit,
 		// one per-transfer overhead, however many messages inside. The
 		// routing header is written into the reserved prefix in place.
-		hop, link := vc.firstHop(c.node, c.dst)
-		putGTMHeader(wire, c.node.Rank, vc.NodeRank(c.dst), c.mtu, frameID)
-		link.Acquire(p)
-		vc.flowSpend(p, hop.To, c.node.Name, frameID)
-		link.Send(p, mad.TxMeta{
-			SOM:  true,
-			EOM:  true,
-			Kind: mad.KindAgg,
-			Blocks: []mad.BlockDesc{gtmHeaderDesc[0],
-				{Size: flen, S: mad.SendCheaper, R: mad.ReceiveCheaper}},
-		}, wire)
-		link.Release(p)
-		vc.hop(p, frameID, c.node.Name, "hop",
-			obs.Detail{Form: hopVia + " (aggregate)", Peer: link.Dst.Name, Net: hop.Network}, flen)
+		_, link := vc.firstHop(c.node, c.dst)
+		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true}
+		c.tx.open(p, streamHdr{src: c.node.Rank, dst: vc.NodeRank(c.dst), mtu: c.mtu, id: frameID})
+		c.tx.message(p, c.body[:], flen, wire)
 	}
 	c.enq = c.enq[:0]
 	c.ids = c.ids[:0]
 }
 
-// sendBypass replays one too-large message through the ordinary non-agg
-// path with its original pack modes (the receiver mirrors them against the
-// wire descriptors). Called with mu held, right after the ordering flush.
-func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
-	vc := c.vc
-	if vc.cfg.Reliable {
-		vc.rel[c.node.Name].sendMessage(p, c.dst, blocks, id)
-		return
+// sendBuffered sends a message that was buffered whole the ordinary way, its
+// blocks with the modes they were packed with (the receiver mirrors them
+// against the wire descriptors): through the reliable engine, across the
+// pair's rails when it has two — striped, or falling back below the
+// threshold — else down the single rail. aggFrame marks the message as an
+// aggregate frame for its receiver to decode.
+func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string, id uint64, blks []relBlock, total int, aggFrame bool) {
+	switch {
+	case vc.cfg.Reliable:
+		var flags uint8
+		if aggFrame {
+			flags = relFlagAgg
+		}
+		vc.rel[node.Name].sendMessage(p, dst, blks, id, flags)
+	case len(vc.stripeRoutes(node.Name, dst)) >= 2:
+		sx := &stripePacking{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: aggFrame}
+		sx.end(p)
+	default:
+		hop, link := vc.firstHop(node, dst)
+		x := vc.openSingleRail(p, node, dst, hop, link, vc.cfg.Eager, id)
+		replay(p, x, blks)
+		x.end(p)
 	}
-	if len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 {
-		sx := &stripePacking{vc: vc, node: c.node, dst: c.dst, id: id, blocks: blocks, total: int64(total)}
-		sx.end(p) // stripes, or falls back below the threshold
-		return
-	}
-	hop, link := vc.firstHop(c.node, c.dst)
-	x := vc.openSingleRail(p, c.node, c.dst, hop, link, vc.cfg.Eager, id)
-	replay(p, x, blocks)
-	x.end(p)
 }
 
 // aggPacking is the sender side of an aggregated message: blocks are
@@ -355,18 +347,9 @@ func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []relBlock, t
 // mid-Pack, so large messages keep their fragment-level pipelining through
 // the gateways.
 type aggPacking struct {
-	vc     *VirtualChannel
-	node   *mad.Node
-	dst    string
-	id     uint64
-	blocks []relBlock
-	total  int
-
+	blockBuf
+	dst     string
 	spilled packer // the streaming path's framing, after a spill
-}
-
-func newAggPacking(vc *VirtualChannel, node *mad.Node, dst string) *aggPacking {
-	return &aggPacking{vc: vc, node: node, dst: dst, id: vc.nextMsgID()}
 }
 
 func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
@@ -374,17 +357,10 @@ func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Rec
 		ax.spilled.pack(p, data, s, r)
 		return
 	}
-	host := ax.node.Host
-	p.Sleep(host.CPU.PackCost)
-	if s == mad.SendSafer {
-		host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-	}
-	ax.blocks = append(ax.blocks, relBlock{data: data, s: s, r: r})
-	ax.total += len(data)
 	vc := ax.vc
+	ax.blockBuf.pack(p, data, s, r)
 	if !vc.cfg.Reliable && len(vc.stripeRoutes(ax.node.Name, ax.dst)) < 2 &&
-		agg.HeaderLen+agg.SubSizeParts(len(ax.blocks), ax.total) > vc.PathMTU(ax.node.Name, ax.dst)-gtmHeaderLen {
+		agg.HeaderLen+agg.SubSizeParts(len(ax.blks), ax.total) > vc.PathMTU(ax.node.Name, ax.dst)-gtmHeaderLen {
 		ax.spill(p)
 	}
 }
@@ -404,8 +380,8 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 	hop, link := vc.firstHop(ax.node, ax.dst)
 	vc.hop(p, ax.id, ax.node.Name, "pack",
 		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: ax.dst, Net: hop.Network}, ax.total)
-	blocks := ax.blocks
-	ax.blocks = nil
+	blocks := ax.blks
+	ax.blks = nil
 	ax.spilled = vc.openSingleRail(p, ax.node, ax.dst, hop, link, vc.cfg.Eager, ax.id)
 	replay(p, ax.spilled, blocks)
 }
@@ -415,7 +391,7 @@ func (ax *aggPacking) end(p *vtime.Proc) {
 		ax.spilled.end(p)
 		return
 	}
-	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blocks, ax.total)
+	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blks, ax.total)
 }
 
 // aggEnqueueFrame decodes one arrived aggregate frame and queues its
@@ -448,33 +424,15 @@ func (vc *VirtualChannel) aggPop(rank mad.Rank) (aggSub, bool) {
 // openAggFrame receives one announced compact aggregate transfer (KindAgg,
 // single-rail streaming flush) and queues its sub-messages.
 func (vc *VirtualChannel) openAggFrame(p *vtime.Proc, node *mad.Node, a mad.Arrival) {
-	link := a.Link
-	link.AcquireRecv(p)
-	meta, slot := link.Recv(p)
-	if !meta.SOM || !meta.EOM || meta.Kind != mad.KindAgg {
-		panic("fwd: aggregate unpacking of a message without a compact frame")
-	}
-	if len(meta.Blocks) != 2 || meta.Blocks[0].Size != gtmHeaderLen {
-		panic("fwd: protocol error: malformed aggregate transfer at " + node.Name)
-	}
-	src, dst, _, _, frame, ok := decodeGTMCompact(slot)
-	if !ok {
-		panic("fwd: malformed aggregate header delivered to " + node.Name)
-	}
-	if dst != node.Rank {
-		panic(fmt.Sprintf("fwd: misrouted aggregate: %s received a frame for rank %d", node.Name, dst))
-	}
-	if meta.Blocks[1].Size != len(frame) {
-		panic("fwd: protocol error: aggregate frame length disagrees with its descriptor")
-	}
-	link.ReleaseRecv(p)
-	vc.aggEnqueueFrame(node.Rank, src, frame)
+	o := openStream(p, node, a, nil)
+	a.Link.ReleaseRecv(p)
+	vc.aggEnqueueFrame(node.Rank, o.src, o.payload)
 }
 
 // aggDecodeStriped reassembles a striped aggregate frame (stripeFlagAgg)
 // and queues its sub-messages.
 func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *stripeGroup) {
-	su := newStripeUnpacking(vc, node, g)
+	su := &stripeUnpacking{vc: vc, node: node, g: g}
 	frame := make([]byte, g.total)
 	su.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
 	su.end(p)
@@ -518,10 +476,6 @@ type aggUnpacking struct {
 	sub  agg.Sub
 	next int
 	off  int
-}
-
-func newAggUnpacking(vc *VirtualChannel, node *mad.Node, as aggSub) *aggUnpacking {
-	return &aggUnpacking{vc: vc, node: node, from: as.from, id: as.id, sub: as.sub}
 }
 
 func (u *aggUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {

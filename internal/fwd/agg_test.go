@@ -18,58 +18,9 @@ import (
 // fragments, and the cross-message coalescer that packs several sub-MTU
 // messages into one aggregate frame. The flow-control ledger doubles as the
 // wire-transfer meter here — the credit model charges exactly what crosses
-// the wire, so CreditsSpent counts transfers toward the first gateway.
-
-// TestEagerSmallMessageIsOneTransfer pins the headline elision: a sub-MTU
-// message that costs the seed framing three wire transfers (header, one
-// fragment, terminator) crosses in exactly one compact transfer under
-// Config.Eager.
-func TestEagerSmallMessageIsOneTransfer(t *testing.T) {
-	send := func(eager bool) (int64, *world) {
-		cfg := fwd.DefaultConfig()
-		cfg.Eager = eager
-		cfg.FlowControl = true
-		w := build(t, paperHS(t), cfg)
-		blocks := []block{{pattern(64, 3), mad.SendCheaper, mad.ReceiveCheaper}}
-		got, fwded, _ := sendRecv(t, w, "a0", "b1", blocks)
-		if !fwded || !bytes.Equal(got[0], blocks[0].data) {
-			t.Fatal("small message corrupted or not forwarded")
-		}
-		return w.vc.FlowStats().CreditsSpent, w
-	}
-	seedSpent, _ := send(false)
-	if seedSpent != 3 {
-		t.Fatalf("seed framing spent %d transfers for one small message, want 3 (header, fragment, terminator)", seedSpent)
-	}
-	eagerSpent, w := send(true)
-	if eagerSpent != 1 {
-		t.Fatalf("eager framing spent %d transfers for one small message, want 1", eagerSpent)
-	}
-	if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
-		t.Errorf("credit ledger unbalanced under eager framing: %+v", fs)
-	}
-}
-
-// TestEagerEmptyMessage pins the degenerate case: an empty message travels
-// as a single header-only compact transfer (the seed framing needs two —
-// header and terminator).
-func TestEagerEmptyMessage(t *testing.T) {
-	cfg := fwd.DefaultConfig()
-	cfg.Eager = true
-	cfg.FlowControl = true
-	w := build(t, paperHS(t), cfg)
-	blocks := []block{{[]byte{}, mad.SendCheaper, mad.ReceiveCheaper}}
-	_, fwded, from := sendRecv(t, w, "a0", "b1", blocks)
-	if !fwded {
-		t.Error("empty message not marked forwarded")
-	}
-	if from != w.vc.NodeRank("a0") {
-		t.Errorf("From() = %d, want rank of a0", from)
-	}
-	if spent := w.vc.FlowStats().CreditsSpent; spent != 1 {
-		t.Errorf("empty eager message spent %d transfers, want 1", spent)
-	}
-}
+// the wire, so CreditsSpent counts transfers toward the first gateway. The
+// headline elisions — one transfer for a small or an empty message where the
+// seed framing spends three and two — are cells of TestFramingTransferTable.
 
 // TestEagerLargeMessageDeliversIntact checks the eager path degrades
 // gracefully past the inline limit: a multi-fragment message still arrives

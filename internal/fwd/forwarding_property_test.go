@@ -47,12 +47,17 @@ func xorshift(seed uint64) func(uint64) uint64 {
 }
 
 // Property: for random route shapes (direct, single gateway, two-gateway
-// chain) × random per-network MTUs × random pipeline depths, a message is
-// delivered byte-identically, the Forwarded flag reflects whether a gateway
-// relayed it, and the negotiated path MTU is the minimum over the traversed
-// networks (§2.3) — never the global minimum of the whole configuration.
+// chain) × random per-network MTUs × random pipeline depths × every streaming
+// framing one route can carry (seed, eager, eager + aggregation, a multicast
+// to the one destination) × one to four blocks of random sizes and modes, a
+// message is delivered byte-identically, the Forwarded flag reflects whether
+// a gateway relayed it, and the negotiated path MTU is the minimum over the
+// traversed networks (§2.3) — never the global minimum of the whole
+// configuration.
 func TestForwardingProperty(t *testing.T) {
 	protocols := []string{"sci", "myrinet", "sbp"}
+	sends := []mad.SendMode{mad.SendCheaper, mad.SendSafer, mad.SendLater}
+	recvs := []mad.RecvMode{mad.ReceiveCheaper, mad.ReceiveExpress}
 	f := func(seed uint64) bool {
 		next := xorshift(seed)
 		hops := 1 + int(next(3)) // networks on the route
@@ -76,7 +81,23 @@ func TestForwardingProperty(t *testing.T) {
 			}
 		}
 		cfg.MTU = 8192 * (1 + int(next(15)))
+		framing := []string{"seed", "eager", "eager+agg", "mcast"}[next(4)]
+		cfg.Eager = framing == "eager" || framing == "eager+agg"
+		cfg.Aggregation = framing == "eager+agg"
+		// One to four blocks, 1..400 000 bytes together; a block past the
+		// first may be empty.
 		n := 1 + int(next(400_000))
+		blocks := make([]block, 1+int(next(4)))
+		left := n
+		for i := range blocks {
+			size := left
+			if i < len(blocks)-1 {
+				size = int(next(uint64(left + 1)))
+			}
+			left -= size
+			blocks[i] = block{pattern(size, byte(seed>>8)+byte(i)),
+				sends[next(uint64(len(sends)))], recvs[next(uint64(len(recvs)))]}
+		}
 		w := buildQuiet(tp, cfg)
 
 		if got := w.vc.PathMTU("a", "b"); got != wantMTU {
@@ -85,35 +106,46 @@ func TestForwardingProperty(t *testing.T) {
 			return false
 		}
 
-		payload := pattern(n, byte(seed>>8))
-		var got []byte
+		got := make([][]byte, len(blocks))
 		var fwded bool
 		w.sim.Spawn("s", func(p *vtime.Proc) {
-			px := w.vc.At("a").BeginPacking(p, "b")
-			px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
+			var px *fwd.Packing
+			if framing == "mcast" {
+				px = w.vc.At("a").BeginMulticast(p, "b")
+			} else {
+				px = w.vc.At("a").BeginPacking(p, "b")
+			}
+			for _, b := range blocks {
+				px.Pack(p, b.data, b.s, b.r)
+			}
 			px.EndPacking(p)
 		})
 		w.sim.Spawn("r", func(p *vtime.Proc) {
 			u := w.vc.At("b").BeginUnpacking(p)
 			fwded = u.Forwarded()
-			got = make([]byte, n)
-			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			for i, b := range blocks {
+				got[i] = make([]byte, len(b.data))
+				u.Unpack(p, got[i], b.s, b.r)
+			}
 			u.EndUnpacking(p)
 		})
 		if err := w.sim.Run(); err != nil {
-			t.Logf("seed %d (route %v, depth %d, n %d): %v",
-				seed, route, cfg.PipelineDepth, n, err)
+			t.Logf("seed %d (route %v, depth %d, %s, n %d in %d blocks): %v",
+				seed, route, cfg.PipelineDepth, framing, n, len(blocks), err)
 			return false
 		}
-		if fwded != (hops > 1) {
-			t.Logf("seed %d (route %v): Forwarded = %v with %d gateways",
-				seed, route, fwded, hops-1)
+		// A multicast is a self-described stream even over one network.
+		if fwded != (hops > 1 || framing == "mcast") {
+			t.Logf("seed %d (route %v, %s): Forwarded = %v with %d gateways",
+				seed, route, framing, fwded, hops-1)
 			return false
 		}
-		if !bytes.Equal(got, payload) {
-			t.Logf("seed %d (route %v, depth %d, mtus %v, n %d): payload corrupted",
-				seed, route, cfg.PipelineDepth, cfg.NetMTU, n)
-			return false
+		for i, b := range blocks {
+			if !bytes.Equal(got[i], b.data) {
+				t.Logf("seed %d (route %v, depth %d, mtus %v, %s, n %d): block %d of %d corrupted",
+					seed, route, cfg.PipelineDepth, cfg.NetMTU, framing, n, i, len(blocks))
+				return false
+			}
 		}
 		return true
 	}

@@ -17,14 +17,36 @@ import (
 // contract under test is the same for all of them: decode never panics,
 // rejects malformed input with ok=false, and accepts exactly the encoder's
 // output — for every accepted input the re-encoded fields reproduce the
-// input byte for byte.
+// input byte for byte. FuzzStreamOpen covers the step above the codecs, the
+// parse of a stream's first transfer.
+
+// The fixed-length headers are written in place by the stream writer; the
+// round trips want them as values.
+func encodeGTMHeader(src, dst mad.Rank, mtu int, id uint64) []byte {
+	return encodeGTMCompact(src, dst, mtu, id, nil)
+}
+
+// encodeGTMCompact is the first transfer of a compact message: the GTM header
+// with the first data fragment glued on.
+func encodeGTMCompact(src, dst mad.Rank, mtu int, id uint64, frag []byte) []byte {
+	b := make([]byte, gtmHeaderLen+len(frag))
+	putGTMHeader(b, streamHdr{src: src, dst: dst, mtu: mtu, id: id})
+	copy(b[gtmHeaderLen:], frag)
+	return b
+}
+
+func encodeStripeHeader(h streamHdr) []byte {
+	b := make([]byte, stripeHeaderLen)
+	putStripeHeader(b, h)
+	return b
+}
 
 func FuzzGTMHeader(f *testing.F) {
 	for _, seed := range gtmHeaderSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, dst, mtu, id, ok := decodeGTMHeader(data)
+		h, ok := decodeGTMHeader(data)
 		if !ok {
 			// The only legal grounds for rejection: wrong length or a
 			// non-positive MTU field.
@@ -34,26 +56,29 @@ func FuzzGTMHeader(f *testing.F) {
 			}
 			return
 		}
-		if mtu <= 0 {
-			t.Fatalf("accepted header with unusable mtu %d", mtu)
+		if h.mtu <= 0 {
+			t.Fatalf("accepted header with unusable mtu %d", h.mtu)
 		}
-		if re := encodeGTMHeader(src, dst, mtu, id); !bytes.Equal(re, data) {
+		if re := encodeGTMHeader(h.src, h.dst, h.mtu, h.id); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
 		}
 	})
 }
 
 // FuzzGTMCompactHeader covers the eager path's compact first transfer: a
-// GTM header with the first data fragment glued on. The fragment may be
-// empty (header-only compact frame); everything after the header is
-// fragment, so any length at or above gtmHeaderLen with a usable MTU must
-// be accepted and round-trip exactly.
+// GTM header with the first data fragment glued on, kept apart by the
+// transfer's two block descriptors. The fragment may be empty (header-only
+// compact frame); everything after the header is fragment, so any length at
+// or above gtmHeaderLen with a usable MTU must be accepted and round-trip
+// exactly.
 func FuzzGTMCompactHeader(f *testing.F) {
 	for _, seed := range gtmCompactSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, dst, mtu, id, frag, ok := decodeGTMCompact(data)
+		meta := mad.TxMeta{SOM: true, Kind: mad.KindEager, Blocks: []mad.BlockDesc{
+			headerDesc(gtmHeaderLen), {Size: len(data) - gtmHeaderLen}}}
+		o, ok := parseStream(mad.KindEager, meta, data)
 		if !ok {
 			if len(data) >= gtmHeaderLen && binary.LittleEndian.Uint32(data[8:]) != 0 {
 				t.Fatalf("rejected a well-formed %d-byte compact frame with mtu %d",
@@ -61,15 +86,96 @@ func FuzzGTMCompactHeader(f *testing.F) {
 			}
 			return
 		}
-		if mtu <= 0 {
-			t.Fatalf("accepted compact frame with unusable mtu %d", mtu)
+		if o.mtu <= 0 {
+			t.Fatalf("accepted compact frame with unusable mtu %d", o.mtu)
 		}
-		if len(frag) != len(data)-gtmHeaderLen {
+		if len(o.payload) != len(data)-gtmHeaderLen {
 			t.Fatalf("fragment length %d does not cover the %d bytes after the header",
-				len(frag), len(data)-gtmHeaderLen)
+				len(o.payload), len(data)-gtmHeaderLen)
 		}
-		if re := encodeGTMCompact(src, dst, mtu, id, frag); !bytes.Equal(re, data) {
+		if re := encodeGTMCompact(o.src, o.dst, o.mtu, o.id, o.payload); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
+		}
+	})
+}
+
+// FuzzStreamOpen covers the step every receiver of a stream takes before it
+// trusts a byte of it: parseStream on the first transfer — the final
+// receiver's open and the gateway's classify are this one call, so what one
+// accepts the other does. It never panics, and what it accepts is safe to act
+// on: the header lies within the transfer, the descriptors of the payload
+// that rode along cover the remaining bytes exactly with no negative size, at
+// most one block rides an eager header, a frame is exactly one block and the
+// whole message, multicast payload rides only with the terminator, and a
+// header that always travels alone did.
+func FuzzStreamOpen(f *testing.F) {
+	sizes := func(ns ...int) []byte {
+		var b []byte
+		for _, n := range ns {
+			b = binary.LittleEndian.AppendUint16(b, uint16(n))
+		}
+		return b
+	}
+	for _, eom := range []bool{false, true} {
+		for _, seed := range gtmHeaderSeeds() {
+			f.Add(uint8(mad.KindGTM), true, eom, sizes(len(seed)), seed)
+		}
+		for _, seed := range stripeHeaderSeeds() {
+			f.Add(uint8(mad.KindStripe), true, eom, sizes(len(seed)), seed)
+		}
+		for _, seed := range gtmCompactSeeds() {
+			f.Add(uint8(mad.KindEager), true, eom, sizes(gtmHeaderLen, len(seed)-gtmHeaderLen), seed)
+			f.Add(uint8(mad.KindAgg), true, eom, sizes(gtmHeaderLen, len(seed)-gtmHeaderLen), seed)
+		}
+		for _, seed := range mcastHeaderSeeds() {
+			f.Add(uint8(mad.KindMcast), true, eom, sizes(len(seed)), seed)
+			f.Add(uint8(mad.KindMcast), true, eom, sizes(len(seed), 3, 0, 4), append(seed[:len(seed):len(seed)], "payload"...))
+		}
+	}
+	f.Add(uint8(mad.KindPlain), true, false, sizes(4), []byte("body"))
+	f.Add(uint8(mad.KindGTM), false, false, sizes(gtmHeaderLen), gtmHeaderSeeds()[0])
+	f.Fuzz(func(t *testing.T, k uint8, som, eom bool, blockSizes, first []byte) {
+		kind := mad.Kind(k)
+		meta := mad.TxMeta{SOM: som, EOM: eom, Kind: kind}
+		for ; len(blockSizes) >= 2; blockSizes = blockSizes[2:] {
+			// Signed, so that a corrupted descriptor can claim a negative size.
+			meta.Blocks = append(meta.Blocks, mad.BlockDesc{Size: int(int16(binary.LittleEndian.Uint16(blockSizes)))})
+		}
+		o, ok := parseStream(kind, meta, first)
+		if !ok {
+			return
+		}
+		if !som || !relayableKind(kind) {
+			t.Fatalf("accepted a transfer that starts no %v stream (SOM %v)", kind, som)
+		}
+		if o.mtu <= 0 {
+			t.Fatalf("accepted a header with unusable mtu %d", o.mtu)
+		}
+		if o.hsize < 0 || o.hsize > len(first) || len(o.payload) != len(first)-o.hsize {
+			t.Fatalf("header of %d bytes and payload of %d in a transfer of %d", o.hsize, len(o.payload), len(first))
+		}
+		covered := 0
+		for _, d := range o.descs {
+			if d.Size < 0 {
+				t.Fatalf("accepted a negative block size: %v", o.descs)
+			}
+			covered += d.Size
+		}
+		if covered != len(o.payload) {
+			t.Fatalf("descriptors %v cover %d of the %d payload bytes", o.descs, covered, len(o.payload))
+		}
+		if frags := splitByDescs(nil, o.payload, o.descs); len(frags) != len(o.descs) {
+			t.Fatalf("%d fragments for %d descriptors", len(frags), len(o.descs))
+		}
+		switch n := len(o.descs); {
+		case framingOf(kind).bracketed && (n != 0 || o.hsize != framingOf(kind).hdrDesc[0].Size):
+			t.Fatalf("a %v header of %d bytes with %d payload blocks in its transfer", kind, o.hsize, n)
+		case kind == mad.KindEager && n > 1:
+			t.Fatalf("%d payload blocks ride an eager header", n)
+		case kind == mad.KindAgg && (n != 1 || !eom):
+			t.Fatalf("aggregate transfer of %d blocks, EOM %v", n, eom)
+		case kind == mad.KindMcast && n > 0 && !eom:
+			t.Fatalf("multicast payload rides a header without the terminator")
 		}
 	})
 }
@@ -98,8 +204,8 @@ func FuzzStripeHeader(f *testing.F) {
 		}
 		// The first 20 bytes stay GTM-compatible so gateways can route a
 		// rail without understanding striping.
-		src, dst, mtu, id, gok := decodeGTMHeader(data[:gtmHeaderLen])
-		if !gok || src != h.src || dst != h.dst || mtu != h.mtu || id != h.id {
+		g, gok := decodeGTMHeader(data[:gtmHeaderLen])
+		if !gok || g.src != h.src || g.dst != h.dst || g.mtu != h.mtu || g.id != h.id {
 			t.Fatalf("stripe header prefix not GTM-compatible: %+v", h)
 		}
 	})
@@ -115,10 +221,11 @@ func FuzzMcastHeader(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, mtu, id, dests, ok := decodeMcastHeader(data)
+		h, ok := decodeMcastHeader(data)
 		if !ok {
 			return
 		}
+		src, mtu, id, dests := h.src, h.mtu, h.id, h.dests
 		if mtu <= 0 {
 			t.Fatalf("accepted header with unusable mtu %d", mtu)
 		}
@@ -136,7 +243,7 @@ func FuzzMcastHeader(f *testing.F) {
 		if len(data) <= 256 {
 			for i := range data {
 				data[i] ^= 0xFF
-				if _, _, _, _, stillOK := decodeMcastHeader(data); stillOK {
+				if _, stillOK := decodeMcastHeader(data); stillOK {
 					t.Fatalf("header still decodes with byte %d flipped", i)
 				}
 				data[i] ^= 0xFF
@@ -266,12 +373,12 @@ func gtmCompactSeeds() [][]byte {
 
 func stripeHeaderSeeds() [][]byte {
 	return [][]byte{
-		encodeStripeHeader(stripeHdr{src: 0, dst: 1, mtu: 4096, id: 1,
+		encodeStripeHeader(streamHdr{src: 0, dst: 1, mtu: 4096, id: 1,
 			rail: 0, nrails: 2, spanStart: 0, spanLen: 64 << 10, total: 128 << 10}),
-		encodeStripeHeader(stripeHdr{src: 3, dst: 7, mtu: 1, id: ^uint64(0),
+		encodeStripeHeader(streamHdr{src: 3, dst: 7, mtu: 1, id: ^uint64(0),
 			rail: 2, nrails: 3, flags: stripeFlagForwarded,
 			spanStart: 100, spanLen: 0, total: 100}),
-		encodeStripeHeader(stripeHdr{src: 8, dst: 4, mtu: 1 << 20, id: 42,
+		encodeStripeHeader(streamHdr{src: 8, dst: 4, mtu: 1 << 20, id: 42,
 			rail: 0, nrails: 1, spanStart: 0, spanLen: 9, total: 9}),
 		make([]byte, stripeHeaderLen), // mtu 0 → rejected
 		make([]byte, stripeHeaderLen-1),

@@ -543,72 +543,26 @@ func (vc *VirtualChannel) hopLink(from *mad.Node, hop route.Hop, relays bool) (l
 // message in hand: the per-frame context classify builds and route and emit
 // read.
 type relayFrame struct {
-	kind  mad.Kind
-	meta  mad.TxMeta // metadata of the first transfer
-	head  []byte     // the first transfer: the header, then any payload that rode along
-	hsize int        // header bytes at the front of head
-
-	src   mad.Rank   // origin (multicast only: the header is rewritten per branch)
-	dst   mad.Rank   // final destination (unicast kinds)
-	dests []mad.Rank // destination set (multicast)
-	mtu   int
-	msgID uint64
-	up    string // the ingress sender, whose flow credits the relay returns
-}
-
-// bareTerminator reports whether the frame's kind closes a message with an
-// empty transfer — the seed framing (§2.3: "the sender sends the description
-// of an empty message"), kept as the WithPaperFidelity reference. The
-// compact framings fold the terminator into their last data transfer.
-func (f *relayFrame) bareTerminator() bool {
-	return f.kind == mad.KindGTM || f.kind == mad.KindStripe
+	kind       mad.Kind
+	meta       mad.TxMeta // metadata of the first transfer
+	head       []byte     // the first transfer: the header, then any payload that rode along
+	streamOpen            // what it says: routing fields, header length, the payload's share
+	up         string     // the ingress sender, whose flow credits the relay returns
 }
 
 // classify receives the first transfer of an announced message and decodes
-// its self-description, the one per-kind step of a relay:
-//
-//   - GTM, stripe: a fixed-length header in a transfer of its own, received
-//     into the ring's scratch. A striped rail carries a longer header, but
-//     its leading fields are byte-compatible with the GTM header — the
-//     gateway reads the routing fields and relays the rest of the stream
-//     unchanged, oblivious to the striping schedule.
-//   - eager, aggregate: the compact frame, the same header glued to the
-//     first data fragment, so the transfer is variable-length and taken as
-//     a driver-slot handoff. The gateway reads the routing fields off the
-//     front and re-emits the frame unchanged, oblivious to whether the
-//     payload is one small message or an aggregate of many.
-//   - multicast: a destination-set header, alone or glued to the whole
-//     payload.
+// its self-description, by the same two calls as the final receiver: a
+// fixed-length header lands in the ring's scratch, a compact frame or a
+// destination-set header is taken as a driver-slot handoff. The gateway reads
+// the routing fields and re-emits everything else unchanged: it stays
+// oblivious to the striping schedule of a rail (whose header extends the GTM
+// one) and to whether a compact frame's payload is one small message or an
+// aggregate of many.
 func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFrame {
-	in := a.Link
-	f := relayFrame{kind: a.Kind(), up: in.Src.Name}
-	ok := false
-	switch f.kind {
-	case mad.KindGTM, mad.KindStripe:
-		f.hsize = gtmHeaderLen
-		if f.kind == mad.KindStripe {
-			f.hsize = stripeHeaderLen
-		}
-		f.head = r.hdr[:f.hsize]
-		f.meta, _ = in.RecvInto(p, f.head)
-		if len(f.meta.Blocks) == 1 {
-			_, f.dst, f.mtu, f.msgID, ok = decodeGTMHeader(f.head[:gtmHeaderLen])
-		}
-	case mad.KindEager, mad.KindAgg:
-		f.hsize = gtmHeaderLen
-		f.meta, f.head = in.Recv(p)
-		if n := len(f.meta.Blocks); n >= 1 && n <= 2 && f.meta.Blocks[0].Size == gtmHeaderLen {
-			_, f.dst, f.mtu, f.msgID, _, ok = decodeGTMCompact(f.head)
-		}
-	case mad.KindMcast:
-		f.meta, f.head = in.Recv(p)
-		// Payload shares the header's transfer only when all of it does.
-		if n := len(f.meta.Blocks); n >= 1 && (n == 1 || f.meta.EOM) && f.meta.Blocks[0].Size <= len(f.head) {
-			f.hsize = f.meta.Blocks[0].Size
-			f.src, f.mtu, f.msgID, f.dests, ok = decodeMcastHeader(f.head[:f.hsize])
-		}
-	}
-	if !ok || !f.meta.SOM || f.meta.Kind != f.kind {
+	f := relayFrame{kind: a.Kind(), up: a.Link.Src.Name}
+	f.meta, f.head = recvFirst(p, a.Link, f.kind, r.hdr[:])
+	var ok bool
+	if f.streamOpen, ok = parseStream(f.kind, f.meta, f.head); !ok {
 		panic(fmt.Sprintf("fwd: malformed %v header at gateway %s", f.kind, g.name))
 	}
 	return f
@@ -624,7 +578,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 		branches, local = g.mcastSplit(r, f)
 		g.met.mcastRelays.Add(1)
 		g.met.branches.Add(int64(len(branches)))
-		vc.hop(p, f.msgID, g.name, "relay",
+		vc.hop(p, f.id, g.name, "relay",
 			obs.Detail{Form: "mcast ${net} -> ${a} branches (${b} dests)", Net: inNet, A: len(branches), B: len(f.dests)}, 0)
 		return branches, local
 	}
@@ -633,7 +587,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	vc.hop(p, f.msgID, g.name, "relay", obs.Detail{Form: "${note} -> ${peer} via ${net}", Note: inNet, Peer: hop.To, Net: hop.Network}, 0)
+	vc.hop(p, f.id, g.name, "relay", obs.Detail{Form: "${note} -> ${peer} via ${net}", Note: inNet, Peer: hop.To, Net: hop.Network}, 0)
 	out, nextGW := vc.hopLink(g.node, hop, hop.To != dstName)
 	g.branch(r, 0, out, nextGW, nil)
 	return r.branches[:1], false
@@ -667,13 +621,12 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 	g.messages++
 	// Payload that rode along with the header is relayed ingress payload
 	// like any pipelined packet.
-	payload := f.head[f.hsize:]
-	if n := len(payload); n > 0 {
+	if n := len(f.payload); n > 0 {
 		g.met.packets.Add(1)
 		g.met.bytes.Add(int64(n))
 	}
 
-	if f.meta.EOM {
+	if f.eom {
 		// The first transfer carried the terminator: the whole message is
 		// in gateway memory (its driver slot), so the retransmission needs
 		// nothing more from this thread. Queue it on each branch's egress
@@ -682,14 +635,13 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 			meta := mad.TxMeta{SOM: true, EOM: true, Kind: f.kind, Blocks: f.meta.Blocks}
 			frame := f.head
 			if b.replicated() {
-				meta.Blocks, frame = g.replicateFrame(p, &f, b, payload)
+				meta.Blocks, frame = g.replicateFrame(p, &f, b, f.payload)
 			}
-			g.sendEgress(p, b.out, gwEgressTx{meta: meta, data: frame, msgID: f.msgID, nextGW: b.nextGW})
+			g.sendEgress(p, b.out, gwEgressTx{meta: meta, data: frame, msgID: f.id, nextGW: b.nextGW})
 		}
 		if local {
-			pdescs := f.meta.Blocks[1:]
-			g.mcastDeliverLocal(p, &mcastLocal{from: f.src, id: f.msgID, mtu: f.mtu,
-				frags: splitByDescs(make([][]byte, 0, len(pdescs)), payload, pdescs), descs: pdescs})
+			g.mcastDeliverLocal(p, &mcastLocal{f.streamHdr, parkedFrags{
+				frags: splitByDescs(make([][]byte, 0, len(f.descs)), f.payload, f.descs), descs: f.descs}})
 		}
 		return g.met.bytes.Count() - bytesBefore
 	}
@@ -703,7 +655,7 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 		b.out.Acquire(p)
 		defer b.out.Release(p)
 		if b.nextGW != "" {
-			vc.flowSpend(p, b.nextGW, g.name, f.msgID)
+			vc.flowSpend(p, b.nextGW, g.name, f.id)
 		}
 		b.out.Send(p, mad.TxMeta{SOM: true, Kind: f.kind, Blocks: f.meta.Blocks}, f.head)
 	}
@@ -783,14 +735,14 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	// starts in. Ordering is the whole reason: the spawn runs on a finished
 	// send thread's goroutine and allocates one process record, no more than
 	// waking a daemon would cost (DESIGN.md §20).
-	msgID, up := f.msgID, f.up
+	msgID, up := f.id, f.up
 	for _, b := range branches {
 		b.kind, b.msgID, b.up = f.kind, msgID, up
 		b.proc = vc.sess.Platform.Sim.Spawn(b.names.proc, b.send)
 	}
 	var capture *mcastLocal
 	if local {
-		capture = &mcastLocal{from: f.src, id: msgID, mtu: f.mtu}
+		capture = &mcastLocal{h: f.streamHdr}
 	}
 
 	var lastRecvStart vtime.Time
@@ -827,7 +779,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			s.data = s.buf[:n]
 		}
 		if len(meta.Blocks) == 0 {
-			if !f.bareTerminator() {
+			if !framingOf(f.kind).bracketed {
 				panic(fmt.Sprintf("fwd: protocol error: bare terminator on a %v stream at %s", f.kind, g.name))
 			}
 			for _, b := range branches {
@@ -938,7 +890,7 @@ func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch) {
 			vc.flowSpend(sp, b.nextGW, g.name, msgID)
 		}
 		b.out.Send(sp, mad.TxMeta{SOM: true, Kind: kind,
-			Blocks: []mad.BlockDesc{mcastHdrDesc(len(b.hdr))}}, b.hdr)
+			Blocks: []mad.BlockDesc{headerDesc(len(b.hdr))}}, b.hdr)
 	}
 	for {
 		s, _ := b.q.Recv(sp)

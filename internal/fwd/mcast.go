@@ -1,7 +1,6 @@
 package fwd
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,83 +33,6 @@ import (
 // which is the bounded-memory backstop). Streaming mode only — the reliable
 // protocol keeps its unicast framing, and collectives fall back to the
 // binomial tree there (CanMulticast).
-
-// mcastHeaderFixed is the fixed prefix of the multicast header: source rank
-// (u32), tree MTU (u32), message ID (u64) and destination count (u16). The
-// destination ranks (u32 each, strictly increasing) follow, then a CRC-32
-// (IEEE) of everything before it. The CRC matters here more than on the
-// unicast headers: a corrupted destination set silently mis-replicates,
-// while a corrupted rank just misroutes one message.
-const mcastHeaderFixed = 18
-
-// mcastMaxDests bounds the destination count a decoder accepts, so a
-// corrupted count cannot make a gateway allocate unbounded memory.
-const mcastMaxDests = 4096
-
-// mcastHeaderLen returns the wire size of a multicast header carrying count
-// destinations.
-func mcastHeaderLen(count int) int { return mcastHeaderFixed + 4*count + 4 }
-
-// encodeMcastHeader builds the destination-set header. Ranks are encoded in
-// strictly increasing order (the canonical form decodeMcastHeader enforces);
-// the input is not modified.
-func encodeMcastHeader(src mad.Rank, mtu int, id uint64, dests []mad.Rank) []byte {
-	if len(dests) == 0 || len(dests) > mcastMaxDests {
-		panic(fmt.Sprintf("fwd: mcast header with %d destinations", len(dests)))
-	}
-	sorted := append([]mad.Rank(nil), dests...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	b := make([]byte, mcastHeaderLen(len(sorted)))
-	binary.LittleEndian.PutUint32(b[0:], uint32(src))
-	binary.LittleEndian.PutUint32(b[4:], uint32(mtu))
-	binary.LittleEndian.PutUint64(b[8:], id)
-	binary.LittleEndian.PutUint16(b[16:], uint16(len(sorted)))
-	for i, d := range sorted {
-		binary.LittleEndian.PutUint32(b[mcastHeaderFixed+4*i:], uint32(d))
-	}
-	sealCRC(b)
-	return b
-}
-
-// decodeMcastHeader parses a destination-set header. Like the other wire
-// codecs it never panics on malformed input (the fuzz target pins this): ok
-// is false on a short or oversized buffer, a zero MTU, an out-of-range
-// count, a non-canonical (unsorted or duplicated) destination list, or a CRC
-// mismatch.
-func decodeMcastHeader(b []byte) (src mad.Rank, mtu int, id uint64, dests []mad.Rank, ok bool) {
-	if len(b) < mcastHeaderLen(1) {
-		return 0, 0, 0, nil, false
-	}
-	count := int(binary.LittleEndian.Uint16(b[16:]))
-	if count < 1 || count > mcastMaxDests || len(b) != mcastHeaderLen(count) {
-		return 0, 0, 0, nil, false
-	}
-	if !checkCRC(b) {
-		return 0, 0, 0, nil, false
-	}
-	mtu = int(binary.LittleEndian.Uint32(b[4:]))
-	if mtu <= 0 {
-		return 0, 0, 0, nil, false
-	}
-	dests = make([]mad.Rank, count)
-	for i := range dests {
-		dests[i] = mad.Rank(binary.LittleEndian.Uint32(b[mcastHeaderFixed+4*i:]))
-		if i > 0 && dests[i] <= dests[i-1] {
-			return 0, 0, 0, nil, false
-		}
-	}
-	return mad.Rank(binary.LittleEndian.Uint32(b[0:])),
-		mtu,
-		binary.LittleEndian.Uint64(b[8:]),
-		dests,
-		true
-}
-
-// mcastHdrDesc types a multicast header transfer: cheap to send, express on
-// receive (the relay must read it before deciding anything else).
-func mcastHdrDesc(n int) mad.BlockDesc {
-	return mad.BlockDesc{Size: n, S: mad.SendCheaper, R: mad.ReceiveExpress}
-}
 
 // mcastPlan is one cached (root, member-set) distribution plan: the tree and
 // the tree MTU (minimum path MTU over every destination, so one fragment
@@ -247,12 +169,11 @@ func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
 // re-reads the same blocks), then EndPacking emits one stream per root
 // branch of the distribution tree.
 type mcastPacking struct {
-	vc    *VirtualChannel
-	node  *mad.Node
+	blockBuf
 	dests []string // sorted, deduplicated, root excluded
-	id    uint64
-	total int
-	blks  []relBlock
+	// tx is the writer of the branch being sent, one after the other. Of a
+	// multicast stream nothing a gateway still reads lives in it.
+	tx streamTx
 }
 
 // BeginMulticast starts a message to every named destination at once; the
@@ -282,17 +203,10 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 		ds = append(ds, d)
 	}
 	sort.Strings(ds)
-	x := &mcastPacking{vc: vc, node: e.node, dests: ds, id: vc.nextMsgID()}
+	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds}
+	x.cost = 0
 	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: destsText(vc.metrics(), ds)}, 0)
 	return &Packing{x: x, id: x.id}
-}
-
-func (x *mcastPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	if s == mad.SendSafer {
-		data = x.vc.snapshotSafer(p, x.node, x.id, data)
-	}
-	x.blks = append(x.blks, relBlock{data: data, s: s, r: r})
-	x.total += len(data)
 }
 
 func (x *mcastPacking) end(p *vtime.Proc) {
@@ -303,19 +217,6 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 		x.sendBranch(p, b, pl.mtu)
 		root.branches.Add(1)
 	}
-}
-
-// blockDescs returns the wire descriptors of the buffered blocks with
-// zero-size blocks elided — a zero-size block produces no fragment in the
-// streaming framing, so the compact framing must not describe one either.
-func (x *mcastPacking) blockDescs() []mad.BlockDesc {
-	var out []mad.BlockDesc
-	for _, b := range x.blks {
-		if len(b.data) > 0 {
-			out = append(out, mad.BlockDesc{Size: len(b.data), S: b.s, R: b.r})
-		}
-	}
-	return out
 }
 
 // sendBranch emits the message once toward one root branch: compact when the
@@ -329,64 +230,10 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 	for i, d := range b.Dests {
 		ranks[i] = vc.NodeRank(d)
 	}
-	hdr := encodeMcastHeader(x.node.Rank, mtu, x.id, ranks)
-	net := b.Hop.Network
-	fr := vc.flightRing(x.node.Name)
-
-	link.Acquire(p)
-	defer link.Release(p)
-	fr.Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, net)
-	if x.total <= eagerInlineMax && len(hdr)+x.total <= mtu {
-		// Compact: header and every block in one transfer, EOM included.
-		// Building the contiguous frame copies the payload once per branch.
-		frame := make([]byte, len(hdr)+x.total)
-		off := copy(frame, hdr)
-		for _, blk := range x.blks {
-			off += copy(frame[off:], blk.data)
-		}
-		if x.total > 0 {
-			x.node.Host.Memcpy(p, x.total)
-		}
-		if spendTo != "" {
-			vc.flowSpend(p, spendTo, x.node.Name, x.id)
-		}
-		link.Send(p, mad.TxMeta{SOM: true, EOM: true, Kind: mad.KindMcast,
-			Blocks: append([]mad.BlockDesc{mcastHdrDesc(len(hdr))}, x.blockDescs()...)}, frame)
-		vc.hop(p, x.id, x.node.Name, "hop",
-			obs.Detail{Form: hopVia + " (mcast compact, ${a} dests)", Peer: b.Hop.To, Net: net, A: len(b.Dests)}, x.total)
-		return
-	}
-	// Streaming: header first, then MTU-sized fragments; the terminator
-	// rides the last fragment's EOM flag (never a bare transfer).
-	if spendTo != "" {
-		vc.flowSpend(p, spendTo, x.node.Name, x.id)
-	}
-	link.Send(p, mad.TxMeta{SOM: true, Kind: mad.KindMcast,
-		Blocks: []mad.BlockDesc{mcastHdrDesc(len(hdr))}}, hdr)
-	frags := 0
-	for _, blk := range x.blks {
-		if len(blk.data) > 0 {
-			mad.ForEachFragment(len(blk.data), mtu, func(int, int) { frags++ })
-		}
-	}
-	for _, blk := range x.blks {
-		if len(blk.data) == 0 {
-			// Zero-size blocks produce no wire fragment, mirroring the
-			// compact framing's elided descriptors.
-			continue
-		}
-		blk := blk
-		mad.ForEachFragment(len(blk.data), mtu, func(off, n int) {
-			frags--
-			if spendTo != "" {
-				vc.flowSpend(p, spendTo, x.node.Name, x.id)
-			}
-			link.Send(p, mad.TxMeta{EOM: frags == 0, Kind: mad.KindMcast,
-				Blocks: []mad.BlockDesc{{Size: n, S: blk.s, R: blk.r}}}, blk.data[off:off+n])
-		})
-	}
-	vc.hop(p, x.id, x.node.Name, "hop",
-		obs.Detail{Form: hopVia + " (mcast, ${a} dests)", Peer: b.Hop.To, Net: net, A: len(b.Dests)}, x.total)
+	x.tx = streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
+	x.tx.open(p, streamHdr{src: x.node.Rank, mtu: mtu, id: x.id, dests: ranks})
+	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, b.Hop.Network)
+	x.tx.message(p, x.blks, x.total, nil)
 }
 
 // mcastLocal is a fully captured multicast message a relaying gateway
@@ -394,11 +241,8 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 // the shared ring (or retains the compact frame's slot) and funnels the
 // result through the node's merged arrival queue like any other incoming.
 type mcastLocal struct {
-	from  mad.Rank
-	id    uint64
-	mtu   int
-	frags [][]byte
-	descs []mad.BlockDesc
+	h streamHdr
+	parkedFrags
 }
 
 // rankInSet reports membership of r in a sorted rank set.
@@ -450,7 +294,7 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (branches []*relayBran
 	})
 	for i, gr := range groups {
 		out, nextGW := vc.hopLink(g.node, gr.hop, gr.past || len(gr.ranks) > 1)
-		g.branch(r, i, out, nextGW, encodeMcastHeader(f.src, f.mtu, f.msgID, gr.ranks))
+		g.branch(r, i, out, nextGW, encodeMcastHeader(f.src, f.mtu, f.id, gr.ranks))
 	}
 	return r.branches[:len(groups)], local
 }
@@ -467,25 +311,8 @@ func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, p
 	}
 	g.met.replicatedPkts.Add(1)
 	g.met.replicatedBytes.Add(int64(len(payload)))
-	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.msgID, len(payload), b.out.Channel.Network().Name)
-	return append([]mad.BlockDesc{mcastHdrDesc(len(b.hdr))}, f.meta.Blocks[1:]...), frame
-}
-
-// splitByDescs slices the payload that shared a transfer with its header
-// back into per-block fragments, appending them to frags.
-func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byte {
-	off := 0
-	for _, d := range descs {
-		if off+d.Size > len(payload) {
-			panic("fwd: protocol error: fragment descriptors overrun the compact frame")
-		}
-		frags = append(frags, payload[off:off+d.Size])
-		off += d.Size
-	}
-	if off != len(payload) {
-		panic("fwd: protocol error: compact frame with trailing bytes")
-	}
-	return frags
+	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.id, len(payload), b.out.Channel.Network().Name)
+	return append([]mad.BlockDesc{headerDesc(len(b.hdr))}, f.descs...), frame
 }
 
 // mcastDeliverLocal hands a captured multicast message to this gateway's own

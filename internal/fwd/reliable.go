@@ -770,14 +770,9 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 // sendMessage fragments, encodes and reliably delivers one message under its
 // pack-time ID, blocking until the final destination's end-to-end
 // acknowledgement arrives. It runs in the application's process (called from
-// EndPacking).
-func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64) {
-	e.sendMessageFlags(p, dst, blocks, id, 0)
-}
-
-// sendMessageFlags is sendMessage with end-to-end packet flags (the
-// aggregate marker) stamped on every fragment.
-func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8) {
+// EndPacking). msgFlags are end-to-end packet flags (the aggregate marker)
+// stamped on every fragment.
+func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8) {
 	pol := e.pol
 	// Per-path MTU: fragment at the most constrained network of the
 	// primary route. The descriptor carries the chosen size, so the
@@ -1843,42 +1838,17 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 	}
 }
 
-// relBlock is one packed block buffered until EndPacking.
-type relBlock struct {
-	data []byte
-	s    mad.SendMode
-	r    mad.RecvMode
-}
-
 // relPacking is the sender side of a reliable message: blocks are buffered
 // (SendSafer pays its snapshot copy immediately, the others are referenced —
 // safe because EndPacking blocks until the message is end-to-end
 // acknowledged) and the whole message is fragmented and sent at EndPacking.
 type relPacking struct {
-	eng    *relEngine
-	dst    string
-	id     uint64
-	blocks []relBlock
-}
-
-func newRelPacking(eng *relEngine, dst string) *relPacking {
-	return &relPacking{eng: eng, dst: dst, id: eng.vc.nextMsgID()}
-}
-
-func (rp *relPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	host := rp.eng.node.Host
-	t0 := p.Now()
-	p.Sleep(host.CPU.PackCost)
-	if s == mad.SendSafer {
-		host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-	}
-	rp.eng.flight().Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), rp.id, len(data), "")
-	rp.blocks = append(rp.blocks, relBlock{data: data, s: s, r: r})
+	blockBuf
+	dst string
 }
 
 func (rp *relPacking) end(p *vtime.Proc) {
-	rp.eng.sendMessage(p, rp.dst, rp.blocks, rp.id)
+	rp.vc.sendBuffered(p, rp.node, rp.dst, rp.id, rp.blks, rp.total, false)
 }
 
 // relUnpacking is the receiver side: the message is already fully

@@ -1,0 +1,779 @@
+// Package fwd implements the paper's contribution: transparent, efficient
+// inter-device data-forwarding inside Madeleine.
+//
+// It provides three cooperating pieces:
+//
+//   - VirtualChannel (§2.2.1): a channel object bundling, per underlying
+//     network, a *regular* real channel for direct messages and a *special*
+//     real channel for messages that must cross a gateway. Senders pick the
+//     real channel from the routing table; the choice is invisible to the
+//     application.
+//   - The generic transmission module, GTM (§2.3): the sender- and
+//     receiver-side module used for every message that travels through at
+//     least two different networks. It shapes data identically on both ends
+//     (MTU-sized packets), and makes messages self-described: destination
+//     and MTU first, per-block sizes and flag constraints with each packet,
+//     and an empty-message terminator. This file is that module: the wire
+//     format of every streaming framing, one writer and one reader.
+//   - The gateway engine (§2.2.2): polling threads watching the special
+//     channels, and per-message forwarding pipelines — two threads sharing
+//     buffers so one packet is retransmitted while the next is received,
+//     with the zero-copy buffer election of §2.3.
+package fwd
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sort"
+
+	"madgo/internal/flight"
+	"madgo/internal/mad"
+	"madgo/internal/obs"
+	"madgo/internal/vtime"
+)
+
+// A stream is a self-described message on the wire: a header, the packed
+// blocks as MTU-sized fragments each with its block descriptor, and a
+// terminator. The seed framing of §2.3 (KindGTM, the WithPaperFidelity
+// reference) spends F+2 transfers on F fragments — header, fragments, empty
+// terminator — so a 64-byte message pays the fixed ~40 µs per-transfer
+// software overhead of §3.4.1 three times. The compact framings elide the two
+// bracketing transfers: the header shares a transfer with the first fragment
+// (KindEager), with a frame of coalesced messages (KindAgg, agg.go) or with
+// the whole message (KindMcast, mcast.go), and the terminator is the EOM flag
+// of the last one. A rail of a striped message (KindStripe, stripe.go) has the
+// seed shape under a longer header. Gateways relay all of them obliviously
+// (gateway.go), and flow control charges the true transfer count because the
+// writer spends exactly one credit before every Send.
+
+// gtmHeaderLen is the wire size of the GTM message header: source rank,
+// destination rank and connection MTU, each 32 bits, plus a 64-bit message
+// ID (§2.3: "the sender sends the rank of the destination node, and the MTU
+// used for this connexion"; we additionally carry the source rank so the
+// final receiver learns the message origin, which a regular message reads
+// off its link, and the pack-time message ID so every gateway on the path
+// can attribute its relay work to the message's provenance trace).
+const gtmHeaderLen = 20
+
+// stripeHeaderLen is the wire size of a rail sub-message header: the 20
+// GTM header bytes (source, destination, MTU, message id — byte-compatible
+// with the GTM header so gateways can parse the routing fields without
+// knowing about striping), then rail id, rail count, per-rail flags, and
+// the rail's byte span within the message.
+//
+//	src u32 | dst u32 | mtu u32 | id u64 |
+//	rail u8 | nrails u8 | flags u16 | spanStart u64 | spanLen u64 | total u64
+const stripeHeaderLen = gtmHeaderLen + 28
+
+// stripeFlagForwarded marks a rail whose route crosses at least one
+// gateway; the receiver ORs it over rails for Unpacking.Forwarded.
+const stripeFlagForwarded = 1 << 0
+
+// stripeFlagAgg marks a rail of a striped aggregate frame (package agg):
+// after reassembly the receiver decodes the frame into its coalesced
+// sub-messages instead of delivering the striped message as-is.
+const stripeFlagAgg = 1 << 1
+
+// stripeMaxRails bounds Config.StripeK: the rail id travels as one byte.
+const stripeMaxRails = 255
+
+// mcastHeaderFixed is the fixed prefix of the multicast header: source rank
+// (u32), tree MTU (u32), message ID (u64) and destination count (u16). The
+// destination ranks (u32 each, strictly increasing) follow, then a CRC-32
+// (IEEE) of everything before it. The CRC matters here more than on the
+// unicast headers: a corrupted destination set silently mis-replicates,
+// while a corrupted rank just misroutes one message.
+const mcastHeaderFixed = 18
+
+// mcastMaxDests bounds the destination count a decoder accepts, so a
+// corrupted count cannot make a gateway allocate unbounded memory.
+const mcastMaxDests = 4096
+
+// mcastHeaderLen returns the wire size of a multicast header carrying count
+// destinations.
+func mcastHeaderLen(count int) int { return mcastHeaderFixed + 4*count + 4 }
+
+// eagerInlineMax bounds the payload that may share a wire transfer with the
+// header when the shared frame has to be built by copying. Beyond a few KB
+// the copy costs more than the one transfer it saves, so a larger first
+// fragment follows a header that travels alone (still saving the
+// terminator).
+const eagerInlineMax = 4096
+
+// streamHdr is a stream's decoded self-description: the fields every kind
+// carries, the rail fields of a stripe header, the destination set of a
+// multicast header (which names no single dst).
+type streamHdr struct {
+	src, dst mad.Rank
+	mtu      int
+	id       uint64
+
+	rail, nrails              int
+	flags                     uint16
+	spanStart, spanLen, total int64
+
+	dests []mad.Rank
+}
+
+// putGTMHeader writes the GTM header into b[:gtmHeaderLen].
+func putGTMHeader(b []byte, h streamHdr) {
+	binary.LittleEndian.PutUint32(b[0:], uint32(h.src))
+	binary.LittleEndian.PutUint32(b[4:], uint32(h.dst))
+	binary.LittleEndian.PutUint32(b[8:], uint32(h.mtu))
+	binary.LittleEndian.PutUint64(b[12:], h.id)
+}
+
+// decodeGTMHeader parses a GTM message header. It never panics on
+// malformed input: ok is false when the header is not exactly
+// gtmHeaderLen bytes or carries an unusable (zero) MTU — the fuzz targets
+// pin this down, since the header crosses the wire and a corrupted length
+// or MTU must not take down a gateway.
+func decodeGTMHeader(hdr []byte) (h streamHdr, ok bool) {
+	if len(hdr) != gtmHeaderLen {
+		return h, false
+	}
+	h = streamHdr{
+		src: mad.Rank(binary.LittleEndian.Uint32(hdr[0:])),
+		dst: mad.Rank(binary.LittleEndian.Uint32(hdr[4:])),
+		mtu: int(binary.LittleEndian.Uint32(hdr[8:])),
+		id:  binary.LittleEndian.Uint64(hdr[12:]),
+	}
+	return h, h.mtu > 0
+}
+
+// putStripeHeader writes a rail header into b[:stripeHeaderLen].
+func putStripeHeader(b []byte, h streamHdr) {
+	putGTMHeader(b, h)
+	b[20] = byte(h.rail)
+	b[21] = byte(h.nrails)
+	binary.LittleEndian.PutUint16(b[22:], h.flags)
+	binary.LittleEndian.PutUint64(b[24:], uint64(h.spanStart))
+	binary.LittleEndian.PutUint64(b[32:], uint64(h.spanLen))
+	binary.LittleEndian.PutUint64(b[40:], uint64(h.total))
+}
+
+// decodeStripeHeader parses a rail header. Like decodeGTMHeader it never
+// panics on malformed input: ok is false on a wrong length, an unusable
+// MTU, a rail id outside the rail count, or spans that do not fit the
+// advertised total (the fuzz target pins this down — the header crosses
+// the wire and a corrupted span must not index a receiver out of bounds).
+func decodeStripeHeader(b []byte) (h streamHdr, ok bool) {
+	if len(b) != stripeHeaderLen {
+		return h, false
+	}
+	if h, ok = decodeGTMHeader(b[:gtmHeaderLen]); !ok {
+		return h, false
+	}
+	h.rail, h.nrails, h.flags = int(b[20]), int(b[21]), binary.LittleEndian.Uint16(b[22:])
+	start := binary.LittleEndian.Uint64(b[24:])
+	length := binary.LittleEndian.Uint64(b[32:])
+	total := binary.LittleEndian.Uint64(b[40:])
+	const span62 = 1 << 62 // keeps the int64 sums below overflow
+	if h.nrails < 1 || h.rail >= h.nrails {
+		return h, false
+	}
+	if start >= span62 || length >= span62 || total >= span62 || start+length > total {
+		return h, false
+	}
+	h.spanStart, h.spanLen, h.total = int64(start), int64(length), int64(total)
+	return h, true
+}
+
+// encodeMcastHeader builds the destination-set header. Ranks are encoded in
+// strictly increasing order (the canonical form decodeMcastHeader enforces);
+// the input is not modified.
+func encodeMcastHeader(src mad.Rank, mtu int, id uint64, dests []mad.Rank) []byte {
+	if len(dests) == 0 || len(dests) > mcastMaxDests {
+		panic(fmt.Sprintf("fwd: mcast header with %d destinations", len(dests)))
+	}
+	sorted := append([]mad.Rank(nil), dests...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	b := make([]byte, mcastHeaderLen(len(sorted)))
+	binary.LittleEndian.PutUint32(b[0:], uint32(src))
+	binary.LittleEndian.PutUint32(b[4:], uint32(mtu))
+	binary.LittleEndian.PutUint64(b[8:], id)
+	binary.LittleEndian.PutUint16(b[16:], uint16(len(sorted)))
+	for i, d := range sorted {
+		binary.LittleEndian.PutUint32(b[mcastHeaderFixed+4*i:], uint32(d))
+	}
+	sealCRC(b)
+	return b
+}
+
+// decodeMcastHeader parses a destination-set header. Like the other wire
+// codecs it never panics on malformed input (the fuzz target pins this): ok
+// is false on a short or oversized buffer, a zero MTU, an out-of-range
+// count, a non-canonical (unsorted or duplicated) destination list, or a CRC
+// mismatch.
+func decodeMcastHeader(b []byte) (h streamHdr, ok bool) {
+	if len(b) < mcastHeaderLen(1) {
+		return h, false
+	}
+	count := int(binary.LittleEndian.Uint16(b[16:]))
+	if count < 1 || count > mcastMaxDests || len(b) != mcastHeaderLen(count) || !checkCRC(b) {
+		return h, false
+	}
+	h = streamHdr{
+		src:   mad.Rank(binary.LittleEndian.Uint32(b[0:])),
+		mtu:   int(binary.LittleEndian.Uint32(b[4:])),
+		id:    binary.LittleEndian.Uint64(b[8:]),
+		dests: make([]mad.Rank, count),
+	}
+	for i := range h.dests {
+		h.dests[i] = mad.Rank(binary.LittleEndian.Uint32(b[mcastHeaderFixed+4*i:]))
+		if i > 0 && h.dests[i] <= h.dests[i-1] {
+			return h, false
+		}
+	}
+	return h, h.mtu > 0
+}
+
+// headerDesc types a header's share of a transfer: cheap to send, express on
+// receive (a relay must read it before deciding anything else).
+func headerDesc(n int) mad.BlockDesc {
+	return mad.BlockDesc{Size: n, S: mad.SendCheaper, R: mad.ReceiveExpress}
+}
+
+// framing is what differs between the stream kinds on the virtual clock; the
+// one writer, the one reader and the one parse of a first transfer below
+// branch on these fields. Each is pinned by an archive, a leg of the telemetry
+// golden or a cell of TestFramingTransferTable (DESIGN.md §22 has the table).
+type framing struct {
+	// hdrDesc describes the header, when every header of the kind has one
+	// length; a zero Size says they vary.
+	hdrDesc [1]mad.BlockDesc
+	// bracketed: header and terminator are transfers of their own. The
+	// header leaves when the stream opens and is received into scratch by a
+	// posted receive, and an empty transfer ends the message (§2.3: "the
+	// sender sends the description of an empty message"). Otherwise the
+	// header is held back until payload, or the end of the message, shows
+	// what shares its transfer — which is then taken as a driver-slot
+	// handoff — and the last transfer carries the EOM flag, so the writer
+	// runs one fragment behind.
+	bracketed bool
+	// inlineFirst: the first fragment shares the header's transfer if it is
+	// at most eagerInlineMax and the two fit the MTU.
+	inlineFirst bool
+	// elideEmpty: a zero-size block puts nothing on the wire. Otherwise it
+	// travels as one empty fragment. (A rail carries none either way: an
+	// empty block overlaps no span.)
+	elideEmpty bool
+	// hopEach: every fragment writes a hop record. Otherwise the stream
+	// writes one when it closes, for all its payload.
+	hopEach bool
+	// The hop sentences: of payload behind the header, and of payload
+	// sharing the header's transfer.
+	form, compactForm string
+}
+
+var (
+	gtmHdrDesc    = [1]mad.BlockDesc{headerDesc(gtmHeaderLen)}
+	stripeHdrDesc = [1]mad.BlockDesc{headerDesc(stripeHeaderLen)}
+
+	framings = [...]framing{
+		mad.KindGTM:    {hdrDesc: gtmHdrDesc, bracketed: true, hopEach: true, form: hopVia},
+		mad.KindStripe: {hdrDesc: stripeHdrDesc, bracketed: true, hopEach: true, form: "rail ${a}: " + hopVia},
+		mad.KindEager:  {hdrDesc: gtmHdrDesc, inlineFirst: true, hopEach: true, form: hopVia, compactForm: hopVia + " (compact)"},
+		mad.KindAgg:    {hdrDesc: gtmHdrDesc, compactForm: hopVia + " (aggregate)"},
+		mad.KindMcast: {elideEmpty: true,
+			form: hopVia + " (mcast, ${a} dests)", compactForm: hopVia + " (mcast compact, ${a} dests)"},
+	}
+)
+
+// framingOf returns the framing of kind, which must be one relayableKind lists.
+func framingOf(kind mad.Kind) *framing { return &framings[kind] }
+
+// streamTx is the sender side of a stream, whatever its kind. The caller sets
+// vc, link, kind and spends and calls open; then block for every packed block
+// and end, or message when it holds the entire message. It bypasses the
+// per-network BMMs (whose grouping differs across devices) and emits a
+// uniform packet stream any gateway can relay without regrouping.
+//
+// Header bytes and block descriptors are sent by reference and read again by
+// every gateway on the path for as long as its relay runs: they live in
+// memory nothing rewrites — the header in this record (one per stream) or an
+// allocation of its own, a block's descriptors in an array per block. The
+// record is part of every forwarded message's Packing, so it holds what every
+// stream needs and reaches the rest through a pointer.
+type streamTx struct {
+	vc   *VirtualChannel
+	link *mad.Link
+	id   uint64
+	mtu  int
+	hopA int    // ${a} of the hop sentences: the rail, the destination count
+	hdr  []byte // the encoded header: hdrBuf, or a longer header's own allocation
+	// held is the fragment held back when the terminator rides the last one:
+	// whether a fragment is the last is only known when the next one, or
+	// end, arrives.
+	held   *heldFrag
+	hdrBuf [gtmHeaderLen]byte
+	kind   mad.Kind
+	// spends: every transfer first spends a flow credit toward the link's far
+	// end, a gateway: an exhausted window parks the sender instead of piling
+	// packets into the gateway's mailbox. Not toward a plain receiver — a
+	// direct rail, a leaf branch — which grants none back.
+	spends  bool
+	started bool // the header is on the wire
+}
+
+type heldFrag struct {
+	data   []byte
+	descs  []mad.BlockDesc // its block's descriptor array, and its index there
+	i      int
+	staged bool
+}
+
+// open encodes the header, takes the link and, in the framings whose header
+// travels ahead, sends it.
+func (tx *streamTx) open(p *vtime.Proc, h streamHdr) {
+	tx.id, tx.mtu, tx.hdr = h.id, h.mtu, tx.hdrBuf[:]
+	switch tx.kind {
+	case mad.KindMcast:
+		tx.hdr, tx.hopA = encodeMcastHeader(h.src, h.mtu, h.id, h.dests), len(h.dests)
+	case mad.KindStripe:
+		tx.hdr, tx.hopA = make([]byte, stripeHeaderLen), h.rail
+		putStripeHeader(tx.hdr, h)
+	default:
+		putGTMHeader(tx.hdr, h)
+	}
+	tx.link.Acquire(p)
+	if framingOf(tx.kind).bracketed {
+		tx.first(p, tx.hdr, tx.hdrDescs(), false)
+	}
+}
+
+// hdrDescs describes a transfer of the header alone.
+func (tx *streamTx) hdrDescs() []mad.BlockDesc {
+	if f := framingOf(tx.kind); f.hdrDesc[0].Size != 0 {
+		return f.hdrDesc[:]
+	}
+	return []mad.BlockDesc{headerDesc(len(tx.hdr))}
+}
+
+func (tx *streamTx) spend(p *vtime.Proc) {
+	if tx.spends {
+		tx.vc.flowSpend(p, tx.link.Dst.Name, tx.link.Src.Name, tx.id)
+	}
+}
+
+// hop writes the hop record of n payload bytes.
+func (tx *streamTx) hop(p *vtime.Proc, form string, n int) {
+	tx.vc.hop(p, tx.id, tx.link.Src.Name, "hop",
+		obs.Detail{Form: form, Peer: tx.link.Dst.Name, Net: tx.link.Channel.Network().Name, A: tx.hopA}, n)
+}
+
+// first sends the stream's first transfer: the header, alone (frame is
+// tx.hdr) or with the payload descs[1:] describe glued behind it.
+func (tx *streamTx) first(p *vtime.Proc, frame []byte, descs []mad.BlockDesc, last bool) {
+	tx.started = true
+	tx.spend(p)
+	tx.link.Send(p, mad.TxMeta{SOM: true, EOM: last, Kind: tx.kind, Blocks: descs}, frame)
+}
+
+// block sends one packed block — or the part of one a rail carries — as
+// MTU-sized fragments.
+func (tx *streamTx) block(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	f, mtu := framingOf(tx.kind), tx.mtu
+	if len(data) == 0 && f.elideEmpty {
+		return
+	}
+	// One descriptor array per block, not per fragment: every full-MTU
+	// fragment shares descs[0] and the tail has descs[1]. A block of one
+	// short fragment has no use for descs[0]; the header's descriptor sits
+	// there, for the transfer the two may share.
+	descs := []mad.BlockDesc{{Size: mtu, S: s, R: r}, {Size: len(data) % mtu, S: s, R: r}}
+	if len(data) < mtu {
+		descs[0] = headerDesc(len(tx.hdr))
+	}
+	mad.ForEachFragment(len(data), mtu, func(off, n int) {
+		i := 0
+		if n != mtu {
+			i = 1
+		}
+		if f.bracketed {
+			tx.emit(p, data[off:off+n], descs, i, false)
+			return
+		}
+		tx.flush(p, false)
+		if tx.held == nil {
+			tx.held = new(heldFrag)
+		}
+		*tx.held = heldFrag{data[off : off+n], descs, i, true}
+	})
+}
+
+// flush puts the held-back fragment, if any, on the wire; last makes it the
+// message's terminator.
+func (tx *streamTx) flush(p *vtime.Proc, last bool) {
+	if h := tx.held; h != nil && h.staged {
+		h.staged = false
+		tx.emit(p, h.data, h.descs, h.i, last)
+	}
+}
+
+// emit puts the fragment descs[i] describes on the wire: behind the header,
+// or sharing its transfer.
+func (tx *streamTx) emit(p *vtime.Proc, data []byte, descs []mad.BlockDesc, i int, last bool) {
+	f := framingOf(tx.kind)
+	form := f.form
+	if !tx.started && f.inlineFirst && len(data) <= eagerInlineMax && len(tx.hdr)+len(data) <= tx.mtu {
+		// Building the contiguous frame copies the fragment once — the price
+		// of eliding a whole transfer.
+		tx.link.Src.Host.Memcpy(p, len(data))
+		frame := make([]byte, len(tx.hdr)+len(data))
+		copy(frame[copy(frame, tx.hdr):], data)
+		tx.first(p, frame, descs, last)
+		form = f.compactForm
+	} else {
+		if !tx.started {
+			tx.first(p, tx.hdr, tx.hdrDescs(), false)
+		}
+		tx.spend(p)
+		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: descs[i : i+1 : i+1]}, data)
+	}
+	if f.hopEach {
+		tx.hop(p, form, len(data))
+	}
+}
+
+// message sends, and closes the stream behind, a message its caller holds
+// entire: header, every block and the terminator in one transfer when that
+// fits the MTU and, where the frame has to be built by copying, is worth the
+// copy; block by block if not. wire, if not nil, is the blocks laid out
+// behind room for the header (the coalescer builds its frames so): the frame
+// leaves from there with no copy.
+func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []byte) {
+	f := framingOf(tx.kind)
+	form := f.form
+	if len(tx.hdr)+total <= tx.mtu && (wire != nil || total <= eagerInlineMax) {
+		descs := make([]mad.BlockDesc, 1, 1+len(blks))
+		descs[0] = headerDesc(len(tx.hdr))
+		for _, b := range blks {
+			// A block that would put no fragment on the wire is not
+			// described here either.
+			if len(b.data) > 0 || !f.elideEmpty {
+				descs = append(descs, mad.BlockDesc{Size: len(b.data), S: b.s, R: b.r})
+			}
+		}
+		if wire != nil {
+			copy(wire, tx.hdr)
+		} else {
+			wire = make([]byte, len(tx.hdr)+total)
+			off := copy(wire, tx.hdr)
+			for _, b := range blks {
+				off += copy(wire[off:], b.data)
+			}
+			if total > 0 {
+				tx.link.Src.Host.Memcpy(p, total)
+			}
+		}
+		tx.first(p, wire, descs, true)
+		form = f.compactForm
+	} else {
+		for _, b := range blks {
+			tx.block(p, b.data, b.s, b.r)
+		}
+	}
+	tx.end(p)
+	if !f.hopEach {
+		tx.hop(p, form, total)
+	}
+}
+
+// end ends the message and gives the link back.
+func (tx *streamTx) end(p *vtime.Proc) {
+	if framingOf(tx.kind).bracketed {
+		tx.spend(p)
+		tx.link.Send(p, mad.TxMeta{Kind: tx.kind, EOM: true}, nil)
+	} else if tx.flush(p, true); !tx.started {
+		// No payload at all: the header itself is the terminator.
+		tx.first(p, tx.hdr, tx.hdrDescs(), true)
+	}
+	tx.link.Release(p)
+}
+
+// stageBlock is the pack-time work of one block: the host's pack cost where
+// the framing buffers blocks (cost; the framings that send by reference pay
+// none), the snapshot SendSafer promises — buffered or sent one fragment
+// behind, the block is read after Pack returns — and one flight record of the
+// pack stage for the time the two took.
+func (vc *VirtualChannel) stageBlock(p *vtime.Proc, node *mad.Node, id uint64, cost vtime.Duration, data []byte, s mad.SendMode) []byte {
+	if cost == 0 && s != mad.SendSafer {
+		return data
+	}
+	t0 := p.Now()
+	if cost > 0 {
+		p.Sleep(cost)
+	}
+	if s == mad.SendSafer {
+		node.Host.Memcpy(p, len(data))
+		data = append([]byte(nil), data...)
+	}
+	vc.flightRing(node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), id, len(data), "")
+	return data
+}
+
+// relBlock is one packed block buffered until EndPacking.
+type relBlock struct {
+	data []byte
+	s    mad.SendMode
+	r    mad.RecvMode
+}
+
+// blockBuf is the sender side of a message whose framing needs all of it
+// before the first byte leaves: the coalescer, the rail scheduler and the
+// multicast framing need the total size, the reliable protocol the block
+// count. Its pack is theirs; each ends the message its own way.
+type blockBuf struct {
+	vc   *VirtualChannel
+	node *mad.Node
+	id   uint64
+	// cost is the host's pack cost per block, buffering being a pass over the
+	// blocks; zero for the multicast framing, which sends them by reference
+	// like the seed's.
+	cost  vtime.Duration
+	blks  []relBlock
+	total int
+}
+
+// buffer starts the buffered sender side of a new message from node.
+func (vc *VirtualChannel) buffer(node *mad.Node) blockBuf {
+	return blockBuf{vc: vc, node: node, id: vc.nextMsgID(), cost: node.Host.CPU.PackCost}
+}
+
+func (b *blockBuf) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	data = b.vc.stageBlock(p, b.node, b.id, b.cost, data, s)
+	b.blks = append(b.blks, relBlock{data: data, s: s, r: r})
+	b.total += len(data)
+}
+
+// streamPacking is the sender side of a message that streams as it is packed:
+// the seed framing and the eager one.
+type streamPacking struct{ streamTx }
+
+func (x *streamPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	x.block(p, x.vc.stageBlock(p, x.link.Src, x.id, 0, data, s), s, r)
+}
+
+// streamOpen is what a stream's first transfer says about it: the header, and
+// the payload that rode along behind it.
+type streamOpen struct {
+	streamHdr
+	hsize   int             // header bytes at the front of the transfer
+	payload []byte          // the rest of it
+	descs   []mad.BlockDesc // block by block
+	eom     bool            // the first transfer is also the last
+}
+
+// parseStream decodes the first transfer of a stream of the announced kind.
+// It is pure and never panics: ok is false when the transfer does not start a
+// message of that kind, its descriptors do not cover its bytes exactly, its
+// header does not decode, or payload rode along that the framing does not
+// put there. The final receiver and every gateway accept a stream by this one
+// call.
+func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte) (o streamOpen, ok bool) {
+	if !meta.SOM || meta.Kind != kind || len(meta.Blocks) == 0 {
+		return o, false
+	}
+	o.hsize = meta.Blocks[0].Size
+	if o.hsize < 0 || o.hsize > len(first) {
+		return o, false
+	}
+	o.payload, o.descs, o.eom = first[o.hsize:], meta.Blocks[1:], meta.EOM
+	rest := len(o.payload)
+	for _, d := range o.descs {
+		if d.Size < 0 || d.Size > rest {
+			return o, false
+		}
+		rest -= d.Size
+	}
+	if rest != 0 {
+		return o, false
+	}
+	switch hdr, n := first[:o.hsize], len(o.descs); kind {
+	case mad.KindGTM:
+		o.streamHdr, ok = decodeGTMHeader(hdr)
+		return o, ok && n == 0
+	case mad.KindStripe:
+		o.streamHdr, ok = decodeStripeHeader(hdr)
+		return o, ok && n == 0
+	case mad.KindEager:
+		// At most the first fragment shares the header's transfer.
+		o.streamHdr, ok = decodeGTMHeader(hdr)
+		return o, ok && n <= 1
+	case mad.KindAgg:
+		// A frame is one block and the whole message.
+		o.streamHdr, ok = decodeGTMHeader(hdr)
+		return o, ok && n == 1 && o.eom
+	case mad.KindMcast:
+		// Payload shares the header's transfer only when all of it does.
+		o.streamHdr, ok = decodeMcastHeader(hdr)
+		return o, ok && (n == 0 || o.eom)
+	}
+	return o, false
+}
+
+// recvFirst receives the first transfer of an announced stream: a header that
+// always travels alone lands in scratch, anything else is taken as a
+// driver-slot handoff.
+func recvFirst(p *vtime.Proc, link *mad.Link, kind mad.Kind, scratch []byte) (mad.TxMeta, []byte) {
+	f := framingOf(kind)
+	if !f.bracketed {
+		return link.Recv(p)
+	}
+	meta, got := link.RecvInto(p, scratch[:f.hdrDesc[0].Size])
+	return meta, scratch[:got]
+}
+
+// openStream takes the receive side of an announced stream's link at its final
+// destination and reads the stream's self-description; scratch is where a
+// fixed-length header lands.
+func openStream(p *vtime.Proc, node *mad.Node, a mad.Arrival, scratch []byte) streamOpen {
+	a.Link.AcquireRecv(p)
+	kind := a.Kind()
+	meta, first := recvFirst(p, a.Link, kind, scratch)
+	o, ok := parseStream(kind, meta, first)
+	if !ok {
+		panic(fmt.Sprintf("fwd: malformed %v stream delivered to %s", kind, node.Name))
+	}
+	if kind != mad.KindMcast && o.dst != node.Rank || kind == mad.KindMcast && !rankInSet(node.Rank, o.dests) {
+		panic(fmt.Sprintf("fwd: misrouted message: a %v stream for %v%v delivered to %s", kind, o.dst, o.dests, node.Name))
+	}
+	return o
+}
+
+// streamRx is the receiver side of a stream, whatever its kind: open (or
+// openCaptured), then unpack for every block the application unpacks, then
+// close. Fragments that are already in memory — the payload that shared the
+// first transfer with the header, or a gateway's capture — are consumed
+// first; the rest are received in place off the link, posted MTU-sized so
+// relayed packets land where the application wants them. Like the writer it
+// keeps to what every stream needs.
+type streamRx struct {
+	vc   *VirtualChannel
+	node *mad.Node
+	link *mad.Link // nil for a message the local gateway captured
+	mtu  int
+	id   uint64
+	got  int // payload bytes delivered
+	// parked is the payload already in memory; nil when there was none.
+	parked *parkedFrags
+	hdrBuf [gtmHeaderLen]byte // where the seed framing's header lands, one per stream
+	kind   mad.Kind
+	eom    bool // the terminator has been seen
+}
+
+// parkedFrags is payload that reached memory ahead of the application's
+// Unpack, fragment by fragment with their descriptors.
+type parkedFrags struct {
+	frags [][]byte
+	descs []mad.BlockDesc
+	next  int
+	one   [1][]byte // backs frags for the eager framing's single piggybacked fragment
+}
+
+// open opens an announced stream and returns what its first transfer said.
+func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a mad.Arrival) streamOpen {
+	rx.vc, rx.node, rx.link, rx.kind = vc, node, a.Link, a.Kind()
+	scratch := rx.hdrBuf[:]
+	if n := framingOf(rx.kind).hdrDesc[0].Size; n > len(scratch) {
+		scratch = make([]byte, n)
+	}
+	o := openStream(p, node, a, scratch)
+	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.eom
+	if len(o.descs) > 0 {
+		rx.parked = &parkedFrags{descs: o.descs}
+		rx.parked.frags = splitByDescs(rx.parked.one[:0], o.payload, o.descs)
+	}
+	return o
+}
+
+// openCaptured opens a multicast message the local gateway captured whole
+// while replicating it downstream.
+func (rx *streamRx) openCaptured(vc *VirtualChannel, node *mad.Node, ml *mcastLocal) {
+	rx.vc, rx.node, rx.kind, rx.eom, rx.parked = vc, node, mad.KindMcast, true, &ml.parkedFrags
+	rx.mtu, rx.id = ml.h.mtu, ml.h.id
+}
+
+// unpack delivers one block — or the part of one a rail carries — into dst,
+// mirroring the writer's fragmentation.
+func (rx *streamRx) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	if len(dst) == 0 && framingOf(rx.kind).elideEmpty {
+		return
+	}
+	mad.ForEachFragment(len(dst), rx.mtu, func(off, n int) {
+		rx.fragment(p, dst[off:off+n], s, r)
+	})
+}
+
+// fragment delivers the next fragment into dst and holds its descriptor
+// against the modes and size the application unpacks with.
+func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	n, got := len(dst), len(dst)
+	pk := rx.parked
+	parked := pk != nil && pk.next < len(pk.frags)
+	var d mad.BlockDesc
+	switch {
+	case parked:
+		d = pk.descs[pk.next]
+	case rx.link == nil || rx.eom:
+		panic("fwd: protocol error: blocks expected after the stream's terminator")
+	default:
+		var meta mad.TxMeta
+		meta, got = rx.link.RecvInto(p, dst)
+		if len(meta.Blocks) != 1 {
+			panic("fwd: protocol error: stream packet without exactly one block")
+		}
+		d, rx.eom = meta.Blocks[0], meta.EOM
+	}
+	if d.S != s || d.R != r || d.Size != n || got != n {
+		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))
+	}
+	if parked {
+		// The fragment landed glued to the header (or was captured into
+		// gateway memory), so handing it to the application is one real copy.
+		rx.node.Host.Memcpy(p, n)
+		copy(dst, pk.frags[pk.next])
+		pk.next++
+	}
+	rx.got += n
+}
+
+// close reads the terminator, where the framing sends one of its own, and
+// gives the link's receive side back.
+func (rx *streamRx) close(p *vtime.Proc) {
+	if pk := rx.parked; pk != nil && pk.next != len(pk.frags) {
+		panic("fwd: protocol error: stream ended with unconsumed fragments")
+	}
+	if framingOf(rx.kind).bracketed {
+		meta, _ := rx.link.Recv(p)
+		rx.eom = meta.EOM
+	}
+	if !rx.eom {
+		panic("fwd: protocol error: stream ended before its terminator")
+	}
+	if rx.link != nil {
+		rx.link.ReleaseRecv(p)
+	}
+}
+
+// splitByDescs slices the payload that shared a transfer with its header
+// back into per-block fragments, appending them to frags. parseStream has
+// held the descriptors against the payload's length.
+func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byte {
+	off := 0
+	for _, d := range descs {
+		frags = append(frags, payload[off:off+d.Size])
+		off += d.Size
+	}
+	return frags
+}
+
+// streamUnpacking is the receiver side of a stream delivered as one message:
+// the seed, eager and multicast framings, and a gateway's local capture.
+type streamUnpacking struct{ streamRx }
+
+func (g *streamUnpacking) end(p *vtime.Proc) {
+	g.close(p)
+	g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
+}

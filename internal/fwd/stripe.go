@@ -35,7 +35,6 @@ package fwd
 // take the existing single-rail path unchanged.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -51,90 +50,6 @@ import (
 // rail's pipeline fill time, so splitting them only adds per-rail header
 // and reassembly overhead.
 const DefaultStripeThreshold = 16 * 1024
-
-// stripeHeaderLen is the wire size of a rail sub-message header: the 20
-// GTM header bytes (source, destination, MTU, message id — byte-compatible
-// with encodeGTMHeader so gateways can parse the routing fields without
-// knowing about striping), then rail id, rail count, per-rail flags, and
-// the rail's byte span within the message.
-//
-//	src u32 | dst u32 | mtu u32 | id u64 |
-//	rail u8 | nrails u8 | flags u16 | spanStart u64 | spanLen u64 | total u64
-const stripeHeaderLen = gtmHeaderLen + 28
-
-// stripeFlagForwarded marks a rail whose route crosses at least one
-// gateway; the receiver ORs it over rails for Unpacking.Forwarded.
-const stripeFlagForwarded = 1 << 0
-
-// stripeFlagAgg marks a rail of a striped aggregate frame (package agg):
-// after reassembly the receiver decodes the frame into its coalesced
-// sub-messages instead of delivering the striped message as-is.
-const stripeFlagAgg = 1 << 1
-
-// stripeMaxRails bounds Config.StripeK: the rail id travels as one byte.
-const stripeMaxRails = 255
-
-// stripeHdr is the decoded header of one rail sub-message.
-type stripeHdr struct {
-	src, dst  mad.Rank
-	mtu       int
-	id        uint64
-	rail      int
-	nrails    int
-	flags     uint16
-	spanStart int64
-	spanLen   int64
-	total     int64
-}
-
-func encodeStripeHeader(h stripeHdr) []byte {
-	b := make([]byte, stripeHeaderLen)
-	binary.LittleEndian.PutUint32(b[0:], uint32(h.src))
-	binary.LittleEndian.PutUint32(b[4:], uint32(h.dst))
-	binary.LittleEndian.PutUint32(b[8:], uint32(h.mtu))
-	binary.LittleEndian.PutUint64(b[12:], h.id)
-	b[20] = byte(h.rail)
-	b[21] = byte(h.nrails)
-	binary.LittleEndian.PutUint16(b[22:], h.flags)
-	binary.LittleEndian.PutUint64(b[24:], uint64(h.spanStart))
-	binary.LittleEndian.PutUint64(b[32:], uint64(h.spanLen))
-	binary.LittleEndian.PutUint64(b[40:], uint64(h.total))
-	return b
-}
-
-// decodeStripeHeader parses a rail header. Like decodeGTMHeader it never
-// panics on malformed input: ok is false on a wrong length, an unusable
-// MTU, a rail id outside the rail count, or spans that do not fit the
-// advertised total (the fuzz target pins this down — the header crosses
-// the wire and a corrupted span must not index a receiver out of bounds).
-func decodeStripeHeader(b []byte) (stripeHdr, bool) {
-	if len(b) != stripeHeaderLen {
-		return stripeHdr{}, false
-	}
-	h := stripeHdr{
-		src:    mad.Rank(binary.LittleEndian.Uint32(b[0:])),
-		dst:    mad.Rank(binary.LittleEndian.Uint32(b[4:])),
-		mtu:    int(binary.LittleEndian.Uint32(b[8:])),
-		id:     binary.LittleEndian.Uint64(b[12:]),
-		rail:   int(b[20]),
-		nrails: int(b[21]),
-		flags:  binary.LittleEndian.Uint16(b[22:]),
-	}
-	start := binary.LittleEndian.Uint64(b[24:])
-	length := binary.LittleEndian.Uint64(b[32:])
-	total := binary.LittleEndian.Uint64(b[40:])
-	const span62 = 1 << 62 // keeps the int64 sums below overflow
-	if h.mtu <= 0 || h.nrails < 1 || h.rail >= h.nrails {
-		return stripeHdr{}, false
-	}
-	if start >= span62 || length >= span62 || total >= span62 || start+length > total {
-		return stripeHdr{}, false
-	}
-	h.spanStart, h.spanLen, h.total = int64(start), int64(length), int64(total)
-	return h, true
-}
-
-var stripeHeaderDesc = []mad.BlockDesc{{Size: stripeHeaderLen, S: mad.SendCheaper, R: mad.ReceiveExpress}}
 
 // computeSpans partitions total bytes into len(rates) contiguous span
 // lengths proportional to rates, written into spans (len(spans) must equal
@@ -206,8 +121,8 @@ type stripeState struct {
 	// lastFrac remembers the previous quota fractions per pair so a
 	// changed split can be counted as a rebalance.
 	lastFrac map[[2]string][]float64
-	// rx is the per-receiver rail collection state.
-	rx map[mad.Rank]*stripeRx
+	// rx holds the striped messages still collecting rails.
+	rx map[stripeGroupKey]*stripeGroup
 
 	// The channel-wide counts, labelled {channel}; bytes are per rail.
 	channel                         string
@@ -263,11 +178,18 @@ func spansText(m *obs.Registry, spans []int64) string {
 	return fmt.Sprint(spans)
 }
 
-// stripeRx collects the rail sub-messages arriving at one node until a
-// message's rail set is complete.
-type stripeRx struct {
-	groups map[relMsgKey]*stripeGroup
-	ready  []*stripeGroup
+// stripeRail is one opened rail of a group: its stream (the link's receive
+// side held until EndUnpacking) and its header.
+type stripeRail struct {
+	rx streamRx
+	h  streamHdr
+}
+
+// stripeGroupKey names a striped message being collected: the receiver, and
+// the message's origin and id.
+type stripeGroupKey struct {
+	at mad.Rank
+	relMsgKey
 }
 
 // stripeGroup is one striped message being collected at its destination.
@@ -279,14 +201,6 @@ type stripeGroup struct {
 	// agg is set when any rail carries stripeFlagAgg: the reassembled
 	// bytes are an aggregate frame to be decoded, not an app message.
 	agg bool
-}
-
-// stripeRail is one opened rail of a group: its link (receive side held
-// acquired until EndUnpacking), header and consumption progress.
-type stripeRail struct {
-	link     *mad.Link
-	hdr      stripeHdr
-	consumed int64
 }
 
 // stripeEWMAAlpha weights the newest goodput measurement of a rail.
@@ -309,7 +223,7 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 		netRate:  make(map[string]float64),
 		rails:    make(map[railKey]*railState),
 		lastFrac: make(map[[2]string][]float64),
-		rx:       make(map[mad.Rank]*stripeRx),
+		rx:       make(map[stripeGroupKey]*stripeGroup),
 	}
 	for _, nw := range vc.tp.Networks() {
 		nic := bindings[nw.Name].Drv.NIC()
@@ -477,33 +391,11 @@ func (vc *VirtualChannel) StripeStats() StripeStats {
 // — and then either striped across the pair's rails or replayed through the
 // ordinary single-rail path when the message is too small.
 type stripePacking struct {
-	vc     *VirtualChannel
-	node   *mad.Node
-	dst    string
-	id     uint64
-	blocks []relBlock
-	total  int64
+	blockBuf
+	dst string
 	// aggFlag stamps stripeFlagAgg on every rail header: the message body
 	// is an aggregate frame the receiver must decode after reassembly.
 	aggFlag bool
-}
-
-func newStripePacking(vc *VirtualChannel, node *mad.Node, dst string) *stripePacking {
-	return &stripePacking{vc: vc, node: node, dst: dst, id: vc.nextMsgID()}
-}
-
-func (sx *stripePacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	host := sx.node.Host
-	p.Sleep(host.CPU.PackCost)
-	if s == mad.SendSafer {
-		// Buffering by reference would let the application overwrite the
-		// block before the rails read it; snapshot now, as SendSafer
-		// promises.
-		host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-	}
-	sx.blocks = append(sx.blocks, relBlock{data: data, s: s, r: r})
-	sx.total += int64(len(data))
 }
 
 // threshold is the effective minimum striped-message size.
@@ -518,7 +410,8 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 	vc := sx.vc
 	src := sx.node.Name
 	rails := vc.stripeRoutes(src, sx.dst)
-	if sx.total < vc.cfg.stripeThreshold() || len(rails) < 2 {
+	total := int64(sx.total)
+	if total < vc.cfg.stripeThreshold() || len(rails) < 2 {
 		sx.fallback(p)
 		return
 	}
@@ -529,8 +422,8 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 		rates[i] = vc.railRateFor(src, sx.dst, i, r)
 	}
 	spans := make([]int64, len(rails))
-	computeSpans(sx.total, rates, spans)
-	vc.noteStripePlan(src, sx.dst, spans, sx.total)
+	computeSpans(total, rates, spans)
+	vc.noteStripePlan(src, sx.dst, spans, total)
 	nrails := 0
 	for _, ln := range spans {
 		if ln > 0 {
@@ -538,7 +431,7 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 		}
 	}
 	vc.hop(p, sx.id, src, "stripe",
-		obs.Detail{Form: stripeSplit, Peer: sx.dst, A: nrails, Note: spansText(vc.metrics(), spans)}, int(sx.total))
+		obs.Detail{Form: stripeSplit, Peer: sx.dst, A: nrails, Note: spansText(vc.metrics(), spans)}, sx.total)
 
 	// One process per active rail; the app process drives the first rail
 	// itself and joins the rest, so EndPacking returns when every rail
@@ -595,13 +488,9 @@ func (vc *VirtualChannel) railMTU(r route.Route) int {
 // can mirror the layout from the header alone), then the terminator.
 func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int, spanStart, spanLen int64) {
 	vc := sx.vc
-	hop := r[0]
-	dstRank := vc.NodeRank(sx.dst)
 	// Rails that relay through a gateway spend credits like any other
-	// sender; direct rails answer to nobody (gw stays empty, and flowSpend
-	// is a no-op with flow control off).
-	link, gw := vc.hopLink(sx.node, hop, !r.Direct())
-	mtu := vc.railMTU(r)
+	// sender; direct rails answer to nobody (gw stays empty).
+	link, gw := vc.hopLink(sx.node, r[0], !r.Direct())
 	var flags uint16
 	if !r.Direct() {
 		flags |= stripeFlagForwarded
@@ -609,54 +498,23 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 	if sx.aggFlag {
 		flags |= stripeFlagAgg
 	}
-	tr := vc.cfg.Tracer
 	t0 := p.Now()
-	link.Acquire(p)
-	if gw != "" {
-		vc.flowSpend(p, gw, sx.node.Name, sx.id)
-	}
-	link.Send(p, mad.TxMeta{SOM: true, Kind: mad.KindStripe, Blocks: stripeHeaderDesc},
-		encodeStripeHeader(stripeHdr{
-			src: sx.node.Rank, dst: dstRank, mtu: mtu, id: sx.id,
-			rail: rail, nrails: nrails, flags: flags,
-			spanStart: spanStart, spanLen: spanLen, total: sx.total,
-		}))
-	net := hop.Network
+	h := streamHdr{src: sx.node.Rank, dst: vc.NodeRank(sx.dst), mtu: vc.railMTU(r), id: sx.id,
+		rail: rail, nrails: nrails, flags: flags,
+		spanStart: spanStart, spanLen: spanLen, total: int64(sx.total)}
+	tx := streamTx{vc: vc, link: link, kind: mad.KindStripe, spends: gw != ""}
+	tx.open(p, h)
 	flat := int64(0)
-	for _, b := range sx.blocks {
-		bStart, bEnd := flat, flat+int64(len(b.data))
-		flat = bEnd
-		lo, hi := spanStart, spanStart+spanLen
-		if bStart > lo {
-			lo = bStart
-		}
-		if bEnd < hi {
-			hi = bEnd
-		}
-		for off := lo; off < hi; {
-			n := hi - off
-			if n > int64(mtu) {
-				n = int64(mtu)
-			}
-			if gw != "" {
-				vc.flowSpend(p, gw, sx.node.Name, sx.id)
-			}
-			link.Send(p, mad.TxMeta{
-				Kind:   mad.KindStripe,
-				Blocks: []mad.BlockDesc{{Size: int(n), S: b.s, R: b.r}},
-			}, b.data[off-bStart:off-bStart+n])
-			vc.hop(p, sx.id, sx.node.Name, "hop",
-				obs.Detail{Form: "rail ${a}: " + hopVia, A: rail, Peer: link.Dst.Name, Net: net}, int(n))
-			off += n
+	for _, b := range sx.blks {
+		bStart := flat
+		flat += int64(len(b.data))
+		if lo, hi := railBlockOverlap(h, bStart, flat); lo < hi {
+			tx.block(p, b.data[lo-bStart:hi-bStart], b.s, b.r)
 		}
 	}
-	if gw != "" {
-		vc.flowSpend(p, gw, sx.node.Name, sx.id)
-	}
-	link.Send(p, mad.TxMeta{Kind: mad.KindStripe, EOM: true}, nil)
-	link.Release(p)
+	tx.end(p)
 	sr := vc.rail(sx.node.Name, sx.dst, rail)
-	tr.Record(sr.actor, sr.op, int(spanLen), t0, p.Now())
+	vc.cfg.Tracer.Record(sr.actor, sr.op, int(spanLen), t0, p.Now())
 }
 
 // fallback replays the buffered blocks through the ordinary single-rail
@@ -673,7 +531,7 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 	vc.hop(p, sx.id, sx.node.Name, "pack", obs.Detail{Form: form, Peer: sx.dst, Net: hop.Network}, 0)
 	// Always the seed framing, Config.Eager or not (ROADMAP item 3(c)).
 	x := vc.openSingleRail(p, sx.node, sx.dst, hop, link, false, sx.id)
-	replay(p, x, sx.blocks)
+	replay(p, x, sx.blks)
 	x.end(p)
 }
 
@@ -803,40 +661,18 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 	return true
 }
 
-// stripeRxAt returns (creating) the rail collection state of one receiver.
-func (vc *VirtualChannel) stripeRxAt(rank mad.Rank) *stripeRx {
-	st, ok := vc.stripe.rx[rank]
-	if !ok {
-		st = &stripeRx{groups: make(map[relMsgKey]*stripeGroup)}
-		vc.stripe.rx[rank] = st
-	}
-	return st
-}
-
-// openStripeRail opens one announced rail sub-message: it acquires the
-// link, reads the rail header, and files the rail under its (origin, id)
-// group. It returns the group when this rail completed it, nil otherwise.
+// openStripeRail opens one announced rail sub-message and files the rail
+// under its (origin, id) group. It returns the group when this rail completed
+// it, nil otherwise.
 func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Arrival) *stripeGroup {
-	link := a.Link
-	link.AcquireRecv(p)
-	buf := make([]byte, stripeHeaderLen)
-	meta, _ := link.RecvInto(p, buf)
-	if !meta.SOM || meta.Kind != mad.KindStripe {
-		panic("fwd: stripe unpacking of a message without a stripe header")
-	}
-	h, ok := decodeStripeHeader(buf)
-	if !ok {
-		panic("fwd: malformed stripe header delivered to " + node.Name)
-	}
-	if h.dst != node.Rank {
-		panic(fmt.Sprintf("fwd: misrouted rail: %s received a rail for rank %d", node.Name, h.dst))
-	}
-	st := vc.stripeRxAt(node.Rank)
-	key := relMsgKey{origin: h.src, id: h.id}
-	g := st.groups[key]
+	rl := &stripeRail{}
+	rl.h = rl.rx.open(p, vc, node, a).streamHdr
+	h := &rl.h
+	key := stripeGroupKey{node.Rank, relMsgKey{origin: h.src, id: h.id}}
+	g := vc.stripe.rx[key]
 	if g == nil {
-		g = &stripeGroup{key: key, total: h.total}
-		st.groups[key] = g
+		g = &stripeGroup{key: key.relMsgKey, total: h.total}
+		vc.stripe.rx[key] = g
 	}
 	if g.seen[h.rail] {
 		panic(fmt.Sprintf("fwd: duplicate rail %d of message %d on %s", h.rail, h.id, node.Name))
@@ -848,9 +684,9 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Ar
 	if h.flags&stripeFlagAgg != 0 {
 		g.agg = true
 	}
-	g.rails = append(g.rails, &stripeRail{link: link, hdr: h})
+	g.rails = append(g.rails, rl)
 	if len(g.rails) == h.nrails {
-		delete(st.groups, key)
+		delete(vc.stripe.rx, key)
 		return g
 	}
 	return nil
@@ -865,20 +701,15 @@ type stripeUnpacking struct {
 	node *mad.Node
 	g    *stripeGroup
 	flat int64
-	got  int64
-}
-
-func newStripeUnpacking(vc *VirtualChannel, node *mad.Node, g *stripeGroup) *stripeUnpacking {
-	return &stripeUnpacking{vc: vc, node: node, g: g}
 }
 
 // from returns the origin rank of the striped message.
-func (su *stripeUnpacking) from() mad.Rank { return su.g.rails[0].hdr.src }
+func (su *stripeUnpacking) from() mad.Rank { return su.g.rails[0].h.src }
 
 // forwarded reports whether any rail crossed a gateway.
 func (su *stripeUnpacking) forwarded() bool {
 	for _, rl := range su.g.rails {
-		if rl.hdr.flags&stripeFlagForwarded != 0 {
+		if rl.h.flags&stripeFlagForwarded != 0 {
 			return true
 		}
 	}
@@ -898,7 +729,7 @@ func (su *stripeUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r m
 	// but the first on spawned processes, the first inline, then join.
 	var overlapping []*stripeRail
 	for _, rl := range su.g.rails {
-		lo, hi := railBlockOverlap(rl.hdr, B0, B1)
+		lo, hi := railBlockOverlap(rl.h, B0, B1)
 		if lo < hi {
 			overlapping = append(overlapping, rl)
 		}
@@ -912,7 +743,7 @@ func (su *stripeUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r m
 	for _, rl := range overlapping[1:] {
 		rl := rl
 		procs = append(procs, sim.Spawn(
-			fmt.Sprintf("stripe-drain:%s:r%d", su.node.Name, rl.hdr.rail),
+			fmt.Sprintf("stripe-drain:%s:r%d", su.node.Name, rl.h.rail),
 			func(sp *vtime.Proc) { su.drainRail(sp, rl, dst, B0, B1, s, r) }))
 	}
 	su.drainRail(p, overlapping[0], dst, B0, B1, s, r)
@@ -932,7 +763,7 @@ func (su *stripeUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r m
 // railBlockOverlap returns the [lo, hi) flat range a rail contributes to a
 // block spanning [B0, B1). Pure arithmetic — the allocation-regression test
 // pins the reassembly bookkeeping at zero allocations.
-func railBlockOverlap(h stripeHdr, B0, B1 int64) (int64, int64) {
+func railBlockOverlap(h streamHdr, B0, B1 int64) (int64, int64) {
 	lo, hi := h.spanStart, h.spanStart+h.spanLen
 	if B0 > lo {
 		lo = B0
@@ -944,48 +775,24 @@ func railBlockOverlap(h stripeHdr, B0, B1 int64) (int64, int64) {
 }
 
 // drainRail receives one rail's share of one block into dst, mirroring the
-// sender's fragmentation exactly and verifying each fragment's descriptor
-// against the mirrored modes.
+// sender's fragmentation exactly.
 func (su *stripeUnpacking) drainRail(p *vtime.Proc, rl *stripeRail, dst []byte, B0, B1 int64, s mad.SendMode, r mad.RecvMode) {
-	lo, hi := railBlockOverlap(rl.hdr, B0, B1)
-	mtu := int64(rl.hdr.mtu)
-	for off := lo; off < hi; {
-		n := hi - off
-		if n > mtu {
-			n = mtu
-		}
-		meta, got := rl.link.RecvInto(p, dst[off-B0:off-B0+n])
-		if meta.EOM {
-			panic("fwd: protocol error: rail terminator while fragments were expected")
-		}
-		if len(meta.Blocks) != 1 {
-			panic("fwd: protocol error: stripe packet without exactly one block")
-		}
-		d := meta.Blocks[0]
-		if d.S != s || d.R != r || d.Size != int(n) || got != int(n) {
-			panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))
-		}
-		rl.consumed += n
-		su.got += n
-		off += n
-	}
+	lo, hi := railBlockOverlap(rl.h, B0, B1)
+	rl.rx.unpack(p, dst[lo-B0:hi-B0], s, r)
 }
 
 func (su *stripeUnpacking) end(p *vtime.Proc) {
 	if su.flat != su.g.total {
 		panic(fmt.Sprintf("fwd: striped message not fully unpacked (%d of %d bytes)", su.flat, su.g.total))
 	}
+	got := 0
 	for _, rl := range su.g.rails {
-		meta, _ := rl.link.Recv(p)
-		if !meta.EOM {
-			panic("fwd: protocol error: expected rail terminator")
+		rl.rx.close(p)
+		if int64(rl.rx.got) != rl.h.spanLen {
+			panic(fmt.Sprintf("fwd: rail %d consumed %d of %d span bytes", rl.h.rail, rl.rx.got, rl.h.spanLen))
 		}
-		rl.link.ReleaseRecv(p)
-		if rl.consumed != rl.hdr.spanLen {
-			panic(fmt.Sprintf("fwd: rail %d consumed %d of %d span bytes",
-				rl.hdr.rail, rl.consumed, rl.hdr.spanLen))
-		}
+		got += rl.rx.got
 	}
 	su.vc.hop(p, su.g.key.id, su.node.Name, "deliver",
-		obs.Detail{Form: hopReassembled + " from ${a} rails", A: len(su.g.rails)}, int(su.got))
+		obs.Detail{Form: hopReassembled + " from ${a} rails", A: len(su.g.rails)}, got)
 }

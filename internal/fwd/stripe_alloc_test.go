@@ -22,7 +22,7 @@ func TestComputeSpansNoAllocs(t *testing.T) {
 }
 
 func TestRailBlockOverlapNoAllocs(t *testing.T) {
-	h := stripeHdr{rail: 1, nrails: 2, spanStart: 40_000, spanLen: 60_000, total: 128 * 1024}
+	h := streamHdr{rail: 1, nrails: 2, spanStart: 40_000, spanLen: 60_000, total: 128 * 1024}
 	var lo, hi int64
 	n := testing.AllocsPerRun(200, func() {
 		lo, hi = railBlockOverlap(h, 30_000, 90_000)

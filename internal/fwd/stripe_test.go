@@ -113,8 +113,10 @@ func TestStripeCustomThreshold(t *testing.T) {
 	}
 }
 
-// Diamond topology: both rails cross a gateway, each a different one.
-func TestStripedThroughGateways(t *testing.T) {
+// diamond is the topology whose two rails a → b each cross a gateway, a
+// different one.
+func diamond(t *testing.T) *topo.Topology {
+	t.Helper()
 	tp, err := topo.NewBuilder().
 		Network("m1", "myrinet").
 		Network("m2", "myrinet").
@@ -128,7 +130,11 @@ func TestStripedThroughGateways(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := build(t, tp, stripeCfg(2))
+	return tp
+}
+
+func TestStripedThroughGateways(t *testing.T) {
+	w := build(t, diamond(t), stripeCfg(2))
 	blocks := []block{{pattern(96*1024, 7), mad.SendCheaper, mad.ReceiveCheaper}}
 	got, fwded, from := sendRecv(t, w, "a", "b", blocks)
 	if !bytes.Equal(got[0], blocks[0].data) {

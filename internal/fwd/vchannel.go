@@ -95,7 +95,7 @@ type Config struct {
 	// (DefaultCreditWindow when 0). Requires FlowControl.
 	CreditWindow int
 	// Eager switches forwarded streaming messages to the compact GTM
-	// framing (eager.go): the self-description header piggybacks on the
+	// framing (stream.go): the self-description header piggybacks on the
 	// first data fragment and the terminator collapses into the last
 	// fragment's EOM flag, so a small message crosses each wire once
 	// instead of three times. Streaming only — the reliable protocol has
@@ -626,7 +626,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	// large bypass (or spill back to the streaming path) from there.
 	if e.vc.cfg.Aggregation {
 		if r, ok := e.vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
-			ax := newAggPacking(e.vc, e.node, dst)
+			ax := &aggPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 			e.vc.hop(p, ax.id, e.node.Name, "pack", obs.Detail{Form: "agg -> ${peer}", Peer: dst}, 0)
 			return &Packing{x: ax, id: ax.id}
 		}
@@ -638,7 +638,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		if _, ok := e.vc.nodes[dst]; !ok {
 			panic("fwd: unknown destination " + dst)
 		}
-		rp := newRelPacking(e.vc.rel[e.node.Name], dst)
+		rp := &relPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 		e.vc.hop(p, rp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
 		return &Packing{x: rp, id: rp.id}
 	}
@@ -646,7 +646,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	// message and let EndPacking split it (or fall back to the single-rail
 	// path below the size threshold).
 	if rails := len(e.vc.stripeRoutes(e.node.Name, dst)); rails >= 2 {
-		sx := newStripePacking(e.vc, e.node, dst)
+		sx := &stripePacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 		e.vc.hop(p, sx.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
 		return &Packing{x: sx, id: sx.id}
 	}
@@ -687,14 +687,17 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 // plain Madeleine message on the regular channel when the route is direct, else
 // a stream toward the first gateway, compact when eager is set, seed GTM if not.
 func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, eager bool, id uint64) packer {
-	switch rank := vc.NodeRank(dst); {
-	case link == nil:
+	rank := vc.NodeRank(dst)
+	if link == nil {
 		return (*plainPacking)(vc.regular[hop.Network].At(from).BeginPacking(p, rank))
-	case eager:
-		return newEagerPacking(p, vc, from, link, rank, id)
-	default:
-		return newGTMPacking(p, vc, from, link, rank, id)
 	}
+	kind := mad.KindGTM
+	if eager {
+		kind = mad.KindEager
+	}
+	x := &streamPacking{streamTx{vc: vc, link: link, kind: kind, spends: true}}
+	x.open(p, streamHdr{src: from.Rank, dst: rank, mtu: vc.PathMTU(from.Name, dst), id: id})
+	return x
 }
 
 // replay packs buffered blocks into x with the modes they were packed with
@@ -741,19 +744,8 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 		// Sub-messages decoded from an earlier aggregate frame are
 		// delivered FIFO before anything newer.
 		if as, ok := e.vc.aggPop(e.node.Rank); ok {
-			return &Unpacking{x: newAggUnpacking(e.vc, e.node, as), from: as.from, fwd: true}
-		}
-		// A striped message completed by an earlier arrival round is
-		// delivered before pulling new announcements.
-		if st := e.stripeRx(); st != nil && len(st.ready) > 0 {
-			g := st.ready[0]
-			st.ready = st.ready[1:]
-			if g.agg {
-				e.vc.aggDecodeStriped(p, e.node, g)
-				continue
-			}
-			su := newStripeUnpacking(e.vc, e.node, g)
-			return &Unpacking{x: su, from: su.from(), fwd: su.forwarded()}
+			u := &aggUnpacking{vc: e.vc, node: e.node, from: as.from, id: as.id, sub: as.sub}
+			return &Unpacking{x: u, from: as.from, fwd: true}
 		}
 		in, ok := e.vc.merged[e.node.Rank].Recv(p)
 		if !ok {
@@ -762,8 +754,9 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 		if in.mcast != nil {
 			// A multicast message the local gateway captured while
 			// replicating it downstream.
-			g := newCapturedUnpacking(e.vc, e.node, in.mcast)
-			return &Unpacking{x: g, from: g.from, fwd: true}
+			g := &streamUnpacking{}
+			g.openCaptured(e.vc, e.node, in.mcast)
+			return &Unpacking{x: g, from: in.mcast.h.src, fwd: true}
 		}
 		if in.rel != nil {
 			if in.rel.agg {
@@ -775,45 +768,30 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
 			return &Unpacking{x: ru, from: in.rel.origin, fwd: fwd}
 		}
-		if in.a.Kind() == mad.KindStripe {
+		switch in.a.Kind() {
+		case mad.KindStripe:
 			// One rail of a striped message: file it and keep pulling
 			// until some message (striped or not) is complete.
-			if g := e.vc.openStripeRail(p, e.node, in.a); g != nil {
-				if g.agg {
-					e.vc.aggDecodeStriped(p, e.node, g)
-					continue
-				}
-				su := newStripeUnpacking(e.vc, e.node, g)
+			switch g := e.vc.openStripeRail(p, e.node, in.a); {
+			case g == nil:
+			case g.agg:
+				e.vc.aggDecodeStriped(p, e.node, g)
+			default:
+				su := &stripeUnpacking{vc: e.vc, node: e.node, g: g}
 				return &Unpacking{x: su, from: su.from(), fwd: su.forwarded()}
 			}
-			continue
-		}
-		if in.a.Kind() == mad.KindAgg {
+		case mad.KindAgg:
 			// A whole aggregate frame in one compact transfer: decode,
 			// queue its sub-messages, deliver the first on the next spin.
 			e.vc.openAggFrame(p, e.node, in.a)
-			continue
+		case mad.KindGTM, mad.KindEager, mad.KindMcast:
+			g := &streamUnpacking{}
+			return &Unpacking{x: g, from: g.open(p, e.vc, e.node, in.a).src, fwd: true}
+		default:
+			u := in.ep.Open(p, &in.a)
+			return &Unpacking{x: (*plainUnpacking)(u), from: u.From()}
 		}
-		if k := in.a.Kind(); k == mad.KindEager || k == mad.KindMcast {
-			g := newCompactUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{x: g, from: g.from, fwd: true}
-		}
-		if in.a.Kind() == mad.KindGTM {
-			g := newGTMUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{x: g, from: g.from, fwd: true}
-		}
-		u := in.ep.Open(p, &in.a)
-		return &Unpacking{x: (*plainUnpacking)(u), from: u.From()}
 	}
-}
-
-// stripeRx returns this node's rail collection state, or nil when striping
-// is off.
-func (e *Endpoint) stripeRx() *stripeRx {
-	if e.vc.stripe == nil {
-		return nil
-	}
-	return e.vc.stripe.rx[e.node.Rank]
 }
 
 // From returns the rank of the message's original sender, even across
