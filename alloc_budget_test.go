@@ -14,14 +14,16 @@ import (
 // bulkStreamAllocBudget is the most heap allocations one 1 MiB message of
 // the Fig. 6 stream (a –sci– gw –myrinet– b, WithPaperFidelity, 32 KiB
 // packets, 68 link transfers) may cost across System.Run. It read 2 567 when
-// every event, wake-up, flow and link transfer allocated and 24 when the
-// kernel stopped; 13.8 are left here (10.1 at the benchmark's 1 000 messages,
-// where the start-up amortizes) now that the gateway's send process is one
-// record on a recycled goroutine and Arrival notes travel by value
-// (DESIGN.md §20): the Packing/Unpacking pair and their GTM halves, the
-// header buffers, the descriptor arrays and that record. The budget is the
-// reading plus 15 %: two more per message fit, one per fragment does not.
-const bulkStreamAllocBudget = 16
+// every event, wake-up, flow and link transfer allocated, 24 when the kernel
+// stopped and 11.6 when the gateway's send process was one record on a
+// recycled goroutine (DESIGN.md §20); 10.7 are left here (7.1 at the
+// benchmark's 1 000 messages, where the start-up amortizes) now that the send
+// thread is a daemon of the egress link and no message spawns one
+// (DESIGN.md §23): the Packing/Unpacking pair and their GTM halves, the
+// header buffers, the descriptor arrays, and nothing at the gateway. The
+// budget is the reading plus 15 %: one more per message fits, two do not, nor
+// does one per fragment.
+const bulkStreamAllocBudget = 12
 
 // TestBulkStreamAllocBudget drives the facade the way the benchmark's
 // bulk_stream workload does and fails when a message costs more allocations
@@ -87,13 +89,14 @@ node b myri0
 // root –up– gw1 –core– {c1..c4, gw2} –leaf– {l1..l4}, WithPaperFidelity, so
 // gw1 replicates onto five branches and gw2 onto four, 18 fragment sends in
 // all. It read 343 when every relay formatted its branch names and queues
-// and allocated a packet record per fragment and 191 before the kernel
-// recycled goroutines; 142 are left (143 under the race detector): per
-// receiver the Unpacking pair and the decoded destination set, per branch
-// the rewritten header, its descriptor and the send process's record, per
-// relay the destination-set partition. The budget is the reading plus 15 %:
-// one more per branch (9) or per fragment send (18) fits, both do not.
-const bcastAllocBudget = 165
+// and allocated a packet record per fragment, 191 before the kernel recycled
+// goroutines and 142 while every branch spawned a send process; 134 are left
+// (136 under the race detector): per receiver the Unpacking pair and the
+// decoded destination set, per branch the rewritten header and its
+// descriptor, per relay the destination-set partition. The budget is the
+// reading plus 15 %: one more per branch (9) or per fragment send (18) fits,
+// both do not.
+const bcastAllocBudget = 155
 
 // TestBcastAllocBudget drives the facade the way the benchmark's
 // bcast_fanout8 workload does and fails when a message costs more

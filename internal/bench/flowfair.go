@@ -14,7 +14,7 @@ func init() {
 	register(&Experiment{
 		ID:          "c1",
 		Title:       "Credit-based gateway fairness under a 64-sender incast",
-		Description: "64 senders (8 large-message 'elephants', 56 small-message 'mice', equal byte totals) funnel through one gateway; per-sender goodput Jain fairness and aggregate goodput, FIFO relay vs credit-window + DRR flow control, against the serialized single-sender ceiling.",
+		Description: "64 senders (8 large-message 'elephants', 56 small-message 'mice', equal byte totals) funnel through one gateway; per-sender goodput Jain fairness and aggregate goodput, FIFO relay vs credit-window + DRR flow control, against the single-sender ceiling.",
 		Run:         runC1,
 	})
 }
@@ -154,10 +154,11 @@ func runIncast(wl c1Workload, flowOn bool) c1Out {
 	return out
 }
 
-// incastCeiling serializes the identical message mix through one sender —
-// the gateway-limited upper bound an ideally scheduled incast can reach.
-// Per-message overheads are included, so aggregate/ceiling measures pure
-// contention loss.
+// incastCeiling sends the identical message mix from one sender, back to
+// back — the gateway-limited upper bound an ideally scheduled incast can
+// reach: the gateway overlaps the receive of a message with the send of the
+// one before it whoever sent them (DESIGN.md §23). Per-message overheads are
+// included, so aggregate/ceiling measures pure contention loss.
 func incastCeiling(wl c1Workload) float64 {
 	one := wl
 	one.Senders = 1
@@ -220,7 +221,7 @@ func runC1(o Options) *Result {
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("fifo Jain %.3f vs flow Jain %.3f (gates: <= 0.80 and >= 0.90)", base.Jain, fair.Jain),
-		fmt.Sprintf("flow aggregate %.1f MB/s = %.3fx the serialized ceiling %.1f MB/s (gate: >= 0.95x)",
+		fmt.Sprintf("flow aggregate %.1f MB/s = %.3fx the single-sender ceiling %.1f MB/s (gate: >= 0.95x)",
 			fair.AggMBps, fair.AggMBps/ceiling, ceiling))
 	if fair.Jain < 0.90 {
 		r.Notes = append(r.Notes, fmt.Sprintf("WARNING: flow-controlled Jain %.3f below 0.90", fair.Jain))

@@ -14,7 +14,7 @@ import (
 //   - the credit + DRR scheduler must equalize per-sender goodput
 //     (Jain >= 0.90),
 //   - and fairness must not tax throughput: aggregate goodput stays within
-//     5% of the serialized single-sender ceiling over the same route.
+//     5% of the single-sender ceiling over the same route.
 //
 // The BENCH_c1.json archive `make bench` / `make c1-gate` produce comes
 // from the identical deterministic run, so gating the numbers gates the
@@ -37,7 +37,7 @@ func TestC1FlowGate(t *testing.T) {
 		t.Fatalf("ceiling run produced %.1f MB/s", ceiling)
 	}
 	if fair.AggMBps < 0.95*ceiling {
-		t.Errorf("aggregate goodput %.1f MB/s is %.3fx the serialized ceiling %.1f MB/s, gate is 0.95",
+		t.Errorf("aggregate goodput %.1f MB/s is %.3fx the single-sender ceiling %.1f MB/s, gate is 0.95",
 			fair.AggMBps, fair.AggMBps/ceiling, ceiling)
 	}
 	if fair.Stats.SchedRounds == 0 {

@@ -13,6 +13,15 @@ package flow
 // backlogged flows regardless of per-message size, which FIFO token grabs
 // never do.
 //
+// A visit may serve several items (PopFrom) until the flow's deficit runs
+// out. When it ends earlier only because the flow's queue ran dry — a sender
+// that announces its next item a moment after the previous one was served —
+// the caller suspends it (Suspend) instead of forfeiting the rest of the
+// quantum, and the flow's next item resumes the visit (Resume) ahead of the
+// ring, with no fresh quantum. The suspension lapses when the ring comes
+// back to the flow, so a round still serves a flow at most one quantum plus
+// one item and an idle flow banks nothing.
+//
 // The scheduler is deterministic: flows are visited in admission order from
 // a slice, never by map iteration. It is not safe for concurrent use; in
 // this codebase it only ever runs under the single-threaded simulation
@@ -24,12 +33,17 @@ type DRR[T any] struct {
 	cur     int
 	queued  int   // total items across all flows
 	rounds  int64 // completed passes over the ring
+	// suspended lists the flows whose visit is suspended, oldest first.
+	suspended []string
 }
 
 type drrFlow[T any] struct {
 	q       []T
 	head    int // index of the queue head; q[:head] is dead space to recycle
 	deficit int64
+	// suspended: the flow's last visit ran its queue dry with deficit left,
+	// and the ring has not come back to it since.
+	suspended bool
 }
 
 // NewDRR returns a scheduler with the given replenishment quantum in cost
@@ -83,6 +97,9 @@ func (d *DRR[T]) Pop() (key string, item T, ok bool) {
 			d.cur = 0
 			d.rounds++
 		}
+		if f.suspended {
+			d.lapse(key, f)
+		}
 		if f.head == len(f.q) {
 			// Idle flows pay down debt at the same rate active ones
 			// earn quantum, but never bank a surplus: a flow cannot
@@ -102,12 +119,18 @@ func (d *DRR[T]) Pop() (key string, item T, ok bool) {
 		if f.deficit < 0 {
 			continue
 		}
-		item = f.q[f.head]
-		f.q[f.head] = zero // release the reference for GC
-		f.head++
-		d.queued--
-		return key, item, true
+		return key, d.take(f), true
 	}
+}
+
+// take pops the head of a non-empty flow.
+func (d *DRR[T]) take(f *drrFlow[T]) T {
+	var zero T
+	item := f.q[f.head]
+	f.q[f.head] = zero // release the reference for GC
+	f.head++
+	d.queued--
+	return item
 }
 
 // PopFrom pops the head item of one specific flow if the queue is
@@ -120,14 +143,54 @@ func (d *DRR[T]) PopFrom(key string, match func(T) bool) (item T, ok bool) {
 	if !exists || f.head == len(f.q) {
 		return zero, false
 	}
-	item = f.q[f.head]
-	if match != nil && !match(item) {
+	if match != nil && !match(f.q[f.head]) {
 		return zero, false
 	}
-	f.q[f.head] = zero
-	f.head++
-	d.queued--
-	return item, true
+	return d.take(f), true
+}
+
+// Suspend ends the visit to the named flow the way a dry queue should: if
+// the queue is empty and the deficit not yet spent, the visit is suspended
+// and Resume will continue it when the flow's next item has arrived. A visit
+// that ended for another reason — deficit spent, a head item the caller does
+// not extend visits with — is just over.
+func (d *DRR[T]) Suspend(key string) {
+	if f, ok := d.flows[key]; ok && !f.suspended && f.head == len(f.q) && f.deficit >= 0 {
+		f.suspended = true
+		d.suspended = append(d.suspended, key)
+	}
+}
+
+// Resume continues the oldest suspended visit whose flow has an item again:
+// it pops the flow's head item, with no fresh quantum, and the caller goes on
+// as after Pop. A flow whose head item match rejects is not resumed, and its
+// suspension ends. ok is false when no suspended flow has anything queued.
+func (d *DRR[T]) Resume(match func(T) bool) (key string, item T, ok bool) {
+	for i := 0; i < len(d.suspended); {
+		key = d.suspended[i]
+		f := d.flows[key]
+		if f.head == len(f.q) {
+			i++
+			continue
+		}
+		d.lapse(key, f) // the next suspension is now the i-th
+		if match == nil || match(f.q[f.head]) {
+			return key, d.take(f), true
+		}
+	}
+	var zero T
+	return "", zero, false
+}
+
+// lapse ends a suspension.
+func (d *DRR[T]) lapse(key string, f *drrFlow[T]) {
+	f.suspended = false
+	for i, k := range d.suspended {
+		if k == key {
+			d.suspended = append(d.suspended[:i], d.suspended[i+1:]...)
+			return
+		}
+	}
 }
 
 // Charge debits the actual cost of a served item against its flow.

@@ -176,3 +176,86 @@ func TestDRRQuantumFloorAndRounds(t *testing.T) {
 		t.Fatal("Charge admitted an unknown flow")
 	}
 }
+
+// visit serves one scheduling decision the way a relay daemon does: a
+// suspended visit first, else the ring's next flow; then the flow's further
+// items while its deficit lasts, and a suspension if the queue ran dry first.
+// It returns the flow and the cost served; late runs after the visit is over,
+// where a closed-loop sender's next announcement lands.
+func visit(d *DRR[int64], late func(key string)) (key string, served int64) {
+	key, cost, ok := d.Resume(nil)
+	if !ok {
+		key, cost, ok = d.Pop()
+	}
+	for ok {
+		d.Charge(key, cost)
+		served += cost
+		if d.Deficit(key) < 0 {
+			break
+		}
+		if cost, ok = d.PopFrom(key, nil); !ok {
+			d.Suspend(key)
+		}
+	}
+	late(key)
+	return key, served
+}
+
+// TestDRRSuspendedVisitResumes: a flow that announces one sub-quantum item
+// just after each service — a closed-loop sender whose previous message the
+// scheduler has only now finished — gets a quantum's worth a round like the
+// backlogged elephant beside it, not one item a round: its visit is suspended
+// when its queue runs dry with deficit left, and resumed, with no fresh
+// quantum, by its next item. A round still serves it at most a quantum plus
+// one item, and a suspension the ring has passed is gone: going quiet banks
+// nothing.
+func TestDRRSuspendedVisitResumes(t *testing.T) {
+	const quantum, mouse, elephant = 32, 8, 256
+	d := NewDRR[int64](quantum)
+	for i := 0; i < 200; i++ {
+		d.Push("elephant", elephant)
+	}
+	d.Push("mouse", mouse)
+	reannounce := func(key string) {
+		if key == "mouse" {
+			d.Push("mouse", mouse)
+		}
+	}
+	served := map[string]int64{}
+	inRound, round := int64(0), d.Rounds()
+	for d.Rounds() < 400 {
+		key, n := visit(d, reannounce)
+		served[key] += n
+		if r := d.Rounds(); r != round {
+			round, inRound = r, 0
+		}
+		if key == "mouse" {
+			if inRound += n; inRound > quantum+mouse {
+				t.Fatalf("round %d served the mouse %d, more than a quantum plus one item", round, inRound)
+			}
+		}
+	}
+	// The elephant is served an item at a time, so it runs up to one ahead.
+	if diff := served["mouse"] - served["elephant"]; diff < -(elephant+quantum) || diff > elephant+quantum {
+		t.Errorf("after 400 rounds the mouse was served %d and the elephant %d: not the same byte rate", served["mouse"], served["elephant"])
+	}
+
+	// The mouse goes quiet with its visit suspended and the ring passes it.
+	d = NewDRR[int64](quantum)
+	quiet := func(string) {}
+	d.Push("mouse", mouse)
+	if key, _ := visit(d, quiet); key != "mouse" || d.Deficit("mouse") != quantum-mouse {
+		t.Fatalf("first visit served %s and left the mouse a deficit of %d", key, d.Deficit("mouse"))
+	}
+	for d.Rounds() < 3 {
+		d.Push("elephant", elephant)
+		visit(d, quiet)
+	}
+	d.Push("mouse", mouse)
+	if key, _, ok := d.Resume(nil); ok {
+		t.Errorf("Resume continued %s's visit after the ring had passed it", key)
+	}
+	if def := d.Deficit("mouse"); def > quantum {
+		t.Errorf("the quiet mouse banked deficit %d > quantum", def)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"madgo/internal/flow"
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
@@ -325,5 +326,73 @@ func TestReliableBookkeepingStaysBounded(t *testing.T) {
 	if d := w.vc.DeliveryStats(); d.Retransmits > 0 {
 		// Sanity: boundedness must not come from losing packets.
 		t.Logf("note: %d retransmits on a fault-free run", d.Retransmits)
+	}
+}
+
+// TestFairRelayResumesSuspendedVisits: under the fair scheduler a closed-loop
+// sender of sub-quantum messages gets its quantum's worth a round even though
+// each of its announcements reaches the gateway a few microseconds after the
+// relay of the previous message returned — which, the pipeline running across
+// message boundaries, is as soon as that message's last fragment was queued.
+// Its visit is suspended, not forfeited (flow.DRR.Suspend). The fixture puts
+// the same protocol on both sides of the gateway: when egress is the slower
+// side the relay thread waits on the sender's queue and the announcement is
+// there in time anyway. Equal byte totals, so Jain over the senders' own
+// completion goodputs isolates the service rate; with visits forfeited it
+// reads 0.87 here.
+func TestFairRelayResumesSuspendedVisits(t *testing.T) {
+	const elephants, mice, total = 2, 10, 1 << 20
+	b := topo.NewBuilder().Network("edge", "sci").Network("core", "sci")
+	var names []string
+	size := map[string]int{}
+	for i := 0; i < elephants+mice; i++ {
+		name := fmt.Sprintf("s%d", i)
+		b.Node(name, "edge")
+		names = append(names, name)
+		size[name] = 16 << 10
+		if i < elephants {
+			size[name] = 256 << 10
+		}
+	}
+	tp, err := b.Node("gw", "edge", "core").Node("sink", "core").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fwd.DefaultConfig()
+	cfg.FlowControl = true
+	w := build(t, tp, cfg)
+	left, msgs := map[string]int{}, 0
+	for _, name := range names {
+		payload := pattern(size[name], 1)
+		left[name] = total / len(payload)
+		msgs += left[name]
+		w.sim.Spawn("send:"+name, func(p *vtime.Proc) {
+			for i := 0; i < total/len(payload); i++ {
+				px := w.vc.At(name).BeginPacking(p, "sink")
+				px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
+				px.EndPacking(p)
+			}
+		})
+	}
+	var goodputs []float64
+	w.sim.Spawn("sink", func(p *vtime.Proc) {
+		buf := make([]byte, 256<<10)
+		for i := 0; i < msgs; i++ {
+			u := w.vc.At("sink").BeginUnpacking(p)
+			from := w.sess.Node(u.From()).Name
+			u.Unpack(p, buf[:size[from]], mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if left[from]--; left[from] == 0 {
+				goodputs = append(goodputs, total/vtime.Duration(p.Now()).Seconds())
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if j := flow.Jain(goodputs); j < 0.97 {
+		t.Errorf("Jain over %d senders' goodputs = %.3f, want >= 0.97: sub-quantum flows lose their share", len(goodputs), j)
+	} else {
+		t.Logf("Jain %.4f", j)
 	}
 }

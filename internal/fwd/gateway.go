@@ -14,30 +14,30 @@ import (
 )
 
 // Gateway is the forwarding engine running on a node that bridges networks:
-// one polling thread per special channel, and for every relayed message a
-// receive/retransmit pipeline over a ring of pooled staging buffers
-// (Figure 4).
+// per ingress network a polling thread that becomes the receive thread of
+// every message it relays, per egress link a send thread, and between them
+// rings of pooled staging buffers (Figure 4). The pipeline is per direction,
+// not per message: the receive thread goes back to its announcements as soon
+// as a message's last fragment is queued, so the receive of message k+1
+// overlaps the send of message k.
 type Gateway struct {
 	vc   *VirtualChannel
 	node *mad.Node
 	name string
 
-	// rings holds the persistent pipeline state, one per ingress network.
+	// rings holds the receive-side pipeline state, one per ingress network.
 	// Each ingress network has exactly one relaying daemon (the polling
-	// daemon itself, or the fair-scheduling daemon in flow-control mode)
-	// and relay() forwards messages to completion before returning to it,
-	// so a ring is only ever used by one message at a time.
+	// daemon itself, or the fair-scheduling daemon in flow-control mode),
+	// which receives one message at a time; the slots of a ring may still be
+	// on their way out for earlier messages.
 	rings map[string]*relayRing
 
 	// scheds holds the flow-mode arrival schedulers, one per ingress
 	// network; empty unless Config.FlowControl is set.
 	scheds map[string]*gwSched
 
-	// txq holds the per-egress-link asynchronous senders for whole frames
-	// (a message that arrived in one transfer: compact eager, aggregate or
-	// compact multicast), so the polling thread can go back to posting
-	// ingress receives while a frame is still streaming out.
-	txq map[*mad.Link]*gwEgress
+	// senders holds the send threads, one per egress link.
+	senders map[*mad.Link]*gwSender
 
 	met gwMetrics
 
@@ -51,11 +51,11 @@ type Gateway struct {
 	eng *relEngine
 }
 
-// relayRing is the reusable pipeline state of one ingress network: the
-// packet slots the receive thread and the branch senders rotate, the
-// staging-buffer free lists the slots are stocked from, the branch records
-// with their queues, and a scratch header. Keeping it across messages makes
-// steady-state relays allocation-free.
+// relayRing is the receive side of one ingress network's pipeline: the
+// packet slots its receive thread fills and the egress senders give back,
+// the staging-buffer free lists a slot's buffer is taken from, the branch
+// records of the message in hand, and a scratch header. It lives as long as
+// the gateway, so steady-state relays allocate nothing.
 type relayRing struct {
 	free  *vsync.Chan[*relaySlot]
 	slots []relaySlot // PipelineDepth of them, each either in free or in flight
@@ -64,79 +64,59 @@ type relayRing struct {
 	stage  *bufPool            // copy-always ablation staging buffers
 	static map[string]*bufPool // per-egress-network driver static buffers
 
-	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one relay at a time
+	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one receive at a time
 
-	// branches are the egress branch records, reused from message to
-	// message; the list grows to the widest fan-out the ring has served.
-	branches []*relayBranch
+	// branches are the egress branches of the message in hand; the array
+	// grows to the widest fan-out the ring has served.
+	branches []relayBranch
 
-	// Names the pipeline would otherwise format for every relayed message:
-	// the receive thread's trace actor, and per egress network the send
-	// thread's.
-	recvActor string
-	senders   map[string]relaySender
-}
-
-// relaySender names the send thread a ring spawns toward one egress network.
-type relaySender struct {
-	actor string // trace actor, "<gateway>:send:<net>"
-	proc  string // process name, "gwsend:<gateway>:<net>"
+	recvActor string // the receive thread's trace actor
 }
 
 // relaySlot is one staged ingress fragment, the unit handed from the receive
-// thread to the branch senders. The ring owns PipelineDepth of them.
+// thread to the egress senders. The ring owns PipelineDepth of them, and a
+// slot outlives the relay of its message: it carries everything its release
+// needs.
 //
-// Ownership: the receive thread takes a slot off the ring's free list, fills
-// it, sets refs to the branch count and queues it on every branch. Each
-// branch sender decrements refs after its send and swap; the one that
-// reaches zero recycles the slot — releases aux, puts the slot back on the
-// free list — and returns the ingress transfer's flow credit upstream, so a
-// slot is recycled and its credit granted exactly once however many
-// branches it fed.
+// Ownership: the receive thread takes a slot off the ring's free list, takes
+// a buffer for it from the pool the message's buffer election names, fills
+// it, sets refs to the branch count and queues it on every branch's sender.
+// Each sender decrements refs after its send and swap; the one that reaches
+// zero recycles the slot — returns the buffers to their pools, puts the slot
+// back on the free list — and returns the ingress transfer's flow credit
+// upstream, so a slot is recycled and its credit granted exactly once
+// however many branches it fed.
 type relaySlot struct {
-	buf  []byte // staging buffer backing the slot (nil when data rides the ingress slot)
+	ring *relayRing
+	pool *bufPool // where buf came from; nil when data rides the ingress slot
+	buf  []byte   // staging buffer backing the slot
 	data []byte
 	desc []mad.BlockDesc
 	aux  []byte // pooled copy-always staging buffer, released with the slot
-	eom  bool
-	refs int // branch sends still owing
+	up   string // the ingress sender, whose flow credit the release returns
+	refs int    // branch sends still owing
 }
 
 // relayBranch is one egress decision the relay made for the message in
-// hand: the link, the downstream gateway credits are spent toward, and the
-// queue its sender drains. Unicast is the one-branch case.
+// hand: the link's sender, whose enqueue right the relay holds until the
+// message's last fragment is queued. Unicast is the one-branch case.
 type relayBranch struct {
-	out    *mad.Link
-	nextGW string // non-empty when the next hop relays further and takes flow credits
+	tx *gwSender
 	// hdr is the rewritten destination-set header of a replicated
-	// (multicast) branch; nil on the unicast branch, whose header the relay
-	// thread re-emits unchanged (see replicated).
+	// (multicast) branch; nil on the unicast branch, which re-emits the
+	// first transfer unchanged (see replicated).
 	hdr []byte
-
-	// What the send thread needs of the message in hand; the pipeline sets
-	// them before it spawns the thread.
-	kind  mad.Kind
-	msgID uint64
-	up    string // the ingress sender, whose flow credits a recycled slot returns
-
-	names relaySender
-	q     *vsync.Chan[*relaySlot] // staged fragments awaiting this branch; nil is the bare terminator
-	send  func(*vtime.Proc)       // branchSend on this record, bound once: spawning the send thread allocates no closure
-	proc  *vtime.Proc
 }
 
 // replicated reports whether the branch belongs to a multicast fan-out. A
-// replicated branch's sender takes the egress link and emits the branch's
-// own header, so slow branches do not hold up the header of fast ones, and
-// its sends are counted and recorded as replication; the unicast branch's
-// link is taken and its header re-emitted by the relay thread before the
-// first ingress receive (§2.2.2).
+// replicated branch opens with its own header, and its sends are counted and
+// recorded as replication.
 func (b *relayBranch) replicated() bool { return b.hdr != nil }
 
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
 	g := &Gateway{vc: vc, node: node, name: node.Name,
 		rings: make(map[string]*relayRing), scheds: make(map[string]*gwSched),
-		txq: make(map[*mad.Link]*gwEgress)}
+		senders: make(map[*mad.Link]*gwSender)}
 	vc.sess.Platform.Instrument(g)
 	return g
 }
@@ -165,88 +145,129 @@ func (g *Gateway) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&c.replicatedBytes, "madgo_mcast_replicated_bytes_total", gw)
 }
 
-// gwEgressTx is one whole frame queued for asynchronous retransmission on an
-// egress link.
-type gwEgressTx struct {
-	meta   mad.TxMeta
-	data   []byte
-	msgID  uint64
-	nextGW string
+// gwTx is one transfer queued on an egress link's sender, and what to
+// recycle after it. The first transfer of a message (a whole frame, or the
+// header of a longer one) carries SOM, the last one EOM; a bare terminator is
+// the EOM transfer with no data.
+type gwTx struct {
+	meta  mad.TxMeta
+	data  []byte
+	msgID uint64
+	// slot is the staged fragment data lives in: its send is traced and
+	// followed by a buffer swap, and the sender drops its reference. Nil for
+	// memory nothing reuses (a driver slot, a rewritten header, the sender's
+	// own header cells).
+	slot *relaySlot
+	// replicated: the transfer feeds one branch of a multicast fan-out.
+	replicated bool
 }
 
-// gwEgress decouples a gateway's egress send from its ingress receive at
-// whole-frame grain — the store-and-forward analogue of the packet
-// pipeline's double buffering. A single-transfer compact frame is fully in
-// gateway memory when the relay sees it, so nothing forces the polling
-// thread to sit through the outbound transmission: it hands the frame to
-// this per-egress-link daemon and immediately posts the next ingress
-// receive. Without the handoff, a post-gated upstream (SCI) cannot even
-// start streaming frame k+1 until the gateway finishes sending frame k, and
-// the two transfer times serialise per frame. The queue depth is
-// PipelineDepth, so at most that many frames buffer in the gateway before
-// backpressure reaches the ingress side again.
-type gwEgress struct {
-	q        *vsync.Chan[gwEgressTx]
-	inflight int
-	idle     []*vtime.Waker
+// gwSender is the send thread of one egress link: a daemon draining one
+// bounded FIFO of transfers, whatever message, ingress ring or framing they
+// belong to. It takes the link at a message's first transfer and gives it
+// back after the last, so everything the gateway puts on a link leaves in
+// the order it was queued: a whole frame is never overtaken by a message
+// received after it, and the send of message k overlaps the receive of
+// message k+1 — the relay thread never waits for a send unless the queue, or
+// its ring, is full (§2.2.2: "one thread receives packet k+1 while the other
+// retransmits packet k", per direction). The queue holds PipelineDepth
+// transfers, so at most that many whole frames buffer in the gateway before
+// backpressure reaches the ingress side again; staged fragments are bounded
+// by their rings.
+type gwSender struct {
+	out *mad.Link
+	// spendTo is the next gateway when the link leads to one that relays
+	// further: every transfer first spends one of this gateway's credits
+	// toward it (hopLink).
+	spendTo string
+	q       *vsync.Chan[gwTx]
+	// enq is the right to queue: a relay holds it from a message's first
+	// transfer to its last, so two ingress rings never interleave messages
+	// on one link.
+	enq    vsync.Mutex
+	actor  string // trace actor, "<gateway>:send:<net>"
+	outNet string
+
+	// hdrs keeps the bracketed framings' headers, which arrive in a ring's
+	// scratch, until they are on the wire (keep).
+	hdrs  [][stripeHeaderLen]byte
+	nhdrs int
 }
 
-// egress returns (creating, with its sender daemon) the asynchronous sender
-// of one egress link.
-func (g *Gateway) egress(out *mad.Link) *gwEgress {
-	if e, ok := g.txq[out]; ok {
+// sender returns (creating, with its daemon) the sender of one egress link.
+func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
+	if e, ok := g.senders[out]; ok {
 		return e
 	}
-	e := &gwEgress{q: vsync.NewChan[gwEgressTx](
-		fmt.Sprintf("gwtx:%s>%s", g.name, out.Dst.Name), g.vc.cfg.PipelineDepth)}
-	g.txq[out] = e
-	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwtx:%s>%s", g.name, out.Dst.Name),
-		func(p *vtime.Proc) {
-			for {
-				tx, ok := e.q.Recv(p)
-				if !ok {
-					return
-				}
-				out.Acquire(p)
-				if tx.nextGW != "" {
-					g.vc.flowSpend(p, tx.nextGW, g.name, tx.msgID)
-				}
-				out.Send(p, tx.meta, tx.data)
-				out.Release(p)
-				e.inflight--
-				if e.inflight == 0 {
-					for _, w := range e.idle {
-						w.Wake()
-					}
-					e.idle = nil
-				}
-			}
-		})
+	name := fmt.Sprintf("gwtx:%s>%s", g.name, out.Dst.Name)
+	depth := g.vc.cfg.PipelineDepth
+	outNet := out.Channel.Network().Name
+	e := &gwSender{out: out, spendTo: nextGW, q: vsync.NewChan[gwTx](name, depth),
+		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet,
+		// A cell is rewritten depth+3 headers later: the queue, the sender's
+		// hand and one completed send lie between, which outlasts the wire
+		// latency a link reads its payload after.
+		hdrs: make([][stripeHeaderLen]byte, depth+3)}
+	g.senders[out] = e
+	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) { g.egress(sp, e) })
 	return e
 }
 
-// sendEgress queues one frame on the egress daemon (blocking only when
-// PipelineDepth frames are already buffered).
-func (g *Gateway) sendEgress(p *vtime.Proc, out *mad.Link, tx gwEgressTx) {
-	e := g.egress(out)
-	e.inflight++
-	e.q.Send(p, tx)
+// keep copies a header out of a ring's scratch, which the next message of
+// that ring overwrites, into the sender's own cells.
+func (e *gwSender) keep(hdr []byte) []byte {
+	cell := e.hdrs[e.nhdrs%len(e.hdrs)][:len(hdr)]
+	e.nhdrs++
+	copy(cell, hdr)
+	return cell
 }
 
-// fenceEgress blocks until every asynchronously queued frame on the link
-// has been fully sent. Streaming relays (a header and pipelined packets)
-// call it before acquiring the link, so a queued frame can never be
-// overtaken by a message the gateway received after it.
-func (g *Gateway) fenceEgress(p *vtime.Proc, out *mad.Link) {
-	e, ok := g.txq[out]
-	if !ok {
-		return
-	}
-	for e.inflight > 0 {
-		w := new(vtime.Waker)
-		p.InitBlocker(w, "gw egress fence", g.name)
-		e.idle = append(e.idle, w)
-		w.Wait()
+// egress is the send thread: it puts the queued transfers on the link one
+// after the other, a buffer swap after every staged fragment.
+func (g *Gateway) egress(sp *vtime.Proc, e *gwSender) {
+	vc := g.vc
+	tr := vc.cfg.Tracer
+	m := &g.met
+	var fr *flight.Ring
+	for {
+		tx, ok := e.q.Recv(sp)
+		if !ok {
+			return
+		}
+		if tx.meta.SOM {
+			e.out.Acquire(sp)
+		}
+		if e.spendTo != "" {
+			vc.flowSpend(sp, e.spendTo, g.name, tx.msgID)
+		}
+		t0 := sp.Now()
+		e.out.Send(sp, tx.meta, tx.data)
+		if s := tx.slot; s != nil {
+			if fr == nil {
+				fr = vc.flightRing(g.name)
+			}
+			n := len(tx.data)
+			tr.Record(e.actor, "send", n, t0, sp.Now())
+			if tx.replicated {
+				fr.Record(flight.KindReplicate, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
+				m.replicatedPkts.Add(1)
+				m.replicatedBytes.Add(int64(n))
+			} else {
+				fr.Record(flight.KindSend, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
+			}
+			t0 = sp.Now()
+			sp.Sleep(g.node.Host.CPU.SwapOverhead)
+			tr.Record(e.actor, "swap", 0, t0, sp.Now())
+			m.swap.ObserveDuration(vtime.Since(sp.Now(), t0))
+			fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, 0, e.outNet)
+			s.refs--
+			if s.refs == 0 {
+				g.recycle(sp, s)
+			}
+		}
+		if tx.meta.EOM {
+			e.out.Release(sp)
+		}
 	}
 }
 
@@ -263,9 +284,9 @@ type gwSched struct {
 }
 
 // ring returns (creating on first use) the pipeline ring of one ingress
-// network. It holds PipelineDepth packet slots: the ring can hold at most
-// one full rotation, so the receive thread can run at most depth packets
-// ahead of the slowest branch sender.
+// network. It holds PipelineDepth packet slots, stocked once: the receive
+// thread can run at most depth packets ahead of the slowest egress sender,
+// across messages as within one.
 func (g *Gateway) ring(inNet string) *relayRing {
 	if r, ok := g.rings[inNet]; ok {
 		return r
@@ -279,35 +300,13 @@ func (g *Gateway) ring(inNet string) *relayRing {
 		static: make(map[string]*bufPool),
 
 		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
-		senders:   make(map[string]relaySender),
+	}
+	for i := range r.slots {
+		r.slots[i].ring = r
+		r.free.TrySend(&r.slots[i])
 	}
 	g.rings[inNet] = r
 	return r
-}
-
-// branch returns the ring's i-th branch record reset for a new message
-// toward out, creating the record and its queue the first time a message
-// fans out that wide. A queue is as deep as the ring, so queueing a slot
-// never blocks on a branch that keeps up.
-func (g *Gateway) branch(r *relayRing, i int, out *mad.Link, nextGW string, hdr []byte) {
-	if i == len(r.branches) {
-		b := &relayBranch{
-			q: vsync.NewChan[*relaySlot](fmt.Sprintf("gwq:%s:%d", r.recvActor, i), g.vc.cfg.PipelineDepth)}
-		b.send = func(sp *vtime.Proc) { g.branchSend(sp, r, b) }
-		r.branches = append(r.branches, b)
-	}
-	b := r.branches[i]
-	b.out, b.nextGW, b.hdr = out, nextGW, hdr
-	outNet := out.Channel.Network().Name
-	names, ok := r.senders[outNet]
-	if !ok {
-		names = relaySender{
-			actor: fmt.Sprintf("%s:send:%s", g.name, outNet),
-			proc:  fmt.Sprintf("gwsend:%s:%s", g.name, outNet),
-		}
-		r.senders[outNet] = names
-	}
-	b.names = names
 }
 
 // staticPool returns the ring's free list of egress-driver static buffers
@@ -386,7 +385,7 @@ func burstableKind(k mad.Kind) bool {
 // startFair spawns the flow-control daemon pair for one ingress network:
 // gwpoll only classifies announcements into the per-sender DRR queues
 // (announcements are cheap — the data transfer happens lazily when the
-// relay receives), and gwfair serves them one message to completion in DRR
+// relay receives), and gwfair receives them one message at a time in DRR
 // order, charging each flow the bytes it actually relayed.
 func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 	sc := &gwSched{
@@ -398,10 +397,20 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 		sc.drr.Push(a.Link.Src.Name, a)
 		sc.pending.Release(1)
 	})
+	burstable := func(a mad.Arrival) bool { return burstableKind(a.Kind()) }
 	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwfair:%s:%s", g.name, nwName), func(p *vtime.Proc) {
 		for {
 			sc.pending.Acquire(p, 1)
-			key, a, ok := sc.drr.Pop()
+			// A suspended visit goes first: relay returns when a message's
+			// last fragment is queued, a closed-loop sender's next
+			// announcement lands a few microseconds after that, and a flow
+			// whose messages are smaller than the quantum would otherwise
+			// get one message a round where a backlogged one gets a
+			// quantum's worth.
+			key, a, ok := sc.drr.Resume(burstable)
+			if !ok {
+				key, a, ok = sc.drr.Pop()
+			}
 			if !ok {
 				panic("fwd: gateway scheduler woken with empty queues on " + g.name)
 			}
@@ -419,20 +428,15 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 			// one service anyway). The compact eager and aggregate
 			// framings burst like plain GTM: they are exactly the mice
 			// whose fair byte share the deficit extension exists for.
-			if burstableKind(a.Kind()) {
-				for sc.drr.Deficit(key) >= 0 {
-					if !sc.pending.TryAcquire(1) {
-						break
-					}
-					a, ok := sc.drr.PopFrom(key, func(n mad.Arrival) bool {
-						return burstableKind(n.Kind())
-					})
-					if !ok {
-						sc.pending.Release(1)
-						break
-					}
-					sc.drr.Charge(key, g.relay(p, a))
+			for burstable(a) && sc.drr.Deficit(key) >= 0 {
+				if a, ok = sc.drr.PopFrom(key, burstable); !ok {
+					sc.drr.Suspend(key)
+					break
 				}
+				if !sc.pending.TryAcquire(1) {
+					panic("fwd: gateway scheduler permit ledger out of balance on " + g.name)
+				}
+				sc.drr.Charge(key, g.relay(p, a))
 			}
 			if r := sc.drr.Rounds(); r > sc.lastRounds {
 				g.met.rounds.Add(r - sc.lastRounds)
@@ -572,15 +576,16 @@ func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFram
 // one, from the routing table's next hop, for the unicast kinds; the
 // destination set re-partitioned by next hop (mcastSplit) for multicast —
 // and reports whether this node is itself a destination.
-func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string) (branches []*relayBranch, local bool) {
+func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string) (branches []relayBranch, local bool) {
 	vc := g.vc
+	r.branches = r.branches[:0]
 	if f.kind == mad.KindMcast {
-		branches, local = g.mcastSplit(r, f)
+		local = g.mcastSplit(r, f)
 		g.met.mcastRelays.Add(1)
-		g.met.branches.Add(int64(len(branches)))
+		g.met.branches.Add(int64(len(r.branches)))
 		vc.hop(p, f.id, g.name, "relay",
-			obs.Detail{Form: "mcast ${net} -> ${a} branches (${b} dests)", Net: inNet, A: len(branches), B: len(f.dests)}, 0)
-		return branches, local
+			obs.Detail{Form: "mcast ${net} -> ${a} branches (${b} dests)", Net: inNet, A: len(r.branches), B: len(f.dests)}, 0)
+		return r.branches, local
 	}
 	dstName := vc.sess.Node(f.dst).Name
 	hop, ok := vc.tbl.NextHop(g.name, dstName)
@@ -589,19 +594,23 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 	}
 	vc.hop(p, f.id, g.name, "relay", obs.Detail{Form: "${note} -> ${peer} via ${net}", Note: inNet, Peer: hop.To, Net: hop.Network}, 0)
 	out, nextGW := vc.hopLink(g.node, hop, hop.To != dstName)
-	g.branch(r, 0, out, nextGW, nil)
-	return r.branches[:1], false
+	r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW)})
+	return r.branches, false
 }
 
-// relay forwards one announced message, the gateway's one loop whatever the
-// frame kind and however many ways the message fans out:
+// relay receives one announced message and queues it for egress, the
+// gateway's one loop whatever the frame kind and however many ways the
+// message fans out:
 //
 //	classify  read the self-description off the first transfer
 //	route     egress branches from the routing table, plus local delivery
-//	emit      a whole frame goes to the per-link egress daemons, one copy
-//	          per branch; anything longer runs the pipeline
+//	emit      queue the first transfer — a whole frame, or the header of a
+//	          longer message — on each branch's sender, then run the receive
+//	          side of the pipeline over the rest
 //
-// It returns the ingress payload bytes relayed — independent of the branch
+// It returns when the last ingress transfer is queued, not when it is sent:
+// the senders finish the message while this thread receives the next one. It
+// returns the ingress payload bytes relayed — independent of the branch
 // count — which the flow-control scheduler charges against the ingress
 // sender's deficit.
 func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
@@ -626,50 +635,50 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 		g.met.bytes.Add(int64(n))
 	}
 
-	if f.eom {
-		// The first transfer carried the terminator: the whole message is
-		// in gateway memory (its driver slot), so the retransmission needs
-		// nothing more from this thread. Queue it on each branch's egress
-		// daemon and go receive the next frame.
-		for _, b := range branches {
-			meta := mad.TxMeta{SOM: true, EOM: true, Kind: f.kind, Blocks: f.meta.Blocks}
-			frame := f.head
-			if b.replicated() {
-				meta.Blocks, frame = g.replicateFrame(p, &f, b, f.payload)
-			}
-			g.sendEgress(p, b.out, gwEgressTx{meta: meta, data: frame, msgID: f.id, nextGW: b.nextGW})
-		}
-		if local {
-			g.mcastDeliverLocal(p, &mcastLocal{f.streamHdr, parkedFrags{
-				frags: splitByDescs(make([][]byte, 0, len(f.descs)), f.payload, f.descs), descs: f.descs}})
-		}
-		return g.met.bytes.Count() - bytesBefore
+	for _, b := range branches {
+		b.tx.enq.Lock(p)
 	}
-
-	if len(branches) == 1 && !branches[0].replicated() {
-		// Unicast: this thread holds the egress link for the whole message
-		// and re-emits the first transfer unchanged before it receives
-		// anything more.
-		b := branches[0]
-		g.fenceEgress(p, b.out)
-		b.out.Acquire(p)
-		defer b.out.Release(p)
-		if b.nextGW != "" {
-			vc.flowSpend(p, b.nextGW, g.name, f.id)
+	for _, b := range branches {
+		// The unicast branch re-emits the first transfer unchanged; a
+		// replicated one opens with its own header, glued to the payload when
+		// the first transfer was the whole message.
+		meta := mad.TxMeta{SOM: true, EOM: f.eom, Kind: f.kind, Blocks: f.meta.Blocks}
+		first := f.head
+		switch {
+		case b.replicated() && f.eom:
+			meta.Blocks, first = g.replicateFrame(p, &f, &b, f.payload)
+		case b.replicated():
+			meta.Blocks, first = []mad.BlockDesc{headerDesc(len(b.hdr))}, b.hdr
+		case framingOf(f.kind).bracketed:
+			first = b.tx.keep(first)
 		}
-		b.out.Send(p, mad.TxMeta{SOM: true, Kind: f.kind, Blocks: f.meta.Blocks}, f.head)
+		b.tx.q.Send(p, gwTx{meta: meta, data: first, msgID: f.id})
 	}
-	g.pipeline(p, r, in, &f, branches, local)
+	var capture *mcastLocal
+	if !f.eom {
+		capture = g.pipeline(p, r, in, &f, branches, local)
+	} else if local {
+		// The whole message is in gateway memory (its driver slot).
+		capture = &mcastLocal{f.streamHdr, parkedFrags{
+			frags: splitByDescs(make([][]byte, 0, len(f.descs)), f.payload, f.descs), descs: f.descs}}
+	}
+	for _, b := range branches {
+		b.tx.enq.Unlock(p)
+	}
+	if local {
+		g.mcastDeliverLocal(p, capture)
+	}
 	return g.met.bytes.Count() - bytesBefore
 }
 
-// pipeline implements the paper's packet-forwarding pipeline (Figure 5):
-// the polling thread becomes the receive thread, one spawned thread per
-// egress branch retransmits, and PipelineDepth packet slots rotate between
+// pipeline is the receive side of the paper's packet-forwarding pipeline
+// (Figure 5): the polling thread becomes the receive thread, the egress
+// links' senders retransmit, and PipelineDepth packet slots rotate between
 // them. Each buffer switch costs the host's software overhead (§3.3.1
 // measures ≈40 µs). A fragment is received once whatever the branch count;
 // the slot's reference count (relaySlot) bounds how far ingress runs ahead
-// of the slowest branch.
+// of the slowest branch. It returns the local capture of a message this node
+// is itself a destination of.
 //
 // Buffer election (§2.3), for a message leaving this gateway on one branch:
 //   - egress static (and zero-copy on): buffers come from the egress
@@ -685,19 +694,19 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 // single egress driver's static buffers (nor the one ingress slot) can back
 // them.
 //
-// Buffers come from the ring's free lists, not the allocator: the slots are
-// stocked from the pools at message start and drained back at message end,
-// so after the first message a relay allocates nothing. When the receive
-// thread has to wait for a free slot — the send side is the bottleneck and
-// every buffer is in flight — the wait is recorded as a "stall" span, which
-// obs.AnalyzeLanes accounts to the lane's stall fraction; the deeper the
-// ring, the fewer such bubbles.
+// Buffers come from the ring's free lists, not the allocator: a slot takes
+// one for each fragment and its release gives it back, so once the lists
+// hold a ring's worth a relay allocates nothing. When the receive thread has
+// to wait for a free slot — the send side is the bottleneck and every buffer
+// is in flight, for this message or an earlier one — the wait is recorded as
+// a "stall" span, which obs.AnalyzeLanes accounts to the lane's stall
+// fraction; the deeper the ring, the fewer such bubbles.
 // With flow control armed, the pipeline is also where credits move: every
 // slot returned to the free list means one ingress transfer fully drained
 // through every egress branch, so one credit goes back to the upstream
-// sender, and every egress transfer toward a downstream gateway (nextGW
-// non-empty) spends one of this gateway's own credits first.
-func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []*relayBranch, local bool) {
+// sender, and every egress transfer toward a downstream gateway spends one
+// of this gateway's own credits first.
+func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []relayBranch, local bool) *mcastLocal {
 	vc := g.vc
 	cfg := vc.cfg
 	tr := cfg.Tracer
@@ -706,43 +715,33 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
 	recvActor := r.recvActor
-
-	// Stock the ring for this message's buffer-election mode.
-	slotMode := false
-	var statics *bufPool
-	if len(branches) == 1 && cfg.ZeroCopy {
-		if out := branches[0].out; out.NIC().StaticBuffers {
-			statics = r.staticPool(out, host)
-		} else {
-			slotMode = in.NIC().StaticBuffers
-		}
-	}
-	for i := range r.slots {
-		s := &r.slots[i]
-		switch {
-		case slotMode:
-			s.buf = nil // the slot is a token only; data rides ingress slots
-		case statics != nil:
-			s.buf = statics.get(f.mtu)
-		default:
-			s.buf = r.pool.get(f.mtu)
-		}
-		r.free.TrySend(s)
-	}
-
-	// A process per message and branch, not a daemon: a parked daemon would
-	// be woken by an event of its own and reorder the instant the relay
-	// starts in. Ordering is the whole reason: the spawn runs on a finished
-	// send thread's goroutine and allocates one process record, no more than
-	// waking a daemon would cost (DESIGN.md §20).
 	msgID, up := f.id, f.up
-	for _, b := range branches {
-		b.kind, b.msgID, b.up = f.kind, msgID, up
-		b.proc = vc.sess.Platform.Sim.Spawn(b.names.proc, b.send)
+
+	// The message's buffer election: the pool its slots take their buffers
+	// from, nil when the data rides the ingress slots.
+	pool := r.pool
+	if len(branches) == 1 && cfg.ZeroCopy {
+		if out := branches[0].tx.out; out.NIC().StaticBuffers {
+			pool = r.staticPool(out, host)
+		} else if in.NIC().StaticBuffers {
+			pool = nil
+		}
 	}
 	var capture *mcastLocal
 	if local {
 		capture = &mcastLocal{h: f.streamHdr}
+	}
+
+	// stalled records a pipeline bubble: the egress side is the bottleneck —
+	// every staging buffer in flight, or a sender's queue full — and the
+	// receive thread has waited for it since t0.
+	stalled := func(t0 vtime.Time) {
+		if wait := vtime.Since(p.Now(), t0); wait > 0 {
+			g.stalls++
+			tr.Record(recvActor, "stall", 0, t0, p.Now())
+			m.stall.ObserveDuration(wait)
+			fr.Record(flight.KindStall, p.Now(), wait, msgID, 0, inNet)
+		}
 	}
 
 	var lastRecvStart vtime.Time
@@ -750,14 +749,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	for {
 		t0 := p.Now()
 		s, _ := r.free.Recv(p)
-		if wait := vtime.Since(p.Now(), t0); wait > 0 {
-			// Pipeline bubble: every staging buffer was in flight on the
-			// egress side and the receive thread had to wait.
-			g.stalls++
-			tr.Record(recvActor, "stall", 0, t0, p.Now())
-			m.stall.ObserveDuration(wait)
-			fr.Record(flight.KindStall, p.Now(), wait, msgID, 0, inNet)
-		}
+		stalled(t0)
 		// Incoming-flow regulation (the paper's proposed future work):
 		// space receive starts to at most InflowLimit bytes/s.
 		if cfg.InflowLimit > 0 && !first {
@@ -771,9 +763,11 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 
 		t0 = p.Now()
 		var meta mad.TxMeta
-		if slotMode {
+		s.pool, s.up = pool, up
+		if pool == nil {
 			meta, s.data = in.Recv(p)
 		} else {
+			s.buf = pool.get(f.mtu)
 			var n int
 			meta, n = in.RecvInto(p, s.buf)
 			s.data = s.buf[:n]
@@ -782,18 +776,17 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			if !framingOf(f.kind).bracketed {
 				panic(fmt.Sprintf("fwd: protocol error: bare terminator on a %v stream at %s", f.kind, g.name))
 			}
+			t0 = p.Now()
 			for _, b := range branches {
-				b.q.Send(p, nil)
+				b.tx.q.Send(p, gwTx{meta: mad.TxMeta{Kind: f.kind, EOM: true}, msgID: msgID})
 			}
-			// The slot taken for the terminator was never handed to the
-			// senders; recycle it directly so the drain below sees the
-			// whole ring. The terminator transfer also consumed a sender
-			// credit.
-			r.free.TrySend(s)
-			vc.flowGrant(g.name, up, 1)
-			break
+			stalled(t0)
+			// The slot taken for the terminator goes to no sender; the
+			// terminator transfer consumed a sender credit like any other.
+			g.recycle(p, s)
+			return capture
 		}
-		s.desc, s.eom, s.aux = meta.Blocks, meta.EOM, nil
+		s.desc = meta.Blocks
 		if !cfg.ZeroCopy {
 			// Copy-always ablation: stage through an extra buffer like a
 			// forwarding layer naively placed above Madeleine would.
@@ -820,110 +813,35 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			capture.descs = append(capture.descs, meta.Blocks[0])
 		}
 		s.refs = len(branches)
+		t0 = p.Now()
 		for _, b := range branches {
-			b.q.Send(p, s)
+			b.tx.q.Send(p, gwTx{meta: mad.TxMeta{Kind: f.kind, EOM: meta.EOM, Blocks: s.desc},
+				data: s.data, msgID: msgID, slot: s, replicated: b.replicated()})
 		}
+		stalled(t0)
 		if len(branches) == 0 {
 			// A frame whose every remaining destination is this node. The
 			// planner never emits one (a lone local destination travels the
 			// regular channel), but a recycled slot and a returned credit
 			// keep even that shape live.
-			g.recycle(p, r, s, up)
+			g.recycle(p, s)
 		}
 		if meta.EOM {
-			break
+			return capture
 		}
-	}
-	for _, b := range branches {
-		p.Join(b.proc)
-	}
-
-	// Drain the ring back into this mode's free list so the next message —
-	// possibly with a different MTU or egress — restocks cleanly.
-	for {
-		s, ok := r.free.TryRecv()
-		if !ok {
-			break
-		}
-		switch {
-		case slotMode:
-			// tokens, nothing to recycle
-		case statics != nil:
-			statics.put(s.buf)
-		default:
-			r.pool.put(s.buf)
-		}
-	}
-	if local {
-		g.mcastDeliverLocal(p, capture)
 	}
 }
 
-// recycle returns a slot nobody refers to any more to the ring's free list:
-// the ingress transfer behind it has fully drained through egress, so its
-// credit goes back to the upstream sender.
-func (g *Gateway) recycle(p *vtime.Proc, r *relayRing, s *relaySlot, up string) {
-	if s.aux != nil {
-		r.stage.put(s.aux)
+// recycle returns a slot nobody refers to any more to its ring's free list
+// and its buffers to their pools: the ingress transfer behind it has fully
+// drained through egress, so its credit goes back to the upstream sender.
+func (g *Gateway) recycle(p *vtime.Proc, s *relaySlot) {
+	r, up := s.ring, s.up
+	r.stage.put(s.aux)
+	if s.pool != nil {
+		s.pool.put(s.buf)
 	}
+	s.buf, s.aux, s.data, s.desc = nil, nil, nil, nil
 	r.free.Send(p, s)
 	g.vc.flowGrant(g.name, up, 1)
-}
-
-// branchSend is the send thread of one egress branch: it drains the
-// branch's queue onto the egress link until the message's terminator, a
-// buffer swap after every send.
-func (g *Gateway) branchSend(sp *vtime.Proc, r *relayRing, b *relayBranch) {
-	kind, msgID, up := b.kind, b.msgID, b.up
-	vc := g.vc
-	tr := vc.cfg.Tracer
-	m := &g.met
-	fr := vc.flightRing(g.name)
-	outNet := b.out.Channel.Network().Name
-	sendKind := flight.KindSend
-	if b.replicated() {
-		sendKind = flight.KindReplicate
-		g.fenceEgress(sp, b.out)
-		b.out.Acquire(sp)
-		defer b.out.Release(sp)
-		if b.nextGW != "" {
-			vc.flowSpend(sp, b.nextGW, g.name, msgID)
-		}
-		b.out.Send(sp, mad.TxMeta{SOM: true, Kind: kind,
-			Blocks: []mad.BlockDesc{headerDesc(len(b.hdr))}}, b.hdr)
-	}
-	for {
-		s, _ := b.q.Recv(sp)
-		if b.nextGW != "" {
-			vc.flowSpend(sp, b.nextGW, g.name, msgID)
-		}
-		if s == nil {
-			// Bare terminator of the seed framing. The compact framings
-			// never produce one: their terminator rides on the last data
-			// packet (s.eom below).
-			b.out.Send(sp, mad.TxMeta{Kind: kind, EOM: true}, nil)
-			return
-		}
-		t0 := sp.Now()
-		b.out.Send(sp, mad.TxMeta{Kind: kind, EOM: s.eom, Blocks: s.desc}, s.data)
-		tr.Record(b.names.actor, "send", len(s.data), t0, sp.Now())
-		fr.Record(sendKind, sp.Now(), vtime.Since(sp.Now(), t0), msgID, len(s.data), outNet)
-		if b.replicated() {
-			m.replicatedPkts.Add(1)
-			m.replicatedBytes.Add(int64(len(s.data)))
-		}
-		t0 = sp.Now()
-		sp.Sleep(g.node.Host.CPU.SwapOverhead)
-		tr.Record(b.names.actor, "swap", 0, t0, sp.Now())
-		m.swap.ObserveDuration(vtime.Since(sp.Now(), t0))
-		fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), msgID, 0, outNet)
-		eom := s.eom
-		s.refs--
-		if s.refs == 0 {
-			g.recycle(sp, r, s, up)
-		}
-		if eom {
-			return
-		}
-	}
 }

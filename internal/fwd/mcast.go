@@ -253,10 +253,10 @@ func rankInSet(r mad.Rank, set []mad.Rank) bool {
 
 // mcastSplit partitions a multicast frame's destination set at this
 // gateway: the local flag if the gateway itself is a destination, plus one
-// replicated egress branch — with its rewritten header — per distinct next
-// hop, sorted by (network, next hop) like the planner's; by construction
-// the two agree, since both follow the same unicast table.
-func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (branches []*relayBranch, local bool) {
+// replicated egress branch of the ring — with its rewritten header — per
+// distinct next hop, sorted by (network, next hop) like the planner's; by
+// construction the two agree, since both follow the same unicast table.
+func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	vc := g.vc
 	type grp struct {
 		hop   route.Hop
@@ -292,11 +292,12 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (branches []*relayBran
 		}
 		return groups[i].hop.To < groups[j].hop.To
 	})
-	for i, gr := range groups {
+	for _, gr := range groups {
 		out, nextGW := vc.hopLink(g.node, gr.hop, gr.past || len(gr.ranks) > 1)
-		g.branch(r, i, out, nextGW, encodeMcastHeader(f.src, f.mtu, f.id, gr.ranks))
+		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW),
+			hdr: encodeMcastHeader(f.src, f.mtu, f.id, gr.ranks)})
 	}
-	return r.branches[:len(groups)], local
+	return local
 }
 
 // replicateFrame rebuilds a whole multicast frame for one branch — the
@@ -311,7 +312,7 @@ func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, p
 	}
 	g.met.replicatedPkts.Add(1)
 	g.met.replicatedBytes.Add(int64(len(payload)))
-	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.id, len(payload), b.out.Channel.Network().Name)
+	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.id, len(payload), b.tx.outNet)
 	return append([]mad.BlockDesc{headerDesc(len(b.hdr))}, f.descs...), frame
 }
 

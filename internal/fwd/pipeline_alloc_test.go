@@ -9,16 +9,26 @@ import (
 	"madgo/internal/obs"
 	"madgo/internal/topo"
 	"madgo/internal/trace"
+	"madgo/internal/vtime"
 )
 
-// Steady-state relays must not touch the allocator: after the first message
-// warms a ring's free list, every further message restocks from the pool
-// (Gets keeps growing) without a single additional allocation (Misses stays
-// at the warmup level). The copy-always ablation is the stress case — it
-// runs both the staging-buffer pool and the per-packet stage pool — and the
-// streaming multicast, replicated on two branches by a gateway that is
-// itself a member, is the refcount's: every slot must come back exactly
-// once however many branches it fed.
+// Steady-state relays must not touch the allocator. A slot takes a staging
+// buffer from the free list its message's buffer election names for every
+// fragment it stages, and the sender that releases the slot gives the buffer
+// back: once a free list holds a ring's worth, every further message takes
+// from it (Gets keeps growing) without a single additional allocation (Misses
+// stays at the warm-up level), and when the gateway is quiescent every buffer
+// taken has been returned (Gets == Puts) — nothing stays stocked in a ring
+// between messages. The copy-always ablation is the stress case — it runs both
+// the staging-buffer pool and the per-packet stage pool — the streaming
+// multicast, replicated on two branches by a gateway that is itself a member,
+// is the refcount's: every slot must come back exactly once however many
+// branches it fed. The last row is the slot that outlives its message:
+// back-to-back messages whose election differs — ingress slots, the egress
+// driver's static buffers, the plain pool of a fan-out — and whose MTU
+// changes with the route, so a slot released for one message is refilled from
+// another list, at another size, for the next while the first is still going
+// out.
 func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 	payload := pattern(300_000, 7)
 	blocks := []block{{payload, mad.SendCheaper, mad.ReceiveCheaper}}
@@ -34,26 +44,42 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 	multicast := func(t *testing.T, w *world) {
 		checkIdentical(t, mcastSendRecv(t, w, "a0", []string{"gw1", "c0", "l0"}, blocks), blocks)
 	}
+	modes := func(t *testing.T, w *world) {
+		runSequence(t, w, []string{"a"}, []relayMsg{
+			{[]string{"m0"}, 100_000},             // static in, dynamic out: ingress slots, 16 KiB packets
+			{[]string{"s0"}, 100_000},             // static out: the egress driver's buffers, 8 KiB
+			{[]string{"m0", "c0"}, 100_000},       // two branches: the plain pool, 16 KiB
+			{[]string{"m1", "s0", "c0"}, 100_000}, // three: the pool again, 8 KiB
+			{[]string{"c0"}, 100_000},             // ingress slots, 32 KiB
+			{[]string{"s0"}, 20_000}, {[]string{"m0"}, 20_000}, {[]string{"s0"}, 20_000},
+		})
+	}
+	fan := func(t *testing.T) *topo.Topology { return fanTopo(t, "sbp") }
+	fanMTU := map[string]int{"myri": 16 << 10, "sbp": 8 << 10}
 	for _, c := range []struct {
 		name     string
 		zeroCopy bool
 		topo     func(*testing.T) *topo.Topology
 		gateway  string
 		relay    func(*testing.T, *world)
+		netMTU   map[string]int // nil: one MTU everywhere
 	}{
-		{"zerocopy", true, paperHS, "gw", unicast},
-		{"copy-always", false, paperHS, "gw", unicast},
-		{"multicast", true, mcastChain, "gw1", multicast},
-		{"multicast-copy-always", false, mcastChain, "gw1", multicast},
+		{"zerocopy", true, paperHS, "gw", unicast, nil},
+		{"copy-always", false, paperHS, "gw", unicast, nil},
+		{"multicast", true, mcastChain, "gw1", multicast, nil},
+		{"multicast-copy-always", false, mcastChain, "gw1", multicast, nil},
+		{"election-changes", true, fan, "g", modes, fanMTU},
+		{"election-changes-copy-always", false, fan, "g", modes, fanMTU},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := fwd.DefaultConfig()
 			cfg.PipelineDepth = 4
 			cfg.ZeroCopy = c.zeroCopy
+			cfg.PathMTU, cfg.NetMTU = c.netMTU != nil, c.netMTU
 			w := build(t, c.topo(t), cfg)
 			gw := w.vc.Gateway(c.gateway)
 
-			c.relay(t, w) // warmup: stocks the ring, pays the only misses
+			c.relay(t, w) // warm-up: fills the free lists, pays the only misses
 			warm := gw.PoolStats()
 			if warm.Misses == 0 {
 				t.Fatal("warmup produced no pool misses; the relay is not using the pools")
@@ -72,7 +98,7 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 					warm.Gets, after.Gets)
 			}
 			if after.Gets != after.Puts {
-				t.Fatalf("ring leaked staging buffers: gets %d != puts %d",
+				t.Fatalf("gateway leaked staging buffers: gets %d != puts %d",
 					after.Gets, after.Puts)
 			}
 		})
@@ -87,22 +113,38 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 // is amortised growth, one hop chunk per 256 records and the span slice's
 // doublings. The registry is armed after Build, the way internal/bench arms
 // it, so this is also the late-binding path.
+//
+// Nor does a relayed message: the senders are daemons, a transfer is queued by
+// value and a slot carries what its release needs, so nothing is spawned,
+// joined or fenced per message (DESIGN.md §23). A gateway's share of a
+// message's allocations is what a second gateway on the path adds to them,
+// endpoints being equal: one, and it is the link model's — a header reaches a
+// gateway before a receive is posted for it, so the link copies it into driver
+// memory (mad.snapshot). The send process's record used to be the second.
 func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 8 << 10
 	cfg.PipelineDepth = 4
 	cfg.Tracer = trace.New()
-	w := build(t, paperHS(t), cfg)
-	reg := obs.New()
-	w.sess.Platform.SetMetrics(reg)
-
-	relay := func(size int) uint64 {
-		blocks := []block{{pattern(size, 7), mad.SendCheaper, mad.ReceiveCheaper}}
+	armed := func(tp *topo.Topology) (*world, *obs.Registry) {
+		w := build(t, tp, cfg)
+		reg := obs.New()
+		w.sess.Platform.SetMetrics(reg)
+		return w, reg
+	}
+	// mallocs counts the allocations of one run.
+	mallocs := func(run func()) uint64 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		sendRecv(t, w, "a1", "b1", blocks)
+		run()
 		runtime.ReadMemStats(&m1)
 		return m1.Mallocs - m0.Mallocs
+	}
+
+	w, reg := armed(paperHS(t))
+	relay := func(size int) uint64 {
+		blocks := []block{{pattern(size, 7), mad.SendCheaper, mad.ReceiveCheaper}}
+		return mallocs(func() { sendRecv(t, w, "a1", "b1", blocks) })
 	}
 	const frags = 256
 	relay(2 * frags * cfg.MTU) // warm-up: rings, pools, handles, the first chunks
@@ -118,5 +160,29 @@ func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
 	}
 	if reg.HistogramCount("madgo_gateway_swap_seconds", gw) == 0 || len(cfg.Tracer.Spans()) == 0 || len(reg.Hops()) == 0 {
 		t.Error("the armed run recorded no swap observations, spans or hops; the wall would be vacuous")
+	}
+
+	// perMsg is what one more message of a back-to-back stream a -> dst costs.
+	const msgs = 256
+	perMsg := func(dst string) float64 {
+		w, _ := armed(chainTopo(t))
+		data := pattern(3*cfg.MTU, 5)
+		stream := func(n int) uint64 {
+			var done vtime.Time
+			spawnStream(t, w, "a", dst, data, n, &done)
+			return mallocs(func() {
+				if err := w.sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		stream(2 * msgs) // warm-up
+		short, long := stream(msgs), stream(2*msgs)
+		return (float64(long) - float64(short)) / msgs
+	}
+	one, two := perMsg("g2"), perMsg("c") // g2 is the second gateway: a message for it crosses only g1
+	t.Logf("armed relay: %.3f allocations per extra message through one gateway, %.3f through two: the second adds %.3f", one, two, two-one)
+	if two-one > 1.1 {
+		t.Errorf("an armed gateway adds %.2f allocations to a relayed message, want the link model's 1 (amortised)", two-one)
 	}
 }

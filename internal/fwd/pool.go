@@ -2,13 +2,14 @@ package fwd
 
 // Staging-buffer pooling for the gateway pipeline.
 //
-// Every relayed message rotates PipelineDepth staging buffers between the
-// receive and the send thread. Allocating them per message (let alone per
-// packet) puts the allocator on the forwarding hot path; instead each
-// gateway keeps, per ingress network, a free list the ring is stocked from
-// at message start and drained back into at message end. Steady-state
-// relays then touch the allocator only on the very first message (the
-// warmup misses), which the allocation-regression tests pin down.
+// A gateway rotates PipelineDepth staging buffers per ingress network
+// between its receive thread and the egress senders. Allocating them per
+// message (let alone per packet) puts the allocator on the forwarding hot
+// path; instead each gateway keeps, per ingress network, free lists a packet
+// slot takes a buffer from for every fragment it stages and gives it back to
+// when the fragment has left. Steady-state relays then touch the allocator
+// only while a list warms up (a ring's worth of misses per buffer mode and
+// size), which the allocation-regression tests pin down.
 //
 // The pools are deliberately unsynchronized: the simulation scheduler is
 // single-threaded and each pool is owned by exactly one ingress network's
@@ -67,7 +68,8 @@ func (bp *bufPool) put(b []byte) {
 // PoolStats aggregates the free-list counters of one gateway: how many
 // staging buffers were requested, returned, and actually allocated. On a
 // steady-state relay Misses stays at the warmup level (one ring's worth per
-// buffer mode) while Gets keeps growing.
+// buffer mode) while Gets keeps growing, and a quiescent gateway holds none:
+// Gets == Puts.
 type PoolStats struct {
 	Gets   int64
 	Puts   int64

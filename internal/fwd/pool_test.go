@@ -7,8 +7,8 @@ import (
 )
 
 // The allocation-regression wall for the pooled pipeline: once warm, the
-// per-message staging path — stocking the ring from the free list and
-// draining it back — must never touch the allocator.
+// staging path — a buffer off the free list for every fragment staged, back
+// when it has left — must never touch the allocator.
 
 func TestBufPoolZeroAllocSteadyState(t *testing.T) {
 	bp := newBufPool(nil)
@@ -25,8 +25,8 @@ func TestBufPoolZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestBufPoolRingStockDrainZeroAlloc(t *testing.T) {
-	// The exact per-message sequence the gateway runs: depth gets pushed
-	// through the free channel, then drained back into the pool.
+	// The most a ring has out at once: depth buffers taken before the first
+	// comes back, passed on through a channel, then all returned.
 	const depth = 8
 	const mtu = 64 * 1024
 	bp := newBufPool(nil)

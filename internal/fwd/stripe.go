@@ -327,25 +327,29 @@ func (vc *VirtualChannel) noteRailGoodput(src, dst string, rail int, bytes int64
 
 // noteStripePlan records one scheduling decision: it counts the striped
 // message and — when the quota fractions moved more than 1% against the
-// pair's previous plan — a rebalance.
+// pair's previous plan — a rebalance. The fractions overwrite the previous
+// plan's in place.
 func (vc *VirtualChannel) noteStripePlan(src, dst string, spans []int64, total int64) {
 	st := vc.stripe
 	st.messages.Add(1)
-	frac := make([]float64, len(spans))
-	for i, s := range spans {
-		frac[i] = float64(s) / float64(total)
-	}
 	key := [2]string{src, dst}
-	if prev, ok := st.lastFrac[key]; ok && len(prev) == len(frac) {
-		for i := range frac {
-			d := frac[i] - prev[i]
-			if d > 0.01 || d < -0.01 {
-				st.rebalances.Add(1)
-				break
-			}
-		}
+	frac := st.lastFrac[key]
+	compare := len(frac) == len(spans)
+	if !compare {
+		frac = make([]float64, len(spans))
+		st.lastFrac[key] = frac
 	}
-	st.lastFrac[key] = frac
+	moved := false
+	for i, s := range spans {
+		f := float64(s) / float64(total)
+		if d := f - frac[i]; compare && (d > 0.01 || d < -0.01) {
+			moved = true
+		}
+		frac[i] = f
+	}
+	if moved {
+		st.rebalances.Add(1)
+	}
 }
 
 // StripeStats aggregates the striping layer's counters.

@@ -34,3 +34,23 @@ func TestRailBlockOverlapNoAllocs(t *testing.T) {
 		t.Errorf("overlap = [%d, %d), want [40000, 90000)", lo, hi)
 	}
 }
+
+// A pair's plan overwrites its previous one in place: after the pair's first
+// striped message, recording a scheduling decision allocates nothing, and a
+// split that moved is still counted.
+func TestNoteStripePlanNoAllocs(t *testing.T) {
+	vc := &VirtualChannel{stripe: &stripeState{lastFrac: make(map[[2]string][]float64)}}
+	even, skewed := []int64{512, 512}, []int64{768, 256}
+	vc.noteStripePlan("a", "b", even, 1024)
+	n := testing.AllocsPerRun(200, func() {
+		vc.noteStripePlan("a", "b", even, 1024)
+	})
+	if n != 0 {
+		t.Errorf("noteStripePlan allocates %.1f times per call, want 0", n)
+	}
+	vc.noteStripePlan("a", "b", skewed, 1024)
+	vc.noteStripePlan("a", "b", skewed, 1024)
+	if got := vc.stripe.rebalances.Count(); got != 1 {
+		t.Errorf("%d rebalances counted, want 1: even -> skewed", got)
+	}
+}

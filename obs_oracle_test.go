@@ -28,6 +28,15 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // text, every hop in recording order with its rendered Detail, and
 // MessageTrace(id) for every id — which also pins that binding a handle
 // surfaces no series its call site did not write before.
+//
+// The file was rewritten once since, when the gateway pipeline began to run
+// across message boundaries (DESIGN.md §23 lists the diff): the reliable leg
+// stayed byte-identical; on the streaming leg hop instants, the latency and
+// duration histograms, one gateway stall and the schedulers' round counts
+// moved, and no hop's text or message, packet, byte or credit count; on the
+// striped leg the rails' completion instants moved too, the adaptive split
+// follows the rates measured from them, and two messages shifted under 0.3 %
+// of their bytes from one rail to the other.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
