@@ -204,9 +204,12 @@ func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
 	outNet := out.Channel.Network().Name
 	e := &gwSender{out: out, spendTo: nextGW, q: vsync.NewChan[gwTx](name, depth),
 		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet,
-		// A cell is rewritten depth+3 headers later: the queue, the sender's
-		// hand and one completed send lie between, which outlasts the wire
-		// latency a link reads its payload after.
+		// A link reads a payload where it lies when the wire delivers it,
+		// a wire latency after Send returned. A cell is rewritten depth+3
+		// headers later: at most depth+1 of the transfers queued since are
+		// unsent (the queue, the sender's hand), so depth+4 have left, each
+		// fragment with its swap. A staging buffer gets less: it is received
+		// into again one swap after its send (TestRelayHeaderCellsOutliveASlowWire).
 		hdrs: make([][stripeHeaderLen]byte, depth+3)}
 	g.senders[out] = e
 	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) { g.egress(sp, e) })
@@ -402,11 +405,11 @@ func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
 		for {
 			sc.pending.Acquire(p, 1)
 			// A suspended visit goes first: relay returns when a message's
-			// last fragment is queued, a closed-loop sender's next
-			// announcement lands a few microseconds after that, and a flow
-			// whose messages are smaller than the quantum would otherwise
-			// get one message a round where a backlogged one gets a
-			// quantum's worth.
+			// last fragment is queued, and where that does not wait for the
+			// egress side (ingress no faster than egress) a closed-loop
+			// sender's next announcement lands a few microseconds later: a
+			// flow of sub-quantum messages would get one message a round
+			// where a backlogged one gets a quantum's worth.
 			key, a, ok := sc.drr.Resume(burstable)
 			if !ok {
 				key, a, ok = sc.drr.Pop()
@@ -471,8 +474,9 @@ func (g *Gateway) Bytes() int64 {
 }
 
 // Stalls returns how many times a receive thread of this gateway had to
-// wait for a free staging buffer — the pipeline bubbles a deeper ring
-// eliminates. Always zero in reliable mode.
+// wait for its egress side — for a free staging slot, or for room in an
+// egress sender's queue — the pipeline bubbles a deeper ring eliminates.
+// Always zero in reliable mode.
 func (g *Gateway) Stalls() int64 { return g.stalls }
 
 // PoolStats aggregates the staging-buffer free-list counters over every

@@ -6,7 +6,10 @@ import (
 	"slices"
 	"testing"
 
+	"madgo/internal/drivers/bip"
+	"madgo/internal/drivers/sisci"
 	"madgo/internal/fwd"
+	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
 	"madgo/internal/trace"
@@ -216,5 +219,41 @@ func TestRelayWholeFrameKeepsItsPlace(t *testing.T) {
 		if n := w.vc.Gateway("g").Messages(); n != int64(len(msgs)) {
 			t.Errorf("depth %d: gateway relayed %d messages, want %d", depth, n, len(msgs))
 		}
+	}
+}
+
+// A bracketed message's header waits in one of the sender's PipelineDepth+3
+// cells (keep) and the link model reads a payload where it lies when the wire
+// delivers it, one wire latency after Send returned: a cell must not be
+// rewritten before that. It is rewritten after at least two later fragments
+// have been sent and swapped, where a staging buffer is received into again
+// one swap after its own send, so no wire is slow enough to garble a header
+// and spare the fragment behind it. 30 µs — five times the Myrinet model's
+// send overhead, and the order of the 40 µs swap the staging buffers have
+// always relied on — with one slot and mice, whose headers follow each other
+// fastest.
+func TestRelayHeaderCellsOutliveASlowWire(t *testing.T) {
+	var msgs []relayMsg
+	for i := 0; i < 12; i++ {
+		msgs = append(msgs, relayMsg{[]string{"b1"}, 1 + i}, relayMsg{[]string{"b0"}, 0},
+			relayMsg{[]string{"b1"}, 3000 + i}, relayMsg{[]string{"b1"}, 64})
+	}
+	for _, depth := range []int{1, 2} {
+		sim := vtime.New()
+		pl := hw.NewPlatform(sim)
+		sess := mad.NewSession(pl)
+		nic := hw.Myrinet()
+		nic.WireLatency = 30 * vtime.Microsecond
+		in, out := sisci.New(), bip.NewWith(nic)
+		cfg := fwd.DefaultConfig()
+		cfg.PipelineDepth, cfg.MTU = depth, 1024
+		vc, err := fwd.Build(sess, paperHS(t), map[string]fwd.Binding{
+			"sci0":  {Net: in.NewNetwork(pl, "sci0"), Drv: in},
+			"myri0": {Net: out.NewNetwork(pl, "myri0"), Drv: out},
+		}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSequence(t, &world{sim: sim, sess: sess, vc: vc}, []string{"a0", "a1"}, msgs)
 	}
 }

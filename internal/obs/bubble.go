@@ -12,8 +12,9 @@ import (
 // Lane is the busy/stall/idle decomposition of one actor's activity over an
 // analysis window — the pipeline-bubble accounting of §3.3.1. Busy covers
 // useful work (recv/send/...), Stall covers time lost to the pipeline
-// machinery itself: buffer switches ("swap" spans) and waits for a free
-// staging buffer ("stall" spans), Idle is the remainder. SteadyPeriod is the mean start-to-start interval of
+// machinery itself: buffer switches ("swap" spans) and a receive thread's
+// waits for its egress side, a free staging slot or room in a sender's queue
+// ("stall" spans), Idle is the remainder. SteadyPeriod is the mean start-to-start interval of
 // the lane's dominant op with the fill and drain iterations dropped — the
 // steady-state pipeline period.
 type Lane struct {

@@ -241,7 +241,8 @@ const (
 	// swaps — the §3.4.1 pathology cured by deepening the pipeline.
 	DiagSwapBound = flight.CodeSwapBound
 	// DiagStallBound: gateway receive threads spend a significant share of
-	// their occupancy waiting for free staging buffers.
+	// their occupancy waiting for the egress side: a free staging slot, or
+	// room in an egress sender's queue.
 	DiagStallBound = flight.CodeStallBound
 	// DiagPIODMA: a programmed-I/O network is observed far below nominal
 	// rate while a DMA network shares the host bus (the §3.4.2 conflict).
@@ -822,7 +823,7 @@ type GatewayStats struct {
 	Messages    int64 `json:"messages"`    // messages relayed
 	Packets     int64 `json:"packets"`     // packets relayed
 	Bytes       int64 `json:"bytes"`       // payload bytes relayed
-	Stalls      int64 `json:"stalls"`      // receive-thread waits for a free staging buffer
+	Stalls      int64 `json:"stalls"`      // receive-thread waits for a free staging slot or a full egress queue
 	Retransmits int64 `json:"retransmits"` // per-hop packet retransmissions performed
 	Failovers   int64 `json:"failovers"`   // times a neighbour was presumed dead and rerouted around
 }
