@@ -332,3 +332,85 @@ node b myri0
 		t.Errorf("observing a mice stream costs %.2f allocations per message over the disarmed %.2f, budget %d", armed-disarmed, disarmed, extra)
 	}
 }
+
+// micePingpongAllocBudget is the most heap allocations one message of the
+// benchmark's mice_pingpong shape may cost across System.Run: 64 B round
+// trips a –sci– gw –myrinet– b with eager framing, aggregation and credits,
+// one message outstanding, so every message is a frame of its own and what
+// a frame costs shows undiluted. It reads 10.0: per message the Packing and
+// Unpacking pairs (4) and the block list, per frame the builder's re-armed
+// buffer, the descriptor array, the link's snapshot at the gateway and at the
+// sink, and the sink's frame reader — nothing for the hand-over to the flush
+// daemon (the sealed frame is a local of its flush) nor for the sink's queue
+// of sub-messages (it reads them off the frame, DESIGN.md §24). The budget is
+// the reading plus 15 %: one more per message fits, two do not.
+const micePingpongAllocBudget = 11.5
+
+// TestMicePingpongAllocBudget drives the facade the way the benchmark's
+// mice_pingpong workload does and fails when a message costs more allocations
+// than the budget (make allocs).
+func TestMicePingpongAllocBudget(t *testing.T) {
+	const (
+		trips = 5000
+		size  = 64
+	)
+	sys, err := madeleine.NewSystem(`network sci0 sci
+network myri0 myrinet
+node a sci0
+node gw sci0 myri0
+node b myri0
+`, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := make([]byte, size)
+	for i := range tx {
+		tx[i] = byte(i * 7)
+	}
+	echoed := 0
+	// side sends to peer first when it serves, and answers what it receives.
+	side := func(name, peer string, serve bool) {
+		rx := make([]byte, size)
+		sys.Spawn("pingpong:"+name, func(p *madeleine.Proc) {
+			ep := sys.At(name)
+			for i := 0; i < trips; i++ {
+				if serve {
+					px := ep.BeginPacking(p, peer)
+					px.Pack(p, tx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+					px.EndPacking(p)
+				}
+				u := ep.BeginUnpacking(p)
+				u.Unpack(p, rx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if bytes.Equal(rx, tx) {
+					echoed++
+				}
+				if !serve {
+					px := ep.BeginPacking(p, peer)
+					px.Pack(p, rx, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+					px.EndPacking(p)
+				}
+			}
+		})
+	}
+	side("a", "b", true)
+	side("b", "a", false)
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	const msgs = 2 * trips
+	if echoed != msgs {
+		t.Fatalf("%d of %d messages arrived byte-exact", echoed, msgs)
+	}
+	perMsg := float64(m1.Mallocs-m0.Mallocs) / msgs
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / msgs / 1024
+	t.Logf("mice pingpong: %.2f allocations, %.2f KiB per message (budget %.1f)", perMsg, kib, micePingpongAllocBudget)
+	if perMsg > micePingpongAllocBudget {
+		t.Errorf("mice pingpong allocates %.2f objects per message, budget %.1f", perMsg, micePingpongAllocBudget)
+	}
+}

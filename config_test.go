@@ -27,18 +27,6 @@ func TestOptionValidation(t *testing.T) {
 			opts: []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithAggregation()},
 		},
 		{
-			name: "idle flush without aggregation",
-			opts: []madeleine.Option{madeleine.WithEagerSmallMessages(),
-				madeleine.WithAggIdleFlush(3 * madeleine.Microsecond)},
-			option:   "WithAggIdleFlush",
-			requires: "WithAggregation",
-		},
-		{
-			name: "idle flush with aggregation",
-			opts: []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(),
-				madeleine.WithAggIdleFlush(3 * madeleine.Microsecond)},
-		},
-		{
 			name:     "credit window without flow control",
 			opts:     []madeleine.Option{madeleine.WithCreditWindow(4)},
 			option:   "WithCreditWindow",

@@ -85,8 +85,10 @@ func SubSizeParts(nblocks, payload int) int {
 // allocations — the aggregator hot-path property the regression test pins.
 type Builder struct {
 	buf    []byte
+	spare  []byte // a detached buffer handed back (Recycle), for the next Detach
 	count  int
 	prefix int
+	hint   int // the capacity hint the builder was made with
 }
 
 // NewBuilder returns a Builder with room for a frame of the given capacity
@@ -106,7 +108,7 @@ func NewBuilderPrefix(prefix, capacity int) *Builder {
 	if capacity < prefix+HeaderLen {
 		capacity = prefix + HeaderLen
 	}
-	return &Builder{buf: make([]byte, prefix+HeaderLen, capacity), prefix: prefix}
+	return &Builder{buf: make([]byte, prefix+HeaderLen, capacity), prefix: prefix, hint: capacity}
 }
 
 // Reset discards the accumulated sub-messages, keeping the buffer.
@@ -169,22 +171,33 @@ func (b *Builder) Finish() []byte {
 
 // Detach hands the caller ownership of the sealed buffer — the reserved
 // prefix followed by the frame Finish produced — and re-arms the builder
-// with a fresh empty buffer. Use it when the frame's lifetime outlives the
-// flush (a wire layer that references payloads instead of copying them): the
-// detached buffer is never touched by the builder again, so no defensive
-// copy is needed — and, for the same reason, it can never be reused.
+// with an empty one. Use it when the frame's lifetime outlives the flush (a
+// wire layer that references payloads instead of copying them): the builder
+// never touches the detached buffer again, unless the caller hands it back
+// with Recycle, so no defensive copy is needed.
 //
-// The fresh buffer is sized by the frame just sealed, twice its length
-// within [rearmMin, the old capacity], and grows by append if the next
-// frame is larger: a stream of full frames keeps its full-size buffer, while
-// a coalescer that idle-flushes one small message at a time no longer pays
-// for a whole MTU per flush.
+// The empty buffer is the recycled one if there is one. A fresh one is sized
+// by the frame just sealed, twice its length within [rearmMin, the capacity
+// hint], and grows by append if the next frame is larger: a stream of full
+// frames keeps a full-size buffer, while a coalescer that flushes one small
+// message at a time does not pay for a whole MTU per flush. The bound is the
+// hint and not the old buffer's capacity, which append may have rounded up
+// into a larger size class that every later buffer would then inherit.
 func (b *Builder) Detach() []byte {
 	out := b.buf
-	b.buf = make([]byte, b.prefix+HeaderLen, min(cap(out), max(rearmMin, 2*len(out))))
+	if b.spare != nil {
+		b.buf, b.spare = b.spare[:b.prefix+HeaderLen], nil
+	} else {
+		b.buf = make([]byte, b.prefix+HeaderLen, min(b.hint, max(rearmMin, 2*len(out))))
+	}
 	b.count = 0
 	return out
 }
+
+// Recycle hands back a buffer Detach gave out, for the next Detach to re-arm
+// with. The caller vouches that nothing refers to it any more: the builder
+// will overwrite it.
+func (b *Builder) Recycle(buf []byte) { b.spare = buf }
 
 // Sub is one decoded sub-message: its ID, block descriptors and the
 // concatenated block payload, aliasing the frame.

@@ -161,6 +161,61 @@ func TestDetachRearmsToTheFrameJustSealed(t *testing.T) {
 	}
 }
 
+// TestDetachRearmIsBoundedByTheHint pins the other end of the re-arm: after a
+// small first frame the builder holds a small buffer, append grows it for the
+// full frame behind — past the hint, into whatever size class the allocator
+// rounds to — and the buffer after that must be sized by the hint again, not
+// by the capacity append happened to leave.
+func TestDetachRearmIsBoundedByTheHint(t *testing.T) {
+	const prefix, mtu = 20, 32 << 10
+	b := NewBuilderPrefix(prefix, mtu)
+	small := []Block{{Data: make([]byte, 64), S: 1, R: 1}}
+	b.Add(1, small)
+	b.Finish()
+	b.Detach()
+	for id := uint64(0); b.Len()+SubSize(small) <= mtu-prefix; id++ {
+		b.Add(id, small)
+	}
+	b.Finish()
+	if grown := cap(b.Detach()); grown <= mtu {
+		t.Skipf("append grew the buffer to %d bytes only: nothing to bound", grown)
+	}
+	if got := cap(b.buf); got != mtu {
+		t.Errorf("after a full frame in a grown buffer the builder holds %d bytes, want the hint, %d", got, mtu)
+	}
+}
+
+// TestRecycleRearmsWithTheBufferHandedBack: the next Detach re-arms the
+// builder with the recycled buffer instead of a fresh one, once, and the frame
+// built in it — over whatever its last user left there — is the frame a fresh
+// buffer would hold.
+func TestRecycleRearmsWithTheBufferHandedBack(t *testing.T) {
+	const prefix = 20
+	b := NewBuilderPrefix(prefix, 4096)
+	blocks := []Block{{Data: []byte("payload"), S: 2, R: 3}}
+	b.Add(7, blocks)
+	want := append([]byte(nil), b.Finish()...)
+	first := b.Detach()
+	whole := first[:cap(first)]
+	for i := range whole {
+		whole[i] = 0xDB
+	}
+	b.Recycle(first)
+	b.Add(8, blocks)
+	b.Finish()
+	second := b.Detach() // re-arms with first
+	if &b.buf[0] != &first[0] {
+		t.Fatal("Detach did not re-arm the builder with the recycled buffer")
+	}
+	b.Add(7, blocks)
+	if !bytes.Equal(b.Finish(), want) {
+		t.Error("frame built in a recycled, overwritten buffer differs from the one built in a fresh buffer")
+	}
+	if third := b.Detach(); &third[0] != &first[0] || &b.buf[0] == &second[0] || &b.buf[0] == &first[0] {
+		t.Error("a recycled buffer was used twice, or a detached one came back unrecycled")
+	}
+}
+
 // TestBuilderHotPathAllocsNothing pins the aggregator hot path at zero
 // allocations per coalesced message once the builder's buffer is warm: an
 // incast of mice must not churn the garbage collector.

@@ -35,20 +35,15 @@ var (
 // began to overlap the receive of one message with the send of the previous
 // one (DESIGN.md §23): the seed's three transfers a message no longer wait
 // for each other across messages, which was most of what a single frame of
-// many messages saved at 1 KB. A quick run's 64-message streams owe 2x and
-// 1.5x: an aggregated stream carries about 0.95 ms that does not scale with
-// its length (its first frame crosses both links with nothing to overlap,
-// then the idle flush), which is half of a 64-message stream of 512 B and a
-// sixth of the archived 256-message one, while the seed stream has none
-// (EXPERIMENTS.md M1 has both stream lengths measured).
-func m1Gate(size int, quick bool) float64 {
+// many messages saved at 1 KB. A quick run's 64-message streams hold the same
+// gate as the archived 256-message ones: an aggregated stream no longer
+// carries a constant that does not scale with its length — the first frame
+// leaves with one message and there is no idle flush behind the last
+// (DESIGN.md §24; EXPERIMENTS.md M1 has both stream lengths).
+func m1Gate(size int) float64 {
 	switch {
-	case size <= 512 && quick:
-		return 2
 	case size <= 512:
 		return 3
-	case size <= 1*kb && quick:
-		return 1.5
 	case size <= 1*kb:
 		return 2
 	}
@@ -82,7 +77,7 @@ type m1Out struct {
 
 // runM1Stream drives count back-to-back messages of the given size through
 // the gateway and measures goodput and message rate at the sink over the
-// whole stream (makespan includes any trailing idle-flush deadline, so
+// whole stream (the makespan ends when the sink has the last message, so
 // aggregation cannot hide latency in the measurement).
 func runM1Stream(cfg fwd.Config, size, count int) m1Out {
 	cb := newCustomBed(m1Topo(), cfg)
@@ -175,11 +170,11 @@ func runM1(o Options) *Result {
 		case size >= 64*kb:
 			below(&worstLarge, ratio)
 		}
-		short = short || ratio < m1Gate(size, o.Quick)
+		short = short || ratio < m1Gate(size)
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("eager+agg vs seed: worst <=512B speedup %.2fx (gate: >= %gx), 1KB speedup %.2fx (gate: >= %gx), worst >=64KB parity %.3fx (gate: >= 0.98x)",
-			worstSmall, m1Gate(512, o.Quick), worstKB, m1Gate(1*kb, o.Quick), worstLarge))
+			worstSmall, m1Gate(512), worstKB, m1Gate(1*kb), worstLarge))
 	if short {
 		r.Notes = append(r.Notes, fmt.Sprintf("WARNING: small-message speedup %.2fx (<=512B) or %.2fx (1KB) below its gate", worstSmall, worstKB))
 	}

@@ -17,7 +17,7 @@ import (
 func TestM1EagerGate(t *testing.T) {
 	seedCfg, eagerCfg, aggCfg := m1Configs()
 	for _, size := range m1Small {
-		gate := m1Gate(size, false)
+		gate := m1Gate(size)
 		if gate == 0 {
 			continue
 		}
@@ -46,8 +46,9 @@ func TestM1EagerGate(t *testing.T) {
 }
 
 // TestM1Experiment smoke-runs the registered experiment at quick settings
-// and requires a WARNING-free result: the 64-message streams hold m1Gate's
-// quick values (2x up to 512 B, 1.5x at 1 KB) and the parity gate.
+// and requires a WARNING-free result: the 64-message streams hold the same
+// m1Gate (3x up to 512 B, 2x at 1 KB) as the archived ones, and the parity
+// gate.
 func TestM1Experiment(t *testing.T) {
 	r := mustRun(t, "m1", quick)
 	for _, note := range r.Notes {

@@ -7,8 +7,10 @@ package fwd
 // The coalescer below amortises it: consecutive sub-MTU messages from one
 // node toward one destination are packed into a single MTU-sized aggregate
 // frame (codec in package agg) and flushed as ONE wire transfer — one
-// per-transfer overhead, one flow-control credit — when the frame fills, an
-// idle deadline expires, or ordering demands it.
+// per-transfer overhead, one flow-control credit. A frame leaves at once when
+// none of its coalescer is on the wire, else behind the one that is (Nagle's
+// rule without the timer): a lone message waits for nothing and a stream
+// batches as much as its path is busy (DESIGN.md §24).
 //
 // Transport composition at flush time:
 //
@@ -22,12 +24,12 @@ package fwd
 //     sequence (relFlagAgg), so retransmission and failover cover every
 //     coalesced sub-message at once.
 //
-// Ordering: one coalescer serialises all its traffic under a mutex, frames
-// flush in build order, and a message too large to coalesce first flushes
-// whatever is pending ("ordering" flush) before taking the bypass path —
-// per-sender delivery order toward one destination is preserved across
-// small/large mixes. At the sink, decoded sub-messages are delivered FIFO
-// before any new arrival is pulled.
+// Ordering: one frame of a coalescer is on its way at a time, and a message
+// too large to coalesce waits for the frame in flight and flushes what is
+// pending ("ordering" flush) before it bypasses — per-sender delivery order
+// toward one destination holds across small/large mixes. At the sink a frame
+// takes its turn in the merged arrival queue and its sub-messages are
+// delivered FIFO before any new arrival is pulled.
 
 import (
 	"fmt"
@@ -40,13 +42,6 @@ import (
 	"madgo/internal/vtime/vsync"
 )
 
-// DefaultAggIdleFlush is the coalescer's idle deadline when
-// Config.AggIdleFlush is zero: a partially filled frame is flushed once no
-// new sub-message has joined it for this long. Chosen near the §3.4.1
-// per-transfer overhead — waiting longer than one transfer's fixed cost to
-// save a fraction of it is a bad trade.
-const DefaultAggIdleFlush = 50 * vtime.Microsecond
-
 // aggKey identifies one coalescer: the sending node and the final
 // destination (aggregation batches per destination, not per next hop, so
 // the sink can decode without re-grouping).
@@ -54,11 +49,13 @@ type aggKey struct {
 	node, dst string
 }
 
-// aggSub is one decoded sub-message queued for delivery at its sink.
-type aggSub struct {
+// aggRx is the frame a sink is draining: its origin and what is left of it.
+// One per sink is enough: BeginUnpacking pulls the next arrival only when the
+// frame before it is drained. Every frame was built by this process group's
+// own coalescer, so malformation is a protocol error (MustReader).
+type aggRx struct {
 	from mad.Rank
-	id   uint64
-	sub  agg.Sub
+	rd   *agg.Reader
 }
 
 // AggStats aggregates the coalescing layer's counters. All fields are zero
@@ -70,9 +67,9 @@ type AggStats struct {
 	// their summed wire size.
 	Frames     int64
 	FrameBytes int64
-	// SizeFlushes, IdleFlushes and OrderingFlushes split Frames by
-	// trigger: the frame limit, the idle deadline, or a large message
-	// that had to drain the queue before bypassing it.
+	// SizeFlushes, IdleFlushes and OrderingFlushes split Frames by how the
+	// frame left: full, a sender waiting for room; partial, the path being
+	// free; or drained by a large message that had to go around the queue.
 	SizeFlushes     int64
 	IdleFlushes     int64
 	OrderingFlushes int64
@@ -82,18 +79,18 @@ type AggStats struct {
 }
 
 // aggState is the virtual channel's aggregation bookkeeping: the lazily
-// created coalescers, whose counts AggStats sums, and the per-sink delivery
-// queues.
+// created coalescers, whose counts AggStats sums, and the frame each sink is
+// draining.
 type aggState struct {
 	co map[aggKey]*aggCoalescer
-	rx map[mad.Rank][]aggSub
+	rx map[mad.Rank]aggRx
+	// onRecycle, when set, is given every frame buffer a coalescer takes
+	// back. Only tests set it, to poison the memory.
+	onRecycle func([]byte)
 }
 
 func newAggState() *aggState {
-	return &aggState{
-		co: make(map[aggKey]*aggCoalescer),
-		rx: make(map[mad.Rank][]aggSub),
-	}
+	return &aggState{co: make(map[aggKey]*aggCoalescer), rx: make(map[mad.Rank]aggRx)}
 }
 
 // AggStats returns the aggregation counters (zero-valued when aggregation
@@ -106,19 +103,21 @@ func (vc *VirtualChannel) AggStats() AggStats {
 	for _, c := range vc.aggst.co {
 		s.SubMessages += c.subs.Count()
 		s.FrameBytes += c.frameBytes.Count()
-		s.SizeFlushes += c.sizeFrames.Count()
-		s.IdleFlushes += c.idleFrames.Count()
-		s.OrderingFlushes += c.orderingFrames.Count()
+		s.SizeFlushes += c.frames["size"].Count()
+		s.IdleFlushes += c.frames["idle"].Count()
+		s.OrderingFlushes += c.frames["ordering"].Count()
 		s.BypassMessages += c.bypass.Count()
 	}
 	s.Frames = s.SizeFlushes + s.IdleFlushes + s.OrderingFlushes
 	return s
 }
 
-// aggCoalescer batches one (node, destination) pair's small messages. All
-// state is guarded by mu; flushes run to wire completion under the lock, so
-// frames leave in build order and concurrent senders on the same node
-// serialise here — which is exactly the ordering contract.
+// aggCoalescer batches one (node, destination) pair's small messages. mu
+// guards the pending frame and is never held across a wire transfer; busy
+// says a sealed frame is on its way, and whoever set it owns body and tx
+// until it clears it. On cond the daemon waits for work and a free path, a
+// bypass or spill for the frame in flight, a sender for room. There is no
+// second lock.
 type aggCoalescer struct {
 	vc   *VirtualChannel
 	node *mad.Node
@@ -127,31 +126,33 @@ type aggCoalescer struct {
 	// limit is the frame byte budget: the path MTU minus the GTM header
 	// the compact transfer prepends.
 	limit int
-	idle  vtime.Duration
 
 	mu   vsync.Mutex
-	kick *vsync.Sem
+	cond *vsync.Cond
+	busy bool
+	full bool // a sender is parked on the pending frame: it has no room for its message
 	b    *agg.Builder
 	// enq and ids remember each queued sub-message's enqueue instant and
 	// message ID for the agg-wait attribution at flush time.
-	enq        []vtime.Time
-	ids        []uint64
-	lastAppend vtime.Time
-	scratch    []agg.Block
-	// body is the sealed frame as the one block its transport sends, tx the
-	// writer of the compact flush, here so that a flush allocates neither.
-	// Every transport is done with body when flush returns, and of an
-	// aggregate stream nothing a gateway still reads lives in tx: the header
-	// travels in the frame's buffer, the descriptors in an array of their own.
+	enq     []vtime.Time
+	ids     []uint64
+	scratch []agg.Block
+
+	// body is the frame on its way as the one block its transport sends, tx
+	// the writer of the compact flush, here so that a flush allocates neither.
+	// Of an aggregate stream nothing a gateway still reads lives in tx: the
+	// header travels in the frame's buffer, the descriptors in an array of
+	// their own.
 	body [1]relBlock
 	tx   streamTx
 
 	// The coalescer's counts and wait histogram handle, labelled {node} — a
-	// series sums the node's coalescers — the frame counts also by reason.
-	bypass, subs, frameBytes               obs.Counter
-	sizeFrames, idleFrames, orderingFrames obs.Counter
-	wait                                   *obs.Histogram
-	fr                                     *flight.Ring
+	// series sums the node's coalescers — the frame counts also by reason
+	// ("size", "idle", "ordering").
+	bypass, subs, frameBytes obs.Counter
+	frames                   map[string]*obs.Counter
+	wait                     *obs.Histogram
+	fr                       *flight.Ring
 }
 
 // BindMetrics binds the coalescer's metrics in m.
@@ -161,13 +162,13 @@ func (c *aggCoalescer) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&c.subs, "madgo_agg_submessages_total", node)
 	m.BindCounter(&c.frameBytes, "madgo_agg_frame_bytes_total", node)
 	c.wait = m.BindHistogram("madgo_agg_queue_wait_seconds", node)
-	for reason, frames := range map[string]*obs.Counter{"size": &c.sizeFrames, "idle": &c.idleFrames, "ordering": &c.orderingFrames} {
+	for reason, frames := range c.frames {
 		m.BindCounter(frames, "madgo_agg_frames_total", obs.Labels{"node": c.node.Name, "reason": reason})
 	}
 }
 
-// aggCoalescer returns (creating, with its idle-flush daemon) the coalescer
-// of one (node, dst) pair.
+// aggCoalescer returns (creating, with its flush daemon) the coalescer of one
+// (node, dst) pair.
 func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer {
 	st := vc.aggst
 	key := aggKey{node: node.Name, dst: dst}
@@ -175,69 +176,53 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		return c
 	}
 	mtu := vc.PathMTU(node.Name, dst)
-	idle := vc.cfg.AggIdleFlush
-	if idle <= 0 {
-		idle = DefaultAggIdleFlush
-	}
 	c := &aggCoalescer{
 		vc: vc, node: node, dst: dst,
-		mtu: mtu, limit: mtu - gtmHeaderLen, idle: idle,
-		kick: vsync.NewSem(0),
+		mtu: mtu, limit: mtu - gtmHeaderLen,
 		// The builder reserves the GTM header bytes in front of the frame,
 		// so a flush detaches a ready-made wire payload with no extra copy.
-		b:  agg.NewBuilderPrefix(gtmHeaderLen, mtu),
-		fr: vc.flightRing(node.Name),
+		b:      agg.NewBuilderPrefix(gtmHeaderLen, mtu),
+		frames: map[string]*obs.Counter{"size": {}, "idle": {}, "ordering": {}},
+		fr:     vc.flightRing(node.Name),
 	}
+	c.cond = vsync.NewCond(&c.mu)
 	st.co[key] = c
 	vc.sess.Platform.Instrument(c)
-	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("agg-flush:%s>%s", node.Name, dst),
-		c.run)
+	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("agg-flush:%s>%s", node.Name, dst), c.run)
 	return c
 }
 
-// run is the idle-flush daemon: woken when the builder goes non-empty, it
-// sleeps until the idle deadline measured from the LAST append (each new
-// sub-message pushes the deadline out) and flushes whatever is still
-// queued. A frame emptied meanwhile (size or ordering flush) just parks the
-// daemon again.
+// run is the flush daemon: whenever something is pending and nothing of this
+// coalescer is on its way, it sends what is pending. It has no timer.
 func (c *aggCoalescer) run(p *vtime.Proc) {
+	c.mu.Lock(p)
 	for {
-		c.kick.Acquire(p, 1)
-		for {
-			c.mu.Lock(p)
-			if c.b.Count() == 0 {
-				c.mu.Unlock(p)
-				break
-			}
-			elapsed := p.Now().Sub(c.lastAppend)
-			if elapsed >= c.idle {
-				c.flush(p, "idle")
-				c.mu.Unlock(p)
-				break
-			}
-			c.mu.Unlock(p)
-			p.Sleep(c.idle - elapsed)
+		for c.busy || c.b.Count() == 0 {
+			c.cond.Wait(p)
 		}
+		reason := "idle"
+		if c.full {
+			reason = "size"
+		}
+		c.flush(p, reason)
 	}
 }
 
 // add coalesces one finished message (or, when it cannot fit even an empty
-// frame, drains the queue and bypasses). Called from aggPacking.end on the
-// application's process.
+// frame, sends it the ordinary way behind what is queued). Called from
+// aggPacking.end on the application's process.
 func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
-	c.mu.Lock(p)
-	defer c.mu.Unlock(p)
 	need := agg.SubSizeParts(len(blocks), total)
 	if agg.HeaderLen+need > c.limit {
-		// Larger than any frame this path can carry: preserve order by
-		// flushing what is queued, then send it the ordinary way.
-		c.flush(p, "ordering")
-		c.bypass.Add(1)
+		c.goAround(p)
 		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, false)
 		return
 	}
-	if c.b.Len()+need > c.limit {
-		c.flush(p, "size")
+	c.mu.Lock(p)
+	defer c.mu.Unlock(p)
+	for c.b.Len()+need > c.limit {
+		c.full = true // the daemon takes it once the frame before is off the wire
+		c.cond.Wait(p)
 	}
 	// Packing into the frame is the one real copy of the coalesced path.
 	c.node.Host.Memcpy(p, total)
@@ -248,71 +233,84 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 	c.b.Add(id, c.scratch)
 	c.enq = append(c.enq, p.Now())
 	c.ids = append(c.ids, id)
-	c.lastAppend = p.Now()
 	c.subs.Add(1)
 	if c.b.Count() == 1 {
-		c.kick.Release(1)
+		c.cond.Broadcast()
 	}
 }
 
+// goAround is what a message too large for a frame does before it takes the
+// ordinary path: it waits for the frame in flight and flushes what is pending
+// ("ordering"), so everything its sender coalesced is on the wire ahead of it.
+func (c *aggCoalescer) goAround(p *vtime.Proc) {
+	c.mu.Lock(p)
+	for c.busy {
+		c.cond.Wait(p)
+	}
+	c.flush(p, "ordering")
+	c.bypass.Add(1)
+	c.mu.Unlock(p)
+}
+
 // flush seals the pending frame and puts it on the wire as ONE logical
-// transfer (single compact transfer, striped frame, or one reliable
-// message). Must be called with mu held; a no-op on an empty builder.
+// transfer (single compact transfer, striped frame, or one reliable message).
+// Called with mu held and nothing on its way, and returns so; mu is free while
+// the frame travels. A no-op on an empty builder.
 func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	if c.b.Count() == 0 {
 		return
 	}
 	vc := c.vc
 	frameID := vc.nextMsgID()
-	frame := c.b.Finish()
-	flen := len(frame)
-	count := c.b.Count()
+	flen := len(c.b.Finish())
 	now := p.Now()
 	for i, t := range c.enq {
 		wait := vtime.Since(now, t)
 		c.fr.Record(flight.KindAggWait, now, wait, c.ids[i], 0, "")
 		c.wait.ObserveDuration(wait)
 	}
+	c.enq = c.enq[:0]
+	c.ids = c.ids[:0]
 	c.fr.Record(flight.KindAggFlush, now, 0, frameID, flen, reason)
 	c.frameBytes.Add(int64(flen))
-	switch reason {
-	case "size":
-		c.sizeFrames.Add(1)
-	case "idle":
-		c.idleFrames.Add(1)
-	case "ordering":
-		c.orderingFrames.Add(1)
-	}
+	c.frames[reason].Add(1)
 	vc.hop(p, frameID, c.node.Name, "agg",
-		obs.Detail{Form: "flush(${note}) -> ${peer}: ${a} msgs, ${bytes} bytes", Note: reason, Peer: c.dst, A: count}, flen)
+		obs.Detail{Form: "flush(${note}) -> ${peer}: ${a} msgs, ${bytes} bytes", Note: reason, Peer: c.dst, A: c.b.Count()}, flen)
 
-	// Detach the sealed buffer — [reserved GTM header | frame] — and hand
-	// ownership to whichever transport carries it. The wire layer references
-	// payloads instead of copying them and the ARQ may retransmit, so the
-	// buffer must stay untouched after the flush; detaching (rather than
-	// copying out of a reused buffer) is what keeps the flush itself
-	// copy-free: the add()-time pack into the frame remains the coalesced
-	// path's only copy.
+	// Detach the sealed buffer for whichever transport carries it: the wire
+	// layer references payloads and the ARQ may retransmit, so it must stay
+	// untouched while it travels, and the add()-time pack remains the path's
+	// only copy. Senders pack the next frame while this one is on the wire.
 	wire := c.b.Detach()
+	c.busy, c.full = true, false
+	c.cond.Broadcast()
+	c.mu.Unlock(p)
 	c.body[0] = relBlock{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
 	if vc.cfg.Reliable || len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold() {
-		// One ARQ sequence covers the whole frame — the send blocks this
-		// process (and, via mu, later adders) until the end-to-end ack, the
-		// same contract a reliable EndPacking has — or, past the stripe
-		// threshold, the frame rides the rails: below it stripePacking.end
-		// would fall back to a plain replay and lose the aggregate flag.
+		// One reliable message, back with its end-to-end ack; or, past the
+		// stripe threshold, the rails: below it stripePacking.end would fall
+		// back to a plain replay and lose the aggregate flag.
 		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
 	} else {
-		// Single compact transfer toward the first gateway: one credit,
-		// one per-transfer overhead, however many messages inside. The
-		// routing header is written into the reserved prefix in place.
+		// Single compact transfer toward the first gateway, the routing
+		// header written into the reserved prefix in place.
 		_, link := vc.firstHop(c.node, c.dst)
 		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true}
 		c.tx.open(p, streamHdr{src: c.node.Rank, dst: vc.NodeRank(c.dst), mtu: c.mtu, id: frameID})
 		c.tx.message(p, c.body[:], flen, wire)
 	}
-	c.enq = c.enq[:0]
-	c.ids = c.ids[:0]
+	c.mu.Lock(p)
+	if vc.cfg.Reliable {
+		// The engine copied every fragment into a datagram of its own and the
+		// end-to-end ack is in: the buffer is free. (A streaming link reads
+		// the payload at delivery: there the buffer is never ours again.)
+		if vc.aggst.onRecycle != nil {
+			vc.aggst.onRecycle(wire)
+		}
+		c.b.Recycle(wire)
+	}
+	c.busy = false
+	c.cond.Broadcast()
 }
 
 // sendBuffered sends a message that was buffered whole the ordinary way, its
@@ -366,17 +364,13 @@ func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Rec
 }
 
 // spill switches a message that outgrew the frame budget onto the ordinary
-// streaming path: any frame already queued flushes first (ordering), then
-// the buffered blocks replay and subsequent packs stream directly. Only
-// reached on single-rail streaming routes — reliable and striped sends
-// buffer until EndPacking anyway, so they bypass in add() instead.
+// streaming path: what its sender coalesced goes first (ordering), then the
+// buffered blocks replay and subsequent packs stream directly. Only reached
+// on single-rail streaming routes — reliable and striped sends buffer until
+// EndPacking anyway, so they bypass in add() instead.
 func (ax *aggPacking) spill(p *vtime.Proc) {
 	vc := ax.vc
-	c := vc.aggCoalescer(ax.node, ax.dst)
-	c.mu.Lock(p)
-	c.flush(p, "ordering")
-	c.bypass.Add(1)
-	c.mu.Unlock(p)
+	vc.aggCoalescer(ax.node, ax.dst).goAround(p)
 	hop, link := vc.firstHop(ax.node, ax.dst)
 	vc.hop(p, ax.id, ax.node.Name, "pack",
 		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: ax.dst, Net: hop.Network}, ax.total)
@@ -394,39 +388,18 @@ func (ax *aggPacking) end(p *vtime.Proc) {
 	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blks, ax.total)
 }
 
-// aggEnqueueFrame decodes one arrived aggregate frame and queues its
-// sub-messages, in frame order, for delivery at the sink node. The frame
-// was built by this process group's own coalescer, so malformation is a
-// protocol error, not an input error (MustReader).
-func (vc *VirtualChannel) aggEnqueueFrame(rank, from mad.Rank, frame []byte) {
-	rd := agg.MustReader(frame)
-	st := vc.aggst
-	for {
-		sub, ok := rd.Next()
-		if !ok {
-			break
-		}
-		st.rx[rank] = append(st.rx[rank], aggSub{from: from, id: sub.ID, sub: sub})
+// aggPop returns the next sub-message of the frame the sink is draining and
+// its origin, and lets go of a drained frame.
+func (vc *VirtualChannel) aggPop(rank mad.Rank) (mad.Rank, agg.Sub, bool) {
+	if vc.aggst == nil || vc.aggst.rx[rank].rd == nil {
+		return 0, agg.Sub{}, false
 	}
-}
-
-// aggPop removes and returns the sink's oldest pending sub-message.
-func (vc *VirtualChannel) aggPop(rank mad.Rank) (aggSub, bool) {
-	st := vc.aggst
-	if st == nil || len(st.rx[rank]) == 0 {
-		return aggSub{}, false
+	rx := vc.aggst.rx[rank]
+	sub, ok := rx.rd.Next()
+	if !ok {
+		delete(vc.aggst.rx, rank)
 	}
-	as := st.rx[rank][0]
-	st.rx[rank] = st.rx[rank][1:]
-	return as, true
-}
-
-// openAggFrame receives one announced compact aggregate transfer (KindAgg,
-// single-rail streaming flush) and queues its sub-messages.
-func (vc *VirtualChannel) openAggFrame(p *vtime.Proc, node *mad.Node, a mad.Arrival) {
-	o := openStream(p, node, a, nil)
-	a.Link.ReleaseRecv(p)
-	vc.aggEnqueueFrame(node.Rank, o.src, o.payload)
+	return rx.from, sub, ok
 }
 
 // aggDecodeStriped reassembles a striped aggregate frame (stripeFlagAgg)
@@ -436,7 +409,7 @@ func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *str
 	frame := make([]byte, g.total)
 	su.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
 	su.end(p)
-	vc.aggEnqueueFrame(node.Rank, su.from(), frame)
+	vc.aggst.rx[node.Rank] = aggRx{from: su.from(), rd: agg.MustReader(frame)}
 }
 
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled
@@ -462,7 +435,7 @@ func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *re
 	}
 	origin := m.origin
 	vc.rel[node.Name].freeMsg(m) // the frame is a copy; the fragments' datagrams go back
-	vc.aggEnqueueFrame(node.Rank, origin, frame)
+	vc.aggst.rx[node.Rank] = aggRx{from: origin, rd: agg.MustReader(frame)}
 }
 
 // aggUnpacking delivers one coalesced sub-message: its block structure and
@@ -471,8 +444,6 @@ func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *re
 type aggUnpacking struct {
 	vc   *VirtualChannel
 	node *mad.Node
-	from mad.Rank
-	id   uint64
 	sub  agg.Sub
 	next int
 	off  int
@@ -499,5 +470,5 @@ func (u *aggUnpacking) end(p *vtime.Proc) {
 	if u.next != u.sub.NumBlocks() {
 		panic("fwd: aggregated message ended with unconsumed blocks")
 	}
-	u.vc.hop(p, u.id, u.node.Name, "deliver", obs.Detail{Form: "decoalesced at ${node}"}, u.off)
+	u.vc.hop(p, u.sub.ID, u.node.Name, "deliver", obs.Detail{Form: "decoalesced at ${node}"}, u.off)
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"madgo/internal/agg"
+	"madgo/internal/flight"
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
@@ -117,8 +118,11 @@ func TestAggLargeMessageBypasses(t *testing.T) {
 
 // TestAggOrderingAcrossBypass is the ordering contract between the two
 // paths: small, large, small from one sender must arrive in exactly that
-// order, which forces the coalescer to drain its pending frame before the
-// large message overtakes it.
+// order: the large message waits for the frame that carries the first small
+// one, and the second small one for the large message. (Which of the daemon
+// and the large message flushes the first frame is not part of the contract:
+// with the path free the daemon has it on the wire before the large message
+// is packed.)
 func TestAggOrderingAcrossBypass(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
@@ -147,32 +151,57 @@ func TestAggOrderingAcrossBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.vc.AggStats()
-	if st.OrderingFlushes == 0 {
-		t.Error("large message overtook the pending frame: no ordering flush recorded")
-	}
-	if st.BypassMessages != 1 || st.SubMessages != 2 {
-		t.Errorf("stats %+v, want 2 coalesced and 1 bypassed", st)
+	if st.BypassMessages != 1 || st.SubMessages != 2 || st.Frames < 2 {
+		t.Errorf("stats %+v, want 2 coalesced in a frame each and 1 bypassed", st)
 	}
 }
 
-// TestAggIdleFlushDeadline pins the latency bound: a lone small message is
-// flushed by the idle deadline, not held for a frame that will never fill.
-func TestAggIdleFlushDeadline(t *testing.T) {
+// TestAggLoneMessageLeavesAtOnce pins the latency bound: a lone small message
+// waits for nothing. The path is free, so its frame is sealed the instant it
+// is packed — one idle frame — and its one wire transfer starts at that same
+// instant.
+func TestAggLoneMessageLeavesAtOnce(t *testing.T) {
 	cfg := fwd.DefaultConfig()
-	cfg.Aggregation = true
-	cfg.AggIdleFlush = 500 * vtime.Microsecond
+	cfg.Eager, cfg.Aggregation = true, true
 	w := build(t, paperHS(t), cfg)
-	blocks := []block{{pattern(64, 9), mad.SendCheaper, mad.ReceiveCheaper}}
-	got, _, _ := sendRecv(t, w, "a0", "b1", blocks)
-	if !bytes.Equal(got[0], blocks[0].data) {
-		t.Fatal("idle-flushed message corrupted")
+	rec := flight.NewRecorder(0)
+	w.sess.Platform.SetFlight(rec)
+	var packed vtime.Time
+	w.sim.Spawn("lone-send", func(p *vtime.Proc) {
+		px := w.vc.At("a0").BeginPacking(p, "b1")
+		px.Pack(p, pattern(64, 9), mad.SendCheaper, mad.ReceiveCheaper)
+		px.EndPacking(p)
+		packed = p.Now()
+	})
+	w.sim.Spawn("lone-recv", func(p *vtime.Proc) {
+		u := w.vc.At("b1").BeginUnpacking(p)
+		got := make([]byte, 64)
+		u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+		u.EndUnpacking(p)
+		if !bytes.Equal(got, pattern(64, 9)) {
+			t.Error("lone message corrupted")
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
 	}
-	st := w.vc.AggStats()
-	if st.IdleFlushes != 1 {
-		t.Errorf("IdleFlushes = %d, want 1", st.IdleFlushes)
+	if st := w.vc.AggStats(); st.Frames != 1 || st.IdleFlushes != 1 {
+		t.Errorf("stats %+v, want one frame, flushed because the path was free", st)
 	}
-	if now := vtime.Duration(w.sim.Now()); now < cfg.AggIdleFlush {
-		t.Errorf("flush fired at %v, before the %v idle deadline", now, cfg.AggIdleFlush)
+	var sealed, started []vtime.Time
+	for _, e := range rec.Ring("a0").Snapshot() {
+		switch e.Kind {
+		case flight.KindAggFlush:
+			sealed = append(sealed, e.At)
+		case flight.KindWire:
+			started = append(started, e.At.Add(-e.Dur))
+		}
+	}
+	if len(sealed) != 1 || sealed[0] != packed {
+		t.Errorf("frames sealed at %v, want one at %v, when the message was packed", sealed, packed)
+	}
+	if len(started) != 1 || started[0] != packed {
+		t.Errorf("wire transfers started at %v, want one at %v, when the message was packed", started, packed)
 	}
 }
 
@@ -406,4 +435,240 @@ func TestAggIncastWithManySenders(t *testing.T) {
 	cfg.FlowControl = true
 	cfg.CreditWindow = 8
 	runWall(t, wallCase{name: "star-64-agg", topo: starTopo, senders: 64, cfg: cfg})
+}
+
+// TestAggPackOverlapsFlush is the sender's half of the pipeline: the daemon
+// sends frame k without the coalescer's lock, so the stream's sender packs
+// frame k+1 meanwhile and is parked only when that one is full. With a 1 KiB
+// MTU a frame holds eleven 64 B messages and takes longer to send than to
+// pack: the first frame leaves with the one message there is, every later one
+// full, the sender waits only as it opens a new frame, and the stream is on
+// the wire sooner than packing and sending in turn would have it there.
+func TestAggPackOverlapsFlush(t *testing.T) {
+	const (
+		size, perFrame, frames = 64, 11, 40
+		msgs                   = 1 + perFrame*(frames-1)
+	)
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation, cfg.MTU = true, true, 1024
+	w := build(t, paperHS(t), cfg)
+	rec := flight.NewRecorder(4 * msgs)
+	w.sess.Platform.SetFlight(rec)
+	took := make([]vtime.Duration, msgs) // BeginPacking to EndPacking
+	data := pattern(size, 3)
+	w.sim.Spawn("overlap-send", func(p *vtime.Proc) {
+		for i := range took {
+			t0 := p.Now()
+			px := w.vc.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, data, mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+			took[i] = p.Now().Sub(t0)
+		}
+	})
+	w.sim.Spawn("overlap-recv", func(p *vtime.Proc) {
+		got := make([]byte, size)
+		for i := 0; i < msgs; i++ {
+			u := w.vc.At("b1").BeginUnpacking(p)
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if !bytes.Equal(got, data) {
+				t.Errorf("message %d corrupted", i)
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	limit := cfg.MTU - 20 // the GTM header
+	sub := agg.SubSizeParts(1, size)
+	var flens []int
+	var sendSum vtime.Duration
+	var lastSent vtime.Time
+	for _, e := range rec.Ring("a0").Snapshot() {
+		switch e.Kind {
+		case flight.KindAggFlush:
+			flens = append(flens, int(e.Bytes))
+		case flight.KindWire:
+			sendSum += e.Dur
+			lastSent = e.At
+		}
+	}
+	if len(flens) != frames || flens[0] != agg.HeaderLen+sub {
+		t.Fatalf("frames of %v bytes, want %d, the first of one message", flens, frames)
+	}
+	for k, n := range flens[1:] {
+		if n+sub <= limit {
+			t.Errorf("frame %d left with %d bytes, room for another message under %d", k+2, n, limit)
+		}
+	}
+	parked := 0
+	for i, d := range took {
+		if d == took[0] {
+			continue
+		}
+		parked++
+		if i < 1+perFrame || (i-1)%perFrame != 0 {
+			t.Errorf("message %d took %v to pack, not the %v of an unhindered one, and does not open a frame", i, d, took[0])
+		}
+	}
+	if parked == 0 {
+		t.Error("the sender never waited for room: the path was not the bottleneck and the test shows nothing")
+	}
+	serial := vtime.Duration(msgs)*took[0] + sendSum
+	t.Logf("%d messages in %d frames: packing %v, sending %v, on the wire after %v (in turn: %v); sender parked %d times",
+		msgs, frames, vtime.Duration(msgs)*took[0], sendSum, lastSent, serial, parked)
+	if vtime.Duration(lastSent) > serial-vtime.Duration(msgs)*took[0]/2 {
+		t.Errorf("stream on the wire after %v, want at least half the packing hidden behind the sends (%v in turn)", lastSent, serial)
+	}
+}
+
+// TestSinkReceivesOneFrameAhead is the sink's half of the pipeline and its
+// bound. The polling thread receives the frame behind the one the application
+// is draining, so a receiver that stops mid-frame holds exactly two — and no
+// more, whatever the sender has ready: the thread's permit comes back only as
+// the application takes a frame off the queue, the path behind it fills up
+// and the sender parks. When the receiver resumes, everything arrives, in
+// order.
+func TestSinkReceivesOneFrameAhead(t *testing.T) {
+	const msgs, size = 12000, 64 // thirty full frames of a 32 KiB MTU
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation, cfg.FlowControl = true, true, true
+	w := build(t, paperHS(t), cfg)
+	sent := 0
+	w.sim.Spawn("ahead-send", func(p *vtime.Proc) {
+		for ; sent < msgs; sent++ {
+			px := w.vc.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, pattern(size, byte(sent)), mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	recv := func(p *vtime.Proc, i int) {
+		u := w.vc.At("b1").BeginUnpacking(p)
+		got := make([]byte, size)
+		u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+		u.EndUnpacking(p)
+		if !bytes.Equal(got, pattern(size, byte(i))) {
+			t.Errorf("message %d corrupted or out of order", i)
+		}
+	}
+	w.sim.Spawn("ahead-recv", func(p *vtime.Proc) {
+		// The first frame is the first message alone; the second message
+		// opens the second frame, which then stays half drained.
+		recv(p, 0)
+		recv(p, 1)
+		var frames [2]int64
+		var parkedAt [2]int
+		for i := range frames {
+			p.Sleep(50 * vtime.Millisecond)
+			draining, ahead := fwd.SinkFrames(w.vc, "b1")
+			if !draining || ahead != 1 {
+				t.Errorf("stalled receiver: draining a frame %v, %d queued ahead of it; want true and exactly 1", draining, ahead)
+			}
+			frames[i], parkedAt[i] = w.vc.AggStats().Frames, sent
+		}
+		if frames[0] != frames[1] || parkedAt[0] != parkedAt[1] || parkedAt[0] == msgs {
+			t.Errorf("sender not parked behind the stalled sink: %d then %d frames flushed, %d then %d of %d messages packed",
+				frames[0], frames[1], parkedAt[0], parkedAt[1], msgs)
+		}
+		t.Logf("stalled mid-frame: the sink holds two frames, the sender parked after %d frames and %d of %d messages", frames[0], parkedAt[0], msgs)
+		for i := 2; i < msgs; i++ {
+			recv(p, i)
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
+		t.Errorf("credit ledger unbalanced at quiescence: %d granted, %d spent", fs.CreditsGranted, fs.CreditsSpent)
+	}
+}
+
+// TestAggOrderAcrossPathsWithPrefetchingSink sends small, large, small, …
+// from two senders at once through each transport a frame can take — one
+// compact transfer, one reliable message, and two rails for what is past the
+// stripe threshold — to a sink whose polling thread runs ahead of it. Small
+// messages ride frames, large ones go around the coalescer as streams on the
+// same gateway link, and every message must arrive byte-exact and in its
+// sender's order.
+func TestAggOrderAcrossPathsWithPrefetchingSink(t *testing.T) {
+	var msgs []relayMsg
+	for i := 0; i < 8; i++ {
+		msgs = append(msgs, relayMsg{[]string{"b"}, 64 + i}, relayMsg{[]string{"b"}, 70_000 + 9000*i},
+			relayMsg{[]string{"b"}, 900}, relayMsg{[]string{"b"}, 200}, relayMsg{[]string{"b"}, 33_000})
+	}
+	oneRail, err := topo.NewBuilder().Network("sci0", "sci").Network("myri0", "myrinet").
+		Node("a", "sci0").Node("a2", "sci0").Node("gw", "sci0", "myri0").Node("b", "myri0").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoRails, err := topo.NewBuilder().
+		Network("r0a", "sci").Network("r0b", "myrinet").Network("r1a", "myrinet").Network("r1b", "sci").
+		Node("a", "r0a", "r1a").Node("a2", "r0a", "r1a").
+		Node("g0", "r0a", "r0b").Node("g1", "r1a", "r1b").Node("b", "r0b", "r1b").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tp   *topo.Topology
+		tune func(*fwd.Config)
+	}{
+		{"streaming", oneRail, func(c *fwd.Config) { c.FlowControl = true }},
+		{"reliable", oneRail, func(c *fwd.Config) { c.Reliable = true }},
+		{"two rails", twoRails, func(c *fwd.Config) { c.StripeK, c.StripeThreshold = 2, 16<<10 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := fwd.DefaultConfig()
+			cfg.Eager, cfg.Aggregation = true, true
+			c.tune(&cfg)
+			w := build(t, c.tp, cfg)
+			runSequence(t, w, []string{"a", "a2"}, msgs)
+			if st := w.vc.AggStats(); st.SubMessages != 2*3*8 || st.BypassMessages != 2*2*8 {
+				t.Errorf("stats %+v, want %d coalesced and %d around the coalescer", st, 2*3*8, 2*2*8)
+			}
+			if c.name == "two rails" && w.vc.StripeStats().Messages == 0 {
+				t.Error("nothing rode the rails")
+			}
+		})
+	}
+}
+
+// TestSinkFrameWaitsBehindUnopenedStream is why the polling thread's permit
+// covers every forwarded stream and not frames alone. With a 1 KiB MTU a
+// 990 B message is too large for a frame and small enough to cross as one
+// transfer that lands in the sink's driver memory; the frame behind it on the
+// gateway's link is announced while the application, busy elsewhere, has not
+// opened the message. Received then, the frame would be read from the other
+// message's bytes. The thread waits until the application has the stream.
+func TestSinkFrameWaitsBehindUnopenedStream(t *testing.T) {
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation, cfg.MTU = true, true, 1024
+	w := build(t, paperHS(t), cfg)
+	sizes := []int{64, 990, 64, 100, 990, 990, 64}
+	w.sim.Spawn("behind-send", func(p *vtime.Proc) {
+		for i, n := range sizes {
+			px := w.vc.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, pattern(n, byte(i)), mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	w.sim.Spawn("behind-recv", func(p *vtime.Proc) {
+		p.Sleep(5 * vtime.Millisecond) // everything is at the sink's door by then
+		for i, n := range sizes {
+			u := w.vc.At("b1").BeginUnpacking(p)
+			got := make([]byte, n)
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if !bytes.Equal(got, pattern(n, byte(i))) {
+				t.Errorf("message %d (%d bytes) out of order or corrupted", i, n)
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.vc.AggStats(); st.SubMessages != 4 || st.BypassMessages != 3 {
+		t.Errorf("stats %+v, want 4 coalesced and 3 around the coalescer", st)
+	}
 }

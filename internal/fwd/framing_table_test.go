@@ -27,6 +27,9 @@ import (
 // from the egress link's sender, overlapped with the first ingress receive
 // (DESIGN.md §23): the seed, eager and eager+agg cells that stream and the
 // stripe-gw cells are done 1.0–12.1 µs earlier, and no transfer count moved.
+// Six were printed a third time when the coalescer's idle deadline went
+// (DESIGN.md §24): the eager+agg cells whose message is coalesced are done
+// 50 000 ns earlier, to the nanosecond, and nothing else moved.
 //
 // Transfers per message, F fragments: seed F+2 (header, fragments, bare
 // terminator); eager 1 when the first fragment rides the header, else F+1,
@@ -184,17 +187,17 @@ var framingTable = map[string]framingCell{
 	"eager/2mtu+1":            {4, 2350391},
 	"eager/mixed":             {5, 1833952},
 	"eager/safer":             {1, 80839},
-	"eager+agg/none":          {1, 73405},
-	"eager+agg/zero":          {1, 74332},
-	"eager+agg/1B":            {1, 74450},
-	"eager+agg/inlineMax":     {1, 319909},
-	"eager+agg/inlineMax+1":   {1, 319965},
+	"eager+agg/none":          {1, 23405},
+	"eager+agg/zero":          {1, 24332},
+	"eager+agg/1B":            {1, 24450},
+	"eager+agg/inlineMax":     {1, 269909},
+	"eager+agg/inlineMax+1":   {1, 269965},
 	"eager+agg/mtu4K-20":      {1, 248695},
 	"eager+agg/mtu4K-19":      {2, 235399},
 	"eager+agg/2mtu":          {3, 2304414},
 	"eager+agg/2mtu+1":        {4, 2350691},
 	"eager+agg/mixed":         {5, 1834852},
-	"eager+agg/safer":         {1, 132723},
+	"eager+agg/safer":         {1, 82723},
 	"mcast/none":              {1, 20845},
 	"mcast/zero":              {1, 20845},
 	"mcast/1B":                {1, 21397},

@@ -26,15 +26,20 @@ type world struct {
 	// aborts is set by a test whose run is meant to end in a DeliveryError:
 	// packets are then still in flight and the buffer ledger cannot balance.
 	aborts bool
+	// aggRecycled counts the frame buffers the coalescers took back, each
+	// poisoned first (auditRelBufs).
+	aggRecycled *int
 }
 
 // auditRelBufs puts a world's reliable packet buffers under test discipline:
 // every buffer returned to the free list is poisoned, so reading a payload
 // through an alias its owner should have dropped fails the test's own
 // byte-exactness checks (or a CRC), and when the test ends the ledger must
-// balance — every buffer taken was returned, exactly once.
+// balance — every buffer taken was returned, exactly once. The frame buffers
+// a coalescer recycles are poisoned the same way.
 func auditRelBufs(t *testing.T, w *world) *world {
 	fwd.PoisonRelBufs(w.vc)
+	w.aggRecycled = fwd.PoisonAggBufs(w.vc)
 	t.Cleanup(func() {
 		if t.Failed() || w.aborts {
 			return

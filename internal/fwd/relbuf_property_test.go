@@ -17,7 +17,10 @@ import (
 // packets dropped, 2 % corrupted and one rail (the path through gw2) dying
 // mid-run and coming back. Every message must arrive byte-exact and in its
 // flow's order while every returned buffer is poisoned (buildFaulty arms
-// that), and at quiescence the ledger must balance: each buffer taken from
+// that) — the pool's datagrams, and the aggregate frame buffers the
+// coalescers take back once a frame is acknowledged end to end, which a
+// retransmission or a sink still reading one would turn into garbage — and
+// at quiescence the ledger must balance: each buffer taken from
 // the free list was returned to it, once — ROADMAP aim 3's "zero leaked
 // staging slots" for the reliable dataplane. make soak runs it under -race.
 func TestReliableBufferLedgerUnderFaults(t *testing.T) {
@@ -94,10 +97,13 @@ func TestReliableBufferLedgerUnderFaults(t *testing.T) {
 	if int64(bk.BufsFree) > bk.BufsTaken {
 		t.Errorf("%d buffers on the free list, only %d ever taken", bk.BufsFree, bk.BufsTaken)
 	}
+	if *w.aggRecycled == 0 {
+		t.Error("no coalescer took a frame buffer back: the poisoning of recycled frames showed nothing")
+	}
 	ds := w.vc.DeliveryStats()
 	if ds.Retransmits == 0 || ds.ChecksumDrops == 0 || len(w.vc.Health().Transitions()) == 0 {
 		t.Errorf("the run did not exercise the fault paths: %+v, %d health transitions",
 			ds, len(w.vc.Health().Transitions()))
 	}
-	t.Logf("%d buffers taken and returned through a free list of %d; %+v", bk.BufsTaken, bk.BufsFree, ds)
+	t.Logf("%d buffers taken and returned through a free list of %d, %d frame buffers recycled; %+v", bk.BufsTaken, bk.BufsFree, *w.aggRecycled, ds)
 }

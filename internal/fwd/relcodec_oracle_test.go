@@ -80,6 +80,26 @@ func ackKeys(raw []byte) []relAckKey {
 // Exported to the package's external tests; it exists in test builds only.
 func PoisonRelBufs(vc *VirtualChannel) { vc.relBufs.onPut = poison }
 
+// PoisonAggBufs does the same to every frame buffer a coalescer takes back
+// for its builder to reuse (reliable mode, after the end-to-end ack): a
+// datagram, or a sink, that still read the frame through it would deliver
+// garbage. It returns the count of buffers taken back.
+func PoisonAggBufs(vc *VirtualChannel) *int {
+	n := new(int)
+	if vc.aggst != nil {
+		vc.aggst.onRecycle = func(buf []byte) { poison(buf[:cap(buf)]); *n++ }
+	}
+	return n
+}
+
+// SinkFrames reports what a sink holds of the aggregated path: whether it is
+// draining a frame, and how many entries — frames, when nothing else is sent
+// to it — the polling threads have queued ahead of the application.
+func SinkFrames(vc *VirtualChannel, node string) (draining bool, ahead int) {
+	rank := vc.NodeRank(node)
+	return vc.aggst.rx[rank].rd != nil, vc.merged[rank].Len()
+}
+
 func poison(buf []byte) {
 	for i := range buf {
 		buf[i] = 0xDB

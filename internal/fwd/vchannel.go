@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"madgo/internal/agg"
 	"madgo/internal/flight"
 	"madgo/internal/fluid"
 	"madgo/internal/health"
@@ -107,9 +108,6 @@ type Config struct {
 	// transfer (and a single flow-control credit). Direct (one-network)
 	// traffic is never aggregated.
 	Aggregation bool
-	// AggIdleFlush overrides the coalescer's idle deadline
-	// (DefaultAggIdleFlush when 0). Requires Aggregation.
-	AggIdleFlush vtime.Duration
 }
 
 // DefaultConfig returns the paper's forwarding configuration with a 32 KB
@@ -151,12 +149,6 @@ func (c Config) validate() error {
 	if c.CreditWindow > 0 && !c.FlowControl {
 		return fmt.Errorf("fwd: CreditWindow requires FlowControl")
 	}
-	if c.AggIdleFlush < 0 {
-		return fmt.Errorf("fwd: negative AggIdleFlush")
-	}
-	if c.AggIdleFlush > 0 && !c.Aggregation {
-		return fmt.Errorf("fwd: AggIdleFlush requires Aggregation")
-	}
 	return nil
 }
 
@@ -177,6 +169,11 @@ type incoming struct {
 	// mcast is a multicast message a relaying gateway on this node captured
 	// for local delivery while replicating it (see mcast.go).
 	mcast *mcastLocal
+	// ahead is the polling thread's permit, when it took it for this entry
+	// (pollAhead): whoever takes the entry off the queue returns it. frame is
+	// the aggregate frame of a KindAgg arrival, which that thread received.
+	ahead *vsync.Sem
+	frame aggRx
 }
 
 // VirtualChannel is the user-facing communication object of §2.2.1:
@@ -497,9 +494,17 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		q := vc.merged[node.Rank]
 		for _, nwName := range n.Networks {
 			ep := vc.regular[nwName].At(node)
+			var ahead *vsync.Sem // the thread's own: see DESIGN.md §24
+			if cfg.Aggregation {
+				ahead = vsync.NewSem(1)
+			}
 			sim.SpawnDaemon(fmt.Sprintf("poll:%s:%s", n.Name, nwName), func(p *vtime.Proc) {
 				for {
-					q.Send(p, incoming{ep: ep, a: ep.NextArrival(p)})
+					in := incoming{ep: ep, a: ep.NextArrival(p)}
+					if ahead != nil {
+						pollAhead(p, node, ahead, &in)
+					}
+					q.Send(p, in)
 				}
 			})
 		}
@@ -513,6 +518,26 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		g.start()
 	}
 	return vc, nil
+}
+
+// pollAhead is the sink's half of the aggregated path's pipeline (DESIGN.md
+// §24): the polling thread receives an announced aggregate frame itself, so
+// frame k+1 crosses the wire while the application unpacks frame k. It runs
+// one forwarded stream ahead of the application, no more: it takes its permit
+// before it queues one, and the application returns it as it takes the entry
+// and opens the stream. So a sink holds two frames at most, and a frame is
+// received only once every stream ahead of it on the gateway's link is open.
+func pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.Sem, in *incoming) {
+	if !relayableKind(in.a.Kind()) {
+		return
+	}
+	ahead.Acquire(p, 1)
+	in.ahead = ahead
+	if in.a.Kind() == mad.KindAgg {
+		o := openStream(p, node, in.a, nil)
+		in.a.Link.ReleaseRecv(p)
+		in.frame = aggRx{from: o.src, rd: agg.MustReader(o.payload)}
+	}
 }
 
 // Session returns the underlying Madeleine session.
@@ -743,13 +768,16 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 	for {
 		// Sub-messages decoded from an earlier aggregate frame are
 		// delivered FIFO before anything newer.
-		if as, ok := e.vc.aggPop(e.node.Rank); ok {
-			u := &aggUnpacking{vc: e.vc, node: e.node, from: as.from, id: as.id, sub: as.sub}
-			return &Unpacking{x: u, from: as.from, fwd: true}
+		if from, sub, ok := e.vc.aggPop(e.node.Rank); ok {
+			u := &aggUnpacking{vc: e.vc, node: e.node, sub: sub}
+			return &Unpacking{x: u, from: from, fwd: true}
 		}
 		in, ok := e.vc.merged[e.node.Rank].Recv(p)
 		if !ok {
 			panic("fwd: merged arrival queue closed")
+		}
+		if in.ahead != nil {
+			in.ahead.Release(1)
 		}
 		if in.mcast != nil {
 			// A multicast message the local gateway captured while
@@ -781,9 +809,9 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 				return &Unpacking{x: su, from: su.from(), fwd: su.forwarded()}
 			}
 		case mad.KindAgg:
-			// A whole aggregate frame in one compact transfer: decode,
-			// queue its sub-messages, deliver the first on the next spin.
-			e.vc.openAggFrame(p, e.node, in.a)
+			// A whole aggregate frame, which the polling thread received:
+			// deliver its first sub-message on the next spin.
+			e.vc.aggst.rx[e.node.Rank] = in.frame
 		case mad.KindGTM, mad.KindEager, mad.KindMcast:
 			g := &streamUnpacking{}
 			return &Unpacking{x: g, from: g.open(p, e.vc, e.node, in.a).src, fwd: true}

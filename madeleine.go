@@ -50,7 +50,7 @@
 //	WithoutZeroCopy                        fwd: §2.3 gateway buffer election
 //	WithInflowLimit                        fwd: gateway ingress throttle
 //	WithEagerSmallMessages                 fwd/eager: compact one-transfer GTM framing
-//	WithAggregation, WithAggIdleFlush      fwd/agg: cross-message coalescer
+//	WithAggregation                        fwd/agg: cross-message coalescer
 //	WithFlowControl, WithCreditWindow      fwd/flow: credit-based gateway flow control
 //	WithStriping, WithStripeThreshold      fwd/stripe: multi-rail striping
 //	WithReliableDelivery, WithRetryPolicy  fwd/reliable: acknowledged datagram delivery
@@ -63,9 +63,9 @@
 //	WithPaperFidelity, WithProduction      presets bundling the above
 //
 // Options that tune a subsystem another option arms do not arm it
-// themselves: WithAggregation requires WithEagerSmallMessages, WithAggIdleFlush
-// requires WithAggregation, WithCreditWindow requires WithFlowControl, and
-// WithStripeThreshold requires WithStriping. NewSystem rejects an incoherent
+// themselves: WithAggregation requires WithEagerSmallMessages,
+// WithCreditWindow requires WithFlowControl, and WithStripeThreshold requires
+// WithStriping. NewSystem rejects an incoherent
 // set with a *ConfigError naming the missing option instead of silently
 // ignoring the orphan. (WithFaults, WithRetryPolicy, WithHealthMonitor and
 // WithNetworkMTU keep their documented implications — they imply reliable
@@ -370,13 +370,11 @@ type Options struct {
 	// Aggregation arms the cross-message coalescer: consecutive sub-MTU
 	// messages bound for the same destination are packed into one
 	// MTU-sized aggregate frame that crosses the wire — and spends flow
-	// credit — as a single transfer. Requires Eager (the coalescer emits
-	// compact frames).
+	// credit — as a single transfer. A frame leaves at once when none is
+	// on the wire and behind the one that is otherwise, so there is no
+	// deadline to tune. Requires Eager (the coalescer emits compact
+	// frames).
 	Aggregation bool
-	// AggIdleFlush is the coalescer's idle deadline; a partially filled
-	// frame is flushed once no new message has joined it for this long
-	// (0 = fwd.DefaultAggIdleFlush). Requires Aggregation.
-	AggIdleFlush Duration
 	// DisableFlight turns the always-on flight recorder off. The recorder
 	// costs well under 5% of goodput (a bounded ring write per event, no
 	// allocation), so leaving it on is the default even for benchmarks.
@@ -536,21 +534,14 @@ func WithEagerSmallMessages() Option { return func(o *Options) { o.Eager = true 
 // framing: consecutive sub-MTU messages from one node to one destination
 // are packed into a single MTU-sized aggregate frame — one wire transfer,
 // one flow credit, one ARQ sequence in reliable mode — and decoalesced at
-// the sink in sender order. Frames flush when full, when a larger message
-// must not overtake the queue, or after the idle deadline (see
-// WithAggIdleFlush). The coalescer emits compact frames, so it requires
+// the sink in sender order. A frame leaves as soon as the one before it is
+// off the wire — at once on a free path, so a lone message pays no batching
+// delay, and as full as the path is busy otherwise — or when a larger
+// message must not overtake the queue; the sink receives one frame ahead of
+// the application. The coalescer emits compact frames, so it requires
 // WithEagerSmallMessages; NewSystem returns a *ConfigError otherwise. Query
 // the counters with System.AggStats.
 func WithAggregation() Option { return func(o *Options) { o.Aggregation = true } }
-
-// WithAggIdleFlush sets the coalescer's idle deadline — the longest a
-// partially filled aggregate frame waits for company before it is flushed
-// (default fwd.DefaultAggIdleFlush). It is the latency bound a lone small
-// message pays for the batching. It tunes the coalescer without arming it:
-// combine with WithAggregation, or NewSystem returns a *ConfigError.
-func WithAggIdleFlush(d Duration) Option {
-	return func(o *Options) { o.AggIdleFlush = d }
-}
 
 // WithReliableDelivery switches the virtual channel from the paper's
 // streaming forwarding to reliable datagram delivery: every packet is
@@ -573,7 +564,6 @@ func WithPaperFidelity() Option {
 		o.PipelineDepth = 2
 		o.Eager = false
 		o.Aggregation = false
-		o.AggIdleFlush = 0
 		o.FlowControl = false
 		o.CreditWindow = 0
 		o.StripeK = 0
@@ -627,13 +617,6 @@ func (o *Options) validate() error {
 			Option:   "WithAggregation",
 			Requires: "WithEagerSmallMessages",
 			Detail:   "the cross-message coalescer emits compact eager frames",
-		}
-	}
-	if o.AggIdleFlush != 0 && !o.Aggregation {
-		return &ConfigError{
-			Option:   "WithAggIdleFlush",
-			Requires: "WithAggregation",
-			Detail:   "the idle deadline flushes aggregate frames that were never armed",
 		}
 	}
 	if o.CreditWindow != 0 && !o.FlowControl {
@@ -755,9 +738,8 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		FlowControl:  o.FlowControl,
 		CreditWindow: o.CreditWindow,
 
-		Eager:        o.Eager,
-		Aggregation:  o.Aggregation,
-		AggIdleFlush: o.AggIdleFlush,
+		Eager:       o.Eager,
+		Aggregation: o.Aggregation,
 	}
 	if reliable {
 		if o.Retry != nil {

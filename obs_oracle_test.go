@@ -37,6 +37,16 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // striped leg the rails' completion instants moved too, the adaptive split
 // follows the rates measured from them, and two messages shifted under 0.3 %
 // of their bytes from one rail to the other.
+//
+// And a second time, when the coalescer began to send as soon as its path is
+// free (DESIGN.md §24 lists the diff): the striped leg, which does not
+// aggregate, stayed byte-identical; on the streaming leg the same messages
+// cross in more and smaller frames that leave earlier (11 more hops, no
+// "ordering" flush left: the daemon has the frame on the wire before the large
+// message is packed); on the reliable leg frames leave at other instants, so
+// the seeded fault plan's draws fall on other packets and everything
+// downstream of a drop — retransmits, acks, health scores, the adaptive
+// split — reads differently, with every message still delivered.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
