@@ -207,7 +207,7 @@ fuzz:
 # fails when internal/fwd has outgrown FWD_LOC_MAX, the size the last PR that
 # shrank it left it at — part of `make check`, so that gate only moves down: a
 # PR that makes fwd smaller lowers the constant, none raises it.
-FWD_LOC_MAX := 6623
+FWD_LOC_MAX := 6452
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v max=$(FWD_LOC_MAX) '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

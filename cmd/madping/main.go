@@ -11,13 +11,14 @@
 //	madping -netmtu sci0=65536,myri0=32768    # per-path MTU negotiation
 //	madping -loss 0.05 -seed 42               # goodput under 5% packet loss
 //	madping -rails 2                          # stripe across two disjoint routes
-//	madping -health                           # arm the link-health detector
+//	madping -reliable                         # reliable delivery (and its health line) without faults
 //	madping -rails 2 -flap sci0@30ms+120ms    # kill one rail mid-run, watch it heal
 //
 // -flap takes network@start+duration entries (comma-separated): the named
 // network drops every packet for the window, the health detector declares
 // its links dead, publishes a new routing epoch around them, and re-admits
-// them after probation once the window closes. It implies -health.
+// them after probation once the window closes. It implies -reliable, as
+// -loss and -corrupt do; every reliable run ends on the detector's summary.
 //
 // The topology file uses the format of cmd/madtopo; when -config is absent
 // the paper's SCI+Myrinet testbed is used.
@@ -50,8 +51,7 @@ func main() {
 		loss     = flag.Float64("loss", 0, "packet drop probability (switches on reliable delivery)")
 		corrupt  = flag.Float64("corrupt", 0, "packet corruption probability (switches on reliable delivery)")
 		reliable = flag.Bool("reliable", false, "use reliable delivery even without faults")
-		healthOn = flag.Bool("health", false, "arm the link-health failure detector (implies -reliable)")
-		flap     = flag.String("flap", "", "flap networks: network@start+duration[,...] (implies -health)")
+		flap     = flag.String("flap", "", "flap networks: network@start+duration[,...] (switches on reliable delivery)")
 	)
 	flag.Parse()
 
@@ -62,10 +62,6 @@ func main() {
 		if flaps, err = parseFlaps(*flap); err != nil {
 			fatal(err)
 		}
-		*healthOn = true
-	}
-	if *healthOn {
-		opts = append(opts, madeleine.WithHealthMonitor())
 	}
 	if *rails > 1 {
 		opts = append(opts, madeleine.WithStriping(*rails))

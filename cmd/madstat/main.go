@@ -12,9 +12,9 @@
 //	madstat -chrome run.json         # write a Perfetto-loadable trace file
 //	madstat -config cluster.topo -from x -to y -bytes 1048576
 //	madstat -rails 2                 # multi-rail striping with per-rail breakdown
-//	madstat -health                  # arm the failure detector, print the health panel
+//	madstat -reliable                # reliable delivery without faults: adds the link-health panel
 //	madstat -diagnose -depth 1       # name the run's pathologies (here: swap-bound)
-//	madstat -diagnose -health -flap sci0 -count 100   # the r2 flap scenario
+//	madstat -diagnose -flap sci0 -count 100   # the r2 flap scenario
 //	madstat -json                    # one JSON document: metrics+health+diagnosis
 package main
 
@@ -48,7 +48,7 @@ func main() {
 		flapAt  = flag.Duration("flapat", 0, "virtual time the -flap outage starts (default 50ms)")
 		flapFor = flag.Duration("flapfor", 0, "virtual duration of the -flap outage (default 100ms)")
 
-		healthOn = flag.Bool("health", false, "arm the link-health failure detector and print its panel")
+		reliable = flag.Bool("reliable", false, "use reliable delivery even without faults (prints the link-health panel)")
 		flowOn   = flag.Bool("flow", false, "arm credit-based gateway flow control and print its panel")
 		window   = flag.Int("window", 0, "credit window per (gateway, sender) pair (implies -flow)")
 
@@ -70,8 +70,8 @@ func main() {
 	if *rails > 1 {
 		opts = append(opts, madeleine.WithStriping(*rails))
 	}
-	if *healthOn {
-		opts = append(opts, madeleine.WithHealthMonitor())
+	if *reliable {
+		opts = append(opts, madeleine.WithReliableDelivery())
 	}
 	if *flowOn || *window > 0 {
 		opts = append(opts, madeleine.WithFlowControl())

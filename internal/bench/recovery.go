@@ -64,8 +64,6 @@ func runRecovery(count, n int, flapAt vtime.Time, flapDur vtime.Duration) recove
 	cfg := fwd.DefaultConfig()
 	cfg.Reliable = true
 	cfg.StripeK = 2
-	hc := health.DefaultConfig()
-	cfg.Health = &hc
 	vc, err := fwd.Build(sess, tp, bindings, cfg)
 	if err != nil {
 		panic(err)

@@ -355,3 +355,26 @@ func TestMadstatFlowPanel(t *testing.T) {
 		t.Errorf("accounts doc: %+v", doc.Accounts)
 	}
 }
+
+// Reliable delivery always runs the failure detector, so the flag that selects
+// it is the one that brings the health output, and -health, which only armed
+// the detector, is no flag any more.
+func TestReliableFlagBringsHealthOutput(t *testing.T) {
+	if out := run(t, "madping", "-reliable", "-sizes", "65536"); !strings.Contains(out, "health: epoch 1,") {
+		t.Errorf("madping -reliable prints no health line:\n%s", out)
+	}
+	out := run(t, "madstat", "-reliable", "-noprom", "-bytes", "65536")
+	for _, want := range []string{"link health: epoch 1,", "a1->gw", "sched rounds"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("madstat -reliable output missing %q:\n%s", want, out)
+		}
+	}
+	if out := run(t, "madping", "-sizes", "65536"); strings.Contains(out, "health:") {
+		t.Errorf("streaming madping prints a health line:\n%s", out)
+	}
+	for _, tool := range []string{"madping", "madstat"} {
+		if out, err := exec.Command(filepath.Join(binDir, tool), "-health").CombinedOutput(); err == nil {
+			t.Errorf("%s still accepts -health:\n%s", tool, out)
+		}
+	}
+}

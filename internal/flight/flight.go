@@ -226,7 +226,9 @@ const DefaultRingCap = 4096
 
 // maxDumps bounds the post-mortem dump list so pathological runs (every
 // message failing, a flapping link churning epochs) cannot grow memory
-// without bound. Later triggers only bump a suppressed counter.
+// without bound. Later triggers only bump a suppressed counter. Epoch dumps
+// and error dumps share the one cap: a run that churns sixteen epochs before
+// it fails keeps no dump of the failure, only its count.
 const maxDumps = 16
 
 // Dump is one post-mortem snapshot of every ring, taken when a trigger

@@ -126,3 +126,28 @@ func TestEvictOldestRxPicksStalest(t *testing.T) {
 		t.Fatal("tie-loser origin 2 id 12 wrongly evicted")
 	}
 }
+
+// A relay admission past relRelayCap is refused and counted as backpressure —
+// FlowStats.Backpressure, whatever Config.FlowControl says — and never as a
+// relay drop: nothing was lost, the upstream ARQ retransmits.
+func TestRelayAdmissionRefusalIsBackpressure(t *testing.T) {
+	_, vc := relChain(t, DefaultConfig())
+	gw := vc.rel["gw"]
+	it := relayItem{d: relData{final: vc.NodeRank("b0")}, from: "a0"}
+	for i := 0; i < relRelayCap; i++ {
+		if !gw.enqueueRelay(it) {
+			t.Fatalf("admission %d refused below the cap of %d", i, relRelayCap)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if gw.enqueueRelay(it) {
+			t.Fatal("admission past the cap accepted")
+		}
+	}
+	if fs := vc.FlowStats(); fs.Backpressure != 3 {
+		t.Errorf("FlowStats().Backpressure = %d after 3 refusals, want 3", fs.Backpressure)
+	}
+	if ds := vc.DeliveryStats(); ds != (DeliveryStats{}) {
+		t.Errorf("refused admissions moved the delivery counters: %+v", ds)
+	}
+}

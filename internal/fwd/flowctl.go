@@ -150,8 +150,9 @@ func (vc *VirtualChannel) flowGrant(gw, up string, n int) {
 }
 
 // FlowStats aggregates the flow controller's counters over every credit
-// account and gateway scheduler. All fields are zero when
-// Config.FlowControl is off.
+// account and relay scheduler. The credit fields are zero when
+// Config.FlowControl is off; SchedRounds and Backpressure also count a
+// reliable channel's relay daemons, which schedule fairly with or without it.
 type FlowStats struct {
 	// Accounts is how many (gateway, sender) credit accounts exist.
 	Accounts int
@@ -164,12 +165,12 @@ type FlowStats struct {
 	// backpressure signal.
 	Stalls    int64
 	StallTime vtime.Duration
-	// SchedRounds is how many full deficit-round-robin passes the gateway
-	// schedulers completed.
+	// SchedRounds is how many full deficit-round-robin passes the streaming
+	// gateways' schedulers (flow control only) and the reliable engines'
+	// relay daemons completed.
 	SchedRounds int64
 	// Backpressure counts reliable-mode relay admissions refused because
-	// the fair relay queue was full (the upstream ARQ retransmits — no
-	// loss).
+	// the relay queue was full (the upstream ARQ retransmits — no loss).
 	Backpressure int64
 }
 
@@ -185,18 +186,17 @@ type FlowAccountStats struct {
 }
 
 // FlowStats returns the flow-control counters, aggregated over every
-// credit account and scheduler. Zero-valued when flow control is off.
+// credit account and scheduler.
 func (vc *VirtualChannel) FlowStats() FlowStats {
 	var s FlowStats
-	if vc.flowc == nil {
-		return s
-	}
-	s.Accounts = len(vc.flowc.order)
-	for _, a := range vc.flowc.order {
-		s.CreditsGranted += a.granted.Count()
-		s.CreditsSpent += a.spent.Count()
-		s.Stalls += a.stalls.Count()
-		s.StallTime += a.stallTime
+	if vc.flowc != nil {
+		s.Accounts = len(vc.flowc.order)
+		for _, a := range vc.flowc.order {
+			s.CreditsGranted += a.granted.Count()
+			s.CreditsSpent += a.spent.Count()
+			s.Stalls += a.stalls.Count()
+			s.StallTime += a.stallTime
+		}
 	}
 	for _, g := range vc.gates {
 		for _, sc := range g.scheds {
@@ -204,7 +204,7 @@ func (vc *VirtualChannel) FlowStats() FlowStats {
 		}
 	}
 	for _, e := range vc.rel {
-		s.SchedRounds += e.relayDRR.Rounds() // the fair relay daemon's: flow control is on
+		s.SchedRounds += e.relayDRR.Rounds()
 	}
 	s.Backpressure = vc.relCount(relBackpressure)
 	return s

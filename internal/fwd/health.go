@@ -43,13 +43,9 @@ type healthProber struct {
 	await map[uint64]*relAwait // outstanding probes by sequence number
 }
 
-// buildHealth wires the probe daemons and the monitor's sink. No-op when no
-// monitor is configured, preserving the legacy per-engine liveness guesses.
+// buildHealth wires every engine's probe daemons and the monitor's sink.
 func (vc *VirtualChannel) buildHealth() {
 	mon := vc.mon
-	if mon == nil {
-		return
-	}
 	sim := vc.sess.Platform.Sim
 	for _, name := range vc.relOrder {
 		e := vc.rel[name]
@@ -82,11 +78,11 @@ func (vc *VirtualChannel) buildHealth() {
 		})
 	}
 	mon.SetProbeSink(func(edge route.Edge) {
-		e := vc.rel[edge.From]
-		if e == nil || e.hp == nil || !e.hp.q.TrySend(edge) {
-			// No prober, or its queue is saturated: count the probe as
-			// failed so the monitor reschedules instead of waiting forever
-			// on a request nobody will perform.
+		// Every node of the monitor's topologies has an engine (Build).
+		if !vc.rel[edge.From].hp.q.TrySend(edge) {
+			// The prober's queue is saturated: count the probe as failed so
+			// the monitor reschedules instead of waiting forever on a request
+			// nobody will perform.
 			mon.ProbeResult(edge, false, 0, sim.Now())
 		}
 	})
@@ -131,9 +127,6 @@ func (e *relEngine) handleHealth(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		return // the prober's timeout absorbs the loss
 	}
 	if pr.Kind == health.ProbeReq {
-		if e.hp == nil {
-			return // no health machinery on this node (cannot happen when armed)
-		}
 		back := in.Channel.Link(e.node.Rank, in.Src.Rank)
 		if !e.hp.echoQ.TrySend(healthEcho{link: back, probe: pr.Response()}) {
 			// Backpressure: drop the reply; the prober times out and the
@@ -142,7 +135,5 @@ func (e *relEngine) handleHealth(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		}
 		return
 	}
-	if e.hp != nil {
-		complete(e.hp.await[pr.Seq])
-	}
+	complete(e.hp.await[pr.Seq])
 }

@@ -14,14 +14,10 @@ import (
 	"madgo/internal/vtime"
 )
 
-// healthCfg returns a forwarding config with the link-health monitor armed
-// on top of the defaults.
-func healthCfg() fwd.Config {
-	cfg := fwd.DefaultConfig()
-	hc := health.DefaultConfig()
-	cfg.Health = &hc
-	return cfg
-}
+// healthCfg returns the forwarding config of the health tests: the defaults,
+// under which every reliable channel runs the link-health monitor (buildFaulty
+// sets Reliable).
+func healthCfg() fwd.Config { return fwd.DefaultConfig() }
 
 // gatedDualRail is a topology with two fully link-disjoint routes between a0 and
 // b0, each rail crossing its own gateway over its own pair of networks —
@@ -53,7 +49,7 @@ func TestHealthCleanRunStaysEpochOne(t *testing.T) {
 	}
 	mon := w.vc.Health()
 	if mon == nil {
-		t.Fatal("Health() = nil with Config.Health set")
+		t.Fatal("Health() = nil on a reliable channel")
 	}
 	if mon.Epoch() != 1 {
 		t.Errorf("clean run ended in epoch %d, want 1", mon.Epoch())

@@ -6,7 +6,6 @@ import (
 
 	"madgo/internal/drivers/bip"
 	"madgo/internal/drivers/sisci"
-	"madgo/internal/health"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
@@ -94,19 +93,16 @@ func TestReliableMessageAllocBudget(t *testing.T) {
 // custody check, then the relay burst). Once the ingress neighbour's table
 // and this node's row of it exist, that costs no allocation.
 func TestNextHopHealthWarmAllocsNothing(t *testing.T) {
-	cfg := DefaultConfig()
-	hc := health.DefaultConfig()
-	cfg.Health = &hc
-	_, vc := relChain(t, cfg)
+	_, vc := relChain(t, DefaultConfig())
 	gw := vc.rel["gw"]
-	hop, ok := gw.nextHop("b0", "a0", 0)
+	hop, ok := gw.nextHop("b0", "a0")
 	if !ok || hop.To != "b0" || hop.Network != "myri0" {
 		t.Fatalf("nextHop(b0, excluding a0) = %v, %v", hop, ok)
 	}
-	if n := testing.AllocsPerRun(200, func() { gw.nextHop("b0", "a0", 0) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { gw.nextHop("b0", "a0") }); n != 0 {
 		t.Errorf("warm nextHop with an ingress exclusion allocates %.1f times per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { gw.nextHop("b0", "", 0) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { gw.nextHop("b0", "") }); n != 0 {
 		t.Errorf("warm nextHop on the monitor's tables allocates %.1f times per call, want 0", n)
 	}
 }

@@ -14,11 +14,13 @@ package fwd
 //     message's origin, final destination, message id and fragment index,
 //     so any node can route it and the final destination can reassemble
 //     and de-duplicate.
-//   - Packets travel hop by hop with stop-and-wait acknowledgements,
-//     exponential backoff, and a bounded retry budget per hop. A hop that
-//     exhausts its budget presumes the neighbour dead and recomputes a
-//     route around it (multi-gateway failover, or degradation to the slow
-//     control network when Config.FallbackTopo names one).
+//   - Packets travel hop by hop with windowed acknowledgements, jittered
+//     backoff, and a bounded retry budget per hop. Every outcome is evidence
+//     for the link-health monitor (package health, health.go), which owns
+//     liveness: a hop that exhausts its budget reports the link dead, the
+//     monitor publishes a new epoch of route tables every node shares
+//     (multi-gateway failover, or degradation to the slow control network
+//     when Config.FallbackTopo names one) and probes the link back in.
 //   - Hop acknowledgements only say a relay accepted the packet; a crash
 //     can still lose accepted packets. The final destination therefore
 //     returns an end-to-end acknowledgement (itself a reliably-delivered
@@ -31,17 +33,15 @@ package fwd
 // Deadlock freedom: the per-network polling daemons always Recv (which
 // frees the link's eager flow-control credit) before doing anything else,
 // and never block on sends — acknowledgements go through a per-node control
-// daemon, relays through a per-node relay daemon, both fed by bounded
-// queues with non-blocking enqueue. A full queue just means no ack, which
-// the upstream retry converts into a retransmission later.
+// daemon, relays through a per-node relay daemon serving one bounded
+// deficit-round-robin queue per ingress neighbour, both fed by non-blocking
+// enqueue. A full queue just means no ack, which the upstream retry converts
+// into a retransmission later.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
-	"sort"
-	"strings"
 
 	"madgo/internal/flight"
 	"madgo/internal/flow"
@@ -73,9 +73,6 @@ type RetryPolicy struct {
 	// E2EBase + E2EPerFrag per fragment of the message.
 	E2EBase    vtime.Duration
 	E2EPerFrag vtime.Duration
-	// ReprobeAfter is how long a presumed-dead node stays excluded from
-	// routing before it is probed again (0 = forever).
-	ReprobeAfter vtime.Duration
 	// RouteAttempts bounds how many alternate next hops one packet tries
 	// before its forwarding fails.
 	RouteAttempts int
@@ -103,7 +100,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		MessageRetries: 3,
 		E2EBase:        250 * vtime.Millisecond,
 		E2EPerFrag:     5 * vtime.Millisecond,
-		ReprobeAfter:   500 * vtime.Millisecond,
 		RouteAttempts:  3,
 		Window:         8,
 	}
@@ -129,9 +125,6 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if rp.E2EPerFrag <= 0 {
 		rp.E2EPerFrag = def.E2EPerFrag
-	}
-	if rp.ReprobeAfter < 0 {
-		rp.ReprobeAfter = def.ReprobeAfter
 	}
 	if rp.RouteAttempts <= 0 {
 		rp.RouteAttempts = def.RouteAttempts
@@ -168,11 +161,15 @@ func (e *DeliveryError) Unwrap() error { return e.Cause }
 // node of the virtual channel. All zero on a fault-free run.
 type DeliveryStats struct {
 	Retransmits    int64 // per-hop packet retransmissions
-	Failovers      int64 // neighbours presumed dead and routed around
+	Failovers      int64 // links reported dead to the health monitor and routed around
 	MessageResends int64 // whole-message resends after e2e timeouts
 	Duplicates     int64 // duplicate packets suppressed at destinations
 	ChecksumDrops  int64 // packets discarded for a bad checksum
-	RelayDrops     int64 // packets a relay accepted but could not forward
+	// RelayDrops counts packets a relay refused for want of any route but
+	// back, bursts it accepted and could not forward, and probe echoes it had
+	// no room to queue. An admission refused at a full relay queue is not a
+	// drop: FlowStats.Backpressure.
+	RelayDrops int64
 }
 
 // Wire format (all little-endian, CRC32-IEEE over everything before the
@@ -579,22 +576,21 @@ func (w *relDoneWindow) add(id uint64) {
 func (w *relDoneWindow) size() int { return len(w.set) }
 
 // relEngine is the per-node reliability engine: sequence numbers, awaited
-// acknowledgements, reassembly state, liveness guesses and counters. All of
-// it runs under the single-threaded simulation scheduler, so no locking.
+// acknowledgements, reassembly state, the relay queue and counters. Liveness
+// is the health monitor's (vc.mon), not the engine's. All of it runs under
+// the single-threaded simulation scheduler, so no locking.
 type relEngine struct {
 	vc   *VirtualChannel
 	node *mad.Node
 	pol  RetryPolicy
 	rng  relRand // decorrelated-jitter state, seeded from the node name
 
-	dead    map[route.Edge]vtime.Time    // presumed-dead directed link -> reprobe time
-	suspect map[string]vtime.Time        // neighbours not to relay through -> reprobe time
-	tables  map[relTableKey]*route.Table // cached constrained tables
-	// tablesEpoch is the health monitor's route epoch the cache was built
-	// under; a publish invalidates every cached constrained table at once.
+	// tables caches the split-horizon tables: the monitor's constraints plus
+	// one barred ingress neighbour. tablesEpoch is the route epoch the cache
+	// was built under; a publish invalidates every cached table at once.
+	tables      map[relTableKey]*route.Table
 	tablesEpoch uint64
-	// hp is this node's health prober (nil when no monitor is configured).
-	hp *healthProber
+	hp          *healthProber // this node's health prober (health.go)
 
 	acks map[relAckKey]*relAwait
 	e2e  map[relMsgKey]*relAwait
@@ -609,12 +605,11 @@ type relEngine struct {
 	// burst enqueues one flush regardless of its packet count.
 	queued map[*mad.Link]bool
 
-	relayQ *vsync.Chan[relayItem]
-	ctlQ   *vsync.Chan[*mad.Link]
+	ctlQ *vsync.Chan[*mad.Link]
 
-	// Flow-control mode replaces the FIFO relayQ with a per-ingress-flow
-	// deficit-round-robin scheduler; relaySem counts its queued items.
-	// Both nil when Config.FlowControl is off.
+	// relayDRR is the relay daemon's queue, a deficit-round-robin scheduler
+	// over ingress neighbours ("" for what this node originates); relaySem
+	// counts its queued items.
 	relayDRR *flow.DRR[relayItem]
 	relaySem *vsync.Sem
 
@@ -637,13 +632,10 @@ type relEngine struct {
 	counters [len(relCounterNames)]obs.Counter
 }
 
-// relTableKey identifies one cached constrained table of an engine: which
-// topology (0 primary, 1 fallback), the canonical tag of the engine's own
-// dead set ("" when the health monitor owns liveness) and the ingress
-// neighbour barred by split horizon ("" for none).
+// relTableKey identifies one cached split-horizon table of an engine: which
+// topology (0 primary, 1 fallback) and the ingress neighbour barred.
 type relTableKey struct {
 	topo    int
-	dead    string
 	exclude string
 }
 
@@ -678,8 +670,8 @@ const (
 	relRxEvictions   // partial reassemblies evicted at the relRxCap bound
 	relAckPackets    // standalone ack datagrams emitted
 	relAcksCoalesced // ack entries that avoided their own datagram
-	// relBackpressure counts flow-mode relay admissions refused at
-	// relRelayCap — lossless backpressure, the upstream ARQ retransmits.
+	// relBackpressure counts relay admissions refused at relRelayCap —
+	// lossless backpressure, the upstream ARQ retransmits.
 	relBackpressure
 )
 
@@ -720,33 +712,26 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 	for _, n := range buildTopo.Nodes() {
 		node := vc.nodes[n.Name]
 		e := &relEngine{
-			vc:      vc,
-			node:    node,
-			pol:     pol,
-			rng:     seedRelRand(n.Name),
-			dead:    make(map[route.Edge]vtime.Time),
-			suspect: make(map[string]vtime.Time),
-			tables:  make(map[relTableKey]*route.Table),
-			actor:   "rel:" + n.Name,
-			acks:    make(map[relAckKey]*relAwait),
-			e2e:     make(map[relMsgKey]*relAwait),
-			rx:      make(map[relMsgKey]*relMsg),
-			done:    make(map[mad.Rank]*relDoneWindow),
-			pend:    make(map[*mad.Link][]relAckKey),
-			queued:  make(map[*mad.Link]bool),
-			relayQ:  vsync.NewChan[relayItem]("relq:"+n.Name, relRelayCap),
-			ctlQ:    vsync.NewChan[*mad.Link]("ctlq:"+n.Name, 4096),
-		}
-		if vc.flowc != nil {
-			e.relayDRR = flow.NewDRR[relayItem](int64(vc.cfg.MTU))
-			e.relaySem = vsync.NewSem(0)
+			vc:       vc,
+			node:     node,
+			pol:      pol,
+			rng:      seedRelRand(n.Name),
+			tables:   make(map[relTableKey]*route.Table),
+			actor:    "rel:" + n.Name,
+			acks:     make(map[relAckKey]*relAwait),
+			e2e:      make(map[relMsgKey]*relAwait),
+			rx:       make(map[relMsgKey]*relMsg),
+			done:     make(map[mad.Rank]*relDoneWindow),
+			pend:     make(map[*mad.Link][]relAckKey),
+			queued:   make(map[*mad.Link]bool),
+			ctlQ:     vsync.NewChan[*mad.Link]("ctlq:"+n.Name, 4096),
+			relayDRR: flow.NewDRR[relayItem](int64(vc.cfg.MTU)),
+			relaySem: vsync.NewSem(0),
 		}
 		vc.rel[n.Name] = e
 		vc.sess.Platform.Instrument(e)
 		for i := range relCounterNames {
-			if i != relBackpressure || vc.flowc != nil {
-				e.count(i, 0)
-			}
+			e.count(i, 0)
 		}
 		for _, nwName := range n.Networks {
 			ep := vc.regular[nwName].At(node)
@@ -938,7 +923,7 @@ func (e *relEngine) sendBatched(p *vtime.Proc, dst string, ds []relData, aw *rel
 	w := e.pol.Window
 	for i := 0; i < len(ds) && !aw.done; i += w {
 		n := min(w, len(ds)-i)
-		if !e.forwardBatch(p, dst, ds[i:i+n]) {
+		if !e.forwardBatch(p, dst, "", ds[i:i+n]) {
 			return false
 		}
 	}
@@ -948,22 +933,17 @@ func (e *relEngine) sendBatched(p *vtime.Proc, dst string, ds []relData, aw *rel
 // forwardBatch moves a batch of packets one step toward finalDst, trying
 // alternate next hops (failover) when the preferred neighbour stops
 // acknowledging; only the packets the dead neighbour never acknowledged are
-// rerouted. A failed burst kills the *directed link* it used, never the
-// neighbour node: a multi-homed neighbour stays reachable over its other
-// links and a partitioned next hop can still be detoured around — both
-// fatal to conflate with node death when the neighbour is the final
-// destination of a direct route. A genuinely crashed node converges to
-// unreachable as each neighbour buries its own links to it. It reports
-// false when no route is left or every alternate hop failed.
-func (e *relEngine) forwardBatch(p *vtime.Proc, finalDst string, ds []relData) bool {
-	return e.forwardBatchExcluding(p, finalDst, "", ds)
-}
-
-// forwardBatchExcluding is forwardBatch under split horizon: routes
-// relaying through exclude (the ingress neighbour) are off the table.
-func (e *relEngine) forwardBatchExcluding(p *vtime.Proc, finalDst, exclude string, ds []relData) bool {
+// rerouted. A non-empty exclude is split horizon: routes relaying through it
+// (the ingress neighbour) are off the table. A failed burst kills the
+// *directed link* it used, never the neighbour node: a multi-homed neighbour
+// stays reachable over its other links and a partitioned next hop can still
+// be detoured around — both fatal to conflate with node death when the
+// neighbour is the final destination of a direct route. A genuinely crashed
+// node converges to unreachable as each neighbour buries its own links to it.
+// It reports false when no route is left or every alternate hop failed.
+func (e *relEngine) forwardBatch(p *vtime.Proc, finalDst, exclude string, ds []relData) bool {
 	for try := 0; try < e.pol.RouteAttempts; try++ {
-		hop, ok := e.nextHop(finalDst, exclude, p.Now())
+		hop, ok := e.nextHop(finalDst, exclude)
 		if !ok {
 			return false
 		}
@@ -989,11 +969,9 @@ func (e *relEngine) forwardBatchExcluding(p *vtime.Proc, finalDst, exclude strin
 func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (failed []relData) {
 	mon := e.vc.mon
 	edge := route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}
-	if mon != nil {
-		// Sender activity doubles as the heartbeat clock: edges this node
-		// has not exercised recently get an active probe.
-		mon.Heartbeats(e.node.Name, p.Now())
-	}
+	// Sender activity doubles as the heartbeat clock: edges this node has not
+	// exercised recently get an active probe.
+	mon.Heartbeats(e.node.Name, p.Now())
 	link := e.vc.regular[hop.Network].Link(e.node.Rank, e.vc.NodeRank(hop.To))
 	aws := e.newBurst(len(ds))
 	for i := range ds {
@@ -1021,16 +999,13 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 				e.flight().Record(flight.KindRexmit, p.Now(), to, ds[i].id, len(ds[i].payload), hop.Network)
 			}
 			for try := 1; !ok && try <= e.pol.PacketRetries; try++ {
-				if mon != nil {
-					mon.ReportFailure(edge, p.Now())
-					if mon.Excluded(edge) {
-						// Someone (our own earlier packet, another
-						// sender, the detector's score) already declared
-						// this edge dead and published a new epoch.
-						// Abandon the rest of the budget and let the
-						// caller migrate the burst to the new tables.
-						break
-					}
+				mon.ReportFailure(edge, p.Now())
+				if mon.Excluded(edge) {
+					// Someone (our own earlier packet, another sender, the
+					// detector's score) already declared this edge dead and
+					// published a new epoch. Abandon the rest of the budget
+					// and let the caller migrate the burst to the new tables.
+					break
 				}
 				e.trace("rexmit", len(ds[i].payload), p.Now())
 				e.count(relRetransmits, 1)
@@ -1055,14 +1030,10 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 		}
 		sentAt := aw.sentAt
 		dropAwait(e, e.acks, key, aw)
-		if mon != nil {
-			if ok {
-				mon.ReportSuccess(edge, p.Now().Sub(sentAt), p.Now())
-			} else {
-				mon.ReportFailure(edge, p.Now())
-			}
-		}
-		if !ok {
+		if ok {
+			mon.ReportSuccess(edge, p.Now().Sub(sentAt), p.Now())
+		} else {
+			mon.ReportFailure(edge, p.Now())
 			failed = append(failed, ds[i])
 		}
 	}
@@ -1199,67 +1170,20 @@ func complete(aw *relAwait) {
 // nextHop picks the first leg toward dst, preferring the primary topology
 // (the high-speed networks) and falling back to Config.FallbackTopo (the
 // full configuration including the control network) when the primary has no
-// live path. Presumed-dead links and suspect relays are routed around, and
-// a non-empty exclude (split horizon: the ingress neighbour of a relayed
-// packet) is barred as an intermediate hop; tables are cached per
-// (topology, constraint-set) pair.
-func (e *relEngine) nextHop(dst, exclude string, now vtime.Time) (route.Hop, bool) {
+// live path. The link-health monitor owns liveness: its epoch-stamped tables
+// are shared by every node, so all senders converge on the same routes the
+// instant a transition publishes a new epoch. Only split horizon — a
+// non-empty exclude, the ingress neighbour of a relayed packet, barred as an
+// intermediate hop — needs per-engine tables: the epoch constraints merged
+// with the barred neighbour, cached per (topology, exclude) and invalidated
+// wholesale on epoch change. A table costs its constraint copy when it is
+// made and one search when this node's row is first read (route tables are
+// row-lazy), so the steady state of a relayed packet is two map lookups and a
+// walk up the search tree.
+func (e *relEngine) nextHop(dst, exclude string) (route.Hop, bool) {
 	if exclude == dst {
 		exclude = ""
 	}
-	if e.vc.mon != nil {
-		return e.nextHopHealth(dst, exclude)
-	}
-	c, tag := e.currentDead(now)
-	me := e.node.Name
-	for i, t := range [...]*topo.Topology{e.vc.tp, e.vc.cfg.FallbackTopo} {
-		if t == nil {
-			continue
-		}
-		if _, ok := t.Node(me); !ok {
-			continue
-		}
-		if _, ok := t.Node(dst); !ok {
-			continue
-		}
-		key := relTableKey{topo: i, dead: tag, exclude: exclude}
-		tbl := e.tables[key]
-		if tbl == nil {
-			tbl = route.ComputeConstrained(t, barRelay(c, exclude))
-			e.tables[key] = tbl
-		}
-		if hop, ok := tbl.NextHop(me, dst); ok {
-			return hop, true
-		}
-	}
-	return route.Hop{}, false
-}
-
-// barRelay returns c with exclude (when not empty) added to the relays no
-// route may pass through, on a copy: c's maps may be shared.
-func barRelay(c route.Constraints, exclude string) route.Constraints {
-	if exclude == "" {
-		return c
-	}
-	relays := make(map[string]bool, len(c.Relays)+1)
-	for k, v := range c.Relays {
-		relays[k] = v
-	}
-	relays[exclude] = true
-	c.Relays = relays
-	return c
-}
-
-// nextHopHealth is nextHop when the link-health monitor owns liveness: the
-// monitor's epoch-stamped tables are shared by every node, so all senders
-// converge on the same routes the instant a transition publishes a new
-// epoch. Only split-horizon exclusions need per-engine tables — the epoch
-// constraints merged with the barred ingress neighbour — and those are
-// cached per (topology, exclude) and invalidated wholesale on epoch change.
-// A table costs its constraint copy when it is made and one search when this
-// node's row is first read (route tables are row-lazy), so the steady state
-// of a relayed packet is two map lookups and a walk up the search tree.
-func (e *relEngine) nextHopHealth(dst, exclude string) (route.Hop, bool) {
 	mon := e.vc.mon
 	me := e.node.Name
 	if ep := mon.Epoch(); ep != e.tablesEpoch {
@@ -1291,62 +1215,27 @@ func (e *relEngine) nextHopHealth(dst, exclude string) (route.Hop, bool) {
 	return route.Hop{}, false
 }
 
-// currentDead prunes expired liveness guesses and returns the live routing
-// constraints plus a canonical cache tag for them.
-func (e *relEngine) currentDead(now vtime.Time) (route.Constraints, string) {
-	var names []string
-	var c route.Constraints
-	for edge, exp := range e.dead {
-		if exp <= now {
-			delete(e.dead, edge)
-			continue
-		}
-		if c.Edges == nil {
-			c.Edges = make(map[route.Edge]bool)
-		}
-		c.Edges[edge] = true
-		names = append(names, edge.String())
+// barRelay returns c with exclude added to the relays no route may pass
+// through, on a copy: c's maps are the monitor's.
+func barRelay(c route.Constraints, exclude string) route.Constraints {
+	relays := make(map[string]bool, len(c.Relays)+1)
+	for k, v := range c.Relays {
+		relays[k] = v
 	}
-	for n, exp := range e.suspect {
-		if exp <= now {
-			delete(e.suspect, n)
-			continue
-		}
-		if c.Relays == nil {
-			c.Relays = make(map[string]bool)
-		}
-		c.Relays[n] = true
-		names = append(names, "!"+n)
-	}
-	if len(names) == 0 {
-		return route.Constraints{}, ""
-	}
-	sort.Strings(names)
-	return c, strings.Join(names, ",")
+	relays[exclude] = true
+	c.Relays = relays
+	return c
 }
 
 // markDead records a failover: the neighbour stopped acknowledging on one
-// link. The directed link is excluded from routing, and the neighbour is
-// excluded as a *relay* — the evidence cannot distinguish a crashed node
-// from one downed network, so nothing further is routed through it, but it
-// stays a legal destination over its other links. Both expire after
-// ReprobeAfter.
+// link. An exhausted retry budget is hard evidence, and the monitor owns what
+// follows from it: the state machine, the epoch bump that routes everyone
+// around the directed link — never the neighbour node, which stays reachable
+// over its other links — and the probation schedule that re-admits it.
 func (e *relEngine) markDead(hop route.Hop, now vtime.Time) {
 	e.trace("failover", 0, now)
 	e.count(relFailovers, 1)
-	if mon := e.vc.mon; mon != nil {
-		// Exhausted retry budget is hard evidence: the monitor owns the
-		// state machine, the epoch bump, and the probation schedule that
-		// will eventually re-admit the link.
-		mon.ReportDead(route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}, now)
-		return
-	}
-	exp := vtime.Time(math.MaxInt64)
-	if e.pol.ReprobeAfter > 0 {
-		exp = now.Add(e.pol.ReprobeAfter)
-	}
-	e.dead[route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}] = exp
-	e.suspect[hop.To] = exp
+	e.vc.mon.ReportDead(route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}, now)
 }
 
 // handle dispatches one arrival in the polling daemon. The Recv comes
@@ -1397,7 +1286,7 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		// back where it came from would either loop it or strand it here.
 		// Without the ack the upstream retransmits, buries this link and
 		// reroutes — local knowledge propagates exactly as far as needed.
-		if _, ok := e.nextHop(finalName, ingress, p.Now()); !ok {
+		if _, ok := e.nextHop(finalName, ingress); !ok {
 			e.count(relRelayDrops, 1)
 			e.hop(p, d.id, "refuse", obs.Detail{Form: "no route to ${peer} except back via ${net}", Peer: finalName, Net: ingress}, 0)
 			e.vc.relBufs.put(pkt)
@@ -1573,20 +1462,11 @@ func (e *relEngine) sendE2E(origin mad.Rank, id uint64) {
 	e.enqueueRelay(it) // a refused ack is absorbed by the origin's resend
 }
 
-// enqueueRelay admits one packet to the relay daemon: the per-ingress-flow
-// DRR queues in flow-control mode, the FIFO queue otherwise. A refusal
-// (backlog at capacity) means no hop ack, which the upstream ARQ converts
-// into a retransmission — backpressure, not loss. The callers count a
-// refusal as a relay drop in FIFO mode; in flow mode it is counted here as
-// backpressure instead.
+// enqueueRelay admits one packet to the relay daemon's queue of its ingress
+// neighbour. A refusal (backlog at capacity) is counted as backpressure and
+// means no hop ack, which the upstream ARQ converts into a retransmission —
+// backpressure, not loss.
 func (e *relEngine) enqueueRelay(it relayItem) bool {
-	if e.relayDRR == nil {
-		if !e.relayQ.TrySend(it) {
-			e.count(relRelayDrops, 1)
-			return false
-		}
-		return true
-	}
 	if e.relayDRR.Len() >= relRelayCap {
 		e.count(relBackpressure, 1)
 		return false
@@ -1608,49 +1488,6 @@ func (e *relEngine) handleAck(pkt []byte) {
 	}
 }
 
-// relayLoop is the per-node relay daemon: it reliably forwards queued
-// packets (data passing through this node, and end-to-end acks this node
-// originates or relays). Backlogged packets bound for the same final
-// destination move as one windowed burst, so a relay preserves the
-// upstream sender's ack coalescing instead of re-expanding the stream into
-// stop-and-wait.
-func (e *relEngine) relayLoop(p *vtime.Proc) {
-	if e.relayDRR != nil {
-		e.relayLoopFair(p)
-		return
-	}
-	var batch []relData // the daemon's own, reused burst after burst
-	var requeue []relayItem
-	for {
-		it, ok := e.relayQ.Recv(p)
-		if !ok {
-			return
-		}
-		e.queueWait(p, &it)
-		batch = append(batch[:0], it.d)
-		requeue = requeue[:0]
-		for len(batch) < e.pol.Window {
-			more, ok := e.relayQ.TryRecv()
-			if !ok {
-				break
-			}
-			if more.d.final == it.d.final && more.from == it.from {
-				e.queueWait(p, &more)
-				batch = append(batch, more.d)
-			} else {
-				requeue = append(requeue, more)
-			}
-		}
-		for i := range requeue {
-			if !e.relayQ.TrySend(requeue[i]) {
-				e.count(relRelayDrops, 1)
-				e.vc.relBufs.put(requeue[i].d.buf)
-			}
-		}
-		e.relayBatch(p, it.from, batch)
-	}
-}
-
 // queueWait attributes the time a packet sat in the relay queue.
 func (e *relEngine) queueWait(p *vtime.Proc, it *relayItem) {
 	if it.enq > 0 {
@@ -1665,7 +1502,7 @@ func (e *relEngine) queueWait(p *vtime.Proc, it *relayItem) {
 // arrived in to the pool.
 func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
 	finalName := e.vc.sess.Node(batch[0].final).Name
-	if e.forwardBatchExcluding(p, finalName, from, batch) {
+	if e.forwardBatch(p, finalName, from, batch) {
 		for i := range batch {
 			if d := &batch[i]; d.frag != e2eFrag {
 				e.relayedPkts++
@@ -1684,14 +1521,17 @@ func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
 	}
 }
 
-// relayLoopFair is the flow-control relay daemon: packets are served in
-// deficit-round-robin order over ingress flows instead of FIFO, each flow
-// charged the payload bytes it relayed, so a backlogged elephant sender
-// repays its debt over following rounds while mouse flows keep being
-// served — long-run relay bandwidth equalizes across contending ingress
-// neighbours. Same-flow packets to the same final destination still move
-// as one windowed burst, preserving ack coalescing.
-func (e *relEngine) relayLoopFair(p *vtime.Proc) {
+// relayLoop is the per-node relay daemon: it reliably forwards queued
+// packets (data passing through this node, and end-to-end acks this node
+// originates or relays) in deficit-round-robin order over ingress flows, each
+// flow charged the payload bytes it relayed, so a backlogged elephant sender
+// repays its debt over following rounds while mouse flows keep being served —
+// long-run relay bandwidth equalizes across contending ingress neighbours.
+// Backlogged packets of the flow DRR picked that are bound for the same final
+// destination move as one windowed burst, so a relay preserves the upstream
+// sender's ack coalescing instead of re-expanding the stream into
+// stop-and-wait.
+func (e *relEngine) relayLoop(p *vtime.Proc) {
 	var batch []relData // the daemon's own, reused burst after burst
 	var final mad.Rank
 	sameFinal := func(m relayItem) bool { return m.d.final == final }

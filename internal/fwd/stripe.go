@@ -255,12 +255,12 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 }
 
 // stripeRoutes returns the rail set of one pair (nil when striping is off or
-// the pair is outside the primary topology), computing it on first use. With
-// a health monitor armed the cache is epoch-aware: a death or re-admission
-// publishes a new epoch, the stale rail sets are dropped, and each pair's
-// rails are recomputed on demand with the dead edges carved out of the graph
-// — a killed rail shrinks the set (subsequent messages fall back to fewer
-// rails, or the single-route path), and a re-admitted link restores it.
+// the pair is outside the primary topology), computing it on first use. In
+// reliable mode, under the health monitor, the cache is epoch-aware: a death
+// or re-admission publishes a new epoch, the stale rail sets are dropped, and
+// each pair's rails are recomputed on demand with the dead edges carved out of
+// the graph — a killed rail shrinks the set (subsequent messages fall back to
+// fewer rails, or the single-route path), and a re-admitted link restores it.
 func (vc *VirtualChannel) stripeRoutes(src, dst string) []route.Route {
 	st := vc.stripe
 	if st == nil {
@@ -365,7 +365,7 @@ type StripeStats struct {
 	RailFailovers int64
 	// RailReadmissions is how many dead links the health monitor restored
 	// to service (each re-admission rebuilds the rail sets under a new
-	// epoch). Zero without Config.Health.
+	// epoch). Zero in streaming mode, which has no monitor.
 	RailReadmissions int64
 	// RailBytes is the payload bytes scheduled onto each rail index.
 	RailBytes map[int]int64
@@ -598,10 +598,11 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 				break
 			}
 			if bad := e.deliverBurst(rp, hop, chunk); len(bad) > 0 {
-				// The rail stopped acknowledging. Its neighbour is NOT
-				// marked node-dead — on a dual-direct configuration the
-				// neighbour is the destination itself, reachable over the
-				// surviving rails — the residual quota just moves over.
+				// The rail stopped acknowledging, and deliverBurst has told
+				// the health monitor so, link by link; the neighbour — on a
+				// dual-direct configuration the destination itself — stays
+				// reachable over the surviving rails, and the residual quota
+				// just moves over.
 				residual = append(residual, bad...)
 				residual = append(residual, queues[ri]...)
 				queues[ri] = nil
@@ -632,11 +633,9 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 		p.Join(pr)
 	}
 	// Leftovers: every rail exited (failed or drained before a later
-	// failure). Push them down the surviving rails' own first hops — a
-	// dead rail means a dead link, not a dead neighbour, so routed
-	// forwarding (which would presume the next hop's *node* dead, fatal
-	// when that node is the destination of a direct rail) is the last
-	// resort, only once no rail is left standing.
+	// failure). Push them down the surviving rails' own first hops; routed
+	// forwarding, which leaves the rail set for whatever the monitor's tables
+	// still offer, is the last resort, only once no rail is left standing.
 	for len(residual) > 0 && !aw.done {
 		n := min(w, len(residual))
 		chunk := residual[:n]
@@ -649,7 +648,7 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 			}
 		}
 		if ri < 0 {
-			if !e.forwardBatch(p, dst, chunk) {
+			if !e.forwardBatch(p, dst, "", chunk) {
 				return false
 			}
 			continue

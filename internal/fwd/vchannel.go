@@ -55,8 +55,9 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Reliable switches the virtual channel from the paper's streaming
 	// GTM to the reliable datagram protocol (see reliable.go): sequenced,
-	// checksummed, acknowledged packets with retransmission and
-	// multi-gateway failover. Required for running under fault injection.
+	// checksummed, acknowledged packets with retransmission, the link-health
+	// failure detector with multi-gateway failover, and a fair relay queue
+	// on every node. Required for running under fault injection.
 	Reliable bool
 	// Retry tunes the reliability protocol; zero fields take defaults.
 	// Only meaningful with Reliable.
@@ -76,12 +77,12 @@ type Config struct {
 	// attempted for; smaller messages take the single-rail path. 0 means
 	// DefaultStripeThreshold.
 	StripeThreshold int
-	// Health, when non-nil, arms the link-health failure detector (package
-	// health): passive evidence from the reliable protocol plus active
-	// probes drive per-link Up/Suspect/Dead/Probation states, and every
-	// death or re-admission publishes a new epoch of shared route tables.
-	// Requires Reliable; zero fields of the config take defaults.
-	Health *health.Config
+	// Health tunes the link-health failure detector (package health) every
+	// reliable channel runs: passive evidence from the reliable protocol
+	// plus active probes drive per-link Up/Suspect/Dead/Probation states,
+	// and every death or re-admission publishes a new epoch of shared route
+	// tables. Zero fields take defaults. Only meaningful with Reliable.
+	Health health.Config
 	// FlowControl arms credit-based gateway flow control (see flowctl.go
 	// and package flow): senders spend a per-(gateway, sender) credit per
 	// wire transfer toward a gateway and the gateway grants credits back as
@@ -140,7 +141,7 @@ func (c Config) validate() error {
 	if c.StripeThreshold < 0 {
 		return fmt.Errorf("fwd: negative StripeThreshold")
 	}
-	if c.Health != nil && !c.Reliable {
+	if c.Health != (health.Config{}) && !c.Reliable {
 		return fmt.Errorf("fwd: Health requires Reliable")
 	}
 	if c.CreditWindow < 0 {
@@ -201,7 +202,8 @@ type VirtualChannel struct {
 	// buffer hands it over the link to the node that returns it.
 	relBufs relBufPool
 
-	// mon is the link-health monitor; nil unless Config.Health is set.
+	// mon is the link-health monitor of a reliable channel; nil in streaming
+	// mode.
 	mon *health.Monitor
 
 	// msgSeq issues channel-global message IDs at pack time; every layer a
@@ -417,20 +419,17 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 	}
 
 	if cfg.Reliable {
-		if cfg.Health != nil {
-			sim := sess.Platform.Sim
-			vc.mon = health.NewMonitor(*cfg.Health, tp, cfg.FallbackTopo,
-				sess.Platform.Metrics, sim.After, sim.Now)
-			// Health-epoch churn is a flight-recorder dump trigger: route
-			// changes are exactly the moments whose surrounding event
-			// history a post-mortem wants. The recorder is read through
-			// the platform at call time, so one armed after Build still
-			// sees epoch changes.
-			vc.mon.SetEpochHook(func(epoch uint64, at vtime.Time) {
-				vc.flightRing("health").Record(flight.KindEpoch, at, 0, 0, int(epoch), "")
-				vc.flight().Dump(fmt.Sprintf("health-epoch-%d", epoch))
-			})
-		}
+		sim := sess.Platform.Sim
+		vc.mon = health.NewMonitor(cfg.Health, tp, cfg.FallbackTopo,
+			sess.Platform.Metrics, sim.After, sim.Now)
+		// Health-epoch churn is a flight-recorder dump trigger: route
+		// changes are exactly the moments whose surrounding event history a
+		// post-mortem wants. The recorder is read through the platform at
+		// call time, so one armed after Build still sees epoch changes.
+		vc.mon.SetEpochHook(func(epoch uint64, at vtime.Time) {
+			vc.flightRing("health").Record(flight.KindEpoch, at, 0, 0, int(epoch), "")
+			vc.flight().Dump(fmt.Sprintf("health-epoch-%d", epoch))
+		})
 		vc.relOrder = buildTopo.NodeNames()
 		vc.buildReliable(buildTopo)
 		return vc, nil
@@ -549,8 +548,8 @@ func (vc *VirtualChannel) Table() *route.Table { return vc.tbl }
 // Config returns the forwarding configuration.
 func (vc *VirtualChannel) Config() Config { return vc.cfg }
 
-// Health returns the link-health monitor, or nil when Config.Health is
-// unset.
+// Health returns the link-health monitor of a reliable channel; nil in
+// streaming mode.
 func (vc *VirtualChannel) Health() *health.Monitor { return vc.mon }
 
 // Gateways returns the names of the nodes running forwarding engines,

@@ -53,9 +53,9 @@
 //	WithAggregation                        fwd/agg: cross-message coalescer
 //	WithFlowControl, WithCreditWindow      fwd/flow: credit-based gateway flow control
 //	WithStriping, WithStripeThreshold      fwd/stripe: multi-rail striping
-//	WithReliableDelivery, WithRetryPolicy  fwd/reliable: acknowledged datagram delivery
+//	WithReliableDelivery, WithRetryPolicy  fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
-//	WithHealthMonitor, WithHealthConfig    health: link failure detector, epochal routes
+//	WithHealthConfig                       health: tunes reliable delivery's link failure detector
 //	WithRouteNetworks                      route: restrict the channel to named networks
 //	WithTracer                             trace: gateway pipeline spans
 //	WithMetrics                            obs: counters, histograms, provenance
@@ -67,7 +67,7 @@
 // WithCreditWindow requires WithFlowControl, and WithStripeThreshold requires
 // WithStriping. NewSystem rejects an incoherent
 // set with a *ConfigError naming the missing option instead of silently
-// ignoring the orphan. (WithFaults, WithRetryPolicy, WithHealthMonitor and
+// ignoring the orphan. (WithFaults, WithRetryPolicy, WithHealthConfig and
 // WithNetworkMTU keep their documented implications — they imply reliable
 // delivery or WithPathMTU — because there the implied subsystem is the only
 // possible intent.)
@@ -145,8 +145,9 @@ type (
 	// (packets sent, entries coalesced, entries piggybacked on data).
 	AckStats = fwd.AckStats
 	// FlowStats aggregates the credit-based flow-control counters
-	// (credits granted/spent, sender stalls, scheduler rounds,
-	// backpressure refusals) attached with WithFlowControl.
+	// (credits granted/spent, sender stalls) attached with WithFlowControl,
+	// and the relay schedulers' (rounds, backpressure refusals), which a
+	// reliable system counts with or without it.
 	FlowStats = fwd.FlowStats
 	// FlowAccountStats is the per-(gateway, sender) credit-account
 	// breakdown behind FlowStats.
@@ -173,8 +174,8 @@ type (
 	MessageHop = obs.Hop
 	// Lane is the busy/stall/idle decomposition of one pipeline actor.
 	Lane = obs.Lane
-	// HealthConfig tunes the link-health failure detector attached with
-	// WithHealthMonitor; the zero value of any field selects its default.
+	// HealthConfig tunes the link-health failure detector reliable delivery
+	// runs (WithHealthConfig); the zero value of any field selects its default.
 	HealthConfig = health.Config
 	// HealthMonitor is the running failure detector, reachable through
 	// System.Health. It owns the epochal route tables: every link death or
@@ -341,8 +342,8 @@ type Options struct {
 	// delivery).
 	Retry *RetryPolicy
 	// Reliable switches the virtual channel to reliable datagram
-	// delivery: checksummed, acknowledged, retransmitted packets with
-	// gateway failover.
+	// delivery: checksummed, acknowledged, retransmitted packets, the
+	// link-health failure detector with gateway failover, and fair relaying.
 	Reliable bool
 	// StripeK, when at least 2, enables multi-rail striping: messages
 	// above StripeThreshold are split across up to StripeK link-disjoint
@@ -351,8 +352,8 @@ type Options struct {
 	// StripeThreshold is the minimum message size (bytes) striping is
 	// attempted for; 0 means fwd.DefaultStripeThreshold (16 KB).
 	StripeThreshold int
-	// Health, when non-nil, arms the link-health failure detector with
-	// epochal self-healing routes (implies reliable delivery).
+	// Health, when non-nil, overrides the configuration of the link-health
+	// failure detector reliable delivery runs (implies reliable delivery).
 	Health *HealthConfig
 	// FlowControl arms credit-based gateway flow control: senders spend a
 	// per-(gateway, sender) credit per wire transfer toward a gateway,
@@ -469,25 +470,9 @@ func WithStripeThreshold(bytes int) Option {
 	return func(o *Options) { o.StripeThreshold = bytes }
 }
 
-// WithHealthMonitor arms the link-health failure detector with its default
-// configuration (implies WithReliableDelivery). Every link accumulates
-// passive evidence — acknowledgement round-trips, send outcomes, relay
-// stalls — into an EWMA score driving an Up/Suspect/Dead/Probation state
-// machine; idle links are heartbeat-probed. A death excludes the link from
-// routing and publishes a new epoch-stamped route table set that in-flight
-// messages migrate to; a recovered link is re-admitted (and restored to the
-// striping rail set) after a probation run of successful probes. When no
-// live route remains, delivery fails fast with an error matching ErrNoRoute
-// instead of stalling. Query the detector with System.Health.
-func WithHealthMonitor() Option {
-	return func(o *Options) {
-		hc := DefaultHealthConfig()
-		o.Health = &hc
-	}
-}
-
-// WithHealthConfig is WithHealthMonitor with an explicit detector
-// configuration.
+// WithHealthConfig tunes the link-health failure detector reliable delivery
+// runs (implies WithReliableDelivery; without it the detector runs at
+// DefaultHealthConfig). Query the detector with System.Health.
 func WithHealthConfig(hc HealthConfig) Option {
 	return func(o *Options) { o.Health = &hc }
 }
@@ -544,11 +529,21 @@ func WithEagerSmallMessages() Option { return func(o *Options) { o.Eager = true 
 func WithAggregation() Option { return func(o *Options) { o.Aggregation = true } }
 
 // WithReliableDelivery switches the virtual channel from the paper's
-// streaming forwarding to reliable datagram delivery: every packet is
-// checksummed and acknowledged hop by hop, lost or corrupted packets are
-// retransmitted with exponential backoff, and traffic fails over to
-// alternate gateways — or degrades to the control network when the channel
-// was restricted with WithRouteNetworks — when a node dies.
+// streaming forwarding to reliable datagram delivery: ARQ, a failure
+// detector and a fair relay. Every packet is checksummed and acknowledged hop
+// by hop, and lost or corrupted packets are retransmitted with jittered
+// backoff. Every link accumulates passive evidence — acknowledgement
+// round-trips, send outcomes — into an EWMA score driving an
+// Up/Suspect/Dead/Probation state machine, and idle links are
+// heartbeat-probed. A death excludes the link from routing and publishes a
+// new epoch-stamped route table set that in-flight messages migrate to —
+// failing over to alternate gateways, or degrading to the control network
+// when the channel was restricted with WithRouteNetworks — and a recovered
+// link is re-admitted (and restored to the striping rail set) after a
+// probation run of successful probes. When no live route remains, delivery
+// fails fast with an error matching ErrNoRoute instead of stalling. Relaying
+// nodes serve their ingress neighbours deficit-round-robin. Query the
+// detector with System.Health, tune it with WithHealthConfig.
 func WithReliableDelivery() Option { return func(o *Options) { o.Reliable = true } }
 
 // WithPaperFidelity resets the system to the paper's §3 evaluation
@@ -576,8 +571,8 @@ func WithPaperFidelity() Option {
 
 // WithProduction arms every post-paper subsystem at its defaults: compact
 // eager framing with cross-message aggregation, credit-based gateway flow
-// control, two-rail striping, reliable (acknowledged, retransmitted)
-// delivery, and the link-health failure detector with epochal self-healing
+// control, two-rail striping, and reliable (acknowledged, retransmitted)
+// delivery with its link-health failure detector and epochal self-healing
 // routes. It is the "everything on" profile the load-pattern examples use;
 // layer individual options after it to tune windows, thresholds or
 // detector timing. Note that reliable delivery runs its own packet
@@ -590,8 +585,6 @@ func WithProduction() Option {
 		o.FlowControl = true
 		o.StripeK = 2
 		o.Reliable = true
-		hc := DefaultHealthConfig()
-		o.Health = &hc
 	}
 }
 
@@ -748,7 +741,9 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		if vcTopo != tp {
 			cfg.FallbackTopo = tp
 		}
-		cfg.Health = o.Health
+		if o.Health != nil {
+			cfg.Health = *o.Health
+		}
 	}
 	vc, err := fwd.Build(sess, vcTopo, bindings, cfg)
 	if err != nil {
@@ -888,8 +883,9 @@ func (s *System) StripeStats() StripeStats { return s.Stats().Stripe }
 func (s *System) AckStats() AckStats { return s.Stats().Ack }
 
 // FlowStats returns the credit-based flow-control counters, aggregated over
-// every credit account and gateway scheduler. All fields are zero without
-// WithFlowControl.
+// every credit account and relay scheduler. Without WithFlowControl the
+// credit fields are zero; SchedRounds and Backpressure still count a reliable
+// system's fair relay queues.
 func (s *System) FlowStats() FlowStats { return s.Stats().Flow }
 
 // FlowAccounts returns the per-(gateway, sender) credit-account counters in
@@ -904,8 +900,8 @@ func (s *System) AggStats() AggStats { return s.Stats().Agg }
 // zero until a BeginMulticast (or a collective riding on it) runs.
 func (s *System) McastStats() McastStats { return s.Stats().Mcast }
 
-// Health returns the link-health failure detector, or nil when the system
-// was built without WithHealthMonitor. Snapshot lists per-link condition,
+// Health returns the link-health failure detector of a reliable system; it
+// is nil only in streaming mode. Snapshot lists per-link condition,
 // Epoch the current routing epoch, Transitions the full state-change log.
 func (s *System) Health() *HealthMonitor { return s.Channel.Health() }
 

@@ -3,6 +3,9 @@ package madeleine_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,5 +185,109 @@ func TestSystemRetryPolicyOption(t *testing.T) {
 	}
 	if gs.Retransmits != 0 || gs.Failovers != 0 {
 		t.Errorf("fault-free run recovered: %+v", gs)
+	}
+}
+
+// starRun is one run of the contention wall's star (internal/fwd: sixteen
+// senders on one edge network, one gateway, the sink behind it; every fifth
+// sender an elephant) under 1 % seeded loss, and what the run looked like from
+// outside: when it ended, how long every message took, what the protocol and
+// the failure detector counted.
+type starRun struct {
+	end         madeleine.Time
+	latencies   map[string][]madeleine.Duration
+	delivery    madeleine.DeliveryStats
+	transitions []madeleine.HealthTransition
+	flow        madeleine.FlowStats
+}
+
+func runReliableStar(t *testing.T, opts ...madeleine.Option) starRun {
+	t.Helper()
+	const senders, perSender = 16, 2
+	var cfg strings.Builder
+	cfg.WriteString("network edge sci\nnetwork core myrinet\n")
+	for i := 0; i < senders; i++ {
+		fmt.Fprintf(&cfg, "node s%d edge\n", i)
+	}
+	cfg.WriteString("node gw edge core\nnode sink core\nfault seed 5\nfault drop * 0.01\n")
+	sys, err := madeleine.NewSystem(cfg.String(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Health() == nil {
+		t.Fatal("Health() = nil on a reliable system")
+	}
+	rng := rand.New(rand.NewSource(senders*7919 + 13))
+	run := starRun{latencies: make(map[string][]madeleine.Duration)}
+	sizes := make(map[string][]int)
+	for i := 0; i < senders; i++ {
+		name := fmt.Sprintf("s%d", i)
+		for m := 0; m < perSender; m++ {
+			size := 64 + rng.Intn(1024)
+			if i%5 == 0 {
+				size = 24*1024 + rng.Intn(48*1024)
+			}
+			sizes[name] = append(sizes[name], size)
+		}
+		fill := byte(i + 1)
+		sys.Spawn("send:"+name, func(p *madeleine.Proc) {
+			for _, size := range sizes[name] {
+				t0 := p.Now()
+				px := sys.At(name).BeginPacking(p, "sink")
+				px.Pack(p, bytes.Repeat([]byte{fill}, size), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				px.EndPacking(p)
+				run.latencies[name] = append(run.latencies[name], p.Now().Sub(t0))
+			}
+		})
+	}
+	sys.Spawn("recv:sink", func(p *madeleine.Proc) {
+		seen := make(map[string]int)
+		for i := 0; i < senders*perSender; i++ {
+			u := sys.At("sink").BeginUnpacking(p)
+			from := sys.NodeName(u.From())
+			size := sizes[from][seen[from]]
+			seen[from]++
+			got := make([]byte, size)
+			u.Unpack(p, got, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if fill := got[0]; from != fmt.Sprintf("s%d", fill-1) || !bytes.Equal(got, bytes.Repeat([]byte{fill}, size)) {
+				t.Errorf("message %d from %s corrupted", seen[from]-1, from)
+			}
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	run.end, run.delivery, run.flow = sys.Now(), sys.DeliveryStats(), sys.FlowStats()
+	run.transitions = sys.Health().Transitions()
+	return run
+}
+
+// TestReliableDeliveryHasOneShape: there is one reliable engine, so the options
+// that used to pick between its four shapes — the failure detector or the
+// engine's own dead-link guesses, the fair relay daemon or the FIFO one — pick
+// nothing any more. WithReliableDelivery alone, with WithFlowControl (reliable
+// mode has no credit layer: the option armed the fair relay and nothing else)
+// and with the detector's defaults spelled out are the same program and run
+// the same lossy many-sender incast to the same virtual nanosecond. Before
+// PR 22 the three differed (and the first had no Health() to ask).
+func TestReliableDeliveryHasOneShape(t *testing.T) {
+	alone := runReliableStar(t, madeleine.WithReliableDelivery())
+	if alone.delivery.Retransmits == 0 {
+		t.Error("1% loss run saw zero retransmissions: the legs agree about nothing")
+	}
+	if alone.flow.SchedRounds == 0 || alone.flow.Accounts != 0 {
+		t.Errorf("reliable delivery alone: %+v, want relay scheduler rounds and no credit account", alone.flow)
+	}
+	for _, leg := range []struct {
+		name string
+		opt  madeleine.Option
+	}{
+		{"WithFlowControl", madeleine.WithFlowControl()},
+		{"WithHealthConfig(defaults)", madeleine.WithHealthConfig(madeleine.DefaultHealthConfig())},
+	} {
+		if got := runReliableStar(t, madeleine.WithReliableDelivery(), leg.opt); !reflect.DeepEqual(got, alone) {
+			t.Errorf("with %s the run differs from WithReliableDelivery alone:\n  got %+v\n want %+v", leg.name, got, alone)
+		}
 	}
 }

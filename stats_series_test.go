@@ -46,8 +46,8 @@ var statSources = map[string]statSource{
 	"Flow.CreditsSpent":   {series: "madgo_flow_credits_spent_total"},
 	"Flow.Stalls":         {series: "madgo_flow_credit_stalls_total"},
 	"Flow.StallTime":      {why: "exact nanoseconds; madgo_flow_credit_stall_seconds is a histogram of float seconds and exists only with a registry"},
-	"Flow.SchedRounds":    {why: "the round count flow.DRR keeps for its own algorithm; madgo_flow_sched_rounds_total follows it once per visit, on streaming gateways only"},
-	"Flow.Backpressure":   {series: "madgo_flow_backpressure_total"},
+	"Flow.SchedRounds":    {why: "the round count flow.DRR keeps for its own algorithm, summed over streaming gateways' schedulers and every reliable engine's relay queue; madgo_flow_sched_rounds_total follows it once per visit, on streaming gateways only"},
+	"Flow.Backpressure":   {series: "madgo_flow_backpressure_total"}, // every reliable engine's, with or without WithFlowControl
 
 	"Agg.SubMessages":     {series: "madgo_agg_submessages_total"},
 	"Agg.Frames":          {series: "madgo_agg_frames_total"},
@@ -237,6 +237,31 @@ func TestStatsFieldsAndSeriesAudit(t *testing.T) {
 	for n := range seriesOnly {
 		if !emitted[n] {
 			t.Errorf("seriesOnly lists %s, which internal/fwd and internal/hw no longer emit", n)
+		}
+	}
+}
+
+// TestReliableAloneRegistersRelaySeries: the relay queue's refusals are a
+// series of every reliable engine, present at zero before any traffic, whether
+// or not WithFlowControl was given.
+func TestReliableAloneRegistersRelaySeries(t *testing.T) {
+	m := madeleine.NewMetrics()
+	sys, err := madeleine.NewSystem(demoConfig, madeleine.WithReliableDelivery(), madeleine.WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make(map[string]bool)
+	for _, s := range m.Samples() {
+		if s.Name == "madgo_flow_backpressure_total" {
+			nodes[s.Labels["node"]] = true
+			if s.Value != 0 {
+				t.Errorf("backpressure on %s reads %v before any traffic", s.Labels["node"], s.Value)
+			}
+		}
+	}
+	for _, n := range sys.Topology.Nodes() {
+		if !nodes[n.Name] {
+			t.Errorf("no madgo_flow_backpressure_total series for node %s", n.Name)
 		}
 	}
 }
