@@ -34,11 +34,12 @@ import (
 	"time"
 
 	madeleine "madgo"
+	"madgo/cmd/internal/cli"
 )
 
 func main() {
 	var (
-		config = flag.String("config", "", "topology file (default: the paper testbed)")
+		shared = cli.Register(flag.CommandLine, true, "")
 		from   = flag.String("from", "a1", "source node")
 		to     = flag.String("to", "b1", "destination node")
 		sizes  = flag.String("sizes", "4096,16384,65536,262144,1048576,4194304", "comma-separated message sizes in bytes")
@@ -47,9 +48,6 @@ func main() {
 		rails  = flag.Int("rails", 1, "stripe large messages across up to this many link-disjoint routes")
 		netmtu = flag.String("netmtu", "", "per-network MTU caps as name=bytes[,name=bytes...]; switches on path-MTU negotiation")
 
-		seed     = flag.Int64("seed", 1, "fault-injection seed")
-		loss     = flag.Float64("loss", 0, "packet drop probability (switches on reliable delivery)")
-		corrupt  = flag.Float64("corrupt", 0, "packet corruption probability (switches on reliable delivery)")
 		reliable = flag.Bool("reliable", false, "use reliable delivery even without faults")
 		flap     = flag.String("flap", "", "flap networks: network@start+duration[,...] (switches on reliable delivery)")
 	)
@@ -79,14 +77,7 @@ func main() {
 			opts = append(opts, madeleine.WithNetworkMTU(name, n))
 		}
 	}
-	if *loss > 0 || *corrupt > 0 || len(flaps) > 0 {
-		plan := madeleine.NewFaultPlan(*seed)
-		if *loss > 0 {
-			plan.Drop("*", *loss)
-		}
-		if *corrupt > 0 {
-			plan.Corrupt("*", *corrupt)
-		}
+	if plan := shared.FaultPlan(len(flaps) > 0); plan != nil {
 		for _, f := range flaps {
 			plan.Flap(f.net, f.at, f.dur)
 		}
@@ -95,19 +86,7 @@ func main() {
 		opts = append(opts, madeleine.WithReliableDelivery())
 	}
 
-	var sys *madeleine.System
-	var err error
-	if *config == "" {
-		sys, err = madeleine.NewSystemFromTopology(madeleine.PaperTestbed(),
-			append(opts, madeleine.WithMTU(*mtu),
-				madeleine.WithRouteNetworks("sci0", "myri0"))...)
-	} else {
-		text, rerr := os.ReadFile(*config)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		sys, err = madeleine.NewSystem(string(text), append(opts, madeleine.WithMTU(*mtu))...)
-	}
+	sys, err := shared.NewSystem(append(opts, madeleine.WithMTU(*mtu))...)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,25 +100,8 @@ func main() {
 		ns = append(ns, n)
 	}
 
-	starts := make([]madeleine.Time, len(ns))
-	ends := make([]madeleine.Time, len(ns))
-	sys.Spawn("ping", func(p *madeleine.Proc) {
-		for i, n := range ns {
-			starts[i] = p.Now()
-			px := sys.At(*from).BeginPacking(p, *to)
-			px.Pack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			px.EndPacking(p)
-		}
-	})
-	sys.Spawn("pong", func(p *madeleine.Proc) {
-		for i, n := range ns {
-			u := sys.At(*to).BeginUnpacking(p)
-			u.Unpack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			u.EndUnpacking(p)
-			ends[i] = p.Now()
-		}
-	})
-	if err := sys.Run(); err != nil {
+	starts, ends, err := cli.Stream(sys, *from, *to, ns)
+	if err != nil {
 		fatal(err)
 	}
 

@@ -27,11 +27,12 @@ import (
 	"strconv"
 
 	madeleine "madgo"
+	"madgo/cmd/internal/cli"
 )
 
 func main() {
 	var (
-		config = flag.String("config", "", "topology file (default: the paper testbed)")
+		shared = cli.Register(flag.CommandLine, true, "crash the gateway 'gw' at this virtual time (0 = never)")
 		from   = flag.String("from", "a1", "source node")
 		to     = flag.String("to", "b1", "destination node")
 		bytes  = flag.Int("bytes", 256*1024, "message size")
@@ -40,10 +41,6 @@ func main() {
 		depth  = flag.Int("depth", 2, "gateway pipeline depth (1 disables pipelining)")
 		rails  = flag.Int("rails", 1, "stripe large messages across up to this many link-disjoint routes")
 
-		seed    = flag.Int64("seed", 1, "fault-injection seed")
-		loss    = flag.Float64("loss", 0, "packet drop probability (switches on reliable delivery)")
-		corrupt = flag.Float64("corrupt", 0, "packet corruption probability (switches on reliable delivery)")
-		crash   = flag.Duration("crash", 0, "crash the gateway 'gw' at this virtual time (0 = never)")
 		flapNet = flag.String("flap", "", "flap this network mid-run (switches on reliable delivery)")
 		flapAt  = flag.Duration("flapat", 0, "virtual time the -flap outage starts (default 50ms)")
 		flapFor = flag.Duration("flapfor", 0, "virtual duration of the -flap outage (default 100ms)")
@@ -79,17 +76,7 @@ func main() {
 			opts = append(opts, madeleine.WithCreditWindow(*window))
 		}
 	}
-	if *loss > 0 || *corrupt > 0 || *crash > 0 || *flapNet != "" {
-		plan := madeleine.NewFaultPlan(*seed)
-		if *loss > 0 {
-			plan.Drop("*", *loss)
-		}
-		if *corrupt > 0 {
-			plan.Corrupt("*", *corrupt)
-		}
-		if *crash > 0 {
-			plan.Crash("gw", madeleine.Time(crash.Nanoseconds()), 0)
-		}
+	if plan := shared.FaultPlan(*flapNet != ""); plan != nil {
 		if *flapNet != "" {
 			at, dur := *flapAt, *flapFor
 			if at == 0 {
@@ -103,38 +90,16 @@ func main() {
 		opts = append(opts, madeleine.WithFaults(plan))
 	}
 
-	var sys *madeleine.System
-	var err error
-	if *config == "" {
-		sys, err = madeleine.NewSystemFromTopology(madeleine.PaperTestbed(),
-			append(opts, madeleine.WithRouteNetworks("sci0", "myri0"))...)
-	} else {
-		text, rerr := os.ReadFile(*config)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		sys, err = madeleine.NewSystem(string(text), opts...)
-	}
+	sys, err := shared.NewSystem(opts...)
 	if err != nil {
 		fatal(err)
 	}
 
-	n, k := *bytes, *count
-	sys.Spawn("stream", func(p *madeleine.Proc) {
-		for i := 0; i < k; i++ {
-			px := sys.At(*from).BeginPacking(p, *to)
-			px.Pack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			px.EndPacking(p)
-		}
-	})
-	sys.Spawn("drain", func(p *madeleine.Proc) {
-		for i := 0; i < k; i++ {
-			u := sys.At(*to).BeginUnpacking(p)
-			u.Unpack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			u.EndUnpacking(p)
-		}
-	})
-	if err := sys.Run(); err != nil {
+	sizes := make([]int, *count)
+	for i := range sizes {
+		sizes[i] = *bytes
+	}
+	if _, _, err := cli.Stream(sys, *from, *to, sizes); err != nil {
 		fatal(err)
 	}
 

@@ -21,6 +21,7 @@ import (
 	"os"
 
 	madeleine "madgo"
+	"madgo/cmd/internal/cli"
 )
 
 func main() {
@@ -36,10 +37,7 @@ func main() {
 		chromeOut = flag.String("chrome", "", "write Chrome trace_event JSON (Perfetto-loadable) to this file")
 		budget    = flag.Bool("budget", false, "print per-message latency budgets and the critical-path diagnosis")
 
-		seed    = flag.Int64("seed", 1, "fault-injection seed")
-		loss    = flag.Float64("loss", 0, "packet drop probability (switches on reliable delivery)")
-		corrupt = flag.Float64("corrupt", 0, "packet corruption probability (switches on reliable delivery)")
-		crash   = flag.Duration("crash", 0, "crash the gateway at this virtual time (0 = never)")
+		shared = cli.Register(flag.CommandLine, false, "crash the gateway at this virtual time (0 = never)")
 	)
 	flag.Parse()
 
@@ -59,44 +57,23 @@ func main() {
 	opts := []madeleine.Option{
 		madeleine.WithMTU(*mtu), madeleine.WithPipelineDepth(*depth),
 		madeleine.WithTracer(tr), madeleine.WithMetrics(m),
-		madeleine.WithRouteNetworks("sci0", "myri0"),
 	}
-	if *loss > 0 || *corrupt > 0 || *crash > 0 {
-		plan := madeleine.NewFaultPlan(*seed)
-		if *loss > 0 {
-			plan.Drop("*", *loss)
-		}
-		if *corrupt > 0 {
-			plan.Corrupt("*", *corrupt)
-		}
-		if *crash > 0 {
-			plan.Crash("gw", madeleine.Time(crash.Nanoseconds()), 0)
-		}
+	if plan := shared.FaultPlan(false); plan != nil {
 		opts = append(opts, madeleine.WithFaults(plan))
 	}
-	sys, err := madeleine.NewSystemFromTopology(madeleine.PaperTestbed(), opts...)
+	sys, err := shared.NewSystem(opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "madtrace:", err)
 		os.Exit(1)
 	}
 
 	n := *bytes
-	var done madeleine.Time
-	sys.Spawn("stream", func(p *madeleine.Proc) {
-		px := sys.At(src).BeginPacking(p, dst)
-		px.Pack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	sys.Spawn("drain", func(p *madeleine.Proc) {
-		u := sys.At(dst).BeginUnpacking(p)
-		u.Unpack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
-		u.EndUnpacking(p)
-		done = p.Now()
-	})
-	if err := sys.Run(); err != nil {
+	_, ends, err := cli.Stream(sys, src, dst, []int{n})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "madtrace:", err)
 		os.Exit(1)
 	}
+	done := ends[0]
 
 	if *chromeOut != "" {
 		f, err := os.Create(*chromeOut)

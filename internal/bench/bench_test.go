@@ -250,7 +250,7 @@ func TestGatewayZeroCopyOnLongStreams(t *testing.T) {
 	// Regression: with the post-gated ingress the gateway must not copy
 	// payload even when the sender could stream far ahead.
 	tb := NewTestbed(fwd.DefaultConfig())
-	tb.Stream("a1", "b1", 4096*kb)
+	tb.Stream("a1", "b1", 4096*kb, 1)
 	gw := tb.Sess.NodeByName("gw").Host
 	if gw.BytesCopied() > 64 {
 		t.Errorf("gateway copied %d bytes on a dyn→dyn stream (want ≈header only)", gw.BytesCopied())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
@@ -90,33 +91,29 @@ type b1Out struct {
 // baseline — and measures aggregate goodput over the slowest receiver's
 // makespan.
 func runB1Stream(multicast bool, size, count, n int) b1Out {
-	cb := newCustomBed(b1Topo(), fwd.DefaultConfig())
+	cb := newBed(assembly.Spec{Topo: b1Topo(), Config: fwd.DefaultConfig()})
 	dests := b1Dests(n)
-	cb.sim.Spawn("b1:root", func(p *vtime.Proc) {
+	cb.Sim.Spawn("b1:root", func(p *vtime.Proc) {
 		for m := 0; m < count; m++ {
 			payload := b1Payload(size, m)
 			if multicast {
-				px := cb.vc.At("a0").BeginMulticast(p, dests...)
+				px := cb.VC.At("a0").BeginMulticast(p, dests...)
 				px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
 				px.EndPacking(p)
 				continue
 			}
 			for _, d := range dests {
-				px := cb.vc.At("a0").BeginPacking(p, d)
-				px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-				px.EndPacking(p)
+				cb.send(p, "a0", d, payload)
 			}
 		}
 	})
 	done := make([]vtime.Time, len(dests))
 	for i, d := range dests {
 		i, d := i, d
-		cb.sim.Spawn("b1:recv:"+d, func(p *vtime.Proc) {
+		cb.Sim.Spawn("b1:recv:"+d, func(p *vtime.Proc) {
 			buf := make([]byte, size)
 			for m := 0; m < count; m++ {
-				u := cb.vc.At(d).BeginUnpacking(p)
-				u.Unpack(p, buf, mad.SendCheaper, mad.ReceiveCheaper)
-				u.EndUnpacking(p)
+				cb.recv(p, d, buf)
 				if !bytes.Equal(buf, b1Payload(size, m)) {
 					panic(fmt.Sprintf("b1: %s received a corrupted copy of message %d", d, m))
 				}
@@ -124,9 +121,7 @@ func runB1Stream(multicast bool, size, count, n int) b1Out {
 			done[i] = p.Now()
 		})
 	}
-	if err := cb.sim.Run(); err != nil {
-		panic(err)
-	}
+	cb.run()
 	var makespan vtime.Time
 	for _, t := range done {
 		if t > makespan {
@@ -135,7 +130,7 @@ func runB1Stream(multicast bool, size, count, n int) b1Out {
 	}
 	return b1Out{
 		MBps:    mbps(n*size*count, vtime.Duration(makespan)),
-		Ingress: cb.vc.Gateway("gw1").Bytes(),
+		Ingress: cb.VC.Gateway("gw1").Bytes(),
 	}
 }
 

@@ -3,11 +3,12 @@ package bench
 import (
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/drivers/bip"
 	"madgo/internal/drivers/sisci"
 	"madgo/internal/fwd"
-	"madgo/internal/hw"
 	"madgo/internal/mad"
+	"madgo/internal/topo"
 	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
@@ -191,7 +192,7 @@ func runT2(o Options) *Result {
 	if o.Quick {
 		n = 1024 * kb
 	}
-	tb.Stream("a1", "b1", n)
+	tb.Stream("a1", "b1", n, 1)
 
 	recvMean, _ := tr.SteadyMean("gw:recv:sci0", "recv", 4, 4)
 	sendMean, _ := tr.SteadyMean("gw:send:myri0", "send", 4, 4)
@@ -234,7 +235,7 @@ func runT3(o Options) *Result {
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 16 * kb
 	cfg.Tracer = tr
-	NewTestbed(cfg).Stream("b1", "a1", n)
+	NewTestbed(cfg).Stream("b1", "a1", n, 1)
 	stretched, _ := tr.SteadyMean("gw:recv:myri0", "recv", 4, 4)
 	stretchedSend, _ := tr.SteadyMean("gw:send:sci0", "send", 4, 4)
 
@@ -262,10 +263,9 @@ func runTimeline(o Options, id, src, dst string) *Result {
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 32 * kb
 	cfg.Tracer = tr
-	tb := NewTestbed(cfg)
-	total := tb.Stream(src, dst, 256*kb)
+	_, ends := NewTestbed(cfg).Stream(src, dst, 256*kb, 1)
 	r := &Result{ID: id, Title: fmt.Sprintf("gateway pipeline timeline %s→%s (256 KB message, 32 KB packets)", src, dst)}
-	r.Notes = append(r.Notes, "\n"+tb.Tracer.Timeline(0, vtime.Time(total), 100))
+	r.Notes = append(r.Notes, "\n"+tr.Timeline(0, ends[0], 100))
 	for _, s := range tr.Spans() {
 		r.Notes = append(r.Notes, s.String())
 	}
@@ -432,13 +432,11 @@ func runA6(o Options) *Result {
 		{"sci-pio (default)", nil},
 		{"sci-dma (workaround)", sisci.NewDMA()},
 	} {
-		cfg := fwd.DefaultConfig()
-		var tb *Testbed
-		if mode.drv == nil {
-			tb = NewTestbed(cfg)
-		} else {
-			tb = NewTestbedDrivers(cfg, map[string]mad.Driver{"sci": mode.drv})
+		var override map[string]mad.Driver
+		if mode.drv != nil {
+			override = map[string]mad.Driver{"sci": mode.drv}
 		}
+		tb := NewTestbedDrivers(fwd.DefaultConfig(), override)
 		s := Series{Name: mode.name}
 		for _, m := range tb.PingSeries("b1", "a1", sizes) {
 			s.Points = append(s.Points, Point{X: float64(m.Bytes), Y: m.MBps()})
@@ -466,36 +464,11 @@ func runA7(o Options) *Result {
 		blocks = 128
 	}
 	measure := func(sg bool) (vtime.Duration, int64) {
-		sim := vtime.New()
-		pl := hw.NewPlatform(sim)
-		sess := mad.NewSession(pl)
-		a := sess.AddNode("a")
-		b := sess.AddNode("b")
 		base := bip.New()
 		caps := base.Caps()
 		caps.ScatterGather = sg
-		var drv mad.Driver = capsDriver{Driver: base, caps: caps}
-		ch := sess.NewChannel("c", pl.NewNetwork("m", base.NIC()), drv, a, b)
-		var done vtime.Time
-		sim.Spawn("s", func(p *vtime.Proc) {
-			px := ch.At(a).BeginPacking(p, b.Rank)
-			for i := 0; i < blocks; i++ {
-				px.Pack(p, make([]byte, blockSize), mad.SendCheaper, mad.ReceiveCheaper)
-			}
-			px.EndPacking(p)
-		})
-		sim.Spawn("r", func(p *vtime.Proc) {
-			u := ch.At(b).BeginUnpacking(p)
-			for i := 0; i < blocks; i++ {
-				u.Unpack(p, make([]byte, blockSize), mad.SendCheaper, mad.ReceiveCheaper)
-			}
-			u.EndUnpacking(p)
-			done = p.Now()
-		})
-		if err := sim.Run(); err != nil {
-			panic(err)
-		}
-		return vtime.Duration(done), a.Host.BytesCopied()
+		rp := newRawPair("myrinet", capsDriver{Driver: base, caps: caps})
+		return rp.oneWay([]int{blockSize}, blocks)[0], rp.A.Host.BytesCopied()
 	}
 	sgTime, sgCopied := measure(true)
 	cpTime, cpCopied := measure(false)
@@ -513,21 +486,33 @@ func runA7(o Options) *Result {
 	return r
 }
 
+// topoSBP is the a5 topology: a Myrinet cluster bridged to an SBP
+// (static-buffer) network.
+func topoSBP() *topo.Topology {
+	tp, err := topo.NewBuilder().
+		Network("myri0", "myrinet").
+		Network("sbp0", "sbp").
+		Node("a", "myri0").
+		Node("g", "myri0", "sbp0").
+		Node("b", "sbp0").
+		Build()
+	if err != nil {
+		panic(err)
+	}
+	return tp
+}
+
 func runA5(o Options) *Result {
 	n := 1024 * kb
 	if o.Quick {
 		n = 256 * kb
 	}
 	measure := func(zeroCopy bool) (float64, int64) {
-		tpb, err := topoSBP()
-		if err != nil {
-			panic(err)
-		}
 		cfg := fwd.DefaultConfig()
 		cfg.ZeroCopy = zeroCopy
-		w := newCustomBed(tpb, cfg)
-		d := w.stream("a", "b", n)
-		return mbps(n, d), w.sess.NodeByName("g").Host.BytesCopied()
+		w := newBed(assembly.Spec{Topo: topoSBP(), Config: cfg})
+		_, ends := w.Stream("a", "b", n, 1)
+		return mbps(n, makespan(ends)), w.Sess.NodeByName("g").Host.BytesCopied()
 	}
 	zcBW, zcCopies := measure(true)
 	cpBW, cpCopies := measure(false)

@@ -3,13 +3,10 @@ package bench
 import (
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/flight"
 	"madgo/internal/fwd"
-	"madgo/internal/hw"
-	"madgo/internal/mad"
 	"madgo/internal/obs"
-	"madgo/internal/topo"
-	"madgo/internal/vtime"
 )
 
 func init() {
@@ -39,52 +36,20 @@ type flightRun struct {
 
 // runFlightStream streams one n-byte message Myrinet→SCI through the paper
 // testbed at the given pipeline depth and packet size, with the flight
-// recorder armed or not. It mirrors observedStream but builds by hand so
-// the recorder is in place before the first instrumented layer runs.
+// recorder armed or not; the assembly has the recorder in place before the
+// first instrumented layer runs.
 func runFlightStream(depth, pkt, n int, record bool) flightRun {
-	tp := topo.PaperTestbed()
-	hs, err := tp.Restrict("sci0", "myri0")
-	if err != nil {
-		panic(err)
-	}
-	sim := vtime.New()
-	pl := hw.NewPlatform(sim)
 	m := obs.New()
-	pl.SetMetrics(m)
 	var rec *flight.Recorder
 	if record {
 		rec = flight.NewRecorder(0)
-		pl.SetFlight(rec)
-	}
-	sess := mad.NewSession(pl)
-	bindings := make(map[string]fwd.Binding)
-	for _, nw := range hs.Networks() {
-		drv := driverFor(nw.Protocol)
-		bindings[nw.Name] = fwd.Binding{Net: pl.NewNetwork(nw.Name, drv.NIC()), Drv: drv}
 	}
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = pkt
 	cfg.PipelineDepth = depth
-	vc, err := fwd.Build(sess, hs, bindings, cfg)
-	if err != nil {
-		panic(err)
-	}
-	var done vtime.Time
-	sim.Spawn("stream", func(p *vtime.Proc) {
-		px := vc.At("b1").BeginPacking(p, "a1")
-		px.Pack(p, make([]byte, n), mad.SendCheaper, mad.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	sim.Spawn("drain", func(p *vtime.Proc) {
-		u := vc.At("a1").BeginUnpacking(p)
-		u.Unpack(p, make([]byte, n), mad.SendCheaper, mad.ReceiveCheaper)
-		u.EndUnpacking(p)
-		done = p.Now()
-	})
-	if err := sim.Run(); err != nil {
-		panic(err)
-	}
-	out := flightRun{MBps: mbps(n, vtime.Duration(done))}
+	bed := newBed(assembly.Spec{Topo: paperHS(), Config: cfg, Metrics: m, Flight: rec})
+	_, ends := bed.Stream("b1", "a1", n, 1)
+	out := flightRun{MBps: mbps(n, makespan(ends))}
 	if record {
 		events := rec.Events()
 		out.Events = len(events)
@@ -93,7 +58,7 @@ func runFlightStream(depth, pkt, n int, record bool) flightRun {
 		for _, id := range m.Messages() {
 			budgets = append(budgets, flight.AnalyzeMessage(id, m.MessageTrace(id), byMsg[id]))
 		}
-		out.Diag = flight.Diagnose(budgets, events, vc.DiagnosisSignals())
+		out.Diag = flight.Diagnose(budgets, events, bed.VC.DiagnosisSignals())
 	}
 	return out
 }

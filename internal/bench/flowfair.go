@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/flow"
 	"madgo/internal/fwd"
-	"madgo/internal/mad"
 	"madgo/internal/topo"
 	"madgo/internal/vtime"
 )
@@ -91,16 +91,14 @@ type c1Out struct {
 func runIncast(wl c1Workload, flowOn bool) c1Out {
 	cfg := fwd.DefaultConfig()
 	cfg.FlowControl = flowOn
-	cb := newCustomBed(wl.topo(), cfg)
+	cb := newBed(assembly.Spec{Topo: wl.topo(), Config: cfg})
 	for i := 0; i < wl.Senders; i++ {
 		name := wl.name(i)
 		size, count := wl.msgSize(name)
-		cb.sim.Spawn("incast:"+name, func(p *vtime.Proc) {
+		cb.Sim.Spawn("incast:"+name, func(p *vtime.Proc) {
 			payload := make([]byte, size)
 			for m := 0; m < count; m++ {
-				px := cb.vc.At(name).BeginPacking(p, "sink")
-				px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-				px.EndPacking(p)
+				cb.send(p, name, "sink", payload)
 			}
 		})
 	}
@@ -112,22 +110,21 @@ func runIncast(wl c1Workload, flowOn bool) c1Out {
 		left[wl.name(i)] = count
 		totalMsgs += count
 	}
-	cb.sim.Spawn("incast:sink", func(p *vtime.Proc) {
+	cb.Sim.Spawn("incast:sink", func(p *vtime.Proc) {
 		for i := 0; i < totalMsgs; i++ {
-			u := cb.vc.At("sink").BeginUnpacking(p)
-			from := cb.sess.Node(u.From()).Name
-			size, _ := wl.msgSize(from)
-			u.Unpack(p, make([]byte, size), mad.SendCheaper, mad.ReceiveCheaper)
-			u.EndUnpacking(p)
+			var from string
+			cb.recvFrom(p, "sink", func(sender string) []byte {
+				from = sender
+				size, _ := wl.msgSize(from)
+				return make([]byte, size)
+			})
 			left[from]--
 			if left[from] == 0 {
 				doneAt[from] = p.Now()
 			}
 		}
 	})
-	if err := cb.sim.Run(); err != nil {
-		panic(err)
-	}
+	cb.run()
 	goodputs := make([]float64, 0, wl.Senders)
 	out := c1Out{MinMBps: -1}
 	for i := 0; i < wl.Senders; i++ {
@@ -150,7 +147,7 @@ func runIncast(wl c1Workload, flowOn bool) c1Out {
 	}
 	out.Jain = flow.Jain(goodputs)
 	out.AggMBps = mbps(wl.total(), out.Makespan)
-	out.Stats = cb.vc.FlowStats()
+	out.Stats = cb.VC.FlowStats()
 	return out
 }
 
@@ -163,36 +160,32 @@ func incastCeiling(wl c1Workload) float64 {
 	one := wl
 	one.Senders = 1
 	one.Elephants = 1
-	cb := newCustomBed(one.topo(), fwd.DefaultConfig())
+	cb := newBed(assembly.Spec{Topo: one.topo(), Config: fwd.DefaultConfig()})
+	// The mix as (size, count) runs, elephants first: sender and sink walk
+	// the same list.
+	mix := [][2]int{
+		{wl.EleMsg, wl.EleCount * wl.Elephants},
+		{wl.MouseMsg, wl.MouseCnt * (wl.Senders - wl.Elephants)},
+	}
 	var done vtime.Time
-	cb.sim.Spawn("ceiling:send", func(p *vtime.Proc) {
-		send := func(size, count int) {
-			payload := make([]byte, size)
-			for m := 0; m < count; m++ {
-				px := cb.vc.At("e0").BeginPacking(p, "sink")
-				px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-				px.EndPacking(p)
+	cb.Sim.Spawn("ceiling:send", func(p *vtime.Proc) {
+		for _, run := range mix {
+			payload := make([]byte, run[0])
+			for m := 0; m < run[1]; m++ {
+				cb.send(p, "e0", "sink", payload)
 			}
 		}
-		send(wl.EleMsg, wl.EleCount*wl.Elephants)
-		send(wl.MouseMsg, wl.MouseCnt*(wl.Senders-wl.Elephants))
 	})
-	cb.sim.Spawn("ceiling:sink", func(p *vtime.Proc) {
-		for i := 0; i < wl.EleCount*wl.Elephants; i++ {
-			u := cb.vc.At("sink").BeginUnpacking(p)
-			u.Unpack(p, make([]byte, wl.EleMsg), mad.SendCheaper, mad.ReceiveCheaper)
-			u.EndUnpacking(p)
-		}
-		for i := 0; i < wl.MouseCnt*(wl.Senders-wl.Elephants); i++ {
-			u := cb.vc.At("sink").BeginUnpacking(p)
-			u.Unpack(p, make([]byte, wl.MouseMsg), mad.SendCheaper, mad.ReceiveCheaper)
-			u.EndUnpacking(p)
+	cb.Sim.Spawn("ceiling:sink", func(p *vtime.Proc) {
+		for _, run := range mix {
+			buf := make([]byte, run[0])
+			for m := 0; m < run[1]; m++ {
+				cb.recv(p, "sink", buf)
+			}
 		}
 		done = p.Now()
 	})
-	if err := cb.sim.Run(); err != nil {
-		panic(err)
-	}
+	cb.run()
 	return mbps(wl.total(), vtime.Duration(done))
 }
 

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 
+	"madgo/internal/assembly"
 	"madgo/internal/fwd"
 	"madgo/internal/hw"
-	"madgo/internal/mad"
 	"madgo/internal/obs"
-	"madgo/internal/topo"
-	"madgo/internal/vtime"
 )
 
 func init() {
@@ -22,51 +20,16 @@ func init() {
 	})
 }
 
-// observedStream builds the restricted paper testbed in streaming mode with
-// a metrics registry armed, streams n bytes src→dst, and returns the
-// registry.
-func observedStream(src, dst string, n, mtu int) *obs.Registry {
-	tp := topo.PaperTestbed()
-	hs, err := tp.Restrict("sci0", "myri0")
-	if err != nil {
-		panic(err)
-	}
-	sim := vtime.New()
-	pl := hw.NewPlatform(sim)
-	m := obs.New()
-	pl.SetMetrics(m)
-	sess := mad.NewSession(pl)
-	bindings := make(map[string]fwd.Binding)
-	for _, nw := range hs.Networks() {
-		drv := driverFor(nw.Protocol)
-		bindings[nw.Name] = fwd.Binding{Net: pl.NewNetwork(nw.Name, drv.NIC()), Drv: drv}
-	}
-	vc, err := fwd.Build(sess, hs, bindings, fwd.Config{MTU: mtu, PipelineDepth: 2, ZeroCopy: true})
-	if err != nil {
-		panic(err)
-	}
-	sim.Spawn("stream", func(p *vtime.Proc) {
-		px := vc.At(src).BeginPacking(p, dst)
-		px.Pack(p, make([]byte, n), mad.SendCheaper, mad.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	sim.Spawn("drain", func(p *vtime.Proc) {
-		u := vc.At(dst).BeginUnpacking(p)
-		u.Unpack(p, make([]byte, n), mad.SendCheaper, mad.ReceiveCheaper)
-		u.EndUnpacking(p)
-	})
-	if err := sim.Run(); err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func runO1(o Options) *Result {
 	n := 4096 * kb
 	if o.Quick {
 		n = 512 * kb
 	}
-	m := observedStream("a1", "b1", n, 8*kb)
+	// The paper testbed in streaming mode with a metrics registry armed.
+	m := obs.New()
+	cfg := fwd.DefaultConfig()
+	cfg.MTU = 8 * kb
+	newBed(assembly.Spec{Topo: paperHS(), Config: cfg, Metrics: m}).Stream("a1", "b1", n, 1)
 
 	gw := obs.Labels{"gateway": "gw"}
 	const name = "madgo_gateway_swap_seconds"

@@ -6,7 +6,6 @@ import (
 	"madgo/internal/fwd"
 	"madgo/internal/obs"
 	"madgo/internal/trace"
-	"madgo/internal/vtime"
 )
 
 func init() {
@@ -47,12 +46,12 @@ func runP1(o Options) *Result {
 			cfg.PipelineDepth = depth
 			cfg.Tracer = tr
 			tb := NewTestbed(cfg)
-			done := tb.Stream(src, dst, msg)
-			goodput := mbps(msg, done)
+			_, ends := tb.Stream(src, dst, msg, 1)
+			goodput := mbps(msg, makespan(ends))
 			s.Points = append(s.Points, Point{X: float64(pkt), Y: goodput})
 			if pkt == stallPkt {
 				frac := 0.0
-				for _, l := range obs.AnalyzeLanes(tr, 0, vtime.Time(done)) {
+				for _, l := range obs.AnalyzeLanes(tr, 0, ends[0]) {
 					if l.Actor == "gw:recv:myri0" {
 						frac = float64(l.Stall) / float64(l.Window)
 					}

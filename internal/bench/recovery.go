@@ -3,12 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"madgo/internal/drivers/sisci"
 	"madgo/internal/fault"
 	"madgo/internal/fwd"
 	"madgo/internal/health"
-	"madgo/internal/hw"
-	"madgo/internal/mad"
 	"madgo/internal/vtime"
 )
 
@@ -44,60 +41,18 @@ type recoveryOutcome struct {
 // into pre-fault, faulted and recovered phases around the re-admission
 // transition the monitor logs.
 func runRecovery(count, n int, flapAt vtime.Time, flapDur vtime.Duration) recoveryOutcome {
-	tp := dualRailTopo()
-	sim := vtime.New()
-	pl := hw.NewPlatform(sim)
-	plan := fault.NewPlan(42).Flap("sci0", flapAt, flapDur)
-	if err := plan.Validate(); err != nil {
-		panic(err)
-	}
-	pl.ArmFaults(fault.NewInjector(plan, nil))
-	sess := mad.NewSession(pl)
-	bindings := make(map[string]fwd.Binding)
-	for _, nw := range tp.Networks() {
-		var drv mad.Driver = driverFor(nw.Protocol)
-		if nw.Protocol == "sci" {
-			drv = sisci.NewDMA()
-		}
-		bindings[nw.Name] = fwd.Binding{Net: pl.NewNetwork(nw.Name, drv.NIC()), Drv: drv}
-	}
 	cfg := fwd.DefaultConfig()
 	cfg.Reliable = true
 	cfg.StripeK = 2
-	vc, err := fwd.Build(sess, tp, bindings, cfg)
-	if err != nil {
-		panic(err)
-	}
-	mon := vc.Health()
-	starts := make([]vtime.Time, count)
-	ends := make([]vtime.Time, count)
-	payload := make([]byte, n)
-	sim.Spawn("stream:a", func(p *vtime.Proc) {
-		for i := 0; i < count; i++ {
-			starts[i] = p.Now()
-			px := vc.At("a").BeginPacking(p, "b")
-			px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-			px.EndPacking(p)
-		}
-	})
-	sim.Spawn("drain:b", func(p *vtime.Proc) {
-		buf := make([]byte, n)
-		for i := 0; i < count; i++ {
-			u := vc.At("b").BeginUnpacking(p)
-			u.Unpack(p, buf, mad.SendCheaper, mad.ReceiveCheaper)
-			u.EndUnpacking(p)
-			ends[i] = p.Now()
-		}
-	})
-	if err := sim.Run(); err != nil {
-		panic(err)
-	}
+	bed := dualRailBed(cfg, fault.NewPlan(42).Flap("sci0", flapAt, flapDur))
+	mon := bed.VC.Health()
+	starts, ends := bed.Stream("a", "b", n, count)
 
 	out := recoveryOutcome{
 		Readmissions: mon.Readmissions(),
 		Epoch:        mon.Epoch(),
 		Probes:       mon.Probes(),
-		Stripe:       vc.StripeStats(),
+		Stripe:       bed.VC.StripeStats(),
 	}
 	// The healing instant is the last probation -> up transition; everything
 	// from the flap start until then is the faulted phase.

@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/fault"
 	"madgo/internal/fwd"
-	"madgo/internal/hw"
-	"madgo/internal/mad"
-	"madgo/internal/topo"
 	"madgo/internal/vtime"
 )
 
@@ -24,48 +22,11 @@ func init() {
 // the given fault plan armed, streams n bytes src→dst, and returns the
 // one-way duration plus the recovery and acknowledgement statistics.
 func reliableStream(src, dst string, n int, plan *fault.Plan) (vtime.Duration, fwd.DeliveryStats, fwd.AckStats) {
-	tp := topo.PaperTestbed()
-	hs, err := tp.Restrict("sci0", "myri0")
-	if err != nil {
-		panic(err)
-	}
-	sim := vtime.New()
-	pl := hw.NewPlatform(sim)
-	if plan != nil {
-		if err := plan.Validate(); err != nil {
-			panic(err)
-		}
-		pl.ArmFaults(fault.NewInjector(plan, nil))
-	}
-	sess := mad.NewSession(pl)
-	bindings := make(map[string]fwd.Binding)
-	for _, nw := range hs.Networks() {
-		drv := driverFor(nw.Protocol)
-		bindings[nw.Name] = fwd.Binding{Net: pl.NewNetwork(nw.Name, drv.NIC()), Drv: drv}
-	}
 	cfg := fwd.DefaultConfig()
 	cfg.Reliable = true
-	vc, err := fwd.Build(sess, hs, bindings, cfg)
-	if err != nil {
-		panic(err)
-	}
-	var done vtime.Time
-	payload := make([]byte, n)
-	sim.Spawn("stream:"+src, func(p *vtime.Proc) {
-		px := vc.At(src).BeginPacking(p, dst)
-		px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	sim.Spawn("drain:"+dst, func(p *vtime.Proc) {
-		u := vc.At(dst).BeginUnpacking(p)
-		u.Unpack(p, make([]byte, n), mad.SendCheaper, mad.ReceiveCheaper)
-		u.EndUnpacking(p)
-		done = p.Now()
-	})
-	if err := sim.Run(); err != nil {
-		panic(err)
-	}
-	return vtime.Duration(done), vc.DeliveryStats(), vc.AckStats()
+	bed := newBed(assembly.Spec{Topo: paperHS(), Config: cfg, Faults: plan})
+	_, ends := bed.Stream(src, dst, n, 1)
+	return makespan(ends), bed.VC.DeliveryStats(), bed.VC.AckStats()
 }
 
 func runR1(o Options) *Result {

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/fwd"
-	"madgo/internal/mad"
 	"madgo/internal/topo"
 	"madgo/internal/vtime"
 )
@@ -80,29 +80,8 @@ type m1Out struct {
 // whole stream (the makespan ends when the sink has the last message, so
 // aggregation cannot hide latency in the measurement).
 func runM1Stream(cfg fwd.Config, size, count int) m1Out {
-	cb := newCustomBed(m1Topo(), cfg)
-	payload := make([]byte, size)
-	cb.sim.Spawn("m1:send", func(p *vtime.Proc) {
-		for m := 0; m < count; m++ {
-			px := cb.vc.At("a").BeginPacking(p, "b")
-			px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-			px.EndPacking(p)
-		}
-	})
-	var done vtime.Time
-	cb.sim.Spawn("m1:recv", func(p *vtime.Proc) {
-		buf := make([]byte, size)
-		for m := 0; m < count; m++ {
-			u := cb.vc.At("b").BeginUnpacking(p)
-			u.Unpack(p, buf, mad.SendCheaper, mad.ReceiveCheaper)
-			u.EndUnpacking(p)
-		}
-		done = p.Now()
-	})
-	if err := cb.sim.Run(); err != nil {
-		panic(err)
-	}
-	d := vtime.Duration(done)
+	_, ends := newBed(assembly.Spec{Topo: m1Topo(), Config: cfg}).Stream("a", "b", size, count)
+	d := makespan(ends)
 	return m1Out{
 		MBps:    mbps(size*count, d),
 		MsgsSec: float64(count) / (float64(d) / float64(vtime.Second)),

@@ -3,9 +3,10 @@ package bench
 import (
 	"fmt"
 
+	"madgo/internal/assembly"
 	"madgo/internal/drivers/sisci"
+	"madgo/internal/fault"
 	"madgo/internal/fwd"
-	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
 	"madgo/internal/vtime"
@@ -35,48 +36,26 @@ func dualRailTopo() *topo.Topology {
 	return tp
 }
 
-// stripedStream streams n bytes a→b over the dual-rail topology with stripe
-// width k and returns the one-way duration plus the striping counters. The
-// SCI rail runs on the board's DMA engine — the paper's §3.4.1 workaround —
-// because a PIO SCI send is demoted 0.5x while the Myrinet rail's DMA holds
-// the shared PCI bus, which caps concurrent two-rail transmission well below
-// the sum of the rails.
+// dualRailBed assembles the dual-rail topology with the SCI rail on the
+// board's DMA engine — the paper's §3.4.1 workaround — because a PIO SCI
+// send is demoted 0.5x while the Myrinet rail's DMA holds the shared PCI
+// bus, which caps concurrent two-rail transmission well below the sum of
+// the rails.
+func dualRailBed(cfg fwd.Config, faults *fault.Plan) *Bed {
+	return newBed(assembly.Spec{
+		Topo: dualRailTopo(), Config: cfg, Faults: faults,
+		Drivers: map[string]mad.Driver{"sci": sisci.NewDMA()},
+	})
+}
+
+// stripedStream streams n bytes a→b over the dual-rail bed with stripe
+// width k and returns the one-way duration plus the striping counters.
 func stripedStream(k, n int) (vtime.Duration, fwd.StripeStats) {
-	tp := dualRailTopo()
-	sim := vtime.New()
-	pl := hw.NewPlatform(sim)
-	sess := mad.NewSession(pl)
-	bindings := make(map[string]fwd.Binding)
-	for _, nw := range tp.Networks() {
-		var drv mad.Driver = driverFor(nw.Protocol)
-		if nw.Protocol == "sci" {
-			drv = sisci.NewDMA()
-		}
-		bindings[nw.Name] = fwd.Binding{Net: pl.NewNetwork(nw.Name, drv.NIC()), Drv: drv}
-	}
 	cfg := fwd.DefaultConfig()
 	cfg.StripeK = k
-	vc, err := fwd.Build(sess, tp, bindings, cfg)
-	if err != nil {
-		panic(err)
-	}
-	var done vtime.Time
-	payload := make([]byte, n)
-	sim.Spawn("stream:a", func(p *vtime.Proc) {
-		px := vc.At("a").BeginPacking(p, "b")
-		px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	sim.Spawn("drain:b", func(p *vtime.Proc) {
-		u := vc.At("b").BeginUnpacking(p)
-		u.Unpack(p, make([]byte, n), mad.SendCheaper, mad.ReceiveCheaper)
-		u.EndUnpacking(p)
-		done = p.Now()
-	})
-	if err := sim.Run(); err != nil {
-		panic(err)
-	}
-	return vtime.Duration(done), vc.StripeStats()
+	bed := dualRailBed(cfg, nil)
+	_, ends := bed.Stream("a", "b", n, 1)
+	return makespan(ends), bed.VC.StripeStats()
 }
 
 func runS1(o Options) *Result {

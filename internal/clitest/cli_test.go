@@ -378,3 +378,45 @@ func TestReliableFlagBringsHealthOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedFaultFlags holds the flags madping, madstat and madtrace take
+// from one helper (cmd/internal/cli) to one meaning in all three: -loss with
+// a -seed is a reproducible lossy run that shows its recovery work, -crash
+// exists where the tool can crash the gateway and nowhere else, and a bad
+// probability or a missing -config file is a one-line error and exit 1.
+func TestSharedFaultFlags(t *testing.T) {
+	for _, c := range []struct {
+		tool string
+		args []string
+		want string
+	}{
+		{"madping", []string{"-sizes", "262144", "-loss", "0.05", "-seed", "42"}, "recovery: 1 retransmits"},
+		{"madstat", []string{"-noprom", "-trace", "all", "-loss", "0.05", "-seed", "42"}, "rexmit"},
+		{"madtrace", []string{"-loss", "0.05", "-seed", "42"}, "recovery: 1 retransmits"},
+		{"madtrace", []string{"-crash", "1ms"}, "failovers"},
+	} {
+		out := run(t, c.tool, c.args...)
+		if !strings.Contains(out, c.want) {
+			t.Errorf("%s %v: output missing %q:\n%s", c.tool, c.args, c.want, out)
+		}
+		if again := run(t, c.tool, c.args...); again != out {
+			t.Errorf("%s %v: two runs with one seed differ", c.tool, c.args)
+		}
+	}
+	for _, c := range []struct {
+		tool string
+		args []string
+		want string
+	}{
+		{"madping", []string{"-crash", "1ms"}, "flag provided but not defined: -crash"},
+		{"madtrace", []string{"-config", "x.topo"}, "flag provided but not defined: -config"},
+		{"madping", []string{"-loss", "2"}, "madping: fault: rule 0: probability 2 out of [0,1]"},
+		{"madstat", []string{"-corrupt", "7"}, "madstat: fault: rule 0: probability 7 out of [0,1]"},
+		{"madstat", []string{"-config", "no-such.topo"}, "madstat: open no-such.topo"},
+	} {
+		out, err := exec.Command(filepath.Join(binDir, c.tool), c.args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Errorf("%s %v: err %v, output missing %q:\n%s", c.tool, c.args, err, c.want, out)
+		}
+	}
+}

@@ -67,7 +67,6 @@ func TestForwardingProperty(t *testing.T) {
 		}
 		cfg := fwd.DefaultConfig()
 		cfg.PipelineDepth = 1 + int(next(8))
-		cfg.PathMTU = true
 		// Per-network MTUs stay above the SCI post-gate / BIP rendezvous
 		// thresholds (see the zero-copy property test): 8–56 KB.
 		cfg.NetMTU = make(map[string]int)
@@ -170,7 +169,6 @@ func TestForwardingPropertyReliable(t *testing.T) {
 		cfg := fwd.DefaultConfig()
 		cfg.Reliable = true
 		cfg.PipelineDepth = 1 + int(next(8))
-		cfg.PathMTU = true
 		cfg.NetMTU = make(map[string]int)
 		tp := lineTopo(route)
 		for _, nw := range tp.Networks() {

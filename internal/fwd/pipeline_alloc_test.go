@@ -75,7 +75,7 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 			cfg := fwd.DefaultConfig()
 			cfg.PipelineDepth = 4
 			cfg.ZeroCopy = c.zeroCopy
-			cfg.PathMTU, cfg.NetMTU = c.netMTU != nil, c.netMTU
+			cfg.NetMTU = c.netMTU
 			w := build(t, c.topo(t), cfg)
 			gw := w.vc.Gateway(c.gateway)
 

@@ -480,7 +480,7 @@ func (sx *stripePacking) end(p *vtime.Proc) {
 // negotiation is on (each rail fragments at its own minimum), the global
 // MTU otherwise.
 func (vc *VirtualChannel) railMTU(r route.Route) int {
-	if vc.cfg.PathMTU {
+	if len(vc.cfg.NetMTU) > 0 {
 		return MTUForRoute(r, vc.netMTU)
 	}
 	return vc.cfg.MTU

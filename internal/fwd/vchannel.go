@@ -33,16 +33,13 @@ type Config struct {
 	// ZeroCopy enables the §2.3 buffer election on gateways. When false
 	// every relayed packet pays an explicit staging copy (ablation A3).
 	ZeroCopy bool
-	// PathMTU switches packet-size selection from channel-global to
-	// per-path: every message is fragmented at the minimum MTU over the
-	// networks its route traverses (§2.3 — "the MTU of a connexion is
-	// defined as the [minimum] of the MTU of each network used"), so
-	// traffic between nodes on a large-MTU network is no longer cut down
-	// to the smallest network anywhere in the configuration.
-	PathMTU bool
-	// NetMTU gives per-network packet-size caps for the PathMTU
-	// negotiation; networks absent from the map default to MTU. Only
-	// consulted when PathMTU is set.
+	// NetMTU gives per-network packet-size caps; networks absent from the
+	// map default to MTU. A non-empty map switches packet-size selection
+	// from channel-global to per-path: every message is fragmented at the
+	// minimum MTU over the networks its route traverses (§2.3 — "the MTU of
+	// a connexion is defined as the [minimum] of the MTU of each network
+	// used"), so traffic between nodes on a large-MTU network is no longer
+	// cut down to the smallest network anywhere in the configuration.
 	NetMTU map[string]int
 	// InflowLimit, when positive (bytes/s), throttles each gateway
 	// forwarder's receive loop to that rate — the "sophisticated
@@ -215,7 +212,7 @@ type VirtualChannel struct {
 	// Config.StripeK > 1 (see stripe.go).
 	stripe *stripeState
 
-	// pathMTUs caches the negotiated per-pair packet size (PathMTU mode).
+	// pathMTUs caches the negotiated per-pair packet size (Config.NetMTU).
 	pathMTUs map[[2]string]int
 
 	// nics retains the NIC model of every bound network so the diagnosis
@@ -235,7 +232,7 @@ type VirtualChannel struct {
 	mcastst *mcastState
 }
 
-// netMTU returns the packet-size cap of one network under the PathMTU
+// netMTU returns the packet-size cap of one network under the per-path
 // negotiation.
 func (vc *VirtualChannel) netMTU(name string) int {
 	if m, ok := vc.cfg.NetMTU[name]; ok {
@@ -245,12 +242,12 @@ func (vc *VirtualChannel) netMTU(name string) int {
 }
 
 // PathMTU returns the packet size used for messages from src to dst: the
-// channel-global MTU normally, or — with Config.PathMTU — the minimum
+// channel-global MTU normally, or — with a Config.NetMTU — the minimum
 // network MTU along the src→dst route, as §2.3 prescribes for a connexion
 // spanning several networks. Routes and MTUs are static, so the result is
 // cached per ordered pair.
 func (vc *VirtualChannel) PathMTU(src, dst string) int {
-	if !vc.cfg.PathMTU || src == dst {
+	if len(vc.cfg.NetMTU) == 0 || src == dst {
 		return vc.cfg.MTU
 	}
 	key := [2]string{src, dst}

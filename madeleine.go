@@ -45,7 +45,7 @@
 // Every With* option arms or tunes exactly one subsystem:
 //
 //	WithMTU, WithAutoMTU                   fwd: generic transmission module fragment size
-//	WithPathMTU, WithNetworkMTU            fwd: per-path packet-size negotiation
+//	WithNetworkMTU                         fwd: per-path packet-size negotiation
 //	WithPipelineDepth                      fwd: gateway staging-buffer ring depth
 //	WithoutZeroCopy                        fwd: §2.3 gateway buffer election
 //	WithInflowLimit                        fwd: gateway ingress throttle
@@ -67,10 +67,9 @@
 // WithCreditWindow requires WithFlowControl, and WithStripeThreshold requires
 // WithStriping. NewSystem rejects an incoherent
 // set with a *ConfigError naming the missing option instead of silently
-// ignoring the orphan. (WithFaults, WithRetryPolicy, WithHealthConfig and
-// WithNetworkMTU keep their documented implications — they imply reliable
-// delivery or WithPathMTU — because there the implied subsystem is the only
-// possible intent.)
+// ignoring the orphan. (WithFaults, WithRetryPolicy and WithHealthConfig keep
+// their documented implication — reliable delivery — because there the implied
+// subsystem is the only possible intent.)
 package madeleine
 
 import (
@@ -78,13 +77,9 @@ import (
 	"io"
 	"sort"
 
+	"madgo/internal/assembly"
 	"madgo/internal/bench"
 	"madgo/internal/coll"
-	"madgo/internal/drivers/bip"
-	"madgo/internal/drivers/loopback"
-	"madgo/internal/drivers/sbp"
-	"madgo/internal/drivers/sisci"
-	"madgo/internal/drivers/tcpnet"
 	"madgo/internal/fault"
 	"madgo/internal/flight"
 	"madgo/internal/fwd"
@@ -310,13 +305,10 @@ type Options struct {
 	// PipelineDepth is the number of buffers each gateway pipeline
 	// rotates (default 2, the paper's double buffering).
 	PipelineDepth int
-	// PathMTU switches packet-size selection from channel-global to
-	// per-path: each message is fragmented at the minimum MTU over the
-	// networks its route traverses (see NetworkMTU).
-	PathMTU bool
-	// NetworkMTU maps network names to their packet-size caps for the
-	// per-path negotiation; networks absent from the map use MTU. A
-	// non-empty map implies PathMTU.
+	// NetworkMTU maps network names to their packet-size caps; networks
+	// absent from the map use MTU. A non-empty map switches packet-size
+	// selection from channel-global to per-path: each message is fragmented
+	// at the minimum MTU over the networks its route traverses.
 	NetworkMTU map[string]int
 	// DisableZeroCopy turns off the §2.3 buffer election (every relayed
 	// packet pays a staging copy).
@@ -401,15 +393,10 @@ func WithAutoMTU() Option { return func(o *Options) { o.AutoMTU = true } }
 // WithPipelineDepth sets the gateway buffer count.
 func WithPipelineDepth(n int) Option { return func(o *Options) { o.PipelineDepth = n } }
 
-// WithPathMTU enables per-path MTU negotiation: every message is
-// fragmented at the minimum MTU over the networks its route actually
-// traverses (the §2.3 rule), instead of one channel-global packet size.
-// Combine with WithNetworkMTU to declare per-network caps; networks
-// without one use the WithMTU value.
-func WithPathMTU() Option { return func(o *Options) { o.PathMTU = true } }
-
-// WithNetworkMTU caps one network's packet size for the per-path MTU
-// negotiation (implies WithPathMTU).
+// WithNetworkMTU caps one network's packet size and so turns on per-path MTU
+// negotiation: every message is fragmented at the minimum MTU over the
+// networks its route actually traverses (the §2.3 rule), instead of one
+// channel-global packet size. Networks without a cap use the WithMTU value.
 func WithNetworkMTU(network string, bytes int) Option {
 	return func(o *Options) {
 		if o.NetworkMTU == nil {
@@ -671,54 +658,24 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		plan = tp.Faults
 	}
 	reliable := o.Reliable || plan != nil || o.Retry != nil || o.Health != nil
-	sim := vtime.New()
-	pl := hw.NewPlatform(sim)
-	if o.Metrics != nil {
-		// Before fwd.Build so reliable mode's counter pre-registration
-		// lands in the registry.
-		pl.SetMetrics(o.Metrics)
-	}
-	if !o.DisableFlight {
-		// The flight recorder is always on: its cost is a bounded ring
-		// write per event (no allocation), enforced under 5% of goodput by
-		// the O2 gate.
-		pl.SetFlight(flight.NewRecorder(o.FlightRingCap))
-	}
-	sess := mad.NewSession(pl)
-	// Reliable mode keeps the excluded control networks alive as failover
-	// paths, so drivers are bound for the full topology.
-	netTopo := vcTopo
-	if reliable {
-		netTopo = tp
-	}
-	bindings := make(map[string]fwd.Binding)
-	for _, nw := range netTopo.Networks() {
-		drv, err := driverFor(nw.Protocol)
-		if err != nil {
-			return nil, err
-		}
-		bindings[nw.Name] = fwd.Binding{Net: pl.NewNetwork(nw.Name, drv.NIC()), Drv: drv}
-	}
-	if plan != nil {
-		if err := plan.Validate(); err != nil {
-			return nil, err
-		}
-		pl.ArmFaults(fault.NewInjector(plan, o.Tracer))
-	}
 	if o.AutoMTU {
 		nets := vcTopo.Networks()
 		if len(nets) != 2 {
 			return nil, fmt.Errorf("madeleine: AutoMTU needs exactly two networks, have %d", len(nets))
 		}
-		o.MTU = fwd.SuggestMTU(
-			bindings[nets[0].Name].Drv.NIC(),
-			bindings[nets[1].Name].Drv.NIC(),
-			hw.DefaultCPU())
+		var nics [2]hw.NICParams
+		for i, nw := range nets {
+			drv, err := assembly.DriverFor(nw.Protocol)
+			if err != nil {
+				return nil, err
+			}
+			nics[i] = drv.NIC()
+		}
+		o.MTU = fwd.SuggestMTU(nics[0], nics[1], hw.DefaultCPU())
 	}
 	cfg := fwd.Config{
 		MTU:           o.MTU,
 		PipelineDepth: o.PipelineDepth,
-		PathMTU:       o.PathMTU || len(o.NetworkMTU) > 0,
 		NetMTU:        o.NetworkMTU,
 		ZeroCopy:      !o.DisableZeroCopy,
 		InflowLimit:   o.InflowLimit,
@@ -739,34 +696,25 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 			cfg.Retry = *o.Retry
 		}
 		if vcTopo != tp {
+			// The excluded control networks stay alive as failover paths.
 			cfg.FallbackTopo = tp
 		}
 		if o.Health != nil {
 			cfg.Health = *o.Health
 		}
 	}
-	vc, err := fwd.Build(sess, vcTopo, bindings, cfg)
+	spec := assembly.Spec{Topo: vcTopo, Config: cfg, Metrics: o.Metrics, Faults: plan}
+	if !o.DisableFlight {
+		// The flight recorder is always on: its cost is a bounded ring
+		// write per event (no allocation), enforced under 5% of goodput by
+		// the O2 gate.
+		spec.Flight = flight.NewRecorder(o.FlightRingCap)
+	}
+	sim, sess, vc, err := assembly.Build(spec)
 	if err != nil {
 		return nil, err
 	}
 	return &System{Sim: sim, Session: sess, Channel: vc, Topology: tp, tracer: o.Tracer}, nil
-}
-
-func driverFor(protocol string) (mad.Driver, error) {
-	switch protocol {
-	case "sci":
-		return sisci.New(), nil
-	case "myrinet":
-		return bip.New(), nil
-	case "ethernet":
-		return tcpnet.New(), nil
-	case "sbp":
-		return sbp.New(), nil
-	case "loopback":
-		return loopback.New(), nil
-	default:
-		return nil, fmt.Errorf("madeleine: no driver for protocol %q", protocol)
-	}
 }
 
 // Spawn starts an application process at virtual time now.
