@@ -95,7 +95,7 @@ func main() {
 		fatal(err)
 	}
 
-	sizes := make([]int, *count)
+	sizes := make([]int, max(*count, 0))
 	for i := range sizes {
 		sizes[i] = *bytes
 	}

@@ -56,14 +56,14 @@ func NewTestbed(cfg fwd.Config) *Bed {
 // §3.4.1 workaround experiment swaps the SCI driver for its DMA-engine
 // variant this way.
 func NewTestbedDrivers(cfg fwd.Config, override map[string]mad.Driver) *Bed {
-	tb := newBed(assembly.Spec{Topo: paperHS(), Config: cfg, Drivers: override})
+	b := newBed(assembly.Spec{Topo: paperHS(), Config: cfg, Drivers: override})
 	// The Fast-Ethernet control network spans every node; it is a plain
 	// Madeleine channel outside the virtual channel, exactly the role it
 	// plays in the paper's ping program.
 	ethDrv := mustDriver("ethernet")
-	ethNet := tb.Sess.Platform.NewNetwork("eth0", ethDrv.NIC())
-	tb.Eth = tb.Sess.NewChannel("eth0", ethNet, ethDrv, tb.Sess.Nodes()...)
-	return tb
+	ethNet := b.Sess.Platform.NewNetwork("eth0", ethDrv.NIC())
+	b.Eth = b.Sess.NewChannel("eth0", ethNet, ethDrv, b.Sess.Nodes()...)
+	return b
 }
 
 // mustDriver is assembly.DriverFor for the fixtures that bind a driver by
@@ -89,11 +89,13 @@ func (b *Bed) recv(p *vtime.Proc, dst string, buf []byte) {
 }
 
 // recvFrom is recv for a sink whose senders' message sizes differ: it asks
-// for the buffer once the message's sender is known.
-func (b *Bed) recvFrom(p *vtime.Proc, dst string, bufFor func(from string) []byte) {
+// for the buffer once the message's sender is known, and returns the sender.
+func (b *Bed) recvFrom(p *vtime.Proc, dst string, bufFor func(from string) []byte) (from string) {
 	u := b.VC.At(dst).BeginUnpacking(p)
-	u.Unpack(p, bufFor(b.Sess.Node(u.From()).Name), mad.SendCheaper, mad.ReceiveCheaper)
+	from = b.Sess.Node(u.From()).Name
+	u.Unpack(p, bufFor(from), mad.SendCheaper, mad.ReceiveCheaper)
 	u.EndUnpacking(p)
+	return from
 }
 
 // run runs the simulation until every process spawned on the bed is done.
@@ -158,19 +160,19 @@ func (r PingResult) MBps() float64 {
 // round-trip. All measurements of the series run in one deterministic
 // simulation. It is the paper's method, not a stream, and needs the paper
 // testbed's Eth.
-func (tb *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
+func (b *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
 	results := make([]PingResult, len(sizes))
 	var ackOneWay vtime.Duration
 	sendStarts := make([]vtime.Time, len(sizes))
 	recvDones := make([]vtime.Time, len(sizes))
 
-	srcEth := tb.Eth.At(tb.Sess.NodeByName(src))
-	dstEth := tb.Eth.At(tb.Sess.NodeByName(dst))
-	srcRank := tb.VC.NodeRank(src)
-	dstRank := tb.VC.NodeRank(dst)
+	srcEth := b.Eth.At(b.Sess.NodeByName(src))
+	dstEth := b.Eth.At(b.Sess.NodeByName(dst))
+	srcRank := b.VC.NodeRank(src)
+	dstRank := b.VC.NodeRank(dst)
 	ackByte := []byte{0xAC}
 
-	tb.Sim.Spawn("ping:"+src, func(p *vtime.Proc) {
+	b.Sim.Spawn("ping:"+src, func(p *vtime.Proc) {
 		// Ack calibration: Ethernet ping-pong, half the round trip.
 		t0 := p.Now()
 		sendEth(p, srcEth, dstRank, ackByte)
@@ -184,20 +186,20 @@ func (tb *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
 			}
 			start := p.Now()
 			sendStarts[i] = start
-			tb.send(p, src, dst, payload)
+			b.send(p, src, dst, payload)
 			recvEth(p, srcEth) // the ack
 			rtt := vtime.Since(p.Now(), start)
 			results[i] = PingResult{Bytes: n, Faithful: rtt - ackOneWay}
 		}
 	})
-	tb.Sim.Spawn("pong:"+dst, func(p *vtime.Proc) {
+	b.Sim.Spawn("pong:"+dst, func(p *vtime.Proc) {
 		// Ack calibration partner.
 		recvEth(p, dstEth)
 		sendEth(p, dstEth, srcRank, ackByte)
 
 		for i, n := range sizes {
 			got := make([]byte, n)
-			tb.recv(p, dst, got)
+			b.recv(p, dst, got)
 			recvDones[i] = p.Now()
 			want := make([]byte, n)
 			for j := range want {
@@ -209,7 +211,7 @@ func (tb *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
 			sendEth(p, dstEth, srcRank, ackByte)
 		}
 	})
-	tb.run()
+	b.run()
 	for i := range results {
 		results[i].Actual = vtime.Since(recvDones[i], sendStarts[i])
 	}

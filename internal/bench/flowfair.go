@@ -112,9 +112,7 @@ func runIncast(wl c1Workload, flowOn bool) c1Out {
 	}
 	cb.Sim.Spawn("incast:sink", func(p *vtime.Proc) {
 		for i := 0; i < totalMsgs; i++ {
-			var from string
-			cb.recvFrom(p, "sink", func(sender string) []byte {
-				from = sender
+			from := cb.recvFrom(p, "sink", func(from string) []byte {
 				size, _ := wl.msgSize(from)
 				return make([]byte, size)
 			})
