@@ -672,3 +672,120 @@ func TestSinkFrameWaitsBehindUnopenedStream(t *testing.T) {
 		t.Errorf("stats %+v, want 4 coalesced and 3 around the coalescer", st)
 	}
 }
+
+// TestSinkPollsOncePerFrame is what a sub-message costs the sink: PollCost is
+// a probe of the networks, so the call that takes a frame off the arrival
+// queue pays it and the calls that read the frame's other sub-messages, which
+// are in memory, pay none. The first message leaves alone, the sixteen packed
+// while it is on the wire leave as the second frame, and the polling thread
+// has that one waiting when the application comes back for it: sixteen
+// messages in one poll and sixteen copies.
+func TestSinkPollsOncePerFrame(t *testing.T) {
+	const coalesced, size = 16, 64
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation = true, true
+	w := build(t, paperHS(t), cfg)
+	w.sim.Spawn("poll-send", func(p *vtime.Proc) {
+		for i := 0; i <= coalesced; i++ {
+			px := w.vc.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, pattern(size, byte(i)), mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	var begin, rest [1 + coalesced]vtime.Duration // BeginUnpacking; Unpack and EndUnpacking
+	w.sim.Spawn("poll-recv", func(p *vtime.Proc) {
+		got := make([]byte, size)
+		for i := range begin {
+			if i < 2 {
+				p.Sleep(vtime.Millisecond) // the frame is received and queued by then
+			}
+			t0 := p.Now()
+			u := w.vc.At("b1").BeginUnpacking(p)
+			t1 := p.Now()
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			begin[i], rest[i] = t1.Sub(t0), p.Now().Sub(t1)
+			if !bytes.Equal(got, pattern(size, byte(i))) {
+				t.Errorf("message %d corrupted or out of order", i)
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.vc.AggStats(); st.Frames != 2 || st.SubMessages != 1+coalesced {
+		t.Fatalf("stats %+v, want the first message alone and the other %d in one frame", st, coalesced)
+	}
+	poll := w.vc.At("b1").Node().Host.CPU.PollCost
+	var total vtime.Duration
+	for i := 1; i <= coalesced; i++ {
+		total += begin[i] + rest[i]
+	}
+	if begin[0] != poll || begin[1] != poll {
+		t.Errorf("taking a frame off the arrival queue cost %v and %v, want one poll, %v", begin[0], begin[1], poll)
+	}
+	if want := poll + coalesced*rest[0]; total != want {
+		t.Errorf("a frame of %d messages was unpacked in %v, want %v: one poll and %d copies of %v (BeginUnpacking took %v)",
+			coalesced, total, want, coalesced, rest[0], begin[1:])
+	}
+}
+
+// TestSinkOnTwoNetworksKeepsArrivalOrder: a sink behind two gateways takes
+// its arrivals in the order its polling threads queued them, a frame's
+// sub-messages before whatever is queued behind the frame — whether or not it
+// polls for them. Each sender's first message leaves alone and the eight
+// behind it as one frame, which the sink's thread on that network receives
+// once the application has taken the first; the application rests while both
+// second frames are queued, and again half-way through the first of them.
+func TestSinkOnTwoNetworksKeepsArrivalOrder(t *testing.T) {
+	const coalesced, size = 8, 64
+	tp, err := topo.NewBuilder().
+		Network("sci0", "sci").Network("myri0", "myrinet").Network("myri1", "myrinet").Network("sci1", "sci").
+		Node("a", "sci0").Node("g0", "sci0", "myri0").
+		Node("c", "myri1").Node("g1", "myri1", "sci1").
+		Node("b", "myri0", "sci1").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation = true, true
+	w := build(t, tp, cfg)
+	for _, from := range []string{"a", "c"} {
+		w.sim.Spawn("order-send:"+from, func(p *vtime.Proc) {
+			for i := 0; i <= coalesced; i++ {
+				px := w.vc.At(from).BeginPacking(p, "b")
+				px.Pack(p, pattern(size, byte(i)), mad.SendCheaper, mad.ReceiveCheaper)
+				px.EndPacking(p)
+			}
+		})
+	}
+	var order []byte
+	w.sim.Spawn("order-recv", func(p *vtime.Proc) {
+		seq := map[string]int{}
+		got := make([]byte, size)
+		for i := 0; i < 2*(1+coalesced); i++ {
+			if i == 0 || i == 2 || i == 2+coalesced/2 {
+				p.Sleep(vtime.Millisecond)
+			}
+			u := w.vc.At("b").BeginUnpacking(p)
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			from := w.sess.Node(u.From()).Name
+			if !bytes.Equal(got, pattern(size, byte(seq[from]))) {
+				t.Errorf("arrival %d, from %s, corrupted or out of its sender's order", i, from)
+			}
+			seq[from]++
+			order = append(order, from[0])
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.vc.AggStats(); st.Frames != 4 || st.SubMessages != 2*(1+coalesced) {
+		t.Fatalf("stats %+v, want each sender's first message alone and its other %d in one frame", st, coalesced)
+	}
+	// c's second frame, on the faster path, is queued ahead of a's.
+	if want := "ac" + "cccccccc" + "aaaaaaaa"; string(order) != want {
+		t.Errorf("arrivals taken in the order %s, want %s", order, want)
+	}
+}

@@ -760,13 +760,20 @@ type Unpacking struct {
 // Generic one, it needs some additional information ... transmitted before
 // the actual message body" (§2.2.2).
 func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
-	p.Sleep(e.node.Host.CPU.PollCost)
+	// PollCost is a probe of the networks: the call that consults the arrival
+	// queue pays it, once; a sub-message of the frame the sink is already
+	// draining is in memory and costs none.
+	polled := false
 	for {
 		// Sub-messages decoded from an earlier aggregate frame are
 		// delivered FIFO before anything newer.
 		if from, sub, ok := e.vc.aggPop(e.node.Rank); ok {
 			u := &aggUnpacking{vc: e.vc, node: e.node, sub: sub}
 			return &Unpacking{x: u, from: from, fwd: true}
+		}
+		if !polled {
+			p.Sleep(e.node.Host.CPU.PollCost)
+			polled = true
 		}
 		in, ok := e.vc.merged[e.node.Rank].Recv(p)
 		if !ok {
