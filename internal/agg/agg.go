@@ -11,27 +11,38 @@
 // codec — it knows nothing about channels, links or virtual time, which
 // keeps the frame format independently fuzzable and reusable.
 //
-// Wire format (all integers little-endian):
+// Wire format (fixed-width integers little-endian; uvarint is the unsigned
+// base-128 varint of encoding/binary, in its shortest form only):
 //
 //	frame  := header sub*
 //	header := magic u16 | version u8 | flags u8 | count u16 | reserved u16
 //	          | totalLen u32 | crc u32
-//	sub    := subLen u32 | id u64 | nblocks u16
-//	          | nblocks × (size u32 | sendMode u8 | recvMode u8)
+//	sub    := subLen uvarint | idDelta uvarint | nblocks uvarint
+//	          | nblocks × (size uvarint | modes u8)
 //	          | payload (concatenated block bytes)
 //
 // totalLen is the full frame length including the header; crc is the IEEE
 // CRC-32 of everything after the header; subLen counts the bytes of the
-// entry after the subLen field itself. The decoder (NewReader) validates
-// every length against every other before anything is handed out, and
-// never panics on arbitrary input — truncated, overlapping or oversized
-// sub-message bounds are rejected, which FuzzAggFrame pins down.
+// entry after the subLen field itself. idDelta is the zig-zag encoding of the
+// entry's message ID minus the ID of the entry before it (minus zero for the
+// first), in wrapping 64-bit arithmetic, so consecutive IDs cost one byte and
+// any ID can follow any other; modes is sendMode<<4 | recvMode. A 64-byte
+// one-block message costs 5 bytes of entry where the fixed-width layout of
+// frame version 1 (u32 | u64 | u16 | u32 u8 u8) cost 20 — at that size the
+// entry header was a quarter of what the link carried (DESIGN.md §27).
+//
+// The decoder (NewReader) validates every length against every other before
+// anything is handed out, and never panics on arbitrary input — truncated,
+// overlapping or oversized sub-message bounds, varints that do not end,
+// overflow 64 bits or are padded, and frames of another version are rejected,
+// which FuzzAggFrame pins down.
 package agg
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 const (
@@ -39,13 +50,7 @@ const (
 	HeaderLen = 16
 
 	frameMagic   = 0x4741 // "AG"
-	frameVersion = 1
-
-	// subFixedLen is the fixed part of a sub-message entry counted by its
-	// subLen field: the 8-byte message ID and the 2-byte block count.
-	subFixedLen = 10
-	// blockDescLen is the wire size of one block descriptor.
-	blockDescLen = 6
+	frameVersion = 2
 
 	// MaxSubs caps the sub-messages per frame (the count field is 16-bit).
 	MaxSubs = 1<<16 - 1
@@ -55,16 +60,15 @@ const (
 )
 
 // Block is one packed block of a sub-message: its payload and the send and
-// receive modes it was packed with, carried as raw bytes so the codec does
-// not depend on the mad package's types.
+// receive modes it was packed with, carried as raw values below 16 so the
+// codec does not depend on the mad package's types.
 type Block struct {
 	Data []byte
 	S, R uint8
 }
 
-// SubSize returns the wire size one sub-message with the given blocks
-// contributes to a frame, including its subLen field. The coalescer uses it
-// to decide whether another message still fits under the frame limit.
+// SubSize returns the most one sub-message with the given blocks adds to a
+// frame, whatever its ID and the ID before it: see SubSizeParts.
 func SubSize(blocks []Block) int {
 	payload := 0
 	for _, b := range blocks {
@@ -73,11 +77,31 @@ func SubSize(blocks []Block) int {
 	return SubSizeParts(len(blocks), payload)
 }
 
-// SubSizeParts is SubSize from the block count and summed payload length
-// alone, for callers that track both incrementally and do not want to build
-// the Block slice just to size it.
+// SubSizeParts is an upper bound on the wire size of one sub-message of
+// nblocks blocks and payload bytes in all, its subLen field included: the ID
+// delta at its ten bytes and every block size at the width of the whole
+// payload. What an entry really takes depends on the frame it joins
+// (Builder.Need); this is for deciding whether a message can be coalesced at
+// all, which must not depend on what is queued.
 func SubSizeParts(nblocks, payload int) int {
-	return 4 + subFixedLen + blockDescLen*nblocks + payload
+	n := binary.MaxVarintLen64 + uvarintLen(uint64(nblocks)) + nblocks*(uvarintLen(uint64(payload))+1) + payload
+	return uvarintLen(uint64(n)) + n
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps a signed delta, given in two's complement, to an unsigned value
+// that is small when the delta is near zero on either side; unzigzag inverts it.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(z uint64) uint64 { return z>>1 ^ -(z & 1) }
+
+// uvarint decodes one uvarint from the front of buf. ok is false when it does
+// not end within buf, overflows 64 bits, or is not in its shortest form (a
+// padded varint would decode but not re-encode to the same bytes).
+func uvarint(buf []byte) (v uint64, n int, ok bool) {
+	v, n = binary.Uvarint(buf)
+	return v, n, n > 0 && (n == 1 || buf[n-1] != 0)
 }
 
 // Builder accumulates sub-messages into one aggregate frame. Its buffer is
@@ -87,6 +111,7 @@ type Builder struct {
 	buf    []byte
 	spare  []byte // a detached buffer handed back (Recycle), for the next Detach
 	count  int
+	last   uint64 // the ID of the entry added last, zero in an empty frame
 	prefix int
 	hint   int // the capacity hint the builder was made with
 }
@@ -114,7 +139,7 @@ func NewBuilderPrefix(prefix, capacity int) *Builder {
 // Reset discards the accumulated sub-messages, keeping the buffer.
 func (b *Builder) Reset() {
 	b.buf = b.buf[:b.prefix+HeaderLen]
-	b.count = 0
+	b.count, b.last = 0, 0
 }
 
 // Len is the frame size Finish would currently produce (the reserved prefix
@@ -124,32 +149,44 @@ func (b *Builder) Len() int { return len(b.buf) - b.prefix }
 // Count is the number of sub-messages added since the last Reset.
 func (b *Builder) Count() int { return b.count }
 
+// entryLen is what an entry's subLen field holds: the bytes behind it.
+func entryLen(idDelta uint64, blocks []Block) int {
+	n := uvarintLen(idDelta) + uvarintLen(uint64(len(blocks)))
+	for _, blk := range blocks {
+		n += uvarintLen(uint64(len(blk.Data))) + 1 + len(blk.Data)
+	}
+	return n
+}
+
+// Need is by how much Add(id, blocks) would grow the frame now. It depends on
+// the ID added last, so it holds until the next Add, Reset or Detach.
+func (b *Builder) Need(id uint64, blocks []Block) int {
+	n := entryLen(zigzag(id-b.last), blocks)
+	return uvarintLen(uint64(n)) + n
+}
+
 // Add appends one sub-message. It panics when the frame is structurally
 // full (count field exhausted) — the coalescer flushes on a byte limit far
-// below that.
+// below that — and on a mode that does not fit its four bits.
 func (b *Builder) Add(id uint64, blocks []Block) {
 	if b.count >= MaxSubs {
 		panic("agg: too many sub-messages in one frame")
 	}
-	subLen := subFixedLen + blockDescLen*len(blocks)
+	delta := zigzag(id - b.last)
+	b.buf = binary.AppendUvarint(b.buf, uint64(entryLen(delta, blocks)))
+	b.buf = binary.AppendUvarint(b.buf, delta)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(blocks)))
 	for _, blk := range blocks {
-		subLen += len(blk.Data)
-	}
-	var tmp [12]byte
-	binary.LittleEndian.PutUint32(tmp[0:], uint32(subLen))
-	binary.LittleEndian.PutUint64(tmp[4:], id)
-	b.buf = append(b.buf, tmp[:12]...)
-	binary.LittleEndian.PutUint16(tmp[0:], uint16(len(blocks)))
-	b.buf = append(b.buf, tmp[:2]...)
-	for _, blk := range blocks {
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(len(blk.Data)))
-		tmp[4] = blk.S
-		tmp[5] = blk.R
-		b.buf = append(b.buf, tmp[:6]...)
+		if blk.S > 15 || blk.R > 15 {
+			panic(fmt.Sprintf("agg: block modes %d/%d do not fit four bits", blk.S, blk.R))
+		}
+		b.buf = binary.AppendUvarint(b.buf, uint64(len(blk.Data)))
+		b.buf = append(b.buf, blk.S<<4|blk.R)
 	}
 	for _, blk := range blocks {
 		b.buf = append(b.buf, blk.Data...)
 	}
+	b.last = id
 	b.count++
 }
 
@@ -190,7 +227,7 @@ func (b *Builder) Detach() []byte {
 	} else {
 		b.buf = make([]byte, b.prefix+HeaderLen, min(b.hint, max(rearmMin, 2*len(out))))
 	}
-	b.count = 0
+	b.count, b.last = 0, 0
 	return out
 }
 
@@ -199,115 +236,140 @@ func (b *Builder) Detach() []byte {
 // will overwrite it.
 func (b *Builder) Recycle(buf []byte) { b.spare = buf }
 
-// Sub is one decoded sub-message: its ID, block descriptors and the
-// concatenated block payload, aliasing the frame.
+// Sub is one decoded sub-message: its ID and, aliasing the frame, its block
+// descriptors and the concatenated block payload behind them.
 type Sub struct {
 	ID      uint64
-	descs   []byte // nblocks × blockDescLen, aliases the frame
-	payload []byte // aliases the frame
+	nblocks int
+	body    []byte // descriptors, then payload
+	descLen int
+	// at and atOff are the descriptor Block read last, plus one, and where it
+	// ends in body: reading the blocks in order decodes each descriptor once.
+	at, atOff int
 }
 
 // NumBlocks is the number of packed blocks of this sub-message.
-func (s Sub) NumBlocks() int { return len(s.descs) / blockDescLen }
+func (s *Sub) NumBlocks() int { return s.nblocks }
 
 // Block returns the i-th block descriptor: payload size and the raw send
-// and receive modes it was packed with.
-func (s Sub) Block(i int) (size int, sMode, rMode uint8) {
-	d := s.descs[i*blockDescLen:]
-	return int(binary.LittleEndian.Uint32(d[0:])), d[4], d[5]
+// and receive modes it was packed with. Blocks read in ascending order cost
+// one descriptor each; going back re-reads from the first.
+func (s *Sub) Block(i int) (size int, sMode, rMode uint8) {
+	if i < 0 || i >= s.nblocks {
+		panic(fmt.Sprintf("agg: block %d of a sub-message of %d", i, s.nblocks))
+	}
+	if i < s.at {
+		s.at, s.atOff = 0, 0
+	}
+	for {
+		v, n := binary.Uvarint(s.body[s.atOff:])
+		modes := s.body[s.atOff+n]
+		s.at, s.atOff = s.at+1, s.atOff+n+1
+		if s.at > i {
+			return int(v), modes >> 4, modes & 15
+		}
+	}
 }
 
 // Payload is the concatenation of the sub-message's block payloads, in
 // block order.
-func (s Sub) Payload() []byte { return s.payload }
+func (s *Sub) Payload() []byte { return s.body[s.descLen:] }
 
-// Reader walks the sub-messages of a validated frame.
+// Reader walks the sub-messages of a validated frame. It is a value: a sink
+// keeps the one it is draining in place and allocates nothing per frame.
 type Reader struct {
-	body  []byte
+	rest  []byte // the entries not yet read
 	count int
-	off   int
 	next  int
+	last  uint64 // the ID of the entry read last
 }
 
 // NewReader validates a frame end to end — magic, version, total length,
 // body checksum, and every sub-message's bounds (entries must tile the body
-// exactly; block sizes must sum to the entry's payload) — and returns a
-// Reader positioned at the first sub-message. ok is false on any
-// malformation; the function never panics, whatever the input.
-func NewReader(frame []byte) (*Reader, bool) {
+// exactly; descriptors must fit their entry and block sizes sum to its
+// payload; every varint must end, fit 64 bits and be in its shortest form) —
+// and returns a Reader positioned at the first sub-message. ok is false on
+// any malformation; the function never panics, whatever the input.
+func NewReader(frame []byte) (Reader, bool) {
 	if len(frame) < HeaderLen {
-		return nil, false
+		return Reader{}, false
 	}
 	if binary.LittleEndian.Uint16(frame[0:]) != frameMagic || frame[2] != frameVersion {
-		return nil, false
+		return Reader{}, false
 	}
-	if int(binary.LittleEndian.Uint32(frame[8:])) != len(frame) {
-		return nil, false
+	if uint64(binary.LittleEndian.Uint32(frame[8:])) != uint64(len(frame)) {
+		return Reader{}, false
 	}
 	body := frame[HeaderLen:]
 	if binary.LittleEndian.Uint32(frame[12:]) != crc32.ChecksumIEEE(body) {
-		return nil, false
+		return Reader{}, false
 	}
 	count := int(binary.LittleEndian.Uint16(frame[4:]))
-	off := 0
+	rest := body
 	for i := 0; i < count; i++ {
-		if len(body)-off < 4 {
-			return nil, false
+		subLen, n, ok := uvarint(rest)
+		if !ok || subLen > uint64(len(rest)-n) {
+			return Reader{}, false
 		}
-		subLen := int(binary.LittleEndian.Uint32(body[off:]))
-		if subLen < subFixedLen || subLen > len(body)-off-4 {
-			return nil, false
+		entry := rest[n : n+int(subLen)]
+		rest = rest[n+int(subLen):]
+		if _, n, ok = uvarint(entry); !ok { // the ID delta: any value is an ID
+			return Reader{}, false
 		}
-		entry := body[off+4 : off+4+subLen]
-		nblocks := int(binary.LittleEndian.Uint16(entry[8:]))
-		descLen := blockDescLen * nblocks
-		if subFixedLen+descLen > subLen {
-			return nil, false
+		entry = entry[n:]
+		nblocks, n, ok := uvarint(entry)
+		if !ok || nblocks > uint64(len(entry)-n)/2 { // a descriptor is two bytes at least
+			return Reader{}, false
 		}
-		payload := subLen - subFixedLen - descLen
-		sum := 0
-		for j := 0; j < nblocks; j++ {
-			sum += int(binary.LittleEndian.Uint32(entry[subFixedLen+j*blockDescLen:]))
-			if sum > payload {
-				return nil, false
+		entry = entry[n:]
+		var sum uint64
+		for j := uint64(0); j < nblocks; j++ {
+			size, n, ok := uvarint(entry)
+			if !ok || n == len(entry) || size > uint64(len(body)) {
+				return Reader{}, false
 			}
+			entry = entry[n+1:] // the size and the modes byte
+			sum += size
 		}
-		if sum != payload {
-			return nil, false
+		if sum != uint64(len(entry)) {
+			return Reader{}, false
 		}
-		off += 4 + subLen
 	}
-	if off != len(body) {
-		return nil, false
+	if len(rest) != 0 {
+		return Reader{}, false
 	}
-	return &Reader{body: body, count: count}, true
+	return Reader{rest: body, count: count}, true
 }
 
 // Count is the number of sub-messages in the frame.
 func (r *Reader) Count() int { return r.count }
 
-// Next returns the next sub-message, or ok=false past the last. The bounds
-// were fully validated by NewReader, so Next performs no checks.
+// Next returns the next sub-message, or ok=false past the last, where it lets
+// go of the frame. The bounds were fully validated by NewReader, so Next
+// performs no checks.
 func (r *Reader) Next() (Sub, bool) {
 	if r.next >= r.count {
+		r.rest = nil
 		return Sub{}, false
 	}
 	r.next++
-	subLen := int(binary.LittleEndian.Uint32(r.body[r.off:]))
-	entry := r.body[r.off+4 : r.off+4+subLen]
-	r.off += 4 + subLen
-	nblocks := int(binary.LittleEndian.Uint16(entry[8:]))
-	descEnd := subFixedLen + blockDescLen*nblocks
-	return Sub{
-		ID:      binary.LittleEndian.Uint64(entry[0:]),
-		descs:   entry[subFixedLen:descEnd],
-		payload: entry[descEnd:],
-	}, true
+	subLen, n := binary.Uvarint(r.rest)
+	entry := r.rest[n : n+int(subLen)]
+	r.rest = r.rest[n+int(subLen):]
+	delta, n := binary.Uvarint(entry)
+	r.last += unzigzag(delta)
+	nblocks, m := binary.Uvarint(entry[n:])
+	sub := Sub{ID: r.last, nblocks: int(nblocks), body: entry[n+m:]}
+	for j := 0; j < sub.nblocks; j++ {
+		_, n := binary.Uvarint(sub.body[sub.descLen:])
+		sub.descLen += n + 1
+	}
+	return sub, true
 }
 
 // MustReader is NewReader for frames this process built itself (the sink's
 // trusted path): it panics on malformation instead of returning ok=false.
-func MustReader(frame []byte) *Reader {
+func MustReader(frame []byte) Reader {
 	r, ok := NewReader(frame)
 	if !ok {
 		panic(fmt.Sprintf("agg: malformed aggregate frame (%d bytes)", len(frame)))

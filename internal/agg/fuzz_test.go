@@ -74,12 +74,12 @@ func aggFrameSeeds() [][]byte {
 	truncated := append([]byte(nil), one.Finish()...)
 
 	// An overlapping-bounds frame with a valid checksum: the first entry's
-	// subLen reaches one byte into the next entry's length field.
+	// subLen reaches one byte into the next entry, its length field.
 	overlap := NewBuilder(128)
 	overlap.Add(7, []Block{{Data: []byte("xy"), S: 0, R: 0}})
 	overlap.Add(8, []Block{{Data: []byte("z"), S: 0, R: 0}})
 	ob := append([]byte(nil), overlap.Finish()...)
-	binary.LittleEndian.PutUint32(ob[HeaderLen:], binary.LittleEndian.Uint32(ob[HeaderLen:])+1)
+	ob[HeaderLen]++
 	binary.LittleEndian.PutUint32(ob[12:], crc32.ChecksumIEEE(ob[HeaderLen:]))
 
 	return [][]byte{

@@ -30,18 +30,19 @@ var (
 )
 
 // m1Gate is the speedup over the seed framing the eager+aggregation
-// configuration owes at one mouse size: 3x up to 512 B, 2x at 1 KB, nothing
-// above. The gate is a ratio, and its denominator rose 1.7x when the gateway
-// began to overlap the receive of one message with the send of the previous
-// one (DESIGN.md §23): the seed's three transfers a message no longer wait
-// for each other across messages, which was most of what a single frame of
-// many messages saved at 1 KB. A quick run's 64-message streams hold the same
-// gate as the archived 256-message ones: an aggregated stream no longer
-// carries a constant that does not scale with its length — the first frame
-// leaves with one message and there is no idle flush behind the last
+// configuration owes at one mouse size: 15x at 64 B, 3x up to 512 B, 2x at
+// 1 KB, nothing above. The 64 B cell holds what a sub-message stopped costing
+// the sink and the frame (DESIGN.md §27: 23.2x archived, 18.5x quick, against
+// 12.6x and 11.6x with a poll and a 20-byte entry each). The others are ratios
+// whose denominator rose 1.7x when the gateway began to overlap one message's
+// receive with the send of the one before (DESIGN.md §23). A quick run's
+// 64-message streams hold the same gate as the archived 256-message ones: an
+// aggregated stream carries no constant that does not scale with its length
 // (DESIGN.md §24; EXPERIMENTS.md M1 has both stream lengths).
 func m1Gate(size int) float64 {
 	switch {
+	case size <= 64:
+		return 15
 	case size <= 512:
 		return 3
 	case size <= 1*kb:
@@ -102,12 +103,8 @@ func m1Count(size int, quick bool) int {
 }
 
 func m1Configs() (seed, eager, agg fwd.Config) {
-	seed = fwd.DefaultConfig()
-	eager = fwd.DefaultConfig()
-	eager.Eager = true
-	agg = fwd.DefaultConfig()
-	agg.Eager = true
-	agg.Aggregation = true
+	seed, eager, agg = fwd.DefaultConfig(), fwd.DefaultConfig(), fwd.DefaultConfig()
+	eager.Eager, agg.Eager, agg.Aggregation = true, true, true
 	return seed, eager, agg
 }
 
@@ -119,7 +116,7 @@ func runM1(o Options) *Result {
 		Title:  "Small-message goodput through one gateway: seed framing vs eager vs eager+aggregation",
 		Header: []string{"bytes", "seed MB/s", "eager MB/s", "agg MB/s", "seed msg/s", "agg msg/s", "agg/seed"},
 	}
-	worstSmall, worstKB, worstLarge := 0.0, 0.0, 0.0
+	mouse, worstSmall, worstKB, worstLarge := 0.0, 0.0, 0.0, 0.0
 	short := false // some size missed its speedup gate
 	below := func(worst *float64, ratio float64) {
 		if *worst == 0 || ratio < *worst {
@@ -142,6 +139,8 @@ func runM1(o Options) *Result {
 			fmt.Sprintf("%.2fx", ratio),
 		})
 		switch {
+		case size <= 64:
+			mouse = ratio
 		case size <= 512:
 			below(&worstSmall, ratio)
 		case size == 1*kb:
@@ -152,10 +151,10 @@ func runM1(o Options) *Result {
 		short = short || ratio < m1Gate(size)
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("eager+agg vs seed: worst <=512B speedup %.2fx (gate: >= %gx), 1KB speedup %.2fx (gate: >= %gx), worst >=64KB parity %.3fx (gate: >= 0.98x)",
-			worstSmall, m1Gate(512), worstKB, m1Gate(1*kb), worstLarge))
+		fmt.Sprintf("eager+agg vs seed: 64B speedup %.2fx (gate: >= %gx), worst 128-512B speedup %.2fx (gate: >= %gx), 1KB speedup %.2fx (gate: >= %gx), worst >=64KB parity %.3fx (gate: >= 0.98x)",
+			mouse, m1Gate(64), worstSmall, m1Gate(512), worstKB, m1Gate(1*kb), worstLarge))
 	if short {
-		r.Notes = append(r.Notes, fmt.Sprintf("WARNING: small-message speedup %.2fx (<=512B) or %.2fx (1KB) below its gate", worstSmall, worstKB))
+		r.Notes = append(r.Notes, fmt.Sprintf("WARNING: small-message speedup %.2fx (64B), %.2fx (128-512B) or %.2fx (1KB) below its gate", mouse, worstSmall, worstKB))
 	}
 	if worstLarge < 0.98 {
 		r.Notes = append(r.Notes, fmt.Sprintf("WARNING: large-message parity %.3fx below the 0.98x gate", worstLarge))

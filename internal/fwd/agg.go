@@ -55,7 +55,7 @@ type aggKey struct {
 // own coalescer, so malformation is a protocol error (MustReader).
 type aggRx struct {
 	from mad.Rank
-	rd   *agg.Reader
+	rd   agg.Reader
 }
 
 // AggStats aggregates the coalescing layer's counters. All fields are zero
@@ -80,17 +80,13 @@ type AggStats struct {
 
 // aggState is the virtual channel's aggregation bookkeeping: the lazily
 // created coalescers, whose counts AggStats sums, and the frame each sink is
-// draining.
+// draining, by rank: the reader advances in place.
 type aggState struct {
 	co map[aggKey]*aggCoalescer
-	rx map[mad.Rank]aggRx
+	rx []aggRx
 	// onRecycle, when set, is given every frame buffer a coalescer takes
 	// back. Only tests set it, to poison the memory.
 	onRecycle func([]byte)
-}
-
-func newAggState() *aggState {
-	return &aggState{co: make(map[aggKey]*aggCoalescer), rx: make(map[mad.Rank]aggRx)}
 }
 
 // AggStats returns the aggregation counters (zero-valued when aggregation
@@ -212,24 +208,28 @@ func (c *aggCoalescer) run(p *vtime.Proc) {
 // frame, sends it the ordinary way behind what is queued). Called from
 // aggPacking.end on the application's process.
 func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
-	need := agg.SubSizeParts(len(blocks), total)
-	if agg.HeaderLen+need > c.limit {
+	// Whether it is coalesced at all must not depend on what is queued: the bound.
+	if agg.HeaderLen+agg.SubSizeParts(len(blocks), total) > c.limit {
 		c.goAround(p)
 		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, false)
 		return
 	}
 	c.mu.Lock(p)
 	defer c.mu.Unlock(p)
-	for c.b.Len()+need > c.limit {
+	for {
+		// After a wait the scratch list was another sender's, and the ID queued last.
+		c.scratch = c.scratch[:0]
+		for _, b := range blocks {
+			c.scratch = append(c.scratch, agg.Block{Data: b.data, S: uint8(b.s), R: uint8(b.r)})
+		}
+		if c.b.Len()+c.b.Need(id, c.scratch) <= c.limit {
+			break
+		}
 		c.full = true // the daemon takes it once the frame before is off the wire
 		c.cond.Wait(p)
 	}
 	// Packing into the frame is the one real copy of the coalesced path.
 	c.node.Host.Memcpy(p, total)
-	c.scratch = c.scratch[:0]
-	for _, b := range blocks {
-		c.scratch = append(c.scratch, agg.Block{Data: b.data, S: uint8(b.s), R: uint8(b.r)})
-	}
 	c.b.Add(id, c.scratch)
 	c.enq = append(c.enq, p.Now())
 	c.ids = append(c.ids, id)
@@ -389,16 +389,13 @@ func (ax *aggPacking) end(p *vtime.Proc) {
 }
 
 // aggPop returns the next sub-message of the frame the sink is draining and
-// its origin, and lets go of a drained frame.
+// its origin; a drained reader has let go of its frame.
 func (vc *VirtualChannel) aggPop(rank mad.Rank) (mad.Rank, agg.Sub, bool) {
-	if vc.aggst == nil || vc.aggst.rx[rank].rd == nil {
+	if vc.aggst == nil {
 		return 0, agg.Sub{}, false
 	}
-	rx := vc.aggst.rx[rank]
+	rx := &vc.aggst.rx[rank]
 	sub, ok := rx.rd.Next()
-	if !ok {
-		delete(vc.aggst.rx, rank)
-	}
 	return rx.from, sub, ok
 }
 

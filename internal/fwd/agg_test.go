@@ -440,13 +440,13 @@ func TestAggIncastWithManySenders(t *testing.T) {
 // TestAggPackOverlapsFlush is the sender's half of the pipeline: the daemon
 // sends frame k without the coalescer's lock, so the stream's sender packs
 // frame k+1 meanwhile and is parked only when that one is full. With a 1 KiB
-// MTU a frame holds eleven 64 B messages and takes longer to send than to
+// MTU a frame holds fourteen 64 B messages and takes longer to send than to
 // pack: the first frame leaves with the one message there is, every later one
 // full, the sender waits only as it opens a new frame, and the stream is on
 // the wire sooner than packing and sending in turn would have it there.
 func TestAggPackOverlapsFlush(t *testing.T) {
 	const (
-		size, perFrame, frames = 64, 11, 40
+		size, perFrame, frames = 64, 14, 40
 		msgs                   = 1 + perFrame*(frames-1)
 	)
 	cfg := fwd.DefaultConfig()
@@ -481,7 +481,10 @@ func TestAggPackOverlapsFlush(t *testing.T) {
 	}
 
 	limit := cfg.MTU - 20 // the GTM header
-	sub := agg.SubSizeParts(1, size)
+	// An entry is its length, ID delta, block count, block size and modes in
+	// a byte each, and the payload; a frame's first holds its ID whole, in two
+	// bytes from message 64 on.
+	const entry = 5 + size
 	var flens []int
 	var sendSum vtime.Duration
 	var lastSent vtime.Time
@@ -494,12 +497,13 @@ func TestAggPackOverlapsFlush(t *testing.T) {
 			lastSent = e.At
 		}
 	}
-	if len(flens) != frames || flens[0] != agg.HeaderLen+sub {
+	if len(flens) != frames || flens[0] != agg.HeaderLen+entry {
 		t.Fatalf("frames of %v bytes, want %d, the first of one message", flens, frames)
 	}
 	for k, n := range flens[1:] {
-		if n+sub <= limit {
-			t.Errorf("frame %d left with %d bytes, room for another message under %d", k+2, n, limit)
+		if full := agg.HeaderLen + perFrame*entry; n != full && n != full+1 {
+			t.Errorf("frame %d left with %d bytes, want %d messages and %d or %d: %d more would fit under %d",
+				k+2, n, perFrame, full, full+1, (limit-n)/entry, limit)
 		}
 	}
 	parked := 0
@@ -531,7 +535,7 @@ func TestAggPackOverlapsFlush(t *testing.T) {
 // and the sender parks. When the receiver resumes, everything arrives, in
 // order.
 func TestSinkReceivesOneFrameAhead(t *testing.T) {
-	const msgs, size = 12000, 64 // thirty full frames of a 32 KiB MTU
+	const msgs, size = 12000, 64 // twenty-five full frames of a 32 KiB MTU
 	cfg := fwd.DefaultConfig()
 	cfg.Eager, cfg.Aggregation, cfg.FlowControl = true, true, true
 	w := build(t, paperHS(t), cfg)

@@ -29,7 +29,12 @@ import (
 // stripe-gw cells are done 1.0–12.1 µs earlier, and no transfer count moved.
 // Six were printed a third time when the coalescer's idle deadline went
 // (DESIGN.md §24): the eager+agg cells whose message is coalesced are done
-// 50 000 ns earlier, to the nanosecond, and nothing else moved.
+// 50 000 ns earlier, to the nanosecond, and nothing else moved. The same six
+// a fourth time when the frame's sub-entries went from fixed-width fields to
+// varints (DESIGN.md §27): a frame of one message is 11 bytes shorter for a
+// message of no blocks, 15 for a block under 128 B, 13 for one under 16 KiB,
+// and done 1 150, 1 569 and 572 ns earlier. (Each cell is one message, one
+// frame and so one poll at the sink: not polling per sub-message moved none.)
 //
 // Transfers per message, F fragments: seed F+2 (header, fragments, bare
 // terminator); eager 1 when the first fragment rides the header, else F+1,
@@ -187,17 +192,17 @@ var framingTable = map[string]framingCell{
 	"eager/2mtu+1":            {4, 2350391},
 	"eager/mixed":             {5, 1833952},
 	"eager/safer":             {1, 80839},
-	"eager+agg/none":          {1, 23405},
-	"eager+agg/zero":          {1, 24332},
-	"eager+agg/1B":            {1, 24450},
-	"eager+agg/inlineMax":     {1, 269909},
-	"eager+agg/inlineMax+1":   {1, 269965},
+	"eager+agg/none":          {1, 22255},
+	"eager+agg/zero":          {1, 22763},
+	"eager+agg/1B":            {1, 22881},
+	"eager+agg/inlineMax":     {1, 269337},
+	"eager+agg/inlineMax+1":   {1, 269393},
 	"eager+agg/mtu4K-20":      {1, 248695},
 	"eager+agg/mtu4K-19":      {2, 235399},
 	"eager+agg/2mtu":          {3, 2304414},
 	"eager+agg/2mtu+1":        {4, 2350691},
 	"eager+agg/mixed":         {5, 1834852},
-	"eager+agg/safer":         {1, 82723},
+	"eager+agg/safer":         {1, 82151},
 	"mcast/none":              {1, 20845},
 	"mcast/zero":              {1, 20845},
 	"mcast/1B":                {1, 21397},

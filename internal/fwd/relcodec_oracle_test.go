@@ -97,7 +97,7 @@ func PoisonAggBufs(vc *VirtualChannel) *int {
 // to it — the polling threads have queued ahead of the application.
 func SinkFrames(vc *VirtualChannel, node string) (draining bool, ahead int) {
 	rank := vc.NodeRank(node)
-	return vc.aggst.rx[rank].rd != nil, vc.merged[rank].Len()
+	return vc.aggst.rx[rank].rd.Count() > 0, vc.merged[rank].Len()
 }
 
 func poison(buf []byte) {

@@ -383,11 +383,11 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 	if cfg.FlowControl {
 		vc.flowc = newFlowCtl(vc, cfg.CreditWindow)
 	}
-	if cfg.Aggregation {
-		vc.aggst = newAggState()
-	}
 	for _, n := range buildTopo.Nodes() {
 		vc.nodes[n.Name] = sess.AddNode(n.Name)
+	}
+	if cfg.Aggregation {
+		vc.aggst = &aggState{co: make(map[aggKey]*aggCoalescer), rx: make([]aggRx, len(sess.Nodes()))}
 	}
 	vc.tbl = route.Compute(tp)
 
@@ -760,20 +760,15 @@ type Unpacking struct {
 // Generic one, it needs some additional information ... transmitted before
 // the actual message body" (§2.2.2).
 func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
-	// PollCost is a probe of the networks: the call that consults the arrival
-	// queue pays it, once; a sub-message of the frame the sink is already
-	// draining is in memory and costs none.
-	polled := false
-	for {
-		// Sub-messages decoded from an earlier aggregate frame are
-		// delivered FIFO before anything newer.
+	for polled := false; ; polled = true {
+		// A frame's sub-messages come FIFO before anything newer, from memory:
+		// PollCost, a probe of the networks, is paid on the way to the queue.
 		if from, sub, ok := e.vc.aggPop(e.node.Rank); ok {
 			u := &aggUnpacking{vc: e.vc, node: e.node, sub: sub}
 			return &Unpacking{x: u, from: from, fwd: true}
 		}
 		if !polled {
 			p.Sleep(e.node.Host.CPU.PollCost)
-			polled = true
 		}
 		in, ok := e.vc.merged[e.node.Rank].Recv(p)
 		if !ok {
