@@ -208,7 +208,7 @@ func (c *aggCoalescer) run(p *vtime.Proc) {
 // frame, sends it the ordinary way behind what is queued). Called from
 // aggPacking.end on the application's process.
 func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
-	// Whether it is coalesced at all must not depend on what is queued: the bound.
+	// The bound, not Need: what goes around must not depend on what is queued.
 	if agg.HeaderLen+agg.SubSizeParts(len(blocks), total) > c.limit {
 		c.goAround(p)
 		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, false)
@@ -217,7 +217,7 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 	c.mu.Lock(p)
 	defer c.mu.Unlock(p)
 	for {
-		// After a wait the scratch list was another sender's, and the ID queued last.
+		// Afresh after a wait: another sender used the scratch list and queued an ID.
 		c.scratch = c.scratch[:0]
 		for _, b := range blocks {
 			c.scratch = append(c.scratch, agg.Block{Data: b.data, S: uint8(b.s), R: uint8(b.r)})
