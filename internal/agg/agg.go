@@ -242,10 +242,10 @@ type Sub struct {
 	ID      uint64
 	nblocks int
 	body    []byte // descriptors, then payload
-	descLen int
 	// at and atOff are the descriptor Block read last, plus one, and where it
 	// ends in body: reading the blocks in order decodes each descriptor once.
 	at, atOff int
+	descLen   int // where the payload starts in body, zero until Payload has found it
 }
 
 // NumBlocks is the number of packed blocks of this sub-message.
@@ -272,8 +272,18 @@ func (s *Sub) Block(i int) (size int, sMode, rMode uint8) {
 }
 
 // Payload is the concatenation of the sub-message's block payloads, in
-// block order.
-func (s *Sub) Payload() []byte { return s.body[s.descLen:] }
+// block order. The first call finds where the descriptors end, going on from
+// the one Block read last: nothing, after Block(0) of a one-block message.
+func (s *Sub) Payload() []byte {
+	if s.descLen == 0 && s.nblocks > 0 {
+		s.descLen = s.atOff
+		for at := s.at; at < s.nblocks; at++ {
+			_, n := binary.Uvarint(s.body[s.descLen:])
+			s.descLen += n + 1
+		}
+	}
+	return s.body[s.descLen:]
+}
 
 // Reader walks the sub-messages of a validated frame. It is a value: a sink
 // keeps the one it is draining in place and allocates nothing per frame.
@@ -359,12 +369,7 @@ func (r *Reader) Next() (Sub, bool) {
 	delta, n := binary.Uvarint(entry)
 	r.last += unzigzag(delta)
 	nblocks, m := binary.Uvarint(entry[n:])
-	sub := Sub{ID: r.last, nblocks: int(nblocks), body: entry[n+m:]}
-	for j := 0; j < sub.nblocks; j++ {
-		_, n := binary.Uvarint(sub.body[sub.descLen:])
-		sub.descLen += n + 1
-	}
-	return sub, true
+	return Sub{ID: r.last, nblocks: int(nblocks), body: entry[n+m:]}, true
 }
 
 // MustReader is NewReader for frames this process built itself (the sink's

@@ -70,7 +70,8 @@ func TestRoundTrip(t *testing.T) {
 // two- and three-byte varint edges, IDs that fall, repeat, step by one and
 // jump by more than 2³², the first of a frame next to 2⁶⁴. The reader returns
 // what Add was given, Need said by how much each Add would grow the frame, and
-// reading the blocks out of order returns the same descriptors.
+// reading the blocks out of order, or the payload between two of them, returns
+// the same descriptors and bytes.
 func TestRoundTripProperty(t *testing.T) {
 	sizes := []int{0, 0, 1, 5, 64, 126, 127, 128, 129, 16382, 16383, 16384, 16385}
 	for seed := int64(1); seed <= 100; seed++ {
@@ -121,8 +122,18 @@ func TestRoundTripProperty(t *testing.T) {
 			for _, blk := range want.blocks {
 				payload = append(payload, blk.Data...)
 			}
-			if !bytes.Equal(got.Payload(), payload) {
-				t.Fatalf("seed %d sub %d: payload of %d bytes differs from the %d packed", seed, i, len(got.Payload()), len(payload))
+			mid, at := got, rng.Intn(len(want.blocks)+1) // as a sink reads: blocks in order, the payload first asked for part-way
+			for j := 0; j < at; j++ {
+				mid.Block(j)
+			}
+			if !bytes.Equal(got.Payload(), payload) || !bytes.Equal(mid.Payload(), payload) {
+				t.Fatalf("seed %d sub %d: payload of %d bytes, or of %d asked for after block %d, differs from the %d packed",
+					seed, i, len(got.Payload()), len(mid.Payload()), at, len(payload))
+			}
+			for j := at; j < len(want.blocks); j++ {
+				if size, sm, rm := mid.Block(j); size != len(want.blocks[j].Data) || sm != want.blocks[j].S || rm != want.blocks[j].R {
+					t.Fatalf("seed %d sub %d block %d, read on after the payload: (%d, %d, %d)", seed, i, j, size, sm, rm)
+				}
 			}
 			order := rng.Perm(len(want.blocks)) // out of order first, then in order
 			for j := range want.blocks {

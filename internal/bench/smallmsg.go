@@ -103,8 +103,12 @@ func m1Count(size int, quick bool) int {
 }
 
 func m1Configs() (seed, eager, agg fwd.Config) {
-	seed, eager, agg = fwd.DefaultConfig(), fwd.DefaultConfig(), fwd.DefaultConfig()
-	eager.Eager, agg.Eager, agg.Aggregation = true, true, true
+	seed = fwd.DefaultConfig()
+	eager = fwd.DefaultConfig()
+	eager.Eager = true
+	agg = fwd.DefaultConfig()
+	agg.Eager = true
+	agg.Aggregation = true
 	return seed, eager, agg
 }
 

@@ -89,6 +89,10 @@ type aggState struct {
 	onRecycle func([]byte)
 }
 
+func newAggState(nodes int) *aggState {
+	return &aggState{co: make(map[aggKey]*aggCoalescer), rx: make([]aggRx, nodes)}
+}
+
 // AggStats returns the aggregation counters (zero-valued when aggregation
 // is off).
 func (vc *VirtualChannel) AggStats() AggStats {

@@ -93,11 +93,14 @@ func PoisonAggBufs(vc *VirtualChannel) *int {
 }
 
 // SinkFrames reports what a sink holds of the aggregated path: whether it is
-// draining a frame, and how many entries — frames, when nothing else is sent
-// to it — the polling threads have queued ahead of the application.
+// draining a frame — sub-messages of it are still unread, asked of a copy of
+// the reader — and how many entries — frames, when nothing else is sent to
+// it — the polling threads have queued ahead of the application.
 func SinkFrames(vc *VirtualChannel, node string) (draining bool, ahead int) {
 	rank := vc.NodeRank(node)
-	return vc.aggst.rx[rank].rd.Count() > 0, vc.merged[rank].Len()
+	rd := vc.aggst.rx[rank].rd
+	_, draining = rd.Next()
+	return draining, vc.merged[rank].Len()
 }
 
 func poison(buf []byte) {

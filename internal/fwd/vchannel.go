@@ -387,7 +387,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		vc.nodes[n.Name] = sess.AddNode(n.Name)
 	}
 	if cfg.Aggregation {
-		vc.aggst = &aggState{co: make(map[aggKey]*aggCoalescer), rx: make([]aggRx, len(sess.Nodes()))}
+		vc.aggst = newAggState(len(sess.Nodes()))
 	}
 	vc.tbl = route.Compute(tp)
 
