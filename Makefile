@@ -186,12 +186,16 @@ stripe-gate: s1-gate
 # byte-identical payload, epoch-convergence and rail-readmission
 # assertions — the packet-buffer ledger under loss, corruption and a rail
 # death (every returned buffer poisoned, taken == returned at quiescence),
-# and the many-senders contention wall (2..64 senders x topology x mode x
-# flow on/off, byte-identical delivery without deadlock), all with the race
+# the many-senders contention wall (2..64 senders x topology x mode x
+# flow on/off, byte-identical delivery without deadlock), the relay's
+# head-of-line test (a burst stalled on a lost packet holds up no other
+# destination's) and the collectives under loss and a gateway crash (the
+# failover wall for concurrent relays, DESIGN.md §28), all with the race
 # detector on.
 soak:
 	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
-	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$' -v
+	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$' -v
+	$(GO) test -race ./internal/coll -run '^TestCollectivesUnderLossAndCrash$$' -v
 	$(GO) test -race ./internal/health
 
 # fuzz smokes every wire-codec fuzz target for FUZZTIME each (go test
@@ -213,8 +217,13 @@ fuzz:
 # so: PR 24 (DESIGN.md §27) raised internal/fwd 6449 -> 6452 (the poll moved to
 # the arrival queue, the coalescer's exact does-it-fit test) and internal/bench
 # 2400 -> 2403 (the m1 gate's 64 B cell), and added internal/agg at the size
-# the varint codec landed at.
-LOC_MAX := internal/fwd:6452 internal/bench:2403 internal/agg:383
+# the varint codec landed at. PR 25 (DESIGN.md §28) raised internal/fwd
+# 6452 -> 6558: 41 lines for the relay's per-destination send daemons, 55 for
+# the striped reliable send's recycled scratch and rail daemons (net of the
+# two-line reliable EWMA branch it deletes), 7 for the recycled packet list
+# and 3 for the free list's smallest-fit lookup, the last two paying for the
+# packet buffers the daemons keep in flight.
+LOC_MAX := internal/fwd:6558 internal/bench:2403 internal/agg:383
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

@@ -125,15 +125,18 @@ type relBufPool struct {
 	onPut func(buf []byte)
 }
 
-// get returns a buffer of length n whose content is unspecified.
+// get returns a buffer of length n whose content is unspecified: the last one
+// returned to the smallest class that fits n and has one free. A buffer
+// borrowed from a larger class goes back to its own, so concurrent bursts of
+// mixed sizes share one set of buffers instead of warming a set per size.
 func (bp *relBufPool) get(n int) []byte {
 	bp.taken++
 	class, size := relBufClass(n)
-	if class < len(bp.free) {
-		if l := bp.free[class]; len(l) > 0 {
+	for c := class; c < len(bp.free); c++ {
+		if l := bp.free[c]; len(l) > 0 {
 			b := l[len(l)-1]
 			l[len(l)-1] = nil
-			bp.free[class] = l[:len(l)-1]
+			bp.free[c] = l[:len(l)-1]
 			return b[:n]
 		}
 	}

@@ -33,15 +33,17 @@ package fwd
 // Deadlock freedom: the per-network polling daemons always Recv (which
 // frees the link's eager flow-control credit) before doing anything else,
 // and never block on sends — acknowledgements go through a per-node control
-// daemon, relays through a per-node relay daemon serving one bounded
+// daemon, relays through a per-node dispatcher serving one bounded
 // deficit-round-robin queue per ingress neighbour, both fed by non-blocking
-// enqueue. A full queue just means no ack, which the upstream retry converts
+// enqueue; the dispatcher hands each burst to its final destination's send
+// daemon. A full queue just means no ack, which the upstream retry converts
 // into a retransmission later.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"madgo/internal/flight"
 	"madgo/internal/flow"
@@ -489,15 +491,14 @@ type relMsg struct {
 	agg bool
 }
 
-// relayItem is one packet queued for forwarding by a node's relay daemon.
+// relayItem is one packet queued for forwarding by a node's relay dispatcher.
 // The packet is re-encoded at the next hop (piggybacking fresh acks), so
 // only the decoded form travels through the queue — with the datagram it
-// aliases, which the relay daemon returns to the pool once the packet's
-// burst is acknowledged or given up on. from names the ingress
-// neighbour ("" for locally-originated packets): split horizon never
-// forwards a packet back out the way it came, which breaks the routing
-// loops two nodes with inconsistent liveness views would otherwise bounce
-// a packet around.
+// aliases, which relayBatch returns to the pool once the packet's burst is
+// acknowledged or given up on. from names the ingress neighbour ("" for
+// locally-originated packets): split horizon never forwards a packet back
+// out the way it came, which breaks the routing loops two nodes with
+// inconsistent liveness views would otherwise bounce a packet around.
 type relayItem struct {
 	d    relData
 	from string
@@ -607,11 +608,14 @@ type relEngine struct {
 
 	ctlQ *vsync.Chan[*mad.Link]
 
-	// relayDRR is the relay daemon's queue, a deficit-round-robin scheduler
-	// over ingress neighbours ("" for what this node originates); relaySem
-	// counts its queued items.
+	// relayDRR is the relay dispatcher's queue, a deficit-round-robin
+	// scheduler over ingress neighbours ("" for what this node originates);
+	// relaySem counts its queued items. senders are the per-destination send
+	// daemons the dispatcher hands bursts to, by final destination, each
+	// made by its destination's first burst.
 	relayDRR *flow.DRR[relayItem]
 	relaySem *vsync.Sem
+	senders  map[mad.Rank]*relSender
 
 	relayedMsgs  int64
 	relayedPkts  int64
@@ -620,11 +624,13 @@ type relEngine struct {
 	fr *flight.Ring // cached flight ring; nil until a recorder is armed
 
 	// Recycled bookkeeping (DESIGN.md §17). Several processes run bursts on
-	// one engine at once — the application, its stripe rails, the relay
-	// daemon — so these are free lists, not single scratch slots.
-	awFree    []*relAwait   // completion slots
-	burstFree [][]*relAwait // per-burst slot lists, capacity Window
-	msgFree   []*relMsg     // reassembly records, fragment tables attached
+	// one engine at once — the application, its stripe rails, the relay's
+	// destination daemons — so these are free lists, not single scratch slots.
+	awFree     []*relAwait   // completion slots
+	burstFree  [][]*relAwait // per-burst slot lists, capacity Window
+	msgFree    []*relMsg     // reassembly records, fragment tables attached
+	pktFree    [][]relData   // sent messages' packet lists
+	stripeFree []*relStripe  // striped sends, rail daemons attached (stripe.go)
 
 	actor string // tracer lane "rel:<node>"
 	// The node's event counts, by the rel* indexes below: what the stats
@@ -727,6 +733,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			ctlQ:     vsync.NewChan[*mad.Link]("ctlq:"+n.Name, 4096),
 			relayDRR: flow.NewDRR[relayItem](int64(vc.cfg.MTU)),
 			relaySem: vsync.NewSem(0),
+			senders:  make(map[mad.Rank]*relSender),
 		}
 		vc.rel[n.Name] = e
 		vc.sess.Platform.Instrument(e)
@@ -794,7 +801,11 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	defer e.vc.relBufs.put(desc)
 	putRelDesc(desc, mtu, blocks)
 	final := e.vc.NodeRank(dst)
-	ds := make([]relData, 0, total)
+	var ds []relData // recycled, its references dropped when the message is done
+	if k := len(e.pktFree); k > 0 {
+		ds, e.pktFree = e.pktFree[k-1], e.pktFree[:k-1]
+	}
+	ds = slices.Grow(ds, nfrags)
 	add := func(pl []byte) {
 		ds = append(ds, relData{origin: e.node.Rank, final: final, id: id,
 			frag: uint32(len(ds)), total: total, flags: msgFlags, payload: pl})
@@ -807,6 +818,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	if len(ds) != nfrags {
 		panic("fwd: reliable fragment count out of step with ForEachFragment")
 	}
+	defer func() { clear(ds); e.pktFree = append(e.pktFree, ds[:0]) }()
 
 	mkey := relMsgKey{origin: e.node.Rank, id: id}
 	reason := "timeout"
@@ -1521,18 +1533,54 @@ func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
 	}
 }
 
-// relayLoop is the per-node relay daemon: it reliably forwards queued
-// packets (data passing through this node, and end-to-end acks this node
-// originates or relays) in deficit-round-robin order over ingress flows, each
-// flow charged the payload bytes it relayed, so a backlogged elephant sender
-// repays its debt over following rounds while mouse flows keep being served —
-// long-run relay bandwidth equalizes across contending ingress neighbours.
-// Backlogged packets of the flow DRR picked that are bound for the same final
-// destination move as one windowed burst, so a relay preserves the upstream
-// sender's ack coalescing instead of re-expanding the stream into
-// stop-and-wait.
+// relSender is the send thread of one final destination at a relaying node,
+// the reliable counterpart of the streaming gateway's gwSender: a daemon that
+// forwards the bursts the dispatcher hands it, one at a time, so a burst
+// stalled on a lost packet holds up only later bursts to its own destination.
+// The dispatcher fills batch, from and cost while free is taken and the
+// daemon owns them until it gives free back.
+type relSender struct {
+	free  vsync.Sem // one permit while no burst to the destination is in flight
+	work  vsync.Sem // one permit while a handed-over burst waits for the daemon
+	from  string    // the burst's ingress flow
+	cost  int64     // its payload bytes, charged to the flow once relayed
+	batch []relData // the burst, reused burst after burst
+}
+
+// relaySender returns the send daemon of one final destination, starting it
+// with that destination's first burst.
+func (e *relEngine) relaySender(final mad.Rank) *relSender {
+	if s := e.senders[final]; s != nil {
+		return s
+	}
+	s := &relSender{batch: make([]relData, 0, e.pol.Window)}
+	s.free.Release(1)
+	e.senders[final] = s
+	e.sim().SpawnDaemon("relsend:"+e.node.Name+">"+e.vc.sess.Node(final).Name, func(p *vtime.Proc) {
+		for {
+			s.work.Acquire(p, 1)
+			e.relayBatch(p, s.from, s.batch)
+			e.relayDRR.Charge(s.from, s.cost)
+			s.free.Release(1)
+		}
+	})
+	return s
+}
+
+// relayLoop is the per-node relay dispatcher: it hands queued packets (data
+// passing through this node, and end-to-end acks this node originates or
+// relays) to their final destination's send daemon in deficit-round-robin
+// order over ingress flows, each flow charged the payload bytes it relayed, so
+// a backlogged elephant sender repays its debt over following rounds while
+// mouse flows keep being served — long-run relay bandwidth equalizes across
+// contending ingress neighbours. Backlogged packets of the flow DRR picked
+// that are bound for the same final destination move as one windowed burst,
+// so a relay preserves the upstream sender's ack coalescing instead of
+// re-expanding the stream into stop-and-wait. One burst per destination is in
+// flight: the dispatcher waits only when the head item's destination still has
+// one, and forms the batch once it is free, so bursts to different
+// destinations — as many as have backlog — overlap their ARQ waits.
 func (e *relEngine) relayLoop(p *vtime.Proc) {
-	var batch []relData // the daemon's own, reused burst after burst
 	var final mad.Rank
 	sameFinal := func(m relayItem) bool { return m.d.final == final }
 	for {
@@ -1541,11 +1589,13 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 		if !ok {
 			panic("fwd: relay scheduler woken with empty queues on " + e.node.Name)
 		}
-		e.queueWait(p, &it)
-		batch = append(batch[:0], it.d)
-		cost := int64(len(it.d.payload))
 		final = it.d.final
-		for len(batch) < e.pol.Window {
+		s := e.relaySender(final)
+		s.free.Acquire(p, 1)
+		e.queueWait(p, &it)
+		s.batch = append(s.batch[:0], it.d)
+		s.from, s.cost = key, int64(len(it.d.payload))
+		for len(s.batch) < e.pol.Window {
 			more, ok := e.relayDRR.PopFrom(key, sameFinal)
 			if !ok {
 				break
@@ -1554,11 +1604,10 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 				panic("fwd: relay scheduler permit ledger out of balance on " + e.node.Name)
 			}
 			e.queueWait(p, &more)
-			batch = append(batch, more.d)
-			cost += int64(len(more.d.payload))
+			s.batch = append(s.batch, more.d)
+			s.cost += int64(len(more.d.payload))
 		}
-		e.relayBatch(p, key, batch)
-		e.relayDRR.Charge(key, cost)
+		s.work.Release(1)
 	}
 }
 

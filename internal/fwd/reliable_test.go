@@ -13,6 +13,7 @@ import (
 	"madgo/internal/fwd"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/topo"
 	"madgo/internal/vtime"
 )
@@ -269,5 +270,71 @@ func TestReliableManyPairsUnderLoss(t *testing.T) {
 		if !bytes.Equal(got[i], payloads[i]) {
 			t.Errorf("pair %v payload corrupted", pairs[i])
 		}
+	}
+}
+
+// TestRelayBurstToOneDestinationDoesNotHoldAnother is the relay's
+// head-of-line test (DESIGN.md §28): one gateway relays a0's message to b1 and
+// a1's to b2, each destination on a network of its own. The one transmission
+// that carries b1's data packet is lost, so that burst waits AckTimeout for
+// its hop ack; b2's message, arriving at the gateway meanwhile, must complete
+// within a few wire times instead of waiting behind it. When one relay daemon
+// served every destination it waited the whole 5 ms.
+func TestRelayBurstToOneDestinationDoesNotHoldAnother(t *testing.T) {
+	tp, err := topo.NewBuilder().
+		Network("sciA", "sci").Network("myri1", "myrinet").Network("myri2", "myrinet").
+		Node("a0", "sciA").Node("a1", "sciA").Node("gw", "sciA", "myri1", "myri2").
+		Node("b1", "myri1").Node("b2", "myri2").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	toB1 := []block{{pattern(1000, 1), mad.SendCheaper, mad.ReceiveCheaper}}
+	// A fault-free run finds the instant the gateway's transmission of b1's
+	// data packet ends; the real run flaps myri1 for its last nanosecond,
+	// which cancels exactly that transmission.
+	probe := buildFaulty(t, tp, nil, nil, fwd.DefaultConfig())
+	reg := obs.New()
+	probe.sess.Platform.SetMetrics(reg)
+	sendRecv(t, probe, "a0", "b1", toB1)
+	var lost vtime.Time
+	for _, h := range reg.Hops() {
+		if h.Node == "gw" && h.Op == "hop" && h.Detail == "frag 1 -> b1 via myri1" {
+			lost = h.At
+		}
+	}
+	if lost == 0 {
+		t.Fatal("the fault-free run relayed no data packet to b1")
+	}
+
+	w := buildFaulty(t, tp, nil, fault.NewPlan(1).Flap("myri1", lost-1, 1), fwd.DefaultConfig())
+	toB2 := pattern(1000, 2)
+	var done vtime.Time
+	w.sim.Spawn("app-send:a1", func(p *vtime.Proc) {
+		p.Sleep(lost.Sub(p.Now()))
+		px := w.vc.At("a1").BeginPacking(p, "b2")
+		px.Pack(p, toB2, mad.SendCheaper, mad.ReceiveCheaper)
+		px.EndPacking(p)
+	})
+	w.sim.Spawn("app-recv:b2", func(p *vtime.Proc) {
+		got := make([]byte, len(toB2))
+		u := w.vc.At("b2").BeginUnpacking(p)
+		u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+		u.EndUnpacking(p)
+		done = p.Now()
+		if !bytes.Equal(got, toB2) {
+			t.Error("b2's payload corrupted")
+		}
+	})
+	if got, _, _ := sendRecv(t, w, "a0", "b1", toB1); !bytes.Equal(got[0], toB1[0].data) {
+		t.Error("b1's payload corrupted")
+	}
+	if w.vc.DeliveryStats().Retransmits == 0 {
+		t.Fatal("the flap lost no packet: the run does not exercise a stalled burst")
+	}
+	took := done.Sub(lost)
+	t.Logf("b2's message completed %v after b1's data packet was lost", took)
+	if ackTimeout := fwd.DefaultRetryPolicy().AckTimeout; took >= ackTimeout/5 {
+		t.Errorf("b2's message took %v: it waited behind b1's stalled burst (AckTimeout %v)", took, ackTimeout)
 	}
 }

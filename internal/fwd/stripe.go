@@ -11,7 +11,8 @@ package fwd
 // contiguous byte span of the flattened message whose length is
 // proportional to the rail's measured goodput (EWMA over previous striped
 // sends to the same pair), falling back to the static bottleneck bandwidth
-// of the rail's networks before any measurement exists.
+// of the rail's networks before any measurement exists. Reliable mode splits
+// by the static bandwidths alone (sendStriped).
 //
 // On the wire each rail is an ordinary self-described GTM-style stream with
 // Kind KindStripe and an extended 48-byte header naming the rail, the rail
@@ -43,6 +44,7 @@ import (
 	"madgo/internal/obs"
 	"madgo/internal/route"
 	"madgo/internal/vtime"
+	"madgo/internal/vtime/vsync"
 )
 
 // DefaultStripeThreshold is the message size below which striping is not
@@ -138,8 +140,9 @@ func (st *stripeState) BindMetrics(m *obs.Registry) {
 }
 
 // railState is one rail of one ordered pair: the measured goodput the
-// scheduler weighs it by, the bytes scheduled onto it, and what recording a
-// send on it needs — names and a gauge handle built once, not per message.
+// streaming scheduler weighs it by, the bytes scheduled onto it, and what
+// recording a send on it needs — names and a gauge handle built once, not per
+// message.
 type railState struct {
 	key       railKey
 	rate      float64 // goodput EWMA in bytes/s, 0 until first measured
@@ -302,8 +305,8 @@ func (vc *VirtualChannel) routeRate(r route.Route) float64 {
 	return min
 }
 
-// railRateFor is a rail's scheduling rate: the measured goodput EWMA when
-// one exists, else the static bottleneck bandwidth.
+// railRateFor is a streaming rail's scheduling rate: the measured goodput
+// EWMA when one exists, else the static bottleneck bandwidth.
 func (vc *VirtualChannel) railRateFor(src, dst string, rail int, r route.Route) float64 {
 	if sr := vc.stripe.rails[railKey{src, dst, rail}]; sr != nil && sr.rate > 0 {
 		return sr.rate
@@ -539,15 +542,39 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 	x.end(p)
 }
 
+// relStripe is the scratch of one striped reliable send: the per-rail runs of
+// the packet list, what the rails share, and the daemons that drive rails 1..
+// while the sending process drives rail 0. An engine keeps them on a free list
+// — several processes of one node may stripe at once — and a message takes one
+// whole, so a warm striped send allocates nothing.
+type relStripe struct {
+	e        *relEngine
+	dst      string
+	ds       []relData
+	rails    []route.Route
+	aw       *relAwait
+	rates    []float64
+	quotas   []int64 // packets per rail
+	spans    []int64 // payload bytes per rail
+	queues   [][]relData
+	failed   []bool
+	residual []relData
+	start    []vsync.Sem // a rail daemon's go, by rail
+	done     vsync.WaitGroup
+}
+
 // sendStriped pushes one full copy of a reliable message toward dst across
-// the pair's rails: the packet stream is partitioned into contiguous
-// per-rail runs proportional to each rail's scheduling rate, and every rail
-// delivers its run to its own first hop under its own ARQ window. A rail
-// whose neighbour stops acknowledging fails over: its residual quota moves
-// to a shared overflow queue the surviving rails drain after their own
-// runs. Packets left when every rail has finished (all rails failed, or a
-// survivor exited before the failure) fall back to ordinary routed
-// forwarding. It reports false when even that could not place a packet.
+// the pair's rails: the packet stream is partitioned into contiguous per-rail
+// runs proportional to each rail's static bottleneck rate, and every rail
+// delivers its run to its own first hop under its own ARQ window. The split
+// is static because what a reliable rail's goodput measures is mostly ARQ
+// ack waits and first-hop queueing, not rail capacity, and scheduling on it
+// starved a rail for good (DESIGN.md §28). A rail whose neighbour stops
+// acknowledging fails over: its residual quota moves to a shared overflow
+// queue the surviving rails drain after their own runs. Packets left when
+// every rail has finished (all rails failed, or a survivor exited before the
+// failure) fall back to ordinary routed forwarding. It reports false when even
+// that could not place a packet.
 //
 // The final destination needs no rail awareness: reliable fragments carry
 // their index and reassemble out of order from any link, so striping in
@@ -555,94 +582,46 @@ func (sx *stripePacking) fallback(p *vtime.Proc) {
 func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails []route.Route, aw *relAwait) bool {
 	vc := e.vc
 	src := e.node.Name
-	rates := make([]float64, len(rails))
+	st := e.newStripe()
+	defer e.freeStripe(st)
+	st.dst, st.ds, st.rails, st.aw = dst, ds, rails, aw
 	for i, r := range rails {
-		rates[i] = vc.railRateFor(src, dst, i, r)
+		st.rates[i] = vc.routeRate(r)
 	}
-	quotas := make([]int64, len(rails))
-	computeSpans(int64(len(ds)), rates, quotas)
-	queues := make([][]relData, len(rails))
-	byteSpans := make([]int64, len(rails))
+	k := len(rails)
+	computeSpans(int64(len(ds)), st.rates[:k], st.quotas[:k])
 	total := int64(0)
 	off := 0
-	for i, q := range quotas {
-		queues[i] = ds[off : off+int(q)]
+	for i, q := range st.quotas[:k] {
+		st.queues[i] = ds[off : off+int(q)]
 		off += int(q)
-		for _, d := range queues[i] {
-			byteSpans[i] += int64(len(d.payload))
+		st.spans[i] = 0
+		for _, d := range st.queues[i] {
+			st.spans[i] += int64(len(d.payload))
 		}
-		total += byteSpans[i]
+		total += st.spans[i]
 	}
-	vc.noteStripePlan(src, dst, byteSpans, total)
+	vc.noteStripePlan(src, dst, st.spans[:k], total)
 	vc.hop(p, ds[0].id, src, "stripe",
-		obs.Detail{Form: stripeSplit, Peer: dst, A: len(rails), Note: spansText(vc.metrics(), byteSpans)}, int(total))
+		obs.Detail{Form: stripeSplit, Peer: dst, A: k, Note: spansText(vc.metrics(), st.spans[:k])}, int(total))
 
-	var residual []relData
-	failed := make([]bool, len(rails))
-	w := e.pol.Window
-	t0 := p.Now()
-	runRail := func(rp *vtime.Proc, ri int) {
-		hop := rails[ri][0]
-		sent := int64(0)
-		for !aw.done {
-			var chunk []relData
-			switch {
-			case len(queues[ri]) > 0:
-				n := min(w, len(queues[ri]))
-				chunk, queues[ri] = queues[ri][:n], queues[ri][n:]
-			case len(residual) > 0:
-				n := min(w, len(residual))
-				chunk, residual = residual[:n], residual[n:]
-			}
-			if chunk == nil {
-				break
-			}
-			if bad := e.deliverBurst(rp, hop, chunk); len(bad) > 0 {
-				// The rail stopped acknowledging, and deliverBurst has told
-				// the health monitor so, link by link; the neighbour — on a
-				// dual-direct configuration the destination itself — stays
-				// reachable over the surviving rails, and the residual quota
-				// just moves over.
-				residual = append(residual, bad...)
-				residual = append(residual, queues[ri]...)
-				queues[ri] = nil
-				failed[ri] = true
-				vc.stripe.failovers.Add(1)
-				vc.hop(rp, ds[0].id, src, "rail-failover",
-					obs.Detail{Form: "rail ${a} via ${net} dead, ${b} packets re-striped", A: ri, Net: hop.Network, B: len(residual)}, 0)
-				return
-			}
-			for _, d := range chunk {
-				sent += int64(len(d.payload))
-			}
-		}
-		if sent > 0 {
-			vc.noteRailGoodput(src, dst, ri, sent, rp.Now().Sub(t0))
-			vc.rail(src, dst, ri).bytes.Add(sent)
-		}
+	st.done.Add(k - 1)
+	for ri := 1; ri < k; ri++ {
+		st.start[ri].Release(1)
 	}
-	sim := vc.sess.Platform.Sim
-	var procs []*vtime.Proc
-	for ri := 1; ri < len(rails); ri++ {
-		ri := ri
-		procs = append(procs, sim.Spawn(fmt.Sprintf("stripe-rel:%s>%s:r%d", src, dst, ri),
-			func(sp *vtime.Proc) { runRail(sp, ri) }))
-	}
-	runRail(p, 0)
-	for _, pr := range procs {
-		p.Join(pr)
-	}
+	st.runRail(p, 0)
+	st.done.Wait(p)
 	// Leftovers: every rail exited (failed or drained before a later
 	// failure). Push them down the surviving rails' own first hops; routed
 	// forwarding, which leaves the rail set for whatever the monitor's tables
 	// still offer, is the last resort, only once no rail is left standing.
-	for len(residual) > 0 && !aw.done {
-		n := min(w, len(residual))
-		chunk := residual[:n]
-		residual = residual[n:]
+	for len(st.residual) > 0 && !aw.done {
+		n := min(e.pol.Window, len(st.residual))
+		chunk := st.residual[:n]
+		st.residual = st.residual[n:]
 		ri := -1
 		for i := range rails {
-			if !failed[i] {
+			if !st.failed[i] {
 				ri = i
 				break
 			}
@@ -654,14 +633,89 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 			continue
 		}
 		if bad := e.deliverBurst(p, rails[ri][0], chunk); len(bad) > 0 {
-			failed[ri] = true
+			st.failed[ri] = true
 			vc.stripe.failovers.Add(1)
 			vc.hop(p, ds[0].id, src, "rail-failover", obs.Detail{A: ri, Net: rails[ri][0].Network, B: len(bad),
 				Form: "rail ${a} via ${net} dead draining leftovers, ${b} packets re-striped"}, 0)
-			residual = append(bad, residual...)
+			st.residual = append(bad, st.residual...)
 		}
 	}
 	return true
+}
+
+// runRail delivers rail ri's run, then whatever the failed rails left over,
+// until the message is acknowledged end to end or nothing is left.
+func (st *relStripe) runRail(p *vtime.Proc, ri int) {
+	e, vc := st.e, st.e.vc
+	hop := st.rails[ri][0]
+	w := e.pol.Window
+	sent := int64(0)
+	for !st.aw.done {
+		var chunk []relData
+		switch {
+		case len(st.queues[ri]) > 0:
+			n := min(w, len(st.queues[ri]))
+			chunk, st.queues[ri] = st.queues[ri][:n], st.queues[ri][n:]
+		case len(st.residual) > 0:
+			n := min(w, len(st.residual))
+			chunk, st.residual = st.residual[:n], st.residual[n:]
+		}
+		if chunk == nil {
+			break
+		}
+		if bad := e.deliverBurst(p, hop, chunk); len(bad) > 0 {
+			// The rail stopped acknowledging, and deliverBurst has told the
+			// health monitor so, link by link; the neighbour — on a
+			// dual-direct configuration the destination itself — stays
+			// reachable over the surviving rails, and the residual quota
+			// just moves over.
+			st.residual = append(st.residual, bad...)
+			st.residual = append(st.residual, st.queues[ri]...)
+			st.queues[ri] = nil
+			st.failed[ri] = true
+			vc.stripe.failovers.Add(1)
+			vc.hop(p, st.ds[0].id, e.node.Name, "rail-failover",
+				obs.Detail{Form: "rail ${a} via ${net} dead, ${b} packets re-striped", A: ri, Net: hop.Network, B: len(st.residual)}, 0)
+			return
+		}
+		for _, d := range chunk {
+			sent += int64(len(d.payload))
+		}
+	}
+	if sent > 0 {
+		vc.rail(e.node.Name, st.dst, ri).bytes.Add(sent)
+	}
+}
+
+// newStripe takes a striped send's scratch off the free list, or makes one
+// for StripeK rails with a parked daemon for every rail past the first.
+func (e *relEngine) newStripe() *relStripe {
+	if n := len(e.stripeFree); n > 0 {
+		st := e.stripeFree[n-1]
+		e.stripeFree = e.stripeFree[:n-1]
+		return st
+	}
+	k := e.vc.cfg.StripeK
+	st := &relStripe{e: e, rates: make([]float64, k), quotas: make([]int64, k), spans: make([]int64, k),
+		queues: make([][]relData, k), failed: make([]bool, k), start: make([]vsync.Sem, k)}
+	for ri := 1; ri < k; ri++ {
+		e.sim().SpawnDaemon(fmt.Sprintf("stripe-rel:%s:r%d", e.node.Name, ri), func(p *vtime.Proc) {
+			for {
+				st.start[ri].Acquire(p, 1)
+				st.runRail(p, ri)
+				st.done.Done()
+			}
+		})
+	}
+	return st
+}
+
+// freeStripe clears what a striped send referenced and recycles its scratch.
+func (e *relEngine) freeStripe(st *relStripe) {
+	clear(st.queues)
+	clear(st.failed)
+	st.ds, st.rails, st.aw, st.residual = nil, nil, nil, nil
+	e.stripeFree = append(e.stripeFree, st)
 }
 
 // openStripeRail opens one announced rail sub-message and files the rail

@@ -10,6 +10,7 @@ import (
 	"madgo/internal/fwd"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/topo"
 	"madgo/internal/vtime"
 )
@@ -390,6 +391,70 @@ func TestReliableStripedGatewayRailCrash(t *testing.T) {
 	}
 	if n := w.vc.Gateway("g1").Messages(); n == 0 {
 		t.Error("surviving gateway relayed nothing")
+	}
+}
+
+// TestReliableStripeKeepsBothRails is prod_lossy_mix's rail trace as a test
+// (DESIGN.md §28): a reliable K=2 pair through two gateways whose first striped
+// transfer is an aggregate frame just over StripeThreshold — two packets, the
+// 14-byte descriptor and the frame — followed by 190 KB messages. Each rail
+// must carry at least 40 % of the bytes. When the reliable split followed the
+// rails' measured goodput, the descriptor-only rail measured about 1 MB/s,
+// got a quota of no packets from then on and was never measured again: it
+// carried about 0 %.
+func TestReliableStripeKeepsBothRails(t *testing.T) {
+	cfg := stripeCfg(2)
+	cfg.Eager, cfg.Aggregation = true, true
+	w := buildFaulty(t, twoGateways(t), nil, nil, cfg)
+	reg := obs.New()
+	w.sess.Platform.SetMetrics(reg)
+	var msgs [][]byte
+	for i := 0; i < 20; i++ {
+		msgs = append(msgs, pattern(1100, byte(i)))
+	}
+	for i := 0; i < 20; i++ {
+		msgs = append(msgs, pattern(190_000, byte(i)))
+	}
+	w.sim.Spawn("app-send:a0", func(p *vtime.Proc) {
+		for _, m := range msgs {
+			px := w.vc.At("a0").BeginPacking(p, "b0")
+			px.Pack(p, m, mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	w.sim.Spawn("app-recv:b0", func(p *vtime.Proc) {
+		for i, m := range msgs {
+			got := make([]byte, len(m))
+			u := w.vc.At("b0").BeginUnpacking(p)
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if !bytes.Equal(got, m) {
+				t.Errorf("message %d corrupted", i)
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range reg.Hops() {
+		if h.Op == "stripe" {
+			if h.Bytes < fwd.DefaultStripeThreshold || h.Bytes > cfg.MTU {
+				t.Fatalf("the first striped transfer is %d bytes, not an aggregate frame of one fragment", h.Bytes)
+			}
+			break
+		}
+	}
+	st := w.vc.StripeStats()
+	if st.Messages != 21 {
+		t.Errorf("striped %d transfers, want 21: one frame and 20 large messages", st.Messages)
+	}
+	total := st.RailBytes[0] + st.RailBytes[1]
+	for rail := 0; rail < 2; rail++ {
+		share := float64(st.RailBytes[rail]) / float64(total)
+		t.Logf("rail %d: %d bytes, %.3f of %d", rail, st.RailBytes[rail], share, total)
+		if share < 0.4 {
+			t.Errorf("rail %d carried %.3f of the striped bytes, want at least 0.4", rail, share)
+		}
 	}
 }
 
