@@ -54,9 +54,6 @@ const (
 
 	// MaxSubs caps the sub-messages per frame (the count field is 16-bit).
 	MaxSubs = 1<<16 - 1
-
-	// rearmMin is the smallest buffer Detach re-arms a builder with.
-	rearmMin = 512
 )
 
 // Block is one packed block of a sub-message: its payload and the send and
@@ -108,12 +105,11 @@ func uvarint(buf []byte) (v uint64, n int, ok bool) {
 // reused across Reset cycles, so a warmed-up builder appends with zero
 // allocations — the aggregator hot-path property the regression test pins.
 type Builder struct {
-	buf    []byte
-	spare  []byte // a detached buffer handed back (Recycle), for the next Detach
+	buf    []byte // nil while unarmed: from a Detach to the next Arm or use
 	count  int
 	last   uint64 // the ID of the entry added last, zero in an empty frame
 	prefix int
-	hint   int // the capacity hint the builder was made with
+	hint   int // the capacity an unarmed builder takes fresh memory of
 }
 
 // NewBuilder returns a Builder with room for a frame of the given capacity
@@ -125,26 +121,42 @@ func NewBuilder(capacity int) *Builder {
 // NewBuilderPrefix is NewBuilder with prefix bytes reserved in front of the
 // frame, so a caller that wraps every frame in its own wire header (e.g. the
 // 20-byte GTM routing header) can build the full wire payload in place and
-// Detach it without a copy.
+// Detach it without a copy. The builder starts unarmed.
 func NewBuilderPrefix(prefix, capacity int) *Builder {
 	if prefix < 0 {
 		panic("agg: negative builder prefix")
 	}
-	if capacity < prefix+HeaderLen {
-		capacity = prefix + HeaderLen
+	return &Builder{prefix: prefix, hint: max(capacity, prefix+HeaderLen)}
+}
+
+// Arm gives an empty, unarmed builder the buffer to build its next frame in:
+// the caller's, whose capacity must cover the prefix and the frame header. A
+// frame that outgrows it grows by append, into memory the caller did not
+// give. An unarmed builder that is used takes fresh memory of its capacity
+// hint instead.
+func (b *Builder) Arm(buf []byte) { b.buf = buf[:b.prefix+HeaderLen] }
+
+func (b *Builder) armed() {
+	if b.buf == nil {
+		b.Arm(make([]byte, 0, b.hint))
 	}
-	return &Builder{buf: make([]byte, prefix+HeaderLen, capacity), prefix: prefix, hint: capacity}
 }
 
 // Reset discards the accumulated sub-messages, keeping the buffer.
 func (b *Builder) Reset() {
+	b.armed()
 	b.buf = b.buf[:b.prefix+HeaderLen]
 	b.count, b.last = 0, 0
 }
 
 // Len is the frame size Finish would currently produce (the reserved prefix
 // is not part of the frame).
-func (b *Builder) Len() int { return len(b.buf) - b.prefix }
+func (b *Builder) Len() int {
+	if b.buf == nil {
+		return HeaderLen
+	}
+	return len(b.buf) - b.prefix
+}
 
 // Count is the number of sub-messages added since the last Reset.
 func (b *Builder) Count() int { return b.count }
@@ -172,6 +184,7 @@ func (b *Builder) Add(id uint64, blocks []Block) {
 	if b.count >= MaxSubs {
 		panic("agg: too many sub-messages in one frame")
 	}
+	b.armed()
 	delta := zigzag(id - b.last)
 	b.buf = binary.AppendUvarint(b.buf, uint64(entryLen(delta, blocks)))
 	b.buf = binary.AppendUvarint(b.buf, delta)
@@ -195,6 +208,7 @@ func (b *Builder) Add(id uint64, blocks []Block) {
 // caller must copy it out — or take ownership with Detach — before the next
 // Reset/Add cycle if the frame is held past the flush.
 func (b *Builder) Finish() []byte {
+	b.armed()
 	hdr := b.buf[b.prefix:]
 	binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
 	hdr[2] = frameVersion
@@ -207,34 +221,16 @@ func (b *Builder) Finish() []byte {
 }
 
 // Detach hands the caller ownership of the sealed buffer — the reserved
-// prefix followed by the frame Finish produced — and re-arms the builder
-// with an empty one. Use it when the frame's lifetime outlives the flush (a
+// prefix followed by the frame Finish produced — and leaves the builder
+// empty and unarmed. Use it when the frame's lifetime outlives the flush (a
 // wire layer that references payloads instead of copying them): the builder
-// never touches the detached buffer again, unless the caller hands it back
-// with Recycle, so no defensive copy is needed.
-//
-// The empty buffer is the recycled one if there is one. A fresh one is sized
-// by the frame just sealed, twice its length within [rearmMin, the capacity
-// hint], and grows by append if the next frame is larger: a stream of full
-// frames keeps a full-size buffer, while a coalescer that flushes one small
-// message at a time does not pay for a whole MTU per flush. The bound is the
-// hint and not the old buffer's capacity, which append may have rounded up
-// into a larger size class that every later buffer would then inherit.
+// never touches the detached buffer again, unless the caller arms it with it,
+// so no defensive copy is needed.
 func (b *Builder) Detach() []byte {
 	out := b.buf
-	if b.spare != nil {
-		b.buf, b.spare = b.spare[:b.prefix+HeaderLen], nil
-	} else {
-		b.buf = make([]byte, b.prefix+HeaderLen, min(b.hint, max(rearmMin, 2*len(out))))
-	}
-	b.count, b.last = 0, 0
+	b.buf, b.count, b.last = nil, 0, 0
 	return out
 }
-
-// Recycle hands back a buffer Detach gave out, for the next Detach to re-arm
-// with. The caller vouches that nothing refers to it any more: the builder
-// will overwrite it.
-func (b *Builder) Recycle(buf []byte) { b.spare = buf }
 
 // Sub is one decoded sub-message: its ID and, aliasing the frame, its block
 // descriptors and the concatenated block payload behind them.

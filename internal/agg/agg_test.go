@@ -212,7 +212,7 @@ func TestBuilderResetReuses(t *testing.T) {
 // TestBuilderPrefixDetach covers the zero-copy flush contract: a builder
 // with a reserved prefix produces a frame whose bytes sit right after the
 // prefix in the detached buffer, Detach hands that buffer over intact, and
-// the re-armed builder produces an identical frame from identical input.
+// the builder, unarmed, produces an identical frame from identical input.
 func TestBuilderPrefixDetach(t *testing.T) {
 	const prefix = 20
 	b := NewBuilderPrefix(prefix, 256)
@@ -240,76 +240,58 @@ func TestBuilderPrefixDetach(t *testing.T) {
 	}
 }
 
-// TestDetachRearmsToTheFrameJustSealed pins the size of the buffer Detach
-// leaves behind: an idle flush of one small message must not cost a whole
-// MTU-sized buffer, a full frame keeps its full-size buffer (no regrowth on
-// a stream of full frames), the detached buffer is never the builder's
-// again, and a frame larger than the re-armed buffer still builds.
-func TestDetachRearmsToTheFrameJustSealed(t *testing.T) {
+// TestDetachLeavesTheBuilderUnarmed: Detach keeps nothing of the buffer it
+// hands out, and a builder used unarmed — as the frames of a caller that arms
+// it from no pool are built — takes fresh memory of its capacity hint, never
+// the buffer it handed out.
+func TestDetachLeavesTheBuilderUnarmed(t *testing.T) {
 	const prefix, mtu = 20, 32 << 10
-	b := NewBuilderPrefix(prefix, prefix+mtu)
+	b := NewBuilderPrefix(prefix, mtu)
+	if b.buf != nil {
+		t.Fatal("a new builder holds a buffer before its first use")
+	}
 	small := []Block{{Data: make([]byte, 64), S: 1, R: 1}}
-
 	b.Add(1, small)
 	b.Finish()
 	wire := b.Detach()
-	if got := cap(b.buf); got != rearmMin {
-		t.Errorf("after a %d-byte frame the builder holds a %d-byte buffer, want %d", len(wire), got, rearmMin)
+	if b.buf != nil || b.Len() != HeaderLen || b.Count() != 0 {
+		t.Fatalf("Detach left a buffer of %d bytes, Len %d, Count %d", cap(b.buf), b.Len(), b.Count())
 	}
-	if &wire[0] == &b.buf[0] {
-		t.Fatal("Detach re-armed the builder with the buffer it handed out")
+	if cap(wire) != mtu {
+		t.Errorf("an unarmed builder took %d bytes, want its hint, %d", cap(wire), mtu)
 	}
-
-	// A full frame: the buffer grows by append, then stays.
-	for id := uint64(0); b.Len()+SubSize(small) <= mtu; id++ {
-		b.Add(id, small)
-	}
-	b.Finish()
-	full := b.Detach()
-	if _, ok := NewReader(full[prefix:]); !ok {
-		t.Fatal("full frame built in a grown buffer does not validate")
-	}
-	if cap(b.buf) < len(full) {
-		t.Errorf("after a full %d-byte frame the builder holds only %d bytes", len(full), cap(b.buf))
-	}
-	before := cap(b.buf)
-	for id := uint64(0); b.Len()+SubSize(small) <= mtu; id++ {
-		b.Add(id, small)
-	}
-	if cap(b.buf) != before {
-		t.Errorf("a second full frame regrew the buffer from %d to %d bytes", before, cap(b.buf))
+	b.Add(2, small)
+	if cap(b.buf) != mtu || &b.buf[0] == &wire[0] {
+		t.Errorf("after a Detach the builder holds %d bytes, want a fresh %d", cap(b.buf), mtu)
 	}
 }
 
-// TestDetachRearmIsBoundedByTheHint pins the other end of the re-arm: after a
-// small first frame the builder holds a small buffer, append grows it for the
-// full frame behind — past the hint, into whatever size class the allocator
-// rounds to — and the buffer after that must be sized by the hint again, not
+// TestDetachRearmIsBoundedByTheHint: a frame that outgrows the hint grows by
+// append — past the hint, into whatever size class the allocator rounds to —
+// and the buffer the builder takes after that is sized by the hint again, not
 // by the capacity append happened to leave.
 func TestDetachRearmIsBoundedByTheHint(t *testing.T) {
 	const prefix, mtu = 20, 32 << 10
 	b := NewBuilderPrefix(prefix, mtu)
 	small := []Block{{Data: make([]byte, 64), S: 1, R: 1}}
-	b.Add(1, small)
-	b.Finish()
-	b.Detach()
-	for id := uint64(0); b.Len()+SubSize(small) <= mtu-prefix; id++ {
+	for id := uint64(0); b.Len() <= mtu; id++ {
 		b.Add(id, small)
 	}
 	b.Finish()
-	if grown := cap(b.Detach()); grown <= mtu {
-		t.Skipf("append grew the buffer to %d bytes only: nothing to bound", grown)
+	full := b.Detach()
+	if _, ok := NewReader(full[prefix:]); !ok {
+		t.Fatal("a frame grown past the hint does not validate")
 	}
-	if got := cap(b.buf); got != mtu {
-		t.Errorf("after a full frame in a grown buffer the builder holds %d bytes, want the hint, %d", got, mtu)
+	b.Add(1, small)
+	if cap(full) <= mtu || cap(b.buf) != mtu || &b.buf[0] == &full[0] {
+		t.Errorf("after a %d-byte frame the builder holds %d bytes, want a fresh %d", cap(full), cap(b.buf), mtu)
 	}
 }
 
-// TestRecycleRearmsWithTheBufferHandedBack: the next Detach re-arms the
-// builder with the recycled buffer instead of a fresh one, once, and the frame
-// built in it — over whatever its last user left there — is the frame a fresh
-// buffer would hold.
-func TestRecycleRearmsWithTheBufferHandedBack(t *testing.T) {
+// TestArmBuildsInTheBufferGiven: an armed builder builds its next frame in the
+// caller's buffer — over whatever its last user left there — and the frame is
+// the one a fresh buffer would hold; Detach hands that very buffer back.
+func TestArmBuildsInTheBufferGiven(t *testing.T) {
 	const prefix = 20
 	b := NewBuilderPrefix(prefix, 4096)
 	blocks := []Block{{Data: []byte("payload"), S: 2, R: 3}}
@@ -320,19 +302,13 @@ func TestRecycleRearmsWithTheBufferHandedBack(t *testing.T) {
 	for i := range whole {
 		whole[i] = 0xDB
 	}
-	b.Recycle(first)
-	b.Add(8, blocks)
-	b.Finish()
-	second := b.Detach() // re-arms with first
-	if &b.buf[0] != &first[0] {
-		t.Fatal("Detach did not re-arm the builder with the recycled buffer")
-	}
+	b.Arm(first[:0])
 	b.Add(7, blocks)
 	if !bytes.Equal(b.Finish(), want) {
-		t.Error("frame built in a recycled, overwritten buffer differs from the one built in a fresh buffer")
+		t.Error("frame built in an armed, overwritten buffer differs from the one built in a fresh buffer")
 	}
-	if third := b.Detach(); &third[0] != &first[0] || &b.buf[0] == &second[0] || &b.buf[0] == &first[0] {
-		t.Error("a recycled buffer was used twice, or a detached one came back unrecycled")
+	if again := b.Detach(); &again[0] != &first[0] || b.buf != nil {
+		t.Error("Detach did not hand back the buffer the builder was armed with")
 	}
 }
 

@@ -49,13 +49,25 @@ type aggKey struct {
 	node, dst string
 }
 
-// aggRx is the frame a sink is draining: its origin and what is left of it.
-// One per sink is enough: BeginUnpacking pulls the next arrival only when the
-// frame before it is drained. Every frame was built by this process group's
-// own coalescer, so malformation is a protocol error (MustReader).
+// aggRx is a frame a sink is draining: its origin and what is left of it.
+// BeginUnpacking pulls the next arrival only when the frames before it are
+// drained, so a sink drains one — unless two of its processes unpack at once,
+// and the second pulls a frame while the first still reads from the one before.
+// Every frame was built by this process group's own coalescer, so
+// malformation is a protocol error (MustReader).
 type aggRx struct {
 	from mad.Rank
 	rd   agg.Reader
+	fr   *sinkFrame
+}
+
+// sinkFrame is what a sink gives back of a frame once the last of its
+// sub-messages is ended — not when its reader runs dry: two processes of the
+// node may still be reading sub-messages of it — and how many are not ended.
+type sinkFrame struct {
+	buf  []byte            // the wire-pool buffer the frame lies in
+	pair *[2]mad.BlockDesc // the descriptor pair it travelled with, if it came in one transfer
+	open int
 }
 
 // AggStats aggregates the coalescing layer's counters. All fields are zero
@@ -79,18 +91,48 @@ type AggStats struct {
 }
 
 // aggState is the virtual channel's aggregation bookkeeping: the lazily
-// created coalescers, whose counts AggStats sums, and the frame each sink is
-// draining, by rank: the reader advances in place.
+// created coalescers, whose counts AggStats sums, and the frames each sink is
+// draining, by rank and oldest first: the readers advance in place. frames are
+// spare sink records; striped holds, by frame ID, the buffers of frames the
+// rails send by reference, which the sink returns once every rail is in.
 type aggState struct {
-	co map[aggKey]*aggCoalescer
-	rx []aggRx
-	// onRecycle, when set, is given every frame buffer a coalescer takes
-	// back. Only tests set it, to poison the memory.
-	onRecycle func([]byte)
+	co      map[aggKey]*aggCoalescer
+	rx      [][]aggRx
+	frames  []*sinkFrame
+	striped map[uint64][]byte
 }
 
 func newAggState(nodes int) *aggState {
-	return &aggState{co: make(map[aggKey]*aggCoalescer), rx: make([]aggRx, nodes)}
+	return &aggState{co: make(map[aggKey]*aggCoalescer), rx: make([][]aggRx, nodes), striped: make(map[uint64][]byte)}
+}
+
+// aggOpen starts delivering the sub-messages of a frame a sink holds in buf,
+// with the descriptor pair it travelled with (nil if none).
+func (vc *VirtualChannel) aggOpen(from mad.Rank, frame, buf []byte, pair *[2]mad.BlockDesc) aggRx {
+	st := vc.aggst
+	var fr *sinkFrame
+	if n := len(st.frames); n > 0 {
+		fr, st.frames = st.frames[n-1], st.frames[:n-1]
+	} else {
+		fr = new(sinkFrame)
+	}
+	rd := agg.MustReader(frame)
+	*fr = sinkFrame{buf: buf, pair: pair, open: rd.Count()}
+	return aggRx{from: from, rd: rd, fr: fr}
+}
+
+// aggEnded notes one sub-message of fr ended, and gives the frame back to
+// the wire pool with its last.
+func (vc *VirtualChannel) aggEnded(fr *sinkFrame) {
+	if fr.open--; fr.open > 0 {
+		return
+	}
+	vc.bufs.put(fr.buf)
+	if fr.pair != nil {
+		vc.bufs.putPair(fr.pair)
+	}
+	*fr = sinkFrame{}
+	vc.aggst.frames = append(vc.aggst.frames, fr)
 }
 
 // AggStats returns the aggregation counters (zero-valued when aggregation
@@ -141,8 +183,8 @@ type aggCoalescer struct {
 	// body is the frame on its way as the one block its transport sends, tx
 	// the writer of the compact flush, here so that a flush allocates neither.
 	// Of an aggregate stream nothing a gateway still reads lives in tx: the
-	// header travels in the frame's buffer, the descriptors in an array of
-	// their own.
+	// header travels in the frame's buffer, the descriptors in a pair from the
+	// wire pool that travels with it.
 	body [1]relBlock
 	tx   streamTx
 
@@ -181,7 +223,7 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		mtu: mtu, limit: mtu - gtmHeaderLen,
 		// The builder reserves the GTM header bytes in front of the frame,
 		// so a flush detaches a ready-made wire payload with no extra copy.
-		b:      agg.NewBuilderPrefix(gtmHeaderLen, mtu),
+		b:      agg.NewBuilderPrefix(gtmHeaderLen, 0),
 		frames: map[string]*obs.Counter{"size": {}, "idle": {}, "ordering": {}},
 		fr:     vc.flightRing(node.Name),
 	}
@@ -231,6 +273,11 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 		}
 		c.full = true // the daemon takes it once the frame before is off the wire
 		c.cond.Wait(p)
+	}
+	if c.b.Count() == 0 {
+		// A frame lives in one buffer of the wire pool, from here to the sink
+		// that ends its last sub-message (DESIGN.md §29).
+		c.b.Arm(c.vc.bufs.get(c.mtu))
 	}
 	// Packing into the frame is the one real copy of the coalesced path.
 	c.node.Host.Memcpy(p, total)
@@ -284,35 +331,37 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	// Detach the sealed buffer for whichever transport carries it: the wire
 	// layer references payloads and the ARQ may retransmit, so it must stay
 	// untouched while it travels, and the add()-time pack remains the path's
-	// only copy. Senders pack the next frame while this one is on the wire.
+	// only copy. Senders pack the next frame, in a buffer of its own, while
+	// this one is on the wire.
 	wire := c.b.Detach()
 	c.busy, c.full = true, false
 	c.cond.Broadcast()
 	c.mu.Unlock(p)
 	c.body[0] = relBlock{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
-	if vc.cfg.Reliable || len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold() {
-		// One reliable message, back with its end-to-end ack; or, past the
-		// stripe threshold, the rails: below it stripePacking.end would fall
-		// back to a plain replay and lose the aggregate flag.
+	switch {
+	case vc.cfg.Reliable:
+		// One reliable message, back with its end-to-end ack: the engine
+		// copied every fragment into a datagram of its own, so the buffer is
+		// free.
 		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
-	} else {
+		vc.bufs.put(wire)
+	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold():
+		// Past the stripe threshold, the rails (below it stripePacking.end
+		// would fall back to a plain replay and lose the aggregate flag). They
+		// send the frame by reference; the sink returns it.
+		vc.aggst.striped[frameID] = wire
+		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
+	default:
 		// Single compact transfer toward the first gateway, the routing
-		// header written into the reserved prefix in place.
+		// header written into the reserved prefix in place. The frame and a
+		// descriptor pair are handed over hop by hop to the sink, which
+		// returns both.
 		_, link := vc.firstHop(c.node, c.dst)
-		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true}
+		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true, spare: vc.bufs.getPair()}
 		c.tx.open(p, streamHdr{src: c.node.Rank, dst: vc.NodeRank(c.dst), mtu: c.mtu, id: frameID})
 		c.tx.message(p, c.body[:], flen, wire)
 	}
 	c.mu.Lock(p)
-	if vc.cfg.Reliable {
-		// The engine copied every fragment into a datagram of its own and the
-		// end-to-end ack is in: the buffer is free. (A streaming link reads
-		// the payload at delivery: there the buffer is never ours again.)
-		if vc.aggst.onRecycle != nil {
-			vc.aggst.onRecycle(wire)
-		}
-		c.b.Recycle(wire)
-	}
 	c.busy = false
 	c.cond.Broadcast()
 }
@@ -349,6 +398,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 // mid-Pack, so large messages keep their fragment-level pipelining through
 // the gateways.
 type aggPacking struct {
+	handle Packing
 	blockBuf
 	dst     string
 	spilled packer // the streaming path's framing, after a spill
@@ -392,35 +442,44 @@ func (ax *aggPacking) end(p *vtime.Proc) {
 	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blks, ax.total)
 }
 
-// aggPop returns the next sub-message of the frame the sink is draining and
-// its origin; a drained reader has let go of its frame.
-func (vc *VirtualChannel) aggPop(rank mad.Rank) (mad.Rank, agg.Sub, bool) {
+// aggPop returns the next sub-message of the frames the sink is draining, and
+// its frame; a drained frame leaves the queue.
+func (vc *VirtualChannel) aggPop(rank mad.Rank) (*aggRx, agg.Sub, bool) {
 	if vc.aggst == nil {
-		return 0, agg.Sub{}, false
+		return nil, agg.Sub{}, false
 	}
-	rx := &vc.aggst.rx[rank]
-	sub, ok := rx.rd.Next()
-	return rx.from, sub, ok
+	for q := vc.aggst.rx[rank]; len(q) > 0; q = vc.aggst.rx[rank] {
+		if sub, ok := q[0].rd.Next(); ok {
+			return &q[0], sub, true
+		}
+		q[copy(q, q[1:])] = aggRx{}
+		vc.aggst.rx[rank] = q[:len(q)-1]
+	}
+	return nil, agg.Sub{}, false
 }
 
-// aggDecodeStriped reassembles a striped aggregate frame (stripeFlagAgg)
-// and queues its sub-messages.
+// aggDecodeStriped reassembles a striped aggregate frame (stripeFlagAgg) into
+// a buffer of the wire pool, and queues its sub-messages. Every rail is in, so
+// the sender's frame, which they sent by reference, goes back to the pool.
 func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *stripeGroup) {
 	su := &stripeUnpacking{vc: vc, node: node, g: g}
-	frame := make([]byte, g.total)
+	frame := vc.bufs.get(int(g.total))
 	su.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
 	su.end(p)
-	vc.aggst.rx[node.Rank] = aggRx{from: su.from(), rd: agg.MustReader(frame)}
+	vc.bufs.put(vc.aggst.striped[g.key.id])
+	delete(vc.aggst.striped, g.key.id)
+	vc.aggst.rx[node.Rank] = append(vc.aggst.rx[node.Rank], vc.aggOpen(su.from(), frame, frame, nil))
 }
 
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled
-// reliable message (relFlagAgg) and queues its sub-messages.
+// reliable message (relFlagAgg), in a buffer of the wire pool, and queues its
+// sub-messages.
 func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *relMsg) {
 	mtu, desc, ok := decodeRelDesc(m.frags[0].payload)
 	if !ok || len(desc) != 1 {
 		panic("fwd: reliable aggregate frame with a malformed descriptor on " + node.Name)
 	}
-	frame := make([]byte, desc[0].Size)
+	frame := vc.bufs.get(desc[0].Size)
 	node.Host.Memcpy(p, len(frame))
 	off := 0
 	mad.ForEachFragment(len(frame), mtu, func(_, n int) {
@@ -436,18 +495,20 @@ func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *re
 	}
 	origin := m.origin
 	vc.rel[node.Name].freeMsg(m) // the frame is a copy; the fragments' datagrams go back
-	vc.aggst.rx[node.Rank] = aggRx{from: origin, rd: agg.MustReader(frame)}
+	vc.aggst.rx[node.Rank] = append(vc.aggst.rx[node.Rank], vc.aggOpen(origin, frame, frame, nil))
 }
 
 // aggUnpacking delivers one coalesced sub-message: its block structure and
 // modes were carried inside the frame, so unpack mirrors them like every
 // other module and copies the payload out of the (already received) frame.
 type aggUnpacking struct {
-	vc   *VirtualChannel
-	node *mad.Node
-	sub  agg.Sub
-	next int
-	off  int
+	handle Unpacking
+	vc     *VirtualChannel
+	node   *mad.Node
+	sub    agg.Sub
+	fr     *sinkFrame
+	next   int
+	off    int
 }
 
 func (u *aggUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
@@ -472,4 +533,5 @@ func (u *aggUnpacking) end(p *vtime.Proc) {
 		panic("fwd: aggregated message ended with unconsumed blocks")
 	}
 	u.vc.hop(p, u.sub.ID, u.node.Name, "deliver", obs.Detail{Form: "decoalesced at ${node}"}, u.off)
+	u.vc.aggEnded(u.fr)
 }

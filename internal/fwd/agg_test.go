@@ -250,7 +250,7 @@ func TestAggStripedFrame(t *testing.T) {
 	cfg.StripeThreshold = 4 * 1024
 	cfg.Aggregation = true
 	tp := railsTopo([]string{"sci", "myrinet", "myrinet", "sci"}, []bool{true, true})
-	w := buildQuietFaulty(tp, nil, cfg)
+	w := auditRelBufs(t, buildQuietFaulty(tp, nil, cfg))
 	const msgs = 8
 	const size = 1400
 	w.sim.Spawn("stripe-send", func(p *vtime.Proc) {
@@ -318,7 +318,7 @@ func TestAggDeliveryProperty(t *testing.T) {
 			tp = paperHS(t)
 			senders, dst = []string{"a0", "a1"}, "b1"
 		}
-		w := buildQuietFaulty(tp, nil, cfg)
+		w := auditRelBufs(t, buildQuietFaulty(tp, nil, cfg))
 
 		// The coalescer admits a message while its lone sub-message entry
 		// fits an empty frame: header + entry overhead + payload under the
@@ -586,6 +586,70 @@ func TestSinkReceivesOneFrameAhead(t *testing.T) {
 	if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
 		t.Errorf("credit ledger unbalanced at quiescence: %d granted, %d spent", fs.CreditsGranted, fs.CreditsSpent)
 	}
+}
+
+// TestSinkReturnsDrainedFrames: a frame goes back to the wire pool when the
+// last of its sub-messages is ended, not when the sink's reader runs dry. With
+// a 620-byte MTU a frame holds eight 64 B messages; two processes on b1
+// unpack at once, the second 10 µs slower a message, so it is still to copy
+// its sub-message out of a frame when the other has drained the rest. Every
+// returned frame is poisoned (auditRelBufs): a frame given back too early is
+// read as 0xDB garbage. Every message arrives once, byte-exact, and every
+// buffer taken is returned.
+func TestSinkReturnsDrainedFrames(t *testing.T) {
+	const msgs, size = 1 + 8*20, 64
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation, cfg.MTU = true, true, 620
+	w := build(t, paperHS(t), cfg)
+	w.sim.Spawn("drained-send", func(p *vtime.Proc) {
+		for i := 0; i < msgs; i++ {
+			px := w.vc.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, pattern(size, byte(i)), mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	var seen [msgs]int
+	var took [2]int
+	for r := 0; r < 2; r++ {
+		// Daemons: a process parked on the arrival queue is not woken for a
+		// frame the other one took off it, so neither can count on a share.
+		w.sim.SpawnDaemon(fmt.Sprintf("drained-recv:%d", r), func(p *vtime.Proc) {
+			got := make([]byte, size)
+			for {
+				u := w.vc.At("b1").BeginUnpacking(p)
+				if r == 1 {
+					p.Sleep(10 * vtime.Microsecond) // out of step with the other process
+				}
+				u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if i := int(got[0]); i >= msgs || !bytes.Equal(got, pattern(size, got[0])) {
+					t.Errorf("process %d unpacked garbage: % x...", r, got[:8])
+				} else {
+					seen[i]++
+					took[r]++
+				}
+			}
+		})
+	}
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("message %d delivered %d times", i, n)
+		}
+	}
+	st, bk := w.vc.AggStats(), w.vc.RelBookkeeping()
+	if st.SubMessages != msgs || st.SizeFlushes < 10 {
+		t.Errorf("stats %+v: want %d coalesced, most frames full", st, msgs)
+	}
+	if bk.BufsTaken != bk.BufsReturned || bk.BufsTaken < st.Frames {
+		t.Errorf("wire buffer ledger: %d taken, %d returned, for %d frames", bk.BufsTaken, bk.BufsReturned, st.Frames)
+	}
+	if took[0] < 10 || took[1] < 10 {
+		t.Errorf("the processes took %d and %d messages: they did not unpack side by side", took[0], took[1])
+	}
+	t.Logf("%d frames (%d full) through a free list of %d buffers, %d and %d messages a process", st.Frames, st.SizeFlushes, bk.BufsFree, took[0], took[1])
 }
 
 // TestAggOrderAcrossPathsWithPrefetchingSink sends small, large, small, …

@@ -78,7 +78,7 @@ func FuzzGTMCompactHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta := mad.TxMeta{SOM: true, Kind: mad.KindEager, Blocks: []mad.BlockDesc{
 			headerDesc(gtmHeaderLen), {Size: len(data) - gtmHeaderLen}}}
-		o, ok := parseStream(mad.KindEager, meta, data)
+		o, ok := parseStream(mad.KindEager, meta, data, nil)
 		if !ok {
 			if len(data) >= gtmHeaderLen && binary.LittleEndian.Uint32(data[8:]) != 0 {
 				t.Fatalf("rejected a well-formed %d-byte compact frame with mtu %d",
@@ -141,7 +141,7 @@ func FuzzStreamOpen(f *testing.F) {
 			// Signed, so that a corrupted descriptor can claim a negative size.
 			meta.Blocks = append(meta.Blocks, mad.BlockDesc{Size: int(int16(binary.LittleEndian.Uint16(blockSizes)))})
 		}
-		o, ok := parseStream(kind, meta, first)
+		o, ok := parseStream(kind, meta, first, nil)
 		if !ok {
 			return
 		}
@@ -221,7 +221,7 @@ func FuzzMcastHeader(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeMcastHeader(data)
+		h, ok := decodeMcastHeader(data, nil)
 		if !ok {
 			return
 		}
@@ -243,7 +243,7 @@ func FuzzMcastHeader(f *testing.F) {
 		if len(data) <= 256 {
 			for i := range data {
 				data[i] ^= 0xFF
-				if _, stillOK := decodeMcastHeader(data); stillOK {
+				if _, stillOK := decodeMcastHeader(data, nil); stillOK {
 					t.Fatalf("header still decodes with byte %d flipped", i)
 				}
 				data[i] ^= 0xFF

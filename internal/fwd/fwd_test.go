@@ -26,26 +26,22 @@ type world struct {
 	// aborts is set by a test whose run is meant to end in a DeliveryError:
 	// packets are then still in flight and the buffer ledger cannot balance.
 	aborts bool
-	// aggRecycled counts the frame buffers the coalescers took back, each
-	// poisoned first (auditRelBufs).
-	aggRecycled *int
 }
 
-// auditRelBufs puts a world's reliable packet buffers under test discipline:
-// every buffer returned to the free list is poisoned, so reading a payload
-// through an alias its owner should have dropped fails the test's own
-// byte-exactness checks (or a CRC), and when the test ends the ledger must
-// balance — every buffer taken was returned, exactly once. The frame buffers
-// a coalescer recycles are poisoned the same way.
+// auditRelBufs puts a world's wire buffers — reliable datagrams, aggregate
+// frames — under test discipline: every buffer returned to the free list is
+// poisoned, so reading a payload through an alias its owner should have
+// dropped fails the test's own byte-exactness checks (or a CRC), and when the
+// test ends the ledger must balance — every buffer taken was returned,
+// exactly once.
 func auditRelBufs(t *testing.T, w *world) *world {
 	fwd.PoisonRelBufs(w.vc)
-	w.aggRecycled = fwd.PoisonAggBufs(w.vc)
 	t.Cleanup(func() {
 		if t.Failed() || w.aborts {
 			return
 		}
 		if bk := w.vc.RelBookkeeping(); bk.BufsTaken != bk.BufsReturned {
-			t.Errorf("reliable buffer ledger: %d taken, %d returned (%d free)",
+			t.Errorf("wire buffer ledger: %d taken, %d returned (%d free)",
 				bk.BufsTaken, bk.BufsReturned, bk.BufsFree)
 		}
 	})
@@ -167,6 +163,20 @@ func TestForwardedMessageIntact(t *testing.T) {
 	wantPkts := int64((100_000 + 32*1024 - 1) / (32 * 1024))
 	if gw.Packets() != wantPkts {
 		t.Errorf("gateway relayed %d packets, want %d", gw.Packets(), wantPkts)
+	}
+}
+
+// TestAtReturnsOneEndpointAndAllocsNothing: a node's endpoint is made by its
+// first At and returned by every later one, which allocates nothing — the
+// collectives and the stream drivers call At once a message per side.
+func TestAtReturnsOneEndpointAndAllocsNothing(t *testing.T) {
+	w := build(t, paperHS(t), fwd.DefaultConfig())
+	ep := w.vc.At("a0")
+	if w.vc.At("a0") != ep || w.vc.At("b0") == ep || ep.Node().Name != "a0" {
+		t.Fatal("At did not return the node's one endpoint")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.vc.At("a0") }); allocs != 0 {
+		t.Errorf("At allocates %.1f times a call, want 0", allocs)
 	}
 }
 

@@ -67,8 +67,14 @@ type relayRing struct {
 	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one receive at a time
 
 	// branches are the egress branches of the message in hand; the array
-	// grows to the widest fan-out the ring has served.
+	// grows to the widest fan-out the ring has served. hdrDests are the
+	// destinations of the multicast header in hand, decoded; dests and ranks
+	// are mcastSplit's: those destinations by next hop, and the ranks of the
+	// branch it is encoding a header for.
 	branches []relayBranch
+	hdrDests []mad.Rank
+	dests    []mcastDest
+	ranks    []mad.Rank
 
 	recvActor string // the receive thread's trace actor
 }
@@ -552,10 +558,8 @@ func (vc *VirtualChannel) hopLink(from *mad.Node, hop route.Hop, relays bool) (l
 // read.
 type relayFrame struct {
 	kind       mad.Kind
-	meta       mad.TxMeta // metadata of the first transfer
-	head       []byte     // the first transfer: the header, then any payload that rode along
-	streamOpen            // what it says: routing fields, header length, the payload's share
-	up         string     // the ingress sender, whose flow credits the relay returns
+	streamOpen        // the first transfer and what it says: routing fields, header length, the payload's share
+	up         string // the ingress sender, whose flow credits the relay returns
 }
 
 // classify receives the first transfer of an announced message and decodes
@@ -568,9 +572,9 @@ type relayFrame struct {
 // aggregate of many.
 func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFrame {
 	f := relayFrame{kind: a.Kind(), up: a.Link.Src.Name}
-	f.meta, f.head = recvFirst(p, a.Link, f.kind, r.hdr[:])
+	meta, head := recvFirst(p, a.Link, f.kind, r.hdr[:])
 	var ok bool
-	if f.streamOpen, ok = parseStream(f.kind, f.meta, f.head); !ok {
+	if f.streamOpen, ok = parseStream(f.kind, meta, head, r.hdrDests); !ok {
 		panic(fmt.Sprintf("fwd: malformed %v header at gateway %s", f.kind, g.name))
 	}
 	return f
@@ -584,6 +588,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 	vc := g.vc
 	r.branches = r.branches[:0]
 	if f.kind == mad.KindMcast {
+		r.hdrDests = f.dests
 		local = g.mcastSplit(r, f)
 		g.met.mcastRelays.Add(1)
 		g.met.branches.Add(int64(len(r.branches)))
@@ -642,24 +647,27 @@ func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
 	for _, b := range branches {
 		b.tx.enq.Lock(p)
 	}
+	bracketed := framingOf(f.kind).bracketed
 	for _, b := range branches {
 		// The unicast branch re-emits the first transfer unchanged; a
 		// replicated one opens with its own header, glued to the payload when
-		// the first transfer was the whole message.
-		meta := mad.TxMeta{SOM: true, EOM: f.eom, Kind: f.kind, Blocks: f.meta.Blocks}
+		// the first transfer was the whole message. All but a header cell
+		// (keep) is memory this gateway never writes again — the driver slot
+		// it received, a branch's own header or frame — and is handed on.
+		meta := mad.TxMeta{SOM: true, EOM: f.meta.EOM, Kind: f.kind, Blocks: f.meta.Blocks, Owned: !bracketed}
 		first := f.head
 		switch {
-		case b.replicated() && f.eom:
+		case b.replicated() && f.meta.EOM:
 			meta.Blocks, first = g.replicateFrame(p, &f, &b, f.payload)
 		case b.replicated():
-			meta.Blocks, first = []mad.BlockDesc{headerDesc(len(b.hdr))}, b.hdr
-		case framingOf(f.kind).bracketed:
+			meta.Blocks, first = vc.mcastst.hdrDesc(len(b.hdr)), b.hdr
+		case bracketed:
 			first = b.tx.keep(first)
 		}
 		b.tx.q.Send(p, gwTx{meta: meta, data: first, msgID: f.id})
 	}
 	var capture *mcastLocal
-	if !f.eom {
+	if !f.meta.EOM {
 		capture = g.pipeline(p, r, in, &f, branches, local)
 	} else if local {
 		// The whole message is in gateway memory (its driver slot).

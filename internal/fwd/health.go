@@ -71,7 +71,7 @@ func (vc *VirtualChannel) buildHealth() {
 				if !ok {
 					return
 				}
-				pkt := vc.relBufs.get(health.ProbeSize)
+				pkt := vc.bufs.get(health.ProbeSize)
 				health.PutProbe(pkt, it.probe)
 				e.sendControl(p, it.link, mad.KindHealth, pkt)
 			}
@@ -103,7 +103,7 @@ func (hp *healthProber) probe(p *vtime.Proc, edge route.Edge) {
 	aw := e.newAwait()
 	hp.await[seq] = aw
 	t0 := p.Now()
-	pkt := e.vc.relBufs.get(health.ProbeSize)
+	pkt := e.vc.bufs.get(health.ProbeSize)
 	health.PutProbe(pkt, health.Probe{Kind: health.ProbeReq, Seq: seq, T0: t0})
 	e.sendControl(p, link, mad.KindHealth, pkt)
 	ok := e.await(p, aw, mon.ProbeTimeout(), "health probe", edge.To)

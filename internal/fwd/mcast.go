@@ -1,8 +1,9 @@
 package fwd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"madgo/internal/flight"
@@ -73,6 +74,9 @@ func destsText(m *obs.Registry, ds []string) string {
 type mcastState struct {
 	plans map[string]*mcastPlan
 	roots map[string]*mcastRoot // by node, created by its first multicast
+	// hdrDescs describe a header sent alone, by its length: nothing rewrites a
+	// descriptor, so every such transfer of one length shares one.
+	hdrDescs map[int][]mad.BlockDesc
 
 	cacheHits  int64
 	recomputes int64
@@ -127,6 +131,16 @@ func (vc *VirtualChannel) McastStats() McastStats {
 // so collectives fall back to point-to-point trees there.
 func (vc *VirtualChannel) CanMulticast() bool { return !vc.cfg.Reliable }
 
+// hdrDesc describes a transfer of an n-byte header alone.
+func (st *mcastState) hdrDesc(n int) []mad.BlockDesc {
+	d, ok := st.hdrDescs[n]
+	if !ok {
+		d = []mad.BlockDesc{headerDesc(n)}
+		st.hdrDescs[n] = d
+	}
+	return d
+}
+
 // mcastPlanFor returns the cached distribution plan of one (root, dests)
 // pair, recomputing it on first use and whenever the routing table's epoch
 // moved past the cached tree's.
@@ -169,6 +183,7 @@ func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
 // re-reads the same blocks), then EndPacking emits one stream per root
 // branch of the distribution tree.
 type mcastPacking struct {
+	handle Packing
 	blockBuf
 	dests []string // sorted, deduplicated, root excluded
 	// tx is the writer of the branch being sent, one after the other. Of a
@@ -202,11 +217,11 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	for d := range set {
 		ds = append(ds, d)
 	}
-	sort.Strings(ds)
+	slices.Sort(ds)
 	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds}
 	x.cost = 0
 	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: destsText(vc.metrics(), ds)}, 0)
-	return &Packing{x: x, id: x.id}
+	return x.handle.bind(x, x.id)
 }
 
 func (x *mcastPacking) end(p *vtime.Proc) {
@@ -240,6 +255,8 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 // delivers to its own node: the gateway copies each staged fragment out of
 // the shared ring (or retains the compact frame's slot) and funnels the
 // result through the node's merged arrival queue like any other incoming.
+// Its header's destinations are the relay ring's, which the ring's next
+// multicast rewrites: the delivery reads none.
 type mcastLocal struct {
 	h streamHdr
 	parkedFrags
@@ -247,24 +264,27 @@ type mcastLocal struct {
 
 // rankInSet reports membership of r in a sorted rank set.
 func rankInSet(r mad.Rank, set []mad.Rank) bool {
-	i := sort.Search(len(set), func(i int) bool { return set[i] >= r })
-	return i < len(set) && set[i] == r
+	_, ok := slices.BinarySearch(set, r)
+	return ok
+}
+
+// mcastDest is one destination of a multicast frame at a relaying gateway:
+// its rank, the next hop toward it, and whether it lies beyond that hop.
+type mcastDest struct {
+	hop  route.Hop
+	rank mad.Rank
+	past bool
 }
 
 // mcastSplit partitions a multicast frame's destination set at this
 // gateway: the local flag if the gateway itself is a destination, plus one
 // replicated egress branch of the ring — with its rewritten header — per
 // distinct next hop, sorted by (network, next hop) like the planner's; by
-// construction the two agree, since both follow the same unicast table.
+// construction the two agree, since both follow the same unicast table. It
+// works in the ring's storage: a relay allocates its branch headers only.
 func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	vc := g.vc
-	type grp struct {
-		hop   route.Hop
-		ranks []mad.Rank
-		past  bool // some destination lies beyond the next hop
-	}
-	var groups []*grp
-	byHop := make(map[route.Hop]*grp)
+	ds := r.dests[:0]
 	for _, d := range f.dests {
 		name := vc.sess.Node(d).Name
 		if name == g.name {
@@ -275,27 +295,26 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 		if !ok {
 			panic(fmt.Sprintf("fwd: gateway %s has no route to multicast destination %s", g.name, name))
 		}
-		gr := byHop[hop]
-		if gr == nil {
-			gr = &grp{hop: hop}
-			byHop[hop] = gr
-			groups = append(groups, gr)
-		}
-		gr.ranks = append(gr.ranks, d)
-		if name != hop.To {
-			gr.past = true
-		}
+		ds = append(ds, mcastDest{hop: hop, rank: d, past: name != hop.To})
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].hop.Network != groups[j].hop.Network {
-			return groups[i].hop.Network < groups[j].hop.Network
-		}
-		return groups[i].hop.To < groups[j].hop.To
+	// Ranks ascend within a branch, the canonical order of its header.
+	slices.SortFunc(ds, func(a, b mcastDest) int {
+		return cmp.Or(cmp.Compare(a.hop.Network, b.hop.Network), cmp.Compare(a.hop.To, b.hop.To), cmp.Compare(a.rank, b.rank))
 	})
-	for _, gr := range groups {
-		out, nextGW := vc.hopLink(g.node, gr.hop, gr.past || len(gr.ranks) > 1)
+	r.dests = ds
+	for i := 0; i < len(ds); {
+		ranks, past := r.ranks[:0], false
+		for _, d := range ds[i:] {
+			if d.hop != ds[i].hop {
+				break
+			}
+			ranks, past = append(ranks, d.rank), past || d.past
+		}
+		r.ranks = ranks
+		out, nextGW := vc.hopLink(g.node, ds[i].hop, past || len(ranks) > 1)
 		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW),
-			hdr: encodeMcastHeader(f.src, f.mtu, f.id, gr.ranks)})
+			hdr: encodeMcastHeader(f.src, f.mtu, f.id, ranks)})
+		i += len(ranks)
 	}
 	return local
 }

@@ -118,9 +118,13 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 // value and a slot carries what its release needs, so nothing is spawned,
 // joined or fenced per message (DESIGN.md §23). A gateway's share of a
 // message's allocations is what a second gateway on the path adds to them,
-// endpoints being equal: one, and it is the link model's — a header reaches a
-// gateway before a receive is posted for it, so the link copies it into driver
-// memory (mad.snapshot). The send process's record used to be the second.
+// endpoints being equal: one, and it is the link model's. A gateway re-emits a
+// seed-framing header from its header cells, which it rewrites, so the header
+// is not handed over (mad.TxMeta.Owned): it reaches the next node before a
+// receive is posted for it and the link copies it into driver memory
+// (mad.snapshot). The sender's own header is handed over and costs the first
+// gateway nothing (DESIGN.md §29); the send process's record used to be the
+// second allocation.
 func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 8 << 10

@@ -1,5 +1,7 @@
 package fwd
 
+import "madgo/internal/mad"
+
 // Staging-buffer pooling for the gateway pipeline.
 //
 // A gateway rotates PipelineDepth staging buffers per ingress network
@@ -82,16 +84,19 @@ func (s *PoolStats) observe(bp *bufPool) {
 	s.Misses += bp.misses
 }
 
-// Packet-buffer pooling for the reliable dataplane.
+// Wire-buffer pooling: memory whose life ends on another node.
 //
 // A reliable datagram lives in one buffer per hop: the sender takes it here
 // and encodes into it, the link hands that same memory to the receiver
-// (mad.TxMeta.Reliable), and whoever holds it last returns it — the hand-over
-// table is in DESIGN.md §17. Unlike the gateway rings above, the sizes are
-// mixed (a 37-byte ack batch, a 24-byte probe, an MTU-sized fragment) and
-// the taker and the returner are different nodes, so the free list belongs
-// to the virtual channel, is split by size class, and keeps a ledger: at
-// quiescence every buffer taken has been returned.
+// (mad.TxMeta.Owned), and whoever holds it last returns it — the hand-over
+// table is in DESIGN.md §17. An aggregate frame lives in one buffer from the
+// coalescer that builds it to the sink that ends its last sub-message, and a
+// sink reassembles a reliable or striped frame into one (DESIGN.md §29).
+// Unlike the gateway rings above, the sizes are mixed (a 37-byte ack batch, a
+// 24-byte probe, an MTU-sized fragment or frame) and the taker and the
+// returner are different nodes, so the free list belongs to the virtual
+// channel, is split by size class, and keeps a ledger: at quiescence every
+// buffer taken has been returned.
 
 const (
 	relBufMinShift = 6  // smallest class: 64 bytes
@@ -113,9 +118,9 @@ func relBufClass(n int) (class, size int) {
 	return relBufPageBits - relBufMinShift + pages - 1, pages << relBufPageBits
 }
 
-// relBufPool is the size-classed free list; the zero value is ready to use.
+// wireBufPool is the size-classed free list; the zero value is ready to use.
 // Unsynchronized like bufPool: one simulation, one thread.
-type relBufPool struct {
+type wireBufPool struct {
 	free     [][][]byte // by class, LIFO
 	taken    int64
 	returned int64
@@ -123,13 +128,16 @@ type relBufPool struct {
 	// it is pooled. Only tests set it, to poison the memory so that a read
 	// through a stale alias fails loudly.
 	onPut func(buf []byte)
+	// pairs are the block-descriptor pairs of frames sent in one transfer: a
+	// pair travels with its frame, by reference, to the sink that returns both.
+	pairs []*[2]mad.BlockDesc
 }
 
 // get returns a buffer of length n whose content is unspecified: the last one
 // returned to the smallest class that fits n and has one free. A buffer
 // borrowed from a larger class goes back to its own, so concurrent bursts of
 // mixed sizes share one set of buffers instead of warming a set per size.
-func (bp *relBufPool) get(n int) []byte {
+func (bp *wireBufPool) get(n int) []byte {
 	bp.taken++
 	class, size := relBufClass(n)
 	for c := class; c < len(bp.free); c++ {
@@ -146,13 +154,13 @@ func (bp *relBufPool) get(n int) []byte {
 // put returns a buffer taken with get; the caller keeps no alias into it.
 // Nil is ignored, so a packet that never had a buffer (one this node
 // originated) is released like any other.
-func (bp *relBufPool) put(b []byte) {
+func (bp *wireBufPool) put(b []byte) {
 	if b == nil {
 		return
 	}
 	class, size := relBufClass(cap(b))
 	if size != cap(b) {
-		panic("fwd: buffer returned to the reliable pool was not taken from it")
+		panic("fwd: buffer returned to the wire pool was not taken from it")
 	}
 	bp.returned++
 	b = b[:size]
@@ -165,8 +173,21 @@ func (bp *relBufPool) put(b []byte) {
 	bp.free[class] = append(bp.free[class], b)
 }
 
+// getPair returns a descriptor pair whose content is unspecified.
+func (bp *wireBufPool) getPair() *[2]mad.BlockDesc {
+	if n := len(bp.pairs); n > 0 {
+		d := bp.pairs[n-1]
+		bp.pairs = bp.pairs[:n-1]
+		return d
+	}
+	return new([2]mad.BlockDesc)
+}
+
+// putPair returns a pair nothing reads any more.
+func (bp *wireBufPool) putPair(d *[2]mad.BlockDesc) { bp.pairs = append(bp.pairs, d) }
+
 // pooled counts the buffers on the free lists.
-func (bp *relBufPool) pooled() int {
+func (bp *wireBufPool) pooled() int {
 	n := 0
 	for _, l := range bp.free {
 		n += len(l)

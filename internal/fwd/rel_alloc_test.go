@@ -40,13 +40,14 @@ func relChain(t *testing.T, cfg Config) (*vtime.Sim, *VirtualChannel) {
 // message may cost end to end over the lossless two-hop chain once the free
 // lists are warm: two data packets and an end-to-end ack over two hops each,
 // their hop acks, and the reassembly. What is left is per message, not per
-// packet: the Packing/Unpacking pairs (four objects), the list of packed
-// blocks and the decoded descriptor — 6 today, under half a KiB. It read 136
-// objects and 165 KiB when every packet had fresh buffers, slots and
-// closures, and 7 until the packet list was recycled (DESIGN.md §28); the
+// packet: the Packing and the Unpacking record, each holding its handle
+// (DESIGN.md §29), and the decoded descriptor — 3 today, under half a KiB. It
+// read 136 objects and 165 KiB when every packet had fresh buffers, slots and
+// closures, 7 until the packet list was recycled (DESIGN.md §28), and 6 while
+// the handles were objects of their own and the packed blocks a list; the
 // relay's per-destination send daemon and its burst buffer are made once, by
-// the destination's first burst.
-const relMessageAllocBudget = 12
+// the destination's first burst. The budget is the reading plus one.
+const relMessageAllocBudget = 4
 
 func TestReliableMessageAllocBudget(t *testing.T) {
 	const (

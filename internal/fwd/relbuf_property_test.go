@@ -97,13 +97,13 @@ func TestReliableBufferLedgerUnderFaults(t *testing.T) {
 	if int64(bk.BufsFree) > bk.BufsTaken {
 		t.Errorf("%d buffers on the free list, only %d ever taken", bk.BufsFree, bk.BufsTaken)
 	}
-	if *w.aggRecycled == 0 {
-		t.Error("no coalescer took a frame buffer back: the poisoning of recycled frames showed nothing")
+	if w.vc.AggStats().Frames == 0 {
+		t.Error("no frame went through the wire pool: the poisoning of returned frames showed nothing")
 	}
 	ds := w.vc.DeliveryStats()
 	if ds.Retransmits == 0 || ds.ChecksumDrops == 0 || len(w.vc.Health().Transitions()) == 0 {
 		t.Errorf("the run did not exercise the fault paths: %+v, %d health transitions",
 			ds, len(w.vc.Health().Transitions()))
 	}
-	t.Logf("%d buffers taken and returned through a free list of %d, %d frame buffers recycled; %+v", bk.BufsTaken, bk.BufsFree, *w.aggRecycled, ds)
+	t.Logf("%d buffers taken and returned through a free list of %d, %d frames flushed; %+v", bk.BufsTaken, bk.BufsFree, w.vc.AggStats().Frames, ds)
 }

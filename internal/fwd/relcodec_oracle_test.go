@@ -73,24 +73,12 @@ func ackKeys(raw []byte) []relAckKey {
 	return keys
 }
 
-// PoisonRelBufs makes the channel's pool overwrite every buffer it gets
-// back, so a payload, descriptor or ack trailer read through an alias the
-// owner should have dropped comes out as 0xDB garbage — failing the
-// byte-exact delivery checks, or the CRC — instead of passing by luck.
+// PoisonRelBufs makes the channel's wire pool overwrite every buffer it gets
+// back, so a payload, descriptor, ack trailer or aggregate frame read through
+// an alias the owner should have dropped comes out as 0xDB garbage — failing
+// the byte-exact delivery checks, or the CRC — instead of passing by luck.
 // Exported to the package's external tests; it exists in test builds only.
-func PoisonRelBufs(vc *VirtualChannel) { vc.relBufs.onPut = poison }
-
-// PoisonAggBufs does the same to every frame buffer a coalescer takes back
-// for its builder to reuse (reliable mode, after the end-to-end ack): a
-// datagram, or a sink, that still read the frame through it would deliver
-// garbage. It returns the count of buffers taken back.
-func PoisonAggBufs(vc *VirtualChannel) *int {
-	n := new(int)
-	if vc.aggst != nil {
-		vc.aggst.onRecycle = func(buf []byte) { poison(buf[:cap(buf)]); *n++ }
-	}
-	return n
-}
+func PoisonRelBufs(vc *VirtualChannel) { vc.bufs.onPut = poison }
 
 // SinkFrames reports what a sink holds of the aggregated path: whether it is
 // draining a frame — sub-messages of it are still unread, asked of a copy of
@@ -98,8 +86,10 @@ func PoisonAggBufs(vc *VirtualChannel) *int {
 // it — the polling threads have queued ahead of the application.
 func SinkFrames(vc *VirtualChannel, node string) (draining bool, ahead int) {
 	rank := vc.NodeRank(node)
-	rd := vc.aggst.rx[rank].rd
-	_, draining = rd.Next()
+	for _, rx := range vc.aggst.rx[rank] {
+		_, ok := rx.rd.Next()
+		draining = draining || ok
+	}
 	return draining, vc.merged[rank].Len()
 }
 
@@ -111,7 +101,7 @@ func poison(buf []byte) {
 
 // pooledEqualsOracle encodes one data packet both ways — the second into a
 // dirty pooled buffer — and compares.
-func pooledEqualsOracle(t *testing.T, bp *relBufPool, d relData, acks []relAckKey) {
+func pooledEqualsOracle(t *testing.T, bp *wireBufPool, d relData, acks []relAckKey) {
 	t.Helper()
 	want := encodeRelData(d.origin, d.final, d.id, d.frag, d.total, d.flags, d.payload, acks)
 	pkt := bp.get(relDataLen(len(d.payload), len(acks)))
@@ -126,7 +116,7 @@ func pooledEqualsOracle(t *testing.T, bp *relBufPool, d relData, acks []relAckKe
 // piggybacked acks (and the FuzzRelData seed corpus) encode byte-identically
 // into recycled, poisoned buffers; so do ack batches and descriptors.
 func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
-	bp := relBufPool{onPut: poison}
+	bp := wireBufPool{onPut: poison}
 	for _, seed := range relDataSeeds() {
 		if d, ok := decodeRelData(seed); ok { // the corpus holds malformed packets too
 			pooledEqualsOracle(t, &bp, d, ackKeys(d.acks))
@@ -193,7 +183,7 @@ func TestRelBufPoolClasses(t *testing.T) {
 		}
 		prevClass, prevSize = class, size
 	}
-	var bp relBufPool
+	var bp wireBufPool
 	b := bp.get(32800)
 	bp.put(b)
 	if c := bp.get(33000); &c[0] != &b[0] {

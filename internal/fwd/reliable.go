@@ -247,7 +247,7 @@ type relData struct {
 	acks []byte
 	// buf is the received datagram payload and acks alias: a pooled buffer
 	// this node owns from the link's hand-over until it returns it to the
-	// virtual channel's free list (see relBufPool). Nil for a packet this
+	// virtual channel's free list (see wireBufPool). Nil for a packet this
 	// node originated.
 	buf []byte
 }
@@ -412,10 +412,10 @@ func decodeRelDesc(b []byte) (mtu int, desc []mad.BlockDesc, ok bool) {
 
 // relMeta is the link-layer metadata of one reliable packet: a single-block,
 // single-transmission message flagged Reliable so it takes the plain eager
-// path, is subject to fault injection and has its buffer handed to the
-// receiver. The link describes the one block itself.
+// path and is subject to fault injection, and Owned so its buffer is handed
+// to the receiver. The link describes the one block itself.
 func relMeta(kind mad.Kind) mad.TxMeta {
-	return mad.TxMeta{SOM: true, Reliable: true, Kind: kind}
+	return mad.TxMeta{SOM: true, Reliable: true, Owned: true, Kind: kind}
 }
 
 // relAckKey identifies one packet for hop acknowledgement: who originated
@@ -797,8 +797,8 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	if nfrags > relMaxFrags {
 		panic(fmt.Sprintf("fwd: message of %d fragments exceeds the reliable protocol's %d", total, relMaxFrags))
 	}
-	desc := e.vc.relBufs.get(relDescLen(len(blocks)))
-	defer e.vc.relBufs.put(desc)
+	desc := e.vc.bufs.get(relDescLen(len(blocks)))
+	defer e.vc.bufs.put(desc)
 	putRelDesc(desc, mtu, blocks)
 	final := e.vc.NodeRank(dst)
 	var ds []relData // recycled, its references dropped when the message is done
@@ -1080,13 +1080,13 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bo
 		flags |= relFlagFlush
 	}
 	acks := e.takePiggyback(link)
-	pkt := e.vc.relBufs.get(relDataLen(len(d.payload), len(acks)))
+	pkt := e.vc.bufs.get(relDataLen(len(d.payload), len(acks)))
 	putRelData(pkt, d, flags, acks)
 	e.settlePending(link, len(acks))
 	link.Acquire(p)
 	t0 := p.Now()
 	if !link.Send(p, relMeta(kind), pkt) {
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 	}
 	e.flight().Record(flight.KindSend, p.Now(), vtime.Since(p.Now(), t0), d.id, len(d.payload), link.Channel.Network().Name)
 	link.Release(p)
@@ -1263,10 +1263,10 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 		e.handleData(p, in, pkt)
 	case mad.KindRelAck:
 		e.handleAck(pkt)
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 	case mad.KindHealth:
 		e.handleHealth(p, in, pkt)
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 	default:
 		panic("fwd: unexpected " + meta.Kind.String() + " message in reliable mode on " + e.node.Name)
 	}
@@ -1282,7 +1282,7 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	if !ok {
 		e.trace("corrupt-drop", len(pkt), p.Now())
 		e.count(relChecksumDrops, 1)
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 		return // no ack: the sender retransmits
 	}
 	d.buf = pkt
@@ -1301,11 +1301,11 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		if _, ok := e.nextHop(finalName, ingress); !ok {
 			e.count(relRelayDrops, 1)
 			e.hop(p, d.id, "refuse", obs.Detail{Form: "no route to ${peer} except back via ${net}", Peer: finalName, Net: ingress}, 0)
-			e.vc.relBufs.put(pkt)
+			e.vc.bufs.put(pkt)
 			return
 		}
 		if !e.enqueueRelay(relayItem{d: d, from: ingress, enq: p.Now()}) {
-			e.vc.relBufs.put(pkt)
+			e.vc.bufs.put(pkt)
 			return // backpressure: no ack until the queue drains
 		}
 		e.hopAck(in, &d)
@@ -1318,11 +1318,11 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
 			complete(aw)
 		}
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 		return
 	}
 	if !e.acceptLocal(p, in, &d) {
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 	}
 }
 
@@ -1406,7 +1406,7 @@ func (e *relEngine) newMsg(d *relData) *relMsg {
 // and recycles its record, fragment table cleared.
 func (e *relEngine) freeMsg(m *relMsg) {
 	for i := range m.frags {
-		e.vc.relBufs.put(m.frags[i].buf)
+		e.vc.bufs.put(m.frags[i].buf)
 		m.frags[i] = relFrag{}
 	}
 	e.msgFree = append(e.msgFree, m)
@@ -1528,7 +1528,7 @@ func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
 		e.count(relRelayDrops, 1)
 	}
 	for i := range batch {
-		e.vc.relBufs.put(batch[i].buf)
+		e.vc.bufs.put(batch[i].buf)
 		batch[i] = relData{}
 	}
 }
@@ -1629,7 +1629,7 @@ func (e *relEngine) ctlLoop(p *vtime.Proc) {
 		for len(e.pend[link]) > 0 {
 			pend := e.pend[link]
 			n := min(len(pend), relAckBatchMax)
-			pkt := e.vc.relBufs.get(relAcksLen(n))
+			pkt := e.vc.bufs.get(relAcksLen(n))
 			putRelAcks(pkt, pend[:n])
 			e.settlePending(link, n)
 			e.count(relAckPackets, 1)
@@ -1647,7 +1647,7 @@ func (e *relEngine) ctlLoop(p *vtime.Proc) {
 func (e *relEngine) sendControl(p *vtime.Proc, link *mad.Link, kind mad.Kind, pkt []byte) {
 	link.Acquire(p)
 	if !link.Send(p, relMeta(kind), pkt) {
-		e.vc.relBufs.put(pkt)
+		e.vc.bufs.put(pkt)
 	}
 	link.Release(p)
 }
@@ -1664,17 +1664,19 @@ type RelBookkeeping struct {
 	RxPartials int
 	// RxEvictions is how many partial reassemblies were evicted at the cap.
 	RxEvictions int64
-	// BufsTaken and BufsReturned are the packet-buffer ledger: how many
-	// datagram buffers were taken from the virtual channel's free list and
-	// how many came back. Equal on a quiesced run — a difference is a leaked
-	// (or twice-returned) buffer. BufsFree is how many sit on the free list.
+	// BufsTaken and BufsReturned are the wire-buffer ledger: how many
+	// datagram and frame buffers were taken from the virtual channel's free
+	// list and how many came back. Equal on a quiesced run — a difference is a
+	// leaked (or twice-returned) buffer. BufsFree is how many sit on the free
+	// list.
 	BufsTaken    int64
 	BufsReturned int64
 	BufsFree     int
 }
 
 // RelBookkeeping sums the reliable mode's bookkeeping sizes over every node.
-// Zero-valued in streaming mode.
+// Zero-valued in streaming mode but for the wire-buffer ledger, which the
+// aggregated path keeps too.
 func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 	var s RelBookkeeping
 	for _, e := range vc.rel {
@@ -1684,7 +1686,7 @@ func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 		s.RxPartials += len(e.rx)
 	}
 	s.RxEvictions = vc.relCount(relRxEvictions)
-	s.BufsTaken, s.BufsReturned, s.BufsFree = vc.relBufs.taken, vc.relBufs.returned, vc.relBufs.pooled()
+	s.BufsTaken, s.BufsReturned, s.BufsFree = vc.bufs.taken, vc.bufs.returned, vc.bufs.pooled()
 	return s
 }
 
@@ -1732,6 +1734,7 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 // safe because EndPacking blocks until the message is end-to-end
 // acknowledged) and the whole message is fragmented and sent at EndPacking.
 type relPacking struct {
+	handle Packing
 	blockBuf
 	dst string
 }
@@ -1744,6 +1747,7 @@ func (rp *relPacking) end(p *vtime.Proc) {
 // reassembled (that is what the arrival means), so unpack calls verify the
 // mirrored flags against the descriptor and copy fragments out.
 type relUnpacking struct {
+	handle   Unpacking
 	eng      *relEngine
 	m        *relMsg
 	mtu      int

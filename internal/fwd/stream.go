@@ -24,7 +24,7 @@ package fwd
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"madgo/internal/flight"
 	"madgo/internal/mad"
@@ -181,19 +181,22 @@ func decodeStripeHeader(b []byte) (h streamHdr, ok bool) {
 
 // encodeMcastHeader builds the destination-set header. Ranks are encoded in
 // strictly increasing order (the canonical form decodeMcastHeader enforces);
-// the input is not modified.
+// the input is not modified, and is copied to be sorted only when it is not
+// in order already.
 func encodeMcastHeader(src mad.Rank, mtu int, id uint64, dests []mad.Rank) []byte {
 	if len(dests) == 0 || len(dests) > mcastMaxDests {
 		panic(fmt.Sprintf("fwd: mcast header with %d destinations", len(dests)))
 	}
-	sorted := append([]mad.Rank(nil), dests...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	b := make([]byte, mcastHeaderLen(len(sorted)))
+	if !slices.IsSorted(dests) {
+		dests = slices.Clone(dests)
+		slices.Sort(dests)
+	}
+	b := make([]byte, mcastHeaderLen(len(dests)))
 	binary.LittleEndian.PutUint32(b[0:], uint32(src))
 	binary.LittleEndian.PutUint32(b[4:], uint32(mtu))
 	binary.LittleEndian.PutUint64(b[8:], id)
-	binary.LittleEndian.PutUint16(b[16:], uint16(len(sorted)))
-	for i, d := range sorted {
+	binary.LittleEndian.PutUint16(b[16:], uint16(len(dests)))
+	for i, d := range dests {
 		binary.LittleEndian.PutUint32(b[mcastHeaderFixed+4*i:], uint32(d))
 	}
 	sealCRC(b)
@@ -204,8 +207,9 @@ func encodeMcastHeader(src mad.Rank, mtu int, id uint64, dests []mad.Rank) []byt
 // codecs it never panics on malformed input (the fuzz target pins this): ok
 // is false on a short or oversized buffer, a zero MTU, an out-of-range
 // count, a non-canonical (unsorted or duplicated) destination list, or a CRC
-// mismatch.
-func decodeMcastHeader(b []byte) (h streamHdr, ok bool) {
+// mismatch. The destinations are decoded into dests' storage where it is
+// large enough (a gateway's ring), else into an allocation of their own.
+func decodeMcastHeader(b []byte, dests []mad.Rank) (h streamHdr, ok bool) {
 	if len(b) < mcastHeaderLen(1) {
 		return h, false
 	}
@@ -217,7 +221,7 @@ func decodeMcastHeader(b []byte) (h streamHdr, ok bool) {
 		src:   mad.Rank(binary.LittleEndian.Uint32(b[0:])),
 		mtu:   int(binary.LittleEndian.Uint32(b[4:])),
 		id:    binary.LittleEndian.Uint64(b[8:]),
-		dests: make([]mad.Rank, count),
+		dests: slices.Grow(dests[:0], count)[:count],
 	}
 	for i := range h.dests {
 		h.dests[i] = mad.Rank(binary.LittleEndian.Uint32(b[mcastHeaderFixed+4*i:]))
@@ -292,9 +296,13 @@ func framingOf(kind mad.Kind) *framing { return &framings[kind] }
 // Header bytes and block descriptors are sent by reference and read again by
 // every gateway on the path for as long as its relay runs: they live in
 // memory nothing rewrites — the header in this record (one per stream) or an
-// allocation of its own, a block's descriptors in an array per block. The
-// record is part of every forwarded message's Packing, so it holds what every
-// stream needs and reaches the rest through a pointer.
+// allocation of its own, a block's descriptors in a pair per block: the
+// record's own for the first block of a record that lives for one message, a
+// wire-pool pair that travels with the coalescer's frame, else an allocation.
+// So a first transfer, all header and frame, is handed over at every hop
+// (mad.TxMeta.Owned). The record is part of every forwarded message's
+// Packing, so it holds what every stream needs and reaches the rest through a
+// pointer.
 type streamTx struct {
 	vc   *VirtualChannel
 	link *mad.Link
@@ -305,7 +313,11 @@ type streamTx struct {
 	// held is the fragment held back when the terminator rides the last one:
 	// whether a fragment is the last is only known when the next one, or
 	// end, arrives.
-	held   *heldFrag
+	held *heldFrag
+	// spare is where the next block's descriptor pair goes, once; nil: an
+	// allocation of its own.
+	spare  *[2]mad.BlockDesc
+	pair   [2]mad.BlockDesc
 	hdrBuf [gtmHeaderLen]byte
 	kind   mad.Kind
 	// spends: every transfer first spends a flow credit toward the link's far
@@ -318,7 +330,7 @@ type streamTx struct {
 
 type heldFrag struct {
 	data   []byte
-	descs  []mad.BlockDesc // its block's descriptor array, and its index there
+	descs  []mad.BlockDesc // its block's descriptor pair, and its index there
 	i      int
 	staged bool
 }
@@ -347,7 +359,7 @@ func (tx *streamTx) hdrDescs() []mad.BlockDesc {
 	if f := framingOf(tx.kind); f.hdrDesc[0].Size != 0 {
 		return f.hdrDesc[:]
 	}
-	return []mad.BlockDesc{headerDesc(len(tx.hdr))}
+	return tx.vc.mcastst.hdrDesc(len(tx.hdr))
 }
 
 func (tx *streamTx) spend(p *vtime.Proc) {
@@ -367,7 +379,16 @@ func (tx *streamTx) hop(p *vtime.Proc, form string, n int) {
 func (tx *streamTx) first(p *vtime.Proc, frame []byte, descs []mad.BlockDesc, last bool) {
 	tx.started = true
 	tx.spend(p)
-	tx.link.Send(p, mad.TxMeta{SOM: true, EOM: last, Kind: tx.kind, Blocks: descs}, frame)
+	tx.link.Send(p, mad.TxMeta{SOM: true, EOM: last, Kind: tx.kind, Blocks: descs, Owned: true}, frame)
+}
+
+// descPair returns storage for one block's descriptor pair (spare).
+func (tx *streamTx) descPair() []mad.BlockDesc {
+	if d := tx.spare; d != nil {
+		tx.spare = nil
+		return d[:]
+	}
+	return make([]mad.BlockDesc, 2)
 }
 
 // block sends one packed block — or the part of one a rail carries — as
@@ -377,11 +398,12 @@ func (tx *streamTx) block(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Recv
 	if len(data) == 0 && f.elideEmpty {
 		return
 	}
-	// One descriptor array per block, not per fragment: every full-MTU
+	// One descriptor pair per block, not per fragment: every full-MTU
 	// fragment shares descs[0] and the tail has descs[1]. A block of one
 	// short fragment has no use for descs[0]; the header's descriptor sits
 	// there, for the transfer the two may share.
-	descs := []mad.BlockDesc{{Size: mtu, S: s, R: r}, {Size: len(data) % mtu, S: s, R: r}}
+	descs := tx.descPair()
+	descs[0], descs[1] = mad.BlockDesc{Size: mtu, S: s, R: r}, mad.BlockDesc{Size: len(data) % mtu, S: s, R: r}
 	if len(data) < mtu {
 		descs[0] = headerDesc(len(tx.hdr))
 	}
@@ -446,7 +468,7 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 	f := framingOf(tx.kind)
 	form := f.form
 	if len(tx.hdr)+total <= tx.mtu && (wire != nil || total <= eagerInlineMax) {
-		descs := make([]mad.BlockDesc, 1, 1+len(blks))
+		descs := tx.descPair()[:1]
 		descs[0] = headerDesc(len(tx.hdr))
 		for _, b := range blks {
 			// A block that would put no fragment on the wire is not
@@ -533,6 +555,7 @@ type blockBuf struct {
 	// like the seed's.
 	cost  vtime.Duration
 	blks  []relBlock
+	one   [1]relBlock // backs blks while the message has one block
 	total int
 }
 
@@ -543,26 +566,33 @@ func (vc *VirtualChannel) buffer(node *mad.Node) blockBuf {
 
 func (b *blockBuf) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	data = b.vc.stageBlock(p, b.node, b.id, b.cost, data, s)
+	if b.blks == nil {
+		b.blks = b.one[:0]
+	}
 	b.blks = append(b.blks, relBlock{data: data, s: s, r: r})
 	b.total += len(data)
 }
 
 // streamPacking is the sender side of a message that streams as it is packed:
 // the seed framing and the eager one.
-type streamPacking struct{ streamTx }
+type streamPacking struct {
+	handle Packing
+	streamTx
+}
 
 func (x *streamPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	x.block(p, x.vc.stageBlock(p, x.link.Src, x.id, 0, data, s), s, r)
 }
 
-// streamOpen is what a stream's first transfer says about it: the header, and
-// the payload that rode along behind it.
+// streamOpen is a stream's first transfer and what it says about the stream:
+// the header, and the payload that rode along behind it.
 type streamOpen struct {
 	streamHdr
+	meta    mad.TxMeta      // the transfer's metadata; EOM: it is also the last
+	head    []byte          // the transfer: the header, then the payload
 	hsize   int             // header bytes at the front of the transfer
 	payload []byte          // the rest of it
 	descs   []mad.BlockDesc // block by block
-	eom     bool            // the first transfer is also the last
 }
 
 // parseStream decodes the first transfer of a stream of the announced kind.
@@ -570,16 +600,17 @@ type streamOpen struct {
 // message of that kind, its descriptors do not cover its bytes exactly, its
 // header does not decode, or payload rode along that the framing does not
 // put there. The final receiver and every gateway accept a stream by this one
-// call.
-func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte) (o streamOpen, ok bool) {
+// call; dests is where a multicast header's destinations are decoded
+// (decodeMcastHeader).
+func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte, dests []mad.Rank) (o streamOpen, ok bool) {
 	if !meta.SOM || meta.Kind != kind || len(meta.Blocks) == 0 {
 		return o, false
 	}
-	o.hsize = meta.Blocks[0].Size
+	o.meta, o.head, o.hsize = meta, first, meta.Blocks[0].Size
 	if o.hsize < 0 || o.hsize > len(first) {
 		return o, false
 	}
-	o.payload, o.descs, o.eom = first[o.hsize:], meta.Blocks[1:], meta.EOM
+	o.payload, o.descs = first[o.hsize:], meta.Blocks[1:]
 	rest := len(o.payload)
 	for _, d := range o.descs {
 		if d.Size < 0 || d.Size > rest {
@@ -604,11 +635,11 @@ func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte) (o streamOpen, ok
 	case mad.KindAgg:
 		// A frame is one block and the whole message.
 		o.streamHdr, ok = decodeGTMHeader(hdr)
-		return o, ok && n == 1 && o.eom
+		return o, ok && n == 1 && meta.EOM
 	case mad.KindMcast:
 		// Payload shares the header's transfer only when all of it does.
-		o.streamHdr, ok = decodeMcastHeader(hdr)
-		return o, ok && (n == 0 || o.eom)
+		o.streamHdr, ok = decodeMcastHeader(hdr, dests)
+		return o, ok && (n == 0 || meta.EOM)
 	}
 	return o, false
 }
@@ -632,7 +663,7 @@ func openStream(p *vtime.Proc, node *mad.Node, a mad.Arrival, scratch []byte) st
 	a.Link.AcquireRecv(p)
 	kind := a.Kind()
 	meta, first := recvFirst(p, a.Link, kind, scratch)
-	o, ok := parseStream(kind, meta, first)
+	o, ok := parseStream(kind, meta, first, nil)
 	if !ok {
 		panic(fmt.Sprintf("fwd: malformed %v stream delivered to %s", kind, node.Name))
 	}
@@ -680,7 +711,7 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 		scratch = make([]byte, n)
 	}
 	o := openStream(p, node, a, scratch)
-	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.eom
+	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.meta.EOM
 	if len(o.descs) > 0 {
 		rx.parked = &parkedFrags{descs: o.descs}
 		rx.parked.frags = splitByDescs(rx.parked.one[:0], o.payload, o.descs)
@@ -771,7 +802,10 @@ func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byt
 
 // streamUnpacking is the receiver side of a stream delivered as one message:
 // the seed, eager and multicast framings, and a gateway's local capture.
-type streamUnpacking struct{ streamRx }
+type streamUnpacking struct {
+	handle Unpacking
+	streamRx
+}
 
 func (g *streamUnpacking) end(p *vtime.Proc) {
 	g.close(p)

@@ -398,6 +398,7 @@ func (vc *VirtualChannel) StripeStats() StripeStats {
 // — and then either striped across the pair's rails or replayed through the
 // ordinary single-rail path when the message is too small.
 type stripePacking struct {
+	handle Packing
 	blockBuf
 	dst string
 	// aggFlag stamps stripeFlagAgg on every rail header: the message body
@@ -510,6 +511,7 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 		rail: rail, nrails: nrails, flags: flags,
 		spanStart: spanStart, spanLen: spanLen, total: int64(sx.total)}
 	tx := streamTx{vc: vc, link: link, kind: mad.KindStripe, spends: gw != ""}
+	tx.spare = &tx.pair // the record lives for this one rail
 	tx.open(p, h)
 	flat := int64(0)
 	for _, b := range sx.blks {
@@ -754,10 +756,11 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Ar
 // rail spans dictate, one draining process per overlapping rail, so
 // concurrently arriving rails land in place with zero extra copies.
 type stripeUnpacking struct {
-	vc   *VirtualChannel
-	node *mad.Node
-	g    *stripeGroup
-	flat int64
+	handle Unpacking
+	vc     *VirtualChannel
+	node   *mad.Node
+	g      *stripeGroup
+	flat   int64
 }
 
 // from returns the origin rank of the striped message.

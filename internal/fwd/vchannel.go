@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"madgo/internal/agg"
 	"madgo/internal/flight"
 	"madgo/internal/fluid"
 	"madgo/internal/health"
@@ -188,16 +187,18 @@ type VirtualChannel struct {
 	regular map[string]*mad.Channel // per network name
 	special map[string]*mad.Channel // only for networks crossed mid-route
 	nodes   map[string]*mad.Node
+	eps     map[string]*Endpoint // each node's one endpoint, made by its first At
 	merged  map[mad.Rank]*vsync.Chan[incoming]
 	gates   map[string]*Gateway
 
 	// Reliable-mode state: one engine per node, in declaration order.
 	rel      map[string]*relEngine
 	relOrder []string
-	// relBufs is the free list every reliable datagram's buffer is taken
-	// from and returned to (pool.go); shared because the node that takes a
-	// buffer hands it over the link to the node that returns it.
-	relBufs relBufPool
+	// bufs is the free list every reliable datagram's buffer and every
+	// aggregate frame is taken from and returned to (pool.go); shared because
+	// the node that takes a buffer hands it over the link to the node that
+	// returns it.
+	bufs wireBufPool
 
 	// mon is the link-health monitor of a reliable channel; nil in streaming
 	// mode.
@@ -370,12 +371,14 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		regular: make(map[string]*mad.Channel),
 		special: make(map[string]*mad.Channel),
 		nodes:   make(map[string]*mad.Node),
+		eps:     make(map[string]*Endpoint),
 		merged:  make(map[mad.Rank]*vsync.Chan[incoming]),
 		gates:   make(map[string]*Gateway),
 
 		pathMTUs: make(map[[2]string]int),
 		nics:     make(map[string]hw.NICParams),
-		mcastst:  &mcastState{plans: make(map[string]*mcastPlan), roots: make(map[string]*mcastRoot)},
+		mcastst: &mcastState{plans: make(map[string]*mcastPlan), roots: make(map[string]*mcastRoot),
+			hdrDescs: make(map[int][]mad.BlockDesc)},
 	}
 	for name, b := range bindings {
 		vc.nics[name] = b.Drv.NIC()
@@ -498,7 +501,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 				for {
 					in := incoming{ep: ep, a: ep.NextArrival(p)}
 					if ahead != nil {
-						pollAhead(p, node, ahead, &in)
+						vc.pollAhead(p, node, ahead, &in)
 					}
 					q.Send(p, in)
 				}
@@ -523,7 +526,9 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 // before it queues one, and the application returns it as it takes the entry
 // and opens the stream. So a sink holds two frames at most, and a frame is
 // received only once every stream ahead of it on the gateway's link is open.
-func pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.Sem, in *incoming) {
+// The frame arrives as the coalescer's own buffer, with the descriptor pair it
+// left with, handed over at every hop (DESIGN.md §29).
+func (vc *VirtualChannel) pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.Sem, in *incoming) {
 	if !relayableKind(in.a.Kind()) {
 		return
 	}
@@ -532,7 +537,7 @@ func pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.Sem, in *incoming) {
 	if in.a.Kind() == mad.KindAgg {
 		o := openStream(p, node, in.a, nil)
 		in.a.Link.ReleaseRecv(p)
-		in.frame = aggRx{from: o.src, rd: agg.MustReader(o.payload)}
+		in.frame = vc.aggOpen(o.src, o.payload, o.head, (*[2]mad.BlockDesc)(o.meta.Blocks))
 	}
 }
 
@@ -575,13 +580,18 @@ type Endpoint struct {
 	node *mad.Node
 }
 
-// At returns the endpoint of the named node.
+// At returns the endpoint of the named node, the same one every time.
 func (vc *VirtualChannel) At(name string) *Endpoint {
+	if ep := vc.eps[name]; ep != nil {
+		return ep
+	}
 	n, ok := vc.nodes[name]
 	if !ok {
 		panic("fwd: unknown node " + name)
 	}
-	return &Endpoint{vc: vc, node: n}
+	ep := &Endpoint{vc: vc, node: n}
+	vc.eps[name] = ep
+	return ep
 }
 
 // Node returns the endpoint's session node.
@@ -630,6 +640,13 @@ type Packing struct {
 	ended bool
 }
 
+// bind makes px, the handle field of the framing record x, the handle of
+// message id: the record is the one allocation a message's sender side makes.
+func (px *Packing) bind(x packer, id uint64) *Packing {
+	px.x, px.id = x, id
+	return px
+}
+
 // MsgID returns the message's channel-global ID, assigned at BeginPacking.
 // Registry.MessageTrace(id) reconstructs the message's hop-by-hop provenance
 // when metrics are armed.
@@ -649,7 +666,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		if r, ok := e.vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
 			ax := &aggPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 			e.vc.hop(p, ax.id, e.node.Name, "pack", obs.Detail{Form: "agg -> ${peer}", Peer: dst}, 0)
-			return &Packing{x: ax, id: ax.id}
+			return ax.handle.bind(ax, ax.id)
 		}
 	}
 	if e.vc.cfg.Reliable {
@@ -661,7 +678,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		}
 		rp := &relPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 		e.vc.hop(p, rp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
-		return &Packing{x: rp, id: rp.id}
+		return rp.handle.bind(rp, rp.id)
 	}
 	// Striping: when the pair has at least two disjoint rails, buffer the
 	// message and let EndPacking split it (or fall back to the single-rail
@@ -669,7 +686,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	if rails := len(e.vc.stripeRoutes(e.node.Name, dst)); rails >= 2 {
 		sx := &stripePacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 		e.vc.hop(p, sx.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
-		return &Packing{x: sx, id: sx.id}
+		return sx.handle.bind(sx, sx.id)
 	}
 	hop, link := e.vc.firstHop(e.node, dst)
 	id := e.vc.nextMsgID()
@@ -679,13 +696,13 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	}
 	// A stream is recorded once it is open: taking the link, and the seed
 	// framing's header transfer, may take time.
-	x := e.vc.openSingleRail(p, e.node, dst, hop, link, e.vc.cfg.Eager, id)
+	x := e.vc.beginStream(p, e.node, dst, link, e.vc.cfg.Eager, id)
 	form := "gtm -> ${peer} via ${net}"
 	if e.vc.cfg.Eager {
 		form = "eager -> ${peer} via ${net}"
 	}
 	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
-	return &Packing{x: x, id: id}
+	return x.handle.bind(x, id)
 }
 
 // firstHop returns where a single-rail message from a node toward dst leaves:
@@ -708,16 +725,21 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 // plain Madeleine message on the regular channel when the route is direct, else
 // a stream toward the first gateway, compact when eager is set, seed GTM if not.
 func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, eager bool, id uint64) packer {
-	rank := vc.NodeRank(dst)
 	if link == nil {
-		return (*plainPacking)(vc.regular[hop.Network].At(from).BeginPacking(p, rank))
+		return (*plainPacking)(vc.regular[hop.Network].At(from).BeginPacking(p, vc.NodeRank(dst)))
 	}
+	return vc.beginStream(p, from, dst, link, eager, id)
+}
+
+// beginStream opens message id as a stream on link toward the first gateway.
+func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string, link *mad.Link, eager bool, id uint64) *streamPacking {
 	kind := mad.KindGTM
 	if eager {
 		kind = mad.KindEager
 	}
-	x := &streamPacking{streamTx{vc: vc, link: link, kind: kind, spends: true}}
-	x.open(p, streamHdr{src: from.Rank, dst: rank, mtu: vc.PathMTU(from.Name, dst), id: id})
+	x := &streamPacking{streamTx: streamTx{vc: vc, link: link, kind: kind, spends: true}}
+	x.spare = &x.pair // the record lives for this one message
+	x.open(p, streamHdr{src: from.Rank, dst: vc.NodeRank(dst), mtu: vc.PathMTU(from.Name, dst), id: id})
 	return x
 }
 
@@ -754,6 +776,14 @@ type Unpacking struct {
 	ended bool
 }
 
+// bind makes u, the handle field of the framing record x, the handle of a
+// message from rank from: the record is the one allocation a message's
+// receiver side makes.
+func (u *Unpacking) bind(x unpacker, from mad.Rank, fwd bool) *Unpacking {
+	u.x, u.from, u.fwd = x, from, fwd
+	return u
+}
+
 // BeginUnpacking blocks until a message arrives on any of the node's
 // regular channels and opens it with the module its arrival note selects —
 // "to be able to chose between a regular Transmission Module and the
@@ -763,9 +793,9 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 	for polled := false; ; polled = true {
 		// A frame's sub-messages come FIFO before anything newer, from memory:
 		// PollCost, a probe of the networks, is paid on the way to the queue.
-		if from, sub, ok := e.vc.aggPop(e.node.Rank); ok {
-			u := &aggUnpacking{vc: e.vc, node: e.node, sub: sub}
-			return &Unpacking{x: u, from: from, fwd: true}
+		if rx, sub, ok := e.vc.aggPop(e.node.Rank); ok {
+			u := &aggUnpacking{vc: e.vc, node: e.node, sub: sub, fr: rx.fr}
+			return u.handle.bind(u, rx.from, true)
 		}
 		if !polled {
 			p.Sleep(e.node.Host.CPU.PollCost)
@@ -782,7 +812,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			// replicating it downstream.
 			g := &streamUnpacking{}
 			g.openCaptured(e.vc, e.node, in.mcast)
-			return &Unpacking{x: g, from: in.mcast.h.src, fwd: true}
+			return g.handle.bind(g, in.mcast.h.src, true)
 		}
 		if in.rel != nil {
 			if in.rel.agg {
@@ -792,7 +822,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			ru := newRelUnpacking(e.vc.rel[e.node.Name], in.rel)
 			srcName := e.vc.sess.Node(in.rel.origin).Name
 			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
-			return &Unpacking{x: ru, from: in.rel.origin, fwd: fwd}
+			return ru.handle.bind(ru, in.rel.origin, fwd)
 		}
 		switch in.a.Kind() {
 		case mad.KindStripe:
@@ -804,15 +834,15 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 				e.vc.aggDecodeStriped(p, e.node, g)
 			default:
 				su := &stripeUnpacking{vc: e.vc, node: e.node, g: g}
-				return &Unpacking{x: su, from: su.from(), fwd: su.forwarded()}
+				return su.handle.bind(su, su.from(), su.forwarded())
 			}
 		case mad.KindAgg:
 			// A whole aggregate frame, which the polling thread received:
 			// deliver its first sub-message on the next spin.
-			e.vc.aggst.rx[e.node.Rank] = in.frame
+			e.vc.aggst.rx[e.node.Rank] = append(e.vc.aggst.rx[e.node.Rank], in.frame)
 		case mad.KindGTM, mad.KindEager, mad.KindMcast:
 			g := &streamUnpacking{}
-			return &Unpacking{x: g, from: g.open(p, e.vc, e.node, in.a).src, fwd: true}
+			return g.handle.bind(g, g.open(p, e.vc, e.node, in.a).src, true)
 		default:
 			u := in.ep.Open(p, &in.a)
 			return &Unpacking{x: (*plainUnpacking)(u), from: u.From()}

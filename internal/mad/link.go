@@ -56,16 +56,21 @@ type TxMeta struct {
 	// always takes the plain eager path (no rendezvous or post gating,
 	// which would wedge a sender when the counterpart is lost) and it is
 	// the only traffic the fault injector may drop, corrupt or stall —
-	// unprotected traffic keeps the seed's exact behaviour.
-	//
-	// A Reliable transmission is a datagram in a private buffer its sender
-	// never reads again (a retransmission is encoded afresh), so the link
-	// hands the buffer itself to the receiver instead of copying it into
-	// driver memory; Send reports whether that happened. Blocks may be left
-	// nil: the link then describes the payload as one SendCheaper /
+	// unprotected traffic keeps the seed's exact behaviour. Blocks may be
+	// left nil: the link then describes the payload as one SendCheaper /
 	// ReceiveCheaper block in the transmission record, and Recv returns the
-	// metadata without it.
+	// metadata without it. A reliable datagram is encoded afresh for every
+	// transmission, so it is also Owned.
 	Reliable bool
+	// Owned says the sender never writes the payload, nor the block
+	// descriptors, again: a frame built for this one transfer, a header in a
+	// record that lives for one message, a datagram, a driver slot a gateway
+	// received. Where the payload would land in driver memory the link hands
+	// the buffer itself to the receiver instead of copying it there; from then
+	// on it is the receiver's. Send reports, for a Reliable transmission,
+	// whether the hand-over happened. Memory its sender goes on using — the
+	// application's, a gateway's staging slots and header cells — is copied.
+	Owned bool
 }
 
 func (m TxMeta) payloadBytes() int {
@@ -321,8 +326,8 @@ func (l *Link) newTx(meta TxMeta, data []byte) *transmission {
 // go of it when it queued the last wire event, and the receiver has copied
 // the metadata and the payload reference out (Recv, RecvInto) — or the
 // packet was lost before it reached the wire. The metadata's block
-// descriptors and the payload belong to the caller of Send (or, for a
-// handed-over datagram, now to the receiver), not to the record, so what
+// descriptors and the payload belong to the caller of Send (or, handed over
+// with an Owned transmission, now to the receiver), not to the record, so what
 // Recv returned stays valid; handOver strips the one descriptor that is the
 // record's own.
 func (l *Link) recycle(tx *transmission) {
@@ -457,7 +462,7 @@ func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
 	if g := tx.granted; g != nil && g.dst != nil {
 		l.place(g, tx.payload)
 	} else {
-		tx.slot = snapshot(tx.payload)
+		tx.slot = landed(tx)
 	}
 	tx.dataReady = true
 	l.onTheWire(wireEvent{tx: tx, complete: true})
@@ -480,13 +485,12 @@ func snapshot(payload []byte) []byte {
 	return append([]byte(nil), payload...)
 }
 
-// landed is the receiver-side memory of an eager transmission that found no
-// posted destination to be placed in. A streaming transmission sends memory
-// its sender goes on using (the application's, a gateway's staging slot), so
-// it is copied into driver memory. A Reliable datagram's buffer is handed
-// over as it is: same bytes, no copy, and from here on the receiver's.
+// landed is the receiver-side memory of a transmission that found no posted
+// destination to be placed in. An Owned payload is handed over as it is:
+// same bytes, no copy, and from here on the receiver's. Any other is memory
+// its sender goes on using, so it is copied into driver memory.
 func landed(tx *transmission) []byte {
-	if tx.meta.Reliable {
+	if tx.meta.Owned {
 		return tx.payload
 	}
 	return snapshot(tx.payload)

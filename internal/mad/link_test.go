@@ -111,6 +111,41 @@ func TestLinkSlotIsStableAfterSenderReuse(t *testing.T) {
 	}
 }
 
+// TestOwnedTransferIsHandedOver: an Owned eager transfer that lands in driver
+// memory reaches Recv as the sender's own backing array, with no copy made;
+// the same transfer without Owned arrives as a copy. Both on a ring-credit
+// link (loopback) and on SCI's post-gated path, where a payload past the gate
+// waits for the receive and still lands in driver memory for a slot receive.
+func TestOwnedTransferIsHandedOver(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		drv  netDriver
+		size int
+	}{
+		{"eager", loopback.New(), 64},
+		{"post-gated", sisci.New(), 64 << 10},
+	} {
+		for _, owned := range []bool{true, false} {
+			sim, ab, _, _ := rawPair(c.drv)
+			data := make([]byte, c.size)
+			data[0] = 7
+			meta := mad.TxMeta{SOM: true, Owned: owned, Blocks: []mad.BlockDesc{{Size: len(data)}}}
+			var slot []byte
+			sim.Spawn("send", func(p *vtime.Proc) { ab.Send(p, meta, data) })
+			sim.Spawn("recv", func(p *vtime.Proc) { _, slot = ab.Recv(p) })
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(slot, data) {
+				t.Fatalf("%s, owned %v: payload corrupted", c.name, owned)
+			}
+			if same := &slot[0] == &data[0]; same != owned {
+				t.Errorf("%s, owned %v: the receiver got the sender's array: %v", c.name, owned, same)
+			}
+		}
+	}
+}
+
 func TestLinkDescriptorPayloadMismatchPanics(t *testing.T) {
 	sim, ab, _, _ := rawPair(loopback.New())
 	sim.Spawn("send", func(p *vtime.Proc) {
@@ -260,10 +295,10 @@ func TestLinkAccessors(t *testing.T) {
 	}
 }
 
-// A Reliable transmission is a datagram in a buffer its sender gives away:
-// the receiver gets that very memory, described by the link itself, and a
-// corruption verdict damages it in place. Streaming transmissions keep being
-// copied — their sender goes on using its memory.
+// A Reliable transmission is a datagram in a buffer its sender gives away
+// (Owned): the receiver gets that very memory, described by the link itself,
+// and a corruption verdict damages it in place. Streaming transmissions of
+// memory their sender goes on using keep being copied.
 func TestLinkReliableHandsBufferOver(t *testing.T) {
 	sim, ab, _, sess := rawPair(loopback.New())
 	sess.Platform.ArmFaults(fault.NewInjector(fault.NewPlan(1).Corrupt("*", 1), nil))
@@ -271,7 +306,7 @@ func TestLinkReliableHandsBufferOver(t *testing.T) {
 	clean := append([]byte(nil), datagram...)
 	streamed := []byte("memory the sender goes on using")
 	sim.Spawn("send", func(p *vtime.Proc) {
-		if !ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Kind: mad.KindRel}, datagram) {
+		if !ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Owned: true, Kind: mad.KindRel}, datagram) {
 			t.Error("an undropped datagram was reported as not sent")
 		}
 		ab.Send(p, mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: len(streamed)}}}, streamed)
