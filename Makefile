@@ -237,7 +237,8 @@ fuzz:
 # and shared header descriptors, 7 for the one endpoint a node, 4 for the
 # inline first block, 2 for the gateway's handed-over first transfer and 3 of
 # doc comments; internal/agg fell 383 -> 379 (no re-arm heuristic, no spare).
-LOC_MAX := internal/fwd:6739 internal/bench:2403 internal/agg:379
+# One striper (DESIGN.md §30) lowered internal/fwd 6739 -> 6688.
+LOC_MAX := internal/fwd:6688 internal/bench:2403 internal/agg:379
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

@@ -346,9 +346,9 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
 		vc.bufs.put(wire)
 	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold():
-		// Past the stripe threshold, the rails (below it stripePacking.end
-		// would fall back to a plain replay and lose the aggregate flag). They
-		// send the frame by reference; the sink returns it.
+		// Past the stripe threshold, the rails (below it sendBuffered would
+		// send a plain message and lose the aggregate flag). They send the
+		// frame by reference; the sink returns it.
 		vc.aggst.striped[frameID] = wire
 		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
 	default:
@@ -366,29 +366,56 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	c.cond.Broadcast()
 }
 
-// sendBuffered sends a message that was buffered whole the ordinary way, its
-// blocks with the modes they were packed with (the receiver mirrors them
-// against the wire descriptors): through the reliable engine, across the
-// pair's rails when it has two — striped, or falling back below the
-// threshold — else down the single rail. aggFrame marks the message as an
+// bufPacking is the sender side of a message buffered whole and sent at
+// EndPacking by sendBuffered: a reliable message, or one toward a pair with
+// two rails. SendSafer pays its snapshot copy at once, the other blocks are
+// referenced, which is safe because EndPacking returns once they are sent.
+type bufPacking struct {
+	handle Packing
+	blockBuf
+	dst string
+}
+
+func (bp *bufPacking) end(p *vtime.Proc) {
+	bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, false)
+}
+
+// sendBuffered sends a message that was buffered whole, its blocks with the
+// modes they were packed with (the receiver mirrors them against the wire
+// descriptors): through the reliable engine; across the pair's rails when it
+// has two and the message reaches the stripe threshold; else down the single
+// rail, in the framing Config.Eager names. aggFrame marks the message as an
 // aggregate frame for its receiver to decode.
 func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string, id uint64, blks []relBlock, total int, aggFrame bool) {
-	switch {
-	case vc.cfg.Reliable:
+	if vc.cfg.Reliable {
 		var flags uint8
 		if aggFrame {
 			flags = relFlagAgg
 		}
 		vc.rel[node.Name].sendMessage(p, dst, blks, id, flags)
-	case len(vc.stripeRoutes(node.Name, dst)) >= 2:
-		sx := &stripePacking{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: aggFrame}
-		sx.end(p)
-	default:
-		hop, link := vc.firstHop(node, dst)
-		x := vc.openSingleRail(p, node, dst, hop, link, vc.cfg.Eager, id)
-		replay(p, x, blks)
-		x.end(p)
+		return
 	}
+	rails := vc.stripeRoutes(node.Name, dst)
+	if len(rails) >= 2 && int64(total) >= vc.cfg.stripeThreshold() {
+		sx := &stripeSend{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: aggFrame, rails: rails}
+		vc.planStripe(p, &sx.plan, id, node.Name, dst, rails, int64(total), nil)
+		vc.runRails(p, node, sx, len(rails))
+		return
+	}
+	hop, link := vc.firstHop(node, dst)
+	if len(rails) >= 2 {
+		form := "gtm -> ${peer} via ${net} (below stripe threshold)"
+		switch {
+		case link == nil:
+			form = "direct -> ${peer} via ${net} (below stripe threshold)"
+		case vc.cfg.Eager:
+			form = "eager -> ${peer} via ${net} (below stripe threshold)"
+		}
+		vc.hop(p, id, node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
+	}
+	x := vc.openSingleRail(p, node, dst, hop, link, id)
+	replay(p, x, blks)
+	x.end(p)
 }
 
 // aggPacking is the sender side of an aggregated message: blocks are
@@ -430,7 +457,7 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: ax.dst, Net: hop.Network}, ax.total)
 	blocks := ax.blks
 	ax.blks = nil
-	ax.spilled = vc.openSingleRail(p, ax.node, ax.dst, hop, link, vc.cfg.Eager, ax.id)
+	ax.spilled = vc.openSingleRail(p, ax.node, ax.dst, hop, link, ax.id)
 	replay(p, ax.spilled, blocks)
 }
 

@@ -36,6 +36,9 @@ type Gateway struct {
 	// network; empty unless Config.FlowControl is set.
 	scheds map[string]*gwSched
 
+	// listens marks the ingress networks the gateway polls (listen).
+	listens map[string]bool
+
 	// senders holds the send threads, one per egress link.
 	senders map[*mad.Link]*gwSender
 
@@ -122,7 +125,7 @@ func (b *relayBranch) replicated() bool { return b.hdr != nil }
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
 	g := &Gateway{vc: vc, node: node, name: node.Name,
 		rings: make(map[string]*relayRing), scheds: make(map[string]*gwSched),
-		senders: make(map[*mad.Link]*gwSender)}
+		listens: make(map[string]bool), senders: make(map[*mad.Link]*gwSender)}
 	vc.sess.Platform.Instrument(g)
 	return g
 }
@@ -332,23 +335,28 @@ func (r *relayRing) staticPool(out *mad.Link, host *hw.Host) *bufPool {
 	return bp
 }
 
-// start spawns the polling threads: one per special channel the gateway is
-// attached to. Each thread waits for message announcements and relays the
-// messages one after the other — or, with flow control armed, files them
-// with the fair scheduler of startFair.
-func (g *Gateway) start() {
-	tn, _ := g.vc.tp.Node(g.name)
-	for _, nwName := range tn.Networks {
-		spc, ok := g.vc.special[nwName]
-		if !ok {
-			continue
-		}
-		if g.vc.flowc != nil {
-			g.startFair(spc, nwName)
-			continue
-		}
-		g.poll(spc, nwName, func(p *vtime.Proc, a mad.Arrival) { g.relay(p, a) })
+// listen spawns the gateway's polling thread on one network's special
+// channel, once, making the channel if no route has needed it yet. The thread
+// waits for message announcements and relays the messages one after the
+// other — or, with flow control armed, files them with the fair scheduler of
+// startFair.
+func (g *Gateway) listen(nwName string) {
+	if g.listens[nwName] {
+		return
 	}
+	g.listens[nwName] = true
+	vc := g.vc
+	spc := vc.special[nwName]
+	if spc == nil {
+		nw, _ := vc.tp.Network(nwName)
+		spc = vc.newChannel("spc:", nw)
+		vc.special[nwName] = spc
+	}
+	if vc.flowc != nil {
+		g.startFair(spc, nwName)
+		return
+	}
+	g.poll(spc, nwName, func(p *vtime.Proc, a mad.Arrival) { g.relay(p, a) })
 }
 
 // poll spawns the gwpoll daemon of one ingress network: it waits for

@@ -630,7 +630,7 @@ type relEngine struct {
 	burstFree  [][]*relAwait // per-burst slot lists, capacity Window
 	msgFree    []*relMsg     // reassembly records, fragment tables attached
 	pktFree    [][]relData   // sent messages' packet lists
-	stripeFree []*relStripe  // striped sends, rail daemons attached (stripe.go)
+	stripeFree []*relStripe  // striped sends, rail crews attached (stripe.go)
 
 	actor string // tracer lane "rel:<node>"
 	// The node's event counts, by the rel* indexes below: what the stats
@@ -1727,20 +1727,6 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 		ChecksumDrops:  vc.relCount(relChecksumDrops),
 		RelayDrops:     vc.relCount(relRelayDrops),
 	}
-}
-
-// relPacking is the sender side of a reliable message: blocks are buffered
-// (SendSafer pays its snapshot copy immediately, the others are referenced —
-// safe because EndPacking blocks until the message is end-to-end
-// acknowledged) and the whole message is fragmented and sent at EndPacking.
-type relPacking struct {
-	handle Packing
-	blockBuf
-	dst string
-}
-
-func (rp *relPacking) end(p *vtime.Proc) {
-	rp.vc.sendBuffered(p, rp.node, rp.dst, rp.id, rp.blks, rp.total, false)
 }
 
 // relUnpacking is the receiver side: the message is already fully

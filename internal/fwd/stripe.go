@@ -6,13 +6,13 @@ package fwd
 // The virtual channel of §2.2.1 bundles one real channel per network, but
 // the paper's send path only ever *selects* one of them; on a configuration
 // with both SCI and Myrinet between two clusters the second network idles.
-// Striping splits the fragment stream of one large message across up to K
-// rails found by route.ComputeK, rate-proportionally: each rail carries a
-// contiguous byte span of the flattened message whose length is
-// proportional to the rail's measured goodput (EWMA over previous striped
-// sends to the same pair), falling back to the static bottleneck bandwidth
-// of the rail's networks before any measurement exists. Reliable mode splits
-// by the static bandwidths alone (sendStriped).
+// Striping splits one large message across up to K rails found by
+// route.ComputeK, rate-proportionally: each rail carries a contiguous share of
+// the message — bytes when streaming, whole packets in reliable mode — in
+// proportion to the rail's static bottleneck bandwidth, the narrowest NIC rate
+// along it. The configuration is static (§2.3), and so is the split. Both
+// modes plan it in one place (planStripe), run the rails through one crew of
+// parked daemons (runRails) and find a pair's rails on its first send.
 //
 // On the wire each rail is an ordinary self-described GTM-style stream with
 // Kind KindStripe and an extended 48-byte header naming the rail, the rail
@@ -95,8 +95,7 @@ func computeSpans(total int64, rates []float64, spans []int64) {
 	}
 }
 
-// railKey identifies one rail of one ordered node pair for the goodput
-// EWMA.
+// railKey identifies one rail of one ordered node pair.
 type railKey struct {
 	src, dst string
 	rail     int
@@ -105,12 +104,10 @@ type railKey struct {
 // stripeState is the virtual channel's striping bookkeeping, allocated only
 // when Config.StripeK > 1.
 type stripeState struct {
-	// kroutes caches route.ComputeK per ordered pair: every pair from Build
-	// on in streaming mode (whose rails decide where special channels and
-	// gateway engines exist), a pair's on its first send in reliable mode.
-	// Routes are static unless a health monitor is armed, in which case the
-	// cache is tagged with the routing epoch it was computed under and
-	// invalidated wholesale on epoch change (see stripeRoutes).
+	// kroutes caches route.ComputeK per ordered pair, computed on the pair's
+	// first send. Routes are static unless a health monitor is armed, in which
+	// case the cache is tagged with the routing epoch it was computed under
+	// and invalidated wholesale on epoch change (see stripeRoutes).
 	kroutes map[[2]string][]route.Route
 	// epoch is the health monitor's routing epoch kroutes was built under
 	// (0 = static, no monitor).
@@ -125,6 +122,8 @@ type stripeState struct {
 	lastFrac map[[2]string][]float64
 	// rx holds the striped messages still collecting rails.
 	rx map[stripeGroupKey]*stripeGroup
+	// crews are each node's idle rail crews (runRails).
+	crews map[mad.Rank][]*railCrew
 
 	// The channel-wide counts, labelled {channel}; bytes are per rail.
 	channel                         string
@@ -139,24 +138,17 @@ func (st *stripeState) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&st.failovers, "madgo_stripe_rail_failovers_total", channel)
 }
 
-// railState is one rail of one ordered pair: the measured goodput the
-// streaming scheduler weighs it by, the bytes scheduled onto it, and what
-// recording a send on it needs — names and a gauge handle built once, not per
-// message.
+// railState is one rail of one ordered pair: the bytes scheduled onto it, and
+// what recording a send on it needs — names built once, not per message.
 type railState struct {
 	key       railKey
-	rate      float64 // goodput EWMA in bytes/s, 0 until first measured
-	actor, op string  // tracer lane "stripe:<src>><dst>" and span name "rail<N>"
-
-	rateG *obs.Gauge  // madgo_stripe_rail_rate_bytes_per_second{src,dst,rail}
-	bytes obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail} sums the source's pairs
+	actor, op string      // tracer lane "stripe:<src>><dst>" and span name "rail<N>"
+	bytes     obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail} sums the source's pairs
 }
 
 // BindMetrics binds the rail's metrics in m.
 func (r *railState) BindMetrics(m *obs.Registry) {
-	n := strconv.Itoa(r.key.rail)
-	r.rateG = m.BindGauge("madgo_stripe_rail_rate_bytes_per_second", obs.Labels{"src": r.key.src, "dst": r.key.dst, "rail": n})
-	m.BindCounter(&r.bytes, "madgo_stripe_rail_bytes_total", obs.Labels{"node": r.key.src, "rail": n})
+	m.BindCounter(&r.bytes, "madgo_stripe_rail_bytes_total", obs.Labels{"node": r.key.src, "rail": strconv.Itoa(r.key.rail)})
 }
 
 // rail returns the record of one pair's rail, created by its first use.
@@ -206,20 +198,14 @@ type stripeGroup struct {
 	agg bool
 }
 
-// stripeEWMAAlpha weights the newest goodput measurement of a rail.
-const stripeEWMAAlpha = 0.5
-
 // stripeSplit is the sentence of a scheduling decision's hop record; ${note}
 // holds the per-rail byte spans (spansText).
 const stripeSplit = "split -> ${peer} over ${a} rails ${note}"
 
-// initStriping computes the static rail state at Build time: the static
-// network rates the scheduler falls back to before any goodput has been
-// measured and — in streaming mode, where the caller adds the rails'
-// mid-route networks and intermediate nodes to the special-channel and
-// gateway sets — the K-routes of every ordered pair. Reliable mode needs no
-// channel per rail, so there a pair's rails are found when it first sends.
-func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
+// initStriping sets up the striping state at Build time: the static network
+// rates the split and the K-route search rank rails by. A pair's rails are
+// found when it first sends (stripeRoutes).
+func (vc *VirtualChannel) initStriping() {
 	st := &stripeState{
 		channel:  vc.Name,
 		kroutes:  make(map[[2]string][]route.Route),
@@ -227,9 +213,10 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 		rails:    make(map[railKey]*railState),
 		lastFrac: make(map[[2]string][]float64),
 		rx:       make(map[stripeGroupKey]*stripeGroup),
+		crews:    make(map[mad.Rank][]*railCrew),
 	}
 	for _, nw := range vc.tp.Networks() {
-		nic := bindings[nw.Name].Drv.NIC()
+		nic := vc.bindings[nw.Name].Drv.NIC()
 		r := nic.WireRate
 		if nic.SendEngineRate > 0 && nic.SendEngineRate < r {
 			r = nic.SendEngineRate
@@ -240,16 +227,6 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 		st.netRate[nw.Name] = r
 	}
 	vc.stripe = st
-	if !vc.cfg.Reliable {
-		names := vc.tp.NodeNames()
-		for _, src := range names {
-			for _, dst := range names {
-				if src != dst {
-					vc.stripeRoutes(src, dst)
-				}
-			}
-		}
-	}
 	// Registered at zero, so snapshots show the series on unstriped runs too.
 	vc.sess.Platform.Instrument(st)
 	st.messages.Add(0)
@@ -258,12 +235,14 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 }
 
 // stripeRoutes returns the rail set of one pair (nil when striping is off or
-// the pair is outside the primary topology), computing it on first use. In
-// reliable mode, under the health monitor, the cache is epoch-aware: a death
-// or re-admission publishes a new epoch, the stale rail sets are dropped, and
-// each pair's rails are recomputed on demand with the dead edges carved out of
-// the graph — a killed rail shrinks the set (subsequent messages fall back to
-// fewer rails, or the single-route path), and a re-admitted link restores it.
+// the pair is outside the primary topology), computing it on first use; in
+// streaming mode each rail is then equipped with the special channels and
+// gateway engines it relays through. In reliable mode, under the health
+// monitor, the cache is epoch-aware: a death or re-admission publishes a new
+// epoch, the stale rail sets are dropped, and each pair's rails are recomputed
+// on demand with the dead edges carved out of the graph — a killed rail
+// shrinks the set (subsequent messages fall back to fewer rails, or the
+// single-route path), and a re-admitted link restores it.
 func (vc *VirtualChannel) stripeRoutes(src, dst string) []route.Route {
 	st := vc.stripe
 	if st == nil {
@@ -283,6 +262,11 @@ func (vc *VirtualChannel) stripeRoutes(src, dst string) []route.Route {
 		if _, in := vc.tp.Node(src); in && src != dst {
 			if _, in := vc.tp.Node(dst); in {
 				rs = route.ComputeKAvoiding(vc.tp, src, dst, vc.cfg.StripeK, st.rate, dead)
+			}
+		}
+		if !vc.cfg.Reliable {
+			for _, r := range rs {
+				vc.equip(r)
 			}
 		}
 		st.kroutes[key] = rs
@@ -305,27 +289,52 @@ func (vc *VirtualChannel) routeRate(r route.Route) float64 {
 	return min
 }
 
-// railRateFor is a streaming rail's scheduling rate: the measured goodput
-// EWMA when one exists, else the static bottleneck bandwidth.
-func (vc *VirtualChannel) railRateFor(src, dst string, rail int, r route.Route) float64 {
-	if sr := vc.stripe.rails[railKey{src, dst, rail}]; sr != nil && sr.rate > 0 {
-		return sr.rate
-	}
-	return vc.routeRate(r)
+// stripePlan is one striped message's split over its rails: each rail's
+// static rate, its quota of the message — bytes when streaming, packets in
+// reliable mode — and its span of the message's bytes.
+type stripePlan struct {
+	rates         []float64
+	quotas, spans []int64
+	active        int // rails with a quota
 }
 
-// noteRailGoodput folds one measured rail transfer into the EWMA.
-func (vc *VirtualChannel) noteRailGoodput(src, dst string, rail int, bytes int64, d vtime.Duration) {
-	if d <= 0 || bytes <= 0 {
-		return
+// planStripe splits one striped message over the pair's rails in proportion
+// to their static bottleneck rates (a rail's measured goodput is not its
+// capacity, DESIGN.md §30), counts it and records the split. A streaming
+// message divides its total bytes; a reliable one divides its packets pkts,
+// and a rail's span is its packets' payload.
+func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, src, dst string, rails []route.Route, total int64, pkts []relData) {
+	k := len(rails)
+	if cap(pl.spans) < k {
+		pl.rates, pl.quotas, pl.spans = make([]float64, k), make([]int64, k), make([]int64, k)
 	}
-	measured := float64(bytes) / d.Seconds()
-	sr := vc.rail(src, dst, rail)
-	if sr.rate > 0 {
-		measured = stripeEWMAAlpha*measured + (1-stripeEWMAAlpha)*sr.rate
+	pl.rates, pl.quotas, pl.spans = pl.rates[:k], pl.quotas[:k], pl.spans[:k]
+	for i, r := range rails {
+		pl.rates[i] = vc.routeRate(r)
 	}
-	sr.rate = measured
-	sr.rateG.Set(measured)
+	units := total
+	if pkts != nil {
+		units = int64(len(pkts))
+	}
+	computeSpans(units, pl.rates, pl.quotas)
+	total, pl.active = 0, 0
+	for i, q := range pl.quotas {
+		pl.spans[i] = q
+		if pkts != nil {
+			pl.spans[i] = 0
+			for _, d := range pkts[:q] {
+				pl.spans[i] += int64(len(d.payload))
+			}
+			pkts = pkts[q:]
+		}
+		total += pl.spans[i]
+		if q > 0 {
+			pl.active++
+		}
+	}
+	vc.noteStripePlan(src, dst, pl.spans, total)
+	vc.hop(p, id, src, "stripe",
+		obs.Detail{Form: stripeSplit, Peer: dst, A: pl.active, Note: spansText(vc.metrics(), pl.spans)}, int(total))
 }
 
 // noteStripePlan records one scheduling decision: it counts the striped
@@ -393,20 +402,7 @@ func (vc *VirtualChannel) StripeStats() StripeStats {
 	return s
 }
 
-// stripePacking is the sender side of a (potentially) striped message.
-// Blocks are buffered until EndPacking — the scheduler needs the total size
-// — and then either striped across the pair's rails or replayed through the
-// ordinary single-rail path when the message is too small.
-type stripePacking struct {
-	handle Packing
-	blockBuf
-	dst string
-	// aggFlag stamps stripeFlagAgg on every rail header: the message body
-	// is an aggregate frame the receiver must decode after reassembly.
-	aggFlag bool
-}
-
-// threshold is the effective minimum striped-message size.
+// stripeThreshold is the effective minimum striped-message size.
 func (c Config) stripeThreshold() int64 {
 	if c.StripeThreshold > 0 {
 		return int64(c.StripeThreshold)
@@ -414,70 +410,78 @@ func (c Config) stripeThreshold() int64 {
 	return DefaultStripeThreshold
 }
 
-func (sx *stripePacking) end(p *vtime.Proc) {
-	vc := sx.vc
-	src := sx.node.Name
-	rails := vc.stripeRoutes(src, sx.dst)
-	total := int64(sx.total)
-	if total < vc.cfg.stripeThreshold() || len(rails) < 2 {
-		sx.fallback(p)
+// railJob is a striped message's work on its rails, one slot at a time: a
+// streaming rail's span, a reliable rail's run of packets, or one rail's share
+// of a block the receiver unpacks.
+type railJob interface{ runRail(p *vtime.Proc, slot int) }
+
+// railCrew runs the slots of a railJob past the first while the process that
+// holds it runs slot 0: a parked daemon a slot, started by its semaphore and
+// joined by a WaitGroup. Several processes of a node may stripe at once, so
+// crews are taken whole from free lists: a reliable engine's, with its send
+// scratch (relStripe), or the node's (runRails). Striping spawns nothing.
+type railCrew struct {
+	job   railJob
+	start []vsync.Sem // a slot daemon's go, by slot
+	done  vsync.WaitGroup
+}
+
+// init gives the crew a parked daemon of node's for every slot of StripeK
+// past the first.
+func (c *railCrew) init(vc *VirtualChannel, node *mad.Node) {
+	c.start = make([]vsync.Sem, vc.cfg.StripeK)
+	for slot := 1; slot < len(c.start); slot++ {
+		vc.sess.Platform.Sim.SpawnDaemon("stripe:"+node.Name+":r"+strconv.Itoa(slot), func(p *vtime.Proc) {
+			for {
+				c.start[slot].Acquire(p, 1)
+				c.job.runRail(p, slot)
+				c.done.Done()
+			}
+		})
+	}
+}
+
+// run runs job on slots 0..n-1 at once and returns when every slot is done.
+func (c *railCrew) run(p *vtime.Proc, job railJob, n int) {
+	c.job = job
+	c.done.Add(n - 1)
+	for slot := 1; slot < n; slot++ {
+		c.start[slot].Release(1)
+	}
+	job.runRail(p, 0)
+	c.done.Wait(p)
+	c.job = nil
+}
+
+// runRails runs job on slots 0..n-1 at once, the slots past the first on one
+// of node's crews, and returns when every slot is done.
+func (vc *VirtualChannel) runRails(p *vtime.Proc, node *mad.Node, job railJob, n int) {
+	if n < 2 {
+		job.runRail(p, 0)
 		return
 	}
+	free := vc.stripe.crews[node.Rank]
+	var c *railCrew
+	if k := len(free); k > 0 {
+		c, vc.stripe.crews[node.Rank] = free[k-1], free[:k-1]
+	} else {
+		c = &railCrew{}
+		c.init(vc, node)
+	}
+	c.run(p, job, n)
+	vc.stripe.crews[node.Rank] = append(vc.stripe.crews[node.Rank], c)
+}
 
-	// Rate-proportional quotas over the flattened message.
-	rates := make([]float64, len(rails))
-	for i, r := range rails {
-		rates[i] = vc.railRateFor(src, sx.dst, i, r)
-	}
-	spans := make([]int64, len(rails))
-	computeSpans(total, rates, spans)
-	vc.noteStripePlan(src, sx.dst, spans, total)
-	nrails := 0
-	for _, ln := range spans {
-		if ln > 0 {
-			nrails++
-		}
-	}
-	vc.hop(p, sx.id, src, "stripe",
-		obs.Detail{Form: stripeSplit, Peer: sx.dst, A: nrails, Note: spansText(vc.metrics(), spans)}, sx.total)
-
-	// One process per active rail; the app process drives the first rail
-	// itself and joins the rest, so EndPacking returns when every rail
-	// has fully emitted its span.
-	sim := vc.sess.Platform.Sim
-	t0 := p.Now()
-	type railRun struct {
-		idx   int
-		start int64
-		ln    int64
-		done  vtime.Time
-	}
-	var runs []*railRun
-	start := int64(0)
-	for i, ln := range spans {
-		if ln > 0 {
-			runs = append(runs, &railRun{idx: i, start: start, ln: ln})
-		}
-		start += ln
-	}
-	var procs []*vtime.Proc
-	for _, rr := range runs[1:] {
-		rr := rr
-		procs = append(procs, sim.Spawn(fmt.Sprintf("stripe:%s>%s:r%d", src, sx.dst, rr.idx),
-			func(sp *vtime.Proc) {
-				sx.sendRail(sp, rails[rr.idx], rr.idx, nrails, rr.start, rr.ln)
-				rr.done = sp.Now()
-			}))
-	}
-	sx.sendRail(p, rails[runs[0].idx], runs[0].idx, nrails, runs[0].start, runs[0].ln)
-	runs[0].done = p.Now()
-	for _, pr := range procs {
-		p.Join(pr)
-	}
-	for _, rr := range runs {
-		vc.noteRailGoodput(src, sx.dst, rr.idx, rr.ln, rr.done.Sub(t0))
-		vc.rail(src, sx.dst, rr.idx).bytes.Add(rr.ln)
-	}
+// stripeSend is one striped streaming message on its way out: its blocks,
+// buffered whole, its rails and their split.
+type stripeSend struct {
+	blockBuf
+	dst string
+	// aggFlag stamps stripeFlagAgg on every rail header: the message body
+	// is an aggregate frame the receiver must decode after reassembly.
+	aggFlag bool
+	rails   []route.Route
+	plan    stripePlan
 }
 
 // railMTU is the packet size of one rail: per-rail path MTU when the
@@ -490,12 +494,20 @@ func (vc *VirtualChannel) railMTU(r route.Route) int {
 	return vc.cfg.MTU
 }
 
-// sendRail emits one rail sub-message: header, then for every packed block
-// the part of the rail's span falling inside the block, fragmented at the
-// rail's MTU (fragments never straddle block boundaries, so the receiver
-// can mirror the layout from the header alone), then the terminator.
-func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int, spanStart, spanLen int64) {
-	vc := sx.vc
+// runRail emits one rail sub-message, unless the split gave the rail no bytes:
+// header, then for every packed block the part of the rail's span falling
+// inside the block, fragmented at the rail's MTU (fragments never straddle
+// block boundaries, so the receiver can mirror the layout from the header
+// alone), then the terminator.
+func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
+	spanStart, spans := int64(0), sx.plan.spans
+	for _, ln := range spans[:rail] {
+		spanStart += ln
+	}
+	if spans[rail] == 0 {
+		return
+	}
+	vc, r := sx.vc, sx.rails[rail]
 	// Rails that relay through a gateway spend credits like any other
 	// sender; direct rails answer to nobody (gw stays empty).
 	link, gw := vc.hopLink(sx.node, r[0], !r.Direct())
@@ -508,8 +520,8 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 	}
 	t0 := p.Now()
 	h := streamHdr{src: sx.node.Rank, dst: vc.NodeRank(sx.dst), mtu: vc.railMTU(r), id: sx.id,
-		rail: rail, nrails: nrails, flags: flags,
-		spanStart: spanStart, spanLen: spanLen, total: int64(sx.total)}
+		rail: rail, nrails: sx.plan.active, flags: flags,
+		spanStart: spanStart, spanLen: spans[rail], total: int64(sx.total)}
 	tx := streamTx{vc: vc, link: link, kind: mad.KindStripe, spends: gw != ""}
 	tx.spare = &tx.pair // the record lives for this one rail
 	tx.open(p, h)
@@ -523,60 +535,37 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 	}
 	tx.end(p)
 	sr := vc.rail(sx.node.Name, sx.dst, rail)
-	vc.cfg.Tracer.Record(sr.actor, sr.op, int(spanLen), t0, p.Now())
+	vc.cfg.Tracer.Record(sr.actor, sr.op, int(h.spanLen), t0, p.Now())
+	sr.bytes.Add(h.spanLen)
 }
 
-// fallback replays the buffered blocks through the ordinary single-rail
-// path: a plain message on the regular channel for a direct route, a GTM
-// stream toward the first gateway otherwise. Costs the extra buffering
-// pass; messages this small are latency-bound anyway.
-func (sx *stripePacking) fallback(p *vtime.Proc) {
-	vc := sx.vc
-	hop, link := vc.firstHop(sx.node, sx.dst)
-	form := "gtm -> ${peer} via ${net} (below stripe threshold)"
-	if link == nil {
-		form = "direct -> ${peer} via ${net} (below stripe threshold)"
-	}
-	vc.hop(p, sx.id, sx.node.Name, "pack", obs.Detail{Form: form, Peer: sx.dst, Net: hop.Network}, 0)
-	// Always the seed framing, Config.Eager or not (ROADMAP item 3(c)).
-	x := vc.openSingleRail(p, sx.node, sx.dst, hop, link, false, sx.id)
-	replay(p, x, sx.blks)
-	x.end(p)
-}
-
-// relStripe is the scratch of one striped reliable send: the per-rail runs of
-// the packet list, what the rails share, and the daemons that drive rails 1..
-// while the sending process drives rail 0. An engine keeps them on a free list
-// — several processes of one node may stripe at once — and a message takes one
-// whole, so a warm striped send allocates nothing.
+// relStripe is the scratch of one striped reliable send: its split, the
+// per-rail runs of the packet list, what the rails share, and the crew that
+// drives rails 1.. while the sending process drives rail 0. An engine keeps
+// them on a free list — several processes of one node may stripe at once —
+// and a message takes one whole, so a warm striped send allocates nothing.
 type relStripe struct {
+	railCrew
 	e        *relEngine
 	dst      string
 	ds       []relData
 	rails    []route.Route
 	aw       *relAwait
-	rates    []float64
-	quotas   []int64 // packets per rail
-	spans    []int64 // payload bytes per rail
+	plan     stripePlan
 	queues   [][]relData
 	failed   []bool
 	residual []relData
-	start    []vsync.Sem // a rail daemon's go, by rail
-	done     vsync.WaitGroup
 }
 
 // sendStriped pushes one full copy of a reliable message toward dst across
 // the pair's rails: the packet stream is partitioned into contiguous per-rail
-// runs proportional to each rail's static bottleneck rate, and every rail
-// delivers its run to its own first hop under its own ARQ window. The split
-// is static because what a reliable rail's goodput measures is mostly ARQ
-// ack waits and first-hop queueing, not rail capacity, and scheduling on it
-// starved a rail for good (DESIGN.md §28). A rail whose neighbour stops
-// acknowledging fails over: its residual quota moves to a shared overflow
-// queue the surviving rails drain after their own runs. Packets left when
-// every rail has finished (all rails failed, or a survivor exited before the
-// failure) fall back to ordinary routed forwarding. It reports false when even
-// that could not place a packet.
+// runs proportional to each rail's static bottleneck rate (planStripe), and
+// every rail delivers its run to its own first hop under its own ARQ window. A
+// rail whose neighbour stops acknowledging fails over: its residual quota
+// moves to a shared overflow queue the surviving rails drain after their own
+// runs. Packets left when every rail has finished (all rails failed, or a
+// survivor exited before the failure) fall back to ordinary routed forwarding.
+// It reports false when even that could not place a packet.
 //
 // The final destination needs no rail awareness: reliable fragments carry
 // their index and reassemble out of order from any link, so striping in
@@ -587,32 +576,13 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 	st := e.newStripe()
 	defer e.freeStripe(st)
 	st.dst, st.ds, st.rails, st.aw = dst, ds, rails, aw
-	for i, r := range rails {
-		st.rates[i] = vc.routeRate(r)
+	vc.planStripe(p, &st.plan, ds[0].id, src, dst, rails, 0, ds)
+	off := int64(0)
+	for i, q := range st.plan.quotas {
+		st.queues[i] = ds[off : off+q]
+		off += q
 	}
-	k := len(rails)
-	computeSpans(int64(len(ds)), st.rates[:k], st.quotas[:k])
-	total := int64(0)
-	off := 0
-	for i, q := range st.quotas[:k] {
-		st.queues[i] = ds[off : off+int(q)]
-		off += int(q)
-		st.spans[i] = 0
-		for _, d := range st.queues[i] {
-			st.spans[i] += int64(len(d.payload))
-		}
-		total += st.spans[i]
-	}
-	vc.noteStripePlan(src, dst, st.spans[:k], total)
-	vc.hop(p, ds[0].id, src, "stripe",
-		obs.Detail{Form: stripeSplit, Peer: dst, A: k, Note: spansText(vc.metrics(), st.spans[:k])}, int(total))
-
-	st.done.Add(k - 1)
-	for ri := 1; ri < k; ri++ {
-		st.start[ri].Release(1)
-	}
-	st.runRail(p, 0)
-	st.done.Wait(p)
+	st.run(p, st, len(rails))
 	// Leftovers: every rail exited (failed or drained before a later
 	// failure). Push them down the surviving rails' own first hops; routed
 	// forwarding, which leaves the rail set for whatever the monitor's tables
@@ -689,8 +659,8 @@ func (st *relStripe) runRail(p *vtime.Proc, ri int) {
 	}
 }
 
-// newStripe takes a striped send's scratch off the free list, or makes one
-// for StripeK rails with a parked daemon for every rail past the first.
+// newStripe takes a striped send's scratch off the free list, or makes one for
+// StripeK rails with its crew.
 func (e *relEngine) newStripe() *relStripe {
 	if n := len(e.stripeFree); n > 0 {
 		st := e.stripeFree[n-1]
@@ -698,17 +668,8 @@ func (e *relEngine) newStripe() *relStripe {
 		return st
 	}
 	k := e.vc.cfg.StripeK
-	st := &relStripe{e: e, rates: make([]float64, k), quotas: make([]int64, k), spans: make([]int64, k),
-		queues: make([][]relData, k), failed: make([]bool, k), start: make([]vsync.Sem, k)}
-	for ri := 1; ri < k; ri++ {
-		e.sim().SpawnDaemon(fmt.Sprintf("stripe-rel:%s:r%d", e.node.Name, ri), func(p *vtime.Proc) {
-			for {
-				st.start[ri].Acquire(p, 1)
-				st.runRail(p, ri)
-				st.done.Done()
-			}
-		})
-	}
+	st := &relStripe{e: e, queues: make([][]relData, k), failed: make([]bool, k)}
+	st.init(e.vc, e.node)
 	return st
 }
 
@@ -753,14 +714,19 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Ar
 
 // stripeUnpacking is the receiver side of a striped message: every block's
 // receive is posted directly into the application buffer at the offsets the
-// rail spans dictate, one draining process per overlapping rail, so
-// concurrently arriving rails land in place with zero extra copies.
+// rail spans dictate, every overlapping rail drained at once, so concurrently
+// arriving rails land in place with zero extra copies.
 type stripeUnpacking struct {
 	handle Unpacking
 	vc     *VirtualChannel
 	node   *mad.Node
 	g      *stripeGroup
 	flat   int64
+	// The block in hand, which ends at flat, and the rails it overlaps.
+	dst []byte
+	s   mad.SendMode
+	r   mad.RecvMode
+	ov  []*stripeRail
 }
 
 // from returns the origin rank of the striped message.
@@ -778,39 +744,24 @@ func (su *stripeUnpacking) forwarded() bool {
 
 func (su *stripeUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
 	B0 := su.flat
-	B1 := B0 + int64(len(dst))
-	su.flat = B1
+	su.flat += int64(len(dst))
 	if len(dst) == 0 {
 		// Empty blocks never travel on a rail (the sender skips them);
 		// their mode constraints are vacuous.
 		return
 	}
-	// Drain each overlapping rail's share of this block concurrently: all
-	// but the first on spawned processes, the first inline, then join.
-	var overlapping []*stripeRail
+	su.dst, su.s, su.r, su.ov = dst, s, r, su.ov[:0]
 	for _, rl := range su.g.rails {
-		lo, hi := railBlockOverlap(rl.h, B0, B1)
-		if lo < hi {
-			overlapping = append(overlapping, rl)
+		if lo, hi := railBlockOverlap(rl.h, B0, su.flat); lo < hi {
+			su.ov = append(su.ov, rl)
 		}
 	}
-	if len(overlapping) == 0 {
+	if len(su.ov) == 0 {
 		panic("fwd: striped block covered by no rail")
 	}
-	sim := su.vc.sess.Platform.Sim
 	t0 := p.Now()
-	var procs []*vtime.Proc
-	for _, rl := range overlapping[1:] {
-		rl := rl
-		procs = append(procs, sim.Spawn(
-			fmt.Sprintf("stripe-drain:%s:r%d", su.node.Name, rl.h.rail),
-			func(sp *vtime.Proc) { su.drainRail(sp, rl, dst, B0, B1, s, r) }))
-	}
-	su.drainRail(p, overlapping[0], dst, B0, B1, s, r)
-	for _, pr := range procs {
-		p.Join(pr)
-	}
-	if len(overlapping) > 1 {
+	su.vc.runRails(p, su.node, su, len(su.ov))
+	if len(su.ov) > 1 {
 		// Reassembly cost of a striped block: the span from first drain start
 		// to last rail completion, the window in which the destination is
 		// stitching concurrent rails back into one buffer.
@@ -818,6 +769,14 @@ func (su *stripeUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r m
 			flight.KindReassembly, p.Now(), vtime.Since(p.Now(), t0),
 			su.g.key.id, len(dst), "")
 	}
+}
+
+// runRail receives the slot-th rail overlapping the block in hand into its
+// share of the block, mirroring the sender's fragmentation exactly.
+func (su *stripeUnpacking) runRail(p *vtime.Proc, slot int) {
+	rl, B0 := su.ov[slot], su.flat-int64(len(su.dst))
+	lo, hi := railBlockOverlap(rl.h, B0, su.flat)
+	rl.rx.unpack(p, su.dst[lo-B0:hi-B0], su.s, su.r)
 }
 
 // railBlockOverlap returns the [lo, hi) flat range a rail contributes to a
@@ -832,13 +791,6 @@ func railBlockOverlap(h streamHdr, B0, B1 int64) (int64, int64) {
 		hi = B1
 	}
 	return lo, hi
-}
-
-// drainRail receives one rail's share of one block into dst, mirroring the
-// sender's fragmentation exactly.
-func (su *stripeUnpacking) drainRail(p *vtime.Proc, rl *stripeRail, dst []byte, B0, B1 int64, s mad.SendMode, r mad.RecvMode) {
-	lo, hi := railBlockOverlap(rl.h, B0, B1)
-	rl.rx.unpack(p, dst[lo-B0:hi-B0], s, r)
 }
 
 func (su *stripeUnpacking) end(p *vtime.Proc) {

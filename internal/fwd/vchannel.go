@@ -216,9 +216,10 @@ type VirtualChannel struct {
 	// pathMTUs caches the negotiated per-pair packet size (Config.NetMTU).
 	pathMTUs map[[2]string]int
 
-	// nics retains the NIC model of every bound network so the diagnosis
-	// pass can compare observed wire rates against nominal ones.
-	nics map[string]hw.NICParams
+	// bindings retains every network's fabric and driver: a special channel
+	// made on first use is built on them, and the striper and the diagnosis
+	// pass read the NIC models.
+	bindings map[string]Binding
 
 	// flowc is the credit-based flow controller; nil unless
 	// Config.FlowControl is set (see flowctl.go).
@@ -313,7 +314,8 @@ func (vc *VirtualChannel) DiagnosisSignals() flight.Signals {
 		PIONet:        make(map[string]bool),
 		DMANet:        make(map[string]bool),
 	}
-	for name, nic := range vc.nics {
+	for name, b := range vc.bindings {
+		nic := b.Drv.NIC()
 		rate := nic.EffectiveSendRate(vc.netMTU(name))
 		if nic.WireRate > 0 && nic.WireRate < rate {
 			rate = nic.WireRate
@@ -376,12 +378,9 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		gates:   make(map[string]*Gateway),
 
 		pathMTUs: make(map[[2]string]int),
-		nics:     make(map[string]hw.NICParams),
+		bindings: bindings,
 		mcastst: &mcastState{plans: make(map[string]*mcastPlan), roots: make(map[string]*mcastRoot),
 			hdrDescs: make(map[int][]mad.BlockDesc)},
-	}
-	for name, b := range bindings {
-		vc.nics[name] = b.Drv.NIC()
 	}
 	if cfg.FlowControl {
 		vc.flowc = newFlowCtl(vc, cfg.CreditWindow)
@@ -396,12 +395,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 
 	// Regular channels: one per network over all attached nodes.
 	for _, nw := range buildTopo.Networks() {
-		b := bindings[nw.Name]
-		members := make([]*mad.Node, len(nw.Members))
-		for i, m := range nw.Members {
-			members[i] = vc.nodes[m]
-		}
-		vc.regular[nw.Name] = sess.NewChannel("reg:"+nw.Name, b.Net, b.Drv, members...)
+		vc.regular[nw.Name] = vc.newChannel("reg:", nw)
 	}
 
 	// Per-node merged arrival queues.
@@ -411,11 +405,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 	}
 
 	if cfg.StripeK > 1 {
-		// Striping needs the per-pair K-route cache and the static
-		// network rates in both modes; in streaming mode the K-routes
-		// additionally contribute special channels and gateway engines
-		// below.
-		vc.initStriping(bindings)
+		vc.initStriping()
 	}
 
 	if cfg.Reliable {
@@ -433,55 +423,6 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		vc.relOrder = buildTopo.NodeNames()
 		vc.buildReliable(buildTopo)
 		return vc, nil
-	}
-
-	// Special channels exist on every network some route crosses on a
-	// non-final hop; gateway engines on every node some route relays
-	// through.
-	specialNets := make(map[string]bool)
-	gateways := make(map[string]bool)
-	names := tp.NodeNames()
-	for _, src := range names {
-		for _, dst := range names {
-			if src == dst {
-				continue
-			}
-			r, ok := vc.tbl.Lookup(src, dst)
-			if !ok {
-				return nil, fmt.Errorf("fwd: no route %s -> %s", src, dst)
-			}
-			for i, hop := range r {
-				if i < len(r)-1 {
-					specialNets[hop.Network] = true
-					gateways[hop.To] = true
-				}
-			}
-		}
-	}
-	// Striped rails may relay through networks and nodes no table route
-	// uses; those need special channels and gateway engines too.
-	if vc.stripe != nil {
-		for _, rs := range vc.stripe.kroutes {
-			for _, r := range rs {
-				for i, hop := range r {
-					if i < len(r)-1 {
-						specialNets[hop.Network] = true
-						gateways[hop.To] = true
-					}
-				}
-			}
-		}
-	}
-	for _, nw := range tp.Networks() {
-		if !specialNets[nw.Name] {
-			continue
-		}
-		b := bindings[nw.Name]
-		members := make([]*mad.Node, len(nw.Members))
-		for i, m := range nw.Members {
-			members[i] = vc.nodes[m]
-		}
-		vc.special[nw.Name] = sess.NewChannel("spc:"+nw.Name, b.Net, b.Drv, members...)
 	}
 
 	// The merged queues are fed by one polling thread per (node, regular
@@ -509,14 +450,48 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		}
 	}
 
-	// Gateway engines.
-	for name := range gateways {
-		vc.gates[name] = newGateway(vc, vc.nodes[name])
-	}
-	for _, g := range vc.gates {
-		g.start()
+	// Every table route gets what relaying it needs; a striped pair's rails
+	// get it on the pair's first send (stripeRoutes).
+	names := tp.NodeNames()
+	for _, src := range names {
+		for _, dst := range names {
+			if src == dst {
+				continue
+			}
+			r, ok := vc.tbl.Lookup(src, dst)
+			if !ok {
+				return nil, fmt.Errorf("fwd: no route %s -> %s", src, dst)
+			}
+			vc.equip(r)
+		}
 	}
 	return vc, nil
+}
+
+// newChannel makes a real channel over every node attached to a network.
+func (vc *VirtualChannel) newChannel(prefix string, nw *topo.Network) *mad.Channel {
+	b := vc.bindings[nw.Name]
+	members := make([]*mad.Node, len(nw.Members))
+	for i, m := range nw.Members {
+		members[i] = vc.nodes[m]
+	}
+	return vc.sess.NewChannel(prefix+nw.Name, b.Net, b.Drv, members...)
+}
+
+// equip gives a route what relaying it needs: on every node it relays
+// through, a gateway engine polling the special channel of the network the
+// route arrives by, each made on first need. Build equips every table route
+// and stripeRoutes a pair's rails, so a gateway that only unused rails would
+// cross is never made.
+func (vc *VirtualChannel) equip(r route.Route) {
+	for _, hop := range r[:len(r)-1] {
+		g := vc.gates[hop.To]
+		if g == nil {
+			g = newGateway(vc, vc.nodes[hop.To])
+			vc.gates[hop.To] = g
+		}
+		g.listen(hop.Network)
+	}
 }
 
 // pollAhead is the sink's half of the aggregated path's pipeline (DESIGN.md
@@ -676,27 +651,27 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		if _, ok := e.vc.nodes[dst]; !ok {
 			panic("fwd: unknown destination " + dst)
 		}
-		rp := &relPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
-		e.vc.hop(p, rp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
-		return rp.handle.bind(rp, rp.id)
+		bp := &bufPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
+		e.vc.hop(p, bp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
+		return bp.handle.bind(bp, bp.id)
 	}
 	// Striping: when the pair has at least two disjoint rails, buffer the
-	// message and let EndPacking split it (or fall back to the single-rail
-	// path below the size threshold).
+	// message and let EndPacking split it (or send it down the single rail
+	// below the size threshold).
 	if rails := len(e.vc.stripeRoutes(e.node.Name, dst)); rails >= 2 {
-		sx := &stripePacking{blockBuf: e.vc.buffer(e.node), dst: dst}
-		e.vc.hop(p, sx.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
-		return sx.handle.bind(sx, sx.id)
+		bp := &bufPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
+		e.vc.hop(p, bp.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
+		return bp.handle.bind(bp, bp.id)
 	}
 	hop, link := e.vc.firstHop(e.node, dst)
 	id := e.vc.nextMsgID()
 	if link == nil {
 		e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "direct -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
-		return &Packing{x: e.vc.openSingleRail(p, e.node, dst, hop, link, false, id), id: id}
+		return &Packing{x: e.vc.openSingleRail(p, e.node, dst, hop, link, id), id: id}
 	}
 	// A stream is recorded once it is open: taking the link, and the seed
 	// framing's header transfer, may take time.
-	x := e.vc.beginStream(p, e.node, dst, link, e.vc.cfg.Eager, id)
+	x := e.vc.beginStream(p, e.node, dst, link, id)
 	form := "gtm -> ${peer} via ${net}"
 	if e.vc.cfg.Eager {
 		form = "eager -> ${peer} via ${net}"
@@ -723,18 +698,19 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 // openSingleRail opens message id on the path firstHop found, the framing every
 // sender-side module ends in unless it stripes or runs the reliable protocol: a
 // plain Madeleine message on the regular channel when the route is direct, else
-// a stream toward the first gateway, compact when eager is set, seed GTM if not.
-func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, eager bool, id uint64) packer {
+// a stream toward the first gateway (beginStream).
+func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, id uint64) packer {
 	if link == nil {
 		return (*plainPacking)(vc.regular[hop.Network].At(from).BeginPacking(p, vc.NodeRank(dst)))
 	}
-	return vc.beginStream(p, from, dst, link, eager, id)
+	return vc.beginStream(p, from, dst, link, id)
 }
 
-// beginStream opens message id as a stream on link toward the first gateway.
-func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string, link *mad.Link, eager bool, id uint64) *streamPacking {
+// beginStream opens message id as a stream on link toward the first gateway,
+// compact under Config.Eager, seed GTM if not.
+func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string, link *mad.Link, id uint64) *streamPacking {
 	kind := mad.KindGTM
-	if eager {
+	if vc.cfg.Eager {
 		kind = mad.KindEager
 	}
 	x := &streamPacking{streamTx: streamTx{vc: vc, link: link, kind: kind, spends: true}}

@@ -80,7 +80,6 @@ var CanonicalMetricNames = []string{
 	"madgo_stripe_rebalance_total",
 	"madgo_stripe_rail_failovers_total",
 	"madgo_stripe_rail_bytes_total",
-	"madgo_stripe_rail_rate_bytes_per_second",
 
 	// Gateway-native multicast (internal/fwd/mcast.go). Messages, branches
 	// and local deliveries labelled {node}; relays and replication counters

@@ -47,6 +47,12 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // the seeded fault plan's draws fall on other packets and everything
 // downstream of a drop — retransmits, acks, health scores, the adaptive
 // split — reads differently, with every message still delivered.
+//
+// And a third time, when both striping modes began to split by the rails'
+// static rates (DESIGN.md §30 attributes every line): the streaming and
+// reliable legs stayed byte-identical; on the striped leg a0's rails carry
+// equal shares, the rail-rate gauges are gone, and the two sub-threshold
+// messages leave in the eager framing the leg arms.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
