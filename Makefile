@@ -97,9 +97,15 @@ race:
 # mice_pingpong shape, a frame of its own, and one of the mice_stream shape, at
 # budgets. Buffers that change hands (DESIGN.md §29): a node's endpoint at 0, and
 # the five root budgets at their readings plus 15 % — the broadcast's at the race
-# detector's reading, which does not pack small allocations together.
+# detector's reading, which does not pack small allocations together. The flight
+# recorder (DESIGN.md §31): a record into a wrapped ring and a snapshot at 0, the
+# fill phase at exactly one allocation a chunk reached, a ring's footprint at
+# ⌈n / ⌈cap/4⌉⌉ chunks of 32-byte entries for n events, and the incast64 shape
+# at its reading plus 15 % in allocations and in KiB a message, the one wall on
+# allocated bytes.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd -run 'AllocsNothing' -v
+	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
 	$(GO) test ./internal/vtime ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
 
 # bench-quick is the two-clock ledger's smoke run (benchmark/README.md):
@@ -237,8 +243,12 @@ fuzz:
 # and shared header descriptors, 7 for the one endpoint a node, 4 for the
 # inline first block, 2 for the gateway's handed-over first transfer and 3 of
 # doc comments; internal/agg fell 383 -> 379 (no re-arm heuristic, no spare).
-# One striper (DESIGN.md §30) lowered internal/fwd 6739 -> 6688.
-LOC_MAX := internal/fwd:6688 internal/bench:2403 internal/agg:379
+# One striper (DESIGN.md §30) lowered internal/fwd 6739 -> 6688. The flight
+# recorder's 32-byte entries in chunked rings (DESIGN.md §31) added the
+# internal/flight row at the size they left it, 1000 -> 1079: the entry and its
+# constants, the chunked write cursor, the ring's network-name table and the
+# expansion of entries back into Events, net of the sort type they retired.
+LOC_MAX := internal/fwd:6688 internal/bench:2403 internal/agg:379 internal/flight:1079
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

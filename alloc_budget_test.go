@@ -456,3 +456,103 @@ node b myri0
 		t.Errorf("mice pingpong allocates %.2f objects per message, budget %.1f", perMsg, micePingpongAllocBudget)
 	}
 }
+
+// incastAllocBudget and incastKiBBudget are the most heap allocations and
+// KiB one message of the benchmark's incast64 shape may cost across
+// System.Run: 64 senders through one gateway under WithFlowControl, 8 of
+// them elephants. It read 3.73 allocations and 5.57 KiB when every node's
+// first event allocated a ring of 4 096 72-byte events (65 rings, 18.3 MiB
+// over the run's 3 616 messages), and 2.70 KiB with 32-byte entries in one
+// piece. It reads 3.73 allocations and 1.00 KiB (3.76 and 1.00 under the
+// race detector; DESIGN.md §31): per message the Packing and the Unpacking
+// record and the link's copy of the header the gateway re-emits from its
+// header cells; a sender's ring (40–192 events) holds the first of its four
+// 32 KiB chunks, the gateway's all four, and the sink records nothing; the
+// rest is set-up the run amortizes. The budgets are the readings plus 15 %:
+// one more allocation a message does not fit, nor does a second chunk on
+// every sender's ring.
+const (
+	incastAllocBudget = 4.3
+	incastKiBBudget   = 1.15
+)
+
+// TestIncastAllocBudget drives the facade the way the benchmark's incast64
+// workload does and fails when a message costs more allocations or more
+// allocated bytes than the budgets (make allocs).
+func TestIncastAllocBudget(t *testing.T) {
+	const (
+		senders       = 64
+		elephantEvery = 8 // s00, s08, ...: 8 elephants
+		elephantMsgs  = 4
+		elephantSize  = 256 << 10
+		mouseMsgs     = 64
+		mouseSize     = 16 << 10
+	)
+	var topo strings.Builder
+	topo.WriteString("network edge sci\nnetwork core myrinet\n")
+	for i := 0; i < senders; i++ {
+		fmt.Fprintf(&topo, "node s%02d edge\n", i)
+	}
+	topo.WriteString("node gw edge core\nnode sink core\n")
+	sys, err := madeleine.NewSystem(topo.String(), madeleine.WithFlowControl())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := make([]byte, elephantSize)
+	for i := range pat {
+		pat[i] = byte(i * 7)
+	}
+	sizeOf := map[madeleine.Rank]int{}
+	msgs := 0
+	for i := 0; i < senders; i++ {
+		src := fmt.Sprintf("s%02d", i)
+		n, size := mouseMsgs, mouseSize
+		if i%elephantEvery == 0 {
+			n, size = elephantMsgs, elephantSize
+		}
+		sizeOf[sys.Rank(src)] = size
+		msgs += n
+		sys.Spawn("send:"+src, func(p *madeleine.Proc) {
+			ep := sys.At(src)
+			for j := 0; j < n; j++ {
+				px := ep.BeginPacking(p, "sink")
+				px.Pack(p, pat[:size], madeleine.SendCheaper, madeleine.ReceiveCheaper)
+				px.EndPacking(p)
+			}
+		})
+	}
+	delivered := 0
+	rx := make([]byte, elephantSize)
+	sys.Spawn("recv:sink", func(p *madeleine.Proc) {
+		ep := sys.At("sink")
+		for j := 0; j < msgs; j++ {
+			u := ep.BeginUnpacking(p)
+			n := sizeOf[u.From()]
+			u.Unpack(p, rx[:n], madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if bytes.Equal(rx[:n], pat[:n]) {
+				delivered++
+			}
+		}
+	})
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if delivered != msgs {
+		t.Fatalf("delivered %d of %d messages byte-exact", delivered, msgs)
+	}
+	perMsg := float64(m1.Mallocs-m0.Mallocs) / float64(msgs)
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(msgs) / 1024
+	t.Logf("incast: %.2f allocations, %.3f KiB per message (budgets %.1f, %.2f)", perMsg, kib, incastAllocBudget, incastKiBBudget)
+	if perMsg > incastAllocBudget {
+		t.Errorf("incast allocates %.2f objects per message, budget %.1f", perMsg, incastAllocBudget)
+	}
+	if kib > incastKiBBudget {
+		t.Errorf("incast allocates %.3f KiB per message, budget %.2f", kib, incastKiBBudget)
+	}
+}

@@ -7,9 +7,12 @@
 // before this DeliveryError fired?".
 //
 // The design mirrors hardware event counters: recording is a fixed-cost
-// write into a preallocated ring (zero heap allocations, enforced by an
-// AllocsPerRun regression test), so the recorder stays armed on every run
-// rather than being a debug mode. When something goes wrong — a
+// store of a 32-byte entry into a per-node ring, so the recorder stays
+// armed on every run rather than being a debug mode. A ring's storage is
+// four quarter-capacity chunks, each allocated when the write cursor first
+// reaches it: a node holds at most what it recorded, rounded up to a
+// quarter, and once its ring has wrapped a record allocates nothing (both
+// pinned by alloc_test.go). When something goes wrong — a
 // DeliveryError, an ErrNoRoute, a health-epoch change — the forwarding
 // layer calls Dump and the recorder snapshots every ring into a bounded
 // dump list for post-mortem export.
@@ -29,7 +32,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"madgo/internal/trace"
@@ -72,11 +77,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// Event is one fixed-size flight-recorder entry. Dur is the span the event
-// accounts for, ending at At (instantaneous events carry Dur 0). Msg is the
-// provenance message ID when the event is message-attributed, 0 otherwise.
-// The string fields alias interned names owned by the caller (node and
-// network names), so recording an Event allocates nothing.
+// Event is one flight-recorder event in the form every reader gets it.
+// Dur is the span the event accounts for, ending at At (instantaneous
+// events carry Dur 0). Msg is the provenance message ID when the event is
+// message-attributed, 0 otherwise. A ring stores an event as an entry and
+// expands it back into an Event when it is read; the string fields alias
+// names the ring holds (node and network names).
 type Event struct {
 	At    vtime.Time
 	Dur   vtime.Duration
@@ -133,32 +139,115 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// entry is how a ring stores one event: 32 bytes and no pointers, so a
+// chunk of them is memory the garbage collector never scans. The node is
+// the ring's, and the network is an index into the ring's name table.
+type entry struct {
+	at    vtime.Time
+	dur   vtime.Duration
+	msg   uint64
+	bytes int32
+	net   uint16
+	kind  Kind
+}
+
+const (
+	// numChunks is how many pieces a ring's storage comes in; each holds a
+	// quarter of the capacity, rounded up, and is allocated when the write
+	// cursor first reaches it.
+	numChunks = 4
+	// inlineNets is how many network names a ring's table holds in the
+	// ring's own struct; a further name moves the table to the heap. A node
+	// meets its networks, "" and the coalescer's flush reasons, which Record
+	// takes as networks too.
+	inlineNets = 8
+	// maxNets bounds the table by its uint16 index; an event on a network
+	// past it is recorded with none.
+	maxNets = 1 << 16
+)
+
 // Ring is one node's bounded event buffer. Writes overwrite the oldest
 // entry once the ring is full; Dropped counts the overwrites. The mutex
 // makes recording safe under the race detector (tools read while the
 // simulation records); Lock/Unlock on an uncontended mutex allocates
-// nothing, preserving the 0 allocs/op contract.
+// nothing, so a record into a chunk already allocated allocates nothing.
 type Ring struct {
 	mu      sync.Mutex
 	node    string
-	buf     []Event
-	next    uint64 // total events ever recorded
-	dropped uint64
+	cap     int // events held at most
+	quarter int // entries a chunk: ⌈cap/numChunks⌉
+	chunks  [numChunks][]entry
+	ci, off int      // write cursor: chunk and offset in it
+	next    uint64   // total events ever recorded
+	nets    []string // name table, indexed by entry.net; nets[0] is ""
+	netBuf  [inlineNets]string
 }
 
-// Record appends one event. Nil-safe and allocation-free.
+func newRing(node string, capacity int) *Ring {
+	r := &Ring{node: node, cap: capacity, quarter: (capacity + numChunks - 1) / numChunks}
+	r.nets = r.netBuf[:1]
+	return r
+}
+
+// Record appends one event. Nil-safe; it allocates only the chunk the
+// write cursor enters for the first time, at most numChunks times a ring.
 func (r *Ring) Record(k Kind, at vtime.Time, dur vtime.Duration, msg uint64, bytes int, net string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	i := r.next % uint64(len(r.buf))
-	if r.next >= uint64(len(r.buf)) {
-		r.dropped++
+	c := r.chunks[r.ci]
+	if c == nil {
+		c = make([]entry, min(r.quarter, r.cap-r.ci*r.quarter))
+		r.chunks[r.ci] = c
 	}
-	r.buf[i] = Event{At: at, Dur: dur, Kind: k, Msg: msg, Bytes: int32(bytes), Node: r.node, Net: net}
+	c[r.off] = entry{at: at, dur: dur, msg: msg, bytes: int32(bytes), net: r.netIndex(net), kind: k}
 	r.next++
+	if r.off++; r.off == len(c) {
+		r.off = 0
+		if r.ci++; r.ci*r.quarter >= r.cap {
+			r.ci = 0
+		}
+	}
 	r.mu.Unlock()
+}
+
+// netIndex returns net's index in the name table, adding it if it is new.
+func (r *Ring) netIndex(net string) uint16 {
+	for i, s := range r.nets {
+		if s == net {
+			return uint16(i)
+		}
+	}
+	if len(r.nets) == maxNets {
+		return 0
+	}
+	r.nets = append(r.nets, net)
+	return uint16(len(r.nets) - 1)
+}
+
+// held is Len under the ring's lock.
+func (r *Ring) held() int {
+	if r.next < uint64(r.cap) {
+		return int(r.next)
+	}
+	return r.cap
+}
+
+// appendTo expands the held entries, oldest first, onto dst. The caller
+// holds the lock.
+func (r *Ring) appendTo(dst []Event) []Event {
+	n := r.held()
+	s := int((r.next - uint64(n)) % uint64(r.cap))
+	for range n {
+		c := s / r.quarter
+		e := &r.chunks[c][s-c*r.quarter]
+		dst = append(dst, Event{At: e.at, Dur: e.dur, Kind: e.kind, Msg: e.msg, Bytes: e.bytes, Node: r.node, Net: r.nets[e.net]})
+		if s++; s == r.cap {
+			s = 0
+		}
+	}
+	return dst
 }
 
 // Node returns the node name the ring records for.
@@ -176,10 +265,7 @@ func (r *Ring) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next < uint64(len(r.buf)) {
-		return int(r.next)
-	}
-	return len(r.buf)
+	return r.held()
 }
 
 // Dropped returns how many events were overwritten before being read.
@@ -189,12 +275,12 @@ func (r *Ring) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.next - uint64(r.held())
 }
 
 // SnapshotInto copies the ring's events, oldest first, into dst (reusing
 // its backing array) and returns the filled slice. With cap(dst) at least
-// the ring capacity the snapshot allocates nothing.
+// Len the snapshot allocates nothing.
 func (r *Ring) SnapshotInto(dst []Event) []Event {
 	dst = dst[:0]
 	if r == nil {
@@ -202,15 +288,7 @@ func (r *Ring) SnapshotInto(dst []Event) []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	count := r.next
-	if n := uint64(len(r.buf)); count > n {
-		count = n
-	}
-	start := r.next - count
-	for i := uint64(0); i < count; i++ {
-		dst = append(dst, r.buf[(start+i)%uint64(len(r.buf))])
-	}
-	return dst
+	return r.appendTo(dst)
 }
 
 // Snapshot returns a fresh copy of the ring's events, oldest first.
@@ -218,7 +296,16 @@ func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	return r.SnapshotInto(make([]Event, 0, len(r.buf)))
+	return r.snapshot().Events
+}
+
+// snapshot copies the ring's events and drop count under one lock, into a
+// slice as long as the ring holds.
+func (r *Ring) snapshot() RingSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.held()
+	return RingSnapshot{Node: r.node, Dropped: r.next - uint64(n), Events: r.appendTo(make([]Event, 0, n))}
 }
 
 // DefaultRingCap is the per-node ring capacity when the caller passes 0.
@@ -254,7 +341,7 @@ type Recorder struct {
 	ringCap    int
 	clock      func() vtime.Time
 	rings      map[string]*Ring
-	order      []string
+	order      []*Ring // creation order
 	dumps      []Dump
 	suppressed int
 }
@@ -296,9 +383,9 @@ func (rec *Recorder) Ring(node string) *Ring {
 	defer rec.mu.Unlock()
 	r := rec.rings[node]
 	if r == nil {
-		r = &Ring{node: node, buf: make([]Event, rec.ringCap)}
+		r = newRing(node, rec.ringCap)
 		rec.rings[node] = r
-		rec.order = append(rec.order, node)
+		rec.order = append(rec.order, r)
 	}
 	return r
 }
@@ -310,16 +397,24 @@ func (rec *Recorder) Nodes() []string {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	out := append([]string(nil), rec.order...)
+	out := make([]string, len(rec.order))
+	for i, r := range rec.order {
+		out[i] = r.node
+	}
 	sort.Strings(out)
 	return out
 }
 
 // Dropped returns the total events overwritten across all rings.
 func (rec *Recorder) Dropped() uint64 {
+	if rec == nil {
+		return 0
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	var total uint64
-	for _, r := range rec.snapshotRings() {
-		total += r.Dropped
+	for _, r := range rec.order {
+		total += r.Dropped()
 	}
 	return total
 }
@@ -330,30 +425,14 @@ func (rec *Recorder) snapshotRings() []RingSnapshot {
 		return nil
 	}
 	rec.mu.Lock()
-	nodes := append([]string(nil), rec.order...)
-	rings := make([]*Ring, len(nodes))
-	for i, n := range nodes {
-		rings[i] = rec.rings[n]
-	}
+	rings := append([]*Ring(nil), rec.order...)
 	rec.mu.Unlock()
-	sort.Sort(&ringsByNode{nodes, rings})
+	slices.SortFunc(rings, func(a, b *Ring) int { return strings.Compare(a.node, b.node) })
 	out := make([]RingSnapshot, len(rings))
 	for i, r := range rings {
-		out[i] = RingSnapshot{Node: nodes[i], Dropped: r.Dropped(), Events: r.Snapshot()}
+		out[i] = r.snapshot()
 	}
 	return out
-}
-
-type ringsByNode struct {
-	nodes []string
-	rings []*Ring
-}
-
-func (s *ringsByNode) Len() int           { return len(s.nodes) }
-func (s *ringsByNode) Less(i, j int) bool { return s.nodes[i] < s.nodes[j] }
-func (s *ringsByNode) Swap(i, j int) {
-	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
-	s.rings[i], s.rings[j] = s.rings[j], s.rings[i]
 }
 
 // Events returns every recorded event across all rings, ordered by virtual

@@ -3,7 +3,10 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"madgo/internal/vtime"
@@ -53,6 +56,48 @@ func TestRingWraparound(t *testing.T) {
 	}
 	if rec.Dropped() != 6 {
 		t.Fatalf("recorder dropped = %d", rec.Dropped())
+	}
+}
+
+// TestRingConcurrentRecordAndRead records into two rings from four
+// goroutines, growing their chunks and name tables, while a fifth reads them
+// the ways tools do; under -race it checks the locking of both, and at the
+// end every event is accounted for as held or dropped.
+func TestRingConcurrentRecordAndRead(t *testing.T) {
+	const writers, perWriter = 4, 3000
+	rec := NewRecorder(1000)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rec.Ring([]string{"a", "gw"}[w%2])
+			for i := 0; i < perWriter; i++ {
+				r.Record(KindSend, vtime.Time(i), 0, uint64(i), i, fmt.Sprintf("net%d", i%(inlineNets+3)))
+			}
+		}()
+	}
+	go func() {
+		defer close(done)
+		for i := 0; i < 5; i++ {
+			_ = rec.Dropped()
+			_ = rec.Events()
+			rec.Dump("read")
+			if err := rec.WriteJSON(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	var total uint64
+	for _, n := range rec.Nodes() {
+		r := rec.Ring(n)
+		total += uint64(r.Len()) + r.Dropped()
+	}
+	if total != writers*perWriter || rec.Dropped() != total-2*1000 {
+		t.Fatalf("%d events held or dropped, %d dropped; want %d and %d", total, rec.Dropped(), writers*perWriter, writers*perWriter-2000)
 	}
 }
 

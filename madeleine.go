@@ -469,7 +469,9 @@ func WithHealthConfig(hc HealthConfig) Option {
 func WithoutFlightRecorder() Option { return func(o *Options) { o.DisableFlight = true } }
 
 // WithFlightRingCap sets the flight recorder's per-node ring capacity in
-// events (default 4096). Older events are overwritten, never reallocated.
+// events (default 4096). A ring's memory is 32 B for each event it holds,
+// allocated a quarter of the capacity at a time as it fills and never more
+// than the capacity; once full, older events are overwritten.
 func WithFlightRingCap(n int) Option { return func(o *Options) { o.FlightRingCap = n } }
 
 // WithFlowControl arms credit-based gateway flow control — the "regulate
