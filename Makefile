@@ -27,8 +27,9 @@ BENCHES = o1 p1 s1 r2 o2 c1 m1 b1
 #       identical: recording costs no virtual time, and zero allocations —
 #       the extra run), depth 1 called swap-overhead-bound (§3.4.1), depth 8
 #       cleared;
-#   c1  64-sender incast: FIFO measurably unfair (Jain <= 0.80), credits +
-#       DRR fair (Jain >= 0.90) within 5% of the single-sender ceiling;
+#   c1  64-sender incast through the DRR relay every gateway runs, credits
+#       off and on: both fair (Jain >= 0.90) within 5% of the single-sender
+#       ceiling;
 #   m1  eager+aggregation >= 15x the seed framing at 64 B (a sub-message
 #       costs the sink no poll and the frame 5 bytes, DESIGN.md §27), >= 3x up
 #       to 512 B and >= 2x at 1 KB (a ratio whose denominator rose 1.7x when
@@ -102,7 +103,10 @@ race:
 # fill phase at exactly one allocation a chunk reached, a ring's footprint at
 # ⌈n / ⌈cap/4⌉⌉ chunks of 32-byte entries for n events, and the incast64 shape
 # at its reading plus 15 % in allocations and in KiB a message, the one wall on
-# allocated bytes.
+# allocated bytes. Building a system (DESIGN.md §32): NewSystem of the chain
+# under WithPaperFidelity and of the incast64 shape under WithFlowControl at
+# their race-detector readings before gateways made their fair daemons on
+# first use, plus 2 %.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd -run 'AllocsNothing' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
@@ -248,7 +252,9 @@ fuzz:
 # internal/flight row at the size they left it, 1000 -> 1079: the entry and its
 # constants, the chunked write cursor, the ring's network-name table and the
 # expansion of entries back into Events, net of the sort type they retired.
-LOC_MAX := internal/fwd:6688 internal/bench:2403 internal/agg:379 internal/flight:1079
+# One stream header and one gateway scheduler (DESIGN.md §32) lowered
+# internal/fwd 6688 -> 6604 and internal/bench 2403 -> 2399.
+LOC_MAX := internal/fwd:6604 internal/bench:2399 internal/agg:379 internal/flight:1079
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

@@ -3,13 +3,13 @@
 // drives one of three many-senders patterns through the gateway(s), and
 // reports per-sender goodput, the Jain fairness index across senders, and
 // the credit-based flow-control counters. It is the command-line companion
-// of the c1 benchmark experiment: the incast pattern with -flow off shows
-// the FIFO relay's message-size bias, with -flow on the credit + DRR
-// scheduler's equalized byte service.
+// of the c1 benchmark experiment: the incast pattern shows the gateways' DRR
+// relay equalizing byte service across message sizes, with -flow off and,
+// credits bounding what each sender has in flight, on.
 //
 // Usage:
 //
-//	madload                                  # 16-sender incast, FIFO baseline
+//	madload                                  # 16-sender incast, no credits
 //	madload -flow                            # same incast under flow control
 //	madload -senders 64 -elephants 8 -flow   # the c1 contention wall shape
 //	madload -pattern alltoall -senders 8     # bidirectional cross-cluster load

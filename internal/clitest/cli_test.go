@@ -238,8 +238,9 @@ func TestMadstatChromeExport(t *testing.T) {
 
 func TestMadloadIncastBaselineVsFlow(t *testing.T) {
 	args := []string{"-senders", "8", "-elephants", "2", "-count", "4"}
+	// The gateway relays in DRR order with and without credits.
 	base := run(t, "madload", args...)
-	for _, want := range []string{"madload: incast, 8 senders", "Jain fairness", "aggregate", "0 sched rounds"} {
+	for _, want := range []string{"madload: incast, 8 senders", "Jain fairness", "aggregate", "flow: 0 accounts"} {
 		if !strings.Contains(base, want) {
 			t.Errorf("baseline output missing %q:\n%s", want, base)
 		}
@@ -248,8 +249,10 @@ func TestMadloadIncastBaselineVsFlow(t *testing.T) {
 	if !strings.Contains(fair, "flow control true") || !strings.Contains(fair, "8 accounts") {
 		t.Errorf("flow run shows no credit accounts:\n%s", fair)
 	}
-	if strings.Contains(fair, "0 sched rounds") {
-		t.Errorf("flow run served no scheduler rounds:\n%s", fair)
+	for name, out := range map[string]string{"baseline": base, "flow": fair} {
+		if strings.Contains(out, " 0 sched rounds") {
+			t.Errorf("%s run served no scheduler rounds:\n%s", name, out)
+		}
 	}
 }
 

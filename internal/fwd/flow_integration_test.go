@@ -152,17 +152,14 @@ func runWall(t *testing.T, c wallCase) {
 			}
 		}
 	}
+	// Every gateway relays through its fair scheduler, credits or not.
 	fs := w.vc.FlowStats()
-	if c.cfg.Reliable {
-		// Reliable mode has no credit layer (the ARQ window already
-		// regulates each hop); its flow control is the fair relay
-		// scheduler every engine runs, which must have served rounds.
-		if fs.SchedRounds == 0 {
-			t.Error("reliable relay scheduler served no rounds")
-		}
-		return
+	if fs.SchedRounds == 0 {
+		t.Error("relay scheduler served no rounds")
 	}
-	if c.cfg.FlowControl {
+	// Reliable mode has no credit layer: the ARQ window already regulates
+	// each hop.
+	if c.cfg.FlowControl && !c.cfg.Reliable {
 		if fs.CreditsSpent == 0 {
 			t.Error("flow control armed but no credits spent")
 		}
@@ -181,8 +178,8 @@ func runWall(t *testing.T, c wallCase) {
 
 // TestManySendersContentionWall is the conformance wall: sender counts from
 // 2 to 64 across incast, gateway-chain and dual-rail topologies, in
-// streaming, reliable and striped modes, the streaming ones with flow control
-// off and on. Every cell must deliver byte-identically without deadlock.
+// streaming, reliable and striped modes, the streaming ones with credits off
+// and on. Every cell must deliver byte-identically without deadlock.
 func TestManySendersContentionWall(t *testing.T) {
 	flowOn := func(cfg fwd.Config) fwd.Config {
 		cfg.FlowControl = true
@@ -205,13 +202,12 @@ func TestManySendersContentionWall(t *testing.T) {
 	}
 	for _, c := range cases {
 		base := c
-		// A reliable case has no fifo leg since PR 22: every reliable engine
-		// relays through the one fair daemon and spends no credits, so the
-		// leg was the flow leg's program run a second time (the root
-		// package's TestReliableDeliveryHasOneShape holds the two equal to the
-		// virtual nanosecond).
+		// A reliable case has no no-credits leg: a reliable engine spends
+		// no credits, so the leg would be the flow leg's program run a
+		// second time (the root package's TestReliableDeliveryHasOneShape
+		// holds the two equal to the virtual nanosecond).
 		if !base.cfg.Reliable {
-			t.Run(base.name+"/fifo", func(t *testing.T) { runWall(t, base) })
+			t.Run(base.name+"/no-credits", func(t *testing.T) { runWall(t, base) })
 		}
 		on := base
 		on.cfg = flowOn(base.cfg)

@@ -151,8 +151,8 @@ func (vc *VirtualChannel) flowGrant(gw, up string, n int) {
 
 // FlowStats aggregates the flow controller's counters over every credit
 // account and relay scheduler. The credit fields are zero when
-// Config.FlowControl is off; SchedRounds and Backpressure also count a
-// reliable channel's relay daemons, which schedule fairly with or without it.
+// Config.FlowControl is off; SchedRounds and Backpressure count the relay
+// schedulers, which every gateway runs with or without it.
 type FlowStats struct {
 	// Accounts is how many (gateway, sender) credit accounts exist.
 	Accounts int
@@ -166,8 +166,8 @@ type FlowStats struct {
 	Stalls    int64
 	StallTime vtime.Duration
 	// SchedRounds is how many full deficit-round-robin passes the streaming
-	// gateways' schedulers (flow control only) and the reliable engines'
-	// relay daemons completed.
+	// gateways' fair daemons and the reliable engines' relay daemons
+	// completed.
 	SchedRounds int64
 	// Backpressure counts reliable-mode relay admissions refused because
 	// the relay queue was full (the upstream ARQ retransmits — no loss).
@@ -199,8 +199,8 @@ func (vc *VirtualChannel) FlowStats() FlowStats {
 		}
 	}
 	for _, g := range vc.gates {
-		for _, sc := range g.scheds {
-			s.SchedRounds += sc.drr.Rounds()
+		for _, r := range g.rings {
+			s.SchedRounds += r.drr.Rounds()
 		}
 	}
 	for _, e := range vc.rel {

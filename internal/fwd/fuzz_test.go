@@ -5,68 +5,134 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"madgo/internal/mad"
 )
 
-// Fuzz targets for the codecs that parse bytes off the wire: the GTM
-// message header every gateway decodes before relaying (§2.3), the striping
-// rail header that extends it, and the reliable-datagram packet formats. The
+// Fuzz targets for the codecs that parse bytes off the wire: the stream
+// header every gateway decodes before relaying (§2.3), one target per header
+// shape over the one codec, and the reliable-datagram packet formats. The
 // contract under test is the same for all of them: decode never panics,
 // rejects malformed input with ok=false, and accepts exactly the encoder's
-// output — for every accepted input the re-encoded fields reproduce the
-// input byte for byte. FuzzStreamOpen covers the step above the codecs, the
-// parse of a stream's first transfer.
+// output — for every accepted input the re-encoded fields reproduce the input
+// byte for byte. FuzzStreamOpen covers the step above the codec, the parse of
+// a stream's first transfer.
 
-// The fixed-length headers are written in place by the stream writer; the
-// round trips want them as values.
-func encodeGTMHeader(src, dst mad.Rank, mtu int, id uint64) []byte {
-	return encodeGTMCompact(src, dst, mtu, id, nil)
-}
-
-// encodeGTMCompact is the first transfer of a compact message: the GTM header
-// with the first data fragment glued on.
-func encodeGTMCompact(src, dst mad.Rank, mtu int, id uint64, frag []byte) []byte {
-	b := make([]byte, gtmHeaderLen+len(frag))
-	putGTMHeader(b, streamHdr{src: src, dst: dst, mtu: mtu, id: id})
-	copy(b[gtmHeaderLen:], frag)
+// encodeHeader is a header of kind as a value; the stream writer writes it in
+// place.
+func encodeHeader(kind mad.Kind, h streamHdr) []byte {
+	b := make([]byte, streamHeaderLen(kind, len(h.dests)))
+	putStreamHeader(b, kind, h)
 	return b
 }
 
-func encodeStripeHeader(h streamHdr) []byte {
-	b := make([]byte, stripeHeaderLen)
-	putStripeHeader(b, h)
-	return b
+// encodeCompact is the first transfer of a compact message: the unicast
+// header with the first data fragment glued on.
+func encodeCompact(h streamHdr, frag []byte) []byte {
+	return append(encodeHeader(mad.KindEager, h), frag...)
 }
 
+// checkHeader holds a header that decodeStreamHeader accepted as h to what
+// every receiver acts on: a usable MTU, a re-encoding of hdr byte for byte, a
+// rail's span within its total, and a multicast header's destinations
+// strictly ascending, of a bounded count, with any single flipped byte
+// rejected.
+func checkHeader(t *testing.T, kind mad.Kind, h streamHdr, hdr []byte) {
+	t.Helper()
+	if h.mtu <= 0 {
+		t.Fatalf("accepted a header with unusable mtu %d", h.mtu)
+	}
+	if re := encodeHeader(kind, h); !bytes.Equal(re, hdr) {
+		t.Fatalf("%v header round-trip mismatch:\n in  %x\n out %x", kind, hdr, re)
+	}
+	switch kind {
+	case mad.KindStripe:
+		// A corrupted span must never index the posted buffer out of bounds.
+		if h.nrails < 1 || h.rail >= h.nrails || h.spanStart < 0 || h.spanLen < 0 || h.spanStart+h.spanLen > h.total {
+			t.Fatalf("accepted unusable rail fields: %+v", h)
+		}
+	case mad.KindMcast:
+		// A corrupted set silently mis-replicates: canonical lists of a
+		// bounded count only, and the CRC catches every single-byte flip.
+		if n := len(h.dests); n < 1 || n > mcastMaxDests {
+			t.Fatalf("accepted a destination count of %d", n)
+		}
+		for i := 1; i < len(h.dests); i++ {
+			if h.dests[i] <= h.dests[i-1] {
+				t.Fatalf("accepted non-canonical destination set %v", h.dests)
+			}
+		}
+		if len(hdr) <= 256 {
+			for i := range hdr {
+				hdr[i] ^= 0xFF
+				if _, stillOK := decodeStreamHeader(kind, hdr, nil); stillOK {
+					t.Fatalf("multicast header still decodes with byte %d flipped", i)
+				}
+				hdr[i] ^= 0xFF
+			}
+		}
+	}
+}
+
+// TestStreamHeaderLayout pins the one stream header: every kind opens with
+// the same 16 bytes (src, mtu, id), a unicast header is 20 bytes, a rail's 48
+// and a multicast header of n destinations 18+4n+4, and each round-trips
+// through decodeStreamHeader.
+func TestStreamHeaderLayout(t *testing.T) {
+	uni := streamHdr{src: 3, dst: 7, mtu: 32 << 10, id: 1<<40 + 9}
+	rail := uni
+	rail.rail, rail.nrails, rail.flags = 1, 2, stripeFlagForwarded|stripeFlagAgg
+	rail.spanStart, rail.spanLen, rail.total = 100, 50, 300
+	mcast := func(dests ...mad.Rank) streamHdr {
+		return streamHdr{src: uni.src, mtu: uni.mtu, id: uni.id, dests: dests}
+	}
+	prefix := []byte{3, 0, 0, 0, 0, 0x80, 0, 0, 9, 0, 0, 0, 0, 1, 0, 0}
+	for _, c := range []struct {
+		kind mad.Kind
+		h    streamHdr
+		len  int
+	}{
+		{mad.KindGTM, uni, 20}, {mad.KindEager, uni, 20}, {mad.KindAgg, uni, 20},
+		{mad.KindStripe, rail, 48},
+		{mad.KindMcast, mcast(7), 18 + 4 + 4}, {mad.KindMcast, mcast(0, 2, 7, 9), 18 + 16 + 4},
+	} {
+		b := encodeHeader(c.kind, c.h)
+		if len(b) != c.len {
+			t.Errorf("%v header with %d dests: %d bytes, want %d", c.kind, len(c.h.dests), len(b), c.len)
+		}
+		if !bytes.Equal(b[:streamPrefixLen], prefix) {
+			t.Errorf("%v header opens with % x, want % x", c.kind, b[:streamPrefixLen], prefix)
+		}
+		if got, ok := decodeStreamHeader(c.kind, b, nil); !ok || !reflect.DeepEqual(got, c.h) {
+			t.Errorf("%v header round trip: ok %v, got %+v, want %+v", c.kind, ok, got, c.h)
+		}
+	}
+}
+
+// FuzzGTMHeader covers the unicast header a GTM stream opens with. The only
+// legal grounds for rejecting one are its length and a zero MTU.
 func FuzzGTMHeader(f *testing.F) {
 	for _, seed := range gtmHeaderSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeGTMHeader(data)
+		h, ok := decodeStreamHeader(mad.KindGTM, data, nil)
 		if !ok {
-			// The only legal grounds for rejection: wrong length or a
-			// non-positive MTU field.
-			if len(data) == gtmHeaderLen && binary.LittleEndian.Uint32(data[8:]) != 0 {
+			if len(data) == gtmHeaderLen && binary.LittleEndian.Uint32(data[4:]) != 0 {
 				t.Fatalf("rejected a well-formed %d-byte header with mtu %d",
-					len(data), binary.LittleEndian.Uint32(data[8:]))
+					len(data), binary.LittleEndian.Uint32(data[4:]))
 			}
 			return
 		}
-		if h.mtu <= 0 {
-			t.Fatalf("accepted header with unusable mtu %d", h.mtu)
-		}
-		if re := encodeGTMHeader(h.src, h.dst, h.mtu, h.id); !bytes.Equal(re, data) {
-			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
-		}
+		checkHeader(t, mad.KindGTM, h, data)
 	})
 }
 
-// FuzzGTMCompactHeader covers the eager path's compact first transfer: a
-// GTM header with the first data fragment glued on, kept apart by the
+// FuzzGTMCompactHeader covers the eager path's compact first transfer: the
+// unicast header with the first data fragment glued on, kept apart by the
 // transfer's two block descriptors. The fragment may be empty (header-only
 // compact frame); everything after the header is fragment, so any length at
 // or above gtmHeaderLen with a usable MTU must be accepted and round-trip
@@ -80,22 +146,55 @@ func FuzzGTMCompactHeader(f *testing.F) {
 			headerDesc(gtmHeaderLen), {Size: len(data) - gtmHeaderLen}}}
 		o, ok := parseStream(mad.KindEager, meta, data, nil)
 		if !ok {
-			if len(data) >= gtmHeaderLen && binary.LittleEndian.Uint32(data[8:]) != 0 {
+			if len(data) >= gtmHeaderLen && binary.LittleEndian.Uint32(data[4:]) != 0 {
 				t.Fatalf("rejected a well-formed %d-byte compact frame with mtu %d",
-					len(data), binary.LittleEndian.Uint32(data[8:]))
+					len(data), binary.LittleEndian.Uint32(data[4:]))
 			}
 			return
-		}
-		if o.mtu <= 0 {
-			t.Fatalf("accepted compact frame with unusable mtu %d", o.mtu)
 		}
 		if len(o.payload) != len(data)-gtmHeaderLen {
 			t.Fatalf("fragment length %d does not cover the %d bytes after the header",
 				len(o.payload), len(data)-gtmHeaderLen)
 		}
-		if re := encodeGTMCompact(o.src, o.dst, o.mtu, o.id, o.payload); !bytes.Equal(re, data) {
+		checkHeader(t, mad.KindEager, o.streamHdr, data[:o.hsize])
+		if re := encodeCompact(o.streamHdr, o.payload); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
 		}
+	})
+}
+
+// FuzzStripeHeader covers a rail's header. Its first 20 bytes are a unicast
+// header, so a gateway routes a rail without understanding striping.
+func FuzzStripeHeader(f *testing.F) {
+	for _, seed := range stripeHeaderSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ok := decodeStreamHeader(mad.KindStripe, data, nil)
+		if !ok {
+			return
+		}
+		checkHeader(t, mad.KindStripe, h, data)
+		g, gok := decodeStreamHeader(mad.KindGTM, data[:gtmHeaderLen], nil)
+		if !gok || g.src != h.src || g.dst != h.dst || g.mtu != h.mtu || g.id != h.id {
+			t.Fatalf("rail header prefix is not a unicast header: %+v", h)
+		}
+	})
+}
+
+// FuzzMcastHeader covers the multicast destination-set header. Acceptance
+// is strict: canonical (strictly increasing) destination lists only, a
+// bounded count, a usable MTU and a matching CRC.
+func FuzzMcastHeader(f *testing.F) {
+	for _, seed := range mcastHeaderSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ok := decodeStreamHeader(mad.KindMcast, data, nil)
+		if !ok {
+			return
+		}
+		checkHeader(t, mad.KindMcast, h, data)
 	})
 }
 
@@ -103,11 +202,12 @@ func FuzzGTMCompactHeader(f *testing.F) {
 // trusts a byte of it: parseStream on the first transfer — the final
 // receiver's open and the gateway's classify are this one call, so what one
 // accepts the other does. It never panics, and what it accepts is safe to act
-// on: the header lies within the transfer, the descriptors of the payload
-// that rode along cover the remaining bytes exactly with no negative size, at
-// most one block rides an eager header, a frame is exactly one block and the
-// whole message, multicast payload rides only with the terminator, and a
-// header that always travels alone did.
+// on: the header lies within the transfer and passes checkHeader, the
+// descriptors of the payload that rode along cover the remaining bytes
+// exactly with no negative size, at most one block rides an eager header, a
+// frame is exactly one block and the whole message, multicast payload rides
+// only with the terminator, and a header that always travels alone did. A
+// unicast header is rejected for its length or a zero MTU only.
 func FuzzStreamOpen(f *testing.F) {
 	sizes := func(ns ...int) []byte {
 		var b []byte
@@ -136,6 +236,12 @@ func FuzzStreamOpen(f *testing.F) {
 	f.Add(uint8(mad.KindGTM), false, false, sizes(gtmHeaderLen), gtmHeaderSeeds()[0])
 	f.Fuzz(func(t *testing.T, k uint8, som, eom bool, blockSizes, first []byte) {
 		kind := mad.Kind(k)
+		unicast := kind == mad.KindGTM || kind == mad.KindEager || kind == mad.KindAgg
+		if unicast && len(first) == gtmHeaderLen && binary.LittleEndian.Uint32(first[4:]) != 0 {
+			if _, ok := decodeStreamHeader(kind, first, nil); !ok {
+				t.Fatalf("rejected a well-formed %v header %x", kind, first)
+			}
+		}
 		meta := mad.TxMeta{SOM: som, EOM: eom, Kind: kind}
 		for ; len(blockSizes) >= 2; blockSizes = blockSizes[2:] {
 			// Signed, so that a corrupted descriptor can claim a negative size.
@@ -145,15 +251,13 @@ func FuzzStreamOpen(f *testing.F) {
 		if !ok {
 			return
 		}
-		if !som || !relayableKind(kind) {
+		if !som || framingOf(kind) == nil {
 			t.Fatalf("accepted a transfer that starts no %v stream (SOM %v)", kind, som)
-		}
-		if o.mtu <= 0 {
-			t.Fatalf("accepted a header with unusable mtu %d", o.mtu)
 		}
 		if o.hsize < 0 || o.hsize > len(first) || len(o.payload) != len(first)-o.hsize {
 			t.Fatalf("header of %d bytes and payload of %d in a transfer of %d", o.hsize, len(o.payload), len(first))
 		}
+		checkHeader(t, kind, o.streamHdr, first[:o.hsize])
 		covered := 0
 		for _, d := range o.descs {
 			if d.Size < 0 {
@@ -176,78 +280,6 @@ func FuzzStreamOpen(f *testing.F) {
 			t.Fatalf("aggregate transfer of %d blocks, EOM %v", n, eom)
 		case kind == mad.KindMcast && n > 0 && !eom:
 			t.Fatalf("multicast payload rides a header without the terminator")
-		}
-	})
-}
-
-func FuzzStripeHeader(f *testing.F) {
-	for _, seed := range stripeHeaderSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeStripeHeader(data)
-		if !ok {
-			return
-		}
-		if h.mtu <= 0 || h.nrails < 1 || h.rail >= h.nrails {
-			t.Fatalf("accepted header with unusable rail fields: %+v", h)
-		}
-		// Spans a receiver acts on must stay inside the advertised total —
-		// a corrupted span must never index the posted buffer out of
-		// bounds.
-		if h.spanStart < 0 || h.spanLen < 0 || h.total < 0 ||
-			h.spanStart+h.spanLen > h.total {
-			t.Fatalf("accepted out-of-range span: %+v", h)
-		}
-		if re := encodeStripeHeader(h); !bytes.Equal(re, data) {
-			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
-		}
-		// The first 20 bytes stay GTM-compatible so gateways can route a
-		// rail without understanding striping.
-		g, gok := decodeGTMHeader(data[:gtmHeaderLen])
-		if !gok || g.src != h.src || g.dst != h.dst || g.mtu != h.mtu || g.id != h.id {
-			t.Fatalf("stripe header prefix not GTM-compatible: %+v", h)
-		}
-	})
-}
-
-// FuzzMcastHeader covers the multicast destination-set header. Acceptance
-// is strict: canonical (strictly increasing) destination lists only, a
-// bounded count, a usable MTU and a matching CRC — a corrupted set silently
-// mis-replicates, so every accepted input must re-encode byte for byte and
-// every single-byte corruption must be rejected.
-func FuzzMcastHeader(f *testing.F) {
-	for _, seed := range mcastHeaderSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeMcastHeader(data, nil)
-		if !ok {
-			return
-		}
-		src, mtu, id, dests := h.src, h.mtu, h.id, h.dests
-		if mtu <= 0 {
-			t.Fatalf("accepted header with unusable mtu %d", mtu)
-		}
-		if len(dests) < 1 || len(dests) > mcastMaxDests {
-			t.Fatalf("accepted header with illegal destination count %d", len(dests))
-		}
-		for i := 1; i < len(dests); i++ {
-			if dests[i] <= dests[i-1] {
-				t.Fatalf("accepted non-canonical destination set %v", dests)
-			}
-		}
-		if re := encodeMcastHeader(src, mtu, id, dests); !bytes.Equal(re, data) {
-			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
-		}
-		if len(data) <= 256 {
-			for i := range data {
-				data[i] ^= 0xFF
-				if _, stillOK := decodeMcastHeader(data, nil); stillOK {
-					t.Fatalf("header still decodes with byte %d flipped", i)
-				}
-				data[i] ^= 0xFF
-			}
 		}
 	})
 }
@@ -350,9 +382,9 @@ func FuzzRelDesc(f *testing.F) {
 
 func gtmHeaderSeeds() [][]byte {
 	return [][]byte{
-		encodeGTMHeader(0, 1, 4096, 1),
-		encodeGTMHeader(3, 7, 1, ^uint64(0)),
-		encodeGTMHeader(8, 4, 1<<31-1, 42),
+		encodeHeader(mad.KindGTM, streamHdr{src: 0, dst: 1, mtu: 4096, id: 1}),
+		encodeHeader(mad.KindGTM, streamHdr{src: 3, dst: 7, mtu: 1, id: ^uint64(0)}),
+		encodeHeader(mad.KindGTM, streamHdr{src: 8, dst: 4, mtu: 1<<31 - 1, id: 42}),
 		make([]byte, gtmHeaderLen), // right length, mtu 0 → rejected
 		make([]byte, gtmHeaderLen-1),
 		make([]byte, gtmHeaderLen+1),
@@ -362,9 +394,9 @@ func gtmHeaderSeeds() [][]byte {
 
 func gtmCompactSeeds() [][]byte {
 	return [][]byte{
-		encodeGTMCompact(0, 1, 4096, 1, []byte("tiny payload")),
-		encodeGTMCompact(3, 7, 1, ^uint64(0), nil), // header-only: empty eager message
-		encodeGTMCompact(8, 4, 1<<31-1, 42, make([]byte, eagerInlineMax)),
+		encodeCompact(streamHdr{src: 0, dst: 1, mtu: 4096, id: 1}, []byte("tiny payload")),
+		encodeCompact(streamHdr{src: 3, dst: 7, mtu: 1, id: ^uint64(0)}, nil), // header-only: empty eager message
+		encodeCompact(streamHdr{src: 8, dst: 4, mtu: 1<<31 - 1, id: 42}, make([]byte, eagerInlineMax)),
 		make([]byte, gtmHeaderLen), // right length, mtu 0 → rejected
 		make([]byte, gtmHeaderLen-1),
 		{},
@@ -373,12 +405,11 @@ func gtmCompactSeeds() [][]byte {
 
 func stripeHeaderSeeds() [][]byte {
 	return [][]byte{
-		encodeStripeHeader(streamHdr{src: 0, dst: 1, mtu: 4096, id: 1,
+		encodeHeader(mad.KindStripe, streamHdr{src: 0, dst: 1, mtu: 4096, id: 1,
 			rail: 0, nrails: 2, spanStart: 0, spanLen: 64 << 10, total: 128 << 10}),
-		encodeStripeHeader(streamHdr{src: 3, dst: 7, mtu: 1, id: ^uint64(0),
-			rail: 2, nrails: 3, flags: stripeFlagForwarded,
-			spanStart: 100, spanLen: 0, total: 100}),
-		encodeStripeHeader(streamHdr{src: 8, dst: 4, mtu: 1 << 20, id: 42,
+		encodeHeader(mad.KindStripe, streamHdr{src: 3, dst: 7, mtu: 1, id: ^uint64(0),
+			rail: 2, nrails: 3, flags: stripeFlagForwarded, spanStart: 100, spanLen: 0, total: 100}),
+		encodeHeader(mad.KindStripe, streamHdr{src: 8, dst: 4, mtu: 1 << 20, id: 42,
 			rail: 0, nrails: 1, spanStart: 0, spanLen: 9, total: 9}),
 		make([]byte, stripeHeaderLen), // mtu 0 → rejected
 		make([]byte, stripeHeaderLen-1),
@@ -389,12 +420,12 @@ func stripeHeaderSeeds() [][]byte {
 
 func mcastHeaderSeeds() [][]byte {
 	return [][]byte{
-		encodeMcastHeader(0, 4096, 1, []mad.Rank{1}),
-		encodeMcastHeader(3, 1, ^uint64(0), []mad.Rank{0, 2, 7}),
-		encodeMcastHeader(8, 1<<31-1, 42, []mad.Rank{1, 2, 3, 4, 5, 6, 7, 8}),
-		make([]byte, mcastHeaderLen(1)), // count 0 → rejected
-		make([]byte, mcastHeaderLen(1)-1),
-		make([]byte, mcastHeaderLen(2)),
+		encodeHeader(mad.KindMcast, streamHdr{src: 0, mtu: 4096, id: 1, dests: []mad.Rank{1}}),
+		encodeHeader(mad.KindMcast, streamHdr{src: 3, mtu: 1, id: ^uint64(0), dests: []mad.Rank{0, 2, 7}}),
+		encodeHeader(mad.KindMcast, streamHdr{src: 8, mtu: 1<<31 - 1, id: 42, dests: []mad.Rank{1, 2, 3, 4, 5, 6, 7, 8}}),
+		make([]byte, streamHeaderLen(mad.KindMcast, 1)), // count 0 → rejected
+		make([]byte, streamHeaderLen(mad.KindMcast, 1)-1),
+		make([]byte, streamHeaderLen(mad.KindMcast, 2)),
 		{},
 	}
 }

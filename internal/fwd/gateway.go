@@ -25,16 +25,11 @@ type Gateway struct {
 	node *mad.Node
 	name string
 
-	// rings holds the receive-side pipeline state, one per ingress network.
-	// Each ingress network has exactly one relaying daemon (the polling
-	// daemon itself, or the fair-scheduling daemon in flow-control mode),
-	// which receives one message at a time; the slots of a ring may still be
-	// on their way out for earlier messages.
+	// rings holds the receive-side pipeline state, one per ingress network
+	// that has announced a message. Each ring has exactly one relaying
+	// daemon, its fair daemon, which receives one message at a time; the
+	// slots of a ring may still be on their way out for earlier messages.
 	rings map[string]*relayRing
-
-	// scheds holds the flow-mode arrival schedulers, one per ingress
-	// network; empty unless Config.FlowControl is set.
-	scheds map[string]*gwSched
 
 	// listens marks the ingress networks the gateway polls (listen).
 	listens map[string]bool
@@ -55,11 +50,22 @@ type Gateway struct {
 }
 
 // relayRing is the receive side of one ingress network's pipeline: the
-// packet slots its receive thread fills and the egress senders give back,
-// the staging-buffer free lists a slot's buffer is taken from, the branch
-// records of the message in hand, and a scratch header. It lives as long as
-// the gateway, so steady-state relays allocate nothing.
+// arrival scheduler its polling daemon files announcements with, the packet
+// slots its receive thread fills and the egress senders give back, the
+// staging-buffer free lists a slot's buffer is taken from, the branch records
+// of the message in hand, and a scratch header. It lives as long as the
+// gateway, so steady-state relays allocate nothing.
+//
+// The scheduler keeps one deficit-round-robin queue per ingress sender, and
+// the ring's fair daemon relays them in DRR order, charging each flow the
+// bytes it relayed. First come, first relayed would be message-fair, so a
+// backlogged elephant sender would capture a byte share proportional to its
+// message size; with one sender the two are the same order.
 type relayRing struct {
+	drr        *flow.DRR[mad.Arrival]
+	pending    *vsync.Sem // counts queued announcements; wakes the fair daemon
+	lastRounds int64
+
 	free  *vsync.Chan[*relaySlot]
 	slots []relaySlot // PipelineDepth of them, each either in free or in flight
 
@@ -124,8 +130,8 @@ func (b *relayBranch) replicated() bool { return b.hdr != nil }
 
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
 	g := &Gateway{vc: vc, node: node, name: node.Name,
-		rings: make(map[string]*relayRing), scheds: make(map[string]*gwSched),
-		listens: make(map[string]bool), senders: make(map[*mad.Link]*gwSender)}
+		rings: make(map[string]*relayRing), listens: make(map[string]bool),
+		senders: make(map[*mad.Link]*gwSender)}
 	vc.sess.Platform.Instrument(g)
 	return g
 }
@@ -283,33 +289,20 @@ func (g *Gateway) egress(sp *vtime.Proc, e *gwSender) {
 	}
 }
 
-// gwSched is the flow-control arrival scheduler of one ingress network. The
-// polling daemon classifies announcements per ingress sender into the
-// deficit-round-robin queues and the fair-relay daemon serves them in DRR
-// order — replacing the baseline's FIFO "whoever announced first relays
-// next" token grab, under which a backlogged elephant sender captures a
-// byte share proportional to its message size.
-type gwSched struct {
-	drr        *flow.DRR[mad.Arrival]
-	pending    *vsync.Sem // counts queued announcements; wakes the fair daemon
-	lastRounds int64
-}
-
-// ring returns (creating on first use) the pipeline ring of one ingress
-// network. It holds PipelineDepth packet slots, stocked once: the receive
-// thread can run at most depth packets ahead of the slowest egress sender,
-// across messages as within one.
+// ring makes the pipeline ring of one ingress network, with its fair daemon,
+// when the network announces its first message. It holds PipelineDepth
+// packet slots, stocked once: the receive thread can run at most depth
+// packets ahead of the slowest egress sender, across messages as within one.
 func (g *Gateway) ring(inNet string) *relayRing {
-	if r, ok := g.rings[inNet]; ok {
-		return r
-	}
 	depth := g.vc.cfg.PipelineDepth
 	r := &relayRing{
-		free:   vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
-		slots:  make([]relaySlot, depth),
-		pool:   newBufPool(nil),
-		stage:  newBufPool(nil),
-		static: make(map[string]*bufPool),
+		drr:     flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
+		pending: vsync.NewSem(0),
+		free:    vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
+		slots:   make([]relaySlot, depth),
+		pool:    newBufPool(nil),
+		stage:   newBufPool(nil),
+		static:  make(map[string]*bufPool),
 
 		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
 	}
@@ -318,6 +311,7 @@ func (g *Gateway) ring(inNet string) *relayRing {
 		r.free.TrySend(&r.slots[i])
 	}
 	g.rings[inNet] = r
+	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwfair:%s:%s", g.name, inNet), func(p *vtime.Proc) { g.fair(p, r) })
 	return r
 }
 
@@ -337,9 +331,9 @@ func (r *relayRing) staticPool(out *mad.Link, host *hw.Host) *bufPool {
 
 // listen spawns the gateway's polling thread on one network's special
 // channel, once, making the channel if no route has needed it yet. The thread
-// waits for message announcements and relays the messages one after the
-// other — or, with flow control armed, files them with the fair scheduler of
-// startFair.
+// files every announcement with the network's ring (ring makes it on the
+// first), in its ingress sender's queue: announcements are cheap, the data
+// transfer happens when the fair daemon relays the message.
 func (g *Gateway) listen(nwName string) {
 	if g.listens[nwName] {
 		return
@@ -352,115 +346,63 @@ func (g *Gateway) listen(nwName string) {
 		spc = vc.newChannel("spc:", nw)
 		vc.special[nwName] = spc
 	}
-	if vc.flowc != nil {
-		g.startFair(spc, nwName)
-		return
-	}
-	g.poll(spc, nwName, func(p *vtime.Proc, a mad.Arrival) { g.relay(p, a) })
-}
-
-// poll spawns the gwpoll daemon of one ingress network: it waits for
-// message announcements on the special channel and hands each arrival note
-// to note.
-func (g *Gateway) poll(spc *mad.Channel, nwName string, note func(*vtime.Proc, mad.Arrival)) {
 	ep := spc.At(g.node)
-	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwpoll:%s:%s", g.name, nwName), func(p *vtime.Proc) {
+	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwpoll:%s:%s", g.name, nwName), func(p *vtime.Proc) {
+		var r *relayRing
 		for {
 			a := ep.NextArrival(p)
-			if !relayableKind(a.Kind()) {
+			if framingOf(a.Kind()) == nil {
 				panic("fwd: non-GTM message on special channel " + spc.Name)
 			}
-			note(p, a)
+			if r == nil {
+				r = g.ring(nwName)
+			}
+			r.drr.Push(a.Link.Src.Name, a)
+			r.pending.Release(1)
 		}
 	})
 }
 
-// relayableKind reports whether a message kind is a self-described stream a
-// gateway can relay: plain GTM, a striped rail, the compact eager and
-// aggregate framings, or a multicast stream (which the gateway replicates
-// rather than relays one-to-one).
-func relayableKind(k mad.Kind) bool {
-	switch k {
-	case mad.KindGTM, mad.KindStripe, mad.KindEager, mad.KindAgg, mad.KindMcast:
-		return true
-	}
-	return false
-}
-
-// burstableKind reports whether a message kind may extend a DRR visit
-// until the flow's deficit runs out. Stripe rails are excluded (see the
-// comment at the burst loop); everything the GTM frames normally —
-// including the compact and aggregate forms — bursts.
-func burstableKind(k mad.Kind) bool {
-	switch k {
-	case mad.KindGTM, mad.KindEager, mad.KindAgg:
-		return true
-	}
-	return false
-}
-
-// startFair spawns the flow-control daemon pair for one ingress network:
-// gwpoll only classifies announcements into the per-sender DRR queues
-// (announcements are cheap — the data transfer happens lazily when the
-// relay receives), and gwfair receives them one message at a time in DRR
-// order, charging each flow the bytes it actually relayed.
-func (g *Gateway) startFair(spc *mad.Channel, nwName string) {
-	sc := &gwSched{
-		drr:     flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
-		pending: vsync.NewSem(0),
-	}
-	g.scheds[nwName] = sc
-	g.poll(spc, nwName, func(_ *vtime.Proc, a mad.Arrival) {
-		sc.drr.Push(a.Link.Src.Name, a)
-		sc.pending.Release(1)
-	})
-	burstable := func(a mad.Arrival) bool { return burstableKind(a.Kind()) }
-	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwfair:%s:%s", g.name, nwName), func(p *vtime.Proc) {
-		for {
-			sc.pending.Acquire(p, 1)
-			// A suspended visit goes first: relay returns when a message's
-			// last fragment is queued, and where that does not wait for the
-			// egress side (ingress no faster than egress) a closed-loop
-			// sender's next announcement lands a few microseconds later: a
-			// flow of sub-quantum messages would get one message a round
-			// where a backlogged one gets a quantum's worth.
-			key, a, ok := sc.drr.Resume(burstable)
-			if !ok {
-				key, a, ok = sc.drr.Pop()
-			}
-			if !ok {
-				panic("fwd: gateway scheduler woken with empty queues on " + g.name)
-			}
-			sc.drr.Charge(key, g.relay(p, a))
-			// Classic DRR serves a flow until its deficit runs out, not
-			// one item per visit: a flow whose messages are smaller than
-			// the quantum could otherwise never use its full byte share
-			// (the cap on banked deficit forfeits the remainder), handing
-			// large-message flows a permanent rate advantage. Only plain
-			// GTM messages extend a visit: stripe rails pair with a
-			// sibling rail on another gateway, and bursting would let the
-			// two gateways' service orders diverge further than the
-			// sink's bounded reassembly can absorb (a rail message is at
-			// least stripe-threshold sized, so it fills its quantum in
-			// one service anyway). The compact eager and aggregate
-			// framings burst like plain GTM: they are exactly the mice
-			// whose fair byte share the deficit extension exists for.
-			for burstable(a) && sc.drr.Deficit(key) >= 0 {
-				if a, ok = sc.drr.PopFrom(key, burstable); !ok {
-					sc.drr.Suspend(key)
-					break
-				}
-				if !sc.pending.TryAcquire(1) {
-					panic("fwd: gateway scheduler permit ledger out of balance on " + g.name)
-				}
-				sc.drr.Charge(key, g.relay(p, a))
-			}
-			if r := sc.drr.Rounds(); r > sc.lastRounds {
-				g.met.rounds.Add(r - sc.lastRounds)
-				sc.lastRounds = r
-			}
+// fair is a ring's fair daemon: it relays the ring's announcements one
+// message at a time in DRR order.
+func (g *Gateway) fair(p *vtime.Proc, r *relayRing) {
+	burst := func(a mad.Arrival) bool { return framingOf(a.Kind()).burst }
+	for {
+		r.pending.Acquire(p, 1)
+		// A suspended visit goes first: relay returns when a message's last
+		// fragment is queued, and where that does not wait for the egress
+		// side (ingress no faster than egress) a closed-loop sender's next
+		// announcement lands a few microseconds later: a flow of sub-quantum
+		// messages would get one message a round where a backlogged one gets
+		// a quantum's worth.
+		key, a, ok := r.drr.Resume(burst)
+		if !ok {
+			key, a, ok = r.drr.Pop()
 		}
-	})
+		if !ok {
+			panic("fwd: gateway scheduler woken with empty queues on " + g.name)
+		}
+		r.drr.Charge(key, g.relay(p, r, a))
+		// Classic DRR serves a flow until its deficit runs out, not one item
+		// per visit: a flow whose messages are smaller than the quantum could
+		// otherwise never use its full byte share (the cap on banked deficit
+		// forfeits the remainder), handing large-message flows a permanent
+		// rate advantage. Which kinds extend a visit is framing.burst.
+		for burst(a) && r.drr.Deficit(key) >= 0 {
+			if a, ok = r.drr.PopFrom(key, burst); !ok {
+				r.drr.Suspend(key)
+				break
+			}
+			if !r.pending.TryAcquire(1) {
+				panic("fwd: gateway scheduler permit ledger out of balance on " + g.name)
+			}
+			r.drr.Charge(key, g.relay(p, r, a))
+		}
+		if n := r.drr.Rounds(); n > r.lastRounds {
+			g.met.rounds.Add(n - r.lastRounds)
+			r.lastRounds = n
+		}
+	}
 }
 
 // Messages returns the number of messages this gateway relayed.
@@ -628,16 +570,14 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 // It returns when the last ingress transfer is queued, not when it is sent:
 // the senders finish the message while this thread receives the next one. It
 // returns the ingress payload bytes relayed — independent of the branch
-// count — which the flow-control scheduler charges against the ingress
-// sender's deficit.
-func (g *Gateway) relay(p *vtime.Proc, a mad.Arrival) int64 {
+// count — which the fair daemon charges against the ingress sender's deficit.
+func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 	vc := g.vc
 	in := a.Link
 	in.AcquireRecv(p)
 	defer in.ReleaseRecv(p)
 	bytesBefore := g.met.bytes.Count()
 	inNet := in.Channel.Network().Name
-	r := g.ring(inNet)
 
 	f := g.classify(p, r, a)
 	// The first transfer consumed one of the upstream sender's credits; it

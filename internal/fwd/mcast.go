@@ -245,6 +245,7 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 	for i, d := range b.Dests {
 		ranks[i] = vc.NodeRank(d)
 	}
+	slices.Sort(ranks)
 	x.tx = streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
 	x.tx.open(p, streamHdr{src: x.node.Rank, mtu: mtu, id: x.id, dests: ranks})
 	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, b.Hop.Network)
@@ -312,8 +313,9 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 		}
 		r.ranks = ranks
 		out, nextGW := vc.hopLink(g.node, ds[i].hop, past || len(ranks) > 1)
-		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW),
-			hdr: encodeMcastHeader(f.src, f.mtu, f.id, ranks)})
+		hdr := make([]byte, streamHeaderLen(mad.KindMcast, len(ranks)))
+		putStreamHeader(hdr, mad.KindMcast, streamHdr{src: f.src, mtu: f.mtu, id: f.id, dests: ranks})
+		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW), hdr: hdr})
 		i += len(ranks)
 	}
 	return local

@@ -42,7 +42,6 @@ package fwd
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"madgo/internal/flight"
@@ -218,19 +217,6 @@ const relFlagAgg = 1 << 1
 
 // e2eFrag is the fragment-index sentinel marking an end-to-end ack packet.
 const e2eFrag = ^uint32(0)
-
-func sealCRC(pkt []byte) {
-	n := len(pkt) - relTrailerLen
-	binary.LittleEndian.PutUint32(pkt[n:], crc32.ChecksumIEEE(pkt[:n]))
-}
-
-func checkCRC(pkt []byte) bool {
-	if len(pkt) < relTrailerLen {
-		return false
-	}
-	n := len(pkt) - relTrailerLen
-	return binary.LittleEndian.Uint32(pkt[n:]) == crc32.ChecksumIEEE(pkt[:n])
-}
 
 // relData is a decoded data packet. payload aliases the datagram it was
 // decoded from — or, at the message's origin, the application's memory.

@@ -24,6 +24,7 @@ package fwd
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"slices"
 
 	"madgo/internal/flight"
@@ -46,24 +47,29 @@ import (
 // (gateway.go), and flow control charges the true transfer count because the
 // writer spends exactly one credit before every Send.
 
-// gtmHeaderLen is the wire size of the GTM message header: source rank,
-// destination rank and connection MTU, each 32 bits, plus a 64-bit message
-// ID (§2.3: "the sender sends the rank of the destination node, and the MTU
-// used for this connexion"; we additionally carry the source rank so the
-// final receiver learns the message origin, which a regular message reads
-// off its link, and the pack-time message ID so every gateway on the path
-// can attribute its relay work to the message's provenance trace).
-const gtmHeaderLen = 20
-
-// stripeHeaderLen is the wire size of a rail sub-message header: the 20
-// GTM header bytes (source, destination, MTU, message id — byte-compatible
-// with the GTM header so gateways can parse the routing fields without
-// knowing about striping), then rail id, rail count, per-rail flags, and
-// the rail's byte span within the message.
+// Every stream header opens with the same 16 bytes and the kind picks its
+// tail (DESIGN.md §32 has the offsets before and after):
 //
-//	src u32 | dst u32 | mtu u32 | id u64 |
-//	rail u8 | nrails u8 | flags u16 | spanStart u64 | spanLen u64 | total u64
-const stripeHeaderLen = gtmHeaderLen + 28
+//	src u32 | mtu u32 | id u64 | dst u32                                 the unicast kinds, 20 B
+//	src u32 | mtu u32 | id u64 | dst u32 | rail u8 | nrails u8 |
+//	    flags u16 | spanStart u64 | spanLen u64 | total u64              a rail, 48 B
+//	src u32 | mtu u32 | id u64 | count u16 | dests u32... | crc u32     multicast, 18+4n+4 B
+//
+// (§2.3: "the sender sends the rank of the destination node, and the MTU used
+// for this connexion"; we additionally carry the source rank so the final
+// receiver learns the message origin, which a regular message reads off its
+// link, and the pack-time message ID so every gateway on the path can
+// attribute its relay work to the message's provenance trace.) A rail's
+// header extends the unicast one, so a gateway routes a rail without knowing
+// about striping. Only the multicast header carries a CRC-32 (IEEE): a
+// corrupted destination set silently mis-replicates, while a corrupted rank
+// just misroutes one message.
+const (
+	streamPrefixLen  = 16
+	gtmHeaderLen     = streamPrefixLen + 4
+	stripeHeaderLen  = gtmHeaderLen + 28
+	mcastHeaderFixed = streamPrefixLen + 2
+)
 
 // stripeFlagForwarded marks a rail whose route crosses at least one
 // gateway; the receiver ORs it over rails for Unpacking.Forwarded.
@@ -77,21 +83,9 @@ const stripeFlagAgg = 1 << 1
 // stripeMaxRails bounds Config.StripeK: the rail id travels as one byte.
 const stripeMaxRails = 255
 
-// mcastHeaderFixed is the fixed prefix of the multicast header: source rank
-// (u32), tree MTU (u32), message ID (u64) and destination count (u16). The
-// destination ranks (u32 each, strictly increasing) follow, then a CRC-32
-// (IEEE) of everything before it. The CRC matters here more than on the
-// unicast headers: a corrupted destination set silently mis-replicates,
-// while a corrupted rank just misroutes one message.
-const mcastHeaderFixed = 18
-
 // mcastMaxDests bounds the destination count a decoder accepts, so a
 // corrupted count cannot make a gateway allocate unbounded memory.
 const mcastMaxDests = 4096
-
-// mcastHeaderLen returns the wire size of a multicast header carrying count
-// destinations.
-func mcastHeaderLen(count int) int { return mcastHeaderFixed + 4*count + 4 }
 
 // eagerInlineMax bounds the payload that may share a wire transfer with the
 // header when the shared frame has to be built by copying. Beyond a few KB
@@ -115,121 +109,105 @@ type streamHdr struct {
 	dests []mad.Rank
 }
 
-// putGTMHeader writes the GTM header into b[:gtmHeaderLen].
-func putGTMHeader(b []byte, h streamHdr) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(h.src))
-	binary.LittleEndian.PutUint32(b[4:], uint32(h.dst))
-	binary.LittleEndian.PutUint32(b[8:], uint32(h.mtu))
-	binary.LittleEndian.PutUint64(b[12:], h.id)
+// streamHeaderLen returns the wire size of a header of kind; ndests counts
+// for multicast only.
+func streamHeaderLen(kind mad.Kind, ndests int) int {
+	switch kind {
+	case mad.KindMcast:
+		return mcastHeaderFixed + 4*ndests + crc32.Size
+	case mad.KindStripe:
+		return stripeHeaderLen
+	}
+	return gtmHeaderLen
 }
 
-// decodeGTMHeader parses a GTM message header. It never panics on
-// malformed input: ok is false when the header is not exactly
-// gtmHeaderLen bytes or carries an unusable (zero) MTU — the fuzz targets
-// pin this down, since the header crosses the wire and a corrupted length
-// or MTU must not take down a gateway.
-func decodeGTMHeader(hdr []byte) (h streamHdr, ok bool) {
-	if len(hdr) != gtmHeaderLen {
-		return h, false
+// putStreamHeader writes h as a header of kind into b, which is exactly
+// streamHeaderLen long. A multicast header's destinations must strictly
+// ascend, the canonical form decodeStreamHeader enforces.
+func putStreamHeader(b []byte, kind mad.Kind, h streamHdr) {
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], uint32(h.src))
+	le.PutUint32(b[4:], uint32(h.mtu))
+	le.PutUint64(b[8:], h.id)
+	if kind == mad.KindMcast {
+		le.PutUint16(b[16:], uint16(len(h.dests)))
+		for i, d := range h.dests {
+			le.PutUint32(b[mcastHeaderFixed+4*i:], uint32(d))
+		}
+		sealCRC(b)
+		return
 	}
-	h = streamHdr{
-		src: mad.Rank(binary.LittleEndian.Uint32(hdr[0:])),
-		dst: mad.Rank(binary.LittleEndian.Uint32(hdr[4:])),
-		mtu: int(binary.LittleEndian.Uint32(hdr[8:])),
-		id:  binary.LittleEndian.Uint64(hdr[12:]),
+	le.PutUint32(b[16:], uint32(h.dst))
+	if kind == mad.KindStripe {
+		b[20], b[21] = byte(h.rail), byte(h.nrails)
+		le.PutUint16(b[22:], h.flags)
+		le.PutUint64(b[24:], uint64(h.spanStart))
+		le.PutUint64(b[32:], uint64(h.spanLen))
+		le.PutUint64(b[40:], uint64(h.total))
 	}
-	return h, h.mtu > 0
 }
 
-// putStripeHeader writes a rail header into b[:stripeHeaderLen].
-func putStripeHeader(b []byte, h streamHdr) {
-	putGTMHeader(b, h)
-	b[20] = byte(h.rail)
-	b[21] = byte(h.nrails)
-	binary.LittleEndian.PutUint16(b[22:], h.flags)
-	binary.LittleEndian.PutUint64(b[24:], uint64(h.spanStart))
-	binary.LittleEndian.PutUint64(b[32:], uint64(h.spanLen))
-	binary.LittleEndian.PutUint64(b[40:], uint64(h.total))
-}
-
-// decodeStripeHeader parses a rail header. Like decodeGTMHeader it never
-// panics on malformed input: ok is false on a wrong length, an unusable
-// MTU, a rail id outside the rail count, or spans that do not fit the
-// advertised total (the fuzz target pins this down — the header crosses
-// the wire and a corrupted span must not index a receiver out of bounds).
-func decodeStripeHeader(b []byte) (h streamHdr, ok bool) {
-	if len(b) != stripeHeaderLen {
+// decodeStreamHeader parses a header of kind. It never panics on malformed
+// input — the header crosses the wire, and a corrupted field must not take
+// down a gateway or index a receiver out of bounds. ok is false when b is not
+// exactly one header long or carries an unusable (zero) MTU; for a rail, when
+// the rail id lies outside the rail count or the span outside the advertised
+// total; for multicast, on an out-of-range count, a destination list that
+// does not strictly ascend, or a CRC mismatch. The destinations are decoded
+// into dests' storage where it is large enough (a gateway's ring), else into
+// an allocation of their own.
+func decodeStreamHeader(kind mad.Kind, b []byte, dests []mad.Rank) (h streamHdr, ok bool) {
+	le := binary.LittleEndian
+	n := 0
+	if kind == mad.KindMcast && len(b) >= mcastHeaderFixed {
+		n = int(le.Uint16(b[16:]))
+	}
+	if len(b) != streamHeaderLen(kind, n) {
 		return h, false
 	}
-	if h, ok = decodeGTMHeader(b[:gtmHeaderLen]); !ok {
-		return h, false
-	}
-	h.rail, h.nrails, h.flags = int(b[20]), int(b[21]), binary.LittleEndian.Uint16(b[22:])
-	start := binary.LittleEndian.Uint64(b[24:])
-	length := binary.LittleEndian.Uint64(b[32:])
-	total := binary.LittleEndian.Uint64(b[40:])
-	const span62 = 1 << 62 // keeps the int64 sums below overflow
-	if h.nrails < 1 || h.rail >= h.nrails {
-		return h, false
-	}
-	if start >= span62 || length >= span62 || total >= span62 || start+length > total {
-		return h, false
-	}
-	h.spanStart, h.spanLen, h.total = int64(start), int64(length), int64(total)
-	return h, true
-}
-
-// encodeMcastHeader builds the destination-set header. Ranks are encoded in
-// strictly increasing order (the canonical form decodeMcastHeader enforces);
-// the input is not modified, and is copied to be sorted only when it is not
-// in order already.
-func encodeMcastHeader(src mad.Rank, mtu int, id uint64, dests []mad.Rank) []byte {
-	if len(dests) == 0 || len(dests) > mcastMaxDests {
-		panic(fmt.Sprintf("fwd: mcast header with %d destinations", len(dests)))
-	}
-	if !slices.IsSorted(dests) {
-		dests = slices.Clone(dests)
-		slices.Sort(dests)
-	}
-	b := make([]byte, mcastHeaderLen(len(dests)))
-	binary.LittleEndian.PutUint32(b[0:], uint32(src))
-	binary.LittleEndian.PutUint32(b[4:], uint32(mtu))
-	binary.LittleEndian.PutUint64(b[8:], id)
-	binary.LittleEndian.PutUint16(b[16:], uint16(len(dests)))
-	for i, d := range dests {
-		binary.LittleEndian.PutUint32(b[mcastHeaderFixed+4*i:], uint32(d))
-	}
-	sealCRC(b)
-	return b
-}
-
-// decodeMcastHeader parses a destination-set header. Like the other wire
-// codecs it never panics on malformed input (the fuzz target pins this): ok
-// is false on a short or oversized buffer, a zero MTU, an out-of-range
-// count, a non-canonical (unsorted or duplicated) destination list, or a CRC
-// mismatch. The destinations are decoded into dests' storage where it is
-// large enough (a gateway's ring), else into an allocation of their own.
-func decodeMcastHeader(b []byte, dests []mad.Rank) (h streamHdr, ok bool) {
-	if len(b) < mcastHeaderLen(1) {
-		return h, false
-	}
-	count := int(binary.LittleEndian.Uint16(b[16:]))
-	if count < 1 || count > mcastMaxDests || len(b) != mcastHeaderLen(count) || !checkCRC(b) {
-		return h, false
-	}
-	h = streamHdr{
-		src:   mad.Rank(binary.LittleEndian.Uint32(b[0:])),
-		mtu:   int(binary.LittleEndian.Uint32(b[4:])),
-		id:    binary.LittleEndian.Uint64(b[8:]),
-		dests: slices.Grow(dests[:0], count)[:count],
-	}
-	for i := range h.dests {
-		h.dests[i] = mad.Rank(binary.LittleEndian.Uint32(b[mcastHeaderFixed+4*i:]))
-		if i > 0 && h.dests[i] <= h.dests[i-1] {
+	h = streamHdr{src: mad.Rank(le.Uint32(b[0:])), mtu: int(le.Uint32(b[4:])), id: le.Uint64(b[8:])}
+	if kind == mad.KindMcast {
+		if n < 1 || n > mcastMaxDests || !checkCRC(b) {
 			return h, false
 		}
+		h.dests = slices.Grow(dests[:0], n)[:n]
+		for i := range h.dests {
+			h.dests[i] = mad.Rank(le.Uint32(b[mcastHeaderFixed+4*i:]))
+			if i > 0 && h.dests[i] <= h.dests[i-1] {
+				return h, false
+			}
+		}
+		return h, h.mtu > 0
+	}
+	h.dst = mad.Rank(le.Uint32(b[16:]))
+	if kind == mad.KindStripe {
+		h.rail, h.nrails, h.flags = int(b[20]), int(b[21]), le.Uint16(b[22:])
+		start, length, total := le.Uint64(b[24:]), le.Uint64(b[32:]), le.Uint64(b[40:])
+		const span62 = 1 << 62 // keeps the int64 sums below overflow
+		if h.nrails < 1 || h.rail >= h.nrails ||
+			start >= span62 || length >= span62 || total >= span62 || start+length > total {
+			return h, false
+		}
+		h.spanStart, h.spanLen, h.total = int64(start), int64(length), int64(total)
 	}
 	return h, h.mtu > 0
+}
+
+// sealCRC writes the CRC-32 (IEEE) of everything before a packet's last four
+// bytes into them: the multicast header's trailer, and the reliable
+// datagrams'.
+func sealCRC(pkt []byte) {
+	n := len(pkt) - crc32.Size
+	binary.LittleEndian.PutUint32(pkt[n:], crc32.ChecksumIEEE(pkt[:n]))
+}
+
+// checkCRC reports whether a packet's trailer holds the CRC sealCRC wrote.
+func checkCRC(pkt []byte) bool {
+	if len(pkt) < crc32.Size {
+		return false
+	}
+	n := len(pkt) - crc32.Size
+	return binary.LittleEndian.Uint32(pkt[n:]) == crc32.ChecksumIEEE(pkt[:n])
 }
 
 // headerDesc types a header's share of a transfer: cheap to send, express on
@@ -265,6 +243,14 @@ type framing struct {
 	// hopEach: every fragment writes a hop record. Otherwise the stream
 	// writes one when it closes, for all its payload.
 	hopEach bool
+	// burst: a gateway's DRR visit to the sender extends past a message of
+	// the kind until the flow's deficit runs out (gwfair), so a flow of
+	// sub-quantum messages gets its byte share. Not a rail, which pairs with
+	// a sibling rail on another gateway: bursting would let the two
+	// gateways' service orders diverge further than the sink's bounded
+	// reassembly absorbs, and a rail is at least stripe-threshold sized, so
+	// it fills its quantum in one service anyway.
+	burst bool
 	// The hop sentences: of payload behind the header, and of payload
 	// sharing the header's transfer.
 	form, compactForm string
@@ -274,18 +260,25 @@ var (
 	gtmHdrDesc    = [1]mad.BlockDesc{headerDesc(gtmHeaderLen)}
 	stripeHdrDesc = [1]mad.BlockDesc{headerDesc(stripeHeaderLen)}
 
-	framings = [...]framing{
-		mad.KindGTM:    {hdrDesc: gtmHdrDesc, bracketed: true, hopEach: true, form: hopVia},
+	// framings holds a framing for every kind that is a stream, the kinds a
+	// gateway relays; nil for the others.
+	framings = [...]*framing{
+		mad.KindGTM:    {hdrDesc: gtmHdrDesc, bracketed: true, hopEach: true, burst: true, form: hopVia},
 		mad.KindStripe: {hdrDesc: stripeHdrDesc, bracketed: true, hopEach: true, form: "rail ${a}: " + hopVia},
-		mad.KindEager:  {hdrDesc: gtmHdrDesc, inlineFirst: true, hopEach: true, form: hopVia, compactForm: hopVia + " (compact)"},
-		mad.KindAgg:    {hdrDesc: gtmHdrDesc, compactForm: hopVia + " (aggregate)"},
+		mad.KindEager:  {hdrDesc: gtmHdrDesc, inlineFirst: true, hopEach: true, burst: true, form: hopVia, compactForm: hopVia + " (compact)"},
+		mad.KindAgg:    {hdrDesc: gtmHdrDesc, burst: true, compactForm: hopVia + " (aggregate)"},
 		mad.KindMcast: {elideEmpty: true,
 			form: hopVia + " (mcast, ${a} dests)", compactForm: hopVia + " (mcast compact, ${a} dests)"},
 	}
 )
 
-// framingOf returns the framing of kind, which must be one relayableKind lists.
-func framingOf(kind mad.Kind) *framing { return &framings[kind] }
+// framingOf returns the framing of kind, nil when kind is not a stream.
+func framingOf(kind mad.Kind) *framing {
+	if int(kind) < len(framings) {
+		return framings[kind]
+	}
+	return nil
+}
 
 // streamTx is the sender side of a stream, whatever its kind. The caller sets
 // vc, link, kind and spends and calls open; then block for every packed block
@@ -338,16 +331,13 @@ type heldFrag struct {
 // open encodes the header, takes the link and, in the framings whose header
 // travels ahead, sends it.
 func (tx *streamTx) open(p *vtime.Proc, h streamHdr) {
-	tx.id, tx.mtu, tx.hdr = h.id, h.mtu, tx.hdrBuf[:]
-	switch tx.kind {
-	case mad.KindMcast:
-		tx.hdr, tx.hopA = encodeMcastHeader(h.src, h.mtu, h.id, h.dests), len(h.dests)
-	case mad.KindStripe:
-		tx.hdr, tx.hopA = make([]byte, stripeHeaderLen), h.rail
-		putStripeHeader(tx.hdr, h)
-	default:
-		putGTMHeader(tx.hdr, h)
+	// ${a}: a rail's id, a multicast header's destination count; zero
+	// otherwise, where both are.
+	tx.id, tx.mtu, tx.hdr, tx.hopA = h.id, h.mtu, tx.hdrBuf[:], h.rail+len(h.dests)
+	if n := streamHeaderLen(tx.kind, len(h.dests)); n != gtmHeaderLen {
+		tx.hdr = make([]byte, n)
 	}
+	putStreamHeader(tx.hdr, tx.kind, h)
 	tx.link.Acquire(p)
 	if framingOf(tx.kind).bracketed {
 		tx.first(p, tx.hdr, tx.hdrDescs(), false)
@@ -601,9 +591,10 @@ type streamOpen struct {
 // header does not decode, or payload rode along that the framing does not
 // put there. The final receiver and every gateway accept a stream by this one
 // call; dests is where a multicast header's destinations are decoded
-// (decodeMcastHeader).
+// (decodeStreamHeader).
 func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte, dests []mad.Rank) (o streamOpen, ok bool) {
-	if !meta.SOM || meta.Kind != kind || len(meta.Blocks) == 0 {
+	f := framingOf(kind)
+	if f == nil || !meta.SOM || meta.Kind != kind || len(meta.Blocks) == 0 {
 		return o, false
 	}
 	o.meta, o.head, o.hsize = meta, first, meta.Blocks[0].Size
@@ -621,27 +612,24 @@ func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte, dests []mad.Rank)
 	if rest != 0 {
 		return o, false
 	}
-	switch hdr, n := first[:o.hsize], len(o.descs); kind {
-	case mad.KindGTM:
-		o.streamHdr, ok = decodeGTMHeader(hdr)
-		return o, ok && n == 0
-	case mad.KindStripe:
-		o.streamHdr, ok = decodeStripeHeader(hdr)
-		return o, ok && n == 0
-	case mad.KindEager:
-		// At most the first fragment shares the header's transfer.
-		o.streamHdr, ok = decodeGTMHeader(hdr)
-		return o, ok && n <= 1
-	case mad.KindAgg:
-		// A frame is one block and the whole message.
-		o.streamHdr, ok = decodeGTMHeader(hdr)
-		return o, ok && n == 1 && meta.EOM
-	case mad.KindMcast:
-		// Payload shares the header's transfer only when all of it does.
-		o.streamHdr, ok = decodeMcastHeader(hdr, dests)
-		return o, ok && (n == 0 || meta.EOM)
+	if o.streamHdr, ok = decodeStreamHeader(kind, first[:o.hsize], dests); !ok {
+		return o, false
 	}
-	return o, false
+	switch n := len(o.descs); {
+	case f.bracketed:
+		// The header travels alone.
+		return o, n == 0
+	case f.inlineFirst:
+		// At most the first fragment shares the header's transfer.
+		return o, n <= 1
+	case kind == mad.KindAgg:
+		// A frame is one block and the whole message.
+		return o, n == 1 && meta.EOM
+	default:
+		// Multicast payload shares the header's transfer only when all of it
+		// does.
+		return o, n == 0 || meta.EOM
+	}
 }
 
 // recvFirst receives the first transfer of an announced stream: a header that

@@ -83,9 +83,9 @@ type Config struct {
 	// and package flow): senders spend a per-(gateway, sender) credit per
 	// wire transfer toward a gateway and the gateway grants credits back as
 	// its relay ring frees, so a many-senders incast turns into typed
-	// sender-side stalls instead of mailbox pressure; gateways additionally
-	// swap their FIFO arrival handling for a deficit-round-robin scheduler
-	// that equalizes long-run byte rates across ingress flows. This is the
+	// sender-side stalls instead of mailbox pressure. With the
+	// deficit-round-robin relay every gateway runs, which equalizes long-run
+	// byte rates across ingress flows with or without credits, this is the
 	// "regulate the incoming communication flow on gateways" mechanism the
 	// paper's conclusion leaves as future work.
 	FlowControl bool
@@ -504,7 +504,7 @@ func (vc *VirtualChannel) equip(r route.Route) {
 // The frame arrives as the coalescer's own buffer, with the descriptor pair it
 // left with, handed over at every hop (DESIGN.md §29).
 func (vc *VirtualChannel) pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.Sem, in *incoming) {
-	if !relayableKind(in.a.Kind()) {
+	if framingOf(in.a.Kind()) == nil {
 		return
 	}
 	ahead.Acquire(p, 1)

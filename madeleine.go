@@ -141,8 +141,8 @@ type (
 	AckStats = fwd.AckStats
 	// FlowStats aggregates the credit-based flow-control counters
 	// (credits granted/spent, sender stalls) attached with WithFlowControl,
-	// and the relay schedulers' (rounds, backpressure refusals), which a
-	// reliable system counts with or without it.
+	// and the relay schedulers' (rounds, backpressure refusals), which every
+	// gateway counts with or without it.
 	FlowStats = fwd.FlowStats
 	// FlowAccountStats is the per-(gateway, sender) credit-account
 	// breakdown behind FlowStats.
@@ -348,9 +348,10 @@ type Options struct {
 	// failure detector reliable delivery runs (implies reliable delivery).
 	Health *HealthConfig
 	// FlowControl arms credit-based gateway flow control: senders spend a
-	// per-(gateway, sender) credit per wire transfer toward a gateway,
-	// gateways grant credits back as their relay buffers free and schedule
-	// contending ingress flows deficit-round-robin instead of FIFO.
+	// per-(gateway, sender) credit per wire transfer toward a gateway, and
+	// gateways grant credits back as their relay buffers free. Fairness is
+	// always on: every gateway schedules contending ingress flows
+	// deficit-round-robin, with or without credits.
 	FlowControl bool
 	// CreditWindow overrides the per-(gateway, sender) credit window
 	// (default fwd.DefaultCreditWindow). Requires FlowControl.
@@ -480,10 +481,10 @@ func WithFlightRingCap(n int) Option { return func(o *Options) { o.FlightRingCap
 // credit of that (gateway, sender) pair's window; the gateway returns
 // credits as its relay buffers drain, so a 64-sender incast parks senders
 // in bounded, typed stalls (visible as queue-wait flight events and
-// madgo_flow_* metrics) instead of burying the gateway's mailbox. Gateways
-// also replace FIFO arrival service with a deficit-round-robin scheduler
-// charged by relayed bytes, equalizing long-run goodput across contending
-// senders regardless of message size. Query the counters with
+// madgo_flow_* metrics) instead of burying the gateway's mailbox. Fairness
+// needs no option: every gateway serves contending senders
+// deficit-round-robin, charged by relayed bytes, which equalizes long-run
+// goodput regardless of message size. Query the counters with
 // System.FlowStats.
 func WithFlowControl() Option { return func(o *Options) { o.FlowControl = true } }
 
@@ -834,8 +835,8 @@ func (s *System) AckStats() AckStats { return s.Stats().Ack }
 
 // FlowStats returns the credit-based flow-control counters, aggregated over
 // every credit account and relay scheduler. Without WithFlowControl the
-// credit fields are zero; SchedRounds and Backpressure still count a reliable
-// system's fair relay queues.
+// credit fields are zero; SchedRounds and Backpressure still count every
+// gateway's fair relay queues.
 func (s *System) FlowStats() FlowStats { return s.Stats().Flow }
 
 // FlowAccounts returns the per-(gateway, sender) credit-account counters in

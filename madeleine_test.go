@@ -76,6 +76,38 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
+// TestGatewaySchedulesWithoutFlowControl: every gateway relays through its
+// deficit-round-robin scheduler, so a system without WithFlowControl counts
+// scheduler rounds and no credit account. Before the FIFO relay was deleted
+// such a system read zero rounds.
+func TestGatewaySchedulesWithoutFlowControl(t *testing.T) {
+	sys, err := madeleine.NewSystem(demoConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 40_000)
+	for _, src := range []string{"a0", "a1"} {
+		sys.Spawn("send:"+src, func(p *madeleine.Proc) {
+			px := sys.At(src).BeginPacking(p, "b1")
+			px.Pack(p, payload, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			px.EndPacking(p)
+		})
+	}
+	sys.Spawn("recv", func(p *madeleine.Proc) {
+		for range 2 {
+			u := sys.At("b1").BeginUnpacking(p)
+			u.Unpack(p, make([]byte, len(payload)), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			u.EndUnpacking(p)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fs := sys.FlowStats(); fs.SchedRounds == 0 || fs.Accounts != 0 || fs.CreditsSpent != 0 {
+		t.Errorf("FlowStats without WithFlowControl = %+v, want scheduler rounds and no credits", fs)
+	}
+}
+
 func TestSystemOptions(t *testing.T) {
 	tr := madeleine.NewTracer()
 	sys, err := madeleine.NewSystem(demoConfig,

@@ -53,6 +53,14 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // reliable legs stayed byte-identical; on the striped leg a0's rails carry
 // equal shares, the rail-rate gauges are gone, and the two sub-threshold
 // messages leave in the eager framing the leg arms.
+//
+// And a fourth time, when every streaming gateway began to relay through its
+// fair daemon whether or not credits are armed (DESIGN.md §32 has the diff):
+// the streaming and reliable legs stayed byte-identical; the striped leg,
+// which arms no credits, gains the two gateways' sched-round series, and its
+// relays start up to a poll (2 µs) earlier, because the polling thread has
+// already taken the next announcement when a relay returns: the leg ends at
+// 18.816 ms instead of 18.818.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {

@@ -46,7 +46,7 @@ var statSources = map[string]statSource{
 	"Flow.CreditsSpent":   {series: "madgo_flow_credits_spent_total"},
 	"Flow.Stalls":         {series: "madgo_flow_credit_stalls_total"},
 	"Flow.StallTime":      {why: "exact nanoseconds; madgo_flow_credit_stall_seconds is a histogram of float seconds and exists only with a registry"},
-	"Flow.SchedRounds":    {why: "the round count flow.DRR keeps for its own algorithm, summed over streaming gateways' schedulers and every reliable engine's relay queue; madgo_flow_sched_rounds_total follows it once per visit, on streaming gateways only"},
+	"Flow.SchedRounds":    {why: "the round count flow.DRR keeps for its own algorithm, summed over every streaming gateway's fair daemons and every reliable engine's relay queue; madgo_flow_sched_rounds_total follows it once per visit, on streaming gateways only"},
 	"Flow.Backpressure":   {series: "madgo_flow_backpressure_total"}, // every reliable engine's, with or without WithFlowControl
 
 	"Agg.SubMessages":     {series: "madgo_agg_submessages_total"},
