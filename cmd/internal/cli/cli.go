@@ -6,6 +6,7 @@ package cli
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"time"
 
@@ -76,8 +77,17 @@ func (f *Flags) NewSystem(opts ...madeleine.Option) (*madeleine.System, error) {
 
 // Stream sends one message of each of the given sizes from → to, back to
 // back, runs the system, and returns when each message's packing began and
-// when its unpacking ended.
+// when its unpacking ended. A node the topology does not have, or a stream
+// from a node to itself, is an error.
 func Stream(sys *madeleine.System, from, to string, sizes []int) (starts, ends []madeleine.Time, err error) {
+	for _, name := range []string{from, to} {
+		if _, ok := sys.Topology.Node(name); !ok {
+			return nil, nil, fmt.Errorf("unknown node %q", name)
+		}
+	}
+	if from == to {
+		return nil, nil, fmt.Errorf("node %q cannot stream to itself", from)
+	}
 	starts, ends = make([]madeleine.Time, len(sizes)), make([]madeleine.Time, len(sizes))
 	sys.Spawn("stream", func(p *madeleine.Proc) {
 		for i, n := range sizes {

@@ -417,9 +417,25 @@ func TestSharedFaultFlags(t *testing.T) {
 		{"madstat", []string{"-corrupt", "7"}, "madstat: fault: rule 0: probability 7 out of [0,1]"},
 		{"madstat", []string{"-config", "no-such.topo"}, "madstat: open no-such.topo"},
 	} {
-		out, err := exec.Command(filepath.Join(binDir, c.tool), c.args...).CombinedOutput()
-		if err == nil || !strings.Contains(string(out), c.want) {
-			t.Errorf("%s %v: err %v, output missing %q:\n%s", c.tool, c.args, err, c.want, out)
-		}
+		failsWith(t, c.tool, c.args, c.want)
 	}
+}
+
+// failsWith runs a tool that must exit non-zero with want in its output. A
+// Go panic exits non-zero too, so the output must not hold one.
+func failsWith(t *testing.T, tool string, args []string, want string) {
+	t.Helper()
+	out, err := exec.Command(filepath.Join(binDir, tool), args...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), want) || strings.Contains(string(out), "panic:") {
+		t.Errorf("%s %v: err %v, output missing %q or holding a panic:\n%s", tool, args, err, want, out)
+	}
+}
+
+// The node names madping, madstat and madtrace stream between are checked
+// before the run (cmd/internal/cli.Stream): an unknown node, or a node
+// streaming to itself, is a one-line error naming the node, not a panic.
+func TestStreamRejectsBadNodeNames(t *testing.T) {
+	failsWith(t, "madping", []string{"-from", "nosuch"}, `madping: unknown node "nosuch"`)
+	failsWith(t, "madping", []string{"-from", "a1", "-to", "a1"}, `madping: node "a1" cannot stream to itself`)
+	failsWith(t, "madstat", []string{"-to", "nosuch"}, `madstat: unknown node "nosuch"`)
 }

@@ -142,15 +142,22 @@ func runWall(t *testing.T, c wallCase) {
 	if now := w.sim.Now(); vtime.Duration(now) > 60*vtime.Second {
 		t.Errorf("virtual completion time %v unreasonably large", now)
 	}
-	// Steady-state relays must reuse the ring's staging buffers: pool
-	// misses (allocations) stay at warmup level, not one per message.
-	for _, name := range w.vc.Gateways() {
-		if g, ok := w.vc.GatewayOK(name); ok {
-			if ps := g.PoolStats(); ps.Misses > 64 {
-				t.Errorf("gateway %s allocated %d staging buffers for %d messages",
-					name, ps.Misses, c.senders*msgsPerSender)
-			}
-		}
+	// The pools end up holding a warm set, not a buffer per message: a ring
+	// of staging buffers per gateway ingress network (each gateway here has
+	// two), in reliable mode about two ARQ windows of datagrams a node, data
+	// and acks, and with aggregation a frame being packed and one on its way
+	// per sender. The readings are 2 to 4 buffers streaming, 79 for the 16
+	// reliable senders, 29 for the 5 and 113 for the 64 aggregating ones.
+	warm := int64(len(w.vc.Gateways()) * 2 * c.cfg.PipelineDepth)
+	if c.cfg.Reliable {
+		warm += int64(len(tp.Nodes()) * 2 * fwd.DefaultRetryPolicy().Window)
+	}
+	if c.cfg.Aggregation {
+		warm += int64(2 * c.senders)
+	}
+	if bk := w.vc.RelBookkeeping(); bk.BufsAllocated > warm {
+		t.Errorf("the pools allocated %d buffers for %d messages, over a warm set of %d",
+			bk.BufsAllocated, c.senders*msgsPerSender, warm)
 	}
 	// Every gateway relays through its fair scheduler, credits or not.
 	fs := w.vc.FlowStats()

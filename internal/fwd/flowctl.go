@@ -170,7 +170,9 @@ type FlowStats struct {
 	// completed.
 	SchedRounds int64
 	// Backpressure counts reliable-mode relay admissions refused because
-	// the relay queue was full (the upstream ARQ retransmits — no loss).
+	// the relay queue was full, and completing fragments refused because the
+	// application left its arrival queue full (the upstream ARQ retransmits —
+	// no loss).
 	Backpressure int64
 }
 

@@ -97,7 +97,7 @@ func TestForwardingProperty(t *testing.T) {
 			blocks[i] = block{pattern(size, byte(seed>>8)+byte(i)),
 				sends[next(uint64(len(sends)))], recvs[next(uint64(len(recvs)))]}
 		}
-		w := buildQuiet(tp, cfg)
+		w := auditRelBufs(t, buildQuiet(tp, cfg))
 
 		if got := w.vc.PathMTU("a", "b"); got != wantMTU {
 			t.Logf("seed %d (route %v): PathMTU(a,b) = %d, want min %d",
@@ -176,7 +176,7 @@ func TestForwardingPropertyReliable(t *testing.T) {
 		}
 		cfg.MTU = 8192 * (1 + int(next(15)))
 		n := 1 + int(next(100_000))
-		w := buildQuiet(tp, cfg)
+		w := auditRelBufs(t, buildQuiet(tp, cfg))
 
 		payload := pattern(n, byte(seed>>16))
 		var got []byte

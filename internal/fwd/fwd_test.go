@@ -28,12 +28,13 @@ type world struct {
 	aborts bool
 }
 
-// auditRelBufs puts a world's wire buffers — reliable datagrams, aggregate
-// frames — under test discipline: every buffer returned to the free list is
-// poisoned, so reading a payload through an alias its owner should have
-// dropped fails the test's own byte-exactness checks (or a CRC), and when the
-// test ends the ledger must balance — every buffer taken was returned,
-// exactly once.
+// auditRelBufs puts a world's pooled buffers — reliable datagrams, aggregate
+// frames, gateway staging buffers — under test discipline: every buffer
+// returned to a pool is poisoned, so reading a payload through an alias its
+// owner should have dropped fails the test's own byte-exactness checks (or a
+// CRC), and when the test ends the ledger must balance — every buffer taken
+// was returned, exactly once. Every world the package's tests build goes
+// through it.
 func auditRelBufs(t *testing.T, w *world) *world {
 	fwd.PoisonRelBufs(w.vc)
 	t.Cleanup(func() {
@@ -615,7 +616,7 @@ func TestForwardingRoundTripProperty(t *testing.T) {
 		w := &world{}
 		func() {
 			defer func() { recover() }()
-			w = buildQuiet(tpHS(), cfg)
+			w = auditRelBufs(t, buildQuiet(tpHS(), cfg))
 		}()
 		if w.vc == nil {
 			return false

@@ -5,7 +5,6 @@ import (
 
 	"madgo/internal/flight"
 	"madgo/internal/flow"
-	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/obs"
 	"madgo/internal/route"
@@ -16,10 +15,10 @@ import (
 // Gateway is the forwarding engine running on a node that bridges networks:
 // per ingress network a polling thread that becomes the receive thread of
 // every message it relays, per egress link a send thread, and between them
-// rings of pooled staging buffers (Figure 4). The pipeline is per direction,
-// not per message: the receive thread goes back to its announcements as soon
-// as a message's last fragment is queued, so the receive of message k+1
-// overlaps the send of message k.
+// rings of staging slots with pooled buffers (Figure 4). The pipeline is per
+// direction, not per message: the receive thread goes back to its
+// announcements as soon as a message's last fragment is queued, so the
+// receive of message k+1 overlaps the send of message k.
 type Gateway struct {
 	vc   *VirtualChannel
 	node *mad.Node
@@ -51,10 +50,10 @@ type Gateway struct {
 
 // relayRing is the receive side of one ingress network's pipeline: the
 // arrival scheduler its polling daemon files announcements with, the packet
-// slots its receive thread fills and the egress senders give back, the
-// staging-buffer free lists a slot's buffer is taken from, the branch records
-// of the message in hand, and a scratch header. It lives as long as the
-// gateway, so steady-state relays allocate nothing.
+// slots its receive thread fills and the egress senders give back, the pools
+// of egress drivers' static buffers, the branch records of the message in
+// hand, and a scratch header. It lives as long as the gateway, so
+// steady-state relays allocate nothing.
 //
 // The scheduler keeps one deficit-round-robin queue per ingress sender, and
 // the ring's fair daemon relays them in DRR order, charging each flow the
@@ -69,9 +68,7 @@ type relayRing struct {
 	free  *vsync.Chan[*relaySlot]
 	slots []relaySlot // PipelineDepth of them, each either in free or in flight
 
-	pool   *bufPool            // dynamic staging buffers
-	stage  *bufPool            // copy-always ablation staging buffers
-	static map[string]*bufPool // per-egress-network driver static buffers
+	static map[string]*wireBufPool // per egress network, its driver's static buffers
 
 	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one receive at a time
 
@@ -103,11 +100,11 @@ type relayRing struct {
 // however many branches it fed.
 type relaySlot struct {
 	ring *relayRing
-	pool *bufPool // where buf came from; nil when data rides the ingress slot
-	buf  []byte   // staging buffer backing the slot
+	pool *wireBufPool // where buf came from; nil when data rides the ingress slot
+	buf  []byte       // staging buffer backing the slot
 	data []byte
 	desc []mad.BlockDesc
-	aux  []byte // pooled copy-always staging buffer, released with the slot
+	aux  []byte // copy-always staging buffer from the wire pool, released with the slot
 	up   string // the ingress sender, whose flow credit the release returns
 	refs int    // branch sends still owing
 }
@@ -223,8 +220,9 @@ func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
 		// a wire latency after Send returned. A cell is rewritten depth+3
 		// headers later: at most depth+1 of the transfers queued since are
 		// unsent (the queue, the sender's hand), so depth+4 have left, each
-		// fragment with its swap. A staging buffer gets less: it is received
-		// into again one swap after its send (TestRelayHeaderCellsOutliveASlowWire).
+		// fragment with its swap. A staging buffer gets less: it goes back to
+		// its pool one swap after its send, which Build holds to at least the
+		// wire latency (TestRelayHeaderCellsOutliveASlowWire).
 		hdrs: make([][stripeHeaderLen]byte, depth+3)}
 	g.senders[out] = e
 	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) { g.egress(sp, e) })
@@ -300,9 +298,7 @@ func (g *Gateway) ring(inNet string) *relayRing {
 		pending: vsync.NewSem(0),
 		free:    vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
 		slots:   make([]relaySlot, depth),
-		pool:    newBufPool(nil),
-		stage:   newBufPool(nil),
-		static:  make(map[string]*bufPool),
+		static:  make(map[string]*wireBufPool),
 
 		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
 	}
@@ -315,18 +311,16 @@ func (g *Gateway) ring(inNet string) *relayRing {
 	return r
 }
 
-// staticPool returns the ring's free list of egress-driver static buffers
-// for one egress link, creating it with an AllocStatic-backed allocator on
-// first use.
-func (r *relayRing) staticPool(out *mad.Link, host *hw.Host) *bufPool {
+// staticPool returns a ring's pool of static buffers of one egress link's
+// driver, made on first use: the driver's AllocStatic serves its misses, and
+// it poisons what it gets back as the wire pool does.
+func (g *Gateway) staticPool(r *relayRing, out *mad.Link) *wireBufPool {
 	name := out.Channel.Network().Name
-	if bp, ok := r.static[name]; ok {
-		return bp
+	if r.static[name] == nil {
+		drv, host := out.Channel.Driver(), g.node.Host
+		r.static[name] = &wireBufPool{alloc: func(n int) []byte { return drv.AllocStatic(host, n).Data }, onPut: g.vc.bufs.onPut}
 	}
-	drv := out.Channel.Driver()
-	bp := newBufPool(func(n int) []byte { return drv.AllocStatic(host, n).Data })
-	r.static[name] = bp
-	return bp
+	return r.static[name]
 }
 
 // listen spawns the gateway's polling thread on one network's special
@@ -434,20 +428,6 @@ func (g *Gateway) Bytes() int64 {
 // egress sender's queue — the pipeline bubbles a deeper ring eliminates.
 // Always zero in reliable mode.
 func (g *Gateway) Stalls() int64 { return g.stalls }
-
-// PoolStats aggregates the staging-buffer free-list counters over every
-// ring of this gateway.
-func (g *Gateway) PoolStats() PoolStats {
-	var s PoolStats
-	for _, r := range g.rings {
-		s.observe(r.pool)
-		s.observe(r.stage)
-		for _, bp := range r.static {
-			s.observe(bp)
-		}
-	}
-	return s
-}
 
 // Retransmits returns the number of per-hop packet retransmissions this
 // gateway's node performed.
@@ -654,12 +634,12 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 // single egress driver's static buffers (nor the one ingress slot) can back
 // them.
 //
-// Buffers come from the ring's free lists, not the allocator: a slot takes
-// one for each fragment and its release gives it back, so once the lists
-// hold a ring's worth a relay allocates nothing. When the receive thread has
-// to wait for a free slot — the send side is the bottleneck and every buffer
-// is in flight, for this message or an earlier one — the wait is recorded as
-// a "stall" span, which obs.AnalyzeLanes accounts to the lane's stall
+// Buffers come from pools (pool.go), not the allocator: a slot takes one for
+// each fragment and its release gives it back, so once the pools hold a
+// ring's worth a relay allocates nothing. When the receive thread has to
+// wait for a free slot — the send side is the bottleneck and every buffer is
+// in flight, for this message or an earlier one — the wait is recorded as a
+// "stall" span, which obs.AnalyzeLanes accounts to the lane's stall
 // fraction; the deeper the ring, the fewer such bubbles.
 // With flow control armed, the pipeline is also where credits move: every
 // slot returned to the free list means one ingress transfer fully drained
@@ -679,10 +659,10 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 
 	// The message's buffer election: the pool its slots take their buffers
 	// from, nil when the data rides the ingress slots.
-	pool := r.pool
+	pool := &vc.bufs
 	if len(branches) == 1 && cfg.ZeroCopy {
 		if out := branches[0].tx.out; out.NIC().StaticBuffers {
-			pool = r.staticPool(out, host)
+			pool = g.staticPool(r, out)
 		} else if in.NIC().StaticBuffers {
 			pool = nil
 		}
@@ -750,7 +730,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		if !cfg.ZeroCopy {
 			// Copy-always ablation: stage through an extra buffer like a
 			// forwarding layer naively placed above Madeleine would.
-			s.aux = r.stage.get(len(s.data))
+			s.aux = vc.bufs.get(len(s.data))
 			host.Memcpy(p, len(s.data))
 			copy(s.aux, s.data)
 			s.data = s.aux
@@ -797,7 +777,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 // drained through egress, so its credit goes back to the upstream sender.
 func (g *Gateway) recycle(p *vtime.Proc, s *relaySlot) {
 	r, up := s.ring, s.up
-	r.stage.put(s.aux)
+	g.vc.bufs.put(s.aux)
 	if s.pool != nil {
 		s.pool.put(s.buf)
 	}

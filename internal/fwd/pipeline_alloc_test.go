@@ -13,22 +13,23 @@ import (
 )
 
 // Steady-state relays must not touch the allocator. A slot takes a staging
-// buffer from the free list its message's buffer election names for every
-// fragment it stages, and the sender that releases the slot gives the buffer
-// back: once a free list holds a ring's worth, every further message takes
-// from it (Gets keeps growing) without a single additional allocation (Misses
-// stays at the warm-up level), and when the gateway is quiescent every buffer
-// taken has been returned (Gets == Puts) — nothing stays stocked in a ring
-// between messages. The copy-always ablation is the stress case — it runs both
-// the staging-buffer pool and the per-packet stage pool — the streaming
-// multicast, replicated on two branches by a gateway that is itself a member,
-// is the refcount's: every slot must come back exactly once however many
-// branches it fed. The last row is the slot that outlives its message:
-// back-to-back messages whose election differs — ingress slots, the egress
-// driver's static buffers, the plain pool of a fan-out — and whose MTU
-// changes with the route, so a slot released for one message is refilled from
-// another list, at another size, for the next while the first is still going
-// out.
+// buffer from the pool its message's buffer election names — the channel's
+// wire pool, or the ring's pool of the egress driver's static buffers — for
+// every fragment it stages, and the sender that releases the slot gives the
+// buffer back: once the pools hold a ring's worth, every further message takes
+// from them (BufsTaken keeps growing) without a single additional allocation
+// (BufsAllocated stays at the warm-up level), and when the gateway is
+// quiescent every buffer taken has been returned (the ledger balances; the
+// fixture poisons every returned buffer) — nothing stays stocked in a ring
+// between messages. The copy-always ablation is the stress case — every
+// fragment takes a second buffer — the streaming multicast, replicated on two
+// branches by a gateway that is itself a member, is the refcount's: every
+// slot must come back exactly once however many branches it fed. The last row
+// is the slot that outlives its message: back-to-back messages whose election
+// differs — ingress slots, the egress driver's static buffers, the wire pool
+// of a fan-out — and whose MTU changes with the route, so a slot released for
+// one message is refilled from another pool, at another size, for the next
+// while the first is still going out.
 func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 	payload := pattern(300_000, 7)
 	blocks := []block{{payload, mad.SendCheaper, mad.ReceiveCheaper}}
@@ -60,16 +61,15 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 		name     string
 		zeroCopy bool
 		topo     func(*testing.T) *topo.Topology
-		gateway  string
 		relay    func(*testing.T, *world)
 		netMTU   map[string]int // nil: one MTU everywhere
 	}{
-		{"zerocopy", true, paperHS, "gw", unicast, nil},
-		{"copy-always", false, paperHS, "gw", unicast, nil},
-		{"multicast", true, mcastChain, "gw1", multicast, nil},
-		{"multicast-copy-always", false, mcastChain, "gw1", multicast, nil},
-		{"election-changes", true, fan, "g", modes, fanMTU},
-		{"election-changes-copy-always", false, fan, "g", modes, fanMTU},
+		{"zerocopy", true, paperHS, unicast, nil},
+		{"copy-always", false, paperHS, unicast, nil},
+		{"multicast", true, mcastChain, multicast, nil},
+		{"multicast-copy-always", false, mcastChain, multicast, nil},
+		{"election-changes", true, fan, modes, fanMTU},
+		{"election-changes-copy-always", false, fan, modes, fanMTU},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := fwd.DefaultConfig()
@@ -77,29 +77,27 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 			cfg.ZeroCopy = c.zeroCopy
 			cfg.NetMTU = c.netMTU
 			w := build(t, c.topo(t), cfg)
-			gw := w.vc.Gateway(c.gateway)
-
-			c.relay(t, w) // warm-up: fills the free lists, pays the only misses
-			warm := gw.PoolStats()
-			if warm.Misses == 0 {
-				t.Fatal("warmup produced no pool misses; the relay is not using the pools")
+			c.relay(t, w) // warm-up: fills the pools, pays the only misses
+			warm := w.vc.RelBookkeeping()
+			if warm.BufsAllocated == 0 {
+				t.Fatal("warmup allocated no buffers; the relay is not using the pools")
 			}
 			const extra = 5
 			for i := 0; i < extra; i++ {
 				c.relay(t, w)
 			}
-			after := gw.PoolStats()
-			if after.Misses != warm.Misses {
-				t.Fatalf("steady-state relays allocated: misses %d -> %d",
-					warm.Misses, after.Misses)
+			after := w.vc.RelBookkeeping()
+			t.Logf("after warm-up %+v, after %d more relays %+v", warm, extra, after)
+			if after.BufsAllocated != warm.BufsAllocated {
+				t.Fatalf("steady-state relays allocated: %d -> %d buffers",
+					warm.BufsAllocated, after.BufsAllocated)
 			}
-			if after.Gets <= warm.Gets {
-				t.Fatalf("pool not exercised after warmup: gets %d -> %d",
-					warm.Gets, after.Gets)
+			if after.BufsTaken <= warm.BufsTaken {
+				t.Fatalf("pools not exercised after warmup: %d -> %d taken",
+					warm.BufsTaken, after.BufsTaken)
 			}
-			if after.Gets != after.Puts {
-				t.Fatalf("gateway leaked staging buffers: gets %d != puts %d",
-					after.Gets, after.Puts)
+			if after.BufsTaken != after.BufsReturned || int64(after.BufsFree) != after.BufsAllocated {
+				t.Fatalf("gateway leaked staging buffers: %+v", after)
 			}
 		})
 	}

@@ -2,101 +2,20 @@ package fwd
 
 import "madgo/internal/mad"
 
-// Staging-buffer pooling for the gateway pipeline.
+// Buffer pooling: one pool for every buffer the forwarding layer recycles —
+// reliable datagrams, aggregate frames, a sink's reassembly buffers and a
+// gateway's staging buffers — owned by the virtual channel, split by size
+// class and ledgered: at quiescence every buffer taken has been returned.
+// Taker and returner may be different nodes; DESIGN.md §33 has the table.
+// Only an egress driver can make its static buffers (§2.3), so a gateway ring
+// keeps a pool of the same type per egress network whose misses call the
+// driver's AllocStatic, in the same ledger (RelBookkeeping).
 //
-// A gateway rotates PipelineDepth staging buffers per ingress network
-// between its receive thread and the egress senders. Allocating them per
-// message (let alone per packet) puts the allocator on the forwarding hot
-// path; instead each gateway keeps, per ingress network, free lists a packet
-// slot takes a buffer from for every fragment it stages and gives it back to
-// when the fragment has left. Steady-state relays then touch the allocator
-// only while a list warms up (a ring's worth of misses per buffer mode and
-// size), which the allocation-regression tests pin down.
-//
-// The pools are deliberately unsynchronized: the simulation scheduler is
-// single-threaded and each pool is owned by exactly one ingress network's
-// forwarding engine, so there is nothing to race with.
-
-// bufPool is a LIFO free list of byte buffers with capacity-class reuse: get
-// returns any pooled buffer whose capacity covers the request, sliced to the
-// requested length, and only falls back to alloc when none fits.
-type bufPool struct {
-	bufs  [][]byte
-	alloc func(n int) []byte
-
-	gets   int64
-	puts   int64
-	misses int64
-}
-
-// newBufPool creates a pool backed by the given allocator (called only on
-// misses). A nil allocator defaults to make.
-func newBufPool(alloc func(n int) []byte) *bufPool {
-	if alloc == nil {
-		alloc = func(n int) []byte { return make([]byte, n) }
-	}
-	return &bufPool{alloc: alloc}
-}
-
-// get returns a buffer of length n, reusing the most recently returned one
-// that is large enough.
-func (bp *bufPool) get(n int) []byte {
-	bp.gets++
-	for i := len(bp.bufs) - 1; i >= 0; i-- {
-		b := bp.bufs[i]
-		if cap(b) < n {
-			continue
-		}
-		last := len(bp.bufs) - 1
-		bp.bufs[i] = bp.bufs[last]
-		bp.bufs[last] = nil
-		bp.bufs = bp.bufs[:last]
-		return b[:n]
-	}
-	bp.misses++
-	return bp.alloc(n)
-}
-
-// put returns a buffer to the pool. Nil buffers are ignored so slot-mode
-// tokens can be recycled unconditionally.
-func (bp *bufPool) put(b []byte) {
-	if b == nil {
-		return
-	}
-	bp.puts++
-	bp.bufs = append(bp.bufs, b[:cap(b)])
-}
-
-// PoolStats aggregates the free-list counters of one gateway: how many
-// staging buffers were requested, returned, and actually allocated. On a
-// steady-state relay Misses stays at the warmup level (one ring's worth per
-// buffer mode) while Gets keeps growing, and a quiescent gateway holds none:
-// Gets == Puts.
-type PoolStats struct {
-	Gets   int64
-	Puts   int64
-	Misses int64
-}
-
-func (s *PoolStats) observe(bp *bufPool) {
-	s.Gets += bp.gets
-	s.Puts += bp.puts
-	s.Misses += bp.misses
-}
-
-// Wire-buffer pooling: memory whose life ends on another node.
-//
-// A reliable datagram lives in one buffer per hop: the sender takes it here
-// and encodes into it, the link hands that same memory to the receiver
-// (mad.TxMeta.Owned), and whoever holds it last returns it — the hand-over
-// table is in DESIGN.md §17. An aggregate frame lives in one buffer from the
-// coalescer that builds it to the sink that ends its last sub-message, and a
-// sink reassembles a reliable or striped frame into one (DESIGN.md §29).
-// Unlike the gateway rings above, the sizes are mixed (a 37-byte ack batch, a
-// 24-byte probe, an MTU-sized fragment or frame) and the taker and the
-// returner are different nodes, so the free list belongs to the virtual
-// channel, is split by size class, and keeps a ledger: at quiescence every
-// buffer taken has been returned.
+// A returned buffer can be taken again at once. The link reads a streamed
+// payload a WireLatency after Send returned, and a gateway returns a staging
+// buffer a SwapOverhead after it, so Build rejects a streaming channel whose
+// wire is slower than the buffer switch. Unsynchronized: one simulation, one
+// thread.
 
 const (
 	relBufMinShift = 6  // smallest class: 64 bytes
@@ -119,11 +38,14 @@ func relBufClass(n int) (class, size int) {
 }
 
 // wireBufPool is the size-classed free list; the zero value is ready to use.
-// Unsynchronized like bufPool: one simulation, one thread.
 type wireBufPool struct {
 	free     [][][]byte // by class, LIFO
 	taken    int64
 	returned int64
+	misses   int64 // gets no free buffer could serve: the buffers allocated
+	// alloc, when set, makes a buffer of a class's capacity on a miss (a
+	// driver's static buffers); nil is make.
+	alloc func(size int) []byte
 	// onPut, when set, sees every returned buffer at full capacity before
 	// it is pooled. Only tests set it, to poison the memory so that a read
 	// through a stale alias fails loudly.
@@ -147,6 +69,10 @@ func (bp *wireBufPool) get(n int) []byte {
 			bp.free[c] = l[:len(l)-1]
 			return b[:n]
 		}
+	}
+	bp.misses++
+	if bp.alloc != nil {
+		return bp.alloc(size)[:n]
 	}
 	return make([]byte, n, size)
 }
@@ -186,11 +112,12 @@ func (bp *wireBufPool) getPair() *[2]mad.BlockDesc {
 // putPair returns a pair nothing reads any more.
 func (bp *wireBufPool) putPair(d *[2]mad.BlockDesc) { bp.pairs = append(bp.pairs, d) }
 
-// pooled counts the buffers on the free lists.
-func (bp *wireBufPool) pooled() int {
-	n := 0
+// tally adds the pool's ledger to s.
+func (bp *wireBufPool) tally(s *RelBookkeeping) {
+	s.BufsTaken += bp.taken
+	s.BufsReturned += bp.returned
+	s.BufsAllocated += bp.misses
 	for _, l := range bp.free {
-		n += len(l)
+		s.BufsFree += len(l)
 	}
-	return n
 }

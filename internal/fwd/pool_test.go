@@ -1,17 +1,20 @@
 package fwd
 
 import (
+	"slices"
 	"testing"
 
 	"madgo/internal/vtime/vsync"
 )
 
-// The allocation-regression wall for the pooled pipeline: once warm, the
-// staging path — a buffer off the free list for every fragment staged, back
-// when it has left — must never touch the allocator.
+// The allocation-regression walls for the one pool every staging buffer,
+// datagram and frame comes from: once warm, taking a buffer for every
+// fragment staged and giving it back when the fragment has left never
+// touches the allocator, and the allocator — make, or a driver's
+// AllocStatic — runs on a miss only.
 
-func TestBufPoolZeroAllocSteadyState(t *testing.T) {
-	bp := newBufPool(nil)
+func TestWireBufPoolSteadyStateAllocsNothing(t *testing.T) {
+	var bp wireBufPool
 	const n = 32 * 1024
 	bp.put(bp.get(n)) // warmup: the single miss
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -24,12 +27,12 @@ func TestBufPoolZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestBufPoolRingStockDrainZeroAlloc(t *testing.T) {
+func TestWireBufPoolRingStockDrainAllocsNothing(t *testing.T) {
 	// The most a ring has out at once: depth buffers taken before the first
 	// comes back, passed on through a channel, then all returned.
 	const depth = 8
 	const mtu = 64 * 1024
-	bp := newBufPool(nil)
+	var bp wireBufPool
 	free := vsync.NewChan[[]byte]("test:free", depth)
 	cycle := func() {
 		for i := 0; i < depth; i++ {
@@ -50,53 +53,58 @@ func TestBufPoolRingStockDrainZeroAlloc(t *testing.T) {
 	if bp.misses != depth {
 		t.Fatalf("misses = %d, want the warmup ring of %d", bp.misses, depth)
 	}
-	if bp.gets != bp.puts {
-		t.Fatalf("ring leaked buffers: gets %d != puts %d", bp.gets, bp.puts)
+	if bp.taken != bp.returned {
+		t.Fatalf("ring leaked buffers: taken %d != returned %d", bp.taken, bp.returned)
 	}
 }
 
-func TestBufPoolCapacityClasses(t *testing.T) {
-	bp := newBufPool(nil)
+// A request no free buffer of its own class serves takes one of a larger
+// class, sliced down, and the buffer goes back to its own class.
+func TestWireBufPoolServesFromALargerClass(t *testing.T) {
+	var bp wireBufPool
 	big := bp.get(1000)
 	bp.put(big)
-	// A smaller request reuses the larger buffer sliced down.
 	small := bp.get(10)
-	if len(small) != 10 || cap(small) < 1000 {
-		t.Fatalf("small get: len %d cap %d, want reuse of the 1000-cap buffer", len(small), cap(small))
-	}
-	if bp.misses != 1 {
-		t.Fatalf("misses = %d, want 1", bp.misses)
+	if len(small) != 10 || cap(small) != 1024 || &small[0] != &big[0] {
+		t.Fatalf("small get: len %d cap %d, want the 1024-byte buffer sliced down", len(small), cap(small))
 	}
 	bp.put(small)
+	if c, _ := relBufClass(1024); len(bp.free) != c+1 || len(bp.free[c]) != 1 {
+		t.Fatalf("the borrowed buffer did not go back to the 1024-byte class alone: %v", bp.free)
+	}
+	if again := bp.get(1000); &again[0] != &big[0] {
+		t.Fatal("a request of the buffer's own class did not reuse it")
+	}
 	// A larger request cannot reuse it and must allocate.
-	huge := bp.get(2000)
-	if len(huge) != 2000 {
-		t.Fatalf("huge get: len %d", len(huge))
+	if huge := bp.get(2000); len(huge) != 2000 || bp.misses != 2 {
+		t.Fatalf("huge get: len %d, misses %d, want 2000 and 2", len(huge), bp.misses)
 	}
-	if bp.misses != 2 {
-		t.Fatalf("misses = %d, want 2", bp.misses)
-	}
-	// Nil puts are dropped, not pooled.
+	// Nil returns are dropped, not pooled or counted.
 	bp.put(nil)
-	if len(bp.bufs) != 1 {
-		t.Fatalf("nil put changed the pool: %d buffers", len(bp.bufs))
+	var s RelBookkeeping
+	if bp.tally(&s); s.BufsFree != 0 || s.BufsReturned != 2 {
+		t.Fatalf("nil put changed the pool: %+v", s)
 	}
 }
 
-func TestBufPoolCustomAllocator(t *testing.T) {
-	calls := 0
-	bp := newBufPool(func(n int) []byte {
-		calls++
+// A pool with an allocator — a gateway's pool of a driver's static buffers —
+// asks it for a class's capacity on a miss and on nothing else, and its
+// ledger reads like the wire pool's.
+func TestWireBufPoolAllocatorOnMissesOnly(t *testing.T) {
+	var sizes []int
+	bp := wireBufPool{alloc: func(n int) []byte {
+		sizes = append(sizes, n)
 		return make([]byte, n)
-	})
+	}}
 	bp.put(bp.get(100))
 	bp.put(bp.get(100))
-	if calls != 1 {
-		t.Fatalf("allocator called %d times, want 1", calls)
+	bp.put(bp.get(5000))
+	if !slices.Equal(sizes, []int{128, 8192}) {
+		t.Fatalf("allocator called for %v, want [128 8192]: once per miss, at the class's capacity", sizes)
 	}
-	var s PoolStats
-	s.observe(bp)
-	if s.Gets != 2 || s.Puts != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want gets 2 puts 2 misses 1", s)
+	var s RelBookkeeping
+	bp.tally(&s)
+	if want := (RelBookkeeping{BufsTaken: 3, BufsReturned: 3, BufsFree: 2, BufsAllocated: 2}); s != want {
+		t.Fatalf("ledger = %+v, want %+v", s, want)
 	}
 }

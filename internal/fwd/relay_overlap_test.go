@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"madgo/internal/drivers/bip"
@@ -189,9 +190,8 @@ func TestRelayConsecutiveMessagesToDifferentLinks(t *testing.T) {
 					if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
 						t.Errorf("credit ledger unbalanced at quiescence: %d granted, %d spent", fs.CreditsGranted, fs.CreditsSpent)
 					}
-					ps := w.vc.Gateway("g").PoolStats()
-					if ps.Gets != ps.Puts {
-						t.Errorf("staging buffers leaked: %d gets, %d puts", ps.Gets, ps.Puts)
+					if bk := w.vc.RelBookkeeping(); bk.BufsTaken == 0 || bk.BufsTaken != bk.BufsReturned {
+						t.Errorf("staging buffers leaked or never taken: %d taken, %d returned", bk.BufsTaken, bk.BufsReturned)
 					}
 				})
 			}
@@ -226,12 +226,11 @@ func TestRelayWholeFrameKeepsItsPlace(t *testing.T) {
 // cells (keep) and the link model reads a payload where it lies when the wire
 // delivers it, one wire latency after Send returned: a cell must not be
 // rewritten before that. It is rewritten after at least two later fragments
-// have been sent and swapped, where a staging buffer is received into again
+// have been sent and swapped, where a staging buffer goes back to its pool
 // one swap after its own send, so no wire is slow enough to garble a header
 // and spare the fragment behind it. 30 µs — five times the Myrinet model's
-// send overhead, and the order of the 40 µs swap the staging buffers have
-// always relied on — with one slot and mice, whose headers follow each other
-// fastest.
+// send overhead, and the order of the 40 µs swap the staging buffers rely on
+// — with one slot and mice, whose headers follow each other fastest.
 func TestRelayHeaderCellsOutliveASlowWire(t *testing.T) {
 	var msgs []relayMsg
 	for i := 0; i < 12; i++ {
@@ -239,21 +238,65 @@ func TestRelayHeaderCellsOutliveASlowWire(t *testing.T) {
 			relayMsg{[]string{"b1"}, 3000 + i}, relayMsg{[]string{"b1"}, 64})
 	}
 	for _, depth := range []int{1, 2} {
-		sim := vtime.New()
-		pl := hw.NewPlatform(sim)
-		sess := mad.NewSession(pl)
-		nic := hw.Myrinet()
-		nic.WireLatency = 30 * vtime.Microsecond
-		in, out := sisci.New(), bip.NewWith(nic)
-		cfg := fwd.DefaultConfig()
-		cfg.PipelineDepth, cfg.MTU = depth, 1024
-		vc, err := fwd.Build(sess, paperHS(t), map[string]fwd.Binding{
-			"sci0":  {Net: in.NewNetwork(pl, "sci0"), Drv: in},
-			"myri0": {Net: out.NewNetwork(pl, "myri0"), Drv: out},
-		}, cfg)
+		w, err := slowEgress(t, 30*vtime.Microsecond, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runSequence(t, &world{sim: sim, sess: sess, vc: vc}, []string{"a0", "a1"}, msgs)
+		runSequence(t, w, []string{"a0", "a1"}, msgs)
+	}
+}
+
+// slowEgress builds paperHS with a 1 KiB MTU, the given ring depth and a
+// Myrinet network whose wire takes lat, under the poisoned ledger.
+func slowEgress(t *testing.T, lat vtime.Duration, depth int) (*world, error) {
+	sim := vtime.New()
+	pl := hw.NewPlatform(sim)
+	sess := mad.NewSession(pl)
+	nic := hw.Myrinet()
+	nic.WireLatency = lat
+	in, out := sisci.New(), bip.NewWith(nic)
+	cfg := fwd.DefaultConfig()
+	cfg.PipelineDepth, cfg.MTU = depth, 1024
+	vc, err := fwd.Build(sess, paperHS(t), map[string]fwd.Binding{
+		"sci0":  {Net: in.NewNetwork(pl, "sci0"), Drv: in},
+		"myri0": {Net: out.NewNetwork(pl, "myri0"), Drv: out},
+	}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return auditRelBufs(t, &world{sim: sim, sess: sess, vc: vc}), nil
+}
+
+// A staging buffer goes back to the channel's pool one swap after its send,
+// where the next fragment may take it at once, and the link reads a payload
+// one wire latency after its send. A wire exactly as slow as the 40 µs swap
+// is read first: 3 KB messages of two senders relayed onto it arrive
+// byte-exact through poisoned returns, with one slot or two.
+func TestRelayAtTheSwapBound(t *testing.T) {
+	var msgs []relayMsg
+	for i := 0; i < 24; i++ {
+		msgs = append(msgs, relayMsg{[]string{"b1"}, 3000 + i})
+	}
+	for _, depth := range []int{1, 2} {
+		w, err := slowEgress(t, hw.DefaultCPU().SwapOverhead, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSequence(t, w, []string{"a0", "a1"}, msgs)
+		if bk := w.vc.RelBookkeeping(); bk.BufsTaken == 0 {
+			t.Fatal("the relay took no staging buffer from the pool")
+		}
+	}
+}
+
+// Build rejects a streaming channel whose wire is slower than its nodes'
+// buffer switch, naming the network, and accepts one exactly as slow.
+func TestBuildRejectsWireSlowerThanTheSwap(t *testing.T) {
+	swap := hw.DefaultCPU().SwapOverhead
+	if _, err := slowEgress(t, swap+vtime.Nanosecond, 2); err == nil || !strings.Contains(err.Error(), "network myri0") {
+		t.Fatalf("a %v wire against a %v swap: Build returned %v, want an error naming myri0", swap+vtime.Nanosecond, swap, err)
+	}
+	if _, err := slowEgress(t, swap, 2); err != nil {
+		t.Fatalf("a wire as slow as the swap rejected: %v", err)
 	}
 }

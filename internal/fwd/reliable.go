@@ -662,8 +662,9 @@ const (
 	relRxEvictions   // partial reassemblies evicted at the relRxCap bound
 	relAckPackets    // standalone ack datagrams emitted
 	relAcksCoalesced // ack entries that avoided their own datagram
-	// relBackpressure counts relay admissions refused at relRelayCap —
-	// lossless backpressure, the upstream ARQ retransmits.
+	// relBackpressure counts relay admissions refused at relRelayCap and
+	// completing fragments refused at a full merged queue — lossless
+	// backpressure, the upstream ARQ retransmits.
 	relBackpressure
 )
 
@@ -1315,9 +1316,17 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 // acceptLocal stores one fragment at its final destination, suppressing
 // duplicates, and completes the message when the last fragment lands. It
 // reports whether the fragment — and with it the packet's buffer — was kept.
+// A fragment that would complete a message while the application leaves the
+// merged queue full is refused like a relay admission: neither stored nor
+// acknowledged, so the origin's ARQ sends it again.
 func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
-	e.hopAck(in, d)
 	mkey := relMsgKey{origin: d.origin, id: d.id}
+	m := e.rx[mkey]
+	if e.vc.merged[e.node.Rank].Len() >= mergedCap && completes(m, d) {
+		e.count(relBackpressure, 1)
+		return false
+	}
+	e.hopAck(in, d)
 	if e.done[d.origin].has(d.id) {
 		// The whole message already arrived; the origin is resending
 		// because our end-to-end ack got lost. Re-ack.
@@ -1327,7 +1336,6 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		e.sendE2E(d.origin, d.id)
 		return false
 	}
-	m := e.rx[mkey]
 	if m == nil {
 		if d.total == 0 || d.total > relMaxFrags {
 			e.count(relChecksumDrops, 1)
@@ -1360,13 +1368,19 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		// merged queue; dropping the rx entry is what keeps a long-lived
 		// node's reassembly table from growing one record per message.
 		delete(e.rx, mkey)
-		if !e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) {
-			panic("fwd: merged arrival queue overflow on " + e.node.Name)
-		}
+		e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) // room checked above
 		e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: int(m.total)}, m.payload)
 		e.sendE2E(d.origin, d.id)
 	}
 	return true
+}
+
+// completes reports whether d is the one fragment its message (m, if any) lacks.
+func completes(m *relMsg, d *relData) bool {
+	if m == nil {
+		return d.total == 1 && d.frag == 0
+	}
+	return m.got+1 == m.total && d.frag < m.total && m.frags[d.frag].buf == nil
 }
 
 // newMsg starts the reassembly of the message d belongs to, on a recycled
@@ -1650,19 +1664,20 @@ type RelBookkeeping struct {
 	RxPartials int
 	// RxEvictions is how many partial reassemblies were evicted at the cap.
 	RxEvictions int64
-	// BufsTaken and BufsReturned are the wire-buffer ledger: how many
-	// datagram and frame buffers were taken from the virtual channel's free
-	// list and how many came back. Equal on a quiesced run — a difference is a
-	// leaked (or twice-returned) buffer. BufsFree is how many sit on the free
-	// list.
-	BufsTaken    int64
-	BufsReturned int64
-	BufsFree     int
+	// BufsTaken and BufsReturned are the buffer ledger of every pool
+	// (pool.go): how many buffers were taken and how many came back. Equal
+	// on a quiesced run — a difference is a leaked (or twice-returned)
+	// buffer. BufsFree is how many sit on the free lists, BufsAllocated how
+	// many the pools ever made.
+	BufsTaken     int64
+	BufsReturned  int64
+	BufsFree      int
+	BufsAllocated int64
 }
 
 // RelBookkeeping sums the reliable mode's bookkeeping sizes over every node.
-// Zero-valued in streaming mode but for the wire-buffer ledger, which the
-// aggregated path keeps too.
+// Zero-valued in streaming mode but for the buffer ledger, which every mode
+// keeps.
 func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 	var s RelBookkeeping
 	for _, e := range vc.rel {
@@ -1672,7 +1687,14 @@ func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 		s.RxPartials += len(e.rx)
 	}
 	s.RxEvictions = vc.relCount(relRxEvictions)
-	s.BufsTaken, s.BufsReturned, s.BufsFree = vc.bufs.taken, vc.bufs.returned, vc.bufs.pooled()
+	vc.bufs.tally(&s)
+	for _, g := range vc.gates {
+		for _, r := range g.rings {
+			for _, bp := range r.static {
+				bp.tally(&s)
+			}
+		}
+	}
 	return s
 }
 

@@ -108,6 +108,47 @@ func TestReliableDirect(t *testing.T) {
 	}
 }
 
+// An application that leaves its arrival queue full is backpressure, not a
+// crash: the fragment that would complete one more message is refused — not
+// stored, not acknowledged, counted with the refused relay admissions — and
+// the origin's ARQ sends it again once the application drains. a1 leaves
+// 4 096 completed messages unread until 2 ms after the first refusal.
+func TestReliableSinkThatFallsBehindIsBackpressured(t *testing.T) {
+	w := buildFaulty(t, paperHS(t), nil, nil, fwd.DefaultConfig())
+	const msgs = 4200
+	w.sim.Spawn("send:a0", func(p *vtime.Proc) {
+		for i := 0; i < msgs; i++ {
+			px := w.vc.At("a0").BeginPacking(p, "a1")
+			px.Pack(p, pattern(64, byte(i)), mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	w.sim.Spawn("recv:a1", func(p *vtime.Proc) {
+		for w.vc.FlowStats().Backpressure == 0 {
+			p.Sleep(10 * vtime.Microsecond)
+		}
+		p.Sleep(2 * vtime.Millisecond)
+		got := make([]byte, 64)
+		for i := 0; i < msgs; i++ {
+			u := w.vc.At("a1").BeginUnpacking(p)
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if !bytes.Equal(got, pattern(64, byte(i))) {
+				t.Errorf("message %d corrupted or out of order", i)
+				return
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fs, ds := w.vc.FlowStats(), w.vc.DeliveryStats()
+	if fs.Backpressure == 0 || ds.Retransmits == 0 {
+		t.Errorf("no refusal and resend: %d refused, %d retransmits", fs.Backpressure, ds.Retransmits)
+	}
+	t.Logf("%d completing fragments refused, %+v", fs.Backpressure, ds)
+}
+
 func TestReliableUnderLoss(t *testing.T) {
 	plan := fault.NewPlan(42).Drop("*", 0.05)
 	w := buildFaulty(t, paperHS(t), nil, plan, fwd.DefaultConfig())

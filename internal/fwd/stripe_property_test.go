@@ -136,7 +136,7 @@ func TestStripeDeliveryProperty(t *testing.T) {
 		}
 
 		tp := railsTopo(protos, viaGW)
-		w := buildQuietFaulty(tp, plan, cfg)
+		w := auditRelBufs(t, buildQuietFaulty(tp, plan, cfg))
 		payload := pattern(n, byte(seed>>8))
 		var got []byte
 		w.sim.Spawn("s", func(p *vtime.Proc) {

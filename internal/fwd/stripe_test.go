@@ -200,7 +200,7 @@ func buildDMA(t *testing.T, tp *topo.Topology, cfg fwd.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{sim: sim, sess: sess, vc: vc}
+	return auditRelBufs(t, &world{sim: sim, sess: sess, vc: vc})
 }
 
 // Striping a large message over two rails must beat the single rail by a

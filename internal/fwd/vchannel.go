@@ -156,6 +156,8 @@ type Binding struct {
 	Drv mad.Driver
 }
 
+const mergedCap = 4096 // arrivals a node's merged queue holds for its application
+
 // incoming is an announced message on one of a node's regular channels,
 // funnelled into the node's merged arrival queue by its polling threads. In
 // reliable mode it is instead a fully-reassembled reliable message.
@@ -194,10 +196,11 @@ type VirtualChannel struct {
 	// Reliable-mode state: one engine per node, in declaration order.
 	rel      map[string]*relEngine
 	relOrder []string
-	// bufs is the free list every reliable datagram's buffer and every
-	// aggregate frame is taken from and returned to (pool.go); shared because
-	// the node that takes a buffer hands it over the link to the node that
-	// returns it.
+	// bufs is the free list every reliable datagram's buffer, every
+	// aggregate frame and every gateway staging buffer but a driver's static
+	// ones is taken from and returned to (pool.go); shared because the node
+	// that takes a buffer may hand it over the link to the node that returns
+	// it.
 	bufs wireBufPool
 
 	// mon is the link-health monitor of a reliable channel; nil in streaming
@@ -334,7 +337,10 @@ func (vc *VirtualChannel) DiagnosisSignals() flight.Signals {
 // Build creates the nodes, real channels, routing table and gateway engines
 // of a virtual channel over the given topology. The session must be empty:
 // the virtual channel owns the node set. Bindings must cover every network
-// of the topology.
+// of the topology. A streaming channel is rejected when a network's NIC
+// WireLatency exceeds its nodes' CPU.SwapOverhead: a gateway returns a
+// staging buffer one buffer switch after its send, before such a wire has
+// read it.
 func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cfg Config) (*VirtualChannel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -401,7 +407,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 	// Per-node merged arrival queues.
 	for _, n := range buildTopo.Nodes() {
 		node := vc.nodes[n.Name]
-		vc.merged[node.Rank] = vsync.NewChan[incoming](fmt.Sprintf("merged:%s", n.Name), 4096)
+		vc.merged[node.Rank] = vsync.NewChan[incoming](fmt.Sprintf("merged:%s", n.Name), mergedCap)
 	}
 
 	if cfg.StripeK > 1 {
@@ -423,6 +429,15 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		vc.relOrder = buildTopo.NodeNames()
 		vc.buildReliable(buildTopo)
 		return vc, nil
+	}
+
+	for _, nw := range tp.Networks() {
+		lat := bindings[nw.Name].Drv.NIC().WireLatency
+		for _, m := range nw.Members {
+			if swap := vc.nodes[m].Host.CPU.SwapOverhead; lat > swap {
+				return nil, fmt.Errorf("fwd: network %s: wire latency %v exceeds the %v buffer switch of node %s", nw.Name, lat, swap, m)
+			}
+		}
 	}
 
 	// The merged queues are fed by one polling thread per (node, regular

@@ -56,7 +56,7 @@ func TestZeroCopyElectionProperty(t *testing.T) {
 		// a2 sweep instead.
 		cfg.MTU = 8192 * (1 + int(next(31)))
 		n := 1 + int(next(400_000))
-		w := buildQuiet(mustTopo(combo.in, combo.out), cfg)
+		w := auditRelBufs(t, buildQuiet(mustTopo(combo.in, combo.out), cfg))
 		payload := pattern(n, byte(seed))
 		okPayload := true
 		w.sim.Spawn("s", func(p *vtime.Proc) {
