@@ -18,10 +18,10 @@ package fwd
 //     transfer ([GTM header | frame] with two block descriptors), relayed
 //     obliviously by gateways (gateway.go, classify);
 //   - streaming, ≥2 rails and a frame past the stripe threshold: the frame
-//     is striped like any large message, with stripeFlagAgg telling the
+//     is striped like any large message, with flagAgg telling the
 //     receiver to decode the reassembled bytes as a frame;
 //   - reliable mode: the frame is one reliable message under a single ARQ
-//     sequence (relFlagAgg), so retransmission and failover cover every
+//     sequence (flagAgg again), so retransmission and failover cover every
 //     coalesced sub-message at once.
 //
 // Ordering: one frame of a coalescer is on its way at a time, and a message
@@ -390,7 +390,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 	if vc.cfg.Reliable {
 		var flags uint8
 		if aggFrame {
-			flags = relFlagAgg
+			flags = flagAgg
 		}
 		vc.rel[node.Name].sendMessage(p, dst, blks, id, flags)
 		return
@@ -485,7 +485,7 @@ func (vc *VirtualChannel) aggPop(rank mad.Rank) (*aggRx, agg.Sub, bool) {
 	return nil, agg.Sub{}, false
 }
 
-// aggDecodeStriped reassembles a striped aggregate frame (stripeFlagAgg) into
+// aggDecodeStriped reassembles a striped aggregate frame (flagAgg) into
 // a buffer of the wire pool, and queues its sub-messages. Every rail is in, so
 // the sender's frame, which they sent by reference, goes back to the pool.
 func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *stripeGroup) {
@@ -499,26 +499,14 @@ func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *str
 }
 
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled
-// reliable message (relFlagAgg), in a buffer of the wire pool, and queues its
-// sub-messages.
+// reliable message (flagAgg), whose one block its receiver verified against
+// the fragments, in a buffer of the wire pool, and queues its sub-messages.
 func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *relMsg) {
-	mtu, desc, ok := decodeRelDesc(m.frags[0].payload)
-	if !ok || len(desc) != 1 {
-		panic("fwd: reliable aggregate frame with a malformed descriptor on " + node.Name)
-	}
-	frame := vc.bufs.get(desc[0].Size)
+	frame := vc.bufs.get(m.desc[0].Size)
 	node.Host.Memcpy(p, len(frame))
 	off := 0
-	mad.ForEachFragment(len(frame), mtu, func(_, n int) {
-		frag := m.frags[1+off/mtu].payload
-		if len(frag) != n {
-			panic("fwd: reliable aggregate fragment size mismatch")
-		}
-		copy(frame[off:off+n], frag)
-		off += n
-	})
-	if off != len(frame) {
-		panic("fwd: reliable aggregate frame not fully reassembled")
+	for _, f := range m.frags[1:] {
+		off += copy(frame[off:], f.payload)
 	}
 	origin := m.origin
 	vc.rel[node.Name].freeMsg(m) // the frame is a copy; the fragments' datagrams go back

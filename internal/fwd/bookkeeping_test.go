@@ -133,7 +133,7 @@ func TestEvictOldestRxPicksStalest(t *testing.T) {
 func TestRelayAdmissionRefusalIsBackpressure(t *testing.T) {
 	_, vc := relChain(t, DefaultConfig())
 	gw := vc.rel["gw"]
-	it := relayItem{d: relData{final: vc.NodeRank("b0")}, from: "a0"}
+	it := relayItem{d: relData{dst: vc.NodeRank("b0")}, from: "a0"}
 	for i := 0; i < relRelayCap; i++ {
 		if !gw.enqueueRelay(it) {
 			t.Fatalf("admission %d refused below the cap of %d", i, relRelayCap)
@@ -149,5 +149,55 @@ func TestRelayAdmissionRefusalIsBackpressure(t *testing.T) {
 	}
 	if ds := vc.DeliveryStats(); ds != (DeliveryStats{}) {
 		t.Errorf("refused admissions moved the delivery counters: %+v", ds)
+	}
+}
+
+// A message whose every datagram passes its CRC can still disagree with
+// itself: the fragment-0 descriptor against a fragment's length, or against
+// the MTU its headers carry. Its final destination drops it as a checksum
+// drop once the last fragment lands — never delivered, marked done or
+// end-to-end acked, its buffers back in the pool — so the origin's resends end
+// in a DeliveryError there instead of a panic in the receiving application.
+func TestInconsistentReliableMessageIsDropped(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		hdrMTU, dscMTU int
+		blockLen, frag int // the descriptor's block, the fragment that travels
+	}{
+		{"fragment shorter than its descriptor", 4096, 4096, 100, 50},
+		{"descriptor MTU differs from the header's", 4096, 1024, 100, 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim, vc := relChain(t, DefaultConfig())
+			vc.bufs.onPut = poison
+			b0 := vc.rel["b0"]
+			src, dst := vc.NodeRank("a0"), vc.NodeRank("b0")
+			in := vc.regular["myri0"].Link(vc.NodeRank("gw"), dst)
+			desc := make([]byte, relDescLen(1))
+			putRelDesc(desc, c.dscMTU, []relBlock{{data: make([]byte, c.blockLen), s: mad.SendCheaper, r: mad.ReceiveCheaper}})
+			sim.Spawn("inject", func(p *vtime.Proc) {
+				for i, pl := range [][]byte{desc, make([]byte, c.frag)} {
+					d := relData{src: src, dst: dst, id: 7, mtu: uint32(c.hdrMTU), frag: uint32(i), total: 2, payload: pl}
+					pkt := vc.bufs.get(relDataLen(len(pl), 0))
+					putRelData(pkt, &d, relFlagFlush, nil)
+					b0.handleData(p, in, pkt)
+				}
+			})
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n := vc.DeliveryStats().ChecksumDrops; n != 1 {
+				t.Errorf("ChecksumDrops = %d, want 1", n)
+			}
+			if n := vc.merged[dst].Len(); n != 0 {
+				t.Errorf("%d arrivals queued for the application, want none", n)
+			}
+			if b0.done[src].has(7) || len(b0.rx) != 0 {
+				t.Errorf("message marked done (%v) or left in reassembly (%d)", b0.done[src].has(7), len(b0.rx))
+			}
+			if bk := vc.RelBookkeeping(); bk.BufsTaken != bk.BufsReturned {
+				t.Errorf("buffer ledger: %d taken, %d returned", bk.BufsTaken, bk.BufsReturned)
+			}
+		})
 	}
 }

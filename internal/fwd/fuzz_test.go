@@ -14,7 +14,8 @@ import (
 
 // Fuzz targets for the codecs that parse bytes off the wire: the stream
 // header every gateway decodes before relaying (§2.3), one target per header
-// shape over the one codec, and the reliable-datagram packet formats. The
+// shape over the one codec (a reliable data datagram opens with it too), and
+// the reliable engine's ack batch and descriptor formats. The
 // contract under test is the same for all of them: decode never panics,
 // rejects malformed input with ok=false, and accepts exactly the encoder's
 // output — for every accepted input the re-encoded fields reproduce the input
@@ -84,7 +85,7 @@ func checkHeader(t *testing.T, kind mad.Kind, h streamHdr, hdr []byte) {
 func TestStreamHeaderLayout(t *testing.T) {
 	uni := streamHdr{src: 3, dst: 7, mtu: 32 << 10, id: 1<<40 + 9}
 	rail := uni
-	rail.rail, rail.nrails, rail.flags = 1, 2, stripeFlagForwarded|stripeFlagAgg
+	rail.rail, rail.nrails, rail.flags = 1, 2, stripeFlagForwarded|flagAgg
 	rail.spanStart, rail.spanLen, rail.total = 100, 50, 300
 	mcast := func(dests ...mad.Rank) streamHdr {
 		return streamHdr{src: uni.src, mtu: uni.mtu, id: uni.id, dests: dests}
@@ -284,6 +285,32 @@ func FuzzStreamOpen(f *testing.F) {
 	})
 }
 
+// TestRelDatagramLayout pins the reliable data datagram: it opens with the
+// unicast stream header a GTM stream opens with, then frag u24 at 20, total
+// u24 at 23, flags at 26 and nacks at 27, and header plus trailer is 32
+// bytes; an end-to-end ack's frag is all ones.
+func TestRelDatagramLayout(t *testing.T) {
+	d := relData{src: 3, dst: 7, mtu: 32 << 10, id: 1<<40 + 9, frag: 0x050403, total: 0x0a0908, payload: []byte("xy")}
+	acks := []relAckKey{{origin: 7, id: 2, frag: 1}}
+	pkt := make([]byte, relDataLen(len(d.payload), len(acks)))
+	putRelData(pkt, &d, flagAgg|relFlagFlush, acks)
+	if want := encodeHeader(mad.KindGTM, streamHdr{src: 3, dst: 7, mtu: 32 << 10, id: 1<<40 + 9}); !bytes.Equal(pkt[:gtmHeaderLen], want) {
+		t.Errorf("datagram opens with % x, want the stream header % x", pkt[:gtmHeaderLen], want)
+	}
+	if got, want := pkt[20:28], []byte{3, 4, 5, 8, 9, 10, flagAgg | relFlagFlush, 1}; !bytes.Equal(got, want) {
+		t.Errorf("frag | total | flags | nacks = % x, want % x", got, want)
+	}
+	if relOverhead != 32 || len(pkt) != 32+len(d.payload)+relAckEntry {
+		t.Errorf("header + trailer = %d bytes, datagram %d; want 32 and %d", relOverhead, len(pkt), 32+len(d.payload)+relAckEntry)
+	}
+	e2e := relData{src: 3, dst: 3, mtu: 1, id: 9, frag: e2eFrag}
+	pkt = make([]byte, relDataLen(0, 0))
+	putRelData(pkt, &e2e, relFlagFlush, nil)
+	if got, ok := decodeRelData(pkt); !ok || got.frag != 0xFFFFFF || !bytes.Equal(pkt[20:23], []byte{0xFF, 0xFF, 0xFF}) {
+		t.Errorf("end-to-end ack: ok %v, frag %#x, bytes % x", ok, got.frag, pkt[20:23])
+	}
+}
+
 func FuzzRelData(f *testing.F) {
 	for _, seed := range relDataSeeds() {
 		f.Add(seed)
@@ -293,7 +320,8 @@ func FuzzRelData(f *testing.F) {
 		if !ok {
 			return
 		}
-		re := encodeRelData(d.origin, d.final, d.id, d.frag, d.total, d.flags, d.payload, ackKeys(d.acks))
+		checkHeader(t, mad.KindRel, streamHdr{src: d.src, dst: d.dst, mtu: int(d.mtu), id: d.id}, data[:gtmHeaderLen])
+		re := encodeRelData(d.src, d.dst, d.mtu, d.id, d.frag, d.total, d.flags, d.payload, ackKeys(d.acks))
 		if !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
 		}
@@ -344,7 +372,7 @@ func FuzzRelDesc(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mtu, desc, ok := decodeRelDesc(data)
+		mtu, desc, ok := decodeRelDesc(data, nil)
 		if !ok {
 			return
 		}
@@ -432,10 +460,10 @@ func mcastHeaderSeeds() [][]byte {
 
 func relDataSeeds() [][]byte {
 	return [][]byte{
-		encodeRelData(0, 1, 1, 0, 3, 0, []byte("payload"), nil),
-		encodeRelData(5, 5, 9, e2eFrag, 0, relFlagFlush, nil, nil), // end-to-end ack shape
-		encodeRelData(2, 3, 1<<40, 7, 8, 0, make([]byte, 64), nil),
-		encodeRelData(1, 2, 4, 0, 1, relFlagFlush, []byte("piggy"), // piggybacked hop acks
+		encodeRelData(0, 1, 4096, 1, 0, 3, 0, []byte("payload"), nil),
+		encodeRelData(5, 5, 32<<10, 9, e2eFrag, 0, relFlagFlush, nil, nil), // end-to-end ack shape
+		encodeRelData(2, 3, 1, 1<<40, 7, 8, 0, make([]byte, 64), nil),
+		encodeRelData(1, 2, 1<<31-1, 4, 0, 1, relFlagFlush, []byte("piggy"), // piggybacked hop acks
 			[]relAckKey{{origin: 2, id: 3, frag: 0}, {origin: 2, id: 3, frag: 1}}),
 		make([]byte, relOverhead), // zero CRC → rejected
 		make([]byte, relOverhead-1),

@@ -41,13 +41,14 @@ func relChain(t *testing.T, cfg Config) (*vtime.Sim, *VirtualChannel) {
 // lists are warm: two data packets and an end-to-end ack over two hops each,
 // their hop acks, and the reassembly. What is left is per message, not per
 // packet: the Packing and the Unpacking record, each holding its handle
-// (DESIGN.md §29), and the decoded descriptor — 3 today, under half a KiB. It
-// read 136 objects and 165 KiB when every packet had fresh buffers, slots and
-// closures, 7 until the packet list was recycled (DESIGN.md §28), and 6 while
-// the handles were objects of their own and the packed blocks a list; the
+// (DESIGN.md §29) — 2 today, under half a KiB. It read 136 objects and 165 KiB
+// when every packet had fresh buffers, slots and closures, 7 until the packet
+// list was recycled (DESIGN.md §28), 6 while the handles were objects of their
+// own and the packed blocks a list, and 3 while the descriptor was decoded
+// into a fresh slice rather than its recycled reassembly record's (§34); the
 // relay's per-destination send daemon and its burst buffer are made once, by
 // the destination's first burst. The budget is the reading plus one.
-const relMessageAllocBudget = 4
+const relMessageAllocBudget = 3
 
 func TestReliableMessageAllocBudget(t *testing.T) {
 	const (

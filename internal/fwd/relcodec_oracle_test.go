@@ -14,20 +14,23 @@ import (
 	"madgo/internal/mad"
 )
 
-func encodeRelData(origin, final mad.Rank, id uint64, frag, total uint32, flags uint8, payload []byte, acks []relAckKey) []byte {
+// encodeRelData writes the data datagram byte by byte, the stream header
+// included, so the oracle does not share the codec it checks.
+func encodeRelData(src, dst mad.Rank, mtu uint32, id uint64, frag, total uint32, flags uint8, payload []byte, acks []relAckKey) []byte {
 	if len(acks) > relAckBatchMax {
 		panic("fwd: too many piggybacked acks")
 	}
-	pkt := make([]byte, relDataHdrLen+len(payload)+relAckEntry*len(acks)+relTrailerLen)
-	binary.LittleEndian.PutUint32(pkt[0:], uint32(origin))
-	binary.LittleEndian.PutUint32(pkt[4:], uint32(final))
+	pkt := make([]byte, 28+len(payload)+relAckEntry*len(acks)+relTrailerLen)
+	binary.LittleEndian.PutUint32(pkt[0:], uint32(src))
+	binary.LittleEndian.PutUint32(pkt[4:], mtu)
 	binary.LittleEndian.PutUint64(pkt[8:], id)
-	binary.LittleEndian.PutUint32(pkt[16:], frag)
-	binary.LittleEndian.PutUint32(pkt[20:], total)
-	pkt[24] = flags
-	pkt[25] = byte(len(acks))
-	copy(pkt[relDataHdrLen:], payload)
-	off := relDataHdrLen + len(payload)
+	binary.LittleEndian.PutUint32(pkt[16:], uint32(dst))
+	pkt[20], pkt[21], pkt[22] = byte(frag), byte(frag>>8), byte(frag>>16)
+	pkt[23], pkt[24], pkt[25] = byte(total), byte(total>>8), byte(total>>16)
+	pkt[26] = flags
+	pkt[27] = byte(len(acks))
+	copy(pkt[28:], payload)
+	off := 28 + len(payload)
 	for _, k := range acks {
 		putAckEntry(pkt[off:], k)
 		off += relAckEntry
@@ -104,7 +107,7 @@ func poison(buf []byte) {
 // dirty pooled buffer — and compares.
 func pooledEqualsOracle(t *testing.T, bp *wireBufPool, d relData, acks []relAckKey) {
 	t.Helper()
-	want := encodeRelData(d.origin, d.final, d.id, d.frag, d.total, d.flags, d.payload, acks)
+	want := encodeRelData(d.src, d.dst, d.mtu, d.id, d.frag, d.total, d.flags, d.payload, acks)
 	pkt := bp.get(relDataLen(len(d.payload), len(acks)))
 	putRelData(pkt, &d, d.flags, acks)
 	if !bytes.Equal(pkt, want) {
@@ -134,8 +137,8 @@ func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		payload := make([]byte, rng.Intn(3)*rng.Intn(20000))
 		rng.Read(payload)
-		d := relData{origin: mad.Rank(rng.Intn(64)), final: mad.Rank(rng.Intn(64)), id: rng.Uint64(),
-			frag: rng.Uint32(), total: rng.Uint32(), flags: uint8(rng.Intn(4)), payload: payload}
+		d := relData{src: mad.Rank(rng.Intn(64)), dst: mad.Rank(rng.Intn(64)), mtu: 1 + rng.Uint32()>>1, id: rng.Uint64(),
+			frag: rng.Uint32() & (1<<24 - 1), total: rng.Uint32() & (1<<24 - 1), flags: uint8(rng.Intn(4)), payload: payload}
 		pooledEqualsOracle(t, &bp, d, randKeys(rng.Intn(3)*rng.Intn(relAckBatchMax/2+1)))
 
 		keys := randKeys(1 + rng.Intn(relAckBatchMax))

@@ -177,11 +177,15 @@ type DeliveryStats struct {
 // trailing checksum — acknowledgements included, so a corrupted ack is
 // dropped rather than misparsed):
 //
-//	data:  origin u32 | final u32 | msgID u64 | frag u32 | total u32 |
-//	       flags u8 | nacks u8 | pad u16 | payload |
+//	data:  src u32 | mtu u32 | msgID u64 | dst u32 |    the unicast stream header
+//	       frag u24 | total u24 | flags u8 | nacks u8 | payload |
 //	       nacks × ackEntry | crc u32
 //	ack:   count u8 | count × ackEntry | crc u32
 //	ackEntry: origin u32 | msgID u64 | frag u32
+//
+// A data datagram is a stream kind: it opens with the unicast stream header
+// (stream.go, DESIGN.md §34), src the origin, dst the final destination and
+// mtu the size the origin fragmented at; relMaxFrags fits frag in 24 bits.
 //
 // Acknowledgements are batched: a receiver accumulates the hop acks of a
 // sender's burst and emits them as one control datagram when the burst's
@@ -191,10 +195,11 @@ type DeliveryStats struct {
 // datagrams at all.
 //
 // An end-to-end acknowledgement is a data packet with frag == e2eFrag,
-// total == 0, an empty payload and final == origin — routed back to the
-// message origin through the same reliable relay machinery as data.
+// total == 0, an empty payload, dst == src and the channel's MTU, which
+// nothing reads — routed back to the message origin through the same
+// reliable relay machinery as data.
 const (
-	relDataHdrLen = 28
+	relDataHdrLen = gtmHeaderLen + 8
 	relTrailerLen = 4
 	relOverhead   = relDataHdrLen + relTrailerLen
 	relAckEntry   = 16
@@ -208,24 +213,25 @@ const (
 // retransmission.
 const relFlagFlush = 1 << 0
 
-// relFlagAgg marks every fragment of an aggregate frame (package agg): the
-// final destination reconstructs the frame from the reassembled fragments
-// and unpacks the coalesced sub-messages instead of delivering the message
-// as-is. Unlike relFlagFlush it is an end-to-end property, preserved across
-// hops by sendData.
-const relFlagAgg = 1 << 1
+// e2eFrag is the fragment-index sentinel marking an end-to-end ack packet:
+// the largest 24-bit index, above any a message can have.
+const e2eFrag = 1<<24 - 1
 
-// e2eFrag is the fragment-index sentinel marking an end-to-end ack packet.
-const e2eFrag = ^uint32(0)
+// relMaxFrags < e2eFrag < 1<<24, or a constant goes negative: no compile.
+const (
+	_ uint = e2eFrag - relMaxFrags - 1
+	_ uint = 1<<24 - 1 - e2eFrag
+)
 
 // relData is a decoded data packet. payload aliases the datagram it was
 // decoded from — or, at the message's origin, the application's memory.
 type relData struct {
-	origin  mad.Rank
-	final   mad.Rank
+	src     mad.Rank // the message's origin
+	dst     mad.Rank // its final destination
 	id      uint64
 	frag    uint32
 	total   uint32
+	mtu     uint32 // the header's; uint32 keeps relData at 112 bytes
 	flags   uint8
 	payload []byte
 	// acks is the raw trailer of piggybacked hop acknowledgements, whole
@@ -240,7 +246,7 @@ type relData struct {
 
 // key is the packet's hop-acknowledgement identity.
 func (d *relData) key() relAckKey {
-	return relAckKey{origin: d.origin, id: d.id, frag: d.frag}
+	return relAckKey{origin: d.src, id: d.id, frag: d.frag}
 }
 
 func putAckEntry(b []byte, k relAckKey) {
@@ -272,14 +278,11 @@ func putRelData(pkt []byte, d *relData, flags uint8, acks []relAckKey) {
 	if len(pkt) != relDataLen(len(d.payload), len(acks)) {
 		panic("fwd: reliable packet buffer of the wrong size")
 	}
-	binary.LittleEndian.PutUint32(pkt[0:], uint32(d.origin))
-	binary.LittleEndian.PutUint32(pkt[4:], uint32(d.final))
-	binary.LittleEndian.PutUint64(pkt[8:], d.id)
-	binary.LittleEndian.PutUint32(pkt[16:], d.frag)
-	binary.LittleEndian.PutUint32(pkt[20:], d.total)
-	pkt[24] = flags
-	pkt[25] = byte(len(acks))
-	pkt[26], pkt[27] = 0, 0
+	putStreamHeader(pkt[:gtmHeaderLen], mad.KindRel, streamHdr{src: d.src, dst: d.dst, mtu: int(d.mtu), id: d.id})
+	putUint24(pkt[20:], d.frag)
+	putUint24(pkt[23:], d.total)
+	pkt[26] = flags
+	pkt[27] = byte(len(acks))
 	copy(pkt[relDataHdrLen:], d.payload)
 	off := relDataHdrLen + len(d.payload)
 	for _, k := range acks {
@@ -289,31 +292,27 @@ func putRelData(pkt []byte, d *relData, flags uint8, acks []relAckKey) {
 	sealCRC(pkt)
 }
 
+// decodeRelData checks one data datagram: its CRC, its stream header (a zero
+// MTU is rejected there) and a piggyback count within the cap the encoder
+// enforces.
 func decodeRelData(pkt []byte) (relData, bool) {
 	if len(pkt) < relOverhead || !checkCRC(pkt) {
 		return relData{}, false
 	}
-	// Canonical form only: the pad bytes are zero and the piggyback count
-	// is within the cap the encoder enforces.
-	nacks := int(pkt[25])
-	if nacks > relAckBatchMax || pkt[26] != 0 || pkt[27] != 0 {
-		return relData{}, false
-	}
+	h, ok := decodeStreamHeader(mad.KindRel, pkt[:gtmHeaderLen], nil)
+	nacks := int(pkt[27])
 	end := len(pkt) - relTrailerLen - relAckEntry*nacks
-	if end < relDataHdrLen {
+	if !ok || nacks > relAckBatchMax || end < relDataHdrLen {
 		return relData{}, false
 	}
-	return relData{
-		origin:  mad.Rank(binary.LittleEndian.Uint32(pkt[0:])),
-		final:   mad.Rank(binary.LittleEndian.Uint32(pkt[4:])),
-		id:      binary.LittleEndian.Uint64(pkt[8:]),
-		frag:    binary.LittleEndian.Uint32(pkt[16:]),
-		total:   binary.LittleEndian.Uint32(pkt[20:]),
-		flags:   pkt[24],
-		payload: pkt[relDataHdrLen:end],
-		acks:    pkt[end : len(pkt)-relTrailerLen],
-	}, true
+	return relData{src: h.src, dst: h.dst, id: h.id, mtu: uint32(h.mtu),
+		frag: getUint24(pkt[20:]), total: getUint24(pkt[23:]), flags: pkt[26],
+		payload: pkt[relDataHdrLen:end], acks: pkt[end : len(pkt)-relTrailerLen]}, true
 }
+
+func putUint24(b []byte, v uint32) { b[0], b[1], b[2] = byte(v), byte(v>>8), byte(v>>16) }
+
+func getUint24(b []byte) uint32 { return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 }
 
 // relAcksLen is the datagram size of a batch of n acknowledgements.
 func relAcksLen(n int) int { return 1 + relAckEntry*n + relTrailerLen }
@@ -368,7 +367,9 @@ func putRelDesc(b []byte, mtu int, blocks []relBlock) {
 	}
 }
 
-func decodeRelDesc(b []byte) (mtu int, desc []mad.BlockDesc, ok bool) {
+// decodeRelDesc parses a descriptor into desc's storage where it is large
+// enough (a recycled message record's), else into an allocation of its own.
+func decodeRelDesc(b []byte, desc []mad.BlockDesc) (mtu int, _ []mad.BlockDesc, ok bool) {
 	if len(b) < 8 {
 		return 0, nil, false
 	}
@@ -383,7 +384,7 @@ func decodeRelDesc(b []byte) (mtu int, desc []mad.BlockDesc, ok bool) {
 	if len(b) != 8+6*n {
 		return 0, nil, false
 	}
-	desc = make([]mad.BlockDesc, n)
+	desc = slices.Grow(desc[:0], n)[:n]
 	off := 8
 	for i := range desc {
 		desc[i] = mad.BlockDesc{
@@ -468,10 +469,13 @@ type relMsg struct {
 	total  uint32
 	frags  []relFrag // by fragment index, len == total
 	got    uint32    // fragments present
+	// mtu is its headers'; desc is its fragment-0 descriptor, set by verify.
+	mtu  int
+	desc []mad.BlockDesc
 	// payload is the bytes of the fragments present past fragment 0, the
 	// block descriptors: what the delivery hop record reports.
 	payload int
-	// agg marks a message whose payload is an aggregate frame (relFlagAgg):
+	// agg marks a message whose payload is an aggregate frame (flagAgg):
 	// the unpacking side decodes the frame into its coalesced sub-messages
 	// instead of handing the message to the application directly.
 	agg bool
@@ -794,7 +798,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	}
 	ds = slices.Grow(ds, nfrags)
 	add := func(pl []byte) {
-		ds = append(ds, relData{origin: e.node.Rank, final: final, id: id,
+		ds = append(ds, relData{src: e.node.Rank, dst: final, id: id, mtu: uint32(mtu),
 			frag: uint32(len(ds)), total: total, flags: msgFlags, payload: pl})
 	}
 	add(desc)
@@ -1278,9 +1282,9 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	for off := 0; off < len(d.acks); off += relAckEntry {
 		complete(e.acks[getAckEntry(d.acks[off:])])
 	}
-	if d.final != e.node.Rank {
+	if d.dst != e.node.Rank {
 		ingress := e.vc.sess.Node(in.Src.Rank).Name
-		finalName := e.vc.sess.Node(d.final).Name
+		finalName := e.vc.sess.Node(d.dst).Name
 		// Custody refusal: accepting (acking) a packet we can only route
 		// back where it came from would either loop it or strand it here.
 		// Without the ack the upstream retransmits, buries this link and
@@ -1300,7 +1304,7 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	}
 	if d.frag == e2eFrag {
 		e.hopAck(in, &d)
-		if aw := e.e2e[relMsgKey{origin: d.origin, id: d.id}]; aw != nil {
+		if aw := e.e2e[relMsgKey{origin: d.src, id: d.id}]; aw != nil {
 			e.trace("e2e", 0, p.Now())
 			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
 			complete(aw)
@@ -1320,20 +1324,20 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 // merged queue full is refused like a relay admission: neither stored nor
 // acknowledged, so the origin's ARQ sends it again.
 func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
-	mkey := relMsgKey{origin: d.origin, id: d.id}
+	mkey := relMsgKey{origin: d.src, id: d.id}
 	m := e.rx[mkey]
 	if e.vc.merged[e.node.Rank].Len() >= mergedCap && completes(m, d) {
 		e.count(relBackpressure, 1)
 		return false
 	}
 	e.hopAck(in, d)
-	if e.done[d.origin].has(d.id) {
+	if e.done[d.src].has(d.id) {
 		// The whole message already arrived; the origin is resending
 		// because our end-to-end ack got lost. Re-ack.
 		e.trace("dup", len(d.payload), p.Now())
 		e.count(relDuplicates, 1)
 		e.hop(p, d.id, "dup", obs.Detail{Form: "frag ${a} after completion, re-acked", A: int(d.frag)}, len(d.payload))
-		e.sendE2E(d.origin, d.id)
+		e.sendE2E(d.src, d.id)
 		return false
 	}
 	if m == nil {
@@ -1347,7 +1351,7 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		m = e.newMsg(d)
 		e.rx[mkey] = m
 	}
-	if d.frag >= m.total {
+	if d.frag >= m.total || int(d.mtu) != m.mtu {
 		e.count(relChecksumDrops, 1)
 		return false
 	}
@@ -1362,17 +1366,47 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	if d.frag > 0 {
 		m.payload += len(d.payload)
 	}
-	if m.got == m.total {
-		e.markDone(d.origin, d.id)
-		// The reassembled message now travels by reference through the
-		// merged queue; dropping the rx entry is what keeps a long-lived
-		// node's reassembly table from growing one record per message.
-		delete(e.rx, mkey)
-		e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) // room checked above
-		e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: int(m.total)}, m.payload)
-		e.sendE2E(d.origin, d.id)
+	if m.got < m.total {
+		return true
 	}
+	// Dropping the rx entry of a complete message is what keeps a long-lived
+	// node's reassembly table from growing one record per message.
+	delete(e.rx, mkey)
+	if !m.verify() {
+		// CRC-valid fragments that disagree with their descriptor: dropped
+		// unacked, so the origin's resends end in a DeliveryError.
+		e.count(relChecksumDrops, 1)
+		e.hop(p, d.id, "corrupt-drop", obs.Detail{Note: "fragments disagree with the descriptor"}, m.payload)
+		e.freeMsg(m)
+		return true
+	}
+	e.markDone(d.src, d.id)
+	e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) // room checked above
+	e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: int(m.total)}, m.payload)
+	e.sendE2E(d.src, d.id)
 	return true
+}
+
+// verify decodes a complete message's fragment-0 descriptor into m and holds
+// the fragments to it: the descriptor's MTU is the header's, an aggregate
+// frame is one block, and the fragments are exactly those the blocks cut at
+// that MTU, in count and in length. The unpacking side then trusts them.
+func (m *relMsg) verify() bool {
+	mtu, desc, ok := decodeRelDesc(m.frags[0].payload, m.desc)
+	if !ok || mtu != m.mtu || m.agg && len(desc) != 1 {
+		return false
+	}
+	m.desc = desc
+	next := 1
+	for _, b := range desc {
+		for off := 0; off == 0 || off < b.Size; off += mtu { // an empty block is one empty fragment
+			if next == len(m.frags) || len(m.frags[next].payload) != min(mtu, b.Size-off) {
+				return false
+			}
+			next++
+		}
+	}
+	return next == len(m.frags)
 }
 
 // completes reports whether d is the one fragment its message (m, if any) lacks.
@@ -1397,8 +1431,8 @@ func (e *relEngine) newMsg(d *relData) *relMsg {
 	if cap(frags) < int(d.total) {
 		frags = make([]relFrag, d.total)
 	}
-	*m = relMsg{origin: d.origin, id: d.id, total: d.total, frags: frags[:d.total],
-		agg: d.flags&relFlagAgg != 0}
+	*m = relMsg{origin: d.src, id: d.id, total: d.total, frags: frags[:d.total],
+		mtu: int(d.mtu), desc: m.desc[:0], agg: d.flags&flagAgg != 0}
 	return m
 }
 
@@ -1468,7 +1502,7 @@ func (e *relEngine) hopAck(in *mad.Link, d *relData) {
 // for reliable delivery back to its origin.
 func (e *relEngine) sendE2E(origin mad.Rank, id uint64) {
 	it := relayItem{
-		d:   relData{origin: origin, final: origin, id: id, frag: e2eFrag},
+		d:   relData{src: origin, dst: origin, id: id, mtu: uint32(e.vc.cfg.MTU), frag: e2eFrag},
 		enq: e.sim().Now(),
 	}
 	e.enqueueRelay(it) // a refused ack is absorbed by the origin's resend
@@ -1513,7 +1547,7 @@ func (e *relEngine) queueWait(p *vtime.Proc, it *relayItem) {
 // up on, the packets are done here either way — returns the datagrams they
 // arrived in to the pool.
 func (e *relEngine) relayBatch(p *vtime.Proc, from string, batch []relData) {
-	finalName := e.vc.sess.Node(batch[0].final).Name
+	finalName := e.vc.sess.Node(batch[0].dst).Name
 	if e.forwardBatch(p, finalName, from, batch) {
 		for i := range batch {
 			if d := &batch[i]; d.frag != e2eFrag {
@@ -1582,14 +1616,14 @@ func (e *relEngine) relaySender(final mad.Rank) *relSender {
 // destinations — as many as have backlog — overlap their ARQ waits.
 func (e *relEngine) relayLoop(p *vtime.Proc) {
 	var final mad.Rank
-	sameFinal := func(m relayItem) bool { return m.d.final == final }
+	sameFinal := func(m relayItem) bool { return m.d.dst == final }
 	for {
 		e.relaySem.Acquire(p, 1)
 		key, it, ok := e.relayDRR.Pop()
 		if !ok {
 			panic("fwd: relay scheduler woken with empty queues on " + e.node.Name)
 		}
-		final = it.d.final
+		final = it.d.dst
 		s := e.relaySender(final)
 		s.free.Acquire(p, 1)
 		e.queueWait(p, &it)
@@ -1737,43 +1771,31 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 	}
 }
 
-// relUnpacking is the receiver side: the message is already fully
-// reassembled (that is what the arrival means), so unpack calls verify the
+// relUnpacking is the receiver side: the message is already reassembled and
+// verified (that is what the arrival means), so unpack calls check the
 // mirrored flags against the descriptor and copy fragments out.
 type relUnpacking struct {
 	handle   Unpacking
 	eng      *relEngine
 	m        *relMsg
-	mtu      int
-	desc     []mad.BlockDesc
 	nextBlk  int
 	nextFrag uint32
 }
 
-func newRelUnpacking(eng *relEngine, m *relMsg) *relUnpacking {
-	mtu, desc, ok := decodeRelDesc(m.frags[0].payload)
-	if !ok {
-		panic("fwd: reliable message with malformed descriptor on " + eng.node.Name)
-	}
-	return &relUnpacking{eng: eng, m: m, mtu: mtu, desc: desc, nextFrag: 1}
-}
-
 func (ru *relUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
-	if ru.nextBlk >= len(ru.desc) {
+	m := ru.m
+	if ru.nextBlk >= len(m.desc) {
 		panic("fwd: unpack past the end of a reliable message")
 	}
-	d := ru.desc[ru.nextBlk]
+	d := m.desc[ru.nextBlk]
 	ru.nextBlk++
 	if d.S != s || d.R != r || d.Size != len(dst) {
 		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, len(dst), s, r))
 	}
 	host := ru.eng.node.Host
 	p.Sleep(host.CPU.PackCost)
-	mad.ForEachFragment(len(dst), ru.mtu, func(off, n int) {
-		if ru.nextFrag >= ru.m.total || len(ru.m.frags[ru.nextFrag].payload) != n {
-			panic("fwd: reliable message fragment size mismatch")
-		}
-		frag := ru.m.frags[ru.nextFrag].payload
+	mad.ForEachFragment(len(dst), m.mtu, func(off, n int) {
+		frag := m.frags[ru.nextFrag].payload // verify held its length to n
 		ru.nextFrag++
 		if n > 0 {
 			host.Memcpy(p, n)
@@ -1783,9 +1805,8 @@ func (ru *relUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.
 }
 
 func (ru *relUnpacking) end(p *vtime.Proc) {
-	if ru.nextBlk != len(ru.desc) || ru.nextFrag != ru.m.total {
-		panic(fmt.Sprintf("fwd: reliable message not fully unpacked (%d/%d blocks, %d/%d fragments)",
-			ru.nextBlk, len(ru.desc), ru.nextFrag, ru.m.total))
+	if ru.nextBlk != len(ru.m.desc) {
+		panic(fmt.Sprintf("fwd: reliable message not fully unpacked (%d of %d blocks)", ru.nextBlk, len(ru.m.desc)))
 	}
 	// Every fragment has been copied out: the datagrams they arrived in go
 	// back to the pool and the record to the engine.

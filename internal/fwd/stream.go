@@ -48,9 +48,9 @@ import (
 // writer spends exactly one credit before every Send.
 
 // Every stream header opens with the same 16 bytes and the kind picks its
-// tail (DESIGN.md §32 has the offsets before and after):
+// tail (DESIGN.md §32 and §34 have the offsets before and after):
 //
-//	src u32 | mtu u32 | id u64 | dst u32                                 the unicast kinds, 20 B
+//	src u32 | mtu u32 | id u64 | dst u32                                 unicast, reliable data: 20 B
 //	src u32 | mtu u32 | id u64 | dst u32 | rail u8 | nrails u8 |
 //	    flags u16 | spanStart u64 | spanLen u64 | total u64              a rail, 48 B
 //	src u32 | mtu u32 | id u64 | count u16 | dests u32... | crc u32     multicast, 18+4n+4 B
@@ -61,9 +61,9 @@ import (
 // link, and the pack-time message ID so every gateway on the path can
 // attribute its relay work to the message's provenance trace.) A rail's
 // header extends the unicast one, so a gateway routes a rail without knowing
-// about striping. Only the multicast header carries a CRC-32 (IEEE): a
-// corrupted destination set silently mis-replicates, while a corrupted rank
-// just misroutes one message.
+// about striping; a reliable datagram follows it with frag, total, flags and
+// nacks (reliable.go), and a CRC-32 trailer. The multicast header carries a
+// CRC-32 (IEEE) of its own: a corrupted destination set mis-replicates.
 const (
 	streamPrefixLen  = 16
 	gtmHeaderLen     = streamPrefixLen + 4
@@ -75,10 +75,10 @@ const (
 // gateway; the receiver ORs it over rails for Unpacking.Forwarded.
 const stripeFlagForwarded = 1 << 0
 
-// stripeFlagAgg marks a rail of a striped aggregate frame (package agg):
-// after reassembly the receiver decodes the frame into its coalesced
-// sub-messages instead of delivering the striped message as-is.
-const stripeFlagAgg = 1 << 1
+// flagAgg, in a rail's flags and a reliable datagram's, marks an aggregate
+// frame (package agg): after reassembly the receiver decodes it into its
+// coalesced sub-messages. An end-to-end property, preserved across hops.
+const flagAgg = 1 << 1
 
 // stripeMaxRails bounds Config.StripeK: the rail id travels as one byte.
 const stripeMaxRails = 255

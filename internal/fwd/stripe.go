@@ -193,7 +193,7 @@ type stripeGroup struct {
 	total int64
 	rails []*stripeRail
 	seen  [stripeMaxRails + 1]bool
-	// agg is set when any rail carries stripeFlagAgg: the reassembled
+	// agg is set when any rail carries flagAgg: the reassembled
 	// bytes are an aggregate frame to be decoded, not an app message.
 	agg bool
 }
@@ -477,7 +477,7 @@ func (vc *VirtualChannel) runRails(p *vtime.Proc, node *mad.Node, job railJob, n
 type stripeSend struct {
 	blockBuf
 	dst string
-	// aggFlag stamps stripeFlagAgg on every rail header: the message body
+	// aggFlag stamps flagAgg on every rail header: the message body
 	// is an aggregate frame the receiver must decode after reassembly.
 	aggFlag bool
 	rails   []route.Route
@@ -516,7 +516,7 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 		flags |= stripeFlagForwarded
 	}
 	if sx.aggFlag {
-		flags |= stripeFlagAgg
+		flags |= flagAgg
 	}
 	t0 := p.Now()
 	h := streamHdr{src: sx.node.Rank, dst: vc.NodeRank(sx.dst), mtu: vc.railMTU(r), id: sx.id,
@@ -701,7 +701,7 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Ar
 		panic(fmt.Sprintf("fwd: rail %d disagrees on message size (%d != %d)", h.rail, h.total, g.total))
 	}
 	g.seen[h.rail] = true
-	if h.flags&stripeFlagAgg != 0 {
+	if h.flags&flagAgg != 0 {
 		g.agg = true
 	}
 	g.rails = append(g.rails, rl)

@@ -73,12 +73,6 @@ type Config struct {
 	// attempted for; smaller messages take the single-rail path. 0 means
 	// DefaultStripeThreshold.
 	StripeThreshold int
-	// Health tunes the link-health failure detector (package health) every
-	// reliable channel runs: passive evidence from the reliable protocol
-	// plus active probes drive per-link Up/Suspect/Dead/Probation states,
-	// and every death or re-admission publishes a new epoch of shared route
-	// tables. Zero fields take defaults. Only meaningful with Reliable.
-	Health health.Config
 	// FlowControl arms credit-based gateway flow control (see flowctl.go
 	// and package flow): senders spend a per-(gateway, sender) credit per
 	// wire transfer toward a gateway and the gateway grants credits back as
@@ -136,9 +130,6 @@ func (c Config) validate() error {
 	}
 	if c.StripeThreshold < 0 {
 		return fmt.Errorf("fwd: negative StripeThreshold")
-	}
-	if c.Health != (health.Config{}) && !c.Reliable {
-		return fmt.Errorf("fwd: Health requires Reliable")
 	}
 	if c.CreditWindow < 0 {
 		return fmt.Errorf("fwd: negative CreditWindow")
@@ -416,7 +407,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 
 	if cfg.Reliable {
 		sim := sess.Platform.Sim
-		vc.mon = health.NewMonitor(cfg.Health, tp, cfg.FallbackTopo,
+		vc.mon = health.NewMonitor(health.DefaultConfig(), tp, cfg.FallbackTopo,
 			sess.Platform.Metrics, sim.After, sim.Now)
 		// Health-epoch churn is a flight-recorder dump trigger: route
 		// changes are exactly the moments whose surrounding event history a
@@ -810,7 +801,7 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 				e.vc.aggDecodeReliable(p, e.node, in.rel)
 				continue
 			}
-			ru := newRelUnpacking(e.vc.rel[e.node.Name], in.rel)
+			ru := &relUnpacking{eng: e.vc.rel[e.node.Name], m: in.rel, nextFrag: 1}
 			srcName := e.vc.sess.Node(in.rel.origin).Name
 			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
 			return ru.handle.bind(ru, in.rel.origin, fwd)

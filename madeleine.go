@@ -55,7 +55,6 @@
 //	WithStriping, WithStripeThreshold      fwd/stripe: multi-rail striping
 //	WithReliableDelivery, WithRetryPolicy  fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
-//	WithHealthConfig                       health: tunes reliable delivery's link failure detector
 //	WithRouteNetworks                      route: restrict the channel to named networks
 //	WithTracer                             trace: gateway pipeline spans
 //	WithMetrics                            obs: counters, histograms, provenance
@@ -67,9 +66,9 @@
 // WithCreditWindow requires WithFlowControl, and WithStripeThreshold requires
 // WithStriping. NewSystem rejects an incoherent
 // set with a *ConfigError naming the missing option instead of silently
-// ignoring the orphan. (WithFaults, WithRetryPolicy and WithHealthConfig keep
-// their documented implication — reliable delivery — because there the implied
-// subsystem is the only possible intent.)
+// ignoring the orphan. (WithFaults and WithRetryPolicy keep their documented
+// implication — reliable delivery — because there the implied subsystem is the
+// only possible intent.)
 package madeleine
 
 import (
@@ -169,9 +168,6 @@ type (
 	MessageHop = obs.Hop
 	// Lane is the busy/stall/idle decomposition of one pipeline actor.
 	Lane = obs.Lane
-	// HealthConfig tunes the link-health failure detector reliable delivery
-	// runs (WithHealthConfig); the zero value of any field selects its default.
-	HealthConfig = health.Config
 	// HealthMonitor is the running failure detector, reachable through
 	// System.Health. It owns the epochal route tables: every link death or
 	// re-admission publishes a new routing epoch the senders converge on.
@@ -266,9 +262,6 @@ func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
 // is given.
 func DefaultRetryPolicy() RetryPolicy { return fwd.DefaultRetryPolicy() }
 
-// DefaultHealthConfig returns the failure detector's documented defaults.
-func DefaultHealthConfig() HealthConfig { return health.DefaultConfig() }
-
 // Reduction operators for Comm.Reduce/AllReduce.
 var (
 	OpSum ReduceOp = coll.Sum
@@ -344,9 +337,6 @@ type Options struct {
 	// StripeThreshold is the minimum message size (bytes) striping is
 	// attempted for; 0 means fwd.DefaultStripeThreshold (16 KB).
 	StripeThreshold int
-	// Health, when non-nil, overrides the configuration of the link-health
-	// failure detector reliable delivery runs (implies reliable delivery).
-	Health *HealthConfig
 	// FlowControl arms credit-based gateway flow control: senders spend a
 	// per-(gateway, sender) credit per wire transfer toward a gateway, and
 	// gateways grant credits back as their relay buffers free. Fairness is
@@ -458,13 +448,6 @@ func WithStripeThreshold(bytes int) Option {
 	return func(o *Options) { o.StripeThreshold = bytes }
 }
 
-// WithHealthConfig tunes the link-health failure detector reliable delivery
-// runs (implies WithReliableDelivery; without it the detector runs at
-// DefaultHealthConfig). Query the detector with System.Health.
-func WithHealthConfig(hc HealthConfig) Option {
-	return func(o *Options) { o.Health = &hc }
-}
-
 // WithoutFlightRecorder disables the always-on flight recorder. Only the
 // recorder-overhead experiment has a reason to use this.
 func WithoutFlightRecorder() Option { return func(o *Options) { o.DisableFlight = true } }
@@ -533,7 +516,7 @@ func WithAggregation() Option { return func(o *Options) { o.Aggregation = true }
 // probation run of successful probes. When no live route remains, delivery
 // fails fast with an error matching ErrNoRoute instead of stalling. Relaying
 // nodes serve their ingress neighbours deficit-round-robin. Query the
-// detector with System.Health, tune it with WithHealthConfig.
+// detector with System.Health.
 func WithReliableDelivery() Option { return func(o *Options) { o.Reliable = true } }
 
 // WithPaperFidelity resets the system to the paper's §3 evaluation
@@ -554,7 +537,6 @@ func WithPaperFidelity() Option {
 		o.StripeK = 0
 		o.StripeThreshold = 0
 		o.Reliable = false
-		o.Health = nil
 		o.Retry = nil
 	}
 }
@@ -660,7 +642,7 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 	if plan == nil {
 		plan = tp.Faults
 	}
-	reliable := o.Reliable || plan != nil || o.Retry != nil || o.Health != nil
+	reliable := o.Reliable || plan != nil || o.Retry != nil
 	if o.AutoMTU {
 		nets := vcTopo.Networks()
 		if len(nets) != 2 {
@@ -701,9 +683,6 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		if vcTopo != tp {
 			// The excluded control networks stay alive as failover paths.
 			cfg.FallbackTopo = tp
-		}
-		if o.Health != nil {
-			cfg.Health = *o.Health
 		}
 	}
 	spec := assembly.Spec{Topo: vcTopo, Config: cfg, Metrics: o.Metrics, Faults: plan}

@@ -266,11 +266,11 @@ func runReliableStar(t *testing.T, opts ...madeleine.Option) starRun {
 // TestReliableDeliveryHasOneShape: there is one reliable engine, so the options
 // that used to pick between its four shapes — the failure detector or the
 // engine's own dead-link guesses, the fair relay daemon or the FIFO one — pick
-// nothing any more. WithReliableDelivery alone, with WithFlowControl (reliable
-// mode has no credit layer: the option armed the fair relay and nothing else)
-// and with the detector's defaults spelled out are the same program and run
-// the same lossy many-sender incast to the same virtual nanosecond. Before
-// PR 22 the three differed (and the first had no Health() to ask).
+// nothing any more. WithReliableDelivery alone and with WithFlowControl
+// (reliable mode has no credit layer: the option armed the fair relay and
+// nothing else) are the same program and run the same lossy many-sender
+// incast to the same virtual nanosecond. When the options still picked a
+// shape they differed (and the first had no Health() to ask).
 func TestReliableDeliveryHasOneShape(t *testing.T) {
 	alone := runReliableStar(t, madeleine.WithReliableDelivery())
 	if alone.delivery.Retransmits == 0 {
@@ -279,15 +279,7 @@ func TestReliableDeliveryHasOneShape(t *testing.T) {
 	if alone.flow.SchedRounds == 0 || alone.flow.Accounts != 0 {
 		t.Errorf("reliable delivery alone: %+v, want relay scheduler rounds and no credit account", alone.flow)
 	}
-	for _, leg := range []struct {
-		name string
-		opt  madeleine.Option
-	}{
-		{"WithFlowControl", madeleine.WithFlowControl()},
-		{"WithHealthConfig(defaults)", madeleine.WithHealthConfig(madeleine.DefaultHealthConfig())},
-	} {
-		if got := runReliableStar(t, madeleine.WithReliableDelivery(), leg.opt); !reflect.DeepEqual(got, alone) {
-			t.Errorf("with %s the run differs from WithReliableDelivery alone:\n  got %+v\n want %+v", leg.name, got, alone)
-		}
+	if got := runReliableStar(t, madeleine.WithReliableDelivery(), madeleine.WithFlowControl()); !reflect.DeepEqual(got, alone) {
+		t.Errorf("with WithFlowControl the run differs from WithReliableDelivery alone:\n  got %+v\n want %+v", got, alone)
 	}
 }
