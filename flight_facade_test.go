@@ -301,26 +301,3 @@ func TestFlightChromeReplay(t *testing.T) {
 		t.Error("chrome trace has no flight-recorder spans")
 	}
 }
-
-// TestWithoutFlightRecorder checks the opt-out: no recorder, and every
-// flight query degrades to zero values instead of panicking.
-func TestWithoutFlightRecorder(t *testing.T) {
-	sys, err := madeleine.NewSystem(demoConfig, madeleine.WithoutFlightRecorder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamThrough(t, sys, "a0", "b0", 1, 64*1024)
-	if sys.Flight() != nil {
-		t.Fatal("WithoutFlightRecorder left a recorder armed")
-	}
-	if bs := sys.Budgets(); bs != nil {
-		t.Errorf("Budgets() without a recorder = %v, want nil", bs)
-	}
-	if d := sys.Diagnose(); !d.Healthy() {
-		t.Errorf("Diagnose() without a recorder = %+v, want healthy", d.Findings)
-	}
-	var out bytes.Buffer
-	if err := sys.WriteFlightJSON(&out); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -55,9 +55,6 @@ type Config struct {
 	// failure detector with multi-gateway failover, and a fair relay queue
 	// on every node. Required for running under fault injection.
 	Reliable bool
-	// Retry tunes the reliability protocol; zero fields take defaults.
-	// Only meaningful with Reliable.
-	Retry RetryPolicy
 	// FallbackTopo, when non-nil in reliable mode, is a larger topology
 	// (typically the full configuration including the slow control
 	// network) whose extra networks become alternate paths once the

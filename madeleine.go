@@ -48,17 +48,16 @@
 //	WithNetworkMTU                         fwd: per-path packet-size negotiation
 //	WithPipelineDepth                      fwd: gateway staging-buffer ring depth
 //	WithoutZeroCopy                        fwd: §2.3 gateway buffer election
-//	WithInflowLimit                        fwd: gateway ingress throttle
 //	WithEagerSmallMessages                 fwd/eager: compact one-transfer GTM framing
 //	WithAggregation                        fwd/agg: cross-message coalescer
 //	WithFlowControl, WithCreditWindow      fwd/flow: credit-based gateway flow control
 //	WithStriping, WithStripeThreshold      fwd/stripe: multi-rail striping
-//	WithReliableDelivery, WithRetryPolicy  fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
+//	WithReliableDelivery                   fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
 //	WithRouteNetworks                      route: restrict the channel to named networks
 //	WithTracer                             trace: gateway pipeline spans
 //	WithMetrics                            obs: counters, histograms, provenance
-//	WithoutFlightRecorder, WithFlightRingCap  flight: always-on event recorder
+//	WithFlightRingCap                      flight: always-on event recorder
 //	WithPaperFidelity, WithProduction      presets bundling the above
 //
 // Options that tune a subsystem another option arms do not arm it
@@ -66,9 +65,9 @@
 // WithCreditWindow requires WithFlowControl, and WithStripeThreshold requires
 // WithStriping. NewSystem rejects an incoherent
 // set with a *ConfigError naming the missing option instead of silently
-// ignoring the orphan. (WithFaults and WithRetryPolicy keep their documented
-// implication — reliable delivery — because there the implied subsystem is the
-// only possible intent.)
+// ignoring the orphan. (WithFaults keeps its documented implication —
+// reliable delivery — because there the implied subsystem is the only
+// possible intent.)
 package madeleine
 
 import (
@@ -125,8 +124,6 @@ type (
 	// FaultPlan is a seeded, deterministic fault schedule (packet loss,
 	// corruption, link flaps, NIC stalls, node crashes).
 	FaultPlan = fault.Plan
-	// RetryPolicy tunes the reliable delivery mode's timeouts and budgets.
-	RetryPolicy = fwd.RetryPolicy
 	// DeliveryError reports a message the reliable mode could not deliver
 	// within its retry budget; Run returns it instead of deadlocking.
 	DeliveryError = fwd.DeliveryError
@@ -258,10 +255,6 @@ const (
 // Corrupt, Flap, Stall and Crash on it and pass it to WithFaults.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
 
-// DefaultRetryPolicy returns the retry policy reliable mode uses when none
-// is given.
-func DefaultRetryPolicy() RetryPolicy { return fwd.DefaultRetryPolicy() }
-
 // Reduction operators for Comm.Reduce/AllReduce.
 var (
 	OpSum ReduceOp = coll.Sum
@@ -306,9 +299,6 @@ type Options struct {
 	// DisableZeroCopy turns off the §2.3 buffer election (every relayed
 	// packet pays a staging copy).
 	DisableZeroCopy bool
-	// InflowLimit throttles gateway receive loops to this many bytes/s
-	// (0 = off).
-	InflowLimit float64
 	// Tracer, when non-nil, records gateway pipeline activity.
 	Tracer *Tracer
 	// Metrics, when non-nil, receives counters, histograms and message
@@ -323,9 +313,6 @@ type Options struct {
 	// topology configuration ("fault ..." directives) is used when this
 	// field is nil.
 	Faults *FaultPlan
-	// Retry overrides the reliable mode's retry policy (implies reliable
-	// delivery).
-	Retry *RetryPolicy
 	// Reliable switches the virtual channel to reliable datagram
 	// delivery: checksummed, acknowledged, retransmitted packets, the
 	// link-health failure detector with gateway failover, and fair relaying.
@@ -359,10 +346,6 @@ type Options struct {
 	// deadline to tune. Requires Eager (the coalescer emits compact
 	// frames).
 	Aggregation bool
-	// DisableFlight turns the always-on flight recorder off. The recorder
-	// costs well under 5% of goodput (a bounded ring write per event, no
-	// allocation), so leaving it on is the default even for benchmarks.
-	DisableFlight bool
 	// FlightRingCap overrides the per-node ring capacity (default 4096
 	// events).
 	FlightRingCap int
@@ -400,11 +383,6 @@ func WithNetworkMTU(network string, bytes int) Option {
 // WithoutZeroCopy disables the gateway buffer election.
 func WithoutZeroCopy() Option { return func(o *Options) { o.DisableZeroCopy = true } }
 
-// WithInflowLimit throttles gateway ingress.
-func WithInflowLimit(bytesPerSec float64) Option {
-	return func(o *Options) { o.InflowLimit = bytesPerSec }
-}
-
 // WithTracer attaches a pipeline tracer.
 func WithTracer(tr *Tracer) Option { return func(o *Options) { o.Tracer = tr } }
 
@@ -425,10 +403,6 @@ func WithRouteNetworks(names ...string) Option {
 // survivable.
 func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } }
 
-// WithRetryPolicy sets the reliable mode's timeouts and retry budgets
-// (implies WithReliableDelivery).
-func WithRetryPolicy(rp RetryPolicy) Option { return func(o *Options) { o.Retry = &rp } }
-
 // WithStriping enables multi-rail striping with up to k link-disjoint
 // routes per node pair. Large messages are split across the rails
 // rate-proportionally and reassembled in place at the receiver; pairs with a
@@ -447,10 +421,6 @@ func WithStriping(k int) Option { return func(o *Options) { o.StripeK = k } }
 func WithStripeThreshold(bytes int) Option {
 	return func(o *Options) { o.StripeThreshold = bytes }
 }
-
-// WithoutFlightRecorder disables the always-on flight recorder. Only the
-// recorder-overhead experiment has a reason to use this.
-func WithoutFlightRecorder() Option { return func(o *Options) { o.DisableFlight = true } }
 
 // WithFlightRingCap sets the flight recorder's per-node ring capacity in
 // events (default 4096). A ring's memory is 32 B for each event it holds,
@@ -537,7 +507,6 @@ func WithPaperFidelity() Option {
 		o.StripeK = 0
 		o.StripeThreshold = 0
 		o.Reliable = false
-		o.Retry = nil
 	}
 }
 
@@ -642,7 +611,7 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 	if plan == nil {
 		plan = tp.Faults
 	}
-	reliable := o.Reliable || plan != nil || o.Retry != nil
+	reliable := o.Reliable || plan != nil
 	if o.AutoMTU {
 		nets := vcTopo.Networks()
 		if len(nets) != 2 {
@@ -663,7 +632,6 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		PipelineDepth: o.PipelineDepth,
 		NetMTU:        o.NetworkMTU,
 		ZeroCopy:      !o.DisableZeroCopy,
-		InflowLimit:   o.InflowLimit,
 		Tracer:        o.Tracer,
 		Reliable:      reliable,
 
@@ -676,22 +644,14 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		Eager:       o.Eager,
 		Aggregation: o.Aggregation,
 	}
-	if reliable {
-		if o.Retry != nil {
-			cfg.Retry = *o.Retry
-		}
-		if vcTopo != tp {
-			// The excluded control networks stay alive as failover paths.
-			cfg.FallbackTopo = tp
-		}
+	if reliable && vcTopo != tp {
+		// The excluded control networks stay alive as failover paths.
+		cfg.FallbackTopo = tp
 	}
-	spec := assembly.Spec{Topo: vcTopo, Config: cfg, Metrics: o.Metrics, Faults: plan}
-	if !o.DisableFlight {
-		// The flight recorder is always on: its cost is a bounded ring
-		// write per event (no allocation), enforced under 5% of goodput by
-		// the O2 gate.
-		spec.Flight = flight.NewRecorder(o.FlightRingCap)
-	}
+	// The flight recorder is always on: its cost is a bounded ring write per
+	// event (no allocation), enforced under 5% of goodput by the O2 gate.
+	spec := assembly.Spec{Topo: vcTopo, Config: cfg, Metrics: o.Metrics, Faults: plan,
+		Flight: flight.NewRecorder(o.FlightRingCap)}
 	sim, sess, vc, err := assembly.Build(spec)
 	if err != nil {
 		return nil, err
@@ -880,9 +840,8 @@ func (s *System) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, spans, s.Metrics().Hops())
 }
 
-// Flight returns the always-on flight recorder, or nil when the system was
-// built with WithoutFlightRecorder. A nil *FlightRecorder is safe to query:
-// every method returns zero values.
+// Flight returns the always-on flight recorder. A nil *FlightRecorder is safe
+// to query: every method returns zero values.
 func (s *System) Flight() *FlightRecorder { return s.Session.Platform.Flight }
 
 // WriteFlightJSON writes the flight recorder's full state — every per-node

@@ -148,46 +148,6 @@ func TestSystemReliableUnreachable(t *testing.T) {
 	}
 }
 
-// TestSystemRetryPolicyOption checks that WithRetryPolicy alone switches the
-// system to reliable mode.
-func TestSystemRetryPolicyOption(t *testing.T) {
-	rp := madeleine.DefaultRetryPolicy()
-	rp.PacketRetries = 2
-	sys, err := madeleine.NewSystem(demoConfig, madeleine.WithRetryPolicy(rp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 50_000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	var got []byte
-	sys.Spawn("sender", func(p *madeleine.Proc) {
-		px := sys.At("a0").BeginPacking(p, "b1")
-		px.Pack(p, payload, madeleine.SendCheaper, madeleine.ReceiveCheaper)
-		px.EndPacking(p)
-	})
-	sys.Spawn("receiver", func(p *madeleine.Proc) {
-		u := sys.At("b1").BeginUnpacking(p)
-		got = make([]byte, len(payload))
-		u.Unpack(p, got, madeleine.SendCheaper, madeleine.ReceiveCheaper)
-		u.EndUnpacking(p)
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("payload corrupted")
-	}
-	gs, ok := sys.GatewayStats("gw")
-	if !ok || gs.Messages != 1 {
-		t.Errorf("gateway stats = %+v ok=%v, want one relayed message", gs, ok)
-	}
-	if gs.Retransmits != 0 || gs.Failovers != 0 {
-		t.Errorf("fault-free run recovered: %+v", gs)
-	}
-}
-
 // starRun is one run of the contention wall's star (internal/fwd: sixteen
 // senders on one edge network, one gateway, the sink behind it; every fifth
 // sender an elephant) under 1 % seeded loss, and what the run looked like from
