@@ -144,13 +144,21 @@ func runWall(t *testing.T, c wallCase) {
 	}
 	// The pools end up holding a warm set, not a buffer per message: a ring
 	// of staging buffers per gateway ingress network (each gateway here has
-	// two), in reliable mode about two ARQ windows of datagrams a node, data
-	// and acks, and with aggregation a frame being packed and one on its way
-	// per sender. The readings are 2 to 4 buffers streaming, 79 for the 16
-	// reliable senders, 29 for the 5 and 113 for the 64 aggregating ones.
+	// two); in the framings whose header travels alone (seed, rail), the
+	// header of every stream open at once — it is a pool buffer from its
+	// sender's open to its receiver's, and every sender may have one open on
+	// each rail; in reliable mode about two ARQ windows of datagrams a node,
+	// data and acks; and with aggregation a frame being packed and one on its
+	// way per sender. The readings are 5 to 67 buffers streaming (star-64: 64
+	// headers and 3 staging buffers, where a header leaked per message would
+	// take 128), 79 for the 16 reliable senders, 29 for the 5 and 113 for the
+	// 64 aggregating ones.
 	warm := int64(len(w.vc.Gateways()) * 2 * c.cfg.PipelineDepth)
-	if c.cfg.Reliable {
+	switch {
+	case c.cfg.Reliable:
 		warm += int64(len(tp.Nodes()) * 2 * fwd.DefaultRetryPolicy().Window)
+	case !c.cfg.Eager || c.cfg.StripeK > 1:
+		warm += int64(c.senders * max(1, c.cfg.StripeK))
 	}
 	if c.cfg.Aggregation {
 		warm += int64(2 * c.senders)

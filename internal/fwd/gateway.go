@@ -167,8 +167,8 @@ type gwTx struct {
 	msgID uint64
 	// slot is the staged fragment data lives in: its send is traced and
 	// followed by a buffer swap, and the sender drops its reference. Nil for
-	// memory nothing reuses (a driver slot, a rewritten header, the sender's
-	// own header cells).
+	// memory nothing reuses (a driver slot, a rewritten header, a header's
+	// wire-pool buffer).
 	slot *relaySlot
 	// replicated: the transfer feeds one branch of a multicast fan-out.
 	replicated bool
@@ -199,11 +199,6 @@ type gwSender struct {
 	enq    vsync.Mutex
 	actor  string // trace actor, "<gateway>:send:<net>"
 	outNet string
-
-	// hdrs keeps the bracketed framings' headers, which arrive in a ring's
-	// scratch, until they are on the wire (keep).
-	hdrs  [][stripeHeaderLen]byte
-	nhdrs int
 }
 
 // sender returns (creating, with its daemon) the sender of one egress link.
@@ -215,27 +210,10 @@ func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
 	depth := g.vc.cfg.PipelineDepth
 	outNet := out.Channel.Network().Name
 	e := &gwSender{out: out, spendTo: nextGW, q: vsync.NewChan[gwTx](name, depth),
-		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet,
-		// A link reads a payload where it lies when the wire delivers it,
-		// a wire latency after Send returned. A cell is rewritten depth+3
-		// headers later: at most depth+1 of the transfers queued since are
-		// unsent (the queue, the sender's hand), so depth+4 have left, each
-		// fragment with its swap. A staging buffer gets less: it goes back to
-		// its pool one swap after its send, which Build holds to at least the
-		// wire latency (TestRelayHeaderCellsOutliveASlowWire).
-		hdrs: make([][stripeHeaderLen]byte, depth+3)}
+		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet}
 	g.senders[out] = e
 	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) { g.egress(sp, e) })
 	return e
-}
-
-// keep copies a header out of a ring's scratch, which the next message of
-// that ring overwrites, into the sender's own cells.
-func (e *gwSender) keep(hdr []byte) []byte {
-	cell := e.hdrs[e.nhdrs%len(e.hdrs)][:len(hdr)]
-	e.nhdrs++
-	copy(cell, hdr)
-	return cell
 }
 
 // egress is the send thread: it puts the queued transfers on the link one
@@ -499,13 +477,18 @@ type relayFrame struct {
 // the routing fields and re-emits everything else unchanged: it stays
 // oblivious to the striping schedule of a rail (whose header extends the GTM
 // one) and to whether a compact frame's payload is one small message or an
-// aggregate of many.
+// aggregate of many. A header that travelled alone leaves in the wire-pool
+// buffer it arrived in, which the copy into scratch emptied: the frame's head
+// is that buffer, not the scratch the ring's next message overwrites.
 func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFrame {
 	f := relayFrame{kind: a.Kind(), up: a.Link.Src.Name}
-	meta, head := recvFirst(p, a.Link, f.kind, r.hdr[:])
+	meta, head, spent := recvFirst(p, a.Link, f.kind, r.hdr[:])
 	var ok bool
 	if f.streamOpen, ok = parseStream(f.kind, meta, head, r.hdrDests); !ok {
 		panic(fmt.Sprintf("fwd: malformed %v header at gateway %s", f.kind, g.name))
+	}
+	if spent != nil {
+		f.head = spent
 	}
 	return f
 }
@@ -575,22 +558,19 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 	for _, b := range branches {
 		b.tx.enq.Lock(p)
 	}
-	bracketed := framingOf(f.kind).bracketed
 	for _, b := range branches {
 		// The unicast branch re-emits the first transfer unchanged; a
 		// replicated one opens with its own header, glued to the payload when
-		// the first transfer was the whole message. All but a header cell
-		// (keep) is memory this gateway never writes again — the driver slot
-		// it received, a branch's own header or frame — and is handed on.
-		meta := mad.TxMeta{SOM: true, EOM: f.meta.EOM, Kind: f.kind, Blocks: f.meta.Blocks, Owned: !bracketed}
+		// the first transfer was the whole message. Either is memory this
+		// gateway never writes again — the driver slot or header buffer it
+		// received, a branch's own header or frame — and is handed on.
+		meta := mad.TxMeta{SOM: true, EOM: f.meta.EOM, Kind: f.kind, Blocks: f.meta.Blocks, Owned: true}
 		first := f.head
 		switch {
 		case b.replicated() && f.meta.EOM:
 			meta.Blocks, first = g.replicateFrame(p, &f, &b, f.payload)
 		case b.replicated():
 			meta.Blocks, first = vc.mcastst.hdrDesc(len(b.hdr)), b.hdr
-		case bracketed:
-			first = b.tx.keep(first)
 		}
 		b.tx.q.Send(p, gwTx{meta: meta, data: first, msgID: f.id})
 	}

@@ -153,3 +153,74 @@ func TestSuggestedConfigDefaults(t *testing.T) {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
+
+// TestBracketedHeaderIsHandedOverHopByHop: a header that travels alone — the
+// seed framing's, a rail's — is a wire-pool buffer its origin takes, every
+// gateway re-emits as it arrived and the final receiver returns once it has
+// read it (DESIGN.md §36). The pool is stocked with one buffer for every
+// header a message opens: one for a GTM message across two gateways, one a
+// rail for a message striped through two. Sent one at a time, every header the
+// sink returns is one of them, so the sink's header buffer is the origin's
+// backing array; a gateway that copied the header would hand on memory the
+// pool never gave out. Sent back to back, the pool's misses follow the headers
+// in flight at once, not the messages: four times the messages allocate no
+// more. Every returned buffer is poisoned and the ledger balances (build).
+func TestBracketedHeaderIsHandedOverHopByHop(t *testing.T) {
+	striped := fwd.DefaultConfig()
+	striped.StripeK, striped.StripeThreshold = 2, 16<<10
+	for _, c := range []struct {
+		name     string
+		tp       *topo.Topology
+		cfg      fwd.Config
+		src, dst string
+		headers  int // the headers one message opens
+	}{
+		{"gtm-two-gateways", chainTopo(t), fwd.DefaultConfig(), "a", "c", 1},
+		{"striped", dualRailTopo(t, 1), striped, "s0", "sink", 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := build(t, c.tp, c.cfg)
+			var stock [][]byte
+			returned, foreign := 0, 0
+			stock = fwd.StockHeaderBufs(w.vc, c.headers, func(b []byte) {
+				returned++
+				for _, s := range stock {
+					if &s[0] == &b[0] {
+						return
+					}
+				}
+				foreign++
+			})
+			blocks := []block{{pattern(70_000, 3), mad.SendCheaper, mad.ReceiveCheaper}}
+			const msgs = 4
+			for i := 0; i < msgs; i++ {
+				got, fwded, _ := sendRecv(t, w, c.src, c.dst, blocks)
+				if !bytes.Equal(got[0], blocks[0].data) || !fwded {
+					t.Fatalf("message %d: intact %v, forwarded %v", i, bytes.Equal(got[0], blocks[0].data), fwded)
+				}
+			}
+			if returned != msgs*c.headers || foreign != 0 {
+				t.Fatalf("sinks returned %d header buffers for %d headers, %d of them not the origin's", returned, msgs*c.headers, foreign)
+			}
+
+			// Back to back: the origin opens its next message while earlier
+			// headers are still on their way or unread at the sink.
+			stream := func(n int) int64 {
+				var done vtime.Time
+				spawnStream(t, w, c.src, c.dst, blocks[0].data, n, &done)
+				if err := w.sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return w.vc.RelBookkeeping().BufsAllocated
+			}
+			warm, after := stream(8), stream(32)
+			t.Logf("%s: %d header buffers returned; %d buffers allocated after 8 back-to-back messages, %d after 32 more", c.name, returned, warm, after)
+			if after != warm {
+				t.Errorf("back-to-back messages allocated buffers: %d after 8, %d after 32 more", warm, after)
+			}
+			if want := (msgs + 8 + 32) * c.headers; returned != want {
+				t.Errorf("sinks returned %d header buffers, want %d", returned, want)
+			}
+		})
+	}
+}

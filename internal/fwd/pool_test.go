@@ -108,3 +108,30 @@ func TestWireBufPoolAllocatorOnMissesOnly(t *testing.T) {
 		t.Fatalf("ledger = %+v, want %+v", s, want)
 	}
 }
+
+// StockHeaderBufs takes n buffers of the wire pool's class of stream headers
+// — a seed-framing header, a rail's — and returns them, so the pool holds
+// exactly them for the next headers, and from then on reports every buffer of
+// that class returned to the pool to seen, after the pool's own hook poisons
+// it. It returns the stocked buffers. Exported to the package's external
+// tests; it exists in test builds only.
+func StockHeaderBufs(vc *VirtualChannel, n int, seen func(buf []byte)) [][]byte {
+	stock := make([][]byte, n)
+	for i := range stock {
+		stock[i] = vc.bufs.get(stripeHeaderLen)
+	}
+	for _, b := range stock {
+		vc.bufs.put(b)
+	}
+	_, size := relBufClass(stripeHeaderLen)
+	poison := vc.bufs.onPut
+	vc.bufs.onPut = func(b []byte) {
+		if poison != nil {
+			poison(b)
+		}
+		if len(b) == size {
+			seen(b)
+		}
+	}
+	return stock
+}

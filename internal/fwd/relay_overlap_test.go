@@ -222,16 +222,16 @@ func TestRelayWholeFrameKeepsItsPlace(t *testing.T) {
 	}
 }
 
-// A bracketed message's header waits in one of the sender's PipelineDepth+3
-// cells (keep) and the link model reads a payload where it lies when the wire
-// delivers it, one wire latency after Send returned: a cell must not be
-// rewritten before that. It is rewritten after at least two later fragments
-// have been sent and swapped, where a staging buffer goes back to its pool
-// one swap after its own send, so no wire is slow enough to garble a header
-// and spare the fragment behind it. 30 µs — five times the Myrinet model's
-// send overhead, and the order of the 40 µs swap the staging buffers rely on
-// — with one slot and mice, whose headers follow each other fastest.
-func TestRelayHeaderCellsOutliveASlowWire(t *testing.T) {
+// The link model reads a payload where it lies when the wire delivers it, one
+// wire latency after Send returned. A bracketed message's header is a
+// wire-pool buffer the gateway hands on as it came and only the final
+// receiver returns, so nothing rewrites it while a wire carries it; a staging
+// buffer goes back to its pool one swap after its own send, which Build holds
+// to at least the wire latency. Both must outlive a wire of 30 µs — five times
+// the Myrinet model's send overhead, and the order of the 40 µs swap the
+// staging buffers rely on — with one slot or two and mice, whose headers
+// follow each other fastest, under the poisoned ledger.
+func TestHandedOverHeaderAndStagingOutliveASlowWire(t *testing.T) {
 	var msgs []relayMsg
 	for i := 0; i < 12; i++ {
 		msgs = append(msgs, relayMsg{[]string{"b1"}, 1 + i}, relayMsg{[]string{"b0"}, 0},

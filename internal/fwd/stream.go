@@ -288,21 +288,22 @@ func framingOf(kind mad.Kind) *framing {
 //
 // Header bytes and block descriptors are sent by reference and read again by
 // every gateway on the path for as long as its relay runs: they live in
-// memory nothing rewrites — the header in this record (one per stream) or an
-// allocation of its own, a block's descriptors in a pair per block: the
-// record's own for the first block of a record that lives for one message, a
-// wire-pool pair that travels with the coalescer's frame, else an allocation.
-// So a first transfer, all header and frame, is handed over at every hop
-// (mad.TxMeta.Owned). The record is part of every forwarded message's
-// Packing, so it holds what every stream needs and reaches the rest through a
-// pointer.
+// memory nothing rewrites — a header that travels alone in a wire-pool buffer
+// each hop passes on and the final receiver returns, any other in this record
+// (one per stream) or an allocation of its own, a block's descriptors in a
+// pair per block: the record's own for the first block of a record that lives
+// for one message, a wire-pool pair that travels with the coalescer's frame,
+// else an allocation. So a first transfer, all header and frame, is handed
+// over at every hop (mad.TxMeta.Owned). The record is part of every forwarded
+// message's Packing, so it holds what every stream needs and reaches the rest
+// through a pointer.
 type streamTx struct {
 	vc   *VirtualChannel
 	link *mad.Link
 	id   uint64
 	mtu  int
 	hopA int    // ${a} of the hop sentences: the rail, the destination count
-	hdr  []byte // the encoded header: hdrBuf, or a longer header's own allocation
+	hdr  []byte // the encoded header: a wire-pool buffer, hdrBuf, or a longer header's own allocation
 	// held is the fragment held back when the terminator rides the last one:
 	// whether a fragment is the last is only known when the next one, or
 	// end, arrives.
@@ -329,17 +330,25 @@ type heldFrag struct {
 }
 
 // open encodes the header, takes the link and, in the framings whose header
-// travels ahead, sends it.
+// travels ahead, sends it. Such a header is a wire-pool buffer: every hop
+// receives it, hands it on as it came (relay) and the final receiver returns
+// it (openStream), so from here on the writer reads only its length.
 func (tx *streamTx) open(p *vtime.Proc, h streamHdr) {
 	// ${a}: a rail's id, a multicast header's destination count; zero
 	// otherwise, where both are.
-	tx.id, tx.mtu, tx.hdr, tx.hopA = h.id, h.mtu, tx.hdrBuf[:], h.rail+len(h.dests)
-	if n := streamHeaderLen(tx.kind, len(h.dests)); n != gtmHeaderLen {
+	tx.id, tx.mtu, tx.hopA = h.id, h.mtu, h.rail+len(h.dests)
+	n, bracketed := streamHeaderLen(tx.kind, len(h.dests)), framingOf(tx.kind).bracketed
+	switch {
+	case bracketed:
+		tx.hdr = tx.vc.bufs.get(n)
+	case n == gtmHeaderLen:
+		tx.hdr = tx.hdrBuf[:]
+	default:
 		tx.hdr = make([]byte, n)
 	}
 	putStreamHeader(tx.hdr, tx.kind, h)
 	tx.link.Acquire(p)
-	if framingOf(tx.kind).bracketed {
+	if bracketed {
 		tx.first(p, tx.hdr, tx.hdrDescs(), false)
 	}
 }
@@ -633,24 +642,27 @@ func parseStream(kind mad.Kind, meta mad.TxMeta, first []byte, dests []mad.Rank)
 }
 
 // recvFirst receives the first transfer of an announced stream: a header that
-// always travels alone lands in scratch, anything else is taken as a
-// driver-slot handoff.
-func recvFirst(p *vtime.Proc, link *mad.Link, kind mad.Kind, scratch []byte) (mad.TxMeta, []byte) {
+// always travels alone lands in scratch, and the wire-pool buffer it came in
+// is spent, now the receiver's; anything else is taken as a driver-slot
+// handoff.
+func recvFirst(p *vtime.Proc, link *mad.Link, kind mad.Kind, scratch []byte) (meta mad.TxMeta, first, spent []byte) {
 	f := framingOf(kind)
 	if !f.bracketed {
-		return link.Recv(p)
+		meta, first = link.Recv(p)
+		return meta, first, nil
 	}
-	meta, got := link.RecvInto(p, scratch[:f.hdrDesc[0].Size])
-	return meta, scratch[:got]
+	meta, got, spent := link.RecvIntoSpent(p, scratch[:f.hdrDesc[0].Size])
+	return meta, scratch[:got], spent
 }
 
 // openStream takes the receive side of an announced stream's link at its final
 // destination and reads the stream's self-description; scratch is where a
-// fixed-length header lands.
-func openStream(p *vtime.Proc, node *mad.Node, a mad.Arrival, scratch []byte) streamOpen {
+// fixed-length header lands, and the buffer it came in goes back to the pool.
+func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arrival, scratch []byte) streamOpen {
 	a.Link.AcquireRecv(p)
 	kind := a.Kind()
-	meta, first := recvFirst(p, a.Link, kind, scratch)
+	meta, first, spent := recvFirst(p, a.Link, kind, scratch)
+	vc.bufs.put(spent)
 	o, ok := parseStream(kind, meta, first, nil)
 	if !ok {
 		panic(fmt.Sprintf("fwd: malformed %v stream delivered to %s", kind, node.Name))
@@ -698,7 +710,7 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 	if n := framingOf(rx.kind).hdrDesc[0].Size; n > len(scratch) {
 		scratch = make([]byte, n)
 	}
-	o := openStream(p, node, a, scratch)
+	o := vc.openStream(p, node, a, scratch)
 	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.meta.EOM
 	if len(o.descs) > 0 {
 		rx.parked = &parkedFrags{descs: o.descs}

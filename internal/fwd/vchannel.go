@@ -513,7 +513,7 @@ func (vc *VirtualChannel) pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.
 	ahead.Acquire(p, 1)
 	in.ahead = ahead
 	if in.a.Kind() == mad.KindAgg {
-		o := openStream(p, node, in.a, nil)
+		o := vc.openStream(p, node, in.a, nil)
 		in.a.Link.ReleaseRecv(p)
 		in.frame = vc.aggOpen(o.src, o.payload, o.head, (*[2]mad.BlockDesc)(o.meta.Blocks))
 	}

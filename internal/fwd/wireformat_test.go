@@ -12,10 +12,11 @@ import (
 // TestStreamWireFormatInOneFile keeps the streaming wire format one file's
 // knowledge (DESIGN.md §22): outside stream.go no non-test source of this
 // package may spell out a transfer's metadata (a mad.TxMeta literal) or post a
-// receive for one (.RecvInto, which only *mad.Link has) — except the relay,
-// which re-emits what it received, and the reliable datagram protocol with
-// its health probes, which is a wire format of its own. And stream.go itself
-// sends through at most four literals: first transfer, fragment, terminator.
+// receive for one (.RecvInto or .RecvIntoSpent, which only *mad.Link has) —
+// except the relay, which re-emits what it received, and the reliable
+// datagram protocol with its health probes, which is a wire format of its
+// own. And stream.go itself sends through at most four literals: first
+// transfer, fragment, terminator.
 func TestStreamWireFormatInOneFile(t *testing.T) {
 	allowed := map[string]bool{"stream.go": true, "gateway.go": true, "reliable.go": true, "health.go": true}
 	files, err := filepath.Glob("*.go")
@@ -41,8 +42,8 @@ func TestStreamWireFormatInOneFile(t *testing.T) {
 					literals++
 				}
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "RecvInto" {
-					what = "a RecvInto call"
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "RecvInto") {
+					what = "a " + sel.Sel.Name + " call"
 				}
 			}
 			if what != "" && !allowed[name] {

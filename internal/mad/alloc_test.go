@@ -16,10 +16,11 @@ import (
 // The link itself contributes nothing any more: its transmissions, wakers,
 // wire events, flow spec and route are per-link state. What is left is the
 // message's own bookkeeping (Packing, Unpacking, their BMM halves, block
-// descriptors, and the driver-slot snapshot of an eager delivery that found
-// no receive posted; the Arrival note travels by value): 6 and 8
-// allocations where the same messages cost 45 and 41 when every send built
-// those afresh.
+// descriptors, the aggregate's fresh storage; the Arrival note travels by
+// value): 6 and 7 allocations where the same messages cost 45 and 41 when
+// every send built those afresh. The aggregate is handed over (TxMeta.Owned),
+// so an eager delivery that finds no receive posted no longer snapshots it
+// into driver memory: the 64-byte message read 8 while it did.
 func TestDirectMessageAllocBudget(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -28,7 +29,7 @@ func TestDirectMessageAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"myrinet 32 KiB", bip.New(), 32 << 10, 6},
-		{"sci 64 B", sisci.New(), 64, 8},
+		{"sci 64 B", sisci.New(), 64, 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -64,12 +64,13 @@ type TxMeta struct {
 	Reliable bool
 	// Owned says the sender never writes the payload, nor the block
 	// descriptors, again: a frame built for this one transfer, a header in a
-	// record that lives for one message, a datagram, a driver slot a gateway
-	// received. Where the payload would land in driver memory the link hands
-	// the buffer itself to the receiver instead of copying it there; from then
-	// on it is the receiver's. Send reports, for a Reliable transmission,
-	// whether the hand-over happened. Memory its sender goes on using — the
-	// application's, a gateway's staging slots and header cells — is copied.
+	// record that lives for one message or in a buffer passed on hop by hop, a
+	// datagram, a driver slot a gateway received. Where the payload would land
+	// in driver memory the link hands the buffer itself to the receiver instead
+	// of copying it there; from then on it is the receiver's (RecvIntoSpent
+	// returns it when the receive copies it out). Send reports, for a Reliable
+	// transmission, whether the hand-over happened. Memory its sender goes on
+	// using — the application's, a gateway's staging slots — is copied.
 	Owned bool
 }
 
@@ -576,8 +577,17 @@ func (tx *transmission) handOver() TxMeta {
 // machinery exists to avoid. It returns the transmission metadata and the
 // payload size.
 func (l *Link) RecvInto(p *vtime.Proc, dst []byte) (TxMeta, int) {
+	meta, n, _ := l.RecvIntoSpent(p, dst)
+	return meta, n
+}
+
+// RecvIntoSpent is RecvInto, charged the same, that also returns the Owned
+// payload the copy into dst emptied — the sender's buffer, landed as it was
+// or read by the NIC's placement — which is the receiver's from here on, to
+// send on or to recycle. It is nil when the transmission was not Owned.
+func (l *Link) RecvIntoSpent(p *vtime.Proc, dst []byte) (meta TxMeta, n int, spent []byte) {
 	tx := l.receive(p, dst)
-	n := tx.meta.payloadBytes()
+	n = tx.meta.payloadBytes()
 	if tx.slot != nil && !tx.rendezvous {
 		// Data was already in driver memory: charged copy.
 		if len(dst) < n {
@@ -590,9 +600,14 @@ func (l *Link) RecvInto(p *vtime.Proc, dst []byte) (TxMeta, int) {
 	}
 	l.drv.OnRecv(p, l.Dst.Host, n)
 	l.releaseCredit(tx)
-	meta := tx.handOver()
+	if tx.meta.Owned {
+		// Landed, the slot is this very buffer (landed); placed, the NIC
+		// read it.
+		spent = tx.payload
+	}
+	meta = tx.handOver()
 	l.recycle(tx)
-	return meta, n
+	return meta, n, spent
 }
 
 // releaseCredit returns the eager flow-control credit once a transmission

@@ -146,6 +146,75 @@ func TestOwnedTransferIsHandedOver(t *testing.T) {
 	}
 }
 
+// TestRecvIntoSpentReturnsTheOwnedPayload: the spent-payload receive copies
+// like RecvInto and also hands the receiver what the copy emptied. An Owned
+// transfer that landed in driver memory (the receive posted late) returns the
+// sender's backing array, one placed into a posted receive returns the
+// sender's payload, and a transfer that is not Owned returns nil. Every case
+// ends at the virtual instant RecvInto's twin does, with the same copies
+// charged.
+func TestRecvIntoSpentReturnsTheOwnedPayload(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		recvAfter vtime.Duration // the receive posts this long after the send starts
+	}{
+		{"landed", 50 * vtime.Microsecond},
+		{"placed", 0},
+	} {
+		for _, owned := range []bool{true, false} {
+			// run receives one 20-byte transfer through recv and reports the
+			// receiver's buffer, when it was done and what the session copied.
+			run := func(recv func(p *vtime.Proc, l *mad.Link, dst []byte) []byte) (data, got, spent []byte, done vtime.Time, copies int64) {
+				sim, ab, _, sess := rawPair(loopback.New())
+				data = bytes.Repeat([]byte{7}, 20)
+				got = make([]byte, len(data))
+				meta := mad.TxMeta{SOM: true, Owned: owned, Blocks: []mad.BlockDesc{{Size: len(data)}}}
+				sim.Spawn("send", func(p *vtime.Proc) {
+					p.Sleep(vtime.Microsecond)
+					ab.Send(p, meta, data)
+				})
+				sim.Spawn("recv", func(p *vtime.Proc) {
+					p.Sleep(c.recvAfter)
+					spent = recv(p, ab, got)
+					done = p.Now()
+				})
+				if err := sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+				copies, _ = sess.Copies()
+				return data, got, spent, done, copies
+			}
+			data, got, spent, done, copies := run(func(p *vtime.Proc, l *mad.Link, dst []byte) []byte {
+				_, n, spent := l.RecvIntoSpent(p, dst)
+				if n != len(dst) {
+					t.Errorf("%s, owned %v: RecvIntoSpent reported %d bytes, want %d", c.name, owned, n, len(dst))
+				}
+				return spent
+			})
+			_, _, _, twinDone, twinCopies := run(func(p *vtime.Proc, l *mad.Link, dst []byte) []byte {
+				l.RecvInto(p, dst)
+				return nil
+			})
+			if !bytes.Equal(got, data) {
+				t.Errorf("%s, owned %v: payload corrupted: %v", c.name, owned, got)
+			}
+			if owned != (spent != nil) || owned && &spent[0] != &data[0] {
+				t.Errorf("%s, owned %v: spent payload is not the sender's array (nil: %v)", c.name, owned, spent == nil)
+			}
+			if done != twinDone || copies != twinCopies {
+				t.Errorf("%s, owned %v: done at %v with %d copies, RecvInto at %v with %d", c.name, owned, done, copies, twinDone, twinCopies)
+			}
+			want := int64(0) // placed: the NIC wrote it there
+			if c.recvAfter > 0 {
+				want = 1 // landed: the late post pays a memcpy out of driver memory
+			}
+			if copies != want {
+				t.Errorf("%s, owned %v: %d copies charged, want %d", c.name, owned, copies, want)
+			}
+		}
+	}
+}
+
 func TestLinkDescriptorPayloadMismatchPanics(t *testing.T) {
 	sim, ab, _, _ := rawPair(loopback.New())
 	sim.Spawn("send", func(p *vtime.Proc) {

@@ -81,15 +81,16 @@ func (px *Packing) EndPacking(p *vtime.Proc) {
 	px.packer.end(p)
 	if !px.sentAny {
 		// A message with no blocks still announces itself.
-		px.emit(p, nil, nil)
+		px.emit(p, nil, nil, false)
 	}
 	px.ended = true
 	px.link.Release(p)
 }
 
-// emit sends one transmission carrying the given blocks.
-func (px *Packing) emit(p *vtime.Proc, blocks []BlockDesc, data []byte) {
-	meta := TxMeta{SOM: !px.sentAny, Kind: px.kind, Blocks: blocks}
+// emit sends one transmission carrying the given blocks; owned says the
+// packer never writes data or blocks again (TxMeta.Owned).
+func (px *Packing) emit(p *vtime.Proc, blocks []BlockDesc, data []byte, owned bool) {
+	meta := TxMeta{SOM: !px.sentAny, Kind: px.kind, Blocks: blocks, Owned: owned}
 	px.sentAny = true
 	px.link.Send(p, meta, data)
 }
@@ -106,7 +107,7 @@ func (px *Packing) emitReferenced(p *vtime.Proc, desc BlockDesc, data []byte) {
 			px.sentAny = true
 		}
 	}
-	px.emit(p, []BlockDesc{desc}, data)
+	px.emit(p, []BlockDesc{desc}, data, false)
 }
 
 // dynPacker is the aggregating BMM for dynamic-buffer drivers: small,
@@ -176,9 +177,10 @@ func (d *dynPacker) flush(p *vtime.Proc) {
 	if len(d.blocks) == 0 {
 		return
 	}
-	d.px.emit(p, d.blocks, d.agg)
-	// Fresh storage: the previous aggregate is still referenced until
-	// delivery (a real TM rotates preallocated aggregates the same way).
+	// Fresh storage follows: the aggregate and its descriptors are never
+	// written again, so they are handed over rather than copied at delivery
+	// (a real TM rotates preallocated aggregates the same way).
+	d.px.emit(p, d.blocks, d.agg, true)
 	d.agg = make([]byte, 0, d.caps.AggregateLimit)
 	d.blocks = nil
 }
@@ -262,7 +264,7 @@ func (d *staticPacker) flush(p *vtime.Proc) {
 	if len(d.blocks) == 0 {
 		return
 	}
-	d.px.emit(p, d.blocks, d.slot.Data[:d.fill])
+	d.px.emit(p, d.blocks, d.slot.Data[:d.fill], false)
 	d.slot = nil
 	d.fill = 0
 	d.blocks = nil
