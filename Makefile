@@ -91,15 +91,16 @@ race:
 # bcast_fanout8 shape at a budget with nothing per fragment. Armed telemetry
 # (DESIGN.md §19, §21): a write to a counter, free-standing or bound, through a
 # gauge or histogram handle and a hop record at 0, a relayed fragment at 0 and
-# a relayed message at 0 (DESIGN.md §23, §36) with a registry and a tracer
-# armed, and a 64 B message of the mice_stream_observed shape at no more than
-# two over what it costs disarmed. The kernel's hand-off (DESIGN.md §20): a
-# steady-state Spawn + Join at no more than two, the process record and the
-# caller's closure. The aggregated path (DESIGN.md §24): one 64 B message of the
+# a relayed message at 0 (DESIGN.md §23, §36), unicast and multicast (§37), with
+# a registry and a tracer armed, and a 64 B message of the mice_stream_observed
+# shape at no more than two over what it costs disarmed. The kernel's hand-off
+# (DESIGN.md §20): a steady-state Spawn + Join at no more than two, the process
+# record and the caller's closure. The aggregated path (DESIGN.md §24): one 64 B message of the
 # mice_pingpong shape, a frame of its own, and one of the mice_stream shape, at
 # budgets. Buffers that change hands (DESIGN.md §29): a node's endpoint at 0, and
 # the five root budgets at their readings plus 15 % — the broadcast's at the race
-# detector's reading, which does not pack small allocations together. The flight
+# detector's reading plus 2 % (32 since its headers are pool buffers, §37), as
+# that detector does not pack small allocations together. The flight
 # recorder (DESIGN.md §31): a record into a wrapped ring and a snapshot at 0, the
 # fill phase at exactly one allocation a chunk reached, a ring's footprint at
 # ⌈n / ⌈cap/4⌉⌉ chunks of 32-byte entries for n events, and the incast64 shape
@@ -209,11 +210,12 @@ stripe-gate: s1-gate
 # pool once, poisoned, after its last sub-message is ended, DESIGN.md §29), and
 # the one send daemon a hop has (DESIGN.md §35): a node's own messages and the
 # ones it relays sharing it under loss, an end-to-end ack overtaking a bulk
-# message on it, and a striped send's bursts re-routed off a dead rail, all
-# with the race detector on.
+# message on it, and a striped send's bursts re-routed off a dead rail, and
+# every multicast header a hop takes from the wire pool and the next returns
+# (DESIGN.md §37), all with the race detector on.
 soak:
 	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
-	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestBracketedHeaderIsHandedOverHopByHop$$' -v
+	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$' -v
 	$(GO) test -race ./internal/fwd -run '^TestReliableOriginAndRelayShareAHop$$|^TestReliableAckOvertakesABulkMessage$$|^TestReliableStripedRailCrash$$|^TestReliableStripedGatewayRailCrash$$' -v
 	$(GO) test -race ./internal/coll -run '^TestCollectivesUnderLossAndCrash$$' -v
 	$(GO) test -race ./internal/health
@@ -263,8 +265,14 @@ fuzz:
 # (DESIGN.md §33) lowered internal/fwd 6604 -> 6550. The origin as its
 # message's first relay (DESIGN.md §35) lowered it 6550 -> 6537. A stream's
 # header handed on hop by hop (DESIGN.md §36) lowered it 6534 -> 6526: the
-# gateway's header cells are gone.
-LOC_MAX := internal/fwd:6526 internal/bench:2399 internal/agg:379 internal/flight:1079
+# gateway's header cells are gone. A multicast header from the wire pool
+# (DESIGN.md §37) raised it 6526 -> 6534: +11 in stream.go (the writer returns
+# a header it glued into a frame, a sink one that travelled alone, and decodes
+# its destination set into channel scratch; their docs, net of open's make
+# case), +5 in gateway.go (a gateway returns the header it parsed; the inlined
+# local delivery) and -8 in mcast.go (a sorted dedupe for the map, a reused
+# plan key and rank scratch for the ring's, two one-call helpers inlined).
+LOC_MAX := internal/fwd:6534 internal/bench:2399 internal/agg:379 internal/flight:1079
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

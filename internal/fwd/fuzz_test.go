@@ -209,7 +209,10 @@ func FuzzMcastHeader(f *testing.F) {
 // exactly with no negative size, at most one block rides an eager header, a
 // frame is exactly one block and the whole message, multicast payload rides
 // only with the terminator, and a header that always travels alone did. A
-// unicast header is rejected for its length or a zero MTU only.
+// unicast header is rejected for its length or a zero MTU only. Every input is
+// also parsed into scratch full of stale ranks, as a gateway's ring and a
+// sink's channel reuse theirs: the result is the same, so nothing stale leaks
+// into a decoded destination set.
 func FuzzStreamOpen(f *testing.F) {
 	sizes := func(ns ...int) []byte {
 		var b []byte
@@ -250,6 +253,10 @@ func FuzzStreamOpen(f *testing.F) {
 			meta.Blocks = append(meta.Blocks, mad.BlockDesc{Size: int(int16(binary.LittleEndian.Uint16(blockSizes)))})
 		}
 		o, ok := parseStream(kind, meta, first, nil)
+		dirty := []mad.Rank{9, 0xdeadbeef, 3, 3, 1, 0, 7, 5}
+		if o2, ok2 := parseStream(kind, meta, first, dirty[:len(dirty)/2]); ok2 != ok || ok && !reflect.DeepEqual(o2, o) {
+			t.Fatalf("parsed into stale scratch: %v %+v, into nil: %v %+v", ok2, o2.streamHdr, ok, o.streamHdr)
+		}
 		if !ok {
 			return
 		}

@@ -74,13 +74,11 @@ type relayRing struct {
 
 	// branches are the egress branches of the message in hand; the array
 	// grows to the widest fan-out the ring has served. hdrDests are the
-	// destinations of the multicast header in hand, decoded; dests and ranks
-	// are mcastSplit's: those destinations by next hop, and the ranks of the
-	// branch it is encoding a header for.
+	// destinations of the multicast header in hand, decoded, and dests are
+	// mcastSplit's: those destinations by next hop.
 	branches []relayBranch
 	hdrDests []mad.Rank
 	dests    []mcastDest
-	ranks    []mad.Rank
 
 	recvActor string // the receive thread's trace actor
 }
@@ -115,8 +113,8 @@ type relaySlot struct {
 type relayBranch struct {
 	tx *gwSender
 	// hdr is the rewritten destination-set header of a replicated
-	// (multicast) branch; nil on the unicast branch, which re-emits the
-	// first transfer unchanged (see replicated).
+	// (multicast) branch, a wire-pool buffer (mcastSplit); nil on the unicast
+	// branch, which re-emits the first transfer unchanged (see replicated).
 	hdr []byte
 }
 
@@ -167,8 +165,8 @@ type gwTx struct {
 	msgID uint64
 	// slot is the staged fragment data lives in: its send is traced and
 	// followed by a buffer swap, and the sender drops its reference. Nil for
-	// memory nothing reuses (a driver slot, a rewritten header, a header's
-	// wire-pool buffer).
+	// memory the gateway hands on (a driver slot, a header's wire-pool
+	// buffer, a replicated frame).
 	slot *relaySlot
 	// replicated: the transfer feeds one branch of a multicast fan-out.
 	replicated bool
@@ -477,9 +475,9 @@ type relayFrame struct {
 // the routing fields and re-emits everything else unchanged: it stays
 // oblivious to the striping schedule of a rail (whose header extends the GTM
 // one) and to whether a compact frame's payload is one small message or an
-// aggregate of many. A header that travelled alone leaves in the wire-pool
-// buffer it arrived in, which the copy into scratch emptied: the frame's head
-// is that buffer, not the scratch the ring's next message overwrites.
+// aggregate of many. A fixed-length header leaves in the wire-pool buffer it
+// arrived in, which the copy into scratch emptied: the frame's head is that
+// buffer, not the scratch the ring's next message overwrites.
 func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFrame {
 	f := relayFrame{kind: a.Kind(), up: a.Link.Src.Name}
 	meta, head, spent := recvFirst(p, a.Link, f.kind, r.hdr[:])
@@ -496,13 +494,17 @@ func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFram
 // route turns the frame's destination into the ring's egress branches —
 // one, from the routing table's next hop, for the unicast kinds; the
 // destination set re-partitioned by next hop (mcastSplit) for multicast —
-// and reports whether this node is itself a destination.
+// and reports whether this node is itself a destination. A multicast header
+// that travelled alone goes back to the pool here: every branch has its own.
 func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string) (branches []relayBranch, local bool) {
 	vc := g.vc
 	r.branches = r.branches[:0]
 	if f.kind == mad.KindMcast {
 		r.hdrDests = f.dests
 		local = g.mcastSplit(r, f)
+		if !f.meta.EOM {
+			vc.bufs.put(f.head)
+		}
 		g.met.mcastRelays.Add(1)
 		g.met.branches.Add(int64(len(r.branches)))
 		vc.hop(p, f.id, g.name, "relay",
@@ -586,7 +588,10 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 		b.tx.enq.Unlock(p)
 	}
 	if local {
-		g.mcastDeliverLocal(p, capture)
+		// Through the node's merged arrival queue, which wakes a
+		// BeginUnpacking blocked there like any other arrival.
+		g.met.local.Add(1)
+		vc.merged[g.node.Rank].Send(p, incoming{mcast: capture})
 	}
 	return g.met.bytes.Count() - bytesBefore
 }

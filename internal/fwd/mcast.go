@@ -73,10 +73,14 @@ func destsText(m *obs.Registry, ds []string) string {
 // Always allocated; streaming-only paths guard on CanMulticast.
 type mcastState struct {
 	plans map[string]*mcastPlan
+	key   []byte                // the plan key being looked up, reused
 	roots map[string]*mcastRoot // by node, created by its first multicast
 	// hdrDescs describe a header sent alone, by its length: nothing rewrites a
 	// descriptor, so every such transfer of one length shares one.
 	hdrDescs map[int][]mad.BlockDesc
+	// ranks is a destination set no one holds across a yield: a branch's until
+	// its header is encoded, a sink's until it is checked (openStream).
+	ranks []mad.Rank
 
 	cacheHits  int64
 	recomputes int64
@@ -146,8 +150,11 @@ func (st *mcastState) hdrDesc(n int) []mad.BlockDesc {
 // moved past the cached tree's.
 func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
 	st := vc.mcastst
-	key := root + "\x00" + strings.Join(dests, "\x00")
-	if pl, ok := st.plans[key]; ok && pl.tree.Epoch == vc.tbl.Epoch {
+	st.key = append(st.key[:0], root...)
+	for _, d := range dests {
+		st.key = append(append(st.key, 0), d...)
+	}
+	if pl, ok := st.plans[string(st.key)]; ok && pl.tree.Epoch == vc.tbl.Epoch {
 		st.cacheHits++
 		return pl
 	}
@@ -162,7 +169,7 @@ func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
 		}
 	}
 	pl := &mcastPlan{tree: tree, mtu: mtu}
-	st.plans[key] = pl
+	st.plans[string(st.key)] = pl
 	st.recomputes++
 	return pl
 }
@@ -201,23 +208,19 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	if !vc.CanMulticast() {
 		panic("fwd: BeginMulticast requires streaming mode (Reliable is set)")
 	}
-	set := make(map[string]bool, len(dests))
+	ds := make([]string, 0, len(dests))
 	for _, d := range dests {
 		if _, ok := vc.nodes[d]; !ok {
 			panic("fwd: unknown multicast destination " + d)
 		}
 		if d != e.node.Name {
-			set[d] = true
+			ds = append(ds, d)
 		}
 	}
-	if len(set) == 0 {
+	slices.Sort(ds)
+	if ds = slices.Compact(ds); len(ds) == 0 {
 		panic("fwd: multicast without destinations on " + e.node.Name)
 	}
-	ds := make([]string, 0, len(set))
-	for d := range set {
-		ds = append(ds, d)
-	}
-	slices.Sort(ds)
 	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds}
 	x.cost = 0
 	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: destsText(vc.metrics(), ds)}, 0)
@@ -241,11 +244,12 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 	vc := x.vc
 	link, spendTo := vc.hopLink(x.node, b.Hop, b.Relays())
-	ranks := make([]mad.Rank, len(b.Dests))
-	for i, d := range b.Dests {
-		ranks[i] = vc.NodeRank(d)
+	ranks := vc.mcastst.ranks[:0]
+	for _, d := range b.Dests {
+		ranks = append(ranks, vc.NodeRank(d))
 	}
 	slices.Sort(ranks)
+	vc.mcastst.ranks = ranks
 	x.tx = streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
 	x.tx.open(p, streamHdr{src: x.node.Rank, mtu: mtu, id: x.id, dests: ranks})
 	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, b.Hop.Network)
@@ -263,12 +267,6 @@ type mcastLocal struct {
 	parkedFrags
 }
 
-// rankInSet reports membership of r in a sorted rank set.
-func rankInSet(r mad.Rank, set []mad.Rank) bool {
-	_, ok := slices.BinarySearch(set, r)
-	return ok
-}
-
 // mcastDest is one destination of a multicast frame at a relaying gateway:
 // its rank, the next hop toward it, and whether it lies beyond that hop.
 type mcastDest struct {
@@ -282,7 +280,8 @@ type mcastDest struct {
 // replicated egress branch of the ring — with its rewritten header — per
 // distinct next hop, sorted by (network, next hop) like the planner's; by
 // construction the two agree, since both follow the same unicast table. It
-// works in the ring's storage: a relay allocates its branch headers only.
+// works in the ring's storage, and each branch header is a wire-pool buffer:
+// the next hop returns one sent alone, replicateFrame one it glues.
 func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	vc := g.vc
 	ds := r.dests[:0]
@@ -304,16 +303,16 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	})
 	r.dests = ds
 	for i := 0; i < len(ds); {
-		ranks, past := r.ranks[:0], false
+		ranks, past := vc.mcastst.ranks[:0], false
 		for _, d := range ds[i:] {
 			if d.hop != ds[i].hop {
 				break
 			}
 			ranks, past = append(ranks, d.rank), past || d.past
 		}
-		r.ranks = ranks
+		vc.mcastst.ranks = ranks
 		out, nextGW := vc.hopLink(g.node, ds[i].hop, past || len(ranks) > 1)
-		hdr := make([]byte, streamHeaderLen(mad.KindMcast, len(ranks)))
+		hdr := vc.bufs.get(streamHeaderLen(mad.KindMcast, len(ranks)))
 		putStreamHeader(hdr, mad.KindMcast, streamHdr{src: f.src, mtu: f.mtu, id: f.id, dests: ranks})
 		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW), hdr: hdr})
 		i += len(ranks)
@@ -323,11 +322,12 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 
 // replicateFrame rebuilds a whole multicast frame for one branch — the
 // branch's rewritten header glued to the shared payload — and returns it
-// with its block descriptors. The contiguous copy is the price of one
-// transfer per branch, as at the root.
+// with its block descriptors; the header goes back to the pool. The
+// contiguous copy is the price of one transfer per branch, as at the root.
 func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, payload []byte) ([]mad.BlockDesc, []byte) {
 	frame := make([]byte, len(b.hdr)+len(payload))
 	copy(frame[copy(frame, b.hdr):], payload)
+	g.vc.bufs.put(b.hdr)
 	if len(payload) > 0 {
 		g.node.Host.Memcpy(p, len(payload))
 	}
@@ -335,12 +335,4 @@ func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, p
 	g.met.replicatedBytes.Add(int64(len(payload)))
 	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.id, len(payload), b.tx.outNet)
 	return append([]mad.BlockDesc{headerDesc(len(b.hdr))}, f.descs...), frame
-}
-
-// mcastDeliverLocal hands a captured multicast message to this gateway's own
-// node through its merged arrival queue (so a BeginUnpacking blocked there
-// wakes up like for any other arrival).
-func (g *Gateway) mcastDeliverLocal(p *vtime.Proc, ml *mcastLocal) {
-	g.met.local.Add(1)
-	g.vc.merged[g.node.Rank].Send(p, incoming{mcast: ml})
 }

@@ -68,6 +68,31 @@ func mcastSendRecv(t *testing.T, w *world, src string, dests []string, blocks []
 	return got
 }
 
+// spawnMcastStream spawns a root that multicasts data to dests n times back to
+// back and, per destination, a receiver that unpacks and checks every copy.
+func spawnMcastStream(t *testing.T, w *world, src string, dests []string, data []byte, n int) {
+	w.sim.Spawn("mcast-send:"+src, func(p *vtime.Proc) {
+		for i := 0; i < n; i++ {
+			px := w.vc.At(src).BeginMulticast(p, dests...)
+			px.Pack(p, data, mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	for _, d := range dests {
+		w.sim.Spawn("mcast-recv:"+d, func(p *vtime.Proc) {
+			got := make([]byte, len(data))
+			for i := 0; i < n; i++ {
+				u := w.vc.At(d).BeginUnpacking(p)
+				u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if !bytes.Equal(got, data) {
+					t.Errorf("%s -> %s: multicast %d corrupted", src, d, i)
+				}
+			}
+		})
+	}
+}
+
 func checkIdentical(t *testing.T, got map[string][][]byte, blocks []block) {
 	t.Helper()
 	for d, bufs := range got {
@@ -220,6 +245,38 @@ func TestMulticastPlanCacheInvalidatesOnEpoch(t *testing.T) {
 	if st.TreeRecomputes != 2 || st.TreeCacheHits != 1 {
 		t.Fatalf("after epoch bump: %d recomputes / %d hits, want 2/1", st.TreeRecomputes, st.TreeCacheHits)
 	}
+
+	// The key is the root and the member names, each behind a zero byte,
+	// written into one reused buffer. Member sets whose names concatenate
+	// alike — {ab, c} and {a, bc} — get plans of their own, and a set looked
+	// up after a longer one that starts like it does not find the longer
+	// one's plan in the reused key's stale tail. A wrong plan would deliver
+	// to the wrong nodes: the receivers would wait for ever.
+	tp, err := topo.NewBuilder().Network("n", "sci").
+		Node("r", "n").Node("a", "n").Node("ab", "n").Node("bc", "n").Node("c", "n").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = build(t, tp, fwd.DefaultConfig())
+	blocks := []block{{pattern(64, 1), mad.SendCheaper, mad.ReceiveCheaper}}
+	for i, c := range []struct {
+		dests            []string
+		recomputes, hits int64
+	}{
+		{[]string{"ab", "c"}, 1, 0},
+		{[]string{"a", "bc"}, 2, 0},
+		{[]string{"ab"}, 3, 0},
+		{[]string{"a"}, 4, 0},
+		{[]string{"ab", "c"}, 4, 1},
+		{[]string{"a", "bc"}, 4, 2},
+		{[]string{"ab"}, 4, 3},
+	} {
+		checkIdentical(t, mcastSendRecv(t, w, "r", c.dests, blocks), blocks)
+		if st := w.vc.McastStats(); st.TreeRecomputes != c.recomputes || st.TreeCacheHits != c.hits {
+			t.Fatalf("message %d to %v: %d recomputes / %d hits, want %d/%d", i, c.dests, st.TreeRecomputes, st.TreeCacheHits, c.recomputes, c.hits)
+		}
+	}
 }
 
 func TestMulticastRequiresStreamingMode(t *testing.T) {
@@ -263,5 +320,70 @@ func TestMulticastDropsSelfAndDuplicates(t *testing.T) {
 	}
 	if n := w.vc.McastStats().Messages; n != 1 {
 		t.Errorf("Messages = %d, want 1", n)
+	}
+}
+
+// TestMulticastHeaderIsHandedOverHopByHop: a multicast header is a wire-pool
+// buffer its writer takes — the root, one a root branch, or a gateway, one a
+// branch it splits off (mcastSplit) — and no hop hands on: the next hop returns
+// one that travelled alone once it has parsed it, and the writer returns one
+// it glued into a compact frame right after the copy (DESIGN.md §37). a0's
+// message to {a1, c0, l0, l1} opens six headers: a1 and gw1 at the root, c0
+// and gw2 at gw1, l0 and l1 at gw2. The pool is stocked with as many as one
+// message holds at once; sent one at a time, every header buffer returned is
+// a stocked one, so no writer makes its own. Sent back to back, 8 then 32 more
+// messages allocate no more buffers. Every returned buffer is poisoned and
+// the ledger balances (build).
+func TestMulticastHeaderIsHandedOverHopByHop(t *testing.T) {
+	dests := []string{"a1", "c0", "l0", "l1"}
+	const headers = 6 // a message's headers, each returned once
+	for _, c := range []struct {
+		name  string
+		size  int
+		stock int // the most headers a message holds at once
+	}{
+		{"streaming", 70_000, 3},
+		{"compact", 1000, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := build(t, mcastChain(t), fwd.DefaultConfig())
+			var stock [][]byte
+			returned, foreign := 0, 0
+			stock = fwd.StockHeaderBufs(w.vc, c.stock, func(b []byte) {
+				returned++
+				for _, s := range stock {
+					if &s[0] == &b[0] {
+						return
+					}
+				}
+				foreign++
+			})
+			blocks := []block{{pattern(c.size, 3), mad.SendCheaper, mad.ReceiveCheaper}}
+			const msgs = 4
+			for i := 0; i < msgs; i++ {
+				checkIdentical(t, mcastSendRecv(t, w, "a0", dests, blocks), blocks)
+			}
+			if returned != msgs*headers || foreign != 0 {
+				t.Fatalf("%d header buffers returned for %d headers, %d of them not stocked", returned, msgs*headers, foreign)
+			}
+
+			// Back to back: the root opens its next message while earlier
+			// headers are still on their way or unread.
+			stream := func(n int) int64 {
+				spawnMcastStream(t, w, "a0", dests, blocks[0].data, n)
+				if err := w.sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return w.vc.RelBookkeeping().BufsAllocated
+			}
+			warm, after := stream(8), stream(32)
+			t.Logf("%s: %d header buffers returned; %d buffers allocated after 8 back-to-back messages, %d after 32 more", c.name, returned, warm, after)
+			if after != warm {
+				t.Errorf("back-to-back messages allocated buffers: %d after 8, %d after 32 more", warm, after)
+			}
+			if want := (msgs + 8 + 32) * headers; returned != want {
+				t.Errorf("%d header buffers returned, want %d", returned, want)
+			}
+		})
 	}
 }

@@ -122,7 +122,9 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 // it is, where the link used to copy a header re-emitted from the gateway's
 // header cells into driver memory (mad.snapshot; DESIGN.md §36). That copy was
 // the one allocation a second gateway added, the send process's record the
-// other before it.
+// other before it. On a multicast tree a gateway splits the destination set
+// into branch headers: wire-pool buffers the next hop returns (DESIGN.md §37),
+// where each used to be an allocation of its own, one a branch.
 func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 8 << 10
@@ -164,14 +166,14 @@ func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
 		t.Error("the armed run recorded no swap observations, spans or hops; the wall would be vacuous")
 	}
 
-	// perMsg is what one more message of a back-to-back stream a -> dst costs.
+	// perMsg is what one more message of a back-to-back stream costs, spawn
+	// putting n of them on a fresh world of the topology.
 	const msgs = 256
-	perMsg := func(dst string) float64 {
-		w, _ := armed(chainTopo(t))
-		data := pattern(3*cfg.MTU, 5)
+	data := pattern(3*cfg.MTU, 5)
+	perMsg := func(tp *topo.Topology, spawn func(w *world, n int)) float64 {
+		w, _ := armed(tp)
 		stream := func(n int) uint64 {
-			var done vtime.Time
-			spawnStream(t, w, "a", dst, data, n, &done)
+			spawn(w, n)
 			return mallocs(func() {
 				if err := w.sim.Run(); err != nil {
 					t.Fatal(err)
@@ -182,9 +184,27 @@ func TestGatewayRelayArmedAllocsNothing(t *testing.T) {
 		short, long := stream(msgs), stream(2*msgs)
 		return (float64(long) - float64(short)) / msgs
 	}
-	one, two := perMsg("g2"), perMsg("c") // g2 is the second gateway: a message for it crosses only g1
-	t.Logf("armed relay: %.3f allocations per extra message through one gateway, %.3f through two: the second adds %.3f", one, two, two-one)
-	if two-one >= 0.05 {
-		t.Errorf("an armed gateway adds %.3f allocations to a relayed message, want 0 (amortised)", two-one)
+	unicast := func(dst string) float64 {
+		return perMsg(chainTopo(t), func(w *world, n int) {
+			var done vtime.Time
+			spawnStream(t, w, "a", dst, data, n, &done)
+		})
+	}
+	multicast := func(dst string) float64 {
+		return perMsg(mcastChain(t), func(w *world, n int) { spawnMcastStream(t, w, "a0", []string{dst}, data, n) })
+	}
+	for _, c := range []struct {
+		name     string
+		perMsg   func(dst string) float64
+		one, two string // a destination one gateway away, and one two away
+	}{
+		{"relay", unicast, "g2", "c"}, // g2 is the second gateway: a message for it crosses only g1
+		{"multicast relay", multicast, "c0", "l0"},
+	} {
+		one, two := c.perMsg(c.one), c.perMsg(c.two)
+		t.Logf("armed %s: %.3f allocations per extra message through one gateway, %.3f through two: the second adds %.3f", c.name, one, two, two-one)
+		if two-one >= 0.05 {
+			t.Errorf("an armed gateway adds %.3f allocations to a %s message, want 0 (amortised)", two-one, c.name)
+		}
 	}
 }

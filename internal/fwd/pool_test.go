@@ -110,10 +110,11 @@ func TestWireBufPoolAllocatorOnMissesOnly(t *testing.T) {
 }
 
 // StockHeaderBufs takes n buffers of the wire pool's class of stream headers
-// — a seed-framing header, a rail's — and returns them, so the pool holds
-// exactly them for the next headers, and from then on reports every buffer of
-// that class returned to the pool to seen, after the pool's own hook poisons
-// it. It returns the stocked buffers. Exported to the package's external
+// — a seed-framing header, a rail's, a multicast header of up to ten
+// destinations — and returns them, so the pool holds exactly them for the
+// next headers, and from then on reports every buffer of that class returned
+// to the pool to seen, after the pool's own hook poisons it. It returns the
+// stocked buffers. Exported to the package's external
 // tests; it exists in test builds only.
 func StockHeaderBufs(vc *VirtualChannel, n int, seen func(buf []byte)) [][]byte {
 	stock := make([][]byte, n)

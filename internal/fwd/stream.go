@@ -288,22 +288,22 @@ func framingOf(kind mad.Kind) *framing {
 //
 // Header bytes and block descriptors are sent by reference and read again by
 // every gateway on the path for as long as its relay runs: they live in
-// memory nothing rewrites — a header that travels alone in a wire-pool buffer
-// each hop passes on and the final receiver returns, any other in this record
-// (one per stream) or an allocation of its own, a block's descriptors in a
-// pair per block: the record's own for the first block of a record that lives
-// for one message, a wire-pool pair that travels with the coalescer's frame,
-// else an allocation. So a first transfer, all header and frame, is handed
-// over at every hop (mad.TxMeta.Owned). The record is part of every forwarded
-// message's Packing, so it holds what every stream needs and reaches the rest
-// through a pointer.
+// memory nothing rewrites — a seed or rail header in a wire-pool buffer each
+// hop passes on and the final receiver returns, a multicast header in one the
+// next hop returns (open), any other in this record (one per stream), a
+// block's descriptors in a pair per block: the record's own for the first
+// block of a record that lives for one message, a wire-pool pair that travels
+// with the coalescer's frame, else an allocation. So a first transfer, all
+// header and frame, is handed over at every hop (mad.TxMeta.Owned). The record
+// is part of every forwarded message's Packing, so it holds what every stream
+// needs and reaches the rest through a pointer.
 type streamTx struct {
 	vc   *VirtualChannel
 	link *mad.Link
 	id   uint64
 	mtu  int
 	hopA int    // ${a} of the hop sentences: the rail, the destination count
-	hdr  []byte // the encoded header: a wire-pool buffer, hdrBuf, or a longer header's own allocation
+	hdr  []byte // the encoded header: a wire-pool buffer or hdrBuf
 	// held is the fragment held back when the terminator rides the last one:
 	// whether a fragment is the last is only known when the next one, or
 	// end, arrives.
@@ -332,19 +332,17 @@ type heldFrag struct {
 // open encodes the header, takes the link and, in the framings whose header
 // travels ahead, sends it. Such a header is a wire-pool buffer: every hop
 // receives it, hands it on as it came (relay) and the final receiver returns
-// it (openStream), so from here on the writer reads only its length.
+// it (openStream), so from here on the writer reads only its length. So is a
+// multicast header: the next hop returns it once parsed if it travelled alone,
+// which is when its transfer is not the last; the writer, once glued (message).
 func (tx *streamTx) open(p *vtime.Proc, h streamHdr) {
 	// ${a}: a rail's id, a multicast header's destination count; zero
 	// otherwise, where both are.
 	tx.id, tx.mtu, tx.hopA = h.id, h.mtu, h.rail+len(h.dests)
-	n, bracketed := streamHeaderLen(tx.kind, len(h.dests)), framingOf(tx.kind).bracketed
-	switch {
-	case bracketed:
-		tx.hdr = tx.vc.bufs.get(n)
-	case n == gtmHeaderLen:
-		tx.hdr = tx.hdrBuf[:]
-	default:
-		tx.hdr = make([]byte, n)
+	bracketed := framingOf(tx.kind).bracketed
+	tx.hdr = tx.hdrBuf[:]
+	if bracketed || tx.kind == mad.KindMcast {
+		tx.hdr = tx.vc.bufs.get(streamHeaderLen(tx.kind, len(h.dests)))
 	}
 	putStreamHeader(tx.hdr, tx.kind, h)
 	tx.link.Acquire(p)
@@ -460,13 +458,14 @@ func (tx *streamTx) emit(p *vtime.Proc, data []byte, descs []mad.BlockDesc, i in
 // message sends, and closes the stream behind, a message its caller holds
 // entire: header, every block and the terminator in one transfer when that
 // fits the MTU and, where the frame has to be built by copying, is worth the
-// copy; block by block if not. wire, if not nil, is the blocks laid out
-// behind room for the header (the coalescer builds its frames so): the frame
-// leaves from there with no copy.
+// copy; block by block if not. An empty message is always one transfer, so a
+// header outgrowing the MTU never travels alone as the terminator. wire, if
+// not nil, is the blocks laid out behind room for the header (the coalescer
+// builds its frames so): the frame leaves from there with no copy.
 func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []byte) {
 	f := framingOf(tx.kind)
 	form := f.form
-	if len(tx.hdr)+total <= tx.mtu && (wire != nil || total <= eagerInlineMax) {
+	if (total == 0 || len(tx.hdr)+total <= tx.mtu) && (wire != nil || total <= eagerInlineMax) {
 		descs := tx.descPair()[:1]
 		descs[0] = headerDesc(len(tx.hdr))
 		for _, b := range blks {
@@ -487,6 +486,9 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 			if total > 0 {
 				tx.link.Src.Host.Memcpy(p, total)
 			}
+		}
+		if tx.kind == mad.KindMcast {
+			tx.vc.bufs.put(tx.hdr)
 		}
 		tx.first(p, wire, descs, true)
 		form = f.compactForm
@@ -657,18 +659,27 @@ func recvFirst(p *vtime.Proc, link *mad.Link, kind mad.Kind, scratch []byte) (me
 
 // openStream takes the receive side of an announced stream's link at its final
 // destination and reads the stream's self-description; scratch is where a
-// fixed-length header lands, and the buffer it came in goes back to the pool.
+// fixed-length header lands, and the buffer it came in goes back to the pool,
+// as does a multicast header that travelled alone once checked. Its
+// destinations are decoded into channel scratch and not returned.
 func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arrival, scratch []byte) streamOpen {
 	a.Link.AcquireRecv(p)
 	kind := a.Kind()
 	meta, first, spent := recvFirst(p, a.Link, kind, scratch)
 	vc.bufs.put(spent)
-	o, ok := parseStream(kind, meta, first, nil)
+	o, ok := parseStream(kind, meta, first, vc.mcastst.ranks)
 	if !ok {
 		panic(fmt.Sprintf("fwd: malformed %v stream delivered to %s", kind, node.Name))
 	}
-	if kind != mad.KindMcast && o.dst != node.Rank || kind == mad.KindMcast && !rankInSet(node.Rank, o.dests) {
+	_, member := slices.BinarySearch(o.dests, node.Rank)
+	if kind != mad.KindMcast && o.dst != node.Rank || kind == mad.KindMcast && !member {
 		panic(fmt.Sprintf("fwd: misrouted message: a %v stream for %v%v delivered to %s", kind, o.dst, o.dests, node.Name))
+	}
+	if kind == mad.KindMcast {
+		vc.mcastst.ranks, o.dests = o.dests, nil
+		if !meta.EOM {
+			vc.bufs.put(first)
+		}
 	}
 	return o
 }
