@@ -163,10 +163,13 @@ func TestBulkStreamAllocBudget(t *testing.T) {
 // multicast header is a wire-pool buffer (DESIGN.md §37) it reads 30.0–30.4
 // (31.2–31.5 under the race detector): no branch header, no decoded set at a
 // sink, no plan key and no rank list at the root, whose destination list is
-// sorted and compacted where a map deduplicated it. The budget is the race
-// detector's reading plus 2 %, the reading plus 6 %: one more per branch, or
-// per receiver, does not fit.
-const bcastAllocBudget = 32
+// sorted and compacted where a map deduplicated it. Since the root splits
+// its destinations by next hop as every gateway does (DESIGN.md §38) it reads
+// 28.4–28.6 (29.1–29.9 under the race detector): no tree plan, whose one-time
+// build the 40 messages amortized, and a destination list of 4-byte ranks, not
+// names. The budget is the race detector's reading plus 2 %, the reading plus
+// 7 %: one more per branch, or per receiver, does not fit.
+const bcastAllocBudget = 30.5
 
 // TestBcastAllocBudget drives the facade the way the benchmark's
 // bcast_fanout8 workload does and fails when a message costs more
@@ -231,9 +234,9 @@ func TestBcastAllocBudget(t *testing.T) {
 		t.Fatalf("delivered %d of %d copies byte-exact", delivered, msgs*len(dsts))
 	}
 	perMsg := float64(m1.Mallocs-m0.Mallocs) / msgs
-	t.Logf("broadcast: %.1f allocations per 64 KiB fan-out-8 message (budget %d)", perMsg, bcastAllocBudget)
+	t.Logf("broadcast: %.1f allocations per 64 KiB fan-out-8 message (budget %.1f)", perMsg, bcastAllocBudget)
 	if perMsg > bcastAllocBudget {
-		t.Errorf("broadcast allocates %.1f objects per message, budget %d", perMsg, bcastAllocBudget)
+		t.Errorf("broadcast allocates %.1f objects per message, budget %.1f", perMsg, bcastAllocBudget)
 	}
 }
 

@@ -74,11 +74,10 @@ type relayRing struct {
 
 	// branches are the egress branches of the message in hand; the array
 	// grows to the widest fan-out the ring has served. hdrDests are the
-	// destinations of the multicast header in hand, decoded, and dests are
-	// mcastSplit's: those destinations by next hop.
+	// destinations of the multicast header in hand, decoded, which
+	// mcastSplit sorts by next hop.
 	branches []relayBranch
 	hdrDests []mad.Rank
-	dests    []mcastDest
 
 	recvActor string // the receive thread's trace actor
 }
@@ -439,7 +438,7 @@ func (vc *VirtualChannel) GatewayOK(name string) (*Gateway, bool) {
 }
 
 // hopLink returns the link a node sends on toward one next hop of a route
-// or distribution tree — "the right solution" of §2.2.2: the regular
+// or multicast branch — "the right solution" of §2.2.2: the regular
 // channel when the hop ends at the message's final destination, the
 // network's special channel when the next node relays further. In the
 // second case it also names that next gateway, toward which every transfer

@@ -15,13 +15,13 @@ import (
 
 // Gateway-native multicast. A KindMcast message is a self-described GTM
 // packet stream whose header names a destination *set* instead of a single
-// rank. The sender computes the (root, member-set) distribution tree over
-// the unicast routing table (route.ComputeMulticast) and emits one stream
-// per root branch; every gateway on the tree re-partitions the header's
-// destination set by its own next hops, rewrites the header per branch, and
-// replicates each staged fragment from its one ingress slot onto every
-// egress link — so each network edge carries each fragment at most once, and
-// the gateway's ingress byte count is independent of the receiver count.
+// rank. The root is the message's first relay: it splits the set by its own
+// unicast next hops (splitByHop) and emits one stream per branch; every
+// gateway on the way splits the header's set by its own next hops the same
+// way, rewrites the header per branch, and replicates each staged fragment
+// from its one ingress slot onto every egress link — so each network edge
+// carries each fragment at most once, and the gateway's ingress byte count
+// is independent of the receiver count.
 //
 // Framing mirrors the compact (eager) GTM: sub-MTU messages travel as one
 // [header|payload] transfer with EOM set, larger ones as a header transfer
@@ -35,17 +35,8 @@ import (
 // protocol keeps its unicast framing, and collectives fall back to the
 // binomial tree there (CanMulticast).
 
-// mcastPlan is one cached (root, member-set) distribution plan: the tree and
-// the tree MTU (minimum path MTU over every destination, so one fragment
-// size fits every subtree — §2.3's connexion-MTU rule extended to trees).
-type mcastPlan struct {
-	tree *route.McastTree
-	mtu  int
-}
-
 // mcastRoot is what one node has counted as the root of multicast messages,
-// labelled {node}. It is kept per node, not per plan: a plan is replaced on
-// every routing epoch, and the counts are the channel's history.
+// labelled {node}.
 type mcastRoot struct {
 	node               string
 	messages, branches obs.Counter
@@ -58,32 +49,33 @@ func (r *mcastRoot) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&r.branches, "madgo_mcast_branches_total", node)
 }
 
-// destsText is the destination list of a multicast pack record. A list is
-// the one thing a hop's fixed fields cannot hold, so it is joined at write
-// time — for an armed registry only.
-func destsText(m *obs.Registry, ds []string) string {
-	if m == nil {
+// destsText is the destination list of a multicast pack record, by name. A
+// list is the one thing a hop's fixed fields cannot hold, so it is joined at
+// write time — for an armed registry only, sorted on the stack up to 16.
+func (vc *VirtualChannel) destsText(ds []mad.Rank) string {
+	if vc.metrics() == nil {
 		return ""
 	}
-	return "{" + strings.Join(ds, ",") + "}"
+	var buf [16]string
+	names := buf[:0]
+	for _, d := range ds {
+		names = append(names, vc.sess.Node(d).Name)
+	}
+	slices.Sort(names)
+	return "{" + strings.Join(names, ",") + "}"
 }
 
-// mcastState is the channel-wide multicast state: the plan cache with its two
-// counts and the roots' records, which McastStats sums with the gateways'.
-// Always allocated; streaming-only paths guard on CanMulticast.
+// mcastState is the channel-wide multicast state: the roots' records, which
+// McastStats sums with the gateways'. Always allocated; streaming-only paths
+// guard on CanMulticast.
 type mcastState struct {
-	plans map[string]*mcastPlan
-	key   []byte                // the plan key being looked up, reused
 	roots map[string]*mcastRoot // by node, created by its first multicast
 	// hdrDescs describe a header sent alone, by its length: nothing rewrites a
 	// descriptor, so every such transfer of one length shares one.
 	hdrDescs map[int][]mad.BlockDesc
-	// ranks is a destination set no one holds across a yield: a branch's until
-	// its header is encoded, a sink's until it is checked (openStream).
+	// ranks is where a sink decodes a header's destination set, held until
+	// it is checked (openStream).
 	ranks []mad.Rank
-
-	cacheHits  int64
-	recomputes int64
 }
 
 // McastStats are the multicast counters of one virtual channel. All zero
@@ -106,16 +98,16 @@ type McastStats struct {
 	// LocalDeliveries counts messages a gateway delivered to its own node
 	// while relaying (the gateway is itself a tree destination).
 	LocalDeliveries int64 `json:"local_deliveries"`
-	// TreeCacheHits and TreeRecomputes describe the plan cache; a
-	// recompute happens on first use of a (root, member-set) pair and
-	// whenever the routing epoch moved since the plan was built.
+	// TreeCacheHits and TreeRecomputes always read zero: the root plans no
+	// tree, it splits its destinations by next hop as every gateway does.
+	// They stay because the benchmark ledger reads them.
 	TreeCacheHits  int64 `json:"tree_cache_hits"`
 	TreeRecomputes int64 `json:"tree_recomputes"`
 }
 
 // McastStats sums the multicast counters over the channel's roots and gateways.
 func (vc *VirtualChannel) McastStats() McastStats {
-	s := McastStats{TreeCacheHits: vc.mcastst.cacheHits, TreeRecomputes: vc.mcastst.recomputes}
+	var s McastStats
 	for _, r := range vc.mcastst.roots {
 		s.Messages += r.messages.Count()
 		s.Branches += r.branches.Count()
@@ -145,33 +137,39 @@ func (st *mcastState) hdrDesc(n int) []mad.BlockDesc {
 	return d
 }
 
-// mcastPlanFor returns the cached distribution plan of one (root, dests)
-// pair, recomputing it on first use and whenever the routing table's epoch
-// moved past the cached tree's.
-func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
-	st := vc.mcastst
-	st.key = append(st.key[:0], root...)
-	for _, d := range dests {
-		st.key = append(append(st.key, 0), d...)
+// splitByHop partitions the destination set ranks, ascending, at node by
+// unicast next hop: the one split the root and every gateway make, each from
+// its own routing table and the set its header carries (§2.3). It reports
+// whether node is itself in the set and calls branch once per next hop, in
+// (network, next hop) order, with the branch's ranks ascending and whether
+// the branch relays — holds more than one destination, or one past the hop.
+// It sorts ranks in place and hands branch windows of them, so the caller's
+// storage must outlive whatever branch does.
+func (vc *VirtualChannel) splitByHop(node *mad.Node, ranks []mad.Rank, branch func(hop route.Hop, ranks []mad.Rank, relays bool)) (local bool) {
+	if i, ok := slices.BinarySearch(ranks, node.Rank); ok {
+		local, ranks = true, slices.Delete(ranks, i, i+1)
 	}
-	if pl, ok := st.plans[string(st.key)]; ok && pl.tree.Epoch == vc.tbl.Epoch {
-		st.cacheHits++
-		return pl
-	}
-	tree, err := vc.tbl.ComputeMulticast(root, dests)
-	if err != nil {
-		panic(fmt.Sprintf("fwd: %v", err))
-	}
-	mtu := vc.cfg.MTU
-	for _, d := range tree.Dests {
-		if m := vc.PathMTU(root, d); m < mtu {
-			mtu = m
+	hopTo := func(d mad.Rank) route.Hop {
+		name := vc.sess.Node(d).Name
+		hop, ok := vc.tbl.NextHop(node.Name, name)
+		if !ok {
+			panic(fmt.Sprintf("fwd: %s has no route to multicast destination %s", node.Name, name))
 		}
+		return hop
 	}
-	pl := &mcastPlan{tree: tree, mtu: mtu}
-	st.plans[string(st.key)] = pl
-	st.recomputes++
-	return pl
+	slices.SortFunc(ranks, func(a, b mad.Rank) int {
+		ha, hb := hopTo(a), hopTo(b)
+		return cmp.Or(cmp.Compare(ha.Network, hb.Network), cmp.Compare(ha.To, hb.To), cmp.Compare(a, b))
+	})
+	for len(ranks) > 0 {
+		hop, n := hopTo(ranks[0]), 1
+		for n < len(ranks) && hopTo(ranks[n]) == hop {
+			n++
+		}
+		branch(hop, ranks[:n], n > 1 || vc.sess.Node(ranks[0]).Name != hop.To)
+		ranks = ranks[n:]
+	}
+	return local
 }
 
 // mcastRoot returns (creating) the record of one node's multicast sends.
@@ -187,12 +185,15 @@ func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
 
 // mcastPacking is the sender side: blocks are buffered (multicast framing
 // needs the total size to pick compact vs streaming, and every branch
-// re-reads the same blocks), then EndPacking emits one stream per root
-// branch of the distribution tree.
+// re-reads the same blocks), then EndPacking emits one stream per branch of
+// the root's split.
 type mcastPacking struct {
 	handle Packing
 	blockBuf
-	dests []string // sorted, deduplicated, root excluded
+	dests []mad.Rank // ascending, deduplicated, root excluded; split in place
+	// mtu is the least path MTU over the destinations, so one fragment size
+	// fits every subtree — §2.3's connexion-MTU rule extended to trees.
+	mtu int
 	// tx is the writer of the branch being sent, one after the other. Of a
 	// multicast stream nothing a gateway still reads lives in it.
 	tx streamTx
@@ -200,7 +201,7 @@ type mcastPacking struct {
 
 // BeginMulticast starts a message to every named destination at once; the
 // message is delivered byte-identically to each, replicated inside the
-// network by the gateways of the distribution tree rather than by repeated
+// network by the gateways on its routes rather than by repeated
 // unicast sends. Duplicate destinations and the sender itself are ignored;
 // at least one other node must remain. Streaming mode only (CanMulticast).
 func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
@@ -208,51 +209,49 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	if !vc.CanMulticast() {
 		panic("fwd: BeginMulticast requires streaming mode (Reliable is set)")
 	}
-	ds := make([]string, 0, len(dests))
+	ds, mtu := make([]mad.Rank, 0, len(dests)), vc.cfg.MTU
 	for _, d := range dests {
-		if _, ok := vc.nodes[d]; !ok {
+		n, ok := vc.nodes[d]
+		if !ok {
 			panic("fwd: unknown multicast destination " + d)
 		}
-		if d != e.node.Name {
-			ds = append(ds, d)
+		if n != e.node {
+			ds = append(ds, n.Rank)
+			mtu = min(mtu, vc.PathMTU(e.node.Name, d))
 		}
 	}
 	slices.Sort(ds)
 	if ds = slices.Compact(ds); len(ds) == 0 {
 		panic("fwd: multicast without destinations on " + e.node.Name)
 	}
-	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds}
+	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds, mtu: mtu}
 	x.cost = 0
-	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: destsText(vc.metrics(), ds)}, 0)
+	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: vc.destsText(ds)}, 0)
 	return x.handle.bind(x, x.id)
 }
 
+// end sends the message down every branch of the root's split, one after the
+// other. A branch's send parks, so the split works in the message's own
+// destination slice, not in channel scratch.
 func (x *mcastPacking) end(p *vtime.Proc) {
-	pl := x.vc.mcastPlanFor(x.node.Name, x.dests)
 	root := x.vc.mcastRoot(x.node.Name)
 	root.messages.Add(1)
-	for _, b := range pl.tree.Branches[x.node.Name] {
-		x.sendBranch(p, b, pl.mtu)
+	x.vc.splitByHop(x.node, x.dests, func(hop route.Hop, ranks []mad.Rank, relays bool) {
+		x.sendBranch(p, hop, ranks, relays)
 		root.branches.Add(1)
-	}
+	})
 }
 
-// sendBranch emits the message once toward one root branch: compact when the
+// sendBranch emits the message once toward one branch: compact when the
 // whole payload shares a transfer with the header, streaming otherwise. A
 // relaying branch spends one flow credit per transfer toward its next
 // gateway; a leaf branch goes straight to its sole destination (hopLink).
-func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
+func (x *mcastPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank, relays bool) {
 	vc := x.vc
-	link, spendTo := vc.hopLink(x.node, b.Hop, b.Relays())
-	ranks := vc.mcastst.ranks[:0]
-	for _, d := range b.Dests {
-		ranks = append(ranks, vc.NodeRank(d))
-	}
-	slices.Sort(ranks)
-	vc.mcastst.ranks = ranks
+	link, spendTo := vc.hopLink(x.node, hop, relays)
 	x.tx = streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
-	x.tx.open(p, streamHdr{src: x.node.Rank, mtu: mtu, id: x.id, dests: ranks})
-	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, b.Hop.Network)
+	x.tx.open(p, streamHdr{src: x.node.Rank, mtu: x.mtu, id: x.id, dests: ranks})
+	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, hop.Network)
 	x.tx.message(p, x.blks, x.total, nil)
 }
 
@@ -267,57 +266,21 @@ type mcastLocal struct {
 	parkedFrags
 }
 
-// mcastDest is one destination of a multicast frame at a relaying gateway:
-// its rank, the next hop toward it, and whether it lies beyond that hop.
-type mcastDest struct {
-	hop  route.Hop
-	rank mad.Rank
-	past bool
-}
-
-// mcastSplit partitions a multicast frame's destination set at this
-// gateway: the local flag if the gateway itself is a destination, plus one
-// replicated egress branch of the ring — with its rewritten header — per
-// distinct next hop, sorted by (network, next hop) like the planner's; by
-// construction the two agree, since both follow the same unicast table. It
-// works in the ring's storage, and each branch header is a wire-pool buffer:
-// the next hop returns one sent alone, replicateFrame one it glues.
+// mcastSplit partitions a multicast frame's destination set at this gateway
+// (splitByHop): the local flag if the gateway itself is a destination, plus
+// one replicated egress branch of the ring — with its rewritten header — per
+// next hop. It splits the ring's decoded set in place, which nothing reads
+// after it (the relay does not park before the headers are written), and
+// each branch header is a wire-pool buffer: the next hop returns one sent
+// alone, replicateFrame one it glues.
 func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	vc := g.vc
-	ds := r.dests[:0]
-	for _, d := range f.dests {
-		name := vc.sess.Node(d).Name
-		if name == g.name {
-			local = true
-			continue
-		}
-		hop, ok := vc.tbl.NextHop(g.name, name)
-		if !ok {
-			panic(fmt.Sprintf("fwd: gateway %s has no route to multicast destination %s", g.name, name))
-		}
-		ds = append(ds, mcastDest{hop: hop, rank: d, past: name != hop.To})
-	}
-	// Ranks ascend within a branch, the canonical order of its header.
-	slices.SortFunc(ds, func(a, b mcastDest) int {
-		return cmp.Or(cmp.Compare(a.hop.Network, b.hop.Network), cmp.Compare(a.hop.To, b.hop.To), cmp.Compare(a.rank, b.rank))
-	})
-	r.dests = ds
-	for i := 0; i < len(ds); {
-		ranks, past := vc.mcastst.ranks[:0], false
-		for _, d := range ds[i:] {
-			if d.hop != ds[i].hop {
-				break
-			}
-			ranks, past = append(ranks, d.rank), past || d.past
-		}
-		vc.mcastst.ranks = ranks
-		out, nextGW := vc.hopLink(g.node, ds[i].hop, past || len(ranks) > 1)
+	return vc.splitByHop(g.node, f.dests, func(hop route.Hop, ranks []mad.Rank, relays bool) {
+		out, nextGW := vc.hopLink(g.node, hop, relays)
 		hdr := vc.bufs.get(streamHeaderLen(mad.KindMcast, len(ranks)))
 		putStreamHeader(hdr, mad.KindMcast, streamHdr{src: f.src, mtu: f.mtu, id: f.id, dests: ranks})
 		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW), hdr: hdr})
-		i += len(ranks)
-	}
-	return local
+	})
 }
 
 // replicateFrame rebuilds a whole multicast frame for one branch — the

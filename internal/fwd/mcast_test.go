@@ -2,10 +2,16 @@ package fwd_test
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/topo"
 	"madgo/internal/vtime"
 )
@@ -127,9 +133,6 @@ func TestMulticastCompactAcrossChain(t *testing.T) {
 	if st.Branches != 7 {
 		t.Errorf("Branches = %d, want 7", st.Branches)
 	}
-	if st.TreeRecomputes != 1 || st.TreeCacheHits != 0 {
-		t.Errorf("plan cache = %d recomputes / %d hits", st.TreeRecomputes, st.TreeCacheHits)
-	}
 }
 
 func TestMulticastStreamingAcrossChain(t *testing.T) {
@@ -224,58 +227,194 @@ func TestMulticastWithFlowControl(t *testing.T) {
 	}
 }
 
-func TestMulticastPlanCacheInvalidatesOnEpoch(t *testing.T) {
-	w := build(t, mcastChain(t), fwd.DefaultConfig())
-	run := func() {
-		blocks := []block{{pattern(64, 1), mad.SendCheaper, mad.ReceiveCheaper}}
-		got := mcastSendRecv(t, w, "a0", []string{"l0"}, blocks)
-		checkIdentical(t, got, blocks)
+// mcastTopo builds a topology of the given networks and nodes, each node
+// listed with the networks it is on.
+func mcastTopo(t *testing.T, nets []string, nodes [][]string) *topo.Topology {
+	t.Helper()
+	b := topo.NewBuilder()
+	for i, n := range nets {
+		b = b.Network(n, []string{"sci", "myrinet"}[i%2])
 	}
-	run()
-	run()
-	st := w.vc.McastStats()
-	if st.TreeRecomputes != 1 || st.TreeCacheHits != 1 {
-		t.Fatalf("before epoch bump: %d recomputes / %d hits, want 1/1", st.TreeRecomputes, st.TreeCacheHits)
+	for _, n := range nodes {
+		b = b.Node(n[0], n[1:]...)
 	}
-	// A routing-epoch change (health readmission, link death) must force the
-	// next multicast to rebuild its tree over the new table.
-	w.vc.Table().Epoch++
-	run()
-	st = w.vc.McastStats()
-	if st.TreeRecomputes != 2 || st.TreeCacheHits != 1 {
-		t.Fatalf("after epoch bump: %d recomputes / %d hits, want 2/1", st.TreeRecomputes, st.TreeCacheHits)
-	}
-
-	// The key is the root and the member names, each behind a zero byte,
-	// written into one reused buffer. Member sets whose names concatenate
-	// alike — {ab, c} and {a, bc} — get plans of their own, and a set looked
-	// up after a longer one that starts like it does not find the longer
-	// one's plan in the reused key's stale tail. A wrong plan would deliver
-	// to the wrong nodes: the receivers would wait for ever.
-	tp, err := topo.NewBuilder().Network("n", "sci").
-		Node("r", "n").Node("a", "n").Node("ab", "n").Node("bc", "n").Node("c", "n").
-		Build()
+	tp, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = build(t, tp, fwd.DefaultConfig())
-	blocks := []block{{pattern(64, 1), mad.SendCheaper, mad.ReceiveCheaper}}
-	for i, c := range []struct {
-		dests            []string
-		recomputes, hits int64
-	}{
-		{[]string{"ab", "c"}, 1, 0},
-		{[]string{"a", "bc"}, 2, 0},
-		{[]string{"ab"}, 3, 0},
-		{[]string{"a"}, 4, 0},
-		{[]string{"ab", "c"}, 4, 1},
-		{[]string{"a", "bc"}, 4, 2},
-		{[]string{"ab"}, 4, 3},
-	} {
-		checkIdentical(t, mcastSendRecv(t, w, "r", c.dests, blocks), blocks)
-		if st := w.vc.McastStats(); st.TreeRecomputes != c.recomputes || st.TreeCacheHits != c.hits {
-			t.Fatalf("message %d to %v: %d recomputes / %d hits, want %d/%d", i, c.dests, st.TreeRecomputes, st.TreeCacheHits, c.recomputes, c.hits)
+	return tp
+}
+
+// TestMulticastSplitMatchesPlanner: the root and every gateway split the
+// destination set they carry by next hop (fwd.SplitByHop), and the tree
+// route.ComputeMulticast plans over the same table is the reference. At every
+// node the split takes the planner's branches in its (network, next hop)
+// order, each with the planner's hop and destination set, relaying exactly
+// when the planner's does; every header's ranks ascend; every destination is
+// reached once. Then each set is multicast: every destination gets the
+// message byte for byte, the counters count the planner's edges, relays and
+// local deliveries, the root's hop records name its branches in order, and
+// every gateway's relay record names its branch count and the destinations
+// its header carried, itself included. Sets are drawn at random, from any
+// root, gateways included, on b1's chain (a node splits more than twelve
+// destinations there, where the sort is not stable), the small chain,
+// paperHS and a three-gateway chain whose member names sort against its
+// networks; the star's sets are ones whose names concatenate alike.
+func TestMulticastSplitMatchesPlanner(t *testing.T) {
+	b1 := [][]string{{"a0", "edge"}, {"a1", "edge"}, {"gw1", "edge", "core"}}
+	for i := 0; i < 8; i++ {
+		b1 = append(b1, []string{fmt.Sprintf("c%d", i), "core"})
+	}
+	b1 = append(b1, []string{"gw2", "core", "leaf"})
+	for i := 0; i < 8; i++ {
+		b1 = append(b1, []string{fmt.Sprintf("l%d", i), "leaf"})
+	}
+	chain3 := [][]string{{"gwa", "n0", "n1"}, {"gwb", "n1", "n2"}, {"gwc", "n2", "n3"}}
+	for i, n := range []string{"n0", "n1", "n2", "n3"} {
+		for j := 0; j < 3; j++ {
+			chain3 = append(chain3, []string{fmt.Sprintf("%c%d", 'z'-i, j), n})
 		}
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, c := range []struct {
+		name  string
+		tp    *topo.Topology
+		fixed [][]string // sets multicast from the first node before the random ones
+	}{
+		{"star", mcastTopo(t, []string{"n"}, [][]string{{"r", "n"}, {"a", "n"}, {"ab", "n"}, {"bc", "n"}, {"c", "n"}}),
+			[][]string{{"ab", "c"}, {"a", "bc"}, {"ab"}, {"a"}, {"ab", "c"}, {"a", "bc"}, {"ab"}}},
+		{"b1", mcastTopo(t, []string{"edge", "core", "leaf"}, b1), nil},
+		{"mcastChain", mcastChain(t), [][]string{{"a1", "c0", "gw1", "gw2", "l0"}}},
+		{"paperHS", paperHS(t), nil},
+		{"chain3", mcastTopo(t, []string{"n0", "n1", "n2", "n3"}, chain3), nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := build(t, c.tp, fwd.DefaultConfig())
+			reg := obs.New()
+			w.sess.Platform.SetMetrics(reg)
+			names := c.tp.NodeNames()
+			type set struct {
+				root  string
+				dests []string
+			}
+			var sets []set
+			for _, ds := range c.fixed {
+				sets = append(sets, set{names[0], ds})
+			}
+			for len(sets) < len(c.fixed)+24 {
+				root, p := names[rng.Intn(len(names))], 0.1+0.8*rng.Float64()
+				var ds []string
+				for _, n := range names {
+					if n != root && rng.Float64() < p {
+						ds = append(ds, n)
+					}
+				}
+				if len(ds) > 0 {
+					sets = append(sets, set{root, ds})
+				}
+			}
+			for i, s := range sets {
+				checkMulticastSplit(t, w, reg, s.root, s.dests, []int{200, 40_000}[i%2])
+			}
+		})
+	}
+}
+
+// checkMulticastSplit holds the split at root and at every node its branches
+// relay through to route.ComputeMulticast's tree, then multicasts size bytes
+// and holds what the run counted and recorded to the same tree.
+func checkMulticastSplit(t *testing.T, w *world, reg *obs.Registry, root string, dests []string, size int) {
+	t.Helper()
+	ref, err := w.vc.Table().ComputeMulticast(root, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := fmt.Sprintf("%s -> %v", root, dests)
+	type at struct {
+		node, net string   // where a header arrives, and over which network
+		dests     []string // the destinations it carries
+	}
+	reached := make(map[string]int)
+	relays := make(map[string]string) // a gateway's relay record
+	locals, split := 0, 0
+	for q := []at{{node: root, dests: ref.Dests}}; len(q) > 0; q = q[1:] {
+		n := q[0]
+		got, local := fwd.SplitByHop(w.vc, n.node, n.dests)
+		if local != (n.node != root && slices.Contains(n.dests, n.node)) {
+			t.Fatalf("%s: %s split local = %v", where, n.node, local)
+		}
+		if local {
+			reached[n.node]++
+			locals++
+		}
+		want := ref.Branches[n.node]
+		if len(want) > 0 {
+			split++
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %s splits %+v, planner %+v", where, n.node, got, want)
+		}
+		for i, b := range got {
+			byName := slices.Clone(b.Dests)
+			slices.Sort(byName)
+			if b.Hop != want[i].Hop || b.Relays != want[i].Relays() || !slices.Equal(byName, want[i].Dests) {
+				t.Fatalf("%s: %s branch %d is %+v, planner %+v", where, n.node, i, b, want[i])
+			}
+			if !slices.IsSortedFunc(b.Dests, func(x, y string) int { return int(w.vc.NodeRank(x)) - int(w.vc.NodeRank(y)) }) {
+				t.Fatalf("%s: %s branch %d carries %v, ranks not ascending", where, n.node, i, b.Dests)
+			}
+			if b.Relays {
+				q = append(q, at{b.Hop.To, b.Hop.Network, b.Dests})
+			} else {
+				reached[b.Hop.To]++
+			}
+		}
+		if n.node != root {
+			relays[n.node] = fmt.Sprintf("mcast %s -> %d branches (%d dests)", n.net, len(got), len(n.dests))
+		}
+	}
+	if split != len(ref.Branches) || len(reached) != len(ref.Dests) {
+		t.Fatalf("%s: the split branches at %d nodes and reaches %v; the planner at %d and %v", where, split, reached, len(ref.Branches), ref.Dests)
+	}
+	for _, d := range ref.Dests {
+		if reached[d] != 1 {
+			t.Fatalf("%s: %s reached %d times", where, d, reached[d])
+		}
+	}
+
+	before, mark := w.vc.McastStats(), len(reg.Hops())
+	spawnMcastStream(t, w, root, ref.Dests, pattern(size, byte(len(dests))), 1)
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := w.vc.McastStats()
+	if st.Messages-before.Messages != 1 || st.Branches-before.Branches != int64(ref.Edges) ||
+		st.Relays-before.Relays != int64(len(ref.Relays())) || st.LocalDeliveries-before.LocalDeliveries != int64(locals) {
+		t.Fatalf("%s: %d messages, %d branches, %d relays, %d local deliveries; want 1, %d, %d, %d", where,
+			st.Messages-before.Messages, st.Branches-before.Branches, st.Relays-before.Relays,
+			st.LocalDeliveries-before.LocalDeliveries, ref.Edges, len(ref.Relays()), locals)
+	}
+	var sent []string
+	relayed := make(map[string]string)
+	for _, h := range reg.Hops()[mark:] {
+		switch {
+		case h.Node == root && h.Op == "hop":
+			sent = append(sent, h.Detail)
+		case h.Op == "relay":
+			relayed[h.Node] = h.Detail
+		}
+	}
+	if len(sent) != len(ref.Branches[root]) {
+		t.Fatalf("%s: the root recorded %q; the planner has branches %+v", where, sent, ref.Branches[root])
+	}
+	for i, b := range ref.Branches[root] {
+		head, tail := fmt.Sprintf("%s -> %s via %s (mcast", root, b.Hop.To, b.Hop.Network), fmt.Sprintf(", %d dests)", len(b.Dests))
+		if !strings.HasPrefix(sent[i], head) || !strings.HasSuffix(sent[i], tail) {
+			t.Fatalf("%s: the root's branch %d recorded %q, want %s ...%s", where, i, sent[i], head, tail)
+		}
+	}
+	if !maps.Equal(relayed, relays) {
+		t.Fatalf("%s: gateways recorded %v, want %v", where, relayed, relays)
 	}
 }
 

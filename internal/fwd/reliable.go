@@ -1270,9 +1270,9 @@ func complete(aw *relAwait) {
 // nextHop picks the first leg toward dst, preferring the primary topology
 // (the high-speed networks) and falling back to Config.FallbackTopo (the
 // full configuration including the control network) when the primary has no
-// live path. The link-health monitor owns liveness: its epoch-stamped tables
-// are shared by every node, so all senders converge on the same routes the
-// instant a transition publishes a new epoch. Only split horizon — a
+// live path. The link-health monitor owns liveness: its current epoch's
+// tables are shared by every node, so all senders converge on the same
+// routes the instant a transition publishes a new epoch. Only split horizon — a
 // non-empty exclude, the ingress neighbour of a relayed packet, barred as an
 // intermediate hop — needs per-engine tables: the epoch constraints merged
 // with the barred neighbour, cached per (topology, exclude) and invalidated

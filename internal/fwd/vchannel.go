@@ -220,8 +220,8 @@ type VirtualChannel struct {
 	// unless Config.Aggregation is set.
 	aggst *aggState
 
-	// mcastst is the multicast state (see mcast.go): the per-(root,
-	// member-set) distribution-plan cache and the per-root counts.
+	// mcastst is the multicast state (see mcast.go): the per-root counts
+	// and the sinks' decode scratch.
 	mcastst *mcastState
 }
 
@@ -373,8 +373,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 
 		pathMTUs: make(map[[2]string]int),
 		bindings: bindings,
-		mcastst: &mcastState{plans: make(map[string]*mcastPlan), roots: make(map[string]*mcastRoot),
-			hdrDescs: make(map[int][]mad.BlockDesc)},
+		mcastst:  &mcastState{roots: make(map[string]*mcastRoot), hdrDescs: make(map[int][]mad.BlockDesc)},
 	}
 	if cfg.FlowControl {
 		vc.flowc = newFlowCtl(vc, cfg.CreditWindow)

@@ -2,11 +2,11 @@ package route
 
 import "madgo/internal/topo"
 
-// Manager owns the epoch-stamped routing tables a system routes by when a
-// health monitor is running. Liveness constraints flow in through Publish;
-// every call bumps the epoch and invalidates the cached tables, which are
-// recomputed lazily (ComputeConstrained over the primary and, when present,
-// the fallback topology) on the next Tables call.
+// Manager owns the routing tables a system routes by when a health monitor
+// is running. Liveness constraints flow in through Publish; every call bumps
+// the epoch and invalidates the cached tables, which are recomputed lazily
+// (ComputeConstrained over the primary and, when present, the fallback
+// topology) on the next Tables call.
 //
 // The simulation is single-threaded, so a Publish is atomic by construction:
 // senders, gateways and the stripe scheduler all read the same Manager, and
@@ -27,7 +27,7 @@ type Manager struct {
 // NewManager creates a Manager routing over primary, with an optional
 // fallback topology consulted for pairs the primary cannot route (mirroring
 // the FallbackTopo mechanism of the forwarding layer). The initial epoch is
-// 1 with empty constraints, so epoch 0 can mean "unstamped table" elsewhere.
+// 1 with empty constraints, so a cache tagged with epoch 0 is stale at once.
 func NewManager(primary, fallback *topo.Topology) *Manager {
 	if primary == nil {
 		panic("route: NewManager with nil primary topology")
@@ -56,7 +56,7 @@ func (m *Manager) Publish(c Constraints) uint64 {
 
 // Tables returns the routing tables of the current epoch — primary first,
 // then the fallback when one exists — computing them if the constraints
-// changed since the last call. Each table is stamped with the epoch.
+// changed since the last call.
 func (m *Manager) Tables() []*Table {
 	if m.dirty {
 		m.tables = m.tables[:0]
@@ -64,9 +64,7 @@ func (m *Manager) Tables() []*Table {
 			if tp == nil {
 				continue
 			}
-			t := ComputeConstrained(tp, m.cons)
-			t.Epoch = m.epoch
-			m.tables = append(m.tables, t)
+			m.tables = append(m.tables, ComputeConstrained(tp, m.cons))
 		}
 		m.dirty = false
 	}

@@ -39,9 +39,6 @@ type McastTree struct {
 	// times one fragment touches a wire, against len(Dests) for a unicast
 	// fan-out of the same set.
 	Edges int
-	// Epoch is the liveness generation of the table the tree was derived
-	// from; a cached tree is stale once the table's epoch moves past it.
-	Epoch uint64
 }
 
 // ComputeMulticast derives the distribution tree for a multicast from root
@@ -50,7 +47,10 @@ type McastTree struct {
 // destination yields a *NoRouteError. Because every per-node split follows
 // NextHop of the same loop-free shortest-path table, the recursion
 // terminates, the per-branch destination subsets are disjoint, and each
-// destination is reached by exactly one tree path.
+// destination is reached by exactly one tree path. Forwarding never plans a
+// tree: the root and every gateway split the set they carry by next hop as
+// they send it, and this planner is the reference that split is tested
+// against.
 func (tb *Table) ComputeMulticast(root string, dests []string) (*McastTree, error) {
 	if _, ok := tb.topo.Node(root); !ok {
 		return nil, &NoRouteError{Src: root, Dst: strings.Join(dests, ","), Why: "unknown source"}
@@ -69,7 +69,7 @@ func (tb *Table) ComputeMulticast(root string, dests []string) (*McastTree, erro
 		all = append(all, d)
 	}
 	sort.Strings(all)
-	tr := &McastTree{Root: root, Dests: all, Branches: make(map[string][]McastBranch), Epoch: tb.Epoch}
+	tr := &McastTree{Root: root, Dests: all, Branches: make(map[string][]McastBranch)}
 	if err := tr.grow(tb, root, all); err != nil {
 		return nil, err
 	}
@@ -78,9 +78,8 @@ func (tb *Table) ComputeMulticast(root string, dests []string) (*McastTree, erro
 
 // grow partitions the destination subset reaching node cur by unicast next
 // hop, records the resulting branches, and recurses into every next hop that
-// still has destinations beyond itself — the exact split a relaying gateway
-// performs at run time, so the planned tree and the forwarded frames agree
-// by construction.
+// still has destinations beyond itself — the split each hop makes at run
+// time.
 func (tr *McastTree) grow(tb *Table, cur string, dests []string) error {
 	type group struct {
 		hop  Hop

@@ -147,15 +147,3 @@ func TestComputeMulticastErrors(t *testing.T) {
 		t.Fatalf("partitioned: %v", err)
 	}
 }
-
-func TestComputeMulticastCarriesEpoch(t *testing.T) {
-	tb := chainTable(t)
-	tb.Epoch = 7
-	tr, err := tb.ComputeMulticast("a0", []string{"l0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Epoch != 7 {
-		t.Fatalf("epoch = %d", tr.Epoch)
-	}
-}

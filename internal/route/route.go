@@ -86,12 +86,6 @@ type Table struct {
 	avoid  map[string]bool
 	avoidR map[string]bool
 	avoidE map[Edge]bool
-
-	// Epoch stamps the liveness generation this table was computed for.
-	// Tables built directly by Compute/ComputeConstrained carry epoch 0;
-	// the Manager stamps every table it publishes with its current epoch so
-	// senders can tell a stale cached table from the live one.
-	Epoch uint64
 }
 
 // Compute builds the routing table with breadth-first search over the

@@ -148,9 +148,10 @@ type (
 	// attached with WithAggregation.
 	AggStats = fwd.AggStats
 	// McastStats aggregates the gateway-native multicast counters
-	// (multicasts sent, gateway relays, tree branches, replicated
-	// packets/bytes, local deliveries, distribution-tree cache activity);
-	// see Endpoint.BeginMulticast and Comm.Broadcast.
+	// (multicasts sent, gateway relays, branches, replicated packets/bytes,
+	// local deliveries; the two tree-cache counts always read zero, as the
+	// root splits by next hop like every gateway); see
+	// Endpoint.BeginMulticast and Comm.Broadcast.
 	McastStats = fwd.McastStats
 	// Metrics is a virtual-time-aware metrics registry: counters, gauges,
 	// latency histograms and per-message provenance traces, attached with

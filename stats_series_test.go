@@ -63,8 +63,8 @@ var statSources = map[string]statSource{
 	"Mcast.ReplicatedPackets": {series: "madgo_mcast_replicated_packets_total"},
 	"Mcast.ReplicatedBytes":   {series: "madgo_mcast_replicated_bytes_total"},
 	"Mcast.LocalDeliveries":   {series: "madgo_mcast_local_deliveries_total"},
-	"Mcast.TreeCacheHits":     {why: "the plan cache's own count, written once per lookup; no series"},
-	"Mcast.TreeRecomputes":    {why: "the plan cache's own count, written once per recompute; no series"},
+	"Mcast.TreeCacheHits":     {why: "always zero: the root plans no tree; kept because the benchmark ledger reads it; no series"},
+	"Mcast.TreeRecomputes":    {why: "always zero: the root plans no tree; kept because the benchmark ledger reads it; no series"},
 
 	"Gateways.Messages": {why: "written once per relayed message; no series"},
 	"Gateways.Packets": {series: "madgo_gateway_relayed_packets_total", perGateway: "gateway", streaming: true,
