@@ -105,11 +105,13 @@ race:
 # fill phase at exactly one allocation a chunk reached, a ring's footprint at
 # ⌈n / ⌈cap/4⌉⌉ chunks of 32-byte entries for n events, and the incast64 shape
 # at its reading plus 15 % in allocations and in KiB a message, the one wall on
-# allocated bytes. Building a system (DESIGN.md §32): NewSystem of the chain
-# under WithPaperFidelity and of the incast64 shape under WithFlowControl at
-# their race-detector readings before gateways made their fair daemons on
-# first use, plus 2 %. One buffer pool (DESIGN.md §33): a steady-state take and
-# return, and a ring's worth of them, at 0.
+# allocated bytes. Building a system (DESIGN.md §32, §39): NewSystem of the
+# chain under WithPaperFidelity, of the incast64 shape under WithFlowControl and
+# of the prod_lossy_mix shape under WithProduction at race-detector readings
+# plus 2 %, and a 136- and a 1 040-node cluster of clusters, streaming and under
+# WithProduction, in allocated bytes (48 and 56 MiB at 1 040 nodes). One buffer
+# pool (DESIGN.md §33): a steady-state take and return, and a ring's worth of
+# them, at 0.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd -run 'AllocsNothing' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
@@ -275,7 +277,13 @@ fuzz:
 # The multicast root splitting by next hop like every gateway (DESIGN.md §38)
 # lowered internal/fwd 6534 -> 6495 and added the internal/route row at the
 # size it left, 739 -> 730: the tree plan cache and the epoch stamps are gone.
-LOC_MAX := internal/fwd:6495 internal/bench:2399 internal/agg:379 internal/flight:1079 internal/route:730
+# A route search that expands each network once (DESIGN.md §39) lowered
+# internal/fwd 6495 -> 6492 (PathMTU's node checks are the walk's), raised
+# internal/route 730 -> 732 (the dense rows, the network-once search, the
+# tree walk into a caller's buffer and its scratch, net of the route cache)
+# and internal/bench 2399 -> 2424 (the cluster-of-clusters generator the
+# set-up scale wall builds).
+LOC_MAX := internal/fwd:6492 internal/bench:2424 internal/agg:379 internal/flight:1079 internal/route:732
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	madeleine "madgo"
+	"madgo/internal/bench"
 )
 
 // chainTopo is the Fig. 6 chain: a –sci– gw –myrinet– b.
@@ -32,14 +33,18 @@ func incastTopo(senders int) string {
 }
 
 // newSystemAllocBudgets are the most heap allocations NewSystem may cost for
-// the chain under WithPaperFidelity and for the incast64 shape under
-// WithFlowControl: the readings before every streaming gateway relayed
-// through a fair daemon (DESIGN.md §32) plus 2 %, taken under the race
-// detector, which does not pack small allocations (307 and 9 380; 295 and
-// 9 178 without it). They read 292 and 9 125–9 138 now (305 and 9 340 under
-// the race detector), because a gateway's ring, its DRR and its fair daemon
-// are made on its network's first announcement; making them at build reads
-// 345 and about 9 193.
+// the chain under WithPaperFidelity, the incast64 shape under WithFlowControl
+// and the prod_lossy_mix shape under WithProduction. Each is a reading under
+// the race detector, which does not pack small allocations, plus 2 %. The
+// chain's is the reading before every streaming gateway relayed through a
+// fair daemon (DESIGN.md §32): 307 then, 292 after (305 under the race
+// detector), 271 (284–290) since a route search expands each network once
+// (DESIGN.md §39). That change took incast64 from 9 125–9 138 (9 340 under the
+// race detector) to 2 329–2 339 (2 555–2 579): Build walks every source's
+// search tree and builds no Route, and a row is one slice of steps, not two
+// maps. prod_lossy_mix read 3 840–3 849 before it (3 942) and 3 790–3 805
+// (3 901–3 903) after: the health monitor's links are sorted on keys built
+// once, into one buffer.
 var newSystemAllocBudgets = []struct {
 	name   string
 	topo   string
@@ -47,7 +52,8 @@ var newSystemAllocBudgets = []struct {
 	budget float64
 }{
 	{"chain", chainTopo, madeleine.WithPaperFidelity(), 313},
-	{"incast64", incastTopo(64), madeleine.WithFlowControl(), 9568},
+	{"incast64", incastTopo(64), madeleine.WithFlowControl(), 2631},
+	{"prod_lossy_mix", prodLossyTopo(16), madeleine.WithProduction(), 3981},
 }
 
 // TestNewSystemAllocBudget fails when building a system costs more
@@ -63,6 +69,53 @@ func TestNewSystemAllocBudget(t *testing.T) {
 		t.Logf("NewSystem(%s): %.0f allocations (budget %.0f)", c.name, allocs, c.budget)
 		if allocs > c.budget {
 			t.Errorf("NewSystem(%s) allocates %.0f objects, budget %.0f", c.name, allocs, c.budget)
+		}
+	}
+}
+
+// setupScaleBudgets are the most bytes, in MiB, NewSystem may allocate
+// building bench.ClusterOfClusters(clusters, members), streaming and under
+// WithProduction (DESIGN.md §39). Before the route search expanded each
+// network once, the 1 040-node builds allocated 587 and 56 MiB; they read
+// 17.0 and 40.9 now (17.2 and 41.2 under the race detector), and their
+// budgets are 48 and the old 56. The 136-node ones read 0.71 and 2.18 (0.75
+// and 2.23), and their budgets are those readings under the race detector
+// plus 15 %. At 1 040 nodes a node costs about three times what it costs at
+// 136 when streaming: every source keeps its search tree, one step a node.
+var setupScaleBudgets = []struct {
+	clusters, members int
+	reliable          bool
+	mib               float64
+}{
+	{8, 16, false, 0.87},
+	{16, 64, false, 48},
+	{8, 16, true, 2.6},
+	{16, 64, true, 56},
+}
+
+// TestSetupScaleAllocBudget fails when building a cluster of clusters costs
+// more bytes than its budget (make allocs): a table or an index that grows
+// faster than the node count shows up here at 1 040 nodes.
+func TestSetupScaleAllocBudget(t *testing.T) {
+	for _, c := range setupScaleBudgets {
+		mode, opts := "streaming", []madeleine.Option(nil)
+		if c.reliable {
+			mode, opts = "WithProduction", []madeleine.Option{madeleine.WithProduction()}
+		}
+		config := bench.ClusterOfClusters(c.clusters, c.members)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if _, err := madeleine.NewSystem(config, opts...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		nodes := c.clusters * (c.members + 1)
+		mib := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
+		t.Logf("NewSystem(%d nodes, %s): %.2f MiB, %.1f KiB a node (budget %.2f MiB)",
+			nodes, mode, mib, mib*1024/float64(nodes), c.mib)
+		if mib > c.mib {
+			t.Errorf("NewSystem(%d nodes, %s) allocates %.2f MiB, budget %.2f", nodes, mode, mib, c.mib)
 		}
 	}
 }
@@ -240,6 +293,21 @@ func TestBcastAllocBudget(t *testing.T) {
 	}
 }
 
+// prodLossyTopo is the prod_lossy_mix shape: flows senders a00.. on SCI and
+// as many receivers b00.. on Myrinet, two gateways bridging both, 1 % loss.
+func prodLossyTopo(flows int) string {
+	var topo strings.Builder
+	topo.WriteString("network sci0 sci\nnetwork myri0 myrinet\n")
+	for i := 0; i < flows; i++ {
+		fmt.Fprintf(&topo, "node a%02d sci0\n", i)
+	}
+	for i := 0; i < flows; i++ {
+		fmt.Fprintf(&topo, "node b%02d myri0\n", i)
+	}
+	topo.WriteString("node gw1 sci0 myri0\nnode gw2 sci0 myri0\nfault seed 7\nfault drop * 0.01\n")
+	return topo.String()
+}
+
 // prodLossyAllocBudget is the most heap allocations one message of the
 // benchmark's prod_lossy_mix shape may cost across System.Run:
 // WithProduction (reliable ARQ, aggregation, credits, two rails, health
@@ -267,16 +335,7 @@ func TestProdLossyAllocBudget(t *testing.T) {
 		flows   = 16
 		perFlow = 60
 	)
-	var topo strings.Builder
-	topo.WriteString("network sci0 sci\nnetwork myri0 myrinet\n")
-	for i := 0; i < flows; i++ {
-		fmt.Fprintf(&topo, "node a%02d sci0\n", i)
-	}
-	for i := 0; i < flows; i++ {
-		fmt.Fprintf(&topo, "node b%02d myri0\n", i)
-	}
-	topo.WriteString("node gw1 sci0 myri0\nnode gw2 sci0 myri0\nfault seed 7\nfault drop * 0.01\n")
-	sys, err := madeleine.NewSystem(topo.String(), madeleine.WithProduction())
+	sys, err := madeleine.NewSystem(prodLossyTopo(flows), madeleine.WithProduction())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,17 +132,18 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, op
 
 	// Relay daemons on every node some route uses as an intermediate.
 	names := routeTp.NodeNames()
+	var buf [8]route.Hop
 	for _, src := range names {
 		for _, dst := range names {
 			if src == dst {
 				continue
 			}
-			rt, ok := r.tbl.Lookup(src, dst)
+			rt, ok := r.tbl.Hops(src, dst, buf[:0])
 			if !ok {
 				return nil, fmt.Errorf("baseline: no route %s -> %s", src, dst)
 			}
-			for _, gw := range rt.Gateways() {
-				r.daemons[gw] = true
+			for _, h := range rt[:len(rt)-1] {
+				r.daemons[h.To] = true
 			}
 		}
 	}

@@ -247,16 +247,11 @@ func (vc *VirtualChannel) PathMTU(src, dst string) int {
 	if m, ok := vc.pathMTUs[key]; ok {
 		return m
 	}
-	// Nodes outside the primary topology (reliable-mode fallback nodes)
-	// keep the global MTU: the routing table only covers the primary.
-	if _, ok := vc.tp.Node(src); !ok {
-		return vc.cfg.MTU
-	}
-	if _, ok := vc.tp.Node(dst); !ok {
-		return vc.cfg.MTU
-	}
+	// Nodes outside the primary topology (reliable-mode fallback nodes) have
+	// no table route and keep the global MTU.
 	m := vc.cfg.MTU
-	if r, ok := vc.tbl.Lookup(src, dst); ok {
+	var buf [8]route.Hop
+	if r, ok := vc.tbl.Hops(src, dst, buf[:0]); ok {
 		m = MTUForRoute(r, vc.netMTU)
 	}
 	vc.pathMTUs[key] = m
@@ -452,15 +447,17 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		}
 	}
 
-	// Every table route gets what relaying it needs; a striped pair's rails
-	// get it on the pair's first send (stripeRoutes).
+	// Every table route, walked off its source's search tree into buf, gets
+	// what relaying it needs; a striped pair's rails get it on the pair's
+	// first send (stripeRoutes).
 	names := tp.NodeNames()
+	var buf [8]route.Hop
 	for _, src := range names {
 		for _, dst := range names {
 			if src == dst {
 				continue
 			}
-			r, ok := vc.tbl.Lookup(src, dst)
+			r, ok := vc.tbl.Hops(src, dst, buf[:0])
 			if !ok {
 				return nil, fmt.Errorf("fwd: no route %s -> %s", src, dst)
 			}
@@ -640,7 +637,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	// destination is offered to the coalescer; messages that turn out too
 	// large bypass (or spill back to the streaming path) from there.
 	if e.vc.cfg.Aggregation {
-		if r, ok := e.vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
+		if hop, ok := e.vc.tbl.NextHop(e.node.Name, dst); ok && hop.To != dst {
 			ax := &aggPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
 			e.vc.hop(p, ax.id, e.node.Name, "pack", obs.Detail{Form: "agg -> ${peer}", Peer: dst}, 0)
 			return ax.handle.bind(ax, ax.id)
@@ -686,15 +683,15 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 // the first hop of the table route and, unless that hop ends at dst, the link
 // it takes toward the first gateway (nil for a direct route, which needs none).
 func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.Link) {
-	r, ok := vc.tbl.Lookup(from.Name, dst)
+	hop, ok := vc.tbl.NextHop(from.Name, dst)
 	if !ok {
 		panic(fmt.Sprintf("fwd: no route %s -> %s", from.Name, dst))
 	}
-	if r.Direct() {
-		return r[0], nil
+	if hop.To == dst {
+		return hop, nil
 	}
-	link, _ := vc.hopLink(from, r[0], true)
-	return r[0], link
+	link, _ := vc.hopLink(from, hop, true)
+	return hop, link
 }
 
 // openSingleRail opens message id on the path firstHop found, the framing every

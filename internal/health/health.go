@@ -17,6 +17,7 @@ package health
 
 import (
 	"sort"
+	"strings"
 
 	"madgo/internal/obs"
 	"madgo/internal/route"
@@ -212,14 +213,25 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 		mgr:      route.NewManager(primary, fallback),
 		schedule: schedule,
 		now:      now,
-		links:    make(map[route.Edge]*link),
 		byFrom:   make(map[string][]route.Edge),
 		dead:     make(map[route.Edge]bool),
 	}
-	for _, tp := range []*topo.Topology{primary, fallback} {
-		if tp == nil {
-			continue
+	tps := []*topo.Topology{primary}
+	if fallback != nil {
+		tps = append(tps, fallback)
+	}
+	n := 0 // directed links, counting a link both topologies have twice
+	for _, tp := range tps {
+		for _, nw := range tp.Networks() {
+			n += len(nw.Members) * (len(nw.Members) - 1)
 		}
+	}
+	m.links = make(map[route.Edge]*link, n)
+	m.order = make([]route.Edge, 0, n)
+	// m.order's Edge.String()s, built once, end to end, to sort by.
+	var keys strings.Builder
+	ends := make([]int, 1, n+1)
+	for _, tp := range tps {
 		for _, nw := range tp.Networks() {
 			for _, from := range nw.Members {
 				for _, to := range nw.Members {
@@ -238,15 +250,19 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 					}
 					m.links[e] = l
 					m.order = append(m.order, e)
-					m.byFrom[from] = append(m.byFrom[from], e)
+					keys.WriteString(e.String())
+					ends = append(ends, keys.Len())
 				}
 			}
 		}
 	}
-	sort.Slice(m.order, func(i, j int) bool { return m.order[i].String() < m.order[j].String() })
-	for _, edges := range m.byFrom {
-		es := edges
-		sort.Slice(es, func(i, j int) bool { return es[i].String() < es[j].String() })
+	all, byKey := keys.String(), linksByKey{make([]string, len(m.order)), m.order}
+	for i := range byKey.keys {
+		byKey.keys[i] = all[ends[i]:ends[i+1]]
+	}
+	sort.Sort(byKey)
+	for _, e := range m.order {
+		m.byFrom[e.From] = append(m.byFrom[e.From], e)
 	}
 	met.BindCounter(&m.probes, "madgo_health_probes_total", nil)
 	met.BindCounter(&m.probeFails, "madgo_health_probe_failures_total", nil)
@@ -263,6 +279,20 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 	}
 	m.epochG.Set(float64(m.mgr.Epoch()))
 	return m
+}
+
+// linksByKey sorts a monitor's links by their Edge.String() keys, each key
+// swapped along with its link.
+type linksByKey struct {
+	keys  []string
+	links []route.Edge
+}
+
+func (s linksByKey) Len() int           { return len(s.keys) }
+func (s linksByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s linksByKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.links[i], s.links[j] = s.links[j], s.links[i]
 }
 
 // SetProbeSink installs the callback that carries a probe request to the

@@ -429,3 +429,66 @@ func TestComputeKMatchesEagerOracle(t *testing.T) {
 		}
 	}
 }
+
+// sharedNetsTopology draws a topology on few networks in which every node is
+// on two or three of them, so many node pairs share two networks and a
+// network is reachable from many of its members: the case in which the
+// search skips a network some earlier node already expanded.
+func sharedNetsTopology(rng *rand.Rand) *topo.Topology {
+	for {
+		b := topo.NewBuilder()
+		nets := 3 + rng.Intn(2)
+		for i := 0; i < nets; i++ {
+			b.Network(fmt.Sprintf("n%d", i), "sci")
+		}
+		for _, i := range rng.Perm(4 + rng.Intn(9)) {
+			var on []string
+			for _, k := range rng.Perm(nets)[:2+rng.Intn(2)] {
+				on = append(on, fmt.Sprintf("n%d", k))
+			}
+			b.Node(fmt.Sprintf("y%02d", i), on...)
+		}
+		if tp, err := b.Build(); err == nil {
+			return tp
+		}
+	}
+}
+
+// TestNetworkOnceSearchMatchesEagerOracle: on 200 seeded topologies whose
+// node pairs share two networks, the table agrees with the eager oracle on
+// every ordered pair under four constraint sets — none, suspect relays
+// (both expand each network once), and excluded edges with and without
+// suspect relays (both scan every leg). Hops, appending to a buffer that
+// already holds a hop, and NextHop agree with Lookup on every pair.
+func TestNetworkOnceSearchMatchesEagerOracle(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tp := sharedNetsTopology(rng)
+		names := tp.NodeNames()
+		relays := map[string]bool{names[rng.Intn(len(names))]: true, names[rng.Intn(len(names))]: true}
+		edges := randomEdges(rng, tp, 2+rng.Intn(8))
+		for _, c := range []Constraints{{}, {Relays: relays}, {Edges: edges}, {Relays: relays, Edges: edges}} {
+			want := eagerConstrained(tp, c)
+			tb := ComputeConstrained(tp, c)
+			for _, src := range names {
+				for _, dst := range names {
+					wr, wok := want.lookup(src, dst)
+					gr, gok := tb.Lookup(src, dst)
+					if gok != wok || !reflect.DeepEqual(gr, wr) {
+						t.Fatalf("seed %d: Lookup(%s,%s) = %v,%v; oracle %v,%v (constraints %+v)\n%s",
+							seed, src, dst, gr, gok, wr, wok, c, tp)
+					}
+					head := Hop{Network: "buf", To: "head"}
+					hr, hok := tb.Hops(src, dst, Route{head})
+					if hok != gok || len(hr) != 1+len(gr) || hr[0] != head || gok && !reflect.DeepEqual(hr[1:], gr) {
+						t.Fatalf("seed %d: Hops(%s,%s) = %v,%v; Lookup %v,%v", seed, src, dst, hr, hok, gr, gok)
+					}
+					hop, nok := tb.NextHop(src, dst)
+					if nok != gok || gok && hop != gr[0] {
+						t.Fatalf("seed %d: NextHop(%s,%s) = %v,%v; Lookup %v,%v", seed, src, dst, hop, nok, gr, gok)
+					}
+				}
+			}
+		}
+	}
+}

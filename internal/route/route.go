@@ -7,7 +7,7 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"madgo/internal/topo"
@@ -82,10 +82,16 @@ func (e Edge) String() string { return e.From + ">" + e.To + "@" + e.Network }
 // Table holds the routes of every ordered node pair of a topology.
 type Table struct {
 	topo   *topo.Topology
-	rows   map[string]*row // by source; absent until first asked for
+	ix     *topo.Index
+	rows   [][]step // by source number; nil until first asked for
 	avoid  map[string]bool
 	avoidR map[string]bool
 	avoidE map[Edge]bool
+
+	// The search's scratch, reused from row to row: the breadth-first
+	// queue, and which networks the current search has expanded.
+	queue    []int32
+	expanded []bool
 }
 
 // Compute builds the routing table with breadth-first search over the
@@ -130,93 +136,106 @@ type Constraints struct {
 // reads one row of a 34-node table pays for one search, not 34. A table is
 // for one goroutine at a time, like everything under one simulation.
 func ComputeConstrained(t *topo.Topology, c Constraints) *Table {
-	return &Table{topo: t, rows: make(map[string]*row),
-		avoid: c.Nodes, avoidR: c.Relays, avoidE: c.Edges}
+	return &Table{topo: t, ix: t.Index(), avoid: c.Nodes, avoidR: c.Relays, avoidE: c.Edges}
 }
 
 // step is how the search from a row's source first reached a node: from
-// prev across via, hops legs from the source.
+// node prev across network via, hops legs from the source. A row holds one
+// per node; hops is 0 at the source and at every node the search did not
+// reach.
 type step struct {
-	prev string
-	via  string
-	hops int
+	prev, via, hops int32
 }
 
-// row is the search tree of one source: every reachable node's step, and the
-// routes already read out of it.
-type row struct {
-	steps  map[string]step
-	routes map[string]Route
-}
-
-// rowOf returns the search tree rooted at src, running the search on first
-// use. src is a node of the topology.
-func (tb *Table) rowOf(src string) *row {
-	if r, ok := tb.rows[src]; ok {
-		return r
+// rowOf returns the search tree rooted at node src, running the search on
+// first use.
+func (tb *Table) rowOf(src int32) []step {
+	if tb.rows == nil {
+		tb.rows = make([][]step, len(tb.ix.Nodes))
 	}
-	r := &row{}
-	if !tb.avoid[src] {
-		r.steps = tb.searchFrom(src)
+	if tb.rows[src] == nil {
+		tb.rows[src] = tb.searchFrom(src)
 	}
-	tb.rows[src] = r
-	return r
+	return tb.rows[src]
 }
 
 // searchFrom runs the breadth-first search from src. Exploration order is
 // the topology's neighbour order — preferred (earlier declared) networks
 // first, then peer name — so the first discovery of a node fixes its route
 // and the result does not depend on which rows were computed before.
-func (tb *Table) searchFrom(src string) map[string]step {
-	t := tb.topo
-	steps := map[string]step{src: {}}
-	frontier := []string{src}
-	var next []string
-	for hops := 1; len(frontier) > 0; hops++ {
-		next = next[:0]
-		for _, cur := range frontier {
-			for _, h := range t.Neighbors(cur) {
-				if tb.avoid[h.Node] || tb.avoidE[Edge{From: cur, To: h.Node, Network: h.Network}] {
+//
+// A network is expanded once per search (DESIGN.md §39): the first node to
+// expand it marks every member not yet reached, so a later expansion would
+// mark none and is skipped. That holds only while no edge is excluded; a
+// table with excluded edges scans every leg of every node it reaches.
+func (tb *Table) searchFrom(src int32) []step {
+	ix := tb.ix
+	steps := make([]step, len(ix.Nodes))
+	if tb.avoid[ix.Nodes[src]] {
+		return steps
+	}
+	once := len(tb.avoidE) == 0
+	if tb.expanded == nil {
+		tb.expanded = make([]bool, len(ix.Nets))
+	}
+	clear(tb.expanded)
+	queue := append(tb.queue[:0], src)
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
+		hops := steps[cur].hops + 1
+		for _, k := range ix.OnNets[cur] {
+			if once && tb.expanded[k] {
+				continue
+			}
+			tb.expanded[k] = true
+			for _, peer := range ix.Members[k] {
+				if steps[peer].hops != 0 || peer == src {
 					continue
 				}
-				if _, seen := steps[h.Node]; seen {
+				name := ix.Nodes[peer]
+				if tb.avoid[name] || !once && tb.avoidE[Edge{From: ix.Nodes[cur], To: name, Network: ix.Nets[k]}] {
 					continue
 				}
-				steps[h.Node] = step{prev: cur, via: h.Network, hops: hops}
+				steps[peer] = step{prev: cur, via: k, hops: hops}
 				// Suspect relays are reachable as destinations but never
 				// expanded through.
-				if !tb.avoidR[h.Node] {
-					next = append(next, h.Node)
+				if !tb.avoidR[name] {
+					queue = append(queue, peer)
 				}
 			}
 		}
-		frontier, next = next, frontier
 	}
-	delete(steps, src)
+	tb.queue = queue
 	return steps
 }
 
-// route reads the src→dst route out of the row, once; later calls return the
-// same slice.
-func (r *row) route(src, dst string) (Route, bool) {
-	if rt, ok := r.routes[dst]; ok {
-		return rt, true
+// tree returns the search tree of src and dst's number in it; ok is false
+// for an unknown node, a self-route query and an unreachable pair.
+func (tb *Table) tree(src, dst string) (steps []step, d int32, ok bool) {
+	s, sok := tb.ix.Node[src]
+	d, dok := tb.ix.Node[dst]
+	if !sok || !dok || s == d {
+		return nil, 0, false
 	}
-	st, ok := r.steps[dst]
+	steps = tb.rowOf(s)
+	return steps, d, steps[d].hops > 0
+}
+
+// Hops appends the route from src to dst to buf and returns it, ok=false
+// where Lookup's is. It builds no Route of its own: a caller that walks
+// every pair, or reads a route per message, passes a buffer it owns (a stack
+// array's buf[:0]) and allocates nothing.
+func (tb *Table) Hops(src, dst string, buf Route) (Route, bool) {
+	steps, d, ok := tb.tree(src, dst)
 	if !ok {
-		return nil, false
+		return buf, false
 	}
-	rt := make(Route, st.hops)
-	for cur := dst; cur != src; {
-		s := r.steps[cur]
-		rt[s.hops-1] = Hop{Network: s.via, To: cur}
-		cur = s.prev
+	n := len(buf)
+	buf = slices.Grow(buf, int(steps[d].hops))[:n+int(steps[d].hops)]
+	for ; steps[d].hops > 0; d = steps[d].prev {
+		buf[n+int(steps[d].hops)-1] = Hop{Network: tb.ix.Nets[steps[d].via], To: tb.ix.Nodes[d]}
 	}
-	if r.routes == nil {
-		r.routes = make(map[string]Route)
-	}
-	r.routes[dst] = rt
-	return rt, true
+	return buf, true
 }
 
 // Find returns the route from src to dst, or a *NoRouteError (matching
@@ -226,83 +245,66 @@ func (tb *Table) Find(src, dst string) (Route, error) {
 	if src == dst {
 		return nil, &NoRouteError{Src: src, Dst: dst, Why: "self-route"}
 	}
-	if _, ok := tb.topo.Node(src); !ok {
+	if _, ok := tb.ix.Node[src]; !ok {
 		return nil, &NoRouteError{Src: src, Dst: dst, Why: "unknown source"}
 	}
-	if _, ok := tb.topo.Node(dst); !ok {
+	if _, ok := tb.ix.Node[dst]; !ok {
 		return nil, &NoRouteError{Src: src, Dst: dst, Why: "unknown destination"}
 	}
-	r, ok := tb.rowOf(src).route(src, dst)
+	r, ok := tb.Hops(src, dst, nil)
 	if !ok {
 		return nil, &NoRouteError{Src: src, Dst: dst, Why: "no path under current constraints"}
 	}
 	return r, nil
 }
 
-// Lookup returns the route from src to dst. It is Find without the error
-// detail: ok=false covers unreachable pairs as well as unknown nodes and
-// self-route queries (which used to panic — a table consulted with a
-// fallback topology's nodes, or after constraints emptied the graph, is a
-// routing miss to recover from, not a programming error).
+// Lookup returns the route from src to dst, a Route of its own. It is Find
+// without the error detail: ok=false covers unreachable pairs as well as
+// unknown nodes and self-route queries (which used to panic — a table
+// consulted with a fallback topology's nodes, or after constraints emptied
+// the graph, is a routing miss to recover from, not a programming error).
 func (tb *Table) Lookup(src, dst string) (Route, bool) {
-	r, err := tb.Find(src, dst)
-	return r, err == nil
+	return tb.Hops(src, dst, nil)
 }
 
 // NextHop returns the first leg from src toward dst: Lookup's r[0], read off
 // the search tree without building the route.
 func (tb *Table) NextHop(src, dst string) (Hop, bool) {
-	if src == dst {
-		return Hop{}, false
-	}
-	if _, ok := tb.topo.Node(src); !ok {
-		return Hop{}, false
-	}
-	steps := tb.rowOf(src).steps
-	st, ok := steps[dst]
+	steps, d, ok := tb.tree(src, dst)
 	if !ok {
 		return Hop{}, false
 	}
-	cur := dst
-	for st.prev != src {
-		cur = st.prev
-		st = steps[cur]
+	for steps[d].hops > 1 {
+		d = steps[d].prev
 	}
-	return Hop{Network: st.via, To: cur}, true
+	return Hop{Network: tb.ix.Nets[steps[d].via], To: tb.ix.Nodes[d]}, true
 }
 
 // MaxHops returns the longest route length in the table (diagnostics). It
 // computes every row.
 func (tb *Table) MaxHops() int {
-	max := 0
-	for _, src := range tb.topo.NodeNames() {
-		for _, st := range tb.rowOf(src).steps {
-			if st.hops > max {
-				max = st.hops
-			}
+	longest := int32(0)
+	for src := range tb.ix.Nodes {
+		for _, st := range tb.rowOf(int32(src)) {
+			longest = max(longest, st.hops)
 		}
 	}
-	return max
+	return int(longest)
 }
 
 // String renders every route, sorted, one per line. It computes every row.
 func (tb *Table) String() string {
-	var keys [][2]string
-	for _, src := range tb.topo.NodeNames() {
-		for dst := range tb.rowOf(src).steps {
-			keys = append(keys, [2]string{src, dst})
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	names := slices.Clone(tb.ix.Nodes)
+	slices.Sort(names)
 	var sb strings.Builder
-	for _, k := range keys {
-		r, _ := tb.rows[k[0]].route(k[0], k[1])
-		fmt.Fprintf(&sb, "%s %s\n", k[0], r)
+	var buf Route
+	for _, src := range names {
+		for _, dst := range names {
+			var ok bool
+			if buf, ok = tb.Hops(src, dst, buf[:0]); ok {
+				fmt.Fprintf(&sb, "%s %s\n", src, buf)
+			}
+		}
 	}
 	return sb.String()
 }

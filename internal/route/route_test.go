@@ -265,23 +265,26 @@ func TestComputeAvoidingNil(t *testing.T) {
 
 // Once a source's row exists, reading a first leg off it — what the reliable
 // dataplane does per relayed packet — allocates nothing, and neither does
-// re-reading a route already read (make allocs).
+// walking a route into a buffer the caller owns, as a sender's path-MTU
+// check and fwd.Build do (make allocs). Lookup builds a Route of its own.
 func TestWarmRowReadsAllocsNothing(t *testing.T) {
 	tb := paperTable(t)
 	names := tb.topo.NodeNames()
 	src, dst := names[0], names[len(names)-1]
-	if _, ok := tb.Lookup(src, dst); !ok {
+	want, ok := tb.Lookup(src, dst)
+	if !ok {
 		t.Fatalf("no route %s -> %s", src, dst)
 	}
+	var buf [4]Hop
 	n := testing.AllocsPerRun(200, func() {
 		if _, ok := tb.NextHop(src, dst); !ok {
 			t.Fatal("NextHop lost the route")
 		}
-		if _, ok := tb.Lookup(src, dst); !ok {
-			t.Fatal("Lookup lost the route")
+		if r, ok := tb.Hops(src, dst, buf[:0]); !ok || len(r) != len(want) {
+			t.Fatal("Hops lost the route")
 		}
 	})
 	if n != 0 {
-		t.Errorf("NextHop+Lookup on a warm row allocate %.1f times, want 0", n)
+		t.Errorf("NextHop+Hops on a warm row allocate %.1f times, want 0", n)
 	}
 }

@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,8 +41,10 @@ type Topology struct {
 	netOrder []string
 	nodeOrd  []string
 
-	// adj is every node's presorted neighbour list, built on the first
-	// Neighbors call (a validated topology never changes).
+	// ix is the topology's dense numbering and adj every node's neighbour
+	// list, each built on first use (a validated topology never changes).
+	ixOnce  sync.Once
+	ix      *Index
 	adjOnce sync.Once
 	adj     map[string][]Neighbor
 
@@ -187,35 +190,66 @@ type Neighbor struct {
 	Node    string
 }
 
+// Index numbers a topology densely, for searches that keep their per-node
+// state in slices: node i is NodeNames()[i] and network k is Networks()[k].
+// It is shared and read-only.
+type Index struct {
+	Nodes   []string         // node names, in declaration order
+	Nets    []string         // network names, in declaration order
+	Node    map[string]int32 // a node's number by name
+	OnNets  [][]int32        // by node: the networks it is attached to, ascending
+	Members [][]int32        // by network: its members, ordered by name
+}
+
+// Index returns the topology's dense numbering, built once, on first use.
+// A node's networks ascending, and each network's members by name, give the
+// order Neighbors lists a node's legs in.
+func (t *Topology) Index() *Index {
+	t.ixOnce.Do(func() {
+		ix := &Index{Nodes: t.nodeOrd, Nets: t.netOrder, Node: make(map[string]int32, len(t.nodeOrd)),
+			OnNets: make([][]int32, len(t.nodeOrd)), Members: make([][]int32, len(t.netOrder))}
+		netIdx := make(map[string]int32, len(t.netOrder))
+		for k, nw := range t.netOrder {
+			netIdx[nw] = int32(k)
+		}
+		for i, name := range t.nodeOrd {
+			ix.Node[name] = int32(i)
+			for _, nw := range t.nodes[name].Networks {
+				ix.OnNets[i] = append(ix.OnNets[i], netIdx[nw])
+			}
+			slices.Sort(ix.OnNets[i])
+		}
+		for k, nw := range t.netOrder {
+			for _, name := range t.networks[nw].Members {
+				ix.Members[k] = append(ix.Members[k], ix.Node[name])
+			}
+			slices.SortFunc(ix.Members[k], func(a, b int32) int { return strings.Compare(t.nodeOrd[a], t.nodeOrd[b]) })
+		}
+		t.ix = ix
+	})
+	return t.ix
+}
+
 // Neighbors returns every leg leaving the named node, ordered by network
 // declaration (declare fast networks before slow control networks, as the
 // paper's static configuration does) and then by peer name — the order
 // every route search explores in, which does not depend on where the search
-// started. The lists are sorted once per topology, on first use, and shared:
+// started. The lists are built once per topology, on first use, and shared:
 // callers must not modify them. An unknown node has no neighbours.
 func (t *Topology) Neighbors(name string) []Neighbor {
 	t.adjOnce.Do(func() {
-		t.adj = make(map[string][]Neighbor, len(t.nodeOrd))
-		netIdx := make(map[string]int, len(t.netOrder))
-		for i, nw := range t.netOrder {
-			netIdx[nw] = i
-		}
-		for _, cur := range t.nodeOrd {
+		ix := t.Index()
+		t.adj = make(map[string][]Neighbor, len(ix.Nodes))
+		for cur, nets := range ix.OnNets {
 			var legs []Neighbor
-			for _, nw := range t.nodes[cur].Networks {
-				for _, peer := range t.networks[nw].Members {
-					if peer != cur {
-						legs = append(legs, Neighbor{Network: nw, Node: peer})
+			for _, k := range nets {
+				for _, peer := range ix.Members[k] {
+					if int(peer) != cur {
+						legs = append(legs, Neighbor{Network: ix.Nets[k], Node: ix.Nodes[peer]})
 					}
 				}
 			}
-			sort.Slice(legs, func(i, j int) bool {
-				if a, b := netIdx[legs[i].Network], netIdx[legs[j].Network]; a != b {
-					return a < b
-				}
-				return legs[i].Node < legs[j].Node
-			})
-			t.adj[cur] = legs
+			t.adj[ix.Nodes[cur]] = legs
 		}
 	})
 	return t.adj[name]

@@ -328,3 +328,19 @@ func (s *Sim) ready(p *proc) {
 
 // Processes returns the number of live (not yet finished) processes.
 func (s *Sim) Processes() int { return len(s.live) }
+
+// ProcessNames returns the names of the live processes in the order they were
+// spawned, the order that breaks ties between processes due at one instant
+// (diagnostics).
+func (s *Sim) ProcessNames() []string {
+	ps := make([]*proc, 0, len(s.live))
+	for _, p := range s.live {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.name
+	}
+	return names
+}
