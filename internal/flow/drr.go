@@ -1,5 +1,7 @@
 package flow
 
+import "madgo/internal/vtime"
+
 // DRR is a deficit-round-robin scheduler over flows whose item costs are
 // only known after service — the gateway situation: a relayed message's
 // byte count is discovered while forwarding it, not when its arrival is
@@ -22,6 +24,10 @@ package flow
 // back to the flow, so a round still serves a flow at most one quantum plus
 // one item and an idle flow banks nothing.
 //
+// A DRR has one consumer, a simulation process that takes its items with
+// Next and parks there while every queue is empty; Push wakes it. Pop, PopFrom
+// and Resume never park.
+//
 // The scheduler is deterministic: flows are visited in admission order from
 // a slice, never by map iteration. It is not safe for concurrent use; in
 // this codebase it only ever runs under the single-threaded simulation
@@ -35,6 +41,9 @@ type DRR[T any] struct {
 	rounds  int64 // completed passes over the ring
 	// suspended lists the flows whose visit is suspended, oldest first.
 	suspended []string
+	// parked: the consumer waits in Next, on wake.
+	parked bool
+	wake   vtime.Waker
 }
 
 type drrFlow[T any] struct {
@@ -67,7 +76,7 @@ func (d *DRR[T]) flow(key string) *drrFlow[T] {
 }
 
 // Push appends an item to the named flow's queue, admitting the flow on
-// first use.
+// first use, and wakes the consumer parked in Next.
 func (d *DRR[T]) Push(key string, item T) {
 	f := d.flow(key)
 	if f.head > 0 && f.head == len(f.q) {
@@ -76,6 +85,26 @@ func (d *DRR[T]) Push(key string, item T) {
 	}
 	f.q = append(f.q, item)
 	d.queued++
+	if d.parked {
+		d.parked = false
+		d.wake.Wake()
+	}
+}
+
+// Next is the consumer's take: it parks p while every queue is empty, then
+// continues the oldest suspended visit whose next item match accepts
+// (Resume), or else returns the next item under the DRR policy (Pop).
+func (d *DRR[T]) Next(p *vtime.Proc, match func(T) bool) (key string, item T) {
+	for d.queued == 0 {
+		p.InitBlocker(&d.wake, "drr", "")
+		d.parked = true
+		d.wake.Wait()
+	}
+	key, item, ok := d.Resume(match)
+	if !ok {
+		key, item, _ = d.Pop()
+	}
+	return key, item
 }
 
 // Pop returns the next item under the DRR policy along with its flow key,

@@ -1,6 +1,10 @@
 package flow
 
-import "testing"
+import (
+	"testing"
+
+	"madgo/internal/vtime"
+)
 
 // drain pops up to n items, returning the sequence of served flow keys and
 // charging each item's cost (items are their own costs here).
@@ -257,5 +261,89 @@ func TestDRRSuspendedVisitResumes(t *testing.T) {
 	}
 	if def := d.Deficit("mouse"); def > quantum {
 		t.Errorf("the quiet mouse banked deficit %d > quantum", def)
+	}
+}
+
+// consume spawns consumer, a DRR's one consumer, and producer, if any, in a
+// fresh simulation and runs it to its end.
+func consume(t *testing.T, consumer, producer func(p *vtime.Proc)) {
+	t.Helper()
+	sim := vtime.New()
+	sim.Spawn("consumer", consumer)
+	if producer != nil {
+		sim.Spawn("producer", producer)
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDRRNextParksUntilPush: on an empty DRR the consumer parks in Next, and
+// the Push of a producer wakes it at the same virtual instant with that item.
+func TestDRRNextParksUntilPush(t *testing.T) {
+	d := NewDRR[int64](100)
+	var consumer *vtime.Proc
+	var gotKey string
+	var gotItem int64
+	var at vtime.Time
+	consume(t, func(p *vtime.Proc) {
+		consumer = p
+		gotKey, gotItem = d.Next(p, nil)
+		at = p.Now()
+	}, func(p *vtime.Proc) {
+		p.Sleep(5 * vtime.Microsecond)
+		if !consumer.Parked() || at != 0 {
+			t.Error("Next returned from an empty DRR")
+		}
+		d.Push("a", 7)
+	})
+	if gotKey != "a" || gotItem != 7 {
+		t.Errorf("Next = %s %d, want a 7", gotKey, gotItem)
+	}
+	if at != vtime.Time(5*vtime.Microsecond) {
+		t.Errorf("Next returned at %v, want the Push's instant 5µs", at)
+	}
+	if d.Len() != 0 {
+		t.Errorf("Len = %d after Next took the only item", d.Len())
+	}
+}
+
+// suspendedBeforeB leaves flow a's visit suspended with a's next item queued,
+// and the ring's turn at flow b, whose item Pop would serve next.
+func suspendedBeforeB(aNext int64) *DRR[int64] {
+	d := NewDRR[int64](100)
+	d.Push("a", 10)
+	d.Push("b", 20)
+	key, cost, _ := d.Pop()
+	d.Charge(key, cost)
+	d.Suspend(key)
+	d.Push("a", aNext)
+	return d
+}
+
+// TestDRRNextServesSuspendedVisitFirst: Next continues a suspended visit whose
+// next item match accepts ahead of the ring, and one whose item match rejects
+// falls through to Pop's choice.
+func TestDRRNextServesSuspendedVisitFirst(t *testing.T) {
+	small := func(v int64) bool { return v < 50 }
+	for _, c := range []struct {
+		name  string
+		aNext int64
+		want  []string
+	}{
+		{"accepted resume", 30, []string{"a", "b"}},
+		{"rejected resume", 90, []string{"b", "a"}},
+	} {
+		d := suspendedBeforeB(c.aNext)
+		var got []string
+		consume(t, func(p *vtime.Proc) {
+			for range c.want {
+				key, _ := d.Next(p, small)
+				got = append(got, key)
+			}
+		}, nil)
+		if len(got) != 2 || got[0] != c.want[0] || got[1] != c.want[1] {
+			t.Errorf("%s: Next served %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -4,13 +4,13 @@
 // paper's conclusion names as future work, realized the way later credit-
 // carrying transports (cf. MPICH2's RDMA channels) did it.
 //
-// The package is deliberately pure: it holds the wire codec for credit
-// grants (codec.go), the deficit-round-robin scheduler gateways arbitrate
-// ingress virtual channels with (drr.go), and the per-flow byte meter the
-// fairness experiments score with (this file). The blocking semantics —
+// It holds the wire codec for credit grants (codec.go), the
+// deficit-round-robin scheduler the relay dispatchers arbitrate ingress flows
+// with (drr.go), and the per-flow byte meter the fairness experiments score
+// with (this file). The scheduler is also where its one consumer waits: a
+// dispatcher parks in DRR.Next until an item is queued. The credit windows —
 // senders parking on exhausted windows, grants waking them — live in
-// internal/fwd on top of the simulator's synchronization primitives, so
-// everything here is directly unit-testable and fuzzable.
+// internal/fwd.
 package flow
 
 // Jain computes Jain's fairness index over per-flow allocations:

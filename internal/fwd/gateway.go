@@ -61,8 +61,7 @@ type Gateway struct {
 // backlogged elephant sender would capture a byte share proportional to its
 // message size; with one sender the two are the same order.
 type relayRing struct {
-	drr        *flow.DRR[mad.Arrival]
-	pending    *vsync.Sem // counts queued announcements; wakes the fair daemon
+	drr        *flow.DRR[mad.Arrival] // the fair daemon, its one consumer, parks in Next
 	lastRounds int64
 
 	free  *vsync.Chan[*relaySlot]
@@ -198,6 +197,17 @@ type gwSender struct {
 	outNet string
 }
 
+// sendThread is the loop of every send thread, the gateway's egress senders
+// and the reliable engine's send, control and probe daemons alike: it hands
+// what q holds to send, one at a time and in order, and returns once q is
+// closed and drained. A bounded q stalls its producers while the thread is
+// busy, an unbounded one (vsync.Unbounded) never does.
+func sendThread[T any](p *vtime.Proc, q *vsync.Chan[T], send func(*vtime.Proc, T)) {
+	for v, ok := q.Recv(p); ok; v, ok = q.Recv(p) {
+		send(p, v)
+	}
+}
+
 // sender returns (creating, with its daemon) the sender of one egress link.
 func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
 	if e, ok := g.senders[out]; ok {
@@ -209,56 +219,48 @@ func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
 	e := &gwSender{out: out, spendTo: nextGW, q: vsync.NewChan[gwTx](name, depth),
 		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet}
 	g.senders[out] = e
-	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) { g.egress(sp, e) })
+	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) {
+		sendThread(sp, e.q, func(sp *vtime.Proc, tx gwTx) { g.egress(sp, e, tx) })
+	})
 	return e
 }
 
-// egress is the send thread: it puts the queued transfers on the link one
-// after the other, a buffer swap after every staged fragment.
-func (g *Gateway) egress(sp *vtime.Proc, e *gwSender) {
+// egress is the send thread's send: it puts one queued transfer on the link,
+// and a buffer swap after a staged fragment.
+func (g *Gateway) egress(sp *vtime.Proc, e *gwSender, tx gwTx) {
 	vc := g.vc
 	tr := vc.cfg.Tracer
 	m := &g.met
-	var fr *flight.Ring
-	for {
-		tx, ok := e.q.Recv(sp)
-		if !ok {
-			return
+	if tx.meta.SOM {
+		e.out.Acquire(sp)
+	}
+	if e.spendTo != "" {
+		vc.flowSpend(sp, e.spendTo, g.name, tx.msgID)
+	}
+	t0 := sp.Now()
+	e.out.Send(sp, tx.meta, tx.data)
+	if s := tx.slot; s != nil {
+		fr, n := vc.flightRing(g.name), len(tx.data)
+		tr.Record(e.actor, "send", n, t0, sp.Now())
+		if tx.replicated {
+			fr.Record(flight.KindReplicate, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
+			m.replicatedPkts.Add(1)
+			m.replicatedBytes.Add(int64(n))
+		} else {
+			fr.Record(flight.KindSend, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
 		}
-		if tx.meta.SOM {
-			e.out.Acquire(sp)
+		t0 = sp.Now()
+		sp.Sleep(g.node.Host.CPU.SwapOverhead)
+		tr.Record(e.actor, "swap", 0, t0, sp.Now())
+		m.swap.ObserveDuration(vtime.Since(sp.Now(), t0))
+		fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, 0, e.outNet)
+		s.refs--
+		if s.refs == 0 {
+			g.recycle(sp, s)
 		}
-		if e.spendTo != "" {
-			vc.flowSpend(sp, e.spendTo, g.name, tx.msgID)
-		}
-		t0 := sp.Now()
-		e.out.Send(sp, tx.meta, tx.data)
-		if s := tx.slot; s != nil {
-			if fr == nil {
-				fr = vc.flightRing(g.name)
-			}
-			n := len(tx.data)
-			tr.Record(e.actor, "send", n, t0, sp.Now())
-			if tx.replicated {
-				fr.Record(flight.KindReplicate, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
-				m.replicatedPkts.Add(1)
-				m.replicatedBytes.Add(int64(n))
-			} else {
-				fr.Record(flight.KindSend, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
-			}
-			t0 = sp.Now()
-			sp.Sleep(g.node.Host.CPU.SwapOverhead)
-			tr.Record(e.actor, "swap", 0, t0, sp.Now())
-			m.swap.ObserveDuration(vtime.Since(sp.Now(), t0))
-			fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, 0, e.outNet)
-			s.refs--
-			if s.refs == 0 {
-				g.recycle(sp, s)
-			}
-		}
-		if tx.meta.EOM {
-			e.out.Release(sp)
-		}
+	}
+	if tx.meta.EOM {
+		e.out.Release(sp)
 	}
 }
 
@@ -269,11 +271,10 @@ func (g *Gateway) egress(sp *vtime.Proc, e *gwSender) {
 func (g *Gateway) ring(inNet string) *relayRing {
 	depth := g.vc.cfg.PipelineDepth
 	r := &relayRing{
-		drr:     flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
-		pending: vsync.NewSem(0),
-		free:    vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
-		slots:   make([]relaySlot, depth),
-		static:  make(map[string]*wireBufPool),
+		drr:    flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
+		free:   vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
+		slots:  make([]relaySlot, depth),
+		static: make(map[string]*wireBufPool),
 
 		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
 	}
@@ -327,7 +328,6 @@ func (g *Gateway) listen(nwName string) {
 				r = g.ring(nwName)
 			}
 			r.drr.Push(a.Link.Src.Name, a)
-			r.pending.Release(1)
 		}
 	})
 }
@@ -337,20 +337,13 @@ func (g *Gateway) listen(nwName string) {
 func (g *Gateway) fair(p *vtime.Proc, r *relayRing) {
 	burst := func(a mad.Arrival) bool { return framingOf(a.Kind()).burst }
 	for {
-		r.pending.Acquire(p, 1)
-		// A suspended visit goes first: relay returns when a message's last
-		// fragment is queued, and where that does not wait for the egress
+		// A suspended visit goes first (Next): relay returns when a message's
+		// last fragment is queued, and where that does not wait for the egress
 		// side (ingress no faster than egress) a closed-loop sender's next
 		// announcement lands a few microseconds later: a flow of sub-quantum
 		// messages would get one message a round where a backlogged one gets
 		// a quantum's worth.
-		key, a, ok := r.drr.Resume(burst)
-		if !ok {
-			key, a, ok = r.drr.Pop()
-		}
-		if !ok {
-			panic("fwd: gateway scheduler woken with empty queues on " + g.name)
-		}
+		key, a := r.drr.Next(p, burst)
 		r.drr.Charge(key, g.relay(p, r, a))
 		// Classic DRR serves a flow until its deficit runs out, not one item
 		// per visit: a flow whose messages are smaller than the quantum could
@@ -358,12 +351,10 @@ func (g *Gateway) fair(p *vtime.Proc, r *relayRing) {
 		// forfeits the remainder), handing large-message flows a permanent
 		// rate advantage. Which kinds extend a visit is framing.burst.
 		for burst(a) && r.drr.Deficit(key) >= 0 {
+			var ok bool
 			if a, ok = r.drr.PopFrom(key, burst); !ok {
 				r.drr.Suspend(key)
 				break
-			}
-			if !r.pending.TryAcquire(1) {
-				panic("fwd: gateway scheduler permit ledger out of balance on " + g.name)
 			}
 			r.drr.Charge(key, g.relay(p, r, a))
 		}

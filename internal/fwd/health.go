@@ -13,7 +13,7 @@ package fwd
 //   - An echo daemon, fed by the polling daemons: a received probe request
 //     is answered over the reverse link. The reply goes through a queue so
 //     the polling daemon never blocks on link credits — the same discipline
-//     as acknowledgements (see ctlLoop).
+//     as acknowledgements (see flushAcks).
 //
 // Probes are single KindHealth packets flagged Reliable, so they take the
 // plain eager path and are subject to fault injection exactly like data: a
@@ -56,25 +56,13 @@ func (vc *VirtualChannel) buildHealth() {
 			await: make(map[uint64]*relAwait),
 		}
 		e.hp = hp
-		sim.SpawnDaemon("relprobe:"+name, func(p *vtime.Proc) {
-			for {
-				edge, ok := hp.q.Recv(p)
-				if !ok {
-					return
-				}
-				hp.probe(p, edge)
-			}
-		})
+		sim.SpawnDaemon("relprobe:"+name, func(p *vtime.Proc) { sendThread(p, hp.q, hp.probe) })
 		sim.SpawnDaemon("relecho:"+name, func(p *vtime.Proc) {
-			for {
-				it, ok := hp.echoQ.Recv(p)
-				if !ok {
-					return
-				}
+			sendThread(p, hp.echoQ, func(p *vtime.Proc, it healthEcho) {
 				pkt := vc.bufs.get(health.ProbeSize)
 				health.PutProbe(pkt, it.probe)
 				e.sendControl(p, it.link, mad.KindHealth, pkt)
-			}
+			})
 		})
 	}
 	mon.SetProbeSink(func(edge route.Edge) {

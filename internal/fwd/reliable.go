@@ -567,21 +567,20 @@ type relEngine struct {
 	// flush (or the batch cap) drains them into one control datagram —
 	// or a data packet headed the same way piggybacks them first.
 	pend map[*mad.Link][]relAckKey
-	// queued marks links already scheduled for a ctlLoop flush, so one
+	// queued marks links already scheduled for a relctl flush, so one
 	// burst enqueues one flush regardless of its packet count.
 	queued map[*mad.Link]bool
 
 	ctlQ *vsync.Chan[*mad.Link]
 
 	// relayDRR is the relay dispatcher's queue, a deficit-round-robin
-	// scheduler over ingress neighbours ("" for what this node originates);
-	// relaySem counts its queued items, and relaying counts, by final
+	// scheduler over ingress neighbours ("" for what this node originates)
+	// that the dispatcher parks in, and relaying counts, by final
 	// destination, the relayed burst to it that is out (made by the first
 	// burst, as the daemons are, so Build stays level). senders are the send
 	// daemons every burst leaving this node goes through, by (final
 	// destination, first hop), each made by its pair's first burst.
 	relayDRR *flow.DRR[relayItem]
-	relaySem *vsync.Sem
 	relaying []vsync.WaitGroup
 	senders  map[relHop]*relSender
 
@@ -700,7 +699,6 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			queued:   make(map[*mad.Link]bool),
 			ctlQ:     vsync.NewChan[*mad.Link]("ctlq:"+n.Name, 4096),
 			relayDRR: flow.NewDRR[relayItem](int64(vc.cfg.MTU)),
-			relaySem: vsync.NewSem(0),
 			senders:  make(map[relHop]*relSender),
 		}
 		vc.rel[n.Name] = e
@@ -717,7 +715,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			})
 		}
 		sim.SpawnDaemon("relfwd:"+n.Name, func(p *vtime.Proc) { e.relayLoop(p) })
-		sim.SpawnDaemon("relctl:"+n.Name, func(p *vtime.Proc) { e.ctlLoop(p) })
+		sim.SpawnDaemon("relctl:"+n.Name, func(p *vtime.Proc) { sendThread(p, e.ctlQ, e.flushAcks) })
 	}
 	vc.buildHealth()
 	for _, name := range vc.tp.Gateways() {
@@ -962,16 +960,13 @@ type relHop struct {
 // time, in order, so a burst stalled on a lost packet holds up only its own pair.
 type relSender struct {
 	hop  route.Hop
-	q    []*relBurst          // oldest first, in qbuf until it outgrows it
-	work vsync.Sem            // one permit a queued burst
-	aws  [relWindow]*relAwait // deliverBurst's slots
+	q    vsync.Chan[*relBurst] // unbounded, in qbuf until it outgrows it
+	aws  [relWindow]*relAwait  // deliverBurst's slots
 	qbuf [4]*relBurst
 }
 
-func (s *relSender) push(b *relBurst) {
-	s.q = append(s.q, b)
-	s.work.Release(1)
-}
+// push queues a burst; the queue is unbounded, so it never blocks.
+func (s *relSender) push(b *relBurst) { s.q.TrySend(b) }
 
 // sender returns a pair's send daemon, made by its first burst.
 func (e *relEngine) sender(final mad.Rank, hop route.Hop) *relSender {
@@ -980,19 +975,17 @@ func (e *relEngine) sender(final mad.Rank, hop route.Hop) *relSender {
 		return s
 	}
 	s := &relSender{hop: hop}
-	s.q, e.senders[key] = s.qbuf[:0], s
-	e.sim().SpawnDaemon("relsend:"+e.node.Name+">"+e.vc.sess.Node(final).Name+" via "+hop.To+"/"+hop.Network, func(p *vtime.Proc) {
-		for {
-			s.work.Acquire(p, 1)
-			b := s.q[0]
-			s.q[copy(s.q, s.q[1:])] = nil
-			s.q = s.q[:len(s.q)-1]
+	name := "relsend:" + e.node.Name + ">" + e.vc.sess.Node(final).Name + " via " + hop.To + "/" + hop.Network
+	s.q.Init(name, vsync.Unbounded, s.qbuf[:0])
+	e.senders[key] = s
+	e.sim().SpawnDaemon(name, func(p *vtime.Proc) {
+		sendThread(p, &s.q, func(p *vtime.Proc, b *relBurst) {
 			if b.rail >= 0 {
 				e.drainRail(p, s, b)
 			} else {
 				e.forward(p, s, b)
 			}
-		}
+		})
 	})
 	return s
 }
@@ -1616,7 +1609,6 @@ func (e *relEngine) enqueueRelay(it relayItem) bool {
 		return false
 	}
 	e.relayDRR.Push(it.from, it)
-	e.relaySem.Release(1)
 	return true
 }
 
@@ -1658,11 +1650,7 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 	var final mad.Rank
 	sameFinal := func(m relayItem) bool { return m.d.dst == final }
 	for {
-		e.relaySem.Acquire(p, 1)
-		key, it, ok := e.relayDRR.Pop()
-		if !ok {
-			panic("fwd: relay scheduler woken with empty queues on " + e.node.Name)
-		}
+		key, it := e.relayDRR.Next(p, nil)
 		final = it.d.dst
 		if e.relaying == nil {
 			e.relaying = make([]vsync.WaitGroup, len(e.vc.sess.Nodes()))
@@ -1678,9 +1666,6 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 			if !ok {
 				break
 			}
-			if !e.relaySem.TryAcquire(1) {
-				panic("fwd: relay scheduler permit ledger out of balance on " + e.node.Name)
-			}
 			e.queueWait(p, &more)
 			b.batch = append(b.batch, more.d)
 			b.cost += int64(len(more.d.payload))
@@ -1694,33 +1679,26 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 	}
 }
 
-// ctlLoop is the per-node control daemon: it drains each scheduled link's
-// pending hop acks into one batched acknowledgement datagram. Its sends may
-// block on link credits, but never on another daemon, so the polling
-// daemons stay free to drain mailboxes. A link whose batch was already
-// emptied by piggybacking is skipped.
-func (e *relEngine) ctlLoop(p *vtime.Proc) {
-	for {
-		link, ok := e.ctlQ.Recv(p)
-		if !ok {
-			return
+// flushAcks is the send of the per-node control daemon, relctl: it drains a
+// scheduled link's pending hop acks into batched acknowledgement datagrams.
+// Its sends may block on link credits, but never on another daemon, so the
+// polling daemons stay free to drain mailboxes. A link whose batch was
+// already emptied by piggybacking sends nothing.
+func (e *relEngine) flushAcks(p *vtime.Proc, link *mad.Link) {
+	delete(e.queued, link)
+	// Re-read the pending batch before every datagram: the link.Send below
+	// parks, and the polling daemon may append new entries meanwhile.
+	for len(e.pend[link]) > 0 {
+		pend := e.pend[link]
+		n := min(len(pend), relAckBatchMax)
+		pkt := e.vc.bufs.get(relAcksLen(n))
+		putRelAcks(pkt, pend[:n])
+		e.settlePending(link, n)
+		e.count(relAckPackets, 1)
+		if n > 1 {
+			e.count(relAcksCoalesced, int64(n-1))
 		}
-		delete(e.queued, link)
-		// Re-read the pending batch before every datagram: the link.Send
-		// below parks, and the polling daemon may append new entries
-		// meanwhile.
-		for len(e.pend[link]) > 0 {
-			pend := e.pend[link]
-			n := min(len(pend), relAckBatchMax)
-			pkt := e.vc.bufs.get(relAcksLen(n))
-			putRelAcks(pkt, pend[:n])
-			e.settlePending(link, n)
-			e.count(relAckPackets, 1)
-			if n > 1 {
-				e.count(relAcksCoalesced, int64(n-1))
-			}
-			e.sendControl(p, link, mad.KindRelAck, pkt)
-		}
+		e.sendControl(p, link, mad.KindRelAck, pkt)
 	}
 }
 

@@ -1,13 +1,16 @@
 package fwd_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"madgo/internal/fwd"
+	"madgo/internal/mad"
 	"madgo/internal/route"
 	"madgo/internal/topo"
 )
@@ -91,5 +94,58 @@ func TestGatewaysAreMadeInRouteOrder(t *testing.T) {
 		if len(want) < 4 {
 			t.Errorf("%s: only %d gwpoll daemons: %v", name, len(want), want)
 		}
+	}
+}
+
+// sendDaemonPrefixes name the dispatchers and send threads whose spawn order
+// TestSendDaemonsKeepTheirNamesAndSpawnOrder holds.
+var sendDaemonPrefixes = []string{"gwfair:", "gwtx:", "relfwd:", "relsend:", "relctl:", "relprobe:", "relecho:"}
+
+// TestSendDaemonsKeepTheirNamesAndSpawnOrder: the relay dispatchers and the
+// send threads of both dataplanes are made where they always were, under the
+// same names, so processes due at one instant break ties as before. Two
+// scenarios — a streaming multicast through a gateway that is also a
+// destination, and a reliable send striped over two gateway rails — are held
+// to testdata/spawn_order.golden, which MADGO_REGEN_SPAWN_ORDER=1 rewrites.
+func TestSendDaemonsKeepTheirNamesAndSpawnOrder(t *testing.T) {
+	var got strings.Builder
+	list := func(scenario string, w *world) {
+		fmt.Fprintf(&got, "== %s\n", scenario)
+		for _, p := range w.sim.ProcessNames() {
+			for _, pre := range sendDaemonPrefixes {
+				if strings.HasPrefix(p, pre) {
+					fmt.Fprintln(&got, p)
+				}
+			}
+		}
+	}
+
+	w := build(t, mcastChain(t), fwd.DefaultConfig())
+	blocks := []block{{pattern(150_000, 3), mad.SendCheaper, mad.ReceiveCheaper}}
+	checkIdentical(t, mcastSendRecv(t, w, "a0", []string{"gw2", "c0", "l0"}, blocks), blocks)
+	list("streaming multicast a0 -> gw2 c0 l0", w)
+
+	w = buildFaulty(t, diamond(t), nil, nil, stripeCfg(2))
+	blocks = []block{{pattern(128*1024, 5), mad.SendCheaper, mad.ReceiveCheaper}}
+	if data, _, _ := sendRecv(t, w, "a", "b", blocks); !bytes.Equal(data[0], blocks[0].data) {
+		t.Error("reliable striped payload corrupted")
+	}
+	if n := w.vc.StripeStats().Messages; n != 1 {
+		t.Errorf("striped %d messages, want 1", n)
+	}
+	list("reliable striped a -> b", w)
+
+	const golden = "testdata/spawn_order.golden"
+	if os.Getenv("MADGO_REGEN_SPAWN_ORDER") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (MADGO_REGEN_SPAWN_ORDER=1 writes it)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("send daemons spawned as\n%s\nwant\n%s", got.String(), want)
 	}
 }

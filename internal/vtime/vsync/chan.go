@@ -1,6 +1,10 @@
 package vsync
 
-import "madgo/internal/vtime"
+import (
+	"math"
+
+	"madgo/internal/vtime"
+)
 
 // Chan is a typed FIFO channel for simulation processes, analogous to a Go
 // channel with a fixed capacity. Capacity 0 gives rendezvous semantics: a
@@ -23,13 +27,26 @@ type recvSlot[T any] struct {
 	ok bool
 }
 
+// Unbounded is the capacity of a channel whose Send never blocks: its buffer
+// grows as far as it must.
+const Unbounded = math.MaxInt
+
 // NewChan creates a channel with the given buffer capacity. The name is used
 // in panics and deadlock diagnostics.
 func NewChan[T any](name string, capacity int) *Chan[T] {
+	c := new(Chan[T])
+	c.Init(name, capacity, nil)
+	return c
+}
+
+// Init readies a channel embedded by value in the object that owns it, as
+// NewChan would. Its buffer starts in buf's array (buf must be empty), so a
+// channel that seldom holds more than cap(buf) values allocates no buffer.
+func (c *Chan[T]) Init(name string, capacity int, buf []T) {
 	if capacity < 0 {
 		panic("vsync: negative channel capacity")
 	}
-	return &Chan[T]{name: name, cap: capacity}
+	*c = Chan[T]{name: name, cap: capacity, buf: buf}
 }
 
 // Send enqueues v, blocking while the channel is full. Sending on a closed
@@ -78,10 +95,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 func (c *Chan[T]) Recv(p *vtime.Proc) (T, bool) {
 	var zero T
 	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[:copy(c.buf, c.buf[1:])]
-		c.admitSender()
-		return v, true
+		return c.shift(), true
 	}
 	// Rendezvous with a blocked sender (capacity 0, or cap>0 with all
 	// senders queued behind a full buffer that was just drained).
@@ -104,16 +118,25 @@ func (c *Chan[T]) Recv(p *vtime.Proc) (T, bool) {
 func (c *Chan[T]) TryRecv() (T, bool) {
 	var zero T
 	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[:copy(c.buf, c.buf[1:])]
-		c.admitSender()
-		return v, true
+		return c.shift(), true
 	}
 	if s := c.senders.dequeue(); s != nil {
 		s.w.Wake()
 		return s.v, true
 	}
 	return zero, false
+}
+
+// shift takes the buffer's head, clears the slot the move vacates so it
+// keeps nothing reachable, and admits a blocked sender to the room made.
+func (c *Chan[T]) shift() T {
+	var zero T
+	v := c.buf[0]
+	n := copy(c.buf, c.buf[1:])
+	c.buf[n] = zero
+	c.buf = c.buf[:n]
+	c.admitSender()
+	return v
 }
 
 // admitSender moves the longest-blocked sender's value into freed buffer

@@ -230,3 +230,55 @@ func TestChanOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChanRecvClearsVacatedSlot: a value read out of the buffer leaves no
+// copy behind past the buffer's length, where it would keep what it points
+// to reachable after the receiver has let go of it.
+func TestChanRecvClearsVacatedSlot(t *testing.T) {
+	runSim(t, func(s *vtime.Sim) {
+		ch := NewChan[*int]("c", 4)
+		stale := func(call string) {
+			for i, v := range ch.buf[len(ch.buf):cap(ch.buf)] {
+				if v != nil {
+					t.Errorf("after %s: slot %d past len %d still holds a value", call, len(ch.buf)+i, len(ch.buf))
+				}
+			}
+		}
+		s.Spawn("p", func(p *vtime.Proc) {
+			for i := 0; i < 4; i++ {
+				ch.Send(p, new(int))
+			}
+			ch.Recv(p)
+			stale("Recv")
+			ch.TryRecv()
+			stale("TryRecv")
+			ch.Recv(p)
+			ch.TryRecv()
+			stale("draining")
+		})
+	})
+}
+
+// TestChanUnboundedInitNeverBlocks: an unbounded channel embedded by value
+// starts in the array it was given, takes every send without blocking, grows
+// past that array and keeps FIFO order.
+func TestChanUnboundedInitNeverBlocks(t *testing.T) {
+	var owner struct {
+		q   Chan[int]
+		buf [2]int
+	}
+	owner.q.Init("u", Unbounded, owner.buf[:0])
+	for i := 0; i < 5; i++ {
+		if !owner.q.TrySend(i) {
+			t.Fatalf("TrySend #%d refused by an unbounded channel", i)
+		}
+		if i == 1 && &owner.q.buf[0] != &owner.buf[0] {
+			t.Error("the first values are not in the array Init was given")
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if v, ok := owner.q.TryRecv(); !ok || v != i {
+			t.Fatalf("TryRecv #%d = %d,%v", i, v, ok)
+		}
+	}
+}
