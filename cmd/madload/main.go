@@ -102,7 +102,7 @@ func main() {
 		rep.Mice = miceStats(sys, ld, rep)
 	}
 	if *aggOn {
-		st := sys.AggStats()
+		st := sys.Stats().Agg
 		rep.Agg = &st
 	}
 	if *jsonOut {
@@ -358,7 +358,7 @@ func (ld load) run(sys *madeleine.System) *report {
 	if err := sys.Run(); err != nil {
 		fatal(err)
 	}
-	rep := &report{Flow: sys.FlowStats(), Accounts: sys.FlowAccounts()}
+	rep := &report{Flow: sys.Stats().Flow, Accounts: sys.FlowAccounts()}
 	var goodputs []float64
 	var total int64
 	for i := 0; ; i++ {

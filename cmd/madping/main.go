@@ -116,11 +116,11 @@ func main() {
 		gs, _ := sys.GatewayStats(g)
 		fmt.Printf("gateway %s relayed %d messages / %d packets / %d bytes\n", g, gs.Messages, gs.Packets, gs.Bytes)
 	}
-	if st := sys.StripeStats(); st.Messages > 0 {
+	if st := sys.Stats().Stripe; st.Messages > 0 {
 		fmt.Printf("striping: %d messages across %d rails, %d rebalances, %d rail failovers\n",
 			st.Messages, len(st.RailBytes), st.Rebalances, st.RailFailovers)
 	}
-	if ds := sys.DeliveryStats(); ds != (madeleine.DeliveryStats{}) {
+	if ds := sys.Stats().Delivery; ds != (madeleine.DeliveryStats{}) {
 		fmt.Printf("recovery: %d retransmits, %d message resends, %d failovers, %d checksum drops, %d duplicates\n",
 			ds.Retransmits, ds.MessageResends, ds.Failovers, ds.ChecksumDrops, ds.Duplicates)
 	}

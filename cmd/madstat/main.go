@@ -111,7 +111,7 @@ func main() {
 	if !*noProm {
 		sys.WritePrometheus(os.Stdout)
 	}
-	if st := sys.StripeStats(); st.Messages > 0 {
+	if st := sys.Stats().Stripe; st.Messages > 0 {
 		fmt.Printf("\nstriping: %d messages, %d rebalances, %d rail failovers\n",
 			st.Messages, st.Rebalances, st.RailFailovers)
 		var total int64
@@ -128,7 +128,7 @@ func main() {
 			fmt.Printf("  rail %d: %d bytes (%.1f%%)\n", i, b, 100*float64(b)/float64(total))
 		}
 	}
-	if fs := sys.FlowStats(); fs.Accounts > 0 || fs.SchedRounds > 0 {
+	if fs := sys.Stats().Flow; fs.Accounts > 0 || fs.SchedRounds > 0 {
 		fmt.Printf("\nflow control: %d credit accounts, %d granted, %d spent, %d stalls (%v stalled), %d sched rounds, %d backpressure\n",
 			fs.Accounts, fs.CreditsGranted, fs.CreditsSpent, fs.Stalls, fs.StallTime,
 			fs.SchedRounds, fs.Backpressure)

@@ -101,7 +101,7 @@ func main() {
 		src, dst, n, *mtu, madeleine.Duration(done),
 		float64(n)/(float64(done)/1e9)/1e6)
 	fmt.Println(tr.Timeline(0, done, *cols))
-	if ds := sys.DeliveryStats(); ds != (madeleine.DeliveryStats{}) {
+	if ds := sys.Stats().Delivery; ds != (madeleine.DeliveryStats{}) {
 		fmt.Printf("recovery: %d retransmits, %d message resends, %d failovers, %d checksum drops, %d duplicates\n",
 			ds.Retransmits, ds.MessageResends, ds.Failovers, ds.ChecksumDrops, ds.Duplicates)
 	}
@@ -147,7 +147,7 @@ func emitJSON(sys *madeleine.System, m *madeleine.Metrics, src, dst string, n, m
 		Src: src, Dst: dst, Bytes: n, MTU: mtu,
 		OneWayNS: int64(done),
 		MBps:     float64(n) / (float64(done) / 1e9) / 1e6,
-		Delivery: sys.DeliveryStats(),
+		Delivery: sys.Stats().Delivery,
 		Messages: []msg{},
 	}
 	for _, id := range m.Messages() {

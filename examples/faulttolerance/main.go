@@ -73,7 +73,7 @@ func main() {
 		fmt.Printf("%s: %5d packets relayed, %3d retransmits, %d failovers\n",
 			g, gs.Packets, gs.Retransmits, gs.Failovers)
 	}
-	ds := sys.DeliveryStats()
+	ds := sys.Stats().Delivery
 	fmt.Printf("total recovery: %d retransmits, %d failovers, %d duplicates suppressed\n",
 		ds.Retransmits, ds.Failovers, ds.Duplicates)
 	fmt.Println("\nrecovery timeline:")

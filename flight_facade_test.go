@@ -75,7 +75,7 @@ func TestDiagnoseRetransmitBoundUnderFlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamThrough(t, sys, "a0", "b1", 40, 32*1024)
-	if sys.DeliveryStats().Retransmits == 0 {
+	if sys.Stats().Delivery.Retransmits == 0 {
 		t.Fatal("flap run saw zero retransmissions; the diagnosis below would be vacuous")
 	}
 	d := sys.Diagnose()

@@ -7,12 +7,12 @@ import (
 
 // A credit grant is the unit of the gateway-advertised window: the gateway
 // returns one grant toward an upstream sender each time a staging-ring slot
-// frees, and the sender's window widens by Credits transfers. Grants ride
-// piggybacked on existing reverse traffic (acknowledgements in reliable
-// mode, the out-of-band credit line the simulator models otherwise), so
-// they must be self-checking: a corrupted grant that inflated a window
-// would silently defeat the overload protection, which is why the trailer
-// CRC covers every preceding byte.
+// frees, and the sender's window widens by Credits transfers. On a real
+// wire grants would ride piggybacked on reverse traffic, so they must be
+// self-checking: a corrupted grant that inflated a window would silently
+// defeat the overload protection, which is why the trailer CRC covers every
+// preceding byte. The simulator returns credits out of band and encodes
+// none (internal/fwd); this is the format such a wire would carry.
 //
 // Wire layout (little-endian), GrantLen = 20 bytes:
 //

@@ -6,11 +6,11 @@
 //
 // It holds the wire codec for credit grants (codec.go), the
 // deficit-round-robin scheduler the relay dispatchers arbitrate ingress flows
-// with (drr.go), and the per-flow byte meter the fairness experiments score
-// with (this file). The scheduler is also where its one consumer waits: a
-// dispatcher parks in DRR.Next until an item is queued. The credit windows —
-// senders parking on exhausted windows, grants waking them — live in
-// internal/fwd.
+// with (drr.go), and Jain's fairness index the incast experiments score
+// per-sender goodput with (this file). The scheduler is also where its one
+// consumer waits: a dispatcher parks in DRR.Next until an item is queued. The
+// credit windows — senders parking on exhausted windows, grants waking them —
+// live in internal/fwd.
 package flow
 
 // Jain computes Jain's fairness index over per-flow allocations:
@@ -31,52 +31,3 @@ func Jain(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
-
-// Meter tallies delivered bytes per flow in first-seen order — the
-// receiver-side instrument the incast experiments (bench c1, cmd/madload)
-// score per-sender goodput and fairness with.
-type Meter struct {
-	order []string
-	bytes map[string]int64
-}
-
-// NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{bytes: make(map[string]int64)}
-}
-
-// Add credits n bytes to the named flow, registering it on first use.
-func (m *Meter) Add(flow string, n int64) {
-	if _, ok := m.bytes[flow]; !ok {
-		m.order = append(m.order, flow)
-	}
-	m.bytes[flow] += n
-}
-
-// Flows returns the flow names in first-seen order.
-func (m *Meter) Flows() []string { return append([]string(nil), m.order...) }
-
-// Bytes returns the tally of one flow (0 if never seen).
-func (m *Meter) Bytes(flow string) int64 { return m.bytes[flow] }
-
-// Total returns the sum over every flow.
-func (m *Meter) Total() int64 {
-	var t int64
-	for _, b := range m.bytes {
-		t += b
-	}
-	return t
-}
-
-// Shares returns the per-flow byte counts in first-seen order.
-func (m *Meter) Shares() []float64 {
-	out := make([]float64, len(m.order))
-	for i, f := range m.order {
-		out[i] = float64(m.bytes[f])
-	}
-	return out
-}
-
-// Jain returns Jain's fairness index over the meter's per-flow byte
-// counts.
-func (m *Meter) Jain() float64 { return Jain(m.Shares()) }

@@ -33,28 +33,3 @@ func TestJainBounds(t *testing.T) {
 		t.Fatalf("Jain(%v) = %v out of (1/n, 1]", xs, j)
 	}
 }
-
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	if m.Total() != 0 || m.Jain() != 0 {
-		t.Fatal("fresh meter not zero")
-	}
-	m.Add("b", 10)
-	m.Add("a", 30)
-	m.Add("b", 20)
-	if got := m.Flows(); len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Fatalf("Flows() = %v, want first-seen order [b a]", got)
-	}
-	if m.Bytes("b") != 30 || m.Bytes("a") != 30 || m.Bytes("zzz") != 0 {
-		t.Fatalf("per-flow tallies wrong: b=%d a=%d", m.Bytes("b"), m.Bytes("a"))
-	}
-	if m.Total() != 60 {
-		t.Fatalf("Total() = %d, want 60", m.Total())
-	}
-	if shares := m.Shares(); len(shares) != 2 || shares[0] != 30 || shares[1] != 30 {
-		t.Fatalf("Shares() = %v", shares)
-	}
-	if j := m.Jain(); math.Abs(j-1) > 1e-9 {
-		t.Fatalf("equal shares: Jain = %v, want 1", j)
-	}
-}

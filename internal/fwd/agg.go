@@ -345,7 +345,7 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		// free.
 		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
 		vc.bufs.put(wire)
-	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold():
+	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && flen >= DefaultStripeThreshold:
 		// Past the stripe threshold, the rails (below it sendBuffered would
 		// send a plain message and lose the aggregate flag). They send the
 		// frame by reference; the sink returns it.
@@ -396,7 +396,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 		return
 	}
 	rails := vc.stripeRoutes(node.Name, dst)
-	if len(rails) >= 2 && int64(total) >= vc.cfg.stripeThreshold() {
+	if len(rails) >= 2 && total >= DefaultStripeThreshold {
 		sx := &stripeSend{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: aggFrame, rails: rails}
 		vc.planStripe(p, &sx.plan, id, node.Name, dst, rails, int64(total), nil)
 		vc.runRails(p, node, sx, len(rails))

@@ -247,11 +247,10 @@ func TestAggReliableBurst(t *testing.T) {
 func TestAggStripedFrame(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.StripeK = 2
-	cfg.StripeThreshold = 4 * 1024
 	cfg.Aggregation = true
 	tp := railsTopo([]string{"sci", "myrinet", "myrinet", "sci"}, []bool{true, true})
 	w := auditRelBufs(t, buildQuietFaulty(tp, nil, cfg))
-	const msgs = 8
+	const msgs = 40 // a frame of them clears the 16 KiB stripe threshold
 	const size = 1400
 	w.sim.Spawn("stripe-send", func(p *vtime.Proc) {
 		for m := 0; m < msgs; m++ {
@@ -311,7 +310,6 @@ func TestAggDeliveryProperty(t *testing.T) {
 		var dst string
 		if striped {
 			cfg.StripeK = 2
-			cfg.StripeThreshold = 8 * 1024
 			tp = railsTopo([]string{"sci", "myrinet", "myrinet", "sci"}, []bool{true, true})
 			senders, dst = []string{"a"}, "b"
 		} else {
@@ -684,7 +682,7 @@ func TestAggOrderAcrossPathsWithPrefetchingSink(t *testing.T) {
 	}{
 		{"streaming", oneRail, func(c *fwd.Config) { c.FlowControl = true }},
 		{"reliable", oneRail, func(c *fwd.Config) { c.Reliable = true }},
-		{"two rails", twoRails, func(c *fwd.Config) { c.StripeK, c.StripeThreshold = 2, 16<<10 }},
+		{"two rails", twoRails, func(c *fwd.Config) { c.StripeK = 2 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := fwd.DefaultConfig()

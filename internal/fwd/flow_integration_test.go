@@ -156,7 +156,7 @@ func runWall(t *testing.T, c wallCase) {
 	warm := int64(len(w.vc.Gateways()) * 2 * c.cfg.PipelineDepth)
 	switch {
 	case c.cfg.Reliable:
-		warm += int64(len(tp.Nodes()) * 2 * fwd.DefaultRetryPolicy().Window)
+		warm += int64(len(tp.Nodes()) * 2 * fwd.RelWindow)
 	case !c.cfg.Eager || c.cfg.StripeK > 1:
 		warm += int64(c.senders * max(1, c.cfg.StripeK))
 	}
@@ -205,7 +205,6 @@ func TestManySendersContentionWall(t *testing.T) {
 	reliable.Reliable = true
 	striped := fwd.DefaultConfig()
 	striped.StripeK = 2
-	striped.StripeThreshold = 16 * 1024
 	cases := []wallCase{
 		{name: "star-2-plain", topo: starTopo, senders: 2, cfg: fwd.DefaultConfig()},
 		{name: "star-9-plain", topo: starTopo, senders: 9, cfg: fwd.DefaultConfig()},

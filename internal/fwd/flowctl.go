@@ -2,7 +2,6 @@ package fwd
 
 import (
 	"madgo/internal/flight"
-	"madgo/internal/flow"
 	"madgo/internal/obs"
 	"madgo/internal/vtime"
 	"madgo/internal/vtime/vsync"
@@ -43,9 +42,7 @@ type flowAccount struct {
 	stallTime              vtime.Duration
 	stallSeconds           *obs.Histogram
 
-	seq     uint32
-	scratch []byte       // grant wire-codec scratch, reused per grant
-	fr      *flight.Ring // sender-side flight ring, cached when armed
+	fr *flight.Ring // sender-side flight ring, cached when armed
 }
 
 // BindMetrics binds the account's metrics in m.
@@ -78,11 +75,7 @@ func (fc *flowCtl) account(gw, up string) *flowAccount {
 	if a, ok := fc.acct[key]; ok {
 		return a
 	}
-	a := &flowAccount{
-		key:     key,
-		sem:     vsync.NewSem(fc.window),
-		scratch: make([]byte, 0, flow.GrantLen),
-	}
+	a := &flowAccount{key: key, sem: vsync.NewSem(fc.window)}
 	fc.acct[key] = a
 	fc.order = append(fc.order, a)
 	fc.vc.sess.Platform.Instrument(a)
@@ -111,26 +104,13 @@ func (fc *flowCtl) spend(p *vtime.Proc, gw, up string, msgID uint64) {
 	}
 }
 
-// grant returns n credits from gw to the upstream sender. The grant goes
-// through the wire codec — encoded into the account's scratch buffer and
-// decoded back, the piggyback path the reverse traffic would carry — so the
-// format is exercised end to end and a grant the codec would reject is a
-// hard protocol error rather than a silently widened window.
-func (fc *flowCtl) grant(gw, up string, n int) {
+// grant returns one credit from gw to the upstream sender. It travels out of
+// band: the simulator models no reverse wire for it, so nothing is encoded
+// (package flow's grant codec is the format such a wire would carry).
+func (fc *flowCtl) grant(gw, up string) {
 	a := fc.account(gw, up)
-	a.scratch = flow.AppendGrant(a.scratch[:0], flow.Grant{
-		Gateway:  uint32(fc.vc.NodeRank(gw)),
-		Upstream: uint32(fc.vc.NodeRank(up)),
-		Credits:  uint32(n),
-		Seq:      a.seq,
-	})
-	a.seq++
-	g, ok := flow.DecodeGrant(a.scratch)
-	if !ok {
-		panic("fwd: flow-control grant failed its own codec round trip")
-	}
-	a.sem.Release(int(g.Credits))
-	a.granted.Add(int64(g.Credits))
+	a.sem.Release(1)
+	a.granted.Add(1)
 }
 
 // flowSpend spends one credit toward gw when flow control is armed; a no-op
@@ -141,11 +121,11 @@ func (vc *VirtualChannel) flowSpend(p *vtime.Proc, gw, up string, msgID uint64) 
 	}
 }
 
-// flowGrant returns n credits from gw to up when flow control is armed; a
+// flowGrant returns one credit from gw to up when flow control is armed; a
 // no-op otherwise.
-func (vc *VirtualChannel) flowGrant(gw, up string, n int) {
+func (vc *VirtualChannel) flowGrant(gw, up string) {
 	if vc.flowc != nil {
-		vc.flowc.grant(gw, up, n)
+		vc.flowc.grant(gw, up)
 	}
 }
 

@@ -35,6 +35,11 @@ import (
 // message of no blocks, 15 for a block under 128 B, 13 for one under 16 KiB,
 // and done 1 150, 1 569 and 572 ns earlier. (Each cell is one message, one
 // frame and so one poll at the sink: not polling per sub-message moved none.)
+// Four stripe-gw cells were printed again when the stripe threshold stopped
+// being a knob (DESIGN.md §41): the row used to set it to 4 000 bytes, and at
+// the fixed 16 KiB the inlineMax, inlineMax+1, mtu4K-20 and mtu4K-19 messages
+// take one rail, 3 transfers where two rails took 6, done about 72 µs later
+// (114 µs for inlineMax+1).
 //
 // Transfers per message, F fragments: seed F+2 (header, fragments, bare
 // terminator); eager 1 when the first fragment rides the header, else F+1,
@@ -61,7 +66,7 @@ func TestFramingTransferTable(t *testing.T) {
 		{name: "mcast-chain", topo: mcastChain, src: "a0", dsts: []string{"a1", "gw1", "c0", "l0"}, mcast: true},
 		// Both rails cross a gateway, each a different one; below the
 		// threshold the message falls back to the seed framing.
-		{name: "stripe-gw", topo: diamond, tune: func(c *fwd.Config) { c.StripeK, c.StripeThreshold = 2, 4000 }, src: "a", dsts: []string{"b"}},
+		{name: "stripe-gw", topo: diamond, tune: func(c *fwd.Config) { c.StripeK = 2 }, src: "a", dsts: []string{"b"}},
 	}
 	const defaultMTU = 32 * 1024
 	one := func(n int) []block {
@@ -228,10 +233,10 @@ var framingTable = map[string]framingCell{
 	"stripe-gw/none":          {2, 31612},
 	"stripe-gw/zero":          {3, 112533},
 	"stripe-gw/1B":            {3, 112560},
-	"stripe-gw/inlineMax":     {6, 210205},
-	"stripe-gw/inlineMax+1":   {6, 210250},
-	"stripe-gw/mtu4K-20":      {6, 209679},
-	"stripe-gw/mtu4K-19":      {6, 209690},
+	"stripe-gw/inlineMax":     {3, 282992},
+	"stripe-gw/inlineMax+1":   {3, 324129},
+	"stripe-gw/mtu4K-20":      {3, 282141},
+	"stripe-gw/mtu4K-19":      {3, 282183},
 	"stripe-gw/2mtu":          {7, 1899243},
 	"stripe-gw/2mtu+1":        {7, 1899253},
 	"stripe-gw/mixed":         {8, 1250191},

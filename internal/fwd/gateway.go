@@ -43,8 +43,8 @@ type Gateway struct {
 	messages int64
 	stalls   int64
 
-	// eng is the node's reliability engine in reliable mode; the stat
-	// accessors read from it instead of the streaming counters.
+	// eng is the node's reliability engine in reliable mode, which counts
+	// its relayed traffic here and its recovery work in its own counters.
 	eng *relEngine
 }
 
@@ -366,28 +366,13 @@ func (g *Gateway) fair(p *vtime.Proc, r *relayRing) {
 }
 
 // Messages returns the number of messages this gateway relayed.
-func (g *Gateway) Messages() int64 {
-	if g.eng != nil {
-		return g.eng.relayedMsgs
-	}
-	return g.messages
-}
+func (g *Gateway) Messages() int64 { return g.messages }
 
 // Packets returns the number of packets this gateway relayed.
-func (g *Gateway) Packets() int64 {
-	if g.eng != nil {
-		return g.eng.relayedPkts
-	}
-	return g.met.packets.Count()
-}
+func (g *Gateway) Packets() int64 { return g.met.packets.Count() }
 
 // Bytes returns the payload bytes this gateway relayed.
-func (g *Gateway) Bytes() int64 {
-	if g.eng != nil {
-		return g.eng.relayedBytes
-	}
-	return g.met.bytes.Count()
-}
+func (g *Gateway) Bytes() int64 { return g.met.bytes.Count() }
 
 // Stalls returns how many times a receive thread of this gateway had to
 // wait for its egress side — for a free staging slot, or for room in an
@@ -537,7 +522,7 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 	f := g.classify(p, r, a)
 	// The first transfer consumed one of the upstream sender's credits; it
 	// has been read out of the ingress slot, so return the credit.
-	vc.flowGrant(g.name, f.up, 1)
+	vc.flowGrant(g.name, f.up)
 	branches, local := g.route(p, r, &f, inNet)
 	g.messages++
 	// Payload that rode along with the header is relayed ingress payload
@@ -758,5 +743,5 @@ func (g *Gateway) recycle(p *vtime.Proc, s *relaySlot) {
 	}
 	s.buf, s.aux, s.data, s.desc = nil, nil, nil, nil
 	r.free.Send(p, s)
-	g.vc.flowGrant(g.name, up, 1)
+	g.vc.flowGrant(g.name, up)
 }

@@ -167,7 +167,7 @@ func TestSuggestedConfigDefaults(t *testing.T) {
 // more. Every returned buffer is poisoned and the ledger balances (build).
 func TestBracketedHeaderIsHandedOverHopByHop(t *testing.T) {
 	striped := fwd.DefaultConfig()
-	striped.StripeK, striped.StripeThreshold = 2, 16<<10
+	striped.StripeK = 2
 	for _, c := range []struct {
 		name     string
 		tp       *topo.Topology

@@ -6,19 +6,25 @@ import (
 	"madgo/internal/vtime"
 )
 
+// RelWindow and RelAckTimeout are the ARQ window and initial per-hop ack
+// timeout, for the external tests.
+const (
+	RelWindow     = relWindow
+	RelAckTimeout = relAckTimeout
+)
+
 // The ARQ's retry timeouts use decorrelated jitter: each next timeout is
-// drawn uniformly from [AckTimeout, 3·previous), capped at MaxTimeout. The
+// drawn uniformly from [relAckTimeout, 3·previous), capped at relMaxTimeout. The
 // properties that matter: every draw stays inside the policy bounds, the
 // draws actually spread (no synchronized doubling), the sequence is
 // deterministic for a given node, and different nodes draw different
 // sequences (so senders recovering from the same fault window do not
 // retransmit in lockstep).
 func TestDecorrelatedJitterSpread(t *testing.T) {
-	pol := DefaultRetryPolicy()
 	draw := func(node string, n int) []vtime.Duration {
-		e := &relEngine{pol: pol, rng: seedRelRand(node)}
+		e := &relEngine{rng: seedRelRand(node)}
 		out := make([]vtime.Duration, n)
-		to := pol.AckTimeout
+		to := relAckTimeout
 		for i := range out {
 			to = e.nextTimeout(to)
 			out[i] = to
@@ -30,8 +36,8 @@ func TestDecorrelatedJitterSpread(t *testing.T) {
 	a := draw("a0", n)
 	distinct := make(map[vtime.Duration]bool)
 	for i, d := range a {
-		if d < pol.AckTimeout || d > pol.MaxTimeout {
-			t.Fatalf("draw %d = %v outside [%v, %v]", i, d, pol.AckTimeout, pol.MaxTimeout)
+		if d < relAckTimeout || d > relMaxTimeout {
+			t.Fatalf("draw %d = %v outside [%v, %v]", i, d, relAckTimeout, relMaxTimeout)
 		}
 		distinct[d] = true
 	}
@@ -64,11 +70,10 @@ func TestDecorrelatedJitterSpread(t *testing.T) {
 // possibly arrive; the floor must hold even when the previous timeout was
 // degenerate.
 func TestJitterFloorsAtAckTimeout(t *testing.T) {
-	pol := DefaultRetryPolicy()
-	e := &relEngine{pol: pol, rng: seedRelRand("gw")}
+	e := &relEngine{rng: seedRelRand("gw")}
 	for i := 0; i < 50; i++ {
-		if d := e.nextTimeout(0); d < pol.AckTimeout || d > pol.MaxTimeout {
-			t.Fatalf("nextTimeout(0) = %v outside [%v, %v]", d, pol.AckTimeout, pol.MaxTimeout)
+		if d := e.nextTimeout(0); d < relAckTimeout || d > relMaxTimeout {
+			t.Fatalf("nextTimeout(0) = %v outside [%v, %v]", d, relAckTimeout, relMaxTimeout)
 		}
 	}
 }

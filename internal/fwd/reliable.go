@@ -56,60 +56,39 @@ import (
 	"madgo/internal/vtime/vsync"
 )
 
-// RetryPolicy is the reliability protocol's timeouts and budgets; every
-// engine runs DefaultRetryPolicy.
-type RetryPolicy struct {
-	// AckTimeout is the initial per-hop acknowledgement timeout; it
-	// doubles on every retransmission up to MaxTimeout.
-	AckTimeout vtime.Duration
-	// MaxTimeout caps the doubled per-hop timeout and the inter-attempt
-	// backoff of whole-message resends.
-	MaxTimeout vtime.Duration
-	// PacketRetries is how many times one packet is retransmitted on one
+// The reliability protocol's timeouts and budgets. They are sized for the
+// paper's testbed: the slowest hop (Fast Ethernet) moves a 32 KB fragment in
+// under 3 ms, safely inside the 5 ms initial ack timeout. relE2EBase exceeds a
+// full dead-neighbour detection cycle (relPacketRetries doubling timeouts,
+// ~155 ms) so that one message attempt survives a downstream relay — or the
+// returning end-to-end acknowledgement — having to discover a crashed gateway
+// itself.
+const (
+	// relAckTimeout is the initial per-hop acknowledgement timeout; retries
+	// draw the next one with decorrelated jitter up to relMaxTimeout.
+	relAckTimeout = 5 * vtime.Millisecond
+	// relMaxTimeout caps the per-hop timeout and the inter-attempt backoff
+	// of whole-message resends.
+	relMaxTimeout = 80 * vtime.Millisecond
+	// relPacketRetries is how many times one packet is retransmitted on one
 	// hop before the neighbour is presumed dead.
-	PacketRetries int
-	// MessageRetries is how many times the whole message is re-sent after
-	// an end-to-end acknowledgement timeout before the sender gives up
-	// with a DeliveryError.
-	MessageRetries int
-	// E2EBase and E2EPerFrag size the end-to-end acknowledgement timeout:
-	// E2EBase + E2EPerFrag per fragment of the message.
-	E2EBase    vtime.Duration
-	E2EPerFrag vtime.Duration
-	// RouteAttempts bounds how many alternate next hops one packet tries
+	relPacketRetries = 5
+	// relMessageRetries is how many times the whole message is re-sent after
+	// an end-to-end acknowledgement timeout before the sender gives up with
+	// a DeliveryError.
+	relMessageRetries = 3
+	// The end-to-end acknowledgement timeout is relE2EBase plus
+	// relE2EPerFrag per fragment of the message.
+	relE2EBase, relE2EPerFrag = 250 * vtime.Millisecond, 5 * vtime.Millisecond
+	// relRouteAttempts bounds how many alternate next hops one packet tries
 	// before its forwarding fails.
-	RouteAttempts int
-	// Window is the per-hop ARQ window: how many packets one sender keeps
-	// in flight toward one neighbour before waiting for acknowledgements.
-	// The receiver coalesces the window's hop acks into one control
-	// datagram (the last packet of a burst requests the flush), so larger
-	// windows cut the ack traffic by their size. 1 degenerates to
-	// stop-and-wait.
-	Window int
-}
-
-// DefaultRetryPolicy returns the timeouts and budgets reliable delivery
-// runs. They are sized for the paper's testbed: the slowest hop (Fast
-// Ethernet) moves a 32 KB fragment in under 3 ms, safely inside the 5 ms
-// initial ack timeout. E2EBase exceeds a full dead-neighbour detection
-// cycle (PacketRetries doubling timeouts, ~155 ms) so that one message
-// attempt survives a downstream relay — or the returning end-to-end
-// acknowledgement — having to discover a crashed gateway itself.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		AckTimeout:     5 * vtime.Millisecond,
-		MaxTimeout:     80 * vtime.Millisecond,
-		PacketRetries:  5,
-		MessageRetries: 3,
-		E2EBase:        250 * vtime.Millisecond,
-		E2EPerFrag:     5 * vtime.Millisecond,
-		RouteAttempts:  3,
-		Window:         relWindow,
-	}
-}
-
-// relWindow is DefaultRetryPolicy's Window: it sizes a send daemon's slots.
-const relWindow = 8
+	relRouteAttempts = 3
+	// relWindow is the per-hop ARQ window, packets one sender keeps in flight
+	// toward one neighbour, and a send daemon's slots. The receiver coalesces
+	// a window's hop acks into one control datagram (the last packet of a
+	// burst requests the flush).
+	relWindow = 8
+)
 
 // DeliveryError reports that a message could not be delivered: every
 // retransmission, reroute and whole-message resend failed. It reaches the
@@ -548,7 +527,6 @@ func (w *relDoneWindow) size() int { return len(w.set) }
 type relEngine struct {
 	vc   *VirtualChannel
 	node *mad.Node
-	pol  RetryPolicy
 	rng  relRand // decorrelated-jitter state, seeded from the node name
 
 	// tables caches the split-horizon tables: the monitor's constraints plus
@@ -584,9 +562,9 @@ type relEngine struct {
 	relaying []vsync.WaitGroup
 	senders  map[relHop]*relSender
 
-	relayedMsgs  int64
-	relayedPkts  int64
-	relayedBytes int64
+	// gw is this node's gateway, which counts what the node relays; nil on
+	// a node that is no gateway of the primary topology.
+	gw *Gateway
 
 	fr *flight.Ring // cached flight ring; nil until a recorder is armed
 
@@ -680,14 +658,12 @@ func (e *relEngine) count(i int, n int64) { e.counters[i].Add(n) }
 // gateways so tools keep working, but no streaming pipelines start.
 func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 	sim := vc.sess.Platform.Sim
-	pol := DefaultRetryPolicy()
 	vc.rel = make(map[string]*relEngine)
 	for _, n := range buildTopo.Nodes() {
 		node := vc.nodes[n.Name]
 		e := &relEngine{
 			vc:       vc,
 			node:     node,
-			pol:      pol,
 			rng:      seedRelRand(n.Name),
 			tables:   make(map[relTableKey]*route.Table),
 			actor:    "rel:" + n.Name,
@@ -720,7 +696,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 	vc.buildHealth()
 	for _, name := range vc.tp.Gateways() {
 		g := newGateway(vc, vc.nodes[name])
-		g.eng = vc.rel[name]
+		g.eng, vc.rel[name].gw = vc.rel[name], g
 		vc.gates[name] = g
 	}
 }
@@ -733,7 +709,6 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 // packet list before the end-to-end ack's timeout starts. msgFlags are
 // end-to-end packet flags (the aggregate marker) stamped on every fragment.
 func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8) {
-	pol := e.pol
 	// Per-path MTU: fragment at the most constrained network of the
 	// primary route. The descriptor carries the chosen size, so the
 	// receiver reassembles correctly even if failover later moves packets
@@ -746,7 +721,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		totalBytes += int64(len(b.data))
 	}
 	rails := e.vc.stripeRoutes(e.node.Name, dst)
-	striped := len(rails) >= 2 && totalBytes >= e.vc.cfg.stripeThreshold()
+	striped := len(rails) >= 2 && totalBytes >= DefaultStripeThreshold
 	if striped {
 		for _, r := range rails {
 			if m := e.vc.railMTU(r); m < mtu {
@@ -787,8 +762,8 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 
 	mkey := relMsgKey{origin: e.node.Rank, id: id}
 	reason := "timeout"
-	bo := pol.AckTimeout
-	for attempt := 0; attempt <= pol.MessageRetries; attempt++ {
+	bo := relAckTimeout
+	for attempt := 0; attempt <= relMessageRetries; attempt++ {
 		if attempt > 0 {
 			e.trace("resend", 0, p.Now())
 			e.count(relMsgResends, 1)
@@ -806,14 +781,14 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		if m.lost {
 			dropAwait(e, e.e2e, mkey, aw)
 			reason = "unreachable"
-			if attempt < pol.MessageRetries {
+			if attempt < relMessageRetries {
 				bo = e.nextTimeout(bo)
 				p.Sleep(bo)
 				e.flight().Record(flight.KindBackoff, p.Now(), bo, id, 0, "")
 			}
 			continue
 		}
-		to := pol.E2EBase + vtime.Duration(total)*pol.E2EPerFrag
+		to := relE2EBase + vtime.Duration(total)*relE2EPerFrag
 		t0 := p.Now()
 		ok := e.await(p, aw, to, "rel e2e", dst)
 		dropAwait(e, e.e2e, mkey, aw)
@@ -838,7 +813,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		From:     e.node.Name,
 		To:       dst,
 		Reason:   reason,
-		Attempts: pol.MessageRetries + 1,
+		Attempts: relMessageRetries + 1,
 		Cause:    cause,
 	}})
 }
@@ -872,13 +847,13 @@ func (r *relRand) next() uint64 {
 func (r *relRand) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 // nextTimeout grows a retry timeout with decorrelated jitter: uniform in
-// [AckTimeout, 3·prev), capped at MaxTimeout. Compared to the synchronized
+// [relAckTimeout, 3·prev), capped at relMaxTimeout. Compared to the synchronized
 // doubling it replaces, independent senders recovering from the same fault
 // window spread their retransmissions instead of colliding in lockstep.
 func (e *relEngine) nextTimeout(prev vtime.Duration) vtime.Duration {
-	base := e.pol.AckTimeout
+	base := relAckTimeout
 	prev = max(prev, base)
-	return min(base+vtime.Duration(e.rng.float()*float64(3*prev-base)), e.pol.MaxTimeout)
+	return min(base+vtime.Duration(e.rng.float()*float64(3*prev-base)), relMaxTimeout)
 }
 
 // relOut is a message at its origin: its packets, the current attempt's
@@ -916,12 +891,12 @@ func (e *relEngine) freeOut(m *relOut) {
 
 // relBurst is one burst on a send daemon's queue: packets bound for one final
 // destination, from the relay dispatcher or the origin's sendMessage. An
-// origin's burst delivers one Window a turn and then queues again behind
+// origin's burst delivers one relWindow a turn and then queues again behind
 // whatever else waits on the daemon, so a relayed burst or an end-to-end ack
-// waits for a Window of a message, never for all of it.
+// waits for a relWindow of a message, never for all of it.
 type relBurst struct {
 	final mad.Rank
-	ds    []relData // the Window being delivered, or a rail's run left
+	ds    []relData // the relWindow being delivered, or a rail's run left
 	rest  []relData // an origin's packets after ds on the table route
 	out   *relOut   // the origin's message; nil for a relayed burst
 	rail  int       // the rail whose run this is; -1 on the table route
@@ -956,7 +931,7 @@ type relHop struct {
 
 // relSender is the send thread of one (final destination, first hop) pair,
 // the reliable counterpart of the streaming gateway's gwSender and the only
-// caller of deliverBurst: it delivers the bursts queued on it one Window at a
+// caller of deliverBurst: it delivers the bursts queued on it one relWindow at a
 // time, in order, so a burst stalled on a lost packet holds up only its own pair.
 type relSender struct {
 	hop  route.Hop
@@ -995,21 +970,21 @@ func (e *relEngine) sender(final mad.Rank, hop route.Hop) *relSender {
 func (e *relEngine) queueRouted(m *relOut, ds []relData) {
 	hop, ok := e.nextHop(m.dst, "")
 	if m.lost = m.lost || !ok; ok {
-		n := min(e.pol.Window, len(ds))
+		n := min(relWindow, len(ds))
 		b := e.newBurst(m.final, m, -1, ds[:n])
 		b.rest = ds[n:]
 		e.sender(m.final, hop).push(b)
 	}
 }
 
-// forward moves a burst's Window one hop along the table route, barring its
+// forward moves a burst's relWindow one hop along the table route, barring its
 // ingress neighbour as a relay (split horizon), and queues an origin's burst
-// again for its next Window. At the head of the queue an origin's burst its
+// again for its next relWindow. At the head of the queue an origin's burst its
 // message no longer needs is skipped — unless it is already moving off a dead
 // hop, which it finishes — and one whose next hop has moved moves with it.
 // When the neighbour stops acknowledging, the *directed link* dies, never the
 // node, and the unacknowledged packets take the next table hop, up to
-// RouteAttempts hops.
+// relRouteAttempts hops.
 func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 	if m := b.out; m != nil && b.tries == 0 && (m.aw.done || m.lost) {
 		e.retire(b, true)
@@ -1023,14 +998,14 @@ func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 				e.retire(b, true)
 				return
 			}
-			n := min(e.pol.Window, len(b.rest))
+			n := min(relWindow, len(b.rest))
 			b.ds, b.rest, b.tries = b.rest[:n], b.rest[n:], 0
 			s.push(b)
 			return
 		}
 		e.markDead(hop, p.Now())
 		e.hop(p, b.ds[0].id, "failover", obs.Detail{Form: "link to ${peer} via ${net} presumed dead", Peer: hop.To, Net: hop.Network}, 0)
-		if b.tries++; b.tries == e.pol.RouteAttempts {
+		if b.tries++; b.tries == relRouteAttempts {
 			ok = false
 		} else {
 			hop, ok = e.nextHop(dst, b.from)
@@ -1055,11 +1030,11 @@ func (e *relEngine) retire(b *relBurst, ok bool) {
 			e.count(relRelayDrops, 1)
 		}
 		for i := range b.batch {
-			if d := &b.batch[i]; ok && d.frag != e2eFrag {
-				e.relayedPkts++
-				e.relayedBytes += int64(len(d.payload))
+			if d := &b.batch[i]; ok && d.frag != e2eFrag && e.gw != nil {
+				e.gw.met.packets.Add(1)
+				e.gw.met.bytes.Add(int64(len(d.payload)))
 				if d.frag == 0 {
-					e.relayedMsgs++
+					e.gw.messages++
 				}
 			}
 			e.vc.bufs.put(b.batch[i].buf)
@@ -1103,12 +1078,12 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 		// Once the neighbour has blown a retry budget this burst, the rest
 		// burn no more simulated time: only acks that raced in count.
 		ok := aw.done && aw.ok
-		for try, to := 0, e.pol.AckTimeout; !hopDead; try++ {
+		for try, to := 0, relAckTimeout; !hopDead; try++ {
 			if ok = e.await(p, aw, to, "rel ack", hop.To); ok {
 				break
 			}
 			e.flight().Record(flight.KindRexmit, p.Now(), to, d.id, len(d.payload), hop.Network)
-			if try == e.pol.PacketRetries {
+			if try == relPacketRetries {
 				hopDead = true
 				break
 			}
@@ -1659,9 +1634,9 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 		e.relaying[final].Add(1)
 		e.queueWait(p, &it)
 		b := e.newBurst(final, nil, -1, nil)
-		b.batch = append(slices.Grow(b.batch, e.pol.Window), it.d)
+		b.batch = append(slices.Grow(b.batch, relWindow), it.d)
 		b.from, b.cost = key, int64(len(it.d.payload))
-		for len(b.batch) < e.pol.Window {
+		for len(b.batch) < relWindow {
 			more, ok := e.relayDRR.PopFrom(key, sameFinal)
 			if !ok {
 				break

@@ -317,7 +317,7 @@ func TestReliableManyPairsUnderLoss(t *testing.T) {
 // TestRelayBurstToOneDestinationDoesNotHoldAnother is the relay's
 // head-of-line test (DESIGN.md §28): one gateway relays a0's message to b1 and
 // a1's to b2, each destination on a network of its own. The one transmission
-// that carries b1's data packet is lost, so that burst waits AckTimeout for
+// that carries b1's data packet is lost, so that burst waits RelAckTimeout for
 // its hop ack; b2's message, arriving at the gateway meanwhile, must complete
 // within a few wire times instead of waiting behind it. When one relay daemon
 // served every destination it waited the whole 5 ms.
@@ -375,8 +375,8 @@ func TestRelayBurstToOneDestinationDoesNotHoldAnother(t *testing.T) {
 	}
 	took := done.Sub(lost)
 	t.Logf("b2's message completed %v after b1's data packet was lost", took)
-	if ackTimeout := fwd.DefaultRetryPolicy().AckTimeout; took >= ackTimeout/5 {
-		t.Errorf("b2's message took %v: it waited behind b1's stalled burst (AckTimeout %v)", took, ackTimeout)
+	if ackTimeout := fwd.RelAckTimeout; took >= ackTimeout/5 {
+		t.Errorf("b2's message took %v: it waited behind b1's stalled burst (ack timeout %v)", took, ackTimeout)
 	}
 }
 

@@ -34,7 +34,7 @@ package fwd
 // same arithmetic from the header fields alone, so no per-fragment offsets
 // travel on the wire.
 //
-// Messages below Config.StripeThreshold (and pairs with a single route)
+// Messages below DefaultStripeThreshold (and pairs with a single route)
 // take the existing single-rail path unchanged.
 
 import (
@@ -50,9 +50,10 @@ import (
 )
 
 // DefaultStripeThreshold is the message size below which striping is not
-// attempted (Config.StripeThreshold == 0): small messages finish within a
-// rail's pipeline fill time, so splitting them only adds per-rail header
-// and reassembly overhead.
+// attempted: small messages finish within a rail's pipeline fill time, so
+// splitting them only adds per-rail header and reassembly overhead. It is a
+// constant, not an option: the paper configures its network statically
+// (§2.3).
 const DefaultStripeThreshold = 16 * 1024
 
 // computeSpans partitions total bytes into len(rates) contiguous span
@@ -404,14 +405,6 @@ func (vc *VirtualChannel) StripeStats() StripeStats {
 	return s
 }
 
-// stripeThreshold is the effective minimum striped-message size.
-func (c Config) stripeThreshold() int64 {
-	if c.StripeThreshold > 0 {
-		return int64(c.StripeThreshold)
-	}
-	return DefaultStripeThreshold
-}
-
 // railJob is a striped streaming message's work on its rails, one slot at a
 // time: a rail's span at the sender, or one rail's share of a block the
 // receiver unpacks.
@@ -549,7 +542,7 @@ func (e *relEngine) queueRails(p *vtime.Proc, m *relOut, rails []route.Route) {
 	}
 }
 
-// drainRail delivers the next Window of a rail's run under the rail's own ARQ
+// drainRail delivers the next relWindow of a rail's run under the rail's own ARQ
 // window — once the run is done, of whatever failed rails left over — and
 // queues the burst again, until the message is acknowledged end to end or
 // nothing is left. A rail whose neighbour stops acknowledging fails over: its
@@ -562,7 +555,7 @@ func (e *relEngine) drainRail(p *vtime.Proc, s *relSender, b *relBurst) {
 	if len(b.ds) == 0 {
 		from = &m.residual
 	}
-	if n := min(e.pol.Window, len(*from)); n > 0 && !m.aw.done {
+	if n := min(relWindow, len(*from)); n > 0 && !m.aw.done {
 		chunk := (*from)[:n]
 		*from = (*from)[n:]
 		bad := e.deliverBurst(p, s, chunk)

@@ -102,20 +102,6 @@ func TestStripeBelowThresholdFallsBack(t *testing.T) {
 	}
 }
 
-func TestStripeCustomThreshold(t *testing.T) {
-	cfg := stripeCfg(2)
-	cfg.StripeThreshold = 2_000
-	w := build(t, dualRail(t), cfg)
-	blocks := []block{{pattern(4_000, 5), mad.SendCheaper, mad.ReceiveCheaper}}
-	got, _, _ := sendRecv(t, w, "a", "b", blocks)
-	if !bytes.Equal(got[0], blocks[0].data) {
-		t.Error("payload corrupted")
-	}
-	if n := w.vc.StripeStats().Messages; n != 1 {
-		t.Errorf("message above the custom threshold was not striped (%d)", n)
-	}
-}
-
 // diamond is the topology whose two rails a → b each cross a gateway, a
 // different one.
 func diamond(t *testing.T) *topo.Topology {
@@ -511,7 +497,7 @@ func TestReliableStripedGatewayRailCrash(t *testing.T) {
 
 // TestReliableStripeKeepsBothRails is prod_lossy_mix's rail trace as a test
 // (DESIGN.md §28): a reliable K=2 pair through two gateways whose first striped
-// transfer is an aggregate frame just over StripeThreshold — two packets, the
+// transfer is an aggregate frame just over DefaultStripeThreshold — two packets, the
 // 14-byte descriptor and the frame — followed by 190 KB messages. Each rail
 // must carry at least 40 % of the bytes. When the reliable split followed the
 // rails' measured goodput, the descriptor-only rail measured about 1 MB/s,

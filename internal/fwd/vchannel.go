@@ -66,10 +66,6 @@ type Config struct {
 	// node pair (see stripe.go), rate-proportionally. 0 and 1 keep the
 	// single-route send path.
 	StripeK int
-	// StripeThreshold is the minimum message size (bytes) striping is
-	// attempted for; smaller messages take the single-rail path. 0 means
-	// DefaultStripeThreshold.
-	StripeThreshold int
 	// FlowControl arms credit-based gateway flow control (see flowctl.go
 	// and package flow): senders spend a per-(gateway, sender) credit per
 	// wire transfer toward a gateway and the gateway grants credits back as
@@ -124,9 +120,6 @@ func (c Config) validate() error {
 	}
 	if c.StripeK < 0 || c.StripeK > stripeMaxRails {
 		return fmt.Errorf("fwd: StripeK must be in [0, %d], got %d", stripeMaxRails, c.StripeK)
-	}
-	if c.StripeThreshold < 0 {
-		return fmt.Errorf("fwd: negative StripeThreshold")
 	}
 	if c.CreditWindow < 0 {
 		return fmt.Errorf("fwd: negative CreditWindow")

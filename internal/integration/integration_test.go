@@ -480,7 +480,7 @@ fault crash gw 20ms 20ms
 		for _, s := range tr.Spans() {
 			fmt.Fprintln(&spans, s.String())
 		}
-		return sys.Now(), sys.DeliveryStats(), spans.String()
+		return sys.Now(), sys.Stats().Delivery, spans.String()
 	}
 	t1, ds1, tl1 := run()
 	t2, ds2, tl2 := run()

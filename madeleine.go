@@ -51,7 +51,7 @@
 //	WithEagerSmallMessages                 fwd/eager: compact one-transfer GTM framing
 //	WithAggregation                        fwd/agg: cross-message coalescer
 //	WithFlowControl, WithCreditWindow      fwd/flow: credit-based gateway flow control
-//	WithStriping, WithStripeThreshold      fwd/stripe: multi-rail striping
+//	WithStriping                           fwd/stripe: multi-rail striping
 //	WithReliableDelivery                   fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
 //	WithRouteNetworks                      route: restrict the channel to named networks
@@ -61,9 +61,8 @@
 //	WithPaperFidelity, WithProduction      presets bundling the above
 //
 // Options that tune a subsystem another option arms do not arm it
-// themselves: WithAggregation requires WithEagerSmallMessages,
-// WithCreditWindow requires WithFlowControl, and WithStripeThreshold requires
-// WithStriping. NewSystem rejects an incoherent
+// themselves: WithAggregation requires WithEagerSmallMessages, and
+// WithCreditWindow requires WithFlowControl. NewSystem rejects an incoherent
 // set with a *ConfigError naming the missing option instead of silently
 // ignoring the orphan. (WithFaults keeps its documented implication —
 // reliable delivery — because there the implied subsystem is the only
@@ -318,13 +317,10 @@ type Options struct {
 	// delivery: checksummed, acknowledged, retransmitted packets, the
 	// link-health failure detector with gateway failover, and fair relaying.
 	Reliable bool
-	// StripeK, when at least 2, enables multi-rail striping: messages
-	// above StripeThreshold are split across up to StripeK link-disjoint
-	// routes and transmitted in parallel.
+	// StripeK, when at least 2, enables multi-rail striping: messages of
+	// fwd.DefaultStripeThreshold (16 KB) and more are split across up to
+	// StripeK link-disjoint routes and transmitted in parallel.
 	StripeK int
-	// StripeThreshold is the minimum message size (bytes) striping is
-	// attempted for; 0 means fwd.DefaultStripeThreshold (16 KB).
-	StripeThreshold int
 	// FlowControl arms credit-based gateway flow control: senders spend a
 	// per-(gateway, sender) credit per wire transfer toward a gateway, and
 	// gateways grant credits back as their relay buffers free. Fairness is
@@ -407,21 +403,11 @@ func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } 
 // WithStriping enables multi-rail striping with up to k link-disjoint
 // routes per node pair. Large messages are split across the rails
 // rate-proportionally and reassembled in place at the receiver; pairs with a
-// single route, and messages below the striping threshold, use the ordinary
-// single-route path. k must be between 1 (striping off) and 8. Striping
-// composes with reliable delivery: a rail that dies mid-message hands its
-// residual quota to the surviving rails.
+// single route, and messages below fwd.DefaultStripeThreshold (16 KB), use
+// the ordinary single-route path. k must be between 1 (striping off) and 8.
+// Striping composes with reliable delivery: a rail that dies mid-message
+// hands its residual quota to the surviving rails.
 func WithStriping(k int) Option { return func(o *Options) { o.StripeK = k } }
-
-// WithStripeThreshold sets the minimum message size, in bytes, that
-// WithStriping splits across rails (default 16 KB). Smaller messages finish
-// within one round trip on the fastest rail, so striping them only adds
-// header and reassembly overhead. It tunes the striping layer without
-// arming it: combine with WithStriping(k >= 2), or NewSystem returns a
-// *ConfigError.
-func WithStripeThreshold(bytes int) Option {
-	return func(o *Options) { o.StripeThreshold = bytes }
-}
 
 // WithFlightRingCap sets the flight recorder's per-node ring capacity in
 // events (default 4096). A ring's memory is 32 B for each event it holds,
@@ -439,7 +425,7 @@ func WithFlightRingCap(n int) Option { return func(o *Options) { o.FlightRingCap
 // needs no option: every gateway serves contending senders
 // deficit-round-robin, charged by relayed bytes, which equalizes long-run
 // goodput regardless of message size. Query the counters with
-// System.FlowStats.
+// System.Stats().Flow.
 func WithFlowControl() Option { return func(o *Options) { o.FlowControl = true } }
 
 // WithCreditWindow sets the per-(gateway, sender) credit window in wire
@@ -469,7 +455,7 @@ func WithEagerSmallMessages() Option { return func(o *Options) { o.Eager = true 
 // message must not overtake the queue; the sink receives one frame ahead of
 // the application. The coalescer emits compact frames, so it requires
 // WithEagerSmallMessages; NewSystem returns a *ConfigError otherwise. Query
-// the counters with System.AggStats.
+// the counters with System.Stats().Agg.
 func WithAggregation() Option { return func(o *Options) { o.Aggregation = true } }
 
 // WithReliableDelivery switches the virtual channel from the paper's
@@ -506,7 +492,6 @@ func WithPaperFidelity() Option {
 		o.FlowControl = false
 		o.CreditWindow = 0
 		o.StripeK = 0
-		o.StripeThreshold = 0
 		o.Reliable = false
 	}
 }
@@ -516,8 +501,8 @@ func WithPaperFidelity() Option {
 // control, two-rail striping, and reliable (acknowledged, retransmitted)
 // delivery with its link-health failure detector and epochal self-healing
 // routes. It is the "everything on" profile the load-pattern examples use;
-// layer individual options after it to tune windows, thresholds or
-// detector timing. Note that reliable delivery runs its own packet
+// layer individual options after it to tune packet sizes or the credit
+// window. Note that reliable delivery runs its own packet
 // protocol, so the streaming-only multicast fan-out is unavailable under
 // this preset — collectives fall back to binomial trees.
 func WithProduction() Option {
@@ -559,13 +544,6 @@ func (o *Options) validate() error {
 			Option:   "WithCreditWindow",
 			Requires: "WithFlowControl",
 			Detail:   "the credit window sizes a flow controller that was never armed",
-		}
-	}
-	if o.StripeThreshold != 0 && o.StripeK < 2 {
-		return &ConfigError{
-			Option:   "WithStripeThreshold",
-			Requires: "WithStriping",
-			Detail:   "the threshold gates a striping layer that was never armed",
 		}
 	}
 	return nil
@@ -636,8 +614,7 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		Tracer:        o.Tracer,
 		Reliable:      reliable,
 
-		StripeK:         o.StripeK,
-		StripeThreshold: o.StripeThreshold,
+		StripeK: o.StripeK,
 
 		FlowControl:  o.FlowControl,
 		CreditWindow: o.CreditWindow,
@@ -708,7 +685,6 @@ type NamedGatewayStats struct {
 // values: Delivery, Ack, the recovery fields of each gateway (reliable mode),
 // Stripe (WithStriping), Flow (WithFlowControl), Agg (WithAggregation), Mcast
 // (multicast fan-out on a streaming channel). Gateways is sorted by node name.
-// The per-subsystem getters (DeliveryStats, FlowStats, ...) are views over it.
 type Stats struct {
 	Delivery DeliveryStats       `json:"delivery"`
 	Stripe   StripeStats         `json:"stripe"`
@@ -725,18 +701,9 @@ func (s *System) Stats() Stats {
 	sort.Strings(names)
 	gws := make([]NamedGatewayStats, 0, len(names))
 	for _, name := range names {
-		g, ok := s.Channel.GatewayOK(name)
-		if !ok {
-			continue
+		if g, ok := s.GatewayStats(name); ok {
+			gws = append(gws, NamedGatewayStats{Name: name, GatewayStats: g})
 		}
-		gws = append(gws, NamedGatewayStats{Name: name, GatewayStats: GatewayStats{
-			Messages:    g.Messages(),
-			Packets:     g.Packets(),
-			Bytes:       g.Bytes(),
-			Stalls:      g.Stalls(),
-			Retransmits: g.Retransmits(),
-			Failovers:   g.Failovers(),
-		}})
 	}
 	return Stats{
 		Delivery: s.Channel.DeliveryStats(),
@@ -752,44 +719,23 @@ func (s *System) Stats() Stats {
 // GatewayStats returns the relay statistics of the named gateway, with
 // ok=false when the node runs no forwarding engine.
 func (s *System) GatewayStats(name string) (GatewayStats, bool) {
-	for _, g := range s.Stats().Gateways {
-		if g.Name == name {
-			return g.GatewayStats, true
-		}
+	g, ok := s.Channel.GatewayOK(name)
+	if !ok {
+		return GatewayStats{}, false
 	}
-	return GatewayStats{}, false
+	return GatewayStats{
+		Messages:    g.Messages(),
+		Packets:     g.Packets(),
+		Bytes:       g.Bytes(),
+		Stalls:      g.Stalls(),
+		Retransmits: g.Retransmits(),
+		Failovers:   g.Failovers(),
+	}, true
 }
-
-// DeliveryStats aggregates the reliable mode's recovery work over every
-// node. All fields are zero in streaming mode and on fault-free reliable
-// runs.
-func (s *System) DeliveryStats() DeliveryStats { return s.Stats().Delivery }
-
-// StripeStats returns the multi-rail striping counters. All fields are
-// zero-valued when striping is off (no WithStriping, or k < 2).
-func (s *System) StripeStats() StripeStats { return s.Stats().Stripe }
-
-// AckStats returns the reliable mode's acknowledgement-traffic counters,
-// summed over every node. All fields are zero in streaming mode.
-func (s *System) AckStats() AckStats { return s.Stats().Ack }
-
-// FlowStats returns the credit-based flow-control counters, aggregated over
-// every credit account and relay scheduler. Without WithFlowControl the
-// credit fields are zero; SchedRounds and Backpressure still count every
-// gateway's fair relay queues.
-func (s *System) FlowStats() FlowStats { return s.Stats().Flow }
 
 // FlowAccounts returns the per-(gateway, sender) credit-account counters in
 // account creation order. Empty without WithFlowControl.
 func (s *System) FlowAccounts() []FlowAccountStats { return s.Channel.FlowAccounts() }
-
-// AggStats returns the small-message coalescing counters. All fields are
-// zero without WithAggregation.
-func (s *System) AggStats() AggStats { return s.Stats().Agg }
-
-// McastStats returns the gateway-native multicast counters. All fields are
-// zero until a BeginMulticast (or a collective riding on it) runs.
-func (s *System) McastStats() McastStats { return s.Stats().Mcast }
 
 // Health returns the link-health failure detector of a reliable system; it
 // is nil only in streaming mode. Snapshot lists per-link condition,

@@ -103,7 +103,7 @@ func TestGatewaySchedulesWithoutFlowControl(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fs := sys.FlowStats(); fs.SchedRounds == 0 || fs.Accounts != 0 || fs.CreditsSpent != 0 {
+	if fs := sys.Stats().Flow; fs.SchedRounds == 0 || fs.Accounts != 0 || fs.CreditsSpent != 0 {
 		t.Errorf("FlowStats without WithFlowControl = %+v, want scheduler rounds and no credits", fs)
 	}
 }
@@ -208,15 +208,15 @@ func TestExperimentsExposed(t *testing.T) {
 }
 
 // TestStripingFacade drives multi-rail striping through the public API:
-// the dual-rail topology, WithStriping, byte-exact delivery, and the
-// StripeStats/AckStats accessors.
+// the dual-rail topology, WithStriping, byte-exact delivery, and the Stripe
+// and Ack counters of Stats.
 func TestStripingFacade(t *testing.T) {
 	sys, err := madeleine.NewSystem(`
 		network myri0 myrinet
 		network sci0 sci
 		node a myri0 sci0
 		node b myri0 sci0
-	`, madeleine.WithStriping(2), madeleine.WithStripeThreshold(8*1024))
+	`, madeleine.WithStriping(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestStripingFacade(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Error("striped payload corrupted")
 	}
-	st := sys.StripeStats()
+	st := sys.Stats().Stripe
 	if st.Messages != 1 {
 		t.Errorf("striped %d messages, want 1", st.Messages)
 	}
 	if len(st.RailBytes) != 2 {
 		t.Errorf("rail bytes on %d rails, want 2: %v", len(st.RailBytes), st.RailBytes)
 	}
-	if ack := sys.AckStats(); ack != (madeleine.AckStats{}) {
+	if ack := sys.Stats().Ack; ack != (madeleine.AckStats{}) {
 		t.Errorf("streaming mode reported ack traffic: %+v", ack)
 	}
 }

@@ -56,7 +56,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted under 10% loss")
 	}
-	ds := sys.DeliveryStats()
+	ds := sys.Stats().Delivery
 	if ds.Retransmits == 0 {
 		t.Fatal("10% loss run saw zero retransmissions; the assertions below would be vacuous")
 	}

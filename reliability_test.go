@@ -54,7 +54,7 @@ func TestSystemFaultDSL(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Error("payload corrupted under 5% loss")
 	}
-	if ds := sys.DeliveryStats(); ds.Retransmits == 0 {
+	if ds := sys.Stats().Delivery; ds.Retransmits == 0 {
 		t.Error("5% loss run saw zero retransmissions")
 	}
 }
@@ -98,7 +98,7 @@ func TestSystemLossAndMidTransferCrash(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("8 MB transfer not byte-exact across loss and crash")
 	}
-	ds := sys.DeliveryStats()
+	ds := sys.Stats().Delivery
 	if ds.Retransmits == 0 {
 		t.Error("no retransmissions under 5% loss")
 	}
@@ -218,7 +218,8 @@ func runReliableStar(t *testing.T, opts ...madeleine.Option) starRun {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	run.end, run.delivery, run.flow = sys.Now(), sys.DeliveryStats(), sys.FlowStats()
+	st := sys.Stats()
+	run.end, run.delivery, run.flow = sys.Now(), st.Delivery, st.Flow
 	run.transitions = sys.Health().Transitions()
 	return run
 }

@@ -20,7 +20,6 @@ type statSource struct {
 	series     string
 	label      [2]string // a {key, value} every summed sample must carry
 	perGateway string    // label key holding the gateway's name, for Gateways.* fields
-	streaming  bool      // a reliable channel reads the field from elsewhere (why)
 	why        string
 }
 
@@ -66,11 +65,9 @@ var statSources = map[string]statSource{
 	"Mcast.TreeCacheHits":     {why: "always zero: the root plans no tree; kept because the benchmark ledger reads it; no series"},
 	"Mcast.TreeRecomputes":    {why: "always zero: the root plans no tree; kept because the benchmark ledger reads it; no series"},
 
-	"Gateways.Messages": {why: "written once per relayed message; no series"},
-	"Gateways.Packets": {series: "madgo_gateway_relayed_packets_total", perGateway: "gateway", streaming: true,
-		why: "a reliable channel reads the engine's relayed-packet count, which has no series"},
-	"Gateways.Bytes": {series: "madgo_gateway_relayed_bytes_total", perGateway: "gateway", streaming: true,
-		why: "a reliable channel reads the engine's relayed-byte count, which has no series"},
+	"Gateways.Messages":    {why: "written once per relayed message; no series"},
+	"Gateways.Packets":     {series: "madgo_gateway_relayed_packets_total", perGateway: "gateway"},
+	"Gateways.Bytes":       {series: "madgo_gateway_relayed_bytes_total", perGateway: "gateway"},
 	"Gateways.Stalls":      {why: "counted beside the madgo_gateway_stall_seconds histogram, which exists only with a registry"},
 	"Gateways.Retransmits": {series: "madgo_retransmits_total", perGateway: "node"},
 	"Gateways.Failovers":   {series: "madgo_failovers_total", perGateway: "node"},
@@ -160,7 +157,7 @@ func TestStatsArmedEqualsDisarmed(t *testing.T) {
 			nonzero := 0
 			statLeaves(reflect.ValueOf(armed.Stats()), "", "", func(path, gw string, got int64) {
 				src := statSources[path]
-				if src.series == "" || src.streaming && leg.reliable {
+				if src.series == "" {
 					return
 				}
 				if want := sumSamples(samples, src.series, src.label, [2]string{src.perGateway, gw}); got != want {
@@ -194,7 +191,7 @@ func TestStatsFieldsAndSeriesAudit(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("Stats.%s is not in statSources: name the series it sums, or why it has none", path)
-		case src.series == "" && src.why == "", src.streaming && src.why == "":
+		case src.series == "" && src.why == "":
 			t.Errorf("Stats.%s: statSources gives neither a series nor a reason", path)
 		}
 	})
