@@ -123,11 +123,13 @@ race:
 # plus 2 %, and a 136- and a 1 040-node cluster of clusters, streaming and under
 # WithProduction, in allocated bytes (48 and 56 MiB at 1 040 nodes). One buffer
 # pool (DESIGN.md §33): a steady-state take and return, and a ring's worth of
-# them, at 0.
+# them, at 0. State built on first use (DESIGN.md §42): bringing up a link of
+# an 18-node channel at no more than 4 allocations, and a two-rail K-route
+# search at 3, its routes.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd -run 'AllocsNothing' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
-	$(GO) test ./internal/vtime ./internal/mad ./internal/fwd . -run 'AllocBudget' -v
+	$(GO) test ./internal/vtime ./internal/mad ./internal/route ./internal/fwd . -run 'AllocBudget' -v
 
 # bench-quick is the two-clock ledger's smoke run (benchmark/README.md):
 # every workload at 1/20 load with all its self-checks — byte-exact delivery,

@@ -79,8 +79,9 @@ type Resource struct {
 	capacity float64 // bytes/second
 	adjust   AdjustFunc
 
-	flows  []Presence // active flows through this resource
+	flows  []Presence // active flows through this resource; starts in first
 	served float64    // total bytes moved through this resource (diagnostics)
+	first  [2]Presence
 
 	// Water-filling scratch of computeRates: the capacity not yet frozen
 	// and the flows still sharing it, valid while epoch is the engine's
@@ -192,10 +193,21 @@ func NewEngine(sim *vtime.Sim) *Engine {
 // NewResource registers a resource with the given capacity in bytes/s.
 // adjust may be nil for plain max-min sharing.
 func (e *Engine) NewResource(name string, capacity float64, adjust AdjustFunc) *Resource {
+	r := new(Resource)
+	e.InitResource(r, name, capacity, adjust)
+	return r
+}
+
+// InitResource is NewResource into a record its caller allocated, one of a
+// batch say. The record must not move afterwards: its list of flows starts
+// inside it, which is room for what a wire carries at a time, and a bus's
+// grows past it on demand.
+func (e *Engine) InitResource(r *Resource, name string, capacity float64, adjust AdjustFunc) {
 	if capacity <= 0 {
 		panic("fluid: resource with nonpositive capacity: " + name)
 	}
-	return &Resource{name: name, capacity: capacity, adjust: adjust}
+	*r = Resource{name: name, capacity: capacity, adjust: adjust}
+	r.flows = r.first[:0]
 }
 
 // Spec describes a transfer. Route hops carry their own transaction class;

@@ -455,6 +455,7 @@ type Network struct {
 	NIC      NICParams
 	platform *Platform
 	wires    map[[2]string]*fluid.Resource
+	spare    []fluid.Resource // the rest of the last batch of wires allocated
 }
 
 // NewNetwork creates a network instance with the given NIC model.
@@ -485,13 +486,23 @@ func (n *Network) sortedWires() []*fluid.Resource {
 }
 
 // Wire returns the cable resource for the directed pair (from, to),
-// creating it on first use.
+// creating it on first use: when the first link between the two on any
+// channel of the network is brought up. A wire costs its name,
+// "wire:<net>:<from>-><to>", and its share of a batch: records are allocated
+// as many at a time as the network has wires so far, up to 64, so n wires
+// take about 6 + n/64 allocations and leave fewer than min(n, 64) records
+// spare.
 func (n *Network) Wire(from, to string) *fluid.Resource {
 	key := [2]string{from, to}
 	if w, ok := n.wires[key]; ok {
 		return w
 	}
-	w := n.platform.Engine.NewResource(fmt.Sprintf("wire:%s:%s->%s", n.Name, from, to), n.NIC.WireRate, nil)
+	if len(n.spare) == 0 {
+		n.spare = make([]fluid.Resource, min(max(1, len(n.wires)), 64))
+	}
+	w := &n.spare[0]
+	n.spare = n.spare[1:]
+	n.platform.Engine.InitResource(w, "wire:"+n.Name+":"+from+"->"+to, n.NIC.WireRate, nil)
 	n.wires[key] = w
 	return w
 }

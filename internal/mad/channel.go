@@ -17,9 +17,12 @@ type Channel struct {
 	sess    *Session
 	net     *hw.Network
 	drv     Driver
+	nic     hw.NICParams // the driver's, which its links share
 	members map[Rank]*Node
 	order   []Rank
 	links   map[[2]Rank]*Link
+	byNum   []*Link      // the links in bring-up order; a wire event names its link by index
+	onWire  func(uint64) // wireArrival, bound by the first link for every link's wire events
 	arrival map[Rank]*vsync.Chan[Arrival]
 }
 
@@ -34,6 +37,7 @@ func (s *Session) NewChannel(name string, net *hw.Network, drv Driver, members .
 		sess:    s,
 		net:     net,
 		drv:     drv,
+		nic:     drv.NIC(),
 		members: make(map[Rank]*Node, len(members)),
 		links:   make(map[[2]Rank]*Link),
 		arrival: make(map[Rank]*vsync.Chan[Arrival], len(members)),
@@ -83,8 +87,12 @@ func (ch *Channel) Link(src, dst Rank) *Link {
 	if l, ok := ch.links[key]; ok {
 		return l
 	}
-	l := newLink(ch, ch.members[src], ch.members[dst])
+	if ch.onWire == nil {
+		ch.onWire = ch.wireArrival
+	}
+	l := newLink(ch, ch.members[src], ch.members[dst], uint64(len(ch.byNum)))
 	ch.links[key] = l
+	ch.byNum = append(ch.byNum, l)
 	return l
 }
 

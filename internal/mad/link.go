@@ -133,16 +133,21 @@ type wireEvent struct {
 	complete bool
 }
 
-// wireQueue is the FIFO of a link's pending wire events, a ring that grows
-// to the link's high-water mark and then allocates no more.
+// wireQueue is the FIFO of a link's pending wire events, a ring that starts
+// in its own four slots — enough for a link that carries one message at a
+// time — and grows past them to the link's high-water mark, then allocates no
+// more. It lives inside its link and is never copied.
 type wireQueue struct {
 	buf     []wireEvent // len is zero or a power of two
 	head, n int
+	first   [4]wireEvent
 }
 
 func (q *wireQueue) push(ev wireEvent) {
-	if q.n == len(q.buf) {
-		grown := make([]wireEvent, max(4, 2*len(q.buf)))
+	if len(q.buf) == 0 {
+		q.buf = q.first[:]
+	} else if q.n == len(q.buf) {
+		grown := make([]wireEvent, 2*len(q.buf))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 		}
@@ -176,20 +181,21 @@ type Link struct {
 	Dst     *Node
 
 	drv     Driver
-	nic     hw.NICParams
+	nic     *hw.NICParams // the channel's
 	wire    *fluid.Resource
-	mailbox *vsync.Chan[*transmission]
+	mailbox vsync.Chan[*transmission]
 	posted  *postedRecv    // &recv while a receive is posted and unmatched, else nil
 	recv    postedRecv     // the link's one posted-receive record
 	gated   []*vtime.Waker // senders waiting for a posted receive
-	credits *vsync.Sem     // eager flow-control window (nil = unlimited)
+	credits vsync.Sem      // eager flow-control window; unused when nic.EagerCredits is 0
 	msgMu   vsync.Mutex    // serializes whole messages on the sending side
 	recvMu  vsync.Mutex    // serializes whole messages on the receiving side
 	seq     uint64
 	flRing  *flight.Ring // cached flight ring; nil until a recorder is armed
 
-	// Constants of the link, built once: what every Send would otherwise
-	// format and allocate anew.
+	// Constants of the link, built once when the link is: what every Send
+	// would otherwise format and allocate anew. The flow name is the tail of
+	// the mailbox's, so the two names cost one string.
 	flowName string       // fluid.Spec name of the link's transfers
 	route    [3]fluid.Hop // sender bus → wire → receiver bus
 
@@ -199,19 +205,31 @@ type Link struct {
 	sendSeconds      *obs.Histogram
 
 	// Wire events leave in the order they were queued — the wire latency
-	// is one constant per link — so one callback, bound once, serves them
-	// all from a FIFO instead of a closure per transmission.
+	// is one constant per link — so they wait in a FIFO, and the channel's
+	// one callback, bound once, pops the link it is told by number
+	// (Channel.wireArrival) instead of a closure per transmission or link.
 	inflight wireQueue
-	onWire   func()
+	num      uint64 // the link's index in Channel.byNum
 
 	// Transmissions the receiver has taken the payload out of, for the
-	// next Send. Grows on demand.
-	txFree []*transmission
+	// next Send. The list starts in txSlots holding the link's own first
+	// record, tx0, and grows past four records on demand.
+	txFree  []*transmission
+	txSlots [4]*transmission
+	tx0     transmission
+
+	// The mailbox's first slots: a link whose receiver keeps up holds at
+	// most a few transmissions there.
+	mboxSlots [4]*transmission
 }
 
-func newLink(ch *Channel, src, dst *Node) *Link {
-	nic := ch.drv.NIC()
-	name := fmt.Sprintf("%s:%s->%s", ch.Name, src.Name, dst.Name)
+// newLink brings up the connection src→dst, the channel's link number num.
+// Everything the link keeps is inside the Link record but its names, its NIC
+// model, which the channel holds, and its wire, which every channel of the
+// network shares.
+func newLink(ch *Channel, src, dst *Node, num uint64) *Link {
+	nic := &ch.nic
+	mbox := "mbox:" + ch.Name + ":" + src.Name + "->" + dst.Name
 	l := &Link{
 		Channel: ch,
 		Src:     src,
@@ -219,19 +237,21 @@ func newLink(ch *Channel, src, dst *Node) *Link {
 		drv:     ch.drv,
 		nic:     nic,
 		wire:    ch.net.Wire(src.Name, dst.Name),
-		mailbox: vsync.NewChan[*transmission]("mbox:"+name, 4096),
+		num:     num,
 
-		flowName: name,
+		flowName: mbox[len("mbox:"):],
 	}
+	l.mailbox.Init(mbox, 4096, l.mboxSlots[:0])
 	l.route = [3]fluid.Hop{
 		{R: src.Host.Bus, Class: nic.SendBusClass},
 		{R: l.wire, Class: fluid.ClassWire},
 		{R: dst.Host.Bus, Class: nic.RecvBusClass},
 	}
-	l.onWire = l.wireArrival
 	if nic.EagerCredits > 0 {
-		l.credits = vsync.NewSem(nic.EagerCredits)
+		l.credits.Release(nic.EagerCredits) // the window's permits
 	}
+	l.txSlots[0] = &l.tx0
+	l.txFree = l.txSlots[:1]
 	src.Session.Platform.Instrument(l)
 	return l
 }
@@ -298,10 +318,15 @@ func (l *Link) flow(p *vtime.Proc, wireBytes, payloadLen int) bool {
 // onTheWire queues ev for the receiver one wire latency from now.
 func (l *Link) onTheWire(ev wireEvent) {
 	l.inflight.push(ev)
-	l.sim().After(l.nic.WireLatency, l.onWire)
+	l.sim().AtArg(l.sim().Now().Add(l.nic.WireLatency), l.Channel.onWire, l.num)
 }
 
-// wireArrival runs in scheduler context when the oldest wire event is due.
+// wireArrival runs in scheduler context when the oldest wire event of link
+// num is due.
+func (ch *Channel) wireArrival(num uint64) { ch.byNum[num].wireArrival() }
+
+// wireArrival runs in scheduler context when the link's oldest wire event is
+// due.
 func (l *Link) wireArrival() {
 	ev := l.inflight.pop()
 	if ev.complete {
@@ -403,7 +428,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 	// Ring eager path: take a flow-control credit (a free ring slot on
 	// the receiving side), stream, deliver after the wire latency. The
 	// credit returns when the transmission reaches the receiver's hands.
-	if l.credits != nil {
+	if l.nic.EagerCredits > 0 {
 		l.credits.Acquire(p, 1)
 	}
 	ok := l.flow(p, tx.meta.wireBytes(), len(data))
@@ -616,7 +641,7 @@ func (l *Link) RecvIntoSpent(p *vtime.Proc, dst []byte) (meta TxMeta, n int, spe
 // completion) is what lets a pipelined receiver keep the sender streaming
 // with zero copies, like the exposed ring buffers of the real SISCI module.
 func (l *Link) releaseCredit(tx *transmission) {
-	if l.credits != nil && !tx.rendezvous && !tx.credited {
+	if l.nic.EagerCredits > 0 && !tx.rendezvous && !tx.credited {
 		tx.credited = true
 		l.credits.Release(1)
 	}
@@ -672,4 +697,4 @@ func (l *Link) TryRecvReady() bool { return l.mailbox.Len() > 0 }
 
 // NIC returns the link's NIC model (used by the forwarding layer to pick
 // fragment sizes).
-func (l *Link) NIC() hw.NICParams { return l.nic }
+func (l *Link) NIC() hw.NICParams { return *l.nic }

@@ -35,142 +35,142 @@ func ComputeKAvoiding(t *topo.Topology, src, dst string, k int, rate func(networ
 	if src == dst {
 		return nil
 	}
-	if _, ok := t.Node(src); !ok {
+	ix := t.Index()
+	s, ok := ix.Node[src]
+	if !ok {
 		panic("route: unknown source " + src)
 	}
-	if _, ok := t.Node(dst); !ok {
+	d, ok := ix.Node[dst]
+	if !ok {
 		panic("route: unknown destination " + dst)
 	}
 	if rate == nil {
 		rate = func(string) float64 { return 1 }
 	}
-	names := t.NodeNames()
-	usedLink := make(map[linkKey]bool)
-	for e := range avoid {
-		usedLink[linkKey{net: e.Network, from: e.From, to: e.To}] = true
+	// The search's scratch is on the stack up to 64 nodes and 16 legs of
+	// chosen routes, so a call allocates its routes and nothing else; a
+	// larger topology allocates its labels, once a call.
+	var labels [64]kLabel
+	var used [16]kLink
+	ks := kSearch{ix: ix, src: s, dst: d, rate: rate, avoid: avoid, lab: labels[:], used: used[:0]}
+	if len(ix.Nodes) > len(labels) {
+		ks.lab = make([]kLabel, len(ix.Nodes))
 	}
-	usedGate := make(map[string]bool)
+	ks.lab = ks.lab[:len(ix.Nodes)]
 	var routes []Route
 	for len(routes) < k {
-		r := widestRoute(t, names, src, dst, rate, usedLink, usedGate)
+		r := ks.widest(true)
 		if r == nil {
 			// No gateway-disjoint route left; settle for link-disjoint.
-			r = widestRoute(t, names, src, dst, rate, usedLink, nil)
+			r = ks.widest(false)
 		}
 		if r == nil {
 			break
 		}
-		prev := src
-		for _, h := range r {
-			usedLink[linkKey{net: h.Network, from: prev, to: h.To}] = true
-			if h.To != dst {
-				usedGate[h.To] = true
-			}
-			prev = h.To
+		// The route's links are used, and its gateways are gates.
+		for cur := d; cur != s; cur = ks.lab[cur].prev {
+			l := &ks.lab[cur]
+			ks.used = append(ks.used, kLink{net: l.via, from: l.prev, to: cur})
+			l.gate = cur != d
+		}
+		if routes == nil {
+			routes = make([]Route, 0, min(k, len(ix.Nodes)))
 		}
 		routes = append(routes, r)
 	}
 	return routes
 }
 
-// linkKey identifies one directed (network, from, to) link.
-type linkKey struct {
-	net, from, to string
+// kSearch is one ComputeKAvoiding call over a topology's dense numbering.
+type kSearch struct {
+	ix       *topo.Index
+	src, dst int32
+	rate     func(network string) float64
+	avoid    map[Edge]bool
+	lab      []kLabel // by node
+	used     []kLink  // the links the chosen routes took
 }
 
-// widestRoute runs one widest-shortest-path search from src to dst, skipping
-// the given directed links and (when avoidGate is non-nil) the given
-// intermediate nodes. names is the topology's node list in declaration
-// order. It returns nil when dst is unreachable under those constraints.
-func widestRoute(t *topo.Topology, names []string, src, dst string, rate func(string) float64,
-	skipLink map[linkKey]bool, avoidGate map[string]bool) Route {
+// kLabel is a node's state in a search: the widest bottleneck, then the
+// fewest hops, it has been reached by, from node prev across network via.
+// gate marks an intermediate node of a chosen route and outlives the search.
+type kLabel struct {
+	width            float64
+	hops, prev, via  int32
+	seen, done, gate bool
+}
 
-	type label struct {
-		width float64
-		hops  int
-		prev  string
-		via   string
-		done  bool
-		seen  bool
+// kLink is a directed link: network net from node from to node to.
+type kLink struct{ net, from, to int32 }
+
+// widest runs one widest-shortest-path search from src to dst, skipping the
+// avoided and used links and, when avoidGates holds, the chosen routes'
+// gateways. It extracts the best unfinished label, ties to the earliest
+// declared node, and relaxes in the topology's neighbour order, as Compute's
+// search does. It returns the route, its labels left for the caller to walk,
+// or nil when dst is unreachable.
+func (ks *kSearch) widest(avoidGates bool) Route {
+	ix, lab := ks.ix, ks.lab
+	for i := range lab {
+		lab[i] = kLabel{gate: lab[i].gate}
 	}
-	lab := map[string]*label{src: {width: maxFloat, seen: true}}
-
-	// better reports whether (w1,h1) beats (w2,h2) lexicographically:
-	// wider bottleneck first, then fewer hops.
-	better := func(w1 float64, h1 int, w2 float64, h2 int) bool {
-		if w1 != w2 {
-			return w1 > w2
-		}
-		return h1 < h2
-	}
-
+	lab[ks.src].width, lab[ks.src].seen = maxFloat, true
 	for {
-		// Extract the best unfinished label; ties by node name keep the
-		// search deterministic.
-		var cur string
-		var cl *label
-		for _, name := range names {
-			l := lab[name]
-			if l == nil || l.done || !l.seen {
-				continue
-			}
-			if cl == nil || better(l.width, l.hops, cl.width, cl.hops) {
-				cur, cl = name, l
+		cur := int32(-1)
+		for i := range lab {
+			if l := &lab[i]; l.seen && !l.done && (cur < 0 || better(l.width, l.hops, lab[cur].width, lab[cur].hops)) {
+				cur = int32(i)
 			}
 		}
-		if cl == nil {
+		if cur < 0 {
 			return nil
 		}
-		if cur == dst {
+		if cur == ks.dst {
 			break
 		}
+		cl := &lab[cur]
 		cl.done = true
-		if avoidGate != nil && cur != src && avoidGate[cur] {
+		if avoidGates && cur != ks.src && cl.gate {
 			continue
 		}
-		// Stable relaxation order: declared-earlier networks first, then
-		// peer name, so equal-width ties resolve the same way Compute's
-		// search does.
-		for _, h := range t.Neighbors(cur) {
-			if skipLink[linkKey{net: h.Network, from: cur, to: h.Node}] {
-				continue
-			}
-			if avoidGate != nil && h.Node != dst && avoidGate[h.Node] {
-				continue
-			}
-			w := rate(h.Network)
+		for _, n := range ix.OnNets[cur] {
+			w := ks.rate(ix.Nets[n])
 			if cl.width < w {
 				w = cl.width
 			}
-			nl := lab[h.Node]
-			if nl == nil {
-				nl = &label{}
-				lab[h.Node] = nl
-			}
-			if nl.done {
-				continue
-			}
-			if !nl.seen || better(w, cl.hops+1, nl.width, nl.hops) {
-				nl.seen = true
-				nl.width = w
-				nl.hops = cl.hops + 1
-				nl.prev = cur
-				nl.via = h.Network
+			for _, peer := range ix.Members[n] {
+				nl := &lab[peer]
+				if peer == cur || nl.done || avoidGates && peer != ks.dst && nl.gate || ks.skip(n, cur, peer) {
+					continue
+				}
+				if !nl.seen || better(w, cl.hops+1, nl.width, nl.hops) {
+					*nl = kLabel{width: w, hops: cl.hops + 1, prev: cur, via: n, seen: true, gate: nl.gate}
+				}
 			}
 		}
 	}
-
-	var rev Route
-	for cur := dst; cur != src; {
-		l := lab[cur]
-		rev = append(rev, Hop{Network: l.via, To: cur})
-		cur = l.prev
-	}
-	r := make(Route, len(rev))
-	for i := range rev {
-		r[i] = rev[len(rev)-1-i]
+	r := make(Route, lab[ks.dst].hops)
+	for cur := ks.dst; cur != ks.src; cur = lab[cur].prev {
+		r[lab[cur].hops-1] = Hop{Network: ix.Nets[lab[cur].via], To: ix.Nodes[cur]}
 	}
 	return r
+}
+
+// better reports whether (w1,h1) beats (w2,h2): a wider bottleneck, or as
+// wide a one in fewer hops.
+func better(w1 float64, h1 int32, w2 float64, h2 int32) bool {
+	return w1 > w2 || w1 == w2 && h1 < h2
+}
+
+// skip reports whether the search may not take the link from node from to
+// node to across network n: the caller avoids it, or a chosen route took it.
+func (ks *kSearch) skip(n, from, to int32) bool {
+	for _, u := range ks.used {
+		if u == (kLink{net: n, from: from, to: to}) {
+			return true
+		}
+	}
+	return len(ks.avoid) > 0 && ks.avoid[Edge{From: ks.ix.Nodes[from], To: ks.ix.Nodes[to], Network: ks.ix.Nets[n]}]
 }
 
 const maxFloat = 1.7976931348623157e308

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -148,5 +149,38 @@ func TestComputeKDeterministic(t *testing.T) {
 		if rs := ComputeK(tp, "a1", "b1", 3, nil); !reflect.DeepEqual(rs, first) {
 			t.Fatalf("run %d differs: %v vs %v", i, rs, first)
 		}
+	}
+}
+
+// TestComputeKAllocBudget pins what a K-route search allocates on the
+// prod_lossy_mix shape — sixteen senders on SCI, sixteen receivers on
+// Myrinet, two gateways on both — for one pair's two rails: the route list
+// and its two routes, nothing else. The search runs over the topology's
+// dense numbering with its scratch on the stack; it made 90 allocations while
+// every call built a label map, a label per node and maps of the used links
+// and gateways (make allocs).
+func TestComputeKAllocBudget(t *testing.T) {
+	const budget = 3
+	b := topo.NewBuilder().Network("sci0", "sci").Network("myri0", "myrinet")
+	for i := 0; i < 16; i++ {
+		b.Node(fmt.Sprintf("a%02d", i), "sci0")
+	}
+	for i := 0; i < 16; i++ {
+		b.Node(fmt.Sprintf("b%02d", i), "myri0")
+	}
+	tp := mustTopo(t, b.Node("gw1", "sci0", "myri0").Node("gw2", "sci0", "myri0"))
+	rates := map[string]float64{"sci0": 85, "myri0": 160}
+	rate := func(nw string) float64 { return rates[nw] }
+	want := []Route{
+		{{Network: "sci0", To: "gw1"}, {Network: "myri0", To: "b03"}},
+		{{Network: "sci0", To: "gw2"}, {Network: "myri0", To: "b03"}},
+	}
+	if got := ComputeKAvoiding(tp, "a03", "b03", 2, rate, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a03 -> b03 rails %v, want %v", got, want)
+	}
+	n := testing.AllocsPerRun(100, func() { ComputeKAvoiding(tp, "a03", "b03", 2, rate, nil) })
+	t.Logf("ComputeKAvoiding a03 -> b03, k=2: %.1f allocations (budget %d)", n, budget)
+	if n > budget {
+		t.Errorf("a K-route search allocates %.1f times, budget %d", n, budget)
 	}
 }

@@ -143,6 +143,11 @@ func (tb *eagerTable) String() string {
 	return sb.String()
 }
 
+// linkKey identifies one directed (network, from, to) link.
+type linkKey struct {
+	net, from, to string
+}
+
 // eagerKAvoiding is the old ComputeKAvoiding: the node list copied at every
 // extraction, the neighbours sorted at every relaxation.
 func eagerKAvoiding(t *topo.Topology, src, dst string, k int, rate func(string) float64, avoid map[Edge]bool) []Route {
