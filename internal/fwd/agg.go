@@ -98,7 +98,7 @@ type AggStats struct {
 type aggState struct {
 	co      map[aggKey]*aggCoalescer
 	rx      [][]aggRx
-	frames  []*sinkFrame
+	frames  freeList[sinkFrame]
 	striped map[uint64][]byte
 }
 
@@ -110,12 +110,7 @@ func newAggState(nodes int) *aggState {
 // with the descriptor pair it travelled with (nil if none).
 func (vc *VirtualChannel) aggOpen(from mad.Rank, frame, buf []byte, pair *[2]mad.BlockDesc) aggRx {
 	st := vc.aggst
-	var fr *sinkFrame
-	if n := len(st.frames); n > 0 {
-		fr, st.frames = st.frames[n-1], st.frames[:n-1]
-	} else {
-		fr = new(sinkFrame)
-	}
+	fr := st.frames.get()
 	rd := agg.MustReader(frame)
 	*fr = sinkFrame{buf: buf, pair: pair, open: rd.Count()}
 	return aggRx{from: from, rd: rd, fr: fr}
@@ -129,10 +124,10 @@ func (vc *VirtualChannel) aggEnded(fr *sinkFrame) {
 	}
 	vc.bufs.put(fr.buf)
 	if fr.pair != nil {
-		vc.bufs.putPair(fr.pair)
+		vc.bufs.pairs.put(fr.pair)
 	}
 	*fr = sinkFrame{}
-	vc.aggst.frames = append(vc.aggst.frames, fr)
+	vc.aggst.frames.put(fr)
 }
 
 // AggStats returns the aggregation counters (zero-valued when aggregation
@@ -357,7 +352,7 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		// descriptor pair are handed over hop by hop to the sink, which
 		// returns both.
 		_, link := vc.firstHop(c.node, c.dst)
-		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true, spare: vc.bufs.getPair()}
+		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true, spare: vc.bufs.pairs.get()}
 		c.tx.open(p, streamHdr{src: c.node.Rank, dst: vc.NodeRank(c.dst), mtu: c.mtu, id: frameID})
 		c.tx.message(p, c.body[:], flen, wire)
 	}
@@ -369,15 +364,17 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 // bufPacking is the sender side of a message buffered whole and sent at
 // EndPacking by sendBuffered: a reliable message, or one toward a pair with
 // two rails. SendSafer pays its snapshot copy at once, the other blocks are
-// referenced, which is safe because EndPacking returns once they are sent.
+// referenced, which is safe because EndPacking returns once they are sent,
+// and so is reusing the record then.
 type bufPacking struct {
-	handle Packing
+	gen uint32
 	blockBuf
 	dst string
 }
 
 func (bp *bufPacking) end(p *vtime.Proc) {
 	bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, false)
+	bp.vc.recs.bufPacking.retire(bp, &bp.gen)
 }
 
 // sendBuffered sends a message that was buffered whole, its blocks with the
@@ -423,9 +420,10 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 // coalescer at EndPacking. A message that outgrows the frame budget on a
 // streaming single-rail path spills to the ordinary streaming packing
 // mid-Pack, so large messages keep their fragment-level pipelining through
-// the gateways.
+// the gateways. The coalescer copies the message into its frame inside add,
+// so the record is reused once EndPacking returns.
 type aggPacking struct {
-	handle Packing
+	gen uint32
 	blockBuf
 	dst     string
 	spilled packer // the streaming path's framing, after a spill
@@ -464,9 +462,10 @@ func (ax *aggPacking) spill(p *vtime.Proc) {
 func (ax *aggPacking) end(p *vtime.Proc) {
 	if ax.spilled != nil {
 		ax.spilled.end(p)
-		return
+	} else {
+		ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blks, ax.total)
 	}
-	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blks, ax.total)
+	ax.vc.recs.aggPacking.retire(ax, &ax.gen)
 }
 
 // aggPop returns the next sub-message of the frames the sink is draining, and
@@ -489,13 +488,15 @@ func (vc *VirtualChannel) aggPop(rank mad.Rank) (*aggRx, agg.Sub, bool) {
 // a buffer of the wire pool, and queues its sub-messages. Every rail is in, so
 // the sender's frame, which they sent by reference, goes back to the pool.
 func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *stripeGroup) {
-	su := &stripeUnpacking{vc: vc, node: node, g: g}
+	su := vc.recs.stripeUnpacking.get()
+	su.vc, su.node, su.g = vc, node, g
+	from := su.from()
 	frame := vc.bufs.get(int(g.total))
 	su.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
 	su.end(p)
 	vc.bufs.put(vc.aggst.striped[g.key.id])
 	delete(vc.aggst.striped, g.key.id)
-	vc.aggst.rx[node.Rank] = append(vc.aggst.rx[node.Rank], vc.aggOpen(su.from(), frame, frame, nil))
+	vc.aggst.rx[node.Rank] = append(vc.aggst.rx[node.Rank], vc.aggOpen(from, frame, frame, nil))
 }
 
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled
@@ -517,13 +518,13 @@ func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *re
 // modes were carried inside the frame, so unpack mirrors them like every
 // other module and copies the payload out of the (already received) frame.
 type aggUnpacking struct {
-	handle Unpacking
-	vc     *VirtualChannel
-	node   *mad.Node
-	sub    agg.Sub
-	fr     *sinkFrame
-	next   int
-	off    int
+	gen  uint32
+	vc   *VirtualChannel
+	node *mad.Node
+	sub  agg.Sub
+	fr   *sinkFrame
+	next int
+	off  int
 }
 
 func (u *aggUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
@@ -549,4 +550,5 @@ func (u *aggUnpacking) end(p *vtime.Proc) {
 	}
 	u.vc.hop(p, u.sub.ID, u.node.Name, "deliver", obs.Detail{Form: "decoalesced at ${node}"}, u.off)
 	u.vc.aggEnded(u.fr)
+	u.vc.recs.aggUnpacking.retire(u, &u.gen)
 }

@@ -188,7 +188,7 @@ func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
 // re-reads the same blocks), then EndPacking emits one stream per branch of
 // the root's split.
 type mcastPacking struct {
-	handle Packing
+	gen uint32
 	blockBuf
 	dests []mad.Rank // ascending, deduplicated, root excluded; split in place
 	// mtu is the least path MTU over the destinations, so one fragment size
@@ -205,6 +205,13 @@ type mcastPacking struct {
 // unicast sends. Duplicate destinations and the sender itself are ignored;
 // at least one other node must remain. Streaming mode only (CanMulticast).
 func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
+	px := e.beginMulticast(p, dests)
+	return &px
+}
+
+// beginMulticast is BeginMulticast but for the handle's address
+// (beginPacking).
+func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 	vc := e.vc
 	if !vc.CanMulticast() {
 		panic("fwd: BeginMulticast requires streaming mode (Reliable is set)")
@@ -227,7 +234,7 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds, mtu: mtu}
 	x.cost = 0
 	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: vc.destsText(ds)}, 0)
-	return x.handle.bind(x, x.id)
+	return Packing{x, x.id, &x.gen, x.gen}
 }
 
 // end sends the message down every branch of the root's split, one after the

@@ -16,6 +16,15 @@ import "madgo/internal/mad"
 // buffer a SwapOverhead after it, so Build rejects a streaming channel whose
 // wire is slower than the buffer switch. Unsynchronized: one simulation, one
 // thread.
+//
+// Framing records are reused too (records, below; DESIGN.md §43): every
+// Unpacking's, and the Packing's of an aggregated, reliable, striped or
+// direct message. End zeroes one and puts it back, for nothing refers to it
+// once End returns — sendMessage holds the blocks until then, the coalescer
+// copies a message into its frame in add — and its generation stops a stale
+// handle (Packing). A stream's sender record is not reused: every relay reads
+// its header and first descriptor pair after EndPacking returned (streamTx);
+// nor, as yet, is a multicast's. The lists belong to one virtual channel.
 
 const (
 	relBufMinShift = 6  // smallest class: 64 bytes
@@ -52,7 +61,7 @@ type wireBufPool struct {
 	onPut func(buf []byte)
 	// pairs are the block-descriptor pairs of frames sent in one transfer: a
 	// pair travels with its frame, by reference, to the sink that returns both.
-	pairs []*[2]mad.BlockDesc
+	pairs freeList[[2]mad.BlockDesc]
 }
 
 // get returns a buffer of length n whose content is unspecified: the last one
@@ -99,19 +108,6 @@ func (bp *wireBufPool) put(b []byte) {
 	bp.free[class] = append(bp.free[class], b)
 }
 
-// getPair returns a descriptor pair whose content is unspecified.
-func (bp *wireBufPool) getPair() *[2]mad.BlockDesc {
-	if n := len(bp.pairs); n > 0 {
-		d := bp.pairs[n-1]
-		bp.pairs = bp.pairs[:n-1]
-		return d
-	}
-	return new([2]mad.BlockDesc)
-}
-
-// putPair returns a pair nothing reads any more.
-func (bp *wireBufPool) putPair(d *[2]mad.BlockDesc) { bp.pairs = append(bp.pairs, d) }
-
 // tally adds the pool's ledger to s.
 func (bp *wireBufPool) tally(s *RelBookkeeping) {
 	s.BufsTaken += bp.taken
@@ -120,4 +116,44 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 	for _, l := range bp.free {
 		s.BufsFree += len(l)
 	}
+}
+
+// records are the free lists of framing records, one per kind. A record on a
+// list is zero but for its generation.
+type records struct {
+	aggPacking      freeList[aggPacking]
+	bufPacking      freeList[bufPacking]
+	plainPacking    freeList[plainPacking]
+	aggUnpacking    freeList[aggUnpacking]
+	streamUnpacking freeList[streamUnpacking]
+	relUnpacking    freeList[relUnpacking]
+	stripeUnpacking freeList[stripeUnpacking]
+	plainUnpacking  freeList[plainUnpacking]
+}
+
+// freeList is a LIFO of spare objects of one kind, the one free list of the
+// forwarding layer's records: framing records, descriptor pairs, a sink's
+// frame records and a reliable engine's bookkeeping.
+type freeList[T any] []*T
+
+// get returns the object put last, as it was put, or a new one.
+func (l *freeList[T]) get() *T {
+	if n := len(*l); n > 0 {
+		x := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// put keeps an object nothing refers to any more.
+func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
+
+// retire puts a framing record whose message has ended, zeroed but for its
+// generation gen, on l.
+func (l *freeList[T]) retire(x *T, gen *uint32) {
+	g := *gen
+	*x = *new(T)
+	*gen = g
+	l.put(x)
 }

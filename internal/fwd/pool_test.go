@@ -136,3 +136,10 @@ func StockHeaderBufs(vc *VirtualChannel, n int, seen func(buf []byte)) [][]byte 
 	}
 	return stock
 }
+
+// SharesRecord reports whether one framing record serves the messages of two
+// handles (TestStaleHandlePanics).
+func SharesRecord(a, b *Packing) bool { return a.gen == b.gen }
+
+// SharesUnpackRecord is SharesRecord of two incoming messages.
+func SharesUnpackRecord(a, b *Unpacking) bool { return a.gen == b.gen }

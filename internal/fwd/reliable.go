@@ -571,10 +571,10 @@ type relEngine struct {
 	// Recycled bookkeeping (DESIGN.md §17). Several processes send on one
 	// engine at once — its applications and its send daemons — so these are
 	// free lists, not single scratch slots.
-	awFree    []*relAwait // completion slots
-	msgFree   []*relMsg   // reassembly records, fragment tables attached
-	burstFree []*relBurst // queued bursts, relay batches attached
-	outFree   []*relOut   // sent messages, packet lists and stripe plans attached
+	awFree    freeList[relAwait] // completion slots
+	msgFree   freeList[relMsg]   // reassembly records, fragment tables attached
+	burstFree freeList[relBurst] // queued bursts, relay batches attached
+	outFree   freeList[relOut]   // sent messages, packet lists and stripe plans attached
 
 	actor string // tracer lane "rel:<node>"
 	// The node's event counts, by the rel* indexes below: what the stats
@@ -874,19 +874,18 @@ type relOut struct {
 }
 
 func (e *relEngine) newOut() *relOut {
-	if n := len(e.outFree); n > 0 {
-		m := e.outFree[n-1]
-		e.outFree = e.outFree[:n-1]
-		return m
+	m := e.outFree.get()
+	if m.failed == nil { // a new record
+		m.failed = make([]bool, e.vc.cfg.StripeK)
 	}
-	return &relOut{failed: make([]bool, e.vc.cfg.StripeK)}
+	return m
 }
 
 // freeOut drops what a sent message referenced and recycles its record.
 func (e *relEngine) freeOut(m *relOut) {
 	clear(m.ds)
 	m.ds, m.aw, m.rails, m.residual = m.ds[:0], nil, nil, nil
-	e.outFree = append(e.outFree, m)
+	e.outFree.put(m)
 }
 
 // relBurst is one burst on a send daemon's queue: packets bound for one final
@@ -910,12 +909,7 @@ type relBurst struct {
 }
 
 func (e *relEngine) newBurst(final mad.Rank, out *relOut, rail int, ds []relData) *relBurst {
-	var b *relBurst
-	if n := len(e.burstFree); n > 0 {
-		b, e.burstFree = e.burstFree[n-1], e.burstFree[:n-1]
-	} else {
-		b = new(relBurst)
-	}
+	b := e.burstFree.get()
 	b.final, b.out, b.rail, b.ds = final, out, rail, ds
 	if out != nil {
 		out.settled.Add(1)
@@ -1044,7 +1038,7 @@ func (e *relEngine) retire(b *relBurst, ok bool) {
 		e.relaying[b.final].Done()
 	}
 	*b = relBurst{batch: b.batch[:0]}
-	e.burstFree = append(e.burstFree, b)
+	e.burstFree.put(b)
 }
 
 // deliverBurst transmits a burst of packets to one neighbour under the ARQ
@@ -1187,13 +1181,10 @@ func (e *relEngine) settlePending(link *mad.Link, n int) {
 
 // newAwait takes a completion slot off the free list, or makes one.
 func (e *relEngine) newAwait() *relAwait {
-	if n := len(e.awFree); n > 0 {
-		aw := e.awFree[n-1]
-		e.awFree = e.awFree[:n-1]
-		return aw
+	aw := e.awFree.get()
+	if aw.expire == nil { // a new slot
+		aw.expire = aw.timeout
 	}
-	aw := new(relAwait)
-	aw.expire = aw.timeout
 	return aw
 }
 
@@ -1206,7 +1197,7 @@ func dropAwait[K comparable](e *relEngine, m map[K]*relAwait, key K, aw *relAwai
 		delete(m, key)
 	}
 	aw.rearm()
-	e.awFree = append(e.awFree, aw)
+	e.awFree.put(aw)
 }
 
 // await blocks until the slot completes or the timeout fires, whichever
@@ -1486,13 +1477,7 @@ func completes(m *relMsg, d *relData) bool {
 // newMsg starts the reassembly of the message d belongs to, on a recycled
 // record when one is free.
 func (e *relEngine) newMsg(d *relData) *relMsg {
-	var m *relMsg
-	if n := len(e.msgFree); n > 0 {
-		m = e.msgFree[n-1]
-		e.msgFree = e.msgFree[:n-1]
-	} else {
-		m = new(relMsg)
-	}
+	m := e.msgFree.get()
 	frags := m.frags[:0]
 	if cap(frags) < int(d.total) {
 		frags = make([]relFrag, d.total)
@@ -1509,7 +1494,7 @@ func (e *relEngine) freeMsg(m *relMsg) {
 		e.vc.bufs.put(m.frags[i].buf)
 		m.frags[i] = relFrag{}
 	}
-	e.msgFree = append(e.msgFree, m)
+	e.msgFree.put(m)
 }
 
 // markDone records a completed message in the origin's bounded
@@ -1777,7 +1762,7 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 // verified (that is what the arrival means), so unpack calls check the
 // mirrored flags against the descriptor and copy fragments out.
 type relUnpacking struct {
-	handle   Unpacking
+	gen      uint32
 	eng      *relEngine
 	m        *relMsg
 	nextBlk  int
@@ -1811,7 +1796,8 @@ func (ru *relUnpacking) end(p *vtime.Proc) {
 		panic(fmt.Sprintf("fwd: reliable message not fully unpacked (%d of %d blocks)", ru.nextBlk, len(ru.m.desc)))
 	}
 	// Every fragment has been copied out: the datagrams they arrived in go
-	// back to the pool and the record to the engine.
+	// back to the pool, the message's record to the engine and this one to
+	// the channel.
 	ru.eng.freeMsg(ru.m)
-	ru.m = nil
+	ru.eng.vc.recs.relUnpacking.retire(ru, &ru.gen)
 }

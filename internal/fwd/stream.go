@@ -292,11 +292,14 @@ func framingOf(kind mad.Kind) *framing {
 // hop passes on and the final receiver returns, a multicast header in one the
 // next hop returns (open), any other in this record (one per stream), a
 // block's descriptors in a pair per block: the record's own for the first
-// block of a record that lives for one message, a wire-pool pair that travels
-// with the coalescer's frame, else an allocation. So a first transfer, all
-// header and frame, is handed over at every hop (mad.TxMeta.Owned). The record
-// is part of every forwarded message's Packing, so it holds what every stream
-// needs and reaches the rest through a pointer.
+// block of a record that lives for one message (a streamPacking, a rail's
+// writer), a wire-pool pair that travels with the coalescer's frame, else an
+// allocation. So a first transfer, all header and frame, is handed over at
+// every hop (mad.TxMeta.Owned). That is why no free list reuses a
+// streamPacking (pool.go): the relays still read its header and its pair
+// after EndPacking has returned, so the record lives for one message and the
+// garbage collector takes it once the last relay is done. The record holds
+// what every stream needs and reaches the rest through a pointer.
 type streamTx struct {
 	vc   *VirtualChannel
 	link *mad.Link
@@ -577,7 +580,7 @@ func (b *blockBuf) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMo
 // streamPacking is the sender side of a message that streams as it is packed:
 // the seed framing and the eager one.
 type streamPacking struct {
-	handle Packing
+	gen uint32
 	streamTx
 }
 
@@ -814,11 +817,12 @@ func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byt
 // streamUnpacking is the receiver side of a stream delivered as one message:
 // the seed, eager and multicast framings, and a gateway's local capture.
 type streamUnpacking struct {
-	handle Unpacking
+	gen uint32
 	streamRx
 }
 
 func (g *streamUnpacking) end(p *vtime.Proc) {
 	g.close(p)
 	g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
+	g.vc.recs.streamUnpacking.retire(g, &g.gen)
 }

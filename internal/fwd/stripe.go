@@ -648,11 +648,11 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Ar
 // rail spans dictate, every overlapping rail drained at once, so concurrently
 // arriving rails land in place with zero extra copies.
 type stripeUnpacking struct {
-	handle Unpacking
-	vc     *VirtualChannel
-	node   *mad.Node
-	g      *stripeGroup
-	flat   int64
+	gen  uint32
+	vc   *VirtualChannel
+	node *mad.Node
+	g    *stripeGroup
+	flat int64
 	// The block in hand, which ends at flat, and the rails it overlaps.
 	dst []byte
 	s   mad.SendMode
@@ -738,4 +738,5 @@ func (su *stripeUnpacking) end(p *vtime.Proc) {
 	}
 	su.vc.hop(p, su.g.key.id, su.node.Name, "deliver",
 		obs.Detail{Form: hopReassembled + " from ${a} rails", A: len(su.g.rails)}, got)
+	su.vc.recs.stripeUnpacking.retire(su, &su.gen)
 }

@@ -183,6 +183,9 @@ type VirtualChannel struct {
 	// that takes a buffer may hand it over the link to the node that returns
 	// it.
 	bufs wireBufPool
+	// recs are the free lists of the framing records a message's End is done
+	// with (pool.go).
+	recs records
 
 	// mon is the link-health monitor of a reliable channel; nil in streaming
 	// mode.
@@ -581,37 +584,53 @@ type unpacker interface {
 }
 
 // plainPacking and plainUnpacking give a direct route's Madeleine message
-// the framing interface; they are conversions, not wrappers, so opening one
-// allocates nothing beyond the mad object itself.
-type plainPacking mad.Packing
+// the framing interface and a generation; they are reused (records), so
+// opening one allocates nothing beyond the mad object itself.
+type plainPacking struct {
+	gen uint32
+	vc  *VirtualChannel
+	m   *mad.Packing
+}
 
 func (x *plainPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	(*mad.Packing)(x).Pack(p, data, s, r)
+	x.m.Pack(p, data, s, r)
 }
-func (x *plainPacking) end(p *vtime.Proc) { (*mad.Packing)(x).EndPacking(p) }
 
-type plainUnpacking mad.Unpacking
+func (x *plainPacking) end(p *vtime.Proc) {
+	x.m.EndPacking(p)
+	x.vc.recs.plainPacking.retire(x, &x.gen)
+}
+
+type plainUnpacking struct {
+	gen uint32
+	vc  *VirtualChannel
+	m   *mad.Unpacking
+}
 
 func (x *plainUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
-	(*mad.Unpacking)(x).Unpack(p, dst, s, r)
+	x.m.Unpack(p, dst, s, r)
 }
-func (x *plainUnpacking) end(p *vtime.Proc) { (*mad.Unpacking)(x).EndUnpacking(p) }
+
+func (x *plainUnpacking) end(p *vtime.Proc) {
+	x.m.EndUnpacking(p)
+	x.vc.recs.plainUnpacking.retire(x, &x.gen)
+}
 
 // Packing is an outgoing message on a virtual channel. Depending on the
 // route it is either a plain Madeleine message on the regular channel or a
 // self-described GTM message on the special channel toward the first
 // gateway; the application cannot tell the difference.
+//
+// It is a handle on the framing record x that serves the message, and holds
+// the record's generation as it was when the message opened. EndPacking bumps
+// it, and a record whose life ends there serves a later message (pool.go), so
+// an ended handle, a copy of it, or one whose record serves a newer message
+// no longer matches and panics.
 type Packing struct {
-	x     packer
-	id    uint64
-	ended bool
-}
-
-// bind makes px, the handle field of the framing record x, the handle of
-// message id: the record is the one allocation a message's sender side makes.
-func (px *Packing) bind(x packer, id uint64) *Packing {
-	px.x, px.id = x, id
-	return px
+	x   packer
+	id  uint64
+	gen *uint32 // the record's generation
+	at  uint32  // and what it was when the message opened
 }
 
 // MsgID returns the message's channel-global ID, assigned at BeginPacking.
@@ -623,6 +642,14 @@ func (px *Packing) MsgID() uint64 { return px.id }
 // appropriate underlying real channel ... dynamically depending whether it
 // is necessary to forward the message through a gateway or not" (§2.2.1).
 func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
+	px := e.beginPacking(p, dst)
+	return &px
+}
+
+// beginPacking is BeginPacking but for the handle's address: the wrapper is
+// left small enough for the compiler to inline, so a caller that keeps the
+// handle to itself keeps it on its stack.
+func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 	if dst == e.node.Name {
 		panic("fwd: message to self on " + dst)
 	}
@@ -631,9 +658,10 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	// large bypass (or spill back to the streaming path) from there.
 	if e.vc.cfg.Aggregation {
 		if hop, ok := e.vc.tbl.NextHop(e.node.Name, dst); ok && hop.To != dst {
-			ax := &aggPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
+			ax := e.vc.recs.aggPacking.get()
+			ax.blockBuf, ax.dst = e.vc.buffer(e.node), dst
 			e.vc.hop(p, ax.id, e.node.Name, "pack", obs.Detail{Form: "agg -> ${peer}", Peer: dst}, 0)
-			return ax.handle.bind(ax, ax.id)
+			return Packing{ax, ax.id, &ax.gen, ax.gen}
 		}
 	}
 	if e.vc.cfg.Reliable {
@@ -643,23 +671,26 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		if _, ok := e.vc.nodes[dst]; !ok {
 			panic("fwd: unknown destination " + dst)
 		}
-		bp := &bufPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
+		bp := e.vc.recs.bufPacking.get()
+		bp.blockBuf, bp.dst = e.vc.buffer(e.node), dst
 		e.vc.hop(p, bp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
-		return bp.handle.bind(bp, bp.id)
+		return Packing{bp, bp.id, &bp.gen, bp.gen}
 	}
 	// Striping: when the pair has at least two disjoint rails, buffer the
 	// message and let EndPacking split it (or send it down the single rail
 	// below the size threshold).
 	if rails := len(e.vc.stripeRoutes(e.node.Name, dst)); rails >= 2 {
-		bp := &bufPacking{blockBuf: e.vc.buffer(e.node), dst: dst}
+		bp := e.vc.recs.bufPacking.get()
+		bp.blockBuf, bp.dst = e.vc.buffer(e.node), dst
 		e.vc.hop(p, bp.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
-		return bp.handle.bind(bp, bp.id)
+		return Packing{bp, bp.id, &bp.gen, bp.gen}
 	}
 	hop, link := e.vc.firstHop(e.node, dst)
 	id := e.vc.nextMsgID()
 	if link == nil {
 		e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "direct -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
-		return &Packing{x: e.vc.openSingleRail(p, e.node, dst, hop, link, id), id: id}
+		x := e.vc.openPlain(p, e.node, dst, hop)
+		return Packing{x, id, &x.gen, x.gen}
 	}
 	// A stream is recorded once it is open: taking the link, and the seed
 	// framing's header transfer, may take time.
@@ -669,7 +700,7 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 		form = "eager -> ${peer} via ${net}"
 	}
 	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
-	return x.handle.bind(x, id)
+	return Packing{x, id, &x.gen, x.gen}
 }
 
 // firstHop returns where a single-rail message from a node toward dst leaves:
@@ -693,9 +724,17 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 // a stream toward the first gateway (beginStream).
 func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, id uint64) packer {
 	if link == nil {
-		return (*plainPacking)(vc.regular[hop.Network].At(from).BeginPacking(p, vc.NodeRank(dst)))
+		return vc.openPlain(p, from, dst, hop)
 	}
 	return vc.beginStream(p, from, dst, link, id)
+}
+
+// openPlain opens a plain Madeleine message on the regular channel of a
+// direct route's one hop.
+func (vc *VirtualChannel) openPlain(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop) *plainPacking {
+	x := vc.recs.plainPacking.get()
+	x.vc, x.m = vc, vc.regular[hop.Network].At(from).BeginPacking(p, vc.NodeRank(dst))
+	return x
 }
 
 // beginStream opens message id as a stream on link toward the first gateway,
@@ -721,7 +760,7 @@ func replay(p *vtime.Proc, x packer, blocks []relBlock) {
 
 // Pack appends one block, as in the mad layer.
 func (px *Packing) Pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	if px.ended {
+	if *px.gen != px.at {
 		panic("fwd: Pack after EndPacking")
 	}
 	px.x.pack(p, data, s, r)
@@ -729,27 +768,21 @@ func (px *Packing) Pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMo
 
 // EndPacking completes the message.
 func (px *Packing) EndPacking(p *vtime.Proc) {
-	if px.ended {
+	if *px.gen != px.at {
 		panic("fwd: double EndPacking")
 	}
-	px.ended = true
+	*px.gen++
 	px.x.end(p)
 }
 
-// Unpacking is an incoming message on a virtual channel.
+// Unpacking is an incoming message on a virtual channel: a handle, like
+// Packing, on the framing record x that serves the message.
 type Unpacking struct {
-	x     unpacker
-	from  mad.Rank
-	fwd   bool
-	ended bool
-}
-
-// bind makes u, the handle field of the framing record x, the handle of a
-// message from rank from: the record is the one allocation a message's
-// receiver side makes.
-func (u *Unpacking) bind(x unpacker, from mad.Rank, fwd bool) *Unpacking {
-	u.x, u.from, u.fwd = x, from, fwd
-	return u
+	x    unpacker
+	from mad.Rank
+	fwd  bool
+	gen  *uint32 // the record's generation
+	at   uint32  // and what it was when the message opened
 }
 
 // BeginUnpacking blocks until a message arrives on any of the node's
@@ -758,12 +791,20 @@ func (u *Unpacking) bind(x unpacker, from mad.Rank, fwd bool) *Unpacking {
 // Generic one, it needs some additional information ... transmitted before
 // the actual message body" (§2.2.2).
 func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
+	u := e.beginUnpacking(p)
+	return &u
+}
+
+// beginUnpacking is BeginUnpacking but for the handle's address
+// (beginPacking).
+func (e *Endpoint) beginUnpacking(p *vtime.Proc) Unpacking {
 	for polled := false; ; polled = true {
 		// A frame's sub-messages come FIFO before anything newer, from memory:
 		// PollCost, a probe of the networks, is paid on the way to the queue.
 		if rx, sub, ok := e.vc.aggPop(e.node.Rank); ok {
-			u := &aggUnpacking{vc: e.vc, node: e.node, sub: sub, fr: rx.fr}
-			return u.handle.bind(u, rx.from, true)
+			u := e.vc.recs.aggUnpacking.get()
+			u.vc, u.node, u.sub, u.fr = e.vc, e.node, sub, rx.fr
+			return Unpacking{u, rx.from, true, &u.gen, u.gen}
 		}
 		if !polled {
 			p.Sleep(e.node.Host.CPU.PollCost)
@@ -778,19 +819,20 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 		if in.mcast != nil {
 			// A multicast message the local gateway captured while
 			// replicating it downstream.
-			g := &streamUnpacking{}
+			g := e.vc.recs.streamUnpacking.get()
 			g.openCaptured(e.vc, e.node, in.mcast)
-			return g.handle.bind(g, in.mcast.h.src, true)
+			return Unpacking{g, in.mcast.h.src, true, &g.gen, g.gen}
 		}
 		if in.rel != nil {
 			if in.rel.agg {
 				e.vc.aggDecodeReliable(p, e.node, in.rel)
 				continue
 			}
-			ru := &relUnpacking{eng: e.vc.rel[e.node.Name], m: in.rel, nextFrag: 1}
+			ru := e.vc.recs.relUnpacking.get()
+			ru.eng, ru.m, ru.nextFrag = e.vc.rel[e.node.Name], in.rel, 1
 			srcName := e.vc.sess.Node(in.rel.origin).Name
 			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
-			return ru.handle.bind(ru, in.rel.origin, fwd)
+			return Unpacking{ru, in.rel.origin, fwd, &ru.gen, ru.gen}
 		}
 		switch in.a.Kind() {
 		case mad.KindStripe:
@@ -801,19 +843,21 @@ func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
 			case g.agg:
 				e.vc.aggDecodeStriped(p, e.node, g)
 			default:
-				su := &stripeUnpacking{vc: e.vc, node: e.node, g: g}
-				return su.handle.bind(su, su.from(), su.forwarded())
+				su := e.vc.recs.stripeUnpacking.get()
+				su.vc, su.node, su.g = e.vc, e.node, g
+				return Unpacking{su, su.from(), su.forwarded(), &su.gen, su.gen}
 			}
 		case mad.KindAgg:
 			// A whole aggregate frame, which the polling thread received:
 			// deliver its first sub-message on the next spin.
 			e.vc.aggst.rx[e.node.Rank] = append(e.vc.aggst.rx[e.node.Rank], in.frame)
 		case mad.KindGTM, mad.KindEager, mad.KindMcast:
-			g := &streamUnpacking{}
-			return g.handle.bind(g, g.open(p, e.vc, e.node, in.a).src, true)
+			g := e.vc.recs.streamUnpacking.get()
+			return Unpacking{g, g.open(p, e.vc, e.node, in.a).src, true, &g.gen, g.gen}
 		default:
-			u := in.ep.Open(p, &in.a)
-			return &Unpacking{x: (*plainUnpacking)(u), from: u.From()}
+			x := e.vc.recs.plainUnpacking.get()
+			x.vc, x.m = e.vc, in.ep.Open(p, &in.a)
+			return Unpacking{x, x.m.From(), false, &x.gen, x.gen}
 		}
 	}
 }
@@ -827,7 +871,7 @@ func (u *Unpacking) Forwarded() bool { return u.fwd }
 
 // Unpack extracts the next block, mirroring the sender's Pack exactly.
 func (u *Unpacking) Unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
-	if u.ended {
+	if *u.gen != u.at {
 		panic("fwd: Unpack after EndUnpacking")
 	}
 	u.x.unpack(p, dst, s, r)
@@ -835,9 +879,9 @@ func (u *Unpacking) Unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Recv
 
 // EndUnpacking completes the message.
 func (u *Unpacking) EndUnpacking(p *vtime.Proc) {
-	if u.ended {
+	if *u.gen != u.at {
 		panic("fwd: double EndUnpacking")
 	}
-	u.ended = true
+	*u.gen++
 	u.x.end(p)
 }
