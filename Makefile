@@ -4,8 +4,6 @@ FWD_COVER_MIN ?= 80
 FUZZTIME ?= 30s
 # package:target pairs; go test accepts one -fuzz pattern per invocation.
 FUZZ_TARGETS = \
-	internal/fwd:FuzzGTMHeader internal/fwd:FuzzStripeHeader \
-	internal/fwd:FuzzGTMCompactHeader internal/fwd:FuzzMcastHeader \
 	internal/fwd:FuzzStreamOpen \
 	internal/fwd:FuzzRelData internal/fwd:FuzzRelAck internal/fwd:FuzzRelDesc \
 	internal/fwd:FuzzRelHandle \
@@ -111,8 +109,8 @@ race:
 # mice_pingpong shape, a frame of its own, and one of the mice_stream shape, at
 # budgets. Buffers that change hands (DESIGN.md §29): a node's endpoint at 0, and
 # the five root budgets at their readings plus 15 % — the broadcast's at the race
-# detector's reading plus 2 % (32 since its headers are pool buffers, §37), as
-# that detector does not pack small allocations together. The flight
+# detector's reading plus 2 %, as that detector does not pack small
+# allocations together. The flight
 # recorder (DESIGN.md §31): a record into a wrapped ring and a snapshot at 0, the
 # fill phase at exactly one allocation a chunk reached, a ring's footprint at
 # ⌈n / ⌈cap/4⌉⌉ chunks of 32-byte entries for n events, and the incast64 shape
@@ -225,7 +223,8 @@ stripe-gate: s1-gate
 # destination's) and the collectives under loss and a gateway crash (the
 # failover wall for concurrent relays, DESIGN.md §28) and two processes of one
 # sink unpacking the sub-messages of one frame (every frame goes back to the wire
-# pool once, poisoned, after its last sub-message is ended, DESIGN.md §29), and
+# pool once, poisoned, after its last sub-message is ended, DESIGN.md §29; one
+# that takes a frame wakes the other, parked, to share it), and
 # the one send daemon a hop has (DESIGN.md §35): a node's own messages and the
 # ones it relays sharing it under loss, an end-to-end ack overtaking a bulk
 # message on it, and a striped send's bursts re-routed off a dead rail, and
@@ -233,7 +232,7 @@ stripe-gate: s1-gate
 # (DESIGN.md §37), all with the race detector on.
 soak:
 	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
-	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$' -v
+	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestSinkSharesAFrameWithAParkedProcess$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$' -v
 	$(GO) test -race ./internal/fwd -run '^TestReliableOriginAndRelayShareAHop$$|^TestReliableAckOvertakesABulkMessage$$|^TestReliableStripedRailCrash$$|^TestReliableStripedGatewayRailCrash$$' -v
 	$(GO) test -race ./internal/coll -run '^TestCollectivesUnderLossAndCrash$$' -v
 	$(GO) test -race ./internal/health
@@ -250,70 +249,12 @@ fuzz:
 
 # loc prints the non-test Go lines (plain `wc -l`) per package directory and in
 # total, benchmark/ excluded: the figure the ROADMAP's size gates quote. It
-# fails when a package of LOC_MAX (package:max rows) has outgrown its row, the
-# size the last PR that shrank it left it at — part of `make check`, so those
-# gates only move down: a PR that makes a package smaller lowers its row. A row
-# is raised only by a PR whose feature needs the lines, by that many and saying
-# so: PR 24 (DESIGN.md §27) raised internal/fwd 6449 -> 6452 (the poll moved to
-# the arrival queue, the coalescer's exact does-it-fit test) and internal/bench
-# 2400 -> 2403 (the m1 gate's 64 B cell), and added internal/agg at the size
-# the varint codec landed at. PR 25 (DESIGN.md §28) raised internal/fwd
-# 6452 -> 6558: 41 lines for the relay's per-destination send daemons, 55 for
-# the striped reliable send's recycled scratch and rail daemons (net of the
-# two-line reliable EWMA branch it deletes), 7 for the recycled packet list
-# and 3 for the free list's smallest-fit lookup, the last two paying for the
-# packet buffers the daemons keep in flight. Handing buffers over (DESIGN.md
-# §29) raised internal/fwd 6558 -> 6739: 32 lines for the framing records that
-# hold their handles (bind, a handle field a record, the stream opener
-# BeginPacking keeps typed), 61 for the sink's frame records (returned when
-# the last sub-message ends, queued when two processes unpack at once), the
-# coalescer's pool frames and the striped frame's return, 21 for the wire
-# pool's descriptor pairs, 20 for the stream writer's own descriptor pair and
-# its handed-over first transfer, 31 for the multicast relay's ring storage
-# and shared header descriptors, 7 for the one endpoint a node, 4 for the
-# inline first block, 2 for the gateway's handed-over first transfer and 3 of
-# doc comments; internal/agg fell 383 -> 379 (no re-arm heuristic, no spare).
-# One striper (DESIGN.md §30) lowered internal/fwd 6739 -> 6688. The flight
-# recorder's 32-byte entries in chunked rings (DESIGN.md §31) added the
-# internal/flight row at the size they left it, 1000 -> 1079: the entry and its
-# constants, the chunked write cursor, the ring's network-name table and the
-# expansion of entries back into Events, net of the sort type they retired.
-# One stream header and one gateway scheduler (DESIGN.md §32) lowered
-# internal/fwd 6688 -> 6604 and internal/bench 2403 -> 2399. One buffer pool
-# (DESIGN.md §33) lowered internal/fwd 6604 -> 6550. The origin as its
-# message's first relay (DESIGN.md §35) lowered it 6550 -> 6537. A stream's
-# header handed on hop by hop (DESIGN.md §36) lowered it 6534 -> 6526: the
-# gateway's header cells are gone. A multicast header from the wire pool
-# (DESIGN.md §37) raised it 6526 -> 6534: +11 in stream.go (the writer returns
-# a header it glued into a frame, a sink one that travelled alone, and decodes
-# its destination set into channel scratch; their docs, net of open's make
-# case), +5 in gateway.go (a gateway returns the header it parsed; the inlined
-# local delivery) and -8 in mcast.go (a sorted dedupe for the map, a reused
-# plan key and rank scratch for the ring's, two one-call helpers inlined).
-# The multicast root splitting by next hop like every gateway (DESIGN.md §38)
-# lowered internal/fwd 6534 -> 6495 and added the internal/route row at the
-# size it left, 739 -> 730: the tree plan cache and the epoch stamps are gone.
-# A route search that expands each network once (DESIGN.md §39) lowered
-# internal/fwd 6495 -> 6492 (PathMTU's node checks are the walk's), raised
-# internal/route 730 -> 732 (the dense rows, the network-once search, the
-# tree walk into a caller's buffer and its scratch, net of the route cache)
-# and internal/bench 2399 -> 2424 (the cluster-of-clusters generator the
-# set-up scale wall builds). One consumer per DRR and one send-thread loop
-# (DESIGN.md §40) lowered internal/fwd 6492 -> 6449 (the two permit
-# semaphores, their four panics, relSender's private queue and four drain
-# loops) and added the internal/flow row at the size the parking DRR left it,
-# 392 -> 421, so the park cannot grow flow unnoticed: net 14 lines down.
-# Deleting surface no program used (DESIGN.md §41: the stripe-threshold knob,
-# the one-value retry policy, six getters that re-derived Stats, flow.Meter,
-# the grant's codec round trip) lowered internal/fwd 6449 -> 6375 and
-# internal/flow 421 -> 372, and added the row of . (the facade) at 919 -> 865.
-# A message's handle on its caller's stack and its framing record reused
-# (DESIGN.md §43) raised internal/fwd 6375 -> 6455: the Begin wrappers, the
-# generation in every handle and record, the direct route's two records, which
-# were conversions, and the records' free lists with their docs, net of the
-# six hand-written free lists (descriptor pairs, sink frames, the reliable
-# engine's four) that the one generic list replaced.
-LOC_MAX := .:865 internal/fwd:6455 internal/bench:2424 internal/agg:379 internal/flight:1079 internal/route:732 internal/flow:372
+# fails when a package of LOC_MAX (package:max rows) has more lines than its
+# row, or a document of DOC_MAX (file:max rows) more lines than its. A PR that
+# makes one smaller lowers its row, so the rows only move down; one whose
+# feature needs the lines raises a row by that many and says why in CHANGES.md.
+LOC_MAX := .:865 internal/fwd:6452 internal/bench:2424 internal/agg:379 internal/flight:1079 internal/route:732 internal/flow:372
+DOC_MAX := DESIGN.md:5807 .claude/skills/verify/SKILL.md:187 README.md:477
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
@@ -322,6 +263,11 @@ loc:
 			      for (i = 1; i <= k; i++) { split(row[i], r, ":"); \
 			        if (n[r[1]] > r[2]) { printf "%s has %d non-test lines, over its LOC_MAX row of %d\n", r[1], n[r[1]], r[2]; bad = 1 } } \
 			      exit bad }'
+	@for row in $(DOC_MAX); do \
+		f=$${row%:*}; max=$${row##*:}; n=$$(wc -l < "$$f"); \
+		printf "%7d  %s (DOC_MAX %d)\n" $$n "$$f" $$max; \
+		if [ $$n -gt $$max ]; then echo "$$f has $$n lines, over its DOC_MAX row of $$max"; bad=1; fi; \
+	done; exit $${bad:-0}
 
 # cover runs each COVER_GATES row's packages with a coverage profile
 # (cover_<first package>.out) and fails when the total is under the row's

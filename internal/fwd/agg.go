@@ -496,22 +496,31 @@ func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *str
 	su.end(p)
 	vc.bufs.put(vc.aggst.striped[g.key.id])
 	delete(vc.aggst.striped, g.key.id)
-	vc.aggst.rx[node.Rank] = append(vc.aggst.rx[node.Rank], vc.aggOpen(from, frame, frame, nil))
+	vc.aggQueue(node.Rank, vc.aggOpen(from, frame, frame, nil))
 }
 
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled
 // reliable message (flagAgg), whose one block its receiver verified against
 // the fragments, in a buffer of the wire pool, and queues its sub-messages.
-func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, m *relMsg) {
-	frame := vc.bufs.get(m.desc[0].Size)
+func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, h *heldMsg) {
+	frame := vc.bufs.get(h.blocks[0].Size)
 	node.Host.Memcpy(p, len(frame))
 	off := 0
-	for _, f := range m.frags[1:] {
-		off += copy(frame[off:], f.payload)
+	for _, f := range h.frags {
+		off += copy(frame[off:], f)
 	}
-	origin := m.origin
-	vc.rel[node.Name].freeMsg(m) // the frame is a copy; the fragments' datagrams go back
-	vc.aggst.rx[node.Rank] = append(vc.aggst.rx[node.Rank], vc.aggOpen(origin, frame, frame, nil))
+	vc.aggQueue(node.Rank, vc.aggOpen(h.src, frame, frame, nil))
+	vc.release(h) // the frame is a copy; the fragments' datagrams go back
+}
+
+// aggQueue queues a frame a process of the sink took off the arrival queue.
+// If it holds more than its taker's sub-message, an empty entry wakes a
+// process parked on that queue to share it; a sink of one process has none.
+func (vc *VirtualChannel) aggQueue(rank mad.Rank, rx aggRx) {
+	vc.aggst.rx[rank] = append(vc.aggst.rx[rank], rx)
+	if q := vc.merged[rank]; rx.rd.Count() > 1 && q.Receivers() > 0 {
+		q.TrySend(incoming{})
+	}
 }
 
 // aggUnpacking delivers one coalesced sub-message: its block structure and

@@ -609,8 +609,7 @@ func TestSinkReturnsDrainedFrames(t *testing.T) {
 	var seen [msgs]int
 	var took [2]int
 	for r := 0; r < 2; r++ {
-		// Daemons: a process parked on the arrival queue is not woken for a
-		// frame the other one took off it, so neither can count on a share.
+		// Daemons: each takes whatever the sink has next, for ever.
 		w.sim.SpawnDaemon(fmt.Sprintf("drained-recv:%d", r), func(p *vtime.Proc) {
 			got := make([]byte, size)
 			for {
@@ -648,6 +647,53 @@ func TestSinkReturnsDrainedFrames(t *testing.T) {
 		t.Errorf("the processes took %d and %d messages: they did not unpack side by side", took[0], took[1])
 	}
 	t.Logf("%d frames (%d full) through a free list of %d buffers, %d and %d messages a process", st.Frames, st.SizeFlushes, bk.BufsFree, took[0], took[1])
+}
+
+// TestSinkSharesAFrameWithAParkedProcess: two ordinary processes of b1
+// unpack one frame's sixteen sub-messages, eight each. Whichever takes the
+// frame off the arrival queue finds the other parked there, and wakes it to
+// share the frame; without that the other stays parked with the sub-messages
+// it is owed in memory, and the run ends in a deadlock that names it. The
+// first message leaves alone, and the first process takes it first.
+func TestSinkSharesAFrameWithAParkedProcess(t *testing.T) {
+	const coalesced, size = 16, 64
+	cfg := fwd.DefaultConfig()
+	cfg.Eager, cfg.Aggregation = true, true
+	w := build(t, paperHS(t), cfg)
+	w.sim.Spawn("share-send", func(p *vtime.Proc) {
+		for i := 0; i <= coalesced; i++ {
+			px := w.vc.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, pattern(size, byte(i)), mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	var seen [1 + coalesced]int
+	for r, n := range []int{1 + coalesced/2, coalesced / 2} {
+		w.sim.Spawn(fmt.Sprintf("share-recv:%d", r), func(p *vtime.Proc) {
+			got := make([]byte, size)
+			for range n {
+				u := w.vc.At("b1").BeginUnpacking(p)
+				u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+				u.EndUnpacking(p)
+				if i := int(got[0]); i > coalesced || !bytes.Equal(got, pattern(size, got[0])) {
+					t.Errorf("process %d unpacked garbage: % x...", r, got[:8])
+				} else {
+					seen[i]++
+				}
+			}
+		})
+	}
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("message %d delivered %d times", i, n)
+		}
+	}
+	if st := w.vc.AggStats(); st.Frames != 2 || st.SubMessages != 1+coalesced {
+		t.Errorf("stats %+v, want the first message alone and the other %d in one frame", st, coalesced)
+	}
 }
 
 // TestAggOrderAcrossPathsWithPrefetchingSink sends small, large, small, …

@@ -14,14 +14,13 @@ import (
 )
 
 // Fuzz targets for the codecs that parse bytes off the wire: the stream
-// header every gateway decodes before relaying (§2.3), one target per header
-// shape over the one codec (a reliable data datagram opens with it too), and
-// the reliable engine's ack batch and descriptor formats. The
-// contract under test is the same for all of them: decode never panics,
-// rejects malformed input with ok=false, and accepts exactly the encoder's
-// output — for every accepted input the re-encoded fields reproduce the input
-// byte for byte. FuzzStreamOpen covers the step above the codec, the parse of
-// a stream's first transfer.
+// header every gateway decodes before relaying (§2.3), through FuzzStreamOpen,
+// the parse of a stream's first transfer, whatever its header's shape (a
+// reliable data datagram opens with the unicast one too), and the reliable
+// engine's ack batch and descriptor formats. The contract under test is the
+// same for all of them: decode never panics, rejects malformed input with
+// ok=false, and accepts exactly the encoder's output — for every accepted
+// input the re-encoded fields reproduce the input byte for byte.
 
 // encodeHeader is a header of kind as a value; the stream writer writes it in
 // place.
@@ -39,9 +38,9 @@ func encodeCompact(h streamHdr, frag []byte) []byte {
 
 // checkHeader holds a header that decodeStreamHeader accepted as h to what
 // every receiver acts on: a usable MTU, a re-encoding of hdr byte for byte, a
-// rail's span within its total, and a multicast header's destinations
-// strictly ascending, of a bounded count, with any single flipped byte
-// rejected.
+// rail's span within its total and a unicast header in its first 20 bytes,
+// and a multicast header's destinations strictly ascending, of a bounded
+// count, with any single flipped byte rejected.
 func checkHeader(t *testing.T, kind mad.Kind, h streamHdr, hdr []byte) {
 	t.Helper()
 	if h.mtu <= 0 {
@@ -55,6 +54,12 @@ func checkHeader(t *testing.T, kind mad.Kind, h streamHdr, hdr []byte) {
 		// A corrupted span must never index the posted buffer out of bounds.
 		if h.nrails < 1 || h.rail >= h.nrails || h.spanStart < 0 || h.spanLen < 0 || h.spanStart+h.spanLen > h.total {
 			t.Fatalf("accepted unusable rail fields: %+v", h)
+		}
+		// Its first 20 bytes are a unicast header, so a gateway routes a rail
+		// without understanding striping.
+		g, ok := decodeStreamHeader(mad.KindGTM, hdr[:gtmHeaderLen], nil)
+		if !ok || g.src != h.src || g.dst != h.dst || g.mtu != h.mtu || g.id != h.id {
+			t.Fatalf("rail header prefix is not a unicast header: %+v", h)
 		}
 	case mad.KindMcast:
 		// A corrupted set silently mis-replicates: canonical lists of a
@@ -114,92 +119,6 @@ func TestStreamHeaderLayout(t *testing.T) {
 	}
 }
 
-// FuzzGTMHeader covers the unicast header a GTM stream opens with. The only
-// legal grounds for rejecting one are its length and a zero MTU.
-func FuzzGTMHeader(f *testing.F) {
-	for _, seed := range gtmHeaderSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeStreamHeader(mad.KindGTM, data, nil)
-		if !ok {
-			if len(data) == gtmHeaderLen && binary.LittleEndian.Uint32(data[4:]) != 0 {
-				t.Fatalf("rejected a well-formed %d-byte header with mtu %d",
-					len(data), binary.LittleEndian.Uint32(data[4:]))
-			}
-			return
-		}
-		checkHeader(t, mad.KindGTM, h, data)
-	})
-}
-
-// FuzzGTMCompactHeader covers the eager path's compact first transfer: the
-// unicast header with the first data fragment glued on, kept apart by the
-// transfer's two block descriptors. The fragment may be empty (header-only
-// compact frame); everything after the header is fragment, so any length at
-// or above gtmHeaderLen with a usable MTU must be accepted and round-trip
-// exactly.
-func FuzzGTMCompactHeader(f *testing.F) {
-	for _, seed := range gtmCompactSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		meta := mad.TxMeta{SOM: true, Kind: mad.KindEager, Blocks: []mad.BlockDesc{
-			headerDesc(gtmHeaderLen), {Size: len(data) - gtmHeaderLen}}}
-		o, ok := parseStream(mad.KindEager, meta, data, nil)
-		if !ok {
-			if len(data) >= gtmHeaderLen && binary.LittleEndian.Uint32(data[4:]) != 0 {
-				t.Fatalf("rejected a well-formed %d-byte compact frame with mtu %d",
-					len(data), binary.LittleEndian.Uint32(data[4:]))
-			}
-			return
-		}
-		if len(o.payload) != len(data)-gtmHeaderLen {
-			t.Fatalf("fragment length %d does not cover the %d bytes after the header",
-				len(o.payload), len(data)-gtmHeaderLen)
-		}
-		checkHeader(t, mad.KindEager, o.streamHdr, data[:o.hsize])
-		if re := encodeCompact(o.streamHdr, o.payload); !bytes.Equal(re, data) {
-			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
-		}
-	})
-}
-
-// FuzzStripeHeader covers a rail's header. Its first 20 bytes are a unicast
-// header, so a gateway routes a rail without understanding striping.
-func FuzzStripeHeader(f *testing.F) {
-	for _, seed := range stripeHeaderSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeStreamHeader(mad.KindStripe, data, nil)
-		if !ok {
-			return
-		}
-		checkHeader(t, mad.KindStripe, h, data)
-		g, gok := decodeStreamHeader(mad.KindGTM, data[:gtmHeaderLen], nil)
-		if !gok || g.src != h.src || g.dst != h.dst || g.mtu != h.mtu || g.id != h.id {
-			t.Fatalf("rail header prefix is not a unicast header: %+v", h)
-		}
-	})
-}
-
-// FuzzMcastHeader covers the multicast destination-set header. Acceptance
-// is strict: canonical (strictly increasing) destination lists only, a
-// bounded count, a usable MTU and a matching CRC.
-func FuzzMcastHeader(f *testing.F) {
-	for _, seed := range mcastHeaderSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ok := decodeStreamHeader(mad.KindMcast, data, nil)
-		if !ok {
-			return
-		}
-		checkHeader(t, mad.KindMcast, h, data)
-	})
-}
-
 // FuzzStreamOpen covers the step every receiver of a stream takes before it
 // trusts a byte of it: parseStream on the first transfer — the final
 // receiver's open and the gateway's classify are this one call, so what one
@@ -209,88 +128,126 @@ func FuzzMcastHeader(f *testing.F) {
 // exactly with no negative size, at most one block rides an eager header, a
 // frame is exactly one block and the whole message, multicast payload rides
 // only with the terminator, and a header that always travels alone did. A
-// unicast header is rejected for its length or a zero MTU only. Every input is
-// also parsed into scratch full of stale ranks, as a gateway's ring and a
-// sink's channel reuse theirs: the result is the same, so nothing stale leaks
-// into a decoded destination set.
+// well-formed unicast header is accepted: one is rejected for its length or a
+// zero MTU only. So is a well-formed compact frame — that header with one
+// fragment, possibly empty, behind it — which round-trips byte for byte. Every
+// input is also parsed into scratch full of stale ranks, as a gateway's ring
+// and a sink's channel reuse theirs: the result is the same, so nothing stale
+// leaks into a decoded destination set.
 func FuzzStreamOpen(f *testing.F) {
-	sizes := func(ns ...int) []byte {
-		var b []byte
-		for _, n := range ns {
-			b = binary.LittleEndian.AppendUint16(b, uint16(n))
-		}
-		return b
-	}
 	for _, eom := range []bool{false, true} {
 		for _, seed := range gtmHeaderSeeds() {
-			f.Add(uint8(mad.KindGTM), true, eom, sizes(len(seed)), seed)
+			f.Add(uint8(mad.KindGTM), true, eom, blockSizes(len(seed)), seed)
 		}
 		for _, seed := range stripeHeaderSeeds() {
-			f.Add(uint8(mad.KindStripe), true, eom, sizes(len(seed)), seed)
+			f.Add(uint8(mad.KindStripe), true, eom, blockSizes(len(seed)), seed)
 		}
 		for _, seed := range gtmCompactSeeds() {
-			f.Add(uint8(mad.KindEager), true, eom, sizes(gtmHeaderLen, len(seed)-gtmHeaderLen), seed)
-			f.Add(uint8(mad.KindAgg), true, eom, sizes(gtmHeaderLen, len(seed)-gtmHeaderLen), seed)
+			f.Add(uint8(mad.KindEager), true, eom, blockSizes(gtmHeaderLen, len(seed)-gtmHeaderLen), seed)
+			f.Add(uint8(mad.KindAgg), true, eom, blockSizes(gtmHeaderLen, len(seed)-gtmHeaderLen), seed)
 		}
 		for _, seed := range mcastHeaderSeeds() {
-			f.Add(uint8(mad.KindMcast), true, eom, sizes(len(seed)), seed)
-			f.Add(uint8(mad.KindMcast), true, eom, sizes(len(seed), 3, 0, 4), append(seed[:len(seed):len(seed)], "payload"...))
+			f.Add(uint8(mad.KindMcast), true, eom, blockSizes(len(seed)), seed)
+			f.Add(uint8(mad.KindMcast), true, eom, blockSizes(len(seed), 3, 0, 4), append(seed[:len(seed):len(seed)], "payload"...))
 		}
 	}
-	f.Add(uint8(mad.KindPlain), true, false, sizes(4), []byte("body"))
-	f.Add(uint8(mad.KindGTM), false, false, sizes(gtmHeaderLen), gtmHeaderSeeds()[0])
-	f.Fuzz(func(t *testing.T, k uint8, som, eom bool, blockSizes, first []byte) {
-		kind := mad.Kind(k)
-		unicast := kind == mad.KindGTM || kind == mad.KindEager || kind == mad.KindAgg
-		if unicast && len(first) == gtmHeaderLen && binary.LittleEndian.Uint32(first[4:]) != 0 {
-			if _, ok := decodeStreamHeader(kind, first, nil); !ok {
-				t.Fatalf("rejected a well-formed %v header %x", kind, first)
-			}
+	f.Add(uint8(mad.KindPlain), true, false, blockSizes(4), []byte("body"))
+	f.Add(uint8(mad.KindGTM), false, false, blockSizes(gtmHeaderLen), gtmHeaderSeeds()[0])
+	f.Fuzz(checkStreamOpen)
+}
+
+// FuzzGTMHeader, FuzzGTMCompactHeader, FuzzStripeHeader and FuzzMcastHeader
+// were one target per header shape of the codec FuzzStreamOpen drives. They
+// are kept as their seed corpora, replayed through its check: a header alone,
+// or a compact frame's header and fragment. make fuzz fuzzes FuzzStreamOpen.
+func FuzzGTMHeader(f *testing.F)        { replayStreamOpen(f, mad.KindGTM, gtmHeaderSeeds()) }
+func FuzzStripeHeader(f *testing.F)     { replayStreamOpen(f, mad.KindStripe, stripeHeaderSeeds()) }
+func FuzzMcastHeader(f *testing.F)      { replayStreamOpen(f, mad.KindMcast, mcastHeaderSeeds()) }
+func FuzzGTMCompactHeader(f *testing.F) { replayStreamOpen(f, mad.KindEager, gtmCompactSeeds()) }
+
+// replayStreamOpen runs seeds, first transfers of kind, through
+// checkStreamOpen: an eager one as a header and one fragment, any other as a
+// header alone.
+func replayStreamOpen(f *testing.F, kind mad.Kind, seeds [][]byte) {
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, first []byte) {
+		sizes := blockSizes(len(first))
+		if kind == mad.KindEager {
+			sizes = blockSizes(gtmHeaderLen, len(first)-gtmHeaderLen)
 		}
-		meta := mad.TxMeta{SOM: som, EOM: eom, Kind: kind}
-		for ; len(blockSizes) >= 2; blockSizes = blockSizes[2:] {
-			// Signed, so that a corrupted descriptor can claim a negative size.
-			meta.Blocks = append(meta.Blocks, mad.BlockDesc{Size: int(int16(binary.LittleEndian.Uint16(blockSizes)))})
-		}
-		o, ok := parseStream(kind, meta, first, nil)
-		dirty := []mad.Rank{9, 0xdeadbeef, 3, 3, 1, 0, 7, 5}
-		if o2, ok2 := parseStream(kind, meta, first, dirty[:len(dirty)/2]); ok2 != ok || ok && !reflect.DeepEqual(o2, o) {
-			t.Fatalf("parsed into stale scratch: %v %+v, into nil: %v %+v", ok2, o2.streamHdr, ok, o.streamHdr)
-		}
-		if !ok {
-			return
-		}
-		if !som || framingOf(kind) == nil {
-			t.Fatalf("accepted a transfer that starts no %v stream (SOM %v)", kind, som)
-		}
-		if o.hsize < 0 || o.hsize > len(first) || len(o.payload) != len(first)-o.hsize {
-			t.Fatalf("header of %d bytes and payload of %d in a transfer of %d", o.hsize, len(o.payload), len(first))
-		}
-		checkHeader(t, kind, o.streamHdr, first[:o.hsize])
-		covered := 0
-		for _, d := range o.descs {
-			if d.Size < 0 {
-				t.Fatalf("accepted a negative block size: %v", o.descs)
-			}
-			covered += d.Size
-		}
-		if covered != len(o.payload) {
-			t.Fatalf("descriptors %v cover %d of the %d payload bytes", o.descs, covered, len(o.payload))
-		}
-		if frags := splitByDescs(nil, o.payload, o.descs); len(frags) != len(o.descs) {
-			t.Fatalf("%d fragments for %d descriptors", len(frags), len(o.descs))
-		}
-		switch n := len(o.descs); {
-		case framingOf(kind).bracketed && (n != 0 || o.hsize != framingOf(kind).hdrDesc[0].Size):
-			t.Fatalf("a %v header of %d bytes with %d payload blocks in its transfer", kind, o.hsize, n)
-		case kind == mad.KindEager && n > 1:
-			t.Fatalf("%d payload blocks ride an eager header", n)
-		case kind == mad.KindAgg && (n != 1 || !eom):
-			t.Fatalf("aggregate transfer of %d blocks, EOM %v", n, eom)
-		case kind == mad.KindMcast && n > 0 && !eom:
-			t.Fatalf("multicast payload rides a header without the terminator")
-		}
+		checkStreamOpen(t, uint8(kind), true, false, sizes, first)
 	})
+}
+
+// blockSizes encodes FuzzStreamOpen's block sizes, two bytes each.
+func blockSizes(ns ...int) []byte {
+	var b []byte
+	for _, n := range ns {
+		b = binary.LittleEndian.AppendUint16(b, uint16(n))
+	}
+	return b
+}
+
+// checkStreamOpen is FuzzStreamOpen's check of one first transfer.
+func checkStreamOpen(t *testing.T, k uint8, som, eom bool, sizes, first []byte) {
+	kind := mad.Kind(k)
+	unicast := kind == mad.KindGTM || kind == mad.KindEager || kind == mad.KindAgg
+	if unicast && len(first) == gtmHeaderLen && binary.LittleEndian.Uint32(first[4:]) != 0 {
+		if _, ok := decodeStreamHeader(kind, first, nil); !ok {
+			t.Fatalf("rejected a well-formed %v header %x", kind, first)
+		}
+	}
+	meta := mad.TxMeta{SOM: som, EOM: eom, Kind: kind}
+	for ; len(sizes) >= 2; sizes = sizes[2:] {
+		// Signed, so that a corrupted descriptor can claim a negative size.
+		meta.Blocks = append(meta.Blocks, mad.BlockDesc{Size: int(int16(binary.LittleEndian.Uint16(sizes)))})
+	}
+	compact := kind == mad.KindEager && som && len(first) >= gtmHeaderLen && binary.LittleEndian.Uint32(first[4:]) != 0 &&
+		len(meta.Blocks) == 2 && meta.Blocks[0].Size == gtmHeaderLen && meta.Blocks[1].Size == len(first)-gtmHeaderLen
+	o, ok := parseStream(kind, meta, first, nil)
+	if compact && (!ok || !bytes.Equal(encodeCompact(o.streamHdr, o.payload), first)) {
+		t.Fatalf("a well-formed %d-byte compact frame: accepted %v, or it does not round-trip", len(first), ok)
+	}
+	dirty := []mad.Rank{9, 0xdeadbeef, 3, 3, 1, 0, 7, 5}
+	if o2, ok2 := parseStream(kind, meta, first, dirty[:len(dirty)/2]); ok2 != ok || ok && !reflect.DeepEqual(o2, o) {
+		t.Fatalf("parsed into stale scratch: %v %+v, into nil: %v %+v", ok2, o2.streamHdr, ok, o.streamHdr)
+	}
+	if !ok {
+		return
+	}
+	if !som || framingOf(kind) == nil {
+		t.Fatalf("accepted a transfer that starts no %v stream (SOM %v)", kind, som)
+	}
+	if o.hsize < 0 || o.hsize > len(first) || len(o.payload) != len(first)-o.hsize {
+		t.Fatalf("header of %d bytes and payload of %d in a transfer of %d", o.hsize, len(o.payload), len(first))
+	}
+	checkHeader(t, kind, o.streamHdr, first[:o.hsize])
+	covered := 0
+	for _, d := range o.descs {
+		if d.Size < 0 {
+			t.Fatalf("accepted a negative block size: %v", o.descs)
+		}
+		covered += d.Size
+	}
+	if covered != len(o.payload) {
+		t.Fatalf("descriptors %v cover %d of the %d payload bytes", o.descs, covered, len(o.payload))
+	}
+	var h heldMsg
+	if h.park(o.payload, o.descs); len(h.frags) != len(o.descs) {
+		t.Fatalf("%d fragments for %d descriptors", len(h.frags), len(o.descs))
+	}
+	switch n := len(o.descs); {
+	case framingOf(kind).bracketed && (n != 0 || o.hsize != framingOf(kind).hdrDesc[0].Size):
+		t.Fatalf("a %v header of %d bytes with %d payload blocks in its transfer", kind, o.hsize, n)
+	case kind == mad.KindEager && n > 1:
+		t.Fatalf("%d payload blocks ride an eager header", n)
+	case kind == mad.KindAgg && (n != 1 || !eom):
+		t.Fatalf("aggregate transfer of %d blocks, EOM %v", n, eom)
+	case kind == mad.KindMcast && n > 0 && !eom:
+		t.Fatalf("multicast payload rides a header without the terminator")
+	}
 }
 
 // TestRelDatagramLayout pins the reliable data datagram: it opens with the
@@ -496,22 +453,18 @@ func FuzzRelHandle(f *testing.F) {
 				if !ok {
 					break
 				}
-				m := in.rel
+				h := in.held
 				switch {
-				case dataOK && m.origin == d.src && m.id == d.id:
-				case e.node.Rank == b0 && m.origin == a0:
+				case dataOK && h.src == d.src && h.id == d.id:
+				case e.node.Rank == b0 && h.src == a0:
 					delivered++
-					var got []byte
-					for _, fr := range m.frags[1:] {
-						got = append(got, fr.payload...)
-					}
-					if !impersonated && !bytes.Equal(got, msg) {
+					if got := bytes.Join(h.frags, nil); !impersonated && !bytes.Equal(got, msg) {
 						t.Errorf("b0 holds a0's message with %d bytes unlike the %d a0 sent", len(got), len(msg))
 					}
 				default:
-					t.Errorf("%s holds message %d of rank %d, which no sender sent", e.node.Name, m.id, m.origin)
+					t.Errorf("%s holds message %d of rank %d, which no sender sent", e.node.Name, h.id, h.src)
 				}
-				e.freeMsg(m)
+				vc.release(h)
 			}
 			for k, m := range e.rx {
 				delete(e.rx, k)

@@ -551,13 +551,15 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 		}
 		b.tx.q.Send(p, gwTx{meta: meta, data: first, msgID: f.id})
 	}
-	var capture *mcastLocal
+	var capture *heldMsg // what this gateway holds for its node, a destination too
+	if local {
+		capture = vc.hold(f.src, f.mtu, f.id)
+	}
 	if !f.meta.EOM {
-		capture = g.pipeline(p, r, in, &f, branches, local)
+		g.pipeline(p, r, in, &f, branches, capture)
 	} else if local {
 		// The whole message is in gateway memory (its driver slot).
-		capture = &mcastLocal{f.streamHdr, parkedFrags{
-			frags: splitByDescs(make([][]byte, 0, len(f.descs)), f.payload, f.descs), descs: f.descs}}
+		capture.park(f.payload, f.descs)
 	}
 	for _, b := range branches {
 		b.tx.enq.Unlock(p)
@@ -566,7 +568,7 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 		// Through the node's merged arrival queue, which wakes a
 		// BeginUnpacking blocked there like any other arrival.
 		g.met.local.Add(1)
-		vc.merged[g.node.Rank].Send(p, incoming{mcast: capture})
+		vc.merged[g.node.Rank].Send(p, incoming{held: capture})
 	}
 	return g.met.bytes.Count() - bytesBefore
 }
@@ -577,8 +579,8 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 // them. Each buffer switch costs the host's software overhead (§3.3.1
 // measures ≈40 µs). A fragment is received once whatever the branch count;
 // the slot's reference count (relaySlot) bounds how far ingress runs ahead
-// of the slowest branch. It returns the local capture of a message this node
-// is itself a destination of.
+// of the slowest branch. It copies each fragment into capture, when this node
+// is itself a destination of the message.
 //
 // Buffer election (§2.3), for a message leaving this gateway on one branch:
 //   - egress static (and zero-copy on): buffers come from the egress
@@ -606,7 +608,7 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 // through every egress branch, so one credit goes back to the upstream
 // sender, and every egress transfer toward a downstream gateway spends one
 // of this gateway's own credits first.
-func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []relayBranch, local bool) *mcastLocal {
+func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []relayBranch, capture *heldMsg) {
 	vc := g.vc
 	cfg := vc.cfg
 	tr := cfg.Tracer
@@ -627,11 +629,6 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			pool = nil
 		}
 	}
-	var capture *mcastLocal
-	if local {
-		capture = &mcastLocal{h: f.streamHdr}
-	}
-
 	// stalled records a pipeline bubble: the egress side is the bottleneck —
 	// every staging buffer in flight, or a sender's queue full — and the
 	// receive thread has waited for it since t0.
@@ -684,7 +681,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			// The slot taken for the terminator goes to no sender; the
 			// terminator transfer consumed a sender credit like any other.
 			g.recycle(p, s)
-			return capture
+			return
 		}
 		s.desc = meta.Blocks
 		if !cfg.ZeroCopy {
@@ -705,12 +702,11 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		tr.Record(recvActor, "swap", 0, t0, p.Now())
 		m.swap.ObserveDuration(vtime.Since(p.Now(), t0))
 		fr.Record(flight.KindSwap, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
-		if local {
+		if capture != nil {
 			// The slot is recycled by the branch senders; the local copy
 			// is the gateway-member's delivery cost.
 			host.Memcpy(p, n)
-			capture.frags = append(capture.frags, append([]byte(nil), s.data...))
-			capture.descs = append(capture.descs, meta.Blocks[0])
+			capture.park(append([]byte(nil), s.data...), meta.Blocks[:1])
 		}
 		s.refs = len(branches)
 		t0 = p.Now()
@@ -727,7 +723,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			g.recycle(p, s)
 		}
 		if meta.EOM {
-			return capture
+			return
 		}
 	}
 }

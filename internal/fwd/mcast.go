@@ -262,17 +262,6 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank
 	x.tx.message(p, x.blks, x.total, nil)
 }
 
-// mcastLocal is a fully captured multicast message a relaying gateway
-// delivers to its own node: the gateway copies each staged fragment out of
-// the shared ring (or retains the compact frame's slot) and funnels the
-// result through the node's merged arrival queue like any other incoming.
-// Its header's destinations are the relay ring's, which the ring's next
-// multicast rewrites: the delivery reads none.
-type mcastLocal struct {
-	h streamHdr
-	parkedFrags
-}
-
 // mcastSplit partitions a multicast frame's destination set at this gateway
 // (splitByHop): the local flag if the gateway itself is a destination, plus
 // one replicated egress branch of the ring — with its rewritten header — per

@@ -118,17 +118,17 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 	}
 }
 
-// records are the free lists of framing records, one per kind. A record on a
-// list is zero but for its generation.
+// records are the free lists of framing records, one per kind, zero on a list
+// but for their generation, and of held messages, which keep their storage.
 type records struct {
 	aggPacking      freeList[aggPacking]
 	bufPacking      freeList[bufPacking]
 	plainPacking    freeList[plainPacking]
 	aggUnpacking    freeList[aggUnpacking]
 	streamUnpacking freeList[streamUnpacking]
-	relUnpacking    freeList[relUnpacking]
 	stripeUnpacking freeList[stripeUnpacking]
 	plainUnpacking  freeList[plainUnpacking]
+	held            freeList[heldMsg]
 }
 
 // freeList is a LIFO of spare objects of one kind, the one free list of the

@@ -413,25 +413,20 @@ type relFrag struct {
 	buf     []byte
 }
 
-// relMsg is a message being reassembled at its final destination. It is
-// handed to the unpacking side through the node's merged arrival queue once
-// every fragment arrived; the unpacking side returns the fragments' buffers
-// when it has copied them out.
+// relMsg is a message being reassembled at its final destination. Once every
+// fragment arrived and they agree with its descriptor, it is handed to the
+// application as a held message (hold) and recycled.
 type relMsg struct {
 	origin mad.Rank
 	id     uint64
 	total  uint32
 	frags  []relFrag // by fragment index, len == total
 	got    uint32    // fragments present
-	// mtu is its headers'; desc is its fragment-0 descriptor, set by verify.
-	mtu  int
-	desc []mad.BlockDesc
+	mtu    int       // its headers'
 	// payload is the bytes of the fragments present past fragment 0, the
 	// block descriptors: what the delivery hop record reports.
 	payload int
-	// agg marks a message whose payload is an aggregate frame (flagAgg):
-	// the unpacking side decodes the frame into its coalesced sub-messages
-	// instead of handing the message to the application directly.
+	// agg marks a message whose payload is an aggregate frame (flagAgg).
 	agg bool
 }
 
@@ -1429,7 +1424,8 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	// Dropping the rx entry of a complete message is what keeps a long-lived
 	// node's reassembly table from growing one record per message.
 	delete(e.rx, mkey)
-	if !m.verify() {
+	h := e.hold(m)
+	if h == nil {
 		// CRC-valid fragments that disagree with their descriptor: dropped
 		// unacked, so the origin's resends end in a DeliveryError.
 		e.count(relChecksumDrops, 1)
@@ -1438,32 +1434,44 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		return true
 	}
 	e.markDone(d.src, d.id)
-	e.vc.merged[e.node.Rank].TrySend(incoming{rel: m}) // room checked above
 	e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: int(m.total)}, m.payload)
+	e.msgFree.put(m)
+	e.vc.merged[e.node.Rank].TrySend(incoming{held: h}) // room checked above
 	e.sendE2E(d.src, d.id)
 	return true
 }
 
-// verify decodes a complete message's fragment-0 descriptor into m and holds
-// the fragments to it: the descriptor's MTU is the header's, an aggregate
-// frame is one block, and the fragments are exactly those the blocks cut at
-// that MTU, in count and in length. The unpacking side then trusts them.
-func (m *relMsg) verify() bool {
-	mtu, desc, ok := decodeRelDesc(m.frags[0].payload, m.desc)
-	if !ok || mtu != m.mtu || m.agg && len(desc) != 1 {
-		return false
-	}
-	m.desc = desc
+// hold verifies a complete message and hands it over whole with every
+// datagram, or returns nil and leaves it be. The fragment-0 descriptor's MTU
+// must be the header's, an aggregate frame one block, and the fragments past
+// it exactly those the blocks cut at that MTU, so the sink trusts them.
+func (e *relEngine) hold(m *relMsg) *heldMsg {
+	vc := e.vc
+	h := vc.hold(m.origin, m.mtu, m.id)
+	mtu, desc, ok := decodeRelDesc(m.frags[0].payload, h.blocks)
+	ok = ok && mtu == m.mtu && (!m.agg || len(desc) == 1)
 	next := 1
-	for _, b := range desc {
-		for off := 0; off == 0 || off < b.Size; off += mtu { // an empty block is one empty fragment
-			if next == len(m.frags) || len(m.frags[next].payload) != min(mtu, b.Size-off) {
-				return false
+	for i := 0; ok && i < len(desc); i++ {
+		b := desc[i]
+		for off := 0; ok && (off == 0 || off < b.Size); off += mtu { // an empty block is one empty fragment
+			if ok = next < len(m.frags) && len(m.frags[next].payload) == min(mtu, b.Size-off); ok && off < b.Size {
+				h.frags = append(h.frags, m.frags[next].payload)
+				h.descs = append(h.descs, mad.BlockDesc{Size: len(m.frags[next].payload), S: b.S, R: b.R})
 			}
 			next++
 		}
 	}
-	return next == len(m.frags)
+	if !ok || next != len(m.frags) {
+		vc.release(h)
+		return nil
+	}
+	h.direct = len(vc.tp.SharedNetworks(vc.sess.Node(m.origin).Name, e.node.Name)) > 0
+	h.known, h.blocks, h.cost, h.delivered, h.agg = true, desc, e.node.Host.CPU.PackCost, true, m.agg
+	for _, f := range m.frags {
+		h.bufs = append(h.bufs, f.buf)
+	}
+	clear(m.frags)
+	return h
 }
 
 // completes reports whether d is the one fragment its message (m, if any) lacks.
@@ -1483,7 +1491,7 @@ func (e *relEngine) newMsg(d *relData) *relMsg {
 		frags = make([]relFrag, d.total)
 	}
 	*m = relMsg{origin: d.src, id: d.id, total: d.total, frags: frags[:d.total],
-		mtu: int(d.mtu), desc: m.desc[:0], agg: d.flags&flagAgg != 0}
+		mtu: int(d.mtu), agg: d.flags&flagAgg != 0}
 	return m
 }
 
@@ -1756,48 +1764,4 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 		ChecksumDrops:  vc.relCount(relChecksumDrops),
 		RelayDrops:     vc.relCount(relRelayDrops),
 	}
-}
-
-// relUnpacking is the receiver side: the message is already reassembled and
-// verified (that is what the arrival means), so unpack calls check the
-// mirrored flags against the descriptor and copy fragments out.
-type relUnpacking struct {
-	gen      uint32
-	eng      *relEngine
-	m        *relMsg
-	nextBlk  int
-	nextFrag uint32
-}
-
-func (ru *relUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
-	m := ru.m
-	if ru.nextBlk >= len(m.desc) {
-		panic("fwd: unpack past the end of a reliable message")
-	}
-	d := m.desc[ru.nextBlk]
-	ru.nextBlk++
-	if d.S != s || d.R != r || d.Size != len(dst) {
-		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, len(dst), s, r))
-	}
-	host := ru.eng.node.Host
-	p.Sleep(host.CPU.PackCost)
-	mad.ForEachFragment(len(dst), m.mtu, func(off, n int) {
-		frag := m.frags[ru.nextFrag].payload // verify held its length to n
-		ru.nextFrag++
-		if n > 0 {
-			host.Memcpy(p, n)
-			copy(dst[off:off+n], frag)
-		}
-	})
-}
-
-func (ru *relUnpacking) end(p *vtime.Proc) {
-	if ru.nextBlk != len(ru.m.desc) {
-		panic(fmt.Sprintf("fwd: reliable message not fully unpacked (%d of %d blocks)", ru.nextBlk, len(ru.m.desc)))
-	}
-	// Every fragment has been copied out: the datagrams they arrived in go
-	// back to the pool, the message's record to the engine and this one to
-	// the channel.
-	ru.eng.freeMsg(ru.m)
-	ru.eng.vc.recs.relUnpacking.retire(ru, &ru.gen)
 }

@@ -687,34 +687,25 @@ func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arriva
 	return o
 }
 
-// streamRx is the receiver side of a stream, whatever its kind: open (or
-// openCaptured), then unpack for every block the application unpacks, then
-// close. Fragments that are already in memory — the payload that shared the
-// first transfer with the header, or a gateway's capture — are consumed
-// first; the rest are received in place off the link, posted MTU-sized so
-// relayed packets land where the application wants them. Like the writer it
-// keeps to what every stream needs.
+// streamRx is the receiver side of a stream, whatever its kind, or of a
+// message held whole: open, then unpack for every block the application
+// unpacks, then close. Fragments that are already in memory — the payload
+// that shared the first transfer with the header, or all of a message held
+// whole — are consumed first; the rest are received in place off the link,
+// posted MTU-sized so relayed packets land where the application wants them.
+// Like the writer it keeps to what every stream needs.
 type streamRx struct {
 	vc   *VirtualChannel
 	node *mad.Node
-	link *mad.Link // nil for a message the local gateway captured
+	link *mad.Link // nil for a message held whole
 	mtu  int
 	id   uint64
-	got  int // payload bytes delivered
-	// parked is the payload already in memory; nil when there was none.
-	parked *parkedFrags
-	hdrBuf [gtmHeaderLen]byte // where the seed framing's header lands, one per stream
+	got  int      // payload bytes delivered
+	held *heldMsg // the payload already in memory; nil when there was none
+	// hdrBuf is where the seed framing's header lands, one per stream.
+	hdrBuf [gtmHeaderLen]byte
 	kind   mad.Kind
 	eom    bool // the terminator has been seen
-}
-
-// parkedFrags is payload that reached memory ahead of the application's
-// Unpack, fragment by fragment with their descriptors.
-type parkedFrags struct {
-	frags [][]byte
-	descs []mad.BlockDesc
-	next  int
-	one   [1][]byte // backs frags for the eager framing's single piggybacked fragment
 }
 
 // open opens an announced stream and returns what its first transfer said.
@@ -727,22 +718,82 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 	o := vc.openStream(p, node, a, scratch)
 	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.meta.EOM
 	if len(o.descs) > 0 {
-		rx.parked = &parkedFrags{descs: o.descs}
-		rx.parked.frags = splitByDescs(rx.parked.one[:0], o.payload, o.descs)
+		rx.held = vc.hold(o.src, o.mtu, o.id)
+		rx.held.park(o.payload, o.descs)
 	}
 	return o
 }
 
-// openCaptured opens a multicast message the local gateway captured whole
-// while replicating it downstream.
-func (rx *streamRx) openCaptured(vc *VirtualChannel, node *mad.Node, ml *mcastLocal) {
-	rx.vc, rx.node, rx.kind, rx.eom, rx.parked = vc, node, mad.KindMcast, true, &ml.parkedFrags
-	rx.mtu, rx.id = ml.h.mtu, ml.h.id
+// heldMsg is what a sink holds of a message in memory ahead of Unpack: the
+// payload that shared a stream's first transfer with its header, or all of a
+// message held whole — a multicast message the local gateway captured, a
+// reliable message its engine reassembled — which comes through the merged
+// arrival queue and reads like a compact multicast frame (beginUnpacking). The
+// fields from direct on are a reliable message's; a capture leaves them zero.
+type heldMsg struct {
+	src   mad.Rank
+	mtu   int
+	id    uint64
+	frags [][]byte        // the payload, fragment by fragment (park); an empty block has none
+	descs []mad.BlockDesc // and their descriptors
+	next  int
+	// direct: the message crossed no gateway. known: blocks are the sender's,
+	// and each Unpack is held to the next, so a block cannot be unpacked in
+	// fragment-sized parts, and pays the host's pack cost.
+	direct, known bool
+	blocks        []mad.BlockDesc
+	nextBlk       int
+	cost          vtime.Duration
+	bufs          [][]byte // the datagrams the fragments lie in
+	// delivered: the deliver hop was recorded at completion; agg: the payload
+	// is an aggregate frame (flagAgg), for aggDecodeReliable.
+	delivered, agg bool
+}
+
+// hold takes a record off the channel's free list for message id from src,
+// fragmented at mtu.
+func (vc *VirtualChannel) hold(src mad.Rank, mtu int, id uint64) *heldMsg {
+	h := vc.recs.held.get()
+	h.src, h.mtu, h.id = src, mtu, id
+	return h
+}
+
+// release returns h's datagrams to the wire pool and the record, cleared but
+// for its slices' storage, to the free list.
+func (vc *VirtualChannel) release(h *heldMsg) {
+	for _, b := range h.bufs {
+		vc.bufs.put(b)
+	}
+	clear(h.bufs)
+	clear(h.frags)
+	*h = heldMsg{frags: h.frags[:0], descs: h.descs[:0], blocks: h.blocks[:0], bufs: h.bufs[:0]}
+	vc.recs.held.put(h)
+}
+
+// park appends the fragments descs describe, laid out back to back in
+// payload, to those h holds.
+func (h *heldMsg) park(payload []byte, descs []mad.BlockDesc) {
+	h.descs = append(h.descs, descs...)
+	for _, d := range descs {
+		h.frags = append(h.frags, payload[:d.Size])
+		payload = payload[d.Size:]
+	}
 }
 
 // unpack delivers one block — or the part of one a rail carries — into dst,
 // mirroring the writer's fragmentation.
 func (rx *streamRx) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	if h := rx.held; h != nil && h.known {
+		if h.nextBlk >= len(h.blocks) {
+			panic("fwd: unpack past the end of a reliable message")
+		}
+		d := h.blocks[h.nextBlk]
+		h.nextBlk++
+		if d.S != s || d.R != r || d.Size != len(dst) {
+			panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, len(dst), s, r))
+		}
+		p.Sleep(h.cost)
+	}
 	if len(dst) == 0 && framingOf(rx.kind).elideEmpty {
 		return
 	}
@@ -755,7 +806,7 @@ func (rx *streamRx) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Recv
 // against the modes and size the application unpacks with.
 func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
 	n, got := len(dst), len(dst)
-	pk := rx.parked
+	pk := rx.held
 	parked := pk != nil && pk.next < len(pk.frags)
 	var d mad.BlockDesc
 	switch {
@@ -775,8 +826,8 @@ func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Re
 		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))
 	}
 	if parked {
-		// The fragment landed glued to the header (or was captured into
-		// gateway memory), so handing it to the application is one real copy.
+		// The fragment landed glued to the header, or in memory the message
+		// is held in, so handing it to the application is one real copy.
 		rx.node.Host.Memcpy(p, n)
 		copy(dst, pk.frags[pk.next])
 		pk.next++
@@ -787,7 +838,10 @@ func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Re
 // close reads the terminator, where the framing sends one of its own, and
 // gives the link's receive side back.
 func (rx *streamRx) close(p *vtime.Proc) {
-	if pk := rx.parked; pk != nil && pk.next != len(pk.frags) {
+	if h := rx.held; h != nil && h.known && h.nextBlk != len(h.blocks) {
+		panic(fmt.Sprintf("fwd: reliable message not fully unpacked (%d of %d blocks)", h.nextBlk, len(h.blocks)))
+	}
+	if pk := rx.held; pk != nil && pk.next != len(pk.frags) {
 		panic("fwd: protocol error: stream ended with unconsumed fragments")
 	}
 	if framingOf(rx.kind).bracketed {
@@ -802,20 +856,8 @@ func (rx *streamRx) close(p *vtime.Proc) {
 	}
 }
 
-// splitByDescs slices the payload that shared a transfer with its header
-// back into per-block fragments, appending them to frags. parseStream has
-// held the descriptors against the payload's length.
-func splitByDescs(frags [][]byte, payload []byte, descs []mad.BlockDesc) [][]byte {
-	off := 0
-	for _, d := range descs {
-		frags = append(frags, payload[off:off+d.Size])
-		off += d.Size
-	}
-	return frags
-}
-
-// streamUnpacking is the receiver side of a stream delivered as one message:
-// the seed, eager and multicast framings, and a gateway's local capture.
+// streamUnpacking is the receiver side of a stream delivered as one message
+// — the seed, eager and multicast framings — and of a message held whole.
 type streamUnpacking struct {
 	gen uint32
 	streamRx
@@ -823,6 +865,11 @@ type streamUnpacking struct {
 
 func (g *streamUnpacking) end(p *vtime.Proc) {
 	g.close(p)
-	g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
+	if h := g.held; h == nil || !h.delivered {
+		g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
+	}
+	if g.held != nil {
+		g.vc.release(g.held)
+	}
 	g.vc.recs.streamUnpacking.retire(g, &g.gen)
 }

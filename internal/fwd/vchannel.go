@@ -140,15 +140,13 @@ type Binding struct {
 const mergedCap = 4096 // arrivals a node's merged queue holds for its application
 
 // incoming is an announced message on one of a node's regular channels,
-// funnelled into the node's merged arrival queue by its polling threads. In
-// reliable mode it is instead a fully-reassembled reliable message.
+// funnelled into the node's merged arrival queue by its polling threads, or a
+// message the node holds whole (heldMsg); an entry with neither wakes a
+// process to share a frame another one took (aggQueue).
 type incoming struct {
-	ep  *mad.Endpoint
-	a   mad.Arrival
-	rel *relMsg
-	// mcast is a multicast message a relaying gateway on this node captured
-	// for local delivery while replicating it (see mcast.go).
-	mcast *mcastLocal
+	ep   *mad.Endpoint
+	a    mad.Arrival
+	held *heldMsg
 	// ahead is the polling thread's permit, when it took it for this entry
 	// (pollAhead): whoever takes the entry off the queue returns it. frame is
 	// the aggregate frame of a KindAgg arrival, which that thread received.
@@ -816,23 +814,17 @@ func (e *Endpoint) beginUnpacking(p *vtime.Proc) Unpacking {
 		if in.ahead != nil {
 			in.ahead.Release(1)
 		}
-		if in.mcast != nil {
-			// A multicast message the local gateway captured while
-			// replicating it downstream.
-			g := e.vc.recs.streamUnpacking.get()
-			g.openCaptured(e.vc, e.node, in.mcast)
-			return Unpacking{g, in.mcast.h.src, true, &g.gen, g.gen}
-		}
-		if in.rel != nil {
-			if in.rel.agg {
-				e.vc.aggDecodeReliable(p, e.node, in.rel)
+		if h := in.held; h != nil {
+			if h.agg {
+				e.vc.aggDecodeReliable(p, e.node, h)
 				continue
 			}
-			ru := e.vc.recs.relUnpacking.get()
-			ru.eng, ru.m, ru.nextFrag = e.vc.rel[e.node.Name], in.rel, 1
-			srcName := e.vc.sess.Node(in.rel.origin).Name
-			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
-			return Unpacking{ru, in.rel.origin, fwd, &ru.gen, ru.gen}
+			g := e.vc.recs.streamUnpacking.get()
+			g.vc, g.node, g.kind, g.eom, g.held, g.mtu, g.id = e.vc, e.node, mad.KindMcast, true, h, h.mtu, h.id
+			return Unpacking{g, h.src, !h.direct, &g.gen, g.gen}
+		}
+		if in.ep == nil {
+			continue // woken to share a frame (aggQueue)
 		}
 		switch in.a.Kind() {
 		case mad.KindStripe:
@@ -850,7 +842,7 @@ func (e *Endpoint) beginUnpacking(p *vtime.Proc) Unpacking {
 		case mad.KindAgg:
 			// A whole aggregate frame, which the polling thread received:
 			// deliver its first sub-message on the next spin.
-			e.vc.aggst.rx[e.node.Rank] = append(e.vc.aggst.rx[e.node.Rank], in.frame)
+			e.vc.aggQueue(e.node.Rank, in.frame)
 		case mad.KindGTM, mad.KindEager, mad.KindMcast:
 			g := e.vc.recs.streamUnpacking.get()
 			return Unpacking{g, g.open(p, e.vc, e.node, in.a).src, true, &g.gen, g.gen}

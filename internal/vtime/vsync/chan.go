@@ -171,5 +171,8 @@ func (c *Chan[T]) Closed() bool { return c.closed }
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return len(c.buf) }
 
+// Receivers returns the number of processes parked in Recv.
+func (c *Chan[T]) Receivers() int { return c.recvers.len() }
+
 // Name returns the channel's diagnostic name.
 func (c *Chan[T]) Name() string { return c.name }

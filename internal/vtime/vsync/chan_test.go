@@ -55,6 +55,29 @@ func TestChanRendezvous(t *testing.T) {
 	})
 }
 
+// TestChanReceiversCountsParkedRecv: Receivers counts the processes parked in
+// Recv, and a value handed to one of them takes it off the count.
+func TestChanReceiversCountsParkedRecv(t *testing.T) {
+	runSim(t, func(s *vtime.Sim) {
+		ch := NewChan[int]("n", 4)
+		for i := 0; i < 2; i++ {
+			s.Spawn(fmt.Sprintf("recv%d", i), func(p *vtime.Proc) { ch.Recv(p) })
+		}
+		s.Spawn("send", func(p *vtime.Proc) {
+			p.Sleep(vtime.Microsecond)
+			if n := ch.Receivers(); n != 2 {
+				t.Errorf("%d receivers parked, want 2", n)
+			}
+			for want := 1; want >= 0; want-- {
+				ch.Send(p, 0)
+				if n := ch.Receivers(); n != want || ch.Len() != 0 {
+					t.Errorf("%d receivers parked and %d buffered after a send, want %d and 0", n, ch.Len(), want)
+				}
+			}
+		})
+	})
+}
+
 func TestChanBlocksWhenFull(t *testing.T) {
 	runSim(t, func(s *vtime.Sim) {
 		ch := NewChan[int]("f", 1)
