@@ -2,6 +2,7 @@ package madeleine_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	madeleine "madgo"
@@ -137,5 +138,21 @@ func TestStatsComposite(t *testing.T) {
 	gs, ok := sys.GatewayStats("gw")
 	if !ok || gs != st.Gateways[0].GatewayStats {
 		t.Errorf("GatewayStats(gw) = %+v ok=%v, want %+v", gs, ok, st.Gateways[0].GatewayStats)
+	}
+}
+
+// A per-network MTU that names no network of the system is a configuration
+// mistake, not a cap to ignore: NewSystem refuses it and names the network.
+// One that names a network only the failover paths keep alive is accepted.
+func TestNetworkMTUMustNameANetwork(t *testing.T) {
+	if _, err := madeleine.NewSystem(latticeTopo, madeleine.WithNetworkMTU("nosuch", 1024)); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Errorf("an MTU for a missing network: err = %v, want one naming nosuch", err)
+	}
+	if _, err := madeleine.NewSystem(latticeTopo, madeleine.WithNetworkMTU("s", 8*1024)); err != nil {
+		t.Errorf("an MTU for network s rejected: %v", err)
+	}
+	if _, err := madeleine.NewSystem(latticeTopo, madeleine.WithReliableDelivery(),
+		madeleine.WithRouteNetworks("m"), madeleine.WithNetworkMTU("s", 8*1024)); err != nil {
+		t.Errorf("an MTU for the failover network s rejected: %v", err)
 	}
 }

@@ -12,17 +12,14 @@ package fwd
 // rule without the timer): a lone message waits for nothing and a stream
 // batches as much as its path is busy (DESIGN.md §24).
 //
-// Transport composition at flush time:
-//
-//   - streaming, single rail: the frame travels as one compact KindAgg
-//     transfer ([GTM header | frame] with two block descriptors), relayed
-//     obliviously by gateways (gateway.go, classify);
-//   - streaming, ≥2 rails and a frame past the stripe threshold: the frame
-//     is striped like any large message, with flagAgg telling the
-//     receiver to decode the reassembled bytes as a frame;
-//   - reliable mode: the frame is one reliable message under a single ARQ
-//     sequence (flagAgg again), so retransmission and failover cover every
-//     coalesced sub-message at once.
+// A flushed frame is one message to sendBuffered (vchannel.go), the one
+// place that gives a message buffered whole its transport: in reliable mode
+// one reliable message under a single ARQ sequence, so retransmission and
+// failover cover every coalesced sub-message at once; past the stripe
+// threshold on a pair with two rails, the rails; else one compact KindAgg
+// transfer ([GTM header | frame] with two block descriptors) that gateways
+// relay obliviously (gateway.go, classify). flagAgg tells a reliable or
+// striped receiver to decode the reassembled bytes as a frame.
 //
 // Ordering: one frame of a coalescer is on its way at a time, and a message
 // too large to coalesce waits for the frame in flight and flushes what is
@@ -151,8 +148,8 @@ func (vc *VirtualChannel) AggStats() AggStats {
 
 // aggCoalescer batches one (node, destination) pair's small messages. mu
 // guards the pending frame and is never held across a wire transfer; busy
-// says a sealed frame is on its way, and whoever set it owns body and tx
-// until it clears it. On cond the daemon waits for work and a free path, a
+// says a sealed frame is on its way, and whoever set it owns body, wire and
+// tx until it clears it. On cond the daemon waits for work and a free path, a
 // bypass or spill for the frame in flight, a sender for room. There is no
 // second lock.
 type aggCoalescer struct {
@@ -175,12 +172,14 @@ type aggCoalescer struct {
 	ids     []uint64
 	scratch []agg.Block
 
-	// body is the frame on its way as the one block its transport sends, tx
-	// the writer of the compact flush, here so that a flush allocates neither.
-	// Of an aggregate stream nothing a gateway still reads lives in tx: the
-	// header travels in the frame's buffer, the descriptors in a pair from the
-	// wire pool that travels with it.
+	// body is the frame on its way as the one block its transport sends, wire
+	// the buffer it lies in behind the GTM header room, tx the writer of the
+	// compact transfer, here so that a flush allocates none of them. Of an
+	// aggregate stream nothing a gateway still reads lives in tx: the header
+	// travels in the frame's buffer, the descriptors in a pair from the wire
+	// pool that travels with it.
 	body [1]relBlock
+	wire []byte
 	tx   streamTx
 
 	// The coalescer's counts and wait histogram handle, labelled {node} — a
@@ -245,14 +244,21 @@ func (c *aggCoalescer) run(p *vtime.Proc) {
 	}
 }
 
+// outgrowsFrame is the one frame-budget test: whether a message of n blocks
+// and total bytes is too large for an empty frame on a path of MTU mtu, once
+// the compact transfer's GTM header is in front. The bound, not Builder.Need:
+// what goes around must not depend on what is queued.
+func outgrowsFrame(n, total, mtu int) bool {
+	return agg.HeaderLen+agg.SubSizeParts(n, total) > mtu-gtmHeaderLen
+}
+
 // add coalesces one finished message (or, when it cannot fit even an empty
 // frame, sends it the ordinary way behind what is queued). Called from
-// aggPacking.end on the application's process.
+// bufPacking.end on the application's process.
 func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
-	// The bound, not Need: what goes around must not depend on what is queued.
-	if agg.HeaderLen+agg.SubSizeParts(len(blocks), total) > c.limit {
+	if outgrowsFrame(len(blocks), total, c.mtu) {
 		c.goAround(p)
-		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, false)
+		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, nil)
 		return
 	}
 	c.mu.Lock(p)
@@ -298,10 +304,10 @@ func (c *aggCoalescer) goAround(p *vtime.Proc) {
 	c.mu.Unlock(p)
 }
 
-// flush seals the pending frame and puts it on the wire as ONE logical
-// transfer (single compact transfer, striped frame, or one reliable message).
-// Called with mu held and nothing on its way, and returns so; mu is free while
-// the frame travels. A no-op on an empty builder.
+// flush seals the pending frame and hands it to sendBuffered as ONE message,
+// which chooses its transport. Called with mu held and nothing on its way,
+// and returns so; mu is free while the frame travels. A no-op on an empty
+// builder.
 func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	if c.b.Count() == 0 {
 		return
@@ -328,144 +334,31 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	// untouched while it travels, and the add()-time pack remains the path's
 	// only copy. Senders pack the next frame, in a buffer of its own, while
 	// this one is on the wire.
-	wire := c.b.Detach()
+	c.wire = c.b.Detach()
 	c.busy, c.full = true, false
 	c.cond.Broadcast()
 	c.mu.Unlock(p)
-	c.body[0] = relBlock{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
-	switch {
-	case vc.cfg.Reliable:
-		// One reliable message, back with its end-to-end ack: the engine
-		// copied every fragment into a datagram of its own, so the buffer is
-		// free.
-		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
-		vc.bufs.put(wire)
-	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && flen >= DefaultStripeThreshold:
-		// Past the stripe threshold, the rails (below it sendBuffered would
-		// send a plain message and lose the aggregate flag). They send the
-		// frame by reference; the sink returns it.
-		vc.aggst.striped[frameID] = wire
-		vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, true)
-	default:
-		// Single compact transfer toward the first gateway, the routing
-		// header written into the reserved prefix in place. The frame and a
-		// descriptor pair are handed over hop by hop to the sink, which
-		// returns both.
-		_, link := vc.firstHop(c.node, c.dst)
-		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true, spare: vc.bufs.pairs.get()}
-		c.tx.open(p, streamHdr{src: c.node.Rank, dst: vc.NodeRank(c.dst), mtu: c.mtu, id: frameID})
-		c.tx.message(p, c.body[:], flen, wire)
-	}
+	c.body[0] = relBlock{data: c.wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
+	vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, c)
 	c.mu.Lock(p)
 	c.busy = false
 	c.cond.Broadcast()
 }
 
-// bufPacking is the sender side of a message buffered whole and sent at
-// EndPacking by sendBuffered: a reliable message, or one toward a pair with
-// two rails. SendSafer pays its snapshot copy at once, the other blocks are
-// referenced, which is safe because EndPacking returns once they are sent,
-// and so is reusing the record then.
-type bufPacking struct {
-	gen uint32
-	blockBuf
-	dst string
-}
-
-func (bp *bufPacking) end(p *vtime.Proc) {
-	bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, false)
-	bp.vc.recs.bufPacking.retire(bp, &bp.gen)
-}
-
-// sendBuffered sends a message that was buffered whole, its blocks with the
-// modes they were packed with (the receiver mirrors them against the wire
-// descriptors): through the reliable engine; across the pair's rails when it
-// has two and the message reaches the stripe threshold; else down the single
-// rail, in the framing Config.Eager names. aggFrame marks the message as an
-// aggregate frame for its receiver to decode.
-func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string, id uint64, blks []relBlock, total int, aggFrame bool) {
-	if vc.cfg.Reliable {
-		var flags uint8
-		if aggFrame {
-			flags = flagAgg
-		}
-		vc.rel[node.Name].sendMessage(p, dst, blks, id, flags)
-		return
-	}
-	rails := vc.stripeRoutes(node.Name, dst)
-	if len(rails) >= 2 && total >= DefaultStripeThreshold {
-		sx := &stripeSend{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: aggFrame, rails: rails}
-		vc.planStripe(p, &sx.plan, id, node.Name, dst, rails, int64(total), nil)
-		vc.runRails(p, node, sx, len(rails))
-		return
-	}
-	hop, link := vc.firstHop(node, dst)
-	if len(rails) >= 2 {
-		form := "gtm -> ${peer} via ${net} (below stripe threshold)"
-		switch {
-		case link == nil:
-			form = "direct -> ${peer} via ${net} (below stripe threshold)"
-		case vc.cfg.Eager:
-			form = "eager -> ${peer} via ${net} (below stripe threshold)"
-		}
-		vc.hop(p, id, node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
-	}
-	x := vc.openSingleRail(p, node, dst, hop, link, id)
-	replay(p, x, blks)
-	x.end(p)
-}
-
-// aggPacking is the sender side of an aggregated message: blocks are
-// buffered (like the reliable and stripe packings) and handed to the
-// coalescer at EndPacking. A message that outgrows the frame budget on a
-// streaming single-rail path spills to the ordinary streaming packing
-// mid-Pack, so large messages keep their fragment-level pipelining through
-// the gateways. The coalescer copies the message into its frame inside add,
-// so the record is reused once EndPacking returns.
-type aggPacking struct {
-	gen uint32
-	blockBuf
-	dst     string
-	spilled packer // the streaming path's framing, after a spill
-}
-
-func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	if ax.spilled != nil {
-		ax.spilled.pack(p, data, s, r)
-		return
-	}
-	vc := ax.vc
-	ax.blockBuf.pack(p, data, s, r)
-	if !vc.cfg.Reliable && len(vc.stripeRoutes(ax.node.Name, ax.dst)) < 2 &&
-		agg.HeaderLen+agg.SubSizeParts(len(ax.blks), ax.total) > vc.PathMTU(ax.node.Name, ax.dst)-gtmHeaderLen {
-		ax.spill(p)
-	}
-}
-
-// spill switches a message that outgrew the frame budget onto the ordinary
-// streaming path: what its sender coalesced goes first (ordering), then the
-// buffered blocks replay and subsequent packs stream directly. Only reached
-// on single-rail streaming routes — reliable and striped sends buffer until
-// EndPacking anyway, so they bypass in add() instead.
-func (ax *aggPacking) spill(p *vtime.Proc) {
-	vc := ax.vc
-	vc.aggCoalescer(ax.node, ax.dst).goAround(p)
-	hop, link := vc.firstHop(ax.node, ax.dst)
-	vc.hop(p, ax.id, ax.node.Name, "pack",
-		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: ax.dst, Net: hop.Network}, ax.total)
-	blocks := ax.blks
-	ax.blks = nil
-	ax.spilled = vc.openSingleRail(p, ax.node, ax.dst, hop, link, ax.id)
-	replay(p, ax.spilled, blocks)
-}
-
-func (ax *aggPacking) end(p *vtime.Proc) {
-	if ax.spilled != nil {
-		ax.spilled.end(p)
-	} else {
-		ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blks, ax.total)
-	}
-	ax.vc.recs.aggPacking.retire(ax, &ax.gen)
+// spill switches a message for the coalescer that outgrew the frame budget
+// onto the single-rail stream: what its sender coalesced goes first
+// (ordering), then the buffered blocks replay and later packs stream on.
+// Pairs that buffer (buffers) bypass in add() instead.
+func (bp *bufPacking) spill(p *vtime.Proc) {
+	vc := bp.vc
+	vc.aggCoalescer(bp.node, bp.dst).goAround(p)
+	hop, link := vc.firstHop(bp.node, bp.dst)
+	vc.hop(p, bp.id, bp.node.Name, "pack",
+		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: bp.dst, Net: hop.Network}, bp.total)
+	blocks := bp.blks
+	bp.blks = nil
+	bp.spilled = vc.openSingleRail(p, bp.node, bp.dst, hop, link, bp.id)
+	replay(p, bp.spilled, blocks)
 }
 
 // aggPop returns the next sub-message of the frames the sink is draining, and

@@ -67,6 +67,15 @@ func TestFramingTransferTable(t *testing.T) {
 		// Both rails cross a gateway, each a different one; below the
 		// threshold the message falls back to the seed framing.
 		{name: "stripe-gw", topo: diamond, tune: func(c *fwd.Config) { c.StripeK = 2 }, src: "a", dsts: []string{"b"}},
+		// The reliable engine spends no credit: its transfers column reads 0
+		// and the instant pins the framing. A frame is one reliable message.
+		{name: "rel", topo: paperHS, tune: func(c *fwd.Config) { c.Reliable = true }, src: "a0", dsts: []string{"b1"}},
+		{name: "rel+agg", topo: paperHS, tune: func(c *fwd.Config) { c.Reliable, c.Aggregation = true, true }, src: "a0", dsts: []string{"b1"}},
+		// Past the threshold a reliable message is queued on both rails.
+		{name: "rel-stripe-gw", topo: diamond, tune: func(c *fwd.Config) { c.Reliable, c.StripeK = true, 2 }, src: "a", dsts: []string{"b"}},
+		// A message too large for a frame bypasses the coalescer: below the
+		// threshold down one rail, past it over both.
+		{name: "agg-stripe-gw", topo: diamond, tune: func(c *fwd.Config) { c.Eager, c.Aggregation, c.StripeK = true, true, 2 }, src: "a", dsts: []string{"b"}},
 	}
 	const defaultMTU = 32 * 1024
 	one := func(n int) []block {
@@ -241,4 +250,51 @@ var framingTable = map[string]framingCell{
 	"stripe-gw/2mtu+1":        {7, 1899253},
 	"stripe-gw/mixed":         {8, 1250191},
 	"stripe-gw/safer":         {3, 163747},
+
+	// The reliable and aggregated-striped rows pin the transport sendBuffered
+	// picks for one message of every shape.
+	"rel/none":                  {0, 21941},
+	"rel/zero":                  {0, 49809},
+	"rel/1B":                    {0, 49836},
+	"rel/inlineMax":             {0, 231711},
+	"rel/inlineMax+1":           {0, 231761},
+	"rel/mtu4K-20":              {0, 230706},
+	"rel/mtu4K-19":              {0, 230756},
+	"rel/2mtu":                  {0, 2625118},
+	"rel/2mtu+1":                {0, 2651785},
+	"rel/mixed":                 {0, 1929459},
+	"rel/safer":                 {0, 83626},
+	"rel+agg/none":              {0, 49731},
+	"rel+agg/zero":              {0, 50086},
+	"rel+agg/1B":                {0, 50126},
+	"rel+agg/inlineMax":         {0, 283766},
+	"rel+agg/inlineMax+1":       {0, 283829},
+	"rel+agg/mtu4K-20":          {0, 230706},
+	"rel+agg/mtu4K-19":          {0, 230756},
+	"rel+agg/2mtu":              {0, 2625118},
+	"rel+agg/2mtu+1":            {0, 2651785},
+	"rel+agg/mixed":             {0, 1929459},
+	"rel+agg/safer":             {0, 96459},
+	"rel-stripe-gw/none":        {0, 27245},
+	"rel-stripe-gw/zero":        {0, 54710},
+	"rel-stripe-gw/1B":          {0, 54737},
+	"rel-stripe-gw/inlineMax":   {0, 234739},
+	"rel-stripe-gw/inlineMax+1": {0, 234787},
+	"rel-stripe-gw/mtu4K-20":    {0, 233762},
+	"rel-stripe-gw/mtu4K-19":    {0, 233811},
+	"rel-stripe-gw/2mtu":        {0, 2259925},
+	"rel-stripe-gw/2mtu+1":      {0, 2275306},
+	"rel-stripe-gw/mixed":       {0, 2025362},
+	"rel-stripe-gw/safer":       {0, 89894},
+	"agg-stripe-gw/none":        {1, 27342},
+	"agg-stripe-gw/zero":        {1, 27726},
+	"agg-stripe-gw/1B":          {1, 27782},
+	"agg-stripe-gw/inlineMax":   {1, 290310},
+	"agg-stripe-gw/inlineMax+1": {1, 290364},
+	"agg-stripe-gw/mtu4K-20":    {1, 251230},
+	"agg-stripe-gw/mtu4K-19":    {2, 236012},
+	"agg-stripe-gw/2mtu":        {7, 1899243},
+	"agg-stripe-gw/2mtu+1":      {7, 1899253},
+	"agg-stripe-gw/mixed":       {8, 1250191},
+	"agg-stripe-gw/safer":       {1, 89114},
 }

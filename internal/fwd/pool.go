@@ -121,7 +121,6 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 // records are the free lists of framing records, one per kind, zero on a list
 // but for their generation, and of held messages, which keep their storage.
 type records struct {
-	aggPacking      freeList[aggPacking]
 	bufPacking      freeList[bufPacking]
 	plainPacking    freeList[plainPacking]
 	aggUnpacking    freeList[aggUnpacking]

@@ -702,8 +702,9 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 // EndPacking), which is the message's first relay: it queues the packets on
 // the send daemons of their first hops and waits for them to be done with the
 // packet list before the end-to-end ack's timeout starts. msgFlags are
-// end-to-end packet flags (the aggregate marker) stamped on every fragment.
-func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8) {
+// end-to-end packet flags (the aggregate marker) stamped on every fragment;
+// rails are the rails sendBuffered stripes the message over, nil for none.
+func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8, rails []route.Route) {
 	// Per-path MTU: fragment at the most constrained network of the
 	// primary route. The descriptor carries the chosen size, so the
 	// receiver reassembles correctly even if failover later moves packets
@@ -711,17 +712,9 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	// fragments at the most constrained rail, so every rail can carry
 	// every packet.
 	mtu := e.vc.PathMTU(e.node.Name, dst)
-	totalBytes := int64(0)
-	for _, b := range blocks {
-		totalBytes += int64(len(b.data))
-	}
-	rails := e.vc.stripeRoutes(e.node.Name, dst)
-	striped := len(rails) >= 2 && totalBytes >= DefaultStripeThreshold
-	if striped {
-		for _, r := range rails {
-			if m := e.vc.railMTU(r); m < mtu {
-				mtu = m
-			}
+	for _, r := range rails {
+		if m := e.vc.railMTU(r); m < mtu {
+			mtu = m
 		}
 	}
 
@@ -767,7 +760,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		aw := e.newAwait()
 		e.e2e[mkey] = aw
 		m.aw, m.lost = aw, false
-		if striped {
+		if rails != nil {
 			e.queueRails(p, m, rails)
 		} else {
 			e.queueRouted(m, m.ds)

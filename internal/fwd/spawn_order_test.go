@@ -13,6 +13,7 @@ import (
 	"madgo/internal/mad"
 	"madgo/internal/route"
 	"madgo/internal/topo"
+	"madgo/internal/vtime"
 )
 
 // TestGatewaysAreMadeInRouteOrder: Build equips every table route walked off
@@ -99,14 +100,16 @@ func TestGatewaysAreMadeInRouteOrder(t *testing.T) {
 
 // sendDaemonPrefixes name the dispatchers and send threads whose spawn order
 // TestSendDaemonsKeepTheirNamesAndSpawnOrder holds.
-var sendDaemonPrefixes = []string{"gwfair:", "gwtx:", "relfwd:", "relsend:", "relctl:", "relprobe:", "relecho:"}
+var sendDaemonPrefixes = []string{"gwfair:", "gwtx:", "relfwd:", "relsend:", "relctl:", "relprobe:", "relecho:", "agg-flush:", "stripe:"}
 
 // TestSendDaemonsKeepTheirNamesAndSpawnOrder: the relay dispatchers and the
 // send threads of both dataplanes are made where they always were, under the
-// same names, so processes due at one instant break ties as before. Two
+// same names, so processes due at one instant break ties as before. Three
 // scenarios — a streaming multicast through a gateway that is also a
-// destination, and a reliable send striped over two gateway rails — are held
-// to testdata/spawn_order.golden, which MADGO_REGEN_SPAWN_ORDER=1 rewrites.
+// destination, a reliable send striped over two gateway rails, and an
+// aggregated frame followed by a message that bypasses the coalescer to two
+// gateway rails — are held to testdata/spawn_order.golden, which
+// MADGO_REGEN_SPAWN_ORDER=1 rewrites.
 func TestSendDaemonsKeepTheirNamesAndSpawnOrder(t *testing.T) {
 	var got strings.Builder
 	list := func(scenario string, w *world) {
@@ -134,6 +137,41 @@ func TestSendDaemonsKeepTheirNamesAndSpawnOrder(t *testing.T) {
 		t.Errorf("striped %d messages, want 1", n)
 	}
 	list("reliable striped a -> b", w)
+
+	cfg := stripeCfg(2)
+	cfg.Eager, cfg.Aggregation = true, true
+	w = build(t, diamond(t), cfg)
+	msgs := [][]block{
+		{{pattern(64, 1), mad.SendCheaper, mad.ReceiveCheaper}},
+		{{pattern(128*1024, 2), mad.SendCheaper, mad.ReceiveCheaper}},
+	}
+	w.sim.Spawn("app-send:a", func(p *vtime.Proc) {
+		for _, m := range msgs {
+			px := w.vc.At("a").BeginPacking(p, "b")
+			for _, b := range m {
+				px.Pack(p, b.data, b.s, b.r)
+			}
+			px.EndPacking(p)
+		}
+	})
+	w.sim.Spawn("app-recv:b", func(p *vtime.Proc) {
+		for i, m := range msgs {
+			u := w.vc.At("b").BeginUnpacking(p)
+			got := make([]byte, len(m[0].data))
+			u.Unpack(p, got, m[0].s, m[0].r)
+			u.EndUnpacking(p)
+			if !bytes.Equal(got, m[0].data) {
+				t.Errorf("eager+agg message %d corrupted", i)
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st, sst := w.vc.AggStats(), w.vc.StripeStats(); st.Frames != 1 || st.BypassMessages != 1 || sst.Messages != 1 {
+		t.Errorf("%d frames, %d bypasses, %d striped messages; want 1 of each", st.Frames, st.BypassMessages, sst.Messages)
+	}
+	list("eager+agg frame, then a bypass over two rails a -> b", w)
 
 	const golden = "testdata/spawn_order.golden"
 	if os.Getenv("MADGO_REGEN_SPAWN_ORDER") != "" {

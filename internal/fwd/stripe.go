@@ -34,8 +34,10 @@ package fwd
 // same arithmetic from the header fields alone, so no per-fragment offsets
 // travel on the wire.
 //
-// Messages below DefaultStripeThreshold (and pairs with a single route)
-// take the existing single-rail path unchanged.
+// Whether a message stripes is decided in one place, sendBuffered
+// (vchannel.go), for streaming and reliable messages and aggregate frames
+// alike: a message of a pair with two rails or more that reaches
+// DefaultStripeThreshold takes the rails, any other the single-rail path.
 
 import (
 	"fmt"

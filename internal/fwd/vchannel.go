@@ -38,7 +38,8 @@ type Config struct {
 	// minimum MTU over the networks its route traverses (§2.3 — "the MTU of
 	// a connexion is defined as the [minimum] of the MTU of each network
 	// used"), so traffic between nodes on a large-MTU network is no longer
-	// cut down to the smallest network anywhere in the configuration.
+	// cut down to the smallest network anywhere in the configuration. Build
+	// rejects a key that names no network of the topology or FallbackTopo.
 	NetMTU map[string]int
 	// InflowLimit, when positive (bytes/s), throttles each gateway
 	// forwarder's receive loop to that rate — the "sophisticated
@@ -340,6 +341,11 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 			if _, ok := buildTopo.Network(nw.Name); !ok {
 				return nil, fmt.Errorf("fwd: FallbackTopo is missing network %s", nw.Name)
 			}
+		}
+	}
+	for name := range cfg.NetMTU {
+		if _, ok := buildTopo.Network(name); !ok {
+			return nil, fmt.Errorf("fwd: NetMTU names network %s, which the topology does not have", name)
 		}
 	}
 	for _, nw := range buildTopo.Networks() {
@@ -653,34 +659,29 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 	}
 	// Aggregation: every message toward a forwarded (multi-network)
 	// destination is offered to the coalescer; messages that turn out too
-	// large bypass (or spill back to the streaming path) from there.
+	// large bypass (or spill back to the streaming path) from there. The
+	// others of a pair that buffers go by sendBuffered at EndPacking.
+	coalesce := false
 	if e.vc.cfg.Aggregation {
-		if hop, ok := e.vc.tbl.NextHop(e.node.Name, dst); ok && hop.To != dst {
-			ax := e.vc.recs.aggPacking.get()
-			ax.blockBuf, ax.dst = e.vc.buffer(e.node), dst
-			e.vc.hop(p, ax.id, e.node.Name, "pack", obs.Detail{Form: "agg -> ${peer}", Peer: dst}, 0)
-			return Packing{ax, ax.id, &ax.gen, ax.gen}
+		hop, ok := e.vc.tbl.NextHop(e.node.Name, dst)
+		coalesce = ok && hop.To != dst
+	}
+	whole, d := coalesce, obs.Detail{Form: "agg -> ${peer}", Peer: dst}
+	if !coalesce {
+		var rails int
+		whole, rails = e.vc.buffers(e.node.Name, dst)
+		d.Form = "reliable -> ${peer}"
+		if rails > 0 {
+			d.Form, d.A = "stripe -> ${peer} (${a} rails)", rails
 		}
 	}
-	if e.vc.cfg.Reliable {
-		// Reliable datagram mode: every message, direct or forwarded,
-		// takes the uniform packet path; routes are found per packet
-		// so they can change under faults.
+	if whole {
 		if _, ok := e.vc.nodes[dst]; !ok {
 			panic("fwd: unknown destination " + dst)
 		}
 		bp := e.vc.recs.bufPacking.get()
-		bp.blockBuf, bp.dst = e.vc.buffer(e.node), dst
-		e.vc.hop(p, bp.id, e.node.Name, "pack", obs.Detail{Form: "reliable -> ${peer}", Peer: dst}, 0)
-		return Packing{bp, bp.id, &bp.gen, bp.gen}
-	}
-	// Striping: when the pair has at least two disjoint rails, buffer the
-	// message and let EndPacking split it (or send it down the single rail
-	// below the size threshold).
-	if rails := len(e.vc.stripeRoutes(e.node.Name, dst)); rails >= 2 {
-		bp := e.vc.recs.bufPacking.get()
-		bp.blockBuf, bp.dst = e.vc.buffer(e.node), dst
-		e.vc.hop(p, bp.id, e.node.Name, "pack", obs.Detail{Form: "stripe -> ${peer} (${a} rails)", Peer: dst, A: rails}, 0)
+		bp.blockBuf, bp.dst, bp.coalesce = e.vc.buffer(e.node), dst, coalesce
+		e.vc.hop(p, bp.id, e.node.Name, "pack", d, 0)
 		return Packing{bp, bp.id, &bp.gen, bp.gen}
 	}
 	hop, link := e.vc.firstHop(e.node, dst)
@@ -699,6 +700,113 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 	}
 	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
 	return Packing{x, id, &x.gen, x.gen}
+}
+
+// buffers reports whether a pair's messages are buffered whole for
+// sendBuffered — all in reliable mode, else a pair's with two rails or more —
+// and the pair's rail count, 0 in reliable mode.
+func (vc *VirtualChannel) buffers(src, dst string) (whole bool, rails int) {
+	if vc.cfg.Reliable {
+		return true, 0
+	}
+	rails = len(vc.stripeRoutes(src, dst))
+	return rails >= 2, rails
+}
+
+// bufPacking is the sender side of a message buffered whole, for the coalescer
+// or for sendBuffered at EndPacking. SendSafer pays its snapshot copy at once,
+// the other blocks are referenced until EndPacking returns, and so is the
+// record. A message for the coalescer that outgrows a frame on a pair that
+// does not buffer spills to the single-rail stream mid-Pack, keeping its
+// fragment-level pipelining through the gateways.
+type bufPacking struct {
+	gen uint32
+	blockBuf
+	dst      string
+	coalesce bool   // offered to the coalescer at EndPacking
+	spilled  packer // the single-rail framing, after a spill
+}
+
+func (bp *bufPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	if bp.spilled != nil {
+		bp.spilled.pack(p, data, s, r)
+		return
+	}
+	bp.blockBuf.pack(p, data, s, r)
+	if !bp.coalesce {
+		return
+	}
+	if whole, _ := bp.vc.buffers(bp.node.Name, bp.dst); !whole && outgrowsFrame(len(bp.blks), bp.total, bp.vc.PathMTU(bp.node.Name, bp.dst)) {
+		bp.spill(p)
+	}
+}
+
+func (bp *bufPacking) end(p *vtime.Proc) {
+	switch {
+	case bp.spilled != nil:
+		bp.spilled.end(p)
+	case bp.coalesce:
+		bp.vc.aggCoalescer(bp.node, bp.dst).add(p, bp.id, bp.blks, bp.total)
+	default:
+		bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, nil)
+	}
+	bp.vc.recs.bufPacking.retire(bp, &bp.gen)
+}
+
+// sendBuffered is the one place that decides how a message buffered whole
+// leaves, its blocks with the modes they were packed with: through the
+// reliable engine; over the pair's rails when it has two and the message
+// reaches the stripe threshold; else down one rail, as a compact KindAgg
+// transfer when it is the coalescer c's frame (marked flagAgg on the other
+// two), in the framing Config.Eager names when c is nil. A frame's buffer
+// goes back to the wire pool after a reliable send, which copied it, and is
+// filed for the sink to return before the rails send it by reference.
+func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string, id uint64, blks []relBlock, total int, c *aggCoalescer) {
+	rails := vc.stripeRoutes(node.Name, dst)
+	k := len(rails)
+	if k < 2 || total < DefaultStripeThreshold {
+		rails = nil
+	}
+	var flags uint8
+	if c != nil {
+		flags = flagAgg
+	}
+	switch {
+	case vc.cfg.Reliable:
+		vc.rel[node.Name].sendMessage(p, dst, blks, id, flags, rails)
+		if c != nil {
+			vc.bufs.put(c.wire)
+		}
+	case rails != nil:
+		if c != nil {
+			vc.aggst.striped[id] = c.wire
+		}
+		sx := &stripeSend{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: c != nil, rails: rails}
+		vc.planStripe(p, &sx.plan, id, node.Name, dst, rails, int64(total), nil)
+		vc.runRails(p, node, sx, len(rails))
+	case c != nil:
+		// The header goes into the frame's reserved prefix; the frame and a
+		// descriptor pair are handed hop by hop to the sink, which returns both.
+		_, link := vc.firstHop(node, dst)
+		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true, spare: vc.bufs.pairs.get()}
+		c.tx.open(p, streamHdr{src: node.Rank, dst: vc.NodeRank(dst), mtu: c.mtu, id: id})
+		c.tx.message(p, blks, total, c.wire)
+	default:
+		hop, link := vc.firstHop(node, dst)
+		if k >= 2 {
+			form := "gtm -> ${peer} via ${net} (below stripe threshold)"
+			switch {
+			case link == nil:
+				form = "direct -> ${peer} via ${net} (below stripe threshold)"
+			case vc.cfg.Eager:
+				form = "eager -> ${peer} via ${net} (below stripe threshold)"
+			}
+			vc.hop(p, id, node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
+		}
+		x := vc.openSingleRail(p, node, dst, hop, link, id)
+		replay(p, x, blks)
+		x.end(p)
+	}
 }
 
 // firstHop returns where a single-rail message from a node toward dst leaves:

@@ -317,8 +317,8 @@ type Options struct {
 	// delivery: checksummed, acknowledged, retransmitted packets, the
 	// link-health failure detector with gateway failover, and fair relaying.
 	Reliable bool
-	// StripeK, when at least 2, enables multi-rail striping: messages of
-	// fwd.DefaultStripeThreshold (16 KB) and more are split across up to
+	// StripeK (0 to 255), when at least 2, enables multi-rail striping: messages
+	// of fwd.DefaultStripeThreshold (16 KB) and more are split across up to
 	// StripeK link-disjoint routes and transmitted in parallel.
 	StripeK int
 	// FlowControl arms credit-based gateway flow control: senders spend a
@@ -400,11 +400,11 @@ func WithRouteNetworks(names ...string) Option {
 // survivable.
 func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } }
 
-// WithStriping enables multi-rail striping with up to k link-disjoint
-// routes per node pair. Large messages are split across the rails
-// rate-proportionally and reassembled in place at the receiver; pairs with a
-// single route, and messages below fwd.DefaultStripeThreshold (16 KB), use
-// the ordinary single-route path. k must be between 1 (striping off) and 8.
+// WithStriping enables multi-rail striping with up to k link-disjoint routes
+// per node pair. Large messages are split across the rails rate-proportionally
+// and reassembled in place at the receiver; pairs with a single route, and
+// messages below fwd.DefaultStripeThreshold (16 KB), use the ordinary
+// single-route path. k must be between 0 and 255; 0 and 1 leave striping off.
 // Striping composes with reliable delivery: a rail that dies mid-message
 // hands its residual quota to the surviving rails.
 func WithStriping(k int) Option { return func(o *Options) { o.StripeK = k } }
