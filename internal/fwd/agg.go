@@ -121,7 +121,7 @@ func (vc *VirtualChannel) aggEnded(fr *sinkFrame) {
 	}
 	vc.bufs.put(fr.buf)
 	if fr.pair != nil {
-		vc.bufs.pairs.put(fr.pair)
+		vc.bufs.putPair(fr.pair[:])
 	}
 	*fr = sinkFrame{}
 	vc.aggst.frames.put(fr)
@@ -148,8 +148,8 @@ func (vc *VirtualChannel) AggStats() AggStats {
 
 // aggCoalescer batches one (node, destination) pair's small messages. mu
 // guards the pending frame and is never held across a wire transfer; busy
-// says a sealed frame is on its way, and whoever set it owns body, wire and
-// tx until it clears it. On cond the daemon waits for work and a free path, a
+// says a sealed frame is on its way, and whoever set it owns body and wire
+// until it clears it. On cond the daemon waits for work and a free path, a
 // bypass or spill for the frame in flight, a sender for room. There is no
 // second lock.
 type aggCoalescer struct {
@@ -172,15 +172,11 @@ type aggCoalescer struct {
 	ids     []uint64
 	scratch []agg.Block
 
-	// body is the frame on its way as the one block its transport sends, wire
-	// the buffer it lies in behind the GTM header room, tx the writer of the
-	// compact transfer, here so that a flush allocates none of them. Of an
-	// aggregate stream nothing a gateway still reads lives in tx: the header
-	// travels in the frame's buffer, the descriptors in a pair from the wire
-	// pool that travels with it.
+	// body is the frame on its way as the one block its transport sends, here
+	// so that a flush allocates none, wire the buffer it lies in behind the
+	// GTM header room.
 	body [1]relBlock
 	wire []byte
-	tx   streamTx
 
 	// The coalescer's counts and wait histogram handle, labelled {node} — a
 	// series sums the node's coalescers — the frame counts also by reason

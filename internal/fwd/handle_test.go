@@ -30,8 +30,9 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 // second EndUnpacking panic with their messages twice: while the record is
 // idle, and while it serves a newer message on the same endpoint — which still
 // arrives byte-exact after the recovered panics — and so does a copy of a
-// handle, taken before its message ended. A streamed message's sender record
-// is not reused; its handle panics all the same.
+// handle, taken before its message ended. The streamed rows are the seed
+// framing and the eager one, sharing the header's transfer (streamed) or
+// behind a header that travels alone (eager).
 func TestStaleHandlePanics(t *testing.T) {
 	eager := fwd.DefaultConfig()
 	eager.Eager = true
@@ -45,14 +46,14 @@ func TestStaleHandlePanics(t *testing.T) {
 		world    func(t *testing.T) *world
 		src, dst string
 		size     int
-		// senderReused: the sender's record is one that is reused.
-		senderReused bool
 	}{
-		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64, true},
-		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64, true},
-		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 64, false},
-		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10, true},
-		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64, true},
+		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64},
+		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64},
+		{"seed", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64},
+		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 64},
+		{"eager", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 8 << 10},
+		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10},
+		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := c.world(t)
@@ -78,7 +79,7 @@ func TestStaleHandlePanics(t *testing.T) {
 				stalePacking(p, px, "idle")
 				stalePacking(p, &copied, "a copy")
 				next := ep.BeginPacking(p, c.dst)
-				if c.senderReused && !fwd.SharesRecord(px, next) {
+				if !fwd.SharesRecord(px, next) {
 					t.Error("the second message's sender did not reuse the first one's record")
 				}
 				next.Pack(p, second, mad.SendCheaper, mad.ReceiveCheaper)

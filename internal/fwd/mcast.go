@@ -194,9 +194,6 @@ type mcastPacking struct {
 	// mtu is the least path MTU over the destinations, so one fragment size
 	// fits every subtree — §2.3's connexion-MTU rule extended to trees.
 	mtu int
-	// tx is the writer of the branch being sent, one after the other. Of a
-	// multicast stream nothing a gateway still reads lives in it.
-	tx streamTx
 }
 
 // BeginMulticast starts a message to every named destination at once; the
@@ -256,10 +253,10 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 func (x *mcastPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank, relays bool) {
 	vc := x.vc
 	link, spendTo := vc.hopLink(x.node, hop, relays)
-	x.tx = streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
-	x.tx.open(p, streamHdr{src: x.node.Rank, mtu: x.mtu, id: x.id, dests: ranks})
+	tx := streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
+	tx.open(p, streamHdr{src: x.node.Rank, mtu: x.mtu, id: x.id, dests: ranks})
 	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, hop.Network)
-	x.tx.message(p, x.blks, x.total, nil)
+	tx.message(p, x.blks, x.total, nil)
 }
 
 // mcastSplit partitions a multicast frame's destination set at this gateway

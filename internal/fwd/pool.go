@@ -3,13 +3,13 @@ package fwd
 import "madgo/internal/mad"
 
 // Buffer pooling: one pool for every buffer the forwarding layer recycles —
-// reliable datagrams, aggregate frames, a sink's reassembly buffers and a
-// gateway's staging buffers — owned by the virtual channel, split by size
-// class and ledgered: at quiescence every buffer taken has been returned.
-// Taker and returner may be different nodes; DESIGN.md §33 has the table.
-// Only an egress driver can make its static buffers (§2.3), so a gateway ring
-// keeps a pool of the same type per egress network whose misses call the
-// driver's AllocStatic, in the same ledger (RelBookkeeping).
+// reliable datagrams, stream headers, eager and aggregate frames, a sink's
+// reassembly buffers, a gateway's staging buffers — owned by the virtual
+// channel, split by size class and ledgered: at quiescence every buffer taken
+// has been returned. Taker and returner may be different nodes; DESIGN.md §33
+// has the table. Only an egress driver can make its static buffers (§2.3), so
+// a gateway ring keeps a pool of the same type per egress network whose misses
+// call the driver's AllocStatic, in the same ledger (RelBookkeeping).
 //
 // A returned buffer can be taken again at once. The link reads a streamed
 // payload a WireLatency after Send returned, and a gateway returns a staging
@@ -17,14 +17,12 @@ import "madgo/internal/mad"
 // wire is slower than the buffer switch. Unsynchronized: one simulation, one
 // thread.
 //
-// Framing records are reused too (records, below; DESIGN.md §43): every
-// Unpacking's, and the Packing's of an aggregated, reliable, striped or
-// direct message. End zeroes one and puts it back, for nothing refers to it
-// once End returns — sendMessage holds the blocks until then, the coalescer
-// copies a message into its frame in add — and its generation stops a stale
-// handle (Packing). A stream's sender record is not reused: every relay reads
-// its header and first descriptor pair after EndPacking returned (streamTx);
-// nor, as yet, is a multicast's. The lists belong to one virtual channel.
+// Framing records are reused too (records, below; DESIGN.md §43): every one
+// but a multicast's Packing. End zeroes one and puts it back, for nothing
+// refers to it once End returns — sendMessage holds the blocks until then,
+// the coalescer copies a message into its frame in add, a stream's transfers
+// carry nothing of it (streamTx) — and its generation stops a stale handle
+// (Packing). The lists belong to one virtual channel.
 
 const (
 	relBufMinShift = 6  // smallest class: 64 bytes
@@ -59,9 +57,10 @@ type wireBufPool struct {
 	// it is pooled. Only tests set it, to poison the memory so that a read
 	// through a stale alias fails loudly.
 	onPut func(buf []byte)
-	// pairs are the block-descriptor pairs of frames sent in one transfer: a
-	// pair travels with its frame, by reference, to the sink that returns both.
-	pairs freeList[[2]mad.BlockDesc]
+	// pairs hold a unicast stream transfer's descriptors, by reference to
+	// the final receiver, which returns them (putPair); onPutPair is onPut's twin.
+	pairs     freeList[[2]mad.BlockDesc]
+	onPutPair func(pair *[2]mad.BlockDesc)
 }
 
 // get returns a buffer of length n whose content is unspecified: the last one
@@ -108,6 +107,16 @@ func (bp *wireBufPool) put(b []byte) {
 	bp.free[class] = append(bp.free[class], b)
 }
 
+// putPair returns the pair a transfer's descriptors, blocks, travelled in:
+// pair[:1] or pair[:2], whose capacity is the pair's.
+func (bp *wireBufPool) putPair(blocks []mad.BlockDesc) {
+	pair := (*[2]mad.BlockDesc)(blocks[:2])
+	if bp.onPutPair != nil {
+		bp.onPutPair(pair)
+	}
+	bp.pairs.put(pair)
+}
+
 // tally adds the pool's ledger to s.
 func (bp *wireBufPool) tally(s *RelBookkeeping) {
 	s.BufsTaken += bp.taken
@@ -122,6 +131,7 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 // but for their generation, and of held messages, which keep their storage.
 type records struct {
 	bufPacking      freeList[bufPacking]
+	streamPacking   freeList[streamPacking]
 	plainPacking    freeList[plainPacking]
 	aggUnpacking    freeList[aggUnpacking]
 	streamUnpacking freeList[streamUnpacking]

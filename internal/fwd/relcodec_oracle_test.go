@@ -81,8 +81,11 @@ func ackKeys(raw []byte) []relAckKey {
 // buffer read through an alias the owner should have dropped comes out as
 // 0xDB garbage — failing the byte-exact delivery checks, or the CRC — instead
 // of passing by luck. The gateways' static pools, made later, copy the hook.
-// Exported to the package's external tests; it exists in test builds only.
-func PoisonRelBufs(vc *VirtualChannel) { vc.bufs.onPut = poison }
+// Every descriptor pair given back reads Size -1, which no transfer carries:
+// a hop or a sink that reads one after its final receiver returned it fails
+// the sink's size check with a protocol error, or the link's. Exported to the
+// package's external tests; it exists in test builds only.
+func PoisonRelBufs(vc *VirtualChannel) { vc.bufs.onPut, vc.bufs.onPutPair = poison, poisonPair }
 
 // SinkFrames reports what a sink holds of the aggregated path: whether it is
 // draining a frame — sub-messages of it are still unread, asked of a copy of
@@ -101,6 +104,10 @@ func poison(buf []byte) {
 	for i := range buf {
 		buf[i] = 0xDB
 	}
+}
+
+func poisonPair(pair *[2]mad.BlockDesc) {
+	*pair = [2]mad.BlockDesc{{Size: -1}, {Size: -1}}
 }
 
 // pooledEqualsOracle encodes one data packet both ways — the second into a

@@ -286,37 +286,27 @@ func framingOf(kind mad.Kind) *framing {
 // per-network BMMs (whose grouping differs across devices) and emits a
 // uniform packet stream any gateway can relay without regrouping.
 //
-// Header bytes and block descriptors are sent by reference and read again by
-// every gateway on the path for as long as its relay runs: they live in
-// memory nothing rewrites — a seed or rail header in a wire-pool buffer each
-// hop passes on and the final receiver returns, a multicast header in one the
-// next hop returns (open), any other in this record (one per stream), a
-// block's descriptors in a pair per block: the record's own for the first
-// block of a record that lives for one message (a streamPacking, a rail's
-// writer), a wire-pool pair that travels with the coalescer's frame, else an
-// allocation. So a first transfer, all header and frame, is handed over at
-// every hop (mad.TxMeta.Owned). That is why no free list reuses a
-// streamPacking (pool.go): the relays still read its header and its pair
-// after EndPacking has returned, so the record lives for one message and the
-// garbage collector takes it once the last relay is done. The record holds
-// what every stream needs and reaches the rest through a pointer.
+// Every hop reads a transfer's bytes and descriptors by reference after Send
+// returned, so none lives here, and a streamPacking serves the next message
+// once end returns (pool.go). The header is a wire-pool buffer: sent alone,
+// it is handed over at every hop (mad.TxMeta.Owned) and returned by the final
+// receiver, or a multicast's by the next hop; glued into a frame — a buffer of
+// the pool too, but a multicast's — it goes back once copied. A unicast
+// transfer's descriptors are a wire-pool pair, taken just before Send, that
+// the final receiver returns once read (streamRx); a multicast's, which
+// several final receivers read, are a pair a block of their own.
 type streamTx struct {
 	vc   *VirtualChannel
 	link *mad.Link
 	id   uint64
 	mtu  int
 	hopA int    // ${a} of the hop sentences: the rail, the destination count
-	hdr  []byte // the encoded header: a wire-pool buffer or hdrBuf
+	hdr  []byte // the encoded header, a wire-pool buffer; only its length once sent
 	// held is the fragment held back when the terminator rides the last one:
 	// whether a fragment is the last is only known when the next one, or
 	// end, arrives.
-	held *heldFrag
-	// spare is where the next block's descriptor pair goes, once; nil: an
-	// allocation of its own.
-	spare  *[2]mad.BlockDesc
-	pair   [2]mad.BlockDesc
-	hdrBuf [gtmHeaderLen]byte
-	kind   mad.Kind
+	held heldFrag
+	kind mad.Kind
 	// spends: every transfer first spends a flow credit toward the link's far
 	// end, a gateway: an exhausted window parks the sender instead of piling
 	// packets into the gateway's mailbox. Not toward a plain receiver — a
@@ -325,36 +315,31 @@ type streamTx struct {
 	started bool // the header is on the wire
 }
 
+// heldFrag is one fragment on its way out and its descriptor; a multicast
+// fragment's travels in its block's pair (shared), a one-descriptor window.
 type heldFrag struct {
 	data   []byte
-	descs  []mad.BlockDesc // its block's descriptor pair, and its index there
-	i      int
+	desc   mad.BlockDesc
+	shared []mad.BlockDesc
 	staged bool
 }
 
-// open encodes the header, takes the link and, in the framings whose header
-// travels ahead, sends it. Such a header is a wire-pool buffer: every hop
-// receives it, hands it on as it came (relay) and the final receiver returns
-// it (openStream), so from here on the writer reads only its length. So is a
-// multicast header: the next hop returns it once parsed if it travelled alone,
-// which is when its transfer is not the last; the writer, once glued (message).
+// open encodes the header into a buffer of the wire pool, takes the link and,
+// in the framings whose header travels ahead, sends it.
 func (tx *streamTx) open(p *vtime.Proc, h streamHdr) {
 	// ${a}: a rail's id, a multicast header's destination count; zero
 	// otherwise, where both are.
 	tx.id, tx.mtu, tx.hopA = h.id, h.mtu, h.rail+len(h.dests)
-	bracketed := framingOf(tx.kind).bracketed
-	tx.hdr = tx.hdrBuf[:]
-	if bracketed || tx.kind == mad.KindMcast {
-		tx.hdr = tx.vc.bufs.get(streamHeaderLen(tx.kind, len(h.dests)))
-	}
+	tx.hdr = tx.vc.bufs.get(streamHeaderLen(tx.kind, len(h.dests)))
 	putStreamHeader(tx.hdr, tx.kind, h)
 	tx.link.Acquire(p)
-	if bracketed {
+	if framingOf(tx.kind).bracketed {
 		tx.first(p, tx.hdr, tx.hdrDescs(), false)
 	}
 }
 
-// hdrDescs describes a transfer of the header alone.
+// hdrDescs describes a transfer of the header alone: descriptors nothing
+// rewrites, which no receiver returns.
 func (tx *streamTx) hdrDescs() []mad.BlockDesc {
 	if f := framingOf(tx.kind); f.hdrDesc[0].Size != 0 {
 		return f.hdrDesc[:]
@@ -382,15 +367,6 @@ func (tx *streamTx) first(p *vtime.Proc, frame []byte, descs []mad.BlockDesc, la
 	tx.link.Send(p, mad.TxMeta{SOM: true, EOM: last, Kind: tx.kind, Blocks: descs, Owned: true}, frame)
 }
 
-// descPair returns storage for one block's descriptor pair (spare).
-func (tx *streamTx) descPair() []mad.BlockDesc {
-	if d := tx.spare; d != nil {
-		tx.spare = nil
-		return d[:]
-	}
-	return make([]mad.BlockDesc, 2)
-}
-
 // block sends one packed block — or the part of one a rail carries — as
 // MTU-sized fragments.
 func (tx *streamTx) block(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
@@ -398,63 +374,67 @@ func (tx *streamTx) block(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Recv
 	if len(data) == 0 && f.elideEmpty {
 		return
 	}
-	// One descriptor pair per block, not per fragment: every full-MTU
-	// fragment shares descs[0] and the tail has descs[1]. A block of one
-	// short fragment has no use for descs[0]; the header's descriptor sits
-	// there, for the transfer the two may share.
-	descs := tx.descPair()
-	descs[0], descs[1] = mad.BlockDesc{Size: mtu, S: s, R: r}, mad.BlockDesc{Size: len(data) % mtu, S: s, R: r}
-	if len(data) < mtu {
-		descs[0] = headerDesc(len(tx.hdr))
+	// A multicast block's fragments share one pair: the tail's descriptor,
+	// then every full-MTU fragment's.
+	var pair []mad.BlockDesc
+	if tx.kind == mad.KindMcast {
+		pair = []mad.BlockDesc{{Size: len(data) % mtu, S: s, R: r}, {Size: mtu, S: s, R: r}}
 	}
 	mad.ForEachFragment(len(data), mtu, func(off, n int) {
-		i := 0
-		if n != mtu {
-			i = 1
+		fr := heldFrag{data: data[off : off+n], desc: mad.BlockDesc{Size: n, S: s, R: r}}
+		if i := n / mtu; pair != nil {
+			fr.shared = pair[i : i+1 : i+1]
 		}
 		if f.bracketed {
-			tx.emit(p, data[off:off+n], descs, i, false)
+			tx.emit(p, fr, false)
 			return
 		}
 		tx.flush(p, false)
-		if tx.held == nil {
-			tx.held = new(heldFrag)
-		}
-		*tx.held = heldFrag{data[off : off+n], descs, i, true}
+		fr.staged = true
+		tx.held = fr
 	})
 }
 
 // flush puts the held-back fragment, if any, on the wire; last makes it the
 // message's terminator.
 func (tx *streamTx) flush(p *vtime.Proc, last bool) {
-	if h := tx.held; h != nil && h.staged {
-		h.staged = false
-		tx.emit(p, h.data, h.descs, h.i, last)
+	if tx.held.staged {
+		tx.held.staged = false
+		tx.emit(p, tx.held, last)
 	}
 }
 
-// emit puts the fragment descs[i] describes on the wire: behind the header,
-// or sharing its transfer.
-func (tx *streamTx) emit(p *vtime.Proc, data []byte, descs []mad.BlockDesc, i int, last bool) {
-	f := framingOf(tx.kind)
+// emit puts one fragment on the wire: behind the header, or sharing its
+// transfer in a frame of the wire pool.
+func (tx *streamTx) emit(p *vtime.Proc, fr heldFrag, last bool) {
+	f, bufs := framingOf(tx.kind), &tx.vc.bufs
 	form := f.form
-	if !tx.started && f.inlineFirst && len(data) <= eagerInlineMax && len(tx.hdr)+len(data) <= tx.mtu {
+	if !tx.started && f.inlineFirst && len(fr.data) <= eagerInlineMax && len(tx.hdr)+len(fr.data) <= tx.mtu {
 		// Building the contiguous frame copies the fragment once — the price
 		// of eliding a whole transfer.
-		tx.link.Src.Host.Memcpy(p, len(data))
-		frame := make([]byte, len(tx.hdr)+len(data))
-		copy(frame[copy(frame, tx.hdr):], data)
-		tx.first(p, frame, descs, last)
+		tx.link.Src.Host.Memcpy(p, len(fr.data))
+		frame := bufs.get(len(tx.hdr) + len(fr.data))
+		copy(frame[copy(frame, tx.hdr):], fr.data)
+		bufs.put(tx.hdr)
+		pair := bufs.pairs.get()
+		pair[0], pair[1] = headerDesc(len(tx.hdr)), fr.desc
+		tx.first(p, frame, pair[:], last)
 		form = f.compactForm
 	} else {
 		if !tx.started {
 			tx.first(p, tx.hdr, tx.hdrDescs(), false)
 		}
 		tx.spend(p)
-		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: descs[i : i+1 : i+1]}, data)
+		descs := fr.shared
+		if descs == nil {
+			pair := bufs.pairs.get()
+			pair[0] = fr.desc
+			descs = pair[:1]
+		}
+		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: descs}, fr.data)
 	}
 	if f.hopEach {
-		tx.hop(p, form, len(data))
+		tx.hop(p, form, len(fr.data))
 	}
 }
 
@@ -464,12 +444,18 @@ func (tx *streamTx) emit(p *vtime.Proc, data []byte, descs []mad.BlockDesc, i in
 // copy; block by block if not. An empty message is always one transfer, so a
 // header outgrowing the MTU never travels alone as the terminator. wire, if
 // not nil, is the blocks laid out behind room for the header (the coalescer
-// builds its frames so): the frame leaves from there with no copy.
+// builds its frames so): the frame leaves from there with no copy, its
+// descriptors in a pair of the wire pool.
 func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []byte) {
 	f := framingOf(tx.kind)
 	form := f.form
 	if (total == 0 || len(tx.hdr)+total <= tx.mtu) && (wire != nil || total <= eagerInlineMax) {
-		descs := tx.descPair()[:1]
+		var descs []mad.BlockDesc
+		if tx.kind == mad.KindMcast {
+			descs = make([]mad.BlockDesc, 1, 2) // several final receivers read it: none returns it
+		} else {
+			descs = tx.vc.bufs.pairs.get()[:1]
+		}
 		descs[0] = headerDesc(len(tx.hdr))
 		for _, b := range blks {
 			// A block that would put no fragment on the wire is not
@@ -490,9 +476,7 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 				tx.link.Src.Host.Memcpy(p, total)
 			}
 		}
-		if tx.kind == mad.KindMcast {
-			tx.vc.bufs.put(tx.hdr)
-		}
+		tx.vc.bufs.put(tx.hdr)
 		tx.first(p, wire, descs, true)
 		form = f.compactForm
 	} else {
@@ -588,6 +572,11 @@ func (x *streamPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.R
 	x.block(p, x.vc.stageBlock(p, x.link.Src, x.id, 0, data, s), s, r)
 }
 
+func (x *streamPacking) end(p *vtime.Proc) {
+	x.streamTx.end(p)
+	x.vc.recs.streamPacking.retire(x, &x.gen)
+}
+
 // streamOpen is a stream's first transfer and what it says about the stream:
 // the header, and the payload that rode along behind it.
 type streamOpen struct {
@@ -662,9 +651,9 @@ func recvFirst(p *vtime.Proc, link *mad.Link, kind mad.Kind, scratch []byte) (me
 
 // openStream takes the receive side of an announced stream's link at its final
 // destination and reads the stream's self-description; scratch is where a
-// fixed-length header lands, and the buffer it came in goes back to the pool,
-// as does a multicast header that travelled alone once checked. Its
-// destinations are decoded into channel scratch and not returned.
+// fixed-length header lands. A header that travelled alone goes back to the
+// wire pool once checked, and a multicast header's destinations are decoded
+// into channel scratch and not returned.
 func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arrival, scratch []byte) streamOpen {
 	a.Link.AcquireRecv(p)
 	kind := a.Kind()
@@ -680,9 +669,9 @@ func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arriva
 	}
 	if kind == mad.KindMcast {
 		vc.mcastst.ranks, o.dests = o.dests, nil
-		if !meta.EOM {
-			vc.bufs.put(first)
-		}
+	}
+	if kind == mad.KindMcast && !meta.EOM || kind == mad.KindEager && len(o.descs) == 0 {
+		vc.bufs.put(first) // a header that travelled alone
 	}
 	return o
 }
@@ -720,6 +709,11 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 	if len(o.descs) > 0 {
 		rx.held = vc.hold(o.src, o.mtu, o.id)
 		rx.held.park(o.payload, o.descs)
+		if rx.kind == mad.KindEager {
+			// A glued frame: its buffer goes back with the message, its pair now.
+			rx.held.bufs = append(rx.held.bufs, o.head)
+			vc.bufs.putPair(o.meta.Blocks)
+		}
 	}
 	return o
 }
@@ -744,7 +738,7 @@ type heldMsg struct {
 	blocks        []mad.BlockDesc
 	nextBlk       int
 	cost          vtime.Duration
-	bufs          [][]byte // the datagrams the fragments lie in
+	bufs          [][]byte // the buffers the fragments lie in: datagrams, an eager frame
 	// delivered: the deliver hop was recorded at completion; agg: the payload
 	// is an aggregate frame (flagAgg), for aggDecodeReliable.
 	delivered, agg bool
@@ -758,7 +752,7 @@ func (vc *VirtualChannel) hold(src mad.Rank, mtu int, id uint64) *heldMsg {
 	return h
 }
 
-// release returns h's datagrams to the wire pool and the record, cleared but
+// release returns h's buffers to the wire pool and the record, cleared but
 // for its slices' storage, to the free list.
 func (vc *VirtualChannel) release(h *heldMsg) {
 	for _, b := range h.bufs {
@@ -821,6 +815,9 @@ func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Re
 			panic("fwd: protocol error: stream packet without exactly one block")
 		}
 		d, rx.eom = meta.Blocks[0], meta.EOM
+		if rx.kind != mad.KindMcast {
+			rx.vc.bufs.putPair(meta.Blocks)
+		}
 	}
 	if d.S != s || d.R != r || d.Size != n || got != n {
 		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))

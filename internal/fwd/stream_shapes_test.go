@@ -1,0 +1,108 @@
+package fwd_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"madgo/internal/fwd"
+	"madgo/internal/mad"
+	"madgo/internal/topo"
+	"madgo/internal/vtime"
+)
+
+// TestStreamShapesAcrossTwoGateways sends every block layout that sits on a
+// fragment, inline or header boundary at a 1 KiB MTU through two gateways
+// (a –sci– g1 –myrinet– g2 –sci– c), in the seed, eager and eager+agg
+// framings and eager at the default MTU, and over two rails that each cross a
+// gateway (the diamond, StripeK 2: a message past the stripe threshold takes
+// both rails, any other one rail in the seed framing). Every layout goes once
+// per send mode, three messages back to back per receive mode, each with
+// payload of its own, and must arrive byte-exact. A stream's headers, frames
+// and descriptor pairs come off the wire pool and are returned by the final
+// receiver while later messages of the same sender are in flight; every world
+// poisons what is returned to the pool (auditRelBufs), so a hop or a sink that
+// reads one after it was given back fails here, with a protocol error or
+// corrupted bytes.
+func TestStreamShapesAcrossTwoGateways(t *testing.T) {
+	const mtu = 1024
+	configs := []struct {
+		name     string
+		topo     func(*testing.T) *topo.Topology
+		src, dst string
+		mtu      int
+		tune     func(*fwd.Config)
+	}{
+		{"seed", chainTopo, "a", "c", mtu, func(*fwd.Config) {}},
+		{"eager", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager = true }},
+		{"eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }},
+		{"eager-default-mtu", chainTopo, "a", "c", fwd.DefaultConfig().MTU, func(c *fwd.Config) { c.Eager = true }},
+		{"stripe", diamond, "a", "b", mtu, func(c *fwd.Config) { c.StripeK = 2 }},
+	}
+	layouts := [][]int{
+		{0}, {1}, {0, 5}, {5, 0}, {1024}, {1025}, {4096}, {4097}, {3072},
+		{1024, 1024, 7}, {0, 0, 0}, {2048, 0, 2049}, {100000},
+	}
+	sends := []mad.SendMode{mad.SendCheaper, mad.SendSafer, mad.SendLater}
+	recvs := []mad.RecvMode{mad.ReceiveCheaper, mad.ReceiveExpress}
+	const perMode = 3
+	for _, c := range configs {
+		for _, sizes := range layouts {
+			for _, s := range sends {
+				t.Run(fmt.Sprintf("%s/%v/%v", c.name, sizes, s), func(t *testing.T) {
+					cfg := fwd.DefaultConfig()
+					cfg.MTU = c.mtu
+					c.tune(&cfg)
+					w := build(t, c.topo(t), cfg)
+					var msgs [][]block
+					for _, r := range recvs {
+						for range perMode {
+							m := make([]block, len(sizes))
+							for i, n := range sizes {
+								m[i] = block{pattern(n, byte(len(msgs)*len(sizes)+i)), s, r}
+							}
+							msgs = append(msgs, m)
+						}
+					}
+					w.sim.Spawn("send", func(p *vtime.Proc) {
+						for _, m := range msgs {
+							px := w.vc.At(c.src).BeginPacking(p, c.dst)
+							for _, b := range m {
+								px.Pack(p, b.data, b.s, b.r)
+							}
+							px.EndPacking(p)
+						}
+					})
+					delivered := 0
+					w.sim.Spawn("recv", func(p *vtime.Proc) {
+						for k, m := range msgs {
+							u := w.vc.At(c.dst).BeginUnpacking(p)
+							if u.From() != w.vc.NodeRank(c.src) || !u.Forwarded() {
+								t.Errorf("message %d: From() = %d, Forwarded() = %v", k, u.From(), u.Forwarded())
+							}
+							exact := true
+							for i, b := range m {
+								got := make([]byte, len(b.data))
+								u.Unpack(p, got, b.s, b.r)
+								if !bytes.Equal(got, b.data) {
+									t.Errorf("message %d: block %d (%d bytes) corrupted", k, i, len(b.data))
+									exact = false
+								}
+							}
+							u.EndUnpacking(p)
+							if exact {
+								delivered++
+							}
+						}
+					})
+					if err := w.sim.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if delivered != len(msgs) {
+						t.Fatalf("%d of %d messages arrived byte-exact", delivered, len(msgs))
+					}
+				})
+			}
+		}
+	}
+}

@@ -507,7 +507,6 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 		rail: rail, nrails: sx.plan.active, flags: flags,
 		spanStart: spanStart, spanLen: spans[rail], total: int64(sx.total)}
 	tx := streamTx{vc: vc, link: link, kind: mad.KindStripe, spends: gw != ""}
-	tx.spare = &tx.pair // the record lives for this one rail
 	tx.open(p, h)
 	flat := int64(0)
 	for _, b := range sx.blks {

@@ -788,9 +788,9 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 		// The header goes into the frame's reserved prefix; the frame and a
 		// descriptor pair are handed hop by hop to the sink, which returns both.
 		_, link := vc.firstHop(node, dst)
-		c.tx = streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true, spare: vc.bufs.pairs.get()}
-		c.tx.open(p, streamHdr{src: node.Rank, dst: vc.NodeRank(dst), mtu: c.mtu, id: id})
-		c.tx.message(p, blks, total, c.wire)
+		tx := streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true}
+		tx.open(p, streamHdr{src: node.Rank, dst: vc.NodeRank(dst), mtu: c.mtu, id: id})
+		tx.message(p, blks, total, c.wire)
 	default:
 		hop, link := vc.firstHop(node, dst)
 		if k >= 2 {
@@ -850,8 +850,8 @@ func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string,
 	if vc.cfg.Eager {
 		kind = mad.KindEager
 	}
-	x := &streamPacking{streamTx: streamTx{vc: vc, link: link, kind: kind, spends: true}}
-	x.spare = &x.pair // the record lives for this one message
+	x := vc.recs.streamPacking.get()
+	x.streamTx = streamTx{vc: vc, link: link, kind: kind, spends: true}
 	x.open(p, streamHdr{src: from.Rank, dst: vc.NodeRank(dst), mtu: vc.PathMTU(from.Name, dst), id: id})
 	return x
 }

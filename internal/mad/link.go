@@ -63,9 +63,9 @@ type TxMeta struct {
 	// transmission, so it is also Owned.
 	Reliable bool
 	// Owned says the sender never writes the payload, nor the block
-	// descriptors, again: a frame built for this one transfer, a header in a
-	// record that lives for one message or in a buffer passed on hop by hop, a
-	// datagram, a driver slot a gateway received. Where the payload would land
+	// descriptors, again: a frame built for this one transfer, a header or
+	// frame in a buffer passed on hop by hop to the receiver that recycles it,
+	// a datagram, a driver slot a gateway received. Where the payload would land
 	// in driver memory the link hands the buffer itself to the receiver instead
 	// of copying it there; from then on it is the receiver's (RecvIntoSpent
 	// returns it when the receive copies it out). Send reports, for a Reliable
