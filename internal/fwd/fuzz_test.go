@@ -371,9 +371,10 @@ func FuzzRelDesc(f *testing.F) {
 
 // FuzzRelHandle feeds a relaying node hostile bytes: while a0 sends a message
 // to b0, the fuzzer's datagram reaches gw over a0's link, once as a KindRel
-// data packet and once as a KindRelAck batch, and the relChain world runs to
-// quiescence. Nothing panics, and a datagram that does not decode is counted as
-// a ChecksumDrop. No node holds a message no sender sent: b0 holds a0's, byte
+// data packet, once as a KindRelAck batch and once as a KindGTM stream, a kind
+// the reliable engine does not speak, and the relChain world runs to
+// quiescence. Nothing panics, and a datagram that does not decode — the GTM one
+// always — is counted as a ChecksumDrop. No node holds a message no sender sent: b0 holds a0's, byte
 // for byte and once, and the only other message anywhere is the one the
 // datagram itself describes — a packet whose CRC holds is a sender's as far as
 // any node can tell, so one that impersonates a0 is held to the rest only.
@@ -417,7 +418,7 @@ func FuzzRelHandle(f *testing.F) {
 			px.EndPacking(p)
 		})
 		link := vc.regular["sci0"].Link(a0, vc.NodeRank("gw"))
-		for _, kind := range []mad.Kind{mad.KindRel, mad.KindRelAck} {
+		for _, kind := range []mad.Kind{mad.KindRel, mad.KindRelAck, mad.KindGTM} {
 			sim.Spawn("hostile:"+kind.String(), func(p *vtime.Proc) {
 				pkt := vc.bufs.get(len(data))
 				copy(pkt, data)
@@ -435,14 +436,14 @@ func FuzzRelHandle(f *testing.F) {
 		nodes := mad.Rank(len(vc.sess.Nodes()))
 		dataOK = dataOK && d.src < nodes && d.dst < nodes
 		_, ackOK := decodeRelAcks(data)
-		rejects := 0
+		rejects := 1 // the GTM datagram
 		for _, ok := range []bool{dataOK, ackOK} {
 			if !ok {
 				rejects++
 			}
 		}
 		want.ChecksumDrops += int64(rejects)
-		if got := vc.DeliveryStats(); got.ChecksumDrops < want.ChecksumDrops || rejects == 2 && got != want {
+		if got := vc.DeliveryStats(); got.ChecksumDrops < want.ChecksumDrops || rejects == 3 && got != want {
 			t.Errorf("%d datagrams rejected: delivery stats %+v, want %+v", rejects, got, want)
 		}
 		impersonated := dataOK && d.src == a0

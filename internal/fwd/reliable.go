@@ -731,7 +731,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	desc := e.vc.bufs.get(relDescLen(len(blocks)))
 	defer e.vc.bufs.put(desc)
 	putRelDesc(desc, mtu, blocks)
-	m := e.newOut()
+	m := e.outFree.get()
 	defer e.freeOut(m)
 	m.id, m.dst, m.final = id, dst, e.vc.NodeRank(dst)
 	m.ds = slices.Grow(m.ds, nfrags)
@@ -763,7 +763,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		if rails != nil {
 			e.queueRails(p, m, rails)
 		} else {
-			e.queueRouted(m, m.ds)
+			e.queueRouted(m)
 		}
 		m.settled.Wait(p)
 		if m.lost {
@@ -845,34 +845,22 @@ func (e *relEngine) nextTimeout(prev vtime.Duration) vtime.Duration {
 }
 
 // relOut is a message at its origin: its packets, the current attempt's
-// end-to-end ack slot and bursts, and a striped attempt's state (stripe.go).
+// end-to-end ack slot and bursts, and a striped attempt's split (stripe.go).
 type relOut struct {
-	id       uint64
-	dst      string
-	final    mad.Rank
-	ds       []relData
-	aw       *relAwait
-	lost     bool            // a burst found no route left
-	settled  vsync.WaitGroup // the attempt's bursts not retired yet
-	plan     stripePlan
-	rails    []route.Route
-	running  int       // rails still on their own runs
-	failed   []bool    // by rail
-	residual []relData // what failed rails left over
-}
-
-func (e *relEngine) newOut() *relOut {
-	m := e.outFree.get()
-	if m.failed == nil { // a new record
-		m.failed = make([]bool, e.vc.cfg.StripeK)
-	}
-	return m
+	id      uint64
+	dst     string
+	final   mad.Rank
+	ds      []relData
+	aw      *relAwait
+	lost    bool            // a burst found no route left
+	settled vsync.WaitGroup // the attempt's bursts not retired yet
+	plan    stripePlan
 }
 
 // freeOut drops what a sent message referenced and recycles its record.
 func (e *relEngine) freeOut(m *relOut) {
 	clear(m.ds)
-	m.ds, m.aw, m.rails, m.residual = m.ds[:0], nil, nil, nil
+	m.ds, m.aw = m.ds[:0], nil
 	e.outFree.put(m)
 }
 
@@ -883,26 +871,16 @@ func (e *relEngine) freeOut(m *relOut) {
 // waits for a relWindow of a message, never for all of it.
 type relBurst struct {
 	final mad.Rank
-	ds    []relData // the relWindow being delivered, or a rail's run left
-	rest  []relData // an origin's packets after ds on the table route
+	ds    []relData // the relWindow being delivered
+	rest  []relData // an origin's packets after ds
 	out   *relOut   // the origin's message; nil for a relayed burst
-	rail  int       // the rail whose run this is; -1 on the table route
-	left  bool      // a rail burst draining failed rails' leftovers, with no run
+	rail  int       // the rail whose first hop the burst is pinned to; -1 on the table route
 	tries int       // hops it has died on
 	batch []relData // a relayed burst's packets, their datagrams returned when it retires
 	from  string    // a relayed burst's ingress flow
 	// cost is payload bytes: a relayed burst's, charged to its flow, or a
-	// rail run's delivered so far, counted on its rail when the run ends.
+	// rail run's delivered while pinned, counted on its rail when it unpins.
 	cost int64
-}
-
-func (e *relEngine) newBurst(final mad.Rank, out *relOut, rail int, ds []relData) *relBurst {
-	b := e.burstFree.get()
-	b.final, b.out, b.rail, b.ds = final, out, rail, ds
-	if out != nil {
-		out.settled.Add(1)
-	}
-	return b
 }
 
 // relHop names a send daemon: its bursts' final destination and first hop.
@@ -936,46 +914,57 @@ func (e *relEngine) sender(final mad.Rank, hop route.Hop) *relSender {
 	s.q.Init(name, vsync.Unbounded, s.qbuf[:0])
 	e.senders[key] = s
 	e.sim().SpawnDaemon(name, func(p *vtime.Proc) {
-		sendThread(p, &s.q, func(p *vtime.Proc, b *relBurst) {
-			if b.rail >= 0 {
-				e.drainRail(p, s, b)
-			} else {
-				e.forward(p, s, b)
-			}
-		})
+		sendThread(p, &s.q, func(p *vtime.Proc, b *relBurst) { e.forward(p, s, b) })
 	})
 	return s
 }
 
 // queueRouted queues an origin's packets as one burst on the send daemon of
 // the table route's first hop, or finds no route left.
-func (e *relEngine) queueRouted(m *relOut, ds []relData) {
+func (e *relEngine) queueRouted(m *relOut) {
 	hop, ok := e.nextHop(m.dst, "")
 	if m.lost = m.lost || !ok; ok {
-		n := min(relWindow, len(ds))
-		b := e.newBurst(m.final, m, -1, ds[:n])
-		b.rest = ds[n:]
-		e.sender(m.final, hop).push(b)
+		e.queueOn(m, hop, -1, m.ds)
 	}
 }
 
-// forward moves a burst's relWindow one hop along the table route, barring its
-// ingress neighbour as a relay (split horizon), and queues an origin's burst
-// again for its next relWindow. At the head of the queue an origin's burst its
-// message no longer needs is skipped — unless it is already moving off a dead
-// hop, which it finishes — and one whose next hop has moved moves with it.
-// When the neighbour stops acknowledging, the *directed link* dies, never the
-// node, and the unacknowledged packets take the next table hop, up to
-// relRouteAttempts hops.
+// queueOn queues an origin's packets ds on hop's send daemon as one burst, a
+// relWindow a turn; a rail's run (rail >= 0) is pinned to hop, its first hop.
+func (e *relEngine) queueOn(m *relOut, hop route.Hop, rail int, ds []relData) {
+	n := min(relWindow, len(ds))
+	b := e.burstFree.get()
+	b.final, b.out, b.rail, b.ds, b.rest = m.final, m, rail, ds[:n], ds[n:]
+	m.settled.Add(1)
+	e.sender(m.final, hop).push(b)
+}
+
+// forward moves a burst's relWindow one hop — a rail's run on its rail's first
+// hop while it is pinned there, any other burst along the table route, barring
+// its ingress neighbour as a relay (split horizon) — and queues an origin's
+// burst again for its next relWindow. At the head of the queue an origin's
+// burst its message no longer needs is skipped — unless it is already moving
+// off a dead hop, which it finishes — and one whose next hop has moved moves
+// with it. When the neighbour stops acknowledging, the *directed link* dies,
+// never the node, and the unacknowledged packets take the next table hop, up
+// to relRouteAttempts hops; a rail's run unpins there, a rail failover.
 func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 	if m := b.out; m != nil && b.tries == 0 && (m.aw.done || m.lost) {
 		e.retire(b, true)
 		return
 	}
 	dst := e.vc.sess.Node(b.final).Name
-	hop, ok := e.nextHop(dst, b.from)
+	hop, ok := s.hop, true
+	if b.rail < 0 {
+		hop, ok = e.nextHop(dst, b.from)
+	}
 	if ok && hop == s.hop {
+		window := b.ds
 		if b.ds = e.deliverBurst(p, s, b.ds); len(b.ds) == 0 {
+			if b.rail >= 0 {
+				for _, d := range window {
+					b.cost += int64(len(d.payload))
+				}
+			}
 			if len(b.rest) == 0 {
 				e.retire(b, true)
 				return
@@ -987,6 +976,10 @@ func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 		}
 		e.markDead(hop, p.Now())
 		e.hop(p, b.ds[0].id, "failover", obs.Detail{Form: "link to ${peer} via ${net} presumed dead", Peer: hop.To, Net: hop.Network}, 0)
+		if b.rail >= 0 {
+			e.vc.stripe.failovers.Add(1)
+			e.unpin(b)
+		}
 		if b.tries++; b.tries == relRouteAttempts {
 			ok = false
 		} else {
@@ -1000,11 +993,21 @@ func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 	e.sender(b.final, hop).push(b)
 }
 
-// retire ends a burst, delivered (ok) or failed. An origin's settles with its
-// message. A relayed one is counted, returns its datagrams to the pool, is
-// charged to its flow and frees its destination for the next relayed burst.
+// unpin counts what an origin's burst delivered on its rail, if it is on one,
+// and takes it off: from here on it follows the table route.
+func (e *relEngine) unpin(b *relBurst) {
+	if b.cost > 0 {
+		e.vc.rail(e.node.Name, b.out.dst, b.rail).bytes.Add(b.cost)
+	}
+	b.rail, b.cost = -1, 0
+}
+
+// retire ends a burst, delivered (ok) or failed. An origin's unpins and settles
+// with its message. A relayed one is counted, returns its datagrams to the
+// pool, is charged to its flow and frees its destination for the next one.
 func (e *relEngine) retire(b *relBurst, ok bool) {
 	if m := b.out; m != nil {
+		e.unpin(b)
 		m.lost = m.lost || !ok
 		m.settled.Done()
 	} else {
@@ -1303,7 +1306,9 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 		e.handleHealth(p, in, pkt)
 		e.vc.bufs.put(pkt)
 	default:
-		panic("fwd: unexpected " + meta.Kind.String() + " message in reliable mode on " + e.node.Name)
+		// A kind the engine does not speak is malformed, like a bad checksum.
+		e.count(relChecksumDrops, 1)
+		e.vc.bufs.put(pkt)
 	}
 }
 
@@ -1619,9 +1624,9 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 		e.relaying[final].Wait(p)
 		e.relaying[final].Add(1)
 		e.queueWait(p, &it)
-		b := e.newBurst(final, nil, -1, nil)
+		b := e.burstFree.get()
 		b.batch = append(slices.Grow(b.batch, relWindow), it.d)
-		b.from, b.cost = key, int64(len(it.d.payload))
+		b.final, b.rail, b.from, b.cost = final, -1, key, int64(len(it.d.payload))
 		for len(b.batch) < relWindow {
 			more, ok := e.relayDRR.PopFrom(key, sameFinal)
 			if !ok {

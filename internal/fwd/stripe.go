@@ -13,8 +13,8 @@ package fwd
 // along it. The configuration is static (§2.3), and so is the split. Both
 // modes plan it in one place (planStripe) and find a pair's rails on its first
 // send. A streaming message runs its rails on a crew of parked daemons
-// (runRails); a reliable one queues each rail's run on the send daemon of the
-// rail's first hop (queueRails).
+// (runRails); a reliable rail is only a first hop: each rail's run is a burst
+// pinned to it (queueRails), which re-routes like any other once it dies.
 //
 // On the wire each rail is an ordinary self-described GTM-style stream with
 // Kind KindStripe and an extended 48-byte header naming the rail, the rail
@@ -377,14 +377,16 @@ type StripeStats struct {
 	// Rebalances is how many scheduling decisions changed a pair's quota
 	// split by more than 1% against the previous message.
 	Rebalances int64
-	// RailFailovers is how many times a rail died mid-message in
-	// reliable mode and its residual quota moved to the surviving rails.
+	// RailFailovers is how many times a rail's first hop died under its run
+	// in reliable mode: the link is reported dead (a DeliveryStats failover
+	// too) and the run's unacknowledged packets take the table route.
 	RailFailovers int64
 	// RailReadmissions is how many dead links the health monitor restored
 	// to service (each re-admission rebuilds the rail sets under a new
 	// epoch). Zero in streaming mode, which has no monitor.
 	RailReadmissions int64
-	// RailBytes is the payload bytes scheduled onto each rail index.
+	// RailBytes is the payload bytes each rail index carried: in reliable
+	// mode a run's packets acknowledged on its rail, not those it re-routed.
 	RailBytes map[int]int64
 }
 
@@ -525,92 +527,19 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 // queueRails queues one attempt of a striped reliable message: its packets
 // are partitioned into contiguous per-rail runs proportional to each rail's
 // static bottleneck rate (planStripe), and each run goes to the send daemon
-// of its rail's first hop (drainRail). The final destination needs no rail
-// awareness: reliable fragments carry their index and reassemble out of order
-// from any link, so striping in reliable mode is purely a sender-side
-// scheduling decision.
+// of its rail's first hop, pinned there until that hop dies (forward). The
+// final destination needs no rail awareness: reliable fragments carry their
+// index and reassemble out of order from any link, so striping in reliable
+// mode is purely a sender-side scheduling decision.
 func (e *relEngine) queueRails(p *vtime.Proc, m *relOut, rails []route.Route) {
 	e.vc.planStripe(p, &m.plan, m.id, e.node.Name, m.dst, rails, 0, m.ds)
-	clear(m.failed)
-	m.rails, m.running, m.residual = rails, 0, nil
 	ds := m.ds
 	for i, q := range m.plan.quotas {
 		if q > 0 {
-			m.running++
-			e.sender(m.final, rails[i][0]).push(e.newBurst(m.final, m, i, ds[:q]))
+			e.queueOn(m, rails[i][0], i, ds[:q])
 		}
 		ds = ds[q:]
 	}
-}
-
-// drainRail delivers the next relWindow of a rail's run under the rail's own ARQ
-// window — once the run is done, of whatever failed rails left over — and
-// queues the burst again, until the message is acknowledged end to end or
-// nothing is left. A rail whose neighbour stops acknowledging fails over: its
-// residual quota joins the leftovers. Once no rail runs its run, the
-// leftovers go to the first surviving rail's daemon, as a burst with no run of
-// its own, and once no rail survives to the table route (leftovers).
-func (e *relEngine) drainRail(p *vtime.Proc, s *relSender, b *relBurst) {
-	m, ri := b.out, b.rail
-	from := &b.ds
-	if len(b.ds) == 0 {
-		from = &m.residual
-	}
-	if n := min(relWindow, len(*from)); n > 0 && !m.aw.done {
-		chunk := (*from)[:n]
-		*from = (*from)[n:]
-		bad := e.deliverBurst(p, s, chunk)
-		if len(bad) == 0 {
-			for _, d := range chunk {
-				b.cost += int64(len(d.payload))
-			}
-			s.push(b)
-			return
-		}
-		// deliverBurst has told the health monitor, link by link; the
-		// neighbour — on a dual-direct configuration the destination itself —
-		// stays reachable over the surviving rails.
-		m.failed[ri] = true
-		e.vc.stripe.failovers.Add(1)
-		d := obs.Detail{Form: "rail ${a} via ${net} dead, ${b} packets re-striped", A: ri, Net: s.hop.Network}
-		if b.left {
-			m.residual = append(bad, m.residual...)
-			d.Form, d.B = "rail ${a} via ${net} dead draining leftovers, ${b} packets re-striped", len(bad)
-		} else {
-			m.residual = append(append(m.residual, bad...), b.ds...)
-			d.B = len(m.residual)
-		}
-		e.vc.hop(p, m.id, e.node.Name, "rail-failover", d, 0)
-	}
-	if !b.left {
-		if b.cost > 0 {
-			e.vc.rail(e.node.Name, m.dst, ri).bytes.Add(b.cost)
-		}
-		m.running--
-	}
-	if m.running == 0 {
-		e.leftovers(m)
-	}
-	e.retire(b, true)
-}
-
-// leftovers hands what failed rails left over to the first surviving rail's
-// send daemon or, with none left, to the table route, which leaves the rail
-// set for whatever the monitor's tables still offer.
-func (e *relEngine) leftovers(m *relOut) {
-	if len(m.residual) == 0 || m.aw.done {
-		return
-	}
-	for ri, r := range m.rails {
-		if !m.failed[ri] {
-			b := e.newBurst(m.final, m, ri, nil)
-			b.left = true
-			e.sender(m.final, r[0]).push(b)
-			return
-		}
-	}
-	e.queueRouted(m, m.residual)
-	m.residual = nil
 }
 
 // openStripeRail opens one announced rail sub-message and files the rail

@@ -2,6 +2,7 @@ package fwd_test
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/obs"
+	"madgo/internal/route"
 	"madgo/internal/topo"
 	"madgo/internal/trace"
 	"madgo/internal/vtime"
@@ -401,7 +403,7 @@ func TestStripeBelowThresholdTakesEagerFraming(t *testing.T) {
 // Reliable striping is a sender-side scheduling decision: fragments carry
 // their index and reassemble out of order, so the receiver needs no rail
 // awareness. These tests pin byte-exactness clean, under loss, and across
-// a rail crash with quota failover.
+// a rail's death, which re-routes its run like any other burst.
 
 func TestReliableStripedIntact(t *testing.T) {
 	w := buildFaulty(t, dualRail(t), nil, nil, stripeCfg(2))
@@ -464,21 +466,8 @@ func TestReliableStripedGatewayRailCrash(t *testing.T) {
 	// Diamond topology, one gateway per rail; the SCI-side gateway dies.
 	// The rail through it must fail over and the whole message drain
 	// through the surviving Myrinet gateway.
-	tp, err := topo.NewBuilder().
-		Network("m1", "myrinet").
-		Network("m2", "myrinet").
-		Network("s1", "sci").
-		Network("s2", "sci").
-		Node("a", "m1", "s1").
-		Node("g1", "m1", "m2").
-		Node("g2", "s1", "s2").
-		Node("b", "m2", "s2").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := fault.NewPlan(5).Crash("g2", 0, 0)
-	w := buildFaulty(t, tp, nil, plan, stripeCfg(2))
+	w := buildFaulty(t, diamond(t), nil, plan, stripeCfg(2))
 	blocks := []block{{pattern(96*1024, 19), mad.SendCheaper, mad.ReceiveCheaper}}
 	got, fwded, _ := sendRecv(t, w, "a", "b", blocks)
 	if !bytes.Equal(got[0], blocks[0].data) {
@@ -492,6 +481,91 @@ func TestReliableStripedGatewayRailCrash(t *testing.T) {
 	}
 	if n := w.vc.Gateway("g1").Messages(); n == 0 {
 		t.Error("surviving gateway relayed nothing")
+	}
+}
+
+// TestReliableStripedFailover sends four 128 KiB messages striped over two
+// rails while one of them dies: the SCI rail from the start, the SCI rail in
+// the middle of the second message, the gateway of a rail. A rail is only its
+// run's first hop (DESIGN.md §35): when that hop dies, the burst reports the
+// link dead, counts a rail failover and takes the table's next hop like any
+// other burst, so every message arrives byte-exact and in order. With both
+// rails dead for good the sender ends in a DeliveryError whose cause is
+// ErrNoRoute, never a deadlock.
+func TestReliableStripedFailover(t *testing.T) {
+	const msgs, size = 4, 128 * 1024
+	midSecond := vtime.Time(3300 * vtime.Microsecond) // message 1 is out from 2.2 to 4.4 ms
+	for _, tc := range []struct {
+		name    string
+		tp      func(*testing.T) *topo.Topology
+		plan    *fault.Plan
+		noRoute bool
+	}{
+		{"sci rail dead from the start", dualRail, fault.NewPlan(3).Flap("sci0", 0, 0), false},
+		{"sci rail flapped mid-message", dualRail, fault.NewPlan(3).Flap("sci0", midSecond, 0), false},
+		{"rail gateway crashed", diamond, fault.NewPlan(5).Crash("g2", 0, 0), false},
+		{"both rails dead", dualRail, fault.NewPlan(3).Flap("sci0", midSecond, 0).Flap("myri0", midSecond, 0), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := buildFaulty(t, tc.tp(t), nil, tc.plan, stripeCfg(2))
+			w.aborts = tc.noRoute
+			var sent [msgs][]byte
+			for i := range sent {
+				sent[i] = pattern(size, byte(17+i))
+			}
+			sender := w.sim.Spawn("app-send:a", func(p *vtime.Proc) {
+				for _, m := range sent {
+					px := w.vc.At("a").BeginPacking(p, "b")
+					px.Pack(p, m, mad.SendCheaper, mad.ReceiveCheaper)
+					px.EndPacking(p)
+				}
+			})
+			var got [][]byte
+			if !tc.noRoute {
+				w.sim.Spawn("app-recv:b", func(p *vtime.Proc) {
+					for range sent {
+						u := w.vc.At("b").BeginUnpacking(p)
+						m := make([]byte, size)
+						u.Unpack(p, m, mad.SendCheaper, mad.ReceiveCheaper)
+						u.EndUnpacking(p)
+						got = append(got, m)
+					}
+				})
+			}
+			err := w.sim.Run()
+			if tc.noRoute {
+				var de *fwd.DeliveryError
+				if !errors.As(err, &de) || !errors.Is(err, route.ErrNoRoute) {
+					t.Fatalf("Run() = %v, want a *DeliveryError caused by ErrNoRoute", err)
+				}
+				if sender.Parked() || !sender.Done() {
+					t.Error("the sender was left parked")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sent {
+				if i >= len(got) || !bytes.Equal(got[i], sent[i]) {
+					t.Fatalf("message %d corrupted or out of order across the failover", i)
+				}
+			}
+			st, ds := w.vc.StripeStats(), w.vc.DeliveryStats()
+			if st.RailFailovers == 0 {
+				t.Error("the dead rail caused no rail failover")
+			}
+			var railBytes int64
+			for _, n := range st.RailBytes {
+				railBytes += n
+			}
+			if railBytes > msgs*size {
+				t.Errorf("rails carried %d bytes of %d sent: %v", railBytes, msgs*size, st.RailBytes)
+			}
+			if ds.Failovers < st.RailFailovers {
+				t.Errorf("%d rail failovers, but only %d links reported dead", st.RailFailovers, ds.Failovers)
+			}
+		})
 	}
 }
 

@@ -405,8 +405,8 @@ func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } 
 // and reassembled in place at the receiver; pairs with a single route, and
 // messages below fwd.DefaultStripeThreshold (16 KB), use the ordinary
 // single-route path. k must be between 0 and 255; 0 and 1 leave striping off.
-// Striping composes with reliable delivery: a rail that dies mid-message
-// hands its residual quota to the surviving rails.
+// Striping composes with reliable delivery: a rail whose first hop dies
+// mid-message is reported dead and its run re-routes like any other burst.
 func WithStriping(k int) Option { return func(o *Options) { o.StripeK = k } }
 
 // WithFlightRingCap sets the flight recorder's per-node ring capacity in

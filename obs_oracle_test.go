@@ -61,6 +61,12 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // relays start up to a poll (2 µs) earlier, because the polling thread has
 // already taken the next announcement when a relay returns: the leg ends at
 // 18.816 ms instead of 18.818.
+//
+// And a fifth time, when a reliable rail's run became an ordinary burst pinned
+// to its first hop (DESIGN.md §35): on the reliable leg a0's dead SCI rail is
+// reported dead like any hop, so its hop reads `failover "link to gw1 via sci0
+// presumed dead"` instead of `rail-failover`, madgo_failovers_total{node="a0"}
+// reads 1 instead of 0, and every hop instant is unchanged.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
