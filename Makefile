@@ -286,7 +286,7 @@ fuzz:
 # row, or a document of DOC_MAX (file:max rows) more lines than its. A PR that
 # makes one smaller lowers its row, so the rows only move down; one whose
 # feature needs the lines raises a row by that many and says why in CHANGES.md.
-LOC_MAX := .:865 internal/fwd:6380 internal/bench:2424 internal/agg:379 internal/flight:1079 internal/route:732 internal/flow:372
+LOC_MAX := .:865 internal/fwd:6277 internal/bench:2424 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:372
 DOC_MAX := DESIGN.md:5803 .claude/skills/verify/SKILL.md:187 README.md:477
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \

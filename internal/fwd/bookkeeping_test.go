@@ -101,12 +101,12 @@ func TestEvictOldestRxPicksStalest(t *testing.T) {
 	e := &relEngine{
 		vc:   &VirtualChannel{sess: sess},
 		node: sess.AddNode("n0"),
-		rx:   make(map[relMsgKey]*relMsg),
+		rx:   make(map[relMsgKey]*heldMsg),
 	}
 	for _, k := range []relMsgKey{
 		{origin: 3, id: 40}, {origin: 1, id: 12}, {origin: 2, id: 12}, {origin: 0, id: 99},
 	} {
-		e.rx[k] = &relMsg{origin: k.origin, id: k.id, total: 2, frags: make([]relFrag, 2)}
+		e.rx[k] = &heldMsg{src: k.origin, id: k.id, frags: make([][]byte, 2), bufs: make([][]byte, 2)}
 	}
 	sim.Spawn("evict", func(p *vtime.Proc) {
 		// Smallest id wins, origin breaks the tie — the stalest partial

@@ -467,9 +467,9 @@ func FuzzRelHandle(f *testing.F) {
 				}
 				vc.release(h)
 			}
-			for k, m := range e.rx {
+			for k, h := range e.rx {
 				delete(e.rx, k)
-				e.freeMsg(m)
+				vc.release(h)
 			}
 		}
 		if delivered != 1 && !impersonated {

@@ -97,8 +97,8 @@ func TestReliableMessageAllocBudget(t *testing.T) {
 }
 
 // A relayed packet asks for its next hop under split horizon twice (the
-// custody check, then the relay burst). Once the ingress neighbour's table
-// and this node's row of it exist, that costs no allocation.
+// custody check, then the relay burst). Once the monitor's table barring the
+// ingress neighbour and this node's row of it exist, that costs no allocation.
 func TestNextHopHealthWarmAllocsNothing(t *testing.T) {
 	_, vc := relChain(t, DefaultConfig())
 	gw := vc.rel["gw"]

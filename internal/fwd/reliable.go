@@ -406,30 +406,6 @@ func (aw *relAwait) rearm() {
 	aw.done, aw.ok = false, false
 }
 
-// relFrag is one fragment of a message under reassembly: the payload and the
-// pooled datagram it aliases. buf is nil until the fragment has arrived.
-type relFrag struct {
-	payload []byte
-	buf     []byte
-}
-
-// relMsg is a message being reassembled at its final destination. Once every
-// fragment arrived and they agree with its descriptor, it is handed to the
-// application as a held message (hold) and recycled.
-type relMsg struct {
-	origin mad.Rank
-	id     uint64
-	total  uint32
-	frags  []relFrag // by fragment index, len == total
-	got    uint32    // fragments present
-	mtu    int       // its headers'
-	// payload is the bytes of the fragments present past fragment 0, the
-	// block descriptors: what the delivery hop record reports.
-	payload int
-	// agg marks a message whose payload is an aggregate frame (flagAgg).
-	agg bool
-}
-
 // relayItem is one packet queued for forwarding by a node's relay dispatcher.
 // The packet is re-encoded at the next hop (piggybacking fresh acks), so
 // only the decoded form travels through the queue — with the datagram it
@@ -522,18 +498,12 @@ func (w *relDoneWindow) size() int { return len(w.set) }
 type relEngine struct {
 	vc   *VirtualChannel
 	node *mad.Node
-	rng  relRand // decorrelated-jitter state, seeded from the node name
-
-	// tables caches the split-horizon tables: the monitor's constraints plus
-	// one barred ingress neighbour. tablesEpoch is the route epoch the cache
-	// was built under; a publish invalidates every cached table at once.
-	tables      map[relTableKey]*route.Table
-	tablesEpoch uint64
-	hp          *healthProber // this node's health prober (health.go)
+	rng  relRand       // decorrelated-jitter state, seeded from the node name
+	hp   *healthProber // this node's health prober (health.go)
 
 	acks map[relAckKey]*relAwait
 	e2e  map[relMsgKey]*relAwait
-	rx   map[relMsgKey]*relMsg
+	rx   map[relMsgKey]*heldMsg // messages under reassembly, each in the record its sink reads
 	done map[mad.Rank]*relDoneWindow
 
 	// pend accumulates hop acknowledgements per reverse link until a
@@ -567,7 +537,6 @@ type relEngine struct {
 	// engine at once — its applications and its send daemons — so these are
 	// free lists, not single scratch slots.
 	awFree    freeList[relAwait] // completion slots
-	msgFree   freeList[relMsg]   // reassembly records, fragment tables attached
 	burstFree freeList[relBurst] // queued bursts, relay batches attached
 	outFree   freeList[relOut]   // sent messages, packet lists and stripe plans attached
 
@@ -575,13 +544,6 @@ type relEngine struct {
 	// The node's event counts, by the rel* indexes below: what the stats
 	// accessors sum, and the node's {node} series once bound.
 	counters [len(relCounterNames)]obs.Counter
-}
-
-// relTableKey identifies one cached split-horizon table of an engine: which
-// topology (0 primary, 1 fallback) and the ingress neighbour barred.
-type relTableKey struct {
-	topo    int
-	exclude string
 }
 
 func (e *relEngine) sim() *vtime.Sim { return e.vc.sess.Platform.Sim }
@@ -660,11 +622,10 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			vc:       vc,
 			node:     node,
 			rng:      seedRelRand(n.Name),
-			tables:   make(map[relTableKey]*route.Table),
 			actor:    "rel:" + n.Name,
 			acks:     make(map[relAckKey]*relAwait),
 			e2e:      make(map[relMsgKey]*relAwait),
-			rx:       make(map[relMsgKey]*relMsg),
+			rx:       make(map[relMsgKey]*heldMsg),
 			done:     make(map[mad.Rank]*relDoneWindow),
 			pend:     make(map[*mad.Link][]relAckKey),
 			queued:   make(map[*mad.Link]bool),
@@ -748,6 +709,11 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		panic("fwd: reliable fragment count out of step with ForEachFragment")
 	}
 
+	if rails != nil {
+		// Every attempt splits the packets alike, so the message is planned,
+		// counted and recorded once.
+		e.vc.planStripe(p, &m.plan, id, e.node.Name, dst, rails, 0, m.ds)
+	}
 	mkey := relMsgKey{origin: e.node.Rank, id: id}
 	reason := "timeout"
 	bo := relAckTimeout
@@ -761,7 +727,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		e.e2e[mkey] = aw
 		m.aw, m.lost = aw, false
 		if rails != nil {
-			e.queueRails(p, m, rails)
+			e.queueRails(m, rails)
 		} else {
 			e.queueRouted(m)
 		}
@@ -845,7 +811,7 @@ func (e *relEngine) nextTimeout(prev vtime.Duration) vtime.Duration {
 }
 
 // relOut is a message at its origin: its packets, the current attempt's
-// end-to-end ack slot and bursts, and a striped attempt's split (stripe.go).
+// end-to-end ack slot and bursts, and a striped message's split (stripe.go).
 type relOut struct {
 	id      uint64
 	dst     string
@@ -962,7 +928,9 @@ func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 		if b.ds = e.deliverBurst(p, s, b.ds); len(b.ds) == 0 {
 			if b.rail >= 0 {
 				for _, d := range window {
-					b.cost += int64(len(d.payload))
+					if d.frag > 0 { // fragment 0 is the block descriptor, not payload
+						b.cost += int64(len(d.payload))
+					}
 				}
 			}
 			if len(b.rest) == 0 {
@@ -1217,64 +1185,11 @@ func complete(aw *relAwait) {
 	}
 }
 
-// nextHop picks the first leg toward dst, preferring the primary topology
-// (the high-speed networks) and falling back to Config.FallbackTopo (the
-// full configuration including the control network) when the primary has no
-// live path. The link-health monitor owns liveness: its current epoch's
-// tables are shared by every node, so all senders converge on the same
-// routes the instant a transition publishes a new epoch. Only split horizon — a
-// non-empty exclude, the ingress neighbour of a relayed packet, barred as an
-// intermediate hop — needs per-engine tables: the epoch constraints merged
-// with the barred neighbour, cached per (topology, exclude) and invalidated
-// wholesale on epoch change. A table costs its constraint copy when it is
-// made and one search when this node's row is first read (route tables are
-// row-lazy), so the steady state of a relayed packet is two map lookups and a
-// walk up the search tree.
-func (e *relEngine) nextHop(dst, exclude string) (route.Hop, bool) {
-	if exclude == dst {
-		exclude = ""
-	}
-	mon := e.vc.mon
-	me := e.node.Name
-	if ep := mon.Epoch(); ep != e.tablesEpoch {
-		clear(e.tables)
-		e.tablesEpoch = ep
-	}
-	if exclude == "" {
-		for _, tbl := range mon.Tables() {
-			if hop, ok := tbl.NextHop(me, dst); ok {
-				return hop, true
-			}
-		}
-		return route.Hop{}, false
-	}
-	for i, t := range [...]*topo.Topology{e.vc.tp, e.vc.cfg.FallbackTopo} {
-		if t == nil {
-			continue
-		}
-		key := relTableKey{topo: i, exclude: exclude}
-		tbl := e.tables[key]
-		if tbl == nil {
-			tbl = route.ComputeConstrained(t, barRelay(mon.Constraints(), exclude))
-			e.tables[key] = tbl
-		}
-		if hop, ok := tbl.NextHop(me, dst); ok {
-			return hop, true
-		}
-	}
-	return route.Hop{}, false
-}
-
-// barRelay returns c with exclude added to the relays no route may pass
-// through, on a copy: c's maps are the monitor's.
-func barRelay(c route.Constraints, exclude string) route.Constraints {
-	relays := make(map[string]bool, len(c.Relays)+1)
-	for k, v := range c.Relays {
-		relays[k] = v
-	}
-	relays[exclude] = true
-	c.Relays = relays
-	return c
+// nextHop picks the first leg toward dst from the health monitor's tables of
+// the current epoch, which every node shares, barring from — the ingress
+// neighbour of a relayed packet, "" for none — as a relay (split horizon).
+func (e *relEngine) nextHop(dst, from string) (route.Hop, bool) {
+	return e.vc.mon.NextHop(e.node.Name, dst, from)
 }
 
 // markDead records a failover: the neighbour stopped acknowledging on one
@@ -1367,16 +1282,16 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	}
 }
 
-// acceptLocal stores one fragment at its final destination, suppressing
-// duplicates, and completes the message when the last fragment lands. It
-// reports whether the fragment — and with it the packet's buffer — was kept.
-// A fragment that would complete a message while the application leaves the
-// merged queue full is refused like a relay admission: neither stored nor
-// acknowledged, so the origin's ARQ sends it again.
+// acceptLocal files one fragment at its final destination in the record its
+// sink will read, suppressing duplicates, and seals the message when the last
+// fragment lands. It reports whether the fragment — and with it the packet's
+// buffer — was kept. A fragment that would complete a message while the
+// application leaves the merged queue full is refused like a relay admission:
+// neither stored nor acknowledged, so the origin's ARQ sends it again.
 func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	mkey := relMsgKey{origin: d.src, id: d.id}
-	m := e.rx[mkey]
-	if e.vc.merged[e.node.Rank].Len() >= mergedCap && completes(m, d) {
+	h := e.rx[mkey]
+	if e.vc.merged[e.node.Rank].Len() >= mergedCap && completes(h, d) {
 		e.count(relBackpressure, 1)
 		return false
 	}
@@ -1390,7 +1305,7 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		e.sendE2E(d.src, d.id)
 		return false
 	}
-	if m == nil {
+	if h == nil {
 		if d.total == 0 || d.total > relMaxFrags {
 			e.count(relChecksumDrops, 1)
 			return false
@@ -1398,109 +1313,84 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		if len(e.rx) >= relRxCap {
 			e.evictOldestRx(p)
 		}
-		m = e.newMsg(d)
-		e.rx[mkey] = m
+		h = e.vc.hold(d.src, int(d.mtu), d.id)
+		h.frags, h.bufs = slices.Grow(h.frags, int(d.total))[:d.total], slices.Grow(h.bufs, int(d.total))[:d.total]
+		clear(h.frags)
+		clear(h.bufs)
+		h.agg = d.flags&flagAgg != 0
+		e.rx[mkey] = h
 	}
-	if d.frag >= m.total || int(d.mtu) != m.mtu {
+	if int(d.frag) >= len(h.bufs) || int(d.mtu) != h.mtu {
 		e.count(relChecksumDrops, 1)
 		return false
 	}
-	if m.frags[d.frag].buf != nil {
+	if h.bufs[d.frag] != nil {
 		e.trace("dup", len(d.payload), p.Now())
 		e.count(relDuplicates, 1)
 		e.hop(p, d.id, "dup", obs.Detail{Form: "frag ${a} suppressed", A: int(d.frag)}, len(d.payload))
 		return false
 	}
-	m.frags[d.frag] = relFrag{payload: d.payload, buf: d.buf}
-	m.got++
-	if d.frag > 0 {
-		m.payload += len(d.payload)
-	}
-	if m.got < m.total {
+	h.frags[d.frag], h.bufs[d.frag] = d.payload, d.buf
+	if h.got++; h.got < len(h.bufs) {
 		return true
 	}
 	// Dropping the rx entry of a complete message is what keeps a long-lived
 	// node's reassembly table from growing one record per message.
 	delete(e.rx, mkey)
-	h := e.hold(m)
-	if h == nil {
+	payload := 0 // past fragment 0, the block descriptors
+	for _, f := range h.frags[1:] {
+		payload += len(f)
+	}
+	if !e.seal(h) {
 		// CRC-valid fragments that disagree with their descriptor: dropped
 		// unacked, so the origin's resends end in a DeliveryError.
 		e.count(relChecksumDrops, 1)
-		e.hop(p, d.id, "corrupt-drop", obs.Detail{Note: "fragments disagree with the descriptor"}, m.payload)
-		e.freeMsg(m)
+		e.hop(p, d.id, "corrupt-drop", obs.Detail{Note: "fragments disagree with the descriptor"}, payload)
+		e.vc.release(h)
 		return true
 	}
 	e.markDone(d.src, d.id)
-	e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: int(m.total)}, m.payload)
-	e.msgFree.put(m)
+	e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: len(h.bufs)}, payload)
 	e.vc.merged[e.node.Rank].TrySend(incoming{held: h}) // room checked above
 	e.sendE2E(d.src, d.id)
 	return true
 }
 
-// hold verifies a complete message and hands it over whole with every
-// datagram, or returns nil and leaves it be. The fragment-0 descriptor's MTU
+// seal checks a complete message in place: the fragment-0 descriptor's MTU
 // must be the header's, an aggregate frame one block, and the fragments past
-// it exactly those the blocks cut at that MTU, so the sink trusts them.
-func (e *relEngine) hold(m *relMsg) *heldMsg {
-	vc := e.vc
-	h := vc.hold(m.origin, m.mtu, m.id)
-	mtu, desc, ok := decodeRelDesc(m.frags[0].payload, h.blocks)
-	ok = ok && mtu == m.mtu && (!m.agg || len(desc) == 1)
-	next := 1
+// it exactly those the blocks cut at that MTU, so the sink trusts them. It
+// moves the payload fragments the sink reads to the front of frags — fragment
+// 0 and an empty block's fragment go — while bufs keeps every datagram for
+// release.
+func (e *relEngine) seal(h *heldMsg) bool {
+	mtu, desc, ok := decodeRelDesc(h.frags[0], h.blocks)
+	ok = ok && mtu == h.mtu && (!h.agg || len(desc) == 1)
+	frags, next := h.frags[:0], 1 // frags is written behind next
 	for i := 0; ok && i < len(desc); i++ {
 		b := desc[i]
 		for off := 0; ok && (off == 0 || off < b.Size); off += mtu { // an empty block is one empty fragment
-			if ok = next < len(m.frags) && len(m.frags[next].payload) == min(mtu, b.Size-off); ok && off < b.Size {
-				h.frags = append(h.frags, m.frags[next].payload)
-				h.descs = append(h.descs, mad.BlockDesc{Size: len(m.frags[next].payload), S: b.S, R: b.R})
+			if ok = next < len(h.bufs) && len(h.frags[next]) == min(mtu, b.Size-off); ok && off < b.Size {
+				h.descs = append(h.descs, mad.BlockDesc{Size: len(h.frags[next]), S: b.S, R: b.R})
+				frags = append(frags, h.frags[next])
 			}
 			next++
 		}
 	}
-	if !ok || next != len(m.frags) {
-		vc.release(h)
-		return nil
+	if !ok || next != len(h.bufs) {
+		return false
 	}
-	h.direct = len(vc.tp.SharedNetworks(vc.sess.Node(m.origin).Name, e.node.Name)) > 0
-	h.known, h.blocks, h.cost, h.delivered, h.agg = true, desc, e.node.Host.CPU.PackCost, true, m.agg
-	for _, f := range m.frags {
-		h.bufs = append(h.bufs, f.buf)
-	}
-	clear(m.frags)
-	return h
+	clear(h.frags[len(frags):])
+	h.direct = len(e.vc.tp.SharedNetworks(e.vc.sess.Node(h.src).Name, e.node.Name)) > 0
+	h.known, h.frags, h.blocks, h.cost, h.delivered = true, frags, desc, e.node.Host.CPU.PackCost, true
+	return true
 }
 
-// completes reports whether d is the one fragment its message (m, if any) lacks.
-func completes(m *relMsg, d *relData) bool {
-	if m == nil {
+// completes reports whether d is the one fragment its message (h, if any) lacks.
+func completes(h *heldMsg, d *relData) bool {
+	if h == nil {
 		return d.total == 1 && d.frag == 0
 	}
-	return m.got+1 == m.total && d.frag < m.total && m.frags[d.frag].buf == nil
-}
-
-// newMsg starts the reassembly of the message d belongs to, on a recycled
-// record when one is free.
-func (e *relEngine) newMsg(d *relData) *relMsg {
-	m := e.msgFree.get()
-	frags := m.frags[:0]
-	if cap(frags) < int(d.total) {
-		frags = make([]relFrag, d.total)
-	}
-	*m = relMsg{origin: d.src, id: d.id, total: d.total, frags: frags[:d.total],
-		mtu: int(d.mtu), agg: d.flags&flagAgg != 0}
-	return m
-}
-
-// freeMsg returns the buffers of a message nobody reads any more to the pool
-// and recycles its record, fragment table cleared.
-func (e *relEngine) freeMsg(m *relMsg) {
-	for i := range m.frags {
-		e.vc.bufs.put(m.frags[i].buf)
-		m.frags[i] = relFrag{}
-	}
-	e.msgFree.put(m)
+	return h.got+1 == len(h.bufs) && int(d.frag) < len(h.bufs) && h.bufs[d.frag] == nil
 }
 
 // markDone records a completed message in the origin's bounded
@@ -1529,7 +1419,7 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 	if !found {
 		return
 	}
-	e.freeMsg(e.rx[victim])
+	e.vc.release(e.rx[victim])
 	delete(e.rx, victim)
 	e.count(relRxEvictions, 1)
 	e.hop(p, victim.id, "evict", obs.Detail{Form: "partial reassembly evicted at cap ${a}", A: relRxCap}, 0)

@@ -721,9 +721,10 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 // heldMsg is what a sink holds of a message in memory ahead of Unpack: the
 // payload that shared a stream's first transfer with its header, or all of a
 // message held whole — a multicast message the local gateway captured, a
-// reliable message its engine reassembled — which comes through the merged
-// arrival queue and reads like a compact multicast frame (beginUnpacking). The
-// fields from direct on are a reliable message's; a capture leaves them zero.
+// reliable message its engine reassembled in this record — which comes through
+// the merged arrival queue and reads like a compact multicast frame
+// (beginUnpacking). The fields from direct on are a reliable message's; a
+// capture leaves them zero.
 type heldMsg struct {
 	src   mad.Rank
 	mtu   int
@@ -738,7 +739,11 @@ type heldMsg struct {
 	blocks        []mad.BlockDesc
 	nextBlk       int
 	cost          vtime.Duration
-	bufs          [][]byte // the buffers the fragments lie in: datagrams, an eager frame
+	// bufs are the buffers the fragments lie in: an eager frame, or a reliable
+	// message's datagrams by fragment index, nil until that fragment arrives
+	// (frags is filed the same way until seal); got counts those arrived.
+	bufs [][]byte
+	got  int
 	// delivered: the deliver hop was recorded at completion; agg: the payload
 	// is an aggregate frame (flagAgg), for aggDecodeReliable.
 	delivered, agg bool

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"madgo/internal/fault"
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
@@ -16,7 +17,10 @@ import (
 // (a –sci– g1 –myrinet– g2 –sci– c), in the seed, eager and eager+agg
 // framings and eager at the default MTU, and over two rails that each cross a
 // gateway (the diamond, StripeK 2: a message past the stripe threshold takes
-// both rails, any other one rail in the seed framing). Every layout goes once
+// both rails, any other one rail in the seed framing). The reliable rows send
+// the same layouts through reliable reassembly: plain and eager+agg on the
+// chain, striped on the diamond, and on the chain under 5 % loss, where
+// fragments arrive out of order and twice. Every layout goes once
 // per send mode, three messages back to back per receive mode, each with
 // payload of its own, and must arrive byte-exact. A stream's headers, frames
 // and descriptor pairs come off the wire pool and are returned by the final
@@ -32,12 +36,18 @@ func TestStreamShapesAcrossTwoGateways(t *testing.T) {
 		src, dst string
 		mtu      int
 		tune     func(*fwd.Config)
+		reliable bool
+		drop     float64 // a reliable world's loss on every network
 	}{
-		{"seed", chainTopo, "a", "c", mtu, func(*fwd.Config) {}},
-		{"eager", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager = true }},
-		{"eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }},
-		{"eager-default-mtu", chainTopo, "a", "c", fwd.DefaultConfig().MTU, func(c *fwd.Config) { c.Eager = true }},
-		{"stripe", diamond, "a", "b", mtu, func(c *fwd.Config) { c.StripeK = 2 }},
+		{"seed", chainTopo, "a", "c", mtu, func(*fwd.Config) {}, false, 0},
+		{"eager", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager = true }, false, 0},
+		{"eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }, false, 0},
+		{"eager-default-mtu", chainTopo, "a", "c", fwd.DefaultConfig().MTU, func(c *fwd.Config) { c.Eager = true }, false, 0},
+		{"stripe", diamond, "a", "b", mtu, func(c *fwd.Config) { c.StripeK = 2 }, false, 0},
+		{"reliable", chainTopo, "a", "c", mtu, func(*fwd.Config) {}, true, 0},
+		{"reliable+eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }, true, 0},
+		{"reliable-stripe", diamond, "a", "b", mtu, func(c *fwd.Config) { c.StripeK = 2 }, true, 0},
+		{"reliable-lossy", chainTopo, "a", "c", mtu, func(*fwd.Config) {}, true, 0.05},
 	}
 	layouts := [][]int{
 		{0}, {1}, {0, 5}, {5, 0}, {1024}, {1025}, {4096}, {4097}, {3072},
@@ -53,7 +63,15 @@ func TestStreamShapesAcrossTwoGateways(t *testing.T) {
 					cfg := fwd.DefaultConfig()
 					cfg.MTU = c.mtu
 					c.tune(&cfg)
-					w := build(t, c.topo(t), cfg)
+					var w *world
+					switch {
+					case c.drop > 0:
+						w = buildFaulty(t, c.topo(t), nil, fault.NewPlan(7).Drop("*", c.drop), cfg)
+					case c.reliable:
+						w = buildFaulty(t, c.topo(t), nil, nil, cfg)
+					default:
+						w = build(t, c.topo(t), cfg)
+					}
 					var msgs [][]block
 					for _, r := range recvs {
 						for range perMode {

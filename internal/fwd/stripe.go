@@ -307,7 +307,8 @@ type stripePlan struct {
 // to their static bottleneck rates (a rail's measured goodput is not its
 // capacity, DESIGN.md §30), counts it and records the split. A streaming
 // message divides its total bytes; a reliable one divides its packets pkts,
-// and a rail's span is its packets' payload.
+// and a rail's span is its packets' payload, fragment 0's descriptor not
+// counted.
 func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, src, dst string, rails []route.Route, total int64, pkts []relData) {
 	k := len(rails)
 	if cap(pl.spans) < k {
@@ -328,7 +329,9 @@ func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, s
 		if pkts != nil {
 			pl.spans[i] = 0
 			for _, d := range pkts[:q] {
-				pl.spans[i] += int64(len(d.payload))
+				if d.frag > 0 {
+					pl.spans[i] += int64(len(d.payload))
+				}
 			}
 			pkts = pkts[q:]
 		}
@@ -526,13 +529,12 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 
 // queueRails queues one attempt of a striped reliable message: its packets
 // are partitioned into contiguous per-rail runs proportional to each rail's
-// static bottleneck rate (planStripe), and each run goes to the send daemon
-// of its rail's first hop, pinned there until that hop dies (forward). The
-// final destination needs no rail awareness: reliable fragments carry their
-// index and reassemble out of order from any link, so striping in reliable
-// mode is purely a sender-side scheduling decision.
-func (e *relEngine) queueRails(p *vtime.Proc, m *relOut, rails []route.Route) {
-	e.vc.planStripe(p, &m.plan, m.id, e.node.Name, m.dst, rails, 0, m.ds)
+// static bottleneck rate (the message's plan, planStripe), and each run goes
+// to the send daemon of its rail's first hop, pinned there until that hop dies
+// (forward). The final destination needs no rail awareness: reliable fragments
+// carry their index and reassemble out of order from any link, so striping in
+// reliable mode is purely a sender-side scheduling decision.
+func (e *relEngine) queueRails(m *relOut, rails []route.Route) {
 	ds := m.ds
 	for i, q := range m.plan.quotas {
 		if q > 0 {

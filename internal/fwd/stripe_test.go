@@ -422,6 +422,14 @@ func TestReliableStripedIntact(t *testing.T) {
 	if st.RailFailovers != 0 {
 		t.Errorf("clean run failed over %d rails", st.RailFailovers)
 	}
+	// RailBytes is payload: fragment 0, the block descriptor, is not counted.
+	var railBytes int64
+	for _, n := range st.RailBytes {
+		railBytes += n
+	}
+	if railBytes != int64(len(blocks[0].data)) {
+		t.Errorf("rails carried %d bytes of %d sent: %v", railBytes, len(blocks[0].data), st.RailBytes)
+	}
 	if ds := w.vc.DeliveryStats(); ds != (fwd.DeliveryStats{}) {
 		t.Errorf("fault-free delivery stats not all zero: %+v", ds)
 	}
@@ -540,6 +548,10 @@ func TestReliableStripedFailover(t *testing.T) {
 				}
 				if sender.Parked() || !sender.Done() {
 					t.Error("the sender was left parked")
+				}
+				// A message is planned and counted once, however many attempts it takes.
+				if n := w.vc.StripeStats().Messages; n != 2 {
+					t.Errorf("striped %d messages, want 2", n)
 				}
 				return
 			}

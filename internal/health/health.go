@@ -192,6 +192,11 @@ type Monitor struct {
 
 	dead map[route.Edge]bool // edges excluded from routing (Dead+Probation)
 
+	// tps are the topologies routed over, primary first; barred caches, by
+	// barred relay, the current epoch's tables that also bar it (NextHop).
+	tps    []*topo.Topology
+	barred map[string][]*route.Table
+
 	log []Transition
 
 	// The monitor's counts, attached to their series by NewMonitor, and its
@@ -215,13 +220,14 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 		now:      now,
 		byFrom:   make(map[string][]route.Edge),
 		dead:     make(map[route.Edge]bool),
+		tps:      []*topo.Topology{primary},
+		barred:   make(map[string][]*route.Table),
 	}
-	tps := []*topo.Topology{primary}
-	if fallback != nil {
-		tps = append(tps, fallback)
+	if fallback != nil && fallback != primary {
+		m.tps = append(m.tps, fallback)
 	}
 	n := 0 // directed links, counting a link both topologies have twice
-	for _, tp := range tps {
+	for _, tp := range m.tps {
 		for _, nw := range tp.Networks() {
 			n += len(nw.Members) * (len(nw.Members) - 1)
 		}
@@ -231,7 +237,7 @@ func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
 	// m.order's Edge.String()s, built once, end to end, to sort by.
 	var keys strings.Builder
 	ends := make([]int, 1, n+1)
-	for _, tp := range tps {
+	for _, tp := range m.tps {
 		for _, nw := range tp.Networks() {
 			for _, from := range nw.Members {
 				for _, to := range nw.Members {
@@ -308,15 +314,46 @@ func (m *Monitor) SetEpochHook(fn func(epoch uint64, at vtime.Time)) { m.onEpoch
 // Epoch returns the current routing epoch.
 func (m *Monitor) Epoch() uint64 { return m.mgr.Epoch() }
 
-// Tables returns the epoch-stamped route tables (primary first).
-func (m *Monitor) Tables() []*route.Table { return m.mgr.Tables() }
+// NextHop returns src's first hop toward dst under the current epoch: the
+// primary topology's, or the fallback's when the primary has no live path.
+// A barred node other than dst relays no route — split horizon, a relay
+// barring the neighbour a packet came from; "" bars none. The tables that bar
+// one node are made on its first lookup and serve every node's until publish
+// drops them with the epoch.
+func (m *Monitor) NextHop(src, dst, barred string) (route.Hop, bool) {
+	var tables []*route.Table
+	if barred == "" || barred == dst {
+		tables = m.mgr.Tables()
+	} else {
+		tables = m.barredTables(barred)
+	}
+	for _, t := range tables {
+		if hop, ok := t.NextHop(src, dst); ok {
+			return hop, true
+		}
+	}
+	return route.Hop{}, false
+}
 
-// Find resolves a route under the current epoch.
-func (m *Monitor) Find(src, dst string) (route.Route, error) { return m.mgr.Find(src, dst) }
-
-// Constraints returns the constraint set of the current epoch. Shared maps —
-// callers must copy before mutating.
-func (m *Monitor) Constraints() route.Constraints { return m.mgr.Constraints() }
+// barredTables returns the current epoch's tables with barred added to the
+// relays no route may pass through.
+func (m *Monitor) barredTables(barred string) []*route.Table {
+	if ts, ok := m.barred[barred]; ok {
+		return ts
+	}
+	c := m.mgr.Constraints()
+	relays := map[string]bool{barred: true} // c's maps are the manager's
+	for k, v := range c.Relays {
+		relays[k] = v
+	}
+	c.Relays = relays
+	ts := make([]*route.Table, len(m.tps))
+	for i, tp := range m.tps {
+		ts[i] = route.ComputeConstrained(tp, c)
+	}
+	m.barred[barred] = ts
+	return ts
+}
 
 // DeadEdges returns the set of routing-excluded edges (shared; do not
 // mutate). The stripe scheduler feeds it to ComputeKAvoiding.
@@ -622,6 +659,7 @@ func (m *Monitor) publish(now vtime.Time) {
 		}
 	}
 	m.dead = dead
+	clear(m.barred)
 	ep := m.mgr.Publish(route.Constraints{Edges: dead, Relays: relays})
 	if len(m.log) > 0 && m.log[len(m.log)-1].At == now {
 		m.log[len(m.log)-1].Epoch = ep

@@ -98,7 +98,7 @@ func TestHardDeathAndReadmission(t *testing.T) {
 		t.Fatal("dead edge not excluded")
 	}
 	// The dead edge's head must no longer relay, but stays a destination.
-	cons := m.Constraints()
+	cons := m.mgr.Constraints()
 	if !cons.Relays["gw"] || cons.Nodes["gw"] {
 		t.Fatalf("constraints = %+v", cons)
 	}
@@ -367,5 +367,60 @@ func TestHealthGaugesKeepTheirLabels(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("Prometheus output lacks %q", want)
 		}
+	}
+}
+
+// twoGateways is a –m1– g1 –m2– b and a –s1– g2 –s2– b: two relays between a
+// and b.
+func twoGateways(t *testing.T) *Monitor {
+	t.Helper()
+	tp, err := topo.NewBuilder().
+		Network("m1", "myrinet").Network("m2", "myrinet").
+		Network("s1", "sci").Network("s2", "sci").
+		Node("a", "m1", "s1").
+		Node("g1", "m1", "m2").
+		Node("g2", "s1", "s2").
+		Node("b", "m2", "s2").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now vtime.Time
+	return NewMonitor(Config{}, tp, nil, nil, func(vtime.Duration, func()) {}, func() vtime.Time { return now })
+}
+
+// A barred lookup's tables are shared by every node and dropped by publish:
+// one made before a link dies never routes over it afterwards.
+func TestNextHopBarredFollowsTheEpoch(t *testing.T) {
+	m := twoGateways(t)
+	if hop, ok := m.NextHop("a", "b", "g2"); !ok || hop.To != "g1" {
+		t.Fatalf("NextHop(a, b, barring g2) = %v, %v; want via g1", hop, ok)
+	}
+	if hop, ok := m.NextHop("b", "a", "g2"); !ok || hop.To != "g1" {
+		t.Fatalf("NextHop(b, a, barring g2) = %v, %v; want via g1", hop, ok)
+	}
+	if len(m.barred) != 1 {
+		t.Errorf("two nodes barring g2 built %d cached table sets, want 1", len(m.barred))
+	}
+	m.ReportDead(route.Edge{From: "a", To: "g1", Network: "m1"}, 0)
+	if hop, ok := m.NextHop("a", "b", "g2"); ok {
+		t.Errorf("after a>g1 died, NextHop(a, b, barring g2) = %v: a stale table", hop)
+	}
+	if hop, ok := m.NextHop("a", "b", ""); !ok || hop.To != "g2" {
+		t.Errorf("after a>g1 died, NextHop(a, b) = %v, %v; want via g2", hop, ok)
+	}
+}
+
+// Barring the destination bars nothing: it is never a relay of its own route.
+func TestNextHopBarringTheDestinationIsUnbarred(t *testing.T) {
+	m := twoGateways(t)
+	for _, src := range []string{"a", "g1", "g2"} {
+		want, wok := m.NextHop(src, "b", "")
+		if got, ok := m.NextHop(src, "b", "b"); got != want || ok != wok {
+			t.Errorf("NextHop(%s, b, barring b) = %v, %v; unbarred %v, %v", src, got, ok, want, wok)
+		}
+	}
+	if len(m.barred) != 0 {
+		t.Errorf("barring the destination built %d table sets, want 0", len(m.barred))
 	}
 }

@@ -67,6 +67,12 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // reported dead like any hop, so its hop reads `failover "link to gw1 via sci0
 // presumed dead"` instead of `rail-failover`, madgo_failovers_total{node="a0"}
 // reads 1 instead of 0, and every hop instant is unchanged.
+//
+// And a sixth time, when a reliable rail's bytes stopped counting fragment 0,
+// the block descriptor, which is not payload (DESIGN.md §35): on the reliable
+// leg a0's rail 0 reads 98 304 instead of 98 318, b1's rail-0 series, which
+// only ever carried a descriptor, is gone, and each of the three `stripe`
+// split records reads 14 bytes less on rail 0; every other line is unchanged.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
