@@ -26,9 +26,9 @@ BENCHES = o1 p1 s1 r2 o2 c1 m1 b1
 #       identical: recording costs no virtual time, and zero allocations —
 #       the extra run), depth 1 called swap-overhead-bound (§3.4.1), depth 8
 #       cleared;
-#   c1  64-sender incast through the DRR relay every gateway runs, credits
-#       off and on: both fair (Jain >= 0.90) within 5% of the single-sender
-#       ceiling;
+#   c1  64-sender incast through the DRR relay every gateway runs, bounded
+#       by its ring and its links' own windows: fair (Jain >= 0.90), within
+#       5% of the single-sender ceiling, and the scheduler ran rounds;
 #   m1  eager+aggregation >= 15x the seed framing at 64 B (a sub-message
 #       costs the sink no poll and the frame 5 bytes, DESIGN.md §27), >= 3x up
 #       to 512 B and >= 2x at 1 KB (a ratio whose denominator rose 1.7x when
@@ -134,8 +134,7 @@ allocs:
 
 # bench-quick is the two-clock ledger's smoke run (benchmark/README.md):
 # every workload at 1/20 load with all its self-checks — byte-exact delivery,
-# reproducible virtual time, balanced credit ledger — then the benchmark's
-# own tests. About 15 s; the full run is `bash benchmark/run.sh`.
+# reproducible virtual time — then the benchmark's own tests. About 15 s; the full run is `bash benchmark/run.sh`.
 bench-quick:
 	bash benchmark/run.sh -quick
 	cd benchmark && $(GO) test -short ./...
@@ -248,8 +247,8 @@ stripe-gate: s1-gate
 # byte-identical payload, epoch-convergence and rail-readmission
 # assertions — the packet-buffer ledger under loss, corruption and a rail
 # death (every returned buffer poisoned, taken == returned at quiescence),
-# the many-senders contention wall (2..64 senders x topology x mode x
-# flow on/off, byte-identical delivery without deadlock), the relay's
+# the many-senders contention wall (2..64 senders x topology x mode,
+# byte-identical delivery without deadlock), the relay's
 # head-of-line test (a burst stalled on a lost packet holds up no other
 # destination's) and the collectives under loss and a gateway crash (the
 # failover wall for concurrent relays, DESIGN.md §28) and two processes of one
@@ -286,8 +285,8 @@ fuzz:
 # row, or a document of DOC_MAX (file:max rows) more lines than its. A PR that
 # makes one smaller lowers its row, so the rows only move down; one whose
 # feature needs the lines raises a row by that many and says why in CHANGES.md.
-LOC_MAX := .:865 internal/fwd:6277 internal/bench:2424 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:372
-DOC_MAX := DESIGN.md:5803 .claude/skills/verify/SKILL.md:187 README.md:477
+LOC_MAX := .:817 internal/fwd:6022 internal/bench:2419 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365
+DOC_MAX := DESIGN.md:5780 .claude/skills/verify/SKILL.md:187 README.md:468
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

@@ -34,8 +34,8 @@ func incastTopo(senders int) string {
 }
 
 // newSystemAllocBudgets are the most heap allocations NewSystem may cost for
-// the chain under WithPaperFidelity, the incast64 shape under WithFlowControl
-// and the prod_lossy_mix shape under WithProduction. Each is a reading under
+// the chain under WithPaperFidelity, the incast64 shape with no option and
+// the prod_lossy_mix shape under WithProduction. Each is a reading under
 // the race detector, which does not pack small allocations, plus 2 %. The
 // chain's is the reading before every streaming gateway relayed through a
 // fair daemon (DESIGN.md §32): 307 then, 292 after (305 under the race
@@ -49,12 +49,12 @@ func incastTopo(senders int) string {
 var newSystemAllocBudgets = []struct {
 	name   string
 	topo   string
-	opt    madeleine.Option
+	opts   []madeleine.Option
 	budget float64
 }{
-	{"chain", chainTopo, madeleine.WithPaperFidelity(), 313},
-	{"incast64", incastTopo(64), madeleine.WithFlowControl(), 2631},
-	{"prod_lossy_mix", prodLossyTopo(16), madeleine.WithProduction(), 3981},
+	{"chain", chainTopo, []madeleine.Option{madeleine.WithPaperFidelity()}, 313},
+	{"incast64", incastTopo(64), nil, 2631},
+	{"prod_lossy_mix", prodLossyTopo(16), []madeleine.Option{madeleine.WithProduction()}, 3981},
 }
 
 // TestNewSystemAllocBudget fails when building a system costs more
@@ -63,7 +63,7 @@ var newSystemAllocBudgets = []struct {
 func TestNewSystemAllocBudget(t *testing.T) {
 	for _, c := range newSystemAllocBudgets {
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := madeleine.NewSystem(c.topo, c.opt); err != nil {
+			if _, err := madeleine.NewSystem(c.topo, c.opts...); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -291,8 +291,7 @@ func prodLossyTopo(flows int) string {
 
 // prodLossyAllocBudget is the most heap allocations one message of the
 // benchmark's prod_lossy_mix shape may cost across System.Run:
-// WithProduction (reliable ARQ, aggregation, credits, two rails, health
-// probes), sixteen flows of mixed sizes across two gateways, 1 % loss. It
+// WithProduction (reliable ARQ, aggregation, two rails, health probes), sixteen flows of mixed sizes across two gateways, 1 % loss. It
 // read 517 when every packet was encoded into fresh memory twice per hop,
 // every relayed packet could rebuild an all-pairs route table and every
 // await allocated its slot, waker and timeout closure (DESIGN.md §17); it
@@ -391,11 +390,11 @@ func TestProdLossyAllocBudget(t *testing.T) {
 
 // miceStream drives the facade the way the benchmark's mice_stream and
 // mice_stream_observed workloads do — 64 B messages back to back over
-// a –sci– gw –myrinet– b with eager framing, aggregation and credits — and
-// returns the allocations a message cost across System.Run.
+// a –sci– gw –myrinet– b with eager framing and aggregation — and returns
+// the allocations a message cost across System.Run.
 func miceStream(t *testing.T, msgs int, opts ...madeleine.Option) float64 {
 	const size = 64
-	opts = append(opts, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl())
+	opts = append(opts, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation())
 	sys, err := madeleine.NewSystem(`network sci0 sci
 network myri0 myrinet
 node a sci0
@@ -493,7 +492,7 @@ func TestMiceObservedAllocBudget(t *testing.T) {
 func TestMessageHandlesAllocsNothing(t *testing.T) {
 	const msgs = 1000
 	tx := make([]byte, 64)
-	allocs := warmAllocs(t, 8000, msgs, [][]byte{tx}, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl())
+	allocs := warmAllocs(t, 8000, msgs, [][]byte{tx}, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation())
 	perMsg := float64(allocs) / msgs
 	t.Logf("%d messages on a warm system: %d allocations, %.3f a message", msgs, allocs, perMsg)
 	if perMsg >= 0.05 {
@@ -606,8 +605,8 @@ func warmAllocs(t *testing.T, warm, msgs int, blocks [][]byte, opts ...madeleine
 
 // micePingpongAllocBudget is the most heap allocations one message of the
 // benchmark's mice_pingpong shape may cost across System.Run: 64 B round
-// trips a –sci– gw –myrinet– b with eager framing, aggregation and credits,
-// one message outstanding, so every message is a frame of its own and what
+// trips a –sci– gw –myrinet– b with eager framing and aggregation, one
+// message outstanding, so every message is a frame of its own and what
 // a frame costs shows undiluted. It read 9.0 when a message allocated its
 // Packing and Unpacking pairs (4) and its block list, and a frame the
 // builder's re-armed buffer, its descriptor array and the link's copy of it
@@ -645,7 +644,7 @@ network myri0 myrinet
 node a sci0
 node gw sci0 myri0
 node b myri0
-`, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl())
+`, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,19 +702,20 @@ node b myri0
 
 // incastAllocBudget and incastKiBBudget are the most heap allocations and
 // KiB one message of the benchmark's incast64 shape may cost across
-// System.Run: 64 senders through one gateway under WithFlowControl, 8 of
-// them elephants. They read 3.73 and 5.57 KiB when every node's first event
+// System.Run: 64 senders through one gateway, 8 of them elephants. They read 3.73 and 5.57 KiB when every node's first event
 // allocated a ring of 4 096 72-byte events, and 1.41 and 0.83 while the
-// stream's Packing record was one a message. They read 0.45 and 0.692, under
-// the race detector too, since that record comes off its channel's free list
-// (DESIGN.md §43): a sender's ring (40–192 events) holds the first of its
-// four 32 KiB chunks, the gateway's all four, the sink records nothing, and
-// the rest is set-up the run amortizes. The budgets are the race detector's
-// readings plus 15 %, rounded up: one more allocation a message does not fit,
-// nor does a second chunk on every sender's ring.
+// stream's Packing record was one a message, and 0.45 and 0.692, under the
+// race detector too, since that record comes off its channel's free list
+// (DESIGN.md §43). They read 0.41 and 0.684 (0.685 under the race detector)
+// since the run keeps no credit accounts (DESIGN.md §13): a sender's ring
+// (40–192 events) holds the first of its four 32 KiB chunks, the gateway's
+// all four, the sink records nothing, and the rest is set-up the run
+// amortizes. The budgets are the race detector's readings plus 15 %, rounded
+// up: one more allocation a message does not fit, nor does a second chunk on
+// every sender's ring.
 const (
-	incastAllocBudget = 0.52
-	incastKiBBudget   = 0.80
+	incastAllocBudget = 0.48
+	incastKiBBudget   = 0.79
 )
 
 // TestIncastAllocBudget drives the facade the way the benchmark's incast64
@@ -730,7 +730,7 @@ func TestIncastAllocBudget(t *testing.T) {
 		mouseMsgs     = 64
 		mouseSize     = 16 << 10
 	)
-	sys, err := madeleine.NewSystem(incastTopo(senders), madeleine.WithFlowControl())
+	sys, err := madeleine.NewSystem(incastTopo(senders))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,18 +2,16 @@
 // layer's contention behaviour: it builds a cluster-of-clusters topology,
 // drives one of three many-senders patterns through the gateway(s), and
 // reports per-sender goodput, the Jain fairness index across senders, and
-// the credit-based flow-control counters. It is the command-line companion
-// of the c1 benchmark experiment: the incast pattern shows the gateways' DRR
-// relay equalizing byte service across message sizes, with -flow off and,
-// credits bounding what each sender has in flight, on.
+// the relay schedulers' counters. It is the command-line companion of the c1
+// benchmark experiment: the incast pattern shows the gateways' DRR relay
+// equalizing byte service across message sizes.
 //
 // Usage:
 //
-//	madload                                  # 16-sender incast, no credits
-//	madload -flow                            # same incast under flow control
-//	madload -senders 64 -elephants 8 -flow   # the c1 contention wall shape
+//	madload                                  # 16-sender incast
+//	madload -senders 64 -elephants 8         # the c1 contention wall shape
 //	madload -pattern alltoall -senders 8     # bidirectional cross-cluster load
-//	madload -pattern hotspot -flow -json     # machine-readable report
+//	madload -pattern hotspot -json           # machine-readable report
 //	madload -small 64 -bytes 512 -agg        # mice rate: msgs/s + p50/p99 latency
 //
 // The -small N mode measures the eager small-message path: every sender
@@ -44,8 +42,6 @@ func main() {
 		msgBytes = flag.Int("bytes", 16*1024, "message size for ordinary senders (mice)")
 		eleph    = flag.Int("elephants", 0, "how many senders send elephant-sized messages instead")
 		elephB   = flag.Int("elephant-bytes", 256*1024, "message size for elephant senders")
-		flowOn   = flag.Bool("flow", false, "arm credit-based gateway flow control")
-		window   = flag.Int("window", 0, "credit window per (gateway, sender) pair (0 = default; implies -flow)")
 		mtu      = flag.Int("mtu", 32*1024, "forwarding packet size")
 		depth    = flag.Int("depth", 2, "gateway pipeline depth")
 		small    = flag.Int("small", 0, "mice-rate mode: stream N messages of -bytes per sender, report msgs/s and p50/p99 latency")
@@ -72,12 +68,6 @@ func main() {
 	if *aggOn {
 		opts = append(opts, madeleine.WithAggregation())
 	}
-	if *flowOn || *window > 0 {
-		opts = append(opts, madeleine.WithFlowControl())
-		if *window > 0 {
-			opts = append(opts, madeleine.WithCreditWindow(*window))
-		}
-	}
 
 	var ld load
 	switch *pattern {
@@ -97,7 +87,6 @@ func main() {
 	}
 	rep := ld.run(sys)
 	rep.Pattern = *pattern
-	rep.FlowControl = *flowOn || *window > 0
 	if *small > 0 {
 		rep.Mice = miceStats(sys, ld, rep)
 	}
@@ -137,16 +126,14 @@ type miceReport struct {
 
 // report is the run summary madload prints.
 type report struct {
-	Pattern     string                       `json:"pattern"`
-	FlowControl bool                         `json:"flow_control"`
-	Senders     []senderReport               `json:"senders"`
-	Jain        float64                      `json:"jain"`
-	AggMBps     float64                      `json:"aggregate_mbps"`
-	MakespanNS  int64                        `json:"makespan_ns"`
-	Flow        madeleine.FlowStats          `json:"flow"`
-	Accounts    []madeleine.FlowAccountStats `json:"flow_accounts,omitempty"`
-	Mice        *miceReport                  `json:"mice,omitempty"`
-	Agg         *madeleine.AggStats          `json:"agg,omitempty"`
+	Pattern    string              `json:"pattern"`
+	Senders    []senderReport      `json:"senders"`
+	Jain       float64             `json:"jain"`
+	AggMBps    float64             `json:"aggregate_mbps"`
+	MakespanNS int64               `json:"makespan_ns"`
+	Flow       madeleine.FlowStats `json:"flow"`
+	Mice       *miceReport         `json:"mice,omitempty"`
+	Agg        *madeleine.AggStats `json:"agg,omitempty"`
 }
 
 // miceStats reads the message rate and latency quantiles of a -small run
@@ -173,17 +160,14 @@ func miceStats(sys *madeleine.System, ld load, rep *report) *miceReport {
 }
 
 func (r *report) write(w *os.File) {
-	fmt.Fprintf(w, "madload: %s, %d senders, flow control %v\n",
-		r.Pattern, len(r.Senders), r.FlowControl)
+	fmt.Fprintf(w, "madload: %s, %d senders\n", r.Pattern, len(r.Senders))
 	fmt.Fprintf(w, "%-8s %12s %6s %10s\n", "sender", "bytes", "msgs", "MB/s")
 	for _, s := range r.Senders {
 		fmt.Fprintf(w, "%-8s %12d %6d %10.2f\n", s.Name, s.Bytes, s.Msgs, s.MBps)
 	}
 	fmt.Fprintf(w, "Jain fairness %.3f, aggregate %.1f MB/s over %v\n",
 		r.Jain, r.AggMBps, madeleine.Duration(r.MakespanNS))
-	fmt.Fprintf(w, "flow: %d accounts, %d credits granted, %d spent, %d stalls (%v stalled), %d sched rounds, %d backpressure\n",
-		r.Flow.Accounts, r.Flow.CreditsGranted, r.Flow.CreditsSpent,
-		r.Flow.Stalls, r.Flow.StallTime, r.Flow.SchedRounds, r.Flow.Backpressure)
+	fmt.Fprintf(w, "relay schedulers: %d sched rounds, %d backpressure\n", r.Flow.SchedRounds, r.Flow.Backpressure)
 	if r.Mice != nil {
 		fmt.Fprintf(w, "mice: %d msgs, %.0f msgs/s, latency p50 %.1fµs p99 %.1fµs\n",
 			r.Mice.Msgs, r.Mice.MsgsPerSec, r.Mice.P50Seconds*1e6, r.Mice.P99Seconds*1e6)
@@ -358,7 +342,7 @@ func (ld load) run(sys *madeleine.System) *report {
 	if err := sys.Run(); err != nil {
 		fatal(err)
 	}
-	rep := &report{Flow: sys.Stats().Flow, Accounts: sys.FlowAccounts()}
+	rep := &report{Flow: sys.Stats().Flow}
 	var goodputs []float64
 	var total int64
 	for i := 0; ; i++ {

@@ -46,8 +46,7 @@ func main() {
 		flapFor = flag.Duration("flapfor", 0, "virtual duration of the -flap outage (default 100ms)")
 
 		reliable = flag.Bool("reliable", false, "use reliable delivery even without faults (prints the link-health panel)")
-		flowOn   = flag.Bool("flow", false, "arm credit-based gateway flow control and print its panel")
-		window   = flag.Int("window", 0, "credit window per (gateway, sender) pair (implies -flow)")
+		flowOn   = flag.Bool("flow", false, "print the relay schedulers' panel: DRR rounds and backpressure refusals")
 
 		lanes    = flag.Bool("lanes", false, "print the pipeline-bubble lane report")
 		msgs     = flag.String("trace", "", `print message provenance: "all" or a message ID`)
@@ -69,12 +68,6 @@ func main() {
 	}
 	if *reliable {
 		opts = append(opts, madeleine.WithReliableDelivery())
-	}
-	if *flowOn || *window > 0 {
-		opts = append(opts, madeleine.WithFlowControl())
-		if *window > 0 {
-			opts = append(opts, madeleine.WithCreditWindow(*window))
-		}
 	}
 	if plan := shared.FaultPlan(*flapNet != ""); plan != nil {
 		if *flapNet != "" {
@@ -128,17 +121,9 @@ func main() {
 			fmt.Printf("  rail %d: %d bytes (%.1f%%)\n", i, b, 100*float64(b)/float64(total))
 		}
 	}
-	if fs := sys.Stats().Flow; fs.Accounts > 0 || fs.SchedRounds > 0 {
-		fmt.Printf("\nflow control: %d credit accounts, %d granted, %d spent, %d stalls (%v stalled), %d sched rounds, %d backpressure\n",
-			fs.Accounts, fs.CreditsGranted, fs.CreditsSpent, fs.Stalls, fs.StallTime,
-			fs.SchedRounds, fs.Backpressure)
-		if accts := sys.FlowAccounts(); len(accts) > 0 {
-			fmt.Printf("%-22s %10s %10s %8s %12s\n", "account (gw <- sender)", "granted", "spent", "stalls", "stalled")
-			for _, a := range accts {
-				fmt.Printf("%-22s %10d %10d %8d %12v\n",
-					a.Gateway+" <- "+a.Sender, a.Granted, a.Spent, a.Stalls, a.StallTime)
-			}
-		}
+	if *flowOn {
+		fs := sys.Stats().Flow
+		fmt.Printf("\nrelay schedulers: %d sched rounds, %d backpressure\n", fs.SchedRounds, fs.Backpressure)
 	}
 	if h := sys.Health(); h != nil {
 		snap := h.Snapshot()
@@ -233,16 +218,14 @@ func emitJSON(sys *madeleine.System, m *madeleine.Metrics) {
 	}
 	st := sys.Stats()
 	out := struct {
-		Metrics   []madeleine.MetricSample     `json:"metrics"`
-		Stats     madeleine.Stats              `json:"stats"`
-		Accounts  []madeleine.FlowAccountStats `json:"flow_accounts,omitempty"`
-		Health    *healthDoc                   `json:"health,omitempty"`
-		Diagnosis madeleine.Diagnosis          `json:"diagnosis"`
-		Dumps     []madeleine.FlightDump       `json:"flight_dumps,omitempty"`
+		Metrics   []madeleine.MetricSample `json:"metrics"`
+		Stats     madeleine.Stats          `json:"stats"`
+		Health    *healthDoc               `json:"health,omitempty"`
+		Diagnosis madeleine.Diagnosis      `json:"diagnosis"`
+		Dumps     []madeleine.FlightDump   `json:"flight_dumps,omitempty"`
 	}{
 		Metrics:   m.Samples(),
 		Stats:     st,
-		Accounts:  sys.FlowAccounts(),
 		Diagnosis: sys.Diagnose(),
 		Dumps:     sys.Flight().Dumps(),
 	}

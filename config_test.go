@@ -27,16 +27,6 @@ func TestOptionValidation(t *testing.T) {
 			name: "aggregation with eager",
 			opts: []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithAggregation()},
 		},
-		{
-			name:     "credit window without flow control",
-			opts:     []madeleine.Option{madeleine.WithCreditWindow(4)},
-			option:   "WithCreditWindow",
-			requires: "WithFlowControl",
-		},
-		{
-			name: "credit window with flow control",
-			opts: []madeleine.Option{madeleine.WithFlowControl(), madeleine.WithCreditWindow(4)},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,17 +77,19 @@ func TestPresets(t *testing.T) {
 	}
 	// Individual options layered after a preset still win.
 	over, err := madeleine.NewSystem(demoConfig,
-		madeleine.WithProduction(), madeleine.WithCreditWindow(3))
+		madeleine.WithProduction(), madeleine.WithPipelineDepth(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = over
+	if d := over.Channel.Config().PipelineDepth; d != 3 {
+		t.Errorf("PipelineDepth after WithProduction = %d, want 3", d)
+	}
 }
 
 // TestStatsComposite checks the one-call snapshot, and GatewayStats against
 // it, after a run that exercises the multicast path.
 func TestStatsComposite(t *testing.T) {
-	sys, err := madeleine.NewSystem(demoConfig, madeleine.WithFlowControl())
+	sys, err := madeleine.NewSystem(demoConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +120,8 @@ func TestStatsComposite(t *testing.T) {
 	if st.Mcast.Messages != 1 || st.Mcast.Relays == 0 {
 		t.Errorf("Stats().Mcast = %+v, want one multicast with gateway relays", st.Mcast)
 	}
-	if st.Flow.CreditsSpent == 0 {
-		t.Error("Stats().Flow shows no credits spent")
+	if st.Flow.SchedRounds == 0 {
+		t.Error("Stats().Flow shows no scheduler rounds")
 	}
 	if len(st.Gateways) != 1 || st.Gateways[0].Name != "gw" || st.Gateways[0].Bytes == 0 {
 		t.Errorf("Stats().Gateways = %+v", st.Gateways)

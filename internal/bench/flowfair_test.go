@@ -7,8 +7,8 @@ import (
 
 // TestC1FlowGate is the CI gate for gateway fairness under the many-senders
 // incast: 64 senders of equal byte totals but heterogeneous message sizes
-// funnel through one gateway, whose relay serves them in DRR order with
-// credit-based flow control off and on. On both legs
+// funnel through one gateway, whose relay serves them in DRR order, bounded
+// by its staging ring and its links' own windows.
 //
 //   - per-sender goodput is equalized (Jain >= 0.90: a first-come relay
 //     would be message-fair, so byte service would grow with message size),
@@ -24,31 +24,24 @@ func TestC1FlowGate(t *testing.T) {
 	if ceiling <= 0 {
 		t.Fatalf("ceiling run produced %.1f MB/s", ceiling)
 	}
-	for _, flowOn := range []bool{false, true} {
-		out := runIncast(wl, flowOn)
-		if out.Jain < 0.90 {
-			t.Errorf("flow control %v: Jain %.3f, gate is 0.90", flowOn, out.Jain)
-		}
-		if out.AggMBps < 0.95*ceiling {
-			t.Errorf("flow control %v: aggregate goodput %.1f MB/s is %.3fx the single-sender ceiling %.1f MB/s, gate is 0.95",
-				flowOn, out.AggMBps, out.AggMBps/ceiling, ceiling)
-		}
-		if out.Stats.SchedRounds == 0 {
-			t.Errorf("flow control %v: the gateway's scheduler completed no rounds", flowOn)
-		}
-		if out.Stats.CreditsGranted != out.Stats.CreditsSpent || flowOn != (out.Stats.CreditsSpent > 0) {
-			t.Errorf("flow control %v: credits granted %d, spent %d", flowOn,
-				out.Stats.CreditsGranted, out.Stats.CreditsSpent)
-		}
+	out := runIncast(wl)
+	if out.Jain < 0.90 {
+		t.Errorf("Jain %.3f, gate is 0.90", out.Jain)
+	}
+	if out.AggMBps < 0.95*ceiling {
+		t.Errorf("aggregate goodput %.1f MB/s is %.3fx the single-sender ceiling %.1f MB/s, gate is 0.95",
+			out.AggMBps, out.AggMBps/ceiling, ceiling)
+	}
+	if out.Rounds == 0 {
+		t.Error("the gateway's scheduler completed no rounds")
 	}
 }
 
-// TestGatewayIsFairWithoutCredits: the gateway relays in DRR order whether
-// or not credits are armed, so c1's quick incast is fair without them. When a
-// system without flow control relayed first come, first served, this leg
-// read Jain 0.614; it reads 0.984, the credit leg's reading.
+// TestGatewayIsFairWithoutCredits: the gateway relays in DRR order, so c1's
+// quick incast is fair with no credit layer. When the relay served first
+// come, first served, this leg read Jain 0.614; it reads 0.984.
 func TestGatewayIsFairWithoutCredits(t *testing.T) {
-	if out := runIncast(c1Quick(), false); out.Jain < 0.90 {
+	if out := runIncast(c1Quick()); out.Jain < 0.90 {
 		t.Errorf("Jain %.3f without credits, want >= 0.90", out.Jain)
 	}
 }
@@ -62,7 +55,7 @@ func TestC1Experiment(t *testing.T) {
 			t.Errorf("c1 flagged: %s", note)
 		}
 	}
-	if len(r.Table) != 3 {
-		t.Errorf("c1 table has %d rows, want no-credits/flow/ceiling", len(r.Table))
+	if len(r.Table) != 2 {
+		t.Errorf("c1 table has %d rows, want no-credits/ceiling", len(r.Table))
 	}
 }

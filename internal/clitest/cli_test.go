@@ -236,23 +236,17 @@ func TestMadstatChromeExport(t *testing.T) {
 	}
 }
 
-func TestMadloadIncastBaselineVsFlow(t *testing.T) {
-	args := []string{"-senders", "8", "-elephants", "2", "-count", "4"}
-	// The gateway relays in DRR order with and without credits.
-	base := run(t, "madload", args...)
-	for _, want := range []string{"madload: incast, 8 senders", "Jain fairness", "aggregate", "flow: 0 accounts"} {
-		if !strings.Contains(base, want) {
-			t.Errorf("baseline output missing %q:\n%s", want, base)
+// The gateway relays the incast in DRR order: the report shows its fairness
+// and the scheduler's rounds.
+func TestMadloadIncastReportsFairRelay(t *testing.T) {
+	out := run(t, "madload", "-senders", "8", "-elephants", "2", "-count", "4")
+	for _, want := range []string{"madload: incast, 8 senders\n", "Jain fairness", "aggregate", "relay schedulers:", "sched rounds"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("incast output missing %q:\n%s", want, out)
 		}
 	}
-	fair := run(t, "madload", append(args, "-flow")...)
-	if !strings.Contains(fair, "flow control true") || !strings.Contains(fair, "8 accounts") {
-		t.Errorf("flow run shows no credit accounts:\n%s", fair)
-	}
-	for name, out := range map[string]string{"baseline": base, "flow": fair} {
-		if strings.Contains(out, " 0 sched rounds") {
-			t.Errorf("%s run served no scheduler rounds:\n%s", name, out)
-		}
+	if strings.Contains(out, " 0 sched rounds") {
+		t.Errorf("incast served no scheduler rounds:\n%s", out)
 	}
 }
 
@@ -263,31 +257,29 @@ func TestMadloadPatternsAndJSON(t *testing.T) {
 			t.Errorf("%s output:\n%s", pattern, out)
 		}
 	}
-	raw := run(t, "madload", "-senders", "4", "-count", "2", "-window", "4", "-json")
+	raw := run(t, "madload", "-senders", "4", "-count", "2", "-json")
 	var doc struct {
-		Pattern     string `json:"pattern"`
-		FlowControl bool   `json:"flow_control"`
-		Senders     []struct {
+		Pattern string `json:"pattern"`
+		Senders []struct {
 			Name  string `json:"name"`
 			Bytes int64  `json:"bytes"`
 		} `json:"senders"`
 		Jain float64 `json:"jain"`
 		Flow struct {
-			CreditsGranted int64 `json:"CreditsGranted"`
-			CreditsSpent   int64 `json:"CreditsSpent"`
+			SchedRounds int64 `json:"SchedRounds"`
 		} `json:"flow"`
 	}
 	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
 		t.Fatalf("madload -json is not JSON: %v\n%s", err, raw)
 	}
-	if doc.Pattern != "incast" || !doc.FlowControl || len(doc.Senders) != 4 {
+	if doc.Pattern != "incast" || len(doc.Senders) != 4 {
 		t.Errorf("json doc: %+v", doc)
 	}
 	if doc.Jain <= 0 || doc.Jain > 1 {
 		t.Errorf("jain %v out of range", doc.Jain)
 	}
-	if doc.Flow.CreditsGranted == 0 || doc.Flow.CreditsGranted != doc.Flow.CreditsSpent {
-		t.Errorf("credit ledger in JSON: %+v", doc.Flow)
+	if doc.Flow.SchedRounds == 0 {
+		t.Errorf("no scheduler rounds in JSON: %+v", doc.Flow)
 	}
 }
 
@@ -328,34 +320,31 @@ func TestMadloadSmallMessageMode(t *testing.T) {
 	}
 }
 
+// madstat -flow prints the relay schedulers' panel, which a run without it
+// leaves out; the JSON document carries the counters either way.
 func TestMadstatFlowPanel(t *testing.T) {
-	out := run(t, "madstat", "-flow", "-noprom", "-count", "3", "-bytes", "65536")
-	for _, want := range []string{"flow control:", "credit accounts", "gw <- a1", "sched rounds"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("madstat -flow output missing %q:\n%s", want, out)
-		}
+	args := []string{"-noprom", "-count", "3", "-bytes", "65536"}
+	out := run(t, "madstat", append(args, "-flow")...)
+	if !strings.Contains(out, "relay schedulers: ") || !strings.Contains(out, "sched rounds") ||
+		strings.Contains(out, " 0 sched rounds") {
+		t.Errorf("madstat -flow output has no scheduler panel:\n%s", out)
 	}
-	raw := run(t, "madstat", "-flow", "-json", "-count", "2", "-bytes", "65536")
+	if out := run(t, "madstat", args...); strings.Contains(out, "relay schedulers:") {
+		t.Errorf("madstat without -flow prints the scheduler panel:\n%s", out)
+	}
+	raw := run(t, "madstat", "-json", "-count", "2", "-bytes", "65536")
 	var doc struct {
 		Stats struct {
 			Flow struct {
-				CreditsGranted int64 `json:"CreditsGranted"`
-				CreditsSpent   int64 `json:"CreditsSpent"`
+				SchedRounds int64 `json:"SchedRounds"`
 			} `json:"flow"`
 		} `json:"stats"`
-		Accounts []struct {
-			Gateway string `json:"Gateway"`
-			Sender  string `json:"Sender"`
-		} `json:"flow_accounts"`
 	}
 	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-		t.Fatalf("madstat -flow -json: %v", err)
+		t.Fatalf("madstat -json: %v", err)
 	}
-	if doc.Stats.Flow.CreditsGranted == 0 || doc.Stats.Flow.CreditsGranted != doc.Stats.Flow.CreditsSpent {
+	if doc.Stats.Flow.SchedRounds == 0 {
 		t.Errorf("flow doc: %+v", doc.Stats.Flow)
-	}
-	if len(doc.Accounts) == 0 || doc.Accounts[0].Gateway != "gw" {
-		t.Errorf("accounts doc: %+v", doc.Accounts)
 	}
 }
 
@@ -366,7 +355,7 @@ func TestReliableFlagBringsHealthOutput(t *testing.T) {
 	if out := run(t, "madping", "-reliable", "-sizes", "65536"); !strings.Contains(out, "health: epoch 1,") {
 		t.Errorf("madping -reliable prints no health line:\n%s", out)
 	}
-	out := run(t, "madstat", "-reliable", "-noprom", "-bytes", "65536")
+	out := run(t, "madstat", "-reliable", "-flow", "-noprom", "-bytes", "65536")
 	for _, want := range []string{"link health: epoch 1,", "a1->gw", "sched rounds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("madstat -reliable output missing %q:\n%s", want, out)

@@ -119,11 +119,6 @@ func TestBroadcastModeEquivalenceProperty(t *testing.T) {
 		cfg  func() fwd.Config
 	}{
 		{"plain", fwd.DefaultConfig},
-		{"flow", func() fwd.Config {
-			cfg := fwd.DefaultConfig()
-			cfg.FlowControl = true
-			return cfg
-		}},
 		{"reliable", func() fwd.Config {
 			cfg := fwd.DefaultConfig()
 			cfg.Reliable = true

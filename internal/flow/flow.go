@@ -1,16 +1,16 @@
-// Package flow implements credit-based end-to-end flow control and fair
-// scheduling for the forwarding layer — the "sophisticated bandwidth control
-// mechanism [to] regulate the incoming communication flow on gateways" the
-// paper's conclusion names as future work, realized the way later credit-
-// carrying transports (cf. MPICH2's RDMA channels) did it.
+// Package flow implements fair scheduling for the forwarding layer, its
+// answer to the "sophisticated bandwidth control mechanism [to] regulate the
+// incoming communication flow on gateways" the paper's conclusion names as
+// future work: a gateway is bounded by its staging ring and its links' own
+// windows, and shares itself among its ingress senders by bytes
+// (DESIGN.md §13).
 //
-// It holds the wire codec for credit grants (codec.go), the
-// deficit-round-robin scheduler the relay dispatchers arbitrate ingress flows
-// with (drr.go), and Jain's fairness index the incast experiments score
-// per-sender goodput with (this file). The scheduler is also where its one
-// consumer waits: a dispatcher parks in DRR.Next until an item is queued. The
-// credit windows — senders parking on exhausted windows, grants waking them —
-// live in internal/fwd.
+// It holds the deficit-round-robin scheduler the relay dispatchers arbitrate
+// ingress flows with (drr.go) and Jain's fairness index the incast
+// experiments score per-sender goodput with (this file). The scheduler is
+// also where its one consumer waits: a dispatcher parks in DRR.Next until an
+// item is queued. ledger_compat.go keeps the credit-grant codec that
+// benchmark/ still times.
 package flow
 
 // Jain computes Jain's fairness index over per-flow allocations:

@@ -10,7 +10,7 @@ import (
 
 func TestGrantRoundTrip(t *testing.T) {
 	g := Grant{Gateway: 3, Upstream: 17, Credits: 8, Seq: 42}
-	enc := EncodeGrant(g)
+	enc := AppendGrant(nil, g)
 	if len(enc) != GrantLen {
 		t.Fatalf("encoded length %d, want %d", len(enc), GrantLen)
 	}
@@ -45,15 +45,15 @@ func TestGrantRejections(t *testing.T) {
 		t.Error("accepted long buffer")
 	}
 	// Zero credits: correctly checksummed but unusable.
-	if _, ok := DecodeGrant(EncodeGrant(Grant{Gateway: 1, Upstream: 2, Credits: 0})); ok {
+	if _, ok := DecodeGrant(AppendGrant(nil, Grant{Gateway: 1, Upstream: 2, Credits: 0})); ok {
 		t.Error("accepted zero-credit grant")
 	}
 	// A grant past the burst cap is treated as corruption.
-	if _, ok := DecodeGrant(EncodeGrant(Grant{Credits: MaxGrantCredits + 1})); ok {
+	if _, ok := DecodeGrant(AppendGrant(nil, Grant{Credits: MaxGrantCredits + 1})); ok {
 		t.Error("accepted over-cap grant")
 	}
 	// Corrupted checksum.
-	enc := EncodeGrant(Grant{Gateway: 1, Upstream: 2, Credits: 3})
+	enc := AppendGrant(nil, Grant{Gateway: 1, Upstream: 2, Credits: 3})
 	enc[16] ^= 0xFF
 	if _, ok := DecodeGrant(enc); ok {
 		t.Error("accepted bad checksum")
@@ -76,7 +76,7 @@ func FuzzFlowCredit(f *testing.F) {
 		if g.Credits == 0 || g.Credits > MaxGrantCredits {
 			t.Fatalf("accepted grant with unusable credits %d", g.Credits)
 		}
-		if re := EncodeGrant(g); !bytes.Equal(re, data) {
+		if re := AppendGrant(nil, g); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
 		}
 		for i := range data {
@@ -94,10 +94,10 @@ func FuzzFlowCredit(f *testing.F) {
 // test -fuzz` and a bare `go test` exercise identical seeds.
 func flowCreditSeeds() [][]byte {
 	return [][]byte{
-		EncodeGrant(Grant{Gateway: 0, Upstream: 1, Credits: 1, Seq: 0}),
-		EncodeGrant(Grant{Gateway: 7, Upstream: 3, Credits: 16, Seq: ^uint32(0)}),
-		EncodeGrant(Grant{Gateway: ^uint32(0), Upstream: 0, Credits: MaxGrantCredits, Seq: 9}),
-		EncodeGrant(Grant{Gateway: 2, Upstream: 2, Credits: 0, Seq: 1}), // zero credits -> rejected
+		AppendGrant(nil, Grant{Gateway: 0, Upstream: 1, Credits: 1, Seq: 0}),
+		AppendGrant(nil, Grant{Gateway: 7, Upstream: 3, Credits: 16, Seq: ^uint32(0)}),
+		AppendGrant(nil, Grant{Gateway: ^uint32(0), Upstream: 0, Credits: MaxGrantCredits, Seq: 9}),
+		AppendGrant(nil, Grant{Gateway: 2, Upstream: 2, Credits: 0, Seq: 1}), // zero credits -> rejected
 		make([]byte, GrantLen), // zero CRC -> rejected
 		make([]byte, GrantLen-1),
 		make([]byte, GrantLen+1),

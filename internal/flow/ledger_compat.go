@@ -5,14 +5,11 @@ import (
 	"hash/crc32"
 )
 
-// A credit grant is the unit of the gateway-advertised window: the gateway
-// returns one grant toward an upstream sender each time a staging-ring slot
-// frees, and the sender's window widens by Credits transfers. On a real
-// wire grants would ride piggybacked on reverse traffic, so they must be
-// self-checking: a corrupted grant that inflated a window would silently
-// defeat the overload protection, which is why the trailer CRC covers every
-// preceding byte. The simulator returns credits out of band and encodes
-// none (internal/fwd); this is the format such a wire would carry.
+// The credit-grant codec is what is left of the credit layer (DESIGN.md §13):
+// only its tests and benchmark/, which times it, call it. A grant would widen
+// an upstream sender's window by Credits transfers; a corrupted grant that
+// inflated a window would defeat the overload protection, so the trailer CRC
+// covers every preceding byte.
 //
 // Wire layout (little-endian), GrantLen = 20 bytes:
 //
@@ -23,14 +20,14 @@ import (
 //	[16:20) CRC32 (IEEE) over bytes [0:16)
 
 // GrantLen is the wire size of one credit grant.
-const GrantLen = 20
+const GrantLen = 20 // benchmark/ only: ROADMAP 8
 
 // MaxGrantCredits caps a single grant. A grant claiming more than this is
 // treated as corruption: no slot pool in the system frees that many slots
 // at once, and accepting it would blow the window open.
-const MaxGrantCredits = 1 << 20
+const MaxGrantCredits = 1 << 20 // benchmark/ only: ROADMAP 8
 
-// Grant is one decoded credit grant.
+// Grant is one decoded credit grant. benchmark/ only: ROADMAP 8
 type Grant struct {
 	Gateway  uint32 // rank of the granting gateway
 	Upstream uint32 // rank of the sender being credited
@@ -39,9 +36,7 @@ type Grant struct {
 }
 
 // AppendGrant appends the wire form of g to buf and returns the extended
-// slice. Appending (rather than allocating) keeps the per-grant hot path in
-// the gateway allocation-free: each credit account reuses one scratch
-// buffer.
+// slice, allocating nothing when buf has room. benchmark/ only: ROADMAP 8
 func AppendGrant(buf []byte, g Grant) []byte {
 	off := len(buf)
 	var w [GrantLen]byte
@@ -54,14 +49,12 @@ func AppendGrant(buf []byte, g Grant) []byte {
 	return buf
 }
 
-// EncodeGrant returns the wire form of g in a fresh buffer.
-func EncodeGrant(g Grant) []byte { return AppendGrant(nil, g) }
-
 // DecodeGrant parses one credit grant. It never panics on malformed input:
 // ok is false when the buffer is not exactly GrantLen bytes, the checksum
 // does not cover the content, or the credit count is unusable (zero, or
 // past MaxGrantCredits). The fuzz target pins this contract down — grants
 // adjust sender windows, so a corrupted one must be rejected, not applied.
+// benchmark/ only: ROADMAP 8
 func DecodeGrant(b []byte) (g Grant, ok bool) {
 	if len(b) != GrantLen {
 		return Grant{}, false

@@ -7,10 +7,10 @@ package fwd
 // The coalescer below amortises it: consecutive sub-MTU messages from one
 // node toward one destination are packed into a single MTU-sized aggregate
 // frame (codec in package agg) and flushed as ONE wire transfer — one
-// per-transfer overhead, one flow-control credit. A frame leaves at once when
-// none of its coalescer is on the wire, else behind the one that is (Nagle's
-// rule without the timer): a lone message waits for nothing and a stream
-// batches as much as its path is busy (DESIGN.md §24).
+// per-transfer overhead. A frame leaves at once when none of its coalescer is
+// on the wire, else behind the one that is (Nagle's rule without the timer): a
+// lone message waits for nothing and a stream batches as much as its path is
+// busy (DESIGN.md §24).
 //
 // A flushed frame is one message to sendBuffered (vchannel.go), the one
 // place that gives a message buffered whole its transport: in reliable mode

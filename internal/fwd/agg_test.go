@@ -17,9 +17,8 @@ import (
 // Tests for the eager small-message path (§3.4.1): the compact framing that
 // piggybacks the self-description header and the terminator on data
 // fragments, and the cross-message coalescer that packs several sub-MTU
-// messages into one aggregate frame. The flow-control ledger doubles as the
-// wire-transfer meter here — the credit model charges exactly what crosses
-// the wire, so CreditsSpent counts transfers toward the first gateway. The
+// messages into one aggregate frame. The source's sends on the special
+// channels (RelayedSends) meter the transfers toward the first gateway. The
 // headline elisions — one transfer for a small or an empty message where the
 // seed framing spends three and two — are cells of TestFramingTransferTable.
 
@@ -30,7 +29,6 @@ import (
 func TestEagerLargeMessageDeliversIntact(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
-	cfg.FlowControl = true
 	w := build(t, paperHS(t), cfg)
 	const n = 100_000
 	blocks := []block{{pattern(n, 7), mad.SendCheaper, mad.ReceiveCheaper}}
@@ -42,19 +40,18 @@ func TestEagerLargeMessageDeliversIntact(t *testing.T) {
 	// header travels alone; the terminator is still elided: F+1 transfers
 	// against the seed's F+2.
 	frags := int64((n + cfg.MTU - 1) / cfg.MTU)
-	if spent := w.vc.FlowStats().CreditsSpent; spent != frags+1 {
-		t.Errorf("large eager message spent %d transfers, want %d (header + one per fragment)", spent, frags+1)
+	if sent := w.vc.RelayedSends("a0"); sent != frags+1 {
+		t.Errorf("large eager message took %d transfers, want %d (header + one per fragment)", sent, frags+1)
 	}
 }
 
 // TestAggCoalescesBurst drives a back-to-back burst of small messages from
-// one sender and checks they cross as aggregate frames — one credit per
+// one sender and checks they cross as aggregate frames — one transfer per
 // frame, not per message — and still arrive in order, byte-identical.
 func TestAggCoalescesBurst(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
 	cfg.Aggregation = true
-	cfg.FlowControl = true
 	w := build(t, paperHS(t), cfg)
 	const msgs = 12
 	const size = 128
@@ -89,9 +86,9 @@ func TestAggCoalescesBurst(t *testing.T) {
 	if st.BypassMessages != 0 {
 		t.Errorf("%d small messages bypassed the coalescer", st.BypassMessages)
 	}
-	// One credit per aggregate frame, however many sub-messages it packs.
-	if spent := w.vc.FlowStats().CreditsSpent; spent != st.Frames {
-		t.Errorf("burst spent %d transfers for %d frames; want one credit per frame", spent, st.Frames)
+	// One transfer per aggregate frame, however many sub-messages it packs.
+	if sent := w.vc.RelayedSends("a0"); sent != st.Frames {
+		t.Errorf("burst took %d transfers for %d frames; want one per frame", sent, st.Frames)
 	}
 }
 
@@ -284,10 +281,9 @@ func TestAggStripedFrame(t *testing.T) {
 
 // TestAggDeliveryProperty is the composition property: for random mixes of
 // small and large messages from one or two senders, across plain, reliable
-// and striped transports, with aggregation, eager framing and flow control
-// independently on or off, every message arrives byte-identical and in its
-// sender's order, small messages coalesce exactly when aggregation is on,
-// and the credit ledger balances at quiescence.
+// and striped transports, with aggregation and eager framing independently
+// on or off, every message arrives byte-identical and in its sender's order,
+// and small messages coalesce exactly when aggregation is on.
 func TestAggDeliveryProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		next := xorshift(seed)
@@ -295,16 +291,11 @@ func TestAggDeliveryProperty(t *testing.T) {
 		reliable := next(2) == 0
 		aggOn := next(2) == 0
 		eager := next(2) == 0
-		flow := next(2) == 0
 
 		cfg := fwd.DefaultConfig()
 		cfg.Reliable = reliable
 		cfg.Eager = eager
 		cfg.Aggregation = aggOn
-		if flow {
-			cfg.FlowControl = true
-			cfg.CreditWindow = 4 + int(next(12))
-		}
 		var tp *topo.Topology
 		var senders []string
 		var dst string
@@ -383,8 +374,8 @@ func TestAggDeliveryProperty(t *testing.T) {
 				received[from]++
 			}
 		})
-		cell := fmt.Sprintf("striped %v rel %v agg %v eager %v flow %v smalls %d larges %d",
-			striped, reliable, aggOn, eager, flow, smalls, larges)
+		cell := fmt.Sprintf("striped %v rel %v agg %v eager %v smalls %d larges %d",
+			striped, reliable, aggOn, eager, smalls, larges)
 		if err := w.sim.Run(); err != nil {
 			t.Logf("seed %d (%s): %v", seed, cell, err)
 			return false
@@ -410,12 +401,6 @@ func TestAggDeliveryProperty(t *testing.T) {
 			t.Logf("seed %d (%s): aggregation off but stats %+v", seed, cell, st)
 			return false
 		}
-		if flow && !reliable {
-			if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
-				t.Logf("seed %d (%s): credit ledger unbalanced %+v", seed, cell, fs)
-				return false
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -430,8 +415,6 @@ func TestAggIncastWithManySenders(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
 	cfg.Aggregation = true
-	cfg.FlowControl = true
-	cfg.CreditWindow = 8
 	runWall(t, wallCase{name: "star-64-agg", topo: starTopo, senders: 64, cfg: cfg})
 }
 
@@ -535,7 +518,7 @@ func TestAggPackOverlapsFlush(t *testing.T) {
 func TestSinkReceivesOneFrameAhead(t *testing.T) {
 	const msgs, size = 12000, 64 // twenty-five full frames of a 32 KiB MTU
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation, cfg.FlowControl = true, true, true
+	cfg.Eager, cfg.Aggregation = true, true
 	w := build(t, paperHS(t), cfg)
 	sent := 0
 	w.sim.Spawn("ahead-send", func(p *vtime.Proc) {
@@ -580,9 +563,6 @@ func TestSinkReceivesOneFrameAhead(t *testing.T) {
 	})
 	if err := w.sim.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
-		t.Errorf("credit ledger unbalanced at quiescence: %d granted, %d spent", fs.CreditsGranted, fs.CreditsSpent)
 	}
 }
 
@@ -726,7 +706,7 @@ func TestAggOrderAcrossPathsWithPrefetchingSink(t *testing.T) {
 		tp   *topo.Topology
 		tune func(*fwd.Config)
 	}{
-		{"streaming", oneRail, func(c *fwd.Config) { c.FlowControl = true }},
+		{"streaming", oneRail, func(*fwd.Config) {}},
 		{"reliable", oneRail, func(c *fwd.Config) { c.Reliable = true }},
 		{"two rails", twoRails, func(c *fwd.Config) { c.StripeK = 2 }},
 	} {

@@ -128,8 +128,8 @@ func TestEvictOldestRxPicksStalest(t *testing.T) {
 }
 
 // A relay admission past relRelayCap is refused and counted as backpressure —
-// FlowStats.Backpressure, whatever Config.FlowControl says — and never as a
-// relay drop: nothing was lost, the upstream ARQ retransmits.
+// FlowStats.Backpressure — and never as a relay drop: nothing was lost, the
+// upstream ARQ retransmits.
 func TestRelayAdmissionRefusalIsBackpressure(t *testing.T) {
 	_, vc := relChain(t, DefaultConfig())
 	gw := vc.rel["gw"]

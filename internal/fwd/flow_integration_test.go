@@ -13,11 +13,12 @@ import (
 	"madgo/internal/vtime"
 )
 
-// Integration tests for credit-based gateway flow control and the
-// many-senders contention wall (the paper's conclusion names "a
-// sophisticated bandwidth control mechanism [to] regulate the incoming
-// communication flow on gateways" as the open problem; these pin down the
-// reconstruction's answer to it).
+// Integration tests for the fair gateway relay and the many-senders
+// contention wall (the paper's conclusion names "a sophisticated bandwidth
+// control mechanism [to] regulate the incoming communication flow on
+// gateways" as the open problem; these pin down the reconstruction's answer
+// to it: each gateway's ring and its links' own windows bound it, and its
+// deficit-round-robin relay shares it).
 
 // starTopo is the incast fixture: n senders on one edge network funnel
 // through a single gateway onto the core network where the sink lives.
@@ -36,7 +37,7 @@ func starTopo(t *testing.T, n int) *topo.Topology {
 }
 
 // gwChainTopo routes every sender through two gateways in sequence, so
-// credits must propagate backpressure across a gateway chain.
+// backpressure must propagate across a gateway chain.
 func gwChainTopo(t *testing.T, n int) *topo.Topology {
 	t.Helper()
 	b := topo.NewBuilder().
@@ -53,7 +54,8 @@ func gwChainTopo(t *testing.T, n int) *topo.Topology {
 }
 
 // dualRailTopo gives every sender two link-disjoint routes to the sink
-// (via gwA and gwB), so striping engages and its rails spend credits too.
+// (via gwA and gwB), so striping engages and its rails contend at the
+// gateways too.
 func dualRailTopo(t *testing.T, n int) *topo.Topology {
 	t.Helper()
 	b := topo.NewBuilder().
@@ -167,40 +169,18 @@ func runWall(t *testing.T, c wallCase) {
 		t.Errorf("the pools allocated %d buffers for %d messages, over a warm set of %d",
 			bk.BufsAllocated, c.senders*msgsPerSender, warm)
 	}
-	// Every gateway relays through its fair scheduler, credits or not.
-	fs := w.vc.FlowStats()
-	if fs.SchedRounds == 0 {
+	// Every gateway relays through its fair scheduler.
+	if w.vc.FlowStats().SchedRounds == 0 {
 		t.Error("relay scheduler served no rounds")
-	}
-	// Reliable mode has no credit layer: the ARQ window already regulates
-	// each hop.
-	if c.cfg.FlowControl && !c.cfg.Reliable {
-		if fs.CreditsSpent == 0 {
-			t.Error("flow control armed but no credits spent")
-		}
-		if fs.CreditsGranted != fs.CreditsSpent {
-			t.Errorf("credit ledger unbalanced at quiescence: granted %d, spent %d",
-				fs.CreditsGranted, fs.CreditsSpent)
-		}
-		for _, a := range w.vc.FlowAccounts() {
-			if a.Granted != a.Spent {
-				t.Errorf("account (%s <- %s) unbalanced: granted %d, spent %d",
-					a.Gateway, a.Sender, a.Granted, a.Spent)
-			}
-		}
 	}
 }
 
 // TestManySendersContentionWall is the conformance wall: sender counts from
 // 2 to 64 across incast, gateway-chain and dual-rail topologies, in
-// streaming, reliable and striped modes, the streaming ones with credits off
-// and on. Every cell must deliver byte-identically without deadlock.
+// streaming, reliable and striped modes. Every cell must deliver
+// byte-identically without deadlock, bounded by the gateways' rings and the
+// links' windows alone.
 func TestManySendersContentionWall(t *testing.T) {
-	flowOn := func(cfg fwd.Config) fwd.Config {
-		cfg.FlowControl = true
-		cfg.CreditWindow = 8
-		return cfg
-	}
 	reliable := fwd.DefaultConfig()
 	reliable.Reliable = true
 	striped := fwd.DefaultConfig()
@@ -215,88 +195,7 @@ func TestManySendersContentionWall(t *testing.T) {
 		{name: "dual-8-striped", topo: dualRailTopo, senders: 8, cfg: striped},
 	}
 	for _, c := range cases {
-		base := c
-		// A reliable case has no no-credits leg: a reliable engine spends
-		// no credits, so the leg would be the flow leg's program run a
-		// second time (the root package's TestReliableDeliveryHasOneShape
-		// holds the two equal to the virtual nanosecond).
-		if !base.cfg.Reliable {
-			t.Run(base.name+"/no-credits", func(t *testing.T) { runWall(t, base) })
-		}
-		on := base
-		on.cfg = flowOn(base.cfg)
-		t.Run(base.name+"/flow", func(t *testing.T) { runWall(t, on) })
-	}
-}
-
-// TestFlowCreditsPropagateAcrossGatewayChain pins multi-hop credit
-// accounting: a relay spending toward the next gateway opens its own
-// account, and every account balances at quiescence.
-func TestFlowCreditsPropagateAcrossGatewayChain(t *testing.T) {
-	cfg := fwd.DefaultConfig()
-	cfg.FlowControl = true
-	w := build(t, gwChainTopo(t, 1), cfg)
-	blocks := []block{{pattern(150_000, 9), mad.SendCheaper, mad.ReceiveCheaper}}
-	got, fwded, _ := sendRecv(t, w, "s0", "sink", blocks)
-	if !fwded || !bytes.Equal(got[0], blocks[0].data) {
-		t.Fatal("chained message corrupted or not forwarded")
-	}
-	accounts := w.vc.FlowAccounts()
-	byPair := make(map[[2]string]fwd.FlowAccountStats, len(accounts))
-	for _, a := range accounts {
-		byPair[[2]string{a.Gateway, a.Sender}] = a
-	}
-	if _, ok := byPair[[2]string{"gw1", "s0"}]; !ok {
-		t.Errorf("no credit account for (gw1 <- s0); have %v", accounts)
-	}
-	relay, ok := byPair[[2]string{"gw2", "gw1"}]
-	if !ok {
-		t.Fatalf("no credit account for (gw2 <- gw1): backpressure cannot chain; have %v", accounts)
-	}
-	if relay.Granted != relay.Spent || relay.Spent == 0 {
-		t.Errorf("relay account unbalanced: %+v", relay)
-	}
-}
-
-// TestFlowWindowThrottlesAndStallsAreTyped drives an incast with a tiny
-// credit window and checks the backpressure is visible as typed stalls —
-// the madgo_flow_* counters — not as drops or deadlock.
-func TestFlowWindowThrottlesAndStallsAreTyped(t *testing.T) {
-	cfg := fwd.DefaultConfig()
-	cfg.FlowControl = true
-	cfg.CreditWindow = 2 // far below the fragment count of one elephant
-	w := build(t, starTopo(t, 8), cfg)
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("s%d", i)
-		w.sim.Spawn("send:"+name, func(p *vtime.Proc) {
-			px := w.vc.At(name).BeginPacking(p, "sink")
-			px.Pack(p, pattern(200_000, 5), mad.SendCheaper, mad.ReceiveCheaper)
-			px.EndPacking(p)
-		})
-	}
-	w.sim.Spawn("recv:sink", func(p *vtime.Proc) {
-		for i := 0; i < 8; i++ {
-			u := w.vc.At("sink").BeginUnpacking(p)
-			got := make([]byte, 200_000)
-			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
-			u.EndUnpacking(p)
-			if !bytes.Equal(got, pattern(200_000, 5)) {
-				t.Error("payload corrupted under credit throttling")
-			}
-		}
-	})
-	if err := w.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fs := w.vc.FlowStats()
-	if fs.Stalls == 0 || fs.StallTime == 0 {
-		t.Errorf("window 2 under an 8-way incast must stall senders; stats %+v", fs)
-	}
-	if fs.CreditsGranted != fs.CreditsSpent {
-		t.Errorf("ledger unbalanced: %+v", fs)
-	}
-	if fs.SchedRounds == 0 {
-		t.Errorf("fair scheduler never completed a round; stats %+v", fs)
+		t.Run(c.name+"/no-credits", func(t *testing.T) { runWall(t, c) })
 	}
 }
 
@@ -375,9 +274,7 @@ func TestFairRelayResumesSuspendedVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fwd.DefaultConfig()
-	cfg.FlowControl = true
-	w := build(t, tp, cfg)
+	w := build(t, tp, fwd.DefaultConfig())
 	left, msgs := map[string]int{}, 0
 	for _, name := range names {
 		payload := pattern(size[name], 1)

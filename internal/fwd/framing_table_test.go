@@ -15,10 +15,9 @@ import (
 // TestFramingTransferTable pins, for every streaming framing and every message
 // shape that sits on one of its boundaries, what the wire carries and when the
 // message is done: byte-exact delivery, From()/Forwarded(), the wire transfers
-// the source spent toward its first gateways (the flow-control ledger charges
-// exactly what crosses the wire, so the source's CreditsSpent is the meter),
-// granted == spent over every account, and the virtual instant the last
-// receiver finished EndUnpacking, as a literal. The literals were printed by
+// the source sent toward its first gateways (its sends on the special
+// channels), and the virtual instant the last receiver finished EndUnpacking,
+// as a literal. The literals were printed by
 // the code as it stood before the endpoints shared one stream writer and
 // reader (MADGO_PRINT_FRAMING_TABLE=1 prints them again) and are the oracle
 // for that refactor and the next: rails through gateways in particular are
@@ -39,7 +38,9 @@ import (
 // being a knob (DESIGN.md §41): the row used to set it to 4 000 bytes, and at
 // the fixed 16 KiB the inlineMax, inlineMax+1, mtu4K-20 and mtu4K-19 messages
 // take one rail, 3 transfers where two rails took 6, done about 72 µs later
-// (114 µs for inlineMax+1).
+// (114 µs for inlineMax+1). The transfer column was read off the credit
+// ledger, one credit a transfer toward a gateway, until credits went; the
+// special channels' send counts read the same numbers in every cell.
 //
 // Transfers per message, F fragments: seed F+2 (header, fragments, bare
 // terminator); eager 1 when the first fragment rides the header, else F+1,
@@ -50,7 +51,7 @@ func TestFramingTransferTable(t *testing.T) {
 	type framing struct {
 		name  string
 		topo  func(*testing.T) *topo.Topology
-		tune  func(*fwd.Config) // nil: the seed framing, nothing armed but credits
+		tune  func(*fwd.Config) // nil: the seed framing
 		src   string
 		dsts  []string
 		mcast bool
@@ -61,14 +62,14 @@ func TestFramingTransferTable(t *testing.T) {
 		{name: "eager+agg", topo: paperHS, tune: func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }, src: "a0", dsts: []string{"b1"}},
 		// One relayed branch: the gateway replicates to two leaves.
 		{name: "mcast", topo: paperHS, src: "a0", dsts: []string{"b0", "b1"}, mcast: true},
-		// A leaf branch (no credits) beside a relayed one, a gateway that is
+		// A leaf branch (on the regular channel) beside a relayed one, a gateway that is
 		// itself a destination (the local capture), and a second gateway.
 		{name: "mcast-chain", topo: mcastChain, src: "a0", dsts: []string{"a1", "gw1", "c0", "l0"}, mcast: true},
 		// Both rails cross a gateway, each a different one; below the
 		// threshold the message falls back to the seed framing.
 		{name: "stripe-gw", topo: diamond, tune: func(c *fwd.Config) { c.StripeK = 2 }, src: "a", dsts: []string{"b"}},
-		// The reliable engine spends no credit: its transfers column reads 0
-		// and the instant pins the framing. A frame is one reliable message.
+		// The reliable engine sends on the regular channels: its transfers
+		// column reads 0 and the instant pins the framing. A frame is one reliable message.
 		{name: "rel", topo: paperHS, tune: func(c *fwd.Config) { c.Reliable = true }, src: "a0", dsts: []string{"b1"}},
 		{name: "rel+agg", topo: paperHS, tune: func(c *fwd.Config) { c.Reliable, c.Aggregation = true, true }, src: "a0", dsts: []string{"b1"}},
 		// Past the threshold a reliable message is queued on both rails.
@@ -111,7 +112,6 @@ func TestFramingTransferTable(t *testing.T) {
 			t.Run(key, func(t *testing.T) {
 				cfg := fwd.DefaultConfig()
 				cfg.MTU = sh.mtu
-				cfg.FlowControl = true
 				if fr.tune != nil {
 					fr.tune(&cfg)
 				}
@@ -154,16 +154,7 @@ func TestFramingTransferTable(t *testing.T) {
 				if err := w.sim.Run(); err != nil {
 					t.Fatal(err)
 				}
-				var spent int64
-				for _, a := range w.vc.FlowAccounts() {
-					if a.Sender == fr.src {
-						spent += a.Spent
-					}
-				}
-				if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
-					t.Errorf("credit ledger unbalanced: %d granted, %d spent", fs.CreditsGranted, fs.CreditsSpent)
-				}
-				got := framingCell{spent, int64(done)}
+				got := framingCell{w.vc.RelayedSends(fr.src), int64(done)}
 				if print {
 					fmt.Printf("\t%q: {%d, %d},\n", key, got.transfers, got.doneNs)
 					return
@@ -176,8 +167,8 @@ func TestFramingTransferTable(t *testing.T) {
 	}
 }
 
-// framingCell is one cell of the table: the wire transfers the source spent
-// credits on, and the virtual instant (ns) the last receiver was done.
+// framingCell is one cell of the table: the wire transfers the source sent
+// toward gateways, and the virtual instant (ns) the last receiver was done.
 type framingCell struct {
 	transfers int64
 	doneNs    int64

@@ -91,9 +91,8 @@ type relayRing struct {
 // it, sets refs to the branch count and queues it on every branch's sender.
 // Each sender decrements refs after its send and swap; the one that reaches
 // zero recycles the slot — returns the buffers to their pools, puts the slot
-// back on the free list — and returns the ingress transfer's flow credit
-// upstream, so a slot is recycled and its credit granted exactly once
-// however many branches it fed.
+// back on the free list — so a slot is recycled exactly once however many
+// branches it fed.
 type relaySlot struct {
 	ring *relayRing
 	pool *wireBufPool // where buf came from; nil when data rides the ingress slot
@@ -101,7 +100,6 @@ type relaySlot struct {
 	data []byte
 	desc []mad.BlockDesc
 	aux  []byte // copy-always staging buffer from the wire pool, released with the slot
-	up   string // the ingress sender, whose flow credit the release returns
 	refs int    // branch sends still owing
 }
 
@@ -184,11 +182,7 @@ type gwTx struct {
 // by their rings.
 type gwSender struct {
 	out *mad.Link
-	// spendTo is the next gateway when the link leads to one that relays
-	// further: every transfer first spends one of this gateway's credits
-	// toward it (hopLink).
-	spendTo string
-	q       *vsync.Chan[gwTx]
+	q   *vsync.Chan[gwTx]
 	// enq is the right to queue: a relay holds it from a message's first
 	// transfer to its last, so two ingress rings never interleave messages
 	// on one link.
@@ -209,14 +203,14 @@ func sendThread[T any](p *vtime.Proc, q *vsync.Chan[T], send func(*vtime.Proc, T
 }
 
 // sender returns (creating, with its daemon) the sender of one egress link.
-func (g *Gateway) sender(out *mad.Link, nextGW string) *gwSender {
+func (g *Gateway) sender(out *mad.Link) *gwSender {
 	if e, ok := g.senders[out]; ok {
 		return e
 	}
 	name := fmt.Sprintf("gwtx:%s>%s", g.name, out.Dst.Name)
 	depth := g.vc.cfg.PipelineDepth
 	outNet := out.Channel.Network().Name
-	e := &gwSender{out: out, spendTo: nextGW, q: vsync.NewChan[gwTx](name, depth),
+	e := &gwSender{out: out, q: vsync.NewChan[gwTx](name, depth),
 		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet}
 	g.senders[out] = e
 	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) {
@@ -233,9 +227,6 @@ func (g *Gateway) egress(sp *vtime.Proc, e *gwSender, tx gwTx) {
 	m := &g.met
 	if tx.meta.SOM {
 		e.out.Acquire(sp)
-	}
-	if e.spendTo != "" {
-		vc.flowSpend(sp, e.spendTo, g.name, tx.msgID)
 	}
 	t0 := sp.Now()
 	e.out.Send(sp, tx.meta, tx.data)
@@ -397,6 +388,41 @@ func (g *Gateway) relCount(i int) int64 {
 	return g.eng.counters[i].Count()
 }
 
+// FlowStats counts the relay schedulers every gateway runs.
+type FlowStats struct {
+	// Accounts, CreditsGranted, CreditsSpent, Stalls and StallTime are
+	// always zero: gateways keep no credit accounts.
+	Accounts                     int            // benchmark/ only: ROADMAP 8
+	CreditsGranted, CreditsSpent int64          // benchmark/ only: ROADMAP 8
+	Stalls                       int64          // benchmark/ only: ROADMAP 8
+	StallTime                    vtime.Duration // benchmark/ only: ROADMAP 8
+	// SchedRounds is how many full deficit-round-robin passes the streaming
+	// gateways' fair daemons and the reliable engines' relay daemons
+	// completed.
+	SchedRounds int64
+	// Backpressure counts reliable-mode relay admissions refused because
+	// the relay queue was full, and completing fragments refused because the
+	// application left its arrival queue full (the upstream ARQ retransmits —
+	// no loss).
+	Backpressure int64
+}
+
+// FlowStats returns the relay schedulers' counters, summed over every
+// gateway and reliable engine.
+func (vc *VirtualChannel) FlowStats() FlowStats {
+	var s FlowStats
+	for _, g := range vc.gates {
+		for _, r := range g.rings {
+			s.SchedRounds += r.drr.Rounds()
+		}
+	}
+	for _, e := range vc.rel {
+		s.SchedRounds += e.relayDRR.Rounds()
+	}
+	s.Backpressure = vc.relCount(relBackpressure)
+	return s
+}
+
 // Gateway returns the engine running on the named node (tests and tools).
 func (vc *VirtualChannel) Gateway(name string) *Gateway {
 	gw, ok := vc.gates[name]
@@ -416,22 +442,16 @@ func (vc *VirtualChannel) GatewayOK(name string) (*Gateway, bool) {
 // hopLink returns the link a node sends on toward one next hop of a route
 // or multicast branch — "the right solution" of §2.2.2: the regular
 // channel when the hop ends at the message's final destination, the
-// network's special channel when the next node relays further. In the
-// second case it also names that next gateway, toward which every transfer
-// first spends a flow credit: relaying makes a node a sender in its own
-// right, which is how backpressure propagates sender-ward along a gateway
-// chain (a plain receiver grants no credits back, so none are spent toward
-// it).
-func (vc *VirtualChannel) hopLink(from *mad.Node, hop route.Hop, relays bool) (link *mad.Link, nextGW string) {
+// network's special channel when the next node relays further.
+func (vc *VirtualChannel) hopLink(from *mad.Node, hop route.Hop, relays bool) *mad.Link {
 	ch := vc.regular[hop.Network]
 	if relays {
 		ch = vc.special[hop.Network]
 		if ch == nil {
 			panic("fwd: next-gateway hop without special channel on " + hop.Network)
 		}
-		nextGW = hop.To
 	}
-	return ch.Link(from.Rank, vc.NodeRank(hop.To)), nextGW
+	return ch.Link(from.Rank, vc.NodeRank(hop.To))
 }
 
 // relayFrame is what the relay learned from the first transfer of the
@@ -439,8 +459,7 @@ func (vc *VirtualChannel) hopLink(from *mad.Node, hop route.Hop, relays bool) (l
 // read.
 type relayFrame struct {
 	kind       mad.Kind
-	streamOpen        // the first transfer and what it says: routing fields, header length, the payload's share
-	up         string // the ingress sender, whose flow credits the relay returns
+	streamOpen // the first transfer and what it says: routing fields, header length, the payload's share
 }
 
 // classify receives the first transfer of an announced message and decodes
@@ -454,7 +473,7 @@ type relayFrame struct {
 // arrived in, which the copy into scratch emptied: the frame's head is that
 // buffer, not the scratch the ring's next message overwrites.
 func (g *Gateway) classify(p *vtime.Proc, r *relayRing, a mad.Arrival) relayFrame {
-	f := relayFrame{kind: a.Kind(), up: a.Link.Src.Name}
+	f := relayFrame{kind: a.Kind()}
 	meta, head, spent := recvFirst(p, a.Link, f.kind, r.hdr[:])
 	var ok bool
 	if f.streamOpen, ok = parseStream(f.kind, meta, head, r.hdrDests); !ok {
@@ -492,8 +511,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
 	vc.hop(p, f.id, g.name, "relay", obs.Detail{Form: "${note} -> ${peer} via ${net}", Note: inNet, Peer: hop.To, Net: hop.Network}, 0)
-	out, nextGW := vc.hopLink(g.node, hop, hop.To != dstName)
-	r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW)})
+	r.branches = append(r.branches, relayBranch{tx: g.sender(vc.hopLink(g.node, hop, hop.To != dstName))})
 	return r.branches, false
 }
 
@@ -520,9 +538,6 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 	inNet := in.Channel.Network().Name
 
 	f := g.classify(p, r, a)
-	// The first transfer consumed one of the upstream sender's credits; it
-	// has been read out of the ingress slot, so return the credit.
-	vc.flowGrant(g.name, f.up)
 	branches, local := g.route(p, r, &f, inNet)
 	g.messages++
 	// Payload that rode along with the header is relayed ingress payload
@@ -603,11 +618,6 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 // in flight, for this message or an earlier one — the wait is recorded as a
 // "stall" span, which obs.AnalyzeLanes accounts to the lane's stall
 // fraction; the deeper the ring, the fewer such bubbles.
-// With flow control armed, the pipeline is also where credits move: every
-// slot returned to the free list means one ingress transfer fully drained
-// through every egress branch, so one credit goes back to the upstream
-// sender, and every egress transfer toward a downstream gateway spends one
-// of this gateway's own credits first.
 func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []relayBranch, capture *heldMsg) {
 	vc := g.vc
 	cfg := vc.cfg
@@ -617,7 +627,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
 	recvActor := r.recvActor
-	msgID, up := f.id, f.up
+	msgID := f.id
 
 	// The message's buffer election: the pool its slots take their buffers
 	// from, nil when the data rides the ingress slots.
@@ -660,7 +670,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 
 		t0 = p.Now()
 		var meta mad.TxMeta
-		s.pool, s.up = pool, up
+		s.pool = pool
 		if pool == nil {
 			meta, s.data = in.Recv(p)
 		} else {
@@ -678,8 +688,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 				b.tx.q.Send(p, gwTx{meta: mad.TxMeta{Kind: f.kind, EOM: true}, msgID: msgID})
 			}
 			stalled(t0)
-			// The slot taken for the terminator goes to no sender; the
-			// terminator transfer consumed a sender credit like any other.
+			// The slot taken for the terminator goes to no sender.
 			g.recycle(p, s)
 			return
 		}
@@ -718,8 +727,8 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		if len(branches) == 0 {
 			// A frame whose every remaining destination is this node. The
 			// planner never emits one (a lone local destination travels the
-			// regular channel), but a recycled slot and a returned credit
-			// keep even that shape live.
+			// regular channel), but a recycled slot keeps even that shape
+			// live.
 			g.recycle(p, s)
 		}
 		if meta.EOM {
@@ -730,14 +739,12 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 
 // recycle returns a slot nobody refers to any more to its ring's free list
 // and its buffers to their pools: the ingress transfer behind it has fully
-// drained through egress, so its credit goes back to the upstream sender.
+// drained through egress.
 func (g *Gateway) recycle(p *vtime.Proc, s *relaySlot) {
-	r, up := s.ring, s.up
 	g.vc.bufs.put(s.aux)
 	if s.pool != nil {
 		s.pool.put(s.buf)
 	}
 	s.buf, s.aux, s.data, s.desc = nil, nil, nil, nil
-	r.free.Send(p, s)
-	g.vc.flowGrant(g.name, up)
+	s.ring.free.Send(p, s)
 }

@@ -38,7 +38,6 @@ func TestStaleHandlePanics(t *testing.T) {
 	eager.Eager = true
 	aggregated := eager
 	aggregated.Aggregation = true
-	aggregated.FlowControl = true
 	reliable := fwd.DefaultConfig()
 	reliable.Reliable = true
 	for _, c := range []struct {

@@ -28,12 +28,8 @@ import (
 // followed by MTU-sized fragments with the terminator riding the last
 // fragment's EOM flag. There is never a bare-terminator transfer.
 //
-// Flow control composes per branch: a relaying hop spends one credit per
-// egress transfer toward its next gateway, so a slow subscriber
-// backpressures only its own branch (until the shared staging ring drains,
-// which is the bounded-memory backstop). Streaming mode only — the reliable
-// protocol keeps its unicast framing, and collectives fall back to the
-// binomial tree there (CanMulticast).
+// Streaming mode only — the reliable protocol keeps its unicast framing, and
+// collectives fall back to the binomial tree there (CanMulticast).
 
 // mcastRoot is what one node has counted as the root of multicast messages,
 // labelled {node}.
@@ -248,12 +244,10 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 
 // sendBranch emits the message once toward one branch: compact when the
 // whole payload shares a transfer with the header, streaming otherwise. A
-// relaying branch spends one flow credit per transfer toward its next
-// gateway; a leaf branch goes straight to its sole destination (hopLink).
+// leaf branch goes straight to its sole destination (hopLink).
 func (x *mcastPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank, relays bool) {
 	vc := x.vc
-	link, spendTo := vc.hopLink(x.node, hop, relays)
-	tx := streamTx{vc: vc, link: link, kind: mad.KindMcast, spends: spendTo != ""}
+	tx := streamTx{vc: vc, link: vc.hopLink(x.node, hop, relays), kind: mad.KindMcast}
 	tx.open(p, streamHdr{src: x.node.Rank, mtu: x.mtu, id: x.id, dests: ranks})
 	vc.flightRing(x.node.Name).Record(flight.KindReplicate, p.Now(), 0, x.id, x.total, hop.Network)
 	tx.message(p, x.blks, x.total, nil)
@@ -269,10 +263,10 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank
 func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	vc := g.vc
 	return vc.splitByHop(g.node, f.dests, func(hop route.Hop, ranks []mad.Rank, relays bool) {
-		out, nextGW := vc.hopLink(g.node, hop, relays)
+		out := vc.hopLink(g.node, hop, relays)
 		hdr := vc.bufs.get(streamHeaderLen(mad.KindMcast, len(ranks)))
 		putStreamHeader(hdr, mad.KindMcast, streamHdr{src: f.src, mtu: f.mtu, id: f.id, dests: ranks})
-		r.branches = append(r.branches, relayBranch{tx: g.sender(out, nextGW), hdr: hdr})
+		r.branches = append(r.branches, relayBranch{tx: g.sender(out), hdr: hdr})
 	})
 }
 

@@ -210,23 +210,6 @@ func TestMulticastGatewayIngressIndependentOfFanout(t *testing.T) {
 	}
 }
 
-func TestMulticastWithFlowControl(t *testing.T) {
-	cfg := fwd.DefaultConfig()
-	cfg.FlowControl = true
-	cfg.CreditWindow = 2
-	w := build(t, mcastChain(t), cfg)
-	for _, size := range []int{100, 300_000} {
-		blocks := []block{{pattern(size, 5), mad.SendCheaper, mad.ReceiveCheaper}}
-		got := mcastSendRecv(t, w, "a0", []string{"a1", "c0", "l0", "l1"}, blocks)
-		checkIdentical(t, got, blocks)
-	}
-	fs := w.vc.FlowStats()
-	if fs.CreditsSpent == 0 || fs.CreditsSpent != fs.CreditsGranted {
-		t.Errorf("credits spent %d / granted %d: want equal and nonzero",
-			fs.CreditsSpent, fs.CreditsGranted)
-	}
-}
-
 // mcastTopo builds a topology of the given networks and nodes, each node
 // listed with the networks it is on.
 func mcastTopo(t *testing.T, nets []string, nodes [][]string) *topo.Topology {

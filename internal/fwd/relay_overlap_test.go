@@ -172,7 +172,8 @@ func runSequence(t *testing.T, w *world, srcs []string, msgs []relayMsg) {
 // Consecutive messages of one ingress ring leave on different egress links and
 // networks while the tails of the earlier ones are still going out: each must
 // leave on its own link, whole and in its sender's order — with one slot or
-// several, credits or none, one ingress sender or two contending for the ring.
+// several, the ingress regulated (flow, Config.InflowLimit) or not, one ingress
+// sender or two contending for the ring.
 func TestRelayConsecutiveMessagesToDifferentLinks(t *testing.T) {
 	msgs := []relayMsg{
 		{[]string{"m0"}, 100_000}, {[]string{"c0"}, 70_000}, {[]string{"m1"}, 40_000},
@@ -184,12 +185,12 @@ func TestRelayConsecutiveMessagesToDifferentLinks(t *testing.T) {
 			for _, eager := range []bool{false, true} {
 				t.Run(fmt.Sprintf("depth%d/flow=%v/eager=%v", depth, flow, eager), func(t *testing.T) {
 					cfg := fwd.DefaultConfig()
-					cfg.PipelineDepth, cfg.FlowControl, cfg.Eager = depth, flow, eager
+					cfg.PipelineDepth, cfg.Eager = depth, eager
+					if flow {
+						cfg.InflowLimit = 10 * 1e6 // 10 MB/s
+					}
 					w := build(t, fanTopo(t, "sci"), cfg)
 					runSequence(t, w, []string{"a", "a2"}, msgs)
-					if fs := w.vc.FlowStats(); fs.CreditsGranted != fs.CreditsSpent {
-						t.Errorf("credit ledger unbalanced at quiescence: %d granted, %d spent", fs.CreditsGranted, fs.CreditsSpent)
-					}
 					if bk := w.vc.RelBookkeeping(); bk.BufsTaken == 0 || bk.BufsTaken != bk.BufsReturned {
 						t.Errorf("staging buffers leaked or never taken: %d taken, %d returned", bk.BufsTaken, bk.BufsReturned)
 					}

@@ -42,7 +42,7 @@ func TestReliableBufferLedgerUnderFaults(t *testing.T) {
 	plan := fault.NewPlan(2001).Drop("*", 0.02).Corrupt("*", 0.02).
 		Crash("gw2", vtime.Time(30*vtime.Millisecond), 80*vtime.Millisecond)
 	cfg := healthCfg()
-	cfg.Eager, cfg.Aggregation, cfg.FlowControl, cfg.StripeK = true, true, true, 2
+	cfg.Eager, cfg.Aggregation, cfg.StripeK = true, true, 2
 	w := buildFaulty(t, tp, nil, plan, cfg)
 
 	// Half mice, a third mid-sized, the rest past the stripe threshold and

@@ -44,8 +44,7 @@ import (
 // the whole message (KindMcast, mcast.go), and the terminator is the EOM flag
 // of the last one. A rail of a striped message (KindStripe, stripe.go) has the
 // seed shape under a longer header. Gateways relay all of them obliviously
-// (gateway.go), and flow control charges the true transfer count because the
-// writer spends exactly one credit before every Send.
+// (gateway.go).
 
 // Every stream header opens with the same 16 bytes and the kind picks its
 // tail (DESIGN.md §32 and §34 have the offsets before and after):
@@ -281,7 +280,7 @@ func framingOf(kind mad.Kind) *framing {
 }
 
 // streamTx is the sender side of a stream, whatever its kind. The caller sets
-// vc, link, kind and spends and calls open; then block for every packed block
+// vc, link and kind and calls open; then block for every packed block
 // and end, or message when it holds the entire message. It bypasses the
 // per-network BMMs (whose grouping differs across devices) and emits a
 // uniform packet stream any gateway can relay without regrouping.
@@ -305,13 +304,8 @@ type streamTx struct {
 	// held is the fragment held back when the terminator rides the last one:
 	// whether a fragment is the last is only known when the next one, or
 	// end, arrives.
-	held heldFrag
-	kind mad.Kind
-	// spends: every transfer first spends a flow credit toward the link's far
-	// end, a gateway: an exhausted window parks the sender instead of piling
-	// packets into the gateway's mailbox. Not toward a plain receiver — a
-	// direct rail, a leaf branch — which grants none back.
-	spends  bool
+	held    heldFrag
+	kind    mad.Kind
 	started bool // the header is on the wire
 }
 
@@ -347,12 +341,6 @@ func (tx *streamTx) hdrDescs() []mad.BlockDesc {
 	return tx.vc.mcastst.hdrDesc(len(tx.hdr))
 }
 
-func (tx *streamTx) spend(p *vtime.Proc) {
-	if tx.spends {
-		tx.vc.flowSpend(p, tx.link.Dst.Name, tx.link.Src.Name, tx.id)
-	}
-}
-
 // hop writes the hop record of n payload bytes.
 func (tx *streamTx) hop(p *vtime.Proc, form string, n int) {
 	tx.vc.hop(p, tx.id, tx.link.Src.Name, "hop",
@@ -363,7 +351,6 @@ func (tx *streamTx) hop(p *vtime.Proc, form string, n int) {
 // tx.hdr) or with the payload descs[1:] describe glued behind it.
 func (tx *streamTx) first(p *vtime.Proc, frame []byte, descs []mad.BlockDesc, last bool) {
 	tx.started = true
-	tx.spend(p)
 	tx.link.Send(p, mad.TxMeta{SOM: true, EOM: last, Kind: tx.kind, Blocks: descs, Owned: true}, frame)
 }
 
@@ -424,7 +411,6 @@ func (tx *streamTx) emit(p *vtime.Proc, fr heldFrag, last bool) {
 		if !tx.started {
 			tx.first(p, tx.hdr, tx.hdrDescs(), false)
 		}
-		tx.spend(p)
 		descs := fr.shared
 		if descs == nil {
 			pair := bufs.pairs.get()
@@ -493,7 +479,6 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 // end ends the message and gives the link back.
 func (tx *streamTx) end(p *vtime.Proc) {
 	if framingOf(tx.kind).bracketed {
-		tx.spend(p)
 		tx.link.Send(p, mad.TxMeta{Kind: tx.kind, EOM: true}, nil)
 	} else if tx.flush(p, true); !tx.started {
 		// No payload at all: the header itself is the terminator.

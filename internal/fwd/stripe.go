@@ -497,9 +497,6 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 		return
 	}
 	vc, r := sx.vc, sx.rails[rail]
-	// Rails that relay through a gateway spend credits like any other
-	// sender; direct rails answer to nobody (gw stays empty).
-	link, gw := vc.hopLink(sx.node, r[0], !r.Direct())
 	var flags uint16
 	if !r.Direct() {
 		flags |= stripeFlagForwarded
@@ -511,7 +508,7 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 	h := streamHdr{src: sx.node.Rank, dst: vc.NodeRank(sx.dst), mtu: vc.railMTU(r), id: sx.id,
 		rail: rail, nrails: sx.plan.active, flags: flags,
 		spanStart: spanStart, spanLen: spans[rail], total: int64(sx.total)}
-	tx := streamTx{vc: vc, link: link, kind: mad.KindStripe, spends: gw != ""}
+	tx := streamTx{vc: vc, link: vc.hopLink(sx.node, r[0], !r.Direct()), kind: mad.KindStripe}
 	tx.open(p, h)
 	flat := int64(0)
 	for _, b := range sx.blks {

@@ -67,19 +67,6 @@ type Config struct {
 	// node pair (see stripe.go), rate-proportionally. 0 and 1 keep the
 	// single-route send path.
 	StripeK int
-	// FlowControl arms credit-based gateway flow control (see flowctl.go
-	// and package flow): senders spend a per-(gateway, sender) credit per
-	// wire transfer toward a gateway and the gateway grants credits back as
-	// its relay ring frees, so a many-senders incast turns into typed
-	// sender-side stalls instead of mailbox pressure. With the
-	// deficit-round-robin relay every gateway runs, which equalizes long-run
-	// byte rates across ingress flows with or without credits, this is the
-	// "regulate the incoming communication flow on gateways" mechanism the
-	// paper's conclusion leaves as future work.
-	FlowControl bool
-	// CreditWindow overrides the per-(gateway, sender) credit window
-	// (DefaultCreditWindow when 0). Requires FlowControl.
-	CreditWindow int
 	// Eager switches forwarded streaming messages to the compact GTM
 	// framing (stream.go): the self-description header piggybacks on the
 	// first data fragment and the terminator collapses into the last
@@ -90,8 +77,7 @@ type Config struct {
 	// Aggregation arms the cross-message coalescer (agg.go): consecutive
 	// sub-MTU messages toward the same forwarded destination are packed
 	// into one MTU-sized aggregate frame and flushed as a single wire
-	// transfer (and a single flow-control credit). Direct (one-network)
-	// traffic is never aggregated.
+	// transfer. Direct (one-network) traffic is never aggregated.
 	Aggregation bool
 }
 
@@ -121,12 +107,6 @@ func (c Config) validate() error {
 	}
 	if c.StripeK < 0 || c.StripeK > stripeMaxRails {
 		return fmt.Errorf("fwd: StripeK must be in [0, %d], got %d", stripeMaxRails, c.StripeK)
-	}
-	if c.CreditWindow < 0 {
-		return fmt.Errorf("fwd: negative CreditWindow")
-	}
-	if c.CreditWindow > 0 && !c.FlowControl {
-		return fmt.Errorf("fwd: CreditWindow requires FlowControl")
 	}
 	return nil
 }
@@ -206,10 +186,6 @@ type VirtualChannel struct {
 	// made on first use is built on them, and the striper and the diagnosis
 	// pass read the NIC models.
 	bindings map[string]Binding
-
-	// flowc is the credit-based flow controller; nil unless
-	// Config.FlowControl is set (see flowctl.go).
-	flowc *flowCtl
 
 	// aggst is the cross-message aggregation state (see agg.go); nil
 	// unless Config.Aggregation is set.
@@ -369,9 +345,6 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		pathMTUs: make(map[[2]string]int),
 		bindings: bindings,
 		mcastst:  &mcastState{roots: make(map[string]*mcastRoot), hdrDescs: make(map[int][]mad.BlockDesc)},
-	}
-	if cfg.FlowControl {
-		vc.flowc = newFlowCtl(vc, cfg.CreditWindow)
 	}
 	for _, n := range buildTopo.Nodes() {
 		vc.nodes[n.Name] = sess.AddNode(n.Name)
@@ -788,7 +761,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 		// The header goes into the frame's reserved prefix; the frame and a
 		// descriptor pair are handed hop by hop to the sink, which returns both.
 		_, link := vc.firstHop(node, dst)
-		tx := streamTx{vc: vc, link: link, kind: mad.KindAgg, spends: true}
+		tx := streamTx{vc: vc, link: link, kind: mad.KindAgg}
 		tx.open(p, streamHdr{src: node.Rank, dst: vc.NodeRank(dst), mtu: c.mtu, id: id})
 		tx.message(p, blks, total, c.wire)
 	default:
@@ -820,8 +793,7 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 	if hop.To == dst {
 		return hop, nil
 	}
-	link, _ := vc.hopLink(from, hop, true)
-	return hop, link
+	return hop, vc.hopLink(from, hop, true)
 }
 
 // openSingleRail opens message id on the path firstHop found, the framing every
@@ -851,7 +823,7 @@ func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string,
 		kind = mad.KindEager
 	}
 	x := vc.recs.streamPacking.get()
-	x.streamTx = streamTx{vc: vc, link: link, kind: kind, spends: true}
+	x.streamTx = streamTx{vc: vc, link: link, kind: kind}
 	x.open(p, streamHdr{src: from.Rank, dst: vc.NodeRank(dst), mtu: vc.PathMTU(from.Name, dst), id: id})
 	return x
 }

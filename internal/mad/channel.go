@@ -96,6 +96,17 @@ func (ch *Channel) Link(src, dst Rank) *Link {
 	return l
 }
 
+// SendsFrom returns the transfers rank src has sent on the channel's links.
+func (ch *Channel) SendsFrom(src Rank) int64 {
+	var n int64
+	for _, l := range ch.byNum {
+		if l.Src.Rank == src {
+			n += l.sends.Count()
+		}
+	}
+	return n
+}
+
 // Arrival announces a message whose first transmission reached a node. The
 // metadata is available before the body is unpacked — this carries the
 // regular/forwarded note of §2.2.2. Notes queue by value; a consumer that

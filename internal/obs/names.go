@@ -51,14 +51,8 @@ var CanonicalMetricNames = []string{
 	"madgo_rel_ack_packets_total",
 	"madgo_rel_acks_coalesced_total",
 
-	// Credit-based gateway flow control (internal/fwd/flowctl.go,
-	// gateway.go, reliable.go). Credit counters labelled {node, gateway}
-	// (spent) or {gateway} (granted); stalls labelled {node}; scheduler
-	// rounds labelled {gateway}; backpressure labelled {node}.
-	"madgo_flow_credits_granted_total",
-	"madgo_flow_credits_spent_total",
-	"madgo_flow_credit_stalls_total",
-	"madgo_flow_credit_stall_seconds",
+	// The relay schedulers (internal/fwd/gateway.go, reliable.go): rounds
+	// labelled {gateway}; backpressure labelled {node}.
 	"madgo_flow_sched_rounds_total",
 	"madgo_flow_backpressure_total",
 

@@ -147,7 +147,7 @@ type Registry struct {
 
 // Counter is one owner's count of one kind of event, a field of the object
 // that counts: the zero value is ready and needs no registry (DESIGN.md §21).
-// It counts whole numbers — events, bytes, credits — so an increment is one
+// It counts whole numbers — events, bytes, packets — so an increment is one
 // atomic add, and a series, the sum of its counters, is exact in any order.
 type Counter struct {
 	n atomic.Int64

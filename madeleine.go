@@ -50,7 +50,6 @@
 //	WithoutZeroCopy                        fwd: §2.3 gateway buffer election
 //	WithEagerSmallMessages                 fwd/eager: compact one-transfer GTM framing
 //	WithAggregation                        fwd/agg: cross-message coalescer
-//	WithFlowControl, WithCreditWindow      fwd/flow: credit-based gateway flow control
 //	WithStriping                           fwd/stripe: multi-rail striping
 //	WithReliableDelivery                   fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
@@ -61,10 +60,9 @@
 //	WithPaperFidelity, WithProduction      presets bundling the above
 //
 // Options that tune a subsystem another option arms do not arm it
-// themselves: WithAggregation requires WithEagerSmallMessages, and
-// WithCreditWindow requires WithFlowControl. NewSystem rejects an incoherent
-// set with a *ConfigError naming the missing option instead of silently
-// ignoring the orphan. (WithFaults keeps its documented implication —
+// themselves: WithAggregation requires WithEagerSmallMessages. NewSystem
+// rejects an incoherent set with a *ConfigError naming the missing option
+// instead of silently ignoring the orphan. (WithFaults keeps its documented implication —
 // reliable delivery — because there the implied subsystem is the only
 // possible intent.)
 package madeleine
@@ -134,14 +132,9 @@ type (
 	// AckStats aggregates the reliable mode's acknowledgement traffic
 	// (packets sent, entries coalesced, entries piggybacked on data).
 	AckStats = fwd.AckStats
-	// FlowStats aggregates the credit-based flow-control counters
-	// (credits granted/spent, sender stalls) attached with WithFlowControl,
-	// and the relay schedulers' (rounds, backpressure refusals), which every
-	// gateway counts with or without it.
+	// FlowStats aggregates the relay schedulers' counters (rounds,
+	// backpressure refusals), which every gateway keeps.
 	FlowStats = fwd.FlowStats
-	// FlowAccountStats is the per-(gateway, sender) credit-account
-	// breakdown behind FlowStats.
-	FlowAccountStats = fwd.FlowAccountStats
 	// AggStats aggregates the small-message coalescing counters
 	// (sub-messages coalesced, frames flushed by trigger, bypasses)
 	// attached with WithAggregation.
@@ -321,15 +314,6 @@ type Options struct {
 	// of fwd.DefaultStripeThreshold (16 KB) and more are split across up to
 	// StripeK link-disjoint routes and transmitted in parallel.
 	StripeK int
-	// FlowControl arms credit-based gateway flow control: senders spend a
-	// per-(gateway, sender) credit per wire transfer toward a gateway, and
-	// gateways grant credits back as their relay buffers free. Fairness is
-	// always on: every gateway schedules contending ingress flows
-	// deficit-round-robin, with or without credits.
-	FlowControl bool
-	// CreditWindow overrides the per-(gateway, sender) credit window
-	// (default fwd.DefaultCreditWindow). Requires FlowControl.
-	CreditWindow int
 	// Eager switches small messages to the compact GTM framing: the
 	// self-description header piggybacks on the first data fragment and
 	// the terminator on the last fragment's metadata, so a sub-MTU
@@ -337,8 +321,8 @@ type Options struct {
 	Eager bool
 	// Aggregation arms the cross-message coalescer: consecutive sub-MTU
 	// messages bound for the same destination are packed into one
-	// MTU-sized aggregate frame that crosses the wire — and spends flow
-	// credit — as a single transfer. A frame leaves at once when none is
+	// MTU-sized aggregate frame that crosses the wire as a single
+	// transfer. A frame leaves at once when none is
 	// on the wire and behind the one that is otherwise, so there is no
 	// deadline to tune. Requires Eager (the coalescer emits compact
 	// frames).
@@ -415,40 +399,18 @@ func WithStriping(k int) Option { return func(o *Options) { o.StripeK = k } }
 // than the capacity; once full, older events are overwritten.
 func WithFlightRingCap(n int) Option { return func(o *Options) { o.FlightRingCap = n } }
 
-// WithFlowControl arms credit-based gateway flow control — the "regulate
-// the incoming communication flow on gateways" mechanism the paper's
-// conclusion calls for. Every wire transfer toward a gateway first spends a
-// credit of that (gateway, sender) pair's window; the gateway returns
-// credits as its relay buffers drain, so a 64-sender incast parks senders
-// in bounded, typed stalls (visible as queue-wait flight events and
-// madgo_flow_* metrics) instead of burying the gateway's mailbox. Fairness
-// needs no option: every gateway serves contending senders
-// deficit-round-robin, charged by relayed bytes, which equalizes long-run
-// goodput regardless of message size. Query the counters with
-// System.Stats().Flow.
-func WithFlowControl() Option { return func(o *Options) { o.FlowControl = true } }
-
-// WithCreditWindow sets the per-(gateway, sender) credit window in wire
-// transfers (default fwd.DefaultCreditWindow). It tunes the flow controller
-// without arming it: combine with WithFlowControl, or NewSystem returns a
-// *ConfigError.
-func WithCreditWindow(n int) Option {
-	return func(o *Options) { o.CreditWindow = n }
-}
-
 // WithEagerSmallMessages switches to the compact GTM framing that attacks
 // the fixed per-wire-transfer software overhead of §3.4.1: the
 // self-description header piggybacks on the first data fragment and the
 // terminator collapses into the last fragment's metadata, so a message that
 // fits one fragment crosses each hop in ONE wire transfer instead of three.
-// Gateways relay the compact frames obliviously; flow control charges the
-// true transfer count.
+// Gateways relay the compact frames obliviously.
 func WithEagerSmallMessages() Option { return func(o *Options) { o.Eager = true } }
 
 // WithAggregation arms the cross-message coalescer on top of the compact
 // framing: consecutive sub-MTU messages from one node to one destination
 // are packed into a single MTU-sized aggregate frame — one wire transfer,
-// one flow credit, one ARQ sequence in reliable mode — and decoalesced at
+// one ARQ sequence in reliable mode — and decoalesced at
 // the sink in sender order. A frame leaves as soon as the one before it is
 // off the wire — at once on a free path, so a lone message pays no batching
 // delay, and as full as the path is busy otherwise — or when a larger
@@ -480,8 +442,8 @@ func WithReliableDelivery() Option { return func(o *Options) { o.Reliable = true
 // configuration: 32 KB GTM packets, depth-2 double-buffered gateway
 // pipelines, the original three-transfer framing (header, data,
 // terminator), streaming delivery, and none of the post-paper subsystems
-// (no eager framing, aggregation, flow control, striping, reliability or
-// health monitoring). Apply it first and layer individual options after it
+// (no eager framing, aggregation, striping, reliability or health
+// monitoring). Apply it first and layer individual options after it
 // to deviate selectively.
 func WithPaperFidelity() Option {
 	return func(o *Options) {
@@ -489,27 +451,23 @@ func WithPaperFidelity() Option {
 		o.PipelineDepth = 2
 		o.Eager = false
 		o.Aggregation = false
-		o.FlowControl = false
-		o.CreditWindow = 0
 		o.StripeK = 0
 		o.Reliable = false
 	}
 }
 
 // WithProduction arms every post-paper subsystem at its defaults: compact
-// eager framing with cross-message aggregation, credit-based gateway flow
-// control, two-rail striping, and reliable (acknowledged, retransmitted)
-// delivery with its link-health failure detector and epochal self-healing
-// routes. It is the "everything on" profile the load-pattern examples use;
-// layer individual options after it to tune packet sizes or the credit
-// window. Note that reliable delivery runs its own packet
+// eager framing with cross-message aggregation, two-rail striping, and
+// reliable (acknowledged, retransmitted) delivery with its link-health
+// failure detector and epochal self-healing routes. It is the "everything
+// on" profile the load-pattern examples use; layer individual options after
+// it to tune packet sizes. Note that reliable delivery runs its own packet
 // protocol, so the streaming-only multicast fan-out is unavailable under
 // this preset — collectives fall back to binomial trees.
 func WithProduction() Option {
 	return func(o *Options) {
 		o.Eager = true
 		o.Aggregation = true
-		o.FlowControl = true
 		o.StripeK = 2
 		o.Reliable = true
 	}
@@ -519,8 +477,8 @@ func WithProduction() Option {
 // option that only tunes a subsystem was given without the option that
 // arms it. Match with errors.As to recover the offending pair.
 type ConfigError struct {
-	Option   string // the orphaned option, e.g. "WithCreditWindow"
-	Requires string // the option it needs, e.g. "WithFlowControl"
+	Option   string // the orphaned option, e.g. "WithAggregation"
+	Requires string // the option it needs, e.g. "WithEagerSmallMessages"
 	Detail   string // what the orphaned option would have tuned
 }
 
@@ -537,13 +495,6 @@ func (o *Options) validate() error {
 			Option:   "WithAggregation",
 			Requires: "WithEagerSmallMessages",
 			Detail:   "the cross-message coalescer emits compact eager frames",
-		}
-	}
-	if o.CreditWindow != 0 && !o.FlowControl {
-		return &ConfigError{
-			Option:   "WithCreditWindow",
-			Requires: "WithFlowControl",
-			Detail:   "the credit window sizes a flow controller that was never armed",
 		}
 	}
 	return nil
@@ -616,9 +567,6 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 
 		StripeK: o.StripeK,
 
-		FlowControl:  o.FlowControl,
-		CreditWindow: o.CreditWindow,
-
 		Eager:       o.Eager,
 		Aggregation: o.Aggregation,
 	}
@@ -683,8 +631,8 @@ type NamedGatewayStats struct {
 // objects that count: the same with and without WithMetrics, whose registry
 // reports the same numbers. Subsystems that were never armed report zero
 // values: Delivery, Ack, the recovery fields of each gateway (reliable mode),
-// Stripe (WithStriping), Flow (WithFlowControl), Agg (WithAggregation), Mcast
-// (multicast fan-out on a streaming channel). Gateways is sorted by node name.
+// Stripe (WithStriping), Agg (WithAggregation), Mcast (multicast fan-out on
+// a streaming channel); Flow counts every gateway's relay scheduler. Gateways is sorted by node name.
 type Stats struct {
 	Delivery DeliveryStats       `json:"delivery"`
 	Stripe   StripeStats         `json:"stripe"`
@@ -732,10 +680,6 @@ func (s *System) GatewayStats(name string) (GatewayStats, bool) {
 		Failovers:   g.Failovers(),
 	}, true
 }
-
-// FlowAccounts returns the per-(gateway, sender) credit-account counters in
-// account creation order. Empty without WithFlowControl.
-func (s *System) FlowAccounts() []FlowAccountStats { return s.Channel.FlowAccounts() }
 
 // Health returns the link-health failure detector of a reliable system; it
 // is nil only in streaming mode. Snapshot lists per-link condition,

@@ -77,9 +77,9 @@ func TestSystemEndToEnd(t *testing.T) {
 }
 
 // TestGatewaySchedulesWithoutFlowControl: every gateway relays through its
-// deficit-round-robin scheduler, so a system without WithFlowControl counts
-// scheduler rounds and no credit account. Before the FIFO relay was deleted
-// such a system read zero rounds.
+// deficit-round-robin scheduler, so a system armed with no option counts
+// scheduler rounds. Before the FIFO relay was deleted such a system read zero
+// rounds.
 func TestGatewaySchedulesWithoutFlowControl(t *testing.T) {
 	sys, err := madeleine.NewSystem(demoConfig)
 	if err != nil {
@@ -103,8 +103,8 @@ func TestGatewaySchedulesWithoutFlowControl(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fs := sys.Stats().Flow; fs.SchedRounds == 0 || fs.Accounts != 0 || fs.CreditsSpent != 0 {
-		t.Errorf("FlowStats without WithFlowControl = %+v, want scheduler rounds and no credits", fs)
+	if fs := sys.Stats().Flow; fs.SchedRounds == 0 {
+		t.Errorf("FlowStats = %+v, want scheduler rounds", fs)
 	}
 }
 
@@ -376,7 +376,7 @@ func TestAggregatedDeliveryMatchesPaperFidelity(t *testing.T) {
 		return got
 	}
 	want := run(false, madeleine.WithPaperFidelity())
-	got := run(true, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl())
+	got := run(true, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation())
 	for _, name := range senders {
 		if len(want[name]) != perSender || len(got[name]) != perSender {
 			t.Fatalf("%s: %d messages delivered by the seed framing, %d aggregated, want %d", name, len(want[name]), len(got[name]), perSender)

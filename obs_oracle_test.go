@@ -20,7 +20,7 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // before series handles existed — every write a string-keyed
 // Registry.Add/Set/Observe, every hop detail a fmt.Sprintf at the call site —
 // on the three seeded legs below: a streaming leg that exercises the
-// coalescer, credit accounts and the aggregate, GTM and multicast relays; a
+// coalescer and the aggregate, GTM and multicast relays; a
 // streaming leg with eager framing, two rails and a one-slot gateway ring; and
 // a reliable leg under loss, corruption and a gateway crash, with striping and
 // the health monitor. The handle-based write
@@ -73,6 +73,14 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // leg a0's rail 0 reads 98 304 instead of 98 318, b1's rail-0 series, which
 // only ever carried a descriptor, is gone, and each of the three `stripe`
 // split records reads 14 bytes less on rail 0; every other line is unchanged.
+//
+// And a seventh time, when the credit layer went (DESIGN.md §13): the
+// streaming leg armed credits with a window of 2, and its senders stalled on
+// it 8 times. The same leg run at the parent commit with the default window
+// of 16, which no sender waits on, equals the new streaming leg byte for byte
+// once its twelve madgo_flow_credits_* lines are set aside (five samples,
+// their five Prometheus lines and two TYPE lines); the striped and reliable
+// legs, which kept no credit account, stayed byte-identical.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
@@ -163,8 +171,8 @@ node c2 core
 node gw2 core leaf
 node l1 leaf
 node l2 leaf
-`, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(), madeleine.WithFlowControl(),
-		madeleine.WithCreditWindow(2), madeleine.WithMetrics(m), madeleine.WithTracer(madeleine.NewTracer()))
+`, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation(),
+		madeleine.WithMetrics(m), madeleine.WithTracer(madeleine.NewTracer()))
 	if err != nil {
 		t.Fatal(err)
 	}

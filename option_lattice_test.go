@@ -30,7 +30,6 @@ node b0 s
 var latticeArgs = map[string]func() madeleine.Option{
 	"WithAggregation":        madeleine.WithAggregation,
 	"WithAutoMTU":            madeleine.WithAutoMTU,
-	"WithCreditWindow":       func() madeleine.Option { return madeleine.WithCreditWindow(4) },
 	"WithEagerSmallMessages": madeleine.WithEagerSmallMessages,
 	"WithFaults": func() madeleine.Option {
 		return madeleine.WithFaults(madeleine.NewFaultPlan(7).Drop("*", 0.01))
@@ -54,7 +53,6 @@ var latticeArgs = map[string]func() madeleine.Option{
 // rejects.
 var configPairs = map[[2]string]bool{
 	{"WithAggregation", "WithEagerSmallMessages"}: true,
-	{"WithCreditWindow", "WithFlowControl"}:       true,
 }
 
 // TestOptionLatticePairwise runs NewSystem with every option alone and every

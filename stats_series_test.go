@@ -41,12 +41,12 @@ var statSources = map[string]statSource{
 	"Ack.Packets":   {series: "madgo_rel_ack_packets_total"},
 	"Ack.Coalesced": {series: "madgo_rel_acks_coalesced_total"},
 
-	"Flow.CreditsGranted": {series: "madgo_flow_credits_granted_total"},
-	"Flow.CreditsSpent":   {series: "madgo_flow_credits_spent_total"},
-	"Flow.Stalls":         {series: "madgo_flow_credit_stalls_total"},
-	"Flow.StallTime":      {why: "exact nanoseconds; madgo_flow_credit_stall_seconds is a histogram of float seconds and exists only with a registry"},
+	"Flow.CreditsGranted": {why: "always zero, gateways keep no credit accounts (benchmark/ reads it until ROADMAP 8)"},
+	"Flow.CreditsSpent":   {why: "always zero, gateways keep no credit accounts (benchmark/ reads it until ROADMAP 8)"},
+	"Flow.Stalls":         {why: "always zero, gateways keep no credit accounts (benchmark/ reads it until ROADMAP 8)"},
+	"Flow.StallTime":      {why: "always zero, gateways keep no credit accounts (benchmark/ reads it until ROADMAP 8)"},
 	"Flow.SchedRounds":    {why: "the round count flow.DRR keeps for its own algorithm, summed over every streaming gateway's fair daemons and every reliable engine's relay queue; madgo_flow_sched_rounds_total follows it once per visit, on streaming gateways only"},
-	"Flow.Backpressure":   {series: "madgo_flow_backpressure_total"}, // every reliable engine's, with or without WithFlowControl
+	"Flow.Backpressure":   {series: "madgo_flow_backpressure_total"}, // every reliable engine's
 
 	"Agg.SubMessages":     {series: "madgo_agg_submessages_total"},
 	"Agg.Frames":          {series: "madgo_agg_frames_total"},
@@ -239,8 +239,7 @@ func TestStatsFieldsAndSeriesAudit(t *testing.T) {
 }
 
 // TestReliableAloneRegistersRelaySeries: the relay queue's refusals are a
-// series of every reliable engine, present at zero before any traffic, whether
-// or not WithFlowControl was given.
+// series of every reliable engine, present at zero before any traffic.
 func TestReliableAloneRegistersRelaySeries(t *testing.T) {
 	m := madeleine.NewMetrics()
 	sys, err := madeleine.NewSystem(demoConfig, madeleine.WithReliableDelivery(), madeleine.WithMetrics(m))
