@@ -503,7 +503,9 @@ func TestMessageHandlesAllocsNothing(t *testing.T) {
 // TestStreamMessagesAllocsNothing is TestMessageHandlesAllocsNothing for the
 // streamed framings across the same chain (make allocs): 200 messages of
 // 64 KiB in two blocks in the seed framing (WithPaperFidelity), and 1 000
-// eager messages of 1 KiB, which share the header's transfer, and of 8 KiB,
+// eager messages of one fragment that outgrow a frame, which also holds its
+// own header and entry, and spill to the compact stream: 1 KiB at an MTU of
+// 1 KiB + 20 B, sharing the header's transfer, and 8 KiB at an MTU of 8 KiB,
 // whose header travels alone. A stream's Packing record comes off its free
 // list, its headers and an eager frame are wire-pool buffers and every
 // transfer's descriptors a pool pair, all returned by the final receiver
@@ -514,18 +516,18 @@ func TestStreamMessagesAllocsNothing(t *testing.T) {
 		name        string
 		warm, msgs  int
 		blocks, per int
-		opt         madeleine.Option
+		opts        []madeleine.Option
 	}{
-		{"seed-64KiB-2blocks", 200, 200, 2, 32 << 10, madeleine.WithPaperFidelity()},
-		{"eager-1KiB-glued", 2000, 1000, 1, 1 << 10, madeleine.WithEagerSmallMessages()},
-		{"eager-8KiB-header-alone", 2000, 1000, 1, 8 << 10, madeleine.WithEagerSmallMessages()},
+		{"seed-64KiB-2blocks", 200, 200, 2, 32 << 10, []madeleine.Option{madeleine.WithPaperFidelity()}},
+		{"eager-1KiB-glued", 2000, 1000, 1, 1 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(1<<10 + 20)}},
+		{"eager-8KiB-header-alone", 2000, 1000, 1, 8 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(8 << 10)}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			blocks := make([][]byte, c.blocks)
 			for i := range blocks {
 				blocks[i] = make([]byte, c.per)
 			}
-			allocs := warmAllocs(t, c.warm, c.msgs, blocks, c.opt)
+			allocs := warmAllocs(t, c.warm, c.msgs, blocks, c.opts...)
 			perMsg := float64(allocs) / float64(c.msgs)
 			t.Logf("%d messages on a warm system: %d allocations, %.3f a message", c.msgs, allocs, perMsg)
 			if perMsg >= 0.05 {

@@ -12,14 +12,14 @@
 //	madload -senders 64 -elephants 8         # the c1 contention wall shape
 //	madload -pattern alltoall -senders 8     # bidirectional cross-cluster load
 //	madload -pattern hotspot -json           # machine-readable report
-//	madload -small 64 -bytes 512 -agg        # mice rate: msgs/s + p50/p99 latency
+//	madload -small 64 -bytes 512 -eager      # mice rate: msgs/s + p50/p99 latency
 //
 // The -small N mode measures the eager small-message path: every sender
 // streams N back-to-back messages of -bytes size, each delivery is timed
 // into the madgo_message_latency_seconds histogram, and the report adds the
 // aggregate message rate with the p50/p99 delivery latency read back from
-// the histogram. Combine with -eager (compact framing) and -agg
-// (cross-message aggregation) to compare against the seed framing.
+// the histogram. Combine with -eager (the coalescer and the compact framing)
+// to compare against the seed framing.
 package main
 
 import (
@@ -45,8 +45,7 @@ func main() {
 		mtu      = flag.Int("mtu", 32*1024, "forwarding packet size")
 		depth    = flag.Int("depth", 2, "gateway pipeline depth")
 		small    = flag.Int("small", 0, "mice-rate mode: stream N messages of -bytes per sender, report msgs/s and p50/p99 latency")
-		eager    = flag.Bool("eager", false, "compact eager framing (header/terminator piggybacking) for forwarded messages")
-		aggOn    = flag.Bool("agg", false, "cross-message aggregation of sub-MTU messages (implies -eager)")
+		eager    = flag.Bool("eager", false, "eager small-message path for forwarded messages: cross-message aggregation, compact framing")
 		jsonOut  = flag.Bool("json", false, "emit one JSON document instead of text")
 	)
 	flag.Parse()
@@ -62,11 +61,8 @@ func main() {
 
 	opts := []madeleine.Option{madeleine.WithMTU(*mtu), madeleine.WithPipelineDepth(*depth),
 		madeleine.WithMetrics(madeleine.NewMetrics())}
-	if *eager || *aggOn {
+	if *eager {
 		opts = append(opts, madeleine.WithEagerSmallMessages())
-	}
-	if *aggOn {
-		opts = append(opts, madeleine.WithAggregation())
 	}
 
 	var ld load
@@ -90,7 +86,7 @@ func main() {
 	if *small > 0 {
 		rep.Mice = miceStats(sys, ld, rep)
 	}
-	if *aggOn {
+	if *eager {
 		st := sys.Stats().Agg
 		rep.Agg = &st
 	}

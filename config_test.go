@@ -1,56 +1,11 @@
 package madeleine_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	madeleine "madgo"
 )
-
-// Every tuning option must be rejected when given without the option that
-// arms its subsystem — and accepted alongside it. One table row per pair.
-func TestOptionValidation(t *testing.T) {
-	cases := []struct {
-		name     string
-		opts     []madeleine.Option
-		option   string // expected ConfigError.Option; "" = must build
-		requires string
-	}{
-		{
-			name:     "aggregation without eager",
-			opts:     []madeleine.Option{madeleine.WithAggregation()},
-			option:   "WithAggregation",
-			requires: "WithEagerSmallMessages",
-		},
-		{
-			name: "aggregation with eager",
-			opts: []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithAggregation()},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := madeleine.NewSystem(demoConfig, tc.opts...)
-			if tc.option == "" {
-				if err != nil {
-					t.Fatalf("coherent options rejected: %v", err)
-				}
-				return
-			}
-			var ce *madeleine.ConfigError
-			if !errors.As(err, &ce) {
-				t.Fatalf("err = %v, want *ConfigError", err)
-			}
-			if ce.Option != tc.option || ce.Requires != tc.requires {
-				t.Errorf("ConfigError = %s requires %s, want %s requires %s",
-					ce.Option, ce.Requires, tc.option, tc.requires)
-			}
-			if ce.Error() == "" || ce.Detail == "" {
-				t.Error("ConfigError carries no message")
-			}
-		})
-	}
-}
 
 func TestPresets(t *testing.T) {
 	// The production preset arms every post-paper subsystem coherently.

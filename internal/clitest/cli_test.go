@@ -292,7 +292,7 @@ func TestMadloadSmallMessageMode(t *testing.T) {
 	if strings.Contains(seed, "agg:") {
 		t.Errorf("seed run reports aggregation stats:\n%s", seed)
 	}
-	raw := run(t, "madload", append(args, "-agg", "-json")...)
+	raw := run(t, "madload", append(args, "-eager", "-json")...)
 	var doc struct {
 		Mice *struct {
 			Msgs       int     `json:"messages"`

@@ -1,13 +1,13 @@
 package fwd
 
-// Cross-message aggregation: the second half of the eager small-message
-// path. The compact framing (stream.go) cuts a small forwarded message from
-// three wire transfers to one, but a stream of tiny messages still pays the
-// fixed ~40 µs per-transfer software overhead of §3.4.1 once per message.
-// The coalescer below amortises it: consecutive sub-MTU messages from one
-// node toward one destination are packed into a single MTU-sized aggregate
-// frame (codec in package agg) and flushed as ONE wire transfer — one
-// per-transfer overhead. A frame leaves at once when none of its coalescer is
+// Cross-message aggregation: the eager small-message path (Config.Eager).
+// The seed framing spends three wire transfers, and the fixed ~40 µs
+// per-transfer software overhead of §3.4.1 three times, on a small forwarded
+// message. The coalescer below amortises it: every message from one node
+// toward one forwarded destination is offered to it, and consecutive ones
+// that fit are packed into a single MTU-sized aggregate frame (codec in
+// package agg) and flushed as ONE wire transfer — one per-transfer
+// overhead. A frame leaves at once when none of its coalescer is
 // on the wire, else behind the one that is (Nagle's rule without the timer): a
 // lone message waits for nothing and a stream batches as much as its path is
 // busy (DESIGN.md §24).
@@ -22,9 +22,10 @@ package fwd
 // striped receiver to decode the reassembled bytes as a frame.
 //
 // Ordering: one frame of a coalescer is on its way at a time, and a message
-// too large to coalesce waits for the frame in flight and flushes what is
-// pending ("ordering" flush) before it bypasses — per-sender delivery order
-// toward one destination holds across small/large mixes. At the sink a frame
+// too large to coalesce (it takes the compact stream) or a multicast waits
+// for the frame in flight and flushes what is pending ("ordering" flush)
+// before it goes around — per-sender delivery order toward one destination
+// holds across small/large and unicast/multicast mixes. At the sink a frame
 // takes its turn in the merged arrival queue and its sub-messages are
 // delivered FIFO before any new arrival is pulled.
 
@@ -68,7 +69,7 @@ type sinkFrame struct {
 }
 
 // AggStats aggregates the coalescing layer's counters. All fields are zero
-// when Config.Aggregation is off.
+// when Config.Eager is off.
 type AggStats struct {
 	// SubMessages is how many messages were coalesced into frames.
 	SubMessages int64
@@ -253,7 +254,7 @@ func outgrowsFrame(n, total, mtu int) bool {
 // bufPacking.end on the application's process.
 func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
 	if outgrowsFrame(len(blocks), total, c.mtu) {
-		c.goAround(p)
+		c.goAround(p, 1)
 		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, nil)
 		return
 	}
@@ -287,16 +288,17 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 	}
 }
 
-// goAround is what a message too large for a frame does before it takes the
-// ordinary path: it waits for the frame in flight and flushes what is pending
-// ("ordering"), so everything its sender coalesced is on the wire ahead of it.
-func (c *aggCoalescer) goAround(p *vtime.Proc) {
+// goAround waits for the frame in flight and flushes what is pending
+// ("ordering"), so everything its sender coalesced is on the wire ahead of
+// what goes around the coalescer next: a message too large for a frame, which
+// counts bypass, or a multicast.
+func (c *aggCoalescer) goAround(p *vtime.Proc, bypass int64) {
 	c.mu.Lock(p)
 	for c.busy {
 		c.cond.Wait(p)
 	}
 	c.flush(p, "ordering")
-	c.bypass.Add(1)
+	c.bypass.Add(bypass)
 	c.mu.Unlock(p)
 }
 
@@ -343,18 +345,15 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 
 // spill switches a message for the coalescer that outgrew the frame budget
 // onto the single-rail stream: what its sender coalesced goes first
-// (ordering), then the buffered blocks replay and later packs stream on.
+// (ordering), then the buffered blocks and later packs stream on.
 // Pairs that buffer (buffers) bypass in add() instead.
 func (bp *bufPacking) spill(p *vtime.Proc) {
 	vc := bp.vc
-	vc.aggCoalescer(bp.node, bp.dst).goAround(p)
+	vc.aggCoalescer(bp.node, bp.dst).goAround(p, 1)
 	hop, link := vc.firstHop(bp.node, bp.dst)
 	vc.hop(p, bp.id, bp.node.Name, "pack",
 		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: bp.dst, Net: hop.Network}, bp.total)
-	blocks := bp.blks
-	bp.blks = nil
-	bp.spilled = vc.openSingleRail(p, bp.node, bp.dst, hop, link, bp.id)
-	replay(p, bp.spilled, blocks)
+	bp.spilled = vc.openSingleRail(p, bp.node, bp.dst, hop, link, bp.id, bp.blks)
 }
 
 // aggPop returns the next sub-message of the frames the sink is draining, and

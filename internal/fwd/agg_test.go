@@ -51,7 +51,6 @@ func TestEagerLargeMessageDeliversIntact(t *testing.T) {
 func TestAggCoalescesBurst(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
-	cfg.Aggregation = true
 	w := build(t, paperHS(t), cfg)
 	const msgs = 12
 	const size = 128
@@ -97,7 +96,7 @@ func TestAggCoalescesBurst(t *testing.T) {
 // or fragmented through the coalescer.
 func TestAggLargeMessageBypasses(t *testing.T) {
 	cfg := fwd.DefaultConfig()
-	cfg.Aggregation = true
+	cfg.Eager = true
 	w := build(t, paperHS(t), cfg)
 	blocks := []block{{pattern(100_000, 5), mad.SendCheaper, mad.ReceiveCheaper}}
 	got, fwded, _ := sendRecv(t, w, "a0", "b1", blocks)
@@ -123,7 +122,6 @@ func TestAggLargeMessageBypasses(t *testing.T) {
 func TestAggOrderingAcrossBypass(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
-	cfg.Aggregation = true
 	w := build(t, paperHS(t), cfg)
 	sizes := []int{200, 100_000, 300}
 	w.sim.Spawn("mix-send", func(p *vtime.Proc) {
@@ -159,7 +157,7 @@ func TestAggOrderingAcrossBypass(t *testing.T) {
 // instant.
 func TestAggLoneMessageLeavesAtOnce(t *testing.T) {
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w := build(t, paperHS(t), cfg)
 	rec := flight.NewRecorder(0)
 	w.sess.Platform.SetFlight(rec)
@@ -208,7 +206,7 @@ func TestAggLoneMessageLeavesAtOnce(t *testing.T) {
 func TestAggReliableBurst(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Reliable = true
-	cfg.Aggregation = true
+	cfg.Eager = true
 	w := build(t, paperHS(t), cfg)
 	sizes := []int{100, 250, 60_000, 90, 400}
 	w.sim.Spawn("rel-send", func(p *vtime.Proc) {
@@ -244,7 +242,7 @@ func TestAggReliableBurst(t *testing.T) {
 func TestAggStripedFrame(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.StripeK = 2
-	cfg.Aggregation = true
+	cfg.Eager = true
 	tp := railsTopo([]string{"sci", "myrinet", "myrinet", "sci"}, []bool{true, true})
 	w := auditRelBufs(t, buildQuietFaulty(tp, nil, cfg))
 	const msgs = 40 // a frame of them clears the 16 KiB stripe threshold
@@ -281,21 +279,19 @@ func TestAggStripedFrame(t *testing.T) {
 
 // TestAggDeliveryProperty is the composition property: for random mixes of
 // small and large messages from one or two senders, across plain, reliable
-// and striped transports, with aggregation and eager framing independently
-// on or off, every message arrives byte-identical and in its sender's order,
-// and small messages coalesce exactly when aggregation is on.
+// and striped transports, with the eager path on or off, every message
+// arrives byte-identical and in its sender's order, and small messages
+// coalesce exactly when it is on.
 func TestAggDeliveryProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		next := xorshift(seed)
 		striped := next(2) == 0
 		reliable := next(2) == 0
-		aggOn := next(2) == 0
 		eager := next(2) == 0
 
 		cfg := fwd.DefaultConfig()
 		cfg.Reliable = reliable
 		cfg.Eager = eager
-		cfg.Aggregation = aggOn
 		var tp *topo.Topology
 		var senders []string
 		var dst string
@@ -374,8 +370,8 @@ func TestAggDeliveryProperty(t *testing.T) {
 				received[from]++
 			}
 		})
-		cell := fmt.Sprintf("striped %v rel %v agg %v eager %v smalls %d larges %d",
-			striped, reliable, aggOn, eager, smalls, larges)
+		cell := fmt.Sprintf("striped %v rel %v eager %v smalls %d larges %d",
+			striped, reliable, eager, smalls, larges)
 		if err := w.sim.Run(); err != nil {
 			t.Logf("seed %d (%s): %v", seed, cell, err)
 			return false
@@ -391,7 +387,7 @@ func TestAggDeliveryProperty(t *testing.T) {
 			}
 		}
 		st := w.vc.AggStats()
-		if aggOn {
+		if eager {
 			if int(st.SubMessages) != smalls || int(st.BypassMessages) != larges {
 				t.Logf("seed %d (%s): stats %+v, want %d coalesced / %d bypassed",
 					seed, cell, st, smalls, larges)
@@ -414,7 +410,6 @@ func TestAggDeliveryProperty(t *testing.T) {
 func TestAggIncastWithManySenders(t *testing.T) {
 	cfg := fwd.DefaultConfig()
 	cfg.Eager = true
-	cfg.Aggregation = true
 	runWall(t, wallCase{name: "star-64-agg", topo: starTopo, senders: 64, cfg: cfg})
 }
 
@@ -431,7 +426,7 @@ func TestAggPackOverlapsFlush(t *testing.T) {
 		msgs                   = 1 + perFrame*(frames-1)
 	)
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation, cfg.MTU = true, true, 1024
+	cfg.Eager, cfg.MTU = true, 1024
 	w := build(t, paperHS(t), cfg)
 	rec := flight.NewRecorder(4 * msgs)
 	w.sess.Platform.SetFlight(rec)
@@ -518,7 +513,7 @@ func TestAggPackOverlapsFlush(t *testing.T) {
 func TestSinkReceivesOneFrameAhead(t *testing.T) {
 	const msgs, size = 12000, 64 // twenty-five full frames of a 32 KiB MTU
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w := build(t, paperHS(t), cfg)
 	sent := 0
 	w.sim.Spawn("ahead-send", func(p *vtime.Proc) {
@@ -577,7 +572,7 @@ func TestSinkReceivesOneFrameAhead(t *testing.T) {
 func TestSinkReturnsDrainedFrames(t *testing.T) {
 	const msgs, size = 1 + 8*20, 64
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation, cfg.MTU = true, true, 620
+	cfg.Eager, cfg.MTU = true, 620
 	w := build(t, paperHS(t), cfg)
 	w.sim.Spawn("drained-send", func(p *vtime.Proc) {
 		for i := 0; i < msgs; i++ {
@@ -638,7 +633,7 @@ func TestSinkReturnsDrainedFrames(t *testing.T) {
 func TestSinkSharesAFrameWithAParkedProcess(t *testing.T) {
 	const coalesced, size = 16, 64
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w := build(t, paperHS(t), cfg)
 	w.sim.Spawn("share-send", func(p *vtime.Proc) {
 		for i := 0; i <= coalesced; i++ {
@@ -712,7 +707,7 @@ func TestAggOrderAcrossPathsWithPrefetchingSink(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := fwd.DefaultConfig()
-			cfg.Eager, cfg.Aggregation = true, true
+			cfg.Eager = true
 			c.tune(&cfg)
 			w := build(t, c.tp, cfg)
 			runSequence(t, w, []string{"a", "a2"}, msgs)
@@ -735,7 +730,7 @@ func TestAggOrderAcrossPathsWithPrefetchingSink(t *testing.T) {
 // message's bytes. The thread waits until the application has the stream.
 func TestSinkFrameWaitsBehindUnopenedStream(t *testing.T) {
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation, cfg.MTU = true, true, 1024
+	cfg.Eager, cfg.MTU = true, 1024
 	w := build(t, paperHS(t), cfg)
 	sizes := []int{64, 990, 64, 100, 990, 990, 64}
 	w.sim.Spawn("behind-send", func(p *vtime.Proc) {
@@ -775,7 +770,7 @@ func TestSinkFrameWaitsBehindUnopenedStream(t *testing.T) {
 func TestSinkPollsOncePerFrame(t *testing.T) {
 	const coalesced, size = 16, 64
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w := build(t, paperHS(t), cfg)
 	w.sim.Spawn("poll-send", func(p *vtime.Proc) {
 		for i := 0; i <= coalesced; i++ {
@@ -840,7 +835,7 @@ func TestSinkOnTwoNetworksKeepsArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fwd.DefaultConfig()
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w := build(t, tp, cfg)
 	for _, from := range []string{"a", "c"} {
 		w.sim.Spawn("order-send:"+from, func(p *vtime.Proc) {

@@ -162,7 +162,7 @@ func runWall(t *testing.T, c wallCase) {
 	case !c.cfg.Eager || c.cfg.StripeK > 1:
 		warm += int64(c.senders * max(1, c.cfg.StripeK))
 	}
-	if c.cfg.Aggregation {
+	if c.cfg.Eager {
 		warm += int64(2 * c.senders)
 	}
 	if bk := w.vc.RelBookkeeping(); bk.BufsAllocated > warm {

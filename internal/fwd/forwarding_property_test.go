@@ -48,7 +48,7 @@ func xorshift(seed uint64) func(uint64) uint64 {
 
 // Property: for random route shapes (direct, single gateway, two-gateway
 // chain) × random per-network MTUs × random pipeline depths × every streaming
-// framing one route can carry (seed, eager, eager + aggregation, a multicast
+// framing one route can carry (seed, eager, a multicast
 // to the one destination) × one to four blocks of random sizes and modes, a
 // message is delivered byte-identically, the Forwarded flag reflects whether
 // a gateway relayed it, and the negotiated path MTU is the minimum over the
@@ -80,9 +80,8 @@ func TestForwardingProperty(t *testing.T) {
 			}
 		}
 		cfg.MTU = 8192 * (1 + int(next(15)))
-		framing := []string{"seed", "eager", "eager+agg", "mcast"}[next(4)]
-		cfg.Eager = framing == "eager" || framing == "eager+agg"
-		cfg.Aggregation = framing == "eager+agg"
+		framing := []string{"seed", "eager", "mcast"}[next(3)]
+		cfg.Eager = framing == "eager"
 		// One to four blocks, 1..400 000 bytes together; a block past the
 		// first may be empty.
 		n := 1 + int(next(400_000))

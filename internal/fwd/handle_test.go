@@ -31,13 +31,14 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 // idle, and while it serves a newer message on the same endpoint — which still
 // arrives byte-exact after the recovered panics — and so does a copy of a
 // handle, taken before its message ended. The streamed rows are the seed
-// framing and the eager one, sharing the header's transfer (streamed) or
-// behind a header that travels alone (eager).
+// framing and the eager one under a 4 KiB MTU, whose messages outgrow a frame:
+// sharing the header's transfer (streamed) or behind a header that travels
+// alone (eager).
 func TestStaleHandlePanics(t *testing.T) {
-	eager := fwd.DefaultConfig()
-	eager.Eager = true
-	aggregated := eager
-	aggregated.Aggregation = true
+	aggregated := fwd.DefaultConfig()
+	aggregated.Eager = true
+	eager := aggregated
+	eager.MTU = 4096
 	reliable := fwd.DefaultConfig()
 	reliable.Reliable = true
 	for _, c := range []struct {
@@ -49,7 +50,7 @@ func TestStaleHandlePanics(t *testing.T) {
 		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64},
 		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64},
 		{"seed", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64},
-		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 64},
+		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 4096 - 20},
 		{"eager", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 8 << 10},
 		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10},
 		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64},
@@ -129,10 +130,10 @@ func TestStaleHandlePanics(t *testing.T) {
 // block of the wrong size. A misused message is abandoned with its buffers, so
 // the ledger is not audited.
 func TestUnpackMisusePanics(t *testing.T) {
-	eager := fwd.DefaultConfig()
-	eager.Eager = true
-	aggregated := eager
-	aggregated.Aggregation = true
+	aggregated := fwd.DefaultConfig()
+	aggregated.Eager = true
+	eager := aggregated // two blocks of 3 000 B outgrow its frame
+	eager.MTU = 4096
 	reliable := fwd.DefaultConfig()
 	reliable.Reliable = true
 	type unpack struct {
@@ -161,9 +162,9 @@ func TestUnpackMisusePanics(t *testing.T) {
 			wrongMode: "fwd: protocol error: packed {64B send_CHEAPER receive_CHEAPER}, unpacked {64B send_CHEAPER receive_EXPRESS}",
 			past:      "fwd: protocol error: stream packet without exactly one block", left: "fwd: protocol error: stream ended before its terminator"},
 		{name: "eager", world: func(t *testing.T) *world { return build(t, paperHS(t), eager) },
-			src: "a0", dst: "b1", size: 64,
-			wrongSize: "fwd: protocol error: packed {64B send_CHEAPER receive_CHEAPER}, unpacked {65B send_CHEAPER receive_CHEAPER}",
-			wrongMode: "fwd: protocol error: packed {64B send_CHEAPER receive_CHEAPER}, unpacked {64B send_CHEAPER receive_EXPRESS}",
+			src: "a0", dst: "b1", size: 3000,
+			wrongSize: "fwd: protocol error: packed {3000B send_CHEAPER receive_CHEAPER}, unpacked {3001B send_CHEAPER receive_CHEAPER}",
+			wrongMode: "fwd: protocol error: packed {3000B send_CHEAPER receive_CHEAPER}, unpacked {3000B send_CHEAPER receive_EXPRESS}",
 			past:      "fwd: protocol error: blocks expected after the stream's terminator", left: "fwd: protocol error: stream ended before its terminator"},
 		{name: "aggregated", world: func(t *testing.T) *world { return build(t, paperHS(t), aggregated) },
 			src: "a0", dst: "b1", size: 64,

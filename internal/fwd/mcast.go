@@ -231,9 +231,17 @@ func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 }
 
 // end sends the message down every branch of the root's split, one after the
-// other. A branch's send parks, so the split works in the message's own
-// destination slice, not in channel scratch.
+// other, behind what the sender coalesced toward its destinations. A
+// branch's send parks, so the split works in the message's own destination
+// slice, not in channel scratch.
 func (x *mcastPacking) end(p *vtime.Proc) {
+	if st := x.vc.aggst; st != nil {
+		for _, d := range x.dests {
+			if c := st.co[aggKey{node: x.node.Name, dst: x.vc.sess.Node(d).Name}]; c != nil {
+				c.goAround(p, 0)
+			}
+		}
+	}
 	root := x.vc.mcastRoot(x.node.Name)
 	root.messages.Add(1)
 	x.vc.splitByHop(x.node, x.dests, func(hop route.Hop, ranks []mad.Rank, relays bool) {

@@ -139,7 +139,7 @@ func TestSendDaemonsKeepTheirNamesAndSpawnOrder(t *testing.T) {
 	list("reliable striped a -> b", w)
 
 	cfg := stripeCfg(2)
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w = build(t, diamond(t), cfg)
 	msgs := [][]block{
 		{{pattern(64, 1), mad.SendCheaper, mad.ReceiveCheaper}},

@@ -14,12 +14,16 @@ import (
 
 // TestStreamShapesAcrossTwoGateways sends every block layout that sits on a
 // fragment, inline or header boundary at a 1 KiB MTU through two gateways
-// (a –sci– g1 –myrinet– g2 –sci– c), in the seed, eager and eager+agg
-// framings and eager at the default MTU, and over two rails that each cross a
-// gateway (the diamond, StripeK 2: a message past the stripe threshold takes
-// both rails, any other one rail in the seed framing). The reliable rows send
-// the same layouts through reliable reassembly: plain and eager+agg on the
-// chain, striped on the diamond, and on the chain under 5 % loss, where
+// (a –sci– g1 –myrinet– g2 –sci– c), in the seed framing and on the eager path
+// (eager+agg: a message that fits a frame is coalesced, a larger one spills
+// to the compact stream), and over two rails that each cross a gateway (the
+// diamond, StripeK 2: a message past the stripe threshold takes both rails,
+// any other one rail in the seed framing). Two more eager rows change the
+// MTU: at 4 KiB the layouts that outgrow a frame stream with the first
+// fragment glued to the header ([2048 0 2049]) or behind a header alone
+// ([4096], [100000]), and at the default MTU only [100000] streams. The
+// reliable rows send the same layouts through reliable reassembly: plain and
+// eager on the chain, striped on the diamond, and on the chain under 5 % loss, where
 // fragments arrive out of order and twice. Every layout goes once
 // per send mode, three messages back to back per receive mode, each with
 // payload of its own, and must arrive byte-exact. A stream's headers, frames
@@ -40,12 +44,12 @@ func TestStreamShapesAcrossTwoGateways(t *testing.T) {
 		drop     float64 // a reliable world's loss on every network
 	}{
 		{"seed", chainTopo, "a", "c", mtu, func(*fwd.Config) {}, false, 0},
-		{"eager", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager = true }, false, 0},
-		{"eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }, false, 0},
+		{"eager", chainTopo, "a", "c", 4 * mtu, func(c *fwd.Config) { c.Eager = true }, false, 0},
+		{"eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager = true }, false, 0},
 		{"eager-default-mtu", chainTopo, "a", "c", fwd.DefaultConfig().MTU, func(c *fwd.Config) { c.Eager = true }, false, 0},
 		{"stripe", diamond, "a", "b", mtu, func(c *fwd.Config) { c.StripeK = 2 }, false, 0},
 		{"reliable", chainTopo, "a", "c", mtu, func(*fwd.Config) {}, true, 0},
-		{"reliable+eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager, c.Aggregation = true, true }, true, 0},
+		{"reliable+eager+agg", chainTopo, "a", "c", mtu, func(c *fwd.Config) { c.Eager = true }, true, 0},
 		{"reliable-stripe", diamond, "a", "b", mtu, func(c *fwd.Config) { c.StripeK = 2 }, true, 0},
 		{"reliable-lossy", chainTopo, "a", "c", mtu, func(*fwd.Config) {}, true, 0.05},
 	}

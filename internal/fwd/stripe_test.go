@@ -372,14 +372,15 @@ func TestStripeRailsAreSetUpOnFirstSend(t *testing.T) {
 }
 
 // Below the stripe threshold a pair with two rails sends down its single rail
-// in the framing Config.Eager names: under Eager a 1 KiB message leaves the
-// source as one compact transfer, not the seed framing's header, fragment and
+// in the framing Config.Eager names: under Eager a message that outgrows a
+// frame, 4 076 B at a 4 KiB MTU, bypasses the coalescer and leaves the source
+// as one compact transfer, not the seed framing's header, fragment and
 // terminator.
 func TestStripeBelowThresholdTakesEagerFraming(t *testing.T) {
 	cfg := stripeCfg(2)
-	cfg.Eager = true
+	cfg.Eager, cfg.MTU = true, 4096
 	w := build(t, diamond(t), cfg)
-	blocks := []block{{pattern(1024, 41), mad.SendCheaper, mad.ReceiveCheaper}}
+	blocks := []block{{pattern(4096-20, 41), mad.SendCheaper, mad.ReceiveCheaper}}
 	got, fwded, _ := sendRecv(t, w, "a", "b", blocks)
 	if !bytes.Equal(got[0], blocks[0].data) || !fwded {
 		t.Errorf("payload corrupted or not marked forwarded")
@@ -389,6 +390,9 @@ func TestStripeBelowThresholdTakesEagerFraming(t *testing.T) {
 	}
 	if n := w.vc.StripeStats().Messages; n != 0 {
 		t.Errorf("sub-threshold message was striped (%d)", n)
+	}
+	if n := w.vc.AggStats().BypassMessages; n != 1 {
+		t.Errorf("%d messages bypassed the coalescer, want 1", n)
 	}
 }
 
@@ -585,7 +589,7 @@ func TestReliableStripedFailover(t *testing.T) {
 // carried about 0 %.
 func TestReliableStripeKeepsBothRails(t *testing.T) {
 	cfg := stripeCfg(2)
-	cfg.Eager, cfg.Aggregation = true, true
+	cfg.Eager = true
 	w := buildFaulty(t, twoGateways(t), nil, nil, cfg)
 	reg := obs.New()
 	w.sess.Platform.SetMetrics(reg)
@@ -723,5 +727,38 @@ func TestReliableAckPiggyback(t *testing.T) {
 	}
 	if st := w.vc.AckStats(); st.Coalesced == 0 {
 		t.Error("bidirectional run coalesced no acks")
+	}
+}
+
+// A SendSafer block is snapshotted once, when it is packed. A message buffered
+// whole hands the stream that carries it the blocks it staged: a two-rail
+// pair's message below the stripe threshold, sent down one rail, and one that
+// outgrows a frame and spills to the compact stream. So the origin copies a
+// safer block once, as it does on the seed framing's stream.
+func TestBufferedSaferBlockIsCopiedOnce(t *testing.T) {
+	eager := fwd.DefaultConfig()
+	eager.Eager, eager.MTU = true, 4096
+	for _, c := range []struct {
+		name     string
+		tp       func(*testing.T) *topo.Topology
+		cfg      fwd.Config
+		src, dst string
+		size     int
+	}{
+		{"seed stream", diamond, stripeCfg(0), "a", "b", 1000},
+		{"one rail of two", diamond, stripeCfg(2), "a", "b", 1000},
+		{"eager spill", paperHS, eager, "a0", "b1", 8000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := build(t, c.tp(t), c.cfg)
+			blocks := []block{{pattern(c.size, 43), mad.SendSafer, mad.ReceiveCheaper}}
+			got, _, _ := sendRecv(t, w, c.src, c.dst, blocks)
+			if !bytes.Equal(got[0], blocks[0].data) {
+				t.Error("payload corrupted")
+			}
+			if n := w.sess.Node(w.vc.NodeRank(c.src)).Host.BytesCopied(); n != int64(c.size) {
+				t.Errorf("the origin copied %d bytes of a %d-byte safer block", n, c.size)
+			}
+		})
 	}
 }

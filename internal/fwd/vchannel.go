@@ -67,18 +67,11 @@ type Config struct {
 	// node pair (see stripe.go), rate-proportionally. 0 and 1 keep the
 	// single-route send path.
 	StripeK int
-	// Eager switches forwarded streaming messages to the compact GTM
-	// framing (stream.go): the self-description header piggybacks on the
-	// first data fragment and the terminator collapses into the last
-	// fragment's EOM flag, so a small message crosses each wire once
-	// instead of three times. Streaming only — the reliable protocol has
-	// its own packet framing.
+	// Eager arms the small-message path in both modes: consecutive messages
+	// toward a forwarded destination leave packed into one aggregate frame
+	// (agg.go), and a streamed one too large for a frame in the compact GTM
+	// framing (stream.go), header and terminator riding its fragments.
 	Eager bool
-	// Aggregation arms the cross-message coalescer (agg.go): consecutive
-	// sub-MTU messages toward the same forwarded destination are packed
-	// into one MTU-sized aggregate frame and flushed as a single wire
-	// transfer. Direct (one-network) traffic is never aggregated.
-	Aggregation bool
 }
 
 // DefaultConfig returns the paper's forwarding configuration with a 32 KB
@@ -188,7 +181,7 @@ type VirtualChannel struct {
 	bindings map[string]Binding
 
 	// aggst is the cross-message aggregation state (see agg.go); nil
-	// unless Config.Aggregation is set.
+	// unless Config.Eager is set.
 	aggst *aggState
 
 	// mcastst is the multicast state (see mcast.go): the per-root counts
@@ -349,7 +342,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 	for _, n := range buildTopo.Nodes() {
 		vc.nodes[n.Name] = sess.AddNode(n.Name)
 	}
-	if cfg.Aggregation {
+	if cfg.Eager {
 		vc.aggst = newAggState(len(sess.Nodes()))
 	}
 	vc.tbl = route.Compute(tp)
@@ -405,7 +398,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 		for _, nwName := range n.Networks {
 			ep := vc.regular[nwName].At(node)
 			var ahead *vsync.Sem // the thread's own: see DESIGN.md §24
-			if cfg.Aggregation {
+			if cfg.Eager {
 				ahead = vsync.NewSem(1)
 			}
 			sim.SpawnDaemon(fmt.Sprintf("poll:%s:%s", n.Name, nwName), func(p *vtime.Proc) {
@@ -630,12 +623,12 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 	if dst == e.node.Name {
 		panic("fwd: message to self on " + dst)
 	}
-	// Aggregation: every message toward a forwarded (multi-network)
+	// Under Eager every message toward a forwarded (multi-network)
 	// destination is offered to the coalescer; messages that turn out too
 	// large bypass (or spill back to the streaming path) from there. The
 	// others of a pair that buffers go by sendBuffered at EndPacking.
 	coalesce := false
-	if e.vc.cfg.Aggregation {
+	if e.vc.cfg.Eager {
 		hop, ok := e.vc.tbl.NextHop(e.node.Name, dst)
 		coalesce = ok && hop.To != dst
 	}
@@ -667,11 +660,7 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 	// A stream is recorded once it is open: taking the link, and the seed
 	// framing's header transfer, may take time.
 	x := e.vc.beginStream(p, e.node, dst, link, id)
-	form := "gtm -> ${peer} via ${net}"
-	if e.vc.cfg.Eager {
-		form = "eager -> ${peer} via ${net}"
-	}
-	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
+	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "gtm -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
 	return Packing{x, id, &x.gen, x.gen}
 }
 
@@ -776,9 +765,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 			}
 			vc.hop(p, id, node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
 		}
-		x := vc.openSingleRail(p, node, dst, hop, link, id)
-		replay(p, x, blks)
-		x.end(p)
+		vc.openSingleRail(p, node, dst, hop, link, id, blks).end(p)
 	}
 }
 
@@ -799,12 +786,23 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 // openSingleRail opens message id on the path firstHop found, the framing every
 // sender-side module ends in unless it stripes or runs the reliable protocol: a
 // plain Madeleine message on the regular channel when the route is direct, else
-// a stream toward the first gateway (beginStream).
-func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, id uint64) packer {
+// a stream toward the first gateway (beginStream). It hands the message the
+// blocks buffered so far with the modes they were packed with (the receiver
+// mirrors them against the wire descriptors): mad's own Pack takes them again,
+// a stream sends them as Pack staged them.
+func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, id uint64, blks []relBlock) packer {
 	if link == nil {
-		return vc.openPlain(p, from, dst, hop)
+		x := vc.openPlain(p, from, dst, hop)
+		for _, b := range blks {
+			x.pack(p, b.data, b.s, b.r)
+		}
+		return x
 	}
-	return vc.beginStream(p, from, dst, link, id)
+	x := vc.beginStream(p, from, dst, link, id)
+	for _, b := range blks {
+		x.block(p, b.data, b.s, b.r)
+	}
+	return x
 }
 
 // openPlain opens a plain Madeleine message on the regular channel of a
@@ -826,14 +824,6 @@ func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string,
 	x.streamTx = streamTx{vc: vc, link: link, kind: kind}
 	x.open(p, streamHdr{src: from.Rank, dst: vc.NodeRank(dst), mtu: vc.PathMTU(from.Name, dst), id: id})
 	return x
-}
-
-// replay packs buffered blocks into x with the modes they were packed with
-// (the receiver mirrors them against the wire descriptors).
-func replay(p *vtime.Proc, x packer, blocks []relBlock) {
-	for _, b := range blocks {
-		x.pack(p, b.data, b.s, b.r)
-	}
 }
 
 // Pack appends one block, as in the mad layer.

@@ -6,3 +6,9 @@ package madeleine
 //
 // benchmark/ only: ROADMAP 8
 func WithFlowControl() Option { return func(*Options) {} }
+
+// WithAggregation arms nothing. The cross-message coalescer is part of the
+// eager small-message path, which WithEagerSmallMessages arms.
+//
+// benchmark/ only: ROADMAP 8
+func WithAggregation() Option { return func(*Options) {} }

@@ -48,8 +48,7 @@
 //	WithNetworkMTU                         fwd: per-path packet-size negotiation
 //	WithPipelineDepth                      fwd: gateway staging-buffer ring depth
 //	WithoutZeroCopy                        fwd: §2.3 gateway buffer election
-//	WithEagerSmallMessages                 fwd/eager: compact one-transfer GTM framing
-//	WithAggregation                        fwd/agg: cross-message coalescer
+//	WithEagerSmallMessages                 fwd/agg: cross-message coalescer, compact GTM framing
 //	WithStriping                           fwd/stripe: multi-rail striping
 //	WithReliableDelivery                   fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
@@ -59,12 +58,8 @@
 //	WithFlightRingCap                      flight: always-on event recorder
 //	WithPaperFidelity, WithProduction      presets bundling the above
 //
-// Options that tune a subsystem another option arms do not arm it
-// themselves: WithAggregation requires WithEagerSmallMessages. NewSystem
-// rejects an incoherent set with a *ConfigError naming the missing option
-// instead of silently ignoring the orphan. (WithFaults keeps its documented implication —
-// reliable delivery — because there the implied subsystem is the only
-// possible intent.)
+// WithFaults also arms reliable delivery: the implied subsystem is the only
+// possible intent.
 package madeleine
 
 import (
@@ -137,7 +132,7 @@ type (
 	FlowStats = fwd.FlowStats
 	// AggStats aggregates the small-message coalescing counters
 	// (sub-messages coalesced, frames flushed by trigger, bypasses)
-	// attached with WithAggregation.
+	// attached with WithEagerSmallMessages.
 	AggStats = fwd.AggStats
 	// McastStats aggregates the gateway-native multicast counters
 	// (multicasts sent, gateway relays, branches, replicated packets/bytes,
@@ -314,19 +309,15 @@ type Options struct {
 	// of fwd.DefaultStripeThreshold (16 KB) and more are split across up to
 	// StripeK link-disjoint routes and transmitted in parallel.
 	StripeK int
-	// Eager switches small messages to the compact GTM framing: the
-	// self-description header piggybacks on the first data fragment and
-	// the terminator on the last fragment's metadata, so a sub-MTU
-	// message crosses each hop in one wire transfer instead of three.
+	// Eager arms the small-message path, in streaming and reliable mode
+	// alike: consecutive messages bound for the same forwarded destination
+	// are packed into one MTU-sized aggregate frame that crosses the wire
+	// as a single transfer. A frame leaves at once when none is on the wire
+	// and behind the one that is otherwise, so there is no deadline to
+	// tune. A streamed message too large for a frame takes the compact GTM
+	// framing: the self-description header piggybacks on the first data
+	// fragment and the terminator on the last fragment's metadata.
 	Eager bool
-	// Aggregation arms the cross-message coalescer: consecutive sub-MTU
-	// messages bound for the same destination are packed into one
-	// MTU-sized aggregate frame that crosses the wire as a single
-	// transfer. A frame leaves at once when none is
-	// on the wire and behind the one that is otherwise, so there is no
-	// deadline to tune. Requires Eager (the coalescer emits compact
-	// frames).
-	Aggregation bool
 	// FlightRingCap overrides the per-node ring capacity (default 4096
 	// events).
 	FlightRingCap int
@@ -399,26 +390,21 @@ func WithStriping(k int) Option { return func(o *Options) { o.StripeK = k } }
 // than the capacity; once full, older events are overwritten.
 func WithFlightRingCap(n int) Option { return func(o *Options) { o.FlightRingCap = n } }
 
-// WithEagerSmallMessages switches to the compact GTM framing that attacks
-// the fixed per-wire-transfer software overhead of §3.4.1: the
-// self-description header piggybacks on the first data fragment and the
-// terminator collapses into the last fragment's metadata, so a message that
-// fits one fragment crosses each hop in ONE wire transfer instead of three.
-// Gateways relay the compact frames obliviously.
+// WithEagerSmallMessages arms the small-message path that attacks the fixed
+// per-wire-transfer software overhead of §3.4.1, in streaming and reliable
+// mode alike. Consecutive messages from one node to one forwarded
+// destination are packed into a single MTU-sized aggregate frame — one wire
+// transfer, one ARQ sequence in reliable mode — and decoalesced at the sink
+// in sender order. A frame leaves as soon as the one before it is off the
+// wire — at once on a free path, so a lone message pays no batching delay,
+// and as full as the path is busy otherwise — or when a larger message must
+// not overtake the queue; the sink receives one frame ahead of the
+// application. A streamed message too large for a frame takes the compact
+// GTM framing: the self-description header piggybacks on the first data
+// fragment and the terminator collapses into the last fragment's metadata.
+// Gateways relay both obliviously. Query the counters with
+// System.Stats().Agg.
 func WithEagerSmallMessages() Option { return func(o *Options) { o.Eager = true } }
-
-// WithAggregation arms the cross-message coalescer on top of the compact
-// framing: consecutive sub-MTU messages from one node to one destination
-// are packed into a single MTU-sized aggregate frame — one wire transfer,
-// one ARQ sequence in reliable mode — and decoalesced at
-// the sink in sender order. A frame leaves as soon as the one before it is
-// off the wire — at once on a free path, so a lone message pays no batching
-// delay, and as full as the path is busy otherwise — or when a larger
-// message must not overtake the queue; the sink receives one frame ahead of
-// the application. The coalescer emits compact frames, so it requires
-// WithEagerSmallMessages; NewSystem returns a *ConfigError otherwise. Query
-// the counters with System.Stats().Agg.
-func WithAggregation() Option { return func(o *Options) { o.Aggregation = true } }
 
 // WithReliableDelivery switches the virtual channel from the paper's
 // streaming forwarding to reliable datagram delivery: ARQ, a failure
@@ -450,16 +436,15 @@ func WithPaperFidelity() Option {
 		o.MTU = 32 * 1024
 		o.PipelineDepth = 2
 		o.Eager = false
-		o.Aggregation = false
 		o.StripeK = 0
 		o.Reliable = false
 	}
 }
 
-// WithProduction arms every post-paper subsystem at its defaults: compact
-// eager framing with cross-message aggregation, two-rail striping, and
-// reliable (acknowledged, retransmitted) delivery with its link-health
-// failure detector and epochal self-healing routes. It is the "everything
+// WithProduction arms every post-paper subsystem at its defaults: the eager
+// small-message path, two-rail striping, and reliable (acknowledged,
+// retransmitted) delivery with its link-health failure detector and epochal
+// self-healing routes. It is the "everything
 // on" profile the load-pattern examples use; layer individual options after
 // it to tune packet sizes. Note that reliable delivery runs its own packet
 // protocol, so the streaming-only multicast fan-out is unavailable under
@@ -467,37 +452,9 @@ func WithPaperFidelity() Option {
 func WithProduction() Option {
 	return func(o *Options) {
 		o.Eager = true
-		o.Aggregation = true
 		o.StripeK = 2
 		o.Reliable = true
 	}
-}
-
-// ConfigError reports an incoherent option set passed to NewSystem: an
-// option that only tunes a subsystem was given without the option that
-// arms it. Match with errors.As to recover the offending pair.
-type ConfigError struct {
-	Option   string // the orphaned option, e.g. "WithAggregation"
-	Requires string // the option it needs, e.g. "WithEagerSmallMessages"
-	Detail   string // what the orphaned option would have tuned
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("madeleine: %s requires %s — %s", e.Option, e.Requires, e.Detail)
-}
-
-// validate rejects option sets where a tuning option was given without the
-// subsystem it tunes; silently ignoring the orphan (or silently arming the
-// subsystem) would hide a configuration mistake.
-func (o *Options) validate() error {
-	if o.Aggregation && !o.Eager {
-		return &ConfigError{
-			Option:   "WithAggregation",
-			Requires: "WithEagerSmallMessages",
-			Detail:   "the cross-message coalescer emits compact eager frames",
-		}
-	}
-	return nil
 }
 
 // System is a running simulated cluster of clusters.
@@ -525,9 +482,6 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 	o := Options{MTU: 32 * 1024, PipelineDepth: 2}
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
 	}
 	vcTopo := tp
 	if len(o.RouteNetworks) > 0 {
@@ -567,8 +521,7 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 
 		StripeK: o.StripeK,
 
-		Eager:       o.Eager,
-		Aggregation: o.Aggregation,
+		Eager: o.Eager,
 	}
 	if reliable && vcTopo != tp {
 		// The excluded control networks stay alive as failover paths.
@@ -631,7 +584,7 @@ type NamedGatewayStats struct {
 // objects that count: the same with and without WithMetrics, whose registry
 // reports the same numbers. Subsystems that were never armed report zero
 // values: Delivery, Ack, the recovery fields of each gateway (reliable mode),
-// Stripe (WithStriping), Agg (WithAggregation), Mcast (multicast fan-out on
+// Stripe (WithStriping), Agg (WithEagerSmallMessages), Mcast (multicast fan-out on
 // a streaming channel); Flow counts every gateway's relay scheduler. Gateways is sorted by node name.
 type Stats struct {
 	Delivery DeliveryStats       `json:"delivery"`
