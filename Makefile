@@ -126,7 +126,9 @@ race:
 # search at 3, its routes. Handles on the caller's stack and framing records
 # reused (DESIGN.md §43): 1 000 messages of the mice_stream shape on a warm
 # system at 0, amortised, counted by the receiver, and so are 200 streamed
-# 64 KiB messages in the seed framing and 1 000 eager ones of 1 and 8 KiB.
+# 64 KiB messages in the seed framing, 1 000 eager ones of 1 and 8 KiB, 1 000
+# coalesced ones of four 1 KiB blocks, and 1 000 multicasts of the
+# bcast_fanout8 shape — streamed, compact, and with gw1 a destination too.
 allocs:
 	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd . -run 'AllocsNothing' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
@@ -288,7 +290,7 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:776 internal/fwd:6019 internal/bench:2417 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365
+LOC_MAX := .:776 internal/fwd:6042 internal/bench:2417 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365
 DOC_MAX := DESIGN.md:5780 .claude/skills/verify/SKILL.md:187 README.md:466
 COMPAT_MAX := 89
 loc:

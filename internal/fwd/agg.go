@@ -63,8 +63,8 @@ type aggRx struct {
 // sub-messages is ended — not when its reader runs dry: two processes of the
 // node may still be reading sub-messages of it — and how many are not ended.
 type sinkFrame struct {
-	buf  []byte            // the wire-pool buffer the frame lies in
-	pair *[2]mad.BlockDesc // the descriptor pair it travelled with, if it came in one transfer
+	buf  []byte          // the wire-pool buffer the frame lies in
+	pair []mad.BlockDesc // the descriptor pair it travelled with, if it came in one transfer
 	open int
 }
 
@@ -106,7 +106,7 @@ func newAggState(nodes int) *aggState {
 
 // aggOpen starts delivering the sub-messages of a frame a sink holds in buf,
 // with the descriptor pair it travelled with (nil if none).
-func (vc *VirtualChannel) aggOpen(from mad.Rank, frame, buf []byte, pair *[2]mad.BlockDesc) aggRx {
+func (vc *VirtualChannel) aggOpen(from mad.Rank, frame, buf []byte, pair []mad.BlockDesc) aggRx {
 	st := vc.aggst
 	fr := st.frames.get()
 	rd := agg.MustReader(frame)
@@ -122,7 +122,7 @@ func (vc *VirtualChannel) aggEnded(fr *sinkFrame) {
 	}
 	vc.bufs.put(fr.buf)
 	if fr.pair != nil {
-		vc.bufs.putPair(fr.pair[:])
+		vc.bufs.putPair(fr.pair)
 	}
 	*fr = sinkFrame{}
 	vc.aggst.frames.put(fr)

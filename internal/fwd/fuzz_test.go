@@ -235,7 +235,7 @@ func checkStreamOpen(t *testing.T, k uint8, som, eom bool, sizes, first []byte) 
 		t.Fatalf("descriptors %v cover %d of the %d payload bytes", o.descs, covered, len(o.payload))
 	}
 	var h heldMsg
-	if h.park(o.payload, o.descs); len(h.frags) != len(o.descs) {
+	if h.park(first, o.payload, o.descs); len(h.frags) != len(o.descs) {
 		t.Fatalf("%d fragments for %d descriptors", len(h.frags), len(o.descs))
 	}
 	switch n := len(o.descs); {

@@ -41,9 +41,13 @@ func auditRelBufs(t *testing.T, w *world) *world {
 		if t.Failed() || w.aborts {
 			return
 		}
-		if bk := w.vc.RelBookkeeping(); bk.BufsTaken != bk.BufsReturned {
+		bk := w.vc.RelBookkeeping()
+		if bk.BufsTaken != bk.BufsReturned {
 			t.Errorf("wire buffer ledger: %d taken, %d returned (%d free)",
 				bk.BufsTaken, bk.BufsReturned, bk.BufsFree)
+		}
+		if bk.PairsTaken != bk.PairsReturned {
+			t.Errorf("descriptor pair ledger: %d taken, %d returned", bk.PairsTaken, bk.PairsReturned)
 		}
 	})
 	return w

@@ -98,7 +98,6 @@ type relaySlot struct {
 	pool *wireBufPool // where buf came from; nil when data rides the ingress slot
 	buf  []byte       // staging buffer backing the slot
 	data []byte
-	desc []mad.BlockDesc
 	aux  []byte // copy-always staging buffer from the wire pool, released with the slot
 	refs int    // branch sends still owing
 }
@@ -391,11 +390,11 @@ func (g *Gateway) relCount(i int) int64 {
 // FlowStats counts the relay schedulers every gateway runs.
 type FlowStats struct {
 	// Accounts, CreditsGranted, CreditsSpent, Stalls and StallTime are
-	// always zero: gateways keep no credit accounts.
-	Accounts                     int            // benchmark/ only: ROADMAP 8
-	CreditsGranted, CreditsSpent int64          // benchmark/ only: ROADMAP 8
-	Stalls                       int64          // benchmark/ only: ROADMAP 8
-	StallTime                    vtime.Duration // benchmark/ only: ROADMAP 8
+	// always zero: gateways keep no credit accounts. No JSON prints them.
+	Accounts                     int            `json:"-"` // benchmark/ only: ROADMAP 8
+	CreditsGranted, CreditsSpent int64          `json:"-"` // benchmark/ only: ROADMAP 8
+	Stalls                       int64          `json:"-"` // benchmark/ only: ROADMAP 8
+	StallTime                    vtime.Duration `json:"-"` // benchmark/ only: ROADMAP 8
 	// SchedRounds is how many full deficit-round-robin passes the streaming
 	// gateways' fair daemons and the reliable engines' relay daemons
 	// completed.
@@ -570,11 +569,18 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 	if local {
 		capture = vc.hold(f.src, f.mtu, f.id)
 	}
-	if !f.meta.EOM {
+	switch {
+	case !f.meta.EOM:
 		g.pipeline(p, r, in, &f, branches, capture)
-	} else if local {
-		// The whole message is in gateway memory (its driver slot).
-		capture.park(f.payload, f.descs)
+	case f.kind == mad.KindMcast:
+		// A compact frame, whose one receiver this gateway is, as every branch
+		// sends a copy: the capture keeps its buffer, if any, its pair goes back.
+		if local {
+			capture.park(f.head, f.payload, f.descs)
+		} else {
+			vc.bufs.put(f.head)
+		}
+		vc.bufs.putPair(f.meta.Blocks)
 	}
 	for _, b := range branches {
 		b.tx.enq.Unlock(p)
@@ -692,7 +698,6 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			g.recycle(p, s)
 			return
 		}
-		s.desc = meta.Blocks
 		if !cfg.ZeroCopy {
 			// Copy-always ablation: stage through an extra buffer like a
 			// forwarding layer naively placed above Madeleine would.
@@ -712,16 +717,25 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		m.swap.ObserveDuration(vtime.Since(p.Now(), t0))
 		fr.Record(flight.KindSwap, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
 		if capture != nil {
-			// The slot is recycled by the branch senders; the local copy
-			// is the gateway-member's delivery cost.
+			// The slot is recycled by the branch senders; the local copy, a
+			// buffer the capture returns, is the gateway-member's delivery cost.
 			host.Memcpy(p, n)
-			capture.park(append([]byte(nil), s.data...), meta.Blocks[:1])
+			own := vc.bufs.get(n)
+			copy(own, s.data)
+			capture.park(own, own, meta.Blocks[:1])
 		}
 		s.refs = len(branches)
 		t0 = p.Now()
 		for _, b := range branches {
-			b.tx.q.Send(p, gwTx{meta: mad.TxMeta{Kind: f.kind, EOM: meta.EOM, Blocks: s.desc},
+			descs := meta.Blocks
+			if b.replicated() {
+				descs = append(vc.bufs.getPair(1), descs...)
+			}
+			b.tx.q.Send(p, gwTx{meta: mad.TxMeta{Kind: f.kind, EOM: meta.EOM, Blocks: descs},
 				data: s.data, msgID: msgID, slot: s, replicated: b.replicated()})
+		}
+		if f.kind == mad.KindMcast {
+			vc.bufs.putPair(meta.Blocks) // every branch sends a copy of its own
 		}
 		stalled(t0)
 		if len(branches) == 0 {
@@ -745,6 +759,6 @@ func (g *Gateway) recycle(p *vtime.Proc, s *relaySlot) {
 	if s.pool != nil {
 		s.pool.put(s.buf)
 	}
-	s.buf, s.aux, s.data, s.desc = nil, nil, nil, nil
+	s.buf, s.aux, s.data = nil, nil, nil
 	s.ring.free.Send(p, s)
 }

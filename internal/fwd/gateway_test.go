@@ -182,7 +182,10 @@ func TestBracketedHeaderIsHandedOverHopByHop(t *testing.T) {
 			w := build(t, c.tp, c.cfg)
 			var stock [][]byte
 			returned, foreign := 0, 0
-			stock = fwd.StockHeaderBufs(w.vc, c.headers, func(b []byte) {
+			stock = fwd.StockHeaderBufs(w.vc, c.headers, func(b []byte, header bool) {
+				if !header {
+					return
+				}
 				returned++
 				for _, s := range stock {
 					if &s[0] == &b[0] {

@@ -3,6 +3,7 @@ package fwd_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,10 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 // handle, taken before its message ended. The streamed rows are the seed
 // framing and the eager one under a 4 KiB MTU, whose messages outgrow a frame:
 // sharing the header's transfer (streamed) or behind a header that travels
-// alone (eager).
+// alone (eager). The multicast row sends to two destinations through the
+// gateway, and each checks its Unpacking handles the same way; the two share
+// the channel's free list, so a destination's second message may be served
+// by the record of the other's first.
 func TestStaleHandlePanics(t *testing.T) {
 	aggregated := fwd.DefaultConfig()
 	aggregated.Eager = true
@@ -46,14 +50,16 @@ func TestStaleHandlePanics(t *testing.T) {
 		world    func(t *testing.T) *world
 		src, dst string
 		size     int
+		also     []string // the multicast's other destinations; nil for a unicast row
 	}{
-		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64},
-		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64},
-		{"seed", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64},
-		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 4096 - 20},
-		{"eager", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 8 << 10},
-		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10},
-		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64},
+		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64, nil},
+		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64, nil},
+		{"seed", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, nil},
+		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 4096 - 20, nil},
+		{"eager", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 8 << 10, nil},
+		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10, nil},
+		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64, nil},
+		{"multicast", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, []string{"b0"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := c.world(t)
@@ -70,15 +76,21 @@ func TestStaleHandlePanics(t *testing.T) {
 				})
 				mustPanic(t, "double EndUnpacking, "+when, "fwd: double EndUnpacking", func() { u.EndUnpacking(p) })
 			}
+			begin := func(p *vtime.Proc, ep *fwd.Endpoint) *fwd.Packing {
+				if c.also != nil {
+					return ep.BeginMulticast(p, append([]string{c.dst}, c.also...)...)
+				}
+				return ep.BeginPacking(p, c.dst)
+			}
 			w.sim.Spawn("send", func(p *vtime.Proc) {
 				ep := w.vc.At(c.src)
-				px := ep.BeginPacking(p, c.dst)
+				px := begin(p, ep)
 				px.Pack(p, first, mad.SendCheaper, mad.ReceiveCheaper)
 				copied := *px
 				px.EndPacking(p)
 				stalePacking(p, px, "idle")
 				stalePacking(p, &copied, "a copy")
-				next := ep.BeginPacking(p, c.dst)
+				next := begin(p, ep)
 				if !fwd.SharesRecord(px, next) {
 					t.Error("the second message's sender did not reuse the first one's record")
 				}
@@ -86,30 +98,34 @@ func TestStaleHandlePanics(t *testing.T) {
 				stalePacking(p, px, "reused")
 				next.EndPacking(p)
 			})
-			w.sim.Spawn("recv", func(p *vtime.Proc) {
-				ep := w.vc.At(c.dst)
-				got := make([]byte, c.size)
-				u := ep.BeginUnpacking(p)
-				u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
-				copied := *u
-				u.EndUnpacking(p)
-				if !bytes.Equal(got, first) {
-					t.Error("the first message arrived corrupted")
-				}
-				staleUnpacking(p, u, "idle")
-				staleUnpacking(p, &copied, "a copy")
-				next := ep.BeginUnpacking(p)
-				if !fwd.SharesUnpackRecord(u, next) {
-					t.Error("the second message's receiver did not reuse the first one's record")
-				}
-				staleUnpacking(p, u, "reused")
-				clear(got)
-				next.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
-				next.EndUnpacking(p)
-				if !bytes.Equal(got, second) {
-					t.Error("the newer message arrived corrupted after the stale handle's panics")
-				}
-			})
+			var firsts []*fwd.Unpacking // every destination's first message
+			for _, dst := range append([]string{c.dst}, c.also...) {
+				w.sim.Spawn("recv:"+dst, func(p *vtime.Proc) {
+					ep := w.vc.At(dst)
+					got := make([]byte, c.size)
+					u := ep.BeginUnpacking(p)
+					u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+					copied := *u
+					u.EndUnpacking(p)
+					if !bytes.Equal(got, first) {
+						t.Error("the first message arrived corrupted")
+					}
+					staleUnpacking(p, u, "idle")
+					staleUnpacking(p, &copied, "a copy")
+					firsts = append(firsts, u)
+					next := ep.BeginUnpacking(p)
+					if !slices.ContainsFunc(firsts, func(f *fwd.Unpacking) bool { return fwd.SharesUnpackRecord(f, next) }) {
+						t.Error("the second message's receiver did not reuse a first one's record")
+					}
+					staleUnpacking(p, u, "reused")
+					clear(got)
+					next.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+					next.EndUnpacking(p)
+					if !bytes.Equal(got, second) {
+						t.Error("the newer message arrived corrupted after the stale handle's panics")
+					}
+				})
+			}
 			if err := w.sim.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -209,7 +209,8 @@ func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 	if !vc.CanMulticast() {
 		panic("fwd: BeginMulticast requires streaming mode (Reliable is set)")
 	}
-	ds, mtu := make([]mad.Rank, 0, len(dests)), vc.cfg.MTU
+	x := vc.recs.mcastPacking.get()
+	ds, mtu := x.dests[:0], vc.cfg.MTU
 	for _, d := range dests {
 		n, ok := vc.nodes[d]
 		if !ok {
@@ -224,16 +225,16 @@ func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 	if ds = slices.Compact(ds); len(ds) == 0 {
 		panic("fwd: multicast without destinations on " + e.node.Name)
 	}
-	x := &mcastPacking{blockBuf: vc.buffer(e.node), dests: ds, mtu: mtu}
-	x.cost = 0
+	vc.buffer(&x.blockBuf, e.node)
+	x.dests, x.mtu, x.cost = ds, mtu, 0
 	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: vc.destsText(ds)}, 0)
 	return Packing{x, x.id, &x.gen, x.gen}
 }
 
 // end sends the message down every branch of the root's split, one after the
-// other, behind what the sender coalesced toward its destinations. A
-// branch's send parks, so the split works in the message's own destination
-// slice, not in channel scratch.
+// other, behind what the sender coalesced toward its destinations, and
+// retires the record, which no branch refers to once sent. A branch's send
+// parks, so the split works in the message's own destination slice.
 func (x *mcastPacking) end(p *vtime.Proc) {
 	if st := x.vc.aggst; st != nil {
 		for _, d := range x.dests {
@@ -248,6 +249,9 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 		x.sendBranch(p, hop, ranks, relays)
 		root.branches.Add(1)
 	})
+	ds := x.dests[:0]
+	retireBuffered(&x.vc.recs.mcastPacking, x, &x.gen, &x.blockBuf)
+	x.dests = ds
 }
 
 // sendBranch emits the message once toward one branch: compact when the
@@ -280,17 +284,19 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 
 // replicateFrame rebuilds a whole multicast frame for one branch — the
 // branch's rewritten header glued to the shared payload — and returns it
-// with its block descriptors; the header goes back to the pool. The
+// with its block descriptors, a buffer and a pair of the wire pool that the
+// branch's next hop returns; the header goes back to the pool. The
 // contiguous copy is the price of one transfer per branch, as at the root.
 func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, payload []byte) ([]mad.BlockDesc, []byte) {
-	frame := make([]byte, len(b.hdr)+len(payload))
+	bufs := &g.vc.bufs
+	frame := bufs.get(len(b.hdr) + len(payload))
 	copy(frame[copy(frame, b.hdr):], payload)
-	g.vc.bufs.put(b.hdr)
+	bufs.put(b.hdr)
 	if len(payload) > 0 {
 		g.node.Host.Memcpy(p, len(payload))
 	}
 	g.met.replicatedPkts.Add(1)
 	g.met.replicatedBytes.Add(int64(len(payload)))
 	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.id, len(payload), b.tx.outNet)
-	return append([]mad.BlockDesc{headerDesc(len(b.hdr))}, f.descs...), frame
+	return append(append(bufs.getPair(1+len(f.descs)), headerDesc(len(b.hdr))), f.descs...), frame
 }

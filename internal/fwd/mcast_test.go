@@ -451,27 +451,37 @@ func TestMulticastDropsSelfAndDuplicates(t *testing.T) {
 // one that travelled alone once it has parsed it, and the writer returns one
 // it glued into a compact frame right after the copy (DESIGN.md §37). a0's
 // message to {a1, c0, l0, l1} opens six headers: a1 and gw1 at the root, c0
-// and gw2 at gw1, l0 and l1 at gw2. The pool is stocked with as many as one
-// message holds at once; sent one at a time, every header buffer returned is
-// a stocked one, so no writer makes its own. Sent back to back, 8 then 32 more
-// messages allocate no more buffers. Every returned buffer is poisoned and
-// the ledger balances (build).
+// and gw2 at gw1, l0 and l1 at gw2. Compact, it builds six frames on the same
+// branches, pool buffers too, each returned by its next hop. The pool is
+// stocked with as many headers as one message holds at once; sent one at a
+// time, every header buffer returned is a stocked one, so no writer makes its
+// own. Sent back to back, 8 then 32 more messages allocate no more buffers,
+// and every header and frame is returned once — a header may then borrow a
+// frame's buffer, and go back with the frames. Every returned buffer is
+// poisoned and the ledger balances (build).
 func TestMulticastHeaderIsHandedOverHopByHop(t *testing.T) {
 	dests := []string{"a1", "c0", "l0", "l1"}
 	const headers = 6 // a message's headers, each returned once
 	for _, c := range []struct {
-		name  string
-		size  int
-		stock int // the most headers a message holds at once
+		name   string
+		size   int
+		stock  int // the most headers a message holds at once
+		frames int // the branch frames a message builds
 	}{
-		{"streaming", 70_000, 3},
-		{"compact", 1000, 2},
+		{"streaming", 70_000, 3, 0},
+		{"compact", 1000, 2, headers},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := build(t, mcastChain(t), fwd.DefaultConfig())
 			var stock [][]byte
-			returned, foreign := 0, 0
-			stock = fwd.StockHeaderBufs(w.vc, c.stock, func(b []byte) {
+			returned, foreign, frames := 0, 0, 0
+			stock = fwd.StockHeaderBufs(w.vc, c.stock, func(b []byte, header bool) {
+				if !header {
+					if len(b) > c.size {
+						frames++
+					}
+					return
+				}
 				returned++
 				for _, s := range stock {
 					if &s[0] == &b[0] {
@@ -485,8 +495,9 @@ func TestMulticastHeaderIsHandedOverHopByHop(t *testing.T) {
 			for i := 0; i < msgs; i++ {
 				checkIdentical(t, mcastSendRecv(t, w, "a0", dests, blocks), blocks)
 			}
-			if returned != msgs*headers || foreign != 0 {
-				t.Fatalf("%d header buffers returned for %d headers, %d of them not stocked", returned, msgs*headers, foreign)
+			if returned != msgs*headers || foreign != 0 || frames != msgs*c.frames {
+				t.Fatalf("%d header buffers returned for %d headers, %d of them not stocked; %d frames for %d",
+					returned, msgs*headers, foreign, frames, msgs*c.frames)
 			}
 
 			// Back to back: the root opens its next message while earlier
@@ -503,8 +514,8 @@ func TestMulticastHeaderIsHandedOverHopByHop(t *testing.T) {
 			if after != warm {
 				t.Errorf("back-to-back messages allocated buffers: %d after 8, %d after 32 more", warm, after)
 			}
-			if want := (msgs + 8 + 32) * headers; returned != want {
-				t.Errorf("%d header buffers returned, want %d", returned, want)
+			if want := (msgs + 8 + 32) * (headers + c.frames); returned+frames != want {
+				t.Errorf("%d header and %d frame buffers returned, want %d in all", returned, frames, want)
 			}
 		})
 	}

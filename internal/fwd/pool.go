@@ -3,10 +3,11 @@ package fwd
 import "madgo/internal/mad"
 
 // Buffer pooling: one pool for every buffer the forwarding layer recycles —
-// reliable datagrams, stream headers, eager and aggregate frames, a sink's
-// reassembly buffers, a gateway's staging buffers — owned by the virtual
-// channel, split by size class and ledgered: at quiescence every buffer taken
-// has been returned. Taker and returner may be different nodes; DESIGN.md §33
+// reliable datagrams, stream headers, eager, aggregate and multicast frames, a
+// sink's reassembly buffers, a gateway's staging buffers and its own node's
+// copy — owned by the virtual channel, split by size class and ledgered: at
+// quiescence every buffer taken, and every transfer's descriptor pair, has
+// been returned. Taker and returner may be different nodes; DESIGN.md §33
 // has the table. Only an egress driver can make its static buffers (§2.3), so
 // a gateway ring keeps a pool of the same type per egress network whose misses
 // call the driver's AllocStatic, in the same ledger (RelBookkeeping).
@@ -17,12 +18,12 @@ import "madgo/internal/mad"
 // wire is slower than the buffer switch. Unsynchronized: one simulation, one
 // thread.
 //
-// Framing records are reused too (records, below; DESIGN.md §43): every one
-// but a multicast's Packing. End zeroes one and puts it back, for nothing
-// refers to it once End returns — sendMessage holds the blocks until then,
-// the coalescer copies a message into its frame in add, a stream's transfers
-// carry nothing of it (streamTx) — and its generation stops a stale handle
-// (Packing). The lists belong to one virtual channel.
+// Framing records are reused too (records, below; DESIGN.md §43). End zeroes
+// one and puts it back, for nothing refers to it once End returns —
+// sendMessage holds the blocks until then, the coalescer copies a message into
+// its frame in add, a stream's transfers carry nothing of it (streamTx) — and
+// its generation stops a stale handle (Packing); a record keeps its lists'
+// storage (retireBuffered). The lists belong to one virtual channel.
 
 const (
 	relBufMinShift = 6  // smallest class: 64 bytes
@@ -57,10 +58,12 @@ type wireBufPool struct {
 	// it is pooled. Only tests set it, to poison the memory so that a read
 	// through a stale alias fails loudly.
 	onPut func(buf []byte)
-	// pairs hold a unicast stream transfer's descriptors, by reference to
-	// the final receiver, which returns them (putPair); onPutPair is onPut's twin.
-	pairs     freeList[[2]mad.BlockDesc]
-	onPutPair func(pair *[2]mad.BlockDesc)
+	// pairs hold transfers' descriptors, by reference to the one receiver
+	// that returns them (putPair): a LIFO of lists with room for two, or for
+	// a compact multicast frame's header and blocks; onPutPair is onPut's twin.
+	pairs                     [][]mad.BlockDesc
+	pairsTaken, pairsReturned int64
+	onPutPair                 func(pair []mad.BlockDesc)
 }
 
 // get returns a buffer of length n whose content is unspecified: the last one
@@ -107,14 +110,27 @@ func (bp *wireBufPool) put(b []byte) {
 	bp.free[class] = append(bp.free[class], b)
 }
 
-// putPair returns the pair a transfer's descriptors, blocks, travelled in:
-// pair[:1] or pair[:2], whose capacity is the pair's.
-func (bp *wireBufPool) putPair(blocks []mad.BlockDesc) {
-	pair := (*[2]mad.BlockDesc)(blocks[:2])
-	if bp.onPutPair != nil {
-		bp.onPutPair(pair)
+// getPair returns an empty descriptor list with room for n: the one returned
+// last, or a new one where that one has less room and is dropped.
+func (bp *wireBufPool) getPair(n int) []mad.BlockDesc {
+	bp.pairsTaken++
+	if k := len(bp.pairs); k > 0 {
+		pair := bp.pairs[k-1]
+		bp.pairs = bp.pairs[:k-1]
+		if cap(pair) >= n {
+			return pair
+		}
 	}
-	bp.pairs.put(pair)
+	return make([]mad.BlockDesc, 0, max(n, 2))
+}
+
+// putPair returns the descriptors a transfer travelled in, taken with getPair.
+func (bp *wireBufPool) putPair(pair []mad.BlockDesc) {
+	bp.pairsReturned++
+	if bp.onPutPair != nil {
+		bp.onPutPair(pair[:cap(pair)])
+	}
+	bp.pairs = append(bp.pairs, pair[:0])
 }
 
 // tally adds the pool's ledger to s.
@@ -122,6 +138,8 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 	s.BufsTaken += bp.taken
 	s.BufsReturned += bp.returned
 	s.BufsAllocated += bp.misses
+	s.PairsTaken += bp.pairsTaken
+	s.PairsReturned += bp.pairsReturned
 	for _, l := range bp.free {
 		s.BufsFree += len(l)
 	}
@@ -131,6 +149,7 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 // but for their generation, and of held messages, which keep their storage.
 type records struct {
 	bufPacking      freeList[bufPacking]
+	mcastPacking    freeList[mcastPacking]
 	streamPacking   freeList[streamPacking]
 	plainPacking    freeList[plainPacking]
 	aggUnpacking    freeList[aggUnpacking]
@@ -141,8 +160,8 @@ type records struct {
 }
 
 // freeList is a LIFO of spare objects of one kind, the one free list of the
-// forwarding layer's records: framing records, descriptor pairs, a sink's
-// frame records and a reliable engine's bookkeeping.
+// forwarding layer's records: framing records, a sink's frame records and a
+// reliable engine's bookkeeping.
 type freeList[T any] []*T
 
 // get returns the object put last, as it was put, or a new one.
@@ -165,4 +184,13 @@ func (l *freeList[T]) retire(x *T, gen *uint32) {
 	*x = *new(T)
 	*gen = g
 	l.put(x)
+}
+
+// retireBuffered is retire for a record that buffered its blocks in b, whose
+// list's storage, cleared, serves the record's next message.
+func retireBuffered[T any](l *freeList[T], x *T, gen *uint32, b *blockBuf) {
+	blks := b.blks
+	clear(blks)
+	l.retire(x, gen)
+	b.blks = blks[:0]
 }

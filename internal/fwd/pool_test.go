@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"madgo/internal/mad"
 	"madgo/internal/vtime/vsync"
 )
 
@@ -109,14 +110,45 @@ func TestWireBufPoolAllocatorOnMissesOnly(t *testing.T) {
 	}
 }
 
+// A descriptor pair comes back as the one returned last when it has room, and
+// a list with too little room is dropped for a larger one, which then serves
+// both sizes; the ledger counts every take and return.
+func TestDescriptorPairsReuseAndGrow(t *testing.T) {
+	var bp wireBufPool
+	two := bp.getPair(1)
+	if len(two) != 0 || cap(two) != 2 {
+		t.Fatalf("a new pair has length %d and room for %d, want 0 and 2", len(two), cap(two))
+	}
+	bp.putPair(append(two, mad.BlockDesc{Size: 1}))
+	if again := bp.getPair(2); &again[:1][0] != &two[:1][0] {
+		t.Fatal("a pair with room was not reused")
+	} else {
+		bp.putPair(again)
+	}
+	four := bp.getPair(4)
+	if cap(four) < 4 || &four[:1][0] == &two[:1][0] {
+		t.Fatalf("a request for 4 got room for %d, or the pair of 2", cap(four))
+	}
+	bp.putPair(four)
+	if again := bp.getPair(1); &again[:1][0] != &four[:1][0] {
+		t.Fatal("the larger list did not serve a smaller request")
+	} else {
+		bp.putPair(again)
+	}
+	var s RelBookkeeping
+	if bp.tally(&s); s.PairsTaken != 4 || s.PairsReturned != 4 || len(bp.pairs) != 1 {
+		t.Fatalf("ledger %d taken, %d returned, %d free; want 4, 4 and 1", s.PairsTaken, s.PairsReturned, len(bp.pairs))
+	}
+}
+
 // StockHeaderBufs takes n buffers of the wire pool's class of stream headers
 // — a seed-framing header, a rail's, a multicast header of up to ten
 // destinations — and returns them, so the pool holds exactly them for the
-// next headers, and from then on reports every buffer of that class returned
-// to the pool to seen, after the pool's own hook poisons it. It returns the
-// stocked buffers. Exported to the package's external
+// next headers, and from then on reports every buffer returned to the pool to
+// seen, after the pool's own hook poisons it, with whether it is of that
+// class. It returns the stocked buffers. Exported to the package's external
 // tests; it exists in test builds only.
-func StockHeaderBufs(vc *VirtualChannel, n int, seen func(buf []byte)) [][]byte {
+func StockHeaderBufs(vc *VirtualChannel, n int, seen func(buf []byte, header bool)) [][]byte {
 	stock := make([][]byte, n)
 	for i := range stock {
 		stock[i] = vc.bufs.get(stripeHeaderLen)
@@ -130,9 +162,7 @@ func StockHeaderBufs(vc *VirtualChannel, n int, seen func(buf []byte)) [][]byte 
 		if poison != nil {
 			poison(b)
 		}
-		if len(b) == size {
-			seen(b)
-		}
+		seen(b, len(b) == size)
 	}
 	return stock
 }

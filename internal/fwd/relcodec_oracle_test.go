@@ -106,8 +106,10 @@ func poison(buf []byte) {
 	}
 }
 
-func poisonPair(pair *[2]mad.BlockDesc) {
-	*pair = [2]mad.BlockDesc{{Size: -1}, {Size: -1}}
+func poisonPair(pair []mad.BlockDesc) {
+	for i := range pair {
+		pair[i] = mad.BlockDesc{Size: -1}
+	}
 }
 
 // pooledEqualsOracle encodes one data packet both ways — the second into a

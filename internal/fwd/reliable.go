@@ -1590,6 +1590,9 @@ type RelBookkeeping struct {
 	BufsReturned  int64
 	BufsFree      int
 	BufsAllocated int64
+	// PairsTaken and PairsReturned are the same ledger for the descriptor
+	// pairs transfers travel with: each has one receiver, which returns it.
+	PairsTaken, PairsReturned int64
 }
 
 // RelBookkeeping sums the reliable mode's bookkeeping sizes over every node.

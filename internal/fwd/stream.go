@@ -290,10 +290,10 @@ func framingOf(kind mad.Kind) *framing {
 // once end returns (pool.go). The header is a wire-pool buffer: sent alone,
 // it is handed over at every hop (mad.TxMeta.Owned) and returned by the final
 // receiver, or a multicast's by the next hop; glued into a frame — a buffer of
-// the pool too, but a multicast's — it goes back once copied. A unicast
-// transfer's descriptors are a wire-pool pair, taken just before Send, that
-// the final receiver returns once read (streamRx); a multicast's, which
-// several final receivers read, are a pair a block of their own.
+// the pool too — it goes back once copied. A transfer that carries payload
+// has its descriptors in a wire-pool pair, taken just before Send, that its
+// one receiver returns once read: the final receiver (streamRx), or the
+// gateway that replicates a multicast's, giving each branch a pair of its own.
 type streamTx struct {
 	vc   *VirtualChannel
 	link *mad.Link
@@ -309,12 +309,10 @@ type streamTx struct {
 	started bool // the header is on the wire
 }
 
-// heldFrag is one fragment on its way out and its descriptor; a multicast
-// fragment's travels in its block's pair (shared), a one-descriptor window.
+// heldFrag is one fragment on its way out and its descriptor.
 type heldFrag struct {
 	data   []byte
 	desc   mad.BlockDesc
-	shared []mad.BlockDesc
 	staged bool
 }
 
@@ -361,17 +359,8 @@ func (tx *streamTx) block(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Recv
 	if len(data) == 0 && f.elideEmpty {
 		return
 	}
-	// A multicast block's fragments share one pair: the tail's descriptor,
-	// then every full-MTU fragment's.
-	var pair []mad.BlockDesc
-	if tx.kind == mad.KindMcast {
-		pair = []mad.BlockDesc{{Size: len(data) % mtu, S: s, R: r}, {Size: mtu, S: s, R: r}}
-	}
 	mad.ForEachFragment(len(data), mtu, func(off, n int) {
 		fr := heldFrag{data: data[off : off+n], desc: mad.BlockDesc{Size: n, S: s, R: r}}
-		if i := n / mtu; pair != nil {
-			fr.shared = pair[i : i+1 : i+1]
-		}
 		if f.bracketed {
 			tx.emit(p, fr, false)
 			return
@@ -403,21 +392,13 @@ func (tx *streamTx) emit(p *vtime.Proc, fr heldFrag, last bool) {
 		frame := bufs.get(len(tx.hdr) + len(fr.data))
 		copy(frame[copy(frame, tx.hdr):], fr.data)
 		bufs.put(tx.hdr)
-		pair := bufs.pairs.get()
-		pair[0], pair[1] = headerDesc(len(tx.hdr)), fr.desc
-		tx.first(p, frame, pair[:], last)
+		tx.first(p, frame, append(bufs.getPair(2), headerDesc(len(tx.hdr)), fr.desc), last)
 		form = f.compactForm
 	} else {
 		if !tx.started {
 			tx.first(p, tx.hdr, tx.hdrDescs(), false)
 		}
-		descs := fr.shared
-		if descs == nil {
-			pair := bufs.pairs.get()
-			pair[0] = fr.desc
-			descs = pair[:1]
-		}
-		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: descs}, fr.data)
+		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: append(bufs.getPair(1), fr.desc)}, fr.data)
 	}
 	if f.hopEach {
 		tx.hop(p, form, len(fr.data))
@@ -430,19 +411,14 @@ func (tx *streamTx) emit(p *vtime.Proc, fr heldFrag, last bool) {
 // copy; block by block if not. An empty message is always one transfer, so a
 // header outgrowing the MTU never travels alone as the terminator. wire, if
 // not nil, is the blocks laid out behind room for the header (the coalescer
-// builds its frames so): the frame leaves from there with no copy, its
-// descriptors in a pair of the wire pool.
+// builds its frames so): the frame leaves from there with no copy. Otherwise
+// it is built in a buffer of the wire pool. Either way its descriptors are a
+// pool pair, and the frame and the pair go to the next hop, which returns them.
 func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []byte) {
 	f := framingOf(tx.kind)
 	form := f.form
 	if (total == 0 || len(tx.hdr)+total <= tx.mtu) && (wire != nil || total <= eagerInlineMax) {
-		var descs []mad.BlockDesc
-		if tx.kind == mad.KindMcast {
-			descs = make([]mad.BlockDesc, 1, 2) // several final receivers read it: none returns it
-		} else {
-			descs = tx.vc.bufs.pairs.get()[:1]
-		}
-		descs[0] = headerDesc(len(tx.hdr))
+		descs := append(tx.vc.bufs.getPair(1+len(blks)), headerDesc(len(tx.hdr)))
 		for _, b := range blks {
 			// A block that would put no fragment on the wire is not
 			// described here either.
@@ -453,7 +429,7 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 		if wire != nil {
 			copy(wire, tx.hdr)
 		} else {
-			wire = make([]byte, len(tx.hdr)+total)
+			wire = tx.vc.bufs.get(len(tx.hdr) + total)
 			off := copy(wire, tx.hdr)
 			for _, b := range blks {
 				off += copy(wire[off:], b.data)
@@ -527,21 +503,18 @@ type blockBuf struct {
 	// blocks; zero for the multicast framing, which sends them by reference
 	// like the seed's.
 	cost  vtime.Duration
-	blks  []relBlock
-	one   [1]relBlock // backs blks while the message has one block
+	blks  []relBlock // in storage the record keeps (retireBuffered)
 	total int
 }
 
-// buffer starts the buffered sender side of a new message from node.
-func (vc *VirtualChannel) buffer(node *mad.Node) blockBuf {
-	return blockBuf{vc: vc, node: node, id: vc.nextMsgID(), cost: node.Host.CPU.PackCost}
+// buffer starts the buffered sender side of a new message from node in b, a
+// record retired with retireBuffered or new.
+func (vc *VirtualChannel) buffer(b *blockBuf, node *mad.Node) {
+	b.vc, b.node, b.id, b.cost = vc, node, vc.nextMsgID(), node.Host.CPU.PackCost
 }
 
 func (b *blockBuf) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	data = b.vc.stageBlock(p, b.node, b.id, b.cost, data, s)
-	if b.blks == nil {
-		b.blks = b.one[:0]
-	}
 	b.blks = append(b.blks, relBlock{data: data, s: s, r: r})
 	b.total += len(data)
 }
@@ -691,14 +664,12 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 	}
 	o := vc.openStream(p, node, a, scratch)
 	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.meta.EOM
-	if len(o.descs) > 0 {
+	if len(o.descs) > 0 || rx.kind == mad.KindMcast && o.meta.EOM {
+		// A glued frame, eager or multicast: its buffer goes back with the
+		// message, its pair now.
 		rx.held = vc.hold(o.src, o.mtu, o.id)
-		rx.held.park(o.payload, o.descs)
-		if rx.kind == mad.KindEager {
-			// A glued frame: its buffer goes back with the message, its pair now.
-			rx.held.bufs = append(rx.held.bufs, o.head)
-			vc.bufs.putPair(o.meta.Blocks)
-		}
+		rx.held.park(o.head, o.payload, o.descs)
+		vc.bufs.putPair(o.meta.Blocks)
 	}
 	return o
 }
@@ -724,9 +695,10 @@ type heldMsg struct {
 	blocks        []mad.BlockDesc
 	nextBlk       int
 	cost          vtime.Duration
-	// bufs are the buffers the fragments lie in: an eager frame, or a reliable
-	// message's datagrams by fragment index, nil until that fragment arrives
-	// (frags is filed the same way until seal); got counts those arrived.
+	// bufs are the buffers the fragments lie in: an eager or multicast frame,
+	// a capturing gateway's copies, or a reliable message's datagrams by
+	// fragment index, nil until that fragment arrives (frags is filed the same
+	// way until seal); got counts those arrived.
 	bufs [][]byte
 	got  int
 	// delivered: the deliver hop was recorded at completion; agg: the payload
@@ -755,8 +727,9 @@ func (vc *VirtualChannel) release(h *heldMsg) {
 }
 
 // park appends the fragments descs describe, laid out back to back in
-// payload, to those h holds.
-func (h *heldMsg) park(payload []byte, descs []mad.BlockDesc) {
+// payload, to those h holds, and files buf, the wire-pool buffer they lie in.
+func (h *heldMsg) park(buf, payload []byte, descs []mad.BlockDesc) {
+	h.bufs = append(h.bufs, buf)
 	h.descs = append(h.descs, descs...)
 	for _, d := range descs {
 		h.frags = append(h.frags, payload[:d.Size])
@@ -805,9 +778,7 @@ func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Re
 			panic("fwd: protocol error: stream packet without exactly one block")
 		}
 		d, rx.eom = meta.Blocks[0], meta.EOM
-		if rx.kind != mad.KindMcast {
-			rx.vc.bufs.putPair(meta.Blocks)
-		}
+		rx.vc.bufs.putPair(meta.Blocks)
 	}
 	if d.S != s || d.R != r || d.Size != n || got != n {
 		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))

@@ -477,7 +477,7 @@ func (vc *VirtualChannel) pollAhead(p *vtime.Proc, node *mad.Node, ahead *vsync.
 	if in.a.Kind() == mad.KindAgg {
 		o := vc.openStream(p, node, in.a, nil)
 		in.a.Link.ReleaseRecv(p)
-		in.frame = vc.aggOpen(o.src, o.payload, o.head, (*[2]mad.BlockDesc)(o.meta.Blocks))
+		in.frame = vc.aggOpen(o.src, o.payload, o.head, o.meta.Blocks)
 	}
 }
 
@@ -646,7 +646,8 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 			panic("fwd: unknown destination " + dst)
 		}
 		bp := e.vc.recs.bufPacking.get()
-		bp.blockBuf, bp.dst, bp.coalesce = e.vc.buffer(e.node), dst, coalesce
+		e.vc.buffer(&bp.blockBuf, e.node)
+		bp.dst, bp.coalesce = dst, coalesce
 		e.vc.hop(p, bp.id, e.node.Name, "pack", d, 0)
 		return Packing{bp, bp.id, &bp.gen, bp.gen}
 	}
@@ -712,7 +713,7 @@ func (bp *bufPacking) end(p *vtime.Proc) {
 	default:
 		bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, nil)
 	}
-	bp.vc.recs.bufPacking.retire(bp, &bp.gen)
+	retireBuffered(&bp.vc.recs.bufPacking, bp, &bp.gen, &bp.blockBuf)
 }
 
 // sendBuffered is the one place that decides how a message buffered whole
