@@ -92,7 +92,8 @@ race:
 
 # allocs runs the allocation-regression walls. The simulation kernel
 # (DESIGN.md §16): events, sleeps, channel hand-offs and fluid transfers are
-# pinned at 0 allocations in steady state, a direct-link mad message and a
+# pinned at 0 allocations in steady state, a vsync primitive's first
+# contention at its waiters' records (§42), a direct-link mad message and a
 # 1 MiB message of the Fig. 6 stream at small per-message budgets. The
 # reliable dataplane (DESIGN.md §17): warm route-row reads, the split-horizon
 # next hop and a disarmed health report at 0, one reliable 32 KiB message
@@ -130,7 +131,7 @@ race:
 # coalesced ones of four 1 KiB blocks, and 1 000 multicasts of the
 # bcast_fanout8 shape — streamed, compact, and with gw1 a destination too.
 allocs:
-	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd . -run 'AllocsNothing' -v
+	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd . -run 'AllocsNothing|AllocatesOnlyRecords' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
 	$(GO) test ./internal/vtime ./internal/mad ./internal/route ./internal/fwd . -run 'AllocBudget' -v
 
@@ -145,16 +146,17 @@ bench-quick:
 # BASE (A) into a temporary directory, runs one workload of the ledger there
 # and in the working tree (B) at the same seed, and holds the two results to
 # the exact-virtual-time rule (benchmark/README.md). PAIRS=n repeats that n
-# times, alternating which side runs first, prints every pair's host-time
-# rows and in how many pairs B was ahead — the ten alternating pairs a
-# host-time claim needs are one command — and ends on the last pair's full
-# comparison. A side that fails one of the ledger's own checks (exit 1: the
+# times, alternating which side runs first, prints every pair's host-time and
+# host-allocation rows and in how many pairs B was ahead — the ten alternating
+# pairs a host-time claim needs are one command — and ends on the last pair's
+# full comparison. The default is two pairs, one in each order: the first run
+# of a series can read faster, so one pair says which side ran first. A side that fails one of the ledger's own checks (exit 1: the
 # check is named on stderr and the results are written) is still compared,
 # and fails the target at the end — since PR 20 that is what a full-load
 # bulk_stream run does (ROADMAP.md, "One measurement harness").
 #   make bench-pair BASE=HEAD~1 WL=prod_lossy_mix [SEED=2] [PAIRS=10]
 SEED ?= 1
-PAIRS ?= 1
+PAIRS ?= 2
 bench-pair:
 	@test -n "$(BASE)" -a -n "$(WL)" || { echo "usage: make bench-pair BASE=<ref> WL=<workload> [SEED=n] [PAIRS=n]"; exit 2; }
 	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
@@ -168,7 +170,7 @@ bench-pair:
 		for i in $$(seq 1 $(PAIRS)); do \
 			if [ $$((i % 2)) = 1 ]; then run_a; run_b; else run_b; run_a; fi; \
 			verdict=0; compare > "$$base/pair.txt" || verdict=$$?; \
-			awk -v i=$$i '$$2 ~ /^host_(msgs_per_s|cpu_us_per_msg)$$/ { printf "pair %2d  %-20s  A %10s  B %10s\n", i, $$2, $$3, $$4 }' "$$base/pair.txt"; \
+			awk -v i=$$i '$$2 ~ /^host_(msgs_per_s|cpu_us_per_msg|allocs_per_msg|alloc_KB_per_msg)$$/ { printf "pair %2d  %-21s  A %10s  B %10s\n", i, $$2, $$3, $$4 }' "$$base/pair.txt"; \
 			if awk '$$2 == "host_msgs_per_s" && $$4 > $$3 { won = 1 } END { exit !won }' "$$base/pair.txt"; then \
 				wins=$$((wins + 1)); \
 			fi; \
@@ -290,7 +292,7 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:776 internal/fwd:6042 internal/bench:2417 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365
+LOC_MAX := .:776 internal/fwd:6037 internal/bench:2417 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365
 DOC_MAX := DESIGN.md:5780 .claude/skills/verify/SKILL.md:187 README.md:466
 COMPAT_MAX := 89
 loc:

@@ -63,6 +63,7 @@ type aggRx struct {
 // sub-messages is ended — not when its reader runs dry: two processes of the
 // node may still be reading sub-messages of it — and how many are not ended.
 type sinkFrame struct {
+	spare[sinkFrame]
 	buf  []byte          // the wire-pool buffer the frame lies in
 	pair []mad.BlockDesc // the descriptor pair it travelled with, if it came in one transfer
 	open int
@@ -96,7 +97,7 @@ type AggStats struct {
 type aggState struct {
 	co      map[aggKey]*aggCoalescer
 	rx      [][]aggRx
-	frames  freeList[sinkFrame]
+	frames  freeList[sinkFrame, *sinkFrame]
 	striped map[uint64][]byte
 }
 
@@ -138,9 +139,9 @@ func (vc *VirtualChannel) AggStats() AggStats {
 	for _, c := range vc.aggst.co {
 		s.SubMessages += c.subs.Count()
 		s.FrameBytes += c.frameBytes.Count()
-		s.SizeFlushes += c.frames["size"].Count()
-		s.IdleFlushes += c.frames["idle"].Count()
-		s.OrderingFlushes += c.frames["ordering"].Count()
+		s.SizeFlushes += c.sizeFrames.Count()
+		s.IdleFlushes += c.idleFrames.Count()
+		s.OrderingFlushes += c.orderingFrames.Count()
 		s.BypassMessages += c.bypass.Count()
 	}
 	s.Frames = s.SizeFlushes + s.IdleFlushes + s.OrderingFlushes
@@ -163,7 +164,7 @@ type aggCoalescer struct {
 	limit int
 
 	mu   vsync.Mutex
-	cond *vsync.Cond
+	cond vsync.Cond
 	busy bool
 	full bool // a sender is parked on the pending frame: it has no room for its message
 	b    *agg.Builder
@@ -180,12 +181,11 @@ type aggCoalescer struct {
 	wire []byte
 
 	// The coalescer's counts and wait histogram handle, labelled {node} — a
-	// series sums the node's coalescers — the frame counts also by reason
-	// ("size", "idle", "ordering").
-	bypass, subs, frameBytes obs.Counter
-	frames                   map[string]*obs.Counter
-	wait                     *obs.Histogram
-	fr                       *flight.Ring
+	// series sums the node's coalescers — the frame counts also by reason.
+	bypass, subs, frameBytes               obs.Counter
+	sizeFrames, idleFrames, orderingFrames obs.Counter
+	wait                                   *obs.Histogram
+	fr                                     *flight.Ring
 }
 
 // BindMetrics binds the coalescer's metrics in m.
@@ -195,7 +195,7 @@ func (c *aggCoalescer) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&c.subs, "madgo_agg_submessages_total", node)
 	m.BindCounter(&c.frameBytes, "madgo_agg_frame_bytes_total", node)
 	c.wait = m.BindHistogram("madgo_agg_queue_wait_seconds", node)
-	for reason, frames := range c.frames {
+	for reason, frames := range map[string]*obs.Counter{"size": &c.sizeFrames, "idle": &c.idleFrames, "ordering": &c.orderingFrames} {
 		m.BindCounter(frames, "madgo_agg_frames_total", obs.Labels{"node": c.node.Name, "reason": reason})
 	}
 }
@@ -214,11 +214,10 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		mtu: mtu, limit: mtu - gtmHeaderLen,
 		// The builder reserves the GTM header bytes in front of the frame,
 		// so a flush detaches a ready-made wire payload with no extra copy.
-		b:      agg.NewBuilderPrefix(gtmHeaderLen, 0),
-		frames: map[string]*obs.Counter{"size": {}, "idle": {}, "ordering": {}},
-		fr:     vc.flightRing(node.Name),
+		b:  agg.NewBuilderPrefix(gtmHeaderLen, 0),
+		fr: vc.flightRing(node.Name),
 	}
-	c.cond = vsync.NewCond(&c.mu)
+	c.cond.L = &c.mu
 	st.co[key] = c
 	vc.sess.Platform.Instrument(c)
 	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("agg-flush:%s>%s", node.Name, dst), c.run)
@@ -233,11 +232,11 @@ func (c *aggCoalescer) run(p *vtime.Proc) {
 		for c.busy || c.b.Count() == 0 {
 			c.cond.Wait(p)
 		}
-		reason := "idle"
+		reason, frames := "idle", &c.idleFrames
 		if c.full {
-			reason = "size"
+			reason, frames = "size", &c.sizeFrames
 		}
-		c.flush(p, reason)
+		c.flush(p, reason, frames)
 	}
 }
 
@@ -297,16 +296,16 @@ func (c *aggCoalescer) goAround(p *vtime.Proc, bypass int64) {
 	for c.busy {
 		c.cond.Wait(p)
 	}
-	c.flush(p, "ordering")
+	c.flush(p, "ordering", &c.orderingFrames)
 	c.bypass.Add(bypass)
 	c.mu.Unlock(p)
 }
 
 // flush seals the pending frame and hands it to sendBuffered as ONE message,
-// which chooses its transport. Called with mu held and nothing on its way,
+// which chooses its transport, and counts it in frames, its reason's count. Called with mu held and nothing on its way,
 // and returns so; mu is free while the frame travels. A no-op on an empty
 // builder.
-func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
+func (c *aggCoalescer) flush(p *vtime.Proc, reason string, frames *obs.Counter) {
 	if c.b.Count() == 0 {
 		return
 	}
@@ -323,7 +322,7 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 	c.ids = c.ids[:0]
 	c.fr.Record(flight.KindAggFlush, now, 0, frameID, flen, reason)
 	c.frameBytes.Add(int64(flen))
-	c.frames[reason].Add(1)
+	frames.Add(1)
 	vc.hop(p, frameID, c.node.Name, "agg",
 		obs.Detail{Form: "flush(${note}) -> ${peer}: ${a} msgs, ${bytes} bytes", Note: reason, Peer: c.dst, A: c.b.Count()}, flen)
 
@@ -415,7 +414,7 @@ func (vc *VirtualChannel) aggQueue(rank mad.Rank, rx aggRx) {
 // modes were carried inside the frame, so unpack mirrors them like every
 // other module and copies the payload out of the (already received) frame.
 type aggUnpacking struct {
-	gen  uint32
+	framingRec[aggUnpacking]
 	vc   *VirtualChannel
 	node *mad.Node
 	sub  agg.Sub

@@ -13,7 +13,7 @@ import (
 // previously grew one entry per message for the lifetime of the node.
 
 func TestRelDoneWindowExactWithinCap(t *testing.T) {
-	w := &relDoneWindow{set: make(map[uint64]struct{})}
+	w := new(relDoneWindow)
 	for id := uint64(1); id <= relDupWindow; id++ {
 		w.add(id)
 	}
@@ -34,7 +34,7 @@ func TestRelDoneWindowExactWithinCap(t *testing.T) {
 }
 
 func TestRelDoneWindowEvictsToFloor(t *testing.T) {
-	w := &relDoneWindow{set: make(map[uint64]struct{})}
+	w := new(relDoneWindow)
 	const n = 3*relDupWindow + 17
 	for id := uint64(1); id <= n; id++ {
 		w.add(id)
@@ -65,7 +65,7 @@ func TestRelDoneWindowOutOfOrderWithinCap(t *testing.T) {
 	// Completions may land out of order within the window of concurrently
 	// in-flight messages; as long as the spread stays below relDupWindow,
 	// no unseen id may be swallowed by the floor.
-	w := &relDoneWindow{set: make(map[uint64]struct{})}
+	w := new(relDoneWindow)
 	for base := uint64(0); base < 2000; base += 8 {
 		for _, off := range []uint64{3, 1, 4, 2, 8, 6, 7, 5} { // ids 1.. in bursts of 8, shuffled
 			w.add(base + off)
@@ -86,7 +86,7 @@ func TestRelDoneWindowOutOfOrderWithinCap(t *testing.T) {
 }
 
 func TestRelDoneWindowDuplicateAddIsIdempotent(t *testing.T) {
-	w := &relDoneWindow{set: make(map[uint64]struct{})}
+	w := new(relDoneWindow)
 	for i := 0; i < 5; i++ {
 		w.add(7)
 	}

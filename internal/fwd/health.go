@@ -66,8 +66,11 @@ func (vc *VirtualChannel) buildHealth() {
 		})
 	}
 	mon.SetProbeSink(func(edge route.Edge) {
-		// Every node of the monitor's topologies has an engine (Build).
-		if !vc.rel[edge.From].hp.q.TrySend(edge) {
+		// Every node of the monitor's topologies has an engine (Build). One
+		// heartbeat can queue a probe per edge leaving it: room for all at once.
+		q := vc.rel[edge.From].hp.q
+		q.Reserve(vc.tp.Degree(edge.From))
+		if !q.TrySend(edge) {
 			// The prober's queue is saturated: count the probe as failed so
 			// the monitor reschedules instead of waiting forever on a request
 			// nobody will perform.
@@ -116,6 +119,7 @@ func (e *relEngine) handleHealth(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	}
 	if pr.Kind == health.ProbeReq {
 		back := in.Channel.Link(e.node.Rank, in.Src.Rank)
+		e.hp.echoQ.Reserve(e.vc.tp.Degree(e.node.Name)) // an echo per edge, as the prober's queue
 		if !e.hp.echoQ.TrySend(healthEcho{link: back, probe: pr.Response()}) {
 			// Backpressure: drop the reply; the prober times out and the
 			// monitor retries on its own schedule.

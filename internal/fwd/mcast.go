@@ -184,7 +184,7 @@ func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
 // re-reads the same blocks), then EndPacking emits one stream per branch of
 // the root's split.
 type mcastPacking struct {
-	gen uint32
+	framingRec[mcastPacking]
 	blockBuf
 	dests []mad.Rank // ascending, deduplicated, root excluded; split in place
 	// mtu is the least path MTU over the destinations, so one fragment size
@@ -250,7 +250,7 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 		root.branches.Add(1)
 	})
 	ds := x.dests[:0]
-	retireBuffered(&x.vc.recs.mcastPacking, x, &x.gen, &x.blockBuf)
+	x.vc.recs.mcastPacking.retireBuffered(x, &x.gen, &x.blockBuf)
 	x.dests = ds
 }
 

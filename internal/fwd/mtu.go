@@ -51,10 +51,7 @@ func SuggestMTU(in, out hw.NICParams, cpu hw.CPUParams) int {
 func SuggestMTUFor(in, out hw.NICParams, cpu hw.CPUParams, messageBytes int) int {
 	best, bestScore := 0, 0.0
 	for s := 4 * 1024; s <= 256*1024; s *= 2 {
-		packets := (messageBytes + s - 1) / s
-		if packets < 1 {
-			packets = 1
-		}
+		packets := max(1, (messageBytes+s-1)/s)
 		fill := stepCost(s, in, false) + cpu.SwapOverhead
 		total := fill + vtime.Duration(packets)*period(s, in, out, cpu)
 		score := float64(messageBytes) / total.Seconds()
@@ -69,10 +66,7 @@ func SuggestMTUFor(in, out hw.NICParams, cpu hw.CPUParams, messageBytes int) int
 func period(s int, in, out hw.NICParams, cpu hw.CPUParams) vtime.Duration {
 	recv := stepCost(s, in, false) + cpu.SwapOverhead
 	send := stepCost(s, out, true) + cpu.SwapOverhead
-	if send > recv {
-		return send
-	}
-	return recv
+	return max(send, recv)
 }
 
 // stepCost is the per-packet cost on one side of the gateway.

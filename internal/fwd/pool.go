@@ -148,38 +148,53 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 // records are the free lists of framing records, one per kind, zero on a list
 // but for their generation, and of held messages, which keep their storage.
 type records struct {
-	bufPacking      freeList[bufPacking]
-	mcastPacking    freeList[mcastPacking]
-	streamPacking   freeList[streamPacking]
-	plainPacking    freeList[plainPacking]
-	aggUnpacking    freeList[aggUnpacking]
-	streamUnpacking freeList[streamUnpacking]
-	stripeUnpacking freeList[stripeUnpacking]
-	plainUnpacking  freeList[plainUnpacking]
-	held            freeList[heldMsg]
+	bufPacking      freeList[bufPacking, *bufPacking]
+	mcastPacking    freeList[mcastPacking, *mcastPacking]
+	streamPacking   freeList[streamPacking, *streamPacking]
+	plainPacking    freeList[plainPacking, *plainPacking]
+	aggUnpacking    freeList[aggUnpacking, *aggUnpacking]
+	streamUnpacking freeList[streamUnpacking, *streamUnpacking]
+	stripeUnpacking freeList[stripeUnpacking, *stripeUnpacking]
+	plainUnpacking  freeList[plainUnpacking, *plainUnpacking]
+	held            freeList[heldMsg, *heldMsg]
 }
 
 // freeList is a LIFO of spare objects of one kind, the one free list of the
 // forwarding layer's records: framing records, a sink's frame records and a
-// reliable engine's bookkeeping.
-type freeList[T any] []*T
+// reliable engine's bookkeeping, chained through the spare each one embeds.
+type freeList[T any, P interface {
+	*T
+	spareLink() **T
+}] struct{ head *T }
+
+// spare links a record to the one behind it on its freeList.
+type spare[T any] struct{ nextSpare *T }
+
+func (s *spare[T]) spareLink() **T { return &s.nextSpare }
+
+// framingRec is a framing record's spare and generation, which outlives each
+// of its messages (retire) to stop a stale handle.
+type framingRec[T any] struct {
+	spare[T]
+	gen uint32
+}
 
 // get returns the object put last, as it was put, or a new one.
-func (l *freeList[T]) get() *T {
-	if n := len(*l); n > 0 {
-		x := (*l)[n-1]
-		*l = (*l)[:n-1]
-		return x
+func (l *freeList[T, P]) get() *T {
+	x := l.head
+	if x == nil {
+		return new(T)
 	}
-	return new(T)
+	l.head, *P(x).spareLink() = *P(x).spareLink(), nil
+	return x
 }
 
 // put keeps an object nothing refers to any more.
-func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
+func (l *freeList[T, P]) put(x *T) { *P(x).spareLink(), l.head = l.head, x }
 
 // retire puts a framing record whose message has ended, zeroed but for its
 // generation gen, on l.
-func (l *freeList[T]) retire(x *T, gen *uint32) {
+func (l *freeList[T, P]) retire(x *T, gen *uint32) {
 	g := *gen
 	*x = *new(T)
 	*gen = g
@@ -188,7 +203,7 @@ func (l *freeList[T]) retire(x *T, gen *uint32) {
 
 // retireBuffered is retire for a record that buffered its blocks in b, whose
 // list's storage, cleared, serves the record's next message.
-func retireBuffered[T any](l *freeList[T], x *T, gen *uint32, b *blockBuf) {
+func (l *freeList[T, P]) retireBuffered(x *T, gen *uint32, b *blockBuf) {
 	blks := b.blks
 	clear(blks)
 	l.retire(x, gen)

@@ -367,6 +367,14 @@ type relAckKey struct {
 	frag   uint32
 }
 
+// relPend is a reverse link's pending hop acks, in first until they outgrow
+// it, and whether a relctl flush is scheduled: one a burst, however long.
+type relPend struct {
+	keys   []relAckKey
+	queued bool
+	first  [8]relAckKey
+}
+
 // relMsgKey identifies one message.
 type relMsgKey struct {
 	origin mad.Rank
@@ -380,6 +388,7 @@ type relMsgKey struct {
 // told apart from the timeouts of earlier uses by the generation it was
 // scheduled under.
 type relAwait struct {
+	spare[relAwait]
 	w      vtime.Waker
 	parked bool // a process is inside await on this slot
 	done   bool
@@ -447,49 +456,41 @@ const (
 // ID is evicted every smaller ID from that origin has long completed —
 // "at or below the floor" is then a sound duplicate verdict. This replaces
 // an ever-growing done map: a long-lived node's bookkeeping stays O(origins
-// × window) no matter how many messages it receives.
+// × window) no matter how many messages it receives: one fixed 4 KiB ring,
+// which a lookup scans unless the ID is past the largest completed.
 type relDoneWindow struct {
-	set      map[uint64]struct{}
-	ring     []uint64
-	head     int // ring[:head] is dead space, compacted when it reaches the cap
+	ring     [relDupWindow]uint64 // ring[:n] are exact; once full, ring[head] is the oldest
+	head, n  int
+	top      uint64 // the largest ID completed
 	floor    uint64
 	hasFloor bool
 }
 
 func (w *relDoneWindow) has(id uint64) bool {
-	if w == nil {
-		return false
-	}
-	if w.hasFloor && id <= w.floor {
-		return true
-	}
-	_, ok := w.set[id]
-	return ok
+	return w != nil && (w.hasFloor && id <= w.floor || id <= w.top && slices.Contains(w.ring[:w.n], id))
 }
 
 func (w *relDoneWindow) add(id uint64) {
-	if _, ok := w.set[id]; ok {
+	if w.has(id) {
 		return
 	}
-	w.set[id] = struct{}{}
-	w.ring = append(w.ring, id)
-	if len(w.ring)-w.head > relDupWindow {
-		old := w.ring[w.head]
-		w.head++
-		delete(w.set, old)
-		if !w.hasFloor || old > w.floor {
-			w.floor, w.hasFloor = old, true
-		}
-		if w.head >= relDupWindow {
-			w.ring = append(w.ring[:0], w.ring[w.head:]...)
-			w.head = 0
-		}
+	w.top = max(w.top, id)
+	if w.n < relDupWindow {
+		w.ring[w.n] = id
+		w.n++
+		return
+	}
+	old := w.ring[w.head]
+	w.ring[w.head] = id
+	w.head = (w.head + 1) % relDupWindow
+	if !w.hasFloor || old > w.floor {
+		w.floor, w.hasFloor = old, true
 	}
 }
 
 // size returns how many IDs the window tracks exactly (a test hook for the
 // memory-growth regression).
-func (w *relDoneWindow) size() int { return len(w.set) }
+func (w *relDoneWindow) size() int { return w.n }
 
 // relEngine is the per-node reliability engine: sequence numbers, awaited
 // acknowledgements, reassembly state, the relay queue and counters. Liveness
@@ -509,10 +510,7 @@ type relEngine struct {
 	// pend accumulates hop acknowledgements per reverse link until a
 	// flush (or the batch cap) drains them into one control datagram —
 	// or a data packet headed the same way piggybacks them first.
-	pend map[*mad.Link][]relAckKey
-	// queued marks links already scheduled for a relctl flush, so one
-	// burst enqueues one flush regardless of its packet count.
-	queued map[*mad.Link]bool
+	pend map[*mad.Link]*relPend
 
 	ctlQ *vsync.Chan[*mad.Link]
 
@@ -536,9 +534,9 @@ type relEngine struct {
 	// Recycled bookkeeping (DESIGN.md §17). Several processes send on one
 	// engine at once — its applications and its send daemons — so these are
 	// free lists, not single scratch slots.
-	awFree    freeList[relAwait] // completion slots
-	burstFree freeList[relBurst] // queued bursts, relay batches attached
-	outFree   freeList[relOut]   // sent messages, packet lists and stripe plans attached
+	awFree    freeList[relAwait, *relAwait] // completion slots
+	burstFree freeList[relBurst, *relBurst] // queued bursts, relay batches attached
+	outFree   freeList[relOut, *relOut]     // sent messages, packet lists and stripe plans attached
 
 	actor string // tracer lane "rel:<node>"
 	// The node's event counts, by the rel* indexes below: what the stats
@@ -627,8 +625,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			e2e:      make(map[relMsgKey]*relAwait),
 			rx:       make(map[relMsgKey]*heldMsg),
 			done:     make(map[mad.Rank]*relDoneWindow),
-			pend:     make(map[*mad.Link][]relAckKey),
-			queued:   make(map[*mad.Link]bool),
+			pend:     make(map[*mad.Link]*relPend),
 			ctlQ:     vsync.NewChan[*mad.Link]("ctlq:"+n.Name, 4096),
 			relayDRR: flow.NewDRR[relayItem](int64(vc.cfg.MTU)),
 			senders:  make(map[relHop]*relSender),
@@ -674,9 +671,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	// every packet.
 	mtu := e.vc.PathMTU(e.node.Name, dst)
 	for _, r := range rails {
-		if m := e.vc.railMTU(r); m < mtu {
-			mtu = m
-		}
+		mtu = min(mtu, e.vc.railMTU(r))
 	}
 
 	// Fragment 0 carries the descriptor, in a pooled buffer this call holds
@@ -813,6 +808,7 @@ func (e *relEngine) nextTimeout(prev vtime.Duration) vtime.Duration {
 // relOut is a message at its origin: its packets, the current attempt's
 // end-to-end ack slot and bursts, and a striped message's split (stripe.go).
 type relOut struct {
+	spare[relOut]
 	id      uint64
 	dst     string
 	final   mad.Rank
@@ -836,6 +832,7 @@ func (e *relEngine) freeOut(m *relOut) {
 // whatever else waits on the daemon, so a relayed burst or an end-to-end ack
 // waits for a relWindow of a message, never for all of it.
 type relBurst struct {
+	spare[relBurst]
 	final mad.Rank
 	ds    []relData // the relWindow being delivered
 	rest  []relData // an origin's packets after ds
@@ -1118,13 +1115,13 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bo
 // datagram. The entries stay in the pending list until the caller has
 // encoded them and calls settlePending — with nothing that parks in between.
 func (e *relEngine) takePiggyback(link *mad.Link) []relAckKey {
-	pend := e.pend[link]
-	if len(pend) == 0 {
+	r := e.pend[link]
+	if r == nil || len(r.keys) == 0 {
 		return nil
 	}
-	n := min(len(pend), relAckBatchMax)
+	n := min(len(r.keys), relAckBatchMax)
 	e.count(relAcksCoalesced, int64(n))
-	return pend[:n]
+	return r.keys[:n]
 }
 
 // settlePending removes the first n pending hop acks of a link, now encoded
@@ -1134,8 +1131,8 @@ func (e *relEngine) settlePending(link *mad.Link, n int) {
 	if n == 0 {
 		return
 	}
-	pend := e.pend[link]
-	e.pend[link] = pend[:copy(pend, pend[n:])]
+	r := e.pend[link]
+	r.keys = r.keys[:copy(r.keys, r.keys[n:])]
 }
 
 // newAwait takes a completion slot off the free list, or makes one.
@@ -1349,7 +1346,12 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		e.vc.release(h)
 		return true
 	}
-	e.markDone(d.src, d.id)
+	w := e.done[d.src] // the origin's, made by its first completed message
+	if w == nil {
+		w = new(relDoneWindow)
+		e.done[d.src] = w
+	}
+	w.add(d.id)
 	e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: len(h.bufs)}, payload)
 	e.vc.merged[e.node.Rank].TrySend(incoming{held: h}) // room checked above
 	e.sendE2E(d.src, d.id)
@@ -1393,17 +1395,6 @@ func completes(h *heldMsg, d *relData) bool {
 	return h.got+1 == len(h.bufs) && int(d.frag) < len(h.bufs) && h.bufs[d.frag] == nil
 }
 
-// markDone records a completed message in the origin's bounded
-// duplicate-suppression window.
-func (e *relEngine) markDone(origin mad.Rank, id uint64) {
-	w := e.done[origin]
-	if w == nil {
-		w = &relDoneWindow{set: make(map[uint64]struct{})}
-		e.done[origin] = w
-	}
-	w.add(id)
-}
-
 // evictOldestRx drops the reassembly state with the smallest (origin, id) —
 // the stalest partial under monotone per-origin IDs. Its origin's
 // end-to-end timeout resends the whole message, so eviction costs
@@ -1433,16 +1424,17 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 // retransmission (always flush-flagged) absorbs it.
 func (e *relEngine) hopAck(in *mad.Link, d *relData) {
 	back := in.Channel.Link(e.node.Rank, in.Src.Rank)
-	e.pend[back] = append(e.pend[back], d.key())
-	if d.flags&relFlagFlush == 0 && len(e.pend[back]) < relAckBatchMax {
+	r := e.pend[back]
+	if r == nil {
+		r = new(relPend)
+		r.keys = r.first[:0]
+		e.pend[back] = r
+	}
+	r.keys = append(r.keys, d.key())
+	if d.flags&relFlagFlush == 0 && len(r.keys) < relAckBatchMax || r.queued {
 		return
 	}
-	if e.queued[back] {
-		return
-	}
-	if e.ctlQ.TrySend(back) {
-		e.queued[back] = true
-	}
+	r.queued = e.ctlQ.TrySend(back)
 }
 
 // sendE2E queues the end-to-end acknowledgement of a fully-received message
@@ -1541,14 +1533,14 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 // polling daemons stay free to drain mailboxes. A link whose batch was
 // already emptied by piggybacking sends nothing.
 func (e *relEngine) flushAcks(p *vtime.Proc, link *mad.Link) {
-	delete(e.queued, link)
+	r := e.pend[link]
+	r.queued = false
 	// Re-read the pending batch before every datagram: the link.Send below
 	// parks, and the polling daemon may append new entries meanwhile.
-	for len(e.pend[link]) > 0 {
-		pend := e.pend[link]
-		n := min(len(pend), relAckBatchMax)
+	for len(r.keys) > 0 {
+		n := min(len(r.keys), relAckBatchMax)
 		pkt := e.vc.bufs.get(relAcksLen(n))
-		putRelAcks(pkt, pend[:n])
+		putRelAcks(pkt, r.keys[:n])
 		e.settlePending(link, n)
 		e.count(relAckPackets, 1)
 		if n > 1 {

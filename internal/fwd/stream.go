@@ -522,7 +522,7 @@ func (b *blockBuf) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMo
 // streamPacking is the sender side of a message that streams as it is packed:
 // the seed framing and the eager one.
 type streamPacking struct {
-	gen uint32
+	framingRec[streamPacking]
 	streamTx
 }
 
@@ -682,6 +682,7 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 // (beginUnpacking). The fields from direct on are a reliable message's; a
 // capture leaves them zero.
 type heldMsg struct {
+	spare[heldMsg]
 	src   mad.Rank
 	mtu   int
 	id    uint64
@@ -817,7 +818,7 @@ func (rx *streamRx) close(p *vtime.Proc) {
 // streamUnpacking is the receiver side of a stream delivered as one message
 // — the seed, eager and multicast framings — and of a message held whole.
 type streamUnpacking struct {
-	gen uint32
+	framingRec[streamUnpacking]
 	streamRx
 }
 

@@ -88,10 +88,7 @@ func computeSpans(total int64, rates []float64, spans []int64) {
 		if r > 0 {
 			acc += r
 		}
-		cut := int64(float64(total)*(acc/sum) + 0.5)
-		if cut > total {
-			cut = total
-		}
+		cut := min(int64(float64(total)*(acc/sum)+0.5), total)
 		if i == len(rates)-1 {
 			cut = total
 		}
@@ -577,7 +574,7 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Ar
 // rail spans dictate, every overlapping rail drained at once, so concurrently
 // arriving rails land in place with zero extra copies.
 type stripeUnpacking struct {
-	gen  uint32
+	framingRec[stripeUnpacking]
 	vc   *VirtualChannel
 	node *mad.Node
 	g    *stripeGroup
@@ -643,14 +640,7 @@ func (su *stripeUnpacking) runRail(p *vtime.Proc, slot int) {
 // block spanning [B0, B1). Pure arithmetic — the allocation-regression test
 // pins the reassembly bookkeeping at zero allocations.
 func railBlockOverlap(h streamHdr, B0, B1 int64) (int64, int64) {
-	lo, hi := h.spanStart, h.spanStart+h.spanLen
-	if B0 > lo {
-		lo = B0
-	}
-	if B1 < hi {
-		hi = B1
-	}
-	return lo, hi
+	return max(h.spanStart, B0), min(h.spanStart+h.spanLen, B1)
 }
 
 func (su *stripeUnpacking) end(p *vtime.Proc) {

@@ -557,9 +557,9 @@ type unpacker interface {
 // the framing interface and a generation; they are reused (records), so
 // opening one allocates nothing beyond the mad object itself.
 type plainPacking struct {
-	gen uint32
-	vc  *VirtualChannel
-	m   *mad.Packing
+	framingRec[plainPacking]
+	vc *VirtualChannel
+	m  *mad.Packing
 }
 
 func (x *plainPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
@@ -572,9 +572,9 @@ func (x *plainPacking) end(p *vtime.Proc) {
 }
 
 type plainUnpacking struct {
-	gen uint32
-	vc  *VirtualChannel
-	m   *mad.Unpacking
+	framingRec[plainUnpacking]
+	vc *VirtualChannel
+	m  *mad.Unpacking
 }
 
 func (x *plainUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
@@ -683,7 +683,7 @@ func (vc *VirtualChannel) buffers(src, dst string) (whole bool, rails int) {
 // does not buffer spills to the single-rail stream mid-Pack, keeping its
 // fragment-level pipelining through the gateways.
 type bufPacking struct {
-	gen uint32
+	framingRec[bufPacking]
 	blockBuf
 	dst      string
 	coalesce bool   // offered to the coalescer at EndPacking
@@ -713,7 +713,7 @@ func (bp *bufPacking) end(p *vtime.Proc) {
 	default:
 		bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, nil)
 	}
-	retireBuffered(&bp.vc.recs.bufPacking, bp, &bp.gen, &bp.blockBuf)
+	bp.vc.recs.bufPacking.retireBuffered(bp, &bp.gen, &bp.blockBuf)
 }
 
 // sendBuffered is the one place that decides how a message buffered whole

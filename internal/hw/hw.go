@@ -486,13 +486,14 @@ func (n *Network) sortedWires() []*fluid.Resource {
 }
 
 // Wire returns the cable resource for the directed pair (from, to),
-// creating it on first use: when the first link between the two on any
-// channel of the network is brought up. A wire costs its name,
-// "wire:<net>:<from>-><to>", and its share of a batch: records are allocated
-// as many at a time as the network has wires so far, up to 64, so n wires
-// take about 6 + n/64 allocations and leave fewer than min(n, 64) records
-// spare.
-func (n *Network) Wire(from, to string) *fluid.Resource {
+// creating it, named name, on first use: when the first link between the two
+// on any channel of the network is brought up. The caller builds the name,
+// "wire:<net>:<from>-><to>", in one string with its link's other names; a
+// wire that exists already ignores it. A wire costs its share of a batch:
+// records are allocated as many at a time as the network has wires so far, up
+// to 64, so n wires take about 6 + n/64 allocations and leave fewer than
+// min(n, 64) records spare.
+func (n *Network) Wire(from, to, name string) *fluid.Resource {
 	key := [2]string{from, to}
 	if w, ok := n.wires[key]; ok {
 		return w
@@ -502,7 +503,7 @@ func (n *Network) Wire(from, to string) *fluid.Resource {
 	}
 	w := &n.spare[0]
 	n.spare = n.spare[1:]
-	n.platform.Engine.InitResource(w, "wire:"+n.Name+":"+from+"->"+to, n.NIC.WireRate, nil)
+	n.platform.Engine.InitResource(w, name, n.NIC.WireRate, nil)
 	n.wires[key] = w
 	return w
 }

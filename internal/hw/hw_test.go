@@ -94,12 +94,15 @@ func TestPCIPolicyHalvesPIOUnderDMA(t *testing.T) {
 func TestWireIsPerDirectedPair(t *testing.T) {
 	pl := NewPlatform(vtime.New())
 	n := pl.NewNetwork("myri0", Myrinet())
-	ab := n.Wire("a", "b")
-	if n.Wire("a", "b") != ab {
+	ab := n.Wire("a", "b", "wire:myri0:a->b")
+	if n.Wire("a", "b", "a name a cached wire ignores") != ab {
 		t.Error("wire not cached")
 	}
-	if n.Wire("b", "a") == ab {
+	if n.Wire("b", "a", "wire:myri0:b->a") == ab {
 		t.Error("directions must not share a wire")
+	}
+	if ab.Name() != "wire:myri0:a->b" {
+		t.Errorf("name = %q, want the first caller's", ab.Name())
 	}
 	if ab.Capacity() != Myrinet().WireRate {
 		t.Errorf("capacity = %v", ab.Capacity())

@@ -195,7 +195,7 @@ type Link struct {
 
 	// Constants of the link, built once when the link is: what every Send
 	// would otherwise format and allocate anew. The flow name is the tail of
-	// the mailbox's, so the two names cost one string.
+	// the mailbox's, which follows the wire's in one string (newLink).
 	flowName string       // fluid.Spec name of the link's transfers
 	route    [3]fluid.Hop // sender bus → wire → receiver bus
 
@@ -221,6 +221,10 @@ type Link struct {
 	// The mailbox's first slots: a link whose receiver keeps up holds at
 	// most a few transmissions there.
 	mboxSlots [4]*transmission
+
+	// slots is the driver memory receives copied a transmission out of, for
+	// the next one that lands there (snapshot).
+	slots [][]byte
 }
 
 // newLink brings up the connection src→dst, the channel's link number num.
@@ -229,14 +233,19 @@ type Link struct {
 // network shares.
 func newLink(ch *Channel, src, dst *Node, num uint64) *Link {
 	nic := &ch.nic
-	mbox := "mbox:" + ch.Name + ":" + src.Name + "->" + dst.Name
+	// One string holds the wire's name and then the mailbox's, whose tail is
+	// the flow's.
+	names := "wire:" + ch.net.Name + ":" + src.Name + "->" + dst.Name +
+		"mbox:" + ch.Name + ":" + src.Name + "->" + dst.Name
+	at := len("wire:") + len(ch.net.Name) + len(":") + len(src.Name) + len("->") + len(dst.Name)
+	mbox := names[at:]
 	l := &Link{
 		Channel: ch,
 		Src:     src,
 		Dst:     dst,
 		drv:     ch.drv,
 		nic:     nic,
-		wire:    ch.net.Wire(src.Name, dst.Name),
+		wire:    ch.net.Wire(src.Name, dst.Name, names[:at]),
 		num:     num,
 
 		flowName: mbox[len("mbox:"):],
@@ -488,7 +497,7 @@ func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
 	if g := tx.granted; g != nil && g.dst != nil {
 		l.place(g, tx.payload)
 	} else {
-		tx.slot = landed(tx)
+		tx.slot = l.landed(tx)
 	}
 	tx.dataReady = true
 	l.onTheWire(wireEvent{tx: tx, complete: true})
@@ -505,9 +514,19 @@ func (l *Link) place(g *postedRecv, payload []byte) {
 	g.placed = true
 }
 
-// snapshot copies payload into fresh driver memory; it models the NIC
-// writing into protocol-owned buffers, so it charges no CPU time.
-func snapshot(payload []byte) []byte {
+// snapshot copies payload into driver memory; it models the NIC writing
+// into protocol-owned buffers, so it charges no CPU time. The memory is the
+// slot a receive copied out last (RecvIntoSpent), or new where that has less
+// room and is dropped; an empty payload lands in none, as the receive tells
+// by a nil slot.
+func (l *Link) snapshot(payload []byte) []byte {
+	if n := len(l.slots); n > 0 && len(payload) > 0 {
+		slot := l.slots[n-1]
+		l.slots = l.slots[:n-1]
+		if cap(slot) >= len(payload) {
+			return append(slot[:0], payload...)
+		}
+	}
 	return append([]byte(nil), payload...)
 }
 
@@ -515,11 +534,11 @@ func snapshot(payload []byte) []byte {
 // destination to be placed in. An Owned payload is handed over as it is:
 // same bytes, no copy, and from here on the receiver's. Any other is memory
 // its sender goes on using, so it is copied into driver memory.
-func landed(tx *transmission) []byte {
+func (l *Link) landed(tx *transmission) []byte {
 	if tx.meta.Owned {
 		return tx.payload
 	}
-	return snapshot(tx.payload)
+	return l.snapshot(tx.payload)
 }
 
 // deliver runs in scheduler context when a transmission (or rendezvous
@@ -543,7 +562,7 @@ func (l *Link) deliver(tx *transmission) {
 				// own slots; the posted receiver pays the copy
 				// out — the unavoidable copy of §2.3 when both
 				// gateway sides are static.
-				tx.slot = landed(tx)
+				tx.slot = l.landed(tx)
 				applyCorruption(tx.slot, tx)
 			}
 			l.releaseCredit(tx)
@@ -554,7 +573,7 @@ func (l *Link) deliver(tx *transmission) {
 		return
 	}
 	if !tx.rendezvous {
-		tx.slot = landed(tx)
+		tx.slot = l.landed(tx)
 		applyCorruption(tx.slot, tx)
 		tx.dataReady = true
 	}
@@ -620,6 +639,9 @@ func (l *Link) RecvIntoSpent(p *vtime.Proc, dst []byte) (meta TxMeta, n int, spe
 		}
 		l.Dst.Host.Memcpy(p, n)
 		copy(dst, tx.slot)
+		if !tx.meta.Owned {
+			l.slots = append(l.slots, tx.slot) // driver memory, emptied
+		}
 	} else if tx.slot != nil && tx.granted != nil && tx.granted.dst == nil {
 		panic("mad: rendezvous slot delivery on RecvInto path")
 	}

@@ -2,6 +2,7 @@ package mad_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"madgo/internal/drivers/loopback"
@@ -416,5 +417,58 @@ func TestLinkReliableDropKeepsBuffer(t *testing.T) {
 	}
 	if ab.TryRecvReady() {
 		t.Fatal("a dropped datagram arrived")
+	}
+}
+
+// TestLandedSlotIsReused: the driver memory a late receive copies a transfer
+// out of takes the next transfer that lands on the link, so a warm link's
+// landed transfers allocate nothing; an empty transfer still lands in no
+// memory and is charged no copy, whatever memory the link keeps. 300 rounds,
+// every third transfer empty, the receive posted 50 µs after each send.
+func TestLandedSlotIsReused(t *testing.T) {
+	const warm, rounds = 30, 300
+	sim, ab, _, sess := rawPair(loopback.New())
+	data := bytes.Repeat([]byte{7}, 20)
+	got := make([]byte, len(data))
+	full := mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: len(data)}}}
+	empty := mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: 0}}}
+	// Round i starts at i × 100 µs: the send then, the receive 50 µs later.
+	at := func(i int, d vtime.Duration) vtime.Time {
+		return vtime.Time(0).Add(vtime.Duration(i)*100*vtime.Microsecond + d)
+	}
+	sim.Spawn("send", func(p *vtime.Proc) {
+		for i := 0; i < warm+rounds; i++ {
+			p.Sleep(at(i, 0).Sub(p.Now()))
+			if i%3 == 2 {
+				ab.Send(p, empty, nil)
+			} else {
+				ab.Send(p, full, data)
+			}
+		}
+	})
+	var m0, m1 runtime.MemStats
+	var copies0 int64
+	sim.Spawn("recv", func(p *vtime.Proc) {
+		for i := 0; i < warm+rounds; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&m0)
+				copies0, _ = sess.Copies()
+			}
+			p.Sleep(at(i, 50*vtime.Microsecond).Sub(p.Now()))
+			clear(got)
+			if _, n, _ := ab.RecvIntoSpent(p, got); i%3 != 2 && (n != len(data) || !bytes.Equal(got, data)) {
+				t.Fatalf("transfer %d: got %d bytes %v", i, n, got)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if copies, _ := sess.Copies(); copies-copies0 != 2*rounds/3 {
+		t.Errorf("%d copies charged for %d landed transfers, %d of them empty; want %d", copies-copies0, rounds, rounds/3, 2*rounds/3)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs >= rounds/20 {
+		t.Errorf("%d landed transfers on a warm link allocate %d times, want 0 (amortised)", rounds, allocs)
 	}
 }

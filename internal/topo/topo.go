@@ -255,6 +255,18 @@ func (t *Topology) Neighbors(name string) []Neighbor {
 	return t.adj[name]
 }
 
+// Degree returns how many legs leave the named node, len(Neighbors(name)),
+// without building the neighbour lists.
+func (t *Topology) Degree(name string) int {
+	n := 0
+	if node, ok := t.nodes[name]; ok {
+		for _, nw := range node.Networks {
+			n += len(t.networks[nw].Members) - 1
+		}
+	}
+	return n
+}
+
 // Network looks up a network by name.
 func (t *Topology) Network(name string) (*Network, bool) {
 	n, ok := t.networks[name]

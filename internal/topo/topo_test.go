@@ -211,3 +211,29 @@ func TestParseFaultErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDegreeCountsNeighbors holds Degree to the length of the neighbour list
+// it stands in for, on a node of one network, a gateway of two and a node
+// the topology does not have.
+func TestDegreeCountsNeighbors(t *testing.T) {
+	tp, err := Parse(`network sci0 sci
+network myri0 myrinet
+node a sci0
+node b sci0
+node gw sci0 myri0
+node c myri0
+node d myri0
+node e myri0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "gw", "c", "nobody"} {
+		if got, want := tp.Degree(name), len(tp.Neighbors(name)); got != want {
+			t.Errorf("Degree(%s) = %d, want %d", name, got, want)
+		}
+	}
+	if got := tp.Degree("gw"); got != 5 {
+		t.Errorf("Degree(gw) = %d, want 5", got)
+	}
+}

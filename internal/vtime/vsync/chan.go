@@ -2,6 +2,7 @@ package vsync
 
 import (
 	"math"
+	"slices"
 
 	"madgo/internal/vtime"
 )
@@ -47,6 +48,16 @@ func (c *Chan[T]) Init(name string, capacity int, buf []T) {
 		panic("vsync: negative channel capacity")
 	}
 	*c = Chan[T]{name: name, cap: capacity, buf: buf}
+}
+
+// Reserve makes room in the buffer for n values, or for as many as the
+// channel holds if that is fewer, in one allocation: a channel that is known
+// to buffer up to n values at once then does not grow step by step as it
+// fills. It changes nothing else.
+func (c *Chan[T]) Reserve(n int) {
+	if n = min(n, c.cap); cap(c.buf) < n {
+		c.buf = slices.Grow(c.buf, n-len(c.buf))
+	}
 }
 
 // Send enqueues v, blocking while the channel is full. Sending on a closed

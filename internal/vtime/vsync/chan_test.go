@@ -305,3 +305,31 @@ func TestChanUnboundedInitNeverBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestChanReserve makes room for a channel's values before they come: the
+// value already buffered stays first, filling the channel to its capacity
+// then allocates nothing, and no room is made past the capacity.
+func TestChanReserve(t *testing.T) {
+	c := NewChan[int]("r", 3)
+	c.TrySend(7)
+	c.Reserve(64)
+	if cap(c.buf) < 3 || cap(c.buf) >= 64 {
+		t.Fatalf("room for %d values, want 3 up to its size class", cap(c.buf))
+	}
+	if v, _ := c.TryRecv(); v != 7 {
+		t.Fatalf("first value %d, want 7", v)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for v := 0; v < 3; v++ {
+			c.TrySend(v)
+		}
+		for v := 0; v < 3; v++ {
+			if got, _ := c.TryRecv(); got != v {
+				t.Fatalf("took %d, want %d", got, v)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("filling a reserved channel allocates %.1f times, want 0", allocs)
+	}
+}

@@ -14,33 +14,44 @@ import (
 // waitRec is one parked process in a primitive's queue, with whatever the
 // primitive keeps per waiter (a semaphore's permit count, a channel's value
 // in transit). It embeds the Waker the process parks on, so a record must
-// keep its address while queued: queues hold pointers.
+// keep its address while queued: queues hold pointers. next links it to the
+// record behind it, in the queue or in the free list, whichever holds it.
 type waitRec[T any] struct {
-	w vtime.Waker
-	v T
+	w    vtime.Waker
+	v    T
+	next *waitRec[T]
 }
 
 // waitList is the FIFO of parked processes behind every primitive in this
-// package. Records are recycled: the waiter puts its record back once it has
-// resumed and read what the waker left in it, so in steady state blocking
-// allocates nothing.
+// package. The queue and the free list are chains through the records' next
+// fields, so a primitive's waiters cost their records and nothing else, and
+// the list itself no storage. Records are recycled: the waiter puts its
+// record back once it has resumed and read what the waker left in it, so in
+// steady state blocking allocates nothing.
 type waitList[T any] struct {
-	q    []*waitRec[T]
-	free []*waitRec[T]
+	head, tail *waitRec[T] // the queue, longest-waiting first
+	free       *waitRec[T] // records whose waiters have resumed
+	n          int         // records queued
 }
 
 // enqueue arms a record for p and appends it; the caller then parks on
 // rec.w and, once resumed, hands the record back with release.
 func (l *waitList[T]) enqueue(p *vtime.Proc, reason, subject string, v T) *waitRec[T] {
-	var r *waitRec[T]
-	if n := len(l.free); n > 0 {
-		r, l.free = l.free[n-1], l.free[:n-1]
+	r := l.free
+	if r != nil {
+		l.free, r.next = r.next, nil
 	} else {
 		r = new(waitRec[T])
 	}
 	p.InitBlocker(&r.w, reason, subject)
 	r.v = v
-	l.q = append(l.q, r)
+	if l.tail == nil {
+		l.head = r
+	} else {
+		l.tail.next = r
+	}
+	l.tail = r
+	l.n++
 	return r
 }
 
@@ -48,13 +59,15 @@ func (l *waitList[T]) enqueue(p *vtime.Proc, reason, subject string, v T) *waitR
 // waker's side never releases it: the record belongs to its waiter until
 // that process has resumed.
 func (l *waitList[T]) dequeue() *waitRec[T] {
-	if len(l.q) == 0 {
+	r := l.head
+	if r == nil {
 		return nil
 	}
-	r := l.q[0]
-	n := copy(l.q, l.q[1:])
-	l.q[n] = nil
-	l.q = l.q[:n]
+	l.head, r.next = r.next, nil
+	if l.head == nil {
+		l.tail = nil
+	}
+	l.n--
 	return r
 }
 
@@ -62,10 +75,10 @@ func (l *waitList[T]) dequeue() *waitRec[T] {
 func (l *waitList[T]) release(r *waitRec[T]) {
 	var zero T
 	r.v = zero
-	l.free = append(l.free, r)
+	r.next, l.free = l.free, r
 }
 
-func (l *waitList[T]) len() int { return len(l.q) }
+func (l *waitList[T]) len() int { return l.n }
 
 // Mutex is a FIFO mutual-exclusion lock for simulation processes. The zero
 // value is an unlocked mutex.
@@ -195,8 +208,8 @@ func (s *Sem) Release(n int) {
 		panic("vsync: Release with negative count")
 	}
 	s.permits += n
-	for s.waiters.len() > 0 && s.permits >= s.waiters.q[0].v {
-		r := s.waiters.dequeue()
+	for r := s.waiters.head; r != nil && s.permits >= r.v; r = s.waiters.head {
+		s.waiters.dequeue()
 		s.permits -= r.v
 		r.w.Wake()
 	}
