@@ -21,6 +21,24 @@ node gw sci0 myri0
 node b myri0
 `
 
+// dualRailTopo joins a and b by both high-speed networks: two direct rails.
+const dualRailTopo = `network myri0 myrinet
+network sci0 sci
+node a myri0 sci0
+node b myri0 sci0
+`
+
+// diamondTopo gives a → b two rails, each through a gateway of its own.
+const diamondTopo = `network m1 myrinet
+network m2 myrinet
+network s1 sci
+network s2 sci
+node a m1 s1
+node g1 m1 m2
+node g2 s1 s2
+node b m2 s2
+`
+
 // incastTopo is the incast64 star: senders s00.. on one edge network, one
 // gateway, the sink alone on the core network behind it.
 func incastTopo(senders int) string {
@@ -510,7 +528,7 @@ func TestMiceObservedAllocBudget(t *testing.T) {
 func TestMessageHandlesAllocsNothing(t *testing.T) {
 	const msgs = 1000
 	tx := make([]byte, 64)
-	allocs := warmAllocs(t, 8000, msgs, [][]byte{tx}, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation())
+	allocs := warmAllocs(t, chainTopo, 8000, msgs, [][]byte{tx}, madeleine.WithEagerSmallMessages(), madeleine.WithAggregation())
 	perMsg := float64(allocs) / msgs
 	t.Logf("%d messages on a warm system: %d allocations, %.3f a message", msgs, allocs, perMsg)
 	if perMsg >= 0.05 {
@@ -534,26 +552,36 @@ func TestMessageHandlesAllocsNothing(t *testing.T) {
 // keeps its block list's storage: four blocks read 2.006 allocations a message
 // when it was dropped. A fragment that lands in driver memory does so in the
 // slot the link's last copied-out receive emptied: the 8 KiB messages read
-// 1.000 allocations a message while every one took fresh memory.
+// 1.000 allocations a message while every one took fresh memory. The striped
+// rows send 128 KiB over a dual-rail pair and 2 × 64 KiB through the two
+// gateways of a diamond under WithStriping(2): the sender's record holds the
+// rails and their split, the sink's one record a stream a rail, and each side
+// takes a crew of rail daemons off its node's free list, so they read nothing
+// either; both read 15.0 while the split, the rails' readers and the crew's
+// variable were built per message.
 func TestStreamMessagesAllocsNothing(t *testing.T) {
+	striped := []madeleine.Option{madeleine.WithPaperFidelity(), madeleine.WithStriping(2)}
 	for _, c := range []struct {
 		name        string
+		topo        string
 		warm, msgs  int
 		blocks, per int
 		opts        []madeleine.Option
 	}{
-		{"seed-64KiB-2blocks", 200, 200, 2, 32 << 10, []madeleine.Option{madeleine.WithPaperFidelity()}},
-		{"eager-1KiB-glued", 2000, 1000, 1, 1 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(1<<10 + 20)}},
-		{"eager-8KiB-header-alone", 2000, 1000, 1, 8 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(8 << 10)}},
-		{"eager-4x1KiB-coalesced", 2000, 1000, 4, 1 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages()}},
-		{"eager-8KiB-at-4KiB-MTU", 2000, 1000, 1, 8 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(4 << 10)}},
+		{"seed-64KiB-2blocks", chainTopo, 200, 200, 2, 32 << 10, []madeleine.Option{madeleine.WithPaperFidelity()}},
+		{"eager-1KiB-glued", chainTopo, 2000, 1000, 1, 1 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(1<<10 + 20)}},
+		{"eager-8KiB-header-alone", chainTopo, 2000, 1000, 1, 8 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(8 << 10)}},
+		{"eager-4x1KiB-coalesced", chainTopo, 2000, 1000, 4, 1 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages()}},
+		{"eager-8KiB-at-4KiB-MTU", chainTopo, 2000, 1000, 1, 8 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(4 << 10)}},
+		{"striped-128KiB-dual-rail", dualRailTopo, 200, 500, 1, 128 << 10, striped},
+		{"striped-2x64KiB-diamond", diamondTopo, 200, 500, 2, 64 << 10, striped},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			blocks := make([][]byte, c.blocks)
 			for i := range blocks {
 				blocks[i] = make([]byte, c.per)
 			}
-			allocs := warmAllocs(t, c.warm, c.msgs, blocks, c.opts...)
+			allocs := warmAllocs(t, c.topo, c.warm, c.msgs, blocks, c.opts...)
 			perMsg := float64(allocs) / float64(c.msgs)
 			t.Logf("%d messages on a warm system: %d allocations, %.3f a message", c.msgs, allocs, perMsg)
 			if perMsg >= 0.05 {
@@ -564,7 +592,7 @@ func TestStreamMessagesAllocsNothing(t *testing.T) {
 }
 
 // warmAllocs sends warm+msgs messages of blocks from a to b on a system of
-// chainTopo built with opts, driving the facade the way the benchmark's
+// topo built with opts, driving the facade the way the benchmark's
 // harness does — BeginPacking, Pack and EndPacking on one process,
 // BeginUnpacking, Unpack and EndUnpacking on another, in the bodies of the
 // spawned functions — and returns what the last msgs allocated. The receiver
@@ -573,9 +601,9 @@ func TestStreamMessagesAllocsNothing(t *testing.T) {
 // last message; the sender waits for the first reading before it sends the
 // msgs, so both sides of each are counted and what the kernel costs to start
 // and stop a run is not. Every message must arrive byte-exact.
-func warmAllocs(t *testing.T, warm, msgs int, blocks [][]byte, opts ...madeleine.Option) uint64 {
+func warmAllocs(t *testing.T, topo string, warm, msgs int, blocks [][]byte, opts ...madeleine.Option) uint64 {
 	t.Helper()
-	sys, err := madeleine.NewSystem(chainTopo, opts...)
+	sys, err := madeleine.NewSystem(topo, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,11 +174,12 @@ type aggCoalescer struct {
 	ids     []uint64
 	scratch []agg.Block
 
-	// body is the frame on its way as the one block its transport sends, here
-	// so that a flush allocates none, wire the buffer it lies in behind the
-	// GTM header room.
+	// out is the frame on its way as the one message its transport sends, a
+	// record of the coalescer's own, and body its one block, which lies in
+	// out.wire behind the GTM header room: here so that a flush takes and
+	// allocates nothing.
+	out  gtmPacking
 	body [1]relBlock
-	wire []byte
 
 	// The coalescer's counts and wait histogram handle, labelled {node} — a
 	// series sums the node's coalescers — the frame counts also by reason.
@@ -218,6 +219,7 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		fr: vc.flightRing(node.Name),
 	}
 	c.cond.L = &c.mu
+	c.out.vc, c.out.node, c.out.dst, c.out.blks = vc, node, dst, c.body[:]
 	st.co[key] = c
 	vc.sess.Platform.Instrument(c)
 	vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("agg-flush:%s>%s", node.Name, dst), c.run)
@@ -250,11 +252,12 @@ func outgrowsFrame(n, total, mtu int) bool {
 
 // add coalesces one finished message (or, when it cannot fit even an empty
 // frame, sends it the ordinary way behind what is queued). Called from
-// bufPacking.end on the application's process.
-func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
+// gtmPacking.end on the application's process.
+func (c *aggCoalescer) add(p *vtime.Proc, x *gtmPacking) {
+	id, blocks, total := x.id, x.blks, x.total
 	if outgrowsFrame(len(blocks), total, c.mtu) {
 		c.goAround(p, 1)
-		c.vc.sendBuffered(p, c.node, c.dst, id, blocks, total, nil)
+		c.vc.sendBuffered(p, x)
 		return
 	}
 	c.mu.Lock(p)
@@ -331,28 +334,29 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string, frames *obs.Counter) 
 	// untouched while it travels, and the add()-time pack remains the path's
 	// only copy. Senders pack the next frame, in a buffer of its own, while
 	// this one is on the wire.
-	c.wire = c.b.Detach()
+	x := &c.out
+	x.id, x.total, x.wire = frameID, flen, c.b.Detach()
 	c.busy, c.full = true, false
 	c.cond.Broadcast()
 	c.mu.Unlock(p)
-	c.body[0] = relBlock{data: c.wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
-	vc.sendBuffered(p, c.node, c.dst, frameID, c.body[:], flen, c)
+	c.body[0] = relBlock{data: x.wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
+	vc.sendBuffered(p, x)
 	c.mu.Lock(p)
 	c.busy = false
 	c.cond.Broadcast()
 }
 
-// spill switches a message for the coalescer that outgrew the frame budget
-// onto the single-rail stream: what its sender coalesced goes first
-// (ordering), then the buffered blocks and later packs stream on.
-// Pairs that buffer (buffers) bypass in add() instead.
-func (bp *bufPacking) spill(p *vtime.Proc) {
-	vc := bp.vc
-	vc.aggCoalescer(bp.node, bp.dst).goAround(p, 1)
-	hop, link := vc.firstHop(bp.node, bp.dst)
-	vc.hop(p, bp.id, bp.node.Name, "pack",
-		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: bp.dst, Net: hop.Network}, bp.total)
-	bp.spilled = vc.openSingleRail(p, bp.node, bp.dst, hop, link, bp.id, bp.blks)
+// spill turns a message for the coalescer that outgrew the frame budget into
+// a stream, in place: what its sender coalesced goes first (ordering), then
+// the buffered blocks and later packs stream on. Pairs that buffer (buffers)
+// bypass in add() instead.
+func (x *gtmPacking) spill(p *vtime.Proc) {
+	vc := x.vc
+	vc.aggCoalescer(x.node, x.dst).goAround(p, 1)
+	hop, link := vc.firstHop(x.node, x.dst)
+	vc.hop(p, x.id, x.node.Name, "pack",
+		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: x.dst, Net: hop.Network}, x.total)
+	x.stream(p, link)
 }
 
 // aggPop returns the next sub-message of the frames the sink is draining, and
@@ -374,16 +378,14 @@ func (vc *VirtualChannel) aggPop(rank mad.Rank) (*aggRx, agg.Sub, bool) {
 // aggDecodeStriped reassembles a striped aggregate frame (flagAgg) into
 // a buffer of the wire pool, and queues its sub-messages. Every rail is in, so
 // the sender's frame, which they sent by reference, goes back to the pool.
-func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, g *stripeGroup) {
-	su := vc.recs.stripeUnpacking.get()
-	su.vc, su.node, su.g = vc, node, g
-	from := su.from()
-	frame := vc.bufs.get(int(g.total))
-	su.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
-	su.end(p)
-	vc.bufs.put(vc.aggst.striped[g.key.id])
-	delete(vc.aggst.striped, g.key.id)
-	vc.aggQueue(node.Rank, vc.aggOpen(from, frame, frame, nil))
+func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, u *streamUnpacking) {
+	h := u.rails[0].h
+	frame := vc.bufs.get(int(h.total))
+	u.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
+	u.end(p)
+	vc.bufs.put(vc.aggst.striped[h.id])
+	delete(vc.aggst.striped, h.id)
+	vc.aggQueue(node.Rank, vc.aggOpen(h.src, frame, frame, nil))
 }
 
 // aggDecodeReliable reconstructs an aggregate frame from a reassembled

@@ -2,6 +2,7 @@ package fwd_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -37,7 +38,11 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 // alone (eager). The multicast row sends to two destinations through the
 // gateway, and each checks its Unpacking handles the same way; the two share
 // the channel's free list, so a destination's second message may be served
-// by the record of the other's first.
+// by the record of the other's first. In the last two rows the second message
+// takes another framing than the first, and the one GTM record at each end
+// serves both: a multicast to b1 alone, then a unicast stream to it; a striped
+// message through the diamond's two gateways, then one below the stripe
+// threshold, which streams through one of them.
 func TestStaleHandlePanics(t *testing.T) {
 	aggregated := fwd.DefaultConfig()
 	aggregated.Eager = true
@@ -51,19 +56,26 @@ func TestStaleHandlePanics(t *testing.T) {
 		src, dst string
 		size     int
 		also     []string // the multicast's other destinations; nil for a unicast row
+		// The second message: its size when it differs (0: size), and
+		// whether it is a unicast message after a multicast.
+		nextSize    int
+		nextUnicast bool
 	}{
-		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64, nil},
-		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64, nil},
-		{"seed", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, nil},
-		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 4096 - 20, nil},
-		{"eager", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 8 << 10, nil},
-		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10, nil},
-		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64, nil},
-		{"multicast", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, []string{"b0"}},
+		{"aggregated", func(t *testing.T) *world { return build(t, paperHS(t), aggregated) }, "a0", "b1", 64, nil, 0, false},
+		{"reliable", func(t *testing.T) *world { return build(t, paperHS(t), reliable) }, "a0", "b1", 64, nil, 0, false},
+		{"seed", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, nil, 0, false},
+		{"streamed", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 4096 - 20, nil, 0, false},
+		{"eager", func(t *testing.T) *world { return build(t, paperHS(t), eager) }, "a0", "b1", 8 << 10, nil, 0, false},
+		{"striped", func(t *testing.T) *world { return build(t, dualRail(t), stripeCfg(2)) }, "a", "b", 128 << 10, nil, 0, false},
+		{"direct", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "a1", 64, nil, 0, false},
+		{"multicast", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, []string{"b0"}, 0, false},
+		{"multicast then stream", func(t *testing.T) *world { return build(t, paperHS(t), fwd.DefaultConfig()) }, "a0", "b1", 64, []string{}, 0, true},
+		{"striped then below threshold", func(t *testing.T) *world { return build(t, diamond(t), stripeCfg(2)) }, "a", "b", 128 << 10, nil, 4 << 10, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := c.world(t)
-			first, second := pattern(c.size, 1), pattern(c.size, 2)
+			nextSize := cmp.Or(c.nextSize, c.size)
+			first, second := pattern(c.size, 1), pattern(nextSize, 2)
 			stalePacking := func(p *vtime.Proc, px *fwd.Packing, when string) {
 				mustPanic(t, "Pack after EndPacking, "+when, "fwd: Pack after EndPacking", func() {
 					px.Pack(p, first, mad.SendCheaper, mad.ReceiveCheaper)
@@ -76,21 +88,21 @@ func TestStaleHandlePanics(t *testing.T) {
 				})
 				mustPanic(t, "double EndUnpacking, "+when, "fwd: double EndUnpacking", func() { u.EndUnpacking(p) })
 			}
-			begin := func(p *vtime.Proc, ep *fwd.Endpoint) *fwd.Packing {
-				if c.also != nil {
+			begin := func(p *vtime.Proc, ep *fwd.Endpoint, unicast bool) *fwd.Packing {
+				if c.also != nil && !unicast {
 					return ep.BeginMulticast(p, append([]string{c.dst}, c.also...)...)
 				}
 				return ep.BeginPacking(p, c.dst)
 			}
 			w.sim.Spawn("send", func(p *vtime.Proc) {
 				ep := w.vc.At(c.src)
-				px := begin(p, ep)
+				px := begin(p, ep, false)
 				px.Pack(p, first, mad.SendCheaper, mad.ReceiveCheaper)
 				copied := *px
 				px.EndPacking(p)
 				stalePacking(p, px, "idle")
 				stalePacking(p, &copied, "a copy")
-				next := begin(p, ep)
+				next := begin(p, ep, c.nextUnicast)
 				if !fwd.SharesRecord(px, next) {
 					t.Error("the second message's sender did not reuse the first one's record")
 				}
@@ -118,7 +130,7 @@ func TestStaleHandlePanics(t *testing.T) {
 						t.Error("the second message's receiver did not reuse a first one's record")
 					}
 					staleUnpacking(p, u, "reused")
-					clear(got)
+					got = make([]byte, nextSize)
 					next.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
 					next.EndUnpacking(p)
 					if !bytes.Equal(got, second) {

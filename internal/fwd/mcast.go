@@ -179,19 +179,6 @@ func (vc *VirtualChannel) mcastRoot(node string) *mcastRoot {
 	return r
 }
 
-// mcastPacking is the sender side: blocks are buffered (multicast framing
-// needs the total size to pick compact vs streaming, and every branch
-// re-reads the same blocks), then EndPacking emits one stream per branch of
-// the root's split.
-type mcastPacking struct {
-	framingRec[mcastPacking]
-	blockBuf
-	dests []mad.Rank // ascending, deduplicated, root excluded; split in place
-	// mtu is the least path MTU over the destinations, so one fragment size
-	// fits every subtree — §2.3's connexion-MTU rule extended to trees.
-	mtu int
-}
-
 // BeginMulticast starts a message to every named destination at once; the
 // message is delivered byte-identically to each, replicated inside the
 // network by the gateways on its routes rather than by repeated
@@ -209,7 +196,9 @@ func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 	if !vc.CanMulticast() {
 		panic("fwd: BeginMulticast requires streaming mode (Reliable is set)")
 	}
-	x := vc.recs.mcastPacking.get()
+	// The blocks are buffered: the multicast framing needs the total size to
+	// pick compact vs streaming, and every branch re-reads the same blocks.
+	x := vc.recs.gtmPacking.get()
 	ds, mtu := x.dests[:0], vc.cfg.MTU
 	for _, d := range dests {
 		n, ok := vc.nodes[d]
@@ -225,17 +214,17 @@ func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 	if ds = slices.Compact(ds); len(ds) == 0 {
 		panic("fwd: multicast without destinations on " + e.node.Name)
 	}
-	vc.buffer(&x.blockBuf, e.node)
-	x.dests, x.mtu, x.cost = ds, mtu, 0
+	x.vc, x.node, x.id = vc, e.node, vc.nextMsgID()
+	x.dests, x.mtu = ds, mtu
 	vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "mcast -> ${note}", Note: vc.destsText(ds)}, 0)
 	return Packing{x, x.id, &x.gen, x.gen}
 }
 
-// end sends the message down every branch of the root's split, one after the
-// other, behind what the sender coalesced toward its destinations, and
-// retires the record, which no branch refers to once sent. A branch's send
-// parks, so the split works in the message's own destination slice.
-func (x *mcastPacking) end(p *vtime.Proc) {
+// multicast sends the message down every branch of the root's split, one
+// after the other, behind what the sender coalesced toward its destinations.
+// A branch's send parks, so the split works in the message's own destination
+// slice.
+func (x *gtmPacking) multicast(p *vtime.Proc) {
 	if st := x.vc.aggst; st != nil {
 		for _, d := range x.dests {
 			if c := st.co[aggKey{node: x.node.Name, dst: x.vc.sess.Node(d).Name}]; c != nil {
@@ -249,15 +238,12 @@ func (x *mcastPacking) end(p *vtime.Proc) {
 		x.sendBranch(p, hop, ranks, relays)
 		root.branches.Add(1)
 	})
-	ds := x.dests[:0]
-	x.vc.recs.mcastPacking.retireBuffered(x, &x.gen, &x.blockBuf)
-	x.dests = ds
 }
 
 // sendBranch emits the message once toward one branch: compact when the
 // whole payload shares a transfer with the header, streaming otherwise. A
 // leaf branch goes straight to its sole destination (hopLink).
-func (x *mcastPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank, relays bool) {
+func (x *gtmPacking) sendBranch(p *vtime.Proc, hop route.Hop, ranks []mad.Rank, relays bool) {
 	vc := x.vc
 	tx := streamTx{vc: vc, link: vc.hopLink(x.node, hop, relays), kind: mad.KindMcast}
 	tx.open(p, streamHdr{src: x.node.Rank, mtu: x.mtu, id: x.id, dests: ranks})

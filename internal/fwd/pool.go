@@ -22,8 +22,9 @@ import "madgo/internal/mad"
 // one and puts it back, for nothing refers to it once End returns —
 // sendMessage holds the blocks until then, the coalescer copies a message into
 // its frame in add, a stream's transfers carry nothing of it (streamTx) — and
-// its generation stops a stale handle (Packing); a record keeps its lists'
-// storage (retireBuffered). The lists belong to one virtual channel.
+// its generation stops a stale handle (Packing); a GTM record keeps its lists'
+// storage (gtmPacking.retire, streamUnpacking.retire). The lists belong to one
+// virtual channel.
 
 const (
 	relBufMinShift = 6  // smallest class: 64 bytes
@@ -145,16 +146,14 @@ func (bp *wireBufPool) tally(s *RelBookkeeping) {
 	}
 }
 
-// records are the free lists of framing records, one per kind, zero on a list
-// but for their generation, and of held messages, which keep their storage.
+// records are the free lists of framing records — plain and GTM at each end,
+// and a coalesced sub-message's — zero on a list but for their generation and
+// their lists' storage, and of held messages, which keep their storage too.
 type records struct {
-	bufPacking      freeList[bufPacking, *bufPacking]
-	mcastPacking    freeList[mcastPacking, *mcastPacking]
-	streamPacking   freeList[streamPacking, *streamPacking]
+	gtmPacking      freeList[gtmPacking, *gtmPacking]
 	plainPacking    freeList[plainPacking, *plainPacking]
-	aggUnpacking    freeList[aggUnpacking, *aggUnpacking]
 	streamUnpacking freeList[streamUnpacking, *streamUnpacking]
-	stripeUnpacking freeList[stripeUnpacking, *stripeUnpacking]
+	aggUnpacking    freeList[aggUnpacking, *aggUnpacking]
 	plainUnpacking  freeList[plainUnpacking, *plainUnpacking]
 	held            freeList[heldMsg, *heldMsg]
 }
@@ -199,13 +198,4 @@ func (l *freeList[T, P]) retire(x *T, gen *uint32) {
 	*x = *new(T)
 	*gen = g
 	l.put(x)
-}
-
-// retireBuffered is retire for a record that buffered its blocks in b, whose
-// list's storage, cleared, serves the record's next message.
-func (l *freeList[T, P]) retireBuffered(x *T, gen *uint32, b *blockBuf) {
-	blks := b.blks
-	clear(blks)
-	l.retire(x, gen)
-	b.blks = blks[:0]
 }

@@ -286,11 +286,11 @@ func framingOf(kind mad.Kind) *framing {
 // uniform packet stream any gateway can relay without regrouping.
 //
 // Every hop reads a transfer's bytes and descriptors by reference after Send
-// returned, so none lives here, and a streamPacking serves the next message
-// once end returns (pool.go). The header is a wire-pool buffer: sent alone,
-// it is handed over at every hop (mad.TxMeta.Owned) and returned by the final
-// receiver, or a multicast's by the next hop; glued into a frame — a buffer of
-// the pool too — it goes back once copied. A transfer that carries payload
+// returned, so none lives here, and the sender record that holds one serves
+// the next message once end returns (pool.go). The header is a wire-pool
+// buffer: sent alone, it is handed over at every hop (mad.TxMeta.Owned) and
+// returned by the final receiver, or a multicast's by the next hop; glued into
+// a frame — a buffer of the pool too — it goes back once copied. A transfer that carries payload
 // has its descriptors in a wire-pool pair, taken just before Send, that its
 // one receiver returns once read: the final receiver (streamRx), or the
 // gateway that replicates a multicast's, giving each branch a pair of its own.
@@ -491,50 +491,6 @@ type relBlock struct {
 	r    mad.RecvMode
 }
 
-// blockBuf is the sender side of a message whose framing needs all of it
-// before the first byte leaves: the coalescer, the rail scheduler and the
-// multicast framing need the total size, the reliable protocol the block
-// count. Its pack is theirs; each ends the message its own way.
-type blockBuf struct {
-	vc   *VirtualChannel
-	node *mad.Node
-	id   uint64
-	// cost is the host's pack cost per block, buffering being a pass over the
-	// blocks; zero for the multicast framing, which sends them by reference
-	// like the seed's.
-	cost  vtime.Duration
-	blks  []relBlock // in storage the record keeps (retireBuffered)
-	total int
-}
-
-// buffer starts the buffered sender side of a new message from node in b, a
-// record retired with retireBuffered or new.
-func (vc *VirtualChannel) buffer(b *blockBuf, node *mad.Node) {
-	b.vc, b.node, b.id, b.cost = vc, node, vc.nextMsgID(), node.Host.CPU.PackCost
-}
-
-func (b *blockBuf) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	data = b.vc.stageBlock(p, b.node, b.id, b.cost, data, s)
-	b.blks = append(b.blks, relBlock{data: data, s: s, r: r})
-	b.total += len(data)
-}
-
-// streamPacking is the sender side of a message that streams as it is packed:
-// the seed framing and the eager one.
-type streamPacking struct {
-	framingRec[streamPacking]
-	streamTx
-}
-
-func (x *streamPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	x.block(p, x.vc.stageBlock(p, x.link.Src, x.id, 0, data, s), s, r)
-}
-
-func (x *streamPacking) end(p *vtime.Proc) {
-	x.streamTx.end(p)
-	x.vc.recs.streamPacking.retire(x, &x.gen)
-}
-
 // streamOpen is a stream's first transfer and what it says about the stream:
 // the header, and the payload that rode along behind it.
 type streamOpen struct {
@@ -645,12 +601,12 @@ type streamRx struct {
 	vc   *VirtualChannel
 	node *mad.Node
 	link *mad.Link // nil for a message held whole
-	mtu  int
-	id   uint64
-	got  int      // payload bytes delivered
-	held *heldMsg // the payload already in memory; nil when there was none
-	// hdrBuf is where the seed framing's header lands, one per stream.
-	hdrBuf [gtmHeaderLen]byte
+	h    streamHdr // what the stream opened with: a rail's span among it
+	got  int       // payload bytes delivered
+	held *heldMsg  // the payload already in memory; nil when there was none
+	// hdrBuf is where a header that travels alone lands: the seed framing's,
+	// or a rail's, the longest.
+	hdrBuf [stripeHeaderLen]byte
 	kind   mad.Kind
 	eom    bool // the terminator has been seen
 }
@@ -658,12 +614,8 @@ type streamRx struct {
 // open opens an announced stream and returns what its first transfer said.
 func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a mad.Arrival) streamOpen {
 	rx.vc, rx.node, rx.link, rx.kind = vc, node, a.Link, a.Kind()
-	scratch := rx.hdrBuf[:]
-	if n := framingOf(rx.kind).hdrDesc[0].Size; n > len(scratch) {
-		scratch = make([]byte, n)
-	}
-	o := vc.openStream(p, node, a, scratch)
-	rx.mtu, rx.id, rx.eom = o.mtu, o.id, o.meta.EOM
+	o := vc.openStream(p, node, a, rx.hdrBuf[:])
+	rx.h, rx.eom = o.streamHdr, o.meta.EOM
 	if len(o.descs) > 0 || rx.kind == mad.KindMcast && o.meta.EOM {
 		// A glued frame, eager or multicast: its buffer goes back with the
 		// message, its pair now.
@@ -755,7 +707,7 @@ func (rx *streamRx) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Recv
 	if len(dst) == 0 && framingOf(rx.kind).elideEmpty {
 		return
 	}
-	mad.ForEachFragment(len(dst), rx.mtu, func(off, n int) {
+	mad.ForEachFragment(len(dst), rx.h.mtu, func(off, n int) {
 		rx.fragment(p, dst[off:off+n], s, r)
 	})
 }
@@ -815,20 +767,75 @@ func (rx *streamRx) close(p *vtime.Proc) {
 	}
 }
 
-// streamUnpacking is the receiver side of a stream delivered as one message
-// — the seed, eager and multicast framings — and of a message held whole.
+// streamUnpacking is the receiver side of every GTM message but a coalesced
+// sub-message: its streams, each read into its span of the message. A seed,
+// eager or multicast stream, or a message held whole, is one rail that spans
+// everything; a striped message has one rail per stream it travels in
+// (stripe.go). The record keeps its lists' storage when it is retired.
 type streamUnpacking struct {
 	framingRec[streamUnpacking]
-	streamRx
+	rails []streamRx // in one until a second rail arrives
+	one   [1]streamRx
+	// A striped message's bytes unpacked so far, the block in hand, which ends
+	// at flat, and the rails it overlaps.
+	flat int64
+	blk  []byte
+	s    mad.SendMode
+	r    mad.RecvMode
+	ov   []*streamRx
 }
 
-func (g *streamUnpacking) end(p *vtime.Proc) {
-	g.close(p)
-	if h := g.held; h == nil || !h.delivered {
-		g.vc.hop(p, g.id, g.node.Name, "deliver", obs.Detail{Form: hopReassembled}, g.got)
+// rail appends a rail, zero for its caller to open, to u.
+func (u *streamUnpacking) rail() *streamRx {
+	if u.rails == nil {
+		u.rails = u.one[:0]
 	}
-	if g.held != nil {
-		g.vc.release(g.held)
+	u.rails = append(u.rails, streamRx{})
+	return &u.rails[len(u.rails)-1]
+}
+
+func (u *streamUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	if u.rails[0].kind == mad.KindStripe {
+		u.unpackSpans(p, dst, s, r)
+		return
 	}
-	g.vc.recs.streamUnpacking.retire(g, &g.gen)
+	u.rails[0].unpack(p, dst, s, r)
+}
+
+func (u *streamUnpacking) end(p *vtime.Proc) {
+	rx := &u.rails[0]
+	striped := rx.kind == mad.KindStripe
+	if striped && u.flat != rx.h.total {
+		panic(fmt.Sprintf("fwd: striped message not fully unpacked (%d of %d bytes)", u.flat, rx.h.total))
+	}
+	got := 0
+	for i := range u.rails {
+		rl := &u.rails[i]
+		rl.close(p)
+		if striped && int64(rl.got) != rl.h.spanLen {
+			panic(fmt.Sprintf("fwd: rail %d consumed %d of %d span bytes", rl.h.rail, rl.got, rl.h.spanLen))
+		}
+		got += rl.got
+	}
+	d := obs.Detail{Form: hopReassembled}
+	if striped {
+		d = obs.Detail{Form: hopReassembled + " from ${a} rails", A: len(u.rails)}
+	}
+	if h := rx.held; h == nil || !h.delivered {
+		rx.vc.hop(p, rx.h.id, rx.node.Name, "deliver", d, got)
+	}
+	if rx.held != nil {
+		rx.vc.release(rx.held)
+	}
+	u.retire()
+}
+
+// retire puts u back on its free list, zeroed but for its generation and its
+// lists' storage.
+func (u *streamUnpacking) retire() {
+	recs, rails, ov := &u.rails[0].vc.recs, u.rails, u.ov
+	clear(rails)
+	clear(ov)
+	recs.streamUnpacking.retire(u, &u.gen)
+	u.rails, u.ov = rails[:0], ov[:0]
 }

@@ -12,7 +12,8 @@ package fwd
 // proportion to the rail's static bottleneck bandwidth, the narrowest NIC rate
 // along it. The configuration is static (§2.3), and so is the split. Both
 // modes plan it in one place (planStripe) and find a pair's rails on its first
-// send. A streaming message runs its rails on a crew of parked daemons
+// send. A streaming message is the one GTM sender record (gtmPacking) with its
+// rails and their split, and runs its rails on a crew of parked daemons
 // (runRails); a reliable rail is only a first hop: each rail's run is a burst
 // pinned to it (queueRails), which re-routes like any other once it dies.
 //
@@ -21,11 +22,16 @@ package fwd
 // count, the rail's byte span and the message's total size. Gateways relay
 // a KindStripe stream exactly like a KindGTM one (they parse only the
 // leading GTM fields they already understand and stay oblivious to the
-// scheduling); the final receiver collects the rail sub-messages of one
-// (origin, id) pair, posts each block's receives directly into the
-// application buffer at the offsets the spans dictate — concurrent rails
-// land in place, out of order, with zero extra copies — and completes when
-// every rail's span has been consumed.
+// scheduling). The final receiver reads a striped message as it reads any
+// stream, with the one GTM receiver record (streamUnpacking) holding a
+// stream reader a rail, each with its span: the record comes off the free
+// list at the message's first rail and collects the rails of its (origin, id)
+// pair; each block's receives are posted directly into the application buffer
+// at the offsets the spans dictate — concurrent rails land in place, out of
+// order, with zero extra copies — and the message completes when every rail's
+// span has been consumed. The rails a block overlaps are read at once, on the
+// receiver's crew: a receive posted late would pay a copy, and data waiting
+// for one holds its link's window.
 //
 // Fragment placement is fully deterministic on both sides: rail r covers
 // span [start, start+len) of the flattened message; within each packed
@@ -122,8 +128,9 @@ type stripeState struct {
 	// lastFrac remembers the previous quota fractions per pair so a
 	// changed split can be counted as a rebalance.
 	lastFrac map[[2]string][]float64
-	// rx holds the striped messages still collecting rails.
-	rx map[stripeGroupKey]*stripeGroup
+	// rx holds the striped messages still collecting rails, by origin and
+	// id: a message has one destination, which each rail's open checks.
+	rx map[relMsgKey]*streamUnpacking
 	// crews are each node's idle streaming rail crews (runRails).
 	crews map[mad.Rank][]*railCrew
 
@@ -175,31 +182,6 @@ func spansText(m *obs.Registry, spans []int64) string {
 	return fmt.Sprint(spans)
 }
 
-// stripeRail is one opened rail of a group: its stream (the link's receive
-// side held until EndUnpacking) and its header.
-type stripeRail struct {
-	rx streamRx
-	h  streamHdr
-}
-
-// stripeGroupKey names a striped message being collected: the receiver, and
-// the message's origin and id.
-type stripeGroupKey struct {
-	at mad.Rank
-	relMsgKey
-}
-
-// stripeGroup is one striped message being collected at its destination.
-type stripeGroup struct {
-	key   relMsgKey
-	total int64
-	rails []*stripeRail
-	seen  [stripeMaxRails + 1]bool
-	// agg is set when any rail carries flagAgg: the reassembled
-	// bytes are an aggregate frame to be decoded, not an app message.
-	agg bool
-}
-
 // stripeSplit is the sentence of a scheduling decision's hop record; ${note}
 // holds the per-rail byte spans (spansText).
 const stripeSplit = "split -> ${peer} over ${a} rails ${note}"
@@ -214,7 +196,7 @@ func (vc *VirtualChannel) initStriping() {
 		netRate:  make(map[string]float64),
 		rails:    make(map[railKey]*railState),
 		lastFrac: make(map[[2]string][]float64),
-		rx:       make(map[stripeGroupKey]*stripeGroup),
+		rx:       make(map[relMsgKey]*streamUnpacking),
 		crews:    make(map[mad.Rank][]*railCrew),
 	}
 	for _, nw := range vc.tp.Networks() {
@@ -436,16 +418,7 @@ func (vc *VirtualChannel) runRails(p *vtime.Proc, node *mad.Node, job railJob, n
 	if k := len(free); k > 0 {
 		c, vc.stripe.crews[node.Rank] = free[k-1], free[:k-1]
 	} else {
-		c = &railCrew{start: make([]vsync.Sem, vc.cfg.StripeK)}
-		for slot := 1; slot < len(c.start); slot++ {
-			vc.sess.Platform.Sim.SpawnDaemon("stripe:"+node.Name+":r"+strconv.Itoa(slot), func(p *vtime.Proc) {
-				for {
-					c.start[slot].Acquire(p, 1)
-					c.job.runRail(p, slot)
-					c.done.Done()
-				}
-			})
-		}
+		c = vc.newCrew(node)
 	}
 	c.job = job
 	c.done.Add(n - 1)
@@ -458,16 +431,21 @@ func (vc *VirtualChannel) runRails(p *vtime.Proc, node *mad.Node, job railJob, n
 	vc.stripe.crews[node.Rank] = append(vc.stripe.crews[node.Rank], c)
 }
 
-// stripeSend is one striped streaming message on its way out: its blocks,
-// buffered whole, its rails and their split.
-type stripeSend struct {
-	blockBuf
-	dst string
-	// aggFlag stamps flagAgg on every rail header: the message body
-	// is an aggregate frame the receiver must decode after reassembly.
-	aggFlag bool
-	rails   []route.Route
-	plan    stripePlan
+// newCrew makes a crew of node's and spawns its daemons, on a free-list miss:
+// the daemons' closure holds the crew, so runRails' own variable stays off the
+// heap.
+func (vc *VirtualChannel) newCrew(node *mad.Node) *railCrew {
+	c := &railCrew{start: make([]vsync.Sem, vc.cfg.StripeK)}
+	for slot := 1; slot < len(c.start); slot++ {
+		vc.sess.Platform.Sim.SpawnDaemon("stripe:"+node.Name+":r"+strconv.Itoa(slot), func(p *vtime.Proc) {
+			for {
+				c.start[slot].Acquire(p, 1)
+				c.job.runRail(p, slot)
+				c.done.Done()
+			}
+		})
+	}
+	return c
 }
 
 // railMTU is the packet size of one rail: per-rail path MTU when the
@@ -485,30 +463,30 @@ func (vc *VirtualChannel) railMTU(r route.Route) int {
 // inside the block, fragmented at the rail's MTU (fragments never straddle
 // block boundaries, so the receiver can mirror the layout from the header
 // alone), then the terminator.
-func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
-	spanStart, spans := int64(0), sx.plan.spans
+func (x *gtmPacking) runRail(p *vtime.Proc, rail int) {
+	spanStart, spans := int64(0), x.plan.spans
 	for _, ln := range spans[:rail] {
 		spanStart += ln
 	}
 	if spans[rail] == 0 {
 		return
 	}
-	vc, r := sx.vc, sx.rails[rail]
+	vc, r := x.vc, x.rails[rail]
 	var flags uint16
 	if !r.Direct() {
 		flags |= stripeFlagForwarded
 	}
-	if sx.aggFlag {
+	if x.wire != nil {
 		flags |= flagAgg
 	}
 	t0 := p.Now()
-	h := streamHdr{src: sx.node.Rank, dst: vc.NodeRank(sx.dst), mtu: vc.railMTU(r), id: sx.id,
-		rail: rail, nrails: sx.plan.active, flags: flags,
-		spanStart: spanStart, spanLen: spans[rail], total: int64(sx.total)}
-	tx := streamTx{vc: vc, link: vc.hopLink(sx.node, r[0], !r.Direct()), kind: mad.KindStripe}
+	h := streamHdr{src: x.node.Rank, dst: vc.NodeRank(x.dst), mtu: vc.railMTU(r), id: x.id,
+		rail: rail, nrails: x.plan.active, flags: flags,
+		spanStart: spanStart, spanLen: spans[rail], total: int64(x.total)}
+	tx := streamTx{vc: vc, link: vc.hopLink(x.node, r[0], !r.Direct()), kind: mad.KindStripe}
 	tx.open(p, h)
 	flat := int64(0)
-	for _, b := range sx.blks {
+	for _, b := range x.blks {
 		bStart := flat
 		flat += int64(len(b.data))
 		if lo, hi := railBlockOverlap(h, bStart, flat); lo < hi {
@@ -516,7 +494,7 @@ func (sx *stripeSend) runRail(p *vtime.Proc, rail int) {
 		}
 	}
 	tx.end(p)
-	sr := vc.rail(sx.node.Name, sx.dst, rail)
+	sr := vc.rail(x.node.Name, x.dst, rail)
 	vc.cfg.Tracer.Record(sr.actor, sr.op, int(h.spanLen), t0, p.Now())
 	sr.bytes.Add(h.spanLen)
 }
@@ -538,102 +516,89 @@ func (e *relEngine) queueRails(m *relOut, rails []route.Route) {
 	}
 }
 
-// openStripeRail opens one announced rail sub-message and files the rail
-// under its (origin, id) group. It returns the group when this rail completed
-// it, nil otherwise.
-func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a mad.Arrival) *stripeGroup {
-	rl := &stripeRail{}
-	rl.h = rl.rx.open(p, vc, node, a).streamHdr
-	h := &rl.h
-	key := stripeGroupKey{node.Rank, relMsgKey{origin: h.src, id: h.id}}
-	g := vc.stripe.rx[key]
-	if g == nil {
-		g = &stripeGroup{key: key.relMsgKey, total: h.total}
-		vc.stripe.rx[key] = g
+// openRail opens one announced rail of a striped message in a record off the
+// free list and files it under the message's (origin, id): the message's first
+// rail keeps its record, filed in rx until the last rail arrives, and a later
+// rail joins the first's and gives its own back. It returns the message once
+// this rail completed it, nil otherwise.
+func (vc *VirtualChannel) openRail(p *vtime.Proc, node *mad.Node, a mad.Arrival) *streamUnpacking {
+	u := vc.recs.streamUnpacking.get()
+	rx := u.rail()
+	rx.open(p, vc, node, a)
+	h := rx.h
+	key := relMsgKey{origin: h.src, id: h.id}
+	if g := vc.stripe.rx[key]; g == nil {
+		vc.stripe.rx[key] = u
+	} else {
+		for i := range g.rails {
+			if g.rails[i].h.rail == h.rail {
+				panic(fmt.Sprintf("fwd: duplicate rail %d of message %d on %s", h.rail, h.id, node.Name))
+			}
+		}
+		if total := g.rails[0].h.total; h.total != total {
+			panic(fmt.Sprintf("fwd: rail %d disagrees on message size (%d != %d)", h.rail, h.total, total))
+		}
+		g.rails = append(g.rails, *rx)
+		u.retire()
+		u = g
 	}
-	if g.seen[h.rail] {
-		panic(fmt.Sprintf("fwd: duplicate rail %d of message %d on %s", h.rail, h.id, node.Name))
+	if len(u.rails) < h.nrails {
+		return nil
 	}
-	if h.total != g.total {
-		panic(fmt.Sprintf("fwd: rail %d disagrees on message size (%d != %d)", h.rail, h.total, g.total))
-	}
-	g.seen[h.rail] = true
-	if h.flags&flagAgg != 0 {
-		g.agg = true
-	}
-	g.rails = append(g.rails, rl)
-	if len(g.rails) == h.nrails {
-		delete(vc.stripe.rx, key)
-		return g
-	}
-	return nil
+	delete(vc.stripe.rx, key)
+	return u
 }
 
-// stripeUnpacking is the receiver side of a striped message: every block's
-// receive is posted directly into the application buffer at the offsets the
-// rail spans dictate, every overlapping rail drained at once, so concurrently
-// arriving rails land in place with zero extra copies.
-type stripeUnpacking struct {
-	framingRec[stripeUnpacking]
-	vc   *VirtualChannel
-	node *mad.Node
-	g    *stripeGroup
-	flat int64
-	// The block in hand, which ends at flat, and the rails it overlaps.
-	dst []byte
-	s   mad.SendMode
-	r   mad.RecvMode
-	ov  []*stripeRail
-}
-
-// from returns the origin rank of the striped message.
-func (su *stripeUnpacking) from() mad.Rank { return su.g.rails[0].h.src }
-
-// forwarded reports whether any rail crossed a gateway.
-func (su *stripeUnpacking) forwarded() bool {
-	for _, rl := range su.g.rails {
-		if rl.h.flags&stripeFlagForwarded != 0 {
+// anyRail reports whether a rail of u carries flag: stripeFlagForwarded for
+// Unpacking.Forwarded, flagAgg for a frame to decode.
+func (u *streamUnpacking) anyRail(flag uint16) bool {
+	for i := range u.rails {
+		if u.rails[i].h.flags&flag != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-func (su *stripeUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
-	B0 := su.flat
-	su.flat += int64(len(dst))
+// unpackSpans delivers one block of a striped message: its receives are
+// posted directly into dst at the offsets the rail spans dictate, every
+// overlapping rail drained at once, so concurrently arriving rails land in
+// place with zero extra copies.
+func (u *streamUnpacking) unpackSpans(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	b0 := u.flat
+	u.flat += int64(len(dst))
 	if len(dst) == 0 {
 		// Empty blocks never travel on a rail (the sender skips them);
 		// their mode constraints are vacuous.
 		return
 	}
-	su.dst, su.s, su.r, su.ov = dst, s, r, su.ov[:0]
-	for _, rl := range su.g.rails {
-		if lo, hi := railBlockOverlap(rl.h, B0, su.flat); lo < hi {
-			su.ov = append(su.ov, rl)
+	u.blk, u.s, u.r, u.ov = dst, s, r, u.ov[:0]
+	for i := range u.rails {
+		if lo, hi := railBlockOverlap(u.rails[i].h, b0, u.flat); lo < hi {
+			u.ov = append(u.ov, &u.rails[i])
 		}
 	}
-	if len(su.ov) == 0 {
+	if len(u.ov) == 0 {
 		panic("fwd: striped block covered by no rail")
 	}
+	rx := &u.rails[0]
 	t0 := p.Now()
-	su.vc.runRails(p, su.node, su, len(su.ov))
-	if len(su.ov) > 1 {
+	rx.vc.runRails(p, rx.node, u, len(u.ov))
+	if len(u.ov) > 1 {
 		// Reassembly cost of a striped block: the span from first drain start
 		// to last rail completion, the window in which the destination is
 		// stitching concurrent rails back into one buffer.
-		su.vc.flightRing(su.node.Name).Record(
-			flight.KindReassembly, p.Now(), vtime.Since(p.Now(), t0),
-			su.g.key.id, len(dst), "")
+		rx.vc.flightRing(rx.node.Name).Record(
+			flight.KindReassembly, p.Now(), vtime.Since(p.Now(), t0), rx.h.id, len(dst), "")
 	}
 }
 
 // runRail receives the slot-th rail overlapping the block in hand into its
 // share of the block, mirroring the sender's fragmentation exactly.
-func (su *stripeUnpacking) runRail(p *vtime.Proc, slot int) {
-	rl, B0 := su.ov[slot], su.flat-int64(len(su.dst))
-	lo, hi := railBlockOverlap(rl.h, B0, su.flat)
-	rl.rx.unpack(p, su.dst[lo-B0:hi-B0], su.s, su.r)
+func (u *streamUnpacking) runRail(p *vtime.Proc, slot int) {
+	rx, b0 := u.ov[slot], u.flat-int64(len(u.blk))
+	lo, hi := railBlockOverlap(rx.h, b0, u.flat)
+	rx.unpack(p, u.blk[lo-b0:hi-b0], u.s, u.r)
 }
 
 // railBlockOverlap returns the [lo, hi) flat range a rail contributes to a
@@ -641,21 +606,4 @@ func (su *stripeUnpacking) runRail(p *vtime.Proc, slot int) {
 // pins the reassembly bookkeeping at zero allocations.
 func railBlockOverlap(h streamHdr, B0, B1 int64) (int64, int64) {
 	return max(h.spanStart, B0), min(h.spanStart+h.spanLen, B1)
-}
-
-func (su *stripeUnpacking) end(p *vtime.Proc) {
-	if su.flat != su.g.total {
-		panic(fmt.Sprintf("fwd: striped message not fully unpacked (%d of %d bytes)", su.flat, su.g.total))
-	}
-	got := 0
-	for _, rl := range su.g.rails {
-		rl.rx.close(p)
-		if int64(rl.rx.got) != rl.h.spanLen {
-			panic(fmt.Sprintf("fwd: rail %d consumed %d of %d span bytes", rl.h.rail, rl.rx.got, rl.h.spanLen))
-		}
-		got += rl.rx.got
-	}
-	su.vc.hop(p, su.g.key.id, su.node.Name, "deliver",
-		obs.Detail{Form: hopReassembled + " from ${a} rails", A: len(su.g.rails)}, got)
-	su.vc.recs.stripeUnpacking.retire(su, &su.gen)
 }

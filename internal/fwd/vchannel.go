@@ -537,17 +537,17 @@ func (vc *VirtualChannel) At(name string) *Endpoint {
 // Node returns the endpoint's session node.
 func (e *Endpoint) Node() *mad.Node { return e.node }
 
-// packer is the sender side of one framing: the plain Madeleine message of
-// a direct route, the GTM stream, the compact, aggregated, striped and
-// multicast forms, or the reliable protocol. BeginPacking picks one; Pack
-// and EndPacking only forward.
+// packer is the sender side of a message: a direct route's plain Madeleine
+// message, or the GTM record whose fields pick the stream, the compact,
+// aggregated, striped, multicast or reliable form. BeginPacking picks one;
+// Pack and EndPacking only forward.
 type packer interface {
 	pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode)
 	end(p *vtime.Proc)
 }
 
-// unpacker is the receiver side of one framing, picked by BeginUnpacking
-// from the arrival note.
+// unpacker is the receiver side of a message — plain, GTM or a coalesced
+// sub-message — picked by BeginUnpacking from the arrival note.
 type unpacker interface {
 	unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode)
 	end(p *vtime.Proc)
@@ -645,24 +645,24 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 		if _, ok := e.vc.nodes[dst]; !ok {
 			panic("fwd: unknown destination " + dst)
 		}
-		bp := e.vc.recs.bufPacking.get()
-		e.vc.buffer(&bp.blockBuf, e.node)
-		bp.dst, bp.coalesce = dst, coalesce
-		e.vc.hop(p, bp.id, e.node.Name, "pack", d, 0)
-		return Packing{bp, bp.id, &bp.gen, bp.gen}
+		x := e.vc.packer(e.node, dst)
+		x.coalesce = coalesce
+		e.vc.hop(p, x.id, e.node.Name, "pack", d, 0)
+		return Packing{x, x.id, &x.gen, x.gen}
 	}
 	hop, link := e.vc.firstHop(e.node, dst)
-	id := e.vc.nextMsgID()
 	if link == nil {
+		id := e.vc.nextMsgID()
 		e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "direct -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
 		x := e.vc.openPlain(p, e.node, dst, hop)
 		return Packing{x, id, &x.gen, x.gen}
 	}
 	// A stream is recorded once it is open: taking the link, and the seed
 	// framing's header transfer, may take time.
-	x := e.vc.beginStream(p, e.node, dst, link, id)
-	e.vc.hop(p, id, e.node.Name, "pack", obs.Detail{Form: "gtm -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
-	return Packing{x, id, &x.gen, x.gen}
+	x := e.vc.packer(e.node, dst)
+	x.stream(p, link)
+	e.vc.hop(p, x.id, e.node.Name, "pack", obs.Detail{Form: "gtm -> ${peer} via ${net}", Peer: dst, Net: hop.Network}, 0)
+	return Packing{x, x.id, &x.gen, x.gen}
 }
 
 // buffers reports whether a pair's messages are buffered whole for
@@ -676,84 +676,139 @@ func (vc *VirtualChannel) buffers(src, dst string) (whole bool, rails int) {
 	return rails >= 2, rails
 }
 
-// bufPacking is the sender side of a message buffered whole, for the coalescer
-// or for sendBuffered at EndPacking. SendSafer pays its snapshot copy at once,
-// the other blocks are referenced until EndPacking returns, and so is the
-// record. A message for the coalescer that outgrows a frame on a pair that
-// does not buffer spills to the single-rail stream mid-Pack, keeping its
-// fragment-level pipelining through the gateways.
-type bufPacking struct {
-	framingRec[bufPacking]
-	blockBuf
+// gtmPacking is the one sender record of a GTM message, whatever its framing;
+// its fields are what differs. It streams as packed (its stream open: the seed
+// and eager framings) or buffers its blocks for the coalescer (coalesce), for
+// sendBuffered at EndPacking or for a multicast. SendSafer pays its snapshot
+// copy at once, the other blocks are referenced until EndPacking returns, and
+// so is the record. A message for the coalescer that outgrows a frame on a
+// pair that does not buffer turns into a stream mid-Pack (spill), keeping its
+// fragment-level pipelining through the gateways. The coalescer keeps one for
+// its frame in flight (wire).
+type gtmPacking struct {
+	framingRec[gtmPacking]
+	// The message's stream, open once it has a link; its vc and id are the
+	// message's from the start, and a multicast's mtu is its tree MTU, the
+	// least path MTU over the destinations, so one fragment size fits every
+	// subtree — §2.3's connexion-MTU rule extended to trees.
+	streamTx
+	node *mad.Node
+	// cost is the host's pack cost per buffered block, buffering being a pass
+	// over the blocks; zero for a multicast, which sends them by reference like
+	// the seed's.
+	cost  vtime.Duration
+	blks  []relBlock // in storage the record keeps (retire)
+	total int
+	// One destination, or a destination set (ascending, deduplicated, the
+	// root excluded; split in place).
 	dst      string
+	dests    []mad.Rank
 	coalesce bool   // offered to the coalescer at EndPacking
-	spilled  packer // the single-rail framing, after a spill
+	wire     []byte // the aggregate frame the blocks lie in, a coalescer's
+	// The rails of a striped message and their split.
+	rails []route.Route
+	plan  stripePlan
 }
 
-func (bp *bufPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	if bp.spilled != nil {
-		bp.spilled.pack(p, data, s, r)
+// packer takes a sender record off the free list for a new message from node
+// to dst.
+func (vc *VirtualChannel) packer(node *mad.Node, dst string) *gtmPacking {
+	x := vc.recs.gtmPacking.get()
+	x.vc, x.node, x.dst, x.id, x.cost = vc, node, dst, vc.nextMsgID(), node.Host.CPU.PackCost
+	return x
+}
+
+func (x *gtmPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	if x.link != nil {
+		x.block(p, x.vc.stageBlock(p, x.node, x.id, 0, data, s), s, r)
 		return
 	}
-	bp.blockBuf.pack(p, data, s, r)
-	if !bp.coalesce {
+	data = x.vc.stageBlock(p, x.node, x.id, x.cost, data, s)
+	x.blks = append(x.blks, relBlock{data: data, s: s, r: r})
+	x.total += len(data)
+	if !x.coalesce {
 		return
 	}
-	if whole, _ := bp.vc.buffers(bp.node.Name, bp.dst); !whole && outgrowsFrame(len(bp.blks), bp.total, bp.vc.PathMTU(bp.node.Name, bp.dst)) {
-		bp.spill(p)
+	if whole, _ := x.vc.buffers(x.node.Name, x.dst); !whole && outgrowsFrame(len(x.blks), x.total, x.vc.PathMTU(x.node.Name, x.dst)) {
+		x.spill(p)
 	}
 }
 
-func (bp *bufPacking) end(p *vtime.Proc) {
+func (x *gtmPacking) end(p *vtime.Proc) {
 	switch {
-	case bp.spilled != nil:
-		bp.spilled.end(p)
-	case bp.coalesce:
-		bp.vc.aggCoalescer(bp.node, bp.dst).add(p, bp.id, bp.blks, bp.total)
+	case x.link != nil:
+		x.streamTx.end(p)
+	case len(x.dests) > 0:
+		x.multicast(p)
+	case x.coalesce:
+		x.vc.aggCoalescer(x.node, x.dst).add(p, x)
 	default:
-		bp.vc.sendBuffered(p, bp.node, bp.dst, bp.id, bp.blks, bp.total, nil)
+		x.vc.sendBuffered(p, x)
 	}
-	bp.vc.recs.bufPacking.retireBuffered(bp, &bp.gen, &bp.blockBuf)
+	x.retire()
+}
+
+// retire puts x back on its free list, zeroed but for its generation and its
+// lists' storage, which serves the record's next message.
+func (x *gtmPacking) retire() {
+	recs, blks, ds, pl := &x.vc.recs, x.blks, x.dests[:0], x.plan
+	clear(blks)
+	recs.gtmPacking.retire(x, &x.gen)
+	x.blks, x.dests, x.plan = blks[:0], ds, pl
+}
+
+// stream opens x as a stream on link toward the first gateway, compact under
+// Config.Eager, seed GTM if not, and sends the blocks buffered so far as Pack
+// staged them, with the modes they were packed with (the receiver mirrors them
+// against the wire descriptors); later blocks stream as they are packed.
+func (x *gtmPacking) stream(p *vtime.Proc, link *mad.Link) {
+	kind := mad.KindGTM
+	if x.vc.cfg.Eager {
+		kind = mad.KindEager
+	}
+	x.link, x.kind = link, kind
+	x.open(p, streamHdr{src: x.node.Rank, dst: x.vc.NodeRank(x.dst), mtu: x.vc.PathMTU(x.node.Name, x.dst), id: x.id})
+	for _, b := range x.blks {
+		x.block(p, b.data, b.s, b.r)
+	}
 }
 
 // sendBuffered is the one place that decides how a message buffered whole
-// leaves, its blocks with the modes they were packed with: through the
-// reliable engine; over the pair's rails when it has two and the message
-// reaches the stripe threshold; else down one rail, as a compact KindAgg
-// transfer when it is the coalescer c's frame (marked flagAgg on the other
-// two), in the framing Config.Eager names when c is nil. A frame's buffer
+// leaves: through the reliable engine; over the pair's rails when it has two
+// and the message reaches the stripe threshold; else down one rail, as a
+// compact KindAgg transfer when it is a coalescer's frame (marked flagAgg on
+// the other two), in the framing Config.Eager names if not. A frame's buffer
 // goes back to the wire pool after a reliable send, which copied it, and is
 // filed for the sink to return before the rails send it by reference.
-func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string, id uint64, blks []relBlock, total int, c *aggCoalescer) {
+func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
+	node, dst := x.node, x.dst
 	rails := vc.stripeRoutes(node.Name, dst)
 	k := len(rails)
-	if k < 2 || total < DefaultStripeThreshold {
+	if k < 2 || x.total < DefaultStripeThreshold {
 		rails = nil
-	}
-	var flags uint8
-	if c != nil {
-		flags = flagAgg
 	}
 	switch {
 	case vc.cfg.Reliable:
-		vc.rel[node.Name].sendMessage(p, dst, blks, id, flags, rails)
-		if c != nil {
-			vc.bufs.put(c.wire)
+		var flags uint8
+		if x.wire != nil {
+			flags = flagAgg
 		}
+		vc.rel[node.Name].sendMessage(p, dst, x.blks, x.id, flags, rails)
+		vc.bufs.put(x.wire)
 	case rails != nil:
-		if c != nil {
-			vc.aggst.striped[id] = c.wire
+		if x.wire != nil {
+			vc.aggst.striped[x.id] = x.wire
 		}
-		sx := &stripeSend{blockBuf: blockBuf{vc: vc, node: node, id: id, blks: blks, total: total}, dst: dst, aggFlag: c != nil, rails: rails}
-		vc.planStripe(p, &sx.plan, id, node.Name, dst, rails, int64(total), nil)
-		vc.runRails(p, node, sx, len(rails))
-	case c != nil:
+		x.rails = rails
+		vc.planStripe(p, &x.plan, x.id, node.Name, dst, rails, int64(x.total), nil)
+		vc.runRails(p, node, x, len(rails))
+	case x.wire != nil:
 		// The header goes into the frame's reserved prefix; the frame and a
 		// descriptor pair are handed hop by hop to the sink, which returns both.
 		_, link := vc.firstHop(node, dst)
 		tx := streamTx{vc: vc, link: link, kind: mad.KindAgg}
-		tx.open(p, streamHdr{src: node.Rank, dst: vc.NodeRank(dst), mtu: c.mtu, id: id})
-		tx.message(p, blks, total, c.wire)
+		tx.open(p, streamHdr{src: node.Rank, dst: vc.NodeRank(dst), mtu: vc.PathMTU(node.Name, dst), id: x.id})
+		tx.message(p, x.blks, x.total, x.wire)
 	default:
 		hop, link := vc.firstHop(node, dst)
 		if k >= 2 {
@@ -764,9 +819,19 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, node *mad.Node, dst string
 			case vc.cfg.Eager:
 				form = "eager -> ${peer} via ${net} (below stripe threshold)"
 			}
-			vc.hop(p, id, node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
+			vc.hop(p, x.id, node.Name, "pack", obs.Detail{Form: form, Peer: dst, Net: hop.Network}, 0)
 		}
-		vc.openSingleRail(p, node, dst, hop, link, id, blks).end(p)
+		if link != nil {
+			x.stream(p, link)
+			x.streamTx.end(p)
+			return
+		}
+		// A direct route: mad's own Pack takes the blocks again.
+		m := vc.openPlain(p, node, dst, hop)
+		for _, b := range x.blks {
+			m.pack(p, b.data, b.s, b.r)
+		}
+		m.end(p)
 	}
 }
 
@@ -784,46 +849,11 @@ func (vc *VirtualChannel) firstHop(from *mad.Node, dst string) (route.Hop, *mad.
 	return hop, vc.hopLink(from, hop, true)
 }
 
-// openSingleRail opens message id on the path firstHop found, the framing every
-// sender-side module ends in unless it stripes or runs the reliable protocol: a
-// plain Madeleine message on the regular channel when the route is direct, else
-// a stream toward the first gateway (beginStream). It hands the message the
-// blocks buffered so far with the modes they were packed with (the receiver
-// mirrors them against the wire descriptors): mad's own Pack takes them again,
-// a stream sends them as Pack staged them.
-func (vc *VirtualChannel) openSingleRail(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop, link *mad.Link, id uint64, blks []relBlock) packer {
-	if link == nil {
-		x := vc.openPlain(p, from, dst, hop)
-		for _, b := range blks {
-			x.pack(p, b.data, b.s, b.r)
-		}
-		return x
-	}
-	x := vc.beginStream(p, from, dst, link, id)
-	for _, b := range blks {
-		x.block(p, b.data, b.s, b.r)
-	}
-	return x
-}
-
 // openPlain opens a plain Madeleine message on the regular channel of a
 // direct route's one hop.
 func (vc *VirtualChannel) openPlain(p *vtime.Proc, from *mad.Node, dst string, hop route.Hop) *plainPacking {
 	x := vc.recs.plainPacking.get()
 	x.vc, x.m = vc, vc.regular[hop.Network].At(from).BeginPacking(p, vc.NodeRank(dst))
-	return x
-}
-
-// beginStream opens message id as a stream on link toward the first gateway,
-// compact under Config.Eager, seed GTM if not.
-func (vc *VirtualChannel) beginStream(p *vtime.Proc, from *mad.Node, dst string, link *mad.Link, id uint64) *streamPacking {
-	kind := mad.KindGTM
-	if vc.cfg.Eager {
-		kind = mad.KindEager
-	}
-	x := vc.recs.streamPacking.get()
-	x.streamTx = streamTx{vc: vc, link: link, kind: kind}
-	x.open(p, streamHdr{src: from.Rank, dst: vc.NodeRank(dst), mtu: vc.PathMTU(from.Name, dst), id: id})
 	return x
 }
 
@@ -891,7 +921,9 @@ func (e *Endpoint) beginUnpacking(p *vtime.Proc) Unpacking {
 				continue
 			}
 			g := e.vc.recs.streamUnpacking.get()
-			g.vc, g.node, g.kind, g.eom, g.held, g.mtu, g.id = e.vc, e.node, mad.KindMcast, true, h, h.mtu, h.id
+			rx := g.rail()
+			rx.vc, rx.node, rx.kind, rx.eom, rx.held = e.vc, e.node, mad.KindMcast, true, h
+			rx.h.src, rx.h.mtu, rx.h.id = h.src, h.mtu, h.id
 			return Unpacking{g, h.src, !h.direct, &g.gen, g.gen}
 		}
 		if in.ep == nil {
@@ -901,14 +933,12 @@ func (e *Endpoint) beginUnpacking(p *vtime.Proc) Unpacking {
 		case mad.KindStripe:
 			// One rail of a striped message: file it and keep pulling
 			// until some message (striped or not) is complete.
-			switch g := e.vc.openStripeRail(p, e.node, in.a); {
-			case g == nil:
-			case g.agg:
-				e.vc.aggDecodeStriped(p, e.node, g)
+			switch u := e.vc.openRail(p, e.node, in.a); {
+			case u == nil:
+			case u.anyRail(flagAgg):
+				e.vc.aggDecodeStriped(p, e.node, u)
 			default:
-				su := e.vc.recs.stripeUnpacking.get()
-				su.vc, su.node, su.g = e.vc, e.node, g
-				return Unpacking{su, su.from(), su.forwarded(), &su.gen, su.gen}
+				return Unpacking{u, u.rails[0].h.src, u.anyRail(stripeFlagForwarded), &u.gen, u.gen}
 			}
 		case mad.KindAgg:
 			// A whole aggregate frame, which the polling thread received:
@@ -916,7 +946,7 @@ func (e *Endpoint) beginUnpacking(p *vtime.Proc) Unpacking {
 			e.vc.aggQueue(e.node.Rank, in.frame)
 		case mad.KindGTM, mad.KindEager, mad.KindMcast:
 			g := e.vc.recs.streamUnpacking.get()
-			return Unpacking{g, g.open(p, e.vc, e.node, in.a).src, true, &g.gen, g.gen}
+			return Unpacking{g, g.rail().open(p, e.vc, e.node, in.a).src, true, &g.gen, g.gen}
 		default:
 			x := e.vc.recs.plainUnpacking.get()
 			x.vc, x.m = e.vc, in.ep.Open(p, &in.a)
