@@ -21,6 +21,15 @@ node gw sci0 myri0
 node b myri0
 `
 
+// sbpChainTopo is the chain with an SBP ingress: a –sbp– gw –myrinet– b, so
+// gw sends every fragment on from the driver slot it landed in.
+const sbpChainTopo = `network sbp0 sbp
+network myri0 myrinet
+node a sbp0
+node gw sbp0 myri0
+node b myri0
+`
+
 // dualRailTopo joins a and b by both high-speed networks: two direct rails.
 const dualRailTopo = `network myri0 myrinet
 network sci0 sci
@@ -550,15 +559,20 @@ func TestMessageHandlesAllocsNothing(t *testing.T) {
 // (DESIGN.md §43), so a warm system allocates nothing a message; the seed
 // framing's record was 144 bytes a message before. A buffered message's record
 // keeps its block list's storage: four blocks read 2.006 allocations a message
-// when it was dropped. A fragment that lands in driver memory does so in the
-// slot the link's last copied-out receive emptied: the 8 KiB messages read
-// 1.000 allocations a message while every one took fresh memory. The striped
+// when it was dropped. A fragment that lands in driver memory does so in a
+// landing slot of the wire pool, which the receive returns when it copies the
+// fragment out: the 8 KiB messages read 1.000 allocations a message while
+// every one took fresh memory. The striped
 // rows send 128 KiB over a dual-rail pair and 2 × 64 KiB through the two
 // gateways of a diamond under WithStriping(2): the sender's record holds the
 // rails and their split, the sink's one record a stream a rail, and each side
 // takes a crew of rail daemons off its node's free list, so they read nothing
 // either; both read 15.0 while the split, the rails' readers and the crew's
-// variable were built per message.
+// variable were built per message. The sbp-ingress rows send 1 KiB and 32 KiB
+// in the seed framing across a –sbp– gw –myrinet– b: gw relays each fragment
+// from the SBP landing slot it was handed, a buffer of the wire pool its
+// recycling returns, where it read 1.006 and 1.010 while each slot was new
+// driver memory that never came back.
 func TestStreamMessagesAllocsNothing(t *testing.T) {
 	striped := []madeleine.Option{madeleine.WithPaperFidelity(), madeleine.WithStriping(2)}
 	for _, c := range []struct {
@@ -575,6 +589,8 @@ func TestStreamMessagesAllocsNothing(t *testing.T) {
 		{"eager-8KiB-at-4KiB-MTU", chainTopo, 2000, 1000, 1, 8 << 10, []madeleine.Option{madeleine.WithEagerSmallMessages(), madeleine.WithMTU(4 << 10)}},
 		{"striped-128KiB-dual-rail", dualRailTopo, 200, 500, 1, 128 << 10, striped},
 		{"striped-2x64KiB-diamond", diamondTopo, 200, 500, 2, 64 << 10, striped},
+		{"sbp-ingress-1KiB", sbpChainTopo, 200, 1000, 1, 1 << 10, []madeleine.Option{madeleine.WithPaperFidelity()}},
+		{"sbp-ingress-32KiB", sbpChainTopo, 200, 1000, 1, 32 << 10, []madeleine.Option{madeleine.WithPaperFidelity()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			blocks := make([][]byte, c.blocks)
@@ -588,6 +604,47 @@ func TestStreamMessagesAllocsNothing(t *testing.T) {
 				t.Errorf("a message on a warm system allocates %.3f objects, want 0 (amortised)", perMsg)
 			}
 		})
+	}
+}
+
+// TestDirectMessageWarmAllocBudget pins what a warm direct message — a and b
+// on one network, so the facade hands it to the network's regular channel —
+// allocates, under each option set that keeps messages on that channel (make
+// allocs): 1 000 messages of 64 B and of 32 KiB on SCI and on SBP. What is
+// left is the message's own records (Packing with its packer, Unpacking), its
+// block descriptors, and on SBP the static buffer the sender's BMM asks the
+// driver for at every flush: 4.0 a message on SCI, 5.0 on SBP. They read 8.0
+// (64 B) and 7.0 (32 KiB) on SCI and 9.0 on SBP while Channel.At made an
+// endpoint for every message, the aggregating BMM made its aggregate afresh,
+// the unpacker was a record of its own, AllocStatic wrapped its buffer in a
+// record and every SBP landing slot was new driver memory. The budget is the reading plus the 0.05 of amortised
+// growth the AllocsNothing rows allow.
+func TestDirectMessageWarmAllocBudget(t *testing.T) {
+	const sciPair, sbpPair = "network s sci\nnode a s\nnode b s\n", "network s sbp\nnode a s\nnode b s\n"
+	sets := []struct {
+		name string
+		opts []madeleine.Option
+	}{
+		{"default", nil},
+		{"paper", []madeleine.Option{madeleine.WithPaperFidelity()}},
+		{"eager", []madeleine.Option{madeleine.WithEagerSmallMessages()}},
+	}
+	for _, c := range []struct {
+		name, topo string
+		budget     float64
+	}{{"sci", sciPair, 4.05}, {"sbp", sbpPair, 5.05}} {
+		for _, size := range []int{64, 32 << 10} {
+			for _, set := range sets {
+				t.Run(fmt.Sprintf("%s-%dB-%s", c.name, size, set.name), func(t *testing.T) {
+					const msgs = 1000
+					perMsg := float64(warmAllocs(t, c.topo, 200, msgs, [][]byte{make([]byte, size)}, set.opts...)) / msgs
+					t.Logf("%d messages on a warm pair: %.3f allocations a message (budget %.2f)", msgs, perMsg, c.budget)
+					if perMsg > c.budget {
+						t.Errorf("a warm direct message allocates %.3f objects, budget %.2f", perMsg, c.budget)
+					}
+				})
+			}
+		}
 	}
 }
 

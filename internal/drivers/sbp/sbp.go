@@ -42,15 +42,16 @@ func (d *Driver) Caps() mad.Caps {
 	}
 }
 
-// AllocStatic hands out a driver-owned slot. Slots come from a preallocated
-// pool in the modelled kernel, so allocation itself is free; the count is
-// exposed for tests.
-func (d *Driver) AllocStatic(h *hw.Host, n int) *mad.Buffer {
+// AllocStatic makes a new driver-owned slot on every call, charged no time:
+// the modelled kernel hands out slots for free. The driver keeps none; what
+// recycles them is the caller's pool (a gateway stages into the static class
+// of its forwarding layer's mad.Pool), and the count is exposed for tests.
+func (d *Driver) AllocStatic(h *hw.Host, n int) []byte {
 	if n <= 0 {
 		panic("sbp: nonpositive static buffer size")
 	}
 	d.allocated++
-	return &mad.Buffer{Data: make([]byte, n), Static: true, Owner: d}
+	return make([]byte, n)
 }
 
 // Allocated returns how many static buffers were handed out.

@@ -40,7 +40,7 @@ func (d *Driver) Caps() mad.Caps {
 }
 
 // AllocStatic panics: TCP has dynamic buffers.
-func (d *Driver) AllocStatic(h *hw.Host, n int) *mad.Buffer {
+func (d *Driver) AllocStatic(h *hw.Host, n int) []byte {
 	panic("tcpnet: no static buffers")
 }
 

@@ -121,9 +121,9 @@ func (vc *VirtualChannel) aggEnded(fr *sinkFrame) {
 	if fr.open--; fr.open > 0 {
 		return
 	}
-	vc.bufs.put(fr.buf)
+	vc.bufs.Put(fr.buf)
 	if fr.pair != nil {
-		vc.bufs.putPair(fr.pair)
+		vc.bufs.PutPair(fr.pair)
 	}
 	*fr = sinkFrame{}
 	vc.aggst.frames.put(fr)
@@ -277,7 +277,7 @@ func (c *aggCoalescer) add(p *vtime.Proc, x *gtmPacking) {
 	if c.b.Count() == 0 {
 		// A frame lives in one buffer of the wire pool, from here to the sink
 		// that ends its last sub-message (DESIGN.md §29).
-		c.b.Arm(c.vc.bufs.get(c.mtu))
+		c.b.Arm(c.vc.bufs.Get(c.mtu))
 	}
 	// Packing into the frame is the one real copy of the coalesced path.
 	c.node.Host.Memcpy(p, total)
@@ -380,10 +380,10 @@ func (vc *VirtualChannel) aggPop(rank mad.Rank) (*aggRx, agg.Sub, bool) {
 // the sender's frame, which they sent by reference, goes back to the pool.
 func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, u *streamUnpacking) {
 	h := u.rails[0].h
-	frame := vc.bufs.get(int(h.total))
+	frame := vc.bufs.Get(int(h.total))
 	u.unpack(p, frame, mad.SendCheaper, mad.ReceiveCheaper)
 	u.end(p)
-	vc.bufs.put(vc.aggst.striped[h.id])
+	vc.bufs.Put(vc.aggst.striped[h.id])
 	delete(vc.aggst.striped, h.id)
 	vc.aggQueue(node.Rank, vc.aggOpen(h.src, frame, frame, nil))
 }
@@ -392,7 +392,7 @@ func (vc *VirtualChannel) aggDecodeStriped(p *vtime.Proc, node *mad.Node, u *str
 // reliable message (flagAgg), whose one block its receiver verified against
 // the fragments, in a buffer of the wire pool, and queues its sub-messages.
 func (vc *VirtualChannel) aggDecodeReliable(p *vtime.Proc, node *mad.Node, h *heldMsg) {
-	frame := vc.bufs.get(h.blocks[0].Size)
+	frame := vc.bufs.Get(h.blocks[0].Size)
 	node.Host.Memcpy(p, len(frame))
 	off := 0
 	for _, f := range h.frags {

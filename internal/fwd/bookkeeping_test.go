@@ -169,7 +169,7 @@ func TestInconsistentReliableMessageIsDropped(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sim, vc := relChain(t, DefaultConfig())
-			vc.bufs.onPut = poison
+			vc.bufs.OnPut = poison
 			b0 := vc.rel["b0"]
 			src, dst := vc.NodeRank("a0"), vc.NodeRank("b0")
 			in := vc.regular["myri0"].Link(vc.NodeRank("gw"), dst)
@@ -178,7 +178,7 @@ func TestInconsistentReliableMessageIsDropped(t *testing.T) {
 			sim.Spawn("inject", func(p *vtime.Proc) {
 				for i, pl := range [][]byte{desc, make([]byte, c.frag)} {
 					d := relData{src: src, dst: dst, id: 7, mtu: uint32(c.hdrMTU), frag: uint32(i), total: 2, payload: pl}
-					pkt := vc.bufs.get(relDataLen(len(pl), 0))
+					pkt := vc.bufs.Get(relDataLen(len(pl), 0))
 					putRelData(pkt, &d, relFlagFlush, nil)
 					b0.handleData(p, in, pkt)
 				}

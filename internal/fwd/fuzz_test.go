@@ -420,11 +420,11 @@ func FuzzRelHandle(f *testing.F) {
 		link := vc.regular["sci0"].Link(a0, vc.NodeRank("gw"))
 		for _, kind := range []mad.Kind{mad.KindRel, mad.KindRelAck, mad.KindGTM} {
 			sim.Spawn("hostile:"+kind.String(), func(p *vtime.Proc) {
-				pkt := vc.bufs.get(len(data))
+				pkt := vc.bufs.Get(len(data))
 				copy(pkt, data)
 				link.Acquire(p)
 				if !link.Send(p, relMeta(kind), pkt) {
-					vc.bufs.put(pkt)
+					vc.bufs.Put(pkt)
 				}
 				link.Release(p)
 			})

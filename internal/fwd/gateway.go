@@ -50,10 +50,9 @@ type Gateway struct {
 
 // relayRing is the receive side of one ingress network's pipeline: the
 // arrival scheduler its polling daemon files announcements with, the packet
-// slots its receive thread fills and the egress senders give back, the pools
-// of egress drivers' static buffers, the branch records of the message in
-// hand, and a scratch header. It lives as long as the gateway, so
-// steady-state relays allocate nothing.
+// slots its receive thread fills and the egress senders give back, the branch
+// records of the message in hand, and a scratch header. It lives as long as
+// the gateway, so steady-state relays allocate nothing.
 //
 // The scheduler keeps one deficit-round-robin queue per ingress sender, and
 // the ring's fair daemon relays them in DRR order, charging each flow the
@@ -66,8 +65,6 @@ type relayRing struct {
 
 	free  *vsync.Chan[*relaySlot]
 	slots []relaySlot // PipelineDepth of them, each either in free or in flight
-
-	static map[string]*wireBufPool // per egress network, its driver's static buffers
 
 	hdr [stripeHeaderLen]byte // GTM/stripe header scratch, one receive at a time
 
@@ -86,20 +83,28 @@ type relayRing struct {
 // slot outlives the relay of its message: it carries everything its release
 // needs.
 //
-// Ownership: the receive thread takes a slot off the ring's free list, takes
-// a buffer for it from the pool the message's buffer election names, fills
-// it, sets refs to the branch count and queues it on every branch's sender.
+// Ownership: the receive thread takes a slot off the ring's free list, fills
+// it with a buffer of the class the message's buffer election names — taken
+// and received into, or the ingress slot handed over —, sets refs to the
+// branch count and queues it on every branch's sender.
 // Each sender decrements refs after its send and swap; the one that reaches
-// zero recycles the slot — returns the buffers to their pools, puts the slot
+// zero recycles the slot — returns the buffers to their classes, puts the slot
 // back on the free list — so a slot is recycled exactly once however many
 // branches it fed.
 type relaySlot struct {
 	ring *relayRing
-	pool *wireBufPool // where buf came from; nil when data rides the ingress slot
-	buf  []byte       // staging buffer backing the slot
+	pool bufPool // where buf came from and goes back to
+	buf  []byte  // staging buffer backing the slot
 	data []byte
 	aux  []byte // copy-always staging buffer from the wire pool, released with the slot
 	refs int    // branch sends still owing
+}
+
+// bufPool is a class of the virtual channel's pool: its own memory, or an
+// egress driver's static buffers on the gateway's host.
+type bufPool interface {
+	Get(n int) []byte
+	Put(b []byte)
 }
 
 // relayBranch is one egress decision the relay made for the message in
@@ -261,10 +266,9 @@ func (g *Gateway) egress(sp *vtime.Proc, e *gwSender, tx gwTx) {
 func (g *Gateway) ring(inNet string) *relayRing {
 	depth := g.vc.cfg.PipelineDepth
 	r := &relayRing{
-		drr:    flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
-		free:   vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
-		slots:  make([]relaySlot, depth),
-		static: make(map[string]*wireBufPool),
+		drr:   flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
+		free:  vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
+		slots: make([]relaySlot, depth),
 
 		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
 	}
@@ -275,18 +279,6 @@ func (g *Gateway) ring(inNet string) *relayRing {
 	g.rings[inNet] = r
 	g.vc.sess.Platform.Sim.SpawnDaemon(fmt.Sprintf("gwfair:%s:%s", g.name, inNet), func(p *vtime.Proc) { g.fair(p, r) })
 	return r
-}
-
-// staticPool returns a ring's pool of static buffers of one egress link's
-// driver, made on first use: the driver's AllocStatic serves its misses, and
-// it poisons what it gets back as the wire pool does.
-func (g *Gateway) staticPool(r *relayRing, out *mad.Link) *wireBufPool {
-	name := out.Channel.Network().Name
-	if r.static[name] == nil {
-		drv, host := out.Channel.Driver(), g.node.Host
-		r.static[name] = &wireBufPool{alloc: func(n int) []byte { return drv.AllocStatic(host, n).Data }, onPut: g.vc.bufs.onPut}
-	}
-	return r.static[name]
 }
 
 // listen spawns the gateway's polling thread on one network's special
@@ -496,7 +488,7 @@ func (g *Gateway) route(p *vtime.Proc, r *relayRing, f *relayFrame, inNet string
 		r.hdrDests = f.dests
 		local = g.mcastSplit(r, f)
 		if !f.meta.EOM {
-			vc.bufs.put(f.head)
+			vc.bufs.Put(f.head)
 		}
 		g.met.mcastRelays.Add(1)
 		g.met.branches.Add(int64(len(r.branches)))
@@ -578,9 +570,9 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 		if local {
 			capture.park(f.head, f.payload, f.descs)
 		} else {
-			vc.bufs.put(f.head)
+			vc.bufs.Put(f.head)
 		}
-		vc.bufs.putPair(f.meta.Blocks)
+		vc.bufs.PutPair(f.meta.Blocks)
 	}
 	for _, b := range branches {
 		b.tx.enq.Unlock(p)
@@ -605,9 +597,11 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 //
 // Buffer election (§2.3), for a message leaving this gateway on one branch:
 //   - egress static (and zero-copy on): buffers come from the egress
-//     driver, packets land in them directly, and are sent in place;
+//     driver's static class of the pool, packets land in them directly, and
+//     are sent in place;
 //   - ingress static, egress dynamic: packets are taken as driver-slot
-//     handoffs and sent straight from the ingress slot;
+//     handoffs and sent straight from the ingress slot, a landing slot of the
+//     pool that is recycled like a staging buffer;
 //   - both static: the posted receive falls back to a real copy out of the
 //     ingress slot — the unavoidable one;
 //   - both dynamic: packets land in plain pipeline buffers with no copy.
@@ -617,8 +611,8 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 // single egress driver's static buffers (nor the one ingress slot) can back
 // them.
 //
-// Buffers come from pools (pool.go), not the allocator: a slot takes one for
-// each fragment and its release gives it back, so once the pools hold a
+// Buffers come from the pool (vc.bufs), not the allocator: a slot holds one
+// for each fragment and its release gives it back, so once the pool holds a
 // ring's worth a relay allocates nothing. When the receive thread has to
 // wait for a free slot — the send side is the bottleneck and every buffer is
 // in flight, for this message or an earlier one — the wait is recorded as a
@@ -635,14 +629,15 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	recvActor := r.recvActor
 	msgID := f.id
 
-	// The message's buffer election: the pool its slots take their buffers
-	// from, nil when the data rides the ingress slots.
-	pool := &vc.bufs
+	// The message's buffer election: the class its slots' buffers belong
+	// to, and whether they are the ingress slots handed over.
+	var pool bufPool = &vc.bufs
+	handOff := false
 	if len(branches) == 1 && cfg.ZeroCopy {
 		if out := branches[0].tx.out; out.NIC().StaticBuffers {
-			pool = g.staticPool(r, out)
-		} else if in.NIC().StaticBuffers {
-			pool = nil
+			pool = vc.bufs.Static(out.Channel.Driver(), host)
+		} else {
+			handOff = in.NIC().StaticBuffers
 		}
 	}
 	// stalled records a pipeline bubble: the egress side is the bottleneck —
@@ -677,10 +672,11 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		t0 = p.Now()
 		var meta mad.TxMeta
 		s.pool = pool
-		if pool == nil {
-			meta, s.data = in.Recv(p)
+		if handOff {
+			meta, s.buf = in.Recv(p)
+			s.data = s.buf
 		} else {
-			s.buf = pool.get(f.mtu)
+			s.buf = pool.Get(f.mtu)
 			var n int
 			meta, n = in.RecvInto(p, s.buf)
 			s.data = s.buf[:n]
@@ -701,7 +697,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		if !cfg.ZeroCopy {
 			// Copy-always ablation: stage through an extra buffer like a
 			// forwarding layer naively placed above Madeleine would.
-			s.aux = vc.bufs.get(len(s.data))
+			s.aux = vc.bufs.Get(len(s.data))
 			host.Memcpy(p, len(s.data))
 			copy(s.aux, s.data)
 			s.data = s.aux
@@ -720,7 +716,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			// The slot is recycled by the branch senders; the local copy, a
 			// buffer the capture returns, is the gateway-member's delivery cost.
 			host.Memcpy(p, n)
-			own := vc.bufs.get(n)
+			own := vc.bufs.Get(n)
 			copy(own, s.data)
 			capture.park(own, own, meta.Blocks[:1])
 		}
@@ -729,13 +725,13 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 		for _, b := range branches {
 			descs := meta.Blocks
 			if b.replicated() {
-				descs = append(vc.bufs.getPair(1), descs...)
+				descs = append(vc.bufs.GetPair(1), descs...)
 			}
 			b.tx.q.Send(p, gwTx{meta: mad.TxMeta{Kind: f.kind, EOM: meta.EOM, Blocks: descs},
 				data: s.data, msgID: msgID, slot: s, replicated: b.replicated()})
 		}
 		if f.kind == mad.KindMcast {
-			vc.bufs.putPair(meta.Blocks) // every branch sends a copy of its own
+			vc.bufs.PutPair(meta.Blocks) // every branch sends a copy of its own
 		}
 		stalled(t0)
 		if len(branches) == 0 {
@@ -755,10 +751,8 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 // and its buffers to their pools: the ingress transfer behind it has fully
 // drained through egress.
 func (g *Gateway) recycle(p *vtime.Proc, s *relaySlot) {
-	g.vc.bufs.put(s.aux)
-	if s.pool != nil {
-		s.pool.put(s.buf)
-	}
+	g.vc.bufs.Put(s.aux)
+	s.pool.Put(s.buf)
 	s.buf, s.aux, s.data = nil, nil, nil
 	s.ring.free.Send(p, s)
 }

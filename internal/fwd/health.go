@@ -59,7 +59,7 @@ func (vc *VirtualChannel) buildHealth() {
 		sim.SpawnDaemon("relprobe:"+name, func(p *vtime.Proc) { sendThread(p, hp.q, hp.probe) })
 		sim.SpawnDaemon("relecho:"+name, func(p *vtime.Proc) {
 			sendThread(p, hp.echoQ, func(p *vtime.Proc, it healthEcho) {
-				pkt := vc.bufs.get(health.ProbeSize)
+				pkt := vc.bufs.Get(health.ProbeSize)
 				health.PutProbe(pkt, it.probe)
 				e.sendControl(p, it.link, mad.KindHealth, pkt)
 			})
@@ -94,7 +94,7 @@ func (hp *healthProber) probe(p *vtime.Proc, edge route.Edge) {
 	aw := e.newAwait()
 	hp.await[seq] = aw
 	t0 := p.Now()
-	pkt := e.vc.bufs.get(health.ProbeSize)
+	pkt := e.vc.bufs.Get(health.ProbeSize)
 	health.PutProbe(pkt, health.Probe{Kind: health.ProbeReq, Seq: seq, T0: t0})
 	e.sendControl(p, link, mad.KindHealth, pkt)
 	ok := e.await(p, aw, mon.ProbeTimeout(), "health probe", edge.To)

@@ -262,7 +262,7 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 	vc := g.vc
 	return vc.splitByHop(g.node, f.dests, func(hop route.Hop, ranks []mad.Rank, relays bool) {
 		out := vc.hopLink(g.node, hop, relays)
-		hdr := vc.bufs.get(streamHeaderLen(mad.KindMcast, len(ranks)))
+		hdr := vc.bufs.Get(streamHeaderLen(mad.KindMcast, len(ranks)))
 		putStreamHeader(hdr, mad.KindMcast, streamHdr{src: f.src, mtu: f.mtu, id: f.id, dests: ranks})
 		r.branches = append(r.branches, relayBranch{tx: g.sender(out), hdr: hdr})
 	})
@@ -275,14 +275,14 @@ func (g *Gateway) mcastSplit(r *relayRing, f *relayFrame) (local bool) {
 // contiguous copy is the price of one transfer per branch, as at the root.
 func (g *Gateway) replicateFrame(p *vtime.Proc, f *relayFrame, b *relayBranch, payload []byte) ([]mad.BlockDesc, []byte) {
 	bufs := &g.vc.bufs
-	frame := bufs.get(len(b.hdr) + len(payload))
+	frame := bufs.Get(len(b.hdr) + len(payload))
 	copy(frame[copy(frame, b.hdr):], payload)
-	bufs.put(b.hdr)
+	bufs.Put(b.hdr)
 	if len(payload) > 0 {
 		g.node.Host.Memcpy(p, len(payload))
 	}
 	g.met.replicatedPkts.Add(1)
 	g.met.replicatedBytes.Add(int64(len(payload)))
 	g.vc.flightRing(g.name).Record(flight.KindReplicate, p.Now(), 0, f.id, len(payload), b.tx.outNet)
-	return append(append(bufs.getPair(1+len(f.descs)), headerDesc(len(b.hdr))), f.descs...), frame
+	return append(append(bufs.GetPair(1+len(f.descs)), headerDesc(len(b.hdr))), f.descs...), frame
 }

@@ -12,12 +12,12 @@ import (
 	"madgo/internal/vtime"
 )
 
-// Steady-state relays must not touch the allocator. A slot takes a staging
-// buffer from the pool its message's buffer election names — the channel's
-// wire pool, or the ring's pool of the egress driver's static buffers — for
-// every fragment it stages, and the sender that releases the slot gives the
-// buffer back: once the pools hold a ring's worth, every further message takes
-// from them (BufsTaken keeps growing) without a single additional allocation
+// Steady-state relays must not touch the allocator. A slot holds a staging
+// buffer of the class its message's buffer election names — the wire pool's
+// own memory, the egress driver's static class, or the ingress landing slot
+// handed over — for every fragment it stages, and the sender that releases
+// the slot gives the buffer back: once the pool holds a ring's worth, every
+// further message takes from it (BufsTaken keeps growing) without a single additional allocation
 // (BufsAllocated stays at the warm-up level), and when the gateway is
 // quiescent every buffer taken has been returned (the ledger balances; the
 // fixture poisons every returned buffer) — nothing stays stocked in a ring
@@ -28,7 +28,7 @@ import (
 // is the slot that outlives its message: back-to-back messages whose election
 // differs — ingress slots, the egress driver's static buffers, the wire pool
 // of a fan-out — and whose MTU changes with the route, so a slot released for
-// one message is refilled from another pool, at another size, for the next
+// one message is refilled from another class, at another size, for the next
 // while the first is still going out.
 func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 	payload := pattern(300_000, 7)
@@ -120,7 +120,7 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 // every gateway receives and hands on as it came (mad.TxMeta.Owned), so it
 // reaches the next node before a receive is posted for it and lands there as
 // it is, where the link used to copy a header re-emitted from the gateway's
-// header cells into driver memory (mad.snapshot; DESIGN.md §36). That copy was
+// header cells into driver memory (mad.Link.landed; DESIGN.md §36). That copy was
 // the one allocation a second gateway added, the send process's record the
 // other before it. On a multicast tree a gateway splits the destination set
 // into branch headers: wire-pool buffers the next hop returns (DESIGN.md §37),

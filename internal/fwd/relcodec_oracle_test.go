@@ -76,16 +76,16 @@ func ackKeys(raw []byte) []relAckKey {
 	return keys
 }
 
-// PoisonRelBufs makes the channel's pools overwrite every buffer they get
-// back, so a payload, descriptor, ack trailer, aggregate frame or staging
-// buffer read through an alias the owner should have dropped comes out as
-// 0xDB garbage — failing the byte-exact delivery checks, or the CRC — instead
-// of passing by luck. The gateways' static pools, made later, copy the hook.
+// PoisonRelBufs makes the channel's pool overwrite every buffer it gets back,
+// so a payload, descriptor, ack trailer, aggregate frame, landing slot or
+// staging buffer — a driver's static ones too — read through an alias the
+// owner should have dropped comes out as 0xDB garbage — failing the byte-exact
+// delivery checks, or the CRC — instead of passing by luck.
 // Every descriptor pair given back reads Size -1, which no transfer carries:
 // a hop or a sink that reads one after its final receiver returned it fails
 // the sink's size check with a protocol error, or the link's. Exported to the
 // package's external tests; it exists in test builds only.
-func PoisonRelBufs(vc *VirtualChannel) { vc.bufs.onPut, vc.bufs.onPutPair = poison, poisonPair }
+func PoisonRelBufs(vc *VirtualChannel) { vc.bufs.OnPut, vc.bufs.OnPutPair = poison, poisonPair }
 
 // SinkFrames reports what a sink holds of the aggregated path: whether it is
 // draining a frame — sub-messages of it are still unread, asked of a copy of
@@ -114,22 +114,22 @@ func poisonPair(pair []mad.BlockDesc) {
 
 // pooledEqualsOracle encodes one data packet both ways — the second into a
 // dirty pooled buffer — and compares.
-func pooledEqualsOracle(t *testing.T, bp *wireBufPool, d relData, acks []relAckKey) {
+func pooledEqualsOracle(t *testing.T, bp *mad.Pool, d relData, acks []relAckKey) {
 	t.Helper()
 	want := encodeRelData(d.src, d.dst, d.mtu, d.id, d.frag, d.total, d.flags, d.payload, acks)
-	pkt := bp.get(relDataLen(len(d.payload), len(acks)))
+	pkt := bp.Get(relDataLen(len(d.payload), len(acks)))
 	putRelData(pkt, &d, d.flags, acks)
 	if !bytes.Equal(pkt, want) {
 		t.Fatalf("pooled encoding differs from the copying encoder:\n got  %x\n want %x", pkt, want)
 	}
-	bp.put(pkt)
+	bp.Put(pkt)
 }
 
 // TestPooledEncodersMatchCopyingOracle: random headers, payloads and
 // piggybacked acks (and the FuzzRelData seed corpus) encode byte-identically
 // into recycled, poisoned buffers; so do ack batches and descriptors.
 func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
-	bp := wireBufPool{onPut: poison}
+	bp := mad.Pool{OnPut: poison}
 	for _, seed := range relDataSeeds() {
 		if d, ok := decodeRelData(seed); ok { // the corpus holds malformed packets too
 			pooledEqualsOracle(t, &bp, d, ackKeys(d.acks))
@@ -151,12 +151,12 @@ func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
 		pooledEqualsOracle(t, &bp, d, randKeys(rng.Intn(3)*rng.Intn(relAckBatchMax/2+1)))
 
 		keys := randKeys(1 + rng.Intn(relAckBatchMax))
-		pkt := bp.get(relAcksLen(len(keys)))
+		pkt := bp.Get(relAcksLen(len(keys)))
 		putRelAcks(pkt, keys)
 		if want := encodeRelAcks(keys); !bytes.Equal(pkt, want) {
 			t.Fatalf("pooled ack batch differs:\n got  %x\n want %x", pkt, want)
 		}
-		bp.put(pkt)
+		bp.Put(pkt)
 
 		blocks := make([]relBlock, rng.Intn(5))
 		for j := range blocks {
@@ -164,46 +164,50 @@ func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
 				s: mad.SendMode(rng.Intn(3)), r: mad.RecvMode(rng.Intn(2))}
 		}
 		mtu := 1 + rng.Intn(1<<16)
-		desc := bp.get(relDescLen(len(blocks)))
+		desc := bp.Get(relDescLen(len(blocks)))
 		putRelDesc(desc, mtu, blocks)
 		if want := encodeRelDesc(mtu, blocks); !bytes.Equal(desc, want) {
 			t.Fatalf("pooled descriptor differs:\n got  %x\n want %x", desc, want)
 		}
-		bp.put(desc)
+		bp.Put(desc)
 	}
-	if bp.taken != bp.returned {
-		t.Fatalf("ledger: took %d, returned %d", bp.taken, bp.returned)
+	if l := bp.Ledger(); l.BufsTaken != l.BufsReturned {
+		t.Fatalf("ledger: took %d, returned %d", l.BufsTaken, l.BufsReturned)
 	}
 }
 
 // TestRelBufPoolClasses: a capacity is its own class, classes are monotone,
 // and a recycled buffer serves any request of its class.
 func TestRelBufPoolClasses(t *testing.T) {
-	prevClass, prevSize := -1, 0
-	for n := 0; n <= 300<<10; n += 1 + n/7 {
-		class, size := relBufClass(n)
-		if size < n || size < 1<<relBufMinShift {
-			t.Fatalf("relBufClass(%d) = class %d of %d bytes: too small", n, class, size)
-		}
-		if c2, s2 := relBufClass(size); c2 != class || s2 != size {
-			t.Fatalf("capacity %d of class %d maps to class %d of %d bytes", size, class, c2, s2)
-		}
-		if class < prevClass || size < prevSize {
-			t.Fatalf("classes not monotone at %d: (%d, %d) after (%d, %d)", n, class, size, prevClass, prevSize)
-		}
-		if n > relBufPage && size-n >= relBufPage {
-			t.Fatalf("relBufClass(%d) wastes %d bytes, a page or more", n, size-n)
-		}
-		prevClass, prevSize = class, size
+	const page = 4096
+	classOf := func(n int) (size int) {
+		var bp mad.Pool
+		return cap(bp.Get(n))
 	}
-	var bp wireBufPool
-	b := bp.get(32800)
-	bp.put(b)
-	if c := bp.get(33000); &c[0] != &b[0] {
+	prevSize := 0
+	for n := 0; n <= 300<<10; n += 1 + n/7 {
+		size := classOf(n)
+		if size < n || size < 64 {
+			t.Fatalf("a %d-byte request got a class of %d bytes: too small", n, size)
+		}
+		if s2 := classOf(size); s2 != size {
+			t.Fatalf("capacity %d maps to a class of %d bytes", size, s2)
+		}
+		if size < prevSize {
+			t.Fatalf("classes not monotone at %d: %d bytes after %d", n, size, prevSize)
+		}
+		if n > page && size-n >= page {
+			t.Fatalf("a %d-byte request wastes %d bytes, a page or more", n, size-n)
+		}
+		prevSize = size
+	}
+	var bp mad.Pool
+	b := bp.Get(32800)
+	bp.Put(b)
+	if c := bp.Get(33000); &c[0] != &b[0] {
 		t.Fatal("a buffer of the same class was not reused")
 	}
-	var s RelBookkeeping
-	if bp.tally(&s); s != (RelBookkeeping{BufsTaken: 2, BufsReturned: 1, BufsAllocated: 1}) {
+	if s := bp.Ledger(); s != (mad.Ledger{BufsTaken: 2, BufsReturned: 1, BufsAllocated: 1}) {
 		t.Fatalf("ledger after reuse: %+v", s)
 	}
 	defer func() {
@@ -211,5 +215,5 @@ func TestRelBufPoolClasses(t *testing.T) {
 			t.Fatal("a foreign buffer was accepted into the pool")
 		}
 	}()
-	bp.put(make([]byte, 100))
+	bp.Put(make([]byte, 100))
 }

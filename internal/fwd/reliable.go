@@ -193,7 +193,7 @@ type relData struct {
 	acks []byte
 	// buf is the received datagram payload and acks alias: a pooled buffer
 	// this node owns from the link's hand-over until it returns it to the
-	// virtual channel's free list (see wireBufPool). Nil for a packet this
+	// virtual channel's pool (vc.bufs). Nil for a packet this
 	// node originated.
 	buf []byte
 }
@@ -684,8 +684,8 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	if nfrags > relMaxFrags {
 		panic(fmt.Sprintf("fwd: message of %d fragments exceeds the reliable protocol's %d", total, relMaxFrags))
 	}
-	desc := e.vc.bufs.get(relDescLen(len(blocks)))
-	defer e.vc.bufs.put(desc)
+	desc := e.vc.bufs.Get(relDescLen(len(blocks)))
+	defer e.vc.bufs.Put(desc)
 	putRelDesc(desc, mtu, blocks)
 	m := e.outFree.get()
 	defer e.freeOut(m)
@@ -987,7 +987,7 @@ func (e *relEngine) retire(b *relBurst, ok bool) {
 					e.gw.messages++
 				}
 			}
-			e.vc.bufs.put(b.batch[i].buf)
+			e.vc.bufs.Put(b.batch[i].buf)
 			b.batch[i] = relData{}
 		}
 		e.relayDRR.Charge(b.from, b.cost)
@@ -1098,13 +1098,13 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bo
 		flags |= relFlagFlush
 	}
 	acks := e.takePiggyback(link)
-	pkt := e.vc.bufs.get(relDataLen(len(d.payload), len(acks)))
+	pkt := e.vc.bufs.Get(relDataLen(len(d.payload), len(acks)))
 	putRelData(pkt, d, flags, acks)
 	e.settlePending(link, len(acks))
 	link.Acquire(p)
 	t0 := p.Now()
 	if !link.Send(p, relMeta(kind), pkt) {
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 	}
 	e.flight().Record(flight.KindSend, p.Now(), vtime.Since(p.Now(), t0), d.id, len(d.payload), link.Channel.Network().Name)
 	link.Release(p)
@@ -1213,14 +1213,14 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 		e.handleData(p, in, pkt)
 	case mad.KindRelAck:
 		e.handleAck(pkt)
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 	case mad.KindHealth:
 		e.handleHealth(p, in, pkt)
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 	default:
 		// A kind the engine does not speak is malformed, like a bad checksum.
 		e.count(relChecksumDrops, 1)
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 	}
 }
 
@@ -1235,7 +1235,7 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	if n := mad.Rank(len(e.vc.sess.Nodes())); !ok || d.src >= n || d.dst >= n {
 		e.trace("corrupt-drop", len(pkt), p.Now())
 		e.count(relChecksumDrops, 1)
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 		return // no ack: the sender retransmits
 	}
 	d.buf = pkt
@@ -1254,11 +1254,11 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		if _, ok := e.nextHop(finalName, ingress); !ok {
 			e.count(relRelayDrops, 1)
 			e.hop(p, d.id, "refuse", obs.Detail{Form: "no route to ${peer} except back via ${net}", Peer: finalName, Net: ingress}, 0)
-			e.vc.bufs.put(pkt)
+			e.vc.bufs.Put(pkt)
 			return
 		}
 		if !e.enqueueRelay(relayItem{d: d, from: ingress, enq: p.Now()}) {
-			e.vc.bufs.put(pkt)
+			e.vc.bufs.Put(pkt)
 			return // backpressure: no ack until the queue drains
 		}
 		e.hopAck(in, &d)
@@ -1271,11 +1271,11 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
 			complete(aw)
 		}
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 		return
 	}
 	if !e.acceptLocal(p, in, &d) {
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 	}
 }
 
@@ -1539,7 +1539,7 @@ func (e *relEngine) flushAcks(p *vtime.Proc, link *mad.Link) {
 	// parks, and the polling daemon may append new entries meanwhile.
 	for len(r.keys) > 0 {
 		n := min(len(r.keys), relAckBatchMax)
-		pkt := e.vc.bufs.get(relAcksLen(n))
+		pkt := e.vc.bufs.Get(relAcksLen(n))
 		putRelAcks(pkt, r.keys[:n])
 		e.settlePending(link, n)
 		e.count(relAckPackets, 1)
@@ -1556,7 +1556,7 @@ func (e *relEngine) flushAcks(p *vtime.Proc, link *mad.Link) {
 func (e *relEngine) sendControl(p *vtime.Proc, link *mad.Link, kind mad.Kind, pkt []byte) {
 	link.Acquire(p)
 	if !link.Send(p, relMeta(kind), pkt) {
-		e.vc.bufs.put(pkt)
+		e.vc.bufs.Put(pkt)
 	}
 	link.Release(p)
 }
@@ -1573,25 +1573,16 @@ type RelBookkeeping struct {
 	RxPartials int
 	// RxEvictions is how many partial reassemblies were evicted at the cap.
 	RxEvictions int64
-	// BufsTaken and BufsReturned are the buffer ledger of every pool
-	// (pool.go): how many buffers were taken and how many came back. Equal
-	// on a quiesced run — a difference is a leaked (or twice-returned)
-	// buffer. BufsFree is how many sit on the free lists, BufsAllocated how
-	// many the pools ever made.
-	BufsTaken     int64
-	BufsReturned  int64
-	BufsFree      int
-	BufsAllocated int64
-	// PairsTaken and PairsReturned are the same ledger for the descriptor
-	// pairs transfers travel with: each has one receiver, which returns it.
-	PairsTaken, PairsReturned int64
+	// The buffer ledger of the virtual channel's pool, landing slots and
+	// static buffers included, which every mode keeps.
+	mad.Ledger
 }
 
 // RelBookkeeping sums the reliable mode's bookkeeping sizes over every node.
 // Zero-valued in streaming mode but for the buffer ledger, which every mode
 // keeps.
 func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
-	var s RelBookkeeping
+	s := RelBookkeeping{Ledger: vc.bufs.Ledger()}
 	for _, e := range vc.rel {
 		for _, w := range e.done {
 			s.DoneIDs += w.size()
@@ -1599,14 +1590,6 @@ func (vc *VirtualChannel) RelBookkeeping() RelBookkeeping {
 		s.RxPartials += len(e.rx)
 	}
 	s.RxEvictions = vc.relCount(relRxEvictions)
-	vc.bufs.tally(&s)
-	for _, g := range vc.gates {
-		for _, r := range g.rings {
-			for _, bp := range r.static {
-				bp.tally(&s)
-			}
-		}
-	}
 	return s
 }
 

@@ -322,7 +322,7 @@ func (tx *streamTx) open(p *vtime.Proc, h streamHdr) {
 	// ${a}: a rail's id, a multicast header's destination count; zero
 	// otherwise, where both are.
 	tx.id, tx.mtu, tx.hopA = h.id, h.mtu, h.rail+len(h.dests)
-	tx.hdr = tx.vc.bufs.get(streamHeaderLen(tx.kind, len(h.dests)))
+	tx.hdr = tx.vc.bufs.Get(streamHeaderLen(tx.kind, len(h.dests)))
 	putStreamHeader(tx.hdr, tx.kind, h)
 	tx.link.Acquire(p)
 	if framingOf(tx.kind).bracketed {
@@ -389,16 +389,16 @@ func (tx *streamTx) emit(p *vtime.Proc, fr heldFrag, last bool) {
 		// Building the contiguous frame copies the fragment once — the price
 		// of eliding a whole transfer.
 		tx.link.Src.Host.Memcpy(p, len(fr.data))
-		frame := bufs.get(len(tx.hdr) + len(fr.data))
+		frame := bufs.Get(len(tx.hdr) + len(fr.data))
 		copy(frame[copy(frame, tx.hdr):], fr.data)
-		bufs.put(tx.hdr)
-		tx.first(p, frame, append(bufs.getPair(2), headerDesc(len(tx.hdr)), fr.desc), last)
+		bufs.Put(tx.hdr)
+		tx.first(p, frame, append(bufs.GetPair(2), headerDesc(len(tx.hdr)), fr.desc), last)
 		form = f.compactForm
 	} else {
 		if !tx.started {
 			tx.first(p, tx.hdr, tx.hdrDescs(), false)
 		}
-		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: append(bufs.getPair(1), fr.desc)}, fr.data)
+		tx.link.Send(p, mad.TxMeta{EOM: last, Kind: tx.kind, Blocks: append(bufs.GetPair(1), fr.desc)}, fr.data)
 	}
 	if f.hopEach {
 		tx.hop(p, form, len(fr.data))
@@ -418,7 +418,7 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 	f := framingOf(tx.kind)
 	form := f.form
 	if (total == 0 || len(tx.hdr)+total <= tx.mtu) && (wire != nil || total <= eagerInlineMax) {
-		descs := append(tx.vc.bufs.getPair(1+len(blks)), headerDesc(len(tx.hdr)))
+		descs := append(tx.vc.bufs.GetPair(1+len(blks)), headerDesc(len(tx.hdr)))
 		for _, b := range blks {
 			// A block that would put no fragment on the wire is not
 			// described here either.
@@ -429,7 +429,7 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 		if wire != nil {
 			copy(wire, tx.hdr)
 		} else {
-			wire = tx.vc.bufs.get(len(tx.hdr) + total)
+			wire = tx.vc.bufs.Get(len(tx.hdr) + total)
 			off := copy(wire, tx.hdr)
 			for _, b := range blks {
 				off += copy(wire[off:], b.data)
@@ -438,7 +438,7 @@ func (tx *streamTx) message(p *vtime.Proc, blks []relBlock, total int, wire []by
 				tx.link.Src.Host.Memcpy(p, total)
 			}
 		}
-		tx.vc.bufs.put(tx.hdr)
+		tx.vc.bufs.Put(tx.hdr)
 		tx.first(p, wire, descs, true)
 		form = f.compactForm
 	} else {
@@ -572,7 +572,7 @@ func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arriva
 	a.Link.AcquireRecv(p)
 	kind := a.Kind()
 	meta, first, spent := recvFirst(p, a.Link, kind, scratch)
-	vc.bufs.put(spent)
+	vc.bufs.Put(spent)
 	o, ok := parseStream(kind, meta, first, vc.mcastst.ranks)
 	if !ok {
 		panic(fmt.Sprintf("fwd: malformed %v stream delivered to %s", kind, node.Name))
@@ -585,7 +585,7 @@ func (vc *VirtualChannel) openStream(p *vtime.Proc, node *mad.Node, a mad.Arriva
 		vc.mcastst.ranks, o.dests = o.dests, nil
 	}
 	if kind == mad.KindMcast && !meta.EOM || kind == mad.KindEager && len(o.descs) == 0 {
-		vc.bufs.put(first) // a header that travelled alone
+		vc.bufs.Put(first) // a header that travelled alone
 	}
 	return o
 }
@@ -621,7 +621,7 @@ func (rx *streamRx) open(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, a ma
 		// message, its pair now.
 		rx.held = vc.hold(o.src, o.mtu, o.id)
 		rx.held.park(o.head, o.payload, o.descs)
-		vc.bufs.putPair(o.meta.Blocks)
+		vc.bufs.PutPair(o.meta.Blocks)
 	}
 	return o
 }
@@ -671,7 +671,7 @@ func (vc *VirtualChannel) hold(src mad.Rank, mtu int, id uint64) *heldMsg {
 // for its slices' storage, to the free list.
 func (vc *VirtualChannel) release(h *heldMsg) {
 	for _, b := range h.bufs {
-		vc.bufs.put(b)
+		vc.bufs.Put(b)
 	}
 	clear(h.bufs)
 	clear(h.frags)
@@ -731,7 +731,7 @@ func (rx *streamRx) fragment(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Re
 			panic("fwd: protocol error: stream packet without exactly one block")
 		}
 		d, rx.eom = meta.Blocks[0], meta.EOM
-		rx.vc.bufs.putPair(meta.Blocks)
+		rx.vc.bufs.PutPair(meta.Blocks)
 	}
 	if d.S != s || d.R != r || d.Size != n || got != n {
 		panic(fmt.Sprintf("fwd: protocol error: packed %v, unpacked {%dB %v %v}", d, n, s, r))

@@ -149,12 +149,12 @@ type VirtualChannel struct {
 	// Reliable-mode state: one engine per node, in declaration order.
 	rel      map[string]*relEngine
 	relOrder []string
-	// bufs is the free list every reliable datagram's buffer, every
-	// aggregate frame and every gateway staging buffer but a driver's static
-	// ones is taken from and returned to (pool.go); shared because the node
-	// that takes a buffer may hand it over the link to the node that returns
-	// it.
-	bufs wireBufPool
+	// bufs is the pool every byte buffer of the channel is taken from and
+	// returned to — what lands in driver memory, reliable datagrams, frames,
+	// gateway staging buffers and a driver's static ones (pool.go); its
+	// channels draw from it, and it is shared because the node that takes a
+	// buffer may hand it over the link to the node that returns it.
+	bufs mad.Pool
 	// recs are the free lists of the framing records a message's End is done
 	// with (pool.go).
 	recs records
@@ -433,14 +433,15 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 	return vc, nil
 }
 
-// newChannel makes a real channel over every node attached to a network.
+// newChannel makes a real channel over every node attached to a network,
+// drawing from the virtual channel's pool.
 func (vc *VirtualChannel) newChannel(prefix string, nw *topo.Network) *mad.Channel {
 	b := vc.bindings[nw.Name]
 	members := make([]*mad.Node, len(nw.Members))
 	for i, m := range nw.Members {
 		members[i] = vc.nodes[m]
 	}
-	return vc.sess.NewChannel(prefix+nw.Name, b.Net, b.Drv, members...)
+	return vc.sess.NewChannelIn(&vc.bufs, prefix+nw.Name, b.Net, b.Drv, members...)
 }
 
 // equip gives a route what relaying it needs: on every node it relays
@@ -794,7 +795,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
 			flags = flagAgg
 		}
 		vc.rel[node.Name].sendMessage(p, dst, x.blks, x.id, flags, rails)
-		vc.bufs.put(x.wire)
+		vc.bufs.Put(x.wire)
 	case rails != nil:
 		if x.wire != nil {
 			vc.aggst.striped[x.id] = x.wire

@@ -18,12 +18,15 @@ import (
 // to EndUnpacking on a direct link — may allocate once the link is warm.
 // The link itself contributes nothing any more: its transmissions, wakers,
 // wire events, flow spec and route are per-link state. What is left is the
-// message's own bookkeeping (Packing, Unpacking, their BMM halves, block
-// descriptors, the aggregate's fresh storage; the Arrival note travels by
-// value): 6 and 7 allocations where the same messages cost 45 and 41 when
-// every send built those afresh. The aggregate is handed over (TxMeta.Owned),
-// so an eager delivery that finds no receive posted no longer snapshots it
-// into driver memory: the 64-byte message read 8 while it did.
+// message's own bookkeeping (Packing and its packer, Unpacking with its
+// mirror inside, block descriptors; the Arrival note travels by value, the
+// aggregate is a buffer of the channel's pool its receiver returns): 4 and 4
+// allocations where the same messages cost 45 and 41 when every send built
+// those afresh, and 6 and 7 while the packer made its aggregate afresh — at
+// construction and at every flush — and the mirror was a record of its own.
+// The aggregate is handed over (TxMeta.Owned), so an eager delivery that
+// finds no receive posted does not snapshot it into driver memory: the
+// 64-byte message read 8 while it did.
 func TestDirectMessageAllocBudget(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -31,8 +34,8 @@ func TestDirectMessageAllocBudget(t *testing.T) {
 		size   int
 		budget float64
 	}{
-		{"myrinet 32 KiB", bip.New(), 32 << 10, 6},
-		{"sci 64 B", sisci.New(), 64, 7},
+		{"myrinet 32 KiB", bip.New(), 32 << 10, 4},
+		{"sci 64 B", sisci.New(), 64, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

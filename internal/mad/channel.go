@@ -18,7 +18,8 @@ type Channel struct {
 	net     *hw.Network
 	drv     Driver
 	nic     hw.NICParams // the driver's, which its links share
-	members map[Rank]*Node
+	pool    *Pool        // where what lands in driver memory is taken from
+	members map[Rank]*Endpoint
 	order   []Rank
 	links   map[[2]Rank]*Link
 	byNum   []*Link      // the links in bring-up order; a wire event names its link by index
@@ -27,8 +28,14 @@ type Channel struct {
 }
 
 // NewChannel creates a channel over the given network and driver connecting
-// the member nodes. Every member must be distinct.
+// the member nodes, drawing buffers from the session's pool. Every member must
+// be distinct.
 func (s *Session) NewChannel(name string, net *hw.Network, drv Driver, members ...*Node) *Channel {
+	return s.NewChannelIn(&s.pool, name, net, drv, members...)
+}
+
+// NewChannelIn is NewChannel drawing buffers from pool.
+func (s *Session) NewChannelIn(pool *Pool, name string, net *hw.Network, drv Driver, members ...*Node) *Channel {
 	if len(members) < 2 {
 		panic("mad: channel needs at least two members: " + name)
 	}
@@ -38,18 +45,21 @@ func (s *Session) NewChannel(name string, net *hw.Network, drv Driver, members .
 		net:     net,
 		drv:     drv,
 		nic:     drv.NIC(),
-		members: make(map[Rank]*Node, len(members)),
+		pool:    pool,
+		members: make(map[Rank]*Endpoint, len(members)),
 		links:   make(map[[2]Rank]*Link),
 		arrival: make(map[Rank]*vsync.Chan[Arrival], len(members)),
 	}
-	for _, n := range members {
+	eps := make([]Endpoint, len(members)) // one allocation for every member's endpoint
+	for i, n := range members {
 		if n.Session != s {
 			panic("mad: node from another session on channel " + name)
 		}
 		if _, dup := ch.members[n.Rank]; dup {
 			panic(fmt.Sprintf("mad: node %v twice on channel %s", n, name))
 		}
-		ch.members[n.Rank] = n
+		eps[i] = Endpoint{ch: ch, node: n}
+		ch.members[n.Rank] = &eps[i]
 		ch.order = append(ch.order, n.Rank)
 		ch.arrival[n.Rank] = vsync.NewChan[Arrival](fmt.Sprintf("arrivals:%s:%s", name, n.Name), 4096)
 	}
@@ -65,6 +75,9 @@ func (ch *Channel) Driver() Driver { return ch.drv }
 
 // Network returns the underlying network.
 func (ch *Channel) Network() *hw.Network { return ch.net }
+
+// Pool returns the pool the channel draws buffers from.
+func (ch *Channel) Pool() *Pool { return ch.pool }
 
 // Members returns the member ranks in declaration order.
 func (ch *Channel) Members() []Rank { return append([]Rank(nil), ch.order...) }
@@ -90,7 +103,7 @@ func (ch *Channel) Link(src, dst Rank) *Link {
 	if ch.onWire == nil {
 		ch.onWire = ch.wireArrival
 	}
-	l := newLink(ch, ch.members[src], ch.members[dst], uint64(len(ch.byNum)))
+	l := newLink(ch, ch.members[src].node, ch.members[dst].node, uint64(len(ch.byNum)))
 	ch.links[key] = l
 	ch.byNum = append(ch.byNum, l)
 	return l
@@ -140,12 +153,13 @@ type Endpoint struct {
 	node *Node
 }
 
-// At returns the endpoint of node n on the channel.
+// At returns the endpoint of node n on the channel, made with the channel.
 func (ch *Channel) At(n *Node) *Endpoint {
-	if !ch.HasMember(n.Rank) {
+	e, ok := ch.members[n.Rank]
+	if !ok {
 		panic(fmt.Sprintf("mad: %v is not on channel %s", n, ch.Name))
 	}
-	return &Endpoint{ch: ch, node: n}
+	return e
 }
 
 // AtRank returns the endpoint of the member with rank r.

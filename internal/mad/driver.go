@@ -5,16 +5,6 @@ import (
 	"madgo/internal/vtime"
 )
 
-// Buffer is a unit of payload handled by the buffer-management layer.
-// Dynamic buffers reference arbitrary user memory; static buffers are owned
-// by a driver (the SBP-style networks of §2.3) and payload must be copied
-// into them before transmission.
-type Buffer struct {
-	Data   []byte
-	Static bool
-	Owner  Driver // nil for dynamic buffers
-}
-
 // Caps describes a driver to the buffer-management layer, which selects and
 // parameterizes the BMM from it.
 type Caps struct {
@@ -57,9 +47,11 @@ type Driver interface {
 	Caps() Caps
 	// NIC returns the hardware timing model.
 	NIC() hw.NICParams
-	// AllocStatic returns a driver-owned static buffer of n bytes on
-	// host h. Drivers without static buffers panic.
-	AllocStatic(h *hw.Host, n int) *Buffer
+	// AllocStatic returns a new driver-owned static buffer of n bytes on
+	// host h, the memory of the SBP-style networks of §2.3 that payload must
+	// be copied into before transmission. Drivers without static buffers
+	// panic.
+	AllocStatic(h *hw.Host, n int) []byte
 	// OnSend charges protocol-specific per-transmission host costs on
 	// the sending side beyond the NIC model (e.g. the TCP driver's
 	// kernel socket copy).
@@ -73,7 +65,7 @@ type Driver interface {
 type BaseDriver struct{}
 
 // AllocStatic panics: the embedding driver has dynamic buffers only.
-func (BaseDriver) AllocStatic(h *hw.Host, n int) *Buffer {
+func (BaseDriver) AllocStatic(h *hw.Host, n int) []byte {
 	panic("mad: driver has no static buffers")
 }
 

@@ -221,10 +221,6 @@ type Link struct {
 	// The mailbox's first slots: a link whose receiver keeps up holds at
 	// most a few transmissions there.
 	mboxSlots [4]*transmission
-
-	// slots is the driver memory receives copied a transmission out of, for
-	// the next one that lands there (snapshot).
-	slots [][]byte
 }
 
 // newLink brings up the connection src→dst, the channel's link number num.
@@ -514,31 +510,24 @@ func (l *Link) place(g *postedRecv, payload []byte) {
 	g.placed = true
 }
 
-// snapshot copies payload into driver memory; it models the NIC writing
-// into protocol-owned buffers, so it charges no CPU time. The memory is the
-// slot a receive copied out last (RecvIntoSpent), or new where that has less
-// room and is dropped; an empty payload lands in none, as the receive tells
-// by a nil slot.
-func (l *Link) snapshot(payload []byte) []byte {
-	if n := len(l.slots); n > 0 && len(payload) > 0 {
-		slot := l.slots[n-1]
-		l.slots = l.slots[:n-1]
-		if cap(slot) >= len(payload) {
-			return append(slot[:0], payload...)
-		}
-	}
-	return append([]byte(nil), payload...)
-}
-
 // landed is the receiver-side memory of a transmission that found no posted
 // destination to be placed in. An Owned payload is handed over as it is:
 // same bytes, no copy, and from here on the receiver's. Any other is memory
-// its sender goes on using, so it is copied into driver memory.
+// its sender goes on using, so it is copied into driver memory — a landing
+// slot of the channel's pool, which the receive returns when it copies the
+// payload out (RecvIntoSpent) and hands over otherwise (Recv). The copy models
+// the NIC writing into protocol-owned buffers, so it charges no CPU time; an
+// empty payload lands in none, as the receive tells by a nil slot.
 func (l *Link) landed(tx *transmission) []byte {
-	if tx.meta.Owned {
+	switch {
+	case tx.meta.Owned:
 		return tx.payload
+	case len(tx.payload) == 0:
+		return nil
 	}
-	return l.snapshot(tx.payload)
+	slot := l.Channel.pool.Get(len(tx.payload))
+	copy(slot, tx.payload)
+	return slot
 }
 
 // deliver runs in scheduler context when a transmission (or rendezvous
@@ -591,8 +580,9 @@ func (l *Link) notifyArrival(tx *transmission) {
 }
 
 // Recv delivers the next transmission as driver-owned memory (slot
-// handoff): no CPU copy is charged, but the caller must copy the payload
-// out before reusing it across messages. The mirrored BMMs use this for
+// handoff): no CPU copy is charged, and the slot — a landing slot or an Owned
+// payload, either a buffer of the channel's pool — is the caller's, to return
+// to the pool when it is done with it. The mirrored BMMs use this for
 // aggregates; the gateway uses it when the egress side can send from the
 // ingress slot.
 func (l *Link) Recv(p *vtime.Proc) (TxMeta, []byte) {
@@ -640,7 +630,7 @@ func (l *Link) RecvIntoSpent(p *vtime.Proc, dst []byte) (meta TxMeta, n int, spe
 		l.Dst.Host.Memcpy(p, n)
 		copy(dst, tx.slot)
 		if !tx.meta.Owned {
-			l.slots = append(l.slots, tx.slot) // driver memory, emptied
+			l.Channel.pool.Put(tx.slot) // the landing slot, emptied
 		}
 	} else if tx.slot != nil && tx.granted != nil && tx.granted.dst == nil {
 		panic("mad: rendezvous slot delivery on RecvInto path")

@@ -38,6 +38,13 @@ func newPair(drv netDriver) *pair {
 	b := sess.AddNode("b")
 	net := drv.NewNetwork(pl, drv.Protocol()+"0")
 	ch := sess.NewChannel("ch0", net, drv, a, b)
+	// A buffer given back to the pool is overwritten, so a read through an
+	// alias its holder should have dropped fails the byte-exact checks.
+	ch.Pool().OnPut = func(buf []byte) {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
 	return &pair{sim: sim, sess: sess, ch: ch, a: a, b: b}
 }
 
@@ -65,7 +72,8 @@ type block struct {
 }
 
 // exchange sends the blocks a→b as one message and checks byte-exact
-// delivery.
+// delivery, and that every buffer taken from the channel's pool — landing
+// slots and aggregates — came back.
 func exchange(t *testing.T, pr *pair, blocks []block) {
 	t.Helper()
 	pr.sim.Spawn("sender", func(p *vtime.Proc) {
@@ -92,6 +100,9 @@ func exchange(t *testing.T, pr *pair, blocks []block) {
 		if !bytes.Equal(got[i], bl.data) {
 			t.Errorf("block %d corrupted (len %d, %v/%v)", i, len(bl.data), bl.s, bl.r)
 		}
+	}
+	if l := pr.ch.Pool().Ledger(); l.BufsTaken != l.BufsReturned {
+		t.Errorf("pool ledger: %d buffers taken, %d returned", l.BufsTaken, l.BufsReturned)
 	}
 }
 

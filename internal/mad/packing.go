@@ -51,12 +51,14 @@ func (e *Endpoint) BeginPackingKind(p *vtime.Proc, to Rank, kind Kind) *Packing 
 	px := &Packing{e: e, link: link, kind: kind}
 	caps := e.ch.drv.Caps()
 	switch {
+	case caps.StaticBuffers && caps.MaxTransmission <= 0:
+		panic("mad: static-buffer driver must set MaxTransmission (slot size)")
 	case caps.StaticBuffers:
-		px.packer = newStaticPacker(px, caps)
+		px.packer = &staticPacker{px: px, caps: caps}
 	case caps.AggregateLimit > 0:
-		px.packer = newDynPacker(px, caps)
+		px.packer = &dynPacker{px: px, caps: caps}
 	default:
-		px.packer = newEagerPacker(px, caps)
+		px.packer = &eagerPacker{px: px, caps: caps}
 	}
 	return px
 }
@@ -113,16 +115,15 @@ func (px *Packing) emitReferenced(p *vtime.Proc, desc BlockDesc, data []byte) {
 // dynPacker is the aggregating BMM for dynamic-buffer drivers: small,
 // safer and express blocks are copied into an aggregation buffer; large
 // cheaper/later blocks flush the aggregate and go by reference, fragmented
-// at the TM MTU if one is set.
+// at the TM MTU if one is set. The aggregate is a buffer of the channel's
+// pool, taken at its first copied block and returned by its receiver
+// (mirrorUnpacker); it flushes at the driver's AggregateLimit, whatever room
+// its pool class has.
 type dynPacker struct {
 	px     *Packing
 	caps   Caps
 	agg    []byte
 	blocks []BlockDesc
-}
-
-func newDynPacker(px *Packing, caps Caps) *dynPacker {
-	return &dynPacker{px: px, caps: caps, agg: make([]byte, 0, caps.AggregateLimit)}
 }
 
 func (d *dynPacker) pack(p *vtime.Proc, data []byte, s SendMode, r RecvMode) {
@@ -150,24 +151,20 @@ func (d *dynPacker) packCopied(p *vtime.Proc, data []byte, s SendMode, r RecvMod
 		if d.caps.ScatterGather && d.caps.GatherEntries > 0 && len(d.blocks) >= d.caps.GatherEntries {
 			d.flush(p)
 		}
-		space := cap(d.agg) - len(d.agg)
-		if space == 0 {
+		if len(d.agg) == d.caps.AggregateLimit {
 			d.flush(p)
-			space = cap(d.agg) - len(d.agg)
 		}
-		n := len(data)
-		if n > space {
-			n = space
+		if d.agg == nil {
+			d.agg = d.px.e.ch.pool.Get(d.caps.AggregateLimit)[:0]
 		}
-		if d.caps.ScatterGather && s != SendSafer {
-			// Gather descriptor: uncharged coalescing. SendSafer
+		n := min(len(data), d.caps.AggregateLimit-len(d.agg))
+		if !d.caps.ScatterGather || s == SendSafer {
+			// A gather descriptor is uncharged coalescing; SendSafer
 			// still snapshots — the card reads the memory later
 			// than Pack returns.
-			d.agg = append(d.agg, data[:n]...)
-		} else {
 			d.px.e.node.Host.Memcpy(p, n)
-			d.agg = append(d.agg, data[:n]...)
 		}
+		d.agg = append(d.agg, data[:n]...)
 		d.blocks = append(d.blocks, BlockDesc{Size: n, S: s, R: r})
 		data = data[n:]
 	}
@@ -181,8 +178,7 @@ func (d *dynPacker) flush(p *vtime.Proc) {
 	// written again, so they are handed over rather than copied at delivery
 	// (a real TM rotates preallocated aggregates the same way).
 	d.px.emit(p, d.blocks, d.agg, true)
-	d.agg = make([]byte, 0, d.caps.AggregateLimit)
-	d.blocks = nil
+	d.agg, d.blocks = nil, nil
 }
 
 func (d *dynPacker) end(p *vtime.Proc) { d.flush(p) }
@@ -192,10 +188,6 @@ func (d *dynPacker) end(p *vtime.Proc) { d.flush(p) }
 type eagerPacker struct {
 	px   *Packing
 	caps Caps
-}
-
-func newEagerPacker(px *Packing, caps Caps) *eagerPacker {
-	return &eagerPacker{px: px, caps: caps}
 }
 
 func (d *eagerPacker) pack(p *vtime.Proc, data []byte, s SendMode, r RecvMode) {
@@ -215,16 +207,8 @@ func (d *eagerPacker) end(p *vtime.Proc) {}
 type staticPacker struct {
 	px     *Packing
 	caps   Caps
-	slot   *Buffer
-	fill   int
+	slot   []byte // the slot being filled, nil until a block needs one
 	blocks []BlockDesc
-}
-
-func newStaticPacker(px *Packing, caps Caps) *staticPacker {
-	if caps.MaxTransmission <= 0 {
-		panic("mad: static-buffer driver must set MaxTransmission (slot size)")
-	}
-	return &staticPacker{px: px, caps: caps}
 }
 
 func (d *staticPacker) pack(p *vtime.Proc, data []byte, s SendMode, r RecvMode) {
@@ -234,20 +218,13 @@ func (d *staticPacker) pack(p *vtime.Proc, data []byte, s SendMode, r RecvMode) 
 		return
 	}
 	for len(data) > 0 {
-		d.ensureSlot()
-		space := len(d.slot.Data) - d.fill
-		if space == 0 {
+		if d.slot != nil && len(d.slot) == cap(d.slot) {
 			d.flush(p)
-			d.ensureSlot()
-			space = len(d.slot.Data)
 		}
-		n := len(data)
-		if n > space {
-			n = space
-		}
+		d.ensureSlot()
+		n := min(len(data), cap(d.slot)-len(d.slot))
 		d.px.e.node.Host.Memcpy(p, n)
-		copy(d.slot.Data[d.fill:], data[:n])
-		d.fill += n
+		d.slot = append(d.slot, data[:n]...)
 		d.blocks = append(d.blocks, BlockDesc{Size: n, S: s, R: r})
 		data = data[n:]
 	}
@@ -255,8 +232,7 @@ func (d *staticPacker) pack(p *vtime.Proc, data []byte, s SendMode, r RecvMode) 
 
 func (d *staticPacker) ensureSlot() {
 	if d.slot == nil {
-		d.slot = d.px.e.ch.drv.AllocStatic(d.px.e.node.Host, d.caps.MaxTransmission)
-		d.fill = 0
+		d.slot = d.px.e.ch.drv.AllocStatic(d.px.e.node.Host, d.caps.MaxTransmission)[:0]
 	}
 }
 
@@ -264,10 +240,8 @@ func (d *staticPacker) flush(p *vtime.Proc) {
 	if len(d.blocks) == 0 {
 		return
 	}
-	d.px.emit(p, d.blocks, d.slot.Data[:d.fill], false)
-	d.slot = nil
-	d.fill = 0
-	d.blocks = nil
+	d.px.emit(p, d.blocks, d.slot, false)
+	d.slot, d.blocks = nil, nil
 }
 
 func (d *staticPacker) end(p *vtime.Proc) { d.flush(p) }
@@ -302,13 +276,8 @@ type Unpacking struct {
 	link     *Link
 	arrival  Arrival // a copy: the caller's note need not outlive Open
 	ended    bool
-	unpacker unpacker
+	unpacker mirrorUnpacker
 	pulled   bool
-}
-
-type unpacker interface {
-	unpack(p *vtime.Proc, dst []byte, s SendMode, r RecvMode)
-	end(p *vtime.Proc)
 }
 
 // BeginUnpacking blocks until any message arrives on this endpoint's
@@ -335,7 +304,7 @@ func (e *Endpoint) Open(p *vtime.Proc, a *Arrival) *Unpacking {
 	}
 	// One mirror suffices: it replays the packer's decisions from the
 	// same inputs, whatever the packer flavour.
-	u.unpacker = newMirrorUnpacker(u, e.ch.drv.Caps())
+	u.unpacker = mirrorUnpacker{u: u, caps: e.ch.drv.Caps()}
 	return u
 }
 
@@ -375,8 +344,9 @@ func (u *Unpacking) EndUnpacking(p *vtime.Proc) {
 }
 
 // mirrorUnpacker replays the packer's BMM decisions: copied blocks are
-// pulled out of aggregate transmissions (slot handoff plus a charged copy),
-// referenced blocks are received in place via posted receives.
+// pulled out of aggregate transmissions (slot handoff plus a charged copy,
+// the slot returned to the pool once drained), referenced blocks are
+// received in place via posted receives.
 type mirrorUnpacker struct {
 	u    *Unpacking
 	caps Caps
@@ -386,10 +356,6 @@ type mirrorUnpacker struct {
 	blocks []BlockDesc
 	idx    int
 	off    int
-}
-
-func newMirrorUnpacker(u *Unpacking, caps Caps) *mirrorUnpacker {
-	return &mirrorUnpacker{u: u, caps: caps}
 }
 
 func (m *mirrorUnpacker) unpack(p *vtime.Proc, dst []byte, s SendMode, r RecvMode) {
@@ -455,9 +421,11 @@ func (m *mirrorUnpacker) need(p *vtime.Proc) {
 	m.cur, m.blocks, m.idx, m.off = slot, meta.Blocks, 0, 0
 }
 
-// finishAggregate resets state when the current aggregate is drained.
+// finishAggregate resets state when the current aggregate is drained, and
+// returns the slot it was handed to the channel's pool.
 func (m *mirrorUnpacker) finishAggregate() {
 	if m.idx == len(m.blocks) {
+		m.u.e.ch.pool.Put(m.cur)
 		m.cur, m.blocks, m.idx, m.off = nil, nil, 0, 0
 	}
 }

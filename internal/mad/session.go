@@ -17,6 +17,7 @@ type Session struct {
 	nodes    []*Node
 	byName   map[string]*Node
 	channels []*Channel
+	pool     Pool // what its channels draw from unless made with one of their own
 }
 
 // NewSession creates an empty session on the platform.
