@@ -48,9 +48,10 @@ GATES = \
 	m1:TestM1(EagerGate|Experiment):internal/agg=AllocsNothing \
 	b1:TestB1McastGate
 
-# The coverage gates, packages:minimum: the metrics registry and the tracer
-# are the measurement substrate every perf claim rests on; FWD_COVER_MIN
-# covers the gateway relay, the GTM and the reliable codecs.
+# The coverage gates, packages:minimum: the metrics registry and the lanes
+# derived from the flight recorder (trace) are the measurement substrate
+# every perf claim rests on; FWD_COVER_MIN covers the gateway relay, the GTM
+# and the reliable codecs.
 COVER_GATES = \
 	obs,trace:$(COVER_MIN) fwd:$(FWD_COVER_MIN) flight:$(COVER_MIN) \
 	flow:$(COVER_MIN) agg:$(COVER_MIN) coll:$(COVER_MIN)
@@ -103,7 +104,7 @@ race:
 # (DESIGN.md §19, §21): a write to a counter, free-standing or bound, through a
 # gauge or histogram handle and a hop record at 0, a relayed fragment at 0 and
 # a relayed message at 0 (DESIGN.md §23, §36), unicast and multicast (§37), with
-# a registry and a tracer armed, and a 64 B message of the mice_stream_observed
+# a registry and a flight recorder armed, and a 64 B message of the mice_stream_observed
 # shape at no more than two over what it costs disarmed. The kernel's hand-off
 # (DESIGN.md §20): a steady-state Spawn + Join at no more than two, the process
 # record and the caller's closure. The aggregated path (DESIGN.md §24): one 64 B message of the
@@ -182,14 +183,16 @@ bench-pair:
 
 # cli-verify is the behaviour oracle at the command line: it unpacks BASE
 # into a temporary directory, builds ./cmd/... and ./examples/... there and in
-# the working tree, runs CLI_RUNS on both sides — the tools' usual invocations
-# and every example — and `diff -u`s each run's output and exit status. The
-# simulation is deterministic, so it fails, naming them, on the runs that
-# differ. About a minute.
+# the working tree, runs CLI_RUNS on both sides — the tools' usual invocations,
+# two runs longer than the flight rings' default depth, and every example —
+# and `diff -u`s each run's output and exit status. The simulation is
+# deterministic, so it fails, naming them, on the runs that differ. About a
+# minute.
 #   make cli-verify BASE=HEAD
 CLI_RUNS = 'madstat' 'madstat -reliable -loss 0.05' 'madstat -json -diagnose -flap 2ms' \
 	'madstat -reliable -flow -lanes' 'madping' 'madping -reliable -loss 0.05' \
-	'madtrace -loss 0.05' 'madtrace -crash 1ms' \
+	'madtrace -loss 0.05' 'madtrace -crash 1ms' 'madtrace -dir m2s -spans' \
+	'madstat -count 100 -lanes -noprom' 'madtrace -mtu 4096 -bytes 8388608' \
 	'quickstart' 'clusterofclusters' 'multigateway' 'zerocopy' 'allreduce' 'broadcast' 'faulttolerance'
 cli-verify:
 	@test -n "$(BASE)" || { echo "usage: make cli-verify BASE=<ref>"; exit 2; }
@@ -292,9 +295,9 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:776 internal/fwd:5844 internal/mad:1873 internal/bench:2417 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365
+LOC_MAX := .:774 internal/fwd:5820 internal/mad:1872 internal/bench:2414 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365 internal/obs:1101 internal/trace:392
 DOC_MAX := DESIGN.md:5779 .claude/skills/verify/SKILL.md:187 README.md:466
-COMPAT_MAX := 89
+COMPAT_MAX := 145
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	madeleine "madgo"
+	"madgo/internal/flight"
 )
 
 // Flags are the shared command-line flags of one tool.
@@ -73,6 +74,14 @@ func (f *Flags) NewSystem(opts ...madeleine.Option) (*madeleine.System, error) {
 		return nil, err
 	}
 	return madeleine.NewSystem(string(text), opts...)
+}
+
+// WithRingsFor sizes the flight recorder's rings to hold every event of a
+// stream of count messages of n bytes in mtu-byte packets: sixteen events a
+// packet, which covers a gateway's five and what recovery adds, and never
+// fewer than the default, so a short run records what it always did.
+func WithRingsFor(count, n, mtu int) madeleine.Option {
+	return madeleine.WithFlightRingCap(max(flight.DefaultRingCap, 16*count*(n/mtu+1)+256))
 }
 
 // Stream sends one message of each of the given sizes from → to, back to

@@ -57,11 +57,10 @@ func main() {
 	)
 	flag.Parse()
 
-	tr := madeleine.NewTracer()
 	m := madeleine.NewMetrics()
 	opts := []madeleine.Option{
 		madeleine.WithMTU(*mtu), madeleine.WithPipelineDepth(*depth),
-		madeleine.WithTracer(tr), madeleine.WithMetrics(m),
+		madeleine.WithMetrics(m),
 	}
 	if *rails > 1 {
 		opts = append(opts, madeleine.WithStriping(*rails))
@@ -83,6 +82,9 @@ func main() {
 		opts = append(opts, madeleine.WithFaults(plan))
 	}
 
+	if *lanes || *chrome != "" {
+		opts = append(opts, cli.WithRingsFor(*count, *bytes, *mtu))
+	}
 	sys, err := shared.NewSystem(opts...)
 	if err != nil {
 		fatal(err)
@@ -163,6 +165,9 @@ func main() {
 		sys.Diagnose().Write(os.Stdout)
 	}
 	if *lanes {
+		if n := sys.Flight().Dropped(); n > 0 {
+			fatal(fmt.Errorf("the flight rings overwrote %d events, so the lanes would miss the start of the run", n))
+		}
 		fmt.Printf("\npipeline lanes over [0, %v):\n", madeleine.Duration(sys.Now()))
 		madeleine.WriteLaneReport(os.Stdout, sys.Lanes(0, sys.Now()))
 	}

@@ -22,6 +22,7 @@ import (
 
 	madeleine "madgo"
 	"madgo/cmd/internal/cli"
+	"madgo/internal/trace"
 )
 
 func main() {
@@ -52,11 +53,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	tr := madeleine.NewTracer()
 	m := madeleine.NewMetrics()
 	opts := []madeleine.Option{
 		madeleine.WithMTU(*mtu), madeleine.WithPipelineDepth(*depth),
-		madeleine.WithTracer(tr), madeleine.WithMetrics(m),
+		madeleine.WithMetrics(m), cli.WithRingsFor(1, *bytes, *mtu),
 	}
 	if plan := shared.FaultPlan(false); plan != nil {
 		opts = append(opts, madeleine.WithFaults(plan))
@@ -100,7 +100,12 @@ func main() {
 	fmt.Printf("%s -> %s, %d bytes in %d-byte packets, one-way %v (%.1f MB/s)\n\n",
 		src, dst, n, *mtu, madeleine.Duration(done),
 		float64(n)/(float64(done)/1e9)/1e6)
-	fmt.Println(tr.Timeline(0, done, *cols))
+	lanes, err := trace.Of(sys.Session.Platform)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "madtrace:", err)
+		os.Exit(1)
+	}
+	fmt.Println(lanes.Timeline(0, done, *cols))
 	if ds := sys.Stats().Delivery; ds != (madeleine.DeliveryStats{}) {
 		fmt.Printf("recovery: %d retransmits, %d message resends, %d failovers, %d checksum drops, %d duplicates\n",
 			ds.Retransmits, ds.MessageResends, ds.Failovers, ds.ChecksumDrops, ds.Duplicates)
@@ -113,7 +118,7 @@ func main() {
 	}
 	if *spans {
 		fmt.Println()
-		for _, s := range tr.Spans() {
+		for _, s := range lanes {
 			fmt.Println(s)
 		}
 	}

@@ -8,7 +8,9 @@
 // the recovery is invisible except in the statistics. The system is built
 // with the WithProduction preset — the "everything on" profile (eager
 // framing, aggregation, flow control, striping, reliable delivery, health
-// monitoring) — which the scripted faults compose with.
+// monitoring) — which the scripted faults compose with. The recovery lanes
+// are derived from what the run recorded: the flight recorder, the fault
+// plan and the metrics registry's provenance hops (retransmits, failovers).
 //
 // Run with: go run ./examples/faulttolerance
 package main
@@ -16,12 +18,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	madeleine "madgo"
 )
 
 func main() {
-	tr := madeleine.NewTracer()
 	sys, err := madeleine.NewSystem(`
 		network sciA  sci
 		network myriB myrinet
@@ -35,12 +37,13 @@ func main() {
 		fault seed 7
 		fault drop * 0.02
 		fault crash gw1 30ms
-	`, madeleine.WithProduction(), madeleine.WithTracer(tr))
+	`, madeleine.WithProduction(), madeleine.WithMetrics(madeleine.NewMetrics()))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const n = 4 << 20
+	var done madeleine.Time
 	sys.Spawn("sender", func(p *madeleine.Proc) {
 		payload := make([]byte, n)
 		for i := range payload {
@@ -62,7 +65,8 @@ func main() {
 				log.Fatal("payload corrupted")
 			}
 		}
-		fmt.Printf("[%8v] b1: received %d MB byte-exact\n", p.Now(), n>>20)
+		done = p.Now()
+		fmt.Printf("[%8v] b1: received %d MB byte-exact\n", done, n>>20)
 	})
 	if err := sys.Run(); err != nil {
 		log.Fatal(err)
@@ -76,6 +80,6 @@ func main() {
 	ds := sys.Stats().Delivery
 	fmt.Printf("total recovery: %d retransmits, %d failovers, %d duplicates suppressed\n",
 		ds.Retransmits, ds.Failovers, ds.Duplicates)
-	fmt.Println("\nrecovery timeline:")
-	fmt.Println(tr.Timeline(0, sys.Now(), 100))
+	fmt.Printf("\nrecovery lanes over the transfer [0, %v):\n", done)
+	madeleine.WriteLaneReport(os.Stdout, sys.Lanes(0, done))
 }

@@ -39,8 +39,7 @@ type Spec struct {
 	Drivers map[string]mad.Driver
 	// Metrics, Flight and Faults, when non-nil, are armed on the platform
 	// before the session exists, so the forwarding layer binds its series,
-	// finds its rings and meets its faults as it is built. The injector
-	// records its windows to Config.Tracer.
+	// finds its rings and meets its faults as it is built.
 	Metrics *obs.Registry
 	Flight  *flight.Recorder
 	Faults  *fault.Plan
@@ -81,7 +80,7 @@ func Build(s Spec) (*vtime.Sim, *mad.Session, *fwd.VirtualChannel, error) {
 		if err := s.Faults.Validate(); err != nil {
 			return nil, nil, nil, err
 		}
-		pl.ArmFaults(fault.NewInjector(s.Faults, s.Config.Tracer))
+		pl.ArmFaults(fault.New(s.Faults))
 	}
 	vc, err := fwd.Build(sess, s.Topo, bindings, s.Config)
 	if err != nil {

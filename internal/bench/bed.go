@@ -5,9 +5,11 @@ import (
 	"fmt"
 
 	"madgo/internal/assembly"
+	"madgo/internal/flight"
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
+	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -64,6 +66,19 @@ func NewTestbedDrivers(cfg fwd.Config, override map[string]mad.Driver) *Bed {
 	ethNet := b.Sess.Platform.NewNetwork("eth0", ethDrv.NIC())
 	b.Eth = b.Sess.NewChannel("eth0", ethNet, ethDrv, b.Sess.Nodes()...)
 	return b
+}
+
+// StreamTraced is Stream of one message with a flight recorder whose rings
+// hold every event of the run, plus the run's pipeline lanes (package trace).
+// A ring that overwrote an event would cut a period short, so that panics.
+func (b *Bed) StreamTraced(src, dst string, size int) (trace.Log, []vtime.Time) {
+	b.Sess.Platform.SetFlight(flight.NewRecorder(16*(size/b.VC.Config().MTU+1) + 256))
+	_, ends := b.Stream(src, dst, size, 1)
+	lanes, err := trace.Of(b.Sess.Platform)
+	if err != nil {
+		panic(err)
+	}
+	return lanes, ends
 }
 
 // mustDriver is assembly.DriverFor for the fixtures that bind a driver by

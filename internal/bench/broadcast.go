@@ -124,9 +124,7 @@ func runB1Stream(multicast bool, size, count, n int) b1Out {
 	cb.run()
 	var makespan vtime.Time
 	for _, t := range done {
-		if t > makespan {
-			makespan = t
-		}
+		makespan = max(makespan, t)
 	}
 	return b1Out{
 		MBps:    mbps(n*size*count, vtime.Duration(makespan)),

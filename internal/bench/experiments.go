@@ -9,7 +9,6 @@ import (
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -183,16 +182,13 @@ func runFig(o Options, id, src, dst string) *Result {
 }
 
 func runT2(o Options) *Result {
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 8 * kb
-	cfg.Tracer = tr
-	tb := NewTestbed(cfg)
 	n := 4096 * kb
 	if o.Quick {
 		n = 1024 * kb
 	}
-	tb.Stream("a1", "b1", n, 1)
+	tr, _ := NewTestbed(cfg).StreamTraced("a1", "b1", n)
 
 	recvMean, _ := tr.SteadyMean("gw:recv:sci0", "recv", 4, 4)
 	sendMean, _ := tr.SteadyMean("gw:send:myri0", "send", 4, 4)
@@ -204,11 +200,7 @@ func runT2(o Options) *Result {
 		}
 		period /= vtime.Duration(len(periods) - 8)
 	}
-	longer := recvMean
-	if sendMean > longer {
-		longer = sendMean
-	}
-	overhead := period - longer
+	overhead := period - max(recvMean, sendMean)
 	r := &Result{
 		ID: "t2", Title: "pipeline period accounting, 8 KB packets, SCI→Myrinet",
 		Header: []string{"quantity", "value"},
@@ -231,11 +223,9 @@ func runT3(o Options) *Result {
 		n = 1024 * kb
 	}
 	// Stretched: the real gateway, Myrinet→SCI.
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 16 * kb
-	cfg.Tracer = tr
-	NewTestbed(cfg).Stream("b1", "a1", n, 1)
+	tr, _ := NewTestbed(cfg).StreamTraced("b1", "a1", n)
 	stretched, _ := tr.SteadyMean("gw:recv:myri0", "recv", 4, 4)
 	stretchedSend, _ := tr.SteadyMean("gw:send:sci0", "send", 4, 4)
 
@@ -259,14 +249,12 @@ func runT3(o Options) *Result {
 }
 
 func runTimeline(o Options, id, src, dst string) *Result {
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
 	cfg.MTU = 32 * kb
-	cfg.Tracer = tr
-	_, ends := NewTestbed(cfg).Stream(src, dst, 256*kb, 1)
+	tr, ends := NewTestbed(cfg).StreamTraced(src, dst, 256*kb)
 	r := &Result{ID: id, Title: fmt.Sprintf("gateway pipeline timeline %s→%s (256 KB message, 32 KB packets)", src, dst)}
 	r.Notes = append(r.Notes, "\n"+tr.Timeline(0, ends[0], 100))
-	for _, s := range tr.Spans() {
+	for _, s := range tr {
 		r.Notes = append(r.Notes, s.String())
 	}
 	return r

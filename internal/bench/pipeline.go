@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"madgo/internal/fwd"
-	"madgo/internal/obs"
-	"madgo/internal/trace"
 )
 
 func init() {
@@ -40,18 +38,16 @@ func runP1(o Options) *Result {
 	for _, depth := range depths {
 		s := Series{Name: fmt.Sprintf("depth %d", depth)}
 		for _, pkt := range packetSizes(o) {
-			tr := trace.New()
 			cfg := fwd.DefaultConfig()
 			cfg.MTU = pkt
 			cfg.PipelineDepth = depth
-			cfg.Tracer = tr
 			tb := NewTestbed(cfg)
-			_, ends := tb.Stream(src, dst, msg, 1)
+			tr, ends := tb.StreamTraced(src, dst, msg)
 			goodput := mbps(msg, makespan(ends))
 			s.Points = append(s.Points, Point{X: float64(pkt), Y: goodput})
 			if pkt == stallPkt {
 				frac := 0.0
-				for _, l := range obs.AnalyzeLanes(tr, 0, ends[0]) {
+				for _, l := range tr.Lanes(0, ends[0]) {
 					if l.Actor == "gw:recv:myri0" {
 						frac = float64(l.Stall) / float64(l.Window)
 					}

@@ -40,7 +40,7 @@ func faultyTestbed(t *testing.T, plan *fault.Plan) (*vtime.Sim, *fwd.VirtualChan
 		if err := plan.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		pl.ArmFaults(fault.NewInjector(plan, nil))
+		pl.ArmFaults(fault.New(plan))
 	}
 	sess := mad.NewSession(pl)
 	sci, myri := sisci.New(), bip.New()

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"madgo/internal/obs"
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -204,64 +203,49 @@ const (
 type Injector struct {
 	plan    *Plan
 	rng     prng
-	tr      *trace.Tracer
 	metrics *obs.Registry
-	series  map[[2]string]*faultSeries // by {kind, net}
+	series  map[[2]string]*obs.Counter // madgo_faults_total{kind,net}, by {kind, net}
 }
 
-// faultSeries is what recording one kind of fault on one network needs,
-// built at its first: the tracer lane "fault:<net>" and the count behind
-// madgo_faults_total{kind,net}.
-type faultSeries struct {
-	actor string
-	count obs.Counter
+// New arms a plan. The link that asks for a verdict records the faults it
+// is dealt on its node's flight ring.
+func New(p *Plan) *Injector {
+	return &Injector{plan: p, rng: prng{state: uint64(p.Seed)}}
 }
-
-// NewInjector arms a plan. The tracer may be nil; when present the injector
-// records a zero-width "drop"/"corrupt" span per injected fault under the
-// actor "fault:<net>".
-func NewInjector(p *Plan, tr *trace.Tracer) *Injector {
-	return &Injector{plan: p, rng: prng{state: uint64(p.Seed)}, tr: tr}
-}
-
-// Tracer returns the tracer the injector records to (may be nil).
-func (in *Injector) Tracer() *trace.Tracer { return in.tr }
 
 // BindMetrics arms a metrics registry: every injected fault, those counted
 // already included, shows under madgo_faults_total{kind,net}.
 func (in *Injector) BindMetrics(m *obs.Registry) {
 	in.metrics = m
-	for key, s := range in.series {
-		s.bind(m, key)
+	for key, c := range in.series {
+		bindFaults(m, c, key)
 	}
 }
 
-func (s *faultSeries) bind(m *obs.Registry, key [2]string) {
-	m.BindCounter(&s.count, "madgo_faults_total", obs.Labels{"kind": key[0], "net": key[1]})
+func bindFaults(m *obs.Registry, c *obs.Counter, key [2]string) {
+	m.BindCounter(c, "madgo_faults_total", obs.Labels{"kind": key[0], "net": key[1]})
 }
 
-// record notes one injected fault: a zero-width span on the network's lane
-// and the {kind, net} counter.
-func (in *Injector) record(kind, op, net string, size int, now vtime.Time) {
+// record counts one injected fault under {kind, net}.
+func (in *Injector) record(kind, net string) {
 	key := [2]string{kind, net}
-	s := in.series[key]
-	if s == nil {
-		s = &faultSeries{actor: "fault:" + net}
-		s.bind(in.metrics, key)
+	c := in.series[key]
+	if c == nil {
+		c = new(obs.Counter)
+		bindFaults(in.metrics, c, key)
 		if in.series == nil {
-			in.series = make(map[[2]string]*faultSeries)
+			in.series = make(map[[2]string]*obs.Counter)
 		}
-		in.series[key] = s
+		in.series[key] = c
 	}
-	in.tr.Record(s.actor, op, size, now, now)
-	s.count.Add(1)
+	c.Add(1)
 }
 
 // count sums the faults of one kind over every network.
 func (in *Injector) count(kind string) (n int64) {
-	for key, s := range in.series {
+	for key, c := range in.series {
 		if key[0] == kind {
-			n += s.count.Count()
+			n += c.Count()
 		}
 	}
 	return n
@@ -314,15 +298,15 @@ func (in *Injector) StallDelay(node string, now vtime.Time) vtime.Duration {
 // CorruptPacket verdicts.
 func (in *Injector) Packet(net, from, to string, now vtime.Time, size int) (Verdict, int) {
 	if in.NodeDead(from, now) || in.NodeDead(to, now) || in.LinkDown(net, now) {
-		in.record("blackhole", "drop", net, size, now)
+		in.record("blackhole", net)
 		return DropPacket, 0
 	}
 	if p := in.prob(Drop, net); p > 0 && in.rng.float() < p {
-		in.record("drop", "drop", net, size, now)
+		in.record("drop", net)
 		return DropPacket, 0
 	}
 	if p := in.prob(Corrupt, net); p > 0 && in.rng.float() < p {
-		in.record("corrupt", "corrupt", net, size, now)
+		in.record("corrupt", net)
 		return CorruptPacket, in.rng.intn(size)
 	}
 	return Deliver, 0

@@ -14,8 +14,8 @@ import (
 func TestDeterministicReplay(t *testing.T) {
 	ms := vtime.Millisecond
 	plan := NewPlan(42).Drop("*", 0.1).Corrupt("myri0", 0.05).Flap("myri0", vtime.Time(2*ms), ms)
-	a := NewInjector(plan, nil)
-	b := NewInjector(plan, nil)
+	a := New(plan)
+	b := New(plan)
 	m := obs.New()
 	for i := 0; i < 10000; i++ {
 		if i == 1000 {
@@ -50,8 +50,8 @@ func TestDeterministicReplay(t *testing.T) {
 
 // Different seeds must give different fault sequences.
 func TestSeedMatters(t *testing.T) {
-	a := NewInjector(NewPlan(1).Drop("*", 0.5), nil)
-	b := NewInjector(NewPlan(2).Drop("*", 0.5), nil)
+	a := New(NewPlan(1).Drop("*", 0.5))
+	b := New(NewPlan(2).Drop("*", 0.5))
 	same := true
 	for i := 0; i < 64; i++ {
 		va, _ := a.Packet("n", "x", "y", 0, 100)
@@ -67,7 +67,7 @@ func TestSeedMatters(t *testing.T) {
 
 // Loss rate should track the configured probability.
 func TestDropRate(t *testing.T) {
-	in := NewInjector(NewPlan(7).Drop("*", 0.05), nil)
+	in := New(NewPlan(7).Drop("*", 0.05))
 	const n = 20000
 	for i := 0; i < n; i++ {
 		in.Packet("n", "x", "y", 0, 1024)
@@ -88,7 +88,7 @@ func TestWindows(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	in := NewInjector(plan, nil)
+	in := New(plan)
 
 	if in.NodeDead("gw", vtime.Time(9*ms)) {
 		t.Fatal("gw dead before its crash window")
@@ -117,8 +117,8 @@ func TestWindows(t *testing.T) {
 
 	// Blackholed packets don't consume randomness: verdicts after a
 	// window must match a run that never queried inside it.
-	x := NewInjector(NewPlan(3).Drop("*", 0.3).Crash("gw", 0, 1), nil)
-	y := NewInjector(NewPlan(3).Drop("*", 0.3).Crash("gw", 0, 1), nil)
+	x := New(NewPlan(3).Drop("*", 0.3).Crash("gw", 0, 1))
+	y := New(NewPlan(3).Drop("*", 0.3).Crash("gw", 0, 1))
 	x.Packet("n", "gw", "z", 0, 10) // inside window: deterministic drop
 	for i := 0; i < 32; i++ {
 		vx, _ := x.Packet("n", "a", "b", vtime.Time(vtime.Second), 10)

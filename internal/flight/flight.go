@@ -18,14 +18,14 @@
 // dump list for post-mortem export.
 //
 // Three consumers sit on top of the raw rings: WriteJSON exports the
-// state machine-readably, Spans replays the events into the existing
-// Chrome trace exporter (package obs), and package-level AnalyzeMessage /
-// Diagnose (budget.go, diagnose.go) turn events into per-message latency
-// budgets and named bottleneck verdicts.
+// state machine-readably, package trace derives the pipeline lanes, the
+// timelines and the Chrome trace from the events, and package-level
+// AnalyzeMessage / Diagnose (budget.go, diagnose.go) turn events into
+// per-message latency budgets and named bottleneck verdicts.
 //
 // A nil *Recorder and a nil *Ring are both valid and record nothing, the
-// same convention as obs.Registry and trace.Tracer, so instrumented code
-// carries no conditionals.
+// same convention as obs.Registry, so instrumented code carries no
+// conditionals.
 package flight
 
 import (
@@ -37,7 +37,6 @@ import (
 	"strings"
 	"sync"
 
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -61,14 +60,28 @@ const (
 	KindAggFlush               // an aggregate frame flushed by the coalescer
 	KindAggWait                // time a sub-message waited in a coalescer before its flush
 	KindReplicate              // a multicast branch send (root fan-out or gateway replication)
+	// Lane-only kinds: recorded for the derived lanes (package trace), with
+	// no message ID, and read by budgets and Diagnose as nothing.
+	KindRail        // one rail's share of a striped message; Net is the destination node, Tag the rail
+	KindDrop        // a packet the fault injector lost
+	KindCorrupt     // a packet the fault injector corrupted
+	KindCorruptDrop // a reliable datagram or probe dropped for failing its checks
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"send", "recv", "swap", "stall", "rexmit", "backoff", "pack",
 	"queue-wait", "ack-wait", "reassembly", "probe", "epoch", "wire",
-	"agg-flush", "agg-wait", "replicate",
+	"agg-flush", "agg-wait", "replicate", "rail", "drop", "corrupt", "corrupt-drop",
 }
+
+// The threads of a gateway's relay pipeline, as Event.Tag names them: a
+// buffer switch is recorded by both, on the network each serves, so a
+// gateway relaying both ways between two networks tells them apart by Tag.
+const (
+	TagRecv uint8 = 1 // the receive thread of the ingress network Net
+	TagSend uint8 = 2 // the send thread of the egress network Net
+)
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -82,7 +95,9 @@ func (k Kind) String() string {
 // events carry Dur 0). Msg is the provenance message ID when the event is
 // message-attributed, 0 otherwise. A ring stores an event as an entry and
 // expands it back into an Event when it is read; the string fields alias
-// names the ring holds (node and network names).
+// names the ring holds (node and network names). Tag qualifies the kind: a
+// gateway pipeline thread (TagRecv, TagSend), a rail's index; the JSON
+// export leaves it out.
 type Event struct {
 	At    vtime.Time
 	Dur   vtime.Duration
@@ -91,6 +106,7 @@ type Event struct {
 	Bytes int32
 	Node  string
 	Net   string
+	Tag   uint8
 }
 
 // MarshalJSON renders the event with nanosecond timestamps and the kind
@@ -149,6 +165,7 @@ type entry struct {
 	bytes int32
 	net   uint16
 	kind  Kind
+	tag   uint8
 }
 
 const (
@@ -192,6 +209,11 @@ func newRing(node string, capacity int) *Ring {
 // Record appends one event. Nil-safe; it allocates only the chunk the
 // write cursor enters for the first time, at most numChunks times a ring.
 func (r *Ring) Record(k Kind, at vtime.Time, dur vtime.Duration, msg uint64, bytes int, net string) {
+	r.RecordTag(k, 0, at, dur, msg, bytes, net)
+}
+
+// RecordTag is Record of an event with a Tag.
+func (r *Ring) RecordTag(k Kind, tag uint8, at vtime.Time, dur vtime.Duration, msg uint64, bytes int, net string) {
 	if r == nil {
 		return
 	}
@@ -201,7 +223,7 @@ func (r *Ring) Record(k Kind, at vtime.Time, dur vtime.Duration, msg uint64, byt
 		c = make([]entry, min(r.quarter, r.cap-r.ci*r.quarter))
 		r.chunks[r.ci] = c
 	}
-	c[r.off] = entry{at: at, dur: dur, msg: msg, bytes: int32(bytes), net: r.netIndex(net), kind: k}
+	c[r.off] = entry{at: at, dur: dur, msg: msg, bytes: int32(bytes), net: r.netIndex(net), kind: k, tag: tag}
 	r.next++
 	if r.off++; r.off == len(c) {
 		r.off = 0
@@ -242,7 +264,7 @@ func (r *Ring) appendTo(dst []Event) []Event {
 	for range n {
 		c := s / r.quarter
 		e := &r.chunks[c][s-c*r.quarter]
-		dst = append(dst, Event{At: e.at, Dur: e.dur, Kind: e.kind, Msg: e.msg, Bytes: e.bytes, Node: r.node, Net: r.nets[e.net]})
+		dst = append(dst, Event{At: e.at, Dur: e.dur, Kind: e.kind, Msg: e.msg, Bytes: e.bytes, Node: r.node, Net: r.nets[e.net], Tag: e.tag})
 		if s++; s == r.cap {
 			s = 0
 		}
@@ -510,26 +532,4 @@ func (rec *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// Spans replays the recorded events as trace spans ("flight:<node>" lanes)
-// so the existing Chrome exporter renders them next to the live tracer's
-// lanes in Perfetto.
-func (rec *Recorder) Spans() []trace.Span {
-	evs := rec.Events()
-	out := make([]trace.Span, 0, len(evs))
-	for _, e := range evs {
-		t0 := e.At
-		if e.Dur > 0 && vtime.Time(e.Dur) <= e.At {
-			t0 = e.At.Add(-e.Dur)
-		}
-		out = append(out, trace.Span{
-			Actor: "flight:" + e.Node,
-			Op:    e.Kind.String(),
-			Bytes: int(e.Bytes),
-			T0:    t0,
-			T1:    e.At,
-		})
-	}
-	return out
 }

@@ -117,7 +117,7 @@ func TestNilSafety(t *testing.T) {
 	rec.Dump("x")
 	rec.SetClock(func() vtime.Time { return 1 })
 	if rec.Events() != nil || rec.Dumps() != nil || rec.Nodes() != nil ||
-		rec.Suppressed() != 0 || len(rec.Spans()) != 0 {
+		rec.Suppressed() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
 	var buf bytes.Buffer
@@ -208,26 +208,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 	if len(doc.Dumps) != 1 || doc.Dumps[0].Reason != "epoch-churn" {
 		t.Fatalf("dumps = %+v", doc.Dumps)
-	}
-}
-
-func TestSpansReplay(t *testing.T) {
-	rec := NewRecorder(4)
-	rec.Ring("gw").Record(KindSwap, 100*vtime.Time(us), 40*us, 1, 0, "")
-	rec.Ring("gw").Record(KindEpoch, 200*vtime.Time(us), 0, 0, 0, "")
-	spans := rec.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	s := spans[0]
-	if s.Actor != "flight:gw" || s.Op != "swap" {
-		t.Fatalf("span identity = %+v", s)
-	}
-	if s.T0 != 60*vtime.Time(us) || s.T1 != 100*vtime.Time(us) {
-		t.Fatalf("span window = [%v, %v]", s.T0, s.T1)
-	}
-	if spans[1].T0 != spans[1].T1 {
-		t.Fatalf("instant event should be zero-width: %+v", spans[1])
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"madgo/internal/drivers/bip"
 	"madgo/internal/drivers/sbp"
 	"madgo/internal/drivers/sisci"
+	"madgo/internal/flight"
 	"madgo/internal/fwd"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
@@ -85,6 +86,21 @@ func build(t *testing.T, tp *topo.Topology, cfg fwd.Config) *world {
 		t.Fatal(err)
 	}
 	return auditRelBufs(t, &world{sim: sim, sess: sess, vc: vc})
+}
+
+// armLanes arms a flight recorder whose rings hold n events each on w, and
+// returns what derives w's pipeline lanes from it (package trace); the
+// derivation fails the test if a ring overwrote an event.
+func armLanes(t *testing.T, w *world, n int) func() trace.Log {
+	rec := flight.NewRecorder(n)
+	w.sess.Platform.SetFlight(rec)
+	return func() trace.Log {
+		lanes, err := trace.Of(w.sess.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lanes
+	}
 }
 
 // paperHS is the paper's testbed restricted to the two high-speed networks.
@@ -436,10 +452,9 @@ func TestForwardingSlowerWithoutPipelining(t *testing.T) {
 }
 
 func TestPipelineOverlapInTrace(t *testing.T) {
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
-	cfg.Tracer = tr
 	w := build(t, paperHS(t), cfg)
+	lanes := armLanes(t, w, 1024)
 	data := pattern(512*1024, 4)
 	w.sim.Spawn("s", func(p *vtime.Proc) {
 		px := w.vc.At("a0").BeginPacking(p, "b0")
@@ -454,6 +469,7 @@ func TestPipelineOverlapInTrace(t *testing.T) {
 	if err := w.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
+	tr := lanes()
 	recvs := tr.ByActor("gw:recv:sci0")
 	sends := tr.ByActor("gw:send:myri0")
 	if len(recvs) == 0 || len(sends) == 0 {
@@ -735,10 +751,9 @@ func TestGatewayStatsAccumulate(t *testing.T) {
 }
 
 func TestTimelineRenders(t *testing.T) {
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
-	cfg.Tracer = tr
 	w := build(t, paperHS(t), cfg)
+	lanes := armLanes(t, w, 1024)
 	w.sim.Spawn("s", func(p *vtime.Proc) {
 		px := w.vc.At("a0").BeginPacking(p, "b0")
 		px.Pack(p, pattern(256*1024, 1), mad.SendCheaper, mad.ReceiveCheaper)
@@ -754,6 +769,7 @@ func TestTimelineRenders(t *testing.T) {
 	if err := w.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
+	tr := lanes()
 	tl := tr.Timeline(0, done, 100)
 	if tl == "" {
 		t.Fatal("empty timeline")

@@ -74,8 +74,6 @@ type relayRing struct {
 	// mcastSplit sorts by next hop.
 	branches []relayBranch
 	hdrDests []mad.Rank
-
-	recvActor string // the receive thread's trace actor
 }
 
 // relaySlot is one staged ingress fragment, the unit handed from the receive
@@ -191,7 +189,6 @@ type gwSender struct {
 	// transfer to its last, so two ingress rings never interleave messages
 	// on one link.
 	enq    vsync.Mutex
-	actor  string // trace actor, "<gateway>:send:<net>"
 	outNet string
 }
 
@@ -214,8 +211,7 @@ func (g *Gateway) sender(out *mad.Link) *gwSender {
 	name := fmt.Sprintf("gwtx:%s>%s", g.name, out.Dst.Name)
 	depth := g.vc.cfg.PipelineDepth
 	outNet := out.Channel.Network().Name
-	e := &gwSender{out: out, q: vsync.NewChan[gwTx](name, depth),
-		actor: fmt.Sprintf("%s:send:%s", g.name, outNet), outNet: outNet}
+	e := &gwSender{out: out, q: vsync.NewChan[gwTx](name, depth), outNet: outNet}
 	g.senders[out] = e
 	g.vc.sess.Platform.Sim.SpawnDaemon(name, func(sp *vtime.Proc) {
 		sendThread(sp, e.q, func(sp *vtime.Proc, tx gwTx) { g.egress(sp, e, tx) })
@@ -224,10 +220,10 @@ func (g *Gateway) sender(out *mad.Link) *gwSender {
 }
 
 // egress is the send thread's send: it puts one queued transfer on the link,
-// and a buffer swap after a staged fragment.
+// and a buffer swap after a staged fragment. Its flight events carry
+// TagSend, the thread's half of the pipeline lanes.
 func (g *Gateway) egress(sp *vtime.Proc, e *gwSender, tx gwTx) {
 	vc := g.vc
-	tr := vc.cfg.Tracer
 	m := &g.met
 	if tx.meta.SOM {
 		e.out.Acquire(sp)
@@ -236,19 +232,17 @@ func (g *Gateway) egress(sp *vtime.Proc, e *gwSender, tx gwTx) {
 	e.out.Send(sp, tx.meta, tx.data)
 	if s := tx.slot; s != nil {
 		fr, n := vc.flightRing(g.name), len(tx.data)
-		tr.Record(e.actor, "send", n, t0, sp.Now())
+		kind := flight.KindSend
 		if tx.replicated {
-			fr.Record(flight.KindReplicate, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
+			kind = flight.KindReplicate
 			m.replicatedPkts.Add(1)
 			m.replicatedBytes.Add(int64(n))
-		} else {
-			fr.Record(flight.KindSend, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
 		}
+		fr.RecordTag(kind, flight.TagSend, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, n, e.outNet)
 		t0 = sp.Now()
 		sp.Sleep(g.node.Host.CPU.SwapOverhead)
-		tr.Record(e.actor, "swap", 0, t0, sp.Now())
 		m.swap.ObserveDuration(vtime.Since(sp.Now(), t0))
-		fr.Record(flight.KindSwap, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, 0, e.outNet)
+		fr.RecordTag(flight.KindSwap, flight.TagSend, sp.Now(), vtime.Since(sp.Now(), t0), tx.msgID, 0, e.outNet)
 		s.refs--
 		if s.refs == 0 {
 			g.recycle(sp, s)
@@ -269,8 +263,6 @@ func (g *Gateway) ring(inNet string) *relayRing {
 		drr:   flow.NewDRR[mad.Arrival](int64(g.vc.cfg.MTU)),
 		free:  vsync.NewChan[*relaySlot](fmt.Sprintf("gwfree:%s:%s", g.name, inNet), depth),
 		slots: make([]relaySlot, depth),
-
-		recvActor: fmt.Sprintf("%s:recv:%s", g.name, inNet),
 	}
 	for i := range r.slots {
 		r.slots[i].ring = r
@@ -616,17 +608,17 @@ func (g *Gateway) relay(p *vtime.Proc, r *relayRing, a mad.Arrival) int64 {
 // ring's worth a relay allocates nothing. When the receive thread has to
 // wait for a free slot — the send side is the bottleneck and every buffer is
 // in flight, for this message or an earlier one — the wait is recorded as a
-// "stall" span, which obs.AnalyzeLanes accounts to the lane's stall
-// fraction; the deeper the ring, the fewer such bubbles.
+// KindStall flight event, which the receive lane (package trace) shows as a
+// "stall" span and trace.Log.Lanes accounts to its stall fraction; the
+// deeper the ring, the fewer such bubbles. The receive thread's events carry
+// TagRecv.
 func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFrame, branches []relayBranch, capture *heldMsg) {
 	vc := g.vc
 	cfg := vc.cfg
-	tr := cfg.Tracer
 	m := &g.met
 	fr := vc.flightRing(g.name)
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
-	recvActor := r.recvActor
 	msgID := f.id
 
 	// The message's buffer election: the class its slots' buffers belong
@@ -646,9 +638,8 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 	stalled := func(t0 vtime.Time) {
 		if wait := vtime.Since(p.Now(), t0); wait > 0 {
 			g.stalls++
-			tr.Record(recvActor, "stall", 0, t0, p.Now())
 			m.stall.ObserveDuration(wait)
-			fr.Record(flight.KindStall, p.Now(), wait, msgID, 0, inNet)
+			fr.RecordTag(flight.KindStall, flight.TagRecv, p.Now(), wait, msgID, 0, inNet)
 		}
 	}
 
@@ -703,15 +694,13 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in *mad.Link, f *relayFr
 			s.data = s.aux
 		}
 		n := len(s.data)
-		tr.Record(recvActor, "recv", n, t0, p.Now())
-		fr.Record(flight.KindRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, n, inNet)
+		fr.RecordTag(flight.KindRecv, flight.TagRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, n, inNet)
 		m.packets.Add(1)
 		m.bytes.Add(int64(n))
 		t0 = p.Now()
 		p.Sleep(host.CPU.SwapOverhead)
-		tr.Record(recvActor, "swap", 0, t0, p.Now())
 		m.swap.ObserveDuration(vtime.Since(p.Now(), t0))
-		fr.Record(flight.KindSwap, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
+		fr.RecordTag(flight.KindSwap, flight.TagRecv, p.Now(), vtime.Since(p.Now(), t0), msgID, 0, inNet)
 		if capture != nil {
 			// The slot is recycled by the branch senders; the local copy, a
 			// buffer the capture returns, is the gateway-member's delivery cost.

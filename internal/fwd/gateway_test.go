@@ -7,7 +7,6 @@ import (
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
 	"madgo/internal/topo"
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -76,10 +75,9 @@ func TestGatewayAsSourceAcrossAnotherGateway(t *testing.T) {
 // the pipeline runs in slot-handoff mode; the trace must still show both
 // lanes and the relay must be copy-free at the gateway.
 func TestSlotModeTracedAndCopyFree(t *testing.T) {
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
-	cfg.Tracer = tr
 	w := build(t, sbpTopo(t, "sbp", "myrinet"), cfg)
+	lanes := armLanes(t, w, 1024)
 	blocks := []block{{pattern(200_000, 7), mad.SendCheaper, mad.ReceiveCheaper}}
 	got, _, _ := sendRecv(t, w, "a", "b", blocks)
 	if !bytes.Equal(got[0], blocks[0].data) {
@@ -88,7 +86,7 @@ func TestSlotModeTracedAndCopyFree(t *testing.T) {
 	if copied := w.sess.NodeByName("g").Host.BytesCopied(); copied > 64 {
 		t.Errorf("slot-mode gateway copied %d bytes", copied)
 	}
-	if len(tr.ByActor("g:recv:n1")) == 0 || len(tr.ByActor("g:send:n2")) == 0 {
+	if tr := lanes(); len(tr.ByActor("g:recv:n1")) == 0 || len(tr.ByActor("g:send:n2")) == 0 {
 		t.Errorf("trace lanes missing: %v", tr.Actors())
 	}
 }

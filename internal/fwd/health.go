@@ -113,8 +113,7 @@ func (hp *healthProber) probe(p *vtime.Proc, edge route.Edge) {
 func (e *relEngine) handleHealth(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	pr, ok := health.DecodeProbe(pkt)
 	if !ok {
-		e.trace("corrupt-drop", len(pkt), p.Now())
-		e.count(relChecksumDrops, 1)
+		e.corruptDrop(p, in, pkt)
 		return // the prober's timeout absorbs the loss
 	}
 	if pr.Kind == health.ProbeReq {

@@ -26,10 +26,9 @@ import (
 // strictly in turn.
 func TestRelayOverlapsAcrossMessages(t *testing.T) {
 	const msgs, size = 200, 16 * 1024
-	tr := trace.New()
 	cfg := fwd.DefaultConfig()
-	cfg.Tracer = tr
 	w := build(t, paperHS(t), cfg)
+	lanes := armLanes(t, w, 16*msgs)
 	var done vtime.Time
 	spawnStream(t, w, "a0", "b1", pattern(size, 3), msgs, &done)
 	if err := w.sim.Run(); err != nil {
@@ -43,6 +42,7 @@ func TestRelayOverlapsAcrossMessages(t *testing.T) {
 	// One fragment a message, so the k-th recv span and the k-th send span
 	// belong to message k.
 	var recvs, sends []trace.Span
+	tr := lanes()
 	for _, s := range tr.ByActor("gw:recv:sci0") {
 		if s.Op == "recv" {
 			recvs = append(recvs, s)

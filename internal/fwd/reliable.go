@@ -538,7 +538,6 @@ type relEngine struct {
 	burstFree freeList[relBurst, *relBurst] // queued bursts, relay batches attached
 	outFree   freeList[relOut, *relOut]     // sent messages, packet lists and stripe plans attached
 
-	actor string // tracer lane "rel:<node>"
 	// The node's event counts, by the rel* indexes below: what the stats
 	// accessors sum, and the node's {node} series once bound.
 	counters [len(relCounterNames)]obs.Counter
@@ -546,8 +545,11 @@ type relEngine struct {
 
 func (e *relEngine) sim() *vtime.Sim { return e.vc.sess.Platform.Sim }
 
-func (e *relEngine) trace(op string, bytes int, at vtime.Time) {
-	e.vc.cfg.Tracer.Record(e.actor, op, bytes, at, at)
+// corruptDrop counts a datagram that failed its checks and records it on the
+// node's flight ring, the checksum-drop mark of its "rel:<node>" lane.
+func (e *relEngine) corruptDrop(p *vtime.Proc, in *mad.Link, pkt []byte) {
+	e.flight().Record(flight.KindCorruptDrop, p.Now(), 0, 0, len(pkt), in.Channel.Network().Name)
+	e.count(relChecksumDrops, 1)
 }
 
 // flight returns this node's flight-recorder ring, resolved lazily so a
@@ -620,7 +622,6 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			vc:       vc,
 			node:     node,
 			rng:      seedRelRand(n.Name),
-			actor:    "rel:" + n.Name,
 			acks:     make(map[relAckKey]*relAwait),
 			e2e:      make(map[relMsgKey]*relAwait),
 			rx:       make(map[relMsgKey]*heldMsg),
@@ -714,7 +715,6 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	bo := relAckTimeout
 	for attempt := 0; attempt <= relMessageRetries; attempt++ {
 		if attempt > 0 {
-			e.trace("resend", 0, p.Now())
 			e.count(relMsgResends, 1)
 			e.hop(p, id, "resend", obs.Detail{Form: "attempt ${a} -> ${peer}", A: attempt + 1, Peer: dst}, 0)
 		}
@@ -1046,7 +1046,6 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 				hopDead = true
 				break
 			}
-			e.trace("rexmit", len(d.payload), p.Now())
 			e.count(relRetransmits, 1)
 			e.hop(p, d.id, "rexmit", hopDetail(d, hop), len(d.payload))
 			// The timed-out slot starts over (a late ack of the first
@@ -1195,7 +1194,6 @@ func (e *relEngine) nextHop(dst, from string) (route.Hop, bool) {
 // around the directed link — never the neighbour node, which stays reachable
 // over its other links — and the probation schedule that re-admits it.
 func (e *relEngine) markDead(hop route.Hop, now vtime.Time) {
-	e.trace("failover", 0, now)
 	e.count(relFailovers, 1)
 	e.vc.mon.ReportDead(route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}, now)
 }
@@ -1233,8 +1231,7 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	d, ok := decodeRelData(pkt)
 	if n := mad.Rank(len(e.vc.sess.Nodes())); !ok || d.src >= n || d.dst >= n {
-		e.trace("corrupt-drop", len(pkt), p.Now())
-		e.count(relChecksumDrops, 1)
+		e.corruptDrop(p, in, pkt)
 		e.vc.bufs.Put(pkt)
 		return // no ack: the sender retransmits
 	}
@@ -1267,7 +1264,6 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	if d.frag == e2eFrag {
 		e.hopAck(in, &d)
 		if aw := e.e2e[relMsgKey{origin: d.src, id: d.id}]; aw != nil {
-			e.trace("e2e", 0, p.Now())
 			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
 			complete(aw)
 		}
@@ -1296,7 +1292,6 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	if e.done[d.src].has(d.id) {
 		// The whole message already arrived; the origin is resending
 		// because our end-to-end ack got lost. Re-ack.
-		e.trace("dup", len(d.payload), p.Now())
 		e.count(relDuplicates, 1)
 		e.hop(p, d.id, "dup", obs.Detail{Form: "frag ${a} after completion, re-acked", A: int(d.frag)}, len(d.payload))
 		e.sendE2E(d.src, d.id)
@@ -1322,7 +1317,6 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		return false
 	}
 	if h.bufs[d.frag] != nil {
-		e.trace("dup", len(d.payload), p.Now())
 		e.count(relDuplicates, 1)
 		e.hop(p, d.id, "dup", obs.Detail{Form: "frag ${a} suppressed", A: int(d.frag)}, len(d.payload))
 		return false

@@ -29,7 +29,7 @@ func buildFaulty(t *testing.T, tp, fallback *topo.Topology, plan *fault.Plan, cf
 		if err := plan.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		pl.ArmFaults(fault.NewInjector(plan, cfg.Tracer))
+		pl.ArmFaults(fault.New(plan))
 	}
 	sess := mad.NewSession(pl)
 	cfg.Reliable = true

@@ -147,12 +147,10 @@ func (st *stripeState) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&st.failovers, "madgo_stripe_rail_failovers_total", channel)
 }
 
-// railState is one rail of one ordered pair: the bytes scheduled onto it, and
-// what recording a send on it needs — names built once, not per message.
+// railState is one rail of one ordered pair: the bytes scheduled onto it.
 type railState struct {
-	key       railKey
-	actor, op string      // tracer lane "stripe:<src>><dst>" and span name "rail<N>"
-	bytes     obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail} sums the source's pairs
+	key   railKey
+	bytes obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail} sums the source's pairs
 }
 
 // BindMetrics binds the rail's metrics in m.
@@ -165,7 +163,7 @@ func (vc *VirtualChannel) rail(src, dst string, rail int) *railState {
 	key := railKey{src, dst, rail}
 	r := vc.stripe.rails[key]
 	if r == nil {
-		r = &railState{key: key, actor: "stripe:" + src + ">" + dst, op: "rail" + strconv.Itoa(rail)}
+		r = &railState{key: key}
 		vc.stripe.rails[key] = r
 		vc.sess.Platform.Instrument(r)
 	}
@@ -494,9 +492,9 @@ func (x *gtmPacking) runRail(p *vtime.Proc, rail int) {
 		}
 	}
 	tx.end(p)
-	sr := vc.rail(x.node.Name, x.dst, rail)
-	vc.cfg.Tracer.Record(sr.actor, sr.op, int(h.spanLen), t0, p.Now())
-	sr.bytes.Add(h.spanLen)
+	// The rail's span, on the source's ring: the "stripe:<src>><dst>" lane.
+	vc.flightRing(x.node.Name).RecordTag(flight.KindRail, uint8(rail), p.Now(), vtime.Since(p.Now(), t0), 0, int(h.spanLen), x.dst)
+	vc.rail(x.node.Name, x.dst, rail).bytes.Add(h.spanLen)
 }
 
 // queueRails queues one attempt of a striped reliable message: its packets

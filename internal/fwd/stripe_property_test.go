@@ -56,7 +56,7 @@ func buildQuietFaulty(tp *topo.Topology, plan *fault.Plan, cfg fwd.Config) *worl
 		if err := plan.Validate(); err != nil {
 			panic(err)
 		}
-		pl.ArmFaults(fault.NewInjector(plan, cfg.Tracer))
+		pl.ArmFaults(fault.New(plan))
 	}
 	sess := mad.NewSession(pl)
 	bindings := make(map[string]fwd.Binding)

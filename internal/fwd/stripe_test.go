@@ -15,7 +15,6 @@ import (
 	"madgo/internal/obs"
 	"madgo/internal/route"
 	"madgo/internal/topo"
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -306,8 +305,8 @@ func TestStripeKeepsBothGatewayRailsUnderCrossTraffic(t *testing.T) {
 	}
 	cfg := stripeCfg(2)
 	cfg.Eager, cfg.PipelineDepth = true, 1
-	cfg.Tracer = trace.New()
 	w := build(t, tp, cfg)
+	lanes := armLanes(t, w, 4096)
 	send := func(src, dst string, sizes []int) {
 		w.sim.Spawn("send:"+src, func(p *vtime.Proc) {
 			for i, n := range sizes {
@@ -334,7 +333,7 @@ func TestStripeKeepsBothGatewayRailsUnderCrossTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rails [2]int
-	for _, s := range cfg.Tracer.ByActor("stripe:a0>b0") {
+	for _, s := range lanes().ByActor("stripe:a0>b0") {
 		rails[s.Op[len("rail")]-'0'] += s.Bytes
 	}
 	for rail, n := range rails {

@@ -12,7 +12,6 @@ import (
 	"madgo/internal/obs"
 	"madgo/internal/route"
 	"madgo/internal/topo"
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 	"madgo/internal/vtime/vsync"
 )
@@ -47,9 +46,6 @@ type Config struct {
 	// communication flow on gateways" the paper's conclusion calls for
 	// (ablation A4).
 	InflowLimit float64
-	// Tracer, when non-nil, records gateway pipeline spans for the
-	// Figure 5/8 timelines.
-	Tracer *trace.Tracer
 	// Reliable switches the virtual channel from the paper's streaming
 	// GTM to the reliable datagram protocol (see reliable.go): sequenced,
 	// checksummed, acknowledged packets with retransmission, the link-health

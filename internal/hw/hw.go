@@ -164,26 +164,20 @@ func (pl *Platform) FlightRing(node string) *flight.Ring {
 // flap/crash windows: when a window opens, every in-flight fluid flow
 // crossing the affected wires (flap) or the crashed host's bus (crash) is
 // cancelled — the bytes already committed to a dead medium are lost, not
-// delivered late — and a window-wide span is recorded to the injector's
-// tracer. Probabilistic drop/corruption needs no arming; the link engine
-// queries the injector per packet.
+// delivered late. The windows themselves are read from the plan (package
+// trace draws the started ones). Probabilistic drop/corruption needs no
+// arming; the link engine queries the injector per packet.
 func (pl *Platform) ArmFaults(inj *fault.Injector) {
 	if pl.Faults != nil {
 		panic("hw: ArmFaults called twice")
 	}
 	pl.Faults = inj
 	pl.Instrument(inj)
-	tr := inj.Tracer()
 	for _, w := range inj.Windows() {
 		w := w
-		end := w.At.Add(w.For)
-		if w.For == 0 {
-			end = w.At // never restarts; draw a point event
-		}
 		pl.Sim.At(w.At, func() {
 			switch w.Kind {
 			case fault.Flap:
-				tr.Record("fault:"+w.Net, "flap", 0, w.At, end)
 				for _, n := range pl.networks {
 					if n.Name == w.Net {
 						for _, wire := range n.sortedWires() {
@@ -192,7 +186,6 @@ func (pl *Platform) ArmFaults(inj *fault.Injector) {
 					}
 				}
 			case fault.Crash:
-				tr.Record("fault:"+w.Node, "crash", 0, w.At, end)
 				if h, ok := pl.hosts[w.Node]; ok {
 					pl.Engine.CancelOn(h.Bus)
 				}

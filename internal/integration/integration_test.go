@@ -14,6 +14,7 @@ import (
 	"testing/quick"
 
 	madeleine "madgo"
+	"madgo/internal/trace"
 )
 
 func pattern(n int, seed int) []byte {
@@ -449,8 +450,7 @@ fault flap myri0 10ms 5ms
 fault crash gw 20ms 20ms
 `
 	run := func() (madeleine.Time, madeleine.DeliveryStats, string) {
-		tr := madeleine.NewTracer()
-		sys, err := madeleine.NewSystem(cfg, madeleine.WithTracer(tr))
+		sys, err := madeleine.NewSystem(cfg, madeleine.WithMetrics(madeleine.NewMetrics()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,8 +476,12 @@ fault crash gw 20ms 20ms
 		if err := sys.Run(); err != nil {
 			t.Fatal(err)
 		}
+		lanes, err := trace.Of(sys.Session.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var spans strings.Builder
-		for _, s := range tr.Spans() {
+		for _, s := range lanes {
 			fmt.Fprintln(&spans, s.String())
 		}
 		return sys.Now(), sys.Stats().Delivery, spans.String()

@@ -450,23 +450,22 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 	return true
 }
 
-// judge draws the fault verdicts for a reliable transmission at send time,
-// so the injector's randomness is consumed in deterministic scheduler order
-// regardless of how delivery later interleaves.
+// judge draws the fault verdicts for a reliable transmission at send time —
+// in deterministic scheduler order, however delivery later interleaves — and
+// records a drop or a corruption on the sender's flight ring.
 func (l *Link) judge(p *vtime.Proc, tx *transmission) {
-	if !tx.meta.Reliable {
-		return
-	}
 	inj := l.faults()
-	if inj == nil {
+	if !tx.meta.Reliable || inj == nil {
 		return
 	}
 	v, pos := inj.Packet(l.Channel.net.Name, l.Src.Name, l.Dst.Name, p.Now(), len(tx.payload))
 	switch v {
 	case fault.DropPacket:
 		tx.dropped = true
+		l.flight().Record(flight.KindDrop, p.Now(), 0, 0, len(tx.payload), l.Channel.net.Name)
 	case fault.CorruptPacket:
 		tx.corruptAt = pos
+		l.flight().Record(flight.KindCorrupt, p.Now(), 0, 0, len(tx.payload), l.Channel.net.Name)
 	}
 }
 

@@ -371,7 +371,7 @@ func TestLinkAccessors(t *testing.T) {
 // memory their sender goes on using keep being copied.
 func TestLinkReliableHandsBufferOver(t *testing.T) {
 	sim, ab, _, sess := rawPair(loopback.New())
-	sess.Platform.ArmFaults(fault.NewInjector(fault.NewPlan(1).Corrupt("*", 1), nil))
+	sess.Platform.ArmFaults(fault.New(fault.NewPlan(1).Corrupt("*", 1)))
 	datagram := []byte("a datagram its sender never reads again")
 	clean := append([]byte(nil), datagram...)
 	streamed := []byte("memory the sender goes on using")
@@ -406,7 +406,7 @@ func TestLinkReliableHandsBufferOver(t *testing.T) {
 // arrives — the buffer is still the sender's to reuse.
 func TestLinkReliableDropKeepsBuffer(t *testing.T) {
 	sim, ab, _, sess := rawPair(loopback.New())
-	sess.Platform.ArmFaults(fault.NewInjector(fault.NewPlan(1).Drop("*", 1), nil))
+	sess.Platform.ArmFaults(fault.New(fault.NewPlan(1).Drop("*", 1)))
 	sim.Spawn("send", func(p *vtime.Proc) {
 		if ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Kind: mad.KindRel}, []byte("lost")) {
 			t.Error("a dropped datagram was reported as sent")

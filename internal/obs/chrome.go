@@ -3,10 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
-
-	"madgo/internal/trace"
 )
 
 // WriteChromeTrace renders spans and hop events as Chrome trace_event JSON
@@ -15,7 +15,7 @@ import (
 // "rel", "fault", ...); each traced message becomes a thread of instant
 // events inside a "messages" process, so a message's provenance reads as one
 // horizontal lane. Timestamps are virtual microseconds.
-func WriteChromeTrace(w io.Writer, spans []trace.Span, hops []Hop) error {
+func WriteChromeTrace(w io.Writer, spans []Span, hops []Hop) error {
 	pids := make(map[string]int)
 	tids := make(map[string]int)
 	pid := func(name string) int {
@@ -50,14 +50,11 @@ func WriteChromeTrace(w io.Writer, spans []trace.Span, hops []Hop) error {
 	for _, h := range hops {
 		threadNames[msgThread(h.Msg)] = "messages"
 	}
-	for _, n := range sortedKeys(procNames) {
+	procs := slices.Sorted(maps.Keys(procNames))
+	for _, n := range procs {
 		pid(n)
 	}
-	threads := make([]string, 0, len(threadNames))
-	for n := range threadNames {
-		threads = append(threads, n)
-	}
-	sort.Strings(threads)
+	threads := slices.Sorted(maps.Keys(threadNames))
 	for _, n := range threads {
 		tid(n)
 	}
@@ -66,7 +63,7 @@ func WriteChromeTrace(w io.Writer, spans []trace.Span, hops []Hop) error {
 	// {"traceEvents": []}, which Perfetto accepts ("traceEvents": null is
 	// rejected).
 	events := []map[string]any{}
-	for _, n := range sortedKeys(procNames) {
+	for _, n := range procs {
 		events = append(events, map[string]any{
 			"name": "process_name", "ph": "M", "pid": pid(n),
 			"args": map[string]any{"name": n},
@@ -110,33 +107,10 @@ func actorProcess(actor string) string {
 }
 
 func msgThread(id uint64) string {
-	return "msg " + utoa(id)
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "msg " + strconv.FormatUint(id, 10)
 }
 
 // micros converts virtual nanoseconds to trace_event microseconds.
 func micros(ns int64) float64 {
 	return float64(ns) / 1000.0
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

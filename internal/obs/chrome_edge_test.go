@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -43,7 +42,7 @@ func TestChromeTraceZeroEvents(t *testing.T) {
 // durations rather than being merged or reordered.
 func TestChromeTraceIdenticalTimestamps(t *testing.T) {
 	at := vtime.Time(5 * vtime.Microsecond)
-	spans := []trace.Span{
+	spans := []Span{
 		{Actor: "gw:recv:sci0", Op: "recv", Bytes: 100, T0: at, T1: at},
 		{Actor: "gw:send:myri0", Op: "send", Bytes: 100, T0: at, T1: at},
 	}
@@ -86,10 +85,10 @@ func TestChromeTraceIdenticalTimestamps(t *testing.T) {
 // every span must come back out.
 func TestChromeTraceLargeEventCount(t *testing.T) {
 	const n = 70_000
-	spans := make([]trace.Span, n)
+	spans := make([]Span, n)
 	for i := range spans {
 		t0 := vtime.Time(i) * vtime.Time(vtime.Microsecond)
-		spans[i] = trace.Span{Actor: "gw:send:myri0", Op: "send", Bytes: i, T0: t0, T1: t0 + vtime.Time(vtime.Microsecond)}
+		spans[i] = Span{Actor: "gw:send:myri0", Op: "send", Bytes: i, T0: t0, T1: t0 + vtime.Time(vtime.Microsecond)}
 	}
 	var out bytes.Buffer
 	if err := WriteChromeTrace(&out, spans, nil); err != nil {

@@ -29,7 +29,7 @@
 //
 // A nil *Registry is valid: it attaches nothing, binds nil gauge and histogram
 // handles, which ignore writes, and records no hops, so instrumented code needs
-// no conditionals — the same convention as trace.Tracer. All methods are safe
+// no conditionals — the same convention as flight.Recorder. All methods are safe
 // for concurrent use; the simulation itself is single-threaded, but tests and
 // tools may read while goroutines record.
 package obs

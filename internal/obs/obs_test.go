@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"madgo/internal/trace"
 	"madgo/internal/vtime"
 )
 
@@ -276,15 +275,16 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 func TestWriteChromeTraceIsValidJSON(t *testing.T) {
-	tr := trace.New()
-	tr.Record("gw:recv:sci0", "recv", 1024, 0, vtime.Time(10*vtime.Microsecond))
-	tr.Record("gw:send:myri0", "send", 1024, vtime.Time(10*vtime.Microsecond), vtime.Time(25*vtime.Microsecond))
+	spans := []Span{
+		{Actor: "gw:recv:sci0", Op: "recv", Bytes: 1024, T0: 0, T1: vtime.Time(10 * vtime.Microsecond)},
+		{Actor: "gw:send:myri0", Op: "send", Bytes: 1024, T0: vtime.Time(10 * vtime.Microsecond), T1: vtime.Time(25 * vtime.Microsecond)},
+	}
 	r := New()
 	r.RecordHop(1, vtime.Time(5*vtime.Microsecond), "a1", "pack", "", 1024)
 	r.RecordHop(1, vtime.Time(30*vtime.Microsecond), "b1", "deliver", "", 1024)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr.Spans(), r.Hops()); err != nil {
+	if err := WriteChromeTrace(&buf, spans, r.Hops()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -327,71 +327,6 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 				t.Fatalf("recv ts=%v dur=%v, want 0/10", e.Ts, e.Dur)
 			}
 		}
-	}
-}
-
-func TestAnalyzeLanes(t *testing.T) {
-	us := func(n int64) vtime.Time { return vtime.Time(n) * vtime.Time(vtime.Microsecond) }
-	tr := trace.New()
-	// Lane with periodic recvs (period 100µs), one swap, and idle tail.
-	for i := int64(0); i < 5; i++ {
-		tr.Record("gw:recv:sci0", "recv", 1024, us(i*100), us(i*100+40))
-	}
-	tr.Record("gw:recv:sci0", "swap", 0, us(440), us(480))
-	// Overlapping spans must not double-count.
-	tr.Record("gw:send:myri0", "send", 512, us(0), us(50))
-	tr.Record("gw:send:myri0", "send", 512, us(25), us(75))
-
-	lanes := AnalyzeLanes(tr, 0, us(1000))
-	if len(lanes) != 2 {
-		t.Fatalf("lanes = %d, want 2", len(lanes))
-	}
-	recv := lanes[0]
-	if recv.Actor != "gw:recv:sci0" {
-		t.Fatalf("lane order: %v", recv.Actor)
-	}
-	if recv.Busy != 200*vtime.Microsecond {
-		t.Fatalf("busy = %v, want 200µs", recv.Busy)
-	}
-	if recv.Stall != 40*vtime.Microsecond {
-		t.Fatalf("stall = %v, want 40µs", recv.Stall)
-	}
-	if recv.Idle != 760*vtime.Microsecond {
-		t.Fatalf("idle = %v, want 760µs", recv.Idle)
-	}
-	if math.Abs(recv.Utilization-0.2) > 1e-9 {
-		t.Fatalf("utilization = %v, want 0.2", recv.Utilization)
-	}
-	if recv.SteadyPeriod != 100*vtime.Microsecond {
-		t.Fatalf("steady period = %v, want 100µs", recv.SteadyPeriod)
-	}
-	send := lanes[1]
-	if send.Busy != 75*vtime.Microsecond {
-		t.Fatalf("overlap busy = %v, want 75µs", send.Busy)
-	}
-
-	// Window clipping: only the first recv is inside [0, 50µs).
-	clipped := AnalyzeLanes(tr, 0, us(50))
-	if clipped[0].Busy != 40*vtime.Microsecond {
-		t.Fatalf("clipped busy = %v, want 40µs", clipped[0].Busy)
-	}
-
-	if AnalyzeLanes(tr, us(10), us(10)) != nil {
-		t.Fatal("empty window returned lanes")
-	}
-	if AnalyzeLanes(nil, 0, us(10)) != nil {
-		t.Fatal("nil tracer returned lanes")
-	}
-
-	var sb strings.Builder
-	WriteLaneReport(&sb, lanes)
-	if !strings.Contains(sb.String(), "gw:recv:sci0") || !strings.Contains(sb.String(), "util") {
-		t.Fatalf("lane report:\n%s", sb.String())
-	}
-	sb.Reset()
-	WriteLaneReport(&sb, nil)
-	if !strings.Contains(sb.String(), "no lanes") {
-		t.Fatalf("empty report: %q", sb.String())
 	}
 }
 

@@ -1,72 +1,33 @@
-// Package trace records timestamped spans from the simulation — the
-// reproduction's analogue of the paper's rdtsc instrumentation of the
-// gateway's low-level code (§3.4.1). The gateway pipeline emits one span per
-// receive step, send step and buffer switch; the analysis helpers rebuild
-// the Figure 5 / Figure 8 timelines and the pipeline-period accounting of
-// §3.3.1 from them.
+// Package trace derives timestamped spans from what a run recorded once —
+// the reproduction's analogue of the paper's rdtsc instrumentation of the
+// gateway's low-level code (§3.4.1). Nothing records to it: Of builds the
+// pipeline lanes from the platform's flight events, provenance hops and
+// fault plan, and the renderers below rebuild the Figure 5 / Figure 8
+// timelines and the pipeline-period accounting of §3.3.1 from them.
 package trace
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
-// Span is one recorded interval.
-type Span struct {
-	Actor string // e.g. "gw:recv:sci0", "gw:send:myri0"
-	Op    string // "recv", "send", "swap", "header", ...
-	Bytes int
-	T0    vtime.Time
-	T1    vtime.Time
-}
+// Span is one recorded interval, e.g. a receive on "gw:recv:sci0".
+type Span = obs.Span
 
-// Duration returns the span length.
-func (s Span) Duration() vtime.Duration { return s.T1.Sub(s.T0) }
-
-func (s Span) String() string {
-	return fmt.Sprintf("%-18s %-6s %8dB  %12v .. %-12v (%v)", s.Actor, s.Op, s.Bytes, s.T0, s.T1, s.Duration())
-}
-
-// Tracer collects spans. A nil *Tracer is valid and records nothing, so
-// instrumented code needs no conditionals. All methods are safe for
-// concurrent use: the simulation is single-threaded, but gateway daemons and
-// tests may record from separate goroutines.
-type Tracer struct {
-	mu    sync.Mutex
-	spans []Span
-}
-
-// New returns an empty tracer.
-func New() *Tracer { return &Tracer{} }
-
-// Record adds a completed span.
-func (t *Tracer) Record(actor, op string, bytes int, t0, t1 vtime.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Actor: actor, Op: op, Bytes: bytes, T0: t0, T1: t1})
-	t.mu.Unlock()
-}
-
-// Spans returns every recorded span in recording order.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
+// Log is a run's spans in the order they were recorded.
+type Log []Span
 
 // ByActor returns the spans of one actor, in time order.
-func (t *Tracer) ByActor(actor string) []Span {
+func (l Log) ByActor(actor string) []Span {
 	var out []Span
-	for _, s := range t.Spans() {
+	for _, s := range l {
 		if s.Actor == actor {
 			out = append(out, s)
 		}
@@ -76,75 +37,31 @@ func (t *Tracer) ByActor(actor string) []Span {
 }
 
 // Actors returns the distinct actor names, sorted.
-func (t *Tracer) Actors() []string {
+func (l Log) Actors() []string {
 	seen := make(map[string]bool)
-	var out []string
-	for _, s := range t.Spans() {
-		if !seen[s.Actor] {
-			seen[s.Actor] = true
-			out = append(out, s.Actor)
-		}
+	for _, s := range l {
+		seen[s.Actor] = true
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset discards all recorded spans.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // Periods returns the start-to-start intervals between consecutive spans of
 // one actor and operation — the pipeline period of §3.3.1 when applied to
 // the gateway receive steps.
-func (t *Tracer) Periods(actor, op string) []vtime.Duration {
-	var starts []vtime.Time
-	for _, s := range t.ByActor(actor) {
-		if s.Op == op {
-			starts = append(starts, s.T0)
-		}
-	}
-	if len(starts) < 2 {
-		return nil
-	}
-	out := make([]vtime.Duration, 0, len(starts)-1)
-	for i := 1; i < len(starts); i++ {
-		out = append(out, starts[i].Sub(starts[i-1]))
+func (l Log) Periods(actor, op string) []vtime.Duration {
+	var out []vtime.Duration
+	spans := slices.DeleteFunc(l.ByActor(actor), func(s Span) bool { return s.Op != op })
+	for i := 1; i < len(spans); i++ {
+		out = append(out, spans[i].T0.Sub(spans[i-1].T0))
 	}
 	return out
 }
 
-// MeanDuration returns the average length of the actor's spans with the
-// given op, and their count.
-func (t *Tracer) MeanDuration(actor, op string) (vtime.Duration, int) {
-	var sum vtime.Duration
-	n := 0
-	for _, s := range t.ByActor(actor) {
-		if s.Op == op {
-			sum += s.Duration()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / vtime.Duration(n), n
-}
-
-// SteadyMean is MeanDuration computed after dropping the first `warmup` and
-// last `cooldown` spans — the pipeline's fill and drain phases.
-func (t *Tracer) SteadyMean(actor, op string, warmup, cooldown int) (vtime.Duration, int) {
-	var spans []Span
-	for _, s := range t.ByActor(actor) {
-		if s.Op == op {
-			spans = append(spans, s)
-		}
-	}
+// SteadyMean returns the average length of the actor's spans with the given
+// op, and their count, after dropping the first `warmup` and last `cooldown`
+// spans — the pipeline's fill and drain phases.
+func (l Log) SteadyMean(actor, op string, warmup, cooldown int) (vtime.Duration, int) {
+	spans := slices.DeleteFunc(l.ByActor(actor), func(s Span) bool { return s.Op != op })
 	if len(spans) <= warmup+cooldown {
 		return 0, 0
 	}
@@ -156,37 +73,17 @@ func (t *Tracer) SteadyMean(actor, op string, warmup, cooldown int) (vtime.Durat
 	return sum / vtime.Duration(len(spans)), len(spans)
 }
 
-// opMark maps an operation name to its one-character timeline mark. Well
-// known ops keep their historical marks; anything else falls back to the
-// op's first letter.
+// marks are the timeline marks of the well-known ops; any other op is drawn
+// with its first letter (opMark).
+var marks = map[string]byte{
+	"recv": 'r', "send": 's', "swap": 'x', "header": 'h', "rexmit": 'R', "failover": 'F',
+	"resend": 'M', "crash": 'C', "flap": '~', "drop": 'd', "corrupt": 'c', "corrupt-drop": 'c',
+	"e2e": 'e', "dup": 'D',
+}
+
 func opMark(op string) byte {
-	switch op {
-	case "recv":
-		return 'r'
-	case "send":
-		return 's'
-	case "swap":
-		return 'x'
-	case "header":
-		return 'h'
-	case "rexmit":
-		return 'R'
-	case "failover":
-		return 'F'
-	case "resend":
-		return 'M'
-	case "crash":
-		return 'C'
-	case "flap":
-		return '~'
-	case "drop":
-		return 'd'
-	case "corrupt", "corrupt-drop":
-		return 'c'
-	case "e2e":
-		return 'e'
-	case "dup":
-		return 'D'
+	if m, ok := marks[op]; ok {
+		return m
 	}
 	if len(op) > 0 {
 		return op[0]
@@ -199,43 +96,32 @@ func opMark(op string) byte {
 // Figure 8. Each actor gets a lane; busy intervals are drawn with the op's
 // mark (see opMark). A legend derived from the ops actually present in the
 // window is printed under the chart.
-func (t *Tracer) Timeline(t0, t1 vtime.Time, cols int) string {
-	if t == nil || cols <= 0 || t1 <= t0 {
+func (l Log) Timeline(t0, t1 vtime.Time, cols int) string {
+	if cols <= 0 || t1 <= t0 {
 		return ""
 	}
-	actors := t.Actors()
+	actors := l.Actors()
 	if len(actors) == 0 {
 		return ""
 	}
 	width := 0
 	for _, a := range actors {
-		if len(a) > width {
-			width = len(a)
-		}
+		width = max(width, len(a))
 	}
 	total := t1.Sub(t0)
 	rendered := make(map[string]byte)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%*s  |%v .. %v, one column = %v|\n", width, "", t0, t1, total/vtime.Duration(cols))
 	for _, a := range actors {
-		lane := make([]byte, cols)
-		for i := range lane {
-			lane[i] = '.'
-		}
-		for _, s := range t.ByActor(a) {
+		lane := bytes.Repeat([]byte{'.'}, cols)
+		for _, s := range l.ByActor(a) {
 			if s.T1 <= t0 || s.T0 >= t1 {
 				continue
 			}
 			mark := opMark(s.Op)
 			rendered[s.Op] = mark
-			c0 := int(int64(s.T0-t0) * int64(cols) / int64(total))
-			c1 := int(int64(s.T1-t0) * int64(cols) / int64(total))
-			if c0 < 0 {
-				c0 = 0
-			}
-			if c1 >= cols {
-				c1 = cols - 1
-			}
+			c0 := max(int(int64(s.T0-t0)*int64(cols)/int64(total)), 0)
+			c1 := min(int(int64(s.T1-t0)*int64(cols)/int64(total)), cols-1)
 			for c := c0; c <= c1; c++ {
 				lane[c] = mark
 			}
@@ -243,11 +129,7 @@ func (t *Tracer) Timeline(t0, t1 vtime.Time, cols int) string {
 		fmt.Fprintf(&sb, "%*s  %s\n", width, a, lane)
 	}
 	if len(rendered) > 0 {
-		ops := make([]string, 0, len(rendered))
-		for op := range rendered {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
+		ops := slices.Sorted(maps.Keys(rendered))
 		parts := make([]string, len(ops))
 		for i, op := range ops {
 			parts[i] = fmt.Sprintf("%c = %s", rendered[op], op)

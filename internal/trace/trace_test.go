@@ -1,35 +1,56 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"madgo/internal/fault"
+	"madgo/internal/flight"
+	"madgo/internal/hw"
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
 func us(n int64) vtime.Time { return vtime.Time(n * int64(vtime.Microsecond)) }
 
-func sample() *Tracer {
-	tr := New()
-	tr.Record("gw:recv:sci0", "recv", 8192, us(0), us(190))
-	tr.Record("gw:recv:sci0", "swap", 0, us(190), us(230))
-	tr.Record("gw:send:myri0", "send", 8192, us(230), us(410))
-	tr.Record("gw:recv:sci0", "recv", 8192, us(230), us(420))
-	tr.Record("gw:recv:sci0", "swap", 0, us(420), us(460))
-	tr.Record("gw:send:myri0", "send", 8192, us(460), us(640))
+// rec appends a span to l, the way a run records one.
+func (l *Log) rec(actor, op string, bytes int, t0, t1 vtime.Time) {
+	*l = append(*l, Span{Actor: actor, Op: op, Bytes: bytes, T0: t0, T1: t1})
+}
+
+func sample() Log {
+	var tr Log
+	tr.rec("gw:recv:sci0", "recv", 8192, us(0), us(190))
+	tr.rec("gw:recv:sci0", "swap", 0, us(190), us(230))
+	tr.rec("gw:send:myri0", "send", 8192, us(230), us(410))
+	tr.rec("gw:recv:sci0", "recv", 8192, us(230), us(420))
+	tr.rec("gw:recv:sci0", "swap", 0, us(420), us(460))
+	tr.rec("gw:send:myri0", "send", 8192, us(460), us(640))
 	return tr
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Record("a", "recv", 1, 0, 1)
-	if tr.Spans() != nil || tr.Actors() != nil || tr.ByActor("a") != nil {
-		t.Error("nil tracer returned data")
+	tr.Bind(hw.NewPlatform(vtime.New()))
+	var l Log
+	if l.Actors() != nil || l.ByActor("a") != nil {
+		t.Error("empty log returned data")
 	}
-	if tl := tr.Timeline(0, us(10), 10); tl != "" {
-		t.Error("nil tracer rendered a timeline")
+	if tl := l.Timeline(0, us(10), 10); tl != "" {
+		t.Error("empty log rendered a timeline")
 	}
-	tr.Reset()
+	// A bound tracer's spans are the lanes it is bound to, not its own.
+	bound := New()
+	bound.Record("a", "recv", 1, 0, 1)
+	if len(bound.Spans()) != 1 {
+		t.Error("an unbound tracer lost its recorded span")
+	}
+	bound.Bind(hw.NewPlatform(vtime.New()))
+	if len(bound.Spans()) != 0 {
+		t.Error("a tracer bound to a platform that recorded nothing returned spans")
+	}
 }
 
 func TestActorsAndByActor(t *testing.T) {
@@ -60,25 +81,14 @@ func TestPeriods(t *testing.T) {
 	}
 }
 
-func TestMeanDuration(t *testing.T) {
-	tr := sample()
-	mean, n := tr.MeanDuration("gw:send:myri0", "send")
-	if n != 2 || mean != 180*vtime.Microsecond {
-		t.Fatalf("mean = %v over %d", mean, n)
-	}
-	if _, n := tr.MeanDuration("x", "y"); n != 0 {
-		t.Fatal("unknown actor produced samples")
-	}
-}
-
 func TestSteadyMean(t *testing.T) {
-	tr := New()
+	var tr Log
 	// First and last spans are ramp artifacts.
-	tr.Record("a", "recv", 1, us(0), us(1000))
+	tr.rec("a", "recv", 1, us(0), us(1000))
 	for i := int64(1); i <= 5; i++ {
-		tr.Record("a", "recv", 1, us(i*1000), us(i*1000+100))
+		tr.rec("a", "recv", 1, us(i*1000), us(i*1000+100))
 	}
-	tr.Record("a", "recv", 1, us(7000), us(9000))
+	tr.rec("a", "recv", 1, us(7000), us(9000))
 	mean, n := tr.SteadyMean("a", "recv", 1, 1)
 	if n != 5 || mean != 100*vtime.Microsecond {
 		t.Fatalf("steady mean = %v over %d", mean, n)
@@ -100,14 +110,6 @@ func TestTimelineRendering(t *testing.T) {
 	// Degenerate windows are rejected, not crashed on.
 	if tr.Timeline(us(10), us(10), 64) != "" || tr.Timeline(0, us(10), 0) != "" {
 		t.Fatal("degenerate timeline not empty")
-	}
-}
-
-func TestReset(t *testing.T) {
-	tr := sample()
-	tr.Reset()
-	if len(tr.Spans()) != 0 {
-		t.Fatal("reset did not clear spans")
 	}
 }
 
@@ -133,7 +135,7 @@ func TestTimelineLegend(t *testing.T) {
 		}
 	}
 	// Ops outside the window must not appear in the legend.
-	tr.Record("gw:recv:sci0", "rexmit", 0, us(900), us(950))
+	tr.rec("gw:recv:sci0", "rexmit", 0, us(900), us(950))
 	if tl := tr.Timeline(0, us(640), 64); strings.Contains(tl, "R = rexmit") {
 		t.Fatalf("legend lists op outside window:\n%s", tl)
 	}
@@ -141,8 +143,8 @@ func TestTimelineLegend(t *testing.T) {
 		t.Fatalf("legend misses op inside window:\n%s", tl)
 	}
 	// Novel ops get their first letter, not '?'.
-	tr2 := New()
-	tr2.Record("a", "poll", 0, us(0), us(10))
+	var tr2 Log
+	tr2.rec("a", "poll", 0, us(0), us(10))
 	if tl := tr2.Timeline(0, us(10), 10); !strings.Contains(tl, "p = poll") {
 		t.Fatalf("derived legend missing novel op:\n%s", tl)
 	}
@@ -161,11 +163,11 @@ func TestOpMarkFallbacks(t *testing.T) {
 }
 
 func TestTimelineBoundarySpans(t *testing.T) {
-	tr := New()
-	tr.Record("a", "recv", 1, us(0), us(10))    // starts exactly at t0
-	tr.Record("a", "send", 1, us(90), us(100))  // ends exactly at t1
-	tr.Record("a", "swap", 1, us(100), us(110)) // starts exactly at t1: excluded
-	tr.Record("a", "drop", 1, us(-10), us(0))   // ends exactly at t0: excluded
+	var tr Log
+	tr.rec("a", "recv", 1, us(0), us(10))    // starts exactly at t0
+	tr.rec("a", "send", 1, us(90), us(100))  // ends exactly at t1
+	tr.rec("a", "swap", 1, us(100), us(110)) // starts exactly at t1: excluded
+	tr.rec("a", "drop", 1, us(-10), us(0))   // ends exactly at t0: excluded
 	tl := tr.Timeline(0, us(100), 10)
 	if !strings.Contains(tl, "r") || !strings.Contains(tl, "s") {
 		t.Fatalf("boundary spans not rendered:\n%s", tl)
@@ -174,16 +176,16 @@ func TestTimelineBoundarySpans(t *testing.T) {
 		t.Fatalf("spans outside [t0,t1) rendered:\n%s", tl)
 	}
 	// A span wider than the window is clipped, not crashed on.
-	tr.Record("a", "recv", 1, us(-50), us(500))
+	tr.rec("a", "recv", 1, us(-50), us(500))
 	if tl := tr.Timeline(0, us(100), 10); tl == "" {
 		t.Fatal("clipped span produced empty timeline")
 	}
 }
 
 func TestSteadyMeanDegenerate(t *testing.T) {
-	tr := New()
+	var tr Log
 	for i := int64(0); i < 4; i++ {
-		tr.Record("a", "recv", 1, us(i*100), us(i*100+10))
+		tr.rec("a", "recv", 1, us(i*100), us(i*100+10))
 	}
 	// warmup+cooldown == len(spans): nothing left.
 	if mean, n := tr.SteadyMean("a", "recv", 2, 2); n != 0 || mean != 0 {
@@ -193,42 +195,99 @@ func TestSteadyMeanDegenerate(t *testing.T) {
 	if mean, n := tr.SteadyMean("a", "recv", 10, 10); n != 0 || mean != 0 {
 		t.Fatalf("over-trim returned %v over %d", mean, n)
 	}
-	var nilTr *Tracer
-	if mean, n := nilTr.SteadyMean("a", "recv", 0, 0); n != 0 || mean != 0 {
-		t.Fatal("nil tracer SteadyMean returned samples")
+	var empty Log
+	if mean, n := empty.SteadyMean("a", "recv", 0, 0); n != 0 || mean != 0 {
+		t.Fatal("empty log SteadyMean returned samples")
 	}
 }
 
-func TestNilTracerAnalysisMethods(t *testing.T) {
-	var tr *Tracer
-	if p := tr.Periods("a", "recv"); p != nil {
-		t.Fatal("nil tracer Periods returned data")
-	}
-	if mean, n := tr.MeanDuration("a", "recv"); n != 0 || mean != 0 {
-		t.Fatal("nil tracer MeanDuration returned samples")
+func TestEmptyLogAnalysis(t *testing.T) {
+	var l Log
+	if p := l.Periods("a", "recv"); p != nil {
+		t.Fatal("empty log Periods returned data")
 	}
 }
 
-func TestConcurrentRecord(t *testing.T) {
-	// Regression test for the data race between gateway daemons recording
-	// from separate goroutines; run under -race.
-	tr := New()
-	const goroutines, each = 8, 200
-	done := make(chan struct{})
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < each; i++ {
-				tr.Record("a", "recv", g, us(int64(i)), us(int64(i)+1))
-				_ = tr.Spans()
-				_ = tr.Actors()
-			}
-		}(g)
+// TestOfDerivesEveryLane records one event of each kind the lanes are built
+// from, on a bare platform, and checks each lands on its lane as its span,
+// in recording order, and that what no lane reads stays out.
+func TestOfDerivesEveryLane(t *testing.T) {
+	sim := vtime.New()
+	pl := hw.NewPlatform(sim)
+	pl.SetFlight(flight.NewRecorder(0))
+	reg := obs.New()
+	pl.SetMetrics(reg)
+	pl.ArmFaults(fault.New(fault.NewPlan(1).Flap("n1", us(5), 10*vtime.Microsecond).
+		Crash("g", us(5), 0).Flap("n2", us(500), vtime.Microsecond)))
+	if err := sim.RunUntil(us(100)); err != nil {
+		t.Fatal(err)
 	}
-	for g := 0; g < goroutines; g++ {
-		<-done
+	g, a := pl.FlightRing("g"), pl.FlightRing("a")
+	g.RecordTag(flight.KindRecv, flight.TagRecv, us(20), 10*vtime.Microsecond, 1, 512, "n1")
+	g.RecordTag(flight.KindSwap, flight.TagRecv, us(24), 4*vtime.Microsecond, 1, 0, "n1")
+	g.RecordTag(flight.KindReplicate, flight.TagSend, us(30), 6*vtime.Microsecond, 1, 512, "n2")
+	g.RecordTag(flight.KindSwap, flight.TagSend, us(34), 4*vtime.Microsecond, 1, 0, "n1")
+	g.RecordTag(flight.KindStall, flight.TagRecv, us(40), 6*vtime.Microsecond, 1, 0, "n2")
+	g.Record(flight.KindSend, us(41), vtime.Microsecond, 1, 64, "n2") // no thread: the reliable engine's
+	a.RecordTag(flight.KindRail, 1, us(42), 2*vtime.Microsecond, 0, 300, "b")
+	a.Record(flight.KindDrop, us(43), 0, 0, 64, "n1")
+	a.Record(flight.KindCorrupt, us(44), 0, 0, 64, "n1")
+	g.Record(flight.KindCorruptDrop, us(45), 0, 0, 64, "n1")
+	reg.RecordHop(1, us(46), "a", "rexmit", "", 64)
+	reg.RecordHop(1, us(47), "a", "deliver", "", 64) // not a recovery mark
+	reg.RecordHop(1, us(48), "b", "dup", "", 32)
+
+	lanes, err := Of(pl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(tr.Spans()); n != goroutines*each {
-		t.Fatalf("recorded %d spans, want %d", n, goroutines*each)
+	var got []string
+	for _, s := range lanes {
+		got = append(got, fmt.Sprintf("%s %s %d %v..%v", s.Actor, s.Op, s.Bytes, s.T0, s.T1))
+	}
+	want := []string{
+		"fault:n1 flap 0 5µs..15µs",
+		"fault:g crash 0 5µs..5µs",
+		"g:recv:n1 recv 512 10µs..20µs",
+		"g:recv:n1 swap 0 20µs..24µs",
+		"g:send:n2 send 512 24µs..30µs",
+		"g:send:n1 swap 0 30µs..34µs",
+		"g:recv:n2 stall 0 34µs..40µs",
+		"stripe:a>b rail1 300 40µs..42µs",
+		"fault:n1 drop 64 43µs..43µs",
+		"fault:n1 corrupt 64 44µs..44µs",
+		"rel:g corrupt-drop 64 45µs..45µs",
+		"rel:a rexmit 64 46µs..46µs",
+		"rel:b dup 32 48µs..48µs",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("lanes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if n := len(Replay(pl.Flight.Events())); n != 10 {
+		t.Errorf("Replay rendered %d flight spans, want all 10 events", n)
+	}
+}
+
+// TestOfFlagsAnOverwrittenRing: once a ring overwrites events, Of says so,
+// with how many and the instant from which every ring holds all it recorded
+// (one past the oldest event the wrapped ring still holds).
+func TestOfFlagsAnOverwrittenRing(t *testing.T) {
+	pl := hw.NewPlatform(vtime.New())
+	pl.SetFlight(flight.NewRecorder(2))
+	g, a := pl.FlightRing("g"), pl.FlightRing("a")
+	a.RecordTag(flight.KindRecv, flight.TagRecv, us(5), vtime.Microsecond, 1, 64, "n1")
+	if _, err := Of(pl); err != nil {
+		t.Fatalf("Of of rings that overwrote nothing: %v", err)
+	}
+	for i := range int64(5) {
+		g.RecordTag(flight.KindRecv, flight.TagRecv, us(10+i), vtime.Microsecond, 1, 64, "n1")
+	}
+	lanes, err := Of(pl)
+	tr, ok := err.(*Truncated)
+	if !ok || tr.Dropped != 3 || tr.Since != us(13)+1 {
+		t.Fatalf("Of = %v, want a *Truncated of 3 events since %v", err, us(13)+1)
+	}
+	if len(lanes) != 3 {
+		t.Errorf("Of kept %d spans, want the 3 the rings hold", len(lanes))
 	}
 }

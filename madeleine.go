@@ -53,7 +53,7 @@
 //	WithReliableDelivery                   fwd/reliable: acknowledged datagram delivery, failure detector, fair relay
 //	WithFaults                             fault: deterministic fault injection
 //	WithRouteNetworks                      route: restrict the channel to named networks
-//	WithTracer                             trace: gateway pipeline spans
+//	WithTracer                             trace: the ledger's handle on the derived lanes
 //	WithMetrics                            obs: counters, histograms, provenance
 //	WithFlightRingCap                      flight: always-on event recorder
 //	WithPaperFidelity, WithProduction      presets bundling the above
@@ -63,8 +63,11 @@
 package madeleine
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"madgo/internal/assembly"
@@ -104,8 +107,6 @@ type (
 	Unpacking = fwd.Unpacking
 	// Topology describes networks, nodes and gateways.
 	Topology = topo.Topology
-	// Tracer records gateway pipeline spans.
-	Tracer = trace.Tracer
 	// Experiment is a regenerable table/figure of the paper.
 	Experiment = bench.Experiment
 	// Comm is a collective-operations communicator over the virtual
@@ -287,7 +288,7 @@ type Options struct {
 	// DisableZeroCopy turns off the §2.3 buffer election (every relayed
 	// packet pays a staging copy).
 	DisableZeroCopy bool
-	// Tracer, when non-nil, records gateway pipeline activity.
+	// Tracer, when non-nil, is bound to the system's lanes (WithTracer).
 	Tracer *Tracer
 	// Metrics, when non-nil, receives counters, histograms and message
 	// provenance from every layer of the system.
@@ -355,9 +356,6 @@ func WithNetworkMTU(network string, bytes int) Option {
 // WithoutZeroCopy disables the gateway buffer election.
 func WithoutZeroCopy() Option { return func(o *Options) { o.DisableZeroCopy = true } }
 
-// WithTracer attaches a pipeline tracer.
-func WithTracer(tr *Tracer) Option { return func(o *Options) { o.Tracer = tr } }
-
 // WithMetrics attaches a metrics registry. The system clocks it with virtual
 // time and instruments link sends, gateway relays, buffer switches, copies,
 // injected faults and the reliable mode's recovery work; every message packed
@@ -366,9 +364,7 @@ func WithTracer(tr *Tracer) Option { return func(o *Options) { o.Tracer = tr } }
 func WithMetrics(m *Metrics) Option { return func(o *Options) { o.Metrics = m } }
 
 // WithRouteNetworks restricts the virtual channel to the named networks.
-func WithRouteNetworks(names ...string) Option {
-	return func(o *Options) { o.RouteNetworks = names }
-}
+func WithRouteNetworks(names ...string) Option { return func(o *Options) { o.RouteNetworks = names } }
 
 // WithFaults arms the deterministic fault injector with the given plan and
 // switches the system to reliable delivery so the injected faults are
@@ -433,11 +429,8 @@ func WithReliableDelivery() Option { return func(o *Options) { o.Reliable = true
 // to deviate selectively.
 func WithPaperFidelity() Option {
 	return func(o *Options) {
-		o.MTU = 32 * 1024
-		o.PipelineDepth = 2
-		o.Eager = false
-		o.StripeK = 0
-		o.Reliable = false
+		o.MTU, o.PipelineDepth = 32*1024, 2
+		o.Eager, o.StripeK, o.Reliable = false, 0, false
 	}
 }
 
@@ -463,8 +456,6 @@ type System struct {
 	Session  *mad.Session
 	Channel  *fwd.VirtualChannel
 	Topology *topo.Topology
-
-	tracer *Tracer // the WithTracer tracer, for the Chrome exporter
 }
 
 // NewSystem parses a textual topology (see the topo format in README) and
@@ -486,15 +477,11 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 	vcTopo := tp
 	if len(o.RouteNetworks) > 0 {
 		var err error
-		vcTopo, err = tp.Restrict(o.RouteNetworks...)
-		if err != nil {
+		if vcTopo, err = tp.Restrict(o.RouteNetworks...); err != nil {
 			return nil, err
 		}
 	}
-	plan := o.Faults
-	if plan == nil {
-		plan = tp.Faults
-	}
+	plan := cmp.Or(o.Faults, tp.Faults)
 	reliable := o.Reliable || plan != nil
 	if o.AutoMTU {
 		nets := vcTopo.Networks()
@@ -516,12 +503,9 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 		PipelineDepth: o.PipelineDepth,
 		NetMTU:        o.NetworkMTU,
 		ZeroCopy:      !o.DisableZeroCopy,
-		Tracer:        o.Tracer,
 		Reliable:      reliable,
-
-		StripeK: o.StripeK,
-
-		Eager: o.Eager,
+		StripeK:       o.StripeK,
+		Eager:         o.Eager,
 	}
 	if reliable && vcTopo != tp {
 		// The excluded control networks stay alive as failover paths.
@@ -535,13 +519,12 @@ func NewSystemFromTopology(tp *topo.Topology, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{Sim: sim, Session: sess, Channel: vc, Topology: tp, tracer: o.Tracer}, nil
+	o.Tracer.Bind(sess.Platform)
+	return &System{Sim: sim, Session: sess, Channel: vc, Topology: tp}, nil
 }
 
 // Spawn starts an application process at virtual time now.
-func (s *System) Spawn(name string, fn func(*Proc)) {
-	s.Sim.Spawn(name, fn)
-}
+func (s *System) Spawn(name string, fn func(*Proc)) { s.Sim.Spawn(name, fn) }
 
 // Run executes the simulation until every application process finishes. A
 // DeadlockError names the stuck processes and what they wait on.
@@ -651,9 +634,6 @@ func (s *System) CommAt(self string, members ...string) (*Comm, error) {
 	return coll.New(s.Channel, members, self)
 }
 
-// NewTracer returns an empty pipeline tracer for WithTracer.
-func NewTracer() *Tracer { return trace.New() }
-
 // NewMetrics returns an empty metrics registry for WithMetrics.
 func NewMetrics() *Metrics { return obs.New() }
 
@@ -673,15 +653,17 @@ func (s *System) MessageTrace(id uint64) []MessageHop { return s.Metrics().Messa
 func (s *System) WritePrometheus(w io.Writer) { s.Metrics().WritePrometheus(w) }
 
 // WriteChromeTrace writes the run as Chrome trace_event JSON — loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. Pipeline spans come from
-// the WithTracer tracer, flight-recorder events replay as per-node spans,
-// and per-message provenance comes from the WithMetrics registry; any of
-// the three may be absent.
+// Perfetto (ui.perfetto.dev) or chrome://tracing: the pipeline lanes (see
+// Lanes), every flight-recorder event replayed as a per-node span, and the
+// per-message provenance of the WithMetrics registry, when one is armed.
+// It fails, writing nothing, when a flight ring overwrote events, as the lanes
+// would miss the start of the run (WithFlightRingCap sizes the rings).
 func (s *System) WriteChromeTrace(w io.Writer) error {
-	var spans []trace.Span
-	spans = append(spans, s.tracer.Spans()...)
-	spans = append(spans, s.Flight().Spans()...)
-	return obs.WriteChromeTrace(w, spans, s.Metrics().Hops())
+	lanes, err := trace.Of(s.Session.Platform)
+	if err != nil {
+		return err
+	}
+	return obs.WriteChromeTrace(w, append(lanes, trace.Replay(s.Flight().Events())...), s.Metrics().Hops())
 }
 
 // Flight returns the always-on flight recorder. A nil *FlightRecorder is safe
@@ -710,13 +692,8 @@ func (s *System) Budgets() []Budget {
 	for id := range byMsg {
 		ids[id] = true
 	}
-	ordered := make([]uint64, 0, len(ids))
-	for id := range ids {
-		ordered = append(ordered, id)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	bs := make([]Budget, 0, len(ordered))
-	for _, id := range ordered {
+	bs := make([]Budget, 0, len(ids))
+	for _, id := range slices.Sorted(maps.Keys(ids)) {
 		bs = append(bs, flight.AnalyzeMessage(id, s.Metrics().MessageTrace(id), byMsg[id]))
 	}
 	return bs
@@ -738,10 +715,19 @@ func (s *System) Diagnose() Diagnosis {
 // message plus an aggregate "all" row.
 func WriteBudgetReport(w io.Writer, bs []Budget) { flight.WriteBudgets(w, bs) }
 
-// Lanes decomposes each traced pipeline actor's [t0, t1) window into busy,
-// stall (buffer switches) and idle time, with the §3.3.1 steady-state period
-// of its dominant operation. It needs a WithTracer tracer.
-func (s *System) Lanes(t0, t1 Time) []Lane { return obs.AnalyzeLanes(s.tracer, t0, t1) }
+// Lanes decomposes each pipeline actor's [t0, t1) window into busy, stall
+// (buffer switches) and idle time, with the §3.3.1 steady-state period of
+// its dominant operation. The lanes derive from the flight recorder and the
+// fault plan; the reliable engine's marks need WithMetrics' hops. When a
+// flight ring overwrote events (WithFlightRingCap sizes the rings), t0 moves
+// up to the instant every ring is complete from: each Window is then shorter.
+func (s *System) Lanes(t0, t1 Time) []Lane {
+	l, err := trace.Of(s.Session.Platform)
+	if tr, ok := err.(*trace.Truncated); ok {
+		t0 = max(t0, tr.Since)
+	}
+	return l.Lanes(t0, t1)
+}
 
 // WriteLaneReport renders Lanes as an aligned text table.
 func WriteLaneReport(w io.Writer, lanes []Lane) { obs.WriteLaneReport(w, lanes) }

@@ -3,10 +3,13 @@ package madeleine_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	madeleine "madgo"
+	"madgo/internal/trace"
 )
 
 // TestObservabilityEndToEnd is the issue's acceptance scenario: a single
@@ -19,13 +22,11 @@ import (
 //	    hops.
 func TestObservabilityEndToEnd(t *testing.T) {
 	plan := madeleine.NewFaultPlan(7).Drop("*", 0.10)
-	tr := madeleine.NewTracer()
 	m := madeleine.NewMetrics()
 	sys, err := madeleine.NewSystemFromTopology(madeleine.PaperTestbed(),
 		madeleine.WithRouteNetworks("sci0", "myri0"),
 		madeleine.WithMTU(16*1024),
 		madeleine.WithFaults(plan),
-		madeleine.WithTracer(tr),
 		madeleine.WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +176,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 // fault-free streaming path: GTM fragmentation hops, gateway relay and swap
 // histograms, and the memcpy/link counters.
 func TestObservabilityStreamingRun(t *testing.T) {
-	tr := madeleine.NewTracer()
 	m := madeleine.NewMetrics()
-	sys, err := madeleine.NewSystem(demoConfig,
-		madeleine.WithTracer(tr), madeleine.WithMetrics(m))
+	sys, err := madeleine.NewSystem(demoConfig, madeleine.WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +256,147 @@ func TestObservabilityStreamingRun(t *testing.T) {
 	}
 	if !sawGw {
 		t.Errorf("no gateway lanes in %d analyzed lanes", len(lanes))
+	}
+}
+
+// bothWays streams 256 KiB a1 → b1 and b1 → a1 at once through the paper
+// testbed's one gateway, so each of its networks carries an ingress and an
+// egress pipeline, and returns the system after the run.
+func bothWays(t *testing.T, opts ...madeleine.Option) *madeleine.System {
+	t.Helper()
+	sys, err := madeleine.NewSystemFromTopology(madeleine.PaperTestbed(),
+		append(opts, madeleine.WithRouteNetworks("sci0", "myri0"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256 * 1024
+	for _, pair := range [][2]string{{"a1", "b1"}, {"b1", "a1"}} {
+		from, to := pair[0], pair[1]
+		sys.Spawn("send "+from, func(p *madeleine.Proc) {
+			px := sys.At(from).BeginPacking(p, to)
+			px.Pack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			px.EndPacking(p)
+		})
+		sys.Spawn("recv "+to, func(p *madeleine.Proc) {
+			u := sys.At(to).BeginUnpacking(p)
+			u.Unpack(p, make([]byte, n), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			u.EndUnpacking(p)
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestGatewayRelayingBothWaysKeepsEachSwapOnItsThread: a gateway relaying
+// both ways between two networks records a buffer switch on each network
+// from its receive thread and from its send thread. Each must land on its
+// own thread's lane. The report is the one the gateway's span tracer gave
+// for this run when every step was written to it as a span.
+func TestGatewayRelayingBothWaysKeepsEachSwapOnItsThread(t *testing.T) {
+	sys := bothWays(t)
+	var b strings.Builder
+	madeleine.WriteLaneReport(&b, sys.Lanes(0, sys.Now()))
+	const want = `lane                       busy        stall         idle   util       period  spans
+gw:recv:myri0           10.81ms    647.474µs      1.153ms  85.7%      1.526ms     23
+gw:recv:sci0           11.151ms        320µs      1.139ms  88.4%      1.526ms     16
+gw:send:myri0          10.803ms        320µs      1.487ms  85.7%      1.526ms     16
+gw:send:sci0           11.498ms        320µs    793.082µs  91.2%      1.526ms     16
+`
+	if b.String() != want {
+		t.Errorf("lane report:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestLanesPastTheRingDepth: a run longer than the flight rings hold must
+// not give lanes that silently miss its start. Lanes then covers the window
+// every ring still holds, and gives there what a run whose rings held every
+// event gives over the same window; the Chrome trace refuses.
+func TestLanesPastTheRingDepth(t *testing.T) {
+	run := func(ringCap int) *madeleine.System {
+		sys, err := madeleine.NewSystemFromTopology(madeleine.PaperTestbed(), madeleine.WithRouteNetworks("sci0", "myri0"),
+			madeleine.WithMTU(4096), madeleine.WithFlightRingCap(ringCap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamThrough(t, sys, "a1", "b1", 1, 4<<20)
+		return sys
+	}
+	wrapped, whole := run(0), run(1<<15)
+	if wrapped.Flight().Dropped() == 0 || whole.Flight().Dropped() != 0 {
+		t.Fatalf("rings dropped %d events at the default depth and %d at 32Ki; want some and none",
+			wrapped.Flight().Dropped(), whole.Flight().Dropped())
+	}
+	now := wrapped.Now()
+	got := wrapped.Lanes(0, now)
+	if len(got) == 0 || got[0].Window >= now.Sub(0) {
+		t.Fatalf("the lanes of a wrapped ring cover the whole run [0, %v): %+v", now, got)
+	}
+	since := now.Add(-got[0].Window)
+	if want := whole.Lanes(since, now); !reflect.DeepEqual(got, want) {
+		t.Errorf("lanes over [%v, %v) of the wrapped run:\n%+v\nwant those of the run that kept every event:\n%+v", since, now, got, want)
+	}
+	var b bytes.Buffer
+	if err := wrapped.WriteChromeTrace(&b); err == nil || b.Len() != 0 {
+		t.Errorf("the Chrome trace of a wrapped ring: error %v, %d bytes; want an error and nothing written", err, b.Len())
+	}
+	if err := whole.WriteChromeTrace(&b); err != nil {
+		t.Error(err)
+	}
+}
+
+// lanesOf derives sys's lanes; a flight ring that overwrote events fails t.
+func lanesOf(t *testing.T, sys *madeleine.System) trace.Log {
+	t.Helper()
+	lanes, err := trace.Of(sys.Session.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lanes
+}
+
+// TestLanesNeedNoTracer: the lanes, the timeline and the Chrome trace are
+// derived from what the run recorded once, so arming WithTracer changes none
+// of them, and the tracer's spans are the system's lanes. The streaming run
+// draws the gateway's pipeline, the lossy one the recovery and fault lanes.
+func TestLanesNeedNoTracer(t *testing.T) {
+	views := func(sys *madeleine.System) (string, string, string) {
+		var lanes, chrome bytes.Buffer
+		madeleine.WriteLaneReport(&lanes, sys.Lanes(0, sys.Now()))
+		if err := sys.WriteChromeTrace(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		return lanes.String(), lanesOf(t, sys).Timeline(0, sys.Now(), 100), chrome.String()
+	}
+	lossy := func() madeleine.Option {
+		return madeleine.WithFaults(madeleine.NewFaultPlan(3).Drop("*", 0.05).
+			Flap("myri0", madeleine.Time(2*madeleine.Millisecond), madeleine.Millisecond))
+	}
+	for _, run := range []struct {
+		name  string
+		opts  func() []madeleine.Option
+		lanes []string
+	}{
+		{"streaming", func() []madeleine.Option { return nil }, []string{"gw:recv:sci0", "gw:send:myri0"}},
+		{"lossy", func() []madeleine.Option { return []madeleine.Option{lossy()} }, []string{"rel:b1", "fault:myri0"}},
+	} {
+		tr := madeleine.NewTracer()
+		plain := bothWays(t, append(run.opts(), madeleine.WithMetrics(madeleine.NewMetrics()))...)
+		armed := bothWays(t, append(run.opts(), madeleine.WithMetrics(madeleine.NewMetrics()), madeleine.WithTracer(tr))...)
+		l0, tl0, c0 := views(plain)
+		l1, tl1, c1 := views(armed)
+		for _, lane := range run.lanes {
+			if !strings.Contains(tl0, lane) {
+				t.Errorf("%s: the timeline has no %s lane:\n%s", run.name, lane, tl0)
+			}
+		}
+		if l0 != l1 || tl0 != tl1 || c0 != c1 {
+			t.Errorf("%s: WithTracer changed a derived view: lanes %v, timeline %v, Chrome trace %v the same",
+				run.name, l0 == l1, tl0 == tl1, c0 == c1)
+		}
+		if got, want := fmt.Sprint(tr.Spans()), fmt.Sprint(lanesOf(t, armed)); got != want {
+			t.Errorf("%s: the tracer's spans are not the system's lanes:\n%s\nwant:\n%s", run.name, got, want)
+		}
 	}
 }

@@ -68,11 +68,10 @@ func TestSystemLossAndMidTransferCrash(t *testing.T) {
 	plan := madeleine.NewFaultPlan(9).
 		Drop("*", 0.05).
 		Crash("gw", madeleine.Time(30*madeleine.Millisecond), 0)
-	tr := madeleine.NewTracer()
 	sys, err := madeleine.NewSystemFromTopology(madeleine.PaperTestbed(),
 		madeleine.WithRouteNetworks("sci0", "myri0"),
 		madeleine.WithFaults(plan),
-		madeleine.WithTracer(tr))
+		madeleine.WithMetrics(madeleine.NewMetrics()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,8 @@ func TestSystemLossAndMidTransferCrash(t *testing.T) {
 		t.Error("gateway crash caused no failover")
 	}
 	ops := make(map[string]bool)
-	for _, s := range tr.Spans() {
+	tr := lanesOf(t, sys)
+	for _, s := range tr {
 		ops[s.Op] = true
 	}
 	if !ops["crash"] {
