@@ -131,8 +131,10 @@ race:
 # 64 KiB messages in the seed framing, 1 000 eager ones of 1 and 8 KiB, 1 000
 # coalesced ones of four 1 KiB blocks, and 1 000 multicasts of the
 # bcast_fanout8 shape — streamed, compact, and with gw1 a destination too.
+# Control datagrams that never park (DESIGN.md §7): a warm control send and its
+# delivery at 0, and a warm probe round, request to result, at 0.
 allocs:
-	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/fwd . -run 'AllocsNothing|AllocatesOnlyRecords' -v
+	$(GO) test ./internal/vtime/... ./internal/fluid ./internal/agg ./internal/route ./internal/health ./internal/obs ./internal/mad ./internal/fwd . -run 'AllocsNothing|AllocatesOnlyRecords' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs|Footprint' -v
 	$(GO) test ./internal/vtime ./internal/mad ./internal/route ./internal/fwd . -run 'AllocBudget' -v
 
@@ -267,8 +269,10 @@ stripe-gate: s1-gate
 # message on it, and a striped send's rail runs re-routed off a dead rail, and
 # every multicast header a hop takes from the wire pool and the next returns
 # (DESIGN.md §37), and every stream shape through two gateways with each
-# descriptor pair its final receiver returns poisoned (DESIGN.md §43), all
-# with the race detector on.
+# descriptor pair its final receiver returns poisoned (DESIGN.md §43), and a
+# probe whose echo is lost failing at its timeout with no process waiting for
+# it (TestHealthProbeWhoseEchoIsDroppedTimesOut, DESIGN.md §7), all with the
+# race detector on.
 soak:
 	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
 	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestSinkSharesAFrameWithAParkedProcess$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$|^TestStreamShapesAcrossTwoGateways$$' -v
@@ -295,9 +299,9 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:774 internal/fwd:5820 internal/mad:1872 internal/bench:2414 internal/agg:379 internal/flight:1079 internal/health:766 internal/route:732 internal/flow:365 internal/obs:1101 internal/trace:392
+LOC_MAX := .:774 internal/fwd:5778 internal/mad:1913 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:753 internal/route:732 internal/flow:365 internal/obs:1100 internal/trace:396
 DOC_MAX := DESIGN.md:5779 .claude/skills/verify/SKILL.md:187 README.md:466
-COMPAT_MAX := 145
+COMPAT_MAX := 167
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk -v rows="$(LOC_MAX)" '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \

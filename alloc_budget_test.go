@@ -90,7 +90,9 @@ func bcastTopo() (string, []string) {
 // search tree and builds no Route, and a row is one slice of steps, not two
 // maps. prod_lossy_mix read 3 840–3 849 before it (3 942) and 3 790–3 805
 // (3 901–3 903) after: the health monitor's links are sorted on keys built
-// once, into one buffer.
+// once, into one buffer. It read 3 730 before a reliable node stopped making a
+// control queue, a probe queue and an echo queue and their three daemons, and
+// 2 595 (2 693) since.
 var newSystemAllocBudgets = []struct {
 	name   string
 	topo   string
@@ -99,7 +101,7 @@ var newSystemAllocBudgets = []struct {
 }{
 	{"chain", chainTopo, []madeleine.Option{madeleine.WithPaperFidelity()}, 313},
 	{"incast64", incastTopo(64), nil, 2631},
-	{"prod_lossy_mix", prodLossyTopo(16), []madeleine.Option{madeleine.WithProduction()}, 3981},
+	{"prod_lossy_mix", prodLossyTopo(16), []madeleine.Option{madeleine.WithProduction()}, 2747},
 }
 
 // TestNewSystemAllocBudget fails when building a system costs more
@@ -349,14 +351,18 @@ func prodLossyTopo(flows int) string {
 // detector) since bring-up costs only what it keeps (DESIGN.md §42): a link's
 // names are one string, a wait list's and a free list's spare records are
 // chained through the records, and the reliable engine's duplicate window,
-// hop-ack lists and probe queues are allocated once, at their size. Per message
-// remains, for one too large to coalesce, the decoded descriptor; a frame's
-// buffers come from the wire pool at the coalescer and at the sink. The rest is
-// what the run builds on first use and amortizes over its 960 messages: links
-// at two allocations each, route rows, rail sets, send daemons and their
-// records. The budget is the race detector's reading plus 15 %, rounded up, so
-// a return of per-link costs, or of the two records, fails it.
-const prodLossyAllocBudget = 8
+// hop-ack lists and probe queues are allocated once, at their size. It reads 6.3
+// (6.5 under the race detector) since a completion slot's timeout is the
+// engine's one callback, not a method value of its own, and control datagrams
+// leave from the code that makes them, with no queues and no daemons. Per
+// message remains, for one too large to coalesce, the decoded descriptor; a
+// frame's buffers come from the wire pool at the coalescer and at the sink.
+// The rest is what the run builds on first use and amortizes over its 960
+// messages: links at two allocations each, route rows, rail sets, send daemons
+// and their records. The budget is the race detector's reading plus 15 %,
+// rounded up to a tenth, so a return of per-link costs, or of the two records,
+// fails it.
+const prodLossyAllocBudget = 7.5
 
 // TestProdLossyAllocBudget drives the facade the way the benchmark's
 // prod_lossy_mix workload does and fails when a message costs more
@@ -427,9 +433,9 @@ func TestProdLossyAllocBudget(t *testing.T) {
 	}
 	perMsg := float64(m1.Mallocs-m0.Mallocs) / msgs
 	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / msgs / 1024
-	t.Logf("prod lossy mix: %.1f allocations, %.1f KiB per message (budget %d)", perMsg, kib, prodLossyAllocBudget)
+	t.Logf("prod lossy mix: %.1f allocations, %.1f KiB per message (budget %.1f)", perMsg, kib, prodLossyAllocBudget)
 	if perMsg > prodLossyAllocBudget {
-		t.Errorf("prod lossy mix allocates %.1f objects per message, budget %d", perMsg, prodLossyAllocBudget)
+		t.Errorf("prod lossy mix allocates %.1f objects per message, budget %.1f", perMsg, prodLossyAllocBudget)
 	}
 }
 

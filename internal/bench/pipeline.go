@@ -65,7 +65,7 @@ func runP1(o Options) *Result {
 	}
 	r.Notes = append(r.Notes,
 		"each point streams one message through a fresh testbed; goodput is message bytes over one-way completion time;",
-		"the stall fraction is the gateway receive lane's share of the run spent waiting for a free staging buffer plus buffer-switch overhead (obs.AnalyzeLanes over the \"stall\" and \"swap\" spans);",
+		"the stall fraction is the gateway receive lane's share of the run spent waiting for a free staging buffer plus buffer-switch overhead (trace.Log.Lanes over the \"stall\" and \"swap\" spans);",
 		"depth 1 disables pipelining (ablation A3's no-pipe point), depth 2 is the paper's double buffering, deeper rings absorb the SCI-side send jitter the gateway's PCI DMA-over-PIO contention introduces")
 	return r
 }

@@ -290,6 +290,16 @@ func (in *Injector) StallDelay(node string, now vtime.Time) vtime.Duration {
 	return d
 }
 
+// Blackholed reports whether a packet crossing net from `from` to `to` at
+// time now falls into a crash or flap window, and counts it lost if so.
+func (in *Injector) Blackholed(net, from, to string, now vtime.Time) bool {
+	if in.NodeDead(from, now) || in.NodeDead(to, now) || in.LinkDown(net, now) {
+		in.record("blackhole", net)
+		return true
+	}
+	return false
+}
+
 // Packet decides the fate of one packet of `size` bytes crossing net from
 // `from` to `to` at time now. Crash and flap windows blackhole
 // deterministically without consuming randomness; otherwise one draw decides
@@ -297,8 +307,7 @@ func (in *Injector) StallDelay(node string, now vtime.Time) vtime.Duration {
 // position draw). The returned int is the byte offset to flip for
 // CorruptPacket verdicts.
 func (in *Injector) Packet(net, from, to string, now vtime.Time, size int) (Verdict, int) {
-	if in.NodeDead(from, now) || in.NodeDead(to, now) || in.LinkDown(net, now) {
-		in.record("blackhole", net)
+	if in.Blackholed(net, from, to, now) {
 		return DropPacket, 0
 	}
 	if p := in.prob(Drop, net); p > 0 && in.rng.float() < p {

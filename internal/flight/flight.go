@@ -123,38 +123,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	}{int64(e.At), int64(e.Dur), e.Kind.String(), e.Msg, e.Bytes, e.Node, e.Net})
 }
 
-// UnmarshalJSON parses the wire shape MarshalJSON emits, so exported
-// recordings round-trip through tooling.
-func (e *Event) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		At    int64  `json:"at_ns"`
-		Dur   int64  `json:"dur_ns"`
-		Kind  string `json:"kind"`
-		Msg   uint64 `json:"msg"`
-		Bytes int32  `json:"bytes"`
-		Node  string `json:"node"`
-		Net   string `json:"net"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	kind := numKinds
-	for k := Kind(0); k < numKinds; k++ {
-		if kindNames[k] == raw.Kind {
-			kind = k
-			break
-		}
-	}
-	if kind == numKinds {
-		return fmt.Errorf("flight: unknown event kind %q", raw.Kind)
-	}
-	*e = Event{
-		At: vtime.Time(raw.At), Dur: vtime.Duration(raw.Dur), Kind: kind,
-		Msg: raw.Msg, Bytes: raw.Bytes, Node: raw.Node, Net: raw.Net,
-	}
-	return nil
-}
-
 // entry is how a ring stores one event: 32 bytes and no pointers, so a
 // chunk of them is memory the garbage collector never scans. The node is
 // the ring's, and the network is an index into the ring's name table.

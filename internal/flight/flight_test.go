@@ -194,7 +194,9 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 				Net   string `json:"net"`
 			} `json:"events"`
 		} `json:"rings"`
-		Dumps []Dump `json:"dumps"`
+		Dumps []struct {
+			Reason string `json:"reason"`
+		} `json:"dumps"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())

@@ -254,38 +254,38 @@ var framingTable = map[string]framingCell{
 	// The reliable and aggregated-striped rows pin the transport sendBuffered
 	// picks for one message of every shape.
 	"rel/none":                  {0, 21941},
-	"rel/zero":                  {0, 49809},
-	"rel/1B":                    {0, 49836},
+	"rel/zero":                  {0, 49312},
+	"rel/1B":                    {0, 49339},
 	"rel/inlineMax":             {0, 231711},
 	"rel/inlineMax+1":           {0, 231761},
 	"rel/mtu4K-20":              {0, 230706},
 	"rel/mtu4K-19":              {0, 230756},
 	"rel/2mtu":                  {0, 2625118},
-	"rel/2mtu+1":                {0, 2651785},
-	"rel/mixed":                 {0, 1929459},
-	"rel/safer":                 {0, 83626},
-	"rel+agg/none":              {0, 49731},
-	"rel+agg/zero":              {0, 50086},
-	"rel+agg/1B":                {0, 50126},
+	"rel/2mtu+1":                {0, 2651288},
+	"rel/mixed":                 {0, 1928962},
+	"rel/safer":                 {0, 83114},
+	"rel+agg/none":              {0, 49234},
+	"rel+agg/zero":              {0, 49589},
+	"rel+agg/1B":                {0, 49629},
 	"rel+agg/inlineMax":         {0, 283766},
 	"rel+agg/inlineMax+1":       {0, 283829},
 	"rel+agg/mtu4K-20":          {0, 230706},
 	"rel+agg/mtu4K-19":          {0, 230756},
 	"rel+agg/2mtu":              {0, 2625118},
-	"rel+agg/2mtu+1":            {0, 2651785},
-	"rel+agg/mixed":             {0, 1929459},
-	"rel+agg/safer":             {0, 96459},
-	"rel-stripe-gw/none":        {0, 27245},
-	"rel-stripe-gw/zero":        {0, 54710},
-	"rel-stripe-gw/1B":          {0, 54737},
-	"rel-stripe-gw/inlineMax":   {0, 234739},
-	"rel-stripe-gw/inlineMax+1": {0, 234787},
-	"rel-stripe-gw/mtu4K-20":    {0, 233762},
-	"rel-stripe-gw/mtu4K-19":    {0, 233811},
-	"rel-stripe-gw/2mtu":        {0, 2259925},
-	"rel-stripe-gw/2mtu+1":      {0, 2275306},
-	"rel-stripe-gw/mixed":       {0, 2025362},
-	"rel-stripe-gw/safer":       {0, 89894},
+	"rel+agg/2mtu+1":            {0, 2651288},
+	"rel+agg/mixed":             {0, 1928962},
+	"rel+agg/safer":             {0, 95947},
+	"rel-stripe-gw/none":        {0, 27214},
+	"rel-stripe-gw/zero":        {0, 54213},
+	"rel-stripe-gw/1B":          {0, 54240},
+	"rel-stripe-gw/inlineMax":   {0, 234661},
+	"rel-stripe-gw/inlineMax+1": {0, 234710},
+	"rel-stripe-gw/mtu4K-20":    {0, 233685},
+	"rel-stripe-gw/mtu4K-19":    {0, 233733},
+	"rel-stripe-gw/2mtu":        {0, 2259365},
+	"rel-stripe-gw/2mtu+1":      {0, 2272384},
+	"rel-stripe-gw/mixed":       {0, 2022308},
+	"rel-stripe-gw/safer":       {0, 89816},
 	"agg-stripe-gw/none":        {1, 27342},
 	"agg-stripe-gw/zero":        {1, 27726},
 	"agg-stripe-gw/1B":          {1, 27782},

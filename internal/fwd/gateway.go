@@ -193,7 +193,7 @@ type gwSender struct {
 }
 
 // sendThread is the loop of every send thread, the gateway's egress senders
-// and the reliable engine's send, control and probe daemons alike: it hands
+// and the reliable engine's send daemons alike: it hands
 // what q holds to send, one at a time and in order, and returns once q is
 // closed and drained. A bounded q stalls its producers while the thread is
 // busy, an unbounded one (vsync.Unbounded) never does.

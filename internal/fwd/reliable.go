@@ -32,14 +32,14 @@ package fwd
 //
 // Deadlock freedom: the per-network polling daemons always Recv (which
 // frees the link's eager flow-control credit) before doing anything else,
-// and never block on sends — acknowledgements go through a per-node control
-// daemon, relays through a per-node dispatcher serving one bounded
-// deficit-round-robin queue per ingress neighbour, both fed by non-blocking
-// enqueue. Every burst this node puts on a link — one the dispatcher forms,
-// one its own application sends — goes through the send daemon of its
-// (final destination, first hop) pair, which never waits on another daemon.
-// A full queue just means no ack, which the upstream retry converts into a
-// retransmission later.
+// and never block on sends — hop-ack batches and probe echoes leave through
+// the link's control send, which takes no credit and never parks, and relays
+// go to a per-node dispatcher serving one bounded deficit-round-robin queue
+// per ingress neighbour, fed by non-blocking enqueue. Every burst this node
+// puts on a link — one the dispatcher forms, one its own application sends —
+// goes through the send daemon of its (final destination, first hop) pair,
+// which never waits on another daemon. A full queue just means no ack, which
+// the upstream retry converts into a retransmission later.
 
 import (
 	"encoding/binary"
@@ -121,9 +121,8 @@ type DeliveryStats struct {
 	Duplicates     int64 // duplicate packets suppressed at destinations
 	ChecksumDrops  int64 // packets discarded for a bad checksum
 	// RelayDrops counts packets a relay refused for want of any route but
-	// back, bursts it accepted and could not forward, and probe echoes it had
-	// no room to queue. An admission refused at a full relay queue is not a
-	// drop: FlowStats.Backpressure.
+	// back, and bursts it accepted and could not forward. An admission refused
+	// at a full relay queue is not a drop: FlowStats.Backpressure.
 	RelayDrops int64
 }
 
@@ -368,11 +367,10 @@ type relAckKey struct {
 }
 
 // relPend is a reverse link's pending hop acks, in first until they outgrow
-// it, and whether a relctl flush is scheduled: one a burst, however long.
+// it.
 type relPend struct {
-	keys   []relAckKey
-	queued bool
-	first  [8]relAckKey
+	keys  []relAckKey
+	first [8]relAckKey
 }
 
 // relMsgKey identifies one message.
@@ -384,23 +382,25 @@ type relMsgKey struct {
 // relAwait is a one-shot completion slot shared between a waiting sender and
 // the acknowledgement handler (or the timeout callback, whichever fires
 // first). Slots are recycled through their engine's free list: the waker is
-// embedded, and the timeout is one callback bound when the slot was made,
-// told apart from the timeouts of earlier uses by the generation it was
-// scheduled under.
+// embedded, and the timeout is the engine's one callback, told the slot by
+// its index in relEngine.awaits and the timeouts of its earlier uses apart by
+// the generation it was scheduled under.
 type relAwait struct {
 	spare[relAwait]
 	w      vtime.Waker
 	parked bool // a process is inside await on this slot
 	done   bool
 	ok     bool
-	gen    uint64       // bumped whenever the slot is re-armed or released
-	expire func(uint64) // timeout, bound once
-	sentAt vtime.Time   // deliverBurst: when the packet last went out
+	idx    uint32     // the slot's index in relEngine.awaits, plus one
+	gen    uint32     // bumped whenever the slot is re-armed or released
+	sentAt vtime.Time // deliverBurst: when the packet last went out
 }
 
-// timeout fires in scheduler context when a wait armed under gen runs out.
-func (aw *relAwait) timeout(gen uint64) {
-	if gen != aw.gen || aw.done {
+// awaitTimeout fires in scheduler context when a wait runs out: arg is the
+// slot's idx and, in its low 32 bits, the generation the wait was armed under.
+func (e *relEngine) awaitTimeout(arg uint64) {
+	aw := e.awaits[arg>>32-1]
+	if uint32(arg) != aw.gen || aw.done {
 		return
 	}
 	aw.done = true
@@ -499,8 +499,7 @@ func (w *relDoneWindow) size() int { return w.n }
 type relEngine struct {
 	vc   *VirtualChannel
 	node *mad.Node
-	rng  relRand       // decorrelated-jitter state, seeded from the node name
-	hp   *healthProber // this node's health prober (health.go)
+	rng  relRand // decorrelated-jitter state, seeded from the node name
 
 	acks map[relAckKey]*relAwait
 	e2e  map[relMsgKey]*relAwait
@@ -512,7 +511,17 @@ type relEngine struct {
 	// or a data packet headed the same way piggybacks them first.
 	pend map[*mad.Link]*relPend
 
-	ctlQ *vsync.Chan[*mad.Link]
+	// Every completion slot the engine made, by index, and the one timeout
+	// callback of them all (awaitTimeout), bound at Build.
+	awaits []*relAwait
+	expire func(uint64)
+
+	// The node's outstanding health probes (health.go), the last sequence
+	// number one was sent under, and their timeout (probeTimeout), bound at
+	// Build.
+	probes      []relProbe
+	probeSeq    uint64
+	probeExpire func(uint64)
 
 	// relayDRR is the relay dispatcher's queue, a deficit-round-robin
 	// scheduler over ingress neighbours ("" for what this node originates)
@@ -541,6 +550,13 @@ type relEngine struct {
 	// The node's event counts, by the rel* indexes below: what the stats
 	// accessors sum, and the node's {node} series once bound.
 	counters [len(relCounterNames)]obs.Counter
+}
+
+// down reports whether this node is in a crash window at now. All it sends is
+// lost then, and blaming its links for that would bar its live peers as relays.
+func (e *relEngine) down(now vtime.Time) bool {
+	inj := e.vc.sess.Platform.Faults
+	return inj != nil && inj.NodeDead(e.node.Name, now)
 }
 
 func (e *relEngine) sim() *vtime.Sim { return e.vc.sess.Platform.Sim }
@@ -610,9 +626,9 @@ func (e *relEngine) BindMetrics(m *obs.Registry) {
 func (e *relEngine) count(i int, n int64) { e.counters[i].Add(n) }
 
 // buildReliable wires the reliable delivery machinery: one engine per node,
-// one polling daemon per (node, network), and per-node relay and control
-// daemons. Gateway stat objects are created for the primary topology's
-// gateways so tools keep working, but no streaming pipelines start.
+// one polling daemon per (node, network), a per-node relay dispatcher, and
+// the monitor's probe sink. Gateway stat objects are created for the primary
+// topology's gateways so tools keep working, but no streaming pipelines start.
 func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 	sim := vc.sess.Platform.Sim
 	vc.rel = make(map[string]*relEngine)
@@ -627,10 +643,10 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			rx:       make(map[relMsgKey]*heldMsg),
 			done:     make(map[mad.Rank]*relDoneWindow),
 			pend:     make(map[*mad.Link]*relPend),
-			ctlQ:     vsync.NewChan[*mad.Link]("ctlq:"+n.Name, 4096),
 			relayDRR: flow.NewDRR[relayItem](int64(vc.cfg.MTU)),
 			senders:  make(map[relHop]*relSender),
 		}
+		e.expire, e.probeExpire = e.awaitTimeout, e.probeTimeout
 		vc.rel[n.Name] = e
 		vc.sess.Platform.Instrument(e)
 		for i := range relCounterNames {
@@ -645,9 +661,9 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			})
 		}
 		sim.SpawnDaemon("relfwd:"+n.Name, func(p *vtime.Proc) { e.relayLoop(p) })
-		sim.SpawnDaemon("relctl:"+n.Name, func(p *vtime.Proc) { sendThread(p, e.ctlQ, e.flushAcks) })
 	}
-	vc.buildHealth()
+	// Every node of the monitor's topologies has an engine.
+	vc.mon.SetProbeSink(func(edge route.Edge) { vc.rel[edge.From].probe(edge) })
 	for _, name := range vc.tp.Gateways() {
 		g := newGateway(vc, vc.nodes[name])
 		g.eng, vc.rel[name].gw = vc.rel[name], g
@@ -1037,7 +1053,9 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 				hopDead = true
 				break
 			}
-			mon.ReportFailure(edge, p.Now())
+			if !e.down(p.Now()) {
+				mon.ReportFailure(edge, p.Now())
+			}
 			if mon.Excluded(edge) {
 				// Someone (our own earlier packet, another sender, the
 				// detector's score) already declared this edge dead and
@@ -1063,7 +1081,9 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 		if ok {
 			mon.ReportSuccess(edge, p.Now().Sub(sentAt), p.Now())
 		} else {
-			mon.ReportFailure(edge, p.Now())
+			if !e.down(p.Now()) {
+				mon.ReportFailure(edge, p.Now())
+			}
 			failed = append(failed, *d)
 		}
 	}
@@ -1096,10 +1116,20 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bo
 	if flush {
 		flags |= relFlagFlush
 	}
-	acks := e.takePiggyback(link)
+	// The hop acks pending for where the packet goes ride in its trailer,
+	// each saving a standalone ack: fewer than relAckBatchMax, as hopAck
+	// sends a full batch at once.
+	r := e.pend[link]
+	var acks []relAckKey
+	if r != nil {
+		acks = r.keys
+		e.count(relAcksCoalesced, int64(len(acks)))
+	}
 	pkt := e.vc.bufs.Get(relDataLen(len(d.payload), len(acks)))
 	putRelData(pkt, d, flags, acks)
-	e.settlePending(link, len(acks))
+	if r != nil {
+		r.keys = r.keys[:0]
+	}
 	link.Acquire(p)
 	t0 := p.Now()
 	if !link.Send(p, relMeta(kind), pkt) {
@@ -1109,36 +1139,12 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bo
 	link.Release(p)
 }
 
-// takePiggyback claims (up to the batch cap) the pending hop acks headed
-// where a data packet is about to go; each one saves a standalone control
-// datagram. The entries stay in the pending list until the caller has
-// encoded them and calls settlePending — with nothing that parks in between.
-func (e *relEngine) takePiggyback(link *mad.Link) []relAckKey {
-	r := e.pend[link]
-	if r == nil || len(r.keys) == 0 {
-		return nil
-	}
-	n := min(len(r.keys), relAckBatchMax)
-	e.count(relAcksCoalesced, int64(n))
-	return r.keys[:n]
-}
-
-// settlePending removes the first n pending hop acks of a link, now encoded
-// into a datagram. The remainder moves to the front so the list keeps its
-// backing array instead of creeping through memory one batch at a time.
-func (e *relEngine) settlePending(link *mad.Link, n int) {
-	if n == 0 {
-		return
-	}
-	r := e.pend[link]
-	r.keys = r.keys[:copy(r.keys, r.keys[n:])]
-}
-
 // newAwait takes a completion slot off the free list, or makes one.
 func (e *relEngine) newAwait() *relAwait {
 	aw := e.awFree.get()
-	if aw.expire == nil { // a new slot
-		aw.expire = aw.timeout
+	if aw.idx == 0 { // a new slot
+		e.awaits = append(e.awaits, aw)
+		aw.idx = uint32(len(e.awaits))
 	}
 	return aw
 }
@@ -1163,7 +1169,7 @@ func (e *relEngine) await(p *vtime.Proc, aw *relAwait, to vtime.Duration, what, 
 	if !aw.done {
 		p.InitBlocker(&aw.w, what, whom)
 		aw.parked = true
-		e.sim().AtArg(p.Now().Add(to), aw.expire, aw.gen)
+		e.sim().AtArg(p.Now().Add(to), e.expire, uint64(aw.idx)<<32|uint64(aw.gen))
 		aw.w.Wait()
 		aw.parked = false
 	}
@@ -1195,7 +1201,9 @@ func (e *relEngine) nextHop(dst, from string) (route.Hop, bool) {
 // over its other links — and the probation schedule that re-admits it.
 func (e *relEngine) markDead(hop route.Hop, now vtime.Time) {
 	e.count(relFailovers, 1)
-	e.vc.mon.ReportDead(route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}, now)
+	if !e.down(now) {
+		e.vc.mon.ReportDead(route.Edge{From: e.node.Name, To: hop.To, Network: hop.Network}, now)
+	}
 }
 
 // handle dispatches one arrival in the polling daemon. The Recv comes
@@ -1210,7 +1218,7 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 	case mad.KindRel, mad.KindRelE2E:
 		e.handleData(p, in, pkt)
 	case mad.KindRelAck:
-		e.handleAck(pkt)
+		e.handleAck(p, in, pkt)
 		e.vc.bufs.Put(pkt)
 	case mad.KindHealth:
 		e.handleHealth(p, in, pkt)
@@ -1411,11 +1419,10 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 }
 
 // hopAck records the hop acknowledgement of one packet against its reverse
-// link. The entry sits in the link's pending batch until the sender's flush
-// flag (the last packet of its burst) — or the batch cap — schedules a
-// control-daemon drain; a data packet headed the same way may piggyback it
-// first. A full control queue silently drops the flush — the sender's
-// retransmission (always flush-flagged) absorbs it.
+// link. The entry sits in the link's pending batch, where a data packet
+// headed the same way may piggyback it, until the sender's flush flag (the
+// last packet of its burst) or the batch cap sends the batch as one ack
+// datagram.
 func (e *relEngine) hopAck(in *mad.Link, d *relData) {
 	back := in.Channel.Link(e.node.Rank, in.Src.Rank)
 	r := e.pend[back]
@@ -1424,11 +1431,18 @@ func (e *relEngine) hopAck(in *mad.Link, d *relData) {
 		r.keys = r.first[:0]
 		e.pend[back] = r
 	}
-	r.keys = append(r.keys, d.key())
-	if d.flags&relFlagFlush == 0 && len(r.keys) < relAckBatchMax || r.queued {
+	if r.keys = append(r.keys, d.key()); d.flags&relFlagFlush == 0 && len(r.keys) < relAckBatchMax {
 		return
 	}
-	r.queued = e.ctlQ.TrySend(back)
+	n := len(r.keys)
+	pkt := e.vc.bufs.Get(relAcksLen(n))
+	putRelAcks(pkt, r.keys)
+	r.keys = r.keys[:0]
+	e.count(relAckPackets, 1)
+	if n > 1 {
+		e.count(relAcksCoalesced, int64(n-1))
+	}
+	e.sendControl(back, mad.KindRelAck, pkt)
 }
 
 // sendE2E queues the end-to-end acknowledgement of a fully-received message
@@ -1455,11 +1469,11 @@ func (e *relEngine) enqueueRelay(it relayItem) bool {
 }
 
 // handleAck completes the awaited slots of one batched acknowledgement.
-func (e *relEngine) handleAck(pkt []byte) {
+func (e *relEngine) handleAck(p *vtime.Proc, in *mad.Link, pkt []byte) {
 	entries, ok := decodeRelAcks(pkt)
 	if !ok {
-		e.count(relChecksumDrops, 1)
-		return
+		e.corruptDrop(p, in, pkt)
+		return // the senders' retransmissions ask again
 	}
 	for off := 0; off < len(entries); off += relAckEntry {
 		complete(e.acks[getAckEntry(entries[off:])])
@@ -1521,38 +1535,14 @@ func (e *relEngine) relayLoop(p *vtime.Proc) {
 	}
 }
 
-// flushAcks is the send of the per-node control daemon, relctl: it drains a
-// scheduled link's pending hop acks into batched acknowledgement datagrams.
-// Its sends may block on link credits, but never on another daemon, so the
-// polling daemons stay free to drain mailboxes. A link whose batch was
-// already emptied by piggybacking sends nothing.
-func (e *relEngine) flushAcks(p *vtime.Proc, link *mad.Link) {
-	r := e.pend[link]
-	r.queued = false
-	// Re-read the pending batch before every datagram: the link.Send below
-	// parks, and the polling daemon may append new entries meanwhile.
-	for len(r.keys) > 0 {
-		n := min(len(r.keys), relAckBatchMax)
-		pkt := e.vc.bufs.Get(relAcksLen(n))
-		putRelAcks(pkt, r.keys[:n])
-		e.settlePending(link, n)
-		e.count(relAckPackets, 1)
-		if n > 1 {
-			e.count(relAcksCoalesced, int64(n-1))
-		}
-		e.sendControl(p, link, mad.KindRelAck, pkt)
-	}
-}
-
-// sendControl transmits one control datagram (an ack batch, a health probe)
-// in a pooled buffer; like sendData it gets the buffer back only when the
-// packet never left.
-func (e *relEngine) sendControl(p *vtime.Proc, link *mad.Link, kind mad.Kind, pkt []byte) {
-	link.Acquire(p)
-	if !link.Send(p, relMeta(kind), pkt) {
+// sendControl transmits one control datagram (an ack batch, a probe, its
+// echo) in a pooled buffer through the link's control send, which never
+// parks; like sendData it gets the buffer back only when the packet never
+// left.
+func (e *relEngine) sendControl(link *mad.Link, kind mad.Kind, pkt []byte) {
+	if !link.SendControl(kind, pkt) {
 		e.vc.bufs.Put(pkt)
 	}
-	link.Release(p)
 }
 
 // RelBookkeeping is the size of the reliable mode's per-message bookkeeping,

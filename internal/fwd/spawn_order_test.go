@@ -100,7 +100,7 @@ func TestGatewaysAreMadeInRouteOrder(t *testing.T) {
 
 // sendDaemonPrefixes name the dispatchers and send threads whose spawn order
 // TestSendDaemonsKeepTheirNamesAndSpawnOrder holds.
-var sendDaemonPrefixes = []string{"gwfair:", "gwtx:", "relfwd:", "relsend:", "relctl:", "relprobe:", "relecho:", "agg-flush:", "stripe:"}
+var sendDaemonPrefixes = []string{"gwfair:", "gwtx:", "relfwd:", "relsend:", "agg-flush:", "stripe:"}
 
 // TestSendDaemonsKeepTheirNamesAndSpawnOrder: the relay dispatchers and the
 // send threads of both dataplanes are made where they always were, under the

@@ -360,8 +360,7 @@ func Build(sess *mad.Session, tp *topo.Topology, bindings map[string]Binding, cf
 
 	if cfg.Reliable {
 		sim := sess.Platform.Sim
-		vc.mon = health.NewMonitor(health.DefaultConfig(), tp, cfg.FallbackTopo,
-			sess.Platform.Metrics, sim.After, sim.Now)
+		vc.mon = health.New(tp, cfg.FallbackTopo, sess.Platform.Metrics, sim.After, sim.Now)
 		// Health-epoch churn is a flight-recorder dump trigger: route
 		// changes are exactly the moments whose surrounding event history a
 		// post-mortem wants. The recorder is read through the platform at

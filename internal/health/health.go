@@ -55,91 +55,49 @@ func (s State) String() string {
 	return "invalid"
 }
 
-// Config tunes the detector. The zero value of any field selects the
-// default noted on it.
-type Config struct {
-	// Alpha is the EWMA weight of each new piece of evidence (default
-	// 0.3): score' = (1-Alpha)*score + Alpha*outcome, outcome 1 for a
-	// success, 0 for a failure.
-	Alpha float64
-	// SuspectBelow demotes Up to Suspect when the score falls under it
-	// (default 0.5).
-	SuspectBelow float64
-	// UpAbove promotes Suspect back to Up when the score climbs over it
-	// (default 0.8). The gap to SuspectBelow is the hysteresis band.
-	UpAbove float64
-	// DeadBelow demotes Suspect to Dead when the score falls under it
-	// (default 0.15). An exhausted retransmit budget kills the edge
-	// outright regardless of score.
-	DeadBelow float64
-	// ProbeAfter is the delay from an edge dying to its first probation
-	// probe (default 20ms). Each repeated death doubles the delay up to
-	// ProbeAfterMax — a flap damper: the more often a link dies, the
-	// longer it must wait for another chance.
-	ProbeAfter vtime.Duration
-	// ProbeAfterMax caps the death-count doubling (default 320ms).
-	ProbeAfterMax vtime.Duration
+// The detector's tuning, for the paper's testbed and every topology built on
+// its networks.
+const (
+	// alpha is the EWMA weight of each new piece of evidence:
+	// score' = (1-alpha)*score + alpha*outcome, outcome 1 for a success, 0
+	// for a failure.
+	alpha = 0.3
+	// suspectBelow demotes Up to Suspect when the score falls under it.
+	suspectBelow = 0.5
+	// upAbove promotes Suspect back to Up when the score climbs over it. The
+	// gap to suspectBelow is the hysteresis band.
+	upAbove = 0.8
+	// deadBelow demotes Suspect to Dead when the score falls under it. An
+	// exhausted retransmit budget kills the edge outright regardless of
+	// score.
+	deadBelow = 0.15
+	// probeAfter is the delay from an edge dying to its first probation
+	// probe. Each repeated death doubles the delay up to probeAfterMax — a
+	// flap damper: the more often a link dies, the longer it must wait for
+	// another chance.
+	probeAfter    = 20 * vtime.Millisecond
+	probeAfterMax = 320 * vtime.Millisecond
 	// ProbeTimeout is how long the prober waits for a response before
-	// declaring the probe failed (default 10ms). Consumed by the
-	// forwarding layer's prober, not by the detector itself.
-	ProbeTimeout vtime.Duration
-	// ProbationEvery spaces consecutive probation (and suspect-resolving)
-	// probes (default 5ms).
-	ProbationEvery vtime.Duration
-	// ProbationSuccesses is the run of consecutive probe successes that
-	// re-admits a dead edge (default 3).
-	ProbationSuccesses int
-	// ProbeGiveUp abandons an edge after this many consecutive failed
-	// probes (default 40): the monitor stops scheduling probes so a
-	// permanently-dead link stops generating events and the simulation
-	// can drain. Evidence of life (a successful send) re-arms probing.
-	ProbeGiveUp int
-	// HeartbeatIdle is the idle threshold for heartbeats (default 50ms):
-	// when a node transmits, sibling Up edges of that node with no
-	// evidence for this long get a probe, so a silently-dead idle edge is
-	// discovered before real traffic needs it.
-	HeartbeatIdle vtime.Duration
-}
-
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.SuspectBelow == 0 {
-		c.SuspectBelow = 0.5
-	}
-	if c.UpAbove == 0 {
-		c.UpAbove = 0.8
-	}
-	if c.DeadBelow == 0 {
-		c.DeadBelow = 0.15
-	}
-	if c.ProbeAfter == 0 {
-		c.ProbeAfter = 20 * vtime.Millisecond
-	}
-	if c.ProbeAfterMax == 0 {
-		c.ProbeAfterMax = 320 * vtime.Millisecond
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 10 * vtime.Millisecond
-	}
-	if c.ProbationEvery == 0 {
-		c.ProbationEvery = 5 * vtime.Millisecond
-	}
-	if c.ProbationSuccesses == 0 {
-		c.ProbationSuccesses = 3
-	}
-	if c.ProbeGiveUp == 0 {
-		c.ProbeGiveUp = 40
-	}
-	if c.HeartbeatIdle == 0 {
-		c.HeartbeatIdle = 50 * vtime.Millisecond
-	}
-	return c
-}
+	// declaring the probe failed. Consumed by the forwarding layer's prober,
+	// not by the detector itself.
+	ProbeTimeout = 10 * vtime.Millisecond
+	// probationEvery spaces consecutive probation (and suspect-resolving)
+	// probes.
+	probationEvery = 5 * vtime.Millisecond
+	// probationSuccesses is the run of consecutive probe successes that
+	// re-admits a dead edge.
+	probationSuccesses = 3
+	// probeGiveUp abandons an edge after this many consecutive failed
+	// probes: the monitor stops scheduling probes so a permanently-dead link
+	// stops generating events and the simulation can drain. Evidence of life
+	// (a successful send) re-arms probing.
+	probeGiveUp = 40
+	// heartbeatIdle is the idle threshold for heartbeats: when a node
+	// transmits, sibling Up edges of that node with no evidence for this long
+	// get a probe, so a silently-dead idle edge is discovered before real
+	// traffic needs it.
+	heartbeatIdle = 50 * vtime.Millisecond
+)
 
 // Transition is one state change, kept in the monitor's log for diagnostics
 // (madstat's health panel, the chaos soak's convergence assertions).
@@ -171,7 +129,7 @@ type link struct {
 	probeFails     int  // consecutive probe failures
 	okProbes       int  // consecutive probation successes
 	deaths         int  // lifetime death count, for probe-delay damping
-	gaveUp         bool // probing abandoned after ProbeGiveUp failures
+	gaveUp         bool // probing abandoned after probeGiveUp failures
 }
 
 // Monitor is the failure detector plus its routing side: it owns the
@@ -179,10 +137,9 @@ type link struct {
 // changes. All methods must be called from simulation context (the
 // simulation is single-threaded, so there is no locking).
 type Monitor struct {
-	cfg      Config
 	mgr      *route.Manager
 	schedule func(vtime.Duration, func()) // vtime.Sim.After
-	sink     func(route.Edge)             // forwarding layer's probe queue
+	sink     func(route.Edge)             // the forwarding layer performs the probe
 	now      func() vtime.Time
 	onEpoch  func(uint64, vtime.Time) // epoch-publication hook (may be nil)
 
@@ -199,22 +156,21 @@ type Monitor struct {
 
 	log []Transition
 
-	// The monitor's counts, attached to their series by NewMonitor, and its
+	// The monitor's counts, attached to their series by New, and its
 	// gauge handles (nil, recording nothing, without a registry).
 	probes, probeFails, readmissions, transitions obs.Counter
 	transitionsTo                                 [Probation + 1]obs.Counter
 	epochG, deadLinksG                            *obs.Gauge
 }
 
-// NewMonitor builds a monitor over every directed edge of the primary (and
+// New builds a monitor over every directed edge of the primary (and
 // optional fallback) topology. met may be nil; schedule and now are the
 // simulation's After and Now. The probe sink is injected separately by the
-// forwarding layer once its prober queues exist.
-func NewMonitor(cfg Config, primary, fallback *topo.Topology, met *obs.Registry,
+// forwarding layer once its engines exist.
+func New(primary, fallback *topo.Topology, met *obs.Registry,
 	schedule func(vtime.Duration, func()), now func() vtime.Time) *Monitor {
 
 	m := &Monitor{
-		cfg:      cfg.withDefaults(),
 		mgr:      route.NewManager(primary, fallback),
 		schedule: schedule,
 		now:      now,
@@ -362,9 +318,6 @@ func (m *Monitor) DeadEdges() map[route.Edge]bool { return m.dead }
 // Excluded reports whether the edge is currently excluded from routing.
 func (m *Monitor) Excluded(e route.Edge) bool { return m.dead[e] }
 
-// ProbeTimeout exposes the configured prober-side await.
-func (m *Monitor) ProbeTimeout() vtime.Duration { return m.cfg.ProbeTimeout }
-
 // Readmissions counts Probation→Up re-admissions since start.
 func (m *Monitor) Readmissions() int64 { return m.readmissions.Count() }
 
@@ -407,7 +360,7 @@ func (m *Monitor) ReportSuccess(e route.Edge, rtt vtime.Duration, now vtime.Time
 		if l.rtt == 0 {
 			l.rtt = rtt
 		} else {
-			l.rtt = l.rtt - vtime.Duration(m.cfg.Alpha*float64(l.rtt)) + vtime.Duration(m.cfg.Alpha*float64(rtt))
+			l.rtt = l.rtt - vtime.Duration(alpha*float64(l.rtt)) + vtime.Duration(alpha*float64(rtt))
 		}
 	}
 	if l.gaveUp {
@@ -461,7 +414,7 @@ func (m *Monitor) ProbeResult(e route.Edge, ok bool, rtt vtime.Duration, now vti
 			if l.rtt == 0 {
 				l.rtt = rtt
 			} else {
-				l.rtt = l.rtt - vtime.Duration(m.cfg.Alpha*float64(l.rtt)) + vtime.Duration(m.cfg.Alpha*float64(rtt))
+				l.rtt = l.rtt - vtime.Duration(alpha*float64(l.rtt)) + vtime.Duration(alpha*float64(rtt))
 			}
 		}
 		m.probeOK(e, l, rtt, now)
@@ -469,6 +422,18 @@ func (m *Monitor) ProbeResult(e route.Edge, ok bool, rtt vtime.Duration, now vti
 	}
 	m.probeFails.Add(1)
 	m.probeFail(e, l, now)
+}
+
+// ProbeVoid ends a probe whose loss says nothing about the edge: its prober
+// was down while it ran. A routable edge keeps its state and is probed again
+// on the next trigger; an excluded one takes it as a failed probe, which moves
+// no route and keeps its probation schedule running.
+func (m *Monitor) ProbeVoid(e route.Edge, now vtime.Time) {
+	if l := m.links[e]; l != nil && (l.state == Up || l.state == Suspect) {
+		l.probePending = false
+	} else {
+		m.ProbeResult(e, false, 0, now)
+	}
 }
 
 // Heartbeats scans the Up edges leaving from and schedules a probe on any
@@ -487,7 +452,7 @@ func (m *Monitor) Heartbeats(from string, now vtime.Time) {
 			l.lastEvidence = now
 			continue
 		}
-		if now.Sub(l.lastEvidence) >= m.cfg.HeartbeatIdle {
+		if now.Sub(l.lastEvidence) >= heartbeatIdle {
 			m.fireProbe(e, l, 0)
 		}
 	}
@@ -496,21 +461,21 @@ func (m *Monitor) Heartbeats(from string, now vtime.Time) {
 // observe folds one outcome into the score and applies the score-driven
 // transitions (the hard Dead path bypasses it via die).
 func (m *Monitor) observe(e route.Edge, l *link, outcome float64, now vtime.Time) {
-	l.score = (1-m.cfg.Alpha)*l.score + m.cfg.Alpha*outcome
+	l.score = (1-alpha)*l.score + alpha*outcome
 	l.lastEvidence = now
 	l.scoreG.Set(l.score)
 	switch l.state {
 	case Up:
-		if l.score < m.cfg.SuspectBelow {
+		if l.score < suspectBelow {
 			m.transition(e, l, Suspect, now)
 			// Resolve the suspicion actively rather than waiting for more
 			// traffic to wander by.
 			m.fireProbe(e, l, 0)
 		}
 	case Suspect:
-		if l.score < m.cfg.DeadBelow {
+		if l.score < deadBelow {
 			m.die(e, l, now)
-		} else if l.score > m.cfg.UpAbove {
+		} else if l.score > upAbove {
 			m.transition(e, l, Up, now)
 		}
 	}
@@ -540,12 +505,12 @@ func (m *Monitor) die(e route.Edge, l *link, now vtime.Time) {
 
 // probeDelay is the flap-damped wait before a dead edge's next probe.
 func (m *Monitor) probeDelay(l *link) vtime.Duration {
-	d := m.cfg.ProbeAfter
-	for i := 1; i < l.deaths && d < m.cfg.ProbeAfterMax; i++ {
+	d := probeAfter
+	for i := 1; i < l.deaths && d < probeAfterMax; i++ {
 		d *= 2
 	}
-	if d > m.cfg.ProbeAfterMax {
-		d = m.cfg.ProbeAfterMax
+	if d > probeAfterMax {
+		d = probeAfterMax
 	}
 	return d
 }
@@ -560,10 +525,10 @@ func (m *Monitor) probeOK(e route.Edge, l *link, rtt vtime.Duration, now vtime.T
 	case Dead:
 		l.okProbes = 1
 		m.transition(e, l, Probation, now)
-		m.fireProbe(e, l, m.cfg.ProbationEvery)
+		m.fireProbe(e, l, probationEvery)
 	case Probation:
 		l.okProbes++
-		if l.okProbes >= m.cfg.ProbationSuccesses {
+		if l.okProbes >= probationSuccesses {
 			// Re-admission: the genuinely new capability — the edge
 			// returns to the routable graph under a fresh epoch.
 			l.score = 1
@@ -572,13 +537,13 @@ func (m *Monitor) probeOK(e route.Edge, l *link, rtt vtime.Duration, now vtime.T
 			m.transition(e, l, Up, now)
 			m.publish(now)
 		} else {
-			m.fireProbe(e, l, m.cfg.ProbationEvery)
+			m.fireProbe(e, l, probationEvery)
 		}
 	case Suspect:
 		m.observe(e, l, 1, now)
 		if l.state == Suspect {
 			// Not convinced yet; keep probing toward a verdict.
-			m.fireProbe(e, l, m.cfg.ProbationEvery)
+			m.fireProbe(e, l, probationEvery)
 		}
 	case Up:
 		m.observe(e, l, 1, now)
@@ -594,14 +559,14 @@ func (m *Monitor) probeFail(e route.Edge, l *link, now vtime.Time) {
 		// A lost probe is soft evidence, same as a lost data packet.
 		m.observe(e, l, 0, now)
 		if l.state == Suspect {
-			m.fireProbe(e, l, m.cfg.ProbationEvery)
+			m.fireProbe(e, l, probationEvery)
 		}
 	case Probation:
 		m.transition(e, l, Dead, now)
 	case Dead:
 	}
 	if l.state == Dead {
-		if l.probeFails >= m.cfg.ProbeGiveUp {
+		if l.probeFails >= probeGiveUp {
 			// Stop generating events for a link that is not coming back.
 			l.gaveUp = true
 			return

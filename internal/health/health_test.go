@@ -23,7 +23,7 @@ type testRig struct {
 	probed []route.Edge // requests that reached the sink
 }
 
-func newRig(t *testing.T, cfg Config) *testRig {
+func newRig(t *testing.T) *testRig {
 	t.Helper()
 	tp, err := topo.NewBuilder().
 		Network("sci0", "sci").
@@ -36,7 +36,7 @@ func newRig(t *testing.T, cfg Config) *testRig {
 		t.Fatal(err)
 	}
 	r := &testRig{reg: obs.New()}
-	r.mon = NewMonitor(cfg, tp, nil, r.reg,
+	r.mon = New(tp, nil, r.reg,
 		func(d vtime.Duration, fn func()) {
 			r.timer = append(r.timer, struct {
 				at vtime.Time
@@ -82,7 +82,7 @@ func stateOf(t *testing.T, m *Monitor, e route.Edge) State {
 }
 
 func TestHardDeathAndReadmission(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	ep0 := m.Epoch()
 
@@ -107,7 +107,7 @@ func TestHardDeathAndReadmission(t *testing.T) {
 	if len(r.takeProbes()) != 0 {
 		t.Fatal("probe fired before ProbeAfter elapsed")
 	}
-	r.advance(m.cfg.ProbeAfter)
+	r.advance(probeAfter)
 	if p := r.takeProbes(); len(p) != 1 || p[0] != edgeAB {
 		t.Fatalf("probes = %v", p)
 	}
@@ -122,8 +122,8 @@ func TestHardDeathAndReadmission(t *testing.T) {
 		t.Fatal("probation edge must stay excluded")
 	}
 	epBefore := m.Epoch()
-	for i := 1; i < m.cfg.ProbationSuccesses; i++ {
-		r.advance(m.cfg.ProbationEvery)
+	for i := 1; i < probationSuccesses; i++ {
+		r.advance(probationEvery)
 		if p := r.takeProbes(); len(p) != 1 {
 			t.Fatalf("probation round %d: probes = %v", i, p)
 		}
@@ -144,13 +144,13 @@ func TestHardDeathAndReadmission(t *testing.T) {
 }
 
 func TestFailedProbationFallsBack(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	m.ReportDead(edgeAB, r.now)
-	r.advance(m.cfg.ProbeAfter)
+	r.advance(probeAfter)
 	r.takeProbes()
 	m.ProbeResult(edgeAB, true, 0, r.now) // → Probation
-	r.advance(m.cfg.ProbationEvery)
+	r.advance(probationEvery)
 	r.takeProbes()
 	m.ProbeResult(edgeAB, false, 0, r.now) // probation broken
 	if got := stateOf(t, m, edgeAB); got != Dead {
@@ -162,7 +162,7 @@ func TestFailedProbationFallsBack(t *testing.T) {
 }
 
 func TestSoftEvidenceHysteresis(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	// Failures erode the score: Up → Suspect once below the threshold.
 	for i := 0; stateOf(t, m, edgeAB) == Up && i < 20; i++ {
@@ -193,7 +193,7 @@ func TestSoftEvidenceHysteresis(t *testing.T) {
 }
 
 func TestSoftDeathViaScore(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	for i := 0; stateOf(t, m, edgeAB) != Dead && i < 50; i++ {
 		m.ReportFailure(edgeAB, r.now)
@@ -211,16 +211,16 @@ func TestSoftDeathViaScore(t *testing.T) {
 }
 
 func TestFlapDampingDoublesProbeDelay(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	kill := func() {
 		m.ReportDead(edgeAB, r.now)
-		r.advance(m.cfg.ProbeAfter / 2)
+		r.advance(probeAfter / 2)
 	}
 	revive := func() {
 		// Drain any due probe and answer everything successfully until Up.
 		for i := 0; stateOf(t, m, edgeAB) != Up && i < 20; i++ {
-			r.advance(m.cfg.ProbeAfterMax)
+			r.advance(probeAfterMax)
 			for _, e := range r.takeProbes() {
 				m.ProbeResult(e, true, 0, r.now)
 			}
@@ -235,23 +235,23 @@ func TestFlapDampingDoublesProbeDelay(t *testing.T) {
 	}
 	revive()
 	kill() // second death: delay doubled, so still nothing at ProbeAfter/2 … or ProbeAfter
-	r.advance(m.cfg.ProbeAfter / 2)
+	r.advance(probeAfter / 2)
 	if len(r.takeProbes()) != 0 {
 		t.Fatal("second death: probe arrived before the doubled delay")
 	}
-	r.advance(m.cfg.ProbeAfter)
+	r.advance(probeAfter)
 	if len(r.takeProbes()) != 1 {
 		t.Fatal("second death: doubled-delay probe missing")
 	}
 }
 
 func TestProbeGiveUpStopsScheduling(t *testing.T) {
-	r := newRig(t, Config{ProbeGiveUp: 3})
+	r := newRig(t)
 	m := r.mon
 	m.ReportDead(edgeAB, r.now)
 	fails := 0
-	for i := 0; i < 10; i++ {
-		r.advance(m.cfg.ProbeAfterMax)
+	for i := 0; i < probeGiveUp+10; i++ {
+		r.advance(probeAfterMax)
 		ps := r.takeProbes()
 		if len(ps) == 0 {
 			break
@@ -259,10 +259,10 @@ func TestProbeGiveUpStopsScheduling(t *testing.T) {
 		m.ProbeResult(ps[0], false, 0, r.now)
 		fails++
 	}
-	if fails != 3 {
-		t.Fatalf("probes before give-up = %d, want 3", fails)
+	if fails != probeGiveUp {
+		t.Fatalf("probes before give-up = %d, want %d", fails, probeGiveUp)
 	}
-	r.advance(10 * m.cfg.ProbeAfterMax)
+	r.advance(10 * probeAfterMax)
 	if p := r.takeProbes(); len(p) != 0 {
 		t.Fatalf("abandoned edge still probed: %v", p)
 	}
@@ -274,7 +274,7 @@ func TestProbeGiveUpStopsScheduling(t *testing.T) {
 }
 
 func TestHeartbeatsProbeIdleEdges(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	// First scan only arms the idle clocks.
 	m.Heartbeats("a0", r.now)
@@ -282,13 +282,13 @@ func TestHeartbeatsProbeIdleEdges(t *testing.T) {
 		t.Fatalf("first heartbeat scan probed %v", p)
 	}
 	// Before the idle threshold: still quiet.
-	r.advance(m.cfg.HeartbeatIdle / 2)
+	r.advance(heartbeatIdle / 2)
 	m.Heartbeats("a0", r.now)
 	if p := r.takeProbes(); len(p) != 0 {
 		t.Fatalf("early heartbeat probed %v", p)
 	}
 	// Past it: exactly the silent a0-edges get probes, nobody else's.
-	r.advance(m.cfg.HeartbeatIdle)
+	r.advance(heartbeatIdle)
 	m.Heartbeats("a0", r.now)
 	ps := r.takeProbes()
 	if len(ps) != 1 || ps[0] != edgeAB {
@@ -308,8 +308,43 @@ func TestHeartbeatsProbeIdleEdges(t *testing.T) {
 	}
 }
 
+// TestProbeVoidIsNoEvidence: a probe whose prober was down leaves a routable
+// edge as it was, ready to be probed again, and an excluded edge on its
+// probation schedule, as after a failed probe.
+func TestProbeVoidIsNoEvidence(t *testing.T) {
+	r := newRig(t)
+	m := r.mon
+	r.advance(vtime.Millisecond) // an idle clock started at 0 reads as unarmed
+	m.Heartbeats("a0", r.now)
+	r.advance(heartbeatIdle)
+	m.Heartbeats("a0", r.now)
+	if p := r.takeProbes(); len(p) != 1 {
+		t.Fatalf("heartbeat probes = %v", p)
+	}
+	m.ProbeVoid(edgeAB, r.now)
+	if got := stateOf(t, m, edgeAB); got != Up || m.Probes() != 0 || m.Epoch() != 1 {
+		t.Fatalf("after a void probe: state %v, %d probes, epoch %d", got, m.Probes(), m.Epoch())
+	}
+	m.Heartbeats("a0", r.now)
+	if p := r.takeProbes(); len(p) != 1 {
+		t.Fatalf("no new probe after a void one: %v", p)
+	}
+
+	m.ReportDead(edgeAB, r.now)
+	r.advance(probeAfter)
+	r.takeProbes()
+	m.ProbeVoid(edgeAB, r.now)
+	if got := stateOf(t, m, edgeAB); got != Dead || m.Probes() != 1 {
+		t.Fatalf("after a void probation probe: state %v, %d probes", got, m.Probes())
+	}
+	r.advance(probeAfter)
+	if p := r.takeProbes(); len(p) != 1 {
+		t.Fatalf("probation schedule stopped: probes = %v", p)
+	}
+}
+
 func TestTransitionLogAndSnapshot(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	m := r.mon
 	m.ReportDead(edgeAB, r.now)
 	log := m.Transitions()
@@ -337,7 +372,7 @@ func TestReportSuccessDisarmedAllocsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var now vtime.Time
-	mon := NewMonitor(Config{}, tp, nil, nil, func(vtime.Duration, func()) {}, func() vtime.Time { return now })
+	mon := New(tp, nil, nil, func(vtime.Duration, func()) {}, func() vtime.Time { return now })
 	n := testing.AllocsPerRun(500, func() {
 		now = now.Add(vtime.Microsecond)
 		mon.ReportSuccess(edgeAB, 40*vtime.Microsecond, now)
@@ -350,7 +385,7 @@ func TestReportSuccessDisarmedAllocsNothing(t *testing.T) {
 // The handles bound with the edge record are the series the armed registry
 // always saw: the gauges stay addressable by the edge's string form.
 func TestHealthGaugesKeepTheirLabels(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	reg := r.reg
 	r.mon.ReportFailure(edgeAB, r.now)
 	r.mon.ReportDead(edgeAB, r.now)
@@ -386,7 +421,7 @@ func twoGateways(t *testing.T) *Monitor {
 		t.Fatal(err)
 	}
 	var now vtime.Time
-	return NewMonitor(Config{}, tp, nil, nil, func(vtime.Duration, func()) {}, func() vtime.Time { return now })
+	return New(tp, nil, nil, func(vtime.Duration, func()) {}, func() vtime.Time { return now })
 }
 
 // A barred lookup's tables are shared by every node and dropped by publish:

@@ -157,3 +157,38 @@ func TestLinkBringUpAllocBudget(t *testing.T) {
 		t.Errorf("bringing a link up allocates %.1f times, budget %.0f", perLink, budget)
 	}
 }
+
+// TestControlSendAllocsNothing: a warm control datagram — sent, delivered and
+// received — allocates nothing. Its transmission record comes off the link's
+// free list and goes back at the receive, and its delivery is the channel's
+// one callback told the link and the lane by its argument.
+func TestControlSendAllocsNothing(t *testing.T) {
+	sim, ab, _, _ := rawPair(sisci.New())
+	dgram := pattern(24, 1)
+	got := 0
+	sim.SpawnDaemon("rx", func(p *vtime.Proc) {
+		ep := ab.Channel.At(ab.Dst)
+		for {
+			if _, buf := ep.NextArrival(p).Link.Recv(p); &buf[0] == &dgram[0] {
+				got++
+			}
+		}
+	})
+	send := func() {
+		if !ab.SendControl(mad.KindHealth, dgram) {
+			t.Fatal("control datagram not sent")
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("a warm control send and its delivery allocate %.2f times, want 0", allocs)
+	}
+	if got != 4+101 {
+		t.Errorf("received %d control datagrams, want %d", got, 4+101)
+	}
+}

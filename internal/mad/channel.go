@@ -162,9 +162,6 @@ func (ch *Channel) At(n *Node) *Endpoint {
 	return e
 }
 
-// AtRank returns the endpoint of the member with rank r.
-func (ch *Channel) AtRank(r Rank) *Endpoint { return ch.At(ch.sess.Node(r)) }
-
 // Channel returns the endpoint's channel.
 func (e *Endpoint) Channel() *Channel { return e.ch }
 

@@ -211,6 +211,12 @@ type Link struct {
 	inflight wireQueue
 	num      uint64 // the link's index in Channel.byNum
 
+	// Control datagrams on their way (SendControl), oldest first, and when
+	// the newest is due: they arrive in the order they were sent, by wire
+	// events of their own, not inflight's.
+	ctl    wireQueue
+	ctlDue vtime.Time
+
 	// Transmissions the receiver has taken the payload out of, for the
 	// next Send. The list starts in txSlots holding the link's own first
 	// record, tx0, and grows past four records on demand.
@@ -323,16 +329,17 @@ func (l *Link) flow(p *vtime.Proc, wireBytes, payloadLen int) bool {
 // onTheWire queues ev for the receiver one wire latency from now.
 func (l *Link) onTheWire(ev wireEvent) {
 	l.inflight.push(ev)
-	l.sim().AtArg(l.sim().Now().Add(l.nic.WireLatency), l.Channel.onWire, l.num)
+	l.sim().AtArg(l.sim().Now().Add(l.nic.WireLatency), l.Channel.onWire, l.num<<1)
 }
 
 // wireArrival runs in scheduler context when the oldest wire event of link
-// num is due.
-func (ch *Channel) wireArrival(num uint64) { ch.byNum[num].wireArrival() }
-
-// wireArrival runs in scheduler context when the link's oldest wire event is
-// due.
-func (l *Link) wireArrival() {
+// arg>>1 is due, or, with arg's low bit set, its oldest control datagram.
+func (ch *Channel) wireArrival(arg uint64) {
+	l := ch.byNum[arg>>1]
+	if arg&1 != 0 {
+		l.deliver(l.ctl.pop().tx)
+		return
+	}
 	ev := l.inflight.pop()
 	if ev.complete {
 		ev.tx.recvW.Wake()
@@ -405,7 +412,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 	}
 	p.Sleep(l.nic.SendOverhead)
 	l.drv.OnSend(p, l.Src.Host, len(data))
-	l.judge(p, tx)
+	l.judge(p.Now(), tx)
 
 	if !meta.Reliable && l.nic.RendezvousThreshold > 0 && len(data) > l.nic.RendezvousThreshold {
 		l.sendRendezvous(p, tx)
@@ -453,20 +460,57 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) bool {
 // judge draws the fault verdicts for a reliable transmission at send time —
 // in deterministic scheduler order, however delivery later interleaves — and
 // records a drop or a corruption on the sender's flight ring.
-func (l *Link) judge(p *vtime.Proc, tx *transmission) {
+func (l *Link) judge(now vtime.Time, tx *transmission) {
 	inj := l.faults()
 	if !tx.meta.Reliable || inj == nil {
 		return
 	}
-	v, pos := inj.Packet(l.Channel.net.Name, l.Src.Name, l.Dst.Name, p.Now(), len(tx.payload))
+	v, pos := inj.Packet(l.Channel.net.Name, l.Src.Name, l.Dst.Name, now, len(tx.payload))
 	switch v {
 	case fault.DropPacket:
 		tx.dropped = true
-		l.flight().Record(flight.KindDrop, p.Now(), 0, 0, len(tx.payload), l.Channel.net.Name)
+		l.flight().Record(flight.KindDrop, now, 0, 0, len(tx.payload), l.Channel.net.Name)
 	case fault.CorruptPacket:
 		tx.corruptAt = pos
-		l.flight().Record(flight.KindCorrupt, p.Now(), 0, 0, len(tx.payload), l.Channel.net.Name)
+		l.flight().Record(flight.KindCorrupt, now, 0, 0, len(tx.payload), l.Channel.net.Name)
 	}
+}
+
+// SendControl transmits one control datagram — a batch of hop acks, a probe,
+// its echo — Reliable and Owned, without parking, so it can leave from a
+// polling daemon's handler or a scheduler callback. It takes no eager credit
+// and no msgMu and starts no fluid flow: the datagram lands in the receiver's
+// mailbox SendOverhead plus its wire bytes at the wire rate plus WireLatency
+// from now, later by a stall window's delay, and never ahead of a control
+// datagram sent before it on the link. The fault injector judges it now, and
+// one that would be due inside a flap or crash window is lost too, counted and
+// recorded as a drop now. It reports
+// whether the datagram is on its way; if not, data is still the caller's.
+func (l *Link) SendControl(kind Kind, data []byte) bool {
+	now := l.sim().Now()
+	l.sends.Add(1)
+	l.sendBytes.Add(int64(len(data)))
+	l.seq++
+	tx := l.newTx(TxMeta{SOM: true, Reliable: true, Owned: true, Kind: kind, Seq: l.seq}, data)
+	tx.selfDesc[0] = BlockDesc{Size: len(data), S: SendCheaper, R: ReceiveCheaper}
+	tx.meta.Blocks = tx.selfDesc[:]
+	tx.credited = true // it took none
+	due := now.Add(l.nic.SendOverhead + vtime.DurationOfBytes(int64(tx.meta.wireBytes()), l.nic.WireRate) + l.nic.WireLatency)
+	if inj := l.faults(); inj != nil {
+		due = due.Add(inj.StallDelay(l.Src.Name, now))
+		if l.judge(now, tx); !tx.dropped && inj.Blackholed(l.Channel.net.Name, l.Src.Name, l.Dst.Name, due) {
+			tx.dropped = true
+			l.flight().Record(flight.KindDrop, now, 0, 0, len(tx.payload), l.Channel.net.Name)
+		}
+		if tx.dropped {
+			l.recycle(tx)
+			return false
+		}
+	}
+	l.ctl.push(wireEvent{tx: tx})
+	l.ctlDue = max(due, l.ctlDue)
+	l.sim().AtArg(l.ctlDue, l.Channel.onWire, l.num<<1|1)
+	return true
 }
 
 // applyCorruption flips one byte of the receiver-side memory when the

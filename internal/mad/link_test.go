@@ -8,6 +8,7 @@ import (
 	"madgo/internal/drivers/loopback"
 	"madgo/internal/drivers/sisci"
 	"madgo/internal/fault"
+	"madgo/internal/flight"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
 	"madgo/internal/vtime"
@@ -470,5 +471,106 @@ func TestLandedSlotIsReused(t *testing.T) {
 	}
 	if allocs := m1.Mallocs - m0.Mallocs; allocs >= rounds/20 {
 		t.Errorf("%d landed transfers on a warm link allocate %d times, want 0 (amortised)", rounds, allocs)
+	}
+}
+
+// A control datagram parks on nothing: sent from scheduler callbacks while a
+// process holds the link's msgMu and its one eager credit, it lands
+// SendOverhead plus its wire bytes at the wire rate plus WireLatency later,
+// and a smaller one sent after it lands behind it, not ahead.
+func TestControlSendParksOnNothing(t *testing.T) {
+	sim, ab, _, _ := rawPair(sisci.New())
+	nic := ab.NIC()
+	big, small := pattern(600, 1), pattern(24, 2)
+	sim.Spawn("data", func(p *vtime.Proc) {
+		ab.Acquire(p)
+		ab.Send(p, mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: 8}}}, make([]byte, 8))
+		p.Sleep(vtime.Millisecond) // msgMu held, the credit not returned
+		ab.Release(p)
+	})
+	const sentAt = vtime.Time(100 * vtime.Microsecond)
+	sim.At(sentAt, func() {
+		if !ab.SendControl(mad.KindRelAck, big) || !ab.SendControl(mad.KindHealth, small) {
+			t.Error("a control datagram no fault touched was reported as not sent")
+		}
+	})
+	type arrival struct {
+		at   vtime.Time
+		kind mad.Kind
+	}
+	var got []arrival
+	sim.Spawn("recv", func(p *vtime.Proc) {
+		ep := ab.Channel.At(ab.Dst)
+		for range 3 {
+			a := ep.NextArrival(p)
+			got = append(got, arrival{p.Now(), a.Meta.Kind})
+		}
+		for i, want := range [][]byte{nil, big, small} {
+			if _, buf := ab.Recv(p); want != nil && &buf[0] != &want[0] {
+				t.Errorf("transmission %d: the control datagram was not handed over", i)
+			}
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	due := sentAt.Add(nic.SendOverhead + vtime.DurationOfBytes(int64(len(big)+12), nic.WireRate) + nic.WireLatency)
+	// The receiver polls (PollCost) between arrivals, so it reads the third
+	// one no earlier than due.
+	if len(got) != 3 || got[0].at >= sentAt || got[0].kind != mad.KindPlain ||
+		got[1] != (arrival{due, mad.KindRelAck}) || got[2].at < due || got[2].kind != mad.KindHealth {
+		t.Errorf("arrivals %v, want the data before %v, then the ack batch at %v and the probe behind it", got, sentAt, due)
+	}
+}
+
+// The fault injector judges a control datagram when it is sent: a drop
+// verdict, or a flap window it would be due in, loses it (SendControl says so
+// and nothing arrives), and a stall window delays it.
+func TestControlSendFaults(t *testing.T) {
+	nic := sisci.New().NIC()
+	due := nic.SendOverhead + vtime.DurationOfBytes(24+12, nic.WireRate) + nic.WireLatency
+	for _, c := range []struct {
+		name string
+		plan *fault.Plan
+		sent bool
+		at   vtime.Duration // arrival, when sent
+	}{
+		{"drop", fault.NewPlan(1).Drop("*", 1), false, 0},
+		{"due inside a flap", fault.NewPlan(1).Flap("n", vtime.Time(due/2), vtime.Millisecond), false, 0},
+		{"flap after it is due", fault.NewPlan(1).Flap("n", vtime.Time(due+1), vtime.Millisecond), true, due},
+		{"stall", fault.NewPlan(1).Stall("a", 0, vtime.Millisecond, 50*vtime.Microsecond), true, due + 50*vtime.Microsecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim, ab, _, sess := rawPair(sisci.New())
+			inj := fault.New(c.plan)
+			sess.Platform.ArmFaults(inj)
+			sess.Platform.SetFlight(flight.NewRecorder(0))
+			if sent := ab.SendControl(mad.KindHealth, make([]byte, 24)); sent != c.sent {
+				t.Fatalf("SendControl = %v, want %v", sent, c.sent)
+			}
+			// A lost datagram is counted by the injector and recorded as a
+			// drop on the sender's flight ring, whichever check lost it.
+			drops := 0
+			for _, ev := range sess.Platform.FlightRing("a").Snapshot() {
+				if ev.Kind == flight.KindDrop {
+					drops++
+				}
+			}
+			if want := map[bool]int{true: 0, false: 1}[c.sent]; inj.Dropped() != int64(want) || drops != want {
+				t.Errorf("injector dropped %d, ring holds %d drops, want %d", inj.Dropped(), drops, want)
+			}
+			var at vtime.Time
+			sim.SpawnDaemon("recv", func(p *vtime.Proc) {
+				ab.Channel.At(ab.Dst).NextArrival(p)
+				at = p.Now()
+				ab.Recv(p)
+			})
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if arrived := at != 0; arrived != c.sent || arrived && at != vtime.Time(c.at) {
+				t.Errorf("arrived %v at %v, want %v at %v", arrived, at, c.sent, vtime.Time(c.at))
+			}
+		})
 	}
 }

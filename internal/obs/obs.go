@@ -6,13 +6,12 @@
 // message's full provenance (fragmentation, gateway relays, retransmits,
 // failovers, end-to-end acks) can be reconstructed after the run.
 //
-// The registry is the quantitative counterpart of package trace's span
-// recorder: spans answer "what was this lane doing at t", the registry
-// answers "how many, how big, how long" over the whole run, and the hop log
-// answers "where did message 17 go". Exporters turn all three into
-// machine-readable artifacts: a Prometheus-style text snapshot
-// (WritePrometheus) and a Chrome trace_event JSON loadable in Perfetto
-// (WriteChromeTrace).
+// The registry answers "how many, how big, how long" over the whole run and
+// the hop log "where did message 17 go", beside the lanes package trace
+// derives from the flight recorder, which answer "what was this lane doing at
+// t". Exporters turn them into machine-readable artifacts: a Prometheus-style
+// text snapshot (WritePrometheus) and a Chrome trace_event JSON loadable in
+// Perfetto (WriteChromeTrace), which draws the lanes as Spans.
 //
 // There is one write path and it allocates nothing (DESIGN.md §19, §21). A
 // Counter is a field of the object that counts: it holds its own number, with

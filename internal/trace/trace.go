@@ -73,17 +73,21 @@ func (l Log) SteadyMean(actor, op string, warmup, cooldown int) (vtime.Duration,
 	return sum / vtime.Duration(len(spans)), len(spans)
 }
 
-// marks are the timeline marks of the well-known ops; any other op is drawn
-// with its first letter (opMark).
+// marks are the timeline marks of the well-known ops, one op each; a stripe
+// lane's "rail<i>" is drawn with its digit, and any other op with its first
+// letter (opMark).
 var marks = map[string]byte{
-	"recv": 'r', "send": 's', "swap": 'x', "header": 'h', "rexmit": 'R', "failover": 'F',
-	"resend": 'M', "crash": 'C', "flap": '~', "drop": 'd', "corrupt": 'c', "corrupt-drop": 'c',
+	"recv": 'r', "send": 's', "stall": 'w', "swap": 'x', "header": 'h', "rexmit": 'R', "failover": 'F',
+	"resend": 'M', "crash": 'C', "flap": '~', "drop": 'd', "corrupt": 'c', "corrupt-drop": 'K',
 	"e2e": 'e', "dup": 'D',
 }
 
 func opMark(op string) byte {
 	if m, ok := marks[op]; ok {
 		return m
+	}
+	if i, ok := strings.CutPrefix(op, "rail"); ok && len(i) == 1 {
+		return i[0]
 	}
 	if len(op) > 0 {
 		return op[0]

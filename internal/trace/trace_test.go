@@ -151,7 +151,7 @@ func TestTimelineLegend(t *testing.T) {
 }
 
 func TestOpMarkFallbacks(t *testing.T) {
-	if opMark("recv") != 'r' || opMark("swap") != 'x' || opMark("corrupt-drop") != 'c' {
+	if opMark("recv") != 'r' || opMark("swap") != 'x' || opMark("corrupt-drop") != 'K' {
 		t.Fatal("known op marks changed")
 	}
 	if opMark("zing") != 'z' {
@@ -159,6 +159,33 @@ func TestOpMarkFallbacks(t *testing.T) {
 	}
 	if opMark("") != '?' {
 		t.Fatal("empty op should render '?'")
+	}
+}
+
+// TestLegendMarksAreDistinct: a timeline holding every op the lanes (Of)
+// carry — the well-known ops and two stripe rails — draws each with a mark of
+// its own, so no legend names one mark twice.
+func TestLegendMarksAreDistinct(t *testing.T) {
+	ops := []string{"rail0", "rail1"}
+	for op := range marks {
+		ops = append(ops, op)
+	}
+	var l Log
+	for i, op := range ops {
+		l.rec(fmt.Sprintf("lane%02d", i), op, 0, 0, us(10))
+	}
+	tl := l.Timeline(0, us(10), 10)
+	legend := tl[strings.Index(tl, "legend: ")+len("legend: "):]
+	seen := map[string]string{}
+	for _, entry := range strings.Split(strings.TrimSpace(legend), ", ") {
+		mark, op, _ := strings.Cut(entry, " = ")
+		if other, dup := seen[mark]; dup {
+			t.Errorf("mark %s stands for both %s and %s", mark, other, op)
+		}
+		seen[mark] = op
+	}
+	if len(seen) < len(marks)+2 {
+		t.Errorf("legend has %d marks, want one for each of at least %d ops:\n%s", len(seen), len(marks)+2, tl)
 	}
 }
 

@@ -125,6 +125,53 @@ func TestSystemLossAndMidTransferCrash(t *testing.T) {
 	}
 }
 
+// TestCrashedGatewayBlamesNoPeer runs examples/faulttolerance's scenario — 2%
+// loss, gw1 crashed 30 ms into a 4 MB a0 -> b1 transfer that gw2 can carry —
+// over twenty fault seeds. A crashed node's daemons keep running and lose all
+// they send; were its failed retransmissions and probes evidence, gw1 would
+// declare its links to gw2 and b1 dead, which bars both as relays and leaves
+// b1 unreachable. Every seed must deliver, and no link leaving gw1 may die
+// while it is down.
+func TestCrashedGatewayBlamesNoPeer(t *testing.T) {
+	const crash = madeleine.Time(30 * madeleine.Millisecond)
+	for seed := 1; seed <= 20; seed++ {
+		sys, err := madeleine.NewSystem(fmt.Sprintf(`
+			network sciA sci
+			network myriB myrinet
+			node a0 sciA
+			node a1 sciA
+			node gw1 sciA myriB
+			node gw2 sciA myriB
+			node b0 myriB
+			node b1 myriB
+			fault seed %d
+			fault drop * 0.02
+			fault crash gw1 %v
+		`, seed, crash), madeleine.WithProduction())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Spawn("sender", func(p *madeleine.Proc) {
+			px := sys.At("a0").BeginPacking(p, "b1")
+			px.Pack(p, make([]byte, 4<<20), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			px.EndPacking(p)
+		})
+		sys.Spawn("receiver", func(p *madeleine.Proc) {
+			u := sys.At("b1").BeginUnpacking(p)
+			u.Unpack(p, make([]byte, 4<<20), madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			u.EndUnpacking(p)
+		})
+		if err := sys.Run(); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		for _, tr := range sys.Health().Transitions() {
+			if tr.Link.From == "gw1" && tr.To == madeleine.LinkDead && tr.At >= crash {
+				t.Errorf("seed %d: crashed gw1 declared %v dead at %v", seed, tr.Link, tr.At)
+			}
+		}
+	}
+}
+
 // TestSystemReliableUnreachable checks that a partition surfaces a typed
 // DeliveryError from Run instead of a deadlock.
 func TestSystemReliableUnreachable(t *testing.T) {
