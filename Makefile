@@ -299,7 +299,7 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:774 internal/fwd:5778 internal/mad:1913 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:753 internal/route:732 internal/flow:365 internal/obs:1100 internal/trace:396
+LOC_MAX := .:774 internal/fwd:5700 internal/mad:1922 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:748 internal/route:718 internal/flow:365 internal/obs:1100 internal/trace:396
 DOC_MAX := DESIGN.md:5779 .claude/skills/verify/SKILL.md:187 README.md:466
 COMPAT_MAX := 167
 loc:

@@ -62,6 +62,6 @@ func runR1(o Options) *Result {
 	r.Series = append(r.Series, s)
 	r.XLabel, r.YLabel = "drop probability", "MB/s"
 	r.Notes = append(r.Notes,
-		"reliability adds a 28-byte header+CRC per packet and hop-by-hop acks; the zero-loss row is the protocol's overhead against fig6")
+		"reliability adds a 27-byte header per packet and hop-by-hop acks; the zero-loss row is the protocol's overhead against fig6")
 	return r
 }

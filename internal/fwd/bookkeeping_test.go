@@ -152,20 +152,20 @@ func TestRelayAdmissionRefusalIsBackpressure(t *testing.T) {
 	}
 }
 
-// A message whose every datagram passes its CRC can still disagree with
-// itself: the fragment-0 descriptor against a fragment's length, or against
-// the MTU its headers carry. Its final destination drops it as a checksum
+// A message whose every datagram decodes can still disagree with itself: a
+// fragment's length against the fragment-0 descriptor, or against the MTU its
+// headers carry. Its final destination drops it as a checksum
 // drop once the last fragment lands — never delivered, marked done or
 // end-to-end acked, its buffers back in the pool — so the origin's resends end
 // in a DeliveryError there instead of a panic in the receiving application.
 func TestInconsistentReliableMessageIsDropped(t *testing.T) {
 	for _, c := range []struct {
 		name           string
-		hdrMTU, dscMTU int
+		hdrMTU         int
 		blockLen, frag int // the descriptor's block, the fragment that travels
 	}{
-		{"fragment shorter than its descriptor", 4096, 4096, 100, 50},
-		{"descriptor MTU differs from the header's", 4096, 1024, 100, 100},
+		{"fragment shorter than its descriptor", 4096, 100, 50},
+		{"fragment cut at another MTU than the header's", 64, 100, 100},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sim, vc := relChain(t, DefaultConfig())
@@ -174,13 +174,13 @@ func TestInconsistentReliableMessageIsDropped(t *testing.T) {
 			src, dst := vc.NodeRank("a0"), vc.NodeRank("b0")
 			in := vc.regular["myri0"].Link(vc.NodeRank("gw"), dst)
 			desc := make([]byte, relDescLen(1))
-			putRelDesc(desc, c.dscMTU, []relBlock{{data: make([]byte, c.blockLen), s: mad.SendCheaper, r: mad.ReceiveCheaper}})
+			putRelDesc(desc, []relBlock{{data: make([]byte, c.blockLen), s: mad.SendCheaper, r: mad.ReceiveCheaper}})
 			sim.Spawn("inject", func(p *vtime.Proc) {
 				for i, pl := range [][]byte{desc, make([]byte, c.frag)} {
 					d := relData{src: src, dst: dst, id: 7, mtu: uint32(c.hdrMTU), frag: uint32(i), total: 2, payload: pl}
-					pkt := vc.bufs.Get(relDataLen(len(pl), 0))
-					putRelData(pkt, &d, relFlagFlush, nil)
-					b0.handleData(p, in, pkt)
+					pkt := vc.bufs.Get(relDataLen(len(pl)))
+					putRelData(pkt, &d, relFlagFlush)
+					b0.handleData(p, in, uint64(i+1), pkt)
 				}
 			})
 			if err := sim.Run(); err != nil {

@@ -1,6 +1,7 @@
 package fwd
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -91,28 +92,97 @@ func TestHealthProbeWhoseEchoIsDroppedTimesOut(t *testing.T) {
 }
 
 // TestCorruptedAckBatchIsAChecksumDrop: a batch of hop acks the injector
-// corrupts fails its CRC at the receiver, which counts it as a checksum drop,
-// marks it on its flight ring and completes nothing.
+// corrupts dies at a0's receiving link, which counts it as a checksum drop and
+// marks it on a0's flight ring; it completes nothing.
 func TestCorruptedAckBatchIsAChecksumDrop(t *testing.T) {
 	sim, vc := relChain(t, DefaultConfig())
 	vc.sess.Platform.ArmFaults(fault.New(fault.NewPlan(1).Corrupt("*", 1)))
 	rec := flight.NewRecorder(64)
 	vc.sess.Platform.SetFlight(rec)
 	a0, gw := vc.rel["a0"], vc.rel["gw"]
-	d := relData{src: vc.NodeRank("a0"), dst: vc.NodeRank("b0"), id: 7, frag: 1, flags: relFlagFlush}
+	out := vc.regular["sci0"].Link(vc.NodeRank("a0"), vc.NodeRank("gw"))
 	aw := a0.newAwait()
-	a0.acks[d.key()] = aw
-	gw.hopAck(vc.regular["sci0"].Link(vc.NodeRank("a0"), vc.NodeRank("gw")), &d)
+	a0.acks[linkSeq{out, 1}] = aw
+	gw.hopAck(out, 1, relFlagFlush)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n := gw.counters[relAckPackets].Count(); n != 1 {
 		t.Errorf("gw sent %d ack datagrams, want 1", n)
 	}
-	if n := a0.counters[relChecksumDrops].Count(); n != 1 || aw.done {
-		t.Errorf("a0 counted %d checksum drops and completed the ack: %v; want 1 and no", n, aw.done)
+	if n := vc.DeliveryStats().ChecksumDrops; n != 1 || aw.done {
+		t.Errorf("%d checksum drops, ack completed: %v; want 1 and no", n, aw.done)
 	}
 	if evs := rec.Ring("a0").Snapshot(); len(evs) != 1 || evs[0].Kind != flight.KindCorruptDrop {
 		t.Errorf("a0 recorded %+v, want one corrupt-drop", evs)
+	}
+}
+
+// e2eTo is an end-to-end ack of message 7 for origin, which nothing awaits
+// there: a packet whose delivery leaves nothing behind.
+func e2eTo(vc *VirtualChannel, origin string) relData {
+	r := vc.NodeRank(origin)
+	return relData{src: r, dst: r, id: 7, mtu: uint32(vc.cfg.MTU), frag: e2eFrag}
+}
+
+// TestTwoSendersOfOnePacketSettleApart: two senders of one packet over one
+// link — an origin's resend and its stale burst still on the wire — each
+// settle on the hop ack of their own transfer, at once: no retransmission,
+// no failure, nothing left awaited. While hop acks named the packet, the
+// second sender took the first one's key and the first waited out a timeout.
+func TestTwoSendersOfOnePacketSettleApart(t *testing.T) {
+	sim, vc := relChain(t, DefaultConfig())
+	a0 := vc.rel["a0"]
+	d := e2eTo(vc, "gw")
+	for i := range 2 {
+		s := &relSender{hop: route.Hop{To: "gw", Network: "sci0"}}
+		sim.Spawn(fmt.Sprintf("sender%d", i), func(p *vtime.Proc) {
+			if failed := a0.deliverBurst(p, s, []relData{d}); len(failed) != 0 {
+				t.Errorf("sender %d: %d packets failed", i, len(failed))
+			}
+			if p.Now() > vtime.Time(relAckTimeout) {
+				t.Errorf("sender %d settled at %v, past the ack timeout", i, p.Now())
+			}
+		})
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a0.counters[relRetransmits].Count(); n != 0 || len(a0.acks) != 0 {
+		t.Errorf("%d retransmissions, %d acks still awaited; want none", n, len(a0.acks))
+	}
+	if bk := vc.bufs.Ledger(); bk.BufsTaken != bk.BufsReturned {
+		t.Errorf("wire buffer ledger: %d taken, %d returned", bk.BufsTaken, bk.BufsReturned)
+	}
+}
+
+// TestLateAckSettlesOnlyItsTransfer: gw stalls, so the hop ack of a0's packet
+// comes back after a0's ack timeout, while a0 awaits its retransmission, which
+// a flap window lost. That late ack names the first transfer and settles
+// nothing: a0 retransmits a second time and settles on that transfer's ack.
+// While a hop ack named the packet, the late ack settled the retransmission
+// with one retransmission spent.
+func TestLateAckSettlesOnlyItsTransfer(t *testing.T) {
+	sim, vc := relChain(t, DefaultConfig())
+	ms := vtime.Millisecond
+	inj := fault.New(fault.NewPlan(1).Stall("gw", 0, 4*ms, 8*ms).Flap("sci0", vtime.Time(4500*vtime.Microsecond), ms))
+	vc.sess.Platform.ArmFaults(inj)
+	a0 := vc.rel["a0"]
+	s := &relSender{hop: route.Hop{To: "gw", Network: "sci0"}}
+	var settled vtime.Time
+	sim.Spawn("sender", func(p *vtime.Proc) {
+		if failed := a0.deliverBurst(p, s, []relData{e2eTo(vc, "gw")}); len(failed) != 0 {
+			t.Errorf("%d packets failed", len(failed))
+		}
+		settled = p.Now()
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a0.counters[relRetransmits].Count(); n != 2 || inj.Dropped() != 1 {
+		t.Errorf("%d retransmissions, %d transfers lost; want 2 and the first retransmission", n, inj.Dropped())
+	}
+	if settled <= vtime.Time(8*ms) || len(a0.acks) != 0 {
+		t.Errorf("settled at %v with %d acks awaited; want after the late ack at 8 ms, none", settled, len(a0.acks))
 	}
 }

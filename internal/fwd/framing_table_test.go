@@ -47,7 +47,14 @@ import (
 // stripe-gw/safer was printed again: a message buffered whole hands its
 // stream the blocks Pack staged, so the origin snapshots the 1 000 B SendSafer
 // block once, not twice, and the message is done 6 250 ns earlier, one
-// 1 000 B copy at 160 MB/s.
+// 1 000 B copy at 160 MB/s. The 33 reliable cells were printed again when
+// the sequence number and checksum became link framing (DESIGN.md §7): a
+// datagram lost its CRC and its piggyback count, the descriptor its MTU and
+// a hop ack half its bytes, so the rel and rel+agg cells are done 0.9–1.7 µs
+// earlier and the rel-stripe-gw cells 0.4–1.1 µs; and a striped message now
+// splits its payload alone, by bytes, fragment 0 riding the first run, which
+// evens out rel-stripe-gw/mixed's rails: done 319 µs earlier. No transfer
+// count moved.
 //
 // Transfers per message, F fragments: seed F+2 (header, fragments, bare
 // terminator); under Eager a message a frame carries 1, an aggregate, and
@@ -253,39 +260,39 @@ var framingTable = map[string]framingCell{
 
 	// The reliable and aggregated-striped rows pin the transport sendBuffered
 	// picks for one message of every shape.
-	"rel/none":                  {0, 21941},
-	"rel/zero":                  {0, 49312},
-	"rel/1B":                    {0, 49339},
-	"rel/inlineMax":             {0, 231711},
-	"rel/inlineMax+1":           {0, 231761},
-	"rel/mtu4K-20":              {0, 230706},
-	"rel/mtu4K-19":              {0, 230756},
-	"rel/2mtu":                  {0, 2625118},
-	"rel/2mtu+1":                {0, 2651288},
-	"rel/mixed":                 {0, 1928962},
-	"rel/safer":                 {0, 83114},
-	"rel+agg/none":              {0, 49234},
-	"rel+agg/zero":              {0, 49589},
-	"rel+agg/1B":                {0, 49629},
-	"rel+agg/inlineMax":         {0, 283766},
-	"rel+agg/inlineMax+1":       {0, 283829},
-	"rel+agg/mtu4K-20":          {0, 230706},
-	"rel+agg/mtu4K-19":          {0, 230756},
-	"rel+agg/2mtu":              {0, 2625118},
-	"rel+agg/2mtu+1":            {0, 2651288},
-	"rel+agg/mixed":             {0, 1928962},
-	"rel+agg/safer":             {0, 95947},
-	"rel-stripe-gw/none":        {0, 27214},
-	"rel-stripe-gw/zero":        {0, 54213},
-	"rel-stripe-gw/1B":          {0, 54240},
-	"rel-stripe-gw/inlineMax":   {0, 234661},
-	"rel-stripe-gw/inlineMax+1": {0, 234710},
-	"rel-stripe-gw/mtu4K-20":    {0, 233685},
-	"rel-stripe-gw/mtu4K-19":    {0, 233733},
-	"rel-stripe-gw/2mtu":        {0, 2259365},
-	"rel-stripe-gw/2mtu+1":      {0, 2272384},
-	"rel-stripe-gw/mixed":       {0, 2022308},
-	"rel-stripe-gw/safer":       {0, 89816},
+	"rel/none":                  {0, 20999},
+	"rel/zero":                  {0, 48188},
+	"rel/1B":                    {0, 48216},
+	"rel/inlineMax":             {0, 230741},
+	"rel/inlineMax+1":           {0, 230790},
+	"rel/mtu4K-20":              {0, 229736},
+	"rel/mtu4K-19":              {0, 229786},
+	"rel/2mtu":                  {0, 2624034},
+	"rel/2mtu+1":                {0, 2650023},
+	"rel/mixed":                 {0, 1927234},
+	"rel/safer":                 {0, 81988},
+	"rel+agg/none":              {0, 48111},
+	"rel+agg/zero":              {0, 48466},
+	"rel+agg/1B":                {0, 48505},
+	"rel+agg/inlineMax":         {0, 282796},
+	"rel+agg/inlineMax+1":       {0, 282859},
+	"rel+agg/mtu4K-20":          {0, 229736},
+	"rel+agg/mtu4K-19":          {0, 229786},
+	"rel+agg/2mtu":              {0, 2624034},
+	"rel+agg/2mtu+1":            {0, 2650023},
+	"rel+agg/mixed":             {0, 1927234},
+	"rel+agg/safer":             {0, 94820},
+	"rel-stripe-gw/none":        {0, 26830},
+	"rel-stripe-gw/zero":        {0, 53647},
+	"rel-stripe-gw/1B":          {0, 53675},
+	"rel-stripe-gw/inlineMax":   {0, 234248},
+	"rel-stripe-gw/inlineMax+1": {0, 234296},
+	"rel-stripe-gw/mtu4K-20":    {0, 233272},
+	"rel-stripe-gw/mtu4K-19":    {0, 233320},
+	"rel-stripe-gw/2mtu":        {0, 2258984},
+	"rel-stripe-gw/2mtu+1":      {0, 2271238},
+	"rel-stripe-gw/mixed":       {0, 1703239},
+	"rel-stripe-gw/safer":       {0, 89403},
 	"agg-stripe-gw/none":        {1, 27342},
 	"agg-stripe-gw/zero":        {1, 27726},
 	"agg-stripe-gw/1B":          {1, 27782},

@@ -16,11 +16,8 @@ import (
 
 // encodeRelData writes the data datagram byte by byte, the stream header
 // included, so the oracle does not share the codec it checks.
-func encodeRelData(src, dst mad.Rank, mtu uint32, id uint64, frag, total uint32, flags uint8, payload []byte, acks []relAckKey) []byte {
-	if len(acks) > relAckBatchMax {
-		panic("fwd: too many piggybacked acks")
-	}
-	pkt := make([]byte, 28+len(payload)+relAckEntry*len(acks)+relTrailerLen)
+func encodeRelData(src, dst mad.Rank, mtu uint32, id uint64, frag, total uint32, flags uint8, payload []byte) []byte {
+	pkt := make([]byte, 27+len(payload))
 	binary.LittleEndian.PutUint32(pkt[0:], uint32(src))
 	binary.LittleEndian.PutUint32(pkt[4:], mtu)
 	binary.LittleEndian.PutUint64(pkt[8:], id)
@@ -28,59 +25,43 @@ func encodeRelData(src, dst mad.Rank, mtu uint32, id uint64, frag, total uint32,
 	pkt[20], pkt[21], pkt[22] = byte(frag), byte(frag>>8), byte(frag>>16)
 	pkt[23], pkt[24], pkt[25] = byte(total), byte(total>>8), byte(total>>16)
 	pkt[26] = flags
-	pkt[27] = byte(len(acks))
-	copy(pkt[28:], payload)
-	off := 28 + len(payload)
-	for _, k := range acks {
-		putAckEntry(pkt[off:], k)
-		off += relAckEntry
-	}
-	sealCRC(pkt)
+	copy(pkt[27:], payload)
 	return pkt
 }
 
-func encodeRelAcks(keys []relAckKey) []byte {
-	if len(keys) == 0 || len(keys) > relAckBatchMax {
+func encodeRelAcks(seqs []uint64) []byte {
+	if len(seqs) == 0 || len(seqs) > relAckBatchMax {
 		panic("fwd: ack batch size out of range")
 	}
-	pkt := make([]byte, 1+relAckEntry*len(keys)+relTrailerLen)
-	pkt[0] = byte(len(keys))
-	for i, k := range keys {
-		putAckEntry(pkt[1+relAckEntry*i:], k)
+	pkt := []byte{byte(len(seqs))}
+	for _, seq := range seqs {
+		pkt = binary.LittleEndian.AppendUint64(pkt, seq)
 	}
-	sealCRC(pkt)
 	return pkt
 }
 
-func encodeRelDesc(mtu int, blocks []relBlock) []byte {
-	b := make([]byte, 8+6*len(blocks))
-	binary.LittleEndian.PutUint32(b[0:], uint32(mtu))
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(blocks)))
-	off := 8
+func encodeRelDesc(blocks []relBlock) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(blocks)))
 	for _, bl := range blocks {
-		binary.LittleEndian.PutUint32(b[off:], uint32(len(bl.data)))
-		b[off+4] = byte(bl.s)
-		b[off+5] = byte(bl.r)
-		off += 6
+		b = append(binary.LittleEndian.AppendUint32(b, uint32(len(bl.data))), byte(bl.s), byte(bl.r))
 	}
 	return b
 }
 
-// ackKeys decodes a raw run of ack entries (a data packet's trailer, an ack
-// batch's body).
-func ackKeys(raw []byte) []relAckKey {
-	var keys []relAckKey
+// ackSeqs decodes an ack batch's body.
+func ackSeqs(raw []byte) []uint64 {
+	var seqs []uint64
 	for off := 0; off < len(raw); off += relAckEntry {
-		keys = append(keys, getAckEntry(raw[off:]))
+		seqs = append(seqs, binary.LittleEndian.Uint64(raw[off:]))
 	}
-	return keys
+	return seqs
 }
 
 // PoisonRelBufs makes the channel's pool overwrite every buffer it gets back,
 // so a payload, descriptor, ack trailer, aggregate frame, landing slot or
 // staging buffer — a driver's static ones too — read through an alias the
 // owner should have dropped comes out as 0xDB garbage — failing the byte-exact
-// delivery checks, or the CRC — instead of passing by luck.
+// delivery checks, or a decoder's structural ones — instead of passing by luck.
 // Every descriptor pair given back reads Size -1, which no transfer carries:
 // a hop or a sink that reads one after its final receiver returned it fails
 // the sink's size check with a protocol error, or the link's. Exported to the
@@ -114,46 +95,42 @@ func poisonPair(pair []mad.BlockDesc) {
 
 // pooledEqualsOracle encodes one data packet both ways — the second into a
 // dirty pooled buffer — and compares.
-func pooledEqualsOracle(t *testing.T, bp *mad.Pool, d relData, acks []relAckKey) {
+func pooledEqualsOracle(t *testing.T, bp *mad.Pool, d relData) {
 	t.Helper()
-	want := encodeRelData(d.src, d.dst, d.mtu, d.id, d.frag, d.total, d.flags, d.payload, acks)
-	pkt := bp.Get(relDataLen(len(d.payload), len(acks)))
-	putRelData(pkt, &d, d.flags, acks)
+	want := encodeRelData(d.src, d.dst, d.mtu, d.id, d.frag, d.total, d.flags, d.payload)
+	pkt := bp.Get(relDataLen(len(d.payload)))
+	putRelData(pkt, &d, d.flags)
 	if !bytes.Equal(pkt, want) {
 		t.Fatalf("pooled encoding differs from the copying encoder:\n got  %x\n want %x", pkt, want)
 	}
 	bp.Put(pkt)
 }
 
-// TestPooledEncodersMatchCopyingOracle: random headers, payloads and
-// piggybacked acks (and the FuzzRelData seed corpus) encode byte-identically
-// into recycled, poisoned buffers; so do ack batches and descriptors.
+// TestPooledEncodersMatchCopyingOracle: random headers and payloads (and the
+// FuzzRelData seed corpus) encode byte-identically into recycled, poisoned
+// buffers; so do ack batches and descriptors.
 func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
 	bp := mad.Pool{OnPut: poison}
 	for _, seed := range relDataSeeds() {
 		if d, ok := decodeRelData(seed); ok { // the corpus holds malformed packets too
-			pooledEqualsOracle(t, &bp, d, ackKeys(d.acks))
+			pooledEqualsOracle(t, &bp, d)
 		}
 	}
 	rng := rand.New(rand.NewSource(14))
-	randKeys := func(n int) []relAckKey {
-		keys := make([]relAckKey, n)
-		for i := range keys {
-			keys[i] = relAckKey{origin: mad.Rank(rng.Intn(64)), id: rng.Uint64(), frag: rng.Uint32()}
-		}
-		return keys
-	}
 	for i := 0; i < 2000; i++ {
 		payload := make([]byte, rng.Intn(3)*rng.Intn(20000))
 		rng.Read(payload)
 		d := relData{src: mad.Rank(rng.Intn(64)), dst: mad.Rank(rng.Intn(64)), mtu: 1 + rng.Uint32()>>1, id: rng.Uint64(),
 			frag: rng.Uint32() & (1<<24 - 1), total: rng.Uint32() & (1<<24 - 1), flags: uint8(rng.Intn(4)), payload: payload}
-		pooledEqualsOracle(t, &bp, d, randKeys(rng.Intn(3)*rng.Intn(relAckBatchMax/2+1)))
+		pooledEqualsOracle(t, &bp, d)
 
-		keys := randKeys(1 + rng.Intn(relAckBatchMax))
-		pkt := bp.Get(relAcksLen(len(keys)))
-		putRelAcks(pkt, keys)
-		if want := encodeRelAcks(keys); !bytes.Equal(pkt, want) {
+		seqs := make([]uint64, 1+rng.Intn(relAckBatchMax))
+		for j := range seqs {
+			seqs[j] = rng.Uint64()
+		}
+		pkt := bp.Get(relAcksLen(len(seqs)))
+		putRelAcks(pkt, seqs)
+		if want := encodeRelAcks(seqs); !bytes.Equal(pkt, want) {
 			t.Fatalf("pooled ack batch differs:\n got  %x\n want %x", pkt, want)
 		}
 		bp.Put(pkt)
@@ -163,10 +140,9 @@ func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
 			blocks[j] = relBlock{data: make([]byte, rng.Intn(4096)),
 				s: mad.SendMode(rng.Intn(3)), r: mad.RecvMode(rng.Intn(2))}
 		}
-		mtu := 1 + rng.Intn(1<<16)
 		desc := bp.Get(relDescLen(len(blocks)))
-		putRelDesc(desc, mtu, blocks)
-		if want := encodeRelDesc(mtu, blocks); !bytes.Equal(desc, want) {
+		putRelDesc(desc, blocks)
+		if want := encodeRelDesc(blocks); !bytes.Equal(desc, want) {
 			t.Fatalf("pooled descriptor differs:\n got  %x\n want %x", desc, want)
 		}
 		bp.Put(desc)

@@ -8,9 +8,9 @@ package fwd
 // that assumption breaks, and Config.Reliable replaces the streaming GTM
 // with a reliable datagram protocol:
 //
-//   - Every message is cut into self-contained, checksummed packets:
-//     fragment 0 carries the message descriptor (MTU and per-block layout),
-//     fragments 1..total-1 carry the payload. Each packet names the
+//   - Every message is cut into self-contained packets: fragment 0 carries
+//     the message descriptor (the per-block layout), fragments 1..total-1
+//     carry the payload. Each packet names the
 //     message's origin, final destination, message id and fragment index,
 //     so any node can route it and the final destination can reassemble
 //     and de-duplicate.
@@ -119,46 +119,42 @@ type DeliveryStats struct {
 	Failovers      int64 // links reported dead to the health monitor and routed around
 	MessageResends int64 // whole-message resends after e2e timeouts
 	Duplicates     int64 // duplicate packets suppressed at destinations
-	ChecksumDrops  int64 // packets discarded for a bad checksum
+	// ChecksumDrops counts transfers the receiving link discarded corrupt
+	// (mad.Link.deliver) and datagrams the engine found malformed.
+	ChecksumDrops int64
 	// RelayDrops counts packets a relay refused for want of any route but
 	// back, and bursts it accepted and could not forward. An admission refused
 	// at a full relay queue is not a drop: FlowStats.Backpressure.
 	RelayDrops int64
 }
 
-// Wire format (all little-endian, CRC32-IEEE over everything before the
-// trailing checksum — acknowledgements included, so a corrupted ack is
-// dropped rather than misparsed):
+// Wire format (all little-endian). Integrity and order are the links': a
+// transfer arrives intact or not at all (mad.Link.deliver discards one the
+// injector corrupts, as a NIC whose CRC fails would), so no datagram carries
+// a checksum.
 //
 //	data:  src u32 | mtu u32 | msgID u64 | dst u32 |    the unicast stream header
-//	       frag u24 | total u24 | flags u8 | nacks u8 | payload |
-//	       nacks × ackEntry | crc u32
-//	ack:   count u8 | count × ackEntry | crc u32
-//	ackEntry: origin u32 | msgID u64 | frag u32
+//	       frag u24 | total u24 | flags u8 | payload
+//	ack:   count u8 | count × seq u64
 //
 // A data datagram is a stream kind: it opens with the unicast stream header
 // (stream.go, DESIGN.md §34), src the origin, dst the final destination and
 // mtu the size the origin fragmented at; relMaxFrags fits frag in 24 bits.
 //
-// Acknowledgements are batched: a receiver accumulates the hop acks of a
-// sender's burst and emits them as one control datagram when the burst's
-// flush-flagged last packet arrives (or the batch cap is hit). Pending
-// acks also piggyback on reverse-direction data packets — the nacks
-// trailer — so a bidirectional exchange needs almost no standalone ack
-// datagrams at all.
+// A hop ack names one transfer by the sequence number its link stamped on it
+// (mad.TxMeta.Seq), on the link the ack travels back along. Acks are batched:
+// a receiver accumulates the hop acks of a sender's burst and emits them as
+// one control datagram when the burst's flush-flagged last packet arrives (or
+// the batch cap is hit).
 //
 // An end-to-end acknowledgement is a data packet with frag == e2eFrag,
 // total == 0, an empty payload, dst == src and the channel's MTU, which
 // nothing reads — routed back to the message origin through the same
 // reliable relay machinery as data.
 const (
-	relDataHdrLen = gtmHeaderLen + 8
-	relTrailerLen = 4
-	relOverhead   = relDataHdrLen + relTrailerLen
-	relAckEntry   = 16
-	// relAckBatchMax caps the entries of one batched or piggybacked ack
-	// (it must fit the one-byte count fields).
-	relAckBatchMax = 64
+	relDataHdrLen  = gtmHeaderLen + 7
+	relAckEntry    = 8
+	relAckBatchMax = 64 // the entries of one batch at most; its count is one byte
 )
 
 // relFlagFlush asks the receiver to emit its pending hop acks for this
@@ -184,83 +180,42 @@ type relData struct {
 	id      uint64
 	frag    uint32
 	total   uint32
-	mtu     uint32 // the header's; uint32 keeps relData at 112 bytes
+	mtu     uint32 // the header's
 	flags   uint8
 	payload []byte
-	// acks is the raw trailer of piggybacked hop acknowledgements, whole
-	// relAckEntry-byte entries read with getAckEntry.
-	acks []byte
-	// buf is the received datagram payload and acks alias: a pooled buffer
-	// this node owns from the link's hand-over until it returns it to the
-	// virtual channel's pool (vc.bufs). Nil for a packet this
-	// node originated.
+	// buf is the received datagram payload aliases: a pooled buffer this
+	// node owns from the link's hand-over until it returns it to the virtual
+	// channel's pool (vc.bufs). Nil for a packet this node originated.
 	buf []byte
 }
 
-// key is the packet's hop-acknowledgement identity.
-func (d *relData) key() relAckKey {
-	return relAckKey{origin: d.src, id: d.id, frag: d.frag}
-}
-
-func putAckEntry(b []byte, k relAckKey) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(k.origin))
-	binary.LittleEndian.PutUint64(b[4:], k.id)
-	binary.LittleEndian.PutUint32(b[12:], k.frag)
-}
-
-func getAckEntry(b []byte) relAckKey {
-	return relAckKey{
-		origin: mad.Rank(binary.LittleEndian.Uint32(b[0:])),
-		id:     binary.LittleEndian.Uint64(b[4:]),
-		frag:   binary.LittleEndian.Uint32(b[12:]),
-	}
-}
-
 // relDataLen is the datagram size of a data packet.
-func relDataLen(payload, nacks int) int {
-	return relDataHdrLen + payload + relAckEntry*nacks + relTrailerLen
-}
+func relDataLen(payload int) int { return relDataHdrLen + payload }
 
 // putRelData encodes one data packet into pkt, whose length is relDataLen of
-// the payload and the piggybacked acks. Every byte of pkt is written: the
-// buffer comes from a free list and holds whatever its last packet left.
-func putRelData(pkt []byte, d *relData, flags uint8, acks []relAckKey) {
-	if len(acks) > relAckBatchMax {
-		panic("fwd: too many piggybacked acks")
-	}
-	if len(pkt) != relDataLen(len(d.payload), len(acks)) {
+// the payload. Every byte of pkt is written: the buffer comes from a free list
+// and holds whatever its last packet left.
+func putRelData(pkt []byte, d *relData, flags uint8) {
+	if len(pkt) != relDataLen(len(d.payload)) {
 		panic("fwd: reliable packet buffer of the wrong size")
 	}
 	putStreamHeader(pkt[:gtmHeaderLen], mad.KindRel, streamHdr{src: d.src, dst: d.dst, mtu: int(d.mtu), id: d.id})
 	putUint24(pkt[20:], d.frag)
 	putUint24(pkt[23:], d.total)
 	pkt[26] = flags
-	pkt[27] = byte(len(acks))
 	copy(pkt[relDataHdrLen:], d.payload)
-	off := relDataHdrLen + len(d.payload)
-	for _, k := range acks {
-		putAckEntry(pkt[off:], k)
-		off += relAckEntry
-	}
-	sealCRC(pkt)
 }
 
-// decodeRelData checks one data datagram: its CRC, its stream header (a zero
-// MTU is rejected there) and a piggyback count within the cap the encoder
-// enforces.
+// decodeRelData parses one data datagram: its stream header (a zero MTU is
+// rejected there) and the fields behind it.
 func decodeRelData(pkt []byte) (relData, bool) {
-	if len(pkt) < relOverhead || !checkCRC(pkt) {
+	if len(pkt) < relDataHdrLen {
 		return relData{}, false
 	}
 	h, ok := decodeStreamHeader(mad.KindRel, pkt[:gtmHeaderLen], nil)
-	nacks := int(pkt[27])
-	end := len(pkt) - relTrailerLen - relAckEntry*nacks
-	if !ok || nacks > relAckBatchMax || end < relDataHdrLen {
-		return relData{}, false
-	}
 	return relData{src: h.src, dst: h.dst, id: h.id, mtu: uint32(h.mtu),
 		frag: getUint24(pkt[20:]), total: getUint24(pkt[23:]), flags: pkt[26],
-		payload: pkt[relDataHdrLen:end], acks: pkt[end : len(pkt)-relTrailerLen]}, true
+		payload: pkt[relDataHdrLen:]}, ok
 }
 
 func putUint24(b []byte, v uint32) { b[0], b[1], b[2] = byte(v), byte(v>>8), byte(v>>16) }
@@ -268,50 +223,41 @@ func putUint24(b []byte, v uint32) { b[0], b[1], b[2] = byte(v), byte(v>>8), byt
 func getUint24(b []byte) uint32 { return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 }
 
 // relAcksLen is the datagram size of a batch of n acknowledgements.
-func relAcksLen(n int) int { return 1 + relAckEntry*n + relTrailerLen }
+func relAcksLen(n int) int { return 1 + relAckEntry*n }
 
 // putRelAcks encodes one acknowledgement batch into pkt, whose length is
-// relAcksLen(len(keys)).
-func putRelAcks(pkt []byte, keys []relAckKey) {
-	if len(keys) == 0 || len(keys) > relAckBatchMax {
-		panic("fwd: ack batch size out of range")
+// relAcksLen(len(seqs)).
+func putRelAcks(pkt []byte, seqs []uint64) {
+	if len(seqs) == 0 || len(seqs) > relAckBatchMax || len(pkt) != relAcksLen(len(seqs)) {
+		panic("fwd: ack batch size out of range, or its buffer of the wrong size")
 	}
-	if len(pkt) != relAcksLen(len(keys)) {
-		panic("fwd: ack batch buffer of the wrong size")
+	pkt[0] = byte(len(seqs))
+	for i, seq := range seqs {
+		binary.LittleEndian.PutUint64(pkt[1+relAckEntry*i:], seq)
 	}
-	pkt[0] = byte(len(keys))
-	for i, k := range keys {
-		putAckEntry(pkt[1+relAckEntry*i:], k)
-	}
-	sealCRC(pkt)
 }
 
 // decodeRelAcks checks one acknowledgement batch and returns its entries,
-// still encoded: whole relAckEntry-byte entries read with getAckEntry.
+// still encoded: whole relAckEntry-byte sequence numbers.
 func decodeRelAcks(pkt []byte) ([]byte, bool) {
-	if len(pkt) < relAcksLen(1) || !checkCRC(pkt) {
+	if len(pkt) == 0 || pkt[0] == 0 || pkt[0] > relAckBatchMax || len(pkt) != relAcksLen(int(pkt[0])) {
 		return nil, false
 	}
-	n := int(pkt[0])
-	if n == 0 || n > relAckBatchMax || len(pkt) != relAcksLen(n) {
-		return nil, false
-	}
-	return pkt[1 : 1+relAckEntry*n], true
+	return pkt[1:], true
 }
 
-// The fragment-0 descriptor payload mirrors what the GTM transmits
-// piece by piece: the connection MTU and the per-block sizes and flag
-// constraints the receiver's unpack calls must match.
+// The fragment-0 descriptor payload mirrors what the GTM transmits piece by
+// piece: the per-block sizes and flag constraints the receiver's unpack calls
+// must match. The MTU the blocks are cut at is the header's.
 //
-//	mtu u32 | nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
-func relDescLen(nblocks int) int { return 8 + 6*nblocks }
+//	nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
+func relDescLen(nblocks int) int { return 4 + 6*nblocks }
 
 // putRelDesc encodes the descriptor into b, whose length is
 // relDescLen(len(blocks)).
-func putRelDesc(b []byte, mtu int, blocks []relBlock) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(mtu))
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(blocks)))
-	off := 8
+func putRelDesc(b []byte, blocks []relBlock) {
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(blocks)))
+	off := 4
 	for _, bl := range blocks {
 		binary.LittleEndian.PutUint32(b[off:], uint32(len(bl.data)))
 		b[off+4] = byte(bl.s)
@@ -322,23 +268,13 @@ func putRelDesc(b []byte, mtu int, blocks []relBlock) {
 
 // decodeRelDesc parses a descriptor into desc's storage where it is large
 // enough (a recycled message record's), else into an allocation of its own.
-func decodeRelDesc(b []byte, desc []mad.BlockDesc) (mtu int, _ []mad.BlockDesc, ok bool) {
-	if len(b) < 8 {
-		return 0, nil, false
+func decodeRelDesc(b []byte, desc []mad.BlockDesc) ([]mad.BlockDesc, bool) {
+	if len(b) < 4 || len(b) != relDescLen(int(binary.LittleEndian.Uint32(b))) {
+		return nil, false
 	}
-	mtu = int(binary.LittleEndian.Uint32(b[0:]))
-	if mtu <= 0 {
-		// A zero MTU from the wire would drive the receiver's
-		// per-fragment loop with a degenerate step — reject it here,
-		// like any other malformed descriptor (found by FuzzRelDesc).
-		return 0, nil, false
-	}
-	n := int(binary.LittleEndian.Uint32(b[4:]))
-	if len(b) != 8+6*n {
-		return 0, nil, false
-	}
+	n := (len(b) - 4) / 6
 	desc = slices.Grow(desc[:0], n)[:n]
-	off := 8
+	off := 4
 	for i := range desc {
 		desc[i] = mad.BlockDesc{
 			Size: int(binary.LittleEndian.Uint32(b[off:])),
@@ -347,7 +283,7 @@ func decodeRelDesc(b []byte, desc []mad.BlockDesc) (mtu int, _ []mad.BlockDesc, 
 		}
 		off += 6
 	}
-	return mtu, desc, true
+	return desc, true
 }
 
 // relMeta is the link-layer metadata of one reliable packet: a single-block,
@@ -358,19 +294,19 @@ func relMeta(kind mad.Kind) mad.TxMeta {
 	return mad.TxMeta{SOM: true, Reliable: true, Owned: true, Kind: kind}
 }
 
-// relAckKey identifies one packet for hop acknowledgement: who originated
-// the message, which message, which fragment.
-type relAckKey struct {
-	origin mad.Rank
-	id     uint64
-	frag   uint32
+// linkSeq names one transfer: the link it left on and the sequence number
+// the link stamped on it. A hop ack names the transfer it acknowledges, so a
+// retransmission, or a second sender of the same packet, is awaited apart.
+type linkSeq struct {
+	link *mad.Link
+	seq  uint64
 }
 
 // relPend is a reverse link's pending hop acks, in first until they outgrow
 // it.
 type relPend struct {
-	keys  []relAckKey
-	first [8]relAckKey
+	seqs  []uint64
+	first [8]uint64
 }
 
 // relMsgKey identifies one message.
@@ -394,6 +330,7 @@ type relAwait struct {
 	idx    uint32     // the slot's index in relEngine.awaits, plus one
 	gen    uint32     // bumped whenever the slot is re-armed or released
 	sentAt vtime.Time // deliverBurst: when the packet last went out
+	seq    uint64     // deliverBurst: the sequence number it went out under
 }
 
 // awaitTimeout fires in scheduler context when a wait runs out: arg is the
@@ -501,14 +438,13 @@ type relEngine struct {
 	node *mad.Node
 	rng  relRand // decorrelated-jitter state, seeded from the node name
 
-	acks map[relAckKey]*relAwait
+	acks map[linkSeq]*relAwait
 	e2e  map[relMsgKey]*relAwait
 	rx   map[relMsgKey]*heldMsg // messages under reassembly, each in the record its sink reads
 	done map[mad.Rank]*relDoneWindow
 
 	// pend accumulates hop acknowledgements per reverse link until a
-	// flush (or the batch cap) drains them into one control datagram —
-	// or a data packet headed the same way piggybacks them first.
+	// flush (or the batch cap) drains them into one control datagram.
 	pend map[*mad.Link]*relPend
 
 	// Every completion slot the engine made, by index, and the one timeout
@@ -560,13 +496,6 @@ func (e *relEngine) down(now vtime.Time) bool {
 }
 
 func (e *relEngine) sim() *vtime.Sim { return e.vc.sess.Platform.Sim }
-
-// corruptDrop counts a datagram that failed its checks and records it on the
-// node's flight ring, the checksum-drop mark of its "rel:<node>" lane.
-func (e *relEngine) corruptDrop(p *vtime.Proc, in *mad.Link, pkt []byte) {
-	e.flight().Record(flight.KindCorruptDrop, p.Now(), 0, 0, len(pkt), in.Channel.Network().Name)
-	e.count(relChecksumDrops, 1)
-}
 
 // flight returns this node's flight-recorder ring, resolved lazily so a
 // recorder armed after Build is still picked up, then cached.
@@ -638,7 +567,7 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			vc:       vc,
 			node:     node,
 			rng:      seedRelRand(n.Name),
-			acks:     make(map[relAckKey]*relAwait),
+			acks:     make(map[linkSeq]*relAwait),
 			e2e:      make(map[relMsgKey]*relAwait),
 			rx:       make(map[relMsgKey]*heldMsg),
 			done:     make(map[mad.Rank]*relDoneWindow),
@@ -703,7 +632,7 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	}
 	desc := e.vc.bufs.Get(relDescLen(len(blocks)))
 	defer e.vc.bufs.Put(desc)
-	putRelDesc(desc, mtu, blocks)
+	putRelDesc(desc, blocks)
 	m := e.outFree.get()
 	defer e.freeOut(m)
 	m.id, m.dst, m.final = id, dst, e.vc.NodeRank(dst)
@@ -721,10 +650,11 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		panic("fwd: reliable fragment count out of step with ForEachFragment")
 	}
 
-	if rails != nil {
-		// Every attempt splits the packets alike, so the message is planned,
-		// counted and recorded once.
-		e.vc.planStripe(p, &m.plan, id, e.node.Name, dst, rails, 0, m.ds)
+	// Every attempt splits the packets alike, so the message is planned,
+	// counted and recorded once; one that gives fewer than two rails payload
+	// goes on the table route.
+	if rails != nil && !e.vc.planStripe(p, &m.plan, id, e.node.Name, dst, rails, 0, m.ds) {
+		rails = nil
 	}
 	mkey := relMsgKey{origin: e.node.Rank, id: id}
 	reason := "timeout"
@@ -1031,16 +961,13 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 	link := e.vc.regular[hop.Network].Link(e.node.Rank, e.vc.NodeRank(hop.To))
 	aws := s.aws[:len(ds)]
 	for i := range ds {
-		aw := e.newAwait()
-		aws[i] = aw
-		e.acks[ds[i].key()] = aw
-		aw.sentAt = p.Now()
-		e.sendData(p, link, &ds[i], i == len(ds)-1)
+		aws[i] = e.newAwait()
+		e.sendData(p, link, &ds[i], aws[i], i == len(ds)-1)
 		e.hop(p, ds[i].id, "hop", hopDetail(&ds[i], hop), len(ds[i].payload))
 	}
 	hopDead := false
 	for i := range ds {
-		d, key, aw := &ds[i], ds[i].key(), aws[i]
+		d, aw := &ds[i], aws[i]
 		// Once the neighbour has blown a retry budget this burst, the rest
 		// burn no more simulated time: only acks that raced in count.
 		ok := aw.done && aw.ok
@@ -1066,18 +993,15 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 			}
 			e.count(relRetransmits, 1)
 			e.hop(p, d.id, "rexmit", hopDetail(d, hop), len(d.payload))
-			// The timed-out slot starts over (a late ack of the first
-			// transmission settles the retransmission just as well) and goes
-			// back under the key, which another sender of the same packet may
-			// have taken over meanwhile.
+			// The retransmission is a transfer of its own, awaited under its
+			// sequence number: a late ack of the timed-out one settles nothing.
+			delete(e.acks, linkSeq{link, aw.seq})
 			aw.rearm()
-			e.acks[key] = aw
-			aw.sentAt = p.Now()
-			e.sendData(p, link, d, true)
+			e.sendData(p, link, d, aw, true)
 			to = e.nextTimeout(to)
 		}
 		sentAt := aw.sentAt
-		dropAwait(e, e.acks, key, aw)
+		dropAwait(e, e.acks, linkSeq{link, aw.seq}, aw)
 		if ok {
 			mon.ReportSuccess(edge, p.Now().Sub(sentAt), p.Now())
 		} else {
@@ -1097,13 +1021,14 @@ func hopDetail(d *relData, hop route.Hop) obs.Detail {
 	return obs.Detail{Form: "frag ${a} -> ${peer} via ${net}", A: int(d.frag), Peer: hop.To, Net: hop.Network}
 }
 
-// sendData encodes and transmits one packet over one link, piggybacking
-// whatever hop acknowledgements are pending for that link. Encoding happens
-// here, at transmission time, so retransmissions carry fresh piggybacked
-// acks too — into a buffer from the virtual channel's free list, which the
-// link hands to the receiver; it comes back here only when the packet never
-// left (a drop verdict or a cancelled flow).
-func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bool) {
+// sendData encodes one packet into a buffer from the virtual channel's free
+// list, which the link hands to the receiver, transmits it over link, and
+// files aw under the transfer's sequence number, where its hop ack finds it.
+// Encoding happens here, at transmission time, as the flush flag is per hop;
+// the buffer comes back here only when the packet never left (a drop verdict
+// or a cancelled flow).
+func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, aw *relAwait, flush bool) {
+	aw.sentAt = p.Now()
 	kind := mad.KindRel
 	if d.frag == e2eFrag {
 		kind = mad.KindRelE2E
@@ -1116,25 +1041,15 @@ func (e *relEngine) sendData(p *vtime.Proc, link *mad.Link, d *relData, flush bo
 	if flush {
 		flags |= relFlagFlush
 	}
-	// The hop acks pending for where the packet goes ride in its trailer,
-	// each saving a standalone ack: fewer than relAckBatchMax, as hopAck
-	// sends a full batch at once.
-	r := e.pend[link]
-	var acks []relAckKey
-	if r != nil {
-		acks = r.keys
-		e.count(relAcksCoalesced, int64(len(acks)))
-	}
-	pkt := e.vc.bufs.Get(relDataLen(len(d.payload), len(acks)))
-	putRelData(pkt, d, flags, acks)
-	if r != nil {
-		r.keys = r.keys[:0]
-	}
+	pkt := e.vc.bufs.Get(relDataLen(len(d.payload)))
+	putRelData(pkt, d, flags)
 	link.Acquire(p)
 	t0 := p.Now()
-	if !link.Send(p, relMeta(kind), pkt) {
+	seq, sent := link.Send(p, relMeta(kind), pkt)
+	if !sent {
 		e.vc.bufs.Put(pkt)
 	}
+	aw.seq, e.acks[linkSeq{link, seq}] = seq, aw
 	e.flight().Record(flight.KindSend, p.Now(), vtime.Since(p.Now(), t0), d.id, len(d.payload), link.Channel.Network().Name)
 	link.Release(p)
 }
@@ -1150,13 +1065,10 @@ func (e *relEngine) newAwait() *relAwait {
 }
 
 // dropAwait takes a slot nobody waits on any more out of the map it was
-// registered in — unless another sender's slot has replaced it under the
-// same key — and recycles it. A timeout still scheduled for it finds the
+// registered in and recycles it. A timeout still scheduled for it finds the
 // generation moved on.
 func dropAwait[K comparable](e *relEngine, m map[K]*relAwait, key K, aw *relAwait) {
-	if m[key] == aw {
-		delete(m, key)
-	}
+	delete(m, key)
 	aw.rearm()
 	e.awFree.put(aw)
 }
@@ -1216,39 +1128,34 @@ func (e *relEngine) handle(p *vtime.Proc, in *mad.Link) {
 	meta, pkt := in.Recv(p)
 	switch meta.Kind {
 	case mad.KindRel, mad.KindRelE2E:
-		e.handleData(p, in, pkt)
+		e.handleData(p, in, meta.Seq, pkt)
 	case mad.KindRelAck:
-		e.handleAck(p, in, pkt)
+		e.handleAck(in, pkt)
 		e.vc.bufs.Put(pkt)
 	case mad.KindHealth:
-		e.handleHealth(p, in, pkt)
+		e.handleHealth(in, pkt)
 		e.vc.bufs.Put(pkt)
 	default:
-		// A kind the engine does not speak is malformed, like a bad checksum.
+		// A kind the engine does not speak is malformed.
 		e.count(relChecksumDrops, 1)
 		e.vc.bufs.Put(pkt)
 	}
 }
 
-// handleData verifies, acknowledges and routes one data or end-to-end-ack
-// packet. It never parks: relays and acknowledgements are enqueued to the
-// node's daemons with non-blocking sends. The packet's buffer goes back to
-// the pool here unless the packet is kept: queued for relay, or stored as a
-// fragment of a message under reassembly. A packet naming a node the session
-// does not have is malformed, whatever its checksum says.
-func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
+// handleData checks, acknowledges and routes one data or end-to-end-ack
+// packet, the transfer seq of in. It never parks: relays and acknowledgements
+// are enqueued to the node's daemons with non-blocking sends. The packet's
+// buffer goes back to the pool here unless the packet is kept: queued for
+// relay, or stored as a fragment of a message under reassembly. A packet
+// naming a node the session does not have is malformed.
+func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, seq uint64, pkt []byte) {
 	d, ok := decodeRelData(pkt)
 	if n := mad.Rank(len(e.vc.sess.Nodes())); !ok || d.src >= n || d.dst >= n {
-		e.corruptDrop(p, in, pkt)
+		e.count(relChecksumDrops, 1)
 		e.vc.bufs.Put(pkt)
 		return // no ack: the sender retransmits
 	}
 	d.buf = pkt
-	// Piggybacked hop acks ride in the data trailer; settle them first so
-	// a blocked sender wakes even if this packet is otherwise a duplicate.
-	for off := 0; off < len(d.acks); off += relAckEntry {
-		complete(e.acks[getAckEntry(d.acks[off:])])
-	}
 	if d.dst != e.node.Rank {
 		ingress := e.vc.sess.Node(in.Src.Rank).Name
 		finalName := e.vc.sess.Node(d.dst).Name
@@ -1266,11 +1173,11 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 			e.vc.bufs.Put(pkt)
 			return // backpressure: no ack until the queue drains
 		}
-		e.hopAck(in, &d)
+		e.hopAck(in, seq, d.flags)
 		return
 	}
 	if d.frag == e2eFrag {
-		e.hopAck(in, &d)
+		e.hopAck(in, seq, d.flags)
 		if aw := e.e2e[relMsgKey{origin: d.src, id: d.id}]; aw != nil {
 			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
 			complete(aw)
@@ -1278,7 +1185,7 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 		e.vc.bufs.Put(pkt)
 		return
 	}
-	if !e.acceptLocal(p, in, &d) {
+	if !e.acceptLocal(p, in, seq, &d) {
 		e.vc.bufs.Put(pkt)
 	}
 }
@@ -1289,14 +1196,14 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, pkt []byte) {
 // buffer — was kept. A fragment that would complete a message while the
 // application leaves the merged queue full is refused like a relay admission:
 // neither stored nor acknowledged, so the origin's ARQ sends it again.
-func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
+func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, seq uint64, d *relData) bool {
 	mkey := relMsgKey{origin: d.src, id: d.id}
 	h := e.rx[mkey]
 	if e.vc.merged[e.node.Rank].Len() >= mergedCap && completes(h, d) {
 		e.count(relBackpressure, 1)
 		return false
 	}
-	e.hopAck(in, d)
+	e.hopAck(in, seq, d.flags)
 	if e.done[d.src].has(d.id) {
 		// The whole message already arrived; the origin is resending
 		// because our end-to-end ack got lost. Re-ack.
@@ -1341,8 +1248,8 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 		payload += len(f)
 	}
 	if !e.seal(h) {
-		// CRC-valid fragments that disagree with their descriptor: dropped
-		// unacked, so the origin's resends end in a DeliveryError.
+		// Fragments that disagree with their descriptor: dropped unacked,
+		// so the origin's resends end in a DeliveryError.
 		e.count(relChecksumDrops, 1)
 		e.hop(p, d.id, "corrupt-drop", obs.Detail{Note: "fragments disagree with the descriptor"}, payload)
 		e.vc.release(h)
@@ -1360,16 +1267,16 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d *relData) bool {
 	return true
 }
 
-// seal checks a complete message in place: the fragment-0 descriptor's MTU
-// must be the header's, an aggregate frame one block, and the fragments past
-// it exactly those the blocks cut at that MTU, so the sink trusts them. It
+// seal checks a complete message in place: an aggregate frame is one block,
+// and the fragments past the fragment-0 descriptor are exactly those its
+// blocks cut at the headers' MTU, so the sink trusts them. It
 // moves the payload fragments the sink reads to the front of frags — fragment
 // 0 and an empty block's fragment go — while bufs keeps every datagram for
 // release.
 func (e *relEngine) seal(h *heldMsg) bool {
-	mtu, desc, ok := decodeRelDesc(h.frags[0], h.blocks)
-	ok = ok && mtu == h.mtu && (!h.agg || len(desc) == 1)
-	frags, next := h.frags[:0], 1 // frags is written behind next
+	desc, ok := decodeRelDesc(h.frags[0], h.blocks)
+	ok = ok && (!h.agg || len(desc) == 1)
+	mtu, frags, next := h.mtu, h.frags[:0], 1 // frags is written behind next
 	for i := 0; ok && i < len(desc); i++ {
 		b := desc[i]
 		for off := 0; ok && (off == 0 || off < b.Size); off += mtu { // an empty block is one empty fragment
@@ -1418,26 +1325,25 @@ func (e *relEngine) evictOldestRx(p *vtime.Proc) {
 	e.hop(p, victim.id, "evict", obs.Detail{Form: "partial reassembly evicted at cap ${a}", A: relRxCap}, 0)
 }
 
-// hopAck records the hop acknowledgement of one packet against its reverse
-// link. The entry sits in the link's pending batch, where a data packet
-// headed the same way may piggyback it, until the sender's flush flag (the
-// last packet of its burst) or the batch cap sends the batch as one ack
-// datagram.
-func (e *relEngine) hopAck(in *mad.Link, d *relData) {
+// hopAck records the hop acknowledgement of transfer seq of in, a packet
+// flagged flags, against the reverse link. The entry sits in the link's
+// pending batch until the sender's flush flag (the last packet of its burst)
+// or the batch cap sends the batch as one ack datagram.
+func (e *relEngine) hopAck(in *mad.Link, seq uint64, flags uint8) {
 	back := in.Channel.Link(e.node.Rank, in.Src.Rank)
 	r := e.pend[back]
 	if r == nil {
 		r = new(relPend)
-		r.keys = r.first[:0]
+		r.seqs = r.first[:0]
 		e.pend[back] = r
 	}
-	if r.keys = append(r.keys, d.key()); d.flags&relFlagFlush == 0 && len(r.keys) < relAckBatchMax {
+	if r.seqs = append(r.seqs, seq); flags&relFlagFlush == 0 && len(r.seqs) < relAckBatchMax {
 		return
 	}
-	n := len(r.keys)
+	n := len(r.seqs)
 	pkt := e.vc.bufs.Get(relAcksLen(n))
-	putRelAcks(pkt, r.keys)
-	r.keys = r.keys[:0]
+	putRelAcks(pkt, r.seqs)
+	r.seqs = r.seqs[:0]
 	e.count(relAckPackets, 1)
 	if n > 1 {
 		e.count(relAcksCoalesced, int64(n-1))
@@ -1468,15 +1374,17 @@ func (e *relEngine) enqueueRelay(it relayItem) bool {
 	return true
 }
 
-// handleAck completes the awaited slots of one batched acknowledgement.
-func (e *relEngine) handleAck(p *vtime.Proc, in *mad.Link, pkt []byte) {
-	entries, ok := decodeRelAcks(pkt)
+// handleAck completes the awaited slots of one batched acknowledgement, which
+// came in on in and so names transfers that left on the reverse link.
+func (e *relEngine) handleAck(in *mad.Link, pkt []byte) {
+	seqs, ok := decodeRelAcks(pkt)
 	if !ok {
-		e.corruptDrop(p, in, pkt)
+		e.count(relChecksumDrops, 1)
 		return // the senders' retransmissions ask again
 	}
-	for off := 0; off < len(entries); off += relAckEntry {
-		complete(e.acks[getAckEntry(entries[off:])])
+	out := in.Channel.Link(e.node.Rank, in.Src.Rank)
+	for off := 0; off < len(seqs); off += relAckEntry {
+		complete(e.acks[linkSeq{out, binary.LittleEndian.Uint64(seqs[off:])}])
 	}
 }
 
@@ -1584,8 +1492,7 @@ type AckStats struct {
 	// Packets is how many standalone acknowledgement datagrams were sent.
 	Packets int64
 	// Coalesced is how many individual hop acknowledgements avoided their
-	// own datagram — by riding in a batch (n-1 of a batch of n) or by
-	// piggybacking on a reverse-direction data packet (all n).
+	// own datagram by riding in a batch: n-1 of a batch of n.
 	Coalesced int64
 }
 
@@ -1606,12 +1513,16 @@ func (vc *VirtualChannel) AckStats() AckStats {
 // DeliveryStats sums the reliability counters over every node. Zero-valued in
 // streaming (non-reliable) mode.
 func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
+	drops := vc.relCount(relChecksumDrops)
+	for _, ch := range vc.regular {
+		drops += ch.ChecksumDrops()
+	}
 	return DeliveryStats{
 		Retransmits:    vc.relCount(relRetransmits),
 		Failovers:      vc.relCount(relFailovers),
 		MessageResends: vc.relCount(relMsgResends),
 		Duplicates:     vc.relCount(relDuplicates),
-		ChecksumDrops:  vc.relCount(relChecksumDrops),
+		ChecksumDrops:  drops,
 		RelayDrops:     vc.relCount(relRelayDrops),
 	}
 }

@@ -47,6 +47,7 @@ package fwd
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"madgo/internal/flight"
@@ -283,10 +284,12 @@ type stripePlan struct {
 // planStripe splits one striped message over the pair's rails in proportion
 // to their static bottleneck rates (a rail's measured goodput is not its
 // capacity, DESIGN.md §30), counts it and records the split. A streaming
-// message divides its total bytes; a reliable one divides its packets pkts,
-// and a rail's span is its packets' payload, fragment 0's descriptor not
-// counted.
-func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, src, dst string, rails []route.Route, total int64, pkts []relData) {
+// message divides its total bytes; a reliable one divides the payload of its
+// packets past fragment 0, each packet going to the rail its middle byte falls
+// to, and fragment 0, the descriptor, rides the first run. It reports whether
+// two rails or more got a share: a message that leaves fewer goes on the table
+// route, neither counted nor recorded.
+func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, src, dst string, rails []route.Route, total int64, pkts []relData) bool {
 	k := len(rails)
 	if cap(pl.spans) < k {
 		pl.rates, pl.quotas, pl.spans = make([]float64, k), make([]int64, k), make([]int64, k)
@@ -295,31 +298,40 @@ func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, s
 	for i, r := range rails {
 		pl.rates[i] = vc.routeRate(r)
 	}
-	units := total
-	if pkts != nil {
-		units = int64(len(pkts))
-	}
-	computeSpans(units, pl.rates, pl.quotas)
-	total, pl.active = 0, 0
-	for i, q := range pl.quotas {
-		pl.spans[i] = q
-		if pkts != nil {
-			pl.spans[i] = 0
-			for _, d := range pkts[:q] {
-				if d.frag > 0 {
-					pl.spans[i] += int64(len(d.payload))
-				}
-			}
-			pkts = pkts[q:]
+	reliable := pkts != nil
+	if reliable {
+		pkts, total = pkts[1:], 0
+		for _, d := range pkts {
+			total += int64(len(d.payload))
 		}
-		total += pl.spans[i]
-		if q > 0 {
+	}
+	computeSpans(total, pl.rates, pl.spans)
+	pl.active = 0
+	var cut, at int64 // the end of the rails' spans so far; the payload before pkts
+	for i, span := range pl.spans {
+		pl.quotas[i] = span
+		if reliable {
+			// The rail takes the packets whose middle byte lies in its span.
+			cut, pl.quotas[i], pl.spans[i] = cut+span, 0, 0
+			for ; len(pkts) > 0 && 2*at+int64(len(pkts[0].payload)) <= 2*cut; pkts = pkts[1:] {
+				n := int64(len(pkts[0].payload))
+				at, pl.quotas[i], pl.spans[i] = at+n, pl.quotas[i]+1, pl.spans[i]+n
+			}
+		}
+		if pl.quotas[i] > 0 {
 			pl.active++
 		}
+	}
+	if pl.active < 2 {
+		return false
+	}
+	if reliable { // fragment 0 rides the first run
+		pl.quotas[slices.IndexFunc(pl.quotas, func(q int64) bool { return q > 0 })]++
 	}
 	vc.noteStripePlan(src, dst, pl.spans, total)
 	vc.hop(p, id, src, "stripe",
 		obs.Detail{Form: stripeSplit, Peer: dst, A: pl.active, Note: spansText(vc.metrics(), pl.spans)}, int(total))
+	return true
 }
 
 // noteStripePlan records one scheduling decision: it counts the striped

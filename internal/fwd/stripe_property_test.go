@@ -161,9 +161,22 @@ func TestStripeDeliveryProperty(t *testing.T) {
 			return false
 		}
 		st := w.vc.StripeStats()
-		if rails >= 2 && k >= 2 && n >= fwd.DefaultStripeThreshold && st.Messages == 0 {
+		// A reliable message is striped only when two rails get payload
+		// packets, which two packets' worth a rail guarantees; and then two
+		// rails carry it.
+		if rails >= 2 && k >= 2 && n >= fwd.DefaultStripeThreshold && (!reliable || n >= 2*rails*mtu) && st.Messages == 0 {
 			t.Logf("seed %d (rails %d k %d n %d): striping-eligible message was not striped",
 				seed, rails, k, n)
+			return false
+		}
+		used := 0
+		for _, b := range st.RailBytes {
+			if b > 0 {
+				used++
+			}
+		}
+		if reliable && !crash && st.Messages > 0 && used < 2 {
+			t.Logf("seed %d (rails %d k %d n %d): striped with payload on %d rails: %v", seed, rails, k, n, used, st.RailBytes)
 			return false
 		}
 		if crash && st.RailFailovers == 0 {

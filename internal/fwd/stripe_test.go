@@ -402,33 +402,49 @@ func TestStripeBelowThresholdTakesEagerFraming(t *testing.T) {
 // awareness. These tests pin byte-exactness clean, under loss, and across
 // a rail's death, which re-routes its run like any other burst.
 
+// The split divides a message's payload packets, and fragment 0, the block
+// descriptor, rides the first run: a message over the threshold in one payload
+// packet would give one rail the descriptor alone, so it takes the table route
+// and is neither a striped message nor rail bytes. Until the split counted
+// payload packets only, it was striped as [0 20235] and counted.
 func TestReliableStripedIntact(t *testing.T) {
-	w := buildFaulty(t, dualRail(t), nil, nil, stripeCfg(2))
-	blocks := []block{{pattern(128*1024, 11), mad.SendCheaper, mad.ReceiveCheaper}}
-	got, fwded, _ := sendRecv(t, w, "a", "b", blocks)
-	if !bytes.Equal(got[0], blocks[0].data) {
-		t.Error("reliable striped payload corrupted")
-	}
-	if fwded {
-		t.Error("direct rails marked forwarded")
-	}
-	st := w.vc.StripeStats()
-	if st.Messages != 1 {
-		t.Errorf("striped %d messages, want 1", st.Messages)
-	}
-	if st.RailFailovers != 0 {
-		t.Errorf("clean run failed over %d rails", st.RailFailovers)
-	}
-	// RailBytes is payload: fragment 0, the block descriptor, is not counted.
-	var railBytes int64
-	for _, n := range st.RailBytes {
-		railBytes += n
-	}
-	if railBytes != int64(len(blocks[0].data)) {
-		t.Errorf("rails carried %d bytes of %d sent: %v", railBytes, len(blocks[0].data), st.RailBytes)
-	}
-	if ds := w.vc.DeliveryStats(); ds != (fwd.DeliveryStats{}) {
-		t.Errorf("fault-free delivery stats not all zero: %+v", ds)
+	for _, c := range []struct {
+		name    string
+		size    int
+		striped int64 // messages, and the payload they put on the rails
+	}{
+		{"two rails", 128 * 1024, 1},
+		{"one payload packet", 20_235, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := buildFaulty(t, dualRail(t), nil, nil, stripeCfg(2))
+			blocks := []block{{pattern(c.size, 11), mad.SendCheaper, mad.ReceiveCheaper}}
+			got, fwded, _ := sendRecv(t, w, "a", "b", blocks)
+			if !bytes.Equal(got[0], blocks[0].data) {
+				t.Error("reliable striped payload corrupted")
+			}
+			if fwded {
+				t.Error("direct rails marked forwarded")
+			}
+			st := w.vc.StripeStats()
+			if st.Messages != c.striped {
+				t.Errorf("striped %d messages, want %d", st.Messages, c.striped)
+			}
+			if st.RailFailovers != 0 {
+				t.Errorf("clean run failed over %d rails", st.RailFailovers)
+			}
+			// RailBytes is payload: fragment 0, the block descriptor, is not counted.
+			var railBytes int64
+			for _, n := range st.RailBytes {
+				railBytes += n
+			}
+			if railBytes != c.striped*int64(c.size) {
+				t.Errorf("rails carried %d bytes of %d sent: %v", railBytes, c.size, st.RailBytes)
+			}
+			if ds := w.vc.DeliveryStats(); ds != (fwd.DeliveryStats{}) {
+				t.Errorf("fault-free delivery stats not all zero: %+v", ds)
+			}
+		})
 	}
 }
 
@@ -579,13 +595,15 @@ func TestReliableStripedFailover(t *testing.T) {
 }
 
 // TestReliableStripeKeepsBothRails is prod_lossy_mix's rail trace as a test
-// (DESIGN.md §28): a reliable K=2 pair through two gateways whose first striped
-// transfer is an aggregate frame just over DefaultStripeThreshold — two packets, the
-// 14-byte descriptor and the frame — followed by 190 KB messages. Each rail
-// must carry at least 40 % of the bytes. When the reliable split followed the
-// rails' measured goodput, the descriptor-only rail measured about 1 MB/s,
-// got a quota of no packets from then on and was never measured again: it
-// carried about 0 %.
+// (DESIGN.md §28): a reliable K=2 pair through two gateways whose first
+// transfers are aggregate frames of 1 100 B messages — two packets each, the
+// descriptor and the frame, the one that reaches DefaultStripeThreshold as
+// well — followed by 190 KB messages. Only the large messages are striped: a
+// frame of one payload packet takes the table route. Each rail must carry at
+// least 40 % of the bytes. When the reliable split followed the rails'
+// measured goodput, the rail a frame's split left the descriptor alone on
+// measured about 1 MB/s, got a quota of no packets from then on and was never
+// measured again: it carried about 0 %.
 func TestReliableStripeKeepsBothRails(t *testing.T) {
 	cfg := stripeCfg(2)
 	cfg.Eager = true
@@ -621,16 +639,13 @@ func TestReliableStripeKeepsBothRails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range reg.Hops() {
-		if h.Op == "stripe" {
-			if h.Bytes < fwd.DefaultStripeThreshold || h.Bytes > cfg.MTU {
-				t.Fatalf("the first striped transfer is %d bytes, not an aggregate frame of one fragment", h.Bytes)
-			}
-			break
+		if h.Op == "stripe" && h.Bytes != 190_000 {
+			t.Errorf("a %d-byte transfer was striped, not a large message", h.Bytes)
 		}
 	}
 	st := w.vc.StripeStats()
-	if st.Messages != 21 {
-		t.Errorf("striped %d transfers, want 21: one frame and 20 large messages", st.Messages)
+	if st.Messages != 20 {
+		t.Errorf("striped %d transfers, want the 20 large messages", st.Messages)
 	}
 	total := st.RailBytes[0] + st.RailBytes[1]
 	for rail := 0; rail < 2; rail++ {

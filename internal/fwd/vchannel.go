@@ -791,12 +791,11 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
 		}
 		vc.rel[node.Name].sendMessage(p, dst, x.blks, x.id, flags, rails)
 		vc.bufs.Put(x.wire)
-	case rails != nil:
+	case rails != nil && vc.planStripe(p, &x.plan, x.id, node.Name, dst, rails, int64(x.total), nil):
 		if x.wire != nil {
 			vc.aggst.striped[x.id] = x.wire
 		}
 		x.rails = rails
-		vc.planStripe(p, &x.plan, x.id, node.Name, dst, rails, int64(x.total), nil)
 		vc.runRails(p, node, x, len(rails))
 	case x.wire != nil:
 		// The header goes into the frame's reserved prefix; the frame and a

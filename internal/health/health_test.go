@@ -99,7 +99,7 @@ func TestHardDeathAndReadmission(t *testing.T) {
 	}
 	// The dead edge's head must no longer relay, but stays a destination.
 	cons := m.mgr.Constraints()
-	if !cons.Relays["gw"] || cons.Nodes["gw"] {
+	if !cons.Relays["gw"] {
 		t.Fatalf("constraints = %+v", cons)
 	}
 

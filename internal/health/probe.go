@@ -2,13 +2,12 @@ package health
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 
 	"madgo/internal/vtime"
 )
 
 // Probe wire format — the payload of every heartbeat/probation packet the
-// forwarding layer exchanges on mad.KindHealth. Fixed 24 bytes:
+// forwarding layer exchanges on mad.KindHealth. Fixed 20 bytes:
 //
 //	off size field
 //	0   2    magic 0x4d48 ("MH", little-endian on the wire)
@@ -17,18 +16,18 @@ import (
 //	4   8    seq   — prober-chosen, echoed verbatim by the responder
 //	12  8    t0    — prober's virtual send time (ns), echoed verbatim,
 //	             so the RTT needs no responder clock
-//	20  4    CRC32 (IEEE) over bytes [0,20)
 //
-// A responder flips kind to response and returns seq/t0 untouched; the
-// prober matches responses to outstanding awaits by seq and derives the
-// round-trip from its own clock minus t0.
+// No checksum: a probe travels as a reliable transfer, which its link
+// delivers intact or discards (mad.Link). A responder flips kind to response
+// and returns seq/t0 untouched; the prober matches responses to outstanding
+// awaits by seq and derives the round-trip from its own clock minus t0.
 
 const (
 	// ProbeSize is the exact encoded length of a probe packet.
-	ProbeSize = 24
+	ProbeSize = 20
 
 	probeMagic   uint16 = 0x4d48
-	probeVersion byte   = 1
+	probeVersion byte   = 2
 )
 
 // ProbeKind distinguishes requests from responses.
@@ -46,7 +45,7 @@ type Probe struct {
 	T0   vtime.Time
 }
 
-// EncodeProbe renders p into its canonical 24-byte wire form.
+// EncodeProbe renders p into its canonical 20-byte wire form.
 func EncodeProbe(p Probe) []byte {
 	b := make([]byte, ProbeSize)
 	PutProbe(b, p)
@@ -62,11 +61,10 @@ func PutProbe(b []byte, p Probe) {
 	b[3] = byte(p.Kind)
 	binary.LittleEndian.PutUint64(b[4:], p.Seq)
 	binary.LittleEndian.PutUint64(b[12:], uint64(p.T0))
-	binary.LittleEndian.PutUint32(b[20:], crc32.ChecksumIEEE(b[:20]))
 }
 
 // DecodeProbe parses a probe packet. ok=false covers every malformation:
-// wrong length, magic, version or kind, and any checksum mismatch.
+// wrong length, magic, version or kind.
 func DecodeProbe(b []byte) (Probe, bool) {
 	if len(b) != ProbeSize {
 		return Probe{}, false
@@ -76,9 +74,6 @@ func DecodeProbe(b []byte) (Probe, bool) {
 	}
 	k := ProbeKind(b[3])
 	if k != ProbeReq && k != ProbeResp {
-		return Probe{}, false
-	}
-	if binary.LittleEndian.Uint32(b[20:]) != crc32.ChecksumIEEE(b[:20]) {
 		return Probe{}, false
 	}
 	return Probe{

@@ -2,6 +2,7 @@ package health
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,52 +30,27 @@ func TestProbeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProbeRejectsCorruption(t *testing.T) {
-	b := EncodeProbe(Probe{Kind: ProbeReq, Seq: 1, T0: 1})
-	for i := range b {
-		b[i] ^= 0xFF
-		if _, ok := DecodeProbe(b); ok {
-			t.Fatalf("probe decodes with byte %d flipped", i)
-		}
-		b[i] ^= 0xFF
-	}
-	if _, ok := DecodeProbe(b[:ProbeSize-1]); ok {
-		t.Fatal("short probe accepted")
-	}
-	if _, ok := DecodeProbe(append(b, 0)); ok {
-		t.Fatal("long probe accepted")
-	}
-	if _, ok := DecodeProbe(nil); ok {
-		t.Fatal("nil probe accepted")
-	}
-}
-
 // FuzzHealthProbe checks the probe codec's wire contract: decode never
-// panics, accepts exactly the encoder's output, and every accepted input
-// re-encodes byte for byte.
+// panics, accepts exactly the encoder's output — a probe-sized input with the
+// magic, the version and a known kind, whatever its seq and t0 — and every
+// accepted input re-encodes byte for byte. Integrity is the link's: a probe
+// its link corrupts never reaches the decoder (mad.Link).
 func FuzzHealthProbe(f *testing.F) {
 	for _, seed := range healthProbeSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := DecodeProbe(data)
+		wellFormed := len(data) == ProbeSize && binary.LittleEndian.Uint16(data) == probeMagic &&
+			data[2] == probeVersion && (ProbeKind(data[3]) == ProbeReq || ProbeKind(data[3]) == ProbeResp)
+		if ok != wellFormed {
+			t.Fatalf("decode of %x: ok %v, well-formed %v", data, ok, wellFormed)
+		}
 		if !ok {
 			return
 		}
-		if p.Kind != ProbeReq && p.Kind != ProbeResp {
-			t.Fatalf("accepted probe with illegal kind %d", p.Kind)
-		}
 		if re := EncodeProbe(p); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
-		}
-		// The CRC covers every header byte: any single-byte flip must be
-		// rejected.
-		for i := range data {
-			data[i] ^= 0xFF
-			if _, stillOK := DecodeProbe(data); stillOK {
-				t.Fatalf("probe still decodes with byte %d flipped", i)
-			}
-			data[i] ^= 0xFF
 		}
 	})
 }

@@ -120,6 +120,16 @@ func (ch *Channel) SendsFrom(src Rank) int64 {
 	return n
 }
 
+// ChecksumDrops returns the corrupt transfers the channel's links discarded at
+// delivery.
+func (ch *Channel) ChecksumDrops() int64 {
+	var n int64
+	for _, l := range ch.byNum {
+		n += l.drops.Count()
+	}
+	return n
+}
+
 // Arrival announces a message whose first transmission reached a node. The
 // metadata is available before the body is unpacked — this carries the
 // regular/forwarded note of §2.2.2. Notes queue by value; a consumer that

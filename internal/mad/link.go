@@ -49,8 +49,8 @@ type TxMeta struct {
 	Kind Kind
 	// Blocks describes the payload layout.
 	Blocks []BlockDesc
-	// Seq is the per-link sequence number (diagnostics; links are FIFO
-	// by construction).
+	// Seq is the per-link sequence number Send and SendControl stamp; it
+	// names one transfer on its link (links are FIFO by construction).
 	Seq uint64
 	// Reliable marks a transmission of the fwd reliability protocol: it
 	// always takes the plain eager path (no rendezvous or post gating,
@@ -102,10 +102,8 @@ type transmission struct {
 	granted    *postedRecv
 
 	// Fault verdicts, decided at send time so the injected randomness is
-	// consumed in deterministic scheduler order. corruptAt < 0 means no
-	// corruption.
-	dropped   bool
-	corruptAt int
+	// consumed in deterministic scheduler order.
+	dropped, corrupt bool
 
 	// selfDesc is the block descriptor of a Reliable datagram sent without
 	// one; meta.Blocks then points here until the record is recycled.
@@ -203,6 +201,7 @@ type Link struct {
 	// series (BindMetrics); the counters' series sum every link of the node.
 	sends, sendBytes obs.Counter
 	sendSeconds      *obs.Histogram
+	drops            obs.Counter // corrupt transfers discarded at delivery, Dst's series
 
 	// Wire events leave in the order they were queued — the wire latency
 	// is one constant per link — so they wait in a FIFO, and the channel's
@@ -297,6 +296,7 @@ func (l *Link) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&l.sends, "madgo_link_sends_total", labels)
 	m.BindCounter(&l.sendBytes, "madgo_link_send_bytes_total", labels)
 	l.sendSeconds = m.BindHistogram("madgo_link_send_seconds", labels)
+	m.BindCounter(&l.drops, "madgo_checksum_drops_total", obs.Labels{"node": l.Dst.Name})
 }
 
 // flight returns the source node's flight-recorder ring, looked up lazily
@@ -356,7 +356,7 @@ func (l *Link) newTx(meta TxMeta, data []byte) *transmission {
 	} else {
 		tx = new(transmission)
 	}
-	*tx = transmission{meta: meta, payload: data, corruptAt: -1}
+	*tx = transmission{meta: meta, payload: data}
 	return tx
 }
 
@@ -378,23 +378,23 @@ func (l *Link) recycle(tx *transmission) {
 // had posted). The data slice is referenced, not copied; the BMM layer has
 // already made any copies its policy requires.
 //
-// It reports whether the transmission is on its way to the receiver. False
-// only for a Reliable transmission the fault injector dropped or cancelled:
-// the buffer was not handed over and is still the caller's.
-func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) bool {
+// It returns the sequence number it stamped (TxMeta.Seq) and whether the
+// transmission is on its way to the receiver, which a Reliable one the fault
+// injector dropped or cancelled is not: its buffer is still the caller's.
+func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) (seq uint64, sent bool) {
 	l.sends.Add(1)
 	l.sendBytes.Add(int64(len(data)))
+	l.seq++
+	meta.Seq = l.seq
 	t0 := p.Now()
-	sent := l.send(p, meta, data)
+	sent = l.send(p, meta, data)
 	l.sendSeconds.ObserveDuration(vtime.Since(p.Now(), t0))
 	l.flight().Record(flight.KindWire, p.Now(), vtime.Since(p.Now(), t0), 0, len(data), l.Channel.net.Name)
-	return sent
+	return meta.Seq, sent
 }
 
 // send is the uninstrumented transmission path behind Send.
 func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) bool {
-	l.seq++
-	meta.Seq = l.seq
 	tx := l.newTx(meta, data)
 	if meta.Reliable && meta.Blocks == nil {
 		tx.selfDesc[0] = BlockDesc{Size: len(data), S: SendCheaper, R: ReceiveCheaper}
@@ -465,13 +465,13 @@ func (l *Link) judge(now vtime.Time, tx *transmission) {
 	if !tx.meta.Reliable || inj == nil {
 		return
 	}
-	v, pos := inj.Packet(l.Channel.net.Name, l.Src.Name, l.Dst.Name, now, len(tx.payload))
+	v, _ := inj.Packet(l.Channel.net.Name, l.Src.Name, l.Dst.Name, now, len(tx.payload))
 	switch v {
 	case fault.DropPacket:
 		tx.dropped = true
 		l.flight().Record(flight.KindDrop, now, 0, 0, len(tx.payload), l.Channel.net.Name)
 	case fault.CorruptPacket:
-		tx.corruptAt = pos
+		tx.corrupt = true
 		l.flight().Record(flight.KindCorrupt, now, 0, 0, len(tx.payload), l.Channel.net.Name)
 	}
 }
@@ -511,17 +511,6 @@ func (l *Link) SendControl(kind Kind, data []byte) bool {
 	l.ctlDue = max(due, l.ctlDue)
 	l.sim().AtArg(l.ctlDue, l.Channel.onWire, l.num<<1|1)
 	return true
-}
-
-// applyCorruption flips one byte of the receiver-side memory when the
-// send-time verdict said so. Only what the receiver sees is damaged — a
-// handed-over datagram is no longer the sender's, and its retransmission is
-// encoded afresh from a source the link never touches — like a wire-level
-// bit error.
-func applyCorruption(buf []byte, tx *transmission) {
-	if tx.meta.Reliable && tx.corruptAt >= 0 && len(buf) > 0 {
-		buf[tx.corruptAt%len(buf)] ^= 0xA5
-	}
 }
 
 func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
@@ -574,8 +563,21 @@ func (l *Link) landed(tx *transmission) []byte {
 }
 
 // deliver runs in scheduler context when a transmission (or rendezvous
-// request) becomes visible at the receiver.
+// request) becomes visible at the receiver. A Reliable transfer the injector
+// judged corrupt dies here, as at a NIC whose CRC fails: no receive sees it,
+// its credit and its Owned buffer come back, and the receiver counts and
+// records a checksum drop.
 func (l *Link) deliver(tx *transmission) {
+	if tx.corrupt {
+		l.releaseCredit(tx)
+		l.drops.Add(1)
+		l.Dst.Session.Platform.FlightRing(l.Dst.Name).Record(flight.KindCorruptDrop, l.sim().Now(), 0, 0, len(tx.payload), l.Channel.net.Name)
+		if tx.meta.Owned {
+			l.Channel.pool.Put(tx.payload)
+		}
+		l.recycle(tx)
+		return
+	}
 	if g := l.posted; g != nil {
 		l.posted = nil
 		g.tx = tx
@@ -588,14 +590,12 @@ func (l *Link) deliver(tx *transmission) {
 		} else {
 			if g.dst != nil && !l.nic.StaticBuffers {
 				l.place(g, tx.payload)
-				applyCorruption(g.dst[:len(tx.payload)], tx)
 			} else {
 				// A static-buffer NIC can only land data in its
 				// own slots; the posted receiver pays the copy
 				// out — the unavoidable copy of §2.3 when both
 				// gateway sides are static.
 				tx.slot = l.landed(tx)
-				applyCorruption(tx.slot, tx)
 			}
 			l.releaseCredit(tx)
 			g.w.Wake()
@@ -606,7 +606,6 @@ func (l *Link) deliver(tx *transmission) {
 	}
 	if !tx.rendezvous {
 		tx.slot = l.landed(tx)
-		applyCorruption(tx.slot, tx)
 		tx.dataReady = true
 	}
 	if !l.mailbox.TrySend(tx) {

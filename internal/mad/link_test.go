@@ -11,6 +11,7 @@ import (
 	"madgo/internal/flight"
 	"madgo/internal/hw"
 	"madgo/internal/mad"
+	"madgo/internal/obs"
 	"madgo/internal/vtime"
 )
 
@@ -367,17 +368,15 @@ func TestLinkAccessors(t *testing.T) {
 }
 
 // A Reliable transmission is a datagram in a buffer its sender gives away
-// (Owned): the receiver gets that very memory, described by the link itself,
-// and a corruption verdict damages it in place. Streaming transmissions of
-// memory their sender goes on using keep being copied.
+// (Owned): the receiver gets that very memory, described by the link itself.
+// Streaming transmissions of memory their sender goes on using keep being
+// copied.
 func TestLinkReliableHandsBufferOver(t *testing.T) {
-	sim, ab, _, sess := rawPair(loopback.New())
-	sess.Platform.ArmFaults(fault.New(fault.NewPlan(1).Corrupt("*", 1)))
+	sim, ab, _, _ := rawPair(loopback.New())
 	datagram := []byte("a datagram its sender never reads again")
-	clean := append([]byte(nil), datagram...)
 	streamed := []byte("memory the sender goes on using")
 	sim.Spawn("send", func(p *vtime.Proc) {
-		if !ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Owned: true, Kind: mad.KindRel}, datagram) {
+		if _, sent := ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Owned: true, Kind: mad.KindRel}, datagram); !sent {
 			t.Error("an undropped datagram was reported as not sent")
 		}
 		ab.Send(p, mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: len(streamed)}}}, streamed)
@@ -390,9 +389,6 @@ func TestLinkReliableHandsBufferOver(t *testing.T) {
 		if meta.Blocks != nil || !meta.Reliable || meta.Kind != mad.KindRel {
 			t.Errorf("handed-over metadata = %+v, want the link's own descriptor stripped", meta)
 		}
-		if bytes.Equal(slot, clean) {
-			t.Error("the corruption verdict did not reach the handed-over buffer")
-		}
 		_, slot = ab.Recv(p)
 		if &slot[0] == &streamed[0] || !bytes.Equal(slot, streamed) {
 			t.Error("a streaming transmission must land in driver memory, intact")
@@ -403,13 +399,70 @@ func TestLinkReliableHandsBufferOver(t *testing.T) {
 	}
 }
 
+// A Reliable transfer the injector judges corrupt dies at the receiving link,
+// as at a NIC whose CRC fails: neither a data datagram nor a control one ever
+// reaches Recv, each gives its credit back — more of them than the eager
+// window holds go out and a streaming transfer behind them still arrives — and
+// its buffer to the pool, and each is a KindCorruptDrop on the receiver's
+// flight ring and one count of madgo_checksum_drops_total{node} for it, which
+// the channel sums. Send still hands out a sequence number for each.
+func TestLinkDiscardsCorruptTransfers(t *testing.T) {
+	sim, ab, _, sess := rawPair(sisci.New())
+	sess.Platform.ArmFaults(fault.New(fault.NewPlan(1).Corrupt("*", 1)))
+	rec, m := flight.NewRecorder(64), obs.New()
+	sess.Platform.SetFlight(rec)
+	sess.Platform.SetMetrics(m)
+	pool := ab.Channel.Pool()
+	data := ab.NIC().EagerCredits + 1
+	streamed := []byte("streamed behind the corrupt ones")
+	sim.Spawn("send", func(p *vtime.Proc) {
+		for i := 1; i <= data; i++ {
+			seq, sent := ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Owned: true, Kind: mad.KindRel}, pool.Get(100))
+			if !sent || seq != uint64(i) {
+				t.Errorf("datagram %d: seq %d, sent %v", i, seq, sent)
+			}
+		}
+		if !ab.SendControl(mad.KindRelAck, pool.Get(9)) {
+			t.Error("a control datagram judged corrupt was reported as not sent")
+		}
+		ab.Send(p, mad.TxMeta{SOM: true, Blocks: []mad.BlockDesc{{Size: len(streamed)}}}, streamed)
+	})
+	sim.Spawn("recv", func(p *vtime.Proc) {
+		meta, slot := ab.Recv(p)
+		if meta.Reliable || !bytes.Equal(slot, streamed) {
+			t.Errorf("received %+v %q, want the streaming transfer", meta, slot)
+		}
+		pool.Put(slot)
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ab.TryRecvReady() {
+		t.Error("a corrupt transfer is waiting at the receiver")
+	}
+	drops := 0
+	for _, ev := range rec.Ring("b").Snapshot() {
+		if ev.Kind == flight.KindCorruptDrop {
+			drops++
+		}
+	}
+	want := data + 1
+	if drops != want || ab.Channel.ChecksumDrops() != int64(want) || m.Counter("madgo_checksum_drops_total", obs.Labels{"node": "b"}) != float64(want) {
+		t.Errorf("b recorded %d corrupt drops, the channel counted %d, the series %v; want %d",
+			drops, ab.Channel.ChecksumDrops(), m.Counter("madgo_checksum_drops_total", obs.Labels{"node": "b"}), want)
+	}
+	if l := pool.Ledger(); l.BufsTaken != l.BufsReturned {
+		t.Errorf("pool: %d buffers taken, %d returned", l.BufsTaken, l.BufsReturned)
+	}
+}
+
 // A dropped Reliable transmission never leaves: Send says so, and nothing
 // arrives — the buffer is still the sender's to reuse.
 func TestLinkReliableDropKeepsBuffer(t *testing.T) {
 	sim, ab, _, sess := rawPair(loopback.New())
 	sess.Platform.ArmFaults(fault.New(fault.NewPlan(1).Drop("*", 1)))
 	sim.Spawn("send", func(p *vtime.Proc) {
-		if ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Kind: mad.KindRel}, []byte("lost")) {
+		if _, sent := ab.Send(p, mad.TxMeta{SOM: true, Reliable: true, Kind: mad.KindRel}, []byte("lost")); sent {
 			t.Error("a dropped datagram was reported as sent")
 		}
 	})

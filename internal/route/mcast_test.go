@@ -141,8 +141,8 @@ func TestComputeMulticastErrors(t *testing.T) {
 	if _, err := tb.ComputeMulticast("a0", []string{"ghost"}); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("unknown dest: %v", err)
 	}
-	// A constrained table with the only gateway removed cannot span.
-	cons := ComputeConstrained(tb.topo, Constraints{Nodes: map[string]bool{"gw1": true}})
+	// A constrained table with the only gateway barred as a relay cannot span.
+	cons := ComputeConstrained(tb.topo, Constraints{Relays: map[string]bool{"gw1": true}})
 	if _, err := cons.ComputeMulticast("a0", []string{"c0"}); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("partitioned: %v", err)
 	}

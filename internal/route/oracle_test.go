@@ -29,21 +29,17 @@ type eagerTable struct {
 	topo   *topo.Topology
 	netIdx map[string]int
 	routes map[[2]string]Route
-	avoid  map[string]bool
 	avoidR map[string]bool
 	avoidE map[Edge]bool
 }
 
 func eagerConstrained(t *topo.Topology, c Constraints) *eagerTable {
 	tb := &eagerTable{topo: t, netIdx: make(map[string]int), routes: make(map[[2]string]Route),
-		avoid: c.Nodes, avoidR: c.Relays, avoidE: c.Edges}
+		avoidR: c.Relays, avoidE: c.Edges}
 	for i, n := range t.Networks() {
 		tb.netIdx[n.Name] = i
 	}
 	for _, src := range t.NodeNames() {
-		if tb.avoid[src] {
-			continue
-		}
 		tb.computeFrom(src)
 	}
 	return tb
@@ -65,7 +61,7 @@ func (tb *eagerTable) computeFrom(src string) {
 			for _, nw := range node.Networks {
 				net, _ := t.Network(nw)
 				for _, peer := range net.Members {
-					if peer == cur || tb.avoid[peer] {
+					if peer == cur {
 						continue
 					}
 					if tb.avoidE[Edge{From: cur, To: peer, Network: nw}] {
@@ -311,17 +307,11 @@ func meshTopology(rng *rand.Rand) *topo.Topology {
 	}
 }
 
-// randomConstraints excludes a random handful of nodes, relays and directed
-// edges (any of the three may stay nil).
+// randomConstraints excludes a random handful of relays and directed edges
+// (either may stay nil).
 func randomConstraints(rng *rand.Rand, tp *topo.Topology) Constraints {
 	var c Constraints
 	names := tp.NodeNames()
-	if rng.Intn(3) == 0 {
-		c.Nodes = map[string]bool{}
-		for i := rng.Intn(3); i >= 0; i-- {
-			c.Nodes[names[rng.Intn(len(names))]] = true
-		}
-	}
 	if rng.Intn(2) == 0 {
 		c.Relays = map[string]bool{}
 		for i := rng.Intn(3); i >= 0; i-- {

@@ -84,7 +84,6 @@ type Table struct {
 	topo   *topo.Topology
 	ix     *topo.Index
 	rows   [][]step // by source number; nil until first asked for
-	avoid  map[string]bool
 	avoidR map[string]bool
 	avoidE map[Edge]bool
 
@@ -100,23 +99,13 @@ type Table struct {
 // static configuration does), then by node name, so tables are
 // deterministic and symmetric paths mirror each other.
 func Compute(t *topo.Topology) *Table {
-	return ComputeAvoiding(t, nil)
-}
-
-// ComputeAvoiding builds a routing table that routes around the given set of
-// nodes: avoided nodes appear as neither source, destination nor intermediate
-// hop of any route. The reliability layer uses it to recompute paths once a
-// gateway is presumed dead; pairs that only connect through avoided nodes
-// simply come back unreachable from Lookup (ok=false), never as a panic.
-func ComputeAvoiding(t *topo.Topology, avoid map[string]bool) *Table {
-	return ComputeConstrained(t, Constraints{Nodes: avoid})
+	return ComputeConstrained(t, Constraints{})
 }
 
 // Constraints restricts which parts of the graph a table may route over.
+// Pairs that only connect through excluded parts come back unreachable from
+// Lookup (ok=false), never as a panic.
 type Constraints struct {
-	// Nodes are excluded entirely: neither source, destination nor
-	// intermediate hop of any route.
-	Nodes map[string]bool
 	// Relays are excluded as intermediate hops but stay valid
 	// destinations. The reliability layer puts a neighbour here after a
 	// failed burst: whether the node crashed or just one link to it died,
@@ -136,7 +125,7 @@ type Constraints struct {
 // reads one row of a 34-node table pays for one search, not 34. A table is
 // for one goroutine at a time, like everything under one simulation.
 func ComputeConstrained(t *topo.Topology, c Constraints) *Table {
-	return &Table{topo: t, ix: t.Index(), avoid: c.Nodes, avoidR: c.Relays, avoidE: c.Edges}
+	return &Table{topo: t, ix: t.Index(), avoidR: c.Relays, avoidE: c.Edges}
 }
 
 // step is how the search from a row's source first reached a node: from
@@ -171,9 +160,6 @@ func (tb *Table) rowOf(src int32) []step {
 func (tb *Table) searchFrom(src int32) []step {
 	ix := tb.ix
 	steps := make([]step, len(ix.Nodes))
-	if tb.avoid[ix.Nodes[src]] {
-		return steps
-	}
 	once := len(tb.avoidE) == 0
 	if tb.expanded == nil {
 		tb.expanded = make([]bool, len(ix.Nets))
@@ -193,7 +179,7 @@ func (tb *Table) searchFrom(src int32) []step {
 					continue
 				}
 				name := ix.Nodes[peer]
-				if tb.avoid[name] || !once && tb.avoidE[Edge{From: ix.Nodes[cur], To: name, Network: ix.Nets[k]}] {
+				if !once && tb.avoidE[Edge{From: ix.Nodes[cur], To: name, Network: ix.Nets[k]}] {
 					continue
 				}
 				steps[peer] = step{prev: cur, via: k, hops: hops}

@@ -196,9 +196,12 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// A table that bars a relay routes around it, as the health monitor's tables
+// bar a gateway whose links fail: every cross-cluster pair goes through the
+// other gateway, and barring both partitions the clusters. A barred relay
+// stays a source and a destination: only its links may have died.
 func TestComputeAvoiding(t *testing.T) {
-	// Two parallel gateways between the clusters: avoiding one must route
-	// every cross-cluster pair through the other.
+	// Two parallel gateways between the clusters.
 	tp, err := topo.NewBuilder().
 		Network("sci0", "sci").
 		Network("myri0", "myrinet").
@@ -221,35 +224,29 @@ func TestComputeAvoiding(t *testing.T) {
 		other = "g1"
 	}
 
-	avoided := ComputeAvoiding(tp, map[string]bool{preferred: true})
+	avoided := ComputeConstrained(tp, Constraints{Relays: map[string]bool{preferred: true}})
 	r, ok = avoided.Lookup("a0", "b0")
 	if !ok {
-		t.Fatalf("a0->b0 unroutable while avoiding %s", preferred)
+		t.Fatalf("a0->b0 unroutable while barring %s", preferred)
 	}
 	if gws := r.Gateways(); len(gws) != 1 || gws[0] != other {
-		t.Errorf("avoiding %s routed via %v, want [%s]", preferred, gws, other)
+		t.Errorf("barring %s routed via %v, want [%s]", preferred, gws, other)
 	}
 
-	// Avoiding both gateways partitions the clusters: the pair stays
-	// known (no panic) but unroutable.
-	none := ComputeAvoiding(tp, map[string]bool{"g1": true, "g2": true})
-	if _, ok := none.Lookup("a0", "b0"); ok {
-		t.Error("a0->b0 routable with every gateway avoided")
-	}
-	// Routes from an avoided node itself are dropped too.
-	if _, ok := none.Lookup("g1", "a0"); ok {
-		t.Error("route from an avoided source survived")
-	}
-	// ... and so are routes to it: a presumed-dead node receives nothing.
-	if _, ok := none.Lookup("a0", "g1"); ok {
-		t.Error("route to an avoided destination survived")
-	}
-	// Traffic between live nodes of one cluster is untouched.
+	// Barring both gateways partitions the clusters: the pair stays known
+	// (no panic) but unroutable.
+	none := ComputeConstrained(tp, Constraints{Relays: map[string]bool{"g1": true, "g2": true}})
 	if r, ok := none.Lookup("a0", "b0"); ok || len(r) != 0 {
 		t.Errorf("partitioned pair = %v, %v", r, ok)
 	}
+	for _, pair := range [][2]string{{"g1", "a0"}, {"a0", "g1"}, {"g1", "b0"}} {
+		if _, ok := none.Lookup(pair[0], pair[1]); !ok {
+			t.Errorf("%s->%s unroutable: a barred relay must stay a source and a destination", pair[0], pair[1])
+		}
+	}
 }
 
+// Empty constraints are no constraints.
 func TestComputeAvoidingNil(t *testing.T) {
 	tp, err := topo.NewBuilder().
 		Network("n0", "sci").
@@ -258,8 +255,9 @@ func TestComputeAvoidingNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ComputeAvoiding(tp, nil).String() != Compute(tp).String() {
-		t.Error("ComputeAvoiding(nil) differs from Compute")
+	empty := Constraints{Relays: map[string]bool{}, Edges: map[Edge]bool{}}
+	if ComputeConstrained(tp, empty).String() != Compute(tp).String() {
+		t.Error("a table under empty constraints differs from Compute")
 	}
 }
 

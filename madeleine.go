@@ -126,7 +126,7 @@ type (
 	// (messages striped, rebalances, rail failovers, per-rail bytes).
 	StripeStats = fwd.StripeStats
 	// AckStats aggregates the reliable mode's acknowledgement traffic
-	// (packets sent, entries coalesced, entries piggybacked on data).
+	// (ack datagrams sent, entries coalesced into them).
 	AckStats = fwd.AckStats
 	// FlowStats aggregates the relay schedulers' counters (rounds,
 	// backpressure refusals), which every gateway keeps.

@@ -81,6 +81,18 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // once its twelve madgo_flow_credits_* lines are set aside (five samples,
 // their five Prometheus lines and two TYPE lines); the striped and reliable
 // legs, which kept no credit account, stayed byte-identical.
+//
+// And an eighth time, when a reliable transfer's sequence number and checksum
+// became link framing (DESIGN.md §7): the streaming and striped legs stayed
+// byte-identical. On the reliable leg every datagram is shorter — no CRC, no
+// piggyback trailer, no MTU in the descriptor, a hop ack 8 bytes — so
+// transfers leave at other instants, the seeded fault plan's draws fall on
+// other transfers, and everything downstream (retransmits, acks, health
+// scores, the checksum drops the receiving links now count) reads
+// differently, with every message still delivered; and b1's 20 235-byte
+// message, one payload packet, takes the table route instead of a [0 20235]
+// split: madgo_stripe_messages_total reads 2, not 3, and b1's rail series is
+// gone.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
