@@ -266,7 +266,8 @@ stripe-gate: s1-gate
 # that takes a frame wakes the other, parked, to share it), and
 # the one send daemon a hop has (DESIGN.md §35): a node's own messages and the
 # ones it relays sharing it under loss, an end-to-end ack overtaking a bulk
-# message on it, and a striped send's rail runs re-routed off a dead rail, and
+# message on it, a striped send's rail runs and a whole message's pinned run
+# re-routed off a dead rail, and unstriped messages sharing a pair's rails, and
 # every multicast header a hop takes from the wire pool and the next returns
 # (DESIGN.md §37), and every stream shape through two gateways with each
 # descriptor pair its final receiver returns poisoned (DESIGN.md §43), and a
@@ -276,7 +277,7 @@ stripe-gate: s1-gate
 soak:
 	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
 	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestSinkSharesAFrameWithAParkedProcess$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$|^TestStreamShapesAcrossTwoGateways$$' -v
-	$(GO) test -race ./internal/fwd -run '^TestReliableOriginAndRelayShareAHop$$|^TestReliableAckOvertakesABulkMessage$$|^TestReliableStripedRailCrash$$|^TestReliableStripedGatewayRailCrash$$|^TestReliableStripedFailover$$' -v
+	$(GO) test -race ./internal/fwd -run '^TestReliableOriginAndRelayShareAHop$$|^TestReliableAckOvertakesABulkMessage$$|^TestReliableStripedRailCrash$$|^TestReliableStripedGatewayRailCrash$$|^TestReliableStripedFailover$$|^TestReliableUnstripedMessagesShareRails$$|^TestPinnedRunOnAnExcludedRailLeavesAtOnce$$' -v
 	$(GO) test -race ./internal/coll -run '^TestCollectivesUnderLossAndCrash$$' -v
 	$(GO) test -race ./internal/health
 
@@ -299,8 +300,8 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:774 internal/fwd:5700 internal/mad:1922 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:748 internal/route:718 internal/flow:365 internal/obs:1100 internal/trace:396
-DOC_MAX := DESIGN.md:5779 .claude/skills/verify/SKILL.md:187 README.md:466
+LOC_MAX := .:774 internal/fwd:5743 internal/mad:1922 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:748 internal/route:718 internal/flow:365 internal/obs:1100 internal/trace:396
+DOC_MAX := DESIGN.md:5778 .claude/skills/verify/SKILL.md:187 README.md:466
 COMPAT_MAX := 167
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \

@@ -17,8 +17,14 @@ import (
 // relChain builds a0 –sci– gw –myrinet– b0 in reliable mode.
 func relChain(t *testing.T, cfg Config) (*vtime.Sim, *VirtualChannel) {
 	t.Helper()
-	tp, err := topo.NewBuilder().Network("sci0", "sci").Network("myri0", "myrinet").
-		Node("a0", "sci0").Node("gw", "sci0", "myri0").Node("b0", "myri0").Build()
+	return relBuild(t, topo.NewBuilder().Network("sci0", "sci").Network("myri0", "myrinet").
+		Node("a0", "sci0").Node("gw", "sci0", "myri0").Node("b0", "myri0"), cfg)
+}
+
+// relBuild builds a topology of networks sci0 and myri0 in reliable mode.
+func relBuild(t *testing.T, b *topo.Builder, cfg Config) (*vtime.Sim, *VirtualChannel) {
+	t.Helper()
+	tp, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +117,41 @@ func TestNextHopHealthWarmAllocsNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { gw.nextHop("b0", "") }); n != 0 {
 		t.Errorf("warm nextHop on the monitor's tables allocates %.1f times per call, want 0", n)
+	}
+}
+
+// A datagram that decodes is trusted, its checksum being the link's, so the
+// fragment count it announces must not size its reassembly: the first
+// fragment of a message that claims relMaxFrags of them costs its destination
+// a slot, not two slot arrays of 2^20 entries (48 MiB, which it cost while a
+// reassembly was sized by the first fragment's total).
+func TestReassemblyGrowsWithTheFragmentsArrived(t *testing.T) {
+	sim, vc := relChain(t, DefaultConfig())
+	d := relData{src: vc.NodeRank("a0"), dst: vc.NodeRank("b0"), id: 7, mtu: uint32(vc.cfg.MTU),
+		total: relMaxFrags, payload: make([]byte, 16)}
+	link := vc.regular["myri0"].Link(vc.NodeRank("gw"), d.dst)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sim.Spawn("forge:gw", func(p *vtime.Proc) {
+		pkt := vc.bufs.Get(relDataLen(len(d.payload)))
+		putRelData(pkt, &d, relFlagFlush)
+		link.Acquire(p)
+		if _, sent := link.Send(p, relMeta(mad.KindRel), pkt); !sent {
+			vc.bufs.Put(pkt)
+		}
+		link.Release(p)
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	h := vc.rel["b0"].rx[relMsgKey{origin: d.src, id: d.id}]
+	if h == nil || h.got != 1 || h.total != relMaxFrags {
+		t.Fatalf("the fragment was not filed under its message: %+v", h)
+	}
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024
+	t.Logf("fragment 0 of %d: %d slots, %.1f KiB allocated", relMaxFrags, len(h.bufs), kib)
+	if len(h.bufs) != 1 || kib > 8 {
+		t.Errorf("fragment 0 of %d took %d slots and %.1f KiB, want 1 and a few KiB", relMaxFrags, len(h.bufs), kib)
 	}
 }

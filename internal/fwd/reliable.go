@@ -607,12 +607,13 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 // the send daemons of their first hops and waits for them to be done with the
 // packet list before the end-to-end ack's timeout starts. msgFlags are
 // end-to-end packet flags (the aggregate marker) stamped on every fragment;
-// rails are the rails sendBuffered stripes the message over, nil for none.
-func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8, rails []route.Route) {
+// rails are the pair's rails, nil for fewer than two, and stripe says whether
+// the message reaches DefaultStripeThreshold.
+func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8, rails []route.Route, stripe bool) {
 	// Per-path MTU: fragment at the most constrained network of the
 	// primary route. The descriptor carries the chosen size, so the
 	// receiver reassembles correctly even if failover later moves packets
-	// onto a different path. A message striped over several rails
+	// onto a different path. A message of a pair with several rails
 	// fragments at the most constrained rail, so every rail can carry
 	// every packet.
 	mtu := e.vc.PathMTU(e.node.Name, dst)
@@ -622,9 +623,10 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 
 	// Fragment 0 carries the descriptor, in a pooled buffer this call holds
 	// until it returns; the rest are windows of the application's memory.
-	nfrags := 1
+	nfrags, size := 1, 0
 	for _, b := range blocks {
 		nfrags += max(1, (len(b.data)+mtu-1)/mtu) // an empty block still travels, as an empty fragment
+		size += len(b.data)
 	}
 	total := uint32(nfrags)
 	if nfrags > relMaxFrags {
@@ -650,11 +652,20 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		panic("fwd: reliable fragment count out of step with ForEachFragment")
 	}
 
-	// Every attempt splits the packets alike, so the message is planned,
-	// counted and recorded once; one that gives fewer than two rails payload
-	// goes on the table route.
-	if rails != nil && !e.vc.planStripe(p, &m.plan, id, e.node.Name, dst, rails, 0, m.ds) {
-		rails = nil
+	// Every attempt sends the packets alike, so the message is planned,
+	// counted and recorded once: on a pair with two rails or more, one that
+	// gives two of them payload stripes, any other rides the least-loaded
+	// rail whole, as one pinned run. A pair with fewer takes the table route.
+	pin := -1
+	m.striped = stripe && e.vc.planStripe(p, &m.plan, id, e.node.Name, dst, rails, 0, m.ds)
+	switch {
+	case m.striped:
+		for i, n := range m.plan.spans {
+			e.vc.rail(e.node.Name, dst, i).sched += n
+		}
+	case rails != nil:
+		pin = e.vc.leastLoadedRail(e.node.Name, dst, rails)
+		e.vc.rail(e.node.Name, dst, pin).sched += int64(size)
 	}
 	mkey := relMsgKey{origin: e.node.Rank, id: id}
 	reason := "timeout"
@@ -667,9 +678,12 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 		aw := e.newAwait()
 		e.e2e[mkey] = aw
 		m.aw, m.lost = aw, false
-		if rails != nil {
+		switch {
+		case m.striped:
 			e.queueRails(m, rails)
-		} else {
+		case pin >= 0:
+			e.queueOn(m, rails[pin][0], pin, m.ds)
+		default:
 			e.queueRouted(m)
 		}
 		m.settled.Wait(p)
@@ -762,6 +776,7 @@ type relOut struct {
 	aw      *relAwait
 	lost    bool            // a burst found no route left
 	settled vsync.WaitGroup // the attempt's bursts not retired yet
+	striped bool            // split over the rails by plan, not ridden whole
 	plan    stripePlan
 }
 
@@ -788,7 +803,7 @@ type relBurst struct {
 	batch []relData // a relayed burst's packets, their datagrams returned when it retires
 	from  string    // a relayed burst's ingress flow
 	// cost is payload bytes: a relayed burst's, charged to its flow, or a
-	// rail run's delivered while pinned, counted on its rail when it unpins.
+	// striped run's delivered while pinned, counted on its rail when it unpins.
 	cost int64
 }
 
@@ -861,6 +876,9 @@ func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 		e.retire(b, true)
 		return
 	}
+	if b.rail >= 0 && e.vc.mon.Excluded(route.Edge{From: e.node.Name, To: s.hop.To, Network: s.hop.Network}) {
+		e.unpin(b) // its rail died while it waited: it leaves by the table route at once
+	}
 	dst := e.vc.sess.Node(b.final).Name
 	hop, ok := s.hop, true
 	if b.rail < 0 {
@@ -869,7 +887,7 @@ func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
 	if ok && hop == s.hop {
 		window := b.ds
 		if b.ds = e.deliverBurst(p, s, b.ds); len(b.ds) == 0 {
-			if b.rail >= 0 {
+			if b.rail >= 0 && b.out.striped {
 				for _, d := range window {
 					if d.frag > 0 { // fragment 0 is the block descriptor, not payload
 						b.cost += int64(len(d.payload))
@@ -1221,15 +1239,19 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, seq uint64, d *relD
 			e.evictOldestRx(p)
 		}
 		h = e.vc.hold(d.src, int(d.mtu), d.id)
-		h.frags, h.bufs = slices.Grow(h.frags, int(d.total))[:d.total], slices.Grow(h.bufs, int(d.total))[:d.total]
-		clear(h.frags)
-		clear(h.bufs)
-		h.agg = d.flags&flagAgg != 0
+		h.total, h.agg = int(d.total), d.flags&flagAgg != 0
 		e.rx[mkey] = h
 	}
-	if int(d.frag) >= len(h.bufs) || int(d.mtu) != h.mtu {
+	if int(d.frag) >= h.total || int(d.mtu) != h.mtu {
 		e.count(relChecksumDrops, 1)
 		return false
+	}
+	// The slots grow with the highest fragment arrived, not with the total the
+	// first datagram announces: a datagram that decodes costs its own slots.
+	if n, old := int(d.frag)+1, len(h.bufs); n > old {
+		h.frags, h.bufs = slices.Grow(h.frags, n-old)[:n], slices.Grow(h.bufs, n-old)[:n]
+		clear(h.frags[old:])
+		clear(h.bufs[old:])
 	}
 	if h.bufs[d.frag] != nil {
 		e.count(relDuplicates, 1)
@@ -1237,7 +1259,7 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, seq uint64, d *relD
 		return false
 	}
 	h.frags[d.frag], h.bufs[d.frag] = d.payload, d.buf
-	if h.got++; h.got < len(h.bufs) {
+	if h.got++; h.got < h.total {
 		return true
 	}
 	// Dropping the rx entry of a complete message is what keeps a long-lived
@@ -1301,7 +1323,7 @@ func completes(h *heldMsg, d *relData) bool {
 	if h == nil {
 		return d.total == 1 && d.frag == 0
 	}
-	return h.got+1 == len(h.bufs) && int(d.frag) < len(h.bufs) && h.bufs[d.frag] == nil
+	return h.got+1 == h.total && int(d.frag) < h.total && (int(d.frag) >= len(h.bufs) || h.bufs[d.frag] == nil)
 }
 
 // evictOldestRx drops the reassembly state with the smallest (origin, id) —

@@ -651,9 +651,9 @@ type heldMsg struct {
 	// bufs are the buffers the fragments lie in: an eager or multicast frame,
 	// a capturing gateway's copies, or a reliable message's datagrams by
 	// fragment index, nil until that fragment arrives (frags is filed the same
-	// way until seal); got counts those arrived.
-	bufs [][]byte
-	got  int
+	// way until seal); got counts those arrived, of a reliable message's total.
+	bufs       [][]byte
+	got, total int
 	// delivered: the deliver hop was recorded at completion; agg: the payload
 	// is an aggregate frame (flagAgg), for aggDecodeReliable.
 	delivered, agg bool

@@ -43,7 +43,10 @@ package fwd
 // Whether a message stripes is decided in one place, sendBuffered
 // (vchannel.go), for streaming and reliable messages and aggregate frames
 // alike: a message of a pair with two rails or more that reaches
-// DefaultStripeThreshold takes the rails, any other the single-rail path.
+// DefaultStripeThreshold takes the rails. Any other message of such a pair
+// streams down the table route's first hop, or in reliable mode rides whole
+// the rail with the fewest bytes scheduled on it for its rate
+// (leastLoadedRail), so a pair's small messages load its rails evenly too.
 
 import (
 	"fmt"
@@ -60,9 +63,10 @@ import (
 
 // DefaultStripeThreshold is the message size below which striping is not
 // attempted: small messages finish within a rail's pipeline fill time, so
-// splitting them only adds per-rail header and reassembly overhead. It is a
-// constant, not an option: the paper configures its network statically
-// (§2.3).
+// splitting them only adds per-rail header and reassembly overhead. Such a
+// message goes down one rail whole: the table route's when streaming, the
+// least-loaded one in reliable mode. It is a constant, not an option: the
+// paper configures its network statically (§2.3).
 const DefaultStripeThreshold = 16 * 1024
 
 // computeSpans partitions total bytes into len(rates) contiguous span
@@ -148,10 +152,12 @@ func (st *stripeState) BindMetrics(m *obs.Registry) {
 	m.BindCounter(&st.failovers, "madgo_stripe_rail_failovers_total", channel)
 }
 
-// railState is one rail of one ordered pair: the bytes scheduled onto it.
+// railState is one rail of one ordered pair: the striped payload it carried,
+// and in reliable mode the bytes scheduled onto it, whole messages included.
 type railState struct {
 	key   railKey
 	bytes obs.Counter // madgo_stripe_rail_bytes_total{node=src,rail} sums the source's pairs
+	sched int64
 }
 
 // BindMetrics binds the rail's metrics in m.
@@ -169,6 +175,19 @@ func (vc *VirtualChannel) rail(src, dst string, rail int) *railState {
 		vc.sess.Platform.Instrument(r)
 	}
 	return r
+}
+
+// leastLoadedRail returns the rail of a pair with the fewest bytes scheduled
+// on it for its static rate, the first on a tie: the sender's own count, not
+// measured goodput, which is not a rail's capacity (DESIGN.md §30).
+func (vc *VirtualChannel) leastLoadedRail(src, dst string, rails []route.Route) int {
+	best, least := 0, 0.0
+	for i, r := range rails {
+		if load := float64(vc.rail(src, dst, i).sched) / vc.routeRate(r); i == 0 || load < least {
+			best, least = i, load
+		}
+	}
+	return best
 }
 
 // spansText is the per-rail split of a stripe record. A list is the one thing
@@ -287,8 +306,8 @@ type stripePlan struct {
 // message divides its total bytes; a reliable one divides the payload of its
 // packets past fragment 0, each packet going to the rail its middle byte falls
 // to, and fragment 0, the descriptor, rides the first run. It reports whether
-// two rails or more got a share: a message that leaves fewer goes on the table
-// route, neither counted nor recorded.
+// two rails or more got a share: a message that leaves fewer is neither
+// counted nor recorded, and goes down one rail whole.
 func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, src, dst string, rails []route.Route, total int64, pkts []relData) bool {
 	k := len(rails)
 	if cap(pl.spans) < k {
@@ -369,9 +388,10 @@ type StripeStats struct {
 	// Rebalances is how many scheduling decisions changed a pair's quota
 	// split by more than 1% against the previous message.
 	Rebalances int64
-	// RailFailovers is how many times a rail's first hop died under its run
-	// in reliable mode: the link is reported dead (a DeliveryStats failover
-	// too) and the run's unacknowledged packets take the table route.
+	// RailFailovers is how many times a rail's first hop died under a run
+	// pinned to it in reliable mode, a striped share or a whole message: the
+	// link is reported dead (a DeliveryStats failover too) and the run's
+	// unacknowledged packets take the table route.
 	RailFailovers int64
 	// RailReadmissions is how many dead links the health monitor restored
 	// to service (each re-admission rebuilds the rail sets under a new

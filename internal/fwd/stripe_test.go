@@ -404,7 +404,7 @@ func TestStripeBelowThresholdTakesEagerFraming(t *testing.T) {
 
 // The split divides a message's payload packets, and fragment 0, the block
 // descriptor, rides the first run: a message over the threshold in one payload
-// packet would give one rail the descriptor alone, so it takes the table route
+// packet would give one rail the descriptor alone, so it rides one rail whole
 // and is neither a striped message nor rail bytes. Until the split counted
 // payload packets only, it was striped as [0 20235] and counted.
 func TestReliableStripedIntact(t *testing.T) {
@@ -512,27 +512,31 @@ func TestReliableStripedGatewayRailCrash(t *testing.T) {
 // link dead, counts a rail failover and takes the table's next hop like any
 // other burst, so every message arrives byte-exact and in order. With both
 // rails dead for good the sender ends in a DeliveryError whose cause is
-// ErrNoRoute, never a deadlock.
+// ErrNoRoute, never a deadlock. A message below the stripe threshold rides one
+// rail whole, as one pinned run, and fails over the same way: the second 8 KiB
+// message, out from 215 to 425 µs on the SCI rail, loses it at 320 µs.
 func TestReliableStripedFailover(t *testing.T) {
-	const msgs, size = 4, 128 * 1024
+	const msgs = 4
 	midSecond := vtime.Time(3300 * vtime.Microsecond) // message 1 is out from 2.2 to 4.4 ms
 	for _, tc := range []struct {
 		name    string
 		tp      func(*testing.T) *topo.Topology
 		plan    *fault.Plan
+		size    int
 		noRoute bool
 	}{
-		{"sci rail dead from the start", dualRail, fault.NewPlan(3).Flap("sci0", 0, 0), false},
-		{"sci rail flapped mid-message", dualRail, fault.NewPlan(3).Flap("sci0", midSecond, 0), false},
-		{"rail gateway crashed", diamond, fault.NewPlan(5).Crash("g2", 0, 0), false},
-		{"both rails dead", dualRail, fault.NewPlan(3).Flap("sci0", midSecond, 0).Flap("myri0", midSecond, 0), true},
+		{"sci rail dead from the start", dualRail, fault.NewPlan(3).Flap("sci0", 0, 0), 128 << 10, false},
+		{"sci rail flapped mid-message", dualRail, fault.NewPlan(3).Flap("sci0", midSecond, 0), 128 << 10, false},
+		{"rail gateway crashed", diamond, fault.NewPlan(5).Crash("g2", 0, 0), 128 << 10, false},
+		{"both rails dead", dualRail, fault.NewPlan(3).Flap("sci0", midSecond, 0).Flap("myri0", midSecond, 0), 128 << 10, true},
+		{"whole message's rail flapped mid-message", dualRail, fault.NewPlan(3).Flap("sci0", vtime.Time(320*vtime.Microsecond), 0), 8 << 10, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := buildFaulty(t, tc.tp(t), nil, tc.plan, stripeCfg(2))
 			w.aborts = tc.noRoute
 			var sent [msgs][]byte
 			for i := range sent {
-				sent[i] = pattern(size, byte(17+i))
+				sent[i] = pattern(tc.size, byte(17+i))
 			}
 			sender := w.sim.Spawn("app-send:a", func(p *vtime.Proc) {
 				for _, m := range sent {
@@ -546,7 +550,7 @@ func TestReliableStripedFailover(t *testing.T) {
 				w.sim.Spawn("app-recv:b", func(p *vtime.Proc) {
 					for range sent {
 						u := w.vc.At("b").BeginUnpacking(p)
-						m := make([]byte, size)
+						m := make([]byte, tc.size)
 						u.Unpack(p, m, mad.SendCheaper, mad.ReceiveCheaper)
 						u.EndUnpacking(p)
 						got = append(got, m)
@@ -584,8 +588,8 @@ func TestReliableStripedFailover(t *testing.T) {
 			for _, n := range st.RailBytes {
 				railBytes += n
 			}
-			if railBytes > msgs*size {
-				t.Errorf("rails carried %d bytes of %d sent: %v", railBytes, msgs*size, st.RailBytes)
+			if striped := tc.size >= fwd.DefaultStripeThreshold; railBytes > msgs*int64(tc.size) || !striped && (railBytes != 0 || st.Messages != 0) {
+				t.Errorf("%d striped messages, rails carried %d bytes of %d sent: %v", st.Messages, railBytes, msgs*tc.size, st.RailBytes)
 			}
 			if ds.Failovers < st.RailFailovers {
 				t.Errorf("%d rail failovers, but only %d links reported dead", st.RailFailovers, ds.Failovers)
@@ -599,7 +603,7 @@ func TestReliableStripedFailover(t *testing.T) {
 // transfers are aggregate frames of 1 100 B messages — two packets each, the
 // descriptor and the frame, the one that reaches DefaultStripeThreshold as
 // well — followed by 190 KB messages. Only the large messages are striped: a
-// frame of one payload packet takes the table route. Each rail must carry at
+// frame of one payload packet rides one rail whole. Each rail must carry at
 // least 40 % of the bytes. When the reliable split followed the rails'
 // measured goodput, the rail a frame's split left the descriptor alone on
 // measured about 1 MB/s, got a quota of no packets from then on and was never
@@ -654,6 +658,61 @@ func TestReliableStripeKeepsBothRails(t *testing.T) {
 		if share < 0.4 {
 			t.Errorf("rail %d carried %.3f of the striped bytes, want at least 0.4", rail, share)
 		}
+	}
+}
+
+// TestReliableUnstripedMessagesShareRails is prod_lossy_mix's shape at one
+// pair: a reliable K=2 pair through two gateways sends messages that do not
+// stripe — 1 to 15 KiB, below DefaultStripeThreshold, and 20 235 B, one
+// payload packet — and each rides whole the rail with the fewer bytes
+// scheduled on it, so each gateway relays half the bytes, give or take one
+// message. While such a message took the table route, gw2 relayed none. None
+// is a striped message or rail bytes.
+func TestReliableUnstripedMessagesShareRails(t *testing.T) {
+	w := buildFaulty(t, twoGateways(t), nil, nil, stripeCfg(2))
+	var msgs [][]byte
+	largest := 0
+	for i := 0; i < 40; i++ {
+		size := 1024 * (1 + i*7%15)
+		if i%5 == 4 {
+			size = 20_235
+		}
+		msgs = append(msgs, pattern(size, byte(i)))
+		largest = max(largest, size)
+	}
+	w.sim.Spawn("app-send:a0", func(p *vtime.Proc) {
+		for _, m := range msgs {
+			px := w.vc.At("a0").BeginPacking(p, "b0")
+			px.Pack(p, m, mad.SendCheaper, mad.ReceiveCheaper)
+			px.EndPacking(p)
+		}
+	})
+	w.sim.Spawn("app-recv:b0", func(p *vtime.Proc) {
+		for i, m := range msgs {
+			got := make([]byte, len(m))
+			u := w.vc.At("b0").BeginUnpacking(p)
+			u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+			u.EndUnpacking(p)
+			if !bytes.Equal(got, m) {
+				t.Errorf("message %d corrupted", i)
+			}
+		}
+	})
+	if err := w.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	gw1, gw2 := w.vc.Gateway("gw1").Bytes(), w.vc.Gateway("gw2").Bytes()
+	t.Logf("gw1 relayed %d bytes, gw2 %d", gw1, gw2)
+	if d := gw1 - gw2; d > int64(largest) || -d > int64(largest) {
+		t.Errorf("gw1 relayed %d bytes and gw2 %d: more than one message (%d B) apart", gw1, gw2, largest)
+	}
+	st := w.vc.StripeStats()
+	var railBytes int64
+	for _, n := range st.RailBytes {
+		railBytes += n
+	}
+	if st.Messages != 0 || railBytes != 0 {
+		t.Errorf("messages that do not stripe were counted as striped: %+v", st)
 	}
 }
 

@@ -770,7 +770,8 @@ func (x *gtmPacking) stream(p *vtime.Proc, link *mad.Link) {
 }
 
 // sendBuffered is the one place that decides how a message buffered whole
-// leaves: through the reliable engine; over the pair's rails when it has two
+// leaves: through the reliable engine, handed the pair's rails when it has two
+// (sendMessage stripes or picks one); over the pair's rails when it has two
 // and the message reaches the stripe threshold; else down one rail, as a
 // compact KindAgg transfer when it is a coalescer's frame (marked flagAgg on
 // the other two), in the framing Config.Eager names if not. A frame's buffer
@@ -779,19 +780,19 @@ func (x *gtmPacking) stream(p *vtime.Proc, link *mad.Link) {
 func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
 	node, dst := x.node, x.dst
 	rails := vc.stripeRoutes(node.Name, dst)
-	k := len(rails)
-	if k < 2 || x.total < DefaultStripeThreshold {
+	if len(rails) < 2 {
 		rails = nil
 	}
+	stripe := rails != nil && x.total >= DefaultStripeThreshold
 	switch {
 	case vc.cfg.Reliable:
 		var flags uint8
 		if x.wire != nil {
 			flags = flagAgg
 		}
-		vc.rel[node.Name].sendMessage(p, dst, x.blks, x.id, flags, rails)
+		vc.rel[node.Name].sendMessage(p, dst, x.blks, x.id, flags, rails, stripe)
 		vc.bufs.Put(x.wire)
-	case rails != nil && vc.planStripe(p, &x.plan, x.id, node.Name, dst, rails, int64(x.total), nil):
+	case stripe && vc.planStripe(p, &x.plan, x.id, node.Name, dst, rails, int64(x.total), nil):
 		if x.wire != nil {
 			vc.aggst.striped[x.id] = x.wire
 		}
@@ -806,7 +807,7 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
 		tx.message(p, x.blks, x.total, x.wire)
 	default:
 		hop, link := vc.firstHop(node, dst)
-		if k >= 2 {
+		if rails != nil {
 			form := "gtm -> ${peer} via ${net} (below stripe threshold)"
 			switch {
 			case link == nil:

@@ -93,6 +93,17 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // message, one payload packet, takes the table route instead of a [0 20235]
 // split: madgo_stripe_messages_total reads 2, not 3, and b1's rail series is
 // gone.
+//
+// And a ninth time, when a reliable message that does not stripe began to ride
+// its pair's least-loaded rail whole instead of the table route (DESIGN.md
+// §10): the streaming and striped legs stayed byte-identical. On the reliable
+// leg unstriped messages change gateway: b1's 20 235-byte frame (message 14)
+// crosses gw2, not gw1, and a0's 85- and 9 023-byte frames (11 and 13), sent
+// while a0's link to gw1 is still excluded after gw1's crash, ride a0's other
+// rail, whose first hop is a1, instead of going to gw2 directly. Transfers
+// leave at other instants, so the seeded fault plan's draws fall on other
+// transfers and everything downstream reads differently, with every message
+// still delivered and the two stripe splits' bytes unchanged.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
