@@ -276,7 +276,7 @@ stripe-gate: s1-gate
 # race detector on.
 soak:
 	$(GO) test -race ./internal/fwd -run '^TestChaosSoakSelfHealing$$|^TestHealth|^TestReliableBufferLedgerUnderFaults$$' -v
-	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestSinkReturnsDrainedFrames$$|^TestSinkSharesAFrameWithAParkedProcess$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$|^TestStreamShapesAcrossTwoGateways$$' -v
+	$(GO) test -race ./internal/fwd -run '^TestManySendersContentionWall$$|^TestRelayBurstToOneDestinationDoesNotHoldAnother$$|^TestRelayDoesNotParkOnABusyDestination$$|^TestSinkReturnsDrainedFrames$$|^TestSinkSharesAFrameWithAParkedProcess$$|^TestBracketedHeaderIsHandedOverHopByHop$$|^TestMulticastHeaderIsHandedOverHopByHop$$|^TestStreamShapesAcrossTwoGateways$$' -v
 	$(GO) test -race ./internal/fwd -run '^TestReliableOriginAndRelayShareAHop$$|^TestReliableAckOvertakesABulkMessage$$|^TestReliableStripedRailCrash$$|^TestReliableStripedGatewayRailCrash$$|^TestReliableStripedFailover$$|^TestReliableUnstripedMessagesShareRails$$|^TestPinnedRunOnAnExcludedRailLeavesAtOnce$$' -v
 	$(GO) test -race ./internal/coll -run '^TestCollectivesUnderLossAndCrash$$' -v
 	$(GO) test -race ./internal/health
@@ -300,7 +300,7 @@ fuzz:
 # COMPAT_MAX caps the summed lines of the ledger_compat.go files: what
 # benchmark/ still compiles against that the code no longer needs, each a thin
 # wrapper or a documented no-op until the ledger stops calling it (ROADMAP 21(b)).
-LOC_MAX := .:774 internal/fwd:5743 internal/mad:1922 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:748 internal/route:718 internal/flow:365 internal/obs:1100 internal/trace:396
+LOC_MAX := .:774 internal/fwd:5743 internal/mad:1922 internal/bench:2414 internal/agg:379 internal/flight:1047 internal/health:748 internal/route:718 internal/flow:391 internal/obs:1100 internal/trace:396
 DOC_MAX := DESIGN.md:5778 .claude/skills/verify/SKILL.md:187 README.md:466
 COMPAT_MAX := 167
 loc:

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"madgo/internal/assembly"
 	"madgo/internal/flight"
@@ -186,6 +187,9 @@ func (b *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
 	srcRank := b.VC.NodeRank(src)
 	dstRank := b.VC.NodeRank(dst)
 	ackByte := []byte{0xAC}
+	// Each payload is built once and checked in one reused buffer: payload i
+	// differs from the 255 before it at every index, so no stale byte passes.
+	payloads := make([][]byte, len(sizes))
 
 	b.Sim.Spawn("ping:"+src, func(p *vtime.Proc) {
 		// Ack calibration: Ethernet ping-pong, half the round trip.
@@ -195,13 +199,13 @@ func (b *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
 		ackOneWay = vtime.Since(p.Now(), t0) / 2
 
 		for i, n := range sizes {
-			payload := make([]byte, n)
-			for j := range payload {
-				payload[j] = byte(j*31 + i)
+			payloads[i] = make([]byte, n)
+			for j := range payloads[i] {
+				payloads[i][j] = byte(j*31 + i)
 			}
 			start := p.Now()
 			sendStarts[i] = start
-			b.send(p, src, dst, payload)
+			b.send(p, src, dst, payloads[i])
 			recvEth(p, srcEth) // the ack
 			rtt := vtime.Since(p.Now(), start)
 			results[i] = PingResult{Bytes: n, Faithful: rtt - ackOneWay}
@@ -212,15 +216,11 @@ func (b *Bed) PingSeries(src, dst string, sizes []int) []PingResult {
 		recvEth(p, dstEth)
 		sendEth(p, dstEth, srcRank, ackByte)
 
+		buf := make([]byte, slices.Max(append([]int{0}, sizes...)))
 		for i, n := range sizes {
-			got := make([]byte, n)
-			b.recv(p, dst, got)
+			b.recv(p, dst, buf[:n])
 			recvDones[i] = p.Now()
-			want := make([]byte, n)
-			for j := range want {
-				want[j] = byte(j*31 + i)
-			}
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(buf[:n], payloads[i]) {
 				panic(fmt.Sprintf("bench: ping payload corrupted at %d bytes", n))
 			}
 			sendEth(p, dstEth, srcRank, ackByte)

@@ -1,6 +1,10 @@
 package flow
 
-import "madgo/internal/vtime"
+import (
+	"slices"
+
+	"madgo/internal/vtime"
+)
 
 // DRR is a deficit-round-robin scheduler over flows whose item costs are
 // only known after service — the gateway situation: a relayed message's
@@ -24,15 +28,21 @@ import "madgo/internal/vtime"
 // back to the flow, so a round still serves a flow at most one quantum plus
 // one item and an idle flow banks nothing.
 //
+// Pop, Resume and Next pass over a flow whose head item Ready rejects with no
+// visit: no quantum, no debt repaid, and its queue keeps its order, since only
+// the head is tested. PopFrom takes what its own match accepts.
+//
 // A DRR has one consumer, a simulation process that takes its items with
-// Next and parks there while every queue is empty; Push wakes it. Pop, PopFrom
-// and Resume never park.
+// Next and parks there while no flow has a ready head; Push wakes it, and Kick
+// does when an item may have become ready. Pop, PopFrom and Resume never park.
 //
 // The scheduler is deterministic: flows are visited in admission order from
 // a slice, never by map iteration. It is not safe for concurrent use; in
 // this codebase it only ever runs under the single-threaded simulation
 // scheduler.
 type DRR[T any] struct {
+	// Ready reports whether a head item may be served now (nil: every one).
+	Ready   func(T) bool
 	quantum int64
 	flows   map[string]*drrFlow[T]
 	ring    []string // admission-ordered visit sequence
@@ -85,38 +95,50 @@ func (d *DRR[T]) Push(key string, item T) {
 	}
 	f.q = append(f.q, item)
 	d.queued++
+	d.Kick()
+}
+
+// Kick wakes the consumer parked in Next, to look again for a ready head.
+func (d *DRR[T]) Kick() {
 	if d.parked {
 		d.parked = false
 		d.wake.Wake()
 	}
 }
 
-// Next is the consumer's take: it parks p while every queue is empty, then
-// continues the oldest suspended visit whose next item match accepts
-// (Resume), or else returns the next item under the DRR policy (Pop).
+// Next is the consumer's take: it continues the oldest suspended visit whose
+// next item match accepts (Resume), or else returns the next item under the
+// DRR policy (Pop), and parks p while neither has one.
 func (d *DRR[T]) Next(p *vtime.Proc, match func(T) bool) (key string, item T) {
-	for d.queued == 0 {
+	for {
+		if key, item, ok := d.Resume(match); ok {
+			return key, item
+		}
+		if key, item, ok := d.Pop(); ok {
+			return key, item
+		}
 		p.InitBlocker(&d.wake, "drr", "")
 		d.parked = true
 		d.wake.Wait()
 	}
-	key, item, ok := d.Resume(match)
-	if !ok {
-		key, item, _ = d.Pop()
-	}
-	return key, item
+}
+
+// ready reports whether f's head item may be served.
+func (d *DRR[T]) ready(f *drrFlow[T]) bool {
+	return f.head < len(f.q) && (d.Ready == nil || d.Ready(f.q[f.head]))
 }
 
 // Pop returns the next item under the DRR policy along with its flow key,
-// or ok=false when every queue is empty. The caller settles the item's
+// or ok=false when no flow has a ready head. The caller settles the item's
 // actual cost with Charge once it is known.
 func (d *DRR[T]) Pop() (key string, item T, ok bool) {
 	var zero T
-	if d.queued == 0 {
+	headReady := func(k string) bool { return d.ready(d.flows[k]) }
+	if d.queued == 0 || d.Ready != nil && !slices.ContainsFunc(d.ring, headReady) {
 		return "", zero, false
 	}
 	// Bounded: each pass either serves an item or strictly raises the
-	// most indebted non-empty flow toward zero, and debts are bounded by
+	// most indebted ready flow toward zero, and debts are bounded by
 	// the largest single charge.
 	for {
 		key = d.ring[d.cur]
@@ -140,6 +162,9 @@ func (d *DRR[T]) Pop() (key string, item T, ok bool) {
 				}
 			}
 			continue
+		}
+		if !d.ready(f) {
+			continue // passed over: no quantum, no debt repaid
 		}
 		f.deficit += d.quantum
 		if f.deficit > d.quantum {
@@ -190,15 +215,16 @@ func (d *DRR[T]) Suspend(key string) {
 	}
 }
 
-// Resume continues the oldest suspended visit whose flow has an item again:
-// it pops the flow's head item, with no fresh quantum, and the caller goes on
-// as after Pop. A flow whose head item match rejects is not resumed, and its
-// suspension ends. ok is false when no suspended flow has anything queued.
+// Resume continues the oldest suspended visit whose flow has a ready item
+// again: it pops the flow's head item, with no fresh quantum, and the caller
+// goes on as after Pop. A flow whose head item match rejects is not resumed,
+// and its suspension ends. ok is false when no suspended flow has a ready
+// item.
 func (d *DRR[T]) Resume(match func(T) bool) (key string, item T, ok bool) {
 	for i := 0; i < len(d.suspended); {
 		key = d.suspended[i]
 		f := d.flows[key]
-		if f.head == len(f.q) {
+		if !d.ready(f) {
 			i++
 			continue
 		}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math/rand"
 	"testing"
 
 	"madgo/internal/vtime"
@@ -345,5 +346,234 @@ func TestDRRNextServesSuspendedVisitFirst(t *testing.T) {
 		if len(got) != 2 || got[0] != c.want[0] || got[1] != c.want[1] {
 			t.Errorf("%s: Next served %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestDRRPassesOverAnUnreadyHead: a flow whose head item Ready rejects is
+// passed over with no visit — its deficit does not move, in debt or not — and
+// the items behind that head wait with it; once the head is ready the flow is
+// served, in its own order. With no ready head anywhere Pop finds nothing.
+func TestDRRPassesOverAnUnreadyHead(t *testing.T) {
+	busy := map[int64]bool{}
+	d := NewDRR[int64](10)
+	d.Ready = func(v int64) bool { return !busy[v] }
+	d.Push("a", 3)
+	d.Push("b", 4)
+	drain(d, 2)
+	d.Charge("a", 11) // a in debt: 10 - 3 - 11
+	d.Push("a", 5)
+	d.Push("a", 6)
+	d.Push("b", 7)
+	d.Push("b", 8)
+	busy[5] = true
+	before := d.Deficit("a")
+	if got := drain(d, 2); len(got) != 2 || got[0] != "b" || got[1] != "b" {
+		t.Fatalf("with a's head not ready Pop served %v, want b b", got)
+	}
+	if after := d.Deficit("a"); after != before {
+		t.Errorf("passing over a moved its deficit %d -> %d", before, after)
+	}
+	if key, _, ok := d.Pop(); ok {
+		t.Fatalf("Pop served %s with no ready head anywhere", key)
+	}
+	if d.Deficit("a") != before || d.Len() != 2 {
+		t.Errorf("a Pop that found nothing left deficit %d and Len %d", d.Deficit("a"), d.Len())
+	}
+	busy[5] = false
+	for _, want := range []int64{5, 6} {
+		if key, v, ok := d.Pop(); !ok || key != "a" || v != want {
+			t.Fatalf("Pop = %s %d %v, want a %d", key, v, ok, want)
+		}
+	}
+}
+
+// TestDRRNextParksWhileNoHeadIsReady: the consumer parks in Next while every
+// backlogged flow's head is unready; a Kick that finds nothing ready leaves it
+// parked, a Kick after a head became ready wakes it with that item, and so
+// does the Push of a ready item, while the Push of an unready one does not.
+func TestDRRNextParksWhileNoHeadIsReady(t *testing.T) {
+	busy := map[int64]bool{1: true, 2: true}
+	d := NewDRR[int64](100)
+	d.Ready = func(v int64) bool { return !busy[v] }
+	d.Push("a", 1)
+	var consumer *vtime.Proc
+	var got []int64
+	var at []vtime.Time
+	parked := func(when string) {
+		if !consumer.Parked() {
+			t.Errorf("%s: the consumer is not parked (served %v)", when, got)
+		}
+	}
+	consume(t, func(p *vtime.Proc) {
+		consumer = p
+		for range 2 {
+			_, v := d.Next(p, nil)
+			got = append(got, v)
+			at = append(at, p.Now())
+		}
+	}, func(p *vtime.Proc) {
+		p.Sleep(5 * vtime.Microsecond)
+		parked("every head unready")
+		d.Kick()
+		p.Sleep(5 * vtime.Microsecond)
+		parked("after a Kick with nothing ready")
+		busy[1] = false
+		d.Kick()
+		p.Sleep(5 * vtime.Microsecond)
+		d.Push("b", 2)
+		p.Sleep(5 * vtime.Microsecond)
+		parked("after the Push of an unready item")
+		d.Push("c", 3)
+	})
+	us := vtime.Time(vtime.Microsecond)
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 || at[0] != 10*us || at[1] != 20*us {
+		t.Errorf("Next served %v at %v, want [1 3] at the Kick's 10µs and the Push's 20µs", got, at)
+	}
+}
+
+// readyItem is a queued item of the property test: its flow position, the
+// destination whose readiness gates it, and its cost.
+type readyItem struct {
+	seq, dst int
+	cost     int64
+}
+
+// TestDRRReadyProperty runs seeded random sequences of pushes, readiness
+// changes and kicks against a consumer that serves a visit at a time, as the
+// gateway's fair daemon does — Next, then the flow's further ready items while
+// its deficit lasts — and then spends the visit's cost in virtual time while
+// the producer acts. Every item is served exactly once and in its flow's
+// order, no unready item is served, the consumer is never parked while a
+// head is ready that a Push or Kick has announced, and two flows that stay
+// backlogged with ready heads are served within one quantum plus one item of
+// each other over any stretch in which they get the same number of visits.
+func TestDRRReadyProperty(t *testing.T) {
+	const quantum, flows, dsts, items = 64, 4, 3, 400
+	const maxItem = quantum
+	keys := []string{"f0", "f1", "f2", "f3"}
+	checks := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ready := [dsts]bool{true, true, true}
+		d := NewDRR[readyItem](quantum)
+		d.Ready = func(it readyItem) bool { return ready[it.dst] }
+		headReady := func(i int) bool { f := d.flows[keys[i]]; return f != nil && d.ready(f) }
+
+		// served and visits per flow, after every visit (a mark); since is
+		// the mark from which a flow has been backlogged with a ready head.
+		type mark struct {
+			served [flows]int64
+			visits [flows]int
+		}
+		var now mark
+		var marks []mark
+		since := [flows]int{-1, -1, -1, -1}
+		var next [flows]int
+		// A violation stops both processes: t.Fatal may not run in them.
+		stop := false
+		fail := func(format string, args ...any) {
+			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
+			stop = true
+		}
+		serve := func(key string, it readyItem) {
+			i := int(key[1] - '0')
+			if !ready[it.dst] {
+				fail("%s's item %d served while its destination is not ready", key, it.seq)
+			}
+			if it.seq != next[i] {
+				fail("%s served item %d, want %d", key, it.seq, next[i])
+			}
+			next[i]++
+			now.served[i] += it.cost
+			d.Charge(key, it.cost)
+		}
+		endVisit := func() {
+			marks = append(marks, now)
+			b := len(marks) - 1
+			for i := range flows {
+				if !headReady(i) {
+					since[i] = -1
+				} else if since[i] < 0 {
+					since[i] = b
+				}
+			}
+			for i := range flows {
+				for j := i + 1; j < flows; j++ {
+					if since[i] < 0 || since[j] < 0 {
+						continue
+					}
+					m := marks[max(since[i], since[j])]
+					vi, vj := now.visits[i]-m.visits[i], now.visits[j]-m.visits[j]
+					if vi != vj || vi == 0 {
+						continue
+					}
+					checks++
+					si, sj := now.served[i]-m.served[i], now.served[j]-m.served[j]
+					if diff := si - sj; diff > quantum+maxItem || diff < -(quantum+maxItem) {
+						fail("over %d visits each f%d was served %d and f%d %d", vi, i, si, j, sj)
+					}
+				}
+			}
+		}
+
+		var consumer *vtime.Proc
+		consume(t, func(p *vtime.Proc) {
+			consumer = p
+			for n := 0; n < items && !stop; {
+				key, it := d.Next(p, nil)
+				now.visits[key[1]-'0']++
+				cost := it.cost
+				serve(key, it)
+				for n++; d.Deficit(key) >= 0; n++ {
+					more, ok := d.PopFrom(key, d.Ready)
+					if !ok {
+						break
+					}
+					serve(key, more)
+					cost += more.cost
+				}
+				endVisit()
+				p.Sleep(vtime.Duration(cost))
+			}
+		}, func(p *vtime.Proc) {
+			announced := true // every ready head was there at the last Push or Kick
+			var pushed [flows]int
+			for n := 0; n < items && !stop; {
+				p.Sleep(vtime.Duration(1 + rng.Intn(2*quantum)))
+				if consumer.Parked() && announced {
+					for i := range flows {
+						if headReady(i) {
+							fail("the consumer is parked while f%d's head is ready", i)
+						}
+					}
+				}
+				switch r := rng.Intn(10); {
+				case r < 6:
+					i := rng.Intn(flows)
+					d.Push(keys[i], readyItem{pushed[i], rng.Intn(dsts), 1 + rng.Int63n(maxItem)})
+					pushed[i]++
+					n++
+					announced = true
+				case r < 9:
+					x := rng.Intn(dsts)
+					ready[x] = !ready[x]
+					announced = announced && !ready[x]
+				default:
+					d.Kick()
+					announced = true
+				}
+			}
+			ready = [dsts]bool{true, true, true}
+			d.Kick()
+		})
+		if stop {
+			return
+		}
+		if d.Len() != 0 {
+			t.Fatalf("seed %d: %d items never served", seed, d.Len())
+		}
+	}
+	if checks < 1000 {
+		t.Errorf("only %d fairness comparisons over 20 seeds: the sequences keep too few flows backlogged", checks)
 	}
 }

@@ -8,9 +8,9 @@
 // It holds the deficit-round-robin scheduler the relay dispatchers arbitrate
 // ingress flows with (drr.go) and Jain's fairness index the incast
 // experiments score per-sender goodput with (this file). The scheduler is
-// also where its one consumer waits: a dispatcher parks in DRR.Next until an
-// item is queued. ledger_compat.go keeps the credit-grant codec that
-// benchmark/ still times.
+// also where its one consumer waits: a dispatcher parks in DRR.Next until a
+// flow's head item is ready. ledger_compat.go keeps the credit-grant codec
+// that benchmark/ still times.
 package flow
 
 // Jain computes Jain's fairness index over per-flow allocations:

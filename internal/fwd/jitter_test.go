@@ -13,6 +13,9 @@ const (
 	RelAckTimeout = relAckTimeout
 )
 
+// RelayQueued is how many packets node's relay dispatcher holds queued.
+func (vc *VirtualChannel) RelayQueued(node string) int { return vc.rel[node].relayDRR.Len() }
+
 // The ARQ's retry timeouts use decorrelated jitter: each next timeout is
 // drawn uniformly from [relAckTimeout, 3·previous), capped at relMaxTimeout. The
 // properties that matter: every draw stays inside the policy bounds, the

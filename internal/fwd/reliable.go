@@ -461,13 +461,13 @@ type relEngine struct {
 
 	// relayDRR is the relay dispatcher's queue, a deficit-round-robin
 	// scheduler over ingress neighbours ("" for what this node originates)
-	// that the dispatcher parks in, and relaying counts, by final
-	// destination, the relayed burst to it that is out (made by the first
-	// burst, as the daemons are, so Build stays level). senders are the send
-	// daemons every burst leaving this node goes through, by (final
-	// destination, first hop), each made by its pair's first burst.
+	// that serves only items whose final destination is not busy with a
+	// relayed burst (busy is made by the first burst, as the daemons are, so
+	// Build stays level). senders are the send daemons every burst leaving
+	// this node goes through, by (final destination, first hop), each made
+	// by its pair's first burst.
 	relayDRR *flow.DRR[relayItem]
-	relaying []vsync.WaitGroup
+	busy     []bool
 	senders  map[relHop]*relSender
 
 	// gw is this node's gateway, which counts what the node relays; nil on
@@ -955,7 +955,8 @@ func (e *relEngine) retire(b *relBurst, ok bool) {
 			b.batch[i] = relData{}
 		}
 		e.relayDRR.Charge(b.from, b.cost)
-		e.relaying[b.final].Done()
+		e.busy[b.final] = false
+		e.relayDRR.Kick()
 	}
 	*b = relBurst{batch: b.batch[:0]}
 	e.burstFree.put(b)
@@ -1428,21 +1429,20 @@ func (e *relEngine) queueWait(p *vtime.Proc, it *relayItem) {
 // that are bound for the same final destination move as one windowed burst,
 // so a relay preserves the upstream sender's ack coalescing instead of
 // re-expanding the stream into stop-and-wait. One relayed burst per final
-// destination is out: the dispatcher waits only when the head item's
-// destination still has one, and forms the batch once it is free, so bursts
-// to different destinations — as many as have backlog — overlap their ARQ
-// waits.
+// destination is out; the dispatcher parks only when no backlogged flow's
+// head has a free destination, so bursts to different destinations overlap
+// their ARQ waits and none waits behind another.
 func (e *relEngine) relayLoop(p *vtime.Proc) {
 	var final mad.Rank
 	sameFinal := func(m relayItem) bool { return m.d.dst == final }
 	for {
 		key, it := e.relayDRR.Next(p, nil)
 		final = it.d.dst
-		if e.relaying == nil {
-			e.relaying = make([]vsync.WaitGroup, len(e.vc.sess.Nodes()))
+		if e.busy == nil {
+			e.busy = make([]bool, len(e.vc.sess.Nodes()))
+			e.relayDRR.Ready = func(m relayItem) bool { return !e.busy[m.d.dst] }
 		}
-		e.relaying[final].Wait(p)
-		e.relaying[final].Add(1)
+		e.busy[final] = true
 		e.queueWait(p, &it)
 		b := e.burstFree.get()
 		b.batch = append(slices.Grow(b.batch, relWindow), it.d)

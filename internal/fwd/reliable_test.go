@@ -322,6 +322,25 @@ func TestReliableManyPairsUnderLoss(t *testing.T) {
 // within a few wire times instead of waiting behind it. When one relay daemon
 // served every destination it waited the whole 5 ms.
 func TestRelayBurstToOneDestinationDoesNotHoldAnother(t *testing.T) {
+	relayPastAStalledBurst(t, 1000)
+}
+
+// TestRelayDoesNotParkOnABusyDestination is the same run with a0's message to
+// b1 longer than two ARQ windows of packets, so a0's flow at the gateway still
+// holds packets for b1 when a1's message for b2 arrives: the relay dispatcher
+// passes over that flow, whose destination has its stalled burst out, and
+// serves a1's. When it parked on the busy destination b2 waited the 5 ms.
+func TestRelayDoesNotParkOnABusyDestination(t *testing.T) {
+	if relayPastAStalledBurst(t, (2*fwd.RelWindow+2)*fwd.DefaultConfig().MTU) == 0 {
+		t.Error("gw held no packet for b1 when b2's message completed: the dispatcher had no flow to pass over")
+	}
+}
+
+// relayPastAStalledBurst runs the head-of-line scenario with an n-byte message
+// from a0 to b1 and checks that b2's message completes within a fifth of the
+// ack timeout after b1's first data packet was lost. It returns how many
+// packets gw's relay queue held at that completion.
+func relayPastAStalledBurst(t *testing.T, n int) (queued int) {
 	tp, err := topo.NewBuilder().
 		Network("sciA", "sci").Network("myri1", "myrinet").Network("myri2", "myrinet").
 		Node("a0", "sciA").Node("a1", "sciA").Node("gw", "sciA", "myri1", "myri2").
@@ -330,17 +349,17 @@ func TestRelayBurstToOneDestinationDoesNotHoldAnother(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toB1 := []block{{pattern(1000, 1), mad.SendCheaper, mad.ReceiveCheaper}}
+	toB1 := []block{{pattern(n, 1), mad.SendCheaper, mad.ReceiveCheaper}}
 	// A fault-free run finds the instant the gateway's transmission of b1's
-	// data packet ends; the real run flaps myri1 for its last nanosecond,
-	// which cancels exactly that transmission.
+	// first data packet ends; the real run flaps myri1 for its last
+	// nanosecond, which cancels exactly that transmission.
 	probe := buildFaulty(t, tp, nil, nil, fwd.DefaultConfig())
 	reg := obs.New()
 	probe.sess.Platform.SetMetrics(reg)
 	sendRecv(t, probe, "a0", "b1", toB1)
 	var lost vtime.Time
 	for _, h := range reg.Hops() {
-		if h.Node == "gw" && h.Op == "hop" && h.Detail == "frag 1 -> b1 via myri1" {
+		if h.Node == "gw" && h.Op == "hop" && h.Detail == "frag 1 -> b1 via myri1" && lost == 0 {
 			lost = h.At
 		}
 	}
@@ -362,7 +381,7 @@ func TestRelayBurstToOneDestinationDoesNotHoldAnother(t *testing.T) {
 		u := w.vc.At("b2").BeginUnpacking(p)
 		u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
 		u.EndUnpacking(p)
-		done = p.Now()
+		done, queued = p.Now(), w.vc.RelayQueued("gw")
 		if !bytes.Equal(got, toB2) {
 			t.Error("b2's payload corrupted")
 		}
@@ -374,10 +393,11 @@ func TestRelayBurstToOneDestinationDoesNotHoldAnother(t *testing.T) {
 		t.Fatal("the flap lost no packet: the run does not exercise a stalled burst")
 	}
 	took := done.Sub(lost)
-	t.Logf("b2's message completed %v after b1's data packet was lost", took)
+	t.Logf("b2's message completed %v after b1's data packet was lost, with %d packets queued at gw", took, queued)
 	if ackTimeout := fwd.RelAckTimeout; took >= ackTimeout/5 {
 		t.Errorf("b2's message took %v: it waited behind b1's stalled burst (ack timeout %v)", took, ackTimeout)
 	}
+	return queued
 }
 
 // TestReliableOriginAndRelayShareAHop: gw sends its own messages to b1 while
