@@ -7,10 +7,11 @@ package fwd
 // toward one forwarded destination is offered to it, and consecutive ones
 // that fit are packed into a single MTU-sized aggregate frame (codec in
 // package agg) and flushed as ONE wire transfer — one per-transfer
-// overhead. A frame leaves at once when none of its coalescer is
-// on the wire, else behind the one that is (Nagle's rule without the timer): a
-// lone message waits for nothing and a stream batches as much as its path is
-// busy (DESIGN.md §24).
+// overhead. A frame leaves at once when its coalescer's window has room — one
+// frame on the wire streaming, relFrameWindow awaiting end-to-end acks
+// reliable — else behind the frames that fill it (Nagle's rule without the
+// timer): a lone message waits for nothing and a stream batches as much as
+// its path is busy (DESIGN.md §24).
 //
 // A flushed frame is one message to sendBuffered (vchannel.go), the one
 // place that gives a message buffered whole its transport: in reliable mode
@@ -21,13 +22,15 @@ package fwd
 // relay obliviously (gateway.go, classify). flagAgg tells a reliable or
 // striped receiver to decode the reassembled bytes as a frame.
 //
-// Ordering: one frame of a coalescer is on its way at a time, and a message
-// too large to coalesce (it takes the compact stream) or a multicast waits
-// for the frame in flight and flushes what is pending ("ordering" flush)
-// before it goes around — per-sender delivery order toward one destination
-// holds across small/large and unicast/multicast mixes. At the sink a frame
-// takes its turn in the merged arrival queue and its sub-messages are
-// delivered FIFO before any new arrival is pulled.
+// Ordering: a reliable pair's frames may ride different rails, so its messages
+// are numbered — a frame at its flush, one that goes around in goAround — and
+// its sink delivers them in sequence (relEngine.inOrder). A message too large
+// to coalesce (it takes the compact stream) or a multicast waits for the frames
+// in flight and flushes what is pending ("ordering" flush) before it goes
+// around — per-sender delivery order toward one destination holds across
+// small/large and unicast/multicast mixes. At the sink a frame takes its turn
+// in the merged arrival queue and its sub-messages are delivered FIFO before
+// any new arrival is pulled.
 
 import (
 	"fmt"
@@ -149,11 +152,12 @@ func (vc *VirtualChannel) AggStats() AggStats {
 }
 
 // aggCoalescer batches one (node, destination) pair's small messages. mu
-// guards the pending frame and is never held across a wire transfer; busy
-// says a sealed frame is on its way, and whoever set it owns body and wire
-// until it clears it. On cond the daemon waits for work and a free path, a
-// bypass or spill for the frame in flight, a sender for room. There is no
-// second lock.
+// guards the pending frame and is never held across a wire transfer. next is
+// the number the pair's next message takes, base the oldest not settled (off
+// the wire when streaming, acknowledged end to end when reliable), and acked
+// marks those after base that settled out of order, bit i for base+i. On cond
+// the daemon waits for work and a free slot, a bypass or spill for the frames
+// in flight, a sender for room. There is no second lock.
 type aggCoalescer struct {
 	vc   *VirtualChannel
 	node *mad.Node
@@ -163,21 +167,24 @@ type aggCoalescer struct {
 	// the compact transfer prepends.
 	limit int
 
-	mu   vsync.Mutex
-	cond vsync.Cond
-	busy bool
-	full bool // a sender is parked on the pending frame: it has no room for its message
-	b    *agg.Builder
+	mu         vsync.Mutex
+	cond       vsync.Cond
+	next, base uint32
+	acked      uint32
+	window     uint32 // relFrameWindow in reliable mode, 1 streaming
+	full       bool   // a sender is parked on the pending frame: it has no room for its message
+	b          *agg.Builder
 	// enq and ids remember each queued sub-message's enqueue instant and
 	// message ID for the agg-wait attribution at flush time.
 	enq     []vtime.Time
 	ids     []uint64
 	scratch []agg.Block
 
-	// out is the frame on its way as the one message its transport sends, a
-	// record of the coalescer's own, and body its one block, which lies in
+	// out is the frame being flushed as the one message its transport sends,
+	// a record of the coalescer's own, and body its one block, which lies in
 	// out.wire behind the GTM header room: here so that a flush takes and
-	// allocates nothing.
+	// allocates nothing. The flush that fills them owns them until
+	// sendBuffered returns, which queues a reliable frame without parking.
 	out  gtmPacking
 	body [1]relBlock
 
@@ -201,6 +208,14 @@ func (c *aggCoalescer) BindMetrics(m *obs.Registry) {
 	}
 }
 
+// coalescerOf returns the coalescer of node toward dst, nil if it has none.
+func (vc *VirtualChannel) coalescerOf(node, dst string) *aggCoalescer {
+	if vc.aggst == nil {
+		return nil
+	}
+	return vc.aggst.co[aggKey{node: node, dst: dst}]
+}
+
 // aggCoalescer returns (creating, with its flush daemon) the coalescer of one
 // (node, dst) pair.
 func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer {
@@ -210,9 +225,14 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 		return c
 	}
 	mtu := vc.PathMTU(node.Name, dst)
+	window := uint32(1)
+	if vc.cfg.Reliable {
+		window = relFrameWindow
+	}
 	c := &aggCoalescer{
 		vc: vc, node: node, dst: dst,
 		mtu: mtu, limit: mtu - gtmHeaderLen,
+		next: 1, base: 1, window: window, // 0 numbers no message
 		// The builder reserves the GTM header bytes in front of the frame,
 		// so a flush detaches a ready-made wire payload with no extra copy.
 		b:  agg.NewBuilderPrefix(gtmHeaderLen, 0),
@@ -226,12 +246,12 @@ func (vc *VirtualChannel) aggCoalescer(node *mad.Node, dst string) *aggCoalescer
 	return c
 }
 
-// run is the flush daemon: whenever something is pending and nothing of this
-// coalescer is on its way, it sends what is pending. It has no timer.
+// run is the flush daemon: whenever something is pending and the window has
+// room, it sends what is pending. It has no timer.
 func (c *aggCoalescer) run(p *vtime.Proc) {
 	c.mu.Lock(p)
 	for {
-		for c.busy || c.b.Count() == 0 {
+		for c.inflight() >= c.window || c.b.Count() == 0 {
 			c.cond.Wait(p)
 		}
 		reason, frames := "idle", &c.idleFrames
@@ -256,8 +276,7 @@ func outgrowsFrame(n, total, mtu int) bool {
 func (c *aggCoalescer) add(p *vtime.Proc, x *gtmPacking) {
 	id, blocks, total := x.id, x.blks, x.total
 	if outgrowsFrame(len(blocks), total, c.mtu) {
-		c.goAround(p, 1)
-		c.vc.sendBuffered(p, x)
+		c.sendAround(p, x, 1)
 		return
 	}
 	c.mu.Lock(p)
@@ -290,24 +309,60 @@ func (c *aggCoalescer) add(p *vtime.Proc, x *gtmPacking) {
 	}
 }
 
-// goAround waits for the frame in flight and flushes what is pending
-// ("ordering"), so everything its sender coalesced is on the wire ahead of
-// what goes around the coalescer next: a message too large for a frame, which
-// counts bypass, or a multicast.
-func (c *aggCoalescer) goAround(p *vtime.Proc, bypass int64) {
+// sendAround sends x, a message of the pair that rides no frame, behind the
+// pair's frames (goAround). In reliable mode it takes the pair's next number,
+// in which its sink delivers it, and frees that slot once it is acknowledged.
+func (c *aggCoalescer) sendAround(p *vtime.Proc, x *gtmPacking, bypass int64) {
+	x.seq = c.goAround(p, bypass, c.vc.cfg.Reliable)
+	c.vc.sendBuffered(p, x)
+	if x.seq != 0 {
+		c.settled(x.seq)
+	}
+}
+
+// goAround waits until the pair's messages in flight settle, flushes what is
+// pending ("ordering") and waits for that frame too, so everything its sender
+// coalesced is delivered ahead of what goes around the coalescer next: a
+// message too large for a frame, which counts bypass, or a multicast. A
+// numbered message takes the next number, returned; the caller settles its
+// slot. Others get 0.
+func (c *aggCoalescer) goAround(p *vtime.Proc, bypass int64, numbered bool) (seq uint32) {
 	c.mu.Lock(p)
-	for c.busy {
+	for c.inflight() > 0 {
 		c.cond.Wait(p)
 	}
 	c.flush(p, "ordering", &c.orderingFrames)
+	for c.inflight() > 0 {
+		c.cond.Wait(p)
+	}
 	c.bypass.Add(bypass)
+	if numbered {
+		seq = c.next
+		c.next++
+	}
 	c.mu.Unlock(p)
+	return seq
 }
 
-// flush seals the pending frame and hands it to sendBuffered as ONE message,
-// which chooses its transport, and counts it in frames, its reason's count. Called with mu held and nothing on its way,
-// and returns so; mu is free while the frame travels. A no-op on an empty
-// builder.
+// inflight is how many of the pair's numbered messages are on their way,
+// counted from the oldest not settled.
+func (c *aggCoalescer) inflight() uint32 { return c.next - c.base }
+
+// settled frees message seq's slot and slides the window past those settled.
+// It runs in whichever process or callback learns it, and takes no lock.
+func (c *aggCoalescer) settled(seq uint32) {
+	c.acked |= 1 << (seq - c.base)
+	for c.acked&1 != 0 {
+		c.acked >>= 1
+		c.base++
+	}
+	c.cond.Broadcast()
+}
+
+// flush seals and numbers the pending frame and hands it to sendBuffered as ONE
+// message, which chooses its transport, and counts it in frames. Called with mu
+// held and a slot free, and returns so; mu is free while the frame is handed
+// on. A no-op on an empty builder.
 func (c *aggCoalescer) flush(p *vtime.Proc, reason string, frames *obs.Counter) {
 	if c.b.Count() == 0 {
 		return
@@ -335,15 +390,17 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string, frames *obs.Counter) 
 	// only copy. Senders pack the next frame, in a buffer of its own, while
 	// this one is on the wire.
 	x := &c.out
-	x.id, x.total, x.wire = frameID, flen, c.b.Detach()
-	c.busy, c.full = true, false
+	x.id, x.seq, x.total, x.wire = frameID, c.next, flen, c.b.Detach()
+	c.next++
+	c.full = false
 	c.cond.Broadcast()
 	c.mu.Unlock(p)
 	c.body[0] = relBlock{data: x.wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}
 	vc.sendBuffered(p, x)
 	c.mu.Lock(p)
-	c.busy = false
-	c.cond.Broadcast()
+	if !vc.cfg.Reliable {
+		c.settled(x.seq) // off the wire; a reliable frame's record settles it (relEngine.settle)
+	}
 }
 
 // spill turns a message for the coalescer that outgrew the frame budget into
@@ -352,7 +409,7 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string, frames *obs.Counter) 
 // bypass in add() instead.
 func (x *gtmPacking) spill(p *vtime.Proc) {
 	vc := x.vc
-	vc.aggCoalescer(x.node, x.dst).goAround(p, 1)
+	vc.aggCoalescer(x.node, x.dst).goAround(p, 1, false)
 	hop, link := vc.firstHop(x.node, x.dst)
 	vc.hop(p, x.id, x.node.Name, "pack",
 		obs.Detail{Form: "agg spill -> ${peer} via ${net} (outgrew frame budget)", Peer: x.dst, Net: hop.Network}, x.total)

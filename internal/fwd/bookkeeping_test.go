@@ -174,7 +174,7 @@ func TestInconsistentReliableMessageIsDropped(t *testing.T) {
 			src, dst := vc.NodeRank("a0"), vc.NodeRank("b0")
 			in := vc.regular["myri0"].Link(vc.NodeRank("gw"), dst)
 			desc := make([]byte, relDescLen(1))
-			putRelDesc(desc, []relBlock{{data: make([]byte, c.blockLen), s: mad.SendCheaper, r: mad.ReceiveCheaper}})
+			putRelDesc(desc, []relBlock{{data: make([]byte, c.blockLen), s: mad.SendCheaper, r: mad.ReceiveCheaper}}, 0)
 			sim.Spawn("inject", func(p *vtime.Proc) {
 				for i, pl := range [][]byte{desc, make([]byte, c.frag)} {
 					d := relData{src: src, dst: dst, id: 7, mtu: uint32(c.hdrMTU), frag: uint32(i), total: 2, payload: pl}

@@ -54,7 +54,12 @@ import (
 // earlier and the rel-stripe-gw cells 0.4–1.1 µs; and a striped message now
 // splits its payload alone, by bytes, fragment 0 riding the first run, which
 // evens out rel-stripe-gw/mixed's rails: done 319 µs earlier. No transfer
-// count moved.
+// count moved. The 33 were printed again when a reliable pair's messages were
+// numbered and a datagram came to hold its header within the MTU where that
+// costs no fragment (DESIGN.md §7): the descriptor's 4-byte sequence number
+// makes 27 cells done 0.04–0.42 µs later; five 2mtu+1 and mixed cells, whose
+// fragments are now 27 bytes shorter, 0.3–1.1 µs earlier; and
+// rel-stripe-gw/2mtu+1, whose rails split its packets otherwise, 5.3 µs later.
 //
 // Transfers per message, F fragments: seed F+2 (header, fragments, bare
 // terminator); under Eager a message a frame carries 1, an aggregate, and
@@ -260,39 +265,39 @@ var framingTable = map[string]framingCell{
 
 	// The reliable and aggregated-striped rows pin the transport sendBuffered
 	// picks for one message of every shape.
-	"rel/none":                  {0, 20999},
-	"rel/zero":                  {0, 48188},
-	"rel/1B":                    {0, 48216},
-	"rel/inlineMax":             {0, 230741},
-	"rel/inlineMax+1":           {0, 230790},
-	"rel/mtu4K-20":              {0, 229736},
-	"rel/mtu4K-19":              {0, 229786},
-	"rel/2mtu":                  {0, 2624034},
-	"rel/2mtu+1":                {0, 2650023},
-	"rel/mixed":                 {0, 1927234},
-	"rel/safer":                 {0, 81988},
-	"rel+agg/none":              {0, 48111},
-	"rel+agg/zero":              {0, 48466},
-	"rel+agg/1B":                {0, 48505},
-	"rel+agg/inlineMax":         {0, 282796},
-	"rel+agg/inlineMax+1":       {0, 282859},
-	"rel+agg/mtu4K-20":          {0, 229736},
-	"rel+agg/mtu4K-19":          {0, 229786},
-	"rel+agg/2mtu":              {0, 2624034},
-	"rel+agg/2mtu+1":            {0, 2650023},
-	"rel+agg/mixed":             {0, 1927234},
-	"rel+agg/safer":             {0, 94820},
-	"rel-stripe-gw/none":        {0, 26830},
-	"rel-stripe-gw/zero":        {0, 53647},
-	"rel-stripe-gw/1B":          {0, 53675},
-	"rel-stripe-gw/inlineMax":   {0, 234248},
-	"rel-stripe-gw/inlineMax+1": {0, 234296},
-	"rel-stripe-gw/mtu4K-20":    {0, 233272},
-	"rel-stripe-gw/mtu4K-19":    {0, 233320},
-	"rel-stripe-gw/2mtu":        {0, 2258984},
-	"rel-stripe-gw/2mtu+1":      {0, 2271238},
-	"rel-stripe-gw/mixed":       {0, 1703239},
-	"rel-stripe-gw/safer":       {0, 89403},
+	"rel/none":                  {0, 21417},
+	"rel/zero":                  {0, 48606},
+	"rel/1B":                    {0, 48634},
+	"rel/inlineMax":             {0, 231074},
+	"rel/inlineMax+1":           {0, 231123},
+	"rel/mtu4K-20":              {0, 230069},
+	"rel/mtu4K-19":              {0, 230119},
+	"rel/2mtu":                  {0, 2624367},
+	"rel/2mtu+1":                {0, 2649700},
+	"rel/mixed":                 {0, 1926965},
+	"rel/safer":                 {0, 82408},
+	"rel+agg/none":              {0, 48529},
+	"rel+agg/zero":              {0, 48884},
+	"rel+agg/1B":                {0, 48923},
+	"rel+agg/inlineMax":         {0, 283129},
+	"rel+agg/inlineMax+1":       {0, 283192},
+	"rel+agg/mtu4K-20":          {0, 230069},
+	"rel+agg/mtu4K-19":          {0, 230119},
+	"rel+agg/2mtu":              {0, 2624367},
+	"rel+agg/2mtu+1":            {0, 2649700},
+	"rel+agg/mixed":             {0, 1926965},
+	"rel+agg/safer":             {0, 95240},
+	"rel-stripe-gw/none":        {0, 27000},
+	"rel-stripe-gw/zero":        {0, 53817},
+	"rel-stripe-gw/1B":          {0, 53845},
+	"rel-stripe-gw/inlineMax":   {0, 234336},
+	"rel-stripe-gw/inlineMax+1": {0, 234385},
+	"rel-stripe-gw/mtu4K-20":    {0, 233361},
+	"rel-stripe-gw/mtu4K-19":    {0, 233409},
+	"rel-stripe-gw/2mtu":        {0, 2259028},
+	"rel-stripe-gw/2mtu+1":      {0, 2276516},
+	"rel-stripe-gw/mixed":       {0, 1702174},
+	"rel-stripe-gw/safer":       {0, 89492},
 	"agg-stripe-gw/none":        {1, 27342},
 	"agg-stripe-gw/zero":        {1, 27726},
 	"agg-stripe-gw/1B":          {1, 27782},

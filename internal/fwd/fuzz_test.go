@@ -280,8 +280,8 @@ func TestRelDatagramLayout(t *testing.T) {
 		t.Errorf("ack batch % x, want % x", acks, want)
 	}
 	desc := make([]byte, relDescLen(1))
-	putRelDesc(desc, []relBlock{{data: make([]byte, 0x0102), s: mad.SendLater, r: mad.ReceiveExpress}})
-	if want := []byte{1, 0, 0, 0, 2, 1, 0, 0, byte(mad.SendLater), byte(mad.ReceiveExpress)}; !bytes.Equal(desc, want) {
+	putRelDesc(desc, []relBlock{{data: make([]byte, 0x0102), s: mad.SendLater, r: mad.ReceiveExpress}}, 0x04030201)
+	if want := []byte{1, 2, 3, 4, 1, 0, 0, 0, 2, 1, 0, 0, byte(mad.SendLater), byte(mad.ReceiveExpress)}; !bytes.Equal(desc, want) {
 		t.Errorf("descriptor % x, want % x", desc, want)
 	}
 }
@@ -337,7 +337,7 @@ func FuzzRelDesc(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		desc, ok := decodeRelDesc(data, nil)
+		desc, seq, ok := decodeRelDesc(data, nil)
 		if !ok {
 			return
 		}
@@ -360,7 +360,7 @@ func FuzzRelDesc(f *testing.F) {
 		for i, d := range desc {
 			blocks[i] = relBlock{data: make([]byte, d.Size), s: d.S, r: d.R}
 		}
-		if re := encodeRelDesc(blocks); !bytes.Equal(re, data) {
+		if re := encodeRelDesc(blocks, seq); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
 		}
 	})
@@ -464,6 +464,16 @@ func FuzzRelHandle(f *testing.F) {
 				delete(e.rx, k)
 				vc.release(h)
 			}
+			for _, w := range e.done { // a message the datagram numbers past its origin's next waits there
+				for _, h := range w.held {
+					if h != nil && !(dataOK && h.src == d.src && h.id == d.id) {
+						t.Errorf("%s holds back message %d of rank %d, which no sender sent", e.node.Name, h.id, h.src)
+					}
+					if h != nil {
+						vc.release(h)
+					}
+				}
+			}
 			clear(e.done) // or a message the datagram completed passes a later one off as a duplicate
 		}
 		if delivered != 1 && !impersonated {
@@ -554,26 +564,28 @@ func relAckSeeds() [][]byte {
 
 func relDescSeeds() [][]byte {
 	return [][]byte{
-		encodeRelDesc(nil),
-		encodeRelDesc([]relBlock{{data: []byte("abc"), s: mad.SendCheaper, r: mad.ReceiveCheaper}}),
+		encodeRelDesc(nil, 0),
+		encodeRelDesc([]relBlock{{data: []byte("abc"), s: mad.SendCheaper, r: mad.ReceiveCheaper}}, 1),
 		encodeRelDesc([]relBlock{
 			{data: make([]byte, 100), s: mad.SendSafer, r: mad.ReceiveExpress},
 			{data: nil, s: mad.SendLater, r: mad.ReceiveCheaper},
-		}),
-		{1, 0, 0, 0}, // one block announced, none there → rejected
-		make([]byte, 3),
+		}, 1<<32-1),
+		{0, 0, 0, 0, 1, 0, 0, 0}, // one block announced, none there → rejected
+		make([]byte, 7),
 		{},
 	}
 }
 
 // relHandleSeeds are the data and ack seeds, then a whole one-fragment message
-// gw never sent, a packet naming a rank the session does not have, and the
-// first of two fragments b0 never sent to a0.
+// gw never sent, a packet naming a rank the session does not have, the first
+// of two fragments b0 never sent to a0, and a whole message numbered second in
+// its pair's sequence, which its sink holds back for a first that never comes.
 func relHandleSeeds() [][]byte {
 	return append(append(relDataSeeds(), relAckSeeds()...),
-		encodeRelData(1, 2, 4096, 7, 0, 1, 0, encodeRelDesc(nil)),
+		encodeRelData(1, 2, 4096, 7, 0, 1, 0, encodeRelDesc(nil, 0)),
 		encodeRelData(0, 9, 4096, 7, 0, 1, 0, nil),
-		encodeRelData(2, 0, 4096, 7, 0, 2, 0, []byte("x")))
+		encodeRelData(2, 0, 4096, 7, 0, 2, 0, []byte("x")),
+		encodeRelData(1, 2, 4096, 8, 0, 1, 0, encodeRelDesc(nil, 2)))
 }
 
 // TestRegenFuzzCorpus rewrites the seed corpora under testdata/fuzz from the

@@ -225,11 +225,9 @@ func (e *Endpoint) beginMulticast(p *vtime.Proc, dests []string) Packing {
 // A branch's send parks, so the split works in the message's own destination
 // slice.
 func (x *gtmPacking) multicast(p *vtime.Proc) {
-	if st := x.vc.aggst; st != nil {
-		for _, d := range x.dests {
-			if c := st.co[aggKey{node: x.node.Name, dst: x.vc.sess.Node(d).Name}]; c != nil {
-				c.goAround(p, 0)
-			}
+	for _, d := range x.dests {
+		if c := x.vc.coalescerOf(x.node.Name, x.vc.sess.Node(d).Name); c != nil {
+			c.goAround(p, 0, false)
 		}
 	}
 	root := x.vc.mcastRoot(x.node.Name)

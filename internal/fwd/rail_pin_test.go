@@ -46,7 +46,8 @@ func TestPinnedRunOnAnExcludedRailLeavesAtOnce(t *testing.T) {
 	id := vc.nextMsgID()
 	sim.Spawn("send:a", func(p *vtime.Proc) {
 		blocks := []relBlock{{data: msg, s: mad.SendCheaper, r: mad.ReceiveCheaper}}
-		vc.rel["a"].sendMessage(p, "b", blocks, id, 0, rails, false)
+		e := vc.rel["a"]
+		e.awaitMessage(p, e.startMessage(p, "b", blocks, id, 0, 0, rails, false))
 		took = p.Now().Sub(0)
 	})
 	got := make([]byte, len(msg))

@@ -40,8 +40,9 @@ func encodeRelAcks(seqs []uint64) []byte {
 	return pkt
 }
 
-func encodeRelDesc(blocks []relBlock) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(blocks)))
+func encodeRelDesc(blocks []relBlock, seq uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(blocks)))
 	for _, bl := range blocks {
 		b = append(binary.LittleEndian.AppendUint32(b, uint32(len(bl.data))), byte(bl.s), byte(bl.r))
 	}
@@ -140,9 +141,10 @@ func TestPooledEncodersMatchCopyingOracle(t *testing.T) {
 			blocks[j] = relBlock{data: make([]byte, rng.Intn(4096)),
 				s: mad.SendMode(rng.Intn(3)), r: mad.RecvMode(rng.Intn(2))}
 		}
+		seq := rng.Uint32() >> rng.Intn(32)
 		desc := bp.Get(relDescLen(len(blocks)))
-		putRelDesc(desc, blocks)
-		if want := encodeRelDesc(blocks); !bytes.Equal(desc, want) {
+		putRelDesc(desc, blocks, seq)
+		if want := encodeRelDesc(blocks, seq); !bytes.Equal(desc, want) {
 			t.Fatalf("pooled descriptor differs:\n got  %x\n want %x", desc, want)
 		}
 		bp.Put(desc)

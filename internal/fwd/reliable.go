@@ -88,6 +88,10 @@ const (
 	// a window's hop acks into one control datagram (the last packet of a
 	// burst requests the flush).
 	relWindow = 8
+	// relFrameWindow is how many messages of a pair a coalescer numbers
+	// (agg.go) may be in flight from the oldest not acknowledged end to end;
+	// its sink holds fewer than that back for order (inOrder).
+	relFrameWindow = 4
 )
 
 // DeliveryError reports that a message could not be delivered: every
@@ -248,16 +252,20 @@ func decodeRelAcks(pkt []byte) ([]byte, bool) {
 
 // The fragment-0 descriptor payload mirrors what the GTM transmits piece by
 // piece: the per-block sizes and flag constraints the receiver's unpack calls
-// must match. The MTU the blocks are cut at is the header's.
+// must match. The MTU the blocks are cut at is the header's. seq is the
+// message's number in its (origin, destination) pair's sequence, in which the
+// sink delivers the pair's messages (inOrder); 0 for a message no coalescer
+// ordered, which the sink delivers as it completes.
 //
-//	nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
-func relDescLen(nblocks int) int { return 4 + 6*nblocks }
+//	seq u32 | nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
+func relDescLen(nblocks int) int { return 8 + 6*nblocks }
 
 // putRelDesc encodes the descriptor into b, whose length is
 // relDescLen(len(blocks)).
-func putRelDesc(b []byte, blocks []relBlock) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(blocks)))
-	off := 4
+func putRelDesc(b []byte, blocks []relBlock, seq uint32) {
+	binary.LittleEndian.PutUint32(b[0:], seq)
+	binary.LittleEndian.PutUint32(b[4:], uint32(len(blocks)))
+	off := 8
 	for _, bl := range blocks {
 		binary.LittleEndian.PutUint32(b[off:], uint32(len(bl.data)))
 		b[off+4] = byte(bl.s)
@@ -267,14 +275,15 @@ func putRelDesc(b []byte, blocks []relBlock) {
 }
 
 // decodeRelDesc parses a descriptor into desc's storage where it is large
-// enough (a recycled message record's), else into an allocation of its own.
-func decodeRelDesc(b []byte, desc []mad.BlockDesc) ([]mad.BlockDesc, bool) {
-	if len(b) < 4 || len(b) != relDescLen(int(binary.LittleEndian.Uint32(b))) {
-		return nil, false
+// enough (a recycled message record's), else into an allocation of its own,
+// and returns its sequence number.
+func decodeRelDesc(b []byte, desc []mad.BlockDesc) ([]mad.BlockDesc, uint32, bool) {
+	if len(b) < 8 || len(b) != relDescLen(int(binary.LittleEndian.Uint32(b[4:]))) {
+		return nil, 0, false
 	}
-	n := (len(b) - 4) / 6
+	n := (len(b) - 8) / 6
 	desc = slices.Grow(desc[:0], n)[:n]
-	off := 4
+	off := 8
 	for i := range desc {
 		desc[i] = mad.BlockDesc{
 			Size: int(binary.LittleEndian.Uint32(b[off:])),
@@ -283,7 +292,7 @@ func decodeRelDesc(b []byte, desc []mad.BlockDesc) ([]mad.BlockDesc, bool) {
 		}
 		off += 6
 	}
-	return desc, true
+	return desc, binary.LittleEndian.Uint32(b), true
 }
 
 // relMeta is the link-layer metadata of one reliable packet: a single-block,
@@ -395,12 +404,16 @@ const (
 // an ever-growing done map: a long-lived node's bookkeeping stays O(origins
 // × window) no matter how many messages it receives: one fixed 4 KiB ring,
 // which a lookup scans unless the ID is past the largest completed.
+// It keeps the origin's sequence too (inOrder): the last number delivered, and
+// by number modulo relFrameWindow the complete ones held back.
 type relDoneWindow struct {
 	ring     [relDupWindow]uint64 // ring[:n] are exact; once full, ring[head] is the oldest
 	head, n  int
 	top      uint64 // the largest ID completed
 	floor    uint64
 	hasFloor bool
+	last     uint32
+	held     [relFrameWindow]*heldMsg
 }
 
 func (w *relDoneWindow) has(id uint64) bool {
@@ -429,6 +442,12 @@ func (w *relDoneWindow) add(id uint64) {
 // memory-growth regression).
 func (w *relDoneWindow) size() int { return w.n }
 
+// fits reports whether a complete message numbered seq has a place at the
+// sink: unsequenced, or in the window and its slot free. No origin sends others.
+func (w *relDoneWindow) fits(seq uint32) bool {
+	return seq == 0 || seq-w.last-1 < relFrameWindow && w.held[seq%relFrameWindow] == nil
+}
+
 // relEngine is the per-node reliability engine: sequence numbers, awaited
 // acknowledgements, reassembly state, the relay queue and counters. Liveness
 // is the health monitor's (vc.mon), not the engine's. All of it runs under
@@ -439,7 +458,7 @@ type relEngine struct {
 	rng  relRand // decorrelated-jitter state, seeded from the node name
 
 	acks map[linkSeq]*relAwait
-	e2e  map[relMsgKey]*relAwait
+	e2e  map[relMsgKey]*relOut  // the node's messages awaiting their end-to-end ack
 	rx   map[relMsgKey]*heldMsg // messages under reassembly, each in the record its sink reads
 	done map[mad.Rank]*relDoneWindow
 
@@ -448,9 +467,12 @@ type relEngine struct {
 	pend map[*mad.Link]*relPend
 
 	// Every completion slot the engine made, by index, and the one timeout
-	// callback of them all (awaitTimeout), bound at Build.
-	awaits []*relAwait
-	expire func(uint64)
+	// callback of them all (awaitTimeout), bound at Build; and so for its
+	// message records and their one timer callback (outTimeout).
+	awaits    []*relAwait
+	expire    func(uint64)
+	outs      []*relOut
+	outExpire func(uint64)
 
 	// The node's outstanding health probes (health.go), the last sequence
 	// number one was sent under, and their timeout (probeTimeout), bound at
@@ -568,14 +590,14 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 			node:     node,
 			rng:      seedRelRand(n.Name),
 			acks:     make(map[linkSeq]*relAwait),
-			e2e:      make(map[relMsgKey]*relAwait),
+			e2e:      make(map[relMsgKey]*relOut),
 			rx:       make(map[relMsgKey]*heldMsg),
 			done:     make(map[mad.Rank]*relDoneWindow),
 			pend:     make(map[*mad.Link]*relPend),
 			relayDRR: flow.NewDRR[relayItem](int64(vc.cfg.MTU)),
 			senders:  make(map[relHop]*relSender),
 		}
-		e.expire, e.probeExpire = e.awaitTimeout, e.probeTimeout
+		e.expire, e.outExpire, e.probeExpire = e.awaitTimeout, e.outTimeout, e.probeTimeout
 		vc.rel[n.Name] = e
 		vc.sess.Platform.Instrument(e)
 		for i := range relCounterNames {
@@ -600,50 +622,54 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 	}
 }
 
-// sendMessage fragments, encodes and reliably delivers one message under its
-// pack-time ID, blocking until the final destination's end-to-end
-// acknowledgement arrives. It runs in the application's process (called from
-// EndPacking), which is the message's first relay: it queues the packets on
-// the send daemons of their first hops and waits for them to be done with the
-// packet list before the end-to-end ack's timeout starts. msgFlags are
+// startMessage fragments and encodes one message under its pack-time ID and
+// its pair's sequence number seq (0 for a message no coalescer ordered), and
+// makes its first attempt. It runs in the process that sends the message, its
+// first relay: it queues the packets on the send daemons of their first hops
+// and returns. From then on the message's record settles it from the engine's
+// handlers and timers (burstsSettled, outTimeout, settle): the end-to-end wait,
+// the resends and their backoff, and the DeliveryError. msgFlags are
 // end-to-end packet flags (the aggregate marker) stamped on every fragment;
 // rails are the pair's rails, nil for fewer than two, and stripe says whether
 // the message reaches DefaultStripeThreshold.
-func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8, rails []route.Route, stripe bool) {
+func (e *relEngine) startMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64, seq uint32, msgFlags uint8, rails []route.Route, stripe bool) *relOut {
 	// Per-path MTU: fragment at the most constrained network of the
 	// primary route. The descriptor carries the chosen size, so the
 	// receiver reassembles correctly even if failover later moves packets
 	// onto a different path. A message of a pair with several rails
 	// fragments at the most constrained rail, so every rail can carry
-	// every packet.
+	// every packet. A datagram holds its header within the MTU — a full one
+	// then fills a buffer of the MTU's size class, not one a page over —
+	// unless that costs the message a fragment more.
 	mtu := e.vc.PathMTU(e.node.Name, dst)
 	for _, r := range rails {
 		mtu = min(mtu, e.vc.railMTU(r))
 	}
+	nfrags := relFrags(blocks, mtu)
+	if mtu > relDataHdrLen && relFrags(blocks, mtu-relDataHdrLen) == nfrags {
+		mtu -= relDataHdrLen
+	}
 
-	// Fragment 0 carries the descriptor, in a pooled buffer this call holds
-	// until it returns; the rest are windows of the application's memory.
-	nfrags, size := 1, 0
+	// Fragment 0 carries the descriptor, in a pooled buffer the record holds
+	// until the message settles; the rest are windows of the message's blocks.
+	size := 0
 	for _, b := range blocks {
-		nfrags += max(1, (len(b.data)+mtu-1)/mtu) // an empty block still travels, as an empty fragment
 		size += len(b.data)
 	}
 	total := uint32(nfrags)
 	if nfrags > relMaxFrags {
 		panic(fmt.Sprintf("fwd: message of %d fragments exceeds the reliable protocol's %d", total, relMaxFrags))
 	}
-	desc := e.vc.bufs.Get(relDescLen(len(blocks)))
-	defer e.vc.bufs.Put(desc)
-	putRelDesc(desc, blocks)
-	m := e.outFree.get()
-	defer e.freeOut(m)
-	m.id, m.dst, m.final = id, dst, e.vc.NodeRank(dst)
+	m := e.newOut()
+	m.desc = e.vc.bufs.Get(relDescLen(len(blocks)))
+	putRelDesc(m.desc, blocks, seq)
+	m.id, m.seq, m.dst, m.final, m.rails, m.pin = id, seq, dst, e.vc.NodeRank(dst), rails, -1
 	m.ds = slices.Grow(m.ds, nfrags)
 	add := func(pl []byte) {
 		m.ds = append(m.ds, relData{src: e.node.Rank, dst: m.final, id: id, mtu: uint32(mtu),
 			frag: uint32(len(m.ds)), total: total, flags: msgFlags, payload: pl})
 	}
-	add(desc)
+	add(m.desc)
 	for _, b := range blocks {
 		data := b.data
 		mad.ForEachFragment(len(data), mtu, func(off, n int) { add(data[off : off+n]) })
@@ -656,7 +682,6 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 	// counted and recorded once: on a pair with two rails or more, one that
 	// gives two of them payload stripes, any other rides the least-loaded
 	// rail whole, as one pinned run. A pair with fewer takes the table route.
-	pin := -1
 	m.striped = stripe && e.vc.planStripe(p, &m.plan, id, e.node.Name, dst, rails, 0, m.ds)
 	switch {
 	case m.striped:
@@ -664,67 +689,201 @@ func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id
 			e.vc.rail(e.node.Name, dst, i).sched += n
 		}
 	case rails != nil:
-		pin = e.vc.leastLoadedRail(e.node.Name, dst, rails)
-		e.vc.rail(e.node.Name, dst, pin).sched += int64(size)
+		m.pin = e.vc.leastLoadedRail(e.node.Name, dst, rails)
+		e.vc.rail(e.node.Name, dst, m.pin).sched += int64(size)
 	}
-	mkey := relMsgKey{origin: e.node.Rank, id: id}
-	reason := "timeout"
-	bo := relAckTimeout
-	for attempt := 0; attempt <= relMessageRetries; attempt++ {
-		if attempt > 0 {
-			e.count(relMsgResends, 1)
-			e.hop(p, id, "resend", obs.Detail{Form: "attempt ${a} -> ${peer}", A: attempt + 1, Peer: dst}, 0)
-		}
-		aw := e.newAwait()
-		e.e2e[mkey] = aw
-		m.aw, m.lost = aw, false
-		switch {
-		case m.striped:
-			e.queueRails(m, rails)
-		case pin >= 0:
-			e.queueOn(m, rails[pin][0], pin, m.ds)
-		default:
-			e.queueRouted(m)
-		}
-		m.settled.Wait(p)
-		if m.lost {
-			dropAwait(e, e.e2e, mkey, aw)
-			reason = "unreachable"
-			if attempt < relMessageRetries {
-				bo = e.nextTimeout(bo)
-				p.Sleep(bo)
-				e.flight().Record(flight.KindBackoff, p.Now(), bo, id, 0, "")
-			}
-			continue
-		}
-		to := relE2EBase + vtime.Duration(total)*relE2EPerFrag
-		t0 := p.Now()
-		ok := e.await(p, aw, to, "rel e2e", dst)
-		dropAwait(e, e.e2e, mkey, aw)
-		if ok {
-			e.flight().Record(flight.KindAckWait, p.Now(), vtime.Since(p.Now(), t0), id, 0, "")
+	m.bo, m.reason = relAckTimeout, "timeout"
+	e.e2e[relMsgKey{origin: e.node.Rank, id: id}] = m
+	e.attempt(m)
+	return m
+}
+
+// relFrags is how many packets blocks take cut at mtu, the descriptor's and
+// an empty block's included.
+func relFrags(blocks []relBlock, mtu int) int {
+	n := 1
+	for _, b := range blocks {
+		n += max(1, (len(b.data)+mtu-1)/mtu) // an empty block still travels, as an empty fragment
+	}
+	return n
+}
+
+// awaitMessage parks a message's sender until its record settles it, recycles
+// the record, and ends the run with the message's DeliveryError if it failed.
+func (e *relEngine) awaitMessage(p *vtime.Proc, m *relOut) {
+	m.settled.Add(1)
+	m.settled.Wait(p)
+	err := m.err
+	e.freeOut(m)
+	if err != nil {
+		panic(vtime.Abort{Err: err})
+	}
+}
+
+// relOut is a message at its origin until it settles: its packets, a striped
+// message's split (stripe.go) or its rail, and its attempt, which has bursts
+// out, awaits the end-to-end ack (waiting) or backs off. Its one timer tells
+// its states and uses apart by gen.
+type relOut struct {
+	spare[relOut]
+	id      uint64
+	dst     string
+	final   mad.Rank
+	ds      []relData
+	desc    []byte // fragment 0's payload, a buffer of the wire pool
+	rails   []route.Route
+	pin     int  // the rail a whole message rides; -1 on the table route or striped
+	striped bool // split over the rails by plan, not ridden whole
+	plan    stripePlan
+
+	attempt int
+	bursts  int  // the attempt's bursts not retired yet
+	lost    bool // a burst found no route left
+	acked   bool // the end-to-end ack arrived
+	waiting bool // the e2e timeout is armed
+	t0      vtime.Time
+	bo      vtime.Duration
+	reason  string
+	idx     uint32 // the record's index in relEngine.outs, plus one
+	gen     uint32
+	// Who learns the message settled: its sender in awaitMessage, which raises
+	// err, or else the coalescer whose frame, wire, it is (co).
+	settled vsync.WaitGroup
+	err     *DeliveryError
+	co      *aggCoalescer
+	seq     uint32
+	wire    []byte
+}
+
+// newOut takes a message record off the free list, or makes one.
+func (e *relEngine) newOut() *relOut {
+	m := e.outFree.get()
+	if m.idx == 0 { // a new record
+		e.outs = append(e.outs, m)
+		m.idx = uint32(len(e.outs))
+	}
+	return m
+}
+
+// freeOut drops what a sent message referenced, returns its buffers to the
+// pool and recycles its record.
+func (e *relEngine) freeOut(m *relOut) {
+	e.vc.bufs.Put(m.desc)
+	e.vc.bufs.Put(m.wire)
+	clear(m.ds)
+	*m = relOut{ds: m.ds[:0], plan: m.plan, settled: m.settled, idx: m.idx, gen: m.gen + 1}
+	e.outFree.put(m)
+}
+
+// attempt queues the message's packets once: as its rails' runs, as one run
+// pinned to its rail, or as one burst on the table route.
+func (e *relEngine) attempt(m *relOut) {
+	if m.attempt > 0 {
+		e.count(relMsgResends, 1)
+		e.vc.metrics().RecordHopDetail(m.id, e.sim().Now(), e.node.Name, "resend",
+			obs.Detail{Form: "attempt ${a} -> ${peer}", A: m.attempt + 1, Peer: m.dst}, 0)
+	}
+	m.lost = false
+	switch {
+	case m.striped:
+		e.queueRails(m, m.rails)
+	case m.pin >= 0:
+		e.queueOn(m, m.rails[m.pin][0], m.pin, m.ds)
+	default:
+		e.queueRouted(m)
+	}
+	if m.bursts == 0 { // no route: nothing was queued
+		e.burstsSettled(m)
+	}
+}
+
+// burstsSettled moves a message on once its attempt's last burst retired: it
+// settles an acknowledged one, backs a lost one off, and arms the end-to-end
+// timeout of any other.
+func (e *relEngine) burstsSettled(m *relOut) {
+	now := e.sim().Now()
+	m.t0 = now
+	switch {
+	case m.acked:
+		e.settle(m)
+	case m.lost:
+		m.reason = "unreachable"
+		if m.attempt == relMessageRetries {
+			e.fail(m)
 			return
 		}
-		// A timed-out end-to-end wait feeds the message-resend machinery,
-		// so it is charged to the retransmit stage, not ack-wait.
-		e.flight().Record(flight.KindRexmit, p.Now(), vtime.Since(p.Now(), t0), id, 0, "")
-		reason = "timeout"
+		m.bo = e.nextTimeout(m.bo)
+		e.arm(m, now.Add(m.bo))
+	default:
+		m.waiting = true
+		e.arm(m, now.Add(relE2EBase+vtime.Duration(len(m.ds))*relE2EPerFrag))
 	}
+}
+
+// arm schedules the record's one timer at t (outTimeout).
+func (e *relEngine) arm(m *relOut, t vtime.Time) {
+	m.gen++
+	e.sim().AtArg(t, e.outExpire, uint64(m.idx)<<32|uint64(m.gen))
+}
+
+// outTimeout fires when a message's timer (arg: idx, and generation in the low
+// 32 bits) runs out: the next attempt starts, unless the budget is spent. A
+// timed-out end-to-end wait is charged to the retransmit stage, not ack-wait.
+func (e *relEngine) outTimeout(arg uint64) {
+	m := e.outs[arg>>32-1]
+	if uint32(arg) != m.gen {
+		return
+	}
+	now := e.sim().Now()
+	if m.waiting {
+		m.waiting = false
+		e.flight().Record(flight.KindRexmit, now, vtime.Since(now, m.t0), m.id, 0, "")
+		m.reason = "timeout"
+		if m.attempt == relMessageRetries {
+			e.fail(m)
+			return
+		}
+	} else {
+		e.flight().Record(flight.KindBackoff, now, m.bo, m.id, 0, "")
+	}
+	m.attempt++
+	e.attempt(m)
+}
+
+// settle ends a delivered message and tells its sender, or frees its frame's
+// slot of the coalescer's window and recycles the record.
+func (e *relEngine) settle(m *relOut) {
+	now := e.sim().Now()
+	e.flight().Record(flight.KindAckWait, now, vtime.Since(now, m.t0), m.id, 0, "")
+	m.gen++ // orphans the timer
+	delete(e.e2e, relMsgKey{origin: e.node.Rank, id: m.id})
+	if m.co == nil {
+		m.settled.Done()
+		return
+	}
+	c, seq := m.co, m.seq
+	e.freeOut(m)
+	c.settled(seq)
+}
+
+// fail ends the run with the message's DeliveryError, raised by its sender or,
+// for a frame, here, once every flight ring is snapshotted for the post-mortem.
+func (e *relEngine) fail(m *relOut) {
 	var cause error
-	if reason == "unreachable" {
-		cause = &route.NoRouteError{Src: e.node.Name, Dst: dst,
+	if m.reason == "unreachable" {
+		cause = &route.NoRouteError{Src: e.node.Name, Dst: m.dst,
 			Why: "every route exhausted or excluded by liveness constraints"}
 	}
-	// The run is about to abort: snapshot every flight ring so the state
-	// at the moment of failure survives into the post-mortem.
-	e.vc.flight().Dump(fmt.Sprintf("delivery-error: %s %s -> %s (msg %d)", reason, e.node.Name, dst, id))
-	panic(vtime.Abort{Err: &DeliveryError{
-		From:     e.node.Name,
-		To:       dst,
-		Reason:   reason,
-		Attempts: relMessageRetries + 1,
-		Cause:    cause,
-	}})
+	e.vc.flight().Dump(fmt.Sprintf("delivery-error: %s %s -> %s (msg %d)", m.reason, e.node.Name, m.dst, m.id))
+	delete(e.e2e, relMsgKey{origin: e.node.Rank, id: m.id})
+	err := &DeliveryError{From: e.node.Name, To: m.dst, Reason: m.reason, Attempts: relMessageRetries + 1, Cause: cause}
+	if m.co == nil {
+		m.err = err
+		m.settled.Done()
+		return
+	}
+	e.freeOut(m)
+	panic(vtime.Abort{Err: err})
 }
 
 // relRand is a tiny splitmix64 generator, one per engine. Seeded from the
@@ -763,28 +922,6 @@ func (e *relEngine) nextTimeout(prev vtime.Duration) vtime.Duration {
 	base := relAckTimeout
 	prev = max(prev, base)
 	return min(base+vtime.Duration(e.rng.float()*float64(3*prev-base)), relMaxTimeout)
-}
-
-// relOut is a message at its origin: its packets, the current attempt's
-// end-to-end ack slot and bursts, and a striped message's split (stripe.go).
-type relOut struct {
-	spare[relOut]
-	id      uint64
-	dst     string
-	final   mad.Rank
-	ds      []relData
-	aw      *relAwait
-	lost    bool            // a burst found no route left
-	settled vsync.WaitGroup // the attempt's bursts not retired yet
-	striped bool            // split over the rails by plan, not ridden whole
-	plan    stripePlan
-}
-
-// freeOut drops what a sent message referenced and recycles its record.
-func (e *relEngine) freeOut(m *relOut) {
-	clear(m.ds)
-	m.ds, m.aw = m.ds[:0], nil
-	e.outFree.put(m)
 }
 
 // relBurst is one burst on a send daemon's queue: packets bound for one final
@@ -858,7 +995,7 @@ func (e *relEngine) queueOn(m *relOut, hop route.Hop, rail int, ds []relData) {
 	n := min(relWindow, len(ds))
 	b := e.burstFree.get()
 	b.final, b.out, b.rail, b.ds, b.rest = m.final, m, rail, ds[:n], ds[n:]
-	m.settled.Add(1)
+	m.bursts++
 	e.sender(m.final, hop).push(b)
 }
 
@@ -872,7 +1009,7 @@ func (e *relEngine) queueOn(m *relOut, hop route.Hop, rail int, ds []relData) {
 // never the node, and the unacknowledged packets take the next table hop, up
 // to relRouteAttempts hops; a rail's run unpins there, a rail failover.
 func (e *relEngine) forward(p *vtime.Proc, s *relSender, b *relBurst) {
-	if m := b.out; m != nil && b.tries == 0 && (m.aw.done || m.lost) {
+	if m := b.out; m != nil && b.tries == 0 && (m.acked || m.lost) {
 		e.retire(b, true)
 		return
 	}
@@ -931,14 +1068,15 @@ func (e *relEngine) unpin(b *relBurst) {
 	b.rail, b.cost = -1, 0
 }
 
-// retire ends a burst, delivered (ok) or failed. An origin's unpins and settles
-// with its message. A relayed one is counted, returns its datagrams to the
-// pool, is charged to its flow and frees its destination for the next one.
+// retire ends a burst, delivered (ok) or failed. An origin's unpins, and the
+// last of its attempt moves its message on (burstsSettled). A relayed one is
+// counted, returns its datagrams to the pool, is charged to its flow and frees
+// its destination for the next one.
 func (e *relEngine) retire(b *relBurst, ok bool) {
-	if m := b.out; m != nil {
+	m := b.out
+	if m != nil {
 		e.unpin(b)
 		m.lost = m.lost || !ok
-		m.settled.Done()
 	} else {
 		if !ok {
 			e.count(relRelayDrops, 1)
@@ -960,6 +1098,11 @@ func (e *relEngine) retire(b *relBurst, ok bool) {
 	}
 	*b = relBurst{batch: b.batch[:0]}
 	e.burstFree.put(b)
+	if m != nil {
+		if m.bursts--; m.bursts == 0 {
+			e.burstsSettled(m)
+		}
+	}
 }
 
 // deliverBurst transmits a burst of packets to one neighbour under the ARQ
@@ -1020,7 +1163,7 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, s *relSender, ds []relData) (fai
 			to = e.nextTimeout(to)
 		}
 		sentAt := aw.sentAt
-		dropAwait(e, e.acks, linkSeq{link, aw.seq}, aw)
+		e.dropAwait(linkSeq{link, aw.seq}, aw)
 		if ok {
 			mon.ReportSuccess(edge, p.Now().Sub(sentAt), p.Now())
 		} else {
@@ -1083,11 +1226,11 @@ func (e *relEngine) newAwait() *relAwait {
 	return aw
 }
 
-// dropAwait takes a slot nobody waits on any more out of the map it was
-// registered in and recycles it. A timeout still scheduled for it finds the
-// generation moved on.
-func dropAwait[K comparable](e *relEngine, m map[K]*relAwait, key K, aw *relAwait) {
-	delete(m, key)
+// dropAwait takes a slot nobody waits on any more out of the hop-ack table
+// and recycles it. A timeout still scheduled for it finds the generation moved
+// on.
+func (e *relEngine) dropAwait(key linkSeq, aw *relAwait) {
+	delete(e.acks, key)
 	aw.rearm()
 	e.awFree.put(aw)
 }
@@ -1197,9 +1340,11 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, seq uint64, pkt []by
 	}
 	if d.frag == e2eFrag {
 		e.hopAck(in, seq, d.flags)
-		if aw := e.e2e[relMsgKey{origin: d.src, id: d.id}]; aw != nil {
+		if m := e.e2e[relMsgKey{origin: d.src, id: d.id}]; m != nil {
 			e.hop(p, d.id, "e2e", obs.Detail{Note: "end-to-end ack received"}, 0)
-			complete(aw)
+			if m.acked = true; m.bursts == 0 { // else the last burst to retire settles it
+				e.settle(m)
+			}
 		}
 		e.vc.bufs.Put(pkt)
 		return
@@ -1213,12 +1358,13 @@ func (e *relEngine) handleData(p *vtime.Proc, in *mad.Link, seq uint64, pkt []by
 // sink will read, suppressing duplicates, and seals the message when the last
 // fragment lands. It reports whether the fragment — and with it the packet's
 // buffer — was kept. A fragment that would complete a message while the
-// application leaves the merged queue full is refused like a relay admission:
+// application leaves the merged queue without room for a window of messages
+// (what a completion releases, inOrder) is refused like a relay admission:
 // neither stored nor acknowledged, so the origin's ARQ sends it again.
 func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, seq uint64, d *relData) bool {
 	mkey := relMsgKey{origin: d.src, id: d.id}
 	h := e.rx[mkey]
-	if e.vc.merged[e.node.Rank].Len() >= mergedCap && completes(h, d) {
+	if e.vc.merged[e.node.Rank].Len()+relFrameWindow > mergedCap && completes(h, d) {
 		e.count(relBackpressure, 1)
 		return false
 	}
@@ -1270,24 +1416,48 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, seq uint64, d *relD
 	for _, f := range h.frags[1:] {
 		payload += len(f)
 	}
-	if !e.seal(h) {
-		// Fragments that disagree with their descriptor: dropped unacked,
-		// so the origin's resends end in a DeliveryError.
-		e.count(relChecksumDrops, 1)
-		e.hop(p, d.id, "corrupt-drop", obs.Detail{Note: "fragments disagree with the descriptor"}, payload)
-		e.vc.release(h)
-		return true
-	}
 	w := e.done[d.src] // the origin's, made by its first completed message
 	if w == nil {
 		w = new(relDoneWindow)
 		e.done[d.src] = w
 	}
+	if !e.seal(h) || !w.fits(h.seq) {
+		// Fragments that disagree with their descriptor, or a sequence number
+		// outside the pair's window: dropped unacked, so the origin's resends
+		// end in a DeliveryError.
+		e.count(relChecksumDrops, 1)
+		e.hop(p, d.id, "corrupt-drop", obs.Detail{Note: "fragments disagree with the descriptor"}, payload)
+		e.vc.release(h)
+		return true
+	}
 	w.add(d.id)
 	e.hop(p, d.id, "deliver", obs.Detail{Form: hopReassembled + " (${a} fragments)", A: len(h.bufs)}, payload)
-	e.vc.merged[e.node.Rank].TrySend(incoming{held: h}) // room checked above
+	e.inOrder(w, h) // room checked above
 	e.sendE2E(d.src, d.id)
 	return true
+}
+
+// inOrder hands a complete message to the merged queue in its pair's sequence
+// (DESIGN.md §7), holding a later one in w until those before it complete.
+func (e *relEngine) inOrder(w *relDoneWindow, h *heldMsg) {
+	q := e.vc.merged[e.node.Rank]
+	if h.seq == 0 {
+		q.TrySend(incoming{held: h})
+		return
+	}
+	if h.seq != w.last+1 {
+		w.held[h.seq%relFrameWindow] = h
+		return
+	}
+	for {
+		q.TrySend(incoming{held: h})
+		w.last = h.seq
+		next := &w.held[(h.seq+1)%relFrameWindow]
+		if h = *next; h == nil {
+			return
+		}
+		*next = nil
+	}
 }
 
 // seal checks a complete message in place: an aggregate frame is one block,
@@ -1297,7 +1467,7 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, seq uint64, d *relD
 // 0 and an empty block's fragment go — while bufs keeps every datagram for
 // release.
 func (e *relEngine) seal(h *heldMsg) bool {
-	desc, ok := decodeRelDesc(h.frags[0], h.blocks)
+	desc, seq, ok := decodeRelDesc(h.frags[0], h.blocks)
 	ok = ok && (!h.agg || len(desc) == 1)
 	mtu, frags, next := h.mtu, h.frags[:0], 1 // frags is written behind next
 	for i := 0; ok && i < len(desc); i++ {
@@ -1315,7 +1485,7 @@ func (e *relEngine) seal(h *heldMsg) bool {
 	}
 	clear(h.frags[len(frags):])
 	h.direct = len(e.vc.tp.SharedNetworks(e.vc.sess.Node(h.src).Name, e.node.Name)) > 0
-	h.known, h.frags, h.blocks, h.cost, h.delivered = true, frags, desc, e.node.Host.CPU.PackCost, true
+	h.known, h.frags, h.blocks, h.seq, h.cost, h.delivered = true, frags, desc, seq, e.node.Host.CPU.PackCost, true
 	return true
 }
 

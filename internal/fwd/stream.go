@@ -655,8 +655,10 @@ type heldMsg struct {
 	bufs       [][]byte
 	got, total int
 	// delivered: the deliver hop was recorded at completion; agg: the payload
-	// is an aggregate frame (flagAgg), for aggDecodeReliable.
+	// is an aggregate frame (flagAgg), for aggDecodeReliable. seq is a reliable
+	// message's number in its pair's sequence (relDescLen).
 	delivered, agg bool
+	seq            uint32
 }
 
 // hold takes a record off the channel's free list for message id from src,

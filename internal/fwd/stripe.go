@@ -298,6 +298,9 @@ type stripePlan struct {
 	rates         []float64
 	quotas, spans []int64
 	active        int // rails with a quota
+	// The lists' storage for a pair of up to four rails, the plan's own.
+	rateBuf           [4]float64
+	quotaBuf, spanBuf [4]int64
 }
 
 // planStripe splits one striped message over the pair's rails in proportion
@@ -310,7 +313,11 @@ type stripePlan struct {
 // counted nor recorded, and goes down one rail whole.
 func (vc *VirtualChannel) planStripe(p *vtime.Proc, pl *stripePlan, id uint64, src, dst string, rails []route.Route, total int64, pkts []relData) bool {
 	k := len(rails)
-	if cap(pl.spans) < k {
+	switch {
+	case cap(pl.spans) >= k:
+	case k <= len(pl.rateBuf):
+		pl.rates, pl.quotas, pl.spans = pl.rateBuf[:], pl.quotaBuf[:], pl.spanBuf[:]
+	default:
 		pl.rates, pl.quotas, pl.spans = make([]float64, k), make([]int64, k), make([]int64, k)
 	}
 	pl.rates, pl.quotas, pl.spans = pl.rates[:k], pl.quotas[:k], pl.spans[:k]

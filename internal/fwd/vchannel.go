@@ -622,7 +622,10 @@ func (e *Endpoint) beginPacking(p *vtime.Proc, dst string) Packing {
 	// Under Eager every message toward a forwarded (multi-network)
 	// destination is offered to the coalescer; messages that turn out too
 	// large bypass (or spill back to the streaming path) from there. The
-	// others of a pair that buffers go by sendBuffered at EndPacking.
+	// others of a pair that buffers go by sendBuffered at EndPacking. The
+	// table is the topology's, fixed at Build — a failover moves packets, not
+	// this choice — so a reliable pair numbers all its messages or none, as
+	// its sink's sequence needs (relEngine.inOrder).
 	coalesce := false
 	if e.vc.cfg.Eager {
 		hop, ok := e.vc.tbl.NextHop(e.node.Name, dst)
@@ -701,6 +704,7 @@ type gtmPacking struct {
 	dests    []mad.Rank
 	coalesce bool   // offered to the coalescer at EndPacking
 	wire     []byte // the aggregate frame the blocks lie in, a coalescer's
+	seq      uint32 // the message's number in its pair's sequence, which a coalescer gave it; 0 for none
 	// The rails of a striped message and their split.
 	rails []route.Route
 	plan  stripePlan
@@ -774,9 +778,11 @@ func (x *gtmPacking) stream(p *vtime.Proc, link *mad.Link) {
 // (sendMessage stripes or picks one); over the pair's rails when it has two
 // and the message reaches the stripe threshold; else down one rail, as a
 // compact KindAgg transfer when it is a coalescer's frame (marked flagAgg on
-// the other two), in the framing Config.Eager names if not. A frame's buffer
-// goes back to the wire pool after a reliable send, which copied it, and is
-// filed for the sink to return before the rails send it by reference.
+// the other two), in the framing Config.Eager names if not. A reliable message
+// returns once its sink acknowledged it, but a frame once it is queued: the
+// frame's record keeps its buffer and frees its slot of the coalescer's window
+// when the sink acknowledges it. A streaming frame's buffer is filed for the
+// sink to return before the rails send it by reference.
 func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
 	node, dst := x.node, x.dst
 	rails := vc.stripeRoutes(node.Name, dst)
@@ -785,13 +791,12 @@ func (vc *VirtualChannel) sendBuffered(p *vtime.Proc, x *gtmPacking) {
 	}
 	stripe := rails != nil && x.total >= DefaultStripeThreshold
 	switch {
+	case vc.cfg.Reliable && x.wire != nil:
+		m := vc.rel[node.Name].startMessage(p, dst, x.blks, x.id, x.seq, flagAgg, rails, stripe)
+		m.wire, m.co = x.wire, vc.aggCoalescer(node, dst)
 	case vc.cfg.Reliable:
-		var flags uint8
-		if x.wire != nil {
-			flags = flagAgg
-		}
-		vc.rel[node.Name].sendMessage(p, dst, x.blks, x.id, flags, rails, stripe)
-		vc.bufs.Put(x.wire)
+		e := vc.rel[node.Name]
+		e.awaitMessage(p, e.startMessage(p, dst, x.blks, x.id, x.seq, 0, rails, stripe))
 	case stripe && vc.planStripe(p, &x.plan, x.id, node.Name, dst, rails, int64(x.total), nil):
 		if x.wire != nil {
 			vc.aggst.striped[x.id] = x.wire

@@ -23,6 +23,7 @@ type Channel struct {
 	order   []Rank
 	links   map[[2]Rank]*Link
 	byNum   []*Link      // the links in bring-up order; a wire event names its link by index
+	spare   []Link       // the rest of the last batch of link records allocated
 	onWire  func(uint64) // wireArrival, bound by the first link for every link's wire events
 	arrival map[Rank]*vsync.Chan[Arrival]
 }
@@ -103,7 +104,12 @@ func (ch *Channel) Link(src, dst Rank) *Link {
 	if ch.onWire == nil {
 		ch.onWire = ch.wireArrival
 	}
-	l := newLink(ch, ch.members[src].node, ch.members[dst].node, uint64(len(ch.byNum)))
+	if len(ch.spare) == 0 { // a batch as large as the channel's links, up to 64, as hw.Network.Wire's
+		ch.spare = make([]Link, min(max(1, len(ch.byNum)), 64))
+	}
+	l := &ch.spare[0]
+	ch.spare = ch.spare[1:]
+	l.init(ch, ch.members[src].node, ch.members[dst].node, uint64(len(ch.byNum)))
 	ch.links[key] = l
 	ch.byNum = append(ch.byNum, l)
 	return l

@@ -193,7 +193,7 @@ type Link struct {
 
 	// Constants of the link, built once when the link is: what every Send
 	// would otherwise format and allocate anew. The flow name is the tail of
-	// the mailbox's, which follows the wire's in one string (newLink).
+	// the mailbox's, which follows the wire's in one string (init).
 	flowName string       // fluid.Spec name of the link's transfers
 	route    [3]fluid.Hop // sender bus → wire → receiver bus
 
@@ -228,11 +228,11 @@ type Link struct {
 	mboxSlots [4]*transmission
 }
 
-// newLink brings up the connection src→dst, the channel's link number num.
-// Everything the link keeps is inside the Link record but its names, its NIC
-// model, which the channel holds, and its wire, which every channel of the
-// network shares.
-func newLink(ch *Channel, src, dst *Node, num uint64) *Link {
+// init brings up the connection src→dst, the channel's link number num, in
+// the zero record l. Everything the link keeps is inside the Link record but
+// its names, its NIC model, which the channel holds, and its wire, which every
+// channel of the network shares.
+func (l *Link) init(ch *Channel, src, dst *Node, num uint64) {
 	nic := &ch.nic
 	// One string holds the wire's name and then the mailbox's, whose tail is
 	// the flow's.
@@ -240,7 +240,7 @@ func newLink(ch *Channel, src, dst *Node, num uint64) *Link {
 		"mbox:" + ch.Name + ":" + src.Name + "->" + dst.Name
 	at := len("wire:") + len(ch.net.Name) + len(":") + len(src.Name) + len("->") + len(dst.Name)
 	mbox := names[at:]
-	l := &Link{
+	*l = Link{
 		Channel: ch,
 		Src:     src,
 		Dst:     dst,
@@ -263,7 +263,6 @@ func newLink(ch *Channel, src, dst *Node, num uint64) *Link {
 	l.txSlots[0] = &l.tx0
 	l.txFree = l.txSlots[:1]
 	src.Session.Platform.Instrument(l)
-	return l
 }
 
 func (l *Link) sim() *vtime.Sim       { return l.Src.Session.Platform.Sim }

@@ -181,6 +181,36 @@ func TestAbortReturnsItsErrorAndTheRunResumes(t *testing.T) {
 	}
 }
 
+// TestCallbackAbortReturnsItsError: a callback's Abort ends the run with its
+// error as a process's does, whether the goroutine inside Run runs the
+// callback (the first event) or a process goroutine does (a later one), and
+// leaves every process and later event where it was.
+func TestCallbackAbortReturnsItsError(t *testing.T) {
+	for _, at := range []Duration{0, 2 * Microsecond} {
+		s := New()
+		gaveUp := errors.New("gave up")
+		s.AtArg(Time(at), func(uint64) { panic(Abort{Err: gaveUp}) }, 0)
+		ticks := 0
+		s.Spawn("ticker", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(Microsecond)
+				ticks++
+			}
+		})
+		if err := s.Run(); err != gaveUp || s.Now() != Time(at) {
+			t.Fatalf("abort at %v: Run = %v at %v, want the Abort's error then", at, err, s.Now())
+		}
+		if err := s.Run(); err != nil || ticks != 5 {
+			t.Fatalf("abort at %v: resumed Run = %v with %d of 5 ticks", at, err, ticks)
+		}
+	}
+	s := New()
+	s.After(0, func() { panic("boom") })
+	if r := panicOf(func() { _ = s.Run() }); r != "boom" {
+		t.Fatalf("a callback's other panic: Run panicked with %v, want it unchanged", r)
+	}
+}
+
 // TestDeadlockReportListing pins the report: stuck processes sorted by
 // name, each with what it waits on, daemons left out, every OnIdle hook run
 // once, in registration order, before Run returns.

@@ -160,11 +160,12 @@ func (s *Sim) After(d Duration, fn func()) {
 // before Run returns the DeadlockError.
 func (s *Sim) OnIdle(fn func()) { s.idle = append(s.idle, fn) }
 
-// Abort is a panic value that ends the simulation cleanly: a process that
-// panics with an Abort makes Run return Err instead of re-raising the panic
-// in the caller. The reliability layer uses it to surface typed delivery
-// errors (a destination that stayed unreachable through every retry) without
-// either crashing the host program or leaving the simulation deadlocked.
+// Abort is a panic value that ends the simulation cleanly: a process or a
+// callback that panics with an Abort makes Run return Err instead of
+// re-raising the panic in the caller. The reliability layer uses it to
+// surface typed delivery errors (a destination that stayed unreachable
+// through every retry) without either crashing the host program or leaving
+// the simulation deadlocked.
 type Abort struct{ Err error }
 
 // DeadlockError reports that the event queue drained while processes were
@@ -213,10 +214,14 @@ func (s *Sim) run(deadline Time) error {
 	s.handOver(&s.home)
 	if f := s.failure; f.value != nil {
 		s.failure = failure{}
+		ab, abort := f.value.(Abort)
 		if f.p == nil {
+			if abort {
+				return ab.Err
+			}
 			panic(f.value)
 		}
-		if ab, ok := f.value.(Abort); ok {
+		if abort {
 			f.p.state = stateDone
 			delete(s.live, f.p.id)
 			return ab.Err
@@ -270,18 +275,20 @@ func (s *Sim) handOver(w *worker) {
 // queue) it returns the home worker.
 //
 // A callback that panics under the goroutine inside Run unwinds out of Run,
-// stack and all. Under a process goroutine (w is not home) it must not
-// unwind into the process function that happens to be parked further up
-// that stack: the panic stops here, and travels home as the run's failure.
+// stack and all, unless it panics with an Abort. Under a process goroutine
+// (w is not home) it must not unwind into the process function that happens
+// to be parked further up that stack: the panic stops here, and travels home
+// as the run's failure, as an Abort does from home.
 func (s *Sim) advance(w *worker) (next *worker) {
-	if w != &s.home {
-		defer func() {
-			if r := recover(); r != nil {
-				s.failure = failure{value: r}
-				next = &s.home
+	defer func() {
+		if r := recover(); r != nil {
+			if _, abort := r.(Abort); !abort && w == &s.home {
+				panic(r)
 			}
-		}()
-	}
+			s.failure = failure{value: r}
+			next = &s.home
+		}
+	}()
 	for len(s.events) > 0 {
 		if s.deadline >= 0 && s.events[0].at > s.deadline {
 			break

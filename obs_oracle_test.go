@@ -104,6 +104,17 @@ var updateObsOracle = flag.Bool("update-obs-oracle", false,
 // leave at other instants, so the seeded fault plan's draws fall on other
 // transfers and everything downstream reads differently, with every message
 // still delivered and the two stripe splits' bytes unchanged.
+//
+// And a tenth time, when a reliable pair's coalescer came to keep four frames
+// in flight, numbered in the descriptor for the sink to deliver in sequence,
+// and a datagram to hold its header within the MTU where that costs no
+// fragment (DESIGN.md §24, §7): the streaming and striped legs stayed
+// byte-identical. On the reliable leg b1's messages leave in four frames, not
+// two, since a frame no longer waits for the one before it to be acknowledged
+// end to end; the descriptors are 4 bytes longer and most fragments 27 bytes
+// shorter, so transfers leave at other instants, the seeded fault plan's draws
+// fall on other transfers, and everything downstream reads differently, with
+// every message still delivered in order.
 func TestObsSnapshotOracle(t *testing.T) {
 	var got bytes.Buffer
 	for _, leg := range []struct {
